@@ -76,7 +76,7 @@ func main() {
 	regressB := flag.Float64("regress-b", 0.35, "max allowed fractional B/op regression vs -compare (negative disables)")
 	regressAllocs := flag.Float64("regress-allocs", 0.10, "max allowed fractional allocs/op regression vs -compare (negative disables)")
 	regressPkts := flag.Float64("regress-pkts", -1, "max allowed fractional pkts/s drop vs -compare (higher is better; negative disables)")
-	pkgs := flag.String("pkgs", ".,./pkg/loadshed,./internal/bitmap,./internal/hash,./internal/features", "comma-separated packages to benchmark")
+	pkgs := flag.String("pkgs", "./pkg/loadshed,./internal/bitmap,./internal/hash,./internal/features", "comma-separated packages to benchmark")
 	flag.Parse()
 
 	pkgList := strings.Split(*pkgs, ",")

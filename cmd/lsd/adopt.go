@@ -82,10 +82,10 @@ func runAdoptedShard(ctx context.Context, offer loadshed.AdoptOffer, o workerOpt
 	}
 
 	srcOpts := serveOpts{
-		preset: cp.Spec.Preset,
-		seed:   cp.Spec.TraceSeed,
-		dur:    cp.Spec.TraceDur,
-		scale:  cp.Spec.Scale,
+		engineOpts: engineOpts{seed: cp.Spec.TraceSeed},
+		preset:     cp.Spec.Preset,
+		dur:        cp.Spec.TraceDur,
+		scale:      cp.Spec.Scale,
 	}
 	src, closeSrc, desc, err := openIngest(cp.Spec.Ingest, srcOpts)
 	if err != nil {

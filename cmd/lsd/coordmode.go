@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -66,22 +65,11 @@ func runCoordinator(ctx context.Context, o coordOpts) {
 	fmt.Printf("coordinator on %s: policy %s, total capacity %.3g cycles/bin, heartbeat %v, %s\n",
 		srv.Addr(), o.policy, o.capacity, o.heartbeat, auth)
 
-	var admin *http.Server
-	if o.admin != "" {
-		aln, err := net.Listen("tcp", o.admin)
-		die(err)
-		admin = &http.Server{Handler: coordinatorMux(srv, o)}
-		go admin.Serve(aln)
-		fmt.Printf("admin plane on http://%s (healthz, metrics, cluster)\n", aln.Addr())
-	}
+	stopAdmin := startAdmin(o.admin, coordinatorMux(srv, o), "healthz, metrics, cluster")
 
 	<-ctx.Done()
 	srv.Close()
-	if admin != nil {
-		shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		admin.Shutdown(shCtx)
-	}
+	stopAdmin()
 
 	fmt.Println("signal received: coordinator stopped")
 	for _, n := range coord.Status() {
@@ -111,49 +99,26 @@ func coordinatorMux(srv *loadshed.CoordServer, o coordOpts) *http.ServeMux {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		nodes := coord.Status()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		fmt.Fprintln(w, "# HELP lsd_up Whether the coordinator is serving.")
-		fmt.Fprintln(w, "# TYPE lsd_up gauge")
-		fmt.Fprintln(w, "lsd_up 1")
-		fmt.Fprintln(w, "# HELP lsd_cluster_total_capacity Total machine budget distributed per bin, cycles.")
-		fmt.Fprintln(w, "# TYPE lsd_cluster_total_capacity gauge")
-		fmt.Fprintf(w, "lsd_cluster_total_capacity %g\n", coord.Total())
-		fmt.Fprintln(w, "# HELP lsd_cluster_nodes Nodes that ever joined the cluster.")
-		fmt.Fprintln(w, "# TYPE lsd_cluster_nodes gauge")
-		fmt.Fprintf(w, "lsd_cluster_nodes %d\n", len(nodes))
-		fmt.Fprintln(w, "# HELP lsd_node_budget Cycle budget most recently granted to the node.")
-		fmt.Fprintln(w, "# TYPE lsd_node_budget gauge")
-		for _, n := range nodes {
-			fmt.Fprintf(w, "lsd_node_budget{node=%q} %g\n", n.Name, n.Grant)
+		m := &loadshed.MetricsWriter{W: w}
+		perNode := func(name, help string, v func(n *loadshed.CoordNodeStatus) any) {
+			m.GaugeVec(name, help, "node", len(nodes), func(i int) (string, any) { return nodes[i].Name, v(&nodes[i]) })
 		}
-		fmt.Fprintln(w, "# HELP lsd_node_demand EWMA full-rate demand the node last reported, cycles/bin.")
-		fmt.Fprintln(w, "# TYPE lsd_node_demand gauge")
-		for _, n := range nodes {
-			fmt.Fprintf(w, "lsd_node_demand{node=%q} %g\n", n.Name, n.Demand)
-		}
-		fmt.Fprintln(w, "# HELP lsd_node_partitioned Whether the node's lease expired without a report.")
-		fmt.Fprintln(w, "# TYPE lsd_node_partitioned gauge")
-		for _, n := range nodes {
-			fmt.Fprintf(w, "lsd_node_partitioned{node=%q} %d\n", n.Name, b2i(n.Partitioned))
-		}
-		fmt.Fprintln(w, "# HELP lsd_node_done Whether the node finished its trace.")
-		fmt.Fprintln(w, "# TYPE lsd_node_done gauge")
-		for _, n := range nodes {
-			fmt.Fprintf(w, "lsd_node_done{node=%q} %d\n", n.Name, b2i(n.Done))
-		}
-		fmt.Fprintln(w, "# HELP lsd_node_checkpoint_bin First unprocessed bin of the shard's retained checkpoint (-1 = none).")
-		fmt.Fprintln(w, "# TYPE lsd_node_checkpoint_bin gauge")
-		for _, n := range nodes {
-			fmt.Fprintf(w, "lsd_node_checkpoint_bin{node=%q} %d\n", n.Name, n.CheckpointBin)
-		}
-		fmt.Fprintln(w, "# HELP lsd_cluster_checkpoints_total Shard checkpoints stored by the coordinator.")
-		fmt.Fprintln(w, "# TYPE lsd_cluster_checkpoints_total counter")
-		fmt.Fprintf(w, "lsd_cluster_checkpoints_total %d\n", coord.CheckpointsStored())
-		fmt.Fprintln(w, "# HELP lsd_cluster_failover_offers_total Adoption offers issued for crashed or migrating shards.")
-		fmt.Fprintln(w, "# TYPE lsd_cluster_failover_offers_total counter")
-		fmt.Fprintf(w, "lsd_cluster_failover_offers_total %d\n", coord.FailoverOffers())
-		fmt.Fprintln(w, "# HELP lsd_coord_auth_failures_total Connections rejected by pre-shared-key authentication.")
-		fmt.Fprintln(w, "# TYPE lsd_coord_auth_failures_total counter")
-		fmt.Fprintf(w, "lsd_coord_auth_failures_total %d\n", srv.AuthFailures())
+		m.Gauge("lsd_up", "Whether the coordinator is serving.", 1)
+		m.Gauge("lsd_cluster_total_capacity", "Total machine budget distributed per bin, cycles.", coord.Total())
+		m.Gauge("lsd_cluster_nodes", "Nodes that ever joined the cluster.", len(nodes))
+		perNode("lsd_node_budget", "Cycle budget most recently granted to the node.",
+			func(n *loadshed.CoordNodeStatus) any { return n.Grant })
+		perNode("lsd_node_demand", "EWMA full-rate demand the node last reported, cycles/bin.",
+			func(n *loadshed.CoordNodeStatus) any { return n.Demand })
+		perNode("lsd_node_partitioned", "Whether the node's lease expired without a report.",
+			func(n *loadshed.CoordNodeStatus) any { return b2i(n.Partitioned) })
+		perNode("lsd_node_done", "Whether the node finished its trace.",
+			func(n *loadshed.CoordNodeStatus) any { return b2i(n.Done) })
+		perNode("lsd_node_checkpoint_bin", "First unprocessed bin of the shard's retained checkpoint (-1 = none).",
+			func(n *loadshed.CoordNodeStatus) any { return n.CheckpointBin })
+		m.Counter("lsd_cluster_checkpoints_total", "Shard checkpoints stored by the coordinator.", coord.CheckpointsStored())
+		m.Counter("lsd_cluster_failover_offers_total", "Adoption offers issued for crashed or migrating shards.", coord.FailoverOffers())
+		m.Counter("lsd_coord_auth_failures_total", "Connections rejected by pre-shared-key authentication.", srv.AuthFailures())
 	})
 
 	mux.HandleFunc("GET /cluster", func(w http.ResponseWriter, r *http.Request) {
@@ -252,43 +217,70 @@ func (o workerOpts) shardSpec(qs []loadshed.Query, capacity float64) loadshed.Sh
 // the remote coordinator. Coordination is advisory — an unreachable
 // coordinator degrades the worker to local-only shedding on its last
 // granted (or initial) capacity, and a reconnect rejoins the cluster.
+// The probed budget is therefore only the initial one: it carries the
+// worker through coordinator outages, and the first grant replaces it.
 func runWorker(ctx context.Context, mkQs func() []loadshed.Query, o workerOpts) {
 	name := o.name
 	if name == "" {
 		name = fmt.Sprintf("worker%d", os.Getpid())
 	}
+	serveLoop(ctx, mkQs, o.serve, "initial capacity", func(sys *loadshed.System, capacity float64) serveMode {
+		client := joinCoordinator(name, o)
+		if o.ckptEvery > 0 && o.serve.customOn {
+			fmt.Println("warning: -checkpoint-every needs -custom=false (custom load shedding has unserializable state); checkpoints will fail until it is disabled")
+		}
+		node := loadshed.NewNode(sys, client, loadshed.NodeConfig{
+			Name:            name,
+			MinShare:        o.minShare,
+			CheckpointEvery: o.ckptEvery,
+			Spec:            o.shardSpec(mkQs(), capacity),
+		})
 
-	src, closeSrc, desc, err := openIngest(o.serve.ingest, o.serve)
-	die(err)
-	fmt.Printf("ingest: %s\n", desc)
+		// Adopted shards: the coordinator pushes an orphaned shard's
+		// checkpoint over this worker's link; each adoption runs as its own
+		// Node + System + coordinator connection alongside the local shard.
+		adoptions := newAdoptionState()
+		adoptCtx, stopAdopting := context.WithCancel(ctx)
+		go adoptionLoop(adoptCtx, client, adoptions, o)
 
-	capacity := o.serve.capacity
-	if capacity <= 0 {
-		// The initial local budget, which also carries the worker through
-		// coordinator outages; the first grant replaces it.
-		fmt.Println("measuring full-rate demand (generated probe) ...")
-		cfg, err := loadshed.PresetConfig(o.serve.preset, o.serve.seed, o.serve.dur, o.serve.scale)
-		die(err)
-		ovh, demand := loadshed.MeasureLoad(loadshed.NewGenerator(cfg), mkQs(), o.serve.seed+1)
-		capacity = ovh + demand/o.serve.overload
-		fmt.Printf("demand %.3g cycles/bin (+%.3g overhead), initial capacity %.3g (overload %.2fx)\n",
-			demand, ovh, capacity, o.serve.overload)
-	}
+		return serveMode{
+			banner: "serving as cluster worker",
+			stream: node.StreamContext,
+			metrics: func(m *loadshed.MetricsWriter) {
+				m.Gauge("lsd_coord_connected", "Whether the coordinator connection is up.", b2i(client.Connected()))
+				m.Gauge("lsd_coord_degraded", "Whether the worker is shedding on local capacity only (no lease-fresh grant).", b2i(client.Degraded()))
+				m.Counter("lsd_coord_reconnects_total", "Times the coordinator link was re-established.", client.Reconnects())
+				var grantCap float64
+				if g, ok := client.Grant(); ok {
+					grantCap = g.Capacity
+				}
+				m.Gauge("lsd_coord_grant_capacity", "Cycle budget of the current lease-fresh grant (0 while degraded).", grantCap)
+				m.Gauge("lsd_node_capacity", "Cycle budget per bin the engine currently runs under.", sys.Governor().Capacity())
+				m.Counter("lsd_checkpoints_total", "Shard checkpoints shipped to the coordinator.", node.CheckpointsSent())
+				m.Counter("lsd_checkpoint_errors_total", "Checkpoints that failed to snapshot or send.", node.CheckpointErrors())
+				m.Gauge("lsd_adopted_shards", "Shards this worker is currently running on behalf of failed or migrated peers.", adoptions.Active())
+				m.Counter("lsd_adoptions_total", "Adoption offers this worker has accepted.", adoptions.Total())
+			},
+			// The local shard is finished (or drained away by a migration),
+			// but adopted shards keep running until they finish or a signal
+			// lands. The worker's own link stays open meanwhile: it is how
+			// new offers arrive and how the coordinator sees this worker as
+			// live.
+			after: func() {
+				if node.Drained() {
+					fmt.Println("shard drained: final checkpoint handed to the coordinator for migration")
+				}
+				adoptions.Wait()
+				stopAdopting()
+				client.Close()
+			},
+		}
+	})
+}
 
-	cfg := loadshed.Config{
-		Capacity:        capacity,
-		Seed:            o.serve.seed + 2,
-		CustomShedding:  o.serve.customOn,
-		ChangeDetection: o.serve.detectOn,
-		Workers:         o.serve.workers,
-	}
-	cfg.Scheme, err = loadshed.ParseScheme(o.serve.scheme)
-	die(err)
-	if cfg.Scheme == loadshed.Predictive {
-		cfg.Strategy, err = loadshed.StrategyByName(o.serve.strategy)
-		die(err)
-	}
-
+// joinCoordinator dials the worker's coordinator link, applying the
+// -join-timeout startup bound.
+func joinCoordinator(name string, o workerOpts) *loadshed.CoordClient {
 	client, err := loadshed.DialCoordinator(o.coordAddr, name, loadshed.CoordClientConfig{
 		MinShare: o.minShare,
 		Lease:    o.lease,
@@ -297,127 +289,25 @@ func runWorker(ctx context.Context, mkQs func() []loadshed.Query, o workerOpts) 
 	if client == nil {
 		die(err)
 	}
-	defer client.Close()
-	if err != nil {
-		if o.joinWait <= 0 {
-			fmt.Printf("coordinator %s unreachable (%v); shedding locally until it appears\n", o.coordAddr, err)
-		} else {
-			// Bounded join: a worker that cannot reach its coordinator at
-			// startup is usually misconfigured (wrong address or wrong
-			// -cluster-key), so fail fast instead of redialing forever.
-			fmt.Printf("coordinator %s unreachable (%v); retrying for %v\n", o.coordAddr, err, o.joinWait)
-			deadline := time.Now().Add(o.joinWait)
-			for !client.Connected() {
-				if time.Now().After(deadline) {
-					client.Close()
-					die(fmt.Errorf("coordinator %s still unreachable after -join-timeout %v", o.coordAddr, o.joinWait))
-				}
-				time.Sleep(50 * time.Millisecond)
+	switch {
+	case err == nil:
+	case o.joinWait <= 0:
+		fmt.Printf("coordinator %s unreachable (%v); shedding locally until it appears\n", o.coordAddr, err)
+		return client
+	default:
+		// Bounded join: a worker that cannot reach its coordinator at
+		// startup is usually misconfigured (wrong address or wrong
+		// -cluster-key), so fail fast instead of redialing forever.
+		fmt.Printf("coordinator %s unreachable (%v); retrying for %v\n", o.coordAddr, err, o.joinWait)
+		deadline := time.Now().Add(o.joinWait)
+		for !client.Connected() {
+			if time.Now().After(deadline) {
+				client.Close()
+				die(fmt.Errorf("coordinator %s still unreachable after -join-timeout %v", o.coordAddr, o.joinWait))
 			}
-			fmt.Printf("joined coordinator %s as %q\n", o.coordAddr, name)
+			time.Sleep(50 * time.Millisecond)
 		}
-	} else {
-		fmt.Printf("joined coordinator %s as %q\n", o.coordAddr, name)
 	}
-
-	if o.ckptEvery > 0 && o.serve.customOn {
-		fmt.Println("warning: -checkpoint-every needs -custom=false (custom load shedding has unserializable state); checkpoints will fail until it is disabled")
-	}
-	sys := loadshed.New(cfg, mkQs())
-	node := loadshed.NewNode(sys, client, loadshed.NodeConfig{
-		Name:            name,
-		MinShare:        o.minShare,
-		CheckpointEvery: o.ckptEvery,
-		Spec:            o.shardSpec(mkQs(), capacity),
-	})
-
-	// Adopted shards: the coordinator pushes an orphaned shard's
-	// checkpoint over this worker's link; each adoption runs as its own
-	// Node + System + coordinator connection alongside the local shard.
-	adoptions := newAdoptionState()
-	adoptCtx, stopAdopting := context.WithCancel(ctx)
-	defer stopAdopting()
-	go adoptionLoop(adoptCtx, client, adoptions, o)
-	windowBins := int(o.serve.window / src.TimeBin())
-	sink := &serveSink{roll: loadshed.NewRollingStats(windowBins)}
-	live, _ := src.(*loadshed.LiveSource)
-
-	var admin *http.Server
-	if o.serve.admin != "" {
-		ln, err := net.Listen("tcp", o.serve.admin)
-		die(err)
-		admin = &http.Server{Handler: adminMux(sys, sink, live, o.serve.seed, func(w io.Writer) {
-			fmt.Fprintln(w, "# HELP lsd_coord_connected Whether the coordinator connection is up.")
-			fmt.Fprintln(w, "# TYPE lsd_coord_connected gauge")
-			fmt.Fprintf(w, "lsd_coord_connected %d\n", b2i(client.Connected()))
-			fmt.Fprintln(w, "# HELP lsd_coord_degraded Whether the worker is shedding on local capacity only (no lease-fresh grant).")
-			fmt.Fprintln(w, "# TYPE lsd_coord_degraded gauge")
-			fmt.Fprintf(w, "lsd_coord_degraded %d\n", b2i(client.Degraded()))
-			fmt.Fprintln(w, "# HELP lsd_coord_reconnects_total Times the coordinator link was re-established.")
-			fmt.Fprintln(w, "# TYPE lsd_coord_reconnects_total counter")
-			fmt.Fprintf(w, "lsd_coord_reconnects_total %d\n", client.Reconnects())
-			var grantCap float64
-			if g, ok := client.Grant(); ok {
-				grantCap = g.Capacity
-			}
-			fmt.Fprintln(w, "# HELP lsd_coord_grant_capacity Cycle budget of the current lease-fresh grant (0 while degraded).")
-			fmt.Fprintln(w, "# TYPE lsd_coord_grant_capacity gauge")
-			fmt.Fprintf(w, "lsd_coord_grant_capacity %g\n", grantCap)
-			fmt.Fprintln(w, "# HELP lsd_node_capacity Cycle budget per bin the engine currently runs under.")
-			fmt.Fprintln(w, "# TYPE lsd_node_capacity gauge")
-			fmt.Fprintf(w, "lsd_node_capacity %g\n", sys.Governor().Capacity())
-			fmt.Fprintln(w, "# HELP lsd_checkpoints_total Shard checkpoints shipped to the coordinator.")
-			fmt.Fprintln(w, "# TYPE lsd_checkpoints_total counter")
-			fmt.Fprintf(w, "lsd_checkpoints_total %d\n", node.CheckpointsSent())
-			fmt.Fprintln(w, "# HELP lsd_checkpoint_errors_total Checkpoints that failed to snapshot or send.")
-			fmt.Fprintln(w, "# TYPE lsd_checkpoint_errors_total counter")
-			fmt.Fprintf(w, "lsd_checkpoint_errors_total %d\n", node.CheckpointErrors())
-			fmt.Fprintln(w, "# HELP lsd_adopted_shards Shards this worker is currently running on behalf of failed or migrated peers.")
-			fmt.Fprintln(w, "# TYPE lsd_adopted_shards gauge")
-			fmt.Fprintf(w, "lsd_adopted_shards %d\n", adoptions.Active())
-			fmt.Fprintln(w, "# HELP lsd_adoptions_total Adoption offers this worker has accepted.")
-			fmt.Fprintln(w, "# TYPE lsd_adoptions_total counter")
-			fmt.Fprintf(w, "lsd_adoptions_total %d\n", adoptions.Total())
-		})}
-		go admin.Serve(ln)
-		fmt.Printf("admin plane on http://%s (healthz, readyz, metrics, queries)\n", ln.Addr())
-	}
-
-	unblock := context.AfterFunc(ctx, closeSrc)
-	defer unblock()
-
-	fmt.Printf("serving as cluster worker (%s scheme) ...\n", o.serve.scheme)
-	streamErr := node.StreamContext(ctx, src, sink)
-	closeSrc()
-
-	// The local shard is finished (or drained away by a migration), but
-	// adopted shards keep running until they finish or a signal lands.
-	// The worker's own link stays open meanwhile: it is how new offers
-	// arrive and how the coordinator sees this worker as live.
-	if node.Drained() {
-		fmt.Println("shard drained: final checkpoint handed to the coordinator for migration")
-	}
-	adoptions.Wait()
-	stopAdopting()
-	client.Close()
-	if admin != nil {
-		shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		admin.Shutdown(shCtx)
-	}
-
-	if streamErr != nil {
-		fmt.Println("signal received: stream stopped at a bin boundary")
-	}
-	if err := loadshed.SourceErr(src); err != nil {
-		die(fmt.Errorf("ingest failed: %w", err))
-	}
-
-	snap, _ := sink.snapshot()
-	dropPct := 0.0
-	if snap.WirePkts > 0 {
-		dropPct = 100 * float64(snap.DropPkts) / float64(snap.WirePkts)
-	}
-	fmt.Printf("served %d bins, %d intervals: %d of %d packets dropped uncontrolled (%.3f%%)\n",
-		snap.Bins, snap.Intervals, snap.DropPkts, snap.WirePkts, dropPct)
+	fmt.Printf("joined coordinator %s as %q\n", o.coordAddr, name)
+	return client
 }

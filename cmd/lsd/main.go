@@ -123,6 +123,25 @@ func main() {
 		}
 		return loadshed.StandardQueries(loadshed.QueryConfig{Seed: *seed})
 	}
+	eng := engineOpts{
+		seed:     *seed,
+		scheme:   *scheme,
+		strategy: *strategy,
+		customOn: *customOn,
+		detectOn: *detectOn,
+		workers:  *workers,
+	}
+	so := serveOpts{
+		engineOpts: eng,
+		admin:      *serve,
+		ingest:     *ingest,
+		preset:     *preset,
+		dur:        *dur,
+		scale:      *scale,
+		overload:   *overload,
+		capacity:   *capFlag,
+		window:     *window,
+	}
 
 	if *feed != "" {
 		runFeed(ctx, *feed, *preset, *seed, *dur, *scale)
@@ -151,42 +170,12 @@ func main() {
 			key:       *key,
 			joinWait:  *joinWait,
 			ckptEvery: *ckptEvery,
-			serve: serveOpts{
-				admin:    *serve,
-				ingest:   *ingest,
-				preset:   *preset,
-				seed:     *seed,
-				dur:      *dur,
-				scale:    *scale,
-				overload: *overload,
-				capacity: *capFlag,
-				window:   *window,
-				scheme:   *scheme,
-				strategy: *strategy,
-				customOn: *customOn,
-				detectOn: *detectOn,
-				workers:  *workers,
-			},
+			serve:     so,
 		})
 		return
 	}
 	if *serve != "" {
-		runServe(ctx, mkQs, serveOpts{
-			admin:    *serve,
-			ingest:   *ingest,
-			preset:   *preset,
-			seed:     *seed,
-			dur:      *dur,
-			scale:    *scale,
-			overload: *overload,
-			capacity: *capFlag,
-			window:   *window,
-			scheme:   *scheme,
-			strategy: *strategy,
-			customOn: *customOn,
-			detectOn: *detectOn,
-			workers:  *workers,
-		})
+		runServe(ctx, mkQs, so)
 		return
 	}
 
@@ -194,7 +183,7 @@ func main() {
 		if *shards > 1 {
 			die(fmt.Errorf("-stream does not support -shards: splitting by flow hash materializes the whole trace, which is what -stream exists to avoid (use the Cluster.Stream API with per-link sources instead)"))
 		}
-		runStream(ctx, mkQs, *traceFile, *preset, *seed, *dur, *scale, *maxBins, *report, *overload, *scheme, *strategy, *customOn, *detectOn, *workers)
+		runStream(ctx, mkQs, eng, *traceFile, *preset, *dur, *scale, *maxBins, *report, *overload)
 		return
 	}
 
@@ -202,29 +191,13 @@ func main() {
 	die(err)
 
 	if *shards > 1 {
-		runCluster(src, mkQs, *shards, *shardPol, *scheme, *strategy, *overload, *seed, *customOn, *workers)
+		runCluster(src, mkQs, eng, *shards, *shardPol, *overload)
 		return
 	}
 
 	fmt.Println("measuring full-rate demand ...")
-	ovh, demand := loadshed.MeasureLoad(src, mkQs(), *seed+1)
-	capacity := ovh + demand / *overload
-	fmt.Printf("demand %.3g cycles/bin (+%.3g overhead), capacity %.3g (overload %.2fx)\n",
-		demand, ovh, capacity, *overload)
-
-	cfg := loadshed.Config{
-		Capacity:        capacity,
-		Seed:            *seed + 2,
-		CustomShedding:  *customOn,
-		ChangeDetection: *detectOn,
-		Workers:         *workers,
-	}
-	cfg.Scheme, err = loadshed.ParseScheme(*scheme)
-	die(err)
-	if cfg.Scheme == loadshed.Predictive {
-		cfg.Strategy, err = loadshed.StrategyByName(*strategy)
-		die(err)
-	}
+	capacity := sizeCapacity(src, mkQs(), *seed, *overload, "capacity")
+	cfg := engineConfig(eng, capacity)
 
 	fmt.Println("running reference (lossless) ...")
 	ref := loadshed.Reference(src, mkQs(), *seed+1)
@@ -269,7 +242,8 @@ func main() {
 // that prints a report every reportEvery of trace time. No lossless
 // reference run is possible online, so the accuracy section is replaced
 // by the rolling unsampled-fraction proxy.
-func runStream(ctx context.Context, mkQs func() []loadshed.Query, traceFile, preset string, seed uint64, dur time.Duration, scale float64, maxBins int, reportEvery time.Duration, overload float64, scheme, strategy string, customOn, detectOn bool, workers int) {
+func runStream(ctx context.Context, mkQs func() []loadshed.Query, eng engineOpts, traceFile, preset string, dur time.Duration, scale float64, maxBins int, reportEvery time.Duration, overload float64) {
+	seed, scheme := eng.seed, eng.scheme
 	openStream := func(bins int) (loadshed.Source, func(), error) {
 		if traceFile != "" {
 			f, err := loadshed.OpenTraceFile(traceFile)
@@ -292,29 +266,9 @@ func runStream(ctx context.Context, mkQs func() []loadshed.Query, traceFile, pre
 	fmt.Println("measuring full-rate demand (bounded probe) ...")
 	probe, closeProbe, err := openStream(0)
 	die(err)
-	ovh, demand := loadshed.MeasureLoad(probe, mkQs(), seed+1)
-	// NextBatch cannot surface read errors, so a truncated or corrupt
-	// file would otherwise yield a confident demand number measured
-	// over whatever prefix happened to parse.
-	die(loadshed.SourceErr(probe))
+	capacity := sizeCapacity(probe, mkQs(), seed, overload, "capacity")
 	closeProbe()
-	capacity := ovh + demand/overload
-	fmt.Printf("demand %.3g cycles/bin (+%.3g overhead), capacity %.3g (overload %.2fx)\n",
-		demand, ovh, capacity, overload)
-
-	cfg := loadshed.Config{
-		Capacity:        capacity,
-		Seed:            seed + 2,
-		CustomShedding:  customOn,
-		ChangeDetection: detectOn,
-		Workers:         workers,
-	}
-	cfg.Scheme, err = loadshed.ParseScheme(scheme)
-	die(err)
-	if cfg.Scheme == loadshed.Predictive {
-		cfg.Strategy, err = loadshed.StrategyByName(strategy)
-		die(err)
-	}
+	cfg := engineConfig(eng, capacity)
 
 	src, closeSrc, err := openStream(maxBins)
 	die(err)
@@ -367,9 +321,10 @@ func runStream(ctx context.Context, mkQs func() []loadshed.Query, traceFile, pre
 
 // runCluster splits the trace across n links by flow hash and runs one
 // monitor per link under the global budget coordinator.
-func runCluster(src loadshed.Source, mkQs func() []loadshed.Query, n int, policyName, scheme, strategy string, overload float64, seed uint64, customOn bool, workers int) {
+func runCluster(src loadshed.Source, mkQs func() []loadshed.Query, eng engineOpts, n int, policyName string, overload float64) {
 	policy, err := loadshed.ShardPolicyByName(policyName)
 	die(err)
+	seed := eng.seed
 
 	fmt.Printf("splitting trace across %d links ...\n", n)
 	links := loadshed.SplitFlows(src, n, seed)
@@ -385,13 +340,8 @@ func runCluster(src loadshed.Source, mkQs func() []loadshed.Query, n int, policy
 	fmt.Printf("total machine capacity %.3g cycles/bin (overload %.2fx per link), policy %s\n",
 		total, overload, policyName)
 
-	base := loadshed.Config{Seed: seed + 2, CustomShedding: customOn, Workers: workers}
-	base.Scheme, err = loadshed.ParseScheme(scheme)
-	die(err)
-	if base.Scheme == loadshed.Predictive {
-		base.Strategy, err = loadshed.StrategyByName(strategy)
-		die(err)
-	}
+	eng.detectOn = false // -detect applies to single-link runs only
+	base := engineConfig(eng, 0)
 	shardCfgs := make([]loadshed.Shard, n)
 	for i, l := range links {
 		shardCfgs[i] = loadshed.Shard{Name: fmt.Sprintf("link%d", i), Source: l, Queries: mkQs()}
@@ -427,6 +377,52 @@ func runCluster(src loadshed.Source, mkQs func() []loadshed.Query, n int, policy
 	fmt.Printf("\naggregate: %d of %d packets dropped uncontrolled (%.3f%%)\n",
 		res.TotalDrops(), res.TotalWirePkts(),
 		100*float64(res.TotalDrops())/float64(res.TotalWirePkts()))
+}
+
+// sizeCapacity measures probe's full-rate load and returns the cycle
+// budget per bin that puts the query demand at overload times what is
+// left after overhead; label names the budget in the log line.
+func sizeCapacity(probe loadshed.Source, qs []loadshed.Query, seed uint64, overload float64, label string) float64 {
+	ovh, demand := loadshed.MeasureLoad(probe, qs, seed+1)
+	// NextBatch cannot surface read errors, so a truncated or corrupt
+	// file would otherwise yield a confident demand number measured
+	// over whatever prefix happened to parse.
+	die(loadshed.SourceErr(probe))
+	capacity := ovh + demand/overload
+	fmt.Printf("demand %.3g cycles/bin (+%.3g overhead), %s %.3g (overload %.2fx)\n",
+		demand, ovh, label, capacity, overload)
+	return capacity
+}
+
+// engineOpts carries the flag values every mode builds its engine from.
+type engineOpts struct {
+	seed     uint64
+	scheme   string
+	strategy string
+	customOn bool
+	detectOn bool
+	workers  int
+}
+
+// engineConfig is the one place flags become a loadshed.Config: the
+// engine seed is the flag seed + 2 (+1 seeds the demand probe and the
+// reference run), and -strategy applies to the predictive scheme only.
+func engineConfig(o engineOpts, capacity float64) loadshed.Config {
+	cfg := loadshed.Config{
+		Capacity:        capacity,
+		Seed:            o.seed + 2,
+		CustomShedding:  o.customOn,
+		ChangeDetection: o.detectOn,
+		Workers:         o.workers,
+	}
+	var err error
+	cfg.Scheme, err = loadshed.ParseScheme(o.scheme)
+	die(err)
+	if cfg.Scheme == loadshed.Predictive {
+		cfg.Strategy, err = loadshed.StrategyByName(o.strategy)
+		die(err)
+	}
+	return cfg
 }
 
 func openSource(traceFile, preset string, seed uint64, dur time.Duration, scale float64) (loadshed.Source, error) {

@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -22,20 +21,15 @@ import (
 
 // serveOpts carries the flag values the serve mode consumes.
 type serveOpts struct {
-	admin    string // HTTP admin listen address
+	engineOpts
+	admin    string // HTTP admin listen address ("" = none; -worker only)
 	ingest   string // gen | udp://host:port | unix:///path | tail:path
 	preset   string
-	seed     uint64
 	dur      time.Duration
 	scale    float64
 	overload float64
 	capacity float64 // explicit cycle budget per bin; 0 = probe
 	window   time.Duration
-	scheme   string
-	strategy string
-	customOn bool
-	detectOn bool
-	workers  int
 }
 
 // serveSink guards a RollingStats for concurrent reads: the engine
@@ -119,10 +113,33 @@ func openIngest(spec string, o serveOpts) (loadshed.Source, func(), string, erro
 	}
 }
 
-// runServe is the service main loop: open ingest, size the budget,
-// start the admin plane, stream until a signal or the source ends, then
-// shut both down in order and surface any source error.
+// serveMode is what distinguishes the two serving deployments: plain
+// -serve streams the System itself, -worker streams it wrapped in a
+// cluster Node and adds its coordinator-link state to the admin plane.
+type serveMode struct {
+	banner  string // "serving", "serving as cluster worker"
+	stream  func(context.Context, loadshed.Source, loadshed.Sink) error
+	metrics func(*loadshed.MetricsWriter) // appended to /metrics; nil = nothing
+	// after runs between the end of the stream and the admin plane's
+	// shutdown (nil = nothing): the worker waits for its adopted shards
+	// there, still scrapeable.
+	after func()
+}
+
+// runServe is the plain service mode: the engine streams the ingest
+// under a fixed local budget.
 func runServe(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts) {
+	serveLoop(ctx, mkQs, o, "capacity", func(sys *loadshed.System, _ float64) serveMode {
+		return serveMode{banner: "serving", stream: sys.StreamContext}
+	})
+}
+
+// serveLoop is the sequence every serving deployment runs: open ingest,
+// size the budget (capLabel names it in the log), build the engine, let
+// start wire the mode around it, start the admin plane, stream until a
+// signal or the source ends, then shut both down in order and surface
+// any source error.
+func serveLoop(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts, capLabel string, start func(sys *loadshed.System, capacity float64) serveMode) {
 	src, closeSrc, desc, err := openIngest(o.ingest, o)
 	die(err)
 	fmt.Printf("ingest: %s\n", desc)
@@ -136,36 +153,16 @@ func runServe(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts) {
 		fmt.Println("measuring full-rate demand (generated probe) ...")
 		cfg, err := loadshed.PresetConfig(o.preset, o.seed, o.dur, o.scale)
 		die(err)
-		ovh, demand := loadshed.MeasureLoad(loadshed.NewGenerator(cfg), mkQs(), o.seed+1)
-		capacity = ovh + demand/o.overload
-		fmt.Printf("demand %.3g cycles/bin (+%.3g overhead), capacity %.3g (overload %.2fx)\n",
-			demand, ovh, capacity, o.overload)
+		capacity = sizeCapacity(loadshed.NewGenerator(cfg), mkQs(), o.seed, o.overload, capLabel)
 	}
 
-	cfg := loadshed.Config{
-		Capacity:        capacity,
-		Seed:            o.seed + 2,
-		CustomShedding:  o.customOn,
-		ChangeDetection: o.detectOn,
-		Workers:         o.workers,
-	}
-	cfg.Scheme, err = loadshed.ParseScheme(o.scheme)
-	die(err)
-	if cfg.Scheme == loadshed.Predictive {
-		cfg.Strategy, err = loadshed.StrategyByName(o.strategy)
-		die(err)
-	}
-
-	sys := loadshed.New(cfg, mkQs())
+	sys := loadshed.New(engineConfig(o.engineOpts, capacity), mkQs())
+	mode := start(sys, capacity)
 	windowBins := int(o.window / src.TimeBin())
 	sink := &serveSink{roll: loadshed.NewRollingStats(windowBins)}
 	live, _ := src.(*loadshed.LiveSource)
 
-	ln, err := net.Listen("tcp", o.admin)
-	die(err)
-	srv := &http.Server{Handler: adminMux(sys, sink, live, o.seed, nil)}
-	go srv.Serve(ln)
-	fmt.Printf("admin plane on http://%s (healthz, readyz, metrics, queries)\n", ln.Addr())
+	stopAdmin := startAdmin(o.admin, adminMux(sys, sink, live, o.seed, mode.metrics), "healthz, readyz, metrics, queries")
 
 	// A signal cancels ctx; the engine stops at the next bin boundary.
 	// A blocking live or tail source must also be woken, which closing
@@ -173,13 +170,14 @@ func runServe(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts) {
 	unblock := context.AfterFunc(ctx, closeSrc)
 	defer unblock()
 
-	fmt.Printf("serving (%s scheme) ...\n", o.scheme)
-	streamErr := sys.StreamContext(ctx, src, sink)
+	fmt.Printf("%s (%s scheme) ...\n", mode.banner, o.scheme)
+	streamErr := mode.stream(ctx, src, sink)
 	closeSrc()
 
-	shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	srv.Shutdown(shCtx)
+	if mode.after != nil {
+		mode.after()
+	}
+	stopAdmin()
 
 	if streamErr != nil {
 		fmt.Println("signal received: stream stopped at a bin boundary")
@@ -197,12 +195,30 @@ func runServe(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts) {
 		snap.Bins, snap.Intervals, snap.DropPkts, snap.WirePkts, dropPct)
 }
 
+// startAdmin serves an HTTP admin plane on addr ("" = none) and returns
+// its graceful shutdown.
+func startAdmin(addr string, h http.Handler, endpoints string) (stop func()) {
+	if addr == "" {
+		return func() {}
+	}
+	ln, err := net.Listen("tcp", addr)
+	die(err)
+	srv := &http.Server{Handler: h}
+	go srv.Serve(ln)
+	fmt.Printf("admin plane on http://%s (%s)\n", ln.Addr(), endpoints)
+	return func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}
+}
+
 // adminMux builds the admin plane. Handlers run concurrently with the
 // stream: snapshots go through serveSink's mutex, registry calls go
 // through the engine's own AddQuery/RemoveQuery locking, and live-source
 // counters are atomics. A non-nil extraMetrics hook is appended to the
 // /metrics output — worker mode uses it for its coordinator-link gauges.
-func adminMux(sys *loadshed.System, sink *serveSink, live *loadshed.LiveSource, seed uint64, extraMetrics func(io.Writer)) *http.ServeMux {
+func adminMux(sys *loadshed.System, sink *serveSink, live *loadshed.LiveSource, seed uint64, extraMetrics func(*loadshed.MetricsWriter)) *http.ServeMux {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -221,19 +237,14 @@ func adminMux(sys *loadshed.System, sink *serveSink, live *loadshed.LiveSource, 
 		snap, _ := sink.snapshot()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		snap.WritePrometheus(w)
-		fmt.Fprintln(w, "# HELP lsd_up Whether the monitor is serving.")
-		fmt.Fprintln(w, "# TYPE lsd_up gauge")
-		fmt.Fprintln(w, "lsd_up 1")
+		m := &loadshed.MetricsWriter{W: w}
+		m.Gauge("lsd_up", "Whether the monitor is serving.", 1)
 		if live != nil {
-			fmt.Fprintln(w, "# HELP lsd_ingest_bad_frames_total Frames rejected by wire-format validation.")
-			fmt.Fprintln(w, "# TYPE lsd_ingest_bad_frames_total counter")
-			fmt.Fprintf(w, "lsd_ingest_bad_frames_total %d\n", live.BadFrames())
-			fmt.Fprintln(w, "# HELP lsd_ingest_dropped_bins_total Whole bins discarded because the engine lagged the listener.")
-			fmt.Fprintln(w, "# TYPE lsd_ingest_dropped_bins_total counter")
-			fmt.Fprintf(w, "lsd_ingest_dropped_bins_total %d\n", live.DroppedBins())
+			m.Counter("lsd_ingest_bad_frames_total", "Frames rejected by wire-format validation.", live.BadFrames())
+			m.Counter("lsd_ingest_dropped_bins_total", "Whole bins discarded because the engine lagged the listener.", live.DroppedBins())
 		}
 		if extraMetrics != nil {
-			extraMetrics(w)
+			extraMetrics(m)
 		}
 	})
 

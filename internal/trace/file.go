@@ -19,8 +19,7 @@ import (
 //	batches:
 //	  startNs int64
 //	  npkts   uint32
-//	  packets: ts int64, srcIP u32, dstIP u32, srcPort u16, dstPort u16,
-//	           proto u8, flags u8, size u32, payloadLen u16, payload
+//	  packets: npkts records (record.go)
 //
 // payloadLen never exceeds pkt.SnapLen: captures are snaplen-limited,
 // and both writer and readers enforce the bound.
@@ -84,29 +83,14 @@ func writeBatch(w io.Writer, b *pkt.Batch) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(b.Pkts))); err != nil {
 		return err
 	}
-	var hdr [26]byte
+	var rec []byte
 	for i := range b.Pkts {
 		p := &b.Pkts[i]
-		binary.LittleEndian.PutUint64(hdr[0:8], uint64(p.Ts))
-		binary.LittleEndian.PutUint32(hdr[8:12], p.SrcIP)
-		binary.LittleEndian.PutUint32(hdr[12:16], p.DstIP)
-		binary.LittleEndian.PutUint16(hdr[16:18], p.SrcPort)
-		binary.LittleEndian.PutUint16(hdr[18:20], p.DstPort)
-		hdr[20] = p.Proto
-		hdr[21] = p.TCPFlags
-		binary.LittleEndian.PutUint32(hdr[22:26], uint32(p.Size))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
 		if len(p.Payload) > pkt.SnapLen {
 			return fmt.Errorf("trace: payload exceeds snaplen (%d > %d bytes)", len(p.Payload), pkt.SnapLen)
 		}
-		var plen [2]byte
-		binary.LittleEndian.PutUint16(plen[:], uint16(len(p.Payload)))
-		if _, err := w.Write(plen[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(p.Payload); err != nil {
+		rec = appendRecord(rec[:0], p)
+		if _, err := w.Write(rec); err != nil {
 			return err
 		}
 	}
@@ -155,25 +139,13 @@ func readBatch(r io.Reader, bin time.Duration) (pkt.Batch, error) {
 	}
 	b := pkt.Batch{Start: time.Duration(startNs), Bin: bin}
 	b.Pkts = make([]pkt.Packet, 0, min(int(n), allocChunkPackets))
-	var hdr [26]byte
+	var hdr [recordHdrLen]byte
 	for i := 0; i < int(n); i++ {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return pkt.Batch{}, unexpected(err)
 		}
 		var p pkt.Packet
-		p.Ts = int64(binary.LittleEndian.Uint64(hdr[0:8]))
-		p.SrcIP = binary.LittleEndian.Uint32(hdr[8:12])
-		p.DstIP = binary.LittleEndian.Uint32(hdr[12:16])
-		p.SrcPort = binary.LittleEndian.Uint16(hdr[16:18])
-		p.DstPort = binary.LittleEndian.Uint16(hdr[18:20])
-		p.Proto = hdr[20]
-		p.TCPFlags = hdr[21]
-		p.Size = int(binary.LittleEndian.Uint32(hdr[22:26]))
-		var plen [2]byte
-		if _, err := io.ReadFull(r, plen[:]); err != nil {
-			return pkt.Batch{}, unexpected(err)
-		}
-		if l := binary.LittleEndian.Uint16(plen[:]); l > 0 {
+		if l := decodeRecordHdr(&p, hdr[:]); l > 0 {
 			if l > pkt.SnapLen {
 				return pkt.Batch{}, fmt.Errorf("%w: payload length %d exceeds snaplen %d", ErrCorrupt, l, pkt.SnapLen)
 			}

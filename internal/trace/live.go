@@ -8,11 +8,10 @@ package trace
 // the engine's bin cadence tracks real time the way a CoMo capture
 // process's does.
 //
-// Wire framing (little endian, matching the trace file format):
+// Wire framing (little endian):
 //
 //	frame:  frameLen uint16   // length of the record that follows
-//	record: ts i64, srcIP u32, dstIP u32, srcPort u16, dstPort u16,
-//	        proto u8, flags u8, size u32, payloadLen u16, payload
+//	record: the trace file's packet record (record.go)
 //
 // A datagram carries any number of back-to-back frames. Frames are
 // validated individually: a frame whose length or payload bound is
@@ -39,10 +38,6 @@ import (
 
 	"repro/internal/pkt"
 )
-
-// frameHdrLen is the fixed-size prefix of one framed packet record:
-// the 26-byte packet header plus the u16 payload length.
-const frameHdrLen = 28
 
 // maxDatagram bounds the datagrams LiveSender packs; 8 KB stays under
 // the default unixgram SO_SNDBUF and fragments at most a handful of
@@ -73,7 +68,9 @@ type LiveSource struct {
 
 	unixPath string // non-empty: socket file to unlink on Close
 
-	closing   atomic.Bool
+	closing   atomic.Bool // set before the socket closes; listen reads it
+	closeOnce sync.Once
+	closeErr  error
 	badFrames atomic.Int64
 	dropBins  atomic.Int64
 
@@ -186,28 +183,20 @@ func (l *LiveSource) decodeFrames(data []byte, dst []pkt.Packet) []pkt.Packet {
 	for len(data) >= 2 {
 		flen := int(binary.LittleEndian.Uint16(data[0:2]))
 		data = data[2:]
-		if flen < frameHdrLen || flen > len(data) {
+		if flen < recordHdrLen || flen > len(data) {
 			l.badFrames.Add(1)
 			return dst
 		}
 		rec := data[:flen]
 		data = data[flen:]
 		var p pkt.Packet
-		p.Ts = int64(binary.LittleEndian.Uint64(rec[0:8]))
-		p.SrcIP = binary.LittleEndian.Uint32(rec[8:12])
-		p.DstIP = binary.LittleEndian.Uint32(rec[12:16])
-		p.SrcPort = binary.LittleEndian.Uint16(rec[16:18])
-		p.DstPort = binary.LittleEndian.Uint16(rec[18:20])
-		p.Proto = rec[20]
-		p.TCPFlags = rec[21]
-		p.Size = int(binary.LittleEndian.Uint32(rec[22:26]))
-		plen := int(binary.LittleEndian.Uint16(rec[26:28]))
-		if plen > pkt.SnapLen || frameHdrLen+plen != flen {
+		plen := decodeRecordHdr(&p, rec)
+		if plen > pkt.SnapLen || recordHdrLen+plen != flen {
 			l.badFrames.Add(1)
 			return dst
 		}
 		if plen > 0 {
-			p.Payload = append([]byte(nil), rec[28:28+plen]...)
+			p.Payload = append([]byte(nil), rec[recordHdrLen:]...)
 		}
 		dst = append(dst, p)
 	}
@@ -250,17 +239,19 @@ func (l *LiveSource) DroppedBins() int64 { return l.dropBins.Load() }
 // Close stops the listener: the socket closes (unblocking a pending
 // read), the ingest goroutine flushes its partial bin and exits, and
 // NextBatch drains whatever was buffered before reporting ok=false.
-// A unixgram socket file is removed.
+// A unixgram socket file is removed. Close may be called more than once
+// and concurrently (a signal callback racing the main goroutine): every
+// call returns only after the goroutine has exited and the file is gone.
 func (l *LiveSource) Close() error {
-	if !l.closing.CompareAndSwap(false, true) {
-		return nil
-	}
-	err := l.conn.Close()
-	l.wg.Wait()
-	if l.unixPath != "" {
-		os.Remove(l.unixPath)
-	}
-	return err
+	l.closeOnce.Do(func() {
+		l.closing.Store(true)
+		l.closeErr = l.conn.Close()
+		l.wg.Wait()
+		if l.unixPath != "" {
+			os.Remove(l.unixPath)
+		}
+	})
+	return l.closeErr
 }
 
 // LiveSender forwards batches to a live listener, packing frames
@@ -286,7 +277,7 @@ func DialLive(network, address string) (*LiveSender, error) {
 func (s *LiveSender) SendBatch(b *pkt.Batch) error {
 	for i := range b.Pkts {
 		p := &b.Pkts[i]
-		need := 2 + frameHdrLen + len(p.Payload)
+		need := 2 + recordSize(p)
 		if len(s.buf)+need > maxDatagram {
 			if err := s.flush(); err != nil {
 				return err
@@ -318,17 +309,6 @@ func (s *LiveSender) Close() error {
 
 // appendFrame encodes one packet as a length-prefixed frame.
 func appendFrame(dst []byte, p *pkt.Packet) []byte {
-	var hdr [2 + frameHdrLen]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], uint16(frameHdrLen+len(p.Payload)))
-	binary.LittleEndian.PutUint64(hdr[2:10], uint64(p.Ts))
-	binary.LittleEndian.PutUint32(hdr[10:14], p.SrcIP)
-	binary.LittleEndian.PutUint32(hdr[14:18], p.DstIP)
-	binary.LittleEndian.PutUint16(hdr[18:20], p.SrcPort)
-	binary.LittleEndian.PutUint16(hdr[20:22], p.DstPort)
-	hdr[22] = p.Proto
-	hdr[23] = p.TCPFlags
-	binary.LittleEndian.PutUint32(hdr[24:28], uint32(p.Size))
-	binary.LittleEndian.PutUint16(hdr[28:30], uint16(len(p.Payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, p.Payload...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(recordSize(p)))
+	return appendRecord(dst, p)
 }

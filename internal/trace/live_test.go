@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -252,5 +253,34 @@ func TestLiveCloseUnblocksNextBatch(t *testing.T) {
 	}
 	if l.Err() != nil {
 		t.Fatalf("clean Close left error: %v", l.Err())
+	}
+}
+
+// TestLiveCloseConcurrentWaitsForUnlink: cmd/lsd closes its ingest from
+// a signal callback and from the main goroutine at once, then exits.
+// Whichever Close returns first, the listener must be fully down — the
+// unixgram socket file already unlinked — or the process leaves it
+// behind.
+func TestLiveCloseConcurrentWaitsForUnlink(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 50; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("close%d.sock", i))
+		l, err := ListenLive("unixgram", path, LiveConfig{Bin: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stat := make(chan error, 2)
+		for k := 0; k < 2; k++ {
+			go func() {
+				l.Close()
+				_, err := os.Stat(path)
+				stat <- err
+			}()
+		}
+		for k := 0; k < 2; k++ {
+			if err := <-stat; !os.IsNotExist(err) {
+				t.Fatalf("iteration %d: a Close returned with the socket file still present (stat: %v)", i, err)
+			}
+		}
 	}
 }

@@ -136,12 +136,11 @@ func (t *TailSource) Close() error {
 }
 
 // encodedBatchSize is the exact on-disk size of a batch: the 12-byte
-// batch header plus, per packet, the 26-byte record header, the 2-byte
-// payload length and the payload itself.
+// batch header plus every packet's record.
 func encodedBatchSize(b *pkt.Batch) int64 {
 	n := int64(12)
 	for i := range b.Pkts {
-		n += 28 + int64(len(b.Pkts[i].Payload))
+		n += int64(recordSize(&b.Pkts[i]))
 	}
 	return n
 }

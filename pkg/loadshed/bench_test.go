@@ -1,4 +1,4 @@
-package repro
+package loadshed_test
 
 // The benchmark suite regenerates every table and figure of the paper's
 // evaluation (one Benchmark per experiment id, named after the artifact)
@@ -23,6 +23,7 @@ import (
 	"repro/internal/predict"
 	"repro/internal/queries"
 	"repro/internal/trace"
+	"repro/pkg/loadshed"
 )
 
 func benchCfg() experiments.Config {
@@ -205,16 +206,16 @@ func BenchmarkMicroMonitorBinChangeDetect(b *testing.B) {
 	// delta between the two prices the full detectChange stage per bin
 	// (feature snapshot, residual tests, distance windows).
 	const window = 100
-	src := NewGenerator(TraceConfig{Seed: 1, Duration: time.Hour, PacketsPerSec: 25000, Payload: true})
+	src := loadshed.NewGenerator(loadshed.TraceConfig{Seed: 1, Duration: time.Hour, PacketsPerSec: 25000, Payload: true})
 	batches := nextBatches(src, window)
 	b.ReportAllocs()
 	b.ResetTimer()
 	bins, pkts := 0, 0
 	for bins < b.N {
-		res := NewMonitor(MonitorConfig{
-			Scheme: Predictive, Capacity: 3e8, Strategy: MMFSPkt(), Seed: 1,
+		res := loadshed.New(loadshed.Config{
+			Scheme: loadshed.Predictive, Capacity: 3e8, Strategy: loadshed.MMFSPkt(), Seed: 1,
 			ChangeDetection: true,
-		}, StandardQueries(QueryConfig{})).Run(trace.NewMemorySource(batches[:min(b.N-bins, window)], src.TimeBin()))
+		}, loadshed.StandardQueries(loadshed.QueryConfig{})).Run(trace.NewMemorySource(batches[:min(b.N-bins, window)], src.TimeBin()))
 		bins += len(res.Bins)
 		for i := range res.Bins {
 			pkts += res.Bins[i].WirePkts
@@ -229,16 +230,16 @@ func BenchmarkMicroMonitorBin(b *testing.B) {
 	// the benchmark prices the monitor's steady-state bin loop, not the
 	// synthetic trace generator.
 	const window = 100
-	src := NewGenerator(TraceConfig{Seed: 1, Duration: time.Hour, PacketsPerSec: 25000, Payload: true})
+	src := loadshed.NewGenerator(loadshed.TraceConfig{Seed: 1, Duration: time.Hour, PacketsPerSec: 25000, Payload: true})
 	batches := nextBatches(src, window)
 	b.ReportAllocs()
 	b.ResetTimer()
 	// Run b.N bins by replaying slices of the recorded window.
 	bins, pkts := 0, 0
 	for bins < b.N {
-		res := NewMonitor(MonitorConfig{
-			Scheme: Predictive, Capacity: 3e8, Strategy: MMFSPkt(), Seed: 1,
-		}, StandardQueries(QueryConfig{})).Run(trace.NewMemorySource(batches[:min(b.N-bins, window)], src.TimeBin()))
+		res := loadshed.New(loadshed.Config{
+			Scheme: loadshed.Predictive, Capacity: 3e8, Strategy: loadshed.MMFSPkt(), Seed: 1,
+		}, loadshed.StandardQueries(loadshed.QueryConfig{})).Run(trace.NewMemorySource(batches[:min(b.N-bins, window)], src.TimeBin()))
 		bins += len(res.Bins)
 		for i := range res.Bins {
 			pkts += res.Bins[i].WirePkts
@@ -253,16 +254,15 @@ func BenchmarkPipelineSaturation(b *testing.B) {
 	// streams the recorded window repeatedly into a discarding sink, so
 	// the metric prices exactly the pipelined engine — extraction for
 	// bin N+1 overlapped with execution for bin N — and nothing else.
-	// workers=1 is the strictly sequential engine; the pkts/s trajectory
-	// in README.md comes from this benchmark.
+	// The pkts/s trajectory in README.md comes from this benchmark.
 	const window = 100
-	src := NewGenerator(TraceConfig{Seed: 1, Duration: time.Hour, PacketsPerSec: 25000, Payload: true})
+	src := loadshed.NewGenerator(loadshed.TraceConfig{Seed: 1, Duration: time.Hour, PacketsPerSec: 25000, Payload: true})
 	batches := nextBatches(src, window)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			mon := NewMonitor(MonitorConfig{
-				Scheme: Predictive, Capacity: 3e8, Strategy: MMFSPkt(), Seed: 1, Workers: workers,
-			}, StandardQueries(QueryConfig{}))
+			mon := loadshed.New(loadshed.Config{
+				Scheme: loadshed.Predictive, Capacity: 3e8, Strategy: loadshed.MMFSPkt(), Seed: 1, Workers: workers,
+			}, loadshed.StandardQueries(loadshed.QueryConfig{}))
 			// Warm the scratch buffers, the slot ring and the worker
 			// pools; the timed region then measures steady state only.
 			mon.Stream(trace.NewMemorySource(batches, src.TimeBin()), nil)

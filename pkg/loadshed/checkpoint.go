@@ -54,7 +54,6 @@ type ShardSpec struct {
 	Seed            uint64
 	Capacity        float64
 	Workers         int
-	NoPipeline      bool
 	HistoryLen      int
 	ChangeDetection bool
 	Queries         []QuerySpec
@@ -87,7 +86,6 @@ func (sp *ShardSpec) NewSystem() (*System, error) {
 		Capacity:        sp.Capacity,
 		Seed:            sp.Seed,
 		Workers:         sp.Workers,
-		NoPipeline:      sp.NoPipeline,
 		PredictorKind:   sp.PredictorKind,
 		HistoryLen:      sp.HistoryLen,
 		ChangeDetection: sp.ChangeDetection,

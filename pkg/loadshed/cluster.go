@@ -74,8 +74,9 @@ type ClusterConfig struct {
 	// coordination, the isolated-shedders baseline.
 	ShardPolicy sched.Strategy
 
-	// Runners bounds the goroutines stepping shards within a bin.
-	// 0 selects runtime.GOMAXPROCS(0); 1 steps every shard inline.
+	// Runners bounds the goroutines stepping shards within a bin (a
+	// per-run pool, the calling goroutine included). 0 selects
+	// runtime.GOMAXPROCS(0); 1 steps every shard inline.
 	// Results are bit-identical for any value: each shard owns all of
 	// its state and the coordinator runs at a barrier between bins,
 	// reading shards in index order.
@@ -252,7 +253,10 @@ func (c *Cluster) StreamContext(ctx context.Context, mk func(shard int, name str
 		n.done = false
 		n.doneSent = false
 	}
-	for c.stepAll() {
+	pool := newStaticPool(min(c.cfg.Runners, len(c.nodes)) - 1)
+	defer pool.close()
+	stepNode := func(i int) { c.nodes[i].step() }
+	for c.stepAll(pool, stepNode) {
 		c.coordinate()
 	}
 	for _, n := range c.nodes {
@@ -284,15 +288,25 @@ func (c *Cluster) RunContext(ctx context.Context) (*ClusterResult, error) {
 		res.Shards = append(res.Shards, ShardRun{
 			Name:       n.name,
 			Result:     sinks[i].res,
-			Capacities: n.caps,
+			Capacities: binCapacities(sinks[i].res.Bins),
 		})
 	}
 	res.Aggregate = aggregateBins(res.Shards)
 	return res, err
 }
 
+// binCapacities extracts the per-bin budget column of a retained run.
+func binCapacities(bins []BinStats) []float64 {
+	caps := make([]float64, len(bins))
+	for i := range bins {
+		caps[i] = bins[i].Capacity
+	}
+	return caps
+}
+
 // stepAll advances every live shard by one bin, fanning the shards out
-// over the runner pool, and reports whether any shard is still running.
+// over the run's pool (inline when Runners is 1), and reports whether
+// any shard is still running.
 // Determinism holds for any runner count for the same reasons as the
 // execute stage's pool: each shard's step touches only shard-owned
 // state, and everything cross-shard (coordination, aggregation) happens
@@ -303,10 +317,8 @@ func (c *Cluster) RunContext(ctx context.Context) (*ClusterResult, error) {
 // sequential shard, and a shard's front exits at end of trace before
 // run.finish tears its pools down
 // (TestClusterPipelinedShardsDeterminism).
-func (c *Cluster) stepAll() bool {
-	parallelIndexed(len(c.nodes), c.cfg.Runners, func(i int) {
-		c.nodes[i].step()
-	})
+func (c *Cluster) stepAll(pool *staticPool, stepNode func(int)) bool {
+	pool.run(len(c.nodes), stepNode)
 	for _, n := range c.nodes {
 		if !n.done {
 			return true

@@ -1,6 +1,7 @@
 package loadshed
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -190,5 +191,57 @@ func BenchmarkCluster(b *testing.B) {
 				}, shards).Run()
 			}
 		})
+	}
+}
+
+// TestClusterReuseCapacitiesAlignWithBins: a Cluster is reusable, and
+// every run's ShardRun.Capacities must cover exactly that run's bins —
+// nothing carried over from the run before.
+func TestClusterReuseCapacitiesAlignWithBins(t *testing.T) {
+	const dur = 2 * time.Second
+	c := NewCluster(ClusterConfig{
+		Base:          Config{Scheme: Predictive, Strategy: MMFSPkt(), Seed: 42},
+		TotalCapacity: clusterCapacity(t, dur),
+		ShardPolicy:   MMFSCPU(),
+	}, testClusterShards(dur))
+	for run := 1; run <= 2; run++ {
+		for _, sh := range c.Run().Shards {
+			if len(sh.Result.Bins) == 0 {
+				t.Fatalf("run %d: shard %s produced no bins", run, sh.Name)
+			}
+			if len(sh.Capacities) != len(sh.Result.Bins) {
+				t.Fatalf("run %d: shard %s has %d capacities for %d bins", run, sh.Name, len(sh.Capacities), len(sh.Result.Bins))
+			}
+			for i, b := range sh.Result.Bins {
+				if sh.Capacities[i] != b.Capacity {
+					t.Fatalf("run %d: shard %s bin %d capacity %v, record says %v", run, sh.Name, i, sh.Capacities[i], b.Capacity)
+				}
+			}
+		}
+	}
+}
+
+// TestStandaloneNodeRetainsNothingPerBin: a -worker runs its Node for
+// the life of the process, so the Node itself must hold no per-bin
+// history — whatever is kept is the sink's choice.
+func TestStandaloneNodeRetainsNothingPerBin(t *testing.T) {
+	const bins = 600
+	sys := New(Config{Scheme: Predictive, Strategy: MMFSPkt(), Seed: 7, Capacity: 5e6, Workers: 1}, stdQueries())
+	node := NewNode(sys, nil, NodeConfig{Name: "w0"})
+	src := trace.NewGenerator(trace.Config{Seed: 12, MaxBins: bins, PacketsPerSec: 2000})
+	if err := node.StreamContext(context.Background(), src, DiscardSink{}); err != nil {
+		t.Fatal(err)
+	}
+	if node.bin() != bins {
+		t.Fatalf("node ran %d bins, want %d", node.bin(), bins)
+	}
+	v := reflect.ValueOf(node).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Slice, reflect.Map, reflect.Chan:
+			if f.Len() >= bins {
+				t.Errorf("Node.%s holds %d entries after %d bins", v.Type().Field(i).Name, f.Len(), bins)
+			}
+		}
 	}
 }

@@ -350,7 +350,6 @@ type Node struct {
 	tr       NodeTransport
 
 	run      *runner
-	caps     []float64
 	demand   float64 // EWMA of observed full-rate demand, cycles/bin
 	seeded   bool
 	done     bool
@@ -381,8 +380,7 @@ type NodeConfig struct {
 	DemandAlpha float64
 
 	// CheckpointEvery ships a ShardCheckpoint to the coordinator every
-	// K measurement intervals (through the transport, which must
-	// implement CheckpointSender for any to flow). 0 disables
+	// K measurement intervals (through the transport). 0 disables
 	// checkpointing entirely: the boundary hook then never snapshots and
 	// the node's bins and transport traffic are identical to a build
 	// without the failover layer.
@@ -419,23 +417,13 @@ func NewNode(sys *System, tr NodeTransport, cfg NodeConfig) *Node {
 // System returns the wrapped engine.
 func (n *Node) System() *System { return n.sys }
 
-// Capacities returns the per-bin cycle budget the node ran under,
-// index-aligned with the bins it produced this run.
-func (n *Node) Capacities() []float64 { return n.caps }
-
 // Demand returns the node's current demand EWMA.
 func (n *Node) Demand() float64 { return n.demand }
 
-// step advances the node one bin, recording the capacity the bin ran
-// under (captured before the step, like the pre-split Cluster).
+// step advances the node one bin. The capacity the bin ran under is
+// on its record (BinStats.Capacity).
 func (n *Node) step() {
-	if n.done {
-		return
-	}
-	capacity := n.sys.gov.Capacity()
-	if n.run.step() {
-		n.caps = append(n.caps, capacity)
-	} else {
+	if !n.done && !n.run.step() {
 		n.done = true
 	}
 }
@@ -514,7 +502,7 @@ func (n *Node) applyGrant() {
 // RequestDrain asks the node to stop at its next measurement-interval
 // boundary, shipping a final checkpoint first — the local half of a
 // planned migration. Safe from any goroutine; the transport's drain
-// relay (DrainSignaler) triggers the same path remotely.
+// relay (DrainRequested) triggers the same path remotely.
 func (n *Node) RequestDrain() { n.drainReq.Store(true) }
 
 // Drained reports whether the node stopped for a drain (as opposed to
@@ -537,12 +525,7 @@ func (n *Node) CheckpointErrors() int64 { return n.ckptErrs.Load() }
 // With CheckpointEvery zero and no drain pending it does nothing, so
 // the run is untouched by the failover layer.
 func (n *Node) boundary(bin, interval int) bool {
-	drain := n.drainReq.Load()
-	if !drain {
-		if ds, ok := n.tr.(DrainSignaler); ok && ds.DrainRequested() {
-			drain = true
-		}
-	}
+	drain := n.drainReq.Load() || (n.tr != nil && n.tr.DrainRequested())
 	periodic := n.ckptEvery > 0 && interval%n.ckptEvery == 0
 	if !drain && !periodic {
 		return true
@@ -556,8 +539,7 @@ func (n *Node) boundary(bin, interval int) bool {
 		// they have applied.
 		return true
 	}
-	cs, ok := n.tr.(CheckpointSender)
-	if !ok || n.tr == nil {
+	if n.tr == nil {
 		// No checkpoint path. A drain still stops the run (the caller
 		// asked for quiesce), it just cannot hand the state anywhere.
 		if drain {
@@ -572,7 +554,7 @@ func (n *Node) boundary(bin, interval int) bool {
 		return true // unsnapshottable (custom shedding): keep running
 	}
 	cp := &ShardCheckpoint{Node: n.name, Bin: n.binOffset + int64(bin), Final: drain, Spec: n.spec, Snap: snap}
-	if err := cs.Checkpoint(cp); err != nil {
+	if err := n.tr.Checkpoint(cp); err != nil {
 		// Advisory either way: a failed periodic checkpoint just waits
 		// for the next one, and a drain whose handoff failed keeps
 		// serving rather than stopping with the state nowhere.
@@ -608,7 +590,6 @@ func (n *Node) StreamContext(ctx context.Context, src trace.Source, sink Sink) e
 	n.done = false
 	n.doneSent = false
 	n.drained = false
-	n.caps = n.caps[:0]
 	for {
 		n.step()
 		if n.done {

@@ -112,8 +112,8 @@ type Config struct {
 
 	// Workers bounds the engine's total concurrency. 0 selects
 	// runtime.GOMAXPROCS(0); 1 runs the strictly sequential bin loop
-	// with every query inline on the run goroutine. Workers >= 2 (unless
-	// NoPipeline is set) additionally enables the two-deep bin pipeline:
+	// with every query inline on the run goroutine. Workers >= 2
+	// additionally enables the two-deep bin pipeline:
 	// the count splits between the front-stage sketch pool and the
 	// back-stage execute pool per splitWorkers (front = ⌊Workers/2⌋, at
 	// least 1; execute = the rest — see the table in DESIGN.md §10).
@@ -121,12 +121,6 @@ type Config struct {
 	// function of the batch merged in index order, each query owns its
 	// RNG streams, and per-bin results merge in query-index order.
 	Workers int
-
-	// NoPipeline forces the sequential bin loop even when Workers >= 2,
-	// keeping the whole Workers count for the execute pool. Output is
-	// identical either way; the switch exists for measurement (pipelined
-	// vs sequential at equal Workers) and as an escape hatch.
-	NoPipeline bool
 
 	BufferBins      float64 // capture buffer size in bins of traffic (default 50 ≈ 5 s, a 256 MB DAG buffer at evaluation rates; Ch. 5's no-shedding emulation sets 2 ≈ 200 ms)
 	ReactiveMinRate float64 // α of Eq. 4.1 (default 0.01)
@@ -323,15 +317,11 @@ type System struct {
 	// transient; index-aligned with qs.
 	prevIvr []queries.Result
 
-	// execWk is the execute stage's pool size: Workers under the
-	// sequential loop, the back-stage half of splitWorkers when
-	// pipelined.
-	execWk int
-	// execPool is the execute stage's persistent worker pool (execWk-1
-	// helpers; the run goroutine is the pool's remaining worker),
-	// per-run like the pipeline's front pool: newRunner spawns it,
-	// finish releases it, an idle System holds no goroutines. nil when
-	// execWk == 1 — the execute fan-out then runs inline.
+	// execPool is the execute stage's worker pool — the back-stage half
+	// of splitWorkers, the run goroutine included — per-run like the
+	// pipeline's front pool: newRunner spawns it, finish releases it, an
+	// idle System holds no goroutines. nil (the sequential loop, or a
+	// back-stage share of one) runs the execute fan-out inline.
 	execPool *staticPool
 	// pipe is the two-deep bin pipeline's persistent state (slots,
 	// channels, chunk sketcher), built lazily on the first pipelined run
@@ -379,10 +369,6 @@ func New(cfg Config, qs []queries.Query) *System {
 		noise:        hash.NewXorShift(cfg.Seed + 0x4015e),
 		interval:     qs[0].Interval(),
 		reactiveRate: 1,
-	}
-	s.execWk = cfg.Workers
-	if cfg.pipelined() {
-		_, s.execWk = splitWorkers(cfg.Workers)
 	}
 	if cfg.CustomShedding {
 		s.manager = custom.NewManager(cfg.CustomPolicy)
@@ -600,7 +586,7 @@ type runner struct {
 	pipe *pipeline // non-nil: the front stage owns src (pipeline.go)
 	// done, when non-nil, cancels the run: step returns false at the
 	// next bin boundary once it is closed. nil (the Stream/Run path)
-	// never fires, so the select degenerates to the plain receive.
+	// never fires.
 	done <-chan struct{}
 	// boundary, when non-nil, runs at every measurement-interval
 	// boundary before the closing interval flushes — the quiesce point
@@ -650,10 +636,9 @@ func (s *System) newRunner(src trace.Source, sink Sink) *runner {
 	}
 	s.startInterval()
 	r := &runner{s: s, src: src, sink: sink, binsPerInterval: binsPerInterval}
-	if s.execWk > 1 {
-		s.execPool = newStaticPool(s.execWk - 1)
-	}
 	if s.cfg.pipelined() {
+		_, execWk := splitWorkers(s.cfg.Workers)
+		s.execPool = newStaticPool(execWk - 1)
 		r.pipe = s.ensurePipeline()
 		r.pipe.begin(src, s.cfg.Scheme == Predictive)
 	}
@@ -661,59 +646,48 @@ func (s *System) newRunner(src trace.Source, sink Sink) *runner {
 }
 
 // step processes the next batch — arrivals, interval boundary, the
-// six-stage pipeline — and reports false at end of trace. Under the bin
+// six-stage pipeline — and reports false at end of trace, on
+// cancellation or when a boundary hook stopped the run. Under the bin
 // pipeline the batch (and its speculative sketch) comes from the front
 // stage's ready ring instead of the source directly; everything else —
 // flushes, arrivals, the stage chain, sink delivery — runs in strict
 // bin order on this goroutine either way.
 func (r *runner) step() bool {
+	// Cancellation is polled at the bin boundary. A cancelled pipelined
+	// run leaves its slots wherever they are: finish() tears the front
+	// stage down via the pipeline's quit channel.
+	select {
+	case <-r.done:
+		return false
+	default:
+	}
 	s := r.s
+	var slot *binSlot
+	var ok bool
 	if r.pipe != nil {
-		var slot *binSlot
-		select {
-		case slot = <-r.pipe.ready:
-		case <-r.done:
-			// Cancelled mid-run: stop consuming the ring. finish()
-			// tears the front stage down via the pipeline's quit
-			// channel, so the slot in flight is simply abandoned.
-			return false
-		}
-		if !slot.ok {
-			r.pipe.free <- slot
-			return false
-		}
-		r.batch = slot.batch
-		if !r.advance() {
-			// Drained at the boundary: the slot's batch was read from
-			// the source but not processed — the checkpoint records the
-			// bin, and the resumed run re-reads it from a repositioned
-			// source (ResumeSource).
-			r.pipe.free <- slot
-			return false
-		}
-		if slot.sketched {
+		slot = <-r.pipe.ready
+		r.batch, ok = slot.batch, slot.ok
+	} else {
+		r.batch, ok = r.src.NextBatch()
+	}
+	// A run drained at the boundary read its batch from the source but
+	// does not process it — the checkpoint records the bin, and the
+	// resumed run re-reads it from a repositioned source (ResumeSource).
+	ok = ok && r.advance()
+	if ok {
+		if slot != nil && slot.sketched {
 			s.specSketch = slot.sketch
 		}
-		r.lastBin = s.step(r.bin, &slot.batch)
+		r.lastBin = s.step(r.bin, &r.batch)
 		s.specSketch = nil
+	}
+	if slot != nil {
 		// The bin is done with the slot: BinStats carries no references
 		// into the batch or sketch, so the front may refill it now.
 		r.pipe.free <- slot
-	} else {
-		select {
-		case <-r.done:
-			return false
-		default:
-		}
-		b, ok := r.src.NextBatch()
-		if !ok {
-			return false
-		}
-		r.batch = b
-		if !r.advance() {
-			return false
-		}
-		r.lastBin = s.step(r.bin, &r.batch)
+	}
+	if !ok {
+		return false
 	}
 	r.sink.OnBin(&r.lastBin)
 	if s.cfg.Probe != nil {
@@ -763,10 +737,8 @@ func (r *runner) finish() {
 	if r.pipe != nil {
 		r.pipe.stop()
 	}
-	if r.s.execPool != nil {
-		r.s.execPool.close()
-		r.s.execPool = nil
-	}
+	r.s.execPool.close()
+	r.s.execPool = nil
 	r.lastIvr = r.s.flush(r.curInterval)
 	r.sink.OnInterval(&r.lastIvr)
 }

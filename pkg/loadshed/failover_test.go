@@ -62,8 +62,9 @@ func (t *captureTransport) Report(r DemandReport) error {
 	return nil
 }
 
-func (t *captureTransport) Grant() (BudgetGrant, bool) { return BudgetGrant{}, false }
-func (t *captureTransport) Close() error               { return nil }
+func (t *captureTransport) Grant() (BudgetGrant, bool)   { return BudgetGrant{}, false }
+func (t *captureTransport) Adoption() (AdoptOffer, bool) { return AdoptOffer{}, false }
+func (t *captureTransport) Close() error                 { return nil }
 
 func (t *captureTransport) Checkpoint(cp *ShardCheckpoint) error {
 	blob, err := cp.EncodeBytes()
@@ -167,30 +168,95 @@ func TestPlannedMigrationBitIdentical(t *testing.T) {
 
 			// The adopting side: rebuild purely from the checkpoint —
 			// spec-built system, restored snapshot, repositioned source.
-			sys2, err := cp.Spec.NewSystem()
-			if err != nil {
-				t.Fatalf("rebuild from spec: %v", err)
-			}
-			if err := sys2.Restore(cp.Snap); err != nil {
-				t.Fatalf("restore: %v", err)
-			}
-			r2 := sys2.Run(ResumeSource(trace.NewMemorySource(batches, bin), cp.Bin))
+			// A blob written by a build whose ShardSpec still carried
+			// NoPipeline must decode and resume exactly the same.
+			for _, adopted := range []struct {
+				name string
+				cp   *ShardCheckpoint
+			}{{"current blob", cp}, {"legacy blob", legacyCheckpoint(t, cp)}} {
+				sys2, err := adopted.cp.Spec.NewSystem()
+				if err != nil {
+					t.Fatalf("%s: rebuild from spec: %v", adopted.name, err)
+				}
+				if err := sys2.Restore(adopted.cp.Snap); err != nil {
+					t.Fatalf("%s: restore: %v", adopted.name, err)
+				}
+				r2 := sys2.Run(ResumeSource(trace.NewMemorySource(batches, bin), adopted.cp.Bin))
 
-			got := append(binDigests(t, sink.res.Bins), binDigests(t, r2.Bins)...)
-			if len(got) != len(want) {
-				t.Fatalf("migrated run produced %d bins, uninterrupted %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					side := "pre-drain"
-					if i >= cut {
-						side = "resumed"
+				got := append(binDigests(t, sink.res.Bins), binDigests(t, r2.Bins)...)
+				if len(got) != len(want) {
+					t.Fatalf("%s: migrated run produced %d bins, uninterrupted %d", adopted.name, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						side := "pre-drain"
+						if i >= cut {
+							side = "resumed"
+						}
+						t.Fatalf("%s: bin %d (%s) digest diverged from the uninterrupted run", adopted.name, i, side)
 					}
-					t.Fatalf("bin %d (%s) digest diverged from the uninterrupted run", i, side)
 				}
 			}
 		})
 	}
+}
+
+// legacyCheckpoint re-encodes cp the way the build before ShardSpec
+// lost its NoPipeline field wrote it (the structs below are copies of
+// that build's), and decodes the blob with the current decoder: state
+// directories and in-flight offers written by the old build must stay
+// readable.
+func legacyCheckpoint(t *testing.T, cp *ShardCheckpoint) *ShardCheckpoint {
+	t.Helper()
+	type legacyShardSpec struct {
+		Scheme          string
+		Strategy        string
+		PredictorKind   string
+		Seed            uint64
+		Capacity        float64
+		Workers         int
+		NoPipeline      bool
+		HistoryLen      int
+		ChangeDetection bool
+		Queries         []QuerySpec
+		MinShare        float64
+		Ingest          string
+		Preset          string
+		TraceSeed       uint64
+		TraceDur        time.Duration
+		Scale           float64
+	}
+	type legacyShardCheckpoint struct {
+		Version int
+		Node    string
+		Bin     int64
+		Final   bool
+		Spec    legacyShardSpec
+		Snap    *SystemSnapshot
+	}
+	sp := cp.Spec
+	old := legacyShardCheckpoint{
+		Version: cp.Version, Node: cp.Node, Bin: cp.Bin, Final: cp.Final, Snap: cp.Snap,
+		Spec: legacyShardSpec{
+			Scheme: sp.Scheme, Strategy: sp.Strategy, PredictorKind: sp.PredictorKind,
+			Seed: sp.Seed, Capacity: sp.Capacity, Workers: sp.Workers, NoPipeline: true,
+			HistoryLen: sp.HistoryLen, ChangeDetection: sp.ChangeDetection, Queries: sp.Queries,
+			MinShare: sp.MinShare, Ingest: sp.Ingest, Preset: sp.Preset,
+			TraceSeed: sp.TraceSeed, TraceDur: sp.TraceDur, Scale: sp.Scale,
+		},
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatalf("encode legacy checkpoint: %v", err)
+	}
+	got, err := DecodeShardCheckpoint(&buf)
+	if err != nil {
+		t.Fatalf("legacy checkpoint (ShardSpec with NoPipeline) no longer decodes: %v", err)
+	}
+	if !reflect.DeepEqual(got.Spec, cp.Spec) {
+		t.Fatalf("legacy spec decoded to %+v, want %+v", got.Spec, cp.Spec)
+	}
+	return got
 }
 
 // TestPeriodicCheckpointResumeLoopback drives the periodic path end to

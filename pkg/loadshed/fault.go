@@ -186,8 +186,8 @@ func (f *FaultTransport) Grant() (BudgetGrant, bool) {
 }
 
 // Checkpoint applies the checkpoint fate: delivered to the wrapped
-// transport (when it can carry one) or lost in flight. Loss looks like
-// success to the node, exactly as a frame dropped mid-link would.
+// transport or lost in flight. Loss looks like success to the node,
+// exactly as a frame dropped mid-link would.
 func (f *FaultTransport) Checkpoint(cp *ShardCheckpoint) error {
 	f.mu.Lock()
 	dropped := f.rng.Float64() < f.cfg.CheckpointDrop
@@ -198,20 +198,13 @@ func (f *FaultTransport) Checkpoint(cp *ShardCheckpoint) error {
 	if dropped {
 		return nil
 	}
-	cs, ok := f.inner.(CheckpointSender)
-	if !ok {
-		return nil
-	}
-	return cs.Checkpoint(cp)
+	return f.inner.Checkpoint(cp)
 }
 
 // DrainRequested passes the coordinator's drain signal through
 // unfaulted: the drain is re-signaled every poll anyway, so dropping it
 // would only test the retry we already rely on for checkpoints.
-func (f *FaultTransport) DrainRequested() bool {
-	ds, ok := f.inner.(DrainSignaler)
-	return ok && ds.DrainRequested()
-}
+func (f *FaultTransport) DrainRequested() bool { return f.inner.DrainRequested() }
 
 // Adoption applies the adopt fate: an offer read from the wrapped
 // transport may vanish before the host sees it. The offer was consumed
@@ -219,11 +212,7 @@ func (f *FaultTransport) DrainRequested() bool {
 // timeout and re-offer rotation, which is the race this fault exists to
 // exercise.
 func (f *FaultTransport) Adoption() (AdoptOffer, bool) {
-	ar, ok := f.inner.(AdoptionReceiver)
-	if !ok {
-		return AdoptOffer{}, false
-	}
-	o, ok := ar.Adoption()
+	o, ok := f.inner.Adoption()
 	if !ok {
 		return AdoptOffer{}, false
 	}

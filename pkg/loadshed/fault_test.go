@@ -38,7 +38,10 @@ func (r *recordingTransport) Grant() (BudgetGrant, bool) {
 	return BudgetGrant{Round: 1, Capacity: r.capacity}, true
 }
 
-func (r *recordingTransport) Close() error { return nil }
+func (r *recordingTransport) Checkpoint(*ShardCheckpoint) error { return nil }
+func (r *recordingTransport) DrainRequested() bool              { return false }
+func (r *recordingTransport) Adoption() (AdoptOffer, bool)      { return AdoptOffer{}, false }
+func (r *recordingTransport) Close() error                      { return nil }
 
 func TestFaultTransportDeterministicSchedule(t *testing.T) {
 	const n = 400
@@ -120,7 +123,7 @@ func TestNodeFailOpenUnderGrantLoss(t *testing.T) {
 		if err := node.StreamContext(context.Background(), trace.NewMemorySource(batches, bin), sink); err != nil {
 			t.Fatalf("stream: %v", err)
 		}
-		return sink.res, append([]float64(nil), node.Capacities()...)
+		return sink.res, binCapacities(sink.res.Bins)
 	}
 
 	baseline, baseCaps := runNode(nil)

@@ -22,10 +22,43 @@ import (
 	"strings"
 )
 
-// promEscape escapes a label value per the text exposition format.
-func promEscape(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+// MetricsWriter writes metric families to W in the Prometheus text
+// exposition format — the one emitter behind every /metrics plane of
+// cmd/lsd. Values print with %v, so integers stay integral and floats
+// use the shortest %g form. Write errors are dropped: hand it a buffer
+// when they matter, as WritePrometheus does (an HTTP response has
+// nobody left to tell).
+type MetricsWriter struct {
+	W io.Writer
+}
+
+// promEscaper escapes a label value per the text exposition format.
+var promEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+func (m *MetricsWriter) family(name, help, typ string) {
+	fmt.Fprintf(m.W, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// Counter writes one unlabelled counter.
+func (m *MetricsWriter) Counter(name, help string, v any) {
+	m.family(name, help, "counter")
+	fmt.Fprintf(m.W, "%s %v\n", name, v)
+}
+
+// Gauge writes one unlabelled gauge.
+func (m *MetricsWriter) Gauge(name, help string, v any) {
+	m.family(name, help, "gauge")
+	fmt.Fprintf(m.W, "%s %v\n", name, v)
+}
+
+// GaugeVec writes a gauge family of n series distinguished by one
+// label; at returns series i's label value and sample.
+func (m *MetricsWriter) GaugeVec(name, help, label string, n int, at func(i int) (string, any)) {
+	m.family(name, help, "gauge")
+	for i := 0; i < n; i++ {
+		lv, v := at(i)
+		fmt.Fprintf(m.W, "%s{%s=\"%s\"} %v\n", name, label, promEscaper.Replace(lv), v)
+	}
 }
 
 // WritePrometheus writes the snapshot as Prometheus text-format metrics.
@@ -34,12 +67,8 @@ func promEscape(v string) string {
 // dashboards see the removal instead of a vanishing series.
 func (s RollingSnapshot) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
+	m := MetricsWriter{W: &b}
+	counter, gauge := m.Counter, m.Gauge
 
 	counter("lsd_bins_total", "Time bins processed since start.", float64(s.Bins))
 	counter("lsd_intervals_total", "Measurement intervals flushed since start.", float64(s.Intervals))
@@ -66,22 +95,20 @@ func (s RollingSnapshot) WritePrometheus(w io.Writer) error {
 	gauge("lsd_change_window_mean_score", "Mean detector score over the window (1 = firing threshold).", s.MeanChangeScore)
 
 	if len(s.Queries) > 0 {
-		fmt.Fprintf(&b, "# HELP lsd_query_rate Mean applied sampling rate per query over the window.\n# TYPE lsd_query_rate gauge\n")
-		for i, q := range s.Queries {
+		m.GaugeVec("lsd_query_rate", "Mean applied sampling rate per query over the window.", "query", len(s.Queries), func(i int) (string, any) {
 			var rate float64
 			if i < len(s.MeanRates) {
 				rate = s.MeanRates[i]
 			}
-			fmt.Fprintf(&b, "lsd_query_rate{query=\"%s\"} %g\n", promEscape(q), rate)
-		}
-		fmt.Fprintf(&b, "# HELP lsd_query_active Whether the query is currently registered (0 after RemoveQuery).\n# TYPE lsd_query_active gauge\n")
-		for i, q := range s.Queries {
+			return s.Queries[i], rate
+		})
+		m.GaugeVec("lsd_query_active", "Whether the query is currently registered (0 after RemoveQuery).", "query", len(s.Queries), func(i int) (string, any) {
 			active := 1
 			if i < len(s.Active) && !s.Active[i] {
 				active = 0
 			}
-			fmt.Fprintf(&b, "lsd_query_active{query=\"%s\"} %d\n", promEscape(q), active)
-		}
+			return s.Queries[i], active
+		})
 	}
 
 	_, err := io.WriteString(w, b.String())

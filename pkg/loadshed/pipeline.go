@@ -42,10 +42,10 @@ import (
 )
 
 // pipelined reports whether a run under this config uses the two-deep
-// bin pipeline. Workers == 1 (or NoPipeline) selects the strictly
-// sequential loop; the two paths are bit-identical, so the choice is
-// purely about throughput.
-func (c Config) pipelined() bool { return c.Workers >= 2 && !c.NoPipeline }
+// bin pipeline. Workers == 1 selects the strictly sequential loop; the
+// two paths are bit-identical, so the choice is purely about
+// throughput.
+func (c Config) pipelined() bool { return c.Workers >= 2 }
 
 // splitWorkers divides Config.Workers between the front-stage sketch
 // pool and the back-stage execute pool: the front gets the floor half
@@ -89,7 +89,7 @@ type pipeline struct {
 
 	frontWorkers int
 	cs           *features.ChunkSketcher
-	pool         *staticPool          // per-run; nil while idle or when frontWorkers == 1
+	pool         *staticPool          // per-run helpers of the front goroutine
 	runFn        func(int, func(int)) // p.pool.run, bound once per run
 }
 
@@ -129,10 +129,8 @@ func (p *pipeline) begin(src trace.Source, sketch bool) {
 	p.free <- &p.slots[1]
 	p.quit = make(chan struct{})
 	p.frontDone = make(chan struct{})
-	if p.frontWorkers > 1 {
-		p.pool = newStaticPool(p.frontWorkers - 1)
-		p.runFn = p.pool.run
-	}
+	p.pool = newStaticPool(p.frontWorkers - 1)
+	p.runFn = p.pool.run
 	go p.front(src, sketch)
 }
 
@@ -146,10 +144,8 @@ func (p *pipeline) begin(src trace.Source, sketch bool) {
 func (p *pipeline) stop() {
 	close(p.quit)
 	<-p.frontDone
-	if p.pool != nil {
-		p.pool.close()
-		p.pool, p.runFn = nil, nil
-	}
+	p.pool.close()
+	p.pool, p.runFn = nil, nil
 }
 
 // front is the pipeline's producer loop: capture the next batch,
@@ -185,12 +181,15 @@ func (p *pipeline) front(src trace.Source, sketch bool) {
 	}
 }
 
-// staticPool is a persistent fixed-size worker pool with the same
-// index-handout contract as parallelIndexed, for call sites on the
-// per-bin hot path: parallelIndexed spawns goroutines per call, which
-// is fine once per bin for the execute fan-out but would double the
-// per-bin goroutine churn if the front stage did it too. run is
-// zero-alloc when fn is prebuilt (the ChunkSketcher's chunk body is).
+// staticPool is the engine's one worker pool: a persistent fixed-size
+// set of goroutines that, together with the calling goroutine, run
+// fn(0) … fn(n-1), handing indices out through an atomic counter. The
+// front-stage sketcher, the execute stage and the Cluster's shard
+// runners all use it; determinism is the caller's contract — fn(i) must
+// touch only index-owned state. run is zero-alloc when fn is prebuilt.
+// A nil *staticPool is the pool with no helpers: run executes every
+// index on the caller, which is how Workers = 1 and Runners = 1 stay
+// inline without a second code path at the call sites.
 type staticPool struct {
 	workers int
 	fn      func(int)
@@ -201,7 +200,12 @@ type staticPool struct {
 	wg      sync.WaitGroup
 }
 
+// newStaticPool starts workers helper goroutines (the caller of run is
+// the pool's remaining worker); with none to start it returns nil.
 func newStaticPool(workers int) *staticPool {
+	if workers <= 0 {
+		return nil
+	}
 	p := &staticPool{
 		workers: workers,
 		start:   make(chan struct{}),
@@ -235,6 +239,12 @@ func (p *staticPool) worker() {
 // calling goroutine, returning when all have finished. One run at a
 // time; the caller owns the pool.
 func (p *staticPool) run(n int, fn func(int)) {
+	if p == nil {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
 	p.fn, p.n = fn, n
 	p.next.Store(0)
 	p.wg.Add(p.workers)
@@ -252,4 +262,8 @@ func (p *staticPool) run(n int, fn func(int)) {
 }
 
 // close releases the pool's goroutines. The pool must be idle.
-func (p *staticPool) close() { close(p.done) }
+func (p *staticPool) close() {
+	if p != nil {
+		close(p.done)
+	}
+}

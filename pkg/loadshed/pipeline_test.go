@@ -38,9 +38,7 @@ func pipeRun(cfg Config) *RunResult {
 // RNG-dependent spikes and all — because the front stage only ever
 // computes the pure sketch half of extraction and everything stateful
 // stays in bin order. The config is overloaded enough to tail-drop, so
-// the speculative sketch's fallback path is proven too, and the run is
-// checked against NoPipeline at the same Workers count to pin the
-// escape hatch.
+// the speculative sketch's fallback path is proven too.
 func TestPipelineMatchesSequential(t *testing.T) {
 	seq := pipeRun(pipeCfg(1))
 	if seq.TotalDrops() == 0 {
@@ -59,12 +57,6 @@ func TestPipelineMatchesSequential(t *testing.T) {
 			}
 			if !reflect.DeepEqual(seq.Intervals, par.Intervals) {
 				t.Fatal("interval query results diverged")
-			}
-			cfg := pipeCfg(workers)
-			cfg.NoPipeline = true
-			noPipe := pipeRun(cfg)
-			if !reflect.DeepEqual(seq.Bins, noPipe.Bins) || !reflect.DeepEqual(seq.Intervals, noPipe.Intervals) {
-				t.Fatal("NoPipeline run diverged from the sequential engine")
 			}
 		})
 	}

@@ -2,8 +2,6 @@ package loadshed
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/custom"
@@ -17,38 +15,6 @@ import (
 // coldStartRate is the sampling rate applied before the predictor has
 // any history at all.
 const coldStartRate = 0.05
-
-// parallelIndexed runs fn(0) … fn(n-1) on a bounded pool of workers
-// goroutines (inline when the pool would be size 1), handing indices
-// out through an atomic counter, and returns once every call finished.
-// Both the execute stage's query pool and the Cluster's shard-runner
-// pool build on it; determinism is the caller's contract — fn(i) must
-// touch only index-owned state.
-func parallelIndexed(n, workers int, fn func(int)) {
-	w := min(workers, n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // BinContext threads one batch's state through the pipeline stages. A
 // fresh context is built per bin by newBinContext; each stage reads the
@@ -337,7 +303,7 @@ func (s *System) decidePredictive(avail float64, preds []float64, rates []float6
 
 // execute sheds and runs every query. The shared shed-stream
 // re-extraction happens once, sequentially; the per-query work then
-// fans out over a bounded worker pool (Config.Workers). Every worker
+// fans out over the run's execute pool (inline without one). Every worker
 // touches only its query's state and per-index result slots, and the
 // slots are merged in index order afterwards, so the bin record is
 // bit-identical for any worker count.
@@ -385,14 +351,7 @@ func (s *System) execute(bc *BinContext) {
 		// every bin.
 		s.execFn = func(i int) { s.executeQuery(&s.bc, i) }
 	}
-	if s.execPool != nil {
-		// The persistent pool replaces parallelIndexed's per-bin
-		// goroutine spawns on the hot path; same index-handout contract,
-		// with the run goroutine as the pool's remaining worker.
-		s.execPool.run(len(s.qs), s.execFn)
-	} else {
-		parallelIndexed(len(s.qs), s.execWk, s.execFn)
-	}
+	s.execPool.run(len(s.qs), s.execFn)
 
 	// Deterministic merge: index order fixes the floating-point
 	// summation order regardless of which worker ran which query.

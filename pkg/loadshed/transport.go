@@ -83,40 +83,30 @@ type BudgetGrant struct {
 	Capacity float64
 }
 
-// NodeTransport is a node's link to the budget coordinator. Report
-// sends the node's per-bin demand; Grant returns the most recent
-// capacity decision, with ok=false when no sufficiently fresh grant
-// exists (coordinator unreachable, no allocation round yet) — the node
-// then keeps shedding on its current local capacity. Implementations
-// must tolerate Report errors being ignored: coordination is advisory,
-// never load-bearing for the node's own run.
+// NodeTransport is a node's link to the budget coordinator. Everything
+// on it is advisory, never load-bearing for the node's own run:
+// implementations must tolerate Report and Checkpoint errors being
+// counted and otherwise ignored.
 type NodeTransport interface {
+	// Report sends the node's per-bin demand.
 	Report(r DemandReport) error
+	// Grant returns the most recent capacity decision, with ok=false
+	// when no sufficiently fresh grant exists (coordinator unreachable,
+	// no allocation round yet) — the node then keeps shedding on its
+	// current local capacity.
 	Grant() (BudgetGrant, bool)
-	Close() error
-}
-
-// CheckpointSender is the optional transport extension a Node uses to
-// ship shard checkpoints to the coordinator. Checkpointing is as
-// advisory as reporting: errors count, nothing stops.
-type CheckpointSender interface {
+	// Checkpoint ships a shard checkpoint to the coordinator.
 	Checkpoint(cp *ShardCheckpoint) error
-}
-
-// DrainSignaler is the optional transport extension relaying the
-// coordinator's drain request (planned migration): when it reports
-// true, the Node checkpoints with Final set at its next interval
-// boundary and stops.
-type DrainSignaler interface {
+	// DrainRequested relays the coordinator's drain request (planned
+	// migration): when it reports true, the Node checkpoints with Final
+	// set at its next interval boundary and stops.
 	DrainRequested() bool
-}
-
-// AdoptionReceiver is the optional transport extension surfacing
-// adoption offers to the hosting process (not the Node — adopting means
-// building a new System next to the existing one, which is the host's
-// job; see cmd/lsd). Adoption returns a pending offer at most once.
-type AdoptionReceiver interface {
+	// Adoption surfaces an adoption offer to the hosting process (not
+	// the Node — adopting means building a new System next to the
+	// existing one, which is the host's job; see cmd/lsd). A pending
+	// offer is returned at most once.
 	Adoption() (AdoptOffer, bool)
+	Close() error
 }
 
 // loopbackTransport binds a node to an in-process Coordinator by
@@ -216,11 +206,16 @@ func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
+// appendHello appends a hello payload of the given message type.
+func appendHello(dst []byte, msg byte, name string, minShare float64) []byte {
+	dst = append(dst, msg, byte(len(name)))
+	dst = append(dst, name...)
+	return appendF64(dst, minShare)
+}
+
 func appendHelloFrame(dst []byte, name string, minShare float64) []byte {
 	return appendU16Frame(dst, func(dst []byte) []byte {
-		dst = append(dst, coordMsgHello, byte(len(name)))
-		dst = append(dst, name...)
-		return appendF64(dst, minShare)
+		return appendHello(dst, coordMsgHello, name, minShare)
 	})
 }
 
@@ -291,11 +286,8 @@ func appendChallengeFrame(dst []byte, nonce []byte) []byte {
 func appendHelloAuthFrame(dst []byte, name string, minShare float64, key string, nonce []byte) []byte {
 	return appendU16Frame(dst, func(dst []byte) []byte {
 		start := len(dst)
-		dst = append(dst, coordMsgHelloAuth, byte(len(name)))
-		dst = append(dst, name...)
-		dst = appendF64(dst, minShare)
-		mac := helloMAC(key, nonce, dst[start:])
-		return append(dst, mac...)
+		dst = appendHello(dst, coordMsgHelloAuth, name, minShare)
+		return append(dst, helloMAC(key, nonce, dst[start:])...)
 	})
 }
 
@@ -309,10 +301,11 @@ func helloMAC(key string, nonce, payload []byte) []byte {
 
 // readCoordFrame reads one length-prefixed frame into buf (grown as
 // needed) and returns the payload; the payload is only valid until the
-// next call with the same buf.
-func readCoordFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
+// next call with the same buf. It reads exactly the frame's bytes, so
+// it is safe on a bare connection as well as behind a bufio.Reader.
+func readCoordFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [2]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := int(binary.LittleEndian.Uint16(hdr[:]))
@@ -320,7 +313,7 @@ func readCoordFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	if _, err := io.ReadFull(br, buf); err != nil {
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -340,7 +333,9 @@ func decodeHello(p []byte) (name string, minShare float64, ok bool) {
 }
 
 func decodeReport(p []byte) (DemandReport, bool) {
-	if len(p) != 1+8+8+8+1 {
+	// Undefined flag bits are refused, here and in the checkpoint
+	// header: one wire form per message (FuzzCoordWire).
+	if len(p) != 1+8+8+8+1 || p[25]&^reportFlagDone != 0 {
 		return DemandReport{}, false
 	}
 	return DemandReport{
@@ -361,27 +356,22 @@ func decodeGrant(p []byte) (BudgetGrant, bool) {
 	}, true
 }
 
-// decodeHelloAuth verifies and decodes an authenticated hello against
-// the server's key and the nonce it challenged with.
+// decodeHelloAuth verifies an authenticated hello against the server's
+// key and the nonce it challenged with, then decodes the hello in front
+// of the MAC.
 func decodeHelloAuth(p []byte, key string, nonce []byte) (name string, minShare float64, ok bool) {
-	if len(p) < 2+8+coordMACLen {
-		return "", 0, false
-	}
-	nl := int(p[1])
-	if len(p) != 2+nl+8+coordMACLen {
+	if len(p) < coordMACLen {
 		return "", 0, false
 	}
 	body, mac := p[:len(p)-coordMACLen], p[len(p)-coordMACLen:]
 	if !hmac.Equal(mac, helloMAC(key, nonce, body)) {
 		return "", 0, false
 	}
-	name = string(p[2 : 2+nl])
-	minShare = math.Float64frombits(binary.LittleEndian.Uint64(p[2+nl:]))
-	return name, minShare, name != ""
+	return decodeHello(body)
 }
 
 func decodeCheckpointHdr(p []byte) (bin int64, final bool, blobLen int, ok bool) {
-	if len(p) != 1+8+1+4 {
+	if len(p) != 1+8+1+4 || p[9]&^ckptFlagFinal != 0 {
 		return 0, false, 0, false
 	}
 	bin = int64(binary.LittleEndian.Uint64(p[1:]))
@@ -655,57 +645,47 @@ func (s *CoordServer) heartbeatLoop() {
 		s.coord.AllocateLease(s.cfg.Lease)
 		grants = s.coord.currentGrants(grants)
 		for _, g := range grants {
-			s.mu.Lock()
-			cc := s.conns[g.Node]
-			s.mu.Unlock()
-			if cc == nil {
-				continue
-			}
 			frame = appendGrantFrame(frame[:0], g)
-			if cc.send(frame, s.cfg.Heartbeat) != nil {
-				cc.c.Close() // reader notices and unregisters
-			}
+			s.sendTo(g.Node, frame, s.cfg.Heartbeat)
 		}
 		// Relay pending drains. The frame re-sends every heartbeat until
 		// the final checkpoint lands (idempotent on the worker side), so
 		// a lost frame only delays the drain one heartbeat.
 		drains = s.coord.drainTargets(drains)
 		for _, name := range drains {
-			s.mu.Lock()
-			cc := s.conns[name]
-			s.mu.Unlock()
-			if cc == nil {
-				continue
-			}
 			frame = appendDrainFrame(frame[:0])
-			if cc.send(frame, s.cfg.Heartbeat) != nil {
-				cc.c.Close()
-			}
+			s.sendTo(name, frame, s.cfg.Heartbeat)
 		}
 		// Push adoption offers for orphaned shards. Header and blob go
 		// in one send so grant pushes cannot interleave mid-blob. A
 		// failed or undeliverable push withdraws the offer, so the next
 		// heartbeat re-plans instead of waiting out the offer timeout.
 		for _, o := range s.coord.PlanFailover(s.cfg.Grace, s.cfg.OfferTimeout) {
-			s.mu.Lock()
-			cc := s.conns[o.Adopter]
-			s.mu.Unlock()
-			if cc == nil {
-				s.coord.clearOffer(o.Shard)
-				continue
-			}
 			buf := appendAdoptFrame(nil, o.Shard, o.Bin, len(o.Blob))
 			buf = append(buf, o.Blob...)
-			timeout := s.cfg.Heartbeat
-			if timeout < 2*time.Second {
-				timeout = 2 * time.Second // blobs outweigh grant frames
-			}
-			if cc.send(buf, timeout) != nil {
-				cc.c.Close()
+			// Blobs outweigh grant frames.
+			if !s.sendTo(o.Adopter, buf, max(s.cfg.Heartbeat, 2*time.Second)) {
 				s.coord.clearOffer(o.Shard)
 			}
 		}
 	}
+}
+
+// sendTo pushes frame to the named worker's connection and reports
+// whether it was delivered. A failed write closes the connection; its
+// reader notices and unregisters it.
+func (s *CoordServer) sendTo(name string, frame []byte, timeout time.Duration) bool {
+	s.mu.Lock()
+	cc := s.conns[name]
+	s.mu.Unlock()
+	if cc == nil {
+		return false
+	}
+	if cc.send(frame, timeout) != nil {
+		cc.c.Close()
+		return false
+	}
+	return true
 }
 
 // --- TCP client (worker side) ---
@@ -875,21 +855,16 @@ func (c *CoordClient) connect() error {
 	return nil
 }
 
-// readChallengeConn reads the server's challenge frame with exact reads
-// on the bare connection and returns the nonce.
+// readChallengeConn reads the server's challenge frame off the bare
+// connection and returns the nonce.
 func readChallengeConn(conn net.Conn, timeout time.Duration) ([]byte, error) {
 	conn.SetReadDeadline(time.Now().Add(timeout))
 	defer conn.SetReadDeadline(time.Time{})
-	var hdr [2]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	payload, err := readCoordFrame(conn, nil)
+	if err != nil {
 		return nil, fmt.Errorf("no challenge: %w", err)
 	}
-	n := int(binary.LittleEndian.Uint16(hdr[:]))
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		return nil, fmt.Errorf("truncated challenge: %w", err)
-	}
-	if n != 1+coordNonceLen || payload[0] != coordMsgChallenge {
+	if len(payload) != 1+coordNonceLen || payload[0] != coordMsgChallenge {
 		return nil, errors.New("unexpected frame where challenge expected")
 	}
 	return payload[1:], nil
@@ -983,30 +958,39 @@ func (c *CoordClient) readGrants(conn net.Conn) {
 	}
 }
 
-// Report sends a demand report; while disconnected it returns
-// ErrCoordinatorUnreachable and the caller proceeds on local capacity.
-func (c *CoordClient) Report(r DemandReport) error {
+// send writes one message, built into the client's reused buffer, in a
+// single locked write — frames from Report and Checkpoint cannot
+// interleave. While disconnected it returns ErrCoordinatorUnreachable;
+// a failed write drops the connection and the maintain loop redials and
+// re-joins.
+func (c *CoordClient) send(timeout time.Duration, build func(buf []byte) []byte) error {
 	c.mu.Lock()
 	conn := c.conn
 	if conn == nil {
 		c.mu.Unlock()
 		return ErrCoordinatorUnreachable
 	}
-	c.wbuf = appendReportFrame(c.wbuf[:0], r)
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.DialTimeout))
+	c.wbuf = build(c.wbuf[:0])
+	conn.SetWriteDeadline(time.Now().Add(timeout))
 	_, err := conn.Write(c.wbuf)
 	conn.SetWriteDeadline(time.Time{})
 	c.mu.Unlock()
 	if err != nil {
-		c.drop(conn) // the maintain loop redials and re-joins
+		c.drop(conn)
 	}
 	return err
 }
 
+// Report sends a demand report; while disconnected it returns
+// ErrCoordinatorUnreachable and the caller proceeds on local capacity.
+func (c *CoordClient) Report(r DemandReport) error {
+	return c.send(c.cfg.DialTimeout, func(buf []byte) []byte { return appendReportFrame(buf, r) })
+}
+
 // Checkpoint ships a shard checkpoint to the coordinator: the header
-// frame and the gob blob in one locked write, so report frames cannot
-// interleave. While disconnected it returns ErrCoordinatorUnreachable
-// — checkpointing is advisory and the next boundary retries.
+// frame and the gob blob in one write. While disconnected it returns
+// ErrCoordinatorUnreachable — checkpointing is advisory and the next
+// boundary retries.
 func (c *CoordClient) Checkpoint(cp *ShardCheckpoint) error {
 	blob, err := cp.EncodeBytes()
 	if err != nil {
@@ -1015,22 +999,9 @@ func (c *CoordClient) Checkpoint(cp *ShardCheckpoint) error {
 	if len(blob) > maxCheckpointBytes {
 		return fmt.Errorf("loadshed: checkpoint blob %d bytes exceeds the %d wire cap", len(blob), maxCheckpointBytes)
 	}
-	c.mu.Lock()
-	conn := c.conn
-	if conn == nil {
-		c.mu.Unlock()
-		return ErrCoordinatorUnreachable
-	}
-	c.wbuf = appendCheckpointFrame(c.wbuf[:0], cp.Bin, cp.Final, len(blob))
-	c.wbuf = append(c.wbuf, blob...)
-	conn.SetWriteDeadline(time.Now().Add(ckptRecvTimeout))
-	_, err = conn.Write(c.wbuf)
-	conn.SetWriteDeadline(time.Time{})
-	c.mu.Unlock()
-	if err != nil {
-		c.drop(conn)
-	}
-	return err
+	return c.send(ckptRecvTimeout, func(buf []byte) []byte {
+		return append(appendCheckpointFrame(buf, cp.Bin, cp.Final, len(blob)), blob...)
+	})
 }
 
 // DrainRequested reports whether the coordinator pushed a drain frame

@@ -1,0 +1,31 @@
+#!/usr/bin/env bash
+# Prints the two size numbers CHANGES.md tracks per PR (ROADMAP,
+# consolidation item), for the program only — tests and the bench/
+# module are not counted:
+#
+#   non-test LOC       non-blank, non-comment-only lines
+#   exported symbols   top-level exported funcs, methods, types, consts
+#                      and vars (struct fields are not counted)
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+files() {
+	find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'
+}
+
+loc=$(files | xargs grep -hv '^\s*//' | grep -cv '^\s*$')
+
+# Sources are gofmt'd, so a top-level declaration starts in column 0
+# and the members of a const/var/type group sit behind exactly one tab.
+symbols=$(files | xargs awk '
+	FNR == 1                                   { group = 0 }
+	/^(const|var|type) \($/                    { group = 1; next }
+	group && /^\)/                             { group = 0; next }
+	group && /^\t[A-Z][A-Za-z0-9_]*/           { n++; next }
+	/^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*[(\[]/ { n++; next }
+	/^(const|var|type) [A-Z][A-Za-z0-9_]*/     { n++ }
+	END                                        { print n + 0 }
+')
+
+echo "non-test LOC:     $loc"
+echo "exported symbols: $symbols"
