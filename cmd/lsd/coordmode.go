@@ -20,10 +20,10 @@ import (
 
 // coordOpts carries the flag values the coordinator mode consumes.
 type coordOpts struct {
-	listen    string  // TCP address workers connect to
-	admin     string  // HTTP admin plane address ("" = none)
-	policy    string  // shard policy name (must coordinate; "static" rejected)
-	capacity  float64 // total machine budget, cycles/bin
+	listen    string            // TCP address workers connect to
+	admin     string            // HTTP admin plane address ("" = none)
+	policy    loadshed.Strategy // shard policy (must coordinate; nil = "static" is rejected)
+	capacity  float64           // total machine budget, cycles/bin
 	heartbeat time.Duration
 	lease     time.Duration
 	grace     time.Duration // partition-to-failover window (0 = 2x lease)
@@ -33,16 +33,14 @@ type coordOpts struct {
 
 // runCoordinator serves the budget coordinator until a signal arrives.
 func runCoordinator(ctx context.Context, o coordOpts) {
-	policy, err := loadshed.ShardPolicyByName(o.policy)
-	die(err)
-	if policy == nil {
-		die(fmt.Errorf("-coordinator needs a coordinating -shard-policy; %q disables coordination (every worker would keep its static budget)", o.policy))
+	if o.policy == nil {
+		die(fmt.Errorf(`-coordinator needs a coordinating -shard-policy; "static" disables coordination (every worker would keep its static budget)`))
 	}
 	if o.capacity <= 0 {
 		die(fmt.Errorf("-coordinator needs -capacity: the total machine budget in cycles/bin cannot be probed from traffic the coordinator never sees"))
 	}
 
-	coord := loadshed.NewCoordinator(policy, o.capacity)
+	coord := loadshed.NewCoordinator(o.policy, o.capacity)
 	if o.stateDir != "" {
 		// Reload any spilled checkpoints before serving: shards that
 		// crashed with the previous coordinator come back as partitioned
@@ -63,7 +61,7 @@ func runCoordinator(ctx context.Context, o coordOpts) {
 		auth = "PSK-authenticated"
 	}
 	fmt.Printf("coordinator on %s: policy %s, total capacity %.3g cycles/bin, heartbeat %v, %s\n",
-		srv.Addr(), o.policy, o.capacity, o.heartbeat, auth)
+		srv.Addr(), o.policy.Name(), o.capacity, o.heartbeat, auth)
 
 	stopAdmin := startAdmin(o.admin, coordinatorMux(srv, o), "healthz, metrics, cluster")
 
@@ -129,7 +127,7 @@ func coordinatorMux(srv *loadshed.CoordServer, o coordOpts) *http.ServeMux {
 			Heartbeat     string                     `json:"heartbeat"`
 			Nodes         []loadshed.CoordNodeStatus `json:"nodes"`
 		}{
-			Policy:        o.policy,
+			Policy:        o.policy.Name(),
 			TotalCapacity: coord.Total(),
 			Heartbeat:     o.heartbeat.String(),
 			Nodes:         coord.Status(),
@@ -192,11 +190,11 @@ func (o workerOpts) shardSpec(qs []loadshed.Query, capacity float64) loadshed.Sh
 		specQs[i] = loadshed.QuerySpec{Kind: q.Name(), Seed: o.serve.seed}
 	}
 	strategy := ""
-	if o.serve.scheme == "predictive" {
-		strategy = o.serve.strategy
+	if o.serve.scheme == loadshed.Predictive {
+		strategy = o.serve.strategy.Name()
 	}
 	return loadshed.ShardSpec{
-		Scheme:          o.serve.scheme,
+		Scheme:          o.serve.schemeName,
 		Strategy:        strategy,
 		Seed:            o.serve.seed + 2,
 		Capacity:        capacity,

@@ -111,6 +111,25 @@ func main() {
 		die(fmt.Errorf("-shard-policy needs -shards N>1 or -coordinator: a single monitor has no budget to split (workers get their policy from the coordinator)"))
 	}
 
+	// Name typos die here, before any mode spends seconds measuring demand.
+	eng := engineOpts{
+		seed:       *seed,
+		schemeName: *scheme,
+		customOn:   *customOn,
+		detectOn:   *detectOn,
+		workers:    *workers,
+	}
+	var err error
+	eng.scheme, err = loadshed.ParseScheme(*scheme)
+	die(err)
+	eng.strategy, err = loadshed.StrategyByName(*strategy)
+	die(err)
+	var shardPolicy loadshed.Strategy // nil = static split
+	if *shards > 1 || *coordAddr != "" {
+		shardPolicy, err = loadshed.ShardPolicyByName(*shardPol)
+		die(err)
+	}
+
 	// Every mode shuts down on SIGINT/SIGTERM by cancelling this context:
 	// the engine finishes its current bin, flushes the open interval, and
 	// the mode's final report still prints.
@@ -122,14 +141,6 @@ func main() {
 			return loadshed.AllQueries(loadshed.QueryConfig{Seed: *seed})
 		}
 		return loadshed.StandardQueries(loadshed.QueryConfig{Seed: *seed})
-	}
-	eng := engineOpts{
-		seed:     *seed,
-		scheme:   *scheme,
-		strategy: *strategy,
-		customOn: *customOn,
-		detectOn: *detectOn,
-		workers:  *workers,
 	}
 	so := serveOpts{
 		engineOpts: eng,
@@ -151,7 +162,7 @@ func main() {
 		runCoordinator(ctx, coordOpts{
 			listen:    *coordAddr,
 			admin:     *serve,
-			policy:    *shardPol,
+			policy:    shardPolicy,
 			capacity:  *capFlag,
 			heartbeat: *heartbeat,
 			lease:     *lease,
@@ -191,7 +202,7 @@ func main() {
 	die(err)
 
 	if *shards > 1 {
-		runCluster(src, mkQs, eng, *shards, *shardPol, *overload)
+		runCluster(src, mkQs, eng, *shards, *shardPol, shardPolicy, *overload)
 		return
 	}
 
@@ -243,7 +254,7 @@ func main() {
 // reference run is possible online, so the accuracy section is replaced
 // by the rolling unsampled-fraction proxy.
 func runStream(ctx context.Context, mkQs func() []loadshed.Query, eng engineOpts, traceFile, preset string, dur time.Duration, scale float64, maxBins int, reportEvery time.Duration, overload float64) {
-	seed, scheme := eng.seed, eng.scheme
+	seed, scheme := eng.seed, eng.schemeName
 	openStream := func(bins int) (loadshed.Source, func(), error) {
 		if traceFile != "" {
 			f, err := loadshed.OpenTraceFile(traceFile)
@@ -321,9 +332,7 @@ func runStream(ctx context.Context, mkQs func() []loadshed.Query, eng engineOpts
 
 // runCluster splits the trace across n links by flow hash and runs one
 // monitor per link under the global budget coordinator.
-func runCluster(src loadshed.Source, mkQs func() []loadshed.Query, eng engineOpts, n int, policyName string, overload float64) {
-	policy, err := loadshed.ShardPolicyByName(policyName)
-	die(err)
+func runCluster(src loadshed.Source, mkQs func() []loadshed.Query, eng engineOpts, n int, policyName string, policy loadshed.Strategy, overload float64) {
 	seed := eng.seed
 
 	fmt.Printf("splitting trace across %d links ...\n", n)
@@ -394,14 +403,16 @@ func sizeCapacity(probe loadshed.Source, qs []loadshed.Query, seed uint64, overl
 	return capacity
 }
 
-// engineOpts carries the flag values every mode builds its engine from.
+// engineOpts carries the flag values every mode builds its engine from,
+// names already resolved (main does that before anything is measured).
 type engineOpts struct {
-	seed     uint64
-	scheme   string
-	strategy string
-	customOn bool
-	detectOn bool
-	workers  int
+	seed       uint64
+	schemeName string // -scheme as spelled, for banners and shard specs
+	scheme     loadshed.Scheme
+	strategy   loadshed.Strategy
+	customOn   bool
+	detectOn   bool
+	workers    int
 }
 
 // engineConfig is the one place flags become a loadshed.Config: the
@@ -409,18 +420,15 @@ type engineOpts struct {
 // reference run), and -strategy applies to the predictive scheme only.
 func engineConfig(o engineOpts, capacity float64) loadshed.Config {
 	cfg := loadshed.Config{
+		Scheme:          o.scheme,
 		Capacity:        capacity,
 		Seed:            o.seed + 2,
 		CustomShedding:  o.customOn,
 		ChangeDetection: o.detectOn,
 		Workers:         o.workers,
 	}
-	var err error
-	cfg.Scheme, err = loadshed.ParseScheme(o.scheme)
-	die(err)
-	if cfg.Scheme == loadshed.Predictive {
-		cfg.Strategy, err = loadshed.StrategyByName(o.strategy)
-		die(err)
+	if o.scheme == loadshed.Predictive {
+		cfg.Strategy = o.strategy
 	}
 	return cfg
 }

@@ -170,7 +170,7 @@ func serveLoop(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts, c
 	unblock := context.AfterFunc(ctx, closeSrc)
 	defer unblock()
 
-	fmt.Printf("%s (%s scheme) ...\n", mode.banner, o.scheme)
+	fmt.Printf("%s (%s scheme) ...\n", mode.banner, o.schemeName)
 	streamErr := mode.stream(ctx, src, sink)
 	closeSrc()
 

@@ -59,7 +59,7 @@ func main() {
 			Workers:         1,
 			HistoryLen:      120,
 			ChangeDetection: detectOn,
-			// Small-trace tuning (see DESIGN.md §13): residual tests
+			// Small-trace tuning (see DESIGN.md, "Prediction and drift"): residual tests
 			// arbitrate, distribution distance backstops gross shifts,
 			// truncate on a verdict so feature selection re-runs on
 			// the new regime only.

@@ -107,7 +107,7 @@ const (
 //
 // The engine's pipelined runner keeps a small ring of sketches so the
 // front stage can hash bin N+1 while the back stage still reads bin N's
-// sketch (see pkg/loadshed DESIGN.md §10); per-worker sketches are the
+// sketch (DESIGN.md, "Bin pipeline"); per-worker sketches are the
 // staging areas of the chunk-parallel fill (SketchChunks).
 //
 // The zero value is unusable; construct with NewSketch.

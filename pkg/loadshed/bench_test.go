@@ -1,11 +1,9 @@
 package loadshed_test
 
 // The benchmark suite regenerates every table and figure of the paper's
-// evaluation (one Benchmark per experiment id, named after the artifact)
-// plus micro-benchmarks of the hot paths the thesis prices out in Table
-// 3.4. The experiment benches report the headline metric of their
-// artifact via b.ReportMetric so `go test -bench .` doubles as a
-// regression dashboard for the reproduction.
+// evaluation (BenchmarkExperiments, one sub-benchmark per experiment
+// id) plus micro-benchmarks of the hot paths the thesis prices out in
+// Table 3.4.
 //
 // Experiment benches run in Quick mode at a small traffic scale so the
 // full suite completes in minutes; use cmd/lsrepro for full-scale runs.
@@ -26,90 +24,24 @@ import (
 	"repro/pkg/loadshed"
 )
 
-func benchCfg() experiments.Config {
-	return experiments.Config{Seed: 1, Scale: 0.05, Dur: 8 * time.Second, Quick: true}
-}
-
-// runExperiment executes one registered experiment b.N times and
-// renders it to io.Discard so the full output path is exercised.
-func runExperiment(b *testing.B, id string) *experiments.Result {
-	b.Helper()
-	var last *experiments.Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		experiments.Render(io.Discard, res)
-		last = res
+// BenchmarkExperiments regenerates every registered experiment, one
+// sub-benchmark per id (`-bench 'Experiments/fig4.3$'` picks one), so a
+// newly registered experiment is covered without a new wrapper. Each
+// result is rendered to io.Discard so the full output path is exercised.
+func BenchmarkExperiments(b *testing.B) {
+	cfg := experiments.Config{Seed: 1, Scale: 0.05, Dur: 8 * time.Second, Quick: true}
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := experiments.Run(id, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				experiments.Render(io.Discard, res)
+			}
+		})
 	}
-	return last
 }
-
-// Chapter 2.
-
-func BenchmarkFig2_2_QueryCosts(b *testing.B) { runExperiment(b, "fig2.2") }
-
-// Chapter 3 — prediction system.
-
-func BenchmarkFig3_1_UnknownQueryAnatomy(b *testing.B)   { runExperiment(b, "fig3.1") }
-func BenchmarkFig3_3_CPUvsPacketsScatter(b *testing.B)   { runExperiment(b, "fig3.3") }
-func BenchmarkFig3_4_SLRvsMLR(b *testing.B)              { runExperiment(b, "fig3.4") }
-func BenchmarkFig3_5_HistoryThresholdSweep(b *testing.B) { runExperiment(b, "fig3.5") }
-func BenchmarkFig3_6_PerQuerySweep(b *testing.B)         { runExperiment(b, "fig3.6") }
-func BenchmarkFig3_7_ErrOverTimeCESCA(b *testing.B)      { runExperiment(b, "fig3.7") }
-func BenchmarkFig3_8_ErrOverTimeBackbone(b *testing.B)   { runExperiment(b, "fig3.8") }
-func BenchmarkFig3_9_EWMAvsSLR(b *testing.B)             { runExperiment(b, "fig3.9") }
-func BenchmarkFig3_10_EWMAAlpha(b *testing.B)            { runExperiment(b, "fig3.10") }
-func BenchmarkFig3_11_BaselineErrOverTime(b *testing.B)  { runExperiment(b, "fig3.11") }
-func BenchmarkFig3_12_MLRErrTails(b *testing.B)          { runExperiment(b, "fig3.12") }
-func BenchmarkFig3_13_15_PredictorsUnderDDoS(b *testing.B) {
-	runExperiment(b, "fig3.13-15")
-}
-func BenchmarkTable3_2_ErrByQueryAndTrace(b *testing.B) { runExperiment(b, "tab3.2") }
-func BenchmarkTable3_3_MethodErrStats(b *testing.B)     { runExperiment(b, "tab3.3") }
-func BenchmarkTable3_4_PredictionOverhead(b *testing.B) { runExperiment(b, "tab3.4") }
-
-// Chapter 4 — load shedding system.
-
-func BenchmarkFig4_1_CPUUsageCDF(b *testing.B)       { runExperiment(b, "fig4.1") }
-func BenchmarkFig4_2_DropsAndUnsampled(b *testing.B) { runExperiment(b, "fig4.2") }
-func BenchmarkFig4_3_AvgErrorPerScheme(b *testing.B) { runExperiment(b, "fig4.3") }
-func BenchmarkFig4_4_StackedCPU(b *testing.B)        { runExperiment(b, "fig4.4") }
-func BenchmarkFig4_5_6_SYNFlood(b *testing.B)        { runExperiment(b, "fig4.5-6") }
-func BenchmarkTable4_1_ErrBreakdown(b *testing.B)    { runExperiment(b, "tab4.1") }
-
-// Chapter 5 — fairness and Nash equilibrium.
-
-func BenchmarkFig5_1_SimulatedSurface(b *testing.B)  { runExperiment(b, "fig5.1") }
-func BenchmarkFig5_2_MeasuredSurface(b *testing.B)   { runExperiment(b, "fig5.2") }
-func BenchmarkFig5_3_AccuracyVsRate(b *testing.B)    { runExperiment(b, "fig5.3") }
-func BenchmarkFig5_4_StrategiesVsK(b *testing.B)     { runExperiment(b, "fig5.4") }
-func BenchmarkFig5_5_AutofocusTimeline(b *testing.B) { runExperiment(b, "fig5.5") }
-func BenchmarkTable5_2_AccuracyAtK05(b *testing.B)   { runExperiment(b, "tab5.2") }
-func BenchmarkNashEquilibrium(b *testing.B)          { runExperiment(b, "nash") }
-
-// Chapter 6 — custom load shedding.
-
-func BenchmarkFig6_1_2_P2PSheddingMethods(b *testing.B) { runExperiment(b, "fig6.1-2") }
-func BenchmarkFig6_3_ExpectedVsActual(b *testing.B)     { runExperiment(b, "fig6.3") }
-func BenchmarkFig6_4_AccuracyVsSamplingRate(b *testing.B) {
-	runExperiment(b, "fig6.4")
-}
-func BenchmarkFig6_5_CustomVsSamplingOverK(b *testing.B) { runExperiment(b, "fig6.5") }
-func BenchmarkFig6_6_7_Timelines(b *testing.B)           { runExperiment(b, "fig6.6-7") }
-func BenchmarkFig6_8_MassiveDDoS(b *testing.B)           { runExperiment(b, "fig6.8") }
-func BenchmarkFig6_9_QueryArrivals(b *testing.B)         { runExperiment(b, "fig6.9") }
-func BenchmarkFig6_10_SelfishClones(b *testing.B)        { runExperiment(b, "fig6.10") }
-func BenchmarkFig6_11_BuggyClones(b *testing.B)          { runExperiment(b, "fig6.11") }
-func BenchmarkFig6_12_14_OnlineExecution(b *testing.B)   { runExperiment(b, "fig6.12-14") }
-func BenchmarkTable6_2_OnlineAccuracy(b *testing.B)      { runExperiment(b, "tab6.2") }
-
-// Ablations (DESIGN.md §5): design choices isolated with the rest of
-// the system fixed.
-
-func BenchmarkAblationPredictor(b *testing.B) { runExperiment(b, "ablation-predictor") }
-func BenchmarkAblationStrategy(b *testing.B)  { runExperiment(b, "ablation-strategy") }
 
 // Micro-benchmarks: the hot-path costs Table 3.4 prices out, measured
 // for real on this machine.
@@ -201,63 +133,82 @@ func BenchmarkMicroChangeDetector(b *testing.B) {
 	}
 }
 
-func BenchmarkMicroMonitorBinChangeDetect(b *testing.B) {
-	// BenchmarkMicroMonitorBin with the drift detector enabled; the
-	// delta between the two prices the full detectChange stage per bin
-	// (feature snapshot, residual tests, distance windows).
-	const window = 100
+// monitorBinWindow is how many bins of traffic the bin-loop benchmarks
+// replay.
+const monitorBinWindow = 100
+
+// monitorBinBatches records that window once, outside any timer, so the
+// benchmarks price the monitor's bin loop and not the synthetic trace
+// generator.
+func monitorBinBatches() ([]pkt.Batch, time.Duration) {
 	src := loadshed.NewGenerator(loadshed.TraceConfig{Seed: 1, Duration: time.Hour, PacketsPerSec: 25000, Payload: true})
-	batches := nextBatches(src, window)
+	batches := make([]pkt.Batch, monitorBinWindow)
+	for i := range batches {
+		batches[i], _ = src.NextBatch()
+	}
+	return batches, src.TimeBin()
+}
+
+// runMonitorBins runs a fresh predictive monitor over batches and
+// returns the wire packets it saw. workers 0 is the engine default.
+func runMonitorBins(batches []pkt.Batch, bin time.Duration, workers int, changeDetect bool) (pkts int) {
+	res := loadshed.New(loadshed.Config{
+		Scheme: loadshed.Predictive, Capacity: 3e8, Strategy: loadshed.MMFSPkt(), Seed: 1,
+		Workers: workers, ChangeDetection: changeDetect,
+	}, loadshed.StandardQueries(loadshed.QueryConfig{})).Run(trace.NewMemorySource(batches, bin))
+	for i := range res.Bins {
+		pkts += res.Bins[i].WirePkts
+	}
+	return pkts
+}
+
+// benchMonitorBin: one full predictive pipeline step per iteration,
+// amortized over replays of the recorded window by fresh monitors.
+func benchMonitorBin(b *testing.B, changeDetect bool) {
+	batches, bin := monitorBinBatches()
 	b.ReportAllocs()
 	b.ResetTimer()
-	bins, pkts := 0, 0
-	for bins < b.N {
-		res := loadshed.New(loadshed.Config{
-			Scheme: loadshed.Predictive, Capacity: 3e8, Strategy: loadshed.MMFSPkt(), Seed: 1,
-			ChangeDetection: true,
-		}, loadshed.StandardQueries(loadshed.QueryConfig{})).Run(trace.NewMemorySource(batches[:min(b.N-bins, window)], src.TimeBin()))
-		bins += len(res.Bins)
-		for i := range res.Bins {
-			pkts += res.Bins[i].WirePkts
-		}
+	pkts := 0
+	for bins := 0; bins < b.N; bins += monitorBinWindow {
+		pkts += runMonitorBins(batches[:min(b.N-bins, monitorBinWindow)], bin, 0, changeDetect)
 	}
 	b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")
 }
 
-func BenchmarkMicroMonitorBin(b *testing.B) {
-	// One full predictive pipeline step per iteration (amortized over a
-	// trace replay). The traffic is generated once, outside the timer:
-	// the benchmark prices the monitor's steady-state bin loop, not the
-	// synthetic trace generator.
-	const window = 100
-	src := loadshed.NewGenerator(loadshed.TraceConfig{Seed: 1, Duration: time.Hour, PacketsPerSec: 25000, Payload: true})
-	batches := nextBatches(src, window)
-	b.ReportAllocs()
-	b.ResetTimer()
-	// Run b.N bins by replaying slices of the recorded window.
-	bins, pkts := 0, 0
-	for bins < b.N {
-		res := loadshed.New(loadshed.Config{
-			Scheme: loadshed.Predictive, Capacity: 3e8, Strategy: loadshed.MMFSPkt(), Seed: 1,
-		}, loadshed.StandardQueries(loadshed.QueryConfig{})).Run(trace.NewMemorySource(batches[:min(b.N-bins, window)], src.TimeBin()))
-		bins += len(res.Bins)
-		for i := range res.Bins {
-			pkts += res.Bins[i].WirePkts
+func BenchmarkMicroMonitorBin(b *testing.B) { benchMonitorBin(b, false) }
+
+// BenchmarkMicroMonitorBinChangeDetect is BenchmarkMicroMonitorBin with
+// the drift detector enabled; the delta between the two prices the full
+// detectChange stage per bin (feature snapshot, residual tests, distance
+// windows).
+func BenchmarkMicroMonitorBinChangeDetect(b *testing.B) { benchMonitorBin(b, true) }
+
+// TestMonitorBinAllocCap bounds the whole bin loop's allocations: a
+// fresh monitor over the 100-bin window — construction, warm-up growth
+// and the retained RunResult included — stays under 250 allocations per
+// bin, sequential and pipelined, detector off and on (measured: 28-30).
+func TestMonitorBinAllocCap(t *testing.T) {
+	const maxPerBin = 250
+	batches, bin := monitorBinBatches()
+	for _, workers := range []int{1, 4} {
+		for _, changeDetect := range []bool{false, true} {
+			perWindow := testing.AllocsPerRun(1, func() { runMonitorBins(batches, bin, workers, changeDetect) })
+			if perBin := perWindow / monitorBinWindow; perBin > maxPerBin {
+				t.Errorf("workers=%d changeDetect=%v: %.0f allocs/bin over a fresh-monitor window, cap %d",
+					workers, changeDetect, perBin, maxPerBin)
+			}
 		}
 	}
-	b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")
 }
 
 func BenchmarkPipelineSaturation(b *testing.B) {
 	// Steady-state wire throughput of the bin loop at increasing worker
-	// counts (DESIGN.md §10): one warmed Monitor per sub-benchmark
-	// streams the recorded window repeatedly into a discarding sink, so
-	// the metric prices exactly the pipelined engine — extraction for
-	// bin N+1 overlapped with execution for bin N — and nothing else.
-	// The pkts/s trajectory in README.md comes from this benchmark.
-	const window = 100
-	src := loadshed.NewGenerator(loadshed.TraceConfig{Seed: 1, Duration: time.Hour, PacketsPerSec: 25000, Payload: true})
-	batches := nextBatches(src, window)
+	// counts (DESIGN.md, "Bin pipeline"): one warmed Monitor per
+	// sub-benchmark streams the recorded window repeatedly into a
+	// discarding sink, so the metric prices exactly the pipelined engine
+	// — extraction for bin N+1 overlapped with execution for bin N — and
+	// nothing else.
+	batches, bin := monitorBinBatches()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			mon := loadshed.New(loadshed.Config{
@@ -265,13 +216,13 @@ func BenchmarkPipelineSaturation(b *testing.B) {
 			}, loadshed.StandardQueries(loadshed.QueryConfig{}))
 			// Warm the scratch buffers, the slot ring and the worker
 			// pools; the timed region then measures steady state only.
-			mon.Stream(trace.NewMemorySource(batches, src.TimeBin()), nil)
+			mon.Stream(trace.NewMemorySource(batches, bin), nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			bins, pkts := 0, 0
 			for bins < b.N {
-				n := min(b.N-bins, window)
-				mon.Stream(trace.NewMemorySource(batches[:n], src.TimeBin()), nil)
+				n := min(b.N-bins, monitorBinWindow)
+				mon.Stream(trace.NewMemorySource(batches[:n], bin), nil)
 				bins += n
 				for i := 0; i < n; i++ {
 					pkts += batches[i].Packets()
@@ -280,17 +231,4 @@ func BenchmarkPipelineSaturation(b *testing.B) {
 			b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")
 		})
 	}
-}
-
-func nextBatches(src *trace.Generator, n int) []pkt.Batch {
-	out := make([]pkt.Batch, 0, n)
-	for i := 0; i < n; i++ {
-		batch, ok := src.NextBatch()
-		if !ok {
-			src.Reset()
-			batch, _ = src.NextBatch()
-		}
-		out = append(out, batch)
-	}
-	return out
 }

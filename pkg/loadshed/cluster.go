@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strings"
 
 	"repro/internal/queries"
 	"repro/internal/sched"
@@ -168,13 +167,15 @@ type Cluster struct {
 
 // NewCluster builds a cluster of fresh Systems, one per shard. Each
 // shard starts with an equal split of TotalCapacity and a seed offset
-// from Base.Seed by its index.
+// from Base.Seed by its index. Shard names (defaults included) must be
+// unique — the coordinator keys membership on them.
 func NewCluster(cfg ClusterConfig, shards []Shard) *Cluster {
 	cfg = cfg.withDefaults()
 	if len(shards) == 0 {
 		panic("cluster: no shards")
 	}
 	c := &Cluster{cfg: cfg}
+	seen := make(map[string]bool, len(shards))
 	if cfg.coordinated() {
 		c.coord = NewCoordinator(cfg.ShardPolicy, cfg.TotalCapacity)
 	}
@@ -192,6 +193,10 @@ func NewCluster(cfg ClusterConfig, shards []Shard) *Cluster {
 		if name == "" {
 			name = fmt.Sprintf("link%d", i)
 		}
+		if seen[name] {
+			panic(fmt.Sprintf("cluster: duplicate shard name %q", name))
+		}
+		seen[name] = true
 		n := NewNode(New(scfg, sh.Queries), nil, NodeConfig{
 			Name:        name,
 			MinShare:    sh.MinShare,
@@ -311,7 +316,7 @@ func binCapacities(bins []BinStats) []float64 {
 // execute stage's pool: each shard's step touches only shard-owned
 // state, and everything cross-shard (coordination, aggregation) happens
 // at the barrier afterwards, in shard-index order. Pipelined shards
-// (Base.Workers >= 2, DESIGN.md §10) compose with this: each shard
+// (Base.Workers >= 2, DESIGN.md, "Bin pipeline") compose with this: each shard
 // owns its front goroutine and slot ring, the coordinator's
 // SetCapacity still lands between that shard's bins exactly as in a
 // sequential shard, and a shard's front exits at end of trace before
@@ -397,11 +402,6 @@ func aggregateBins(shards []ShardRun) []BinStats {
 	return out
 }
 
-// ShardPolicyNames lists the names ShardPolicyByName accepts.
-func ShardPolicyNames() []string {
-	return []string{"static", "equal", "eq_srates", "mmfs_cpu", "mmfs_pkt"}
-}
-
 // ShardPolicyByName maps the cross-shard coordinator policies exposed
 // on command lines — "static" (no coordination), or any StrategyByName
 // name ("mmfs_cpu", "mmfs_pkt", "eq_srates", "equal") — to a strategy.
@@ -411,8 +411,7 @@ func ShardPolicyByName(name string) (sched.Strategy, error) {
 	}
 	s, err := StrategyByName(name)
 	if err != nil {
-		return nil, fmt.Errorf("loadshed: unknown shard policy %q (have %s)",
-			name, strings.Join(ShardPolicyNames(), ", "))
+		return nil, fmt.Errorf("loadshed: unknown shard policy %q (have static, equal, eq_srates, mmfs_cpu, mmfs_pkt)", name)
 	}
 	return s, nil
 }

@@ -245,3 +245,22 @@ func TestStandaloneNodeRetainsNothingPerBin(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterRejectsDuplicateShardNames: the coordinator keys
+// membership on shard names, so two shards under one name (explicit, or
+// an explicit name colliding with a default "linkN") would share one
+// demand record and one grant. NewCluster refuses to build that.
+func TestClusterRejectsDuplicateShardNames(t *testing.T) {
+	for _, names := range [][]string{{"edge", "edge"}, {"link1", ""}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCluster accepted shard names %q", names)
+				}
+			}()
+			shards := testClusterShards(time.Second)[:2]
+			shards[0].Name, shards[1].Name = names[0], names[1]
+			NewCluster(ClusterConfig{TotalCapacity: 1e6, ShardPolicy: MMFSCPU()}, shards)
+		}()
+	}
+}

@@ -43,17 +43,17 @@ const grantFloorFrac = 0.01
 
 // coordNode is the coordinator's record of one cluster member.
 type coordNode struct {
-	name       string
-	minShare   float64
-	demand     float64 // latest reported EWMA demand, cycles/bin
-	bin        int64   // latest reported bin index
-	done       bool    // node finished its trace
-	partitioned bool   // lease expired without a report (TCP mode)
-	reported   bool    // report received since the last AllocateRound
-	ever       bool    // at least one demand report received
-	lastReport time.Time
-	grant      float64
-	grantRound uint64
+	name        string
+	minShare    float64
+	demand      float64 // latest reported EWMA demand, cycles/bin
+	bin         int64   // latest reported bin index
+	done        bool    // node finished its trace
+	partitioned bool    // lease expired without a report (TCP mode)
+	reported    bool    // report received since the last AllocateRound
+	ever        bool    // at least one demand report received
+	lastReport  time.Time
+	grant       float64
+	grantRound  uint64
 
 	// Failover state (coord.go PlanFailover / transport.go heartbeat).
 	partitionedAt time.Time // when the partitioned flag last rose
@@ -61,10 +61,10 @@ type coordNode struct {
 	ckptFinal     bool      // latest checkpoint ended a drain
 	ckptBlob      []byte    // latest gob ShardCheckpoint; nil = none
 	ckptAt        time.Time
-	offeredTo     string    // live node the shard is currently offered to
+	offeredTo     string // live node the shard is currently offered to
 	offeredAt     time.Time
-	offerTaken    bool // offer consumed by a polling (loopback) adopter
-	offerAttempts int  // rotates the adopter choice across re-offers
+	offerTaken    bool   // offer consumed by a polling (loopback) adopter
+	offerAttempts int    // rotates the adopter choice across re-offers
 	migrateTo     string // planned-migration target; directs the offer
 	drainReq      bool   // coordinator wants this shard to drain
 }
@@ -134,33 +134,15 @@ func NewCoordinator(policy sched.Strategy, total float64) *Coordinator {
 // Total returns the machine budget the coordinator distributes.
 func (c *Coordinator) Total() float64 { return c.total }
 
-// PolicyName returns the allocation policy's name.
-func (c *Coordinator) PolicyName() string { return c.policy.Name() }
-
-// join appends a fresh membership record without touching the name
-// index — the loopback transport addresses its node by handle, so two
-// in-process shards may even share a name.
-func (c *Coordinator) join(name string, minShare float64) *coordNode {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := &coordNode{name: name, minShare: minShare}
-	c.nodes = append(c.nodes, n)
-	return n
-}
-
-// Join registers (or re-registers) a node by name, the keyed form the
-// TCP server uses: a worker that reconnects after a partition or a
-// restart lands on its existing record, clearing the partitioned and
-// done flags so the next report re-enters it into the allocation.
+// Join registers (or re-registers) a node by name — membership is
+// name-keyed on every transport: a worker that reconnects after a
+// partition or a restart lands on its existing record, clearing the
+// partitioned and done flags so the next report re-enters it into the
+// allocation.
 func (c *Coordinator) Join(name string, minShare float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.byName[name]
-	if n == nil {
-		n = &coordNode{name: name}
-		c.nodes = append(c.nodes, n)
-		c.byName[name] = n
-	}
+	n := c.recordLocked(name)
 	n.minShare = minShare
 	n.partitioned = false
 	n.done = false
@@ -168,15 +150,33 @@ func (c *Coordinator) Join(name string, minShare float64) {
 	// A hello settles any in-flight adoption: either the adopter dialed
 	// in under the shard's name (offer consummated) or the original came
 	// back (offer moot). Either way the shard is live again.
+	n.settleOffer()
+}
+
+// recordLocked returns the membership record for name, appending a
+// fresh one (join order = allocation order) on first sight. Caller
+// holds c.mu.
+func (c *Coordinator) recordLocked(name string) *coordNode {
+	n := c.byName[name]
+	if n == nil {
+		n = &coordNode{name: name}
+		c.nodes = append(c.nodes, n)
+		c.byName[name] = n
+	}
+	return n
+}
+
+// settleOffer clears the record's adoption and migration state.
+func (n *coordNode) settleOffer() {
 	n.offeredTo = ""
 	n.offerTaken = false
 	n.offerAttempts = 0
 	n.migrateTo = ""
 }
 
-// Report folds a node's demand report in by name (TCP path). Reports
-// from unknown nodes are dropped — the hello/Join handshake precedes
-// them on every conforming transport.
+// Report folds a node's demand report in by name. Reports from unknown
+// nodes are dropped — the hello/Join handshake precedes them on every
+// conforming transport.
 func (c *Coordinator) Report(r DemandReport) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -184,17 +184,6 @@ func (c *Coordinator) Report(r DemandReport) {
 	if n == nil {
 		return
 	}
-	c.reportLocked(n, r)
-}
-
-// reportNode is Report addressed by handle (loopback path).
-func (c *Coordinator) reportNode(n *coordNode, r DemandReport) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reportLocked(n, r)
-}
-
-func (c *Coordinator) reportLocked(n *coordNode, r DemandReport) {
 	n.bin = r.Bin
 	n.done = r.Done
 	n.lastReport = time.Now()
@@ -212,10 +201,7 @@ func (c *Coordinator) reportLocked(n *coordNode, r DemandReport) {
 	// the same way Join does (reports during a pre-offer drain leave
 	// migrateTo standing — the directed offer still has to happen).
 	if n.offeredTo != "" {
-		n.offeredTo = ""
-		n.offerTaken = false
-		n.offerAttempts = 0
-		n.migrateTo = ""
+		n.settleOffer()
 	}
 }
 
@@ -282,13 +268,15 @@ func (c *Coordinator) allocateLocked(live func(*coordNode) bool) {
 	}
 }
 
-// grantFor returns the node's grant if it was part of the most recent
-// allocation round; ok=false otherwise (done, partitioned, or no round
-// yet), in which case the node keeps its current local capacity.
-func (c *Coordinator) grantFor(n *coordNode) (BudgetGrant, bool) {
+// grantFor returns the named node's grant if it was part of the most
+// recent allocation round; ok=false otherwise (unknown, done,
+// partitioned, or no round yet), in which case the node keeps its
+// current local capacity.
+func (c *Coordinator) grantFor(name string) (BudgetGrant, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n.grantRound == 0 || n.grantRound != c.round {
+	n := c.byName[name]
+	if n == nil || n.grantRound == 0 || n.grantRound != c.round {
 		return BudgetGrant{}, false
 	}
 	return BudgetGrant{Node: n.name, Round: n.grantRound, Capacity: n.grant}, true
@@ -355,13 +343,12 @@ type Node struct {
 	done     bool
 	doneSent bool
 
-	// Checkpoint/drain state (see the boundary method). drainReq may be
-	// raised from any goroutine; the rest belongs to the run goroutine
-	// except the atomic counters, which metrics read concurrently.
+	// Checkpoint/drain state (see the boundary method); it belongs to
+	// the run goroutine except the atomic counters, which metrics read
+	// concurrently.
 	ckptEvery int
 	spec      ShardSpec
 	binOffset int64
-	drainReq  atomic.Bool
 	drained   bool
 	ckptsSent atomic.Int64
 	ckptErrs  atomic.Int64
@@ -413,12 +400,6 @@ func NewNode(sys *System, tr NodeTransport, cfg NodeConfig) *Node {
 		binOffset: cfg.BinOffset,
 	}
 }
-
-// System returns the wrapped engine.
-func (n *Node) System() *System { return n.sys }
-
-// Demand returns the node's current demand EWMA.
-func (n *Node) Demand() float64 { return n.demand }
 
 // step advances the node one bin. The capacity the bin ran under is
 // on its record (BinStats.Capacity).
@@ -499,12 +480,6 @@ func (n *Node) applyGrant() {
 	n.sys.SetCapacity(g.Capacity)
 }
 
-// RequestDrain asks the node to stop at its next measurement-interval
-// boundary, shipping a final checkpoint first — the local half of a
-// planned migration. Safe from any goroutine; the transport's drain
-// relay (DrainRequested) triggers the same path remotely.
-func (n *Node) RequestDrain() { n.drainReq.Store(true) }
-
 // Drained reports whether the node stopped for a drain (as opposed to
 // exhausting its trace). Valid after StreamContext returns.
 func (n *Node) Drained() bool { return n.drained }
@@ -520,12 +495,15 @@ func (n *Node) CheckpointErrors() int64 { return n.ckptErrs.Load() }
 // boundary is the node's runner hook, called at every measurement-
 // interval boundary — the quiesce point where System.Snapshot is valid.
 // It ships a periodic checkpoint every CheckpointEvery intervals, and
-// answers a drain request (local RequestDrain or the coordinator's
-// relayed drain) with a final checkpoint followed by stopping the run.
-// With CheckpointEvery zero and no drain pending it does nothing, so
-// the run is untouched by the failover layer.
+// answers the coordinator's relayed drain request with a final
+// checkpoint followed by stopping the run. Without a transport, or with
+// CheckpointEvery zero and no drain pending, it does nothing, so the run
+// is untouched by the failover layer.
 func (n *Node) boundary(bin, interval int) bool {
-	drain := n.drainReq.Load() || (n.tr != nil && n.tr.DrainRequested())
+	if n.tr == nil {
+		return true
+	}
+	drain := n.tr.DrainRequested()
 	periodic := n.ckptEvery > 0 && interval%n.ckptEvery == 0
 	if !drain && !periodic {
 		return true
@@ -537,15 +515,6 @@ func (n *Node) boundary(bin, interval int) bool {
 		// Registry ops join at this boundary, after the hook; a snapshot
 		// now would lose them. Defer to the next boundary, by which time
 		// they have applied.
-		return true
-	}
-	if n.tr == nil {
-		// No checkpoint path. A drain still stops the run (the caller
-		// asked for quiesce), it just cannot hand the state anywhere.
-		if drain {
-			n.drained = true
-			return false
-		}
 		return true
 	}
 	snap, err := n.sys.Snapshot()

@@ -491,11 +491,47 @@ func TestNodeStreamContextTCPWorker(t *testing.T) {
 	})
 }
 
+// loopbackRound joins n nodes to a fresh coordinator over the loopback
+// transport and returns one coordination round over them — report,
+// allocate, read grants — with the coordinator's scratch buffers
+// already grown by a first round.
+func loopbackRound(n int) func(bin int64) {
+	coord := NewCoordinator(MMFSCPU(), 3e6)
+	trs := make([]NodeTransport, n)
+	demands := make([]float64, n)
+	for j := range trs {
+		trs[j] = NewLoopback(coord, fmt.Sprintf("n%d", j), 0)
+		demands[j] = 1e6 * float64(j+1) / float64(n)
+	}
+	round := func(bin int64) {
+		for j, tr := range trs {
+			tr.Report(DemandReport{Bin: bin, Demand: demands[j]})
+		}
+		coord.AllocateRound()
+		for _, tr := range trs {
+			tr.Grant()
+		}
+	}
+	round(0)
+	return round
+}
+
+// TestLoopbackRoundAllocFree: the per-bin coordination round every
+// coordinated cluster bin pays runs on scratch buffers and allocates
+// nothing in steady state.
+func TestLoopbackRoundAllocFree(t *testing.T) {
+	round := loopbackRound(8)
+	bin := int64(0)
+	if allocs := testing.AllocsPerRun(100, func() { bin++; round(bin) }); allocs != 0 {
+		t.Fatalf("8-node loopback round allocates %v/op, want 0", allocs)
+	}
+}
+
 // BenchmarkLoopbackCoordination prices the coordination layer the split
 // introduced. roundN is the pure per-bin cost of one loopback
-// coordination round over N nodes — report, allocate, read grants —
-// which is the overhead every coordinated bin pays on top of shard
-// execution; it runs on scratch buffers and must stay allocation-free.
+// coordination round over N nodes, which is the overhead every
+// coordinated bin pays on top of shard execution
+// (TestLoopbackRoundAllocFree holds it at 0 allocs).
 // static and coordinated price a full 3-shard cluster run with
 // coordination off and on; the ns/bin delta between them is the
 // end-to-end overhead including the demand EWMAs and grant
@@ -504,26 +540,8 @@ func TestNodeStreamContextTCPWorker(t *testing.T) {
 //	go test -bench LoopbackCoordination -benchtime 100x ./pkg/loadshed
 func BenchmarkLoopbackCoordination(b *testing.B) {
 	for _, nodes := range []int{2, 8, 32} {
-		// No dashes in sub-benchmark names: benchjson strips a trailing
-		// -N as the go-test cpus suffix.
 		b.Run(fmt.Sprintf("round%d", nodes), func(b *testing.B) {
-			coord := NewCoordinator(MMFSCPU(), 3e6)
-			trs := make([]NodeTransport, nodes)
-			demands := make([]float64, nodes)
-			for j := range trs {
-				trs[j] = NewLoopback(coord, fmt.Sprintf("n%d", j), 0)
-				demands[j] = 1e6 * float64(j+1) / float64(nodes)
-			}
-			round := func(bin int64) {
-				for j, tr := range trs {
-					tr.Report(DemandReport{Bin: bin, Demand: demands[j]})
-				}
-				coord.AllocateRound()
-				for _, tr := range trs {
-					tr.Grant()
-				}
-			}
-			round(0) // grow the coordinator's scratch buffers once
+			round := loopbackRound(nodes)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

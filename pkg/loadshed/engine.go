@@ -6,7 +6,7 @@
 // feeds measurements back into the controller.
 //
 // Each captured batch flows through six explicit stages (see
-// DESIGN.md §2 and stages.go): admit → platformOverhead →
+// DESIGN.md, "Pipeline stages", and stages.go): admit → platformOverhead →
 // extractPredict → decideShedding → execute → feedback, with a
 // BinContext threading state between them. The execute stage fans the
 // queries out over Config.Workers goroutines; runs are bit-identical
@@ -116,7 +116,7 @@ type Config struct {
 	// additionally enables the two-deep bin pipeline:
 	// the count splits between the front-stage sketch pool and the
 	// back-stage execute pool per splitWorkers (front = ⌊Workers/2⌋, at
-	// least 1; execute = the rest — see the table in DESIGN.md §10).
+	// least 1; execute = the rest — see the table in DESIGN.md, "Bin pipeline").
 	// Results are bit-identical for any value: sketching is a pure
 	// function of the batch merged in index order, each query owns its
 	// RNG streams, and per-bin results merge in query-index order.

@@ -34,6 +34,7 @@ package loadshed
 import (
 	"bytes"
 	"fmt"
+	"net/url"
 	"os"
 	"path/filepath"
 	"time"
@@ -57,31 +58,13 @@ type AdoptOffer struct {
 	Checkpoint []byte
 }
 
-// StoreCheckpoint retains a shard's latest checkpoint by name (the TCP
-// path). Checkpoints for unknown names register a membership record, so
-// state reloaded from disk is offerable even before the shard's worker
+// StoreCheckpoint retains a shard's latest checkpoint by name.
+// Checkpoints for unknown names register a membership record, so state
+// reloaded from disk is offerable even before the shard's worker
 // reconnects.
 func (c *Coordinator) StoreCheckpoint(name string, bin int64, final bool, blob []byte) {
 	c.mu.Lock()
-	n := c.byName[name]
-	if n == nil {
-		n = &coordNode{name: name}
-		c.nodes = append(c.nodes, n)
-		c.byName[name] = n
-	}
-	c.storeCheckpointLocked(n, bin, final, blob)
-}
-
-// storeCheckpointNode is StoreCheckpoint addressed by handle (loopback
-// path, where records are not name-keyed).
-func (c *Coordinator) storeCheckpointNode(n *coordNode, bin int64, final bool, blob []byte) {
-	c.mu.Lock()
-	c.storeCheckpointLocked(n, bin, final, blob)
-}
-
-// storeCheckpointLocked takes c.mu held and releases it — the disk
-// write-through happens outside the lock.
-func (c *Coordinator) storeCheckpointLocked(n *coordNode, bin int64, final bool, blob []byte) {
+	n := c.recordLocked(name)
 	n.ckptBin = bin
 	n.ckptFinal = final
 	n.ckptAt = time.Now()
@@ -90,11 +73,12 @@ func (c *Coordinator) storeCheckpointLocked(n *coordNode, bin int64, final bool,
 		n.drainReq = false // the drain this checkpoint answers is over
 	}
 	c.ckptsStored++
-	dir, name := c.stateDir, n.name
+	dir := c.stateDir
 	c.mu.Unlock()
 	if dir != "" {
-		// Best-effort write-through; retention in memory is what
-		// failover reads, the file only survives coordinator restarts.
+		// Best-effort write-through, outside the lock; retention in memory
+		// is what failover reads, the file only survives coordinator
+		// restarts.
 		spillCheckpoint(dir, name, blob)
 	}
 }
@@ -127,25 +111,12 @@ func (c *Coordinator) FailoverOffers() int64 {
 	return c.offersIssued
 }
 
-// ckptFileName maps a shard name to its spill file, replacing anything
-// path-hostile. Distinct names could collide after sanitizing; the blob
-// itself carries the authoritative shard name, which reloads use.
-func ckptFileName(name string) string {
-	b := []byte(name)
-	for i, ch := range b {
-		switch {
-		case ch >= 'a' && ch <= 'z', ch >= 'A' && ch <= 'Z',
-			ch >= '0' && ch <= '9', ch == '.', ch == '_', ch == '-':
-		default:
-			b[i] = '_'
-		}
-	}
-	return string(b) + ".ckpt"
-}
-
 // spillCheckpoint writes blob to dir atomically (temp file + rename).
+// The file name is the percent-escaped shard name ('/' and '%'
+// included), which is injective: two shards never share a file,
+// whatever their names.
 func spillCheckpoint(dir, name string, blob []byte) error {
-	path := filepath.Join(dir, ckptFileName(name))
+	path := filepath.Join(dir, url.PathEscape(name)+".ckpt")
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
 		return err
@@ -158,8 +129,11 @@ func spillCheckpoint(dir, name string, blob []byte) error {
 // A reloaded shard with no live worker is marked partitioned as of now,
 // so it becomes adoptable once the grace window passes and a live
 // adopter exists; if its worker is merely slow to reconnect, the hello
-// clears the mark as usual. Unreadable or stale-format files are
-// skipped (reported in the error after all files are tried).
+// clears the mark as usual. Files are matched to shards by the name in
+// the blob, not the file name, so files spilled under an older naming
+// scheme still reload; when two files carry the same shard the later
+// bin wins. Unreadable or stale-format files are skipped (reported in
+// the error after all files are tried).
 func (c *Coordinator) SetStateDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("loadshed: state dir: %w", err)
@@ -173,25 +147,7 @@ func (c *Coordinator) SetStateDir(dir string) error {
 		if e.IsDir() || filepath.Ext(e.Name()) != ".ckpt" {
 			continue
 		}
-		blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err == nil {
-			var cp *ShardCheckpoint
-			cp, err = DecodeShardCheckpoint(bytes.NewReader(blob))
-			if err == nil {
-				c.StoreCheckpoint(cp.Node, cp.Bin, cp.Final, blob)
-				c.mu.Lock()
-				n := c.byName[cp.Node]
-				if !n.ever {
-					// No worker has spoken for this shard yet: treat it
-					// as partitioned since the reload, pending a hello.
-					n.ever = true
-					n.partitioned = true
-					n.partitionedAt = time.Now()
-				}
-				c.mu.Unlock()
-			}
-		}
-		if err != nil && firstErr == nil {
+		if err := c.reloadCheckpoint(filepath.Join(dir, e.Name())); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("loadshed: state dir: reload %s: %w", e.Name(), err)
 		}
 	}
@@ -199,6 +155,33 @@ func (c *Coordinator) SetStateDir(dir string) error {
 	c.stateDir = dir
 	c.mu.Unlock()
 	return firstErr
+}
+
+// reloadCheckpoint retains one spilled checkpoint file, unless a later
+// one for the same shard is already held.
+func (c *Coordinator) reloadCheckpoint(path string) error {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	cp, err := DecodeShardCheckpoint(bytes.NewReader(blob))
+	if err != nil {
+		return err
+	}
+	if _, bin, held := c.Checkpoint(cp.Node); held && bin >= cp.Bin {
+		return nil
+	}
+	c.StoreCheckpoint(cp.Node, cp.Bin, cp.Final, blob)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := c.byName[cp.Node]; !n.ever {
+		// No worker has spoken for this shard yet: treat it as
+		// partitioned since the reload, pending a hello.
+		n.ever = true
+		n.partitioned = true
+		n.partitionedAt = time.Now()
+	}
+	return nil
 }
 
 // PlanFailover issues adoption offers for orphaned shards: partitioned
@@ -281,11 +264,11 @@ func (c *Coordinator) clearOffer(shard string) {
 // takeOfferFor returns (at most once per issued offer) an offer
 // addressed to the polling node — the loopback delivery path, matching
 // the TCP client's Adoption method.
-func (c *Coordinator) takeOfferFor(adopter *coordNode) (AdoptOffer, bool) {
+func (c *Coordinator) takeOfferFor(adopter string) (AdoptOffer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, n := range c.nodes {
-		if n.offeredTo == adopter.name && !n.offerTaken && n.ckptBlob != nil {
+		if n.offeredTo == adopter && !n.offerTaken && n.ckptBlob != nil {
 			n.offerTaken = true
 			return AdoptOffer{
 				Shard:      n.name,
@@ -341,10 +324,11 @@ func (c *Coordinator) drainTargets(dst []string) []string {
 	return dst
 }
 
-// drainRequestedNode reports whether a drain is pending for the handle
-// (loopback path).
-func (c *Coordinator) drainRequestedNode(n *coordNode) bool {
+// drainRequested reports whether a drain is pending for the named shard
+// (loopback path; the TCP server relays drainTargets instead).
+func (c *Coordinator) drainRequested(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return n.drainReq
+	n := c.byName[name]
+	return n != nil && n.drainReq
 }

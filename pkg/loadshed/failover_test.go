@@ -15,6 +15,8 @@ import (
 	"encoding/gob"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -500,7 +502,7 @@ func TestCoordinatorAuthPSK(t *testing.T) {
 
 	failsBefore := srv.AuthFailures()
 	plain, _ := DialCoordinator(srv.Addr().String(), "plain", CoordClientConfig{
-		Lease: 60 * time.Millisecond,
+		Lease:    60 * time.Millisecond,
 		RetryMin: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
 	})
 	waitFor(t, 5*time.Second, "keyless hello to a keyed coordinator rejected", func() bool {
@@ -700,7 +702,6 @@ func TestAdoptOfferRotationAndRace(t *testing.T) {
 	ns := coord.byName["s"]
 	ns.partitioned = true
 	ns.partitionedAt = t0
-	adopterB := coord.byName["b"]
 	coord.mu.Unlock()
 	const (
 		grace = 100 * time.Millisecond
@@ -730,10 +731,10 @@ func TestAdoptOfferRotationAndRace(t *testing.T) {
 	}
 
 	// Loopback delivery is at-most-once per issued offer.
-	if _, ok := coord.takeOfferFor(adopterB); !ok {
+	if _, ok := coord.takeOfferFor("b"); !ok {
 		t.Fatal("adopter b sees no offer")
 	}
-	if _, ok := coord.takeOfferFor(adopterB); ok {
+	if _, ok := coord.takeOfferFor("b"); ok {
 		t.Fatal("offer delivered twice")
 	}
 
@@ -804,12 +805,10 @@ func TestMigrateDirectedOffer(t *testing.T) {
 	}
 }
 
-// TestStateDirSpillReload pins coordinator-restart durability: retained
-// checkpoints spill to the state directory, a fresh coordinator reloads
-// them as partitioned-pending shards, and the reloaded blob is the
-// retained one bit for bit.
-func TestStateDirSpillReload(t *testing.T) {
-	dir := t.TempDir()
+// testCheckpointBlob encodes a decodable checkpoint of a fresh system
+// under the given shard name and bin.
+func testCheckpointBlob(t *testing.T, name string, bin int64) []byte {
+	t.Helper()
 	spec := migrationSpec(1, 100)
 	sys, err := spec.NewSystem()
 	if err != nil {
@@ -819,10 +818,20 @@ func TestStateDirSpillReload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	blob, err := (&ShardCheckpoint{Node: "shard-1", Bin: 12, Spec: spec, Snap: snap}).EncodeBytes()
+	blob, err := (&ShardCheckpoint{Node: name, Bin: bin, Spec: spec, Snap: snap}).EncodeBytes()
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
+	return blob
+}
+
+// TestStateDirSpillReload pins coordinator-restart durability: retained
+// checkpoints spill to the state directory, a fresh coordinator reloads
+// them as partitioned-pending shards, and the reloaded blob is the
+// retained one bit for bit.
+func TestStateDirSpillReload(t *testing.T) {
+	dir := t.TempDir()
+	blob := testCheckpointBlob(t, "shard-1", 12)
 
 	first := NewCoordinator(MMFSCPU(), 1000)
 	if err := first.SetStateDir(dir); err != nil {
@@ -849,6 +858,62 @@ func TestStateDirSpillReload(t *testing.T) {
 	waitFor(t, 5*time.Second, "reloaded shard offered", func() bool {
 		return len(second.PlanFailover(0, 0)) == 1
 	})
+}
+
+// TestStateDirSpillNamesInjective: shard names that differ only in
+// path-hostile bytes spill to distinct files, so neither store destroys
+// the other shard's durable state, and both reload.
+func TestStateDirSpillNamesInjective(t *testing.T) {
+	dir := t.TempDir()
+	first := NewCoordinator(MMFSCPU(), 1000)
+	if err := first.SetStateDir(dir); err != nil {
+		t.Fatalf("state dir: %v", err)
+	}
+	names := []string{"a/b", "a_b", "a%2Fb"}
+	for i, name := range names {
+		first.StoreCheckpoint(name, int64(10+i), false, testCheckpointBlob(t, name, int64(10+i)))
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil || len(files) != len(names) {
+		t.Fatalf("spilled %v (err %v), want %d files", files, err, len(names))
+	}
+
+	second := NewCoordinator(MMFSCPU(), 1000)
+	if err := second.SetStateDir(dir); err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	for i, name := range names {
+		if _, bin, ok := second.Checkpoint(name); !ok || bin != int64(10+i) {
+			t.Errorf("shard %q reloaded ok=%v bin=%d, want bin %d", name, ok, bin, 10+i)
+		}
+	}
+}
+
+// TestStateDirReloadsOldStyleFileNames: files written under the earlier
+// lossy naming ("x/y" -> x_y.ckpt) still reload, because the blob names
+// the shard; once the shard has spilled under its new name too, the
+// later bin wins whichever file the directory lists last.
+func TestStateDirReloadsOldStyleFileNames(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "x_y.ckpt"), testCheckpointBlob(t, "x/y", 5), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(MMFSCPU(), 1000)
+	if err := c.SetStateDir(dir); err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	if _, bin, ok := c.Checkpoint("x/y"); !ok || bin != 5 {
+		t.Fatalf("old-style file reloaded ok=%v bin=%d, want bin 5", ok, bin)
+	}
+	c.StoreCheckpoint("x/y", 9, false, testCheckpointBlob(t, "x/y", 9)) // spills as x%2Fy.ckpt, listed first
+
+	c = NewCoordinator(MMFSCPU(), 1000)
+	if err := c.SetStateDir(dir); err != nil {
+		t.Fatalf("second reload: %v", err)
+	}
+	if _, bin, ok := c.Checkpoint("x/y"); !ok || bin != 9 {
+		t.Fatalf("stale old-style file shadowed the newer spill: ok=%v bin=%d, want bin 9", ok, bin)
+	}
 }
 
 // TestChainedMigrationAbsoluteBins pins the bin coordinate system

@@ -1,6 +1,6 @@
 package loadshed
 
-// pipeline.go — the two-deep bin pipeline (DESIGN.md §10).
+// pipeline.go — the two-deep bin pipeline (DESIGN.md, "Bin pipeline").
 //
 // The sequential runner leaves cores idle between execute fan-outs:
 // extraction for bin N+1 cannot start until feedback for bin N has run.
@@ -51,8 +51,8 @@ func (c Config) pipelined() bool { return c.Workers >= 2 }
 // pool and the back-stage execute pool: the front gets the floor half
 // (at least one — the front goroutine itself), execute the rest. The
 // split keeps both halves busy because sketching and query execution
-// cost the same order of work per packet; see the table in DESIGN.md
-// §10.
+// cost the same order of work per packet; see the table in DESIGN.md,
+// "Bin pipeline".
 func splitWorkers(w int) (front, execute int) {
 	front = w / 2
 	if front < 1 {

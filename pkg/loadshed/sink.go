@@ -28,7 +28,7 @@ import (
 // shard's stream from the shard-runner pool, so a sink shared between
 // shards must be safe for concurrent use (per-shard sinks need not be).
 //
-// The bin pipeline (DESIGN.md §10) does not weaken either contract:
+// The bin pipeline (DESIGN.md, "Bin pipeline") does not weaken either contract:
 // sinks are always called from the back stage, in bin order, after the
 // bin's ring slot has been handed back to the front — BinStats and
 // IntervalResults never reference the slot's batch or sketch, so the

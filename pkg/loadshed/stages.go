@@ -489,7 +489,7 @@ func (s *System) executeQuery(bc *BinContext, i int) {
 // Used/Alloc are final, and unlike feedback it also runs under
 // unlimited capacity — drift experiments measure raw accuracy without
 // a cycle budget. The detector's own cost (O(features) per bin) is
-// not charged to platform overhead; see DESIGN.md §13.
+// not charged to platform overhead; see DESIGN.md, "Prediction and drift".
 func (s *System) detectChange(bc *BinContext) {
 	if s.det == nil || bc.fv == nil {
 		return

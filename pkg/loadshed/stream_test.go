@@ -264,34 +264,64 @@ func TestStreamUnboundedSourceStops(t *testing.T) {
 	}
 }
 
+// longRun is the body of the long-run memory benchmarks: a fresh
+// sequential system over a generated trace of the given length, either
+// streamed into a bounded rolling window or retained whole by Run.
+func longRun(bins int, stream bool) {
+	cfg := streamCfg(15)
+	cfg.Workers = 1
+	src := trace.NewGenerator(trace.Config{Seed: 16, MaxBins: bins, PacketsPerSec: 2000})
+	if stream {
+		New(cfg, stdQueries()).Stream(src, NewRollingStats(100))
+	} else {
+		_ = New(cfg, stdQueries()).Run(src)
+	}
+}
+
 // BenchmarkStreamLongRun and BenchmarkRunLongRun expose the hot-path
 // allocation difference under -benchmem: the streaming path's
 // allocations per bin stay constant while the legacy path's grow with
 // everything it retains.
-func BenchmarkStreamLongRun(b *testing.B) {
+func BenchmarkStreamLongRun(b *testing.B) { benchLongRun(b, true) }
+func BenchmarkRunLongRun(b *testing.B)    { benchLongRun(b, false) }
+
+func benchLongRun(b *testing.B, stream bool) {
 	bins := 600
 	if testing.Short() {
 		bins = 100
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		roll := NewRollingStats(100)
-		cfg := streamCfg(15)
-		cfg.Workers = 1
-		New(cfg, stdQueries()).Stream(trace.NewGenerator(trace.Config{Seed: 16, MaxBins: bins, PacketsPerSec: 2000}), roll)
+		longRun(bins, stream)
 	}
 }
 
-func BenchmarkRunLongRun(b *testing.B) {
-	bins := 600
-	if testing.Short() {
-		bins = 100
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := streamCfg(15)
-		cfg.Workers = 1
-		_ = New(cfg, stdQueries()).Run(trace.NewGenerator(trace.Config{Seed: 16, MaxBins: bins, PacketsPerSec: 2000}))
+// TestLongRunAllocCaps bounds what a 600-bin run allocates, trace
+// generation included — the -benchmem columns of the two benchmarks
+// above as a test. The caps are the measured values (12,210 allocs and
+// 18.81 MB streamed; 14,273 allocs and 19.49 MB retained; identical at
+// GOMAXPROCS 1 and 2) times 1.35 for counts and 1.5 for bytes: byte
+// totals move with map growth in the queries, counts barely move at
+// all, and either cap catches a per-bin or per-packet allocation
+// creeping into the loop (one extra allocation per bin is +600).
+func TestLongRunAllocCaps(t *testing.T) {
+	for _, c := range []struct {
+		name             string
+		stream           bool
+		maxAllocs, maxMB float64
+	}{
+		{"stream", true, 12210 * 1.35, 18.81 * 1.5},
+		{"run", false, 14273 * 1.35, 19.49 * 1.5},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		longRun(600, c.stream)
+		runtime.ReadMemStats(&after)
+		allocs := float64(after.Mallocs - before.Mallocs)
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+		if allocs > c.maxAllocs || mb > c.maxMB {
+			t.Errorf("%s: 600 bins allocated %.0f objects, %.2f MB; caps %.0f, %.2f MB", c.name, allocs, mb, c.maxAllocs, c.maxMB)
+		}
 	}
 }
 

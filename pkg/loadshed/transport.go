@@ -109,50 +109,48 @@ type NodeTransport interface {
 	Close() error
 }
 
-// loopbackTransport binds a node to an in-process Coordinator by
-// membership handle, so delivery is a method call and two shards may
-// even share a display name without colliding.
+// loopbackTransport binds a node to an in-process Coordinator under its
+// name, so delivery is a method call.
 type loopbackTransport struct {
 	coord *Coordinator
-	node  *coordNode
+	name  string
 }
 
 // NewLoopback joins a node named name to coord and returns its
-// synchronous in-process transport. Grants are fresh for exactly one
+// synchronous in-process transport; like the TCP server, it stamps the
+// name on every report itself. Grants are fresh for exactly one
 // allocation round, mirroring the lockstep cluster loop where every
 // round is consumed at the bin barrier that produced it.
 func NewLoopback(coord *Coordinator, name string, minShare float64) NodeTransport {
-	return &loopbackTransport{coord: coord, node: coord.join(name, minShare)}
+	coord.Join(name, minShare)
+	return &loopbackTransport{coord: coord, name: name}
 }
 
 func (t *loopbackTransport) Report(r DemandReport) error {
-	t.coord.reportNode(t.node, r)
+	r.Node = t.name
+	t.coord.Report(r)
 	return nil
 }
 
-func (t *loopbackTransport) Grant() (BudgetGrant, bool) { return t.coord.grantFor(t.node) }
+func (t *loopbackTransport) Grant() (BudgetGrant, bool) { return t.coord.grantFor(t.name) }
 
 // Checkpoint retains the encoded checkpoint directly on the in-process
-// coordinator (addressed by handle, like reports).
+// coordinator.
 func (t *loopbackTransport) Checkpoint(cp *ShardCheckpoint) error {
 	blob, err := cp.EncodeBytes()
 	if err != nil {
 		return err
 	}
-	t.coord.storeCheckpointNode(t.node, cp.Bin, cp.Final, blob)
+	t.coord.StoreCheckpoint(t.name, cp.Bin, cp.Final, blob)
 	return nil
 }
 
 // DrainRequested polls the coordinator's drain flag for this node.
-func (t *loopbackTransport) DrainRequested() bool {
-	return t.coord.drainRequestedNode(t.node)
-}
+func (t *loopbackTransport) DrainRequested() bool { return t.coord.drainRequested(t.name) }
 
 // Adoption polls the coordinator for an offer addressed to this node —
 // the in-process delivery of what the TCP server pushes as adopt frames.
-func (t *loopbackTransport) Adoption() (AdoptOffer, bool) {
-	return t.coord.takeOfferFor(t.node)
-}
+func (t *loopbackTransport) Adoption() (AdoptOffer, bool) { return t.coord.takeOfferFor(t.name) }
 
 func (t *loopbackTransport) Close() error { return nil }
 
@@ -319,6 +317,14 @@ func readCoordFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// decodeQuantity reads a demand, share or capacity off the wire. These
+// feed the allocator and System.SetCapacity directly, so NaN, ±Inf and
+// negative values are refused at decode (FuzzCoordWire).
+func decodeQuantity(p []byte) (v float64, ok bool) {
+	v = math.Float64frombits(binary.LittleEndian.Uint64(p))
+	return v, v >= 0 && !math.IsInf(v, 1)
+}
+
 func decodeHello(p []byte) (name string, minShare float64, ok bool) {
 	if len(p) < 2 {
 		return "", 0, false
@@ -328,8 +334,8 @@ func decodeHello(p []byte) (name string, minShare float64, ok bool) {
 		return "", 0, false
 	}
 	name = string(p[2 : 2+nl])
-	minShare = math.Float64frombits(binary.LittleEndian.Uint64(p[2+nl:]))
-	return name, minShare, name != ""
+	minShare, ok = decodeQuantity(p[2+nl:])
+	return name, minShare, ok && name != ""
 }
 
 func decodeReport(p []byte) (DemandReport, bool) {
@@ -338,22 +344,22 @@ func decodeReport(p []byte) (DemandReport, bool) {
 	if len(p) != 1+8+8+8+1 || p[25]&^reportFlagDone != 0 {
 		return DemandReport{}, false
 	}
+	demand, okD := decodeQuantity(p[9:])
+	minShare, okM := decodeQuantity(p[17:])
 	return DemandReport{
 		Bin:      int64(binary.LittleEndian.Uint64(p[1:])),
-		Demand:   math.Float64frombits(binary.LittleEndian.Uint64(p[9:])),
-		MinShare: math.Float64frombits(binary.LittleEndian.Uint64(p[17:])),
+		Demand:   demand,
+		MinShare: minShare,
 		Done:     p[25]&reportFlagDone != 0,
-	}, true
+	}, okD && okM
 }
 
 func decodeGrant(p []byte) (BudgetGrant, bool) {
 	if len(p) != 1+8+8 {
 		return BudgetGrant{}, false
 	}
-	return BudgetGrant{
-		Round:    binary.LittleEndian.Uint64(p[1:]),
-		Capacity: math.Float64frombits(binary.LittleEndian.Uint64(p[9:])),
-	}, true
+	capacity, ok := decodeQuantity(p[9:])
+	return BudgetGrant{Round: binary.LittleEndian.Uint64(p[1:]), Capacity: capacity}, ok
 }
 
 // decodeHelloAuth verifies an authenticated hello against the server's

@@ -3,15 +3,18 @@ package loadshed
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"testing"
 )
 
 // FuzzCoordWire feeds arbitrary byte streams through the coordinator
 // link's frame reader and every header decoder — the bytes a TCP peer
 // controls. Nothing may panic, no header may announce a blob beyond
-// maxCheckpointBytes, and the encoding is canonical: a frame a decoder
-// accepts re-encodes through its append*Frame to the same bytes, so
-// there is exactly one wire form per message.
+// maxCheckpointBytes, every decoded float is finite and >= 0 (they feed
+// the allocator and SetCapacity undigested), and the encoding is
+// canonical: a frame a decoder accepts re-encodes through its
+// append*Frame to the same bytes, so there is exactly one wire form per
+// message.
 func FuzzCoordWire(f *testing.F) {
 	const key = "fuzz-key"
 	nonce := bytes.Repeat([]byte{0x5a}, coordNonceLen)
@@ -33,6 +36,12 @@ func FuzzCoordWire(f *testing.F) {
 	f.Add([]byte{1, 0, coordMsgHello})
 	f.Add([]byte{0, 0})
 
+	quantity := func(t *testing.T, what string, v float64) {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			t.Fatalf("accepted frame carries %s = %v", what, v)
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
 		var buf []byte
@@ -52,18 +61,22 @@ func FuzzCoordWire(f *testing.F) {
 				if !ok {
 					continue
 				}
+				quantity(t, "hello min share", minShare)
 				again = appendHelloFrame(nil, name, minShare)
 			case coordMsgReport:
 				r, ok := decodeReport(p)
 				if !ok {
 					continue
 				}
+				quantity(t, "report demand", r.Demand)
+				quantity(t, "report min share", r.MinShare)
 				again = appendReportFrame(nil, r)
 			case coordMsgGrant:
 				g, ok := decodeGrant(p)
 				if !ok {
 					continue
 				}
+				quantity(t, "grant capacity", g.Capacity)
 				again = appendGrantFrame(nil, g)
 			case coordMsgCheckpoint:
 				bin, final, blobLen, ok := decodeCheckpointHdr(p)
@@ -88,6 +101,7 @@ func FuzzCoordWire(f *testing.F) {
 				if !ok {
 					continue
 				}
+				quantity(t, "hello min share", minShare)
 				again = appendHelloAuthFrame(nil, name, minShare, key, nonce)
 			default:
 				continue

@@ -11,6 +11,15 @@ INGEST=127.0.0.1:19190
 
 go build -o "$BIN" ./cmd/lsd
 
+# Flag-name typos must die at startup, before the multi-second demand
+# probe (which announces itself with "measuring ...").
+if OUT=$("$BIN" -scheme bogus 2>&1); then
+  echo "FAIL: lsd -scheme bogus exited 0"; exit 1
+fi
+if grep -q measuring <<<"$OUT"; then
+  echo "FAIL: lsd -scheme bogus measured demand before rejecting the flag"; exit 1
+fi
+
 "$BIN" -serve "$ADMIN" -ingest "udp://$INGEST" -dur 5s -window 10s &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
