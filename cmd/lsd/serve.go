@@ -13,7 +13,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/pkg/loadshed"
@@ -30,50 +29,6 @@ type serveOpts struct {
 	overload float64
 	capacity float64 // explicit cycle budget per bin; 0 = probe
 	window   time.Duration
-}
-
-// serveSink guards a RollingStats for concurrent reads: the engine
-// writes it from the run loop while HTTP handlers snapshot it. It stays
-// transient, so the engine's zero-allocation streaming path is intact.
-type serveSink struct {
-	mu    sync.Mutex
-	roll  *loadshed.RollingStats
-	ready bool // first bin processed — the readiness signal
-}
-
-func (s *serveSink) OnQuery(i int, name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.roll.OnQuery(i, name)
-}
-
-func (s *serveSink) OnBin(b *loadshed.BinStats) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.roll.OnBin(b)
-	s.ready = true
-}
-
-func (s *serveSink) OnInterval(iv *loadshed.IntervalResults) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.roll.OnInterval(iv)
-}
-
-// OnQueryRemove implements loadshed.QueryRemovalSink.
-func (s *serveSink) OnQueryRemove(i int, name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.roll.OnQueryRemove(i, name)
-}
-
-// SinkTransient implements loadshed.TransientSink.
-func (s *serveSink) SinkTransient() bool { return true }
-
-func (s *serveSink) snapshot() (loadshed.RollingSnapshot, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.roll.Snapshot(), s.ready
 }
 
 // openIngest turns an ingest spec into a Source. The returned closer is
@@ -159,10 +114,10 @@ func serveLoop(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts, c
 	sys := loadshed.New(engineConfig(o.engineOpts, capacity), mkQs())
 	mode := start(sys, capacity)
 	windowBins := int(o.window / src.TimeBin())
-	sink := &serveSink{roll: loadshed.NewRollingStats(windowBins)}
+	roll := loadshed.NewRollingStats(windowBins)
 	live, _ := src.(*loadshed.LiveSource)
 
-	stopAdmin := startAdmin(o.admin, adminMux(sys, sink, live, o.seed, mode.metrics), "healthz, readyz, metrics, queries")
+	stopAdmin := startAdmin(o.admin, adminMux(sys, roll, live, o.seed, mode.metrics), "healthz, readyz, metrics, queries")
 
 	// A signal cancels ctx; the engine stops at the next bin boundary.
 	// A blocking live or tail source must also be woken, which closing
@@ -171,7 +126,7 @@ func serveLoop(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts, c
 	defer unblock()
 
 	fmt.Printf("%s (%s scheme) ...\n", mode.banner, o.schemeName)
-	streamErr := mode.stream(ctx, src, sink)
+	streamErr := mode.stream(ctx, src, roll)
 	closeSrc()
 
 	if mode.after != nil {
@@ -186,7 +141,7 @@ func serveLoop(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts, c
 		die(fmt.Errorf("ingest failed: %w", err))
 	}
 
-	snap, _ := sink.snapshot()
+	snap := roll.Snapshot()
 	dropPct := 0.0
 	if snap.WirePkts > 0 {
 		dropPct = 100 * float64(snap.DropPkts) / float64(snap.WirePkts)
@@ -214,11 +169,11 @@ func startAdmin(addr string, h http.Handler, endpoints string) (stop func()) {
 }
 
 // adminMux builds the admin plane. Handlers run concurrently with the
-// stream: snapshots go through serveSink's mutex, registry calls go
+// stream: snapshots go through RollingStats' own lock, registry calls go
 // through the engine's own AddQuery/RemoveQuery locking, and live-source
 // counters are atomics. A non-nil extraMetrics hook is appended to the
 // /metrics output — worker mode uses it for its coordinator-link gauges.
-func adminMux(sys *loadshed.System, sink *serveSink, live *loadshed.LiveSource, seed uint64, extraMetrics func(*loadshed.MetricsWriter)) *http.ServeMux {
+func adminMux(sys *loadshed.System, roll *loadshed.RollingStats, live *loadshed.LiveSource, seed uint64, extraMetrics func(*loadshed.MetricsWriter)) *http.ServeMux {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -226,7 +181,7 @@ func adminMux(sys *loadshed.System, sink *serveSink, live *loadshed.LiveSource, 
 	})
 
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if _, ready := sink.snapshot(); !ready {
+		if roll.Snapshot().Bins == 0 {
 			http.Error(w, "no bins processed yet", http.StatusServiceUnavailable)
 			return
 		}
@@ -234,7 +189,7 @@ func adminMux(sys *loadshed.System, sink *serveSink, live *loadshed.LiveSource, 
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		snap, _ := sink.snapshot()
+		snap := roll.Snapshot()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		snap.WritePrometheus(w)
 		m := &loadshed.MetricsWriter{W: w}
@@ -254,7 +209,7 @@ func adminMux(sys *loadshed.System, sink *serveSink, live *loadshed.LiveSource, 
 		Rate   float64 `json:"rate"`
 	}
 	mux.HandleFunc("GET /queries", func(w http.ResponseWriter, r *http.Request) {
-		snap, _ := sink.snapshot()
+		snap := roll.Snapshot()
 		out := make([]queryInfo, len(snap.Queries))
 		for i, q := range snap.Queries {
 			out[i] = queryInfo{Name: q, Active: snap.Active[i], Rate: snap.MeanRates[i]}

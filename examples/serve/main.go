@@ -68,7 +68,14 @@ func main() {
 	defer stopIngest()
 	time.AfterFunc(dur+time.Second, cancel)
 
+	// RollingStats locks internally, so the HTTP side of the daemon reads
+	// the sink the engine is writing without a wrapper; this timer
+	// goroutine plays a /metrics scrape landing mid-run.
 	roll := loadshed.NewRollingStats(0)
+	time.AfterFunc(dur/2, func() {
+		s := roll.Snapshot()
+		fmt.Printf("scrape mid-run: %d bins so far, global rate %.3f over the last %d\n", s.Bins, s.MeanGlobalRate, s.WindowBins)
+	})
 	bins := 0
 	admin := loadshed.SinkFuncs{Bin: func(*loadshed.BinStats) {
 		bins++

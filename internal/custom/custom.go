@@ -13,9 +13,6 @@
 //	              penalty period, then returns to ModePoliced.
 package custom
 
-// debugProbe prints probe evaluations; only ever set by tests.
-var debugProbe = false
-
 // Shedder is the contract a query implements to shed its own load: the
 // system asks it to reduce consumption to the given fraction of its
 // unshed cost.
@@ -265,9 +262,6 @@ func (m *Manager) Audit(st *State, used, pred float64) {
 		st.probeLeft--
 		if st.probeLeft == 0 && st.probeCnt > 0 && st.baseSeeded && st.baseEWMA > 0 {
 			response := (st.probeSum / float64(st.probeCnt)) / st.baseEWMA
-			if debugProbe {
-				println("probe", st.name, "resp%", int(response*100), "fails", st.probeFails)
-			}
 			st.probeSum, st.probeCnt = 0, 0
 			if response > 0.85 {
 				st.probeFails++
@@ -358,6 +352,3 @@ func (m *Manager) Audit(st *State, used, pred float64) {
 		}
 	}
 }
-
-// SetDebugProbe toggles probe-evaluation logging (test helper).
-func SetDebugProbe(v bool) { debugProbe = v }

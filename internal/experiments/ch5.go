@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/game"
 	"repro/internal/queries"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -40,12 +39,12 @@ func fig51(cfg Config) (*Result, error) {
 	for _, mq := range grid {
 		avgRow := []string{fmtF(mq, 2)}
 		minRow := []string{fmtF(mq, 2)}
-		qs := game.LightHeavySet(10, mq)
-		total := game.TotalCost(qs)
+		qs := lightHeavySet(10, mq)
+		total := totalCost(qs)
 		for _, k := range grid {
 			capacity := total * (1 - k)
-			cpu := game.Simulate(qs, capacity, sched.MMFSCPU{})
-			pkt := game.Simulate(qs, capacity, sched.MMFSPkt{})
+			cpu := simulate(qs, capacity, sched.MMFSCPU{})
+			pkt := simulate(qs, capacity, sched.MMFSPkt{})
 			avgRow = append(avgRow, fmtF(pkt.Avg-cpu.Avg, 3))
 			minRow = append(minRow, fmtF(pkt.Min-cpu.Min, 3))
 			if d := pkt.Min - cpu.Min; d > maxMinGap {
@@ -313,13 +312,13 @@ func nashExp(cfg Config) (*Result, error) {
 	}
 	for _, strat := range []sched.Strategy{sched.MMFSCPU{}, sched.MMFSPkt{}} {
 		for _, n := range []int{2, 3, 5} {
-			ps := make([]game.Player, n)
+			ps := make([]player, n)
 			for i := range ps {
-				ps[i] = game.Player{Name: fmt.Sprintf("q%d", i), Demand: capacity, Claim: capacity / float64(n)}
+				ps[i] = player{Name: fmt.Sprintf("q%d", i), Demand: capacity, Claim: capacity / float64(n)}
 			}
-			fair := game.Payoffs(ps, capacity, strat)[0]
-			_, best := game.BestResponse(ps, 0, capacity, strat, 90)
-			eq := game.IsEquilibrium(ps, capacity, strat, 90)
+			fair := payoffs(ps, capacity, strat)[0]
+			_, best := bestResponse(ps, 0, capacity, strat, 90)
+			eq := isEquilibrium(ps, capacity, strat, 90)
 			t.Rows = append(t.Rows, []string{
 				strat.Name(), fmt.Sprintf("%d", n), fmtF(fair, 1), fmtF(best, 1), fmt.Sprintf("%v", eq),
 			})

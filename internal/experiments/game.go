@@ -1,11 +1,13 @@
-// Package game models the resource allocation game of thesis §5.3–5.4:
-// queries are players whose action is the minimum CPU demand they claim
+package experiments
+
+// game.go models the resource allocation game of thesis §5.3–5.4 for
+// the two Chapter 5 experiments that use it (ch5.go): queries are
+// players whose action is the minimum CPU demand they claim
 // (a_q = m_q·d̂_q) and whose payoff (Equation 5.7) is the number of
 // cycles the max-min fair scheduler actually allocates. Theorem 5.1
 // shows the game has a single Nash equilibrium where every player
-// demands C/|Q|; this package verifies that computationally and runs
-// the light/heavy accuracy simulations behind Figures 5.1 and 5.2.
-package game
+// demands C/|Q|; this file verifies that computationally and runs the
+// light/heavy accuracy simulations behind Figures 5.1 and 5.2.
 
 import (
 	"math"
@@ -13,17 +15,17 @@ import (
 	"repro/internal/sched"
 )
 
-// Player is one query in the allocation game.
-type Player struct {
+// player is one query in the allocation game.
+type player struct {
 	Name   string
 	Demand float64 // full-rate demand d̂_q in cycles
 	Claim  float64 // claimed minimum demand a_q = m_q·d̂_q in cycles
 }
 
-// Payoffs evaluates Equation 5.7 for every player under the given
+// payoffs evaluates Equation 5.7 for every player under the given
 // max-min strategy: the scheduler receives demands with minimum rates
 // m_q = a_q/d̂_q and the payoff is each player's allocated cycles.
-func Payoffs(players []Player, capacity float64, strat sched.Strategy) []float64 {
+func payoffs(players []player, capacity float64, strat sched.Strategy) []float64 {
 	demands := make([]sched.Demand, len(players))
 	for i, p := range players {
 		min := 0.0
@@ -46,19 +48,19 @@ func Payoffs(players []Player, capacity float64, strat sched.Strategy) []float64
 	return out
 }
 
-// BestResponse searches a claim grid for player i's payoff-maximizing
+// bestResponse searches a claim grid for player i's payoff-maximizing
 // action, holding every other player's claim fixed. It returns the best
 // claim and its payoff.
-func BestResponse(players []Player, i int, capacity float64, strat sched.Strategy, gridSteps int) (claim, payoff float64) {
+func bestResponse(players []player, i int, capacity float64, strat sched.Strategy, gridSteps int) (claim, payoff float64) {
 	best := -1.0
 	bestClaim := 0.0
 	maxClaim := players[i].Demand
 	for s := 0; s <= gridSteps; s++ {
 		c := maxClaim * float64(s) / float64(gridSteps)
-		trial := make([]Player, len(players))
+		trial := make([]player, len(players))
 		copy(trial, players)
 		trial[i].Claim = c
-		u := Payoffs(trial, capacity, strat)[i]
+		u := payoffs(trial, capacity, strat)[i]
 		if u > best+1e-9 {
 			best = u
 			bestClaim = c
@@ -67,45 +69,45 @@ func BestResponse(players []Player, i int, capacity float64, strat sched.Strateg
 	return bestClaim, best
 }
 
-// Epsilon is the tolerance used by IsEquilibrium: a profile is an
+// gameEpsilon is the tolerance used by isEquilibrium: a profile is an
 // ε-equilibrium when no unilateral deviation on the grid improves a
 // player's payoff by more than ε relative to the capacity.
-const Epsilon = 1e-6
+const gameEpsilon = 1e-6
 
-// IsEquilibrium reports whether the players' current claims form a Nash
+// isEquilibrium reports whether the players' current claims form a Nash
 // equilibrium up to grid resolution: no player can improve its payoff
 // by deviating to any grid claim.
-func IsEquilibrium(players []Player, capacity float64, strat sched.Strategy, gridSteps int) bool {
-	base := Payoffs(players, capacity, strat)
+func isEquilibrium(players []player, capacity float64, strat sched.Strategy, gridSteps int) bool {
+	base := payoffs(players, capacity, strat)
 	for i := range players {
-		_, best := BestResponse(players, i, capacity, strat, gridSteps)
-		if best > base[i]+Epsilon*capacity {
+		_, best := bestResponse(players, i, capacity, strat, gridSteps)
+		if best > base[i]+gameEpsilon*capacity {
 			return false
 		}
 	}
 	return true
 }
 
-// SimQuery is a query in the Figure 5.1/5.2 accuracy simulation.
-type SimQuery struct {
+// simQuery is a query in the Figure 5.1/5.2 accuracy simulation.
+type simQuery struct {
 	Name     string
 	Cost     float64                    // cycles to process the interval at rate 1
 	MinRate  float64                    // m_q
 	Accuracy func(rate float64) float64 // accuracy as a function of the applied rate
 }
 
-// LightAccuracy is the simulated accuracy of the thesis' "light" query
+// lightAccuracy is the simulated accuracy of the thesis' "light" query
 // (§5.4): tolerant to sampling, emulating the counter query.
-func LightAccuracy(rate float64) float64 {
+func lightAccuracy(rate float64) float64 {
 	if rate <= 0 {
 		return 0
 	}
 	return 1 - (1-rate)*0.05
 }
 
-// HeavyAccuracy is the simulated accuracy of the "heavy" query:
+// heavyAccuracy is the simulated accuracy of the "heavy" query:
 // proportional to the sampling rate, emulating the trace query.
-func HeavyAccuracy(rate float64) float64 {
+func heavyAccuracy(rate float64) float64 {
 	if rate < 0 {
 		return 0
 	}
@@ -115,22 +117,22 @@ func HeavyAccuracy(rate float64) float64 {
 	return rate
 }
 
-// SimResult summarizes one simulated allocation.
-type SimResult struct {
+// simResult summarizes one simulated allocation.
+type simResult struct {
 	Avg   float64
 	Min   float64
 	Rates []float64
 }
 
-// Simulate allocates capacity across the simulated queries with the
+// simulate allocates capacity across the simulated queries with the
 // given strategy and evaluates the resulting accuracies.
-func Simulate(qs []SimQuery, capacity float64, strat sched.Strategy) SimResult {
+func simulate(qs []simQuery, capacity float64, strat sched.Strategy) simResult {
 	demands := make([]sched.Demand, len(qs))
 	for i, q := range qs {
 		demands[i] = sched.Demand{Name: q.Name, Cycles: q.Cost, MinRate: q.MinRate}
 	}
 	allocs := strat.Allocate(demands, capacity)
-	res := SimResult{Min: math.Inf(1), Rates: make([]float64, len(qs))}
+	res := simResult{Min: math.Inf(1), Rates: make([]float64, len(qs))}
 	for i, a := range allocs {
 		res.Rates[i] = a.Rate
 		acc := qs[i].Accuracy(a.Rate)
@@ -147,23 +149,23 @@ func Simulate(qs []SimQuery, capacity float64, strat sched.Strategy) SimResult {
 	return res
 }
 
-// LightHeavySet builds the §5.4 scenario: one heavy query ten times the
+// lightHeavySet builds the §5.4 scenario: one heavy query ten times the
 // cost of each of n light queries, all sharing the same minimum rate.
-func LightHeavySet(nLight int, minRate float64) []SimQuery {
+func lightHeavySet(nLight int, minRate float64) []simQuery {
 	const lightCost = 100.0
-	qs := []SimQuery{{
-		Name: "heavy", Cost: 10 * lightCost, MinRate: minRate, Accuracy: HeavyAccuracy,
+	qs := []simQuery{{
+		Name: "heavy", Cost: 10 * lightCost, MinRate: minRate, Accuracy: heavyAccuracy,
 	}}
 	for i := 0; i < nLight; i++ {
-		qs = append(qs, SimQuery{
-			Name: "light", Cost: lightCost, MinRate: minRate, Accuracy: LightAccuracy,
+		qs = append(qs, simQuery{
+			Name: "light", Cost: lightCost, MinRate: minRate, Accuracy: lightAccuracy,
 		})
 	}
 	return qs
 }
 
-// TotalCost sums the full-rate costs of the simulated queries.
-func TotalCost(qs []SimQuery) float64 {
+// totalCost sums the full-rate costs of the simulated queries.
+func totalCost(qs []simQuery) float64 {
 	var t float64
 	for _, q := range qs {
 		t += q.Cost

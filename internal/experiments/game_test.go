@@ -1,4 +1,4 @@
-package game
+package experiments
 
 import (
 	"math"
@@ -7,10 +7,10 @@ import (
 	"repro/internal/sched"
 )
 
-func symmetricPlayers(n int, capacity float64) []Player {
-	ps := make([]Player, n)
+func symmetricPlayers(n int, capacity float64) []player {
+	ps := make([]player, n)
 	for i := range ps {
-		ps[i] = Player{Name: string(rune('a' + i)), Demand: capacity, Claim: capacity / float64(n)}
+		ps[i] = player{Name: string(rune('a' + i)), Demand: capacity, Claim: capacity / float64(n)}
 	}
 	return ps
 }
@@ -24,7 +24,7 @@ func TestFairShareIsEquilibrium(t *testing.T) {
 	const capacity = 900.0
 	for _, strat := range strategies() {
 		ps := symmetricPlayers(3, capacity)
-		if !IsEquilibrium(ps, capacity, strat, 90) {
+		if !isEquilibrium(ps, capacity, strat, 90) {
 			t.Errorf("%s: C/|Q| profile is not an equilibrium", strat.Name())
 		}
 	}
@@ -38,7 +38,7 @@ func TestOverclaimingGetsDisabled(t *testing.T) {
 	for _, strat := range strategies() {
 		ps := symmetricPlayers(3, capacity)
 		ps[0].Claim = capacity/3 + 50
-		u := Payoffs(ps, capacity, strat)
+		u := payoffs(ps, capacity, strat)
 		if u[0] != 0 {
 			t.Errorf("%s: over-claimer payoff = %v, want 0", strat.Name(), u[0])
 		}
@@ -50,10 +50,10 @@ func TestUnderclaimingNeverGains(t *testing.T) {
 	const capacity = 900.0
 	for _, strat := range strategies() {
 		ps := symmetricPlayers(3, capacity)
-		fair := Payoffs(ps, capacity, strat)[0]
+		fair := payoffs(ps, capacity, strat)[0]
 		for _, claim := range []float64{0, 50, 150, 250} {
 			ps[0].Claim = claim
-			if u := Payoffs(ps, capacity, strat)[0]; u > fair+1e-9 {
+			if u := payoffs(ps, capacity, strat)[0]; u > fair+1e-9 {
 				t.Errorf("%s: under-claim %v earned %v > fair %v", strat.Name(), claim, u, fair)
 			}
 		}
@@ -69,7 +69,7 @@ func TestUnderProvisionedProfileNotEquilibrium(t *testing.T) {
 		for i := range ps {
 			ps[i].Claim = 100 // sum 300 < 900
 		}
-		if IsEquilibrium(ps, capacity, strat, 90) {
+		if isEquilibrium(ps, capacity, strat, 90) {
 			t.Errorf("%s: under-provisioned profile wrongly an equilibrium", strat.Name())
 		}
 	}
@@ -79,7 +79,7 @@ func TestPayoffsRespectCapacity(t *testing.T) {
 	const capacity = 500.0
 	for _, strat := range strategies() {
 		ps := symmetricPlayers(4, capacity)
-		u := Payoffs(ps, capacity, strat)
+		u := payoffs(ps, capacity, strat)
 		var sum float64
 		for _, v := range u {
 			sum += v
@@ -94,7 +94,7 @@ func TestBestResponseFindsFairShare(t *testing.T) {
 	const capacity = 900.0
 	for _, strat := range strategies() {
 		ps := symmetricPlayers(3, capacity)
-		_, best := BestResponse(ps, 0, capacity, strat, 90)
+		_, best := bestResponse(ps, 0, capacity, strat, 90)
 		fair := capacity / 3
 		if math.Abs(best-fair) > fair*0.02 {
 			t.Errorf("%s: best-response payoff %v, want ~%v", strat.Name(), best, fair)
@@ -103,19 +103,19 @@ func TestBestResponseFindsFairShare(t *testing.T) {
 }
 
 func TestAccuracyModels(t *testing.T) {
-	if LightAccuracy(0) != 0 {
+	if lightAccuracy(0) != 0 {
 		t.Error("light accuracy at rate 0 must be 0 (disabled)")
 	}
-	if LightAccuracy(1) != 1 {
+	if lightAccuracy(1) != 1 {
 		t.Error("light accuracy at rate 1 must be 1")
 	}
-	if got := LightAccuracy(0.2); math.Abs(got-0.96) > 1e-12 {
+	if got := lightAccuracy(0.2); math.Abs(got-0.96) > 1e-12 {
 		t.Errorf("light accuracy(0.2) = %v, want 0.96", got)
 	}
-	if HeavyAccuracy(0.3) != 0.3 {
+	if heavyAccuracy(0.3) != 0.3 {
 		t.Error("heavy accuracy should equal the rate")
 	}
-	if HeavyAccuracy(2) != 1 || HeavyAccuracy(-1) != 0 {
+	if heavyAccuracy(2) != 1 || heavyAccuracy(-1) != 0 {
 		t.Error("heavy accuracy not clamped")
 	}
 }
@@ -124,13 +124,13 @@ func TestSimulateFigure51Shape(t *testing.T) {
 	// The Figure 5.1 headline: mmfs_pkt yields a (weakly) higher
 	// minimum accuracy than mmfs_cpu across the (mq, K) plane, with the
 	// largest gaps at moderate overload and small mq.
-	qs := LightHeavySet(10, 0)
-	total := TotalCost(qs)
+	qs := lightHeavySet(10, 0)
+	total := totalCost(qs)
 	anyGap := false
 	for _, k := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
 		capacity := total * (1 - k)
-		cpu := Simulate(qs, capacity, sched.MMFSCPU{})
-		pkt := Simulate(qs, capacity, sched.MMFSPkt{})
+		cpu := simulate(qs, capacity, sched.MMFSCPU{})
+		pkt := simulate(qs, capacity, sched.MMFSPkt{})
 		if pkt.Min < cpu.Min-1e-9 {
 			t.Errorf("K=%v: mmfs_pkt min %v below mmfs_cpu %v", k, pkt.Min, cpu.Min)
 		}
@@ -147,8 +147,8 @@ func TestSimulateFigure51Shape(t *testing.T) {
 }
 
 func TestSimulateNoOverload(t *testing.T) {
-	qs := LightHeavySet(10, 0.1)
-	res := Simulate(qs, TotalCost(qs), sched.MMFSPkt{})
+	qs := lightHeavySet(10, 0.1)
+	res := simulate(qs, totalCost(qs), sched.MMFSPkt{})
 	if res.Avg != 1 || res.Min != 1 {
 		t.Fatalf("no-overload accuracies = %v/%v, want 1/1", res.Avg, res.Min)
 	}
@@ -156,22 +156,22 @@ func TestSimulateNoOverload(t *testing.T) {
 
 func TestSimulateInfiniteOverload(t *testing.T) {
 	// K = 1: zero capacity, every query disabled, accuracy 0.
-	qs := LightHeavySet(10, 0.2)
-	res := Simulate(qs, 0, sched.MMFSPkt{})
+	qs := lightHeavySet(10, 0.2)
+	res := simulate(qs, 0, sched.MMFSPkt{})
 	if res.Avg != 0 || res.Min != 0 {
 		t.Fatalf("K=1 accuracies = %v/%v, want 0/0", res.Avg, res.Min)
 	}
 }
 
 func TestLightHeavySet(t *testing.T) {
-	qs := LightHeavySet(10, 0.3)
+	qs := lightHeavySet(10, 0.3)
 	if len(qs) != 11 {
 		t.Fatalf("set size = %d", len(qs))
 	}
 	if qs[0].Cost != 10*qs[1].Cost {
 		t.Fatal("heavy query should cost 10x a light one")
 	}
-	if TotalCost(qs) != qs[0].Cost*2 {
-		t.Fatalf("total cost = %v, want heavy + 10 lights = 2x heavy", TotalCost(qs))
+	if totalCost(qs) != qs[0].Cost*2 {
+		t.Fatalf("total cost = %v, want heavy + 10 lights = 2x heavy", totalCost(qs))
 	}
 }

@@ -269,12 +269,6 @@ func (e *Extractor) ExtractFromBatchOf(src *Extractor, npkts, nbytes float64) Ve
 	return e.ExtractFromSketch(src.sk, npkts, nbytes)
 }
 
-// ExtractFromBatchOfInto is ExtractFromBatchOf writing into v (grown if
-// needed) — the allocation-free form.
-func (e *Extractor) ExtractFromBatchOfInto(v Vector, src *Extractor, npkts, nbytes float64) Vector {
-	return e.FinishSketchInto(v, src.sk, npkts, nbytes)
-}
-
 // ExtractFromSketch is ExtractFromBatchOf taking the batch state as a
 // bare Sketch — the form the pipelined engine uses, where the current
 // bin's sketch lives in a ring slot rather than inside the extractor

@@ -97,23 +97,34 @@ func writeBatch(w io.Writer, b *pkt.Batch) error {
 	return nil
 }
 
+// readHeader consumes the file header and returns the time bin: bad
+// magic is ErrBadMagic, a short header io.ErrUnexpectedEOF, and a
+// non-positive bin ErrCorrupt — every consumer divides by it.
+func readHeader(r io.Reader) (time.Duration, error) {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, unexpected(err)
+	}
+	if [8]byte(hdr[:8]) != fileMagic {
+		return 0, ErrBadMagic
+	}
+	binNs := int64(binary.LittleEndian.Uint64(hdr[8:]))
+	if binNs <= 0 {
+		return 0, fmt.Errorf("%w: non-positive time bin %d ns", ErrCorrupt, binNs)
+	}
+	return time.Duration(binNs), nil
+}
+
 // ReadAll parses a trace file into a replayable MemorySource.
 func ReadAll(r io.Reader) (*MemorySource, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, err
-	}
-	if magic != fileMagic {
-		return nil, ErrBadMagic
-	}
-	var binNs int64
-	if err := binary.Read(br, binary.LittleEndian, &binNs); err != nil {
+	bin, err := readHeader(br)
+	if err != nil {
 		return nil, err
 	}
 	var batches []pkt.Batch
 	for {
-		b, err := readBatch(br, time.Duration(binNs))
+		b, err := readBatch(br, bin)
 		if err == io.EOF {
 			break
 		}
@@ -122,7 +133,7 @@ func ReadAll(r io.Reader) (*MemorySource, error) {
 		}
 		batches = append(batches, b)
 	}
-	return NewMemorySource(batches, time.Duration(binNs)), nil
+	return NewMemorySource(batches, bin), nil
 }
 
 func readBatch(r io.Reader, bin time.Duration) (pkt.Batch, error) {
@@ -189,27 +200,17 @@ type FileSource struct {
 }
 
 // headerSize is the byte offset of the first batch: magic + binNs.
-const headerSize = int64(len(fileMagic)) + 8
+const headerSize = 8 + 8
 
 // NewFileSource validates the header of r and returns a streaming
 // source positioned at the first batch.
 func NewFileSource(r io.ReadSeeker) (*FileSource, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, unexpected(err)
+	bin, err := readHeader(br)
+	if err != nil {
+		return nil, err
 	}
-	if magic != fileMagic {
-		return nil, ErrBadMagic
-	}
-	var binNs int64
-	if err := binary.Read(br, binary.LittleEndian, &binNs); err != nil {
-		return nil, unexpected(err)
-	}
-	if binNs <= 0 {
-		return nil, fmt.Errorf("%w: non-positive time bin %d ns", ErrCorrupt, binNs)
-	}
-	return &FileSource{r: r, br: br, bin: time.Duration(binNs), dataOff: headerSize}, nil
+	return &FileSource{r: r, br: br, bin: bin, dataOff: headerSize}, nil
 }
 
 // OpenFile opens path as a streaming trace source; Close releases the

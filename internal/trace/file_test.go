@@ -101,6 +101,39 @@ func TestFileSourceRejectsGarbageHeader(t *testing.T) {
 	}
 }
 
+// TestHostileTimeBinRejected is the regression test for the header check
+// ReadAll used to skip: "LSTRACE1" followed by a zero (or negative) bin
+// was accepted with TimeBin() == 0, and the engine's bins-per-interval
+// division then panicked in `lsd -trace FILE`. Every reader — ReadAll,
+// NewFileSource and so OpenFile and TailFile — goes through readHeader.
+func TestHostileTimeBinRejected(t *testing.T) {
+	for _, binNs := range []int64{0, -1, -int64(DefaultTimeBin)} {
+		raw := binary.LittleEndian.AppendUint64(append([]byte(nil), fileMagic[:]...), uint64(binNs))
+		if src, err := ReadAll(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("ReadAll, bin %d ns: err = %v (source %v), want ErrCorrupt", binNs, err, src)
+		}
+		if _, err := NewFileSource(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("NewFileSource, bin %d ns: err = %v, want ErrCorrupt", binNs, err)
+		}
+	}
+	// The two readers agree on the other header failures too.
+	for _, c := range []struct {
+		raw  string
+		want error
+	}{
+		{"", io.ErrUnexpectedEOF},
+		{"LSTRACE1\x00\x00", io.ErrUnexpectedEOF},
+		{"LSTRACE2\x00\xe1\xf5\x05\x00\x00\x00\x00", ErrBadMagic},
+	} {
+		if _, err := ReadAll(bytes.NewReader([]byte(c.raw))); !errors.Is(err, c.want) {
+			t.Errorf("ReadAll(%q): err = %v, want %v", c.raw, err, c.want)
+		}
+		if _, err := NewFileSource(bytes.NewReader([]byte(c.raw))); !errors.Is(err, c.want) {
+			t.Errorf("NewFileSource(%q): err = %v, want %v", c.raw, err, c.want)
+		}
+	}
+}
+
 // corruptCountFile returns a structurally valid header followed by a
 // batch whose packet count claims npkts with no packet data behind it.
 func corruptCountFile(npkts uint32) []byte {

@@ -44,15 +44,16 @@ import (
 // ways on loopback UDP.
 const maxDatagram = 8192
 
+// liveBacklog is the depth, in bins, of the delivered-batch channel
+// between the listener goroutine and NextBatch. When the consumer falls
+// further behind, whole bins are dropped and counted in DroppedBins —
+// the ingest analogue of a capture-buffer overflow.
+const liveBacklog = 16
+
 // LiveConfig parameterizes a live listener.
 type LiveConfig struct {
 	// Bin is the wall-clock batch duration; DefaultTimeBin if zero.
 	Bin time.Duration
-	// Backlog is the depth of the delivered-batch channel between the
-	// listener goroutine and NextBatch (default 16 bins). When the
-	// consumer falls further behind, whole bins are dropped and counted
-	// in DroppedBins — the ingest analogue of a capture-buffer overflow.
-	Backlog int
 }
 
 // LiveSource is a Source fed by a datagram socket. Construct with
@@ -94,13 +95,10 @@ func ListenLive(network, address string, cfg LiveConfig) (*LiveSource, error) {
 	if cfg.Bin <= 0 {
 		cfg.Bin = DefaultTimeBin
 	}
-	if cfg.Backlog <= 0 {
-		cfg.Backlog = 16
-	}
 	l := &LiveSource{
 		conn:  conn,
 		bin:   cfg.Bin,
-		out:   make(chan pkt.Batch, cfg.Backlog),
+		out:   make(chan pkt.Batch, liveBacklog),
 		quit:  make(chan struct{}),
 		start: time.Now(),
 	}

@@ -224,17 +224,13 @@ func SplitFlows(src Source, n int, seed uint64) []Source {
 
 // TraceFile is a streaming trace-file source: batches are read from
 // disk incrementally, so a file of any size replays in memory bounded
-// by its largest batch. Obtain one with OpenTraceFile or StreamTrace;
-// check Err when the stream ends if the file is untrusted.
+// by its largest batch. Obtain one with OpenTraceFile; check Err when
+// the stream ends if the file is untrusted.
 type TraceFile = trace.FileSource
 
 // OpenTraceFile opens a recorded trace for streaming replay. Close it
 // when done.
 func OpenTraceFile(path string) (*TraceFile, error) { return trace.OpenFile(path) }
-
-// StreamTrace wraps an open reader as a streaming trace source (Reset
-// seeks back to the first batch).
-func StreamTrace(r io.ReadSeeker) (*TraceFile, error) { return trace.NewFileSource(r) }
 
 // ReadTrace loads a recorded trace fully into memory; it replays
 // byte-identically everywhere. Prefer it for small traces replayed many

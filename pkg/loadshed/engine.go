@@ -92,23 +92,24 @@ const (
 	sampleCostPerPkt = 10    // sampling decision per packet
 	diskSpikeProb    = 0.004 // rare platform spikes (disk, kernel)
 	diskSpikeFactor  = 20.0  // spike size, × comoPerBin
+	costSpikeFactor  = 2.5   // a spiked query measurement, × its true cost (Config.SpikeProb)
 )
+
+// costModel converts the operations a query counts into cycles.
+var costModel = queries.DefaultCostModel()
 
 // Config parameterizes a run.
 type Config struct {
 	Scheme   Scheme
 	Capacity float64        // cycles per time bin; <= 0 or +Inf means unlimited
 	Strategy sched.Strategy // per-query strategy; nil = single global rate (Ch. 4)
-	Cost     queries.CostModel
 	Seed     uint64
 
-	HistoryLen    int     // MLR history length; predict.DefaultHistory if 0
-	FCBFThreshold float64 // predict.DefaultThreshold if 0
-	PredictorKind string  // "mlr" (default), "slr", "ewma"
+	HistoryLen    int    // MLR history length; predict.DefaultHistory if 0
+	PredictorKind string // "mlr" (default), "slr", "ewma"
 
-	NoiseSigma  float64 // lognormal sigma of cost measurement noise (default 0.01)
-	SpikeProb   float64 // probability of a cost spike per query-bin (default 0)
-	SpikeFactor float64 // spike multiplier (default 2.5)
+	NoiseSigma float64 // lognormal sigma of cost measurement noise (default 0.01)
+	SpikeProb  float64 // probability of a cost spike (×2.5) per query-bin (default 0)
 
 	// Workers bounds the engine's total concurrency. 0 selects
 	// runtime.GOMAXPROCS(0); 1 runs the strictly sequential bin loop
@@ -125,8 +126,7 @@ type Config struct {
 	BufferBins      float64 // capture buffer size in bins of traffic (default 50 ≈ 5 s, a 256 MB DAG buffer at evaluation rates; Ch. 5's no-shedding emulation sets 2 ≈ 200 ms)
 	ReactiveMinRate float64 // α of Eq. 4.1 (default 0.01)
 
-	CustomShedding bool           // enable the Chapter 6 custom-shedding protocol
-	CustomPolicy   *custom.Policy // enforcement tunables; defaults if nil
+	CustomShedding bool // enable the Chapter 6 custom-shedding protocol (custom.DefaultPolicy enforcement)
 
 	// Arrivals registers queries that join the system mid-run (§6.3.3):
 	// each Make is invoked when the run reaches AtBin. Early interval
@@ -166,23 +166,14 @@ type Arrival struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Cost == (queries.CostModel{}) {
-		c.Cost = queries.DefaultCostModel()
-	}
 	if c.HistoryLen == 0 {
 		c.HistoryLen = predict.DefaultHistory
-	}
-	if c.FCBFThreshold == 0 {
-		c.FCBFThreshold = predict.DefaultThreshold
 	}
 	if c.PredictorKind == "" {
 		c.PredictorKind = "mlr"
 	}
 	if c.NoiseSigma == 0 {
 		c.NoiseSigma = 0.01
-	}
-	if c.SpikeFactor == 0 {
-		c.SpikeFactor = 2.5
 	}
 	if c.BufferBins == 0 {
 		c.BufferBins = 50
@@ -298,11 +289,6 @@ type System struct {
 	reactiveDelay float64 // previous bin's overshoot (Eq. 4.1's delay)
 	lastConsumed  float64
 
-	// recycle is set per run when the sink is transient (see
-	// TransientSink): the engine then reuses per-bin Stats slices and
-	// per-interval result storage instead of allocating fresh ones.
-	recycle bool
-
 	// Per-bin scratch, written only by the pipeline goroutine between
 	// worker-pool drains: the reused BinContext, the predictive demand
 	// vector and the shed-stream re-extraction sample. execFn is the
@@ -313,8 +299,8 @@ type System struct {
 	demandBuf []sched.Demand
 	schedWs   sched.Workspace
 	shedBuf   []pkt.Packet
-	// prevIvr recycles the interval result storage when the sink is
-	// transient; index-aligned with qs.
+	// prevIvr is the interval result storage, handed back to each
+	// recycling query at the next flush; index-aligned with qs.
 	prevIvr []queries.Result
 
 	// execPool is the execute stage's worker pool — the back-stage half
@@ -371,7 +357,7 @@ func New(cfg Config, qs []queries.Query) *System {
 		reactiveRate: 1,
 	}
 	if cfg.CustomShedding {
-		s.manager = custom.NewManager(cfg.CustomPolicy)
+		s.manager = custom.NewManager(nil)
 	}
 	if cfg.ChangeDetection && cfg.Scheme == Predictive {
 		s.det = detect.New(cfg.Detect, features.NumFeatures)
@@ -527,7 +513,7 @@ func (s *System) addQuery(q queries.Query) {
 	case "ewma":
 		rq.pred = predict.NewEWMA(predict.DefaultEWMAAlpha)
 	default:
-		m := predict.NewMLR(s.cfg.HistoryLen, s.cfg.FCBFThreshold)
+		m := predict.NewMLR(s.cfg.HistoryLen, predict.DefaultThreshold)
 		m.ChangeDiscount = s.cfg.ChangeDiscount
 		rq.pred = m
 		rq.mlr = m
@@ -576,9 +562,9 @@ func (s *System) SetCapacity(c float64) {
 // runner drives a System through a trace one batch at a time, delivering
 // every record to a Sink. Stream wraps it for single-link use; the
 // Cluster steps many runners in lockstep so the budget coordinator can
-// rebalance capacity between bins. The runner itself retains only the
-// last bin's record, so memory stays constant for any trace length —
-// accumulation, if wanted, is the sink's choice.
+// rebalance capacity between bins. The runner itself holds only the
+// last bin's record, in storage the next bin reuses, so memory stays
+// constant for any trace length — Run is what accumulates.
 type runner struct {
 	s    *System
 	src  trace.Source
@@ -613,14 +599,6 @@ func (s *System) newRunner(src trace.Source, sink Sink) *runner {
 	if sink == nil {
 		sink = DiscardSink{}
 	}
-	if !s.recycle {
-		// The previous run of this System (if any) retained its records:
-		// the last BinStats it delivered still references bc.Stats'
-		// slices, so they must not be harvested for reuse by a
-		// transient-sink run that follows on the same System.
-		s.bc.Stats.Rates, s.bc.Stats.QueryUsed, s.bc.Stats.QueryPred = nil, nil, nil
-	}
-	s.recycle = sinkIsTransient(sink)
 	// Quiesce point: apply registry ops queued while idle (silently —
 	// the announcement loop below covers every slot) and reclaim
 	// tombstones left by the previous run's removals.
@@ -744,10 +722,11 @@ func (r *runner) finish() {
 }
 
 // Stream replays src through the system, delivering every BinStats and
-// IntervalResults to sink as it is produced. Unlike Run it accumulates
-// nothing: with a bounded sink (RollingStats, DiscardSink) a System
-// runs indefinitely — an unbounded source included — in constant
-// memory. A nil sink discards all records.
+// IntervalResults to sink as it is produced, in storage the next bin
+// and interval reuse (see Sink). Unlike Run it accumulates nothing: with
+// a bounded sink (RollingStats, DiscardSink) a System runs indefinitely
+// — an unbounded source included — in constant memory and, once warm,
+// without allocating. A nil sink discards all records.
 func (s *System) Stream(src trace.Source, sink Sink) {
 	s.StreamContext(context.Background(), src, sink)
 }
@@ -773,7 +752,8 @@ func (s *System) StreamContext(ctx context.Context, src trace.Source, sink Sink)
 }
 
 // Run replays src through the system and returns the full record. It is
-// Stream into slices: every bin and interval is retained, which is what
+// Stream into a collector that copies every bin and keeps every
+// interval's results — the one way to retain records — which is what
 // the accuracy comparisons of the experiments need, and what a
 // long-running deployment must avoid (use Stream there).
 func (s *System) Run(src trace.Source) *RunResult {
@@ -823,37 +803,33 @@ func (s *System) startInterval() {
 // happens in CoMo's export process, outside the capture loop's budget,
 // so its cost is recorded for reporting but not charged to a bin.
 //
-// With a transient sink the previous interval's results are dead by
-// now, so their storage is handed back to each recycling query via
-// FlushInto and the Results slice itself is reused; otherwise every
-// flush allocates fresh results the consumer may keep forever.
+// The previous interval's results are dead by now (a Sink's records are
+// valid only during the call), so the Results slice is reused and each
+// recycling query gets its previous result's storage back via
+// FlushInto. Run's collector takes the results it keeps out of prevIvr,
+// which makes the next FlushInto allocate as Flush does.
 func (s *System) flush(idx int) IntervalResults {
 	nq := len(s.qs)
-	out := IntervalResults{Index: idx}
-	if s.recycle {
-		for len(s.prevIvr) < nq {
-			s.prevIvr = append(s.prevIvr, nil)
-		}
-		out.Results = s.prevIvr[:nq]
-	} else {
-		out.Results = make([]queries.Result, nq)
+	for len(s.prevIvr) < nq {
+		s.prevIvr = append(s.prevIvr, nil)
 	}
+	out := IntervalResults{Index: idx, Results: s.prevIvr[:nq]}
 	for i, rq := range s.qs {
 		if rq == nil {
-			// Tombstoned slot: the recycle path would otherwise leave the
-			// removed query's last results visible forever.
+			// Tombstoned slot: the removed query's last results would
+			// otherwise stay visible forever.
 			out.Results[i] = nil
 			continue
 		}
 		var r queries.Result
 		var ops queries.Ops
-		if rec, ok := rq.q.(queries.ResultRecycler); ok && s.recycle {
+		if rec, ok := rq.q.(queries.ResultRecycler); ok {
 			r, ops = rec.FlushInto(out.Results[i])
 		} else {
 			r, ops = rq.q.Flush()
 		}
 		out.Results[i] = r
-		out.ExportCycles += s.cfg.Cost.Cycles(ops)
+		out.ExportCycles += costModel.Cycles(ops)
 	}
 	return out
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/queries"
 	"repro/internal/trace"
 )
 
@@ -62,38 +61,10 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTransientStreamMatchesRunPipelined extends the recycling-fast-path
-// proof to the bin pipeline: a pipelined Stream into a transient sink —
-// reused Stats slices, recycled interval results AND the double-buffered
-// slot ring — must deliver exactly the values of the sequential
-// allocating Run, mid-run arrivals included.
-func TestTransientStreamMatchesRunPipelined(t *testing.T) {
-	mkSys := func(workers int) *System {
-		cfg := streamCfg(21)
-		cfg.Workers = workers
-		cfg.CustomShedding = true
-		cfg.Arrivals = []Arrival{{AtBin: 13, Make: func() queries.Query {
-			return queries.NewCounter(queries.Config{Seed: 4})
-		}}}
-		return New(cfg, queries.FullSet(queries.Config{Seed: 21}))
-	}
-	want := mkSys(1).Run(testSource(5, 5*time.Second))
-	wantBins, wantIvs := digestRun(want)
-
-	for _, workers := range []int{2, 4} {
-		var got digestSink
-		mkSys(workers).Stream(testSource(5, 5*time.Second), &got)
-		if got.bins != wantBins || got.intervals != wantIvs {
-			t.Fatalf("workers=%d: pipelined transient stream diverged from sequential Run: bins %v vs %v, intervals %v vs %v",
-				workers, got.bins, wantBins, got.intervals, wantIvs)
-		}
-	}
-}
-
 // TestRollingStatsPipelinedStream consumes a pipelined stream through
-// RollingStats — the transient sink whose window still references the
-// last delivered records when the ring hands a slot back to the front
-// stage — and requires the snapshot to match a sequential stream's.
+// RollingStats — whose callbacks run after the ring has handed the
+// bin's slot back to the front stage — and requires the snapshot to
+// match a sequential stream's.
 func TestRollingStatsPipelinedStream(t *testing.T) {
 	snap := func(workers int) RollingSnapshot {
 		cfg := streamCfg(17)
@@ -111,7 +82,7 @@ func TestRollingStatsPipelinedStream(t *testing.T) {
 }
 
 // TestPipelineSteadyStateAllocs proves the slot ring adds no per-bin
-// allocations: with warmed Systems streaming into a transient sink from
+// allocations: with warmed Systems streaming into a RollingStats from
 // a recorded source, the allocation growth from doubling the trace
 // length must be the same pipelined as sequential. (The growth itself
 // is not zero — interval flushes cost a few allocations per flush on

@@ -9,6 +9,8 @@ package loadshed
 
 import (
 	"math"
+	"slices"
+	"sync"
 )
 
 // Sink receives a run's records as they are produced. System.Stream and
@@ -22,18 +24,21 @@ import (
 //   - OnInterval fires at every measurement-interval flush, including
 //     the final partial interval at end of trace.
 //
-// The pointed-to records are owned by the sink during the call; a sink
-// may retain them (nothing else references them afterwards). Within one
-// stream, calls are sequential and ordered, but a Cluster delivers each
-// shard's stream from the shard-runner pool, so a sink shared between
-// shards must be safe for concurrent use (per-shard sinks need not be).
+// The records and everything reachable from them — the per-query slices
+// of BinStats, the Results of an interval and their maps and slices —
+// are valid until the call returns: the engine reuses that storage for
+// the next bin and interval, which is what makes an indefinite Stream
+// allocation-free in steady state. A sink copies the values it wants;
+// use Run to keep whole records. Within one stream, calls are
+// sequential and ordered, but a Cluster delivers each shard's stream
+// from the shard-runner pool, so a sink shared between shards must be
+// safe for concurrent use (per-shard sinks need not be).
 //
 // The bin pipeline (DESIGN.md, "Bin pipeline") does not weaken either contract:
 // sinks are always called from the back stage, in bin order, after the
 // bin's ring slot has been handed back to the front — BinStats and
 // IntervalResults never reference the slot's batch or sketch, so the
-// records a sink sees (and may retain, or must not retain, per the
-// TransientSink rules below) are untouched by the front goroutine.
+// records a sink sees are untouched by the front goroutine.
 type Sink interface {
 	OnQuery(index int, name string)
 	OnBin(b *BinStats)
@@ -52,30 +57,6 @@ type QueryRemovalSink interface {
 	OnQueryRemove(index int, name string)
 }
 
-// TransientSink is an optional Sink capability: a transient sink
-// promises that when its callbacks return it retains nothing reachable
-// from the records — no slice, map or pointer, only copied values. When
-// a run's sink is transient the engine recycles the per-bin slices of
-// BinStats and the per-interval result storage (via
-// queries.ResultRecycler) instead of allocating fresh ones each time,
-// which is what makes an indefinite Stream allocation-free in steady
-// state. A sink that does retain records (the Run path's collector, any
-// ad-hoc SinkFuncs) simply does not implement the interface and the
-// engine allocates as before.
-type TransientSink interface {
-	Sink
-	// SinkTransient reports whether the sink is currently transient. A
-	// Tee is transient only when every member is.
-	SinkTransient() bool
-}
-
-// sinkIsTransient reports whether the engine may recycle record storage
-// delivered to s.
-func sinkIsTransient(s Sink) bool {
-	t, ok := s.(TransientSink)
-	return ok && t.SinkTransient()
-}
-
 // DiscardSink drops every record: Stream with a DiscardSink runs the
 // engine purely for its side effects (probes, custom-shedding audits).
 type DiscardSink struct{}
@@ -83,9 +64,6 @@ type DiscardSink struct{}
 func (DiscardSink) OnQuery(int, string)         {}
 func (DiscardSink) OnBin(*BinStats)             {}
 func (DiscardSink) OnInterval(*IntervalResults) {}
-
-// SinkTransient implements TransientSink: nothing is retained at all.
-func (DiscardSink) SinkTransient() bool { return true }
 
 // SinkFuncs adapts bare functions to a Sink; nil fields are skipped.
 type SinkFuncs struct {
@@ -148,18 +126,11 @@ func (t teeSink) OnQueryRemove(i int, name string) {
 	}
 }
 
-// SinkTransient implements TransientSink: a Tee is transient only when
-// every member is.
-func (t teeSink) SinkTransient() bool {
-	for _, s := range t {
-		if !sinkIsTransient(s) {
-			return false
-		}
-	}
-	return true
-}
-
-// resultSink accumulates the full record — the legacy Run path.
+// resultSink accumulates the full record — the Run path, and the one
+// place records outlive their callback. It copies what the engine
+// reuses: the three per-query slices of each bin, and each interval's
+// Results, whose delivered slots it then clears so the engine's next
+// FlushInto cannot recycle storage the record now owns.
 type resultSink struct{ res *RunResult }
 
 func newResultSink(scheme Scheme) *resultSink {
@@ -169,9 +140,18 @@ func newResultSink(scheme Scheme) *resultSink {
 func (rs *resultSink) OnQuery(_ int, name string) {
 	rs.res.Queries = append(rs.res.Queries, name)
 }
-func (rs *resultSink) OnBin(b *BinStats) { rs.res.Bins = append(rs.res.Bins, *b) }
+func (rs *resultSink) OnBin(b *BinStats) {
+	c := *b
+	c.Rates = slices.Clone(b.Rates)
+	c.QueryUsed = slices.Clone(b.QueryUsed)
+	c.QueryPred = slices.Clone(b.QueryPred)
+	rs.res.Bins = append(rs.res.Bins, c)
+}
 func (rs *resultSink) OnInterval(iv *IntervalResults) {
-	rs.res.Intervals = append(rs.res.Intervals, *iv)
+	c := *iv
+	c.Results = slices.Clone(iv.Results)
+	clear(iv.Results)
+	rs.res.Intervals = append(rs.res.Intervals, c)
 }
 
 // rollingBin is one bin's footprint inside the RollingStats window.
@@ -188,8 +168,12 @@ type rollingBin struct {
 // RollingStats is a Sink that maintains windowed summaries of a stream
 // in memory bounded by the window size, no matter how long the run: the
 // constant-memory replacement for RunResult.Bins on long-running
-// deployments. Construct with NewRollingStats; read with Snapshot.
+// deployments. Construct with NewRollingStats; read with Snapshot. It is
+// safe for one stream to write while other goroutines call Snapshot (an
+// admin plane scraping a serving monitor): every method takes the one
+// internal lock, uncontended on the run loop.
 type RollingStats struct {
+	mu     sync.Mutex
 	window int
 
 	queries []string
@@ -220,6 +204,8 @@ func NewRollingStats(window int) *RollingStats {
 
 // OnQuery implements Sink.
 func (r *RollingStats) OnQuery(_ int, name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.queries = append(r.queries, name)
 	r.active = append(r.active, true)
 }
@@ -227,6 +213,8 @@ func (r *RollingStats) OnQuery(_ int, name string) {
 // OnQueryRemove implements QueryRemovalSink: the slot is marked
 // inactive but keeps its index, matching the engine's tombstoning.
 func (r *RollingStats) OnQueryRemove(i int, _ string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if i >= 0 && i < len(r.active) {
 		r.active[i] = false
 	}
@@ -235,6 +223,8 @@ func (r *RollingStats) OnQueryRemove(i int, _ string) {
 // OnBin implements Sink. It copies the scalars and per-query rates it
 // aggregates into the ring and retains nothing else from the record.
 func (r *RollingStats) OnBin(b *BinStats) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	slot := &r.ring[r.head]
 	slot.wire, slot.drop, slot.admit = b.WirePkts, b.DropPkts, b.AdmitPkts
 	slot.used, slot.overhead, slot.shed = b.Used, b.Overhead, b.Shed
@@ -260,14 +250,11 @@ func (r *RollingStats) OnBin(b *BinStats) {
 // queries' business (they already summarize an interval); the rolling
 // view only counts them and the export cost.
 func (r *RollingStats) OnInterval(iv *IntervalResults) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.intervals++
 	r.exportCycles += iv.ExportCycles
 }
-
-// SinkTransient implements TransientSink: OnBin copies the scalars and
-// rates it aggregates and OnInterval reads only value fields, so
-// nothing from the records outlives the callbacks.
-func (r *RollingStats) SinkTransient() bool { return true }
 
 // RollingSnapshot is a point-in-time summary of a stream: lifetime
 // totals plus means over the last WindowBins bins.
@@ -317,19 +304,24 @@ type RollingSnapshot struct {
 // Snapshot summarizes the stream so far. It scans the window (not the
 // history), so it is cheap enough to call every reporting tick.
 func (r *RollingStats) Snapshot() RollingSnapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := RollingSnapshot{
-		Bins:         r.bins,
-		Intervals:    r.intervals,
-		Queries:      append([]string(nil), r.queries...),
-		Active:       append([]bool(nil), r.active...),
-		WirePkts:     r.wirePkts,
-		DropPkts:     r.dropPkts,
-		AdmitPkts:    r.admitPkts,
+		Bins:          r.bins,
+		Intervals:     r.intervals,
+		Queries:       append([]string(nil), r.queries...),
+		Active:        append([]bool(nil), r.active...),
+		WirePkts:      r.wirePkts,
+		DropPkts:      r.dropPkts,
+		AdmitPkts:     r.admitPkts,
 		ExportCycles:  r.exportCycles,
 		WindowBins:    r.filled,
 		ChangesTotal:  r.changes,
 		LastChangeBin: r.lastChangeBin,
 	}
+	// Index-aligned with Queries from the first announcement on: readers
+	// (lsd's GET /queries) index it before any bin has landed.
+	s.MeanRates = make([]float64, len(r.queries))
 	if r.filled == 0 {
 		return s
 	}
@@ -383,7 +375,6 @@ func (r *RollingStats) Snapshot() RollingSnapshot {
 	if utilBins > 0 {
 		s.MeanUtil = utilSum / float64(utilBins)
 	}
-	s.MeanRates = make([]float64, len(r.queries))
 	for q := range rateSum {
 		if rateN[q] > 0 {
 			s.MeanRates[q] = rateSum[q] / float64(rateN[q])

@@ -58,18 +58,14 @@ type execResult struct {
 // newBinContext starts the pipeline for one captured batch. The context
 // itself and its internal slices live on the System and are reused
 // every bin (bins are strictly sequential; the worker pool drains
-// before the next bin starts). The public Stats slices are also reused
-// when the run's sink is transient; otherwise they are fresh per bin,
-// because a retaining sink keeps them forever.
+// before the next bin starts). So are the public Stats slices: a
+// Sink's records are valid only during the call, and Run copies them.
 func (s *System) newBinContext(bin int, b *pkt.Batch) *BinContext {
 	capacity := s.gov.Capacity()
 	nq := len(s.qs)
 	bc := &s.bc
 	rates, exec := bc.rates, bc.exec
-	var sRates, sUsed, sPred []float64
-	if s.recycle {
-		sRates, sUsed, sPred = bc.Stats.Rates, bc.Stats.QueryUsed, bc.Stats.QueryPred
-	}
+	sRates, sUsed, sPred := bc.Stats.Rates, bc.Stats.QueryUsed, bc.Stats.QueryPred
 	*bc = BinContext{
 		Bin:  bin,
 		Wire: b,
@@ -98,8 +94,7 @@ func (s *System) newBinContext(bin int, b *pkt.Batch) *BinContext {
 }
 
 // resizeZeroed returns s resized to n with every element zero, reusing
-// capacity when possible (a nil s always allocates — the retain-mode
-// path hands fresh slices to the sink).
+// capacity when possible.
 func resizeZeroed(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
@@ -434,7 +429,7 @@ func (s *System) executeQuery(bc *BinContext, i int) {
 
 	// Run the query.
 	ops := rq.q.Process(qb, effRate)
-	base := s.cfg.Cost.Cycles(ops)
+	base := costModel.Cycles(ops)
 	measured, spiked := s.measure(rq.noise, base)
 	bc.Stats.QueryUsed[i] = measured
 	bc.exec[i] = execResult{used: measured, alloc: bc.Stats.QueryPred[i] * rate}
@@ -537,7 +532,7 @@ func (s *System) measure(rng *hash.XorShift, base float64) (measured float64, sp
 		m *= math.Exp(s.cfg.NoiseSigma*rng.NormFloat64() - s.cfg.NoiseSigma*s.cfg.NoiseSigma/2)
 	}
 	if s.cfg.SpikeProb > 0 && rng.Float64() < s.cfg.SpikeProb {
-		m *= s.cfg.SpikeFactor
+		m *= costSpikeFactor
 		return m, true
 	}
 	return m, false

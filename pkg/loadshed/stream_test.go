@@ -18,62 +18,120 @@ func streamCfg(seed uint64) Config {
 	return Config{Scheme: Predictive, Capacity: 4e6, BufferBins: 2, Seed: seed, Strategy: MMFSPkt()}
 }
 
-// TestStreamMatchesRun pins the tentpole invariant: Run is Stream into
-// slices. A hand-rolled collecting sink must reproduce Run's record
-// bit for bit, mid-run arrivals included.
-func TestStreamMatchesRun(t *testing.T) {
-	mkSys := func() *System {
-		cfg := streamCfg(6)
-		cfg.Arrivals = []Arrival{{AtBin: 7, Make: func() queries.Query {
-			return queries.NewCounter(queries.Config{Seed: 99})
-		}}}
-		return New(cfg, stdQueries())
+// streamCluster builds the two-shard coordinated cluster the stream and
+// ownership tests share; shardWorkers >= 2 pipelines every shard.
+func streamCluster(shardWorkers int) *Cluster {
+	links := SplitFlows(testSource(4, 3*time.Second), 2, 5)
+	shards := make([]Shard, len(links))
+	for i, l := range links {
+		shards[i] = Shard{Source: l, Queries: stdQueries()}
 	}
-	want := mkSys().Run(testSource(3, 4*time.Second))
+	return NewCluster(ClusterConfig{
+		Base:          Config{Scheme: Predictive, Seed: 8, Strategy: MMFSPkt(), Workers: shardWorkers},
+		TotalCapacity: 6e6,
+		ShardPolicy:   MMFSCPU(),
+	}, shards)
+}
 
-	got := &RunResult{Scheme: Predictive}
-	mkSys().Stream(testSource(3, 4*time.Second), SinkFuncs{
-		Query:    func(_ int, name string) { got.Queries = append(got.Queries, name) },
-		Bin:      func(b *BinStats) { got.Bins = append(got.Bins, *b) },
-		Interval: func(iv *IntervalResults) { got.Intervals = append(got.Intervals, *iv) },
-	})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Stream with a collecting sink diverged from Run")
+// TestStreamMatchesRun states the one record path: Stream and Run
+// deliver the same records. Stream's are borrowed — reused Stats
+// slices, interval results recycled through FlushInto, and under the
+// bin pipeline the double-buffered slot ring — so the sink folds them
+// into digests inside the callback; Run's are the collector's copies.
+// Both must agree bit for bit with the sequential Run, for a System
+// (custom shedding, a mid-run arrival, the ten-query set) and for a
+// coordinated Cluster, sequential and pipelined.
+func TestStreamMatchesRun(t *testing.T) {
+	mkSys := func(workers int) *System {
+		cfg := streamCfg(21)
+		cfg.Workers = workers
+		cfg.CustomShedding = true
+		cfg.Arrivals = []Arrival{{AtBin: 13, Make: func() queries.Query {
+			return queries.NewCounter(queries.Config{Seed: 4})
+		}}}
+		return New(cfg, queries.FullSet(queries.Config{Seed: 21}))
 	}
-	if len(want.Queries) != len(stdQueries())+1 {
-		t.Fatalf("arrival missing from query list: %v", want.Queries)
+	want := digestRun(mkSys(1).Run(testSource(5, 5*time.Second)))
+	if n := len(queries.FullSet(queries.Config{})) + 1; len(want.queries) != n {
+		t.Fatalf("arrival missing from query list: %v", want.queries)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		var got digestSink
+		mkSys(workers).Stream(testSource(5, 5*time.Second), &got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("system workers=%d: Stream diverged from sequential Run:\n got %+v\nwant %+v", workers, got, want)
+		}
+	}
+
+	wantShards := streamCluster(1).Run().Shards
+	for _, workers := range []int{1, 2} {
+		got := make([]digestSink, len(wantShards))
+		streamCluster(workers).Stream(func(i int, _ string) Sink { return &got[i] })
+		for i := range got {
+			if want := digestRun(wantShards[i].Result); !reflect.DeepEqual(got[i], want) {
+				t.Errorf("cluster shard %d, shard workers=%d: Stream diverged from sequential Run:\n got %+v\nwant %+v", i, workers, got[i], want)
+			}
+		}
 	}
 }
 
-// TestClusterStreamMatchesRun does the same for the sharded engine,
-// coordinator active.
-func TestClusterStreamMatchesRun(t *testing.T) {
-	mkCluster := func() *Cluster {
-		links := SplitFlows(testSource(4, 3*time.Second), 2, 5)
-		shards := make([]Shard, len(links))
-		for i, l := range links {
-			shards[i] = Shard{Source: l, Queries: stdQueries()}
-		}
-		return NewCluster(ClusterConfig{
-			Base:          Config{Scheme: Predictive, Seed: 8, Strategy: MMFSPkt()},
-			TotalCapacity: 6e6,
-			ShardPolicy:   MMFSCPU(),
-		}, shards)
-	}
-	want := mkCluster().Run()
+// TestRunRecordsAreOwned guards the collector's copy/take: two Runs of
+// one warmed System return records that share no backing array with
+// each other or with the engine, so a later run (retained or streamed)
+// cannot reach into an earlier RunResult — and each carries exactly the
+// values an identically driven twin System delivers borrowed. (The two
+// Runs differ from each other: predictors and RNG streams carry over.)
+func TestRunRecordsAreOwned(t *testing.T) {
+	mkSys := func() *System { return New(streamCfg(31), queries.FullSet(queries.Config{Seed: 31})) }
+	src := testSource(8, 3*time.Second)
+	sys, twin := mkSys(), mkSys()
+	sys.Stream(src, nil) // warm: the engine now holds storage it would recycle
+	twin.Stream(src, nil)
+	a := sys.Run(src)
+	da := digestRun(a)
+	b := sys.Run(src)
+	sys.Stream(testSource(9, 3*time.Second), NewRollingStats(50))
 
-	got := make([]*RunResult, 2)
-	mkCluster().Stream(func(i int, _ string) Sink {
-		got[i] = &RunResult{Scheme: Predictive}
-		return SinkFuncs{
-			Query:    func(_ int, name string) { got[i].Queries = append(got[i].Queries, name) },
-			Bin:      func(b *BinStats) { got[i].Bins = append(got[i].Bins, *b) },
-			Interval: func(iv *IntervalResults) { got[i].Intervals = append(got[i].Intervals, *iv) },
+	var ta, tb digestSink
+	twin.Stream(src, &ta)
+	twin.Stream(src, &tb)
+	if db := digestRun(b); !reflect.DeepEqual(da, ta) || !reflect.DeepEqual(db, tb) {
+		t.Fatalf("retained records differ from the twin's streamed ones:\n%+v\n%+v\n%+v\n%+v", da, ta, db, tb)
+	}
+	if again := digestRun(a); !reflect.DeepEqual(again, da) {
+		t.Fatal("later runs of the same System mutated a returned RunResult")
+	}
+	// Every per-query slice of every bin of both runs has its own array.
+	owner := map[*float64]int{}
+	for _, res := range []*RunResult{a, b} {
+		for i := range res.Bins {
+			bin := &res.Bins[i]
+			for _, s := range [][]float64{bin.Rates, bin.QueryUsed, bin.QueryPred} {
+				if j, dup := owner[&s[0]]; dup {
+					t.Fatalf("bin %d shares a per-query slice with bin %d", i, j)
+				}
+				owner[&s[0]] = i
+			}
 		}
-	})
-	for i := range got {
-		if !reflect.DeepEqual(got[i], want.Shards[i].Result) {
-			t.Fatalf("shard %d: Stream diverged from Run", i)
+	}
+	for i := range a.Intervals {
+		if &a.Intervals[i].Results[0] == &b.Intervals[i].Results[0] {
+			t.Fatalf("interval %d: the two runs share a Results slice", i)
+		}
+		for qi, r := range a.Intervals[i].Results {
+			// Map- and slice-backed results are what FlushInto recycles.
+			switch v := r.(type) {
+			case queries.P2PResult:
+				o := b.Intervals[i].Results[qi].(queries.P2PResult)
+				if reflect.ValueOf(v.Detected).Pointer() == reflect.ValueOf(o.Detected).Pointer() {
+					t.Fatalf("interval %d: p2p results share a map", i)
+				}
+			case queries.TopKResult:
+				o := b.Intervals[i].Results[qi].(queries.TopKResult)
+				if len(v.List) > 0 && &v.List[0] == &o.List[0] {
+					t.Fatalf("interval %d: top-k results share a list", i)
+				}
+			}
 		}
 	}
 }
@@ -264,17 +322,41 @@ func TestStreamUnboundedSourceStops(t *testing.T) {
 	}
 }
 
+// Sink shapes of the long-run measurements: what System.Stream is handed
+// (longRetain selects Run instead).
+const (
+	longRolling = iota // a bare RollingStats
+	longTee            // Tee(RollingStats, SinkFuncs) — lsd -stream's and examples/longrun's shape
+	longFuncs          // a bare SinkFuncs — MeasureLoad's shape
+	longRetain         // Run
+)
+
+// longSink builds the sink of a long-run shape; the SinkFuncs callback
+// reads the record's per-query slice so it is not an empty stand-in.
+func longSink(shape int) Sink {
+	var rateSum float64
+	funcs := SinkFuncs{Bin: func(b *BinStats) { rateSum += b.Rates[0] }}
+	switch shape {
+	case longTee:
+		return Tee(NewRollingStats(100), funcs)
+	case longFuncs:
+		return funcs
+	}
+	return NewRollingStats(100)
+}
+
 // longRun is the body of the long-run memory benchmarks: a fresh
 // sequential system over a generated trace of the given length, either
-// streamed into a bounded rolling window or retained whole by Run.
-func longRun(bins int, stream bool) {
+// streamed into a bounded sink of the given shape or retained whole by
+// Run.
+func longRun(bins, shape int) {
 	cfg := streamCfg(15)
 	cfg.Workers = 1
 	src := trace.NewGenerator(trace.Config{Seed: 16, MaxBins: bins, PacketsPerSec: 2000})
-	if stream {
-		New(cfg, stdQueries()).Stream(src, NewRollingStats(100))
-	} else {
+	if shape == longRetain {
 		_ = New(cfg, stdQueries()).Run(src)
+	} else {
+		New(cfg, stdQueries()).Stream(src, longSink(shape))
 	}
 }
 
@@ -282,17 +364,17 @@ func longRun(bins int, stream bool) {
 // allocation difference under -benchmem: the streaming path's
 // allocations per bin stay constant while the legacy path's grow with
 // everything it retains.
-func BenchmarkStreamLongRun(b *testing.B) { benchLongRun(b, true) }
-func BenchmarkRunLongRun(b *testing.B)    { benchLongRun(b, false) }
+func BenchmarkStreamLongRun(b *testing.B) { benchLongRun(b, longRolling) }
+func BenchmarkRunLongRun(b *testing.B)    { benchLongRun(b, longRetain) }
 
-func benchLongRun(b *testing.B, stream bool) {
+func benchLongRun(b *testing.B, shape int) {
 	bins := 600
 	if testing.Short() {
 		bins = 100
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		longRun(bins, stream)
+		longRun(bins, shape)
 	}
 }
 
@@ -303,55 +385,61 @@ func benchLongRun(b *testing.B, stream bool) {
 // GOMAXPROCS 1 and 2) times 1.35 for counts and 1.5 for bytes: byte
 // totals move with map growth in the queries, counts barely move at
 // all, and either cap catches a per-bin or per-packet allocation
-// creeping into the loop (one extra allocation per bin is +600).
+// creeping into the loop (one extra allocation per bin is +600). The
+// Tee shape runs under the stream cap: what a sink is made of does not
+// change what the engine allocates.
 func TestLongRunAllocCaps(t *testing.T) {
 	for _, c := range []struct {
 		name             string
-		stream           bool
+		shape            int
 		maxAllocs, maxMB float64
 	}{
-		{"stream", true, 12210 * 1.35, 18.81 * 1.5},
-		{"run", false, 14273 * 1.35, 19.49 * 1.5},
+		{"stream", longRolling, 12210 * 1.35, 18.81 * 1.5},
+		{"stream-tee", longTee, 12210 * 1.35, 18.81 * 1.5},
+		{"run", longRetain, 14273 * 1.35, 19.49 * 1.5},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		longRun(600, c.stream)
+		longRun(600, c.shape)
 		runtime.ReadMemStats(&after)
 		allocs := float64(after.Mallocs - before.Mallocs)
 		mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+		t.Logf("%s: 600 bins allocated %.0f objects, %.2f MB", c.name, allocs, mb)
 		if allocs > c.maxAllocs || mb > c.maxMB {
 			t.Errorf("%s: 600 bins allocated %.0f objects, %.2f MB; caps %.0f, %.2f MB", c.name, allocs, mb, c.maxAllocs, c.maxMB)
 		}
 	}
 }
 
-// digestSink is a TransientSink that folds every record into running
-// digests without retaining anything — the harness for proving that the
-// recycling fast path (FlushInto, reused BinStats slices) delivers
-// exactly the values the allocating Run path does.
+// digestSink folds every record into running digests inside the
+// callback, retaining nothing but numbers and query names — the harness
+// for proving that the borrowed records of a Stream carry exactly the
+// values Run's collector copies.
 type digestSink struct {
-	bins      float64
+	queries   []string
+	bins      float64 // cycle- and packet-scale fields
+	rates     float64 // unit-scale fields, kept apart so the cycle sums cannot absorb them
 	intervals float64
 }
 
-func (d *digestSink) OnQuery(int, string) {}
+func (d *digestSink) OnQuery(_ int, name string) { d.queries = append(d.queries, name) }
 
 func (d *digestSink) OnBin(b *BinStats) {
 	d.bins += b.Used + b.Alloc + b.Predicted + b.Overhead + b.Shed + float64(b.AdmitPkts+b.DropPkts)
+	d.bins += b.Capacity*1e-3 + b.Avail*0.125
+	d.rates += b.GlobalRate + b.BufferBins + b.Start.Seconds()
 	for i, r := range b.Rates {
-		d.bins += r * float64(i+1)
+		d.rates += r * float64(i+1)
 		d.bins += b.QueryUsed[i]*0.5 + b.QueryPred[i]*0.25
 	}
 }
 
 func (d *digestSink) OnInterval(iv *IntervalResults) {
-	d.intervals += iv.ExportCycles
+	d.intervals += iv.ExportCycles + float64(iv.Index)
 	for qi, r := range iv.Results {
 		d.intervals += resultDigest(r) * float64(qi+1)
 	}
 }
-
-func (*digestSink) SinkTransient() bool { return true }
 
 // resultDigest reduces a query result to an order-independent number.
 func resultDigest(r queries.Result) float64 {
@@ -407,61 +495,45 @@ func resultDigest(r queries.Result) float64 {
 
 // digestRun folds an already-collected RunResult through the same
 // digests as digestSink.
-func digestRun(res *RunResult) (bins, intervals float64) {
-	var d digestSink
+func digestRun(res *RunResult) digestSink {
+	d := digestSink{queries: res.Queries}
 	for i := range res.Bins {
 		d.OnBin(&res.Bins[i])
 	}
 	for i := range res.Intervals {
 		d.OnInterval(&res.Intervals[i])
 	}
-	return d.bins, d.intervals
+	return d
 }
 
-// TestTransientStreamMatchesRun pins the recycling fast path: a Stream
-// into a transient sink — which makes the engine reuse Stats slices and
-// recycle interval results through FlushInto — must produce exactly the
-// per-bin and per-interval values of the allocating Run path, custom
-// shedding and mid-run arrivals included.
-func TestTransientStreamMatchesRun(t *testing.T) {
-	mkSys := func() *System {
-		cfg := streamCfg(21)
-		cfg.CustomShedding = true
-		cfg.Arrivals = []Arrival{{AtBin: 13, Make: func() queries.Query {
-			return queries.NewCounter(queries.Config{Seed: 4})
-		}}}
-		return New(cfg, queries.FullSet(queries.Config{Seed: 21}))
+// TestStreamAllocsIndependentOfSinkShape pins the one record path from
+// the allocation side: a warmed System allocates the same per bin
+// whatever its sink is made of — a RollingStats, a Tee of one with a
+// SinkFuncs, a bare SinkFuncs — because record storage is the engine's
+// to reuse, not the sink's to keep. What remains is per flush, not per
+// bin, and identical.
+func TestStreamAllocsIndependentOfSinkShape(t *testing.T) {
+	batches := trace.Record(testSource(19, 30*time.Second))
+	src := trace.NewMemorySource(batches, trace.DefaultTimeBin)
+	perBin := func(shape int) float64 {
+		cfg := streamCfg(23)
+		cfg.Workers = 1
+		sys := New(cfg, stdQueries())
+		sink := longSink(shape)
+		for i := 0; i < 3; i++ { // fill scratch buffers and the predictors' history rings
+			sys.Stream(src, sink)
+		}
+		return testing.AllocsPerRun(3, func() { sys.Stream(src, sink) }) / float64(len(batches))
 	}
-	want := mkSys().Run(testSource(5, 5*time.Second))
-	wantBins, wantIvs := digestRun(want)
-
-	var got digestSink
-	mkSys().Stream(testSource(5, 5*time.Second), &got)
-	if got.bins != wantBins || got.intervals != wantIvs {
-		t.Fatalf("transient stream diverged from Run: bins %v vs %v, intervals %v vs %v",
-			got.bins, wantBins, got.intervals, wantIvs)
-	}
-}
-
-// TestRunResultSurvivesLaterTransientStream is the regression test for
-// the slice-harvest bug: a RunResult returned by a System must stay
-// intact when the same System later streams into a transient sink,
-// whose runs recycle the per-bin Stats slices. Before the fix the
-// recycling pass harvested the slices the retained last bin still
-// referenced and overwrote them in place.
-func TestRunResultSurvivesLaterTransientStream(t *testing.T) {
-	sys := New(streamCfg(31), stdQueries())
-	res := sys.Run(testSource(8, 3*time.Second))
-	last := res.Bins[len(res.Bins)-1]
-	rates := append([]float64(nil), last.Rates...)
-	used := append([]float64(nil), last.QueryUsed...)
-	pred := append([]float64(nil), last.QueryPred...)
-
-	sys.Stream(testSource(9, 3*time.Second), NewRollingStats(50))
-
-	if !reflect.DeepEqual(last.Rates, rates) ||
-		!reflect.DeepEqual(last.QueryUsed, used) ||
-		!reflect.DeepEqual(last.QueryPred, pred) {
-		t.Fatal("a later transient-sink Stream mutated the retained RunResult's per-bin slices")
+	base := perBin(longRolling)
+	for _, c := range []struct {
+		name  string
+		shape int
+	}{{"tee", longTee}, {"funcs", longFuncs}} {
+		got := perBin(c.shape)
+		t.Logf("allocs/bin over %d warmed bins: rolling %.2f, %s %.2f", len(batches), base, c.name, got)
+		if math.Abs(got-base) > 0.5 {
+			t.Errorf("%s sink: %.2f allocs/bin, RollingStats %.2f: the sink's shape changed what the engine allocates", c.name, got, base)
+		}
 	}
 }

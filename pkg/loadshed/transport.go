@@ -762,10 +762,9 @@ type CoordClient struct {
 	// Failover surface: pushed adoption offers queue here for the host
 	// process; drainReq latches a pushed drain frame for the Node's
 	// boundary hook. rng drives the reconnect jitter.
-	adoptCh      chan AdoptOffer
-	adoptDropped atomic.Int64
-	drainReq     atomic.Bool
-	rng          *ihash.XorShift
+	adoptCh  chan AdoptOffer
+	drainReq atomic.Bool
+	rng      *ihash.XorShift
 }
 
 // DialCoordinator connects a worker named name to the coordinator at
@@ -958,7 +957,6 @@ func (c *CoordClient) readGrants(conn net.Conn) {
 			default:
 				// Queue full: drop; the coordinator re-offers after its
 				// offer timeout, and likely elsewhere.
-				c.adoptDropped.Add(1)
 			}
 		}
 	}
