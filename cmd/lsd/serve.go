@@ -197,6 +197,9 @@ func adminMux(sys *loadshed.System, roll *loadshed.RollingStats, live *loadshed.
 		if live != nil {
 			m.Counter("lsd_ingest_bad_frames_total", "Frames rejected by wire-format validation.", live.BadFrames())
 			m.Counter("lsd_ingest_dropped_bins_total", "Whole bins discarded because the engine lagged the listener.", live.DroppedBins())
+			if rb := live.RcvBuf(); rb > 0 {
+				m.Gauge("lsd_ingest_rcvbuf_bytes", "Socket receive buffer the kernel granted the UDP listener.", rb)
+			}
 		}
 		if extraMetrics != nil {
 			extraMetrics(m)

@@ -11,6 +11,7 @@ package features
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitmap"
 	"repro/internal/hash"
@@ -98,61 +99,87 @@ const (
 	batchLevels = 16
 )
 
-// Sketch is the per-batch half of feature extraction: one
-// multi-resolution bitmap per header aggregate, filled with the hashes
-// of a batch's packets, plus the hash staging buffer the fill uses. A
-// Sketch carries no interval state, so filling one is a pure function
-// of (hash seed, packet slice): it can run ahead of the bin that will
-// consume it, and two sketches can be filled concurrently.
+// bitmaps is one multi-resolution bitmap per header aggregate.
+type bitmaps [pkt.NumAggregates]*bitmap.MultiRes
+
+func newBitmaps() (bm bitmaps) {
+	for a := range bm {
+		bm[a] = bitmap.NewMultiRes(batchBits, batchLevels)
+	}
+	return bm
+}
+
+// Sketch is the per-batch half of feature extraction: for each header
+// aggregate, the column of its packets' finalized H3 hashes
+// (cols[a][i] belongs to packet i) and the multi-resolution bitmap
+// those hashes were inserted into. A Sketch carries no interval state,
+// so filling one is a pure function of (hash seed, packet slice): it
+// can run ahead of the bin that will consume it, and two sketches can
+// be filled concurrently.
+//
+// Keeping the columns (80 B per packet) is what makes a sub-stream's
+// sketch cheap: SelectInto gathers the selected packets' hashes and
+// Truncate re-inserts a prefix, neither touching a packet or an H3
+// table again.
 //
 // The engine's pipelined runner keeps a small ring of sketches so the
 // front stage can hash bin N+1 while the back stage still reads bin N's
-// sketch (DESIGN.md, "Bin pipeline"); per-worker sketches are the
-// staging areas of the chunk-parallel fill (SketchChunks).
+// sketch (DESIGN.md, "Bin pipeline").
 //
 // The zero value is unusable; construct with NewSketch.
 type Sketch struct {
-	batch   [pkt.NumAggregates]*bitmap.MultiRes
-	hashBuf []uint64 // hash staging, sized to the largest chunk seen
-	pkts    int      // packets represented by the current contents
+	batch bitmaps
+	cols  [pkt.NumAggregates][]uint64 // equal lengths: the packets represented
 }
 
 // NewSketch returns an empty sketch with the package's batch-bitmap
 // geometry.
-func NewSketch() *Sketch {
-	sk := &Sketch{}
-	for a := 0; a < pkt.NumAggregates; a++ {
-		sk.batch[a] = bitmap.NewMultiRes(batchBits, batchLevels)
-	}
-	return sk
-}
+func NewSketch() *Sketch { return &Sketch{batch: newBitmaps()} }
 
-// Reset clears the sketch to empty. Like bitmap.MultiRes.Reset it costs
-// O(words the previous fill touched).
-func (sk *Sketch) Reset() {
-	for a := 0; a < pkt.NumAggregates; a++ {
+// resize clears the bitmaps and sets every column's length to n, growing
+// (amortized, as append does) only when capacity is short. Column
+// contents below the old length survive.
+func (sk *Sketch) resize(n int) {
+	for a := range sk.cols {
 		sk.batch[a].Reset()
+		sk.cols[a] = slices.Grow(sk.cols[a][:0], n)[:n]
 	}
-	sk.pkts = 0
 }
 
 // Pkts reports how many packets the sketch currently represents.
-func (sk *Sketch) Pkts() int { return sk.pkts }
+func (sk *Sketch) Pkts() int { return len(sk.cols[0]) }
 
 // Ops returns the hash+insert operation count the current contents cost
 // (one per packet per aggregate), the unit the engine's cost model
 // charges feature extraction in.
-func (sk *Sketch) Ops() int64 { return int64(sk.pkts) * pkt.NumAggregates }
+func (sk *Sketch) Ops() int64 { return int64(sk.Pkts()) * pkt.NumAggregates }
 
-// MergeFrom ORs another sketch into sk. Bitmap contents are pure unions,
-// so merging per-worker chunk sketches in any fixed order reproduces the
-// sequential fill bit for bit; the chunk-parallel path merges in worker
-// index order to keep even the bookkeeping deterministic.
-func (sk *Sketch) MergeFrom(o *Sketch) {
-	for a := 0; a < pkt.NumAggregates; a++ {
-		sk.batch[a].MergeFrom(o.batch[a])
+// SelectInto fills dst with the sketch of the sub-stream idx selects
+// (ascending packet indices into sk, as the sampling kernels produce):
+// per aggregate, one gather of the selected hashes into dst's column
+// and one bulk insert. The result — bitmaps, Pkts, Ops — is what
+// SketchInto over the selected packets would produce with the
+// extractor that filled sk, without reading a packet. dst must be
+// distinct from sk.
+func (sk *Sketch) SelectInto(dst *Sketch, idx []int32) {
+	dst.resize(len(idx))
+	for a := range sk.cols {
+		src, col := sk.cols[a], dst.cols[a]
+		for j, i := range idx {
+			col[j] = src[i]
+		}
+		dst.batch[a].InsertMany(col)
 	}
-	sk.pkts += o.pkts
+}
+
+// Truncate shrinks the sketch to its first n packets (n <= Pkts) by
+// re-inserting the retained prefix of every column: the sketch of a
+// tail-dropped batch, without re-hashing it.
+func (sk *Sketch) Truncate(n int) {
+	sk.resize(n)
+	for a := range sk.cols {
+		sk.batch[a].InsertMany(sk.cols[a])
+	}
 }
 
 // Extractor computes feature vectors from batches. It keeps two bitmaps
@@ -183,7 +210,7 @@ func (sk *Sketch) MergeFrom(o *Sketch) {
 type Extractor struct {
 	h3       [pkt.NumAggregates]*hash.H3
 	sk       *Sketch // internal sketch used by Extract/ExtractInto
-	interval [pkt.NumAggregates]*bitmap.MultiRes
+	interval bitmaps
 	intEst   [pkt.NumAggregates]float64 // current interval-bitmap estimate
 	scratch  Vector                     // returned by Extract/ExtractFromBatchOf
 
@@ -196,10 +223,9 @@ type Extractor struct {
 // NewExtractor returns an extractor whose hash functions derive from
 // seed.
 func NewExtractor(seed uint64) *Extractor {
-	e := &Extractor{scratch: make(Vector, NumFeatures), sk: NewSketch()}
-	for a := 0; a < pkt.NumAggregates; a++ {
+	e := &Extractor{scratch: make(Vector, NumFeatures), sk: NewSketch(), interval: newBitmaps()}
+	for a := range e.h3 {
 		e.h3[a] = hash.NewH3(seed + uint64(a)*0x9e3779b97f4a7c15)
-		e.interval[a] = bitmap.NewMultiRes(batchBits, batchLevels)
 	}
 	return e
 }
@@ -326,81 +352,92 @@ func (e *Extractor) ExtractInto(v Vector, b *pkt.Batch) Vector {
 // batch-pure half of extraction. It reads only e's hash tables (fixed
 // at construction) and writes only sk, so concurrent calls on the same
 // extractor are safe when each targets a distinct sketch — the contract
-// the chunk-parallel fill and the pipelined engine's read-ahead stage
-// build on. It does not advance e.Ops; the consumer charges the cost
-// when the sketch is folded into a bin (sk.Ops reports it).
+// the pipelined engine's read-ahead stage builds on. It does not advance
+// e.Ops; the consumer charges the cost when the sketch is folded into a
+// bin (sk.Ops reports it).
+func (e *Extractor) SketchInto(sk *Sketch, pkts []pkt.Packet) {
+	sk.resize(len(pkts))
+	e.sketchRange(sk, &sk.batch, pkts, 0, len(pkts))
+}
+
+// sketchRange hashes pkts[lo:hi] into rows [lo, hi) of sk's columns and
+// inserts them into the bitmaps of into — sk's own on the sequential
+// fill, a worker's staging set on the chunk-parallel one.
 //
 // Aggregates iterate in the outer loop, packets in the inner one, for
 // the cache behaviour documented on ExtractInto.
-func (e *Extractor) SketchInto(sk *Sketch, pkts []pkt.Packet) {
-	sk.Reset()
-	for a := 0; a < pkt.NumAggregates; a++ {
-		sk.hashBuf = e.h3[a].AggHashes(sk.hashBuf, pkts, pkt.Aggregate(a))
-		sk.batch[a].InsertMany(sk.hashBuf)
+func (e *Extractor) sketchRange(sk *Sketch, into *bitmaps, pkts []pkt.Packet, lo, hi int) {
+	for a := range sk.cols {
+		col := e.h3[a].AggHashes(sk.cols[a][lo:hi:hi], pkts[lo:hi], pkt.Aggregate(a))
+		into[a].InsertMany(col)
 	}
-	sk.pkts = len(pkts)
 }
 
 // ChunkSketcher fills sketches from contiguous packet chunks in
-// parallel: chunk w is sketched into a per-worker staging sketch (the
-// per-worker H3 staging of the batch-parallel front stage), and the
-// staging sketches are merged into the destination in worker index
-// order. Because bitmap contents are pure unions and every packet's
-// hash is independent of its neighbours, the result is bit-identical to
-// a sequential SketchInto for any chunk count and any execution order —
-// which is what lets the engine split a batch across cores without
-// giving up bit-identical runs.
+// parallel: worker w hashes chunk w straight into its disjoint range of
+// the destination's columns and inserts it into a per-worker staging
+// bitmap set, and the staging sets are ORed into the destination in
+// worker index order. Because bitmap contents are pure unions and every
+// packet's hash is independent of its neighbours, the result is
+// bit-identical to a sequential SketchInto for any chunk count and any
+// execution order — which is what lets the engine split a batch across
+// cores without giving up bit-identical runs.
 //
 // The chunk closure is built once at construction and the staging
-// sketches are reused across fills, so a warmed ChunkSketcher fills
+// bitmaps are reused across fills, so a warmed ChunkSketcher fills
 // without allocating. It is owned by one producer at a time; only the
 // chunk function itself runs on other goroutines.
 type ChunkSketcher struct {
 	e       *Extractor
-	staging []*Sketch
+	staging []bitmaps
+	dst     *Sketch      // current fill's destination, written by fn
 	pkts    []pkt.Packet // current fill's input, read by fn
 	chunk   int          // current fill's chunk length
 	fn      func(int)    // prebuilt chunk body
 }
 
-// NewChunkSketcher returns a sketcher with `workers` staging sketches
+// NewChunkSketcher returns a sketcher with `workers` staging bitmap sets
 // for extractor e (workers >= 1).
 func NewChunkSketcher(e *Extractor, workers int) *ChunkSketcher {
 	if workers < 1 {
 		workers = 1
 	}
-	cs := &ChunkSketcher{e: e, staging: make([]*Sketch, workers)}
+	cs := &ChunkSketcher{e: e, staging: make([]bitmaps, workers)}
 	for w := range cs.staging {
-		cs.staging[w] = NewSketch()
+		cs.staging[w] = newBitmaps()
 	}
 	cs.fn = func(w int) {
 		lo := min(w*cs.chunk, len(cs.pkts))
 		hi := min(lo+cs.chunk, len(cs.pkts))
-		cs.e.SketchInto(cs.staging[w], cs.pkts[lo:hi])
+		for _, m := range cs.staging[w] {
+			m.Reset()
+		}
+		cs.e.sketchRange(cs.dst, &cs.staging[w], cs.pkts, lo, hi)
 	}
 	return cs
 }
 
-// Workers reports the number of staging sketches (the chunk count).
+// Workers reports the number of staging bitmap sets (the chunk count).
 func (cs *ChunkSketcher) Workers() int { return len(cs.staging) }
 
-// Fill sketches pkts into dst using one chunk per staging sketch. run
-// must invoke fn(0..n-1) exactly once each before returning, on any
+// Fill sketches pkts into dst using one chunk per staging set. run must
+// invoke fn(0..n-1) exactly once each before returning, on any
 // goroutines it likes — a worker pool, or nil to run the chunks inline.
-// dst must be distinct from every staging sketch.
 func (cs *ChunkSketcher) Fill(dst *Sketch, pkts []pkt.Packet, run func(n int, fn func(int))) {
 	n := len(cs.staging)
 	if n == 1 || run == nil {
 		cs.e.SketchInto(dst, pkts)
 		return
 	}
-	cs.pkts = pkts
+	dst.resize(len(pkts))
+	cs.dst, cs.pkts = dst, pkts
 	cs.chunk = (len(pkts) + n - 1) / n
 	run(n, cs.fn)
-	cs.pkts = nil
-	dst.Reset()
-	for _, sk := range cs.staging {
-		dst.MergeFrom(sk)
+	cs.dst, cs.pkts = nil, nil
+	for w := range cs.staging {
+		for a, m := range cs.staging[w] {
+			dst.batch[a].MergeFrom(m)
+		}
 	}
 }
 

@@ -202,7 +202,7 @@ func extractOracle(e *Extractor, b *pkt.Batch) Vector {
 	v[IdxPackets] = float64(b.Packets())
 	v[IdxBytes] = float64(b.Bytes())
 
-	e.sk.Reset()
+	e.sk.resize(b.Packets()) // bitmaps cleared; the oracle leaves the columns unused
 	var keyBuf []byte
 	for i := range b.Pkts {
 		p := &b.Pkts[i]
@@ -211,7 +211,6 @@ func extractOracle(e *Extractor, b *pkt.Batch) Vector {
 			e.sk.batch[a].Insert(hash.Mix64(e.h3[a].Hash(keyBuf)))
 		}
 	}
-	e.sk.pkts = b.Packets()
 
 	npkts := v[IdxPackets]
 	for a := 0; a < pkt.NumAggregates; a++ {

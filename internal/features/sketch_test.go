@@ -3,10 +3,12 @@ package features
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/hash"
 	"repro/internal/pkt"
 	"repro/internal/trace"
 )
@@ -47,9 +49,9 @@ func goRun(n int, fn func(int)) {
 
 // TestChunkSketchEquivalence is the determinism contract of the
 // batch-parallel front stage: sketching a batch in k chunks and merging
-// the staging sketches in index order must produce vectors bit-identical
-// to the sequential single-chunk sketch, for any k and whether the
-// chunks run inline or on concurrent goroutines.
+// the staging bitmaps in index order must produce hash columns and
+// vectors bit-identical to the sequential single-chunk sketch, for any k
+// and whether the chunks run inline or on concurrent goroutines.
 func TestChunkSketchEquivalence(t *testing.T) {
 	batches := sketchTrace(t)
 	for _, workers := range []int{1, 2, 3, 4, 7} {
@@ -70,6 +72,11 @@ func TestChunkSketchEquivalence(t *testing.T) {
 					cs.Fill(parSk, b.Pkts, run)
 					if seqSk.Pkts() != parSk.Pkts() {
 						t.Fatalf("chunked sketch saw %d pkts, sequential %d", parSk.Pkts(), seqSk.Pkts())
+					}
+					for a := range seqSk.cols {
+						if !slices.Equal(seqSk.cols[a], parSk.cols[a]) {
+							t.Fatalf("chunked fill's %s hash column differs from the sequential fill's", pkt.Aggregate(a))
+						}
 					}
 					np, nb := float64(b.Packets()), float64(b.Bytes())
 					seqV := append(Vector(nil), seqExt.ExtractFromSketch(seqSk, np, nb)...)
@@ -120,7 +127,7 @@ func TestChunkSketchFillAllocFree(t *testing.T) {
 	cs := NewChunkSketcher(ext, 4)
 	dst := NewSketch()
 	ext.StartInterval()
-	cs.Fill(dst, batches[0].Pkts, inlineRun) // warm hash staging buffers
+	cs.Fill(dst, batches[0].Pkts, inlineRun) // warm the hash columns
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, b := range batches {
 			cs.Fill(dst, b.Pkts, inlineRun)
@@ -130,4 +137,122 @@ func TestChunkSketchFillAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warmed ChunkSketcher fill allocated %v times per run, want 0", allocs)
 	}
+}
+
+// sameSketch fails the test unless got is want: the same hash columns,
+// packet and op counts, and bitmaps equal field for field (both sides
+// insert in packet order into cleared bitmaps, so even the dirty-word
+// bookkeeping must agree).
+func sameSketch(t *testing.T, what string, got, want *Sketch) {
+	t.Helper()
+	if got.Pkts() != want.Pkts() || got.Ops() != want.Ops() {
+		t.Fatalf("%s: Pkts/Ops = %d/%d, want %d/%d", what, got.Pkts(), got.Ops(), want.Pkts(), want.Ops())
+	}
+	for a := range want.cols {
+		if !slices.Equal(got.cols[a], want.cols[a]) {
+			t.Fatalf("%s: hash column of %s differs", what, pkt.Aggregate(a))
+		}
+		if !reflect.DeepEqual(got.batch[a], want.batch[a]) {
+			t.Fatalf("%s: bitmap of %s differs", what, pkt.Aggregate(a))
+		}
+	}
+}
+
+// halfOf is a stand-in for a packet sampler's selection out of n at a
+// rate just under one half: ascending, irregular, deterministic.
+func halfOf(n int) []int32 {
+	rng := hash.NewXorShift(5)
+	var idx []int32
+	for i := 0; i < n; i++ {
+		if rng.Float64() < 0.49 {
+			idx = append(idx, int32(i))
+		}
+	}
+	return idx
+}
+
+// TestSketchSelectMatchesSketchOfSelection: gathering a selection out of
+// a filled sketch's hash columns must produce exactly the sketch that
+// hashing the selected packets would — the identity that lets the engine
+// sketch its shed stream without a second extractor. The empty and the
+// full selection are the edge cases.
+func TestSketchSelectMatchesSketchOfSelection(t *testing.T) {
+	ext := NewExtractor(6)
+	full, got, want := NewSketch(), NewSketch(), NewSketch()
+	for bi, b := range sketchTrace(t) {
+		ext.SketchInto(full, b.Pkts)
+		all := make([]int32, len(b.Pkts))
+		for i := range all {
+			all[i] = int32(i)
+		}
+		for name, idx := range map[string][]int32{"none": nil, "some": halfOf(len(b.Pkts)), "all": all} {
+			picked := make([]pkt.Packet, len(idx))
+			for j, i := range idx {
+				picked[j] = b.Pkts[i]
+			}
+			ext.SketchInto(want, picked)
+			full.SelectInto(got, idx)
+			sameSketch(t, fmt.Sprintf("bin %d, %s", bi, name), got, want)
+		}
+	}
+}
+
+// TestSketchTruncateMatchesSketchOfPrefix: a DAG-drop bin keeps a prefix
+// of the batch the front stage sketched; truncating that sketch must
+// equal sketching the prefix afresh.
+func TestSketchTruncateMatchesSketchOfPrefix(t *testing.T) {
+	ext := NewExtractor(6)
+	got, want := NewSketch(), NewSketch()
+	for bi, b := range sketchTrace(t) {
+		for _, n := range []int{0, 1, len(b.Pkts) / 2, len(b.Pkts)} {
+			ext.SketchInto(got, b.Pkts)
+			got.Truncate(n)
+			ext.SketchInto(want, b.Pkts[:n])
+			sameSketch(t, fmt.Sprintf("bin %d, prefix %d", bi, n), got, want)
+		}
+	}
+}
+
+// TestSketchSelectAllocFree: with warmed destinations, the engine's
+// per-bin shed sketch (a gather out of the bin's columns) and the
+// DAG-drop truncation allocate nothing.
+func TestSketchSelectAllocFree(t *testing.T) {
+	b := sketchTrace(t)[0]
+	ext := NewExtractor(2)
+	full, shed := NewSketch(), NewSketch()
+	ext.SketchInto(full, b.Pkts)
+	idx := halfOf(len(b.Pkts))
+	full.SelectInto(shed, idx)
+	if allocs := testing.AllocsPerRun(20, func() {
+		full.SelectInto(shed, idx)
+		shed.Truncate(len(idx) / 2)
+	}); allocs != 0 {
+		t.Fatalf("warmed SelectInto + Truncate allocated %v times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkShedSketch prices the shed path's sketch per 2500-packet bin
+// at a rate near one half: a gather from the bin's hash columns against
+// hashing the gathered packets again.
+func BenchmarkShedSketch(b *testing.B) {
+	g := trace.NewGenerator(trace.Config{Seed: 31, Duration: time.Second, PacketsPerSec: 25000})
+	pkts := trace.Record(g)[0].Pkts
+	ext := NewExtractor(2)
+	full, shed := NewSketch(), NewSketch()
+	ext.SketchInto(full, pkts)
+	idx := halfOf(len(pkts))
+	b.Run("select", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			full.SelectInto(shed, idx)
+		}
+	})
+	picked := make([]pkt.Packet, len(idx))
+	for j, i := range idx {
+		picked[j] = pkts[i]
+	}
+	b.Run("rehash", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ext.SketchInto(shed, picked)
+		}
+	})
 }

@@ -5,6 +5,9 @@
 package sampling
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/hash"
 	"repro/internal/pkt"
 )
@@ -46,6 +49,7 @@ func (m Method) String() string {
 // NewPacketSampler.
 type PacketSampler struct {
 	rng *hash.XorShift
+	idx []int32 // SampleInto's selection scratch
 }
 
 // NewPacketSampler returns a sampler seeded deterministically.
@@ -60,6 +64,73 @@ func (s *PacketSampler) State() uint64 { return s.rng.State() }
 // the identical selection sequence a never-checkpointed one would.
 func (s *PacketSampler) SetState(st uint64) { s.rng.SetState(st) }
 
+// threshold returns the integer t with d < t ⇔ float64(d)/2⁵³ < rate for
+// every 53-bit draw d — ceil(rate·2⁵³), both steps exact in float64 for
+// 0 < rate < 1 — so a selection loop compares integers instead of
+// converting and dividing per packet. NaN compares false with
+// everything and maps to 0: nothing is selected.
+func threshold(rate float64) uint64 {
+	if rate != rate {
+		return 0
+	}
+	return uint64(math.Ceil(rate * (1 << 53)))
+}
+
+// sized returns idx with length n, growing it (amortized, as append
+// does) only when capacity is short; contents are unspecified.
+func sized(idx []int32, n int) []int32 {
+	return slices.Grow(idx[:0], n)[:n]
+}
+
+// identity fills idx with 0..n-1, the selection of a rate >= 1.
+func identity(idx []int32, n int) []int32 {
+	idx = sized(idx, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
+
+// gather copies the selected packets into dst (truncated, grown only
+// when capacity runs out): the one place a sampled view is materialized.
+func gather(dst []pkt.Packet, pkts []pkt.Packet, idx []int32) []pkt.Packet {
+	dst = slices.Grow(dst[:0], len(idx))[:len(idx)]
+	for j, i := range idx {
+		dst[j] = pkts[i]
+	}
+	return dst
+}
+
+// SelectInto is the sampling kernel: it writes the ascending indices of
+// the packets selected out of n with probability rate into idx
+// (overwritten, grown only when its capacity is below n) and returns
+// them. One RNG draw per packet when 0 < rate < 1 (or rate is NaN,
+// which selects nothing), none otherwise; a rate >= 1 selects every
+// index, a rate <= 0 none. The draw is compared as an integer against
+// threshold(rate) and the compaction is branch-free — every index is
+// stored, the cursor advances only past a kept one — because at rates
+// near 0.5 a conditional append mispredicts on every other packet.
+func (s *PacketSampler) SelectInto(idx []int32, n int, rate float64) []int32 {
+	if rate >= 1 {
+		return identity(idx, n)
+	}
+	if rate <= 0 {
+		return idx[:0]
+	}
+	idx = sized(idx, n)
+	thr := threshold(rate)
+	rng := *s.rng // local copy: the state stays in a register across the loop
+	k := 0
+	for i := range idx {
+		idx[k] = int32(i)
+		// Both sides are below 2⁶³, so the difference's sign bit is the
+		// comparison d < thr.
+		k += int((rng.Uint64()>>11 - thr) >> 63)
+	}
+	*s.rng = rng
+	return idx[:k]
+}
+
 // Sample returns the packets of b selected with probability rate. A
 // rate >= 1 returns the input slice itself (no copy — shedding nothing
 // is free), so the result may alias the caller's batch; consistent with
@@ -73,29 +144,19 @@ func (s *PacketSampler) Sample(pkts []pkt.Packet, rate float64) []pkt.Packet {
 	if rate <= 0 {
 		return nil
 	}
-	return s.SampleInto(make([]pkt.Packet, 0, int(float64(len(pkts))*rate)+1), pkts, rate)
+	return s.SampleInto(nil, pkts, rate)
 }
 
 // SampleInto is Sample writing the selection into dst (truncated, grown
 // only when capacity runs out) — the allocation-free form for callers
-// that own a per-sampler scratch slice. The RNG draw sequence, and
-// therefore the selection, is identical to Sample's: one draw per input
-// packet when 0 < rate < 1, none otherwise. A rate >= 1 returns the
-// input slice itself, bypassing dst.
+// that own a per-sampler scratch slice: SelectInto, then one gather. A
+// rate >= 1 returns the input slice itself, bypassing dst.
 func (s *PacketSampler) SampleInto(dst []pkt.Packet, pkts []pkt.Packet, rate float64) []pkt.Packet {
 	if rate >= 1 {
 		return pkts
 	}
-	dst = dst[:0]
-	if rate <= 0 {
-		return dst
-	}
-	for i := range pkts {
-		if s.rng.Float64() < rate {
-			dst = append(dst, pkts[i])
-		}
-	}
-	return dst
+	s.idx = s.SelectInto(s.idx, len(pkts), rate)
+	return gather(dst, pkts, s.idx)
 }
 
 // FlowSampler implements Flowwise sampling: a packet is selected when
@@ -107,25 +168,20 @@ type FlowSampler struct {
 	seed     uint64
 	interval uint64
 	h        *hash.H3
+	idx      []int32 // SampleInto's selection scratch
 }
 
 // NewFlowSampler returns a flow sampler; call StartInterval before the
 // first use of each measurement interval.
 func NewFlowSampler(seed uint64) *FlowSampler {
-	fs := &FlowSampler{seed: seed}
+	fs := &FlowSampler{seed: seed, h: new(hash.H3)}
 	fs.StartInterval()
 	return fs
 }
 
 // StartInterval re-draws the hash function for a new measurement
 // interval, reseeding the existing table in place.
-func (s *FlowSampler) StartInterval() {
-	s.interval++
-	if s.h == nil {
-		s.h = new(hash.H3)
-	}
-	s.h.Reseed(s.seed + s.interval*0x9e3779b97f4a7c15)
-}
+func (s *FlowSampler) StartInterval() { s.SetInterval(s.interval + 1) }
 
 // Interval returns the interval counter a checkpoint must carry: the
 // hash function is a pure function of (seed, interval), so the counter
@@ -137,10 +193,32 @@ func (s *FlowSampler) Interval() uint64 { return s.interval }
 // drops exactly the flows the original would have.
 func (s *FlowSampler) SetInterval(interval uint64) {
 	s.interval = interval
-	if s.h == nil {
-		s.h = new(hash.H3)
-	}
 	s.h.Reseed(s.seed + s.interval*0x9e3779b97f4a7c15)
+}
+
+// SelectInto is the flow-sampling kernel: the ascending indices of the
+// packets whose flows are selected at rate, written into idx
+// (overwritten, grown only when its capacity is below len(pkts)). The
+// 5-tuple is hashed field-wise (hash.H3.HashAgg, bit-identical to
+// hashing the serialized FlowKey) and its top 53 bits are compared
+// against threshold(rate), with the same branch-free compaction as
+// PacketSampler.SelectInto. A rate >= 1 selects every index, a rate
+// <= 0 or NaN none.
+func (s *FlowSampler) SelectInto(idx []int32, pkts []pkt.Packet, rate float64) []int32 {
+	if rate >= 1 {
+		return identity(idx, len(pkts))
+	}
+	if !(rate > 0) {
+		return idx[:0]
+	}
+	idx = sized(idx, len(pkts))
+	thr := threshold(rate)
+	k := 0
+	for i := range pkts {
+		idx[k] = int32(i)
+		k += int((s.h.HashAgg(&pkts[i], pkt.Agg5Tuple)>>11 - thr) >> 63)
+	}
+	return idx[:k]
 }
 
 // Keep reports whether the flow of p is selected at the given rate.
@@ -148,11 +226,7 @@ func (s *FlowSampler) Keep(p *pkt.Packet, rate float64) bool {
 	if rate >= 1 {
 		return true
 	}
-	if rate <= 0 {
-		return false
-	}
-	k := p.FlowKey()
-	return s.h.Unit(k[:]) < rate
+	return rate > 0 && s.h.HashAgg(p, pkt.Agg5Tuple)>>11 < threshold(rate)
 }
 
 // Sample returns the packets of b whose flows are selected at the given
@@ -166,26 +240,16 @@ func (s *FlowSampler) Sample(pkts []pkt.Packet, rate float64) []pkt.Packet {
 	if rate <= 0 {
 		return nil
 	}
-	return s.SampleInto(make([]pkt.Packet, 0, int(float64(len(pkts))*rate)+1), pkts, rate)
+	return s.SampleInto(nil, pkts, rate)
 }
 
 // SampleInto is Sample writing the selection into dst (truncated, grown
-// only when capacity runs out) — the allocation-free form for callers
-// that own a per-sampler scratch slice. Selection is hash-based and
-// stateless per packet, so it is identical to Sample's. A rate >= 1
+// only when capacity runs out): SelectInto, then one gather. A rate >= 1
 // returns the input slice itself, bypassing dst.
 func (s *FlowSampler) SampleInto(dst []pkt.Packet, pkts []pkt.Packet, rate float64) []pkt.Packet {
 	if rate >= 1 {
 		return pkts
 	}
-	dst = dst[:0]
-	if rate <= 0 {
-		return dst
-	}
-	for i := range pkts {
-		if s.Keep(&pkts[i], rate) {
-			dst = append(dst, pkts[i])
-		}
-	}
-	return dst
+	s.idx = s.SelectInto(s.idx, pkts, rate)
+	return gather(dst, pkts, s.idx)
 }

@@ -2,9 +2,11 @@ package sampling
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/hash"
 	"repro/internal/pkt"
 	"repro/internal/trace"
 )
@@ -188,6 +190,126 @@ func BenchmarkFlowSample(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		fs.Sample(in, 0.5)
+	}
+}
+
+// The two selection kernels alone, per 2500-packet bin at the rate where
+// a conditional append would mispredict most.
+func BenchmarkPacketSelect(b *testing.B) {
+	ps := NewPacketSampler(1)
+	var idx []int32
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		idx = ps.SelectInto(idx, 2500, 0.49)
+	}
+}
+
+func BenchmarkFlowSelect(b *testing.B) {
+	fs := NewFlowSampler(1)
+	in := genPackets(2500)
+	var idx []int32
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		idx = fs.SelectInto(idx, in, 0.49)
+	}
+}
+
+// kernelRates are the rates the selection kernels must agree with their
+// float-compare references on: both ends, the smallest rate whose
+// threshold is 1, the largest below 1, the neighbourhood of 0.5 and NaN.
+var kernelRates = []float64{
+	-0.5, 0, 1.0 / (1 << 60), 0.05, math.Nextafter(0.5, 0), 0.5,
+	1 - 1.0/(1<<53), 1, 1.5, math.NaN(),
+}
+
+// TestPacketSelectMatchesFloatCompare pins PacketSampler.SelectInto to
+// the loop it replaced — one Float64() < rate draw per packet — by
+// selection and by RNG position afterwards, so every later bin's draws
+// are the ones a never-optimized sampler would make.
+func TestPacketSelectMatchesFloatCompare(t *testing.T) {
+	const n = 5000
+	for _, rate := range kernelRates {
+		ps := NewPacketSampler(42)
+		ref := hash.NewXorShift(42)
+		var idx []int32
+		for round := 0; round < 3; round++ {
+			var want []int32
+			switch {
+			case rate >= 1:
+				for i := 0; i < n; i++ {
+					want = append(want, int32(i))
+				}
+			case rate <= 0:
+			default:
+				for i := 0; i < n; i++ {
+					if ref.Float64() < rate {
+						want = append(want, int32(i))
+					}
+				}
+			}
+			idx = ps.SelectInto(idx, n, rate)
+			if !slices.Equal(idx, want) {
+				t.Fatalf("rate %v round %d: selected %d indices, reference %d", rate, round, len(idx), len(want))
+			}
+			if ps.State() != ref.State() {
+				t.Fatalf("rate %v round %d: RNG state diverged from the reference loop", rate, round)
+			}
+		}
+	}
+	// The extreme thresholds, draw by draw: 2⁻⁶⁰ keeps only a zero draw,
+	// 1−2⁻⁵³ drops only the all-ones draw.
+	if got := threshold(1.0 / (1 << 60)); got != 1 {
+		t.Fatalf("threshold(2^-60) = %d, want 1", got)
+	}
+	if got := threshold(1 - 1.0/(1<<53)); got != 1<<53-1 {
+		t.Fatalf("threshold(1-2^-53) = %d, want 2^53-1", got)
+	}
+}
+
+// TestFlowSelectMatchesUnitOfFlowKey pins FlowSampler.SelectInto and
+// Keep to the byte path they replaced — H3.Unit over the serialized
+// FlowKey — under two interval hash functions.
+func TestFlowSelectMatchesUnitOfFlowKey(t *testing.T) {
+	g := trace.NewGenerator(trace.Config{Seed: 3, Duration: time.Second, PacketsPerSec: 20000})
+	pkts := trace.Record(g)[0].Pkts
+	fs := NewFlowSampler(77)
+	ref := new(hash.H3)
+	var idx []int32
+	for interval := uint64(1); interval <= 2; interval++ {
+		ref.Reseed(77 + interval*0x9e3779b97f4a7c15)
+		for _, rate := range kernelRates {
+			var want []int32
+			for i := range pkts {
+				k := pkts[i].FlowKey()
+				keep := rate >= 1 || (rate > 0 && ref.Unit(k[:]) < rate)
+				if keep {
+					want = append(want, int32(i))
+				}
+				if fs.Keep(&pkts[i], rate) != keep {
+					t.Fatalf("interval %d rate %v: Keep(pkt %d) = %v, byte path says %v", interval, rate, i, !keep, keep)
+				}
+			}
+			idx = fs.SelectInto(idx, pkts, rate)
+			if !slices.Equal(idx, want) {
+				t.Fatalf("interval %d rate %v: selected %d indices, byte path %d", interval, rate, len(idx), len(want))
+			}
+		}
+		fs.StartInterval()
+	}
+}
+
+// TestSelectIntoZeroAlloc: with a warmed index slice neither kernel
+// allocates.
+func TestSelectIntoZeroAlloc(t *testing.T) {
+	pkts := genPackets(4096)
+	ps, fs := NewPacketSampler(5), NewFlowSampler(5)
+	pidx := ps.SelectInto(nil, len(pkts), 0.4)
+	fidx := fs.SelectInto(nil, pkts, 0.4)
+	if allocs := testing.AllocsPerRun(20, func() {
+		pidx = ps.SelectInto(pidx, len(pkts), 0.4)
+		fidx = fs.SelectInto(fidx, pkts, 0.4)
+	}); allocs != 0 {
+		t.Fatalf("SelectInto steady-state allocations = %v, want 0", allocs)
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/pkt"
@@ -43,6 +44,14 @@ import (
 // the default unixgram SO_SNDBUF and fragments at most a handful of
 // ways on loopback UDP.
 const maxDatagram = 8192
+
+// udpRcvBuf is the socket receive buffer a UDP listener asks for. A
+// probe forwards a whole bin as one burst of 8 KB datagrams; the
+// default (≈ 208 KB on Linux) holds a few dozen of them and the kernel
+// silently drops the rest before the listener is scheduled. 4 MiB holds
+// two full bins of the evaluation traces; the kernel clamps the request
+// to net.core.rmem_max, so RcvBuf reports what was actually granted.
+const udpRcvBuf = 4 << 20
 
 // liveBacklog is the depth, in bins, of the delivered-batch channel
 // between the listener goroutine and NextBatch. When the consumer falls
@@ -68,6 +77,7 @@ type LiveSource struct {
 	start time.Time
 
 	unixPath string // non-empty: socket file to unlink on Close
+	rcvBuf   int    // granted SO_RCVBUF of a UDP listener, 0 otherwise
 
 	closing   atomic.Bool // set before the socket closes; listen reads it
 	closeOnce sync.Once
@@ -104,11 +114,33 @@ func ListenLive(network, address string, cfg LiveConfig) (*LiveSource, error) {
 	}
 	if network == "unixgram" {
 		l.unixPath = address
+	} else {
+		l.rcvBuf = growRcvBuf(conn.(*net.UDPConn))
 	}
 	l.wg.Add(1)
 	go l.listen()
 	return l, nil
 }
+
+// growRcvBuf asks for udpRcvBuf and returns the size the kernel granted
+// (0 when it cannot be read back). A refused request is not an error:
+// the listener works with whatever buffer it has, and the gauge shows it.
+func growRcvBuf(c *net.UDPConn) (granted int) {
+	_ = c.SetReadBuffer(udpRcvBuf)
+	rc, err := c.SyscallConn()
+	if err != nil {
+		return 0
+	}
+	_ = rc.Control(func(fd uintptr) {
+		granted, _ = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+	})
+	return granted
+}
+
+// RcvBuf reports the socket receive buffer, in bytes, the kernel granted
+// a UDP listener (Linux reports twice the usable size, counting its own
+// bookkeeping); 0 for unixgram, whose sender blocks instead of dropping.
+func (l *LiveSource) RcvBuf() int { return l.rcvBuf }
 
 // Addr returns the bound address (useful with ":0" UDP listeners).
 func (l *LiveSource) Addr() net.Addr { return l.conn.LocalAddr() }

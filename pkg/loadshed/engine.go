@@ -257,9 +257,10 @@ type runQuery struct {
 	noise *hash.XorShift // measurement-noise stream, private per query
 	shed  *custom.State  // non-nil when the query supports custom shedding
 
-	// sampBuf is the query's sampling scratch: SampleInto fills it with
-	// the shed stream each bin (worker-pool safe — the owning worker is
-	// the only writer, and the slice is dead once Process returns).
+	// sampBuf is the query's sampling scratch: SampleInto gathers the
+	// selected packets into it each bin (worker-pool safe — the owning
+	// worker is the only writer, and the slice is dead once Process
+	// returns).
 	sampBuf []pkt.Packet
 	// qbatch is the batch view handed to Process. It lives on the
 	// runQuery because &qbatch escapes through the Query interface;
@@ -275,10 +276,14 @@ type System struct {
 	gov *core.Governor
 
 	globalExt *features.Extractor
-	shedExt   *features.Extractor // shared re-extraction of the sampled stream (§5.5.4)
-	shedSamp  *sampling.PacketSampler
-	noise     *hash.XorShift
-	manager   *custom.Manager
+	// The shared shed stream (§5.5.4): shedSamp selects it, shedSketch
+	// holds its sketch, gathered from the bin's own hash columns, and
+	// shedOps counts the hash+insert operations charged for it.
+	shedSamp   *sampling.PacketSampler
+	shedSketch *features.Sketch
+	shedOps    int64
+	noise      *hash.XorShift
+	manager    *custom.Manager
 	// det is the online change detector, non-nil only when
 	// Config.ChangeDetection is set under the Predictive scheme; the
 	// detect stage (stages.go) feeds it between execute and feedback.
@@ -291,14 +296,13 @@ type System struct {
 
 	// Per-bin scratch, written only by the pipeline goroutine between
 	// worker-pool drains: the reused BinContext, the predictive demand
-	// vector and the shed-stream re-extraction sample. execFn is the
-	// worker-pool closure over the reused context, built once instead of
-	// per bin.
+	// vector and the shed-stream selection. execFn is the worker-pool
+	// closure over the reused context, built once instead of per bin.
 	bc        BinContext
 	execFn    func(int)
 	demandBuf []sched.Demand
 	schedWs   sched.Workspace
-	shedBuf   []pkt.Packet
+	shedIdx   []int32
 	// prevIvr is the interval result storage, handed back to each
 	// recycling query at the next flush; index-aligned with qs.
 	prevIvr []queries.Result
@@ -350,8 +354,8 @@ func New(cfg Config, qs []queries.Query) *System {
 		cfg:          cfg,
 		gov:          newGovernor(cfg),
 		globalExt:    features.NewExtractor(cfg.Seed + 0xfea7),
-		shedExt:      features.NewExtractor(cfg.Seed + 0xfea7),
 		shedSamp:     sampling.NewPacketSampler(cfg.Seed + 0x5a3d),
+		shedSketch:   features.NewSketch(),
 		noise:        hash.NewXorShift(cfg.Seed + 0x4015e),
 		interval:     qs[0].Interval(),
 		reactiveRate: 1,
@@ -782,11 +786,6 @@ func (s *System) CustomStates() []*custom.State {
 
 func (s *System) startInterval() {
 	s.globalExt.StartInterval()
-	// The shared shed-stream extractor (§5.5.4) carries the same
-	// interval-grained bitmaps as every other extractor; without this
-	// rotation its stale interval state leaks across measurement
-	// intervals and corrupts the new-item counts of every sampled query.
-	s.shedExt.StartInterval()
 	for _, rq := range s.qs {
 		if rq == nil { // tombstoned by RemoveQuery
 			continue

@@ -19,7 +19,7 @@ package loadshed
 // defined over the admitted batch. Admission is a prefix — tail drop
 // loses the newest packets — so the back stage validates the sketch by
 // packet count and, on the rare mis-speculation (a DAG-drop bin),
-// re-sketches the admitted prefix in place. Everything downstream of
+// truncates the sketch to the admitted prefix. Everything downstream of
 // the sketch therefore sees bit-identical state for any worker count.
 //
 // Ring ownership: two binSlots cycle between a free and a ready

@@ -13,7 +13,7 @@ import (
 // pipeCfg is an overloaded predictive setup whose runs include DAG-drop
 // bins, so pipelined runs exercise the mis-speculation path (the front
 // stage's wire-batch sketch is invalidated by tail drop and the back
-// stage re-sketches the admitted prefix).
+// stage truncates it to the admitted prefix).
 func pipeCfg(workers int) Config {
 	return Config{
 		Scheme:         Predictive,

@@ -153,7 +153,7 @@ func (s *System) Snapshot() (*SystemSnapshot, error) {
 		NoiseState:    s.noise.State(),
 		ShedSampState: s.shedSamp.State(),
 		GlobalExtOps:  s.globalExt.Ops,
-		ShedExtOps:    s.shedExt.Ops,
+		ShedExtOps:    s.shedOps,
 		ReactiveRate:  s.reactiveRate,
 		ReactiveDelay: s.reactiveDelay,
 		LastConsumed:  s.lastConsumed,
@@ -260,7 +260,7 @@ func (s *System) Restore(snap *SystemSnapshot) error {
 	s.noise.SetState(snap.NoiseState)
 	s.shedSamp.SetState(snap.ShedSampState)
 	s.globalExt.Ops = snap.GlobalExtOps
-	s.shedExt.Ops = snap.ShedExtOps
+	s.shedOps = snap.ShedExtOps
 	s.reactiveRate = snap.ReactiveRate
 	s.reactiveDelay = snap.ReactiveDelay
 	s.lastConsumed = snap.LastConsumed

@@ -6,6 +6,7 @@ package loadshed
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -110,6 +111,55 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRestoreSnapshotOfEarlierBuild restores testdata/snapshot_pr15.gob —
+// written by the build that still ran a second extractor over a copied
+// shed stream, at the two-interval cut of TestSnapshotRestoreBitIdentical's
+// mlr case — and resumes the trace. The bins must be the uninterrupted
+// run's: the checkpoint format outlives the shed path's rewrite, and the
+// state that build reached at the cut (ShedSampState and ShedExtOps
+// included) is the state this one reaches.
+func TestRestoreSnapshotOfEarlierBuild(t *testing.T) {
+	raw, err := os.ReadFile("testdata/snapshot_pr15.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if snap.ShedExtOps == 0 {
+		t.Fatal("fixture never shed; it does not exercise the shed-stream fields")
+	}
+
+	g := trace.NewGenerator(trace.CESCA2(9, 4*time.Second, 0.4))
+	batches := trace.Record(g)
+	bin := g.TimeBin()
+	cut := 2 * int(time.Second/bin)
+	capacity := MeasureCapacity(trace.NewMemorySource(batches, bin), snapshotTestQueries(), 77) * 0.7
+	mkSys := func() *System {
+		return New(Config{Scheme: Predictive, Strategy: MMFSPkt(), Seed: 99, Capacity: capacity, Workers: 1}, snapshotTestQueries())
+	}
+
+	straight := mkSys()
+	ref := straight.Run(trace.NewMemorySource(batches, bin))
+	resumed := mkSys()
+	if err := resumed.Restore(snap); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	got := resumed.Run(trace.NewMemorySource(batches[cut:], bin))
+	if len(got.Bins) != len(ref.Bins)-cut {
+		t.Fatalf("resumed run produced %d bins, want %d", len(got.Bins), len(ref.Bins)-cut)
+	}
+	for i := range got.Bins {
+		if !reflect.DeepEqual(got.Bins[i], ref.Bins[cut+i]) {
+			t.Fatalf("resumed bin %d diverged from uninterrupted bin %d:\n got %+v\nwant %+v", i, cut+i, got.Bins[i], ref.Bins[cut+i])
+		}
+	}
+	if resumed.shedOps != straight.shedOps {
+		t.Fatalf("shed op counter: resumed %d, uninterrupted %d", resumed.shedOps, straight.shedOps)
 	}
 }
 

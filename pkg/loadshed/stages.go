@@ -42,7 +42,11 @@ type BinContext struct {
 	// the front stage's validated speculative sketch under the bin
 	// pipeline, the global extractor's internal sketch otherwise.
 	// Full-rate queries merge it instead of re-hashing in executeQuery.
-	sketch     *features.Sketch
+	sketch *features.Sketch
+	// shedSketch is the sketch of the shared shed stream (execute), which
+	// sampled queries merge from: the System's shedSketch, or sketch
+	// itself when the representative rate rounds to 1.
+	shedSketch *features.Sketch
 	rates      []float64    // decideShedding: per-query sampling rates
 	shedCycles float64      // execute: sampling + re-extraction cycles
 	exec       []execResult // execute: per-query slots, merged in index order
@@ -170,14 +174,14 @@ func (s *System) extractPredict(bc *BinContext) {
 	// ever truncates the batch's tail, so an equal packet count means
 	// the sketch is exactly the admitted batch's and the expensive
 	// hashing already happened off this goroutine. A mismatch (a rare
-	// DAG-drop bin) re-sketches the admitted prefix in place, restoring
-	// sequential semantics at sequential cost.
+	// DAG-drop bin) truncates the sketch to the admitted prefix, which
+	// re-inserts the hashes it already holds.
 	sk := s.specSketch
 	if sk == nil {
 		sk = s.globalExt.Sketch()
 		s.globalExt.SketchInto(sk, bc.Admitted.Pkts)
 	} else if sk.Pkts() != len(bc.Admitted.Pkts) {
-		s.globalExt.SketchInto(sk, bc.Admitted.Pkts)
+		sk.Truncate(len(bc.Admitted.Pkts))
 	}
 	bc.sketch = sk
 	s.globalExt.Ops += sk.Ops()
@@ -296,18 +300,21 @@ func (s *System) decidePredictive(avail float64, preds []float64, rates []float6
 	}
 }
 
-// execute sheds and runs every query. The shared shed-stream
-// re-extraction happens once, sequentially; the per-query work then
-// fans out over the run's execute pool (inline without one). Every worker
-// touches only its query's state and per-index result slots, and the
-// slots are merged in index order afterwards, so the bin record is
-// bit-identical for any worker count.
+// execute sheds and runs every query. The shared shed-stream sketch is
+// built once, sequentially; the per-query work then fans out over the
+// run's execute pool (inline without one). Every worker touches only
+// its query's state and per-index result slots, and the slots are
+// merged in index order afterwards, so the bin record is bit-identical
+// for any worker count.
 func (s *System) execute(bc *BinContext) {
-	// Re-extract features of the shed stream once, shared across
-	// queries (§5.5.4: "the traffic features could be recomputed just
-	// once"). The shared vector approximates every sampled query's
-	// stream; per-query interval state is maintained by merging the
-	// shared batch bitmaps, which costs no re-hashing.
+	// Sketch the shed stream once, shared across queries (§5.5.4: "the
+	// traffic features could be recomputed just once"): a packet sample
+	// of the admitted batch at the mean rate of the sampled queries,
+	// whose bitmaps approximate every sampled query's stream. The sample
+	// is an index selection and its sketch a gather from the hash columns
+	// extractPredict already filled, so no packet is copied or re-hashed;
+	// per-query interval state is maintained by merging the shared batch
+	// bitmaps.
 	if s.cfg.Scheme == Predictive {
 		repRate, nSampled := 0.0, 0
 		for i, r := range bc.rates {
@@ -321,22 +328,17 @@ func (s *System) execute(bc *BinContext) {
 		}
 		if nSampled > 0 {
 			repRate /= float64(nSampled)
-			sampled := s.shedSamp.SampleInto(s.shedBuf, bc.Admitted.Pkts, repRate)
+			// The mean of rates < 1 can round to exactly 1: the shed stream
+			// is then the admitted one, at its full cost and without a draw.
+			bc.shedSketch = bc.sketch
 			if repRate < 1 {
-				// Keep the (possibly grown) scratch — but only when it was
-				// actually filled: the mean of rates < 1 can round to
-				// exactly 1, and then SampleInto returned the admitted
-				// batch itself, which must never become the scratch a
-				// later bin writes into.
-				s.shedBuf = sampled[:0]
+				s.shedIdx = s.shedSamp.SelectInto(s.shedIdx, len(bc.Admitted.Pkts), repRate)
+				bc.sketch.SelectInto(s.shedSketch, s.shedIdx)
+				bc.shedSketch = s.shedSketch
 			}
-			sb := pkt.Batch{Start: bc.Admitted.Start, Bin: bc.Admitted.Bin, Pkts: sampled}
-			opsBefore := s.shedExt.Ops
-			// Only the side effect matters here — shedExt's batch bitmaps,
-			// which sampled queries merge from in executeQuery — so the
-			// scratch vector Extract fills is deliberately unused.
-			s.shedExt.Extract(&sb)
-			bc.shedCycles += feCostPerOp * float64(s.shedExt.Ops-opsBefore)
+			ops := bc.shedSketch.Ops()
+			s.shedOps += ops
+			bc.shedCycles += feCostPerOp * float64(ops)
 			bc.shedCycles += sampleCostPerPkt * float64(len(bc.Admitted.Pkts))
 		}
 	}
@@ -373,8 +375,8 @@ func (s *System) execute(bc *BinContext) {
 
 // executeQuery sheds, runs, measures and observes one query. It runs on
 // a worker goroutine: it may read shared state frozen by the earlier
-// stages (the admitted batch, the global and shed extractors' batch
-// bitmaps) but writes only query-local state (samplers, predictor,
+// stages (the admitted batch, the bin's full and shed sketches) but
+// writes only query-local state (samplers, predictor,
 // extractor, custom-shedding record, its own RNG stream) and the
 // per-index slots of bc.
 func (s *System) executeQuery(bc *BinContext, i int) {
@@ -414,9 +416,10 @@ func (s *System) executeQuery(bc *BinContext, i int) {
 			effRate = 1
 		}
 	} else if rate < 1 {
-		// Shed into the query's scratch slice: the sampled view only has
-		// to live until Process and the feature merge below return, so
-		// one buffer per query replaces a fresh allocation per bin.
+		// Shed into the query's scratch slice (an index selection, then
+		// one gather): the sampled view only has to live until Process
+		// and the feature merge below return, so one buffer per query
+		// replaces a fresh allocation per bin.
 		switch rq.q.Method() {
 		case sampling.Flow:
 			rq.sampBuf = rq.fsamp.SampleInto(rq.sampBuf, bc.Admitted.Pkts, rate)
@@ -452,15 +455,15 @@ func (s *System) executeQuery(bc *BinContext, i int) {
 			// allocating; it only has to live until Observe copies it into
 			// the predictor's history just below. Safe on the worker pool:
 			// rq.ext is query-owned, and the source sketches are only read
-			// (bc.sketch and the shed extractor's batch state are frozen by
-			// the earlier stages; under the bin pipeline the front stage
-			// writes only the other ring generation's sketch).
+			// (bc.sketch and bc.shedSketch are frozen by the earlier stages;
+			// under the bin pipeline the front stage writes only the other
+			// ring generation's sketch).
 			var qf features.Vector
 			if rate >= 1 || customMode {
 				// Stream identical to the full batch: merge, don't rescan.
 				qf = rq.ext.ExtractFromSketch(bc.sketch, bc.fv[features.IdxPackets], bc.fv[features.IdxBytes])
 			} else {
-				qf = rq.ext.ExtractFromSketch(s.shedExt.Sketch(), float64(len(qb.Pkts)), float64(qb.Bytes()))
+				qf = rq.ext.ExtractFromSketch(bc.shedSketch, float64(len(qb.Pkts)), float64(qb.Bytes()))
 			}
 			if spiked {
 				// §3.2.4: measurements corrupted by context switches

@@ -1,13 +1,12 @@
 package loadshed
 
 // Stage-level tests: the admit stage's capture-buffer model, the
-// reactive Eq. 4.1 update, the shed-stream interval rotation and the
+// reactive Eq. 4.1 update, sampled queries' interval rotation and the
 // ModeDisabled observation guard — all white-box against a System
 // driven one stage or one bin at a time.
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -167,40 +166,53 @@ func TestReactiveRateUpdate(t *testing.T) {
 	}
 }
 
-// TestShedStreamIntervalRotation is the regression test for the stale
-// shed-stream state bug: System.startInterval rotated the global and
-// per-query extractors but not the shared shed-stream extractor, so its
-// interval bitmaps accumulated across measurement intervals and every
-// sampled query's new-item features were computed against stale state.
-// After two intervals of overloaded (sampling) operation, an interval
-// boundary must leave the shed extractor bit-identical to a fresh
-// extractor — the oracle.
-func TestShedStreamIntervalRotation(t *testing.T) {
+// TestSampledQueryFeaturesRotate pins what sampled queries learn from
+// across a measurement-interval boundary: after two overloaded
+// intervals, the new-item and interval-repeated features a sampled
+// query records for the next interval's first bin must be those of a
+// fresh extractor finishing the same shed sketch — nothing of the
+// closed intervals' shed streams may leak into them.
+func TestSampledQueryFeaturesRotate(t *testing.T) {
 	const dur = 3 * time.Second
 	demand := MeasureDemand(testSource(21, dur), stdQueries(), 99)
 	sys := New(Config{Scheme: Predictive, Capacity: demand / 3, Seed: 7}, stdQueries())
 	r := sys.newRunner(testSource(21, dur), nil)
+	defer r.finish()
 	for i := 0; i < 2*r.binsPerInterval; i++ {
 		if !r.step() {
 			t.Fatalf("trace ended at bin %d", i)
 		}
 	}
-	if sys.shedExt.Ops == 0 {
-		t.Fatal("shed-stream re-extraction never ran; the run is not overloaded enough to test rotation")
+	if sys.shedOps == 0 {
+		t.Fatal("the shed stream was never sketched; the run is not overloaded enough to test rotation")
 	}
-	dirty := false
-	for _, e := range sys.shedExt.IntervalEstimates() {
-		if e > 0 {
-			dirty = true
+	if !r.step() { // crosses the boundary: first bin of the third interval
+		t.Fatal("trace ended at the boundary")
+	}
+	sampled := 0
+	for i, rq := range sys.qs {
+		if rate := sys.bc.rates[i]; rate >= 1 || rate <= 0 {
+			continue
+		}
+		sampled++
+		oracle := features.NewExtractor(123)
+		oracle.StartInterval()
+		want := oracle.ExtractFromSketch(sys.bc.shedSketch, float64(len(rq.qbatch.Pkts)), float64(rq.qbatch.Bytes()))
+		h := rq.mlr.History()
+		for a := pkt.Aggregate(0); a < pkt.NumAggregates; a++ {
+			for _, j := range []int{features.IdxNew(a), features.IdxIntRepeated(a)} {
+				if got := h.Column(j)[h.Len()-1]; got != want[j] {
+					t.Errorf("%s, %s: observed %v, a fresh extractor over the same shed sketch gives %v",
+						rq.q.Name(), features.Name(j), got, want[j])
+				}
+			}
+		}
+		if want[features.IdxNew(pkt.Agg5Tuple)] == 0 {
+			t.Fatalf("%s: the shed sketch is empty; test is vacuous", rq.q.Name())
 		}
 	}
-	if !dirty {
-		t.Fatal("shed extractor carries no interval state; test is vacuous")
-	}
-	sys.startInterval()
-	oracle := features.NewExtractor(123).IntervalEstimates()
-	if got := sys.shedExt.IntervalEstimates(); !reflect.DeepEqual(got, oracle) {
-		t.Fatalf("stale shed-stream interval state survived the boundary:\ngot  %v\nwant %v", got, oracle)
+	if sampled == 0 {
+		t.Fatal("no query was sampled in the bin after the boundary; test is vacuous")
 	}
 }
 

@@ -45,7 +45,8 @@ METRICS=$(curl -sf "http://$ADMIN/metrics")
 for m in lsd_up lsd_bins_total lsd_wire_packets_total \
          lsd_window_drop_fraction lsd_window_unsampled_fraction \
          lsd_window_budget_utilization lsd_query_rate \
-         lsd_ingest_bad_frames_total lsd_ingest_dropped_bins_total; do
+         lsd_ingest_bad_frames_total lsd_ingest_dropped_bins_total \
+         lsd_ingest_rcvbuf_bytes; do
   grep -q "^$m" <<<"$METRICS" || { echo "FAIL: missing metric $m"; exit 1; }
 done
 grep -q '^lsd_wire_packets_total [1-9]' <<<"$METRICS" \
