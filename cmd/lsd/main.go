@@ -72,7 +72,7 @@ func main() {
 		strategy  = flag.String("strategy", "mmfs_pkt", "equal | eq_srates | mmfs_cpu | mmfs_pkt (predictive only)")
 		full      = flag.Bool("full", false, "run all ten queries instead of the standard seven")
 		customOn  = flag.Bool("custom", true, "enable custom load shedding (Chapter 6)")
-		detectOn  = flag.Bool("detect", false, "online drift detection + adaptive MLR refit (predictive scheme only)")
+		detectOn  = flag.Bool("detect", false, "online drift detection at the detector's default thresholds; a change verdict truncates every MLR history to its newest rows (predictive scheme only)")
 		workers   = flag.Int("workers", 0, "query execution worker pool size (0 = auto: all cores single-link, inline per shard with -shards)")
 		shards    = flag.Int("shards", 1, "split the trace across N links and run a Cluster")
 		shardPol  = flag.String("shard-policy", "mmfs_cpu", "cross-shard budget policy: static | equal | eq_srates | mmfs_cpu | mmfs_pkt")

@@ -39,20 +39,20 @@ type State struct {
 // State captures the detector's accumulated state.
 func (d *Detector) State() State {
 	st := State{
-		Bins:    d.bins,
-		Cool:    d.cool,
-		Changes: d.changes,
-		LastBin: d.lastBin,
-		PHN:     d.ph.n,
-		PHMean:  d.ph.mean,
-		PHUp:    d.ph.mUp,
-		PHDn:    d.ph.mDn,
-		PHMinU:  d.ph.minU,
-		PHMaxD:  d.ph.maxD,
-		CSeeded: d.cusum.seeded,
-		CBase:   d.cusum.base,
-		CUp:     d.cusum.sUp,
-		CDn:     d.cusum.sDn,
+		Bins:     d.bins,
+		Cool:     d.cool,
+		Changes:  d.changes,
+		LastBin:  d.lastBin,
+		PHN:      d.ph.n,
+		PHMean:   d.ph.mean,
+		PHUp:     d.ph.mUp,
+		PHDn:     d.ph.mDn,
+		PHMinU:   d.ph.minU,
+		PHMaxD:   d.ph.maxD,
+		CSeeded:  d.cusum.seeded,
+		CBase:    d.cusum.base,
+		CUp:      d.cusum.sUp,
+		CDn:      d.cusum.sDn,
 		DistRing: append([]float64(nil), d.dist.ring...),
 		DistHead: d.dist.head,
 		DistN:    d.dist.n,

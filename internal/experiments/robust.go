@@ -25,7 +25,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/detect"
 	"repro/internal/pkt"
 	"repro/internal/queries"
 	"repro/internal/sched"
@@ -51,10 +50,9 @@ func robustQs(seed uint64) []queries.Query {
 // robustSys mirrors the drift regression test's operating point:
 // predictive scheme, unlimited capacity and no measurement noise (so
 // per-bin error is exactly model error), a long history window (the
-// quantity the detector's truncation shortcuts), and the detector
-// tuned for small-trace scales — residual tests arbitrate, the
-// distribution distance is a backstop for gross shifts, truncation on
-// a verdict so feature selection re-runs on the new regime only.
+// quantity the detector's truncation shortcuts), and the detector as
+// every deployment runs it — package-default thresholds, truncation on
+// a verdict.
 func robustSys(cfg Config, detectOn bool) *loadshed.System {
 	return loadshed.New(loadshed.Config{
 		Scheme:          loadshed.Predictive,
@@ -65,13 +63,6 @@ func robustSys(cfg Config, detectOn bool) *loadshed.System {
 		Workers:         1,
 		HistoryLen:      120,
 		ChangeDetection: detectOn,
-		Detect: detect.Config{
-			ResidualDelta:  0.05,
-			ResidualLambda: 1.5,
-			DistThreshold:  12,
-			Cooldown:       40,
-		},
-		ChangeDiscount: -1,
 	}, robustQs(cfg.Seed))
 }
 
@@ -148,14 +139,18 @@ func robustExp(cfg Config) (*Result, error) {
 		type outcome struct {
 			err      []float64
 			verdicts int
+			early    int // verdicts before the anomaly's onset: false alarms
 		}
 		runs := map[bool]outcome{}
 		for _, on := range []bool{false, true} {
 			res := robustSys(cfg, on).Run(trace.NewMemorySource(batches, bin))
 			o := outcome{err: relErr(res)}
-			for _, b := range res.Bins {
+			for i, b := range res.Bins {
 				if b.Change {
 					o.verdicts++
+					if i < startBin {
+						o.early++
+					}
 				}
 			}
 			runs[on] = o
@@ -186,6 +181,10 @@ func robustExp(cfg Config) (*Result, error) {
 			// left the baseline's neighbourhood) has nothing to
 			// recover from.
 			rec := "mild"
+			verdicts := fmt.Sprintf("%d", o.verdicts)
+			if o.early > 0 {
+				verdicts += fmt.Sprintf(" (%d early)", o.early)
+			}
 			pre := mean(o.err, startBin/2, startBin)
 			if contamination > 3*mean(runs[false].err, startBin/2, startBin) {
 				rec = fmt.Sprintf("%d", recovery(o.err))
@@ -195,7 +194,7 @@ func robustExp(cfg Config) (*Result, error) {
 				fmtPct(pre),
 				fmtPct(mean(o.err, settled, len(o.err))),
 				rec,
-				fmt.Sprintf("%d", o.verdicts),
+				verdicts,
 			})
 		}
 

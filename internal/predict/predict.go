@@ -9,7 +9,6 @@ package predict
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/features"
 	"repro/internal/linalg"
@@ -40,20 +39,11 @@ type History struct {
 	next     int
 	full     bool
 
-	// weights stays nil until the first DiscountOlder call, so the
-	// common unweighted history adds no work to Add and lets the MLR
-	// fit take its exact historical code path (bit-identity when change
-	// detection is off or has never fired). weighted counts the slots
-	// whose weight differs from 1.
-	weights  []float64
-	weighted int
-
 	// Truncate scratch: slice headers and scalars for the time-order
 	// compaction, allocated on the first truncation (a rare event, not
 	// the steady state).
 	tFeats []features.Vector
 	tCosts []float64
-	tW     []float64
 }
 
 // NewHistory returns a history holding up to n observations.
@@ -80,10 +70,6 @@ func (h *History) Add(f features.Vector, cost float64) {
 	copy(slot, f)
 	h.feats[h.next] = slot
 	h.costs[h.next] = cost
-	if h.weights != nil && h.weights[h.next] != 1 {
-		h.weights[h.next] = 1
-		h.weighted--
-	}
 	h.next = (h.next + 1) % h.capacity
 	if h.next == 0 {
 		h.full = true
@@ -139,59 +125,6 @@ func (h *History) MeanCost() float64 {
 	return stats.Mean(h.costs[:h.Len()])
 }
 
-// Weighted reports whether any stored observation carries a weight
-// other than 1 — the gate the MLR fit uses to choose between the plain
-// OLS path (bit-identical to the pre-change-detection engine) and the
-// weighted solve.
-func (h *History) Weighted() bool { return h.weighted > 0 }
-
-// WeightsInto writes the per-observation weights into dst in slot order
-// (matching CostsInto/ColumnInto) and returns it. An unweighted history
-// yields all ones.
-func (h *History) WeightsInto(dst []float64) []float64 {
-	n := h.Len()
-	dst = linalg.GrowFloats(dst, n)
-	if h.weights == nil {
-		for i := range dst {
-			dst[i] = 1
-		}
-		return dst
-	}
-	copy(dst, h.weights[:n])
-	return dst
-}
-
-// DiscountOlder multiplies the weight of every observation except the
-// newest keep by w, so a change verdict can demote the pre-change
-// regime to a weak regularizer instead of deleting it outright.
-// Repeated discounts compound. The weight array is allocated lazily on
-// the first call — change verdicts are rare events, not steady state.
-func (h *History) DiscountOlder(keep int, w float64) {
-	n := h.Len()
-	if keep < 0 {
-		keep = 0
-	}
-	if keep >= n {
-		return
-	}
-	if h.weights == nil {
-		h.weights = make([]float64, h.capacity)
-		for i := range h.weights {
-			h.weights[i] = 1
-		}
-	}
-	for back := keep; back < n; back++ {
-		slot := ((h.next-1-back)%h.capacity + h.capacity) % h.capacity
-		if h.weights[slot] == 1 {
-			h.weighted++
-		}
-		h.weights[slot] *= w
-		if h.weights[slot] == 1 { // w == 1: nothing actually changed
-			h.weighted--
-		}
-	}
-}
-
 // Truncate drops every observation except the newest keep, compacting
 // them into slots 0..keep-1 in time order. Evicted slots park their
 // feature buffers for reuse, so the ring re-fills without reallocating.
@@ -206,7 +139,6 @@ func (h *History) Truncate(keep int) {
 	if h.tFeats == nil {
 		h.tFeats = make([]features.Vector, h.capacity)
 		h.tCosts = make([]float64, h.capacity)
-		h.tW = make([]float64, h.capacity)
 	}
 	start := 0
 	if h.full {
@@ -215,30 +147,15 @@ func (h *History) Truncate(keep int) {
 	for l := 0; l < n; l++ { // time order, oldest first
 		s := (start + l) % h.capacity
 		h.tFeats[l], h.tCosts[l] = h.feats[s], h.costs[s]
-		if h.weights != nil {
-			h.tW[l] = h.weights[s]
-		} else {
-			h.tW[l] = 1
-		}
 	}
-	h.weighted = 0
 	for i := 0; i < keep; i++ { // kept: the newest keep, oldest-of-kept first
 		h.feats[i], h.costs[i] = h.tFeats[n-keep+i], h.tCosts[n-keep+i]
-		if h.weights != nil {
-			h.weights[i] = h.tW[n-keep+i]
-			if h.weights[i] != 1 {
-				h.weighted++
-			}
-		}
 	}
 	for i := keep; i < h.capacity; i++ {
 		if i < n {
 			h.feats[i] = h.tFeats[i-keep] // evicted buffer, parked for reuse
 		}
 		h.costs[i] = 0
-		if h.weights != nil {
-			h.weights[i] = 1
-		}
 	}
 	for i := range h.tFeats {
 		h.tFeats[i] = nil // don't pin buffers from the scratch
@@ -257,9 +174,10 @@ type HistoryState struct {
 	Costs []float64
 	Next  int
 	Full  bool
-	// Weights is nil for an unweighted history (including every
-	// snapshot taken before change detection existed — gob decodes the
-	// missing field as nil, which restores correctly).
+	// Weights is decode-only: builds that answered a change verdict by
+	// down-weighting old rows wrote it, and gob needs the field to
+	// parse their streams. State never sets it; SetState refuses any
+	// weight other than 1.
 	Weights []float64
 }
 
@@ -277,9 +195,6 @@ func (h *History) State() HistoryState {
 			st.Feats[i] = append([]float64(nil), f...)
 		}
 	}
-	if h.weights != nil {
-		st.Weights = append([]float64(nil), h.weights...)
-	}
 	return st
 }
 
@@ -292,8 +207,12 @@ func (h *History) SetState(st HistoryState) error {
 	if st.Next < 0 || st.Next >= h.capacity {
 		return fmt.Errorf("predict: history state next=%d out of range for capacity %d", st.Next, h.capacity)
 	}
-	if st.Weights != nil && len(st.Weights) != h.capacity {
-		return fmt.Errorf("predict: history state has %d weights for capacity %d", len(st.Weights), h.capacity)
+	// A mid-drift checkpoint of a discounting build: its fit weighted
+	// these rows, this one cannot, so the resumed run would diverge.
+	for i, w := range st.Weights {
+		if w != 1 {
+			return fmt.Errorf("predict: history state carries weight %g in slot %d: written by a build that discounted history after a change verdict, which this build (truncation only) cannot resume bit-identically", w, i)
+		}
 	}
 	copy(h.costs, st.Costs)
 	for i, f := range st.Feats {
@@ -308,21 +227,6 @@ func (h *History) SetState(st HistoryState) error {
 		slot = slot[:len(f)]
 		copy(slot, f)
 		h.feats[i] = slot
-	}
-	if st.Weights == nil {
-		h.weights = nil
-		h.weighted = 0
-	} else {
-		if h.weights == nil {
-			h.weights = make([]float64, h.capacity)
-		}
-		copy(h.weights, st.Weights)
-		h.weighted = 0
-		for _, w := range h.weights {
-			if w != 1 {
-				h.weighted++
-			}
-		}
 	}
 	h.next = st.Next
 	h.full = st.Full
@@ -437,14 +341,6 @@ type MLR struct {
 	// than predictors is meaningless).
 	MinHistory int
 
-	// ChangeKeep is how many of the newest observations NotifyChange
-	// preserves at full weight (0 selects MinHistory). ChangeDiscount
-	// is the factor applied to everything older: 0 selects
-	// DefaultChangeDiscount, a negative value truncates the old regime
-	// outright instead of down-weighting it.
-	ChangeKeep     int
-	ChangeDiscount float64
-
 	selected []int
 	coef     []float64 // intercept followed by per-selected coefficients
 
@@ -455,7 +351,6 @@ type MLR struct {
 	y      []float64   // response vector
 	colBuf []float64   // flat backing of cols: NumFeatures × n
 	cols   [][]float64 // per-feature views into colBuf
-	sw     []float64   // sqrt-weights for the weighted solve
 	fcbf   fcbfScratch
 	a      linalg.Matrix // design matrix, reshaped in place
 	ws     linalg.Workspace
@@ -471,13 +366,6 @@ const (
 	DefaultHistory   = 60
 	DefaultThreshold = 0.6
 )
-
-// DefaultChangeDiscount is the weight left on pre-change observations
-// after a NotifyChange: small enough that the fresh regime dominates the
-// fit immediately (a full 60-slot window of discounted rows amounts to
-// well under one effective observation), non-zero so the old rows still
-// condition the solve while the new window is thin.
-const DefaultChangeDiscount = 0.01
 
 // NewMLR returns an MLR predictor with the given history length and
 // FCBF threshold.
@@ -535,41 +423,10 @@ func (m *MLR) Predict(f features.Vector) float64 {
 		return m.hist.MeanCost()
 	}
 
-	// Weighted fit (only after a change verdict down-weighted part of
-	// the window): scale the response and the design matrix rows by
-	// sqrt(weight), so the ordinary least-squares solve minimizes the
-	// weighted residual sum and the discounted pre-change regime barely
-	// tugs on the coefficients. Selection above ran on the *raw*
-	// columns — Pearson over sqrt-scaled data is dominated by the
-	// weight pattern itself (every column "correlates" through the
-	// small-row/large-row structure), which floods the model with
-	// spurious predictors. An unweighted history skips all of this and
-	// takes the historical code path bit for bit.
-	weighted := m.hist.Weighted()
-	var sw []float64
-	if weighted {
-		if cap(m.sw) < m.hist.Cap() {
-			m.sw = make([]float64, 0, m.hist.Cap())
-		}
-		m.sw = m.hist.WeightsInto(m.sw)
-		sw = m.sw
-		for i := 0; i < n; i++ {
-			sw[i] = math.Sqrt(sw[i])
-			y[i] *= sw[i]
-		}
-	}
-
 	p := len(m.selected)
 	a := &m.a
 	a.Reshape(n, p+1)
 	for i := 0; i < n; i++ {
-		if weighted {
-			a.Set(i, 0, sw[i]) // intercept column scaled like the rest
-			for k, j := range m.selected {
-				a.Set(i, k+1, cols[j][i]*sw[i])
-			}
-			continue
-		}
 		a.Set(i, 0, 1)
 		for k, j := range m.selected {
 			a.Set(i, k+1, cols[j][i])
@@ -589,27 +446,14 @@ func (m *MLR) Predict(f features.Vector) float64 {
 }
 
 // NotifyChange tells the predictor an external change detector decided
-// the traffic regime shifted: the newest ChangeKeep observations stay
-// at full weight and everything older is discounted by ChangeDiscount
-// (or truncated when ChangeDiscount < 0). The next Predict refits on
-// the reshaped window — with fewer than MinHistory full-weight rows the
-// weighted solve still runs, but the discounted old regime contributes
-// almost nothing, so the model effectively restarts from the post-change
-// observations.
-func (m *MLR) NotifyChange() {
-	keep := m.ChangeKeep
-	if keep == 0 {
-		keep = m.MinHistory
-	}
-	switch {
-	case m.ChangeDiscount < 0:
-		m.hist.Truncate(keep)
-	case m.ChangeDiscount == 0:
-		m.hist.DiscountOlder(keep, DefaultChangeDiscount)
-	default:
-		m.hist.DiscountOlder(keep, m.ChangeDiscount)
-	}
-}
+// the traffic regime shifted: every observation but the newest
+// MinHistory is dropped, so the next Predict re-selects features and
+// refits on post-change rows only. Truncation rather than
+// down-weighting because FCBF selects on raw columns — discounted rows
+// would still steer selection even where the fit ignores them — and
+// because it measured better on every anomaly of the robust catalog
+// (DESIGN.md section 3).
+func (m *MLR) NotifyChange() { m.hist.Truncate(m.MinHistory) }
 
 // SLR is the simple linear regression baseline (§3.4.1): one fixed
 // predictor variable, the packet count unless configured otherwise.

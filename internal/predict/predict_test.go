@@ -405,76 +405,31 @@ func TestHistoryTruncateKeepsNewest(t *testing.T) {
 	}
 }
 
-func TestHistoryDiscountOlder(t *testing.T) {
-	h := NewHistory(4)
-	if h.Weighted() {
-		t.Fatal("fresh history claims weights")
-	}
-	for i := 0; i < 4; i++ {
-		h.Add(synth(map[int]float64{0: float64(i)}), float64(i))
-	}
-	h.DiscountOlder(2, 0.25)
-	if !h.Weighted() {
-		t.Fatal("discounted history claims unweighted")
-	}
-	w := h.WeightsInto(nil)
-	// Slot order == insertion order here (no wrap): 0,1 discounted.
-	want := []float64{0.25, 0.25, 1, 1}
-	for i := range w {
-		if w[i] != want[i] {
-			t.Fatalf("weights = %v, want %v", w, want)
-		}
-	}
-	// Compounding.
-	h.DiscountOlder(3, 0.5)
-	if got := h.WeightsInto(nil)[0]; got != 0.125 {
-		t.Fatalf("compounded weight = %v, want 0.125", got)
-	}
-	// Overwriting a discounted slot resets its weight.
-	for i := 0; i < 4; i++ {
-		h.Add(synth(map[int]float64{0: 9}), 9)
-	}
-	if h.Weighted() {
-		t.Fatalf("weights after full overwrite: %v", h.WeightsInto(nil))
-	}
-}
-
-func TestHistoryStateCarriesWeights(t *testing.T) {
+// TestHistoryStateRefusesDiscountedWeights: HistoryState.Weights is kept
+// only so gob streams of builds that down-weighted history still parse.
+// All-ones (or absent) weights restore; a single discounted slot marks a
+// mid-drift checkpoint this build cannot resume bit-identically, and is
+// refused rather than silently refitted unweighted.
+func TestHistoryStateRefusesDiscountedWeights(t *testing.T) {
 	h := NewHistory(4)
 	for i := 0; i < 6; i++ {
 		h.Add(synth(map[int]float64{0: float64(i)}), float64(i))
 	}
-	h.DiscountOlder(1, 0.1)
 	st := h.State()
-	if st.Weights == nil {
-		t.Fatal("state dropped the weights")
+	if st.Weights != nil {
+		t.Fatalf("State wrote weights %v", st.Weights)
 	}
+	st.Weights = []float64{1, 1, 1, 1}
+	if err := NewHistory(4).SetState(st); err != nil {
+		t.Fatalf("SetState (all-ones weights): %v", err)
+	}
+	st.Weights = []float64{1, 0.01, 1, 1}
 	h2 := NewHistory(4)
-	if err := h2.SetState(st); err != nil {
-		t.Fatalf("SetState: %v", err)
+	if err := h2.SetState(st); err == nil {
+		t.Fatal("SetState accepted a discounted slot")
 	}
-	if !h2.Weighted() {
-		t.Fatal("restored history claims unweighted")
-	}
-	a, b := h.WeightsInto(nil), h2.WeightsInto(nil)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("restored weights %v != %v", b, a)
-		}
-	}
-	// Unweighted states restore as unweighted, including pre-weights
-	// snapshots where gob leaves Weights nil.
-	h3 := NewHistory(4)
-	st.Weights = nil
-	if err := h3.SetState(st); err != nil {
-		t.Fatalf("SetState (nil weights): %v", err)
-	}
-	if h3.Weighted() {
-		t.Fatal("nil-weight state restored as weighted")
-	}
-	st.Weights = []float64{1, 1}
-	if err := h3.SetState(st); err == nil {
-		t.Fatal("SetState accepted a weight-length mismatch")
+	if h2.Len() != 0 {
+		t.Fatalf("refused state still loaded %d observations", h2.Len())
 	}
 }
 
@@ -522,45 +477,10 @@ func TestMLRNotifyChangeAdaptsFaster(t *testing.T) {
 	}
 }
 
-// TestMLRUnweightedPathUnchanged pins the bit-identity contract: a model
-// whose history never saw a discount predicts exactly like one built
-// before weights existed — and a fully overwritten (hence unweighted
-// again) history returns to that exact path.
-func TestMLRUnweightedPathUnchanged(t *testing.T) {
-	mk := func() (*MLR, *hash.XorShift) {
-		return NewMLR(30, DefaultThreshold), hash.NewXorShift(13)
-	}
-	feed := func(m *MLR, rng *hash.XorShift, n int) []float64 {
-		out := make([]float64, 0, n)
-		for i := 0; i < n; i++ {
-			v := synth(map[int]float64{
-				features.IdxPackets: 1000 + 500*rng.Float64(),
-				features.IdxBytes:   40000 + 9000*rng.Float64(),
-			})
-			out = append(out, m.Predict(v))
-			m.Observe(v, 3*v[features.IdxPackets]+0.1*v[features.IdxBytes])
-		}
-		return out
-	}
-	a, rngA := mk()
-	b, rngB := mk()
-	pa := feed(a, rngA, 40)
-	// b takes a discount + full overwrite detour before the same tail.
-	b.NotifyChange()
-	pb := feed(b, rngB, 40)
-	for i := 31; i < 40; i++ { // history fully overwritten after 30 adds
-		if pa[i] != pb[i] {
-			t.Fatalf("prediction %d differs after weights washed out: %v != %v", i, pa[i], pb[i])
-		}
-	}
-	if b.History().Weighted() {
-		t.Fatal("overwritten history still weighted")
-	}
-}
-
-// The weighted refit must be as allocation-free as the plain one once
-// its sqrt-weight scratch exists.
-func TestMLRWeightedFitZeroAllocSteadyState(t *testing.T) {
+// The refit after a change verdict must be as allocation-free as the
+// steady state once Truncate's compaction scratch exists: evicted slots
+// park their feature buffers, so the ring refills without allocating.
+func TestMLRFitZeroAllocAfterNotifyChange(t *testing.T) {
 	m := NewMLR(DefaultHistory, DefaultThreshold)
 	f := make(features.Vector, features.NumFeatures)
 	rng := hash.NewXorShift(17)
@@ -574,18 +494,16 @@ func TestMLRWeightedFitZeroAllocSteadyState(t *testing.T) {
 		m.Observe(f, 5000+2*f[features.IdxPackets])
 		m.Predict(f)
 	}
-	m.NotifyChange() // lazily allocates weights + sqrt scratch
-	fill()
-	m.Predict(f)
-	if !m.History().Weighted() {
-		t.Fatal("NotifyChange left the history unweighted")
+	m.NotifyChange() // lazily allocates the truncation scratch
+	if got := m.History().Len(); got != m.MinHistory {
+		t.Fatalf("NotifyChange left %d observations, want MinHistory = %d", got, m.MinHistory)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs := testing.AllocsPerRun(DefaultHistory, func() {
 		fill()
 		m.Predict(f)
 		m.Observe(f, 5000+2*f[features.IdxPackets])
 	})
 	if allocs != 0 {
-		t.Fatalf("weighted MLR fit steady-state allocations = %v, want 0", allocs)
+		t.Fatalf("MLR refit allocations while the truncated ring refills = %v, want 0", allocs)
 	}
 }

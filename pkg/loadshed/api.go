@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/custom"
-	"repro/internal/detect"
 	"repro/internal/pkt"
 	"repro/internal/queries"
 	"repro/internal/sched"
@@ -28,24 +27,16 @@ type (
 	QueryConfig = queries.Config
 	// Result is one query's answer for a measurement interval.
 	Result = queries.Result
-	// CostModel converts a query's counted operations into cycles.
-	CostModel = queries.CostModel
 	// Strategy decides per-query sampling rates under overload (Ch. 5).
 	Strategy = sched.Strategy
 	// Source produces a trace one batch at a time.
 	Source = trace.Source
 	// TraceConfig parameterizes the synthetic traffic generator.
 	TraceConfig = trace.Config
-	// Generator is the deterministic synthetic traffic source.
-	Generator = trace.Generator
 	// TraceStats summarizes a trace like Table 2.3 reports its datasets.
 	TraceStats = trace.Stats
 	// Anomaly injects attack traffic into a generated trace.
 	Anomaly = trace.Anomaly
-	// ShedderMode is a custom-shedding query's enforcement mode (§6.1.1).
-	ShedderMode = custom.Mode
-	// DetectConfig tunes the online drift detector (Config.Detect).
-	DetectConfig = detect.Config
 )
 
 // Strategies.
@@ -134,19 +125,16 @@ func NewBuggyP2P(cfg QueryConfig) Query {
 // Traffic generation.
 
 // NewGenerator builds a deterministic synthetic traffic source.
-func NewGenerator(cfg TraceConfig) *Generator { return trace.NewGenerator(cfg) }
+func NewGenerator(cfg TraceConfig) *trace.Generator { return trace.NewGenerator(cfg) }
 
 // IPv4 packs four octets into the packed address form packets use.
 func IPv4(a, b, c, d byte) uint32 { return pkt.IPv4(a, b, c, d) }
 
 // Dataset presets approximating the paper's traces (Table 2.3).
 var (
-	CESCA1  = trace.CESCA1
-	CESCA2  = trace.CESCA2
-	Abilene = trace.Abilene
-	CENIC   = trace.CENIC
-	UPC1    = trace.UPC1
-	UPC2    = trace.UPC2
+	CESCA1 = trace.CESCA1
+	CESCA2 = trace.CESCA2
+	UPC2   = trace.UPC2
 )
 
 // presets is the single source of the dataset-preset names, in the
@@ -186,22 +174,12 @@ func PresetConfig(name string, seed uint64, dur time.Duration, scale float64) (T
 var (
 	// NewSYNFlood builds the spoofed SYN flood of §4.5.5.
 	NewSYNFlood = trace.NewSYNFlood
-	// NewOnOffDDoS builds the 1 s on / 1 s off spoofed DDoS of §3.4.3.
-	NewOnOffDDoS = trace.NewOnOffDDoS
 	// NewGradualDrift builds a slow traffic-mix drift that shifts the
 	// relation between header features and query cost (no step change).
 	NewGradualDrift = trace.NewGradualDrift
-	// NewFlashCrowd builds a legitimate-traffic surge onto one server.
-	NewFlashCrowd = trace.NewFlashCrowd
-	// NewTopologyShift builds a routing-style shift onto fresh address
-	// space (RFC 2544/benchmark prefixes).
-	NewTopologyShift = trace.NewTopologyShift
 )
 
 // Multi-link helpers (see cluster.go for the Cluster itself).
-
-// LinkPreset pairs a link name with a traffic profile for cluster runs.
-type LinkPreset = trace.LinkPreset
 
 // AsymmetricMix returns n link profiles with all the overload on link 0
 // (a DDoS-swamped link among calm ones), the headline Cluster scenario.
@@ -222,15 +200,11 @@ func SplitFlows(src Source, n int, seed uint64) []Source {
 
 // Trace files.
 
-// TraceFile is a streaming trace-file source: batches are read from
-// disk incrementally, so a file of any size replays in memory bounded
-// by its largest batch. Obtain one with OpenTraceFile; check Err when
-// the stream ends if the file is untrusted.
-type TraceFile = trace.FileSource
-
-// OpenTraceFile opens a recorded trace for streaming replay. Close it
-// when done.
-func OpenTraceFile(path string) (*TraceFile, error) { return trace.OpenFile(path) }
+// OpenTraceFile opens a recorded trace for streaming replay: batches
+// are read from disk incrementally, so a file of any size replays in
+// memory bounded by its largest batch. Close it when done; check Err
+// when the stream ends if the file is untrusted.
+func OpenTraceFile(path string) (*trace.FileSource, error) { return trace.OpenFile(path) }
 
 // ReadTrace loads a recorded trace fully into memory; it replays
 // byte-identically everywhere. Prefer it for small traces replayed many
@@ -252,8 +226,6 @@ type (
 	LiveSource = trace.LiveSource
 	// LiveSender forwards batches to a live listener in its wire framing.
 	LiveSender = trace.LiveSender
-	// TailSource follows a growing trace file as a writer appends to it.
-	TailSource = trace.TailSource
 )
 
 // ListenLive opens a live ingest listener on network ("udp", "udp4",
@@ -267,9 +239,10 @@ func DialLive(network, address string) (*LiveSender, error) {
 	return trace.DialLive(network, address)
 }
 
-// TailFile opens a growing trace file for tail-follow replay; poll <= 0
-// selects the default poll interval.
-func TailFile(path string, poll time.Duration) (*TailSource, error) {
+// TailFile opens a growing trace file for tail-follow replay — the
+// source follows the file as a writer appends to it; poll <= 0 selects
+// the default poll interval.
+func TailFile(path string, poll time.Duration) (*trace.TailSource, error) {
 	return trace.TailFile(path, poll)
 }
 

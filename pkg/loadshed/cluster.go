@@ -80,12 +80,6 @@ type ClusterConfig struct {
 	// its state and the coordinator runs at a barrier between bins,
 	// reading shards in index order.
 	Runners int
-
-	// DemandAlpha is the EWMA weight of the per-shard demand estimate
-	// the coordinator allocates from (default 0.5): high enough to
-	// chase a flash surge within a few bins, low enough that one noisy
-	// bin does not slosh the whole budget around.
-	DemandAlpha float64
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -94,9 +88,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if c.Runners <= 0 {
 		c.Runners = runtime.GOMAXPROCS(0)
-	}
-	if c.DemandAlpha == 0 {
-		c.DemandAlpha = 0.5
 	}
 	return c
 }
@@ -197,11 +188,7 @@ func NewCluster(cfg ClusterConfig, shards []Shard) *Cluster {
 			panic(fmt.Sprintf("cluster: duplicate shard name %q", name))
 		}
 		seen[name] = true
-		n := NewNode(New(scfg, sh.Queries), nil, NodeConfig{
-			Name:        name,
-			MinShare:    sh.MinShare,
-			DemandAlpha: cfg.DemandAlpha,
-		})
+		n := NewNode(New(scfg, sh.Queries), nil, NodeConfig{Name: name, MinShare: sh.MinShare})
 		n.src = sh.Source
 		if c.coord != nil {
 			n.tr = NewLoopback(c.coord, name, sh.MinShare)

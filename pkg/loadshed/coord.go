@@ -325,6 +325,12 @@ func (c *Coordinator) Status() []CoordNodeStatus {
 	return out
 }
 
+// demandAlpha is the EWMA weight of the per-node demand estimate the
+// coordinator allocates from: high enough to chase a flash surge within
+// a few bins, low enough that one noisy bin does not slosh the whole
+// budget around.
+const demandAlpha = 0.5
+
 // Node wraps one System as a cluster member. Inside a Cluster the
 // cluster loop drives it (step at the barrier, report/apply at the
 // coordination point); as a standalone TCP worker its own
@@ -332,7 +338,6 @@ func (c *Coordinator) Status() []CoordNodeStatus {
 type Node struct {
 	name     string
 	minShare float64
-	alpha    float64
 	sys      *System
 	src      trace.Source
 	tr       NodeTransport
@@ -362,9 +367,6 @@ type NodeConfig struct {
 	// MinShare is the demand fraction the coordinator must cover before
 	// surplus moves elsewhere (see Shard.MinShare).
 	MinShare float64
-	// DemandAlpha is the EWMA weight of the reported demand estimate
-	// (default 0.5, see ClusterConfig.DemandAlpha).
-	DemandAlpha float64
 
 	// CheckpointEvery ships a ShardCheckpoint to the coordinator every
 	// K measurement intervals (through the transport). 0 disables
@@ -390,11 +392,8 @@ type NodeConfig struct {
 // standalone System (no reports, no grants) — the shape of a worker
 // that lost its coordinator before ever reaching it.
 func NewNode(sys *System, tr NodeTransport, cfg NodeConfig) *Node {
-	if cfg.DemandAlpha == 0 {
-		cfg.DemandAlpha = 0.5
-	}
 	return &Node{
-		name: cfg.Name, minShare: cfg.MinShare, alpha: cfg.DemandAlpha,
+		name: cfg.Name, minShare: cfg.MinShare,
 		sys: sys, tr: tr,
 		ckptEvery: cfg.CheckpointEvery, spec: cfg.Spec,
 		binOffset: cfg.BinOffset,
@@ -436,7 +435,7 @@ func (n *Node) observe() {
 		n.seeded = true
 		return
 	}
-	n.demand = n.alpha*obs + (1-n.alpha)*n.demand
+	n.demand = demandAlpha*obs + (1-demandAlpha)*n.demand
 }
 
 // report sends the node's per-bin demand report (or, once, a final

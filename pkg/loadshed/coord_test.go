@@ -115,7 +115,7 @@ func oracleClusterRun(cfg ClusterConfig, shards []Shard) *ClusterResult {
 				if !o.seeded {
 					o.demand, o.seeded = obs, true
 				} else {
-					o.demand = cfg.DemandAlpha*obs + (1-cfg.DemandAlpha)*o.demand
+					o.demand = demandAlpha*obs + (1-demandAlpha)*o.demand
 				}
 			}
 			active = append(active, o)

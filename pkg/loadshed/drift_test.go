@@ -8,7 +8,7 @@ package loadshed
 //     fast (in bins) as the detector-off baseline;
 //   - with ChangeDetection off the detect stage is a no-op, and even
 //     enabled-but-never-firing detection perturbs no engine output;
-//   - Snapshot/Restore carries the detector and discounted-history
+//   - Snapshot/Restore carries the detector and truncated-history
 //     state, so a system interrupted mid-drift resumes bit-identically.
 
 import (
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/detect"
+	"repro/internal/features"
 	"repro/internal/queries"
 	"repro/internal/trace"
 )
@@ -51,7 +52,8 @@ func driftQueries() []queries.Query {
 
 // driftConfig is the shared engine config: predictive scheme, unlimited
 // capacity and no measurement noise, so per-bin prediction error is
-// exactly model error.
+// exactly model error. The detector runs as deployed: package-default
+// thresholds, truncation on a verdict.
 func driftConfig(detectOn bool) Config {
 	return Config{
 		Scheme:          Predictive,
@@ -62,20 +64,6 @@ func driftConfig(detectOn bool) Config {
 		Workers:         1,
 		HistoryLen:      120, // a long fitting window makes stale-history contamination visible
 		ChangeDetection: detectOn,
-		// The default thresholds are tuned for production window sizes;
-		// at this small trace scale legitimate volume bursts shift
-		// feature means by several sigma and the post-refit model is
-		// noisy, so the tests are made deliberately less trigger-happy:
-		// the residual tests arbitrate (with a higher bar and a longer
-		// refit grace period) and the distance test is only a backstop
-		// for gross shifts.
-		Detect: detect.Config{
-			ResidualDelta:  0.05,
-			ResidualLambda: 1.5,
-			DistThreshold:  12,
-			Cooldown:       40,
-		},
-		ChangeDiscount: -1, // truncate: re-select features on the new regime only
 	}
 }
 
@@ -158,22 +146,29 @@ func TestDriftDetectorRecovery(t *testing.T) {
 		return len(e) - startBin
 	}
 
-	// The detector must have fired, and near the drift, not before it.
-	fired := 0
+	// The detector must fire near the drift. At the package-default
+	// thresholds the distance test also raises one alarm on this seed's
+	// stationary traffic (bin 64; 2 of the 12 seeds in DESIGN.md
+	// section 3 have one): tolerated, as long as it stays a single one
+	// and truncating on it costs the pre-drift fit next to nothing.
+	fired, falseAlarms := 0, 0
 	firstFire := -1
 	for i, b := range on.Bins {
-		if b.Change {
-			fired++
-			if firstFire < 0 {
-				firstFire = i
-			}
+		if !b.Change {
+			continue
+		}
+		fired++
+		if i < startBin {
+			falseAlarms++
+		} else if firstFire < 0 {
+			firstFire = i
 		}
 	}
-	if fired == 0 {
-		t.Fatal("detector never fired on the drift")
+	if firstFire < 0 || firstFire > rampEnd+20 {
+		t.Fatalf("first change verdict on the drift at bin %d, want within [%d, %d]", firstFire, startBin, rampEnd+20)
 	}
-	if firstFire < startBin || firstFire > rampEnd+20 {
-		t.Fatalf("first change verdict at bin %d, want within [%d, %d]", firstFire, startBin, rampEnd+20)
+	if baseOn := mean(eOn, startBin/2, startBin); falseAlarms > 1 || baseOn > 1.25*baseOff {
+		t.Fatalf("%d verdicts before the drift, pre-drift err %.4f with the detector vs %.4f without", falseAlarms, baseOn, baseOff)
 	}
 	for _, b := range off.Bins {
 		if b.Change || b.ChangeScore != 0 {
@@ -190,14 +185,15 @@ func TestDriftDetectorRecovery(t *testing.T) {
 	if recOff < 2*recOn {
 		t.Fatalf("recovery speedup < 2x: detector-on %d bins, detector-off %d bins", recOn, recOff)
 	}
-	t.Logf("recovery: on=%d bins, off=%d bins (%.1fx), %d change verdicts, first at bin %d",
-		recOn, recOff, float64(recOff)/float64(recOn), fired, firstFire)
+	t.Logf("recovery: on=%d bins, off=%d bins (%.1fx), %d change verdicts (%d before the drift), first on the drift at bin %d",
+		recOn, recOff, float64(recOff)/float64(recOn), fired, falseAlarms, firstFire)
 }
 
 // TestChangeDetectionOffBitIdentical pins the disabled-path contract
 // from two sides: with ChangeDetection off no bin carries change state
 // (the stage is a nil-check no-op, so the run is the exact HEAD code
-// path), and an enabled detector that never fires (+Inf thresholds)
+// path), and an enabled detector that never fires (+Inf thresholds,
+// planted on the system directly: the engine has no threshold option)
 // leaves every engine output bit-identical to the disabled run — the
 // observe path reads engine state but writes none back.
 func TestChangeDetectionOffBitIdentical(t *testing.T) {
@@ -209,18 +205,21 @@ func TestChangeDetectionOffBitIdentical(t *testing.T) {
 	bin := g.TimeBin()
 	capacity := MeasureCapacity(trace.NewMemorySource(batches, bin), driftQueries(), 77) * 0.7
 
-	run := func(detectOn bool, dc detect.Config) *RunResult {
+	run := func(detectOn bool) *RunResult {
 		cfg := driftConfig(detectOn)
 		cfg.Capacity = capacity // finite: exercise the shedding path too
-		cfg.Detect = dc
-		return New(cfg, driftQueries()).Run(trace.NewMemorySource(batches, bin))
+		s := New(cfg, driftQueries())
+		if detectOn {
+			s.det = detect.New(detect.Config{
+				ResidualLambda: math.Inf(1),
+				DistThreshold:  math.Inf(1),
+			}, features.NumFeatures)
+		}
+		return s.Run(trace.NewMemorySource(batches, bin))
 	}
 
-	off := run(false, detect.Config{})
-	on := run(true, detect.Config{
-		ResidualLambda: math.Inf(1),
-		DistThreshold:  math.Inf(1),
-	})
+	off := run(false)
+	on := run(true)
 
 	if len(off.Bins) != len(on.Bins) {
 		t.Fatalf("bin counts differ: %d vs %d", len(off.Bins), len(on.Bins))
@@ -247,7 +246,7 @@ func TestChangeDetectionOffBitIdentical(t *testing.T) {
 // detector has fired, round-trips the snapshot through encode/decode,
 // and requires the resumed run to match the uninterrupted one bit for
 // bit — which only holds if the detector's rings/sums and the
-// discounted history weights both travel. It also pins the
+// truncated history ring both travel. It also pins the
 // presence-mismatch refusals both ways.
 func TestSnapshotCarriesDetectorState(t *testing.T) {
 	const (

@@ -139,24 +139,18 @@ type Config struct {
 	Probe func(bin int)
 
 	// ChangeDetection enables the online drift detector (internal/
-	// detect): every bin it observes the extracted feature vector and
-	// the aggregate prediction residual, and on a change verdict every
-	// MLR predictor discounts its pre-change history (NotifyChange) so
-	// the model refits on the new regime instead of averaging both.
+	// detect, at its package-default thresholds): every bin it observes
+	// the extracted feature vector and the aggregate prediction
+	// residual, and on a change verdict every MLR predictor truncates
+	// its history to the newest rows (NotifyChange) so the model refits
+	// on the new regime instead of averaging both. Thresholds and
+	// response are constants, not options: they are the one operating
+	// point the anomaly catalog was measured at (DESIGN.md section 3),
+	// and a checkpointed shard resumes under them by construction.
 	// Predictive scheme only. Default off — and when off, runs are
 	// bit-identical to an engine built without the detector at all
 	// (pinned by TestChangeDetectionOffBitIdentical).
 	ChangeDetection bool
-	// Detect tunes the detector; zero fields select the defaults
-	// documented in the detect package.
-	Detect detect.Config
-	// ChangeDiscount is the weight NotifyChange leaves on pre-change
-	// history rows: 0 selects predict.DefaultChangeDiscount, a
-	// negative value truncates the old regime outright. Truncation is
-	// the stronger medicine — FCBF selects features on raw columns, so
-	// down-weighted rows still steer selection even though the fit
-	// ignores them; dropping them re-selects purely on the new regime.
-	ChangeDiscount float64
 }
 
 // Arrival schedules a query to join a running system.
@@ -364,7 +358,7 @@ func New(cfg Config, qs []queries.Query) *System {
 		s.manager = custom.NewManager(nil)
 	}
 	if cfg.ChangeDetection && cfg.Scheme == Predictive {
-		s.det = detect.New(cfg.Detect, features.NumFeatures)
+		s.det = detect.New(detect.Config{}, features.NumFeatures)
 	}
 	for _, q := range qs {
 		s.addQuery(q)
@@ -518,7 +512,6 @@ func (s *System) addQuery(q queries.Query) {
 		rq.pred = predict.NewEWMA(predict.DefaultEWMAAlpha)
 	default:
 		m := predict.NewMLR(s.cfg.HistoryLen, predict.DefaultThreshold)
-		m.ChangeDiscount = s.cfg.ChangeDiscount
 		rq.pred = m
 		rq.mlr = m
 	}
@@ -548,10 +541,6 @@ func applyRTTCap(g *core.Governor, bufferBins, capacity float64) {
 
 // Governor exposes the controller, mainly for tests and experiments.
 func (s *System) Governor() *core.Governor { return s.gov }
-
-// ChangeDetector exposes the online change detector, nil unless
-// Config.ChangeDetection is enabled under the Predictive scheme.
-func (s *System) ChangeDetector() *detect.Detector { return s.det }
 
 // SetCapacity rebudgets the system mid-run: the Cluster coordinator
 // calls it every bin to move cycles between shards. Unlike touching the

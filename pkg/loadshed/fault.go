@@ -38,11 +38,6 @@ type FaultConfig struct {
 	// resumes from an older checkpoint — more bins replayed, same
 	// correctness.
 	CheckpointDrop float64
-	// AdoptDrop loses an adoption offer before the would-be adopter
-	// sees it; the coordinator re-offers after its offer timeout,
-	// rotating candidates — the adopt-race schedule the robustness
-	// suite pins.
-	AdoptDrop float64
 
 	// MaxDelay bounds how many subsequent Report calls a delayed
 	// report is held across. Default 3.
@@ -63,7 +58,6 @@ type FaultStats struct {
 	ReportsDuplicated  int64
 	GrantsDropped      int64
 	CheckpointsDropped int64
-	AdoptionsDropped   int64
 }
 
 // heldReport is a delayed report counting down to re-injection.
@@ -206,27 +200,10 @@ func (f *FaultTransport) Checkpoint(cp *ShardCheckpoint) error {
 // would only test the retry we already rely on for checkpoints.
 func (f *FaultTransport) DrainRequested() bool { return f.inner.DrainRequested() }
 
-// Adoption applies the adopt fate: an offer read from the wrapped
-// transport may vanish before the host sees it. The offer was consumed
-// — the coordinator believes it delivered — so recovery is its offer
-// timeout and re-offer rotation, which is the race this fault exists to
-// exercise.
-func (f *FaultTransport) Adoption() (AdoptOffer, bool) {
-	o, ok := f.inner.Adoption()
-	if !ok {
-		return AdoptOffer{}, false
-	}
-	f.mu.Lock()
-	dropped := f.rng.Float64() < f.cfg.AdoptDrop
-	if dropped {
-		f.stats.AdoptionsDropped++
-	}
-	f.mu.Unlock()
-	if dropped {
-		return AdoptOffer{}, false
-	}
-	return o, true
-}
+// Adoption passes through unfaulted: no schedule loses offers at the
+// adopter (the coordinator's offer timeout and rotation are driven on a
+// synthetic clock instead).
+func (f *FaultTransport) Adoption() (AdoptOffer, bool) { return f.inner.Adoption() }
 
 // Close closes the wrapped transport; held reports are discarded, as
 // in-flight frames are when a link dies.

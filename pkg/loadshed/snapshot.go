@@ -95,9 +95,10 @@ type SystemSnapshot struct {
 
 	// Detect is the drift detector's state, non-nil exactly when the
 	// snapshotted system ran with Config.ChangeDetection under the
-	// Predictive scheme. The predictors' discounted-history weights
-	// travel inside each query's Hist, so a restored mid-drift system
-	// resumes bit-identically (TestSnapshotCarriesDetectorState).
+	// Predictive scheme. What a verdict did to the predictors — the
+	// truncated history ring — travels inside each query's Hist, so a
+	// restored mid-drift system resumes bit-identically
+	// (TestSnapshotCarriesDetectorState).
 	Detect *detect.State
 
 	Queries []QuerySnapshot
@@ -235,7 +236,7 @@ func (s *System) Restore(snap *SystemSnapshot) error {
 				return fmt.Errorf("loadshed: restore: snapshot for %q carries no history", qs.Name)
 			}
 			if err := p.History().SetState(*qs.Hist); err != nil {
-				return fmt.Errorf("loadshed: restore %q: %w (HistoryLen mismatch?)", qs.Name, err)
+				return fmt.Errorf("loadshed: restore %q: %w", qs.Name, err)
 			}
 			p.FCBFOps = qs.FCBFOps
 			p.FitOps = qs.FitOps
@@ -244,7 +245,7 @@ func (s *System) Restore(snap *SystemSnapshot) error {
 				return fmt.Errorf("loadshed: restore: snapshot for %q carries no history", qs.Name)
 			}
 			if err := p.History().SetState(*qs.Hist); err != nil {
-				return fmt.Errorf("loadshed: restore %q: %w (HistoryLen mismatch?)", qs.Name, err)
+				return fmt.Errorf("loadshed: restore %q: %w", qs.Name, err)
 			}
 		case *predict.EWMA:
 			p.Restore(qs.EWMAValue, qs.EWMASeeded)

@@ -481,7 +481,7 @@ func (s *System) executeQuery(bc *BinContext, i int) {
 
 // detectChange feeds the online drift detector with this bin's feature
 // vector and aggregate prediction residual, and on a change verdict
-// tells every MLR predictor to discount its pre-change history. The
+// tells every MLR predictor to drop its pre-change history. The
 // residual is a log-ratio so over- and under-prediction are symmetric
 // and the detector's thresholds are scale-free. Runs after execute so
 // Used/Alloc are final, and unlike feedback it also runs under

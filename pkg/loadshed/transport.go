@@ -192,101 +192,182 @@ const (
 // retries next bin while the client redials in the background.
 var ErrCoordinatorUnreachable = errors.New("loadshed: coordinator unreachable")
 
-func appendU16Frame(dst []byte, payload func(dst []byte) []byte) []byte {
+// Message bodies: each struct is the wire layout of what follows the
+// type byte (and, for hello, helloAuth and adopt, the name) — fields in
+// order, little-endian, floats as IEEE-754 bits. encoding/binary derives
+// the encoder, the decoder and, through binary.Size, the one payload
+// length a decoder accepts from it.
+type (
+	helloBody  struct{ MinShare float64 }
+	reportBody struct {
+		Bin              int64
+		Demand, MinShare float64
+		Flags            uint8
+	}
+	grantBody struct {
+		Round    uint64
+		Capacity float64
+	}
+	checkpointBody struct {
+		Bin     int64
+		Flags   uint8
+		BlobLen uint32
+	}
+	adoptBody struct {
+		Bin     int64
+		BlobLen uint32
+	}
+	challengeBody struct{ Nonce [coordNonceLen]byte }
+)
+
+// coordNamed reports whether msg carries a name (u8 length, then the
+// bytes) between its type byte and its body.
+func coordNamed(msg byte) bool {
+	return msg == coordMsgHello || msg == coordMsgHelloAuth || msg == coordMsgAdopt
+}
+
+// appendFrame appends one length-prefixed frame: type byte, name when
+// the message has one, body (nil for none).
+func appendFrame(dst []byte, msg byte, name string, body any) []byte {
 	off := len(dst)
-	dst = append(dst, 0, 0)
-	dst = payload(dst)
+	dst = append(dst, 0, 0, msg)
+	if coordNamed(msg) {
+		dst = append(append(dst, byte(len(name))), name...)
+	}
+	if body != nil {
+		dst, _ = binary.Append(dst, binary.LittleEndian, body) // fixed-size struct: cannot fail
+	}
+	return sealFrame(dst, off)
+}
+
+// sealFrame writes the u16 length of the frame that starts at off.
+func sealFrame(dst []byte, off int) []byte {
 	binary.LittleEndian.PutUint16(dst[off:], uint16(len(dst)-off-2))
 	return dst
 }
 
-func appendF64(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+// decodeFrame decodes payload p — type byte, name when the message has
+// one, body — and accepts exactly one length: what is left after the
+// name must be binary.Size(body) bytes. An empty name is refused.
+func decodeFrame(p []byte, body any) (name string, ok bool) {
+	if len(p) == 0 {
+		return "", false
+	}
+	msg, p := p[0], p[1:]
+	if coordNamed(msg) {
+		if len(p) == 0 || p[0] == 0 || len(p) < 1+int(p[0]) {
+			return "", false
+		}
+		nl := 1 + int(p[0]) // in int: a 255-byte name must not wrap the u8
+		name, p = string(p[1:nl]), p[nl:]
+	}
+	if len(p) != binary.Size(body) {
+		return "", false
+	}
+	_, err := binary.Decode(p, binary.LittleEndian, body)
+	return name, err == nil
 }
 
-// appendHello appends a hello payload of the given message type.
-func appendHello(dst []byte, msg byte, name string, minShare float64) []byte {
-	dst = append(dst, msg, byte(len(name)))
-	dst = append(dst, name...)
-	return appendF64(dst, minShare)
+// flagBit encodes a bool as a flags byte; flagSet decodes one, refusing
+// undefined bits so there is one wire form per message (FuzzCoordWire).
+func flagBit(on bool, bit uint8) uint8 {
+	if on {
+		return bit
+	}
+	return 0
 }
+
+func flagSet(flags, bit uint8) (on, ok bool) { return flags&bit != 0, flags&^bit == 0 }
+
+// quantity vets a demand, share or capacity read off the wire. These
+// feed the allocator and System.SetCapacity directly, so NaN, ±Inf and
+// negative values are refused at decode (FuzzCoordWire).
+func quantity(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 func appendHelloFrame(dst []byte, name string, minShare float64) []byte {
-	return appendU16Frame(dst, func(dst []byte) []byte {
-		return appendHello(dst, coordMsgHello, name, minShare)
-	})
+	return appendFrame(dst, coordMsgHello, name, helloBody{minShare})
+}
+
+func decodeHello(p []byte) (name string, minShare float64, ok bool) {
+	var b helloBody
+	name, ok = decodeFrame(p, &b)
+	return name, b.MinShare, ok && quantity(b.MinShare)
 }
 
 func appendReportFrame(dst []byte, r DemandReport) []byte {
-	return appendU16Frame(dst, func(dst []byte) []byte {
-		dst = append(dst, coordMsgReport)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Bin))
-		dst = appendF64(dst, r.Demand)
-		dst = appendF64(dst, r.MinShare)
-		var flags byte
-		if r.Done {
-			flags |= reportFlagDone
-		}
-		return append(dst, flags)
-	})
+	return appendFrame(dst, coordMsgReport, "", reportBody{r.Bin, r.Demand, r.MinShare, flagBit(r.Done, reportFlagDone)})
+}
+
+func decodeReport(p []byte) (DemandReport, bool) {
+	var b reportBody
+	_, ok := decodeFrame(p, &b)
+	done, okF := flagSet(b.Flags, reportFlagDone)
+	return DemandReport{Bin: b.Bin, Demand: b.Demand, MinShare: b.MinShare, Done: done},
+		ok && okF && quantity(b.Demand) && quantity(b.MinShare)
 }
 
 func appendGrantFrame(dst []byte, g BudgetGrant) []byte {
-	return appendU16Frame(dst, func(dst []byte) []byte {
-		dst = append(dst, coordMsgGrant)
-		dst = binary.LittleEndian.AppendUint64(dst, g.Round)
-		return appendF64(dst, g.Capacity)
-	})
+	return appendFrame(dst, coordMsgGrant, "", grantBody{g.Round, g.Capacity})
+}
+
+func decodeGrant(p []byte) (BudgetGrant, bool) {
+	var b grantBody
+	_, ok := decodeFrame(p, &b)
+	return BudgetGrant{Round: b.Round, Capacity: b.Capacity}, ok && quantity(b.Capacity)
 }
 
 // appendCheckpointFrame builds the checkpoint header; the caller writes
 // blobLen raw blob bytes right after the frame.
 func appendCheckpointFrame(dst []byte, bin int64, final bool, blobLen int) []byte {
-	return appendU16Frame(dst, func(dst []byte) []byte {
-		dst = append(dst, coordMsgCheckpoint)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(bin))
-		var flags byte
-		if final {
-			flags |= ckptFlagFinal
-		}
-		dst = append(dst, flags)
-		return binary.LittleEndian.AppendUint32(dst, uint32(blobLen))
-	})
+	return appendFrame(dst, coordMsgCheckpoint, "", checkpointBody{bin, flagBit(final, ckptFlagFinal), uint32(blobLen)})
+}
+
+func decodeCheckpointHdr(p []byte) (bin int64, final bool, blobLen int, ok bool) {
+	var b checkpointBody
+	_, ok = decodeFrame(p, &b)
+	final, okF := flagSet(b.Flags, ckptFlagFinal)
+	return b.Bin, final, int(b.BlobLen), ok && okF && b.BlobLen <= maxCheckpointBytes
 }
 
 // appendAdoptFrame builds the adopt header; the caller appends blobLen
 // raw blob bytes right after the frame (one write, so grant pushes
 // cannot interleave).
 func appendAdoptFrame(dst []byte, shard string, bin int64, blobLen int) []byte {
-	return appendU16Frame(dst, func(dst []byte) []byte {
-		dst = append(dst, coordMsgAdopt, byte(len(shard)))
-		dst = append(dst, shard...)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(bin))
-		return binary.LittleEndian.AppendUint32(dst, uint32(blobLen))
-	})
+	return appendFrame(dst, coordMsgAdopt, shard, adoptBody{bin, uint32(blobLen)})
 }
 
-func appendDrainFrame(dst []byte) []byte {
-	return appendU16Frame(dst, func(dst []byte) []byte {
-		return append(dst, coordMsgDrain)
-	})
+func decodeAdoptHdr(p []byte) (shard string, bin int64, blobLen int, ok bool) {
+	var b adoptBody
+	shard, ok = decodeFrame(p, &b)
+	return shard, b.Bin, int(b.BlobLen), ok && b.BlobLen <= maxCheckpointBytes
 }
+
+func appendDrainFrame(dst []byte) []byte { return appendFrame(dst, coordMsgDrain, "", nil) }
 
 func appendChallengeFrame(dst []byte, nonce []byte) []byte {
-	return appendU16Frame(dst, func(dst []byte) []byte {
-		dst = append(dst, coordMsgChallenge)
-		return append(dst, nonce...)
-	})
+	return appendFrame(dst, coordMsgChallenge, "", challengeBody{[coordNonceLen]byte(nonce)})
 }
 
 // appendHelloAuthFrame is the hello in authenticated form: the plain
 // hello payload followed by HMAC-SHA256(key, nonce || payload).
 func appendHelloAuthFrame(dst []byte, name string, minShare float64, key string, nonce []byte) []byte {
-	return appendU16Frame(dst, func(dst []byte) []byte {
-		start := len(dst)
-		dst = appendHello(dst, coordMsgHelloAuth, name, minShare)
-		return append(dst, helloMAC(key, nonce, dst[start:])...)
-	})
+	off := len(dst)
+	dst = appendFrame(dst, coordMsgHelloAuth, name, helloBody{minShare})
+	return sealFrame(append(dst, helloMAC(key, nonce, dst[off+2:])...), off)
+}
+
+// decodeHelloAuth verifies an authenticated hello against the server's
+// key and the nonce it challenged with, then decodes the hello in front
+// of the MAC.
+func decodeHelloAuth(p []byte, key string, nonce []byte) (name string, minShare float64, ok bool) {
+	if len(p) < coordMACLen {
+		return "", 0, false
+	}
+	body, mac := p[:len(p)-coordMACLen], p[len(p)-coordMACLen:]
+	if !hmac.Equal(mac, helloMAC(key, nonce, body)) {
+		return "", 0, false
+	}
+	return decodeHello(body)
 }
 
 // helloMAC computes HMAC-SHA256(key, nonce || payload).
@@ -315,89 +396,6 @@ func readCoordFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// decodeQuantity reads a demand, share or capacity off the wire. These
-// feed the allocator and System.SetCapacity directly, so NaN, ±Inf and
-// negative values are refused at decode (FuzzCoordWire).
-func decodeQuantity(p []byte) (v float64, ok bool) {
-	v = math.Float64frombits(binary.LittleEndian.Uint64(p))
-	return v, v >= 0 && !math.IsInf(v, 1)
-}
-
-func decodeHello(p []byte) (name string, minShare float64, ok bool) {
-	if len(p) < 2 {
-		return "", 0, false
-	}
-	nl := int(p[1])
-	if len(p) != 2+nl+8 {
-		return "", 0, false
-	}
-	name = string(p[2 : 2+nl])
-	minShare, ok = decodeQuantity(p[2+nl:])
-	return name, minShare, ok && name != ""
-}
-
-func decodeReport(p []byte) (DemandReport, bool) {
-	// Undefined flag bits are refused, here and in the checkpoint
-	// header: one wire form per message (FuzzCoordWire).
-	if len(p) != 1+8+8+8+1 || p[25]&^reportFlagDone != 0 {
-		return DemandReport{}, false
-	}
-	demand, okD := decodeQuantity(p[9:])
-	minShare, okM := decodeQuantity(p[17:])
-	return DemandReport{
-		Bin:      int64(binary.LittleEndian.Uint64(p[1:])),
-		Demand:   demand,
-		MinShare: minShare,
-		Done:     p[25]&reportFlagDone != 0,
-	}, okD && okM
-}
-
-func decodeGrant(p []byte) (BudgetGrant, bool) {
-	if len(p) != 1+8+8 {
-		return BudgetGrant{}, false
-	}
-	capacity, ok := decodeQuantity(p[9:])
-	return BudgetGrant{Round: binary.LittleEndian.Uint64(p[1:]), Capacity: capacity}, ok
-}
-
-// decodeHelloAuth verifies an authenticated hello against the server's
-// key and the nonce it challenged with, then decodes the hello in front
-// of the MAC.
-func decodeHelloAuth(p []byte, key string, nonce []byte) (name string, minShare float64, ok bool) {
-	if len(p) < coordMACLen {
-		return "", 0, false
-	}
-	body, mac := p[:len(p)-coordMACLen], p[len(p)-coordMACLen:]
-	if !hmac.Equal(mac, helloMAC(key, nonce, body)) {
-		return "", 0, false
-	}
-	return decodeHello(body)
-}
-
-func decodeCheckpointHdr(p []byte) (bin int64, final bool, blobLen int, ok bool) {
-	if len(p) != 1+8+1+4 || p[9]&^ckptFlagFinal != 0 {
-		return 0, false, 0, false
-	}
-	bin = int64(binary.LittleEndian.Uint64(p[1:]))
-	final = p[9]&ckptFlagFinal != 0
-	blobLen = int(binary.LittleEndian.Uint32(p[10:]))
-	return bin, final, blobLen, blobLen <= maxCheckpointBytes
-}
-
-func decodeAdoptHdr(p []byte) (shard string, bin int64, blobLen int, ok bool) {
-	if len(p) < 2+8+4 {
-		return "", 0, 0, false
-	}
-	nl := int(p[1])
-	if len(p) != 2+nl+8+4 {
-		return "", 0, 0, false
-	}
-	shard = string(p[2 : 2+nl])
-	bin = int64(binary.LittleEndian.Uint64(p[2+nl:]))
-	blobLen = int(binary.LittleEndian.Uint32(p[2+nl+8:]))
-	return shard, bin, blobLen, shard != "" && blobLen <= maxCheckpointBytes
 }
 
 // --- TCP server (coordinator side) ---
@@ -869,10 +867,11 @@ func readChallengeConn(conn net.Conn, timeout time.Duration) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("no challenge: %w", err)
 	}
-	if len(payload) != 1+coordNonceLen || payload[0] != coordMsgChallenge {
+	var b challengeBody
+	if _, ok := decodeFrame(payload, &b); !ok || payload[0] != coordMsgChallenge {
 		return nil, errors.New("unexpected frame where challenge expected")
 	}
-	return payload[1:], nil
+	return b.Nonce[:], nil
 }
 
 func (c *CoordClient) current() net.Conn {

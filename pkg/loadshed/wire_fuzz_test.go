@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -32,7 +33,8 @@ func FuzzCoordWire(f *testing.F) {
 	f.Add(seed)
 	f.Add(appendCheckpointFrame(nil, 1, false, maxCheckpointBytes+1))
 	f.Add(appendAdoptFrame(nil, "", 1, 1))
-	f.Add(appendReportFrame(nil, DemandReport{})[:20]) // truncated mid-frame
+	f.Add(appendReportFrame(nil, DemandReport{})[:20])                    // truncated mid-frame
+	f.Add(appendAdoptFrame(nil, strings.Repeat("n", coordMaxName), 7, 9)) // longest name the u8 length carries
 	f.Add([]byte{1, 0, coordMsgHello})
 	f.Add([]byte{0, 0})
 
