@@ -18,12 +18,12 @@
 // Both counters ingest 64-bit hashes; the caller chooses the hash
 // function (the monitoring pipeline uses hash.H3).
 //
-// Both counters maintain their set-bit counts incrementally on Insert
-// and MergeFrom, so Ones and Estimate never scan the bit array, and
-// MultiRes additionally tracks which words have been written so Reset
-// costs O(words touched) rather than O(total size). The per-batch hot
-// loop therefore pays exactly one word read-modify-write per insertion
-// and nothing proportional to the configured bitmap size.
+// Both counters keep their set-bit counts current after every mutating
+// call, so Ones and Estimate never scan the bit array. MultiRes keeps
+// its books per component rather than per item: a bulk insert is one OR
+// per hash, followed by one popcount pass over the components the call
+// wrote, and a mask of the components that may hold a bit lets Reset
+// and MergeFrom skip the rest.
 package bitmap
 
 import (
@@ -144,49 +144,48 @@ const saturationFill = 0.9
 // estimates of components base..c-1 are summed and rescaled by 2^base.
 //
 // All components live in one flat contiguous word array (component i
-// occupies words [i*wpc, (i+1)*wpc)), with two pieces of bookkeeping
-// maintained on every write:
+// occupies words [i*wpc, (i+1)*wpc)), with two invariants that hold
+// whenever a method returns:
 //
-//   - ones[i]: the set-bit count of component i, so Estimate is
+//   - ones[i] is the set-bit count of component i, so Estimate is
 //     O(levels) instead of a full popcount scan;
-//   - dirty: the indices of the nonzero words, appended exactly when a
-//     word transitions zero→nonzero, so Reset zeroes only the words a
-//     sparse batch actually touched and MergeFrom visits only the
-//     source's nonzero words.
+//   - bit i of live is set if component i holds a set bit (it may also
+//     be set for an empty component, never clear for a nonempty one), so
+//     Reset and MergeFrom touch only components that were written.
+//
+// A component is a few hundred bytes at the geometries in use (32 words
+// at the engine's 2048×16), so recounting or clearing a whole component
+// costs less than tracking its words one by one on every insert.
 //
 // The zero value is unusable; construct with NewMultiRes.
 type MultiRes struct {
 	words  []uint64 // levels × wpc, flat
 	ones   []int    // per-component set-bit counts
-	dirty  []int32  // indices of nonzero words (no duplicates)
+	live   uint64   // components that may hold a set bit, one bit per level
 	nbits  int      // requested per-component size, kept for geometry checks
 	size   uint64   // actual per-component size in bits (power of two, ≥64)
 	mask   uint64
-	wpc    int // words per component (power of two)
-	wshift int // log2(wpc)
+	wpc    int // words per component
 	levels int
 }
 
 // NewMultiRes returns a multi-resolution bitmap with the given number of
-// components ("levels"), each holding nbits bits. Inserting costs one
-// bitmap write regardless of parameters. The dirty-word list is
-// preallocated at full capacity, so the counter never allocates after
-// construction.
+// components ("levels", 2 to 64), each holding nbits bits. Inserting
+// costs one bitmap write regardless of parameters, and the counter
+// never allocates after construction.
 func NewMultiRes(nbits, levels int) *MultiRes {
-	if levels < 2 {
-		panic("bitmap: MultiRes needs at least 2 levels")
+	if levels < 2 || levels > 64 {
+		panic("bitmap: MultiRes needs 2 to 64 levels")
 	}
 	size := roundSize(nbits)
 	wpc := int(size / 64)
 	return &MultiRes{
 		words:  make([]uint64, levels*wpc),
 		ones:   make([]int, levels),
-		dirty:  make([]int32, 0, levels*wpc),
 		nbits:  nbits,
 		size:   size,
 		mask:   size - 1,
 		wpc:    wpc,
-		wshift: bits.TrailingZeros(uint(wpc)),
 		levels: levels,
 	}
 }
@@ -217,39 +216,44 @@ func (m *MultiRes) Insert(h uint64) {
 	if w&mask != 0 {
 		return
 	}
-	if w == 0 {
-		m.dirty = append(m.dirty, int32(idx))
-	}
 	m.words[idx] = w | mask
 	m.ones[lv]++
+	m.live |= 1 << uint(lv)
 }
 
-// InsertMany records every item in hs — Insert unrolled into a single
-// call with the hot fields held in locals, which is what the
-// per-aggregate extraction loop feeds (one hash slice per batch per
-// aggregate). Equivalent to calling Insert on each element in order.
+// InsertMany records every item in hs, which is what the per-aggregate
+// extraction loop feeds (one hash slice per batch per aggregate). The
+// loop is one unconditional OR per item — a repeated item at level 0 is
+// a coin flip on real traffic, so there is no duplicate branch, and no
+// count is carried through memory from one item to the next; the
+// components the call wrote are recounted once at the end. Equivalent
+// to calling Insert on each element.
 func (m *MultiRes) InsertMany(hs []uint64) {
-	words, ones, dirty := m.words, m.ones, m.dirty
-	last, mask, wshift := m.levels-1, m.mask, uint(m.wshift)
+	words := m.words
+	last, mask, wpc := m.levels-1, m.mask, m.wpc
+	var touched uint64
 	for _, h := range hs {
-		lv := bits.TrailingZeros64(^h)
-		if lv > last {
-			lv = last
-		}
-		bit := (h >> uint(lv+1)) & mask
-		idx := lv<<wshift + int(bit>>6)
-		shift := bit & 63
-		w := words[idx]
-		// Branchless on the duplicate check: a repeated item at level 0 is
-		// a coin flip on real traffic, and a mispredicted branch there
-		// costs more than the unconditional (idempotent) store.
-		words[idx] = w | 1<<shift
-		ones[lv] += int(^w>>shift) & 1
-		if w == 0 {
-			dirty = append(dirty, int32(idx))
-		}
+		// lv <= 63, so masking the shift counts changes nothing but lets
+		// the compiler drop its shift-by-64-or-more guards.
+		lv := min(bits.TrailingZeros64(^h), last)
+		bit := (h >> 1 >> (uint(lv) & 63)) & mask
+		words[lv*wpc+int(bit>>6)] |= 1 << (bit & 63)
+		touched |= 1 << (uint(lv) & 63)
 	}
-	m.dirty = dirty
+	m.live |= touched
+	for ; touched != 0; touched &= touched - 1 {
+		lv := bits.TrailingZeros64(touched)
+		n := 0
+		for _, w := range m.component(lv) {
+			n += bits.OnesCount64(w)
+		}
+		m.ones[lv] = n
+	}
+}
+
+// component returns the words of component lv.
+func (m *MultiRes) component(lv int) []uint64 {
+	return m.words[lv*m.wpc : (lv+1)*m.wpc]
 }
 
 // Estimate returns the estimated number of distinct items inserted. It
@@ -271,40 +275,38 @@ func (m *MultiRes) Estimate() float64 {
 	return sum * math.Pow(2, float64(base))
 }
 
-// Reset clears every component. Only the words recorded dirty are
-// zeroed, so a sparse batch pays for the words it wrote, not for the
-// configured capacity.
+// Reset clears every component. Only live components are cleared, so
+// a batch that reached three levels pays for three components, not for
+// the configured capacity.
 func (m *MultiRes) Reset() {
-	for _, idx := range m.dirty {
-		m.words[idx] = 0
+	for live := m.live; live != 0; live &= live - 1 {
+		lv := bits.TrailingZeros64(live)
+		clear(m.component(lv))
+		m.ones[lv] = 0
 	}
-	m.dirty = m.dirty[:0]
-	for i := range m.ones {
-		m.ones[i] = 0
-	}
+	m.live = 0
 }
 
 // MergeFrom ORs another multi-resolution bitmap with identical geometry
 // into m; the result counts the union of the two insert streams. Only
-// o's nonzero words are visited, which is what makes the per-batch
-// interval merge cheap for sparse batches. It panics if the geometries
-// differ.
+// o's live components are visited, word by word without a branch,
+// recounting as it goes. It panics if the geometries differ.
 func (m *MultiRes) MergeFrom(o *MultiRes) {
 	if m.nbits != o.nbits || m.levels != o.levels {
 		panic("bitmap: merging MultiRes bitmaps with different geometry")
 	}
-	for _, idx := range o.dirty {
-		old := m.words[idx]
-		nw := old | o.words[idx]
-		if nw == old {
-			continue
+	for live := o.live; live != 0; live &= live - 1 {
+		lv := bits.TrailingZeros64(live)
+		dst, src := m.component(lv), o.component(lv)
+		n := 0
+		for i, w := range src {
+			w |= dst[i]
+			dst[i] = w
+			n += bits.OnesCount64(w)
 		}
-		if old == 0 {
-			m.dirty = append(m.dirty, idx)
-		}
-		m.ones[int(idx)/m.wpc] += bits.OnesCount64(nw) - bits.OnesCount64(old)
-		m.words[idx] = nw
+		m.ones[lv] = n
 	}
+	m.live |= o.live
 }
 
 // MemoryBytes returns the memory footprint of the bitmap payload.

@@ -371,47 +371,129 @@ func TestMultiResMatchesReferenceImplementation(t *testing.T) {
 	}
 }
 
-func TestMultiResDirtyTracking(t *testing.T) {
-	m := NewMultiRes(256, 8)
-	rng := hash.NewXorShift(13)
-	for round := 0; round < 5; round++ {
-		for i := 0; i < 300; i++ {
-			m.Insert(rng.Uint64())
+// checkBooks verifies MultiRes's two invariants against a scan of the
+// flat array: ones[lv] is component lv's popcount, and every component
+// that holds a bit is in live.
+func checkBooks(t *testing.T, when string, m *MultiRes) {
+	t.Helper()
+	for lv := 0; lv < m.levels; lv++ {
+		want := scanOnes(m.words[lv*m.wpc : (lv+1)*m.wpc])
+		if m.ones[lv] != want {
+			t.Fatalf("%s: component %d ones = %d, scan = %d", when, lv, m.ones[lv], want)
 		}
-		// dirty must list exactly the nonzero words, without duplicates.
-		seen := make(map[int32]bool, len(m.dirty))
-		for _, idx := range m.dirty {
-			if seen[idx] {
-				t.Fatalf("round %d: duplicate dirty index %d", round, idx)
-			}
-			seen[idx] = true
-			if m.words[idx] == 0 {
-				t.Fatalf("round %d: dirty index %d is zero", round, idx)
-			}
-		}
-		nonzero := 0
-		for i, w := range m.words {
-			if w != 0 {
-				nonzero++
-				if !seen[int32(i)] {
-					t.Fatalf("round %d: nonzero word %d not tracked dirty", round, i)
-				}
-			}
-		}
-		if nonzero != len(m.dirty) {
-			t.Fatalf("round %d: %d nonzero words, %d dirty entries", round, nonzero, len(m.dirty))
-		}
-		// Per-component counts must match a scan of the flat array.
-		for lv := 0; lv < m.levels; lv++ {
-			if got, want := m.ones[lv], scanOnes(m.words[lv*m.wpc:(lv+1)*m.wpc]); got != want {
-				t.Fatalf("round %d: component %d ones = %d, scan = %d", round, lv, got, want)
-			}
-		}
-		m.Reset()
-		if len(m.dirty) != 0 || scanOnes(m.words) != 0 {
-			t.Fatalf("round %d: Reset left state behind", round)
+		if want != 0 && m.live&(1<<uint(lv)) == 0 {
+			t.Fatalf("%s: component %d holds %d bits but is not live", when, lv, want)
 		}
 	}
+}
+
+func TestMultiResBooksUnderInterleaving(t *testing.T) {
+	// Any interleaving of the four mutators must leave the per-component
+	// books exact; InsertMany lands on empty and on non-empty bitmaps.
+	m := NewMultiRes(256, 8)
+	o := NewMultiRes(256, 8)
+	rng := hash.NewXorShift(13)
+	hs := make([]uint64, 0, 64)
+	for step := 0; step < 4000; step++ {
+		switch op := rng.Uint64() % 16; {
+		case op < 6:
+			m.Insert(rng.Uint64())
+		case op < 11:
+			hs = hs[:0]
+			for n := rng.Uint64() % 64; n > 0; n-- {
+				hs = append(hs, rng.Uint64())
+			}
+			m.InsertMany(hs)
+			o.InsertMany(hs[:len(hs)/2])
+		case op < 14:
+			o.Insert(rng.Uint64())
+			m.MergeFrom(o)
+		case op < 15:
+			o.Reset()
+			checkBooks(t, "other after Reset", o)
+		default:
+			m.Reset()
+			if m.live != 0 || scanOnes(m.words) != 0 {
+				t.Fatalf("step %d: Reset left live=%#x, %d bits", step, m.live, scanOnes(m.words))
+			}
+		}
+		checkBooks(t, "after step", m)
+	}
+}
+
+// sameAsSingle reports how InsertMany(hs) onto a bitmap already holding
+// pre differs from one Insert per hash and from refMultiRes: words,
+// counts and Estimate must all agree. It returns "" when they do.
+func sameAsSingle(nbits, levels int, pre, hs []uint64) string {
+	bulk := NewMultiRes(nbits, levels)
+	single := NewMultiRes(nbits, levels)
+	ref := newRefMultiRes(nbits, levels)
+	bulk.InsertMany(pre)
+	for _, h := range pre {
+		single.Insert(h)
+		ref.Insert(h)
+	}
+	bulk.InsertMany(hs)
+	for _, h := range hs {
+		single.Insert(h)
+		ref.Insert(h)
+	}
+	for i, w := range bulk.words {
+		if w != single.words[i] {
+			return "words differ"
+		}
+		if w != ref.comps[i/bulk.wpc].words[i%bulk.wpc] {
+			return "words differ from reference"
+		}
+	}
+	for lv, n := range bulk.ones {
+		if n != single.ones[lv] || n != ref.comps[lv].Ones() {
+			return "counts differ"
+		}
+	}
+	if bulk.live != single.live {
+		return "live masks differ"
+	}
+	if e := bulk.Estimate(); e != single.Estimate() || e != ref.Estimate() {
+		return "estimates differ"
+	}
+	return ""
+}
+
+func FuzzMultiResBulkEqualsSingle(f *testing.F) {
+	// The hashes are the recurrence x -> x*mul + base from base. Seeds,
+	// which plain go test runs: the all-ones hash (last component, shift
+	// by levels), the zero hash, one value repeated (mul 0, the shape of
+	// the AggProto column), a counter (mul 1), and two LCG streams for
+	// hashes spread over every component.
+	f.Add(uint64(math.MaxUint64), uint64(0), uint8(1), uint8(3))
+	f.Add(uint64(0), uint64(0), uint8(0), uint8(200))
+	f.Add(uint64(0x9e3779b97f4a7c15), uint64(0), uint8(40), uint8(255))
+	f.Add(uint64(0x0101010101010101), uint64(1), uint8(7), uint8(64))
+	f.Add(uint64(1442695040888963407), uint64(6364136223846793005), uint8(100), uint8(255))
+	f.Add(uint64(0xda942042e4dd58b5), uint64(0x2545f4914f6cdd1d), uint8(0), uint8(255))
+	f.Fuzz(func(t *testing.T, base, mul uint64, npre, n uint8) {
+		hs := make([]uint64, int(npre)+int(n))
+		x := base
+		for i := range hs {
+			hs[i] = x
+			x = x*mul + base
+		}
+		for _, levels := range []int{2, 16, 64} {
+			if diff := sameAsSingle(128, levels, hs[:npre], hs[npre:]); diff != "" {
+				t.Fatalf("levels %d: %s", levels, diff)
+			}
+		}
+	})
+}
+
+func TestMultiResRefusesMoreThan64Levels(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewMultiRes(64, 65)
 }
 
 func TestMultiResNoAllocSteadyState(t *testing.T) {
@@ -447,5 +529,80 @@ func BenchmarkMultiResEstimate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Estimate()
+	}
+}
+
+// engineMultiRes is the geometry internal/features runs.
+func engineMultiRes() *MultiRes { return NewMultiRes(2048, 16) }
+
+func BenchmarkMultiResInsertMany(b *testing.B) {
+	// One engine batch: 2 500 hashes into an empty bitmap, then Reset.
+	// "three-values" is the AggProto column: every write hits one of
+	// three bits, the worst case for a count carried through memory.
+	const n = 2500
+	rng := hash.NewXorShift(1)
+	uniform := make([]uint64, n)
+	three := make([]uint64, n)
+	vals := [3]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}
+	for i := range uniform {
+		uniform[i] = rng.Uint64()
+		three[i] = vals[rng.Uint64()%3]
+	}
+	for _, c := range []struct {
+		name string
+		hs   []uint64
+	}{{"uniform", uniform}, {"three-values", three}} {
+		b.Run(c.name, func(b *testing.B) {
+			m := engineMultiRes()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Reset()
+				m.InsertMany(c.hs)
+			}
+		})
+	}
+}
+
+// filledMultiRes returns an engine-geometry bitmap holding n random items.
+func filledMultiRes(seed uint64, n int) *MultiRes {
+	m := engineMultiRes()
+	rng := hash.NewXorShift(seed)
+	for i := 0; i < n; i++ {
+		m.Insert(rng.Uint64())
+	}
+	return m
+}
+
+func BenchmarkMultiResMergeFrom(b *testing.B) {
+	// The engine's pattern: an interval bitmap takes ten batch bitmaps
+	// (100 ms bins, 1 s interval), then starts over. One op is one merge;
+	// a tenth of a Reset rides along.
+	var srcs [10]*MultiRes
+	for i := range srcs {
+		srcs[i] = filledMultiRes(uint64(i+1), 2500)
+	}
+	dst := engineMultiRes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(srcs) == 0 {
+			dst.Reset()
+		}
+		dst.MergeFrom(srcs[i%len(srcs)])
+	}
+}
+
+func BenchmarkMultiResReset(b *testing.B) {
+	// Reset's cost depends only on which components are live, so each
+	// iteration re-marks the components a 2 500-item batch reaches rather
+	// than refilling them.
+	live := filledMultiRes(1, 2500).live
+	m := engineMultiRes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.live = live
+		m.Reset()
 	}
 }

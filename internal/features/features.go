@@ -333,8 +333,8 @@ func (e *Extractor) Extract(b *pkt.Batch) Vector {
 // ExtractInto computes the feature vector of b into v, growing it if
 // needed, and returns it. After warm-up the extraction performs no
 // allocations: hashing is field-wise (no key serialization), the batch
-// bitmaps reset only the words the previous batch touched, and the
-// estimates read incrementally maintained popcounts.
+// bitmaps clear only the components the previous batch reached, and the
+// estimates read per-component popcounts taken once per bulk insert.
 //
 // Aggregates iterate in the outer loop, packets in the inner one, so
 // each pass streams the batch through a single H3 table and a single

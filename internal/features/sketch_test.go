@@ -141,8 +141,8 @@ func TestChunkSketchFillAllocFree(t *testing.T) {
 
 // sameSketch fails the test unless got is want: the same hash columns,
 // packet and op counts, and bitmaps equal field for field (both sides
-// insert in packet order into cleared bitmaps, so even the dirty-word
-// bookkeeping must agree).
+// insert into cleared bitmaps, so even the per-component bookkeeping
+// must agree).
 func sameSketch(t *testing.T, what string, got, want *Sketch) {
 	t.Helper()
 	if got.Pkts() != want.Pkts() || got.Ops() != want.Ops() {

@@ -12,6 +12,7 @@ package hash
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/pkt"
 )
@@ -52,20 +53,17 @@ func NewH3(seed uint64) *H3 {
 func (h *H3) Reseed(seed uint64) {
 	rng := NewXorShift(seed)
 	// Draw the 8 rows of Q covering each byte position, then fold them
-	// into the 256-entry lookup table for that position.
-	for pos := 0; pos < KeySize; pos++ {
+	// into the 256-entry lookup table for that position: entry v is the
+	// entry for v without its lowest set bit, XOR that bit's row.
+	for pos := range h.table {
 		var rows [8]uint64
 		for bit := range rows {
 			rows[bit] = rng.Uint64()
 		}
-		for v := 0; v < 256; v++ {
-			var acc uint64
-			for bit := 0; bit < 8; bit++ {
-				if v&(1<<uint(bit)) != 0 {
-					acc ^= rows[bit]
-				}
-			}
-			h.table[pos][v] = acc
+		t := &h.table[pos]
+		t[0] = 0
+		for v := 1; v < 256; v++ {
+			t[v] = t[v&(v-1)] ^ rows[bits.TrailingZeros8(uint8(v))]
 		}
 	}
 }

@@ -23,6 +23,34 @@ func TestH3Deterministic(t *testing.T) {
 	}
 }
 
+func TestReseedMatchesRowXOR(t *testing.T) {
+	// The table from the definition: entry v of position pos is the XOR
+	// of the rows of Q that v's one bits select, rows drawn in position
+	// then bit order. Reseed over a used table must give exactly that.
+	h := NewH3(99)
+	for _, seed := range []uint64{0, 1, 42, math.MaxUint64} {
+		h.Reseed(seed)
+		rng := NewXorShift(seed)
+		for pos := 0; pos < KeySize; pos++ {
+			var rows [8]uint64
+			for bit := range rows {
+				rows[bit] = rng.Uint64()
+			}
+			for v := 0; v < 256; v++ {
+				var want uint64
+				for bit := 0; bit < 8; bit++ {
+					if v&(1<<bit) != 0 {
+						want ^= rows[bit]
+					}
+				}
+				if got := h.table[pos][v]; got != want {
+					t.Fatalf("seed %d: table[%d][%d] = %#x, want %#x", seed, pos, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestH3SeedsDiffer(t *testing.T) {
 	a := NewH3(1)
 	b := NewH3(2)
@@ -236,5 +264,14 @@ func BenchmarkH3Hash(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Hash(k)
+	}
+}
+
+func BenchmarkH3Reseed(b *testing.B) {
+	// What every flow sampler pays at every measurement interval.
+	h := NewH3(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Reseed(uint64(i))
 	}
 }

@@ -9,6 +9,8 @@ package predict
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/features"
 	"repro/internal/linalg"
@@ -103,19 +105,13 @@ func (h *History) CostsInto(dst []float64) []float64 {
 }
 
 // Column returns feature j across the stored observations, matching the
-// order of Costs. The returned slice is freshly allocated; use
-// ColumnInto on the hot path.
-func (h *History) Column(j int) []float64 { return h.ColumnInto(nil, j) }
-
-// ColumnInto writes feature j across the stored observations into dst
-// (grown only when its capacity is short) and returns it.
-func (h *History) ColumnInto(dst []float64, j int) []float64 {
-	n := h.Len()
-	dst = linalg.GrowFloats(dst, n)
-	for i := 0; i < n; i++ {
-		dst[i] = h.feats[i][j]
+// order of Costs, in a freshly allocated slice.
+func (h *History) Column(j int) []float64 {
+	col := make([]float64, h.Len())
+	for i := range col {
+		col[i] = h.feats[i][j]
 	}
-	return dst
+	return col
 }
 
 // MeanCost returns the average stored cost (0 when empty), the cold
@@ -260,21 +256,62 @@ type fcbfCand struct {
 type fcbfScratch struct {
 	cands   []fcbfCand
 	removed []bool
+	// Every column centred once per selection, flat (column j at
+	// [j*n, (j+1)*n), the response last), and each one's sum of squared
+	// deviations: a correlation is then one dot product.
+	dev []float64
+	ss  []float64
+}
+
+// centreInto writes xs minus its mean into dev and returns the sum of
+// the squared deviations, with stats.Pearson's operation order and its
+// guards: a column of the wrong length or under two points gets 0,
+// which corr reads as "correlates with nothing".
+func centreInto(dev, xs []float64) float64 {
+	if len(xs) != len(dev) || len(xs) < 2 {
+		return 0
+	}
+	mean := stats.Mean(xs)
+	var ss float64
+	for i, x := range xs {
+		d := x - mean
+		dev[i] = d
+		ss += d * d
+	}
+	return ss
+}
+
+// corr returns |stats.Pearson| of columns a and b (len(cols) names the
+// response), bit for bit, from their centred forms.
+func (sc *fcbfScratch) corr(a, b, n int) float64 {
+	if sc.ss[a] == 0 || sc.ss[b] == 0 {
+		return 0
+	}
+	da, db := sc.dev[a*n:(a+1)*n], sc.dev[b*n:(b+1)*n]
+	var sxy float64
+	for i, d := range da {
+		sxy += d * db[i]
+	}
+	return math.Abs(sxy / math.Sqrt(sc.ss[a]*sc.ss[b]))
 }
 
 // selectInto is FCBF appending the selected indices to out (usually a
 // reused slice truncated to zero length) with all intermediates taken
-// from the scratch. Same algorithm, same output, no steady-state
-// allocation.
+// from the scratch: no steady-state allocation.
 func (sc *fcbfScratch) selectInto(out []int, cols [][]float64, y []float64, threshold float64) []int {
 	type cand = fcbfCand
+	n, resp := len(y), len(cols)
+	sc.dev = slices.Grow(sc.dev[:0], (resp+1)*n)[:(resp+1)*n]
+	sc.ss = slices.Grow(sc.ss[:0], resp+1)[:resp+1]
+	for j, col := range cols {
+		sc.ss[j] = centreInto(sc.dev[j*n:(j+1)*n], col)
+	}
+	sc.ss[resp] = centreInto(sc.dev[resp*n:], y)
+
 	cands := sc.cands[:0]
 	best := cand{idx: -1}
-	for j, col := range cols {
-		r := stats.Pearson(col, y)
-		if r < 0 {
-			r = -r
-		}
+	for j := range cols {
+		r := sc.corr(j, resp, n)
 		if r > best.r {
 			best = cand{idx: j, r: r}
 		}
@@ -306,17 +343,10 @@ func (sc *fcbfScratch) selectInto(out []int, cols [][]float64, y []float64, thre
 			continue
 		}
 		for j := i + 1; j < len(cands); j++ {
-			if removed[j] {
-				continue
-			}
-			r := stats.Pearson(cols[cands[i].idx], cols[cands[j].idx])
-			if r < 0 {
-				r = -r
-			}
-			// The epsilon absorbs rounding in the two Pearson
-			// computations; without it an exactly-duplicated column can
-			// survive its own redundancy check.
-			if r >= cands[j].r-1e-9 {
+			// The epsilon absorbs rounding in the two correlations; without
+			// it an exactly-duplicated column can survive its own
+			// redundancy check.
+			if !removed[j] && sc.corr(cands[i].idx, cands[j].idx, n) >= cands[j].r-1e-9 {
 				removed[j] = true
 			}
 		}
@@ -415,7 +445,12 @@ func (m *MLR) Predict(f features.Vector) float64 {
 	}
 	m.colBuf = m.colBuf[:features.NumFeatures*n]
 	for j := range cols {
-		cols[j] = m.hist.ColumnInto(m.colBuf[j*n:j*n:(j+1)*n], j)
+		cols[j] = m.colBuf[j*n : (j+1)*n]
+	}
+	for i, row := range m.hist.feats[:n] {
+		for j, x := range row[:features.NumFeatures] {
+			cols[j][i] = x
+		}
 	}
 	m.selected = m.fcbf.selectInto(m.selected[:0], cols, y, m.threshold)
 	m.FCBFOps += int64(n * features.NumFeatures)

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/features"
@@ -127,6 +128,135 @@ func TestFCBFFallsBackToBest(t *testing.T) {
 func TestFCBFEmptyInput(t *testing.T) {
 	if sel := FCBF(nil, nil, 0.5); sel != nil {
 		t.Fatalf("FCBF(nil) = %v", sel)
+	}
+}
+
+// pearsonFCBF is selectInto as it stood before columns were centred
+// once: every correlation a fresh stats.Pearson call. It is the oracle;
+// it also returns the sorted phase-1 survivors with their relevances.
+func pearsonFCBF(cols [][]float64, y []float64, threshold float64) ([]int, []fcbfCand) {
+	var out []int
+	var cands []fcbfCand
+	best := fcbfCand{idx: -1}
+	for j, col := range cols {
+		r := stats.Pearson(col, y)
+		if r < 0 {
+			r = -r
+		}
+		if r > best.r {
+			best = fcbfCand{idx: j, r: r}
+		}
+		if r >= threshold {
+			cands = append(cands, fcbfCand{idx: j, r: r})
+		}
+	}
+	if len(cands) == 0 {
+		if best.idx < 0 {
+			return out, cands
+		}
+		return append(out, best.idx), cands
+	}
+	for i := 1; i < len(cands); i++ {
+		for k := i; k > 0 && (cands[k].r > cands[k-1].r ||
+			(cands[k].r == cands[k-1].r && cands[k].idx < cands[k-1].idx)); k-- {
+			cands[k], cands[k-1] = cands[k-1], cands[k]
+		}
+	}
+	removed := make([]bool, len(cands))
+	for i := range cands {
+		if removed[i] {
+			continue
+		}
+		for j := i + 1; j < len(cands); j++ {
+			if removed[j] {
+				continue
+			}
+			r := stats.Pearson(cols[cands[i].idx], cols[cands[j].idx])
+			if r < 0 {
+				r = -r
+			}
+			if r >= cands[j].r-1e-9 {
+				removed[j] = true
+			}
+		}
+	}
+	for i, c := range cands {
+		if !removed[i] {
+			out = append(out, c.idx)
+		}
+	}
+	return out, cands
+}
+
+// correlatedHistory builds n rows of features.NumFeatures columns with
+// the structure the engine's histories have and FCBF's two phases
+// exist for: a few independent drivers, columns that are exact or noisy
+// multiples of them (phase 2 removes these), exact duplicates, constant
+// columns (zero variance) and plain noise, and a response driven by two
+// of the drivers.
+func correlatedHistory(seed uint64, n int) (cols [][]float64, y []float64) {
+	rng := hash.NewXorShift(seed)
+	cols = make([][]float64, features.NumFeatures)
+	for j := range cols {
+		cols[j] = make([]float64, n)
+	}
+	y = make([]float64, n)
+	for i := 0; i < n; i++ {
+		d0, d1, d2 := 1000+500*rng.Float64(), 300*rng.Float64(), rng.NormFloat64()
+		for j := range cols {
+			switch j % 7 {
+			case 0:
+				cols[j][i] = d0
+			case 1:
+				cols[j][i] = 3*d0 + float64(j) // collinear with every case-0 column
+			case 2:
+				cols[j][i] = d1 + 5*rng.NormFloat64()
+			case 3:
+				cols[j][i] = d0 + d1 + 20*rng.NormFloat64()
+			case 4:
+				cols[j][i] = 42 // constant
+			case 5:
+				cols[j][i] = d2
+			default:
+				cols[j][i] = 1000 * rng.Float64()
+			}
+		}
+		y[i] = 1000 + 50*d0 + 20*d1 + 10*rng.NormFloat64()
+	}
+	return cols, y
+}
+
+func TestFCBFMatchesPearsonOracle(t *testing.T) {
+	// Same selections and bit-equal coefficients as the per-call
+	// stats.Pearson form, at every history length the MLR can fit on.
+	// One scratch serves all lengths, as the MLR's does while its history
+	// fills.
+	var sc fcbfScratch
+	for n := NewMLR(DefaultHistory, DefaultThreshold).MinHistory; n <= DefaultHistory; n++ {
+		for _, threshold := range []float64{DefaultThreshold, 0.05, 0} {
+			cols, y := correlatedHistory(uint64(n), n)
+			want, wantCands := pearsonFCBF(cols, y, threshold)
+			got := sc.selectInto(nil, cols, y, threshold)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d threshold=%g: selected %v, oracle %v", n, threshold, got, want)
+			}
+			if len(sc.cands) != len(wantCands) {
+				t.Fatalf("n=%d threshold=%g: %d phase-1 survivors, oracle %d", n, threshold, len(sc.cands), len(wantCands))
+			}
+			for k, c := range sc.cands {
+				if c.idx != wantCands[k].idx || math.Float64bits(c.r) != math.Float64bits(wantCands[k].r) {
+					t.Fatalf("n=%d threshold=%g: survivor %d = %+v, oracle %+v", n, threshold, k, c, wantCands[k])
+				}
+			}
+			for a := range cols {
+				for b := range cols {
+					want := math.Abs(stats.Pearson(cols[a], cols[b]))
+					if got := sc.corr(a, b, n); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("n=%d: corr(%d,%d) = %v, Pearson %v", n, a, b, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -333,6 +463,23 @@ func BenchmarkMLRPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Predict(f)
+	}
+}
+
+func BenchmarkFCBFSelect(b *testing.B) {
+	// A full correlated history, so both phases run: BenchmarkMLRPredict
+	// feeds uncorrelated noise, nothing passes phase 1 and phase 2 never
+	// starts.
+	cols, y := correlatedHistory(1, DefaultHistory)
+	var sc fcbfScratch
+	var sel []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel = sc.selectInto(sel[:0], cols, y, DefaultThreshold)
+	}
+	if len(sel) == 0 || len(sc.cands) <= len(sel) {
+		b.Fatalf("selected %d of %d phase-1 survivors: phase 2 removed nothing", len(sel), len(sc.cands))
 	}
 }
 
