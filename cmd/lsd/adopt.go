@@ -30,8 +30,6 @@ type adoptionState struct {
 	total  atomic.Int64
 }
 
-func newAdoptionState() *adoptionState { return &adoptionState{} }
-
 // Active is the number of adopted shards currently running.
 func (a *adoptionState) Active() int64 { return a.active.Load() }
 
@@ -73,21 +71,12 @@ func runAdoptedShard(ctx context.Context, offer loadshed.AdoptOffer, o workerOpt
 	if err != nil {
 		return err
 	}
-	sys, err := cp.Spec.NewSystem()
+	sys, err := shardSystem(cp.Spec, cp.Snap)
 	if err != nil {
 		return err
 	}
-	if err := sys.Restore(cp.Snap); err != nil {
-		return err
-	}
 
-	srcOpts := serveOpts{
-		engineOpts: engineOpts{seed: cp.Spec.TraceSeed},
-		preset:     cp.Spec.Preset,
-		dur:        cp.Spec.TraceDur,
-		scale:      cp.Spec.Scale,
-	}
-	src, closeSrc, desc, err := openIngest(cp.Spec.Ingest, srcOpts)
+	src, closeSrc, desc, err := openIngest(cp.Spec.Ingest, cp.Spec.Preset, cp.Spec.TraceSeed, cp.Spec.TraceDur, cp.Spec.Scale)
 	if err != nil {
 		return fmt.Errorf("reopen ingest %q: %w", cp.Spec.Ingest, err)
 	}
@@ -100,30 +89,15 @@ func runAdoptedShard(ctx context.Context, offer loadshed.AdoptOffer, o workerOpt
 		src = loadshed.ResumeSource(src, cp.Bin)
 	}
 
-	client, err := loadshed.DialCoordinator(o.coordAddr, cp.Node, loadshed.CoordClientConfig{
-		MinShare: cp.Spec.MinShare,
-		Lease:    o.lease,
-		Key:      o.key,
-	})
+	client, err := o.dial(cp.Node, cp.Spec.MinShare)
 	if client == nil {
 		return err
 	}
 	defer client.Close()
-
-	node := loadshed.NewNode(sys, client, loadshed.NodeConfig{
-		Name:            cp.Node,
-		MinShare:        cp.Spec.MinShare,
-		CheckpointEvery: o.ckptEvery,
-		Spec:            cp.Spec,
-		BinOffset:       cp.Bin,
-	})
-
-	unblock := context.AfterFunc(ctx, closeSrc)
-	defer unblock()
+	node := o.member(sys, client, cp.Spec, cp.Node, cp.Bin)
 
 	fmt.Printf("adopted shard %q from bin %d (ingest: %s)\n", cp.Node, cp.Bin, desc)
-	streamErr := node.StreamContext(ctx, src, loadshed.DiscardSink{})
-	closeSrc()
+	streamErr := runShard(ctx, node.StreamContext, src, closeSrc, loadshed.DiscardSink{})
 	switch {
 	case node.Drained():
 		fmt.Printf("adopted shard %q drained onward\n", cp.Node)

@@ -200,6 +200,7 @@ func (o workerOpts) shardSpec(qs []loadshed.Query, capacity float64) loadshed.Sh
 		Capacity:        capacity,
 		Workers:         o.serve.workers,
 		ChangeDetection: o.serve.detectOn,
+		CustomShedding:  o.serve.customOn,
 		Queries:         specQs,
 		MinShare:        o.minShare,
 		Ingest:          o.serve.ingest,
@@ -210,6 +211,38 @@ func (o workerOpts) shardSpec(qs []loadshed.Query, capacity float64) loadshed.Sh
 	}
 }
 
+// shardSystem rebuilds a shard's System from its spec, with snap
+// restored into it when the shard resumes a checkpoint — how the
+// worker's own engine and every adopted one are built.
+func shardSystem(spec loadshed.ShardSpec, snap *loadshed.SystemSnapshot) (*loadshed.System, error) {
+	sys, err := spec.NewSystem()
+	if err == nil && snap != nil {
+		err = sys.Restore(snap)
+	}
+	return sys, err
+}
+
+// dial opens a coordinator link under a shard's name.
+func (o workerOpts) dial(name string, minShare float64) (*loadshed.CoordClient, error) {
+	return loadshed.DialCoordinator(o.coordAddr, name, loadshed.CoordClientConfig{
+		MinShare: minShare,
+		Lease:    o.lease,
+		Key:      o.key,
+	})
+}
+
+// member wraps sys as the cluster member name, its bins counted from
+// binOffset, reporting and checkpointing over client.
+func (o workerOpts) member(sys *loadshed.System, client *loadshed.CoordClient, spec loadshed.ShardSpec, name string, binOffset int64) *loadshed.Node {
+	return loadshed.NewNode(sys, client, loadshed.NodeConfig{
+		Name:            name,
+		MinShare:        spec.MinShare,
+		CheckpointEvery: o.ckptEvery,
+		Spec:            spec,
+		BinOffset:       binOffset,
+	})
+}
+
 // runWorker runs one monitor as a cluster member: ingest feeds a local
 // System wrapped in a loadshed.Node whose transport is a TCP client of
 // the remote coordinator. Coordination is advisory — an unreachable
@@ -217,31 +250,31 @@ func (o workerOpts) shardSpec(qs []loadshed.Query, capacity float64) loadshed.Sh
 // granted (or initial) capacity, and a reconnect rejoins the cluster.
 // The probed budget is therefore only the initial one: it carries the
 // worker through coordinator outages, and the first grant replaces it.
+// The engine is built from the same ShardSpec that travels in the
+// shard's checkpoints, so what an adopter rebuilds is what ran here.
 func runWorker(ctx context.Context, mkQs func() []loadshed.Query, o workerOpts) {
 	name := o.name
 	if name == "" {
 		name = fmt.Sprintf("worker%d", os.Getpid())
 	}
-	serveLoop(ctx, mkQs, o.serve, "initial capacity", func(sys *loadshed.System, capacity float64) serveMode {
+	serveLoop(ctx, mkQs, o.serve, "initial capacity", func(capacity float64) (*loadshed.System, serveMode) {
+		spec := o.shardSpec(mkQs(), capacity)
+		sys, err := shardSystem(spec, nil)
+		die(err)
 		client := joinCoordinator(name, o)
 		if o.ckptEvery > 0 && o.serve.customOn {
 			fmt.Println("warning: -checkpoint-every needs -custom=false (custom load shedding has unserializable state); checkpoints will fail until it is disabled")
 		}
-		node := loadshed.NewNode(sys, client, loadshed.NodeConfig{
-			Name:            name,
-			MinShare:        o.minShare,
-			CheckpointEvery: o.ckptEvery,
-			Spec:            o.shardSpec(mkQs(), capacity),
-		})
+		node := o.member(sys, client, spec, name, 0)
 
 		// Adopted shards: the coordinator pushes an orphaned shard's
 		// checkpoint over this worker's link; each adoption runs as its own
 		// Node + System + coordinator connection alongside the local shard.
-		adoptions := newAdoptionState()
+		adoptions := new(adoptionState)
 		adoptCtx, stopAdopting := context.WithCancel(ctx)
 		go adoptionLoop(adoptCtx, client, adoptions, o)
 
-		return serveMode{
+		return sys, serveMode{
 			banner: "serving as cluster worker",
 			stream: node.StreamContext,
 			metrics: func(m *loadshed.MetricsWriter) {
@@ -279,11 +312,7 @@ func runWorker(ctx context.Context, mkQs func() []loadshed.Query, o workerOpts) 
 // joinCoordinator dials the worker's coordinator link, applying the
 // -join-timeout startup bound.
 func joinCoordinator(name string, o workerOpts) *loadshed.CoordClient {
-	client, err := loadshed.DialCoordinator(o.coordAddr, name, loadshed.CoordClientConfig{
-		MinShare: o.minShare,
-		Lease:    o.lease,
-		Key:      o.key,
-	})
+	client, err := o.dial(name, o.minShare)
 	if client == nil {
 		die(err)
 	}

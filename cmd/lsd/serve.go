@@ -31,18 +31,19 @@ type serveOpts struct {
 	window   time.Duration
 }
 
-// openIngest turns an ingest spec into a Source. The returned closer is
+// openIngest turns an ingest spec into a Source (preset, seed, dur and
+// scale parameterize the generator behind "gen"). The returned closer is
 // safe to call more than once and from a context callback: closing the
 // source is how a signal unblocks an engine waiting on a silent link.
-func openIngest(spec string, o serveOpts) (loadshed.Source, func(), string, error) {
+func openIngest(spec, preset string, seed uint64, dur time.Duration, scale float64) (loadshed.Source, func(), string, error) {
 	switch {
 	case spec == "gen":
-		cfg, err := loadshed.PresetConfig(o.preset, o.seed, o.dur, o.scale)
+		cfg, err := loadshed.PresetConfig(preset, seed, dur, scale)
 		if err != nil {
 			return nil, nil, "", err
 		}
 		cfg.MaxBins = -1 // run until signalled
-		return loadshed.NewGenerator(cfg), func() {}, "generator (unbounded, preset " + o.preset + ")", nil
+		return loadshed.NewGenerator(cfg), func() {}, "generator (unbounded, preset " + preset + ")", nil
 	case strings.HasPrefix(spec, "udp://"):
 		l, err := loadshed.ListenLive("udp", strings.TrimPrefix(spec, "udp://"), loadshed.LiveConfig{})
 		if err != nil {
@@ -84,18 +85,19 @@ type serveMode struct {
 // runServe is the plain service mode: the engine streams the ingest
 // under a fixed local budget.
 func runServe(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts) {
-	serveLoop(ctx, mkQs, o, "capacity", func(sys *loadshed.System, _ float64) serveMode {
-		return serveMode{banner: "serving", stream: sys.StreamContext}
+	serveLoop(ctx, mkQs, o, "capacity", func(capacity float64) (*loadshed.System, serveMode) {
+		sys := loadshed.New(engineConfig(o.engineOpts, capacity), mkQs())
+		return sys, serveMode{banner: "serving", stream: sys.StreamContext}
 	})
 }
 
 // serveLoop is the sequence every serving deployment runs: open ingest,
-// size the budget (capLabel names it in the log), build the engine, let
-// start wire the mode around it, start the admin plane, stream until a
-// signal or the source ends, then shut both down in order and surface
-// any source error.
-func serveLoop(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts, capLabel string, start func(sys *loadshed.System, capacity float64) serveMode) {
-	src, closeSrc, desc, err := openIngest(o.ingest, o)
+// size the budget (capLabel names it in the log), let build make the
+// engine and wire the mode around it, start the admin plane, stream
+// until a signal or the source ends, then shut both down in order and
+// surface any source error.
+func serveLoop(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts, capLabel string, build func(capacity float64) (*loadshed.System, serveMode)) {
+	src, closeSrc, desc, err := openIngest(o.ingest, o.preset, o.seed, o.dur, o.scale)
 	die(err)
 	fmt.Printf("ingest: %s\n", desc)
 
@@ -111,23 +113,15 @@ func serveLoop(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts, c
 		capacity = sizeCapacity(loadshed.NewGenerator(cfg), mkQs(), o.seed, o.overload, capLabel)
 	}
 
-	sys := loadshed.New(engineConfig(o.engineOpts, capacity), mkQs())
-	mode := start(sys, capacity)
+	sys, mode := build(capacity)
 	windowBins := int(o.window / src.TimeBin())
 	roll := loadshed.NewRollingStats(windowBins)
 	live, _ := src.(*loadshed.LiveSource)
 
 	stopAdmin := startAdmin(o.admin, adminMux(sys, roll, live, o.seed, mode.metrics), "healthz, readyz, metrics, queries")
 
-	// A signal cancels ctx; the engine stops at the next bin boundary.
-	// A blocking live or tail source must also be woken, which closing
-	// it does — NextBatch then reports end-of-stream.
-	unblock := context.AfterFunc(ctx, closeSrc)
-	defer unblock()
-
 	fmt.Printf("%s (%s scheme) ...\n", mode.banner, o.schemeName)
-	streamErr := mode.stream(ctx, src, roll)
-	closeSrc()
+	streamErr := runShard(ctx, mode.stream, src, closeSrc, roll)
 
 	if mode.after != nil {
 		mode.after()
@@ -148,6 +142,20 @@ func serveLoop(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts, c
 	}
 	fmt.Printf("served %d bins, %d intervals: %d of %d packets dropped uncontrolled (%.3f%%)\n",
 		snap.Bins, snap.Intervals, snap.DropPkts, snap.WirePkts, dropPct)
+}
+
+// runShard streams one shard's traffic through stream into sink — the
+// plain service's only shard, a worker's own and every shard a worker
+// adopts run here — until the source ends, the shard drains away or ctx
+// fires. A signal cancels ctx and the engine stops at the next bin
+// boundary; a blocking live or tail source must also be woken, which
+// closing it does — NextBatch then reports end-of-stream.
+func runShard(ctx context.Context, stream func(context.Context, loadshed.Source, loadshed.Sink) error, src loadshed.Source, closeSrc func(), sink loadshed.Sink) error {
+	unblock := context.AfterFunc(ctx, closeSrc)
+	defer unblock()
+	err := stream(ctx, src, sink)
+	closeSrc()
+	return err
 }
 
 // startAdmin serves an HTTP admin plane on addr ("" = none) and returns

@@ -129,9 +129,6 @@ func (st *State) Frac() float64 { return st.frac }
 // Corr returns the correction factor (EWMA of actual/expected).
 func (st *State) Corr() float64 { return st.corr }
 
-// Violations returns the current leaky violation count.
-func (st *State) Violations() int { return st.violations }
-
 // Name returns the registered query name.
 func (st *State) Name() string { return st.name }
 

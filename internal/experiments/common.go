@@ -10,7 +10,6 @@ import (
 	"repro/internal/sampling"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/pkg/loadshed"
 )
 
 // Trace builders for the dataset presets at experiment scale.
@@ -33,12 +32,6 @@ func srcAbilene(cfg Config, dur time.Duration) *trace.Generator {
 
 func srcCENIC(cfg Config, dur time.Duration) *trace.Generator {
 	return trace.NewGenerator(trace.CENIC(cfg.Seed, dur, cfg.Scale))
-}
-
-func srcUPC2(cfg Config, dur time.Duration, anomalies ...trace.Anomaly) *trace.Generator {
-	c := trace.UPC2(cfg.Seed, dur, cfg.Scale)
-	c.Anomalies = anomalies
-	return trace.NewGenerator(c)
 }
 
 // predRun is a standalone prediction experiment: queries run at full
@@ -213,14 +206,6 @@ func (r *predRun) topFeatures(qi, n int) string {
 		out += features.Name(x.f)
 	}
 	return out
-}
-
-// schemeRun runs one scheme over a source and returns the result plus
-// per-query mean errors against a reference.
-func schemeRun(cfg loadshed.Config, src trace.Source, mkQs func() []queries.Query, ref *loadshed.RunResult) (*loadshed.RunResult, map[string]float64) {
-	res := loadshed.New(cfg, mkQs()).Run(src)
-	errs := loadshed.MeanErrors(mkQs(), res, ref)
-	return res, errs
 }
 
 // meanAccuracy summarizes Accuracies output: the average accuracy over

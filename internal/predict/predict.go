@@ -203,6 +203,21 @@ func (h *History) SetState(st HistoryState) error {
 	if st.Next < 0 || st.Next >= h.capacity {
 		return fmt.Errorf("predict: history state next=%d out of range for capacity %d", st.Next, h.capacity)
 	}
+	// The state may come off a socket or a file: every slot the ring
+	// counts as stored must hold a whole feature vector, or the next fit
+	// indexes past it.
+	n := st.Next
+	if st.Full {
+		n = h.capacity
+	}
+	for i, f := range st.Feats[:n] {
+		if len(f) != features.NumFeatures {
+			return fmt.Errorf("predict: history state slot %d of %d stored holds %d features, want %d", i, n, len(f), features.NumFeatures)
+		}
+	}
+	if len(st.Weights) > h.capacity {
+		return fmt.Errorf("predict: history state carries %d weights for capacity %d", len(st.Weights), h.capacity)
+	}
 	// A mid-drift checkpoint of a discounting build: its fit weighted
 	// these rows, this one cannot, so the resumed run would diverge.
 	for i, w := range st.Weights {

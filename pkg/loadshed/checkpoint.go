@@ -56,6 +56,7 @@ type ShardSpec struct {
 	Workers         int
 	HistoryLen      int
 	ChangeDetection bool
+	CustomShedding  bool // absent (false) in blobs of earlier builds
 	Queries         []QuerySpec
 
 	// Cluster identity.
@@ -74,12 +75,25 @@ type ShardSpec struct {
 	Scale     float64
 }
 
+// Bounds on what a spec may ask NewSystem to build: a spec arrives
+// inside a checkpoint, from a socket or a state directory, and these
+// fields size goroutine pools and slices directly.
+const (
+	maxSpecWorkers    = 256
+	maxSpecHistoryLen = 1024
+	maxSpecQueries    = 64
+)
+
 // NewSystem rebuilds the shard's System from the spec. The result is
 // fresh (no history); install the checkpointed state with Restore.
 func (sp *ShardSpec) NewSystem() (*System, error) {
 	scheme, err := ParseScheme(sp.Scheme)
 	if err != nil {
 		return nil, fmt.Errorf("loadshed: shard spec: %w", err)
+	}
+	if sp.Workers < 0 || sp.Workers > maxSpecWorkers || sp.HistoryLen < 0 || sp.HistoryLen > maxSpecHistoryLen || len(sp.Queries) > maxSpecQueries {
+		return nil, fmt.Errorf("loadshed: shard spec: %d workers, history length %d or %d queries out of bounds (at most %d, %d, %d)",
+			sp.Workers, sp.HistoryLen, len(sp.Queries), maxSpecWorkers, maxSpecHistoryLen, maxSpecQueries)
 	}
 	cfg := Config{
 		Scheme:          scheme,
@@ -89,6 +103,7 @@ func (sp *ShardSpec) NewSystem() (*System, error) {
 		PredictorKind:   sp.PredictorKind,
 		HistoryLen:      sp.HistoryLen,
 		ChangeDetection: sp.ChangeDetection,
+		CustomShedding:  sp.CustomShedding,
 	}
 	if sp.Strategy != "" {
 		if cfg.Strategy, err = StrategyByName(sp.Strategy); err != nil {

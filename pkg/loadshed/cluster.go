@@ -240,10 +240,7 @@ func (c *Cluster) StreamContext(ctx context.Context, mk func(shard int, name str
 		if mk != nil {
 			sink = mk(i, n.name)
 		}
-		n.run = n.sys.newRunner(n.src, sink)
-		n.run.done = done
-		n.done = false
-		n.doneSent = false
+		n.begin(n.src, sink, done)
 	}
 	pool := newStaticPool(min(c.cfg.Runners, len(c.nodes)) - 1)
 	defer pool.close()

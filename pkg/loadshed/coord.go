@@ -55,19 +55,24 @@ type coordNode struct {
 	grant       float64
 	grantRound  uint64
 
-	// Failover state (coord.go PlanFailover / transport.go heartbeat).
+	// Failover state (failover.go).
 	partitionedAt time.Time // when the partitioned flag last rose
 	ckptBin       int64     // latest checkpoint's resume bin
 	ckptFinal     bool      // latest checkpoint ended a drain
 	ckptBlob      []byte    // latest gob ShardCheckpoint; nil = none
-	ckptAt        time.Time
-	offeredTo     string // live node the shard is currently offered to
+	offeredTo     string    // live node the shard is currently offered to
 	offeredAt     time.Time
-	offerTaken    bool   // offer consumed by a polling (loopback) adopter
+	offerTaken    bool   // the adopter's transport has collected the offer
 	offerAttempts int    // rotates the adopter choice across re-offers
 	migrateTo     string // planned-migration target; directs the offer
 	drainReq      bool   // coordinator wants this shard to drain
 }
+
+// live is the one liveness predicate of lease-based membership: the
+// node has spoken, has not finished and has not outlived its lease.
+// AllocateLease allocates over the live nodes, failover offers orphaned
+// shards to them, and Migrate accepts only a live target.
+func (n *coordNode) live() bool { return n.ever && !n.done && !n.partitioned }
 
 // CoordNodeStatus is one node's row in Coordinator.Status, the record
 // behind cmd/lsd's /cluster endpoint and per-node metrics.
@@ -228,14 +233,12 @@ func (c *Coordinator) AllocateLease(lease time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, n := range c.nodes {
-		if n.ever && !n.done && now.Sub(n.lastReport) > lease {
-			if !n.partitioned {
-				n.partitioned = true
-				n.partitionedAt = now // starts the failover grace window
-			}
+		if n.live() && now.Sub(n.lastReport) > lease {
+			n.partitioned = true
+			n.partitionedAt = now // starts the failover grace window
 		}
 	}
-	c.allocateLocked(func(n *coordNode) bool { return n.ever && !n.done && !n.partitioned })
+	c.allocateLocked((*coordNode).live)
 }
 
 // allocateLocked computes grants for the nodes live deems in, in join
@@ -280,21 +283,6 @@ func (c *Coordinator) grantFor(name string) (BudgetGrant, bool) {
 		return BudgetGrant{}, false
 	}
 	return BudgetGrant{Node: n.name, Round: n.grantRound, Capacity: n.grant}, true
-}
-
-// grantsLocked appends every node's latest grant stamped with the
-// current round, for the TCP server's push loop. Caller holds c.mu.
-func (c *Coordinator) currentGrants(dst []BudgetGrant) []BudgetGrant {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dst = dst[:0]
-	for _, n := range c.nodes {
-		if n.grantRound == 0 || n.grantRound != c.round {
-			continue
-		}
-		dst = append(dst, BudgetGrant{Node: n.name, Round: n.grantRound, Capacity: n.grant})
-	}
-	return dst
 }
 
 // Status snapshots every node's membership record, in join order.
@@ -537,6 +525,16 @@ func (n *Node) boundary(bin, interval int) bool {
 	return true
 }
 
+// begin starts a run of src into sink that stops once done closes, and
+// clears what the previous run left on the node. Standalone and inside
+// a Cluster a node starts the same way.
+func (n *Node) begin(src trace.Source, sink Sink, done <-chan struct{}) {
+	n.src = src
+	n.run = n.sys.newRunner(src, sink)
+	n.run.done = done
+	n.done, n.doneSent, n.drained = false, false, false
+}
+
 // bin returns the node's current bin index (0 before any step).
 func (n *Node) bin() int {
 	if n.run == nil {
@@ -551,13 +549,8 @@ func (n *Node) bin() int {
 // System.StreamContext; coordination failures never stop the run (see
 // applyGrant).
 func (n *Node) StreamContext(ctx context.Context, src trace.Source, sink Sink) error {
-	n.src = src
-	n.run = n.sys.newRunner(src, sink)
-	n.run.done = ctx.Done()
+	n.begin(src, sink, ctx.Done())
 	n.run.boundary = n.boundary
-	n.done = false
-	n.doneSent = false
-	n.drained = false
 	for {
 		n.step()
 		if n.done {

@@ -386,11 +386,7 @@ func TestTCPCoordinationPartitionRejoin(t *testing.T) {
 	})
 	defer srv.Close()
 
-	ccfg := CoordClientConfig{
-		Lease:    60 * time.Millisecond,
-		RetryMin: 5 * time.Millisecond,
-		RetryMax: 20 * time.Millisecond,
-	}
+	ccfg := CoordClientConfig{Lease: 60 * time.Millisecond}
 	alpha, err := DialCoordinator(srv.Addr().String(), "alpha", ccfg)
 	if err != nil {
 		t.Fatalf("dial alpha: %v", err)
@@ -403,7 +399,7 @@ func TestTCPCoordinationPartitionRejoin(t *testing.T) {
 	defer beta.Close()
 
 	report := func(c *CoordClient, demand float64) {
-		c.Report(DemandReport{Node: c.Name(), Bin: 1, Demand: demand})
+		c.Report(DemandReport{Bin: 1, Demand: demand}) // the connection names the node
 	}
 	partitioned := func(name string) bool {
 		for _, n := range coord.Status() {

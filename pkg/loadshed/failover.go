@@ -27,6 +27,12 @@ package loadshed
 //     source stopped deliberately) and the offer goes to the requested
 //     target only.
 //
+// Everything leaves the coordinator through one by-name mailbox —
+// grantFor, drainRequested, takeOfferFor. The loopback transport polls
+// it directly; the TCP server polls it each heartbeat for every
+// connected name and writes what it finds to that connection, putting
+// an offer back (untakeOffer) when the write fails.
+//
 // None of this runs inside allocateLocked: failover planning is
 // heartbeat-path work, and the steady-state allocation round stays at
 // 0 allocs/op.
@@ -40,18 +46,10 @@ import (
 	"time"
 )
 
-// AdoptOrder instructs the transport layer to offer an orphaned shard
-// to a live node. Blob is the retained gob ShardCheckpoint.
-type AdoptOrder struct {
-	Shard   string
-	Adopter string
-	Bin     int64
-	Blob    []byte
-}
-
-// AdoptOffer is the worker-side view of an adoption offer, as surfaced
-// by a transport's Adoption method: the shard to take over and its
-// checkpoint blob (decode with DecodeShardCheckpoint).
+// AdoptOffer is an adoption offer as a transport's Adoption method
+// surfaces it to the hosting process: the shard to take over, the bin
+// it resumes at and its checkpoint blob (decode with
+// DecodeShardCheckpoint). The blob is the receiver's own copy.
 type AdoptOffer struct {
 	Shard      string
 	Bin        int64
@@ -67,7 +65,6 @@ func (c *Coordinator) StoreCheckpoint(name string, bin int64, final bool, blob [
 	n := c.recordLocked(name)
 	n.ckptBin = bin
 	n.ckptFinal = final
-	n.ckptAt = time.Now()
 	n.ckptBlob = append(n.ckptBlob[:0], blob...) // latest only: bounded
 	if final {
 		n.drainReq = false // the drain this checkpoint answers is over
@@ -184,21 +181,16 @@ func (c *Coordinator) reloadCheckpoint(path string) error {
 	return nil
 }
 
-// PlanFailover issues adoption offers for orphaned shards: partitioned
+// planFailover marks adoption offers for orphaned shards: partitioned
 // past the grace window with a checkpoint on file, or drained with a
-// directed migration target. An issued offer suppresses re-offers for
+// directed migration target. A marked offer suppresses re-offers for
 // offerTimeout; after that the shard re-offers with the adopter
-// rotating through the live membership. The TCP server calls this each
-// heartbeat and pushes the returned orders as adopt frames; loopback
-// adopters poll the offers off the coordinator instead.
-func (c *Coordinator) PlanFailover(grace, offerTimeout time.Duration) []AdoptOrder {
-	return c.planFailover(time.Now(), grace, offerTimeout)
-}
-
-func (c *Coordinator) planFailover(now time.Time, grace, offerTimeout time.Duration) []AdoptOrder {
+// rotating through the live membership. It delivers nothing itself —
+// the adopter's transport collects the offer through takeOfferFor, the
+// TCP server on the adopter's behalf each heartbeat.
+func (c *Coordinator) planFailover(now time.Time, grace, offerTimeout time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []AdoptOrder
 	for _, n := range c.nodes {
 		if n.done || n.ckptBlob == nil {
 			continue
@@ -220,9 +212,7 @@ func (c *Coordinator) planFailover(now time.Time, grace, offerTimeout time.Durat
 		n.offerTaken = false
 		n.offerAttempts++
 		c.offersIssued++
-		out = append(out, AdoptOrder{Shard: n.name, Adopter: adopter.name, Bin: n.ckptBin, Blob: n.ckptBlob})
 	}
-	return out
 }
 
 // pickAdopterLocked chooses who to offer n's shard to: the directed
@@ -230,18 +220,15 @@ func (c *Coordinator) planFailover(now time.Time, grace, offerTimeout time.Durat
 // join order, rotated by how many offers this shard has already had —
 // a lost or ignored offer moves on to the next candidate.
 func (c *Coordinator) pickAdopterLocked(n *coordNode) *coordNode {
-	live := func(m *coordNode) bool {
-		return m != n && m.ever && !m.done && !m.partitioned
-	}
 	if n.migrateTo != "" {
-		if m := c.byName[n.migrateTo]; m != nil && live(m) {
+		if m := c.byName[n.migrateTo]; m != nil && m != n && m.live() {
 			return m
 		}
 		return nil // directed target gone; hold rather than misdeliver
 	}
 	var candidates []*coordNode
 	for _, m := range c.nodes {
-		if live(m) {
+		if m != n && m.live() {
 			candidates = append(candidates, m)
 		}
 	}
@@ -251,19 +238,9 @@ func (c *Coordinator) pickAdopterLocked(n *coordNode) *coordNode {
 	return candidates[n.offerAttempts%len(candidates)]
 }
 
-// clearOffer withdraws an in-flight offer (the transport failed to
-// deliver it), so the next planning round re-offers immediately.
-func (c *Coordinator) clearOffer(shard string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := c.byName[shard]; n != nil {
-		n.offeredTo = ""
-	}
-}
-
-// takeOfferFor returns (at most once per issued offer) an offer
-// addressed to the polling node — the loopback delivery path, matching
-// the TCP client's Adoption method.
+// takeOfferFor returns (at most once per marked offer) an offer
+// addressed to adopter, with the blob copied under the lock: the record
+// keeps its own bytes, which StoreCheckpoint rewrites in place.
 func (c *Coordinator) takeOfferFor(adopter string) (AdoptOffer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -278,6 +255,17 @@ func (c *Coordinator) takeOfferFor(adopter string) (AdoptOffer, bool) {
 		}
 	}
 	return AdoptOffer{}, false
+}
+
+// untakeOffer puts a collected offer back (the transport failed to
+// deliver it), so the adopter's next poll collects it again — unless the
+// shard has been settled or re-offered elsewhere meanwhile.
+func (c *Coordinator) untakeOffer(shard, adopter string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := c.byName[shard]; n != nil && n.offeredTo == adopter {
+		n.offerTaken = false
+	}
 }
 
 // Migrate requests a planned migration: shard from drains at its next
@@ -301,7 +289,7 @@ func (c *Coordinator) Migrate(from, to string) error {
 	if from == to {
 		return fmt.Errorf("loadshed: migrate: shard %q cannot migrate onto itself", from)
 	}
-	if !t.ever || t.done || t.partitioned {
+	if !t.live() {
 		return fmt.Errorf("loadshed: migrate: target %q is not live", to)
 	}
 	f.drainReq = true
@@ -309,23 +297,8 @@ func (c *Coordinator) Migrate(from, to string) error {
 	return nil
 }
 
-// drainTargets appends the names of shards with a drain outstanding;
-// the TCP server relays a drain frame to each connected one every
-// heartbeat until the final checkpoint lands (which clears the flag).
-func (c *Coordinator) drainTargets(dst []string) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dst = dst[:0]
-	for _, n := range c.nodes {
-		if n.drainReq {
-			dst = append(dst, n.name)
-		}
-	}
-	return dst
-}
-
-// drainRequested reports whether a drain is pending for the named shard
-// (loopback path; the TCP server relays drainTargets instead).
+// drainRequested reports whether a drain is pending for the named
+// shard; it stays up until the shard's final checkpoint lands.
 func (c *Coordinator) drainRequested(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -387,18 +387,13 @@ func TestTCPAdoptionFailover(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	srv := ServeCoordinator(ln, coord, CoordServerConfig{
-		Heartbeat:    10 * time.Millisecond,
-		Lease:        60 * time.Millisecond,
-		Grace:        50 * time.Millisecond,
-		OfferTimeout: 100 * time.Millisecond,
+		Heartbeat: 10 * time.Millisecond,
+		Lease:     60 * time.Millisecond,
+		Grace:     50 * time.Millisecond,
 	})
 	defer srv.Close()
 
-	ccfg := CoordClientConfig{
-		Lease:    60 * time.Millisecond,
-		RetryMin: 5 * time.Millisecond,
-		RetryMax: 20 * time.Millisecond,
-	}
+	ccfg := CoordClientConfig{Lease: 60 * time.Millisecond}
 	alpha, err := DialCoordinator(srv.Addr().String(), "alpha", ccfg)
 	if err != nil {
 		t.Fatalf("dial alpha: %v", err)
@@ -493,7 +488,6 @@ func TestCoordinatorAuthPSK(t *testing.T) {
 
 	bad, _ := DialCoordinator(srv.Addr().String(), "bad", CoordClientConfig{
 		Lease: 60 * time.Millisecond, Key: "wrong",
-		RetryMin: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
 	})
 	waitFor(t, 5*time.Second, "wrong key rejected and counted", func() bool {
 		return srv.AuthFailures() >= 1
@@ -501,10 +495,7 @@ func TestCoordinatorAuthPSK(t *testing.T) {
 	bad.Close()
 
 	failsBefore := srv.AuthFailures()
-	plain, _ := DialCoordinator(srv.Addr().String(), "plain", CoordClientConfig{
-		Lease:    60 * time.Millisecond,
-		RetryMin: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
-	})
+	plain, _ := DialCoordinator(srv.Addr().String(), "plain", CoordClientConfig{Lease: 60 * time.Millisecond})
 	waitFor(t, 5*time.Second, "keyless hello to a keyed coordinator rejected", func() bool {
 		return srv.AuthFailures() > failsBefore
 	})
@@ -527,10 +518,7 @@ func TestCoordinatorAuthPSK(t *testing.T) {
 		Heartbeat: 10 * time.Millisecond,
 	})
 	defer open.Close()
-	c, err := DialCoordinator(open.Addr().String(), "keyed", CoordClientConfig{
-		Key: "sesame", DialTimeout: 200 * time.Millisecond,
-		RetryMin: 50 * time.Millisecond, RetryMax: 100 * time.Millisecond,
-	})
+	c, err := DialCoordinator(open.Addr().String(), "keyed", CoordClientConfig{Key: "sesame"})
 	if err == nil {
 		t.Fatal("keyed dial of a keyless coordinator succeeded")
 	}
@@ -684,10 +672,23 @@ func TestFaultCheckpointLossDeterministic(t *testing.T) {
 	}
 }
 
+// offeredTo reads who the named shard is currently offered to off the
+// coordinator's status plane ("" = no offer outstanding).
+func offeredTo(t *testing.T, coord *Coordinator, shard string) string {
+	t.Helper()
+	for _, n := range coord.Status() {
+		if n.Name == shard {
+			return n.OfferedTo
+		}
+	}
+	t.Fatalf("no status row for shard %q", shard)
+	return ""
+}
+
 // TestAdoptOfferRotationAndRace drives planFailover on a synthetic
 // clock: no offer inside the grace window, one offer past it, re-offer
 // suppression while in flight, deterministic rotation to the next live
-// candidate after expiry, deliver-once loopback semantics, and
+// candidate after expiry, deliver-once mailbox semantics, and
 // settlement when a worker dials in under the shard's name.
 func TestAdoptOfferRotationAndRace(t *testing.T) {
 	coord := NewCoordinator(MMFSCPU(), 1000)
@@ -708,42 +709,58 @@ func TestAdoptOfferRotationAndRace(t *testing.T) {
 		ot    = 200 * time.Millisecond
 	)
 
-	if offers := coord.planFailover(t0.Add(grace/2), grace, ot); len(offers) != 0 {
-		t.Fatalf("offer inside the grace window: %+v", offers)
+	coord.planFailover(t0.Add(grace/2), grace, ot)
+	if to := offeredTo(t, coord, "s"); to != "" {
+		t.Fatalf("offer inside the grace window, to %q", to)
 	}
-	offers := coord.planFailover(t0.Add(grace), grace, ot)
-	if len(offers) != 1 || offers[0].Shard != "s" || offers[0].Adopter != "a" {
-		t.Fatalf("first offer %+v, want shard s to adopter a", offers)
+	coord.planFailover(t0.Add(grace), grace, ot)
+	if to := offeredTo(t, coord, "s"); to != "a" || coord.FailoverOffers() != 1 {
+		t.Fatalf("first offer to %q (%d issued), want shard s to adopter a, once", to, coord.FailoverOffers())
 	}
-	if offers[0].Bin != 5 || !bytes.Equal(offers[0].Blob, []byte("blob")) {
-		t.Fatalf("offer carries bin %d blob %q", offers[0].Bin, offers[0].Blob)
+	if _, ok := coord.takeOfferFor("b"); ok {
+		t.Fatal("offer addressed to a collected by b")
+	}
+	o, ok := coord.takeOfferFor("a")
+	if !ok || o.Shard != "s" || o.Bin != 5 || !bytes.Equal(o.Checkpoint, []byte("blob")) {
+		t.Fatalf("a collects %+v (ok=%v), want shard s at bin 5 carrying the blob", o, ok)
 	}
 	issued := t0.Add(grace)
-	if offers := coord.planFailover(issued.Add(ot/2), grace, ot); len(offers) != 0 {
-		t.Fatalf("re-offer while one is in flight: %+v", offers)
+	coord.planFailover(issued.Add(ot/2), grace, ot)
+	if to := offeredTo(t, coord, "s"); to != "a" || coord.FailoverOffers() != 1 {
+		t.Fatalf("re-offer while one is in flight: to %q, %d issued", to, coord.FailoverOffers())
 	}
-	offers = coord.planFailover(issued.Add(ot), grace, ot)
-	if len(offers) != 1 || offers[0].Adopter != "b" {
-		t.Fatalf("expired offer re-issued to %+v, want rotation to b", offers)
+	coord.planFailover(issued.Add(ot), grace, ot)
+	if to := offeredTo(t, coord, "s"); to != "b" {
+		t.Fatalf("expired offer re-issued to %q, want rotation to b", to)
 	}
 	if got := coord.FailoverOffers(); got != 2 {
 		t.Fatalf("offer counter %d, want 2", got)
 	}
 
-	// Loopback delivery is at-most-once per issued offer.
+	// Delivery is at-most-once per issued offer, unless the transport
+	// puts an undeliverable one back.
 	if _, ok := coord.takeOfferFor("b"); !ok {
 		t.Fatal("adopter b sees no offer")
 	}
 	if _, ok := coord.takeOfferFor("b"); ok {
 		t.Fatal("offer delivered twice")
 	}
+	coord.untakeOffer("s", "a") // stale: the offer has moved on to b
+	if _, ok := coord.takeOfferFor("b"); ok {
+		t.Fatal("a stale put-back from the previous adopter re-opened b's offer")
+	}
+	coord.untakeOffer("s", "b")
+	if _, ok := coord.takeOfferFor("b"); !ok {
+		t.Fatal("offer put back after a failed push is not collectable again")
+	}
 
 	// The adopter dials in under the shard's name: the offer settles and
 	// the shard is live again — no further offers.
 	coord.Join("s", 0)
 	coord.Report(DemandReport{Node: "s", Bin: 6, Demand: 100})
-	if offers := coord.planFailover(issued.Add(10*ot), grace, ot); len(offers) != 0 {
-		t.Fatalf("settled shard re-offered: %+v", offers)
+	coord.planFailover(issued.Add(10*ot), grace, ot)
+	if to := offeredTo(t, coord, "s"); to != "" || coord.FailoverOffers() != 2 {
+		t.Fatalf("settled shard re-offered to %q (%d issued)", to, coord.FailoverOffers())
 	}
 }
 
@@ -774,34 +791,48 @@ func TestMigrateDirectedOffer(t *testing.T) {
 	if err := coord.Migrate("s", "b"); err != nil {
 		t.Fatalf("migrate s -> b: %v", err)
 	}
-	if d := coord.drainTargets(nil); len(d) != 1 || d[0] != "s" {
-		t.Fatalf("drain targets %v, want [s]", d)
+	draining := func() (names []string) {
+		for _, n := range []string{"s", "a", "b", "ghost"} {
+			if coord.drainRequested(n) {
+				names = append(names, n)
+			}
+		}
+		return names
+	}
+	if d := draining(); len(d) != 1 || d[0] != "s" {
+		t.Fatalf("drain requested of %v, want [s]", d)
 	}
 
 	// A non-final checkpoint (a periodic one racing the drain) does not
 	// trigger the directed offer; the final one does, instantly.
 	coord.StoreCheckpoint("s", 7, false, []byte("periodic"))
 	now := time.Now()
-	if offers := coord.planFailover(now, time.Hour, time.Hour); len(offers) != 0 {
-		t.Fatalf("offer before the final checkpoint: %+v", offers)
+	coord.planFailover(now, time.Hour, time.Hour)
+	if to := offeredTo(t, coord, "s"); to != "" {
+		t.Fatalf("offer to %q before the final checkpoint", to)
 	}
 	coord.StoreCheckpoint("s", 8, true, []byte("final"))
-	if d := coord.drainTargets(nil); len(d) != 0 {
+	if d := draining(); len(d) != 0 {
 		t.Fatalf("drain still pending after the final checkpoint: %v", d)
 	}
-	offers := coord.planFailover(now, time.Hour, time.Hour)
-	if len(offers) != 1 || offers[0].Adopter != "b" || offers[0].Bin != 8 {
-		t.Fatalf("directed offer %+v, want shard s to b at bin 8", offers)
+	coord.planFailover(now, time.Hour, time.Hour)
+	if _, ok := coord.takeOfferFor("a"); ok {
+		t.Fatal("directed offer collected by a node other than the target")
 	}
-	if !bytes.Equal(offers[0].Blob, []byte("final")) {
-		t.Fatalf("directed offer carries %q, want the final blob", offers[0].Blob)
+	o, ok := coord.takeOfferFor("b")
+	if !ok || o.Shard != "s" || o.Bin != 8 || coord.FailoverOffers() != 1 {
+		t.Fatalf("directed offer %+v (ok=%v, %d issued), want shard s to b at bin 8, once", o, ok, coord.FailoverOffers())
+	}
+	if !bytes.Equal(o.Checkpoint, []byte("final")) {
+		t.Fatalf("directed offer carries %q, want the final blob", o.Checkpoint)
 	}
 
 	// Target resumes under the shard's name: migration complete.
 	coord.Join("s", 0)
 	coord.Report(DemandReport{Node: "s", Bin: 9, Demand: 100})
-	if offers := coord.planFailover(now.Add(time.Hour), time.Hour, time.Minute); len(offers) != 0 {
-		t.Fatalf("completed migration re-offered: %+v", offers)
+	coord.planFailover(now.Add(time.Hour), time.Hour, time.Minute)
+	if to := offeredTo(t, coord, "s"); to != "" || coord.FailoverOffers() != 1 {
+		t.Fatalf("completed migration re-offered to %q (%d issued)", to, coord.FailoverOffers())
 	}
 }
 
@@ -856,8 +887,12 @@ func TestStateDirSpillReload(t *testing.T) {
 	second.Join("helper", 0)
 	second.Report(DemandReport{Node: "helper", Bin: 1, Demand: 10})
 	waitFor(t, 5*time.Second, "reloaded shard offered", func() bool {
-		return len(second.PlanFailover(0, 0)) == 1
+		second.planFailover(time.Now(), 0, 0)
+		return offeredTo(t, second, "shard-1") == "helper"
 	})
+	if o, ok := second.takeOfferFor("helper"); !ok || o.Bin != 12 || !bytes.Equal(o.Checkpoint, blob) {
+		t.Fatalf("helper collects ok=%v bin=%d, %d bytes; want the reloaded blob at bin 12", ok, o.Bin, len(o.Checkpoint))
+	}
 }
 
 // TestStateDirSpillNamesInjective: shard names that differ only in

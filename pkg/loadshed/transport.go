@@ -13,7 +13,8 @@ package loadshed
 //
 // The TCP transport runs the same protocol over length-prefixed binary
 // frames (the framing idiom of internal/trace/live.go: little-endian
-// uint16 payload length, then the payload). A connection starts with a
+// uint16 payload length, then the payload); server and client hold a
+// connection as the same link type below. A connection starts with a
 // hello frame naming the worker; the worker then streams report frames
 // and the coordinator pushes grant frames on its heartbeat. Workers
 // reconnect with backoff after any failure, re-helloing on each attempt
@@ -47,6 +48,7 @@ package loadshed
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
@@ -182,10 +184,21 @@ const (
 	// the connection dies.
 	maxCheckpointBytes = 64 << 20
 
-	// ckptRecvTimeout bounds reading a checkpoint blob once its header
-	// arrived (the header promised blobLen bytes are already in flight).
-	ckptRecvTimeout = 30 * time.Second
+	// coordHelloTimeout bounds the server's side of the handshake;
+	// coordDialTimeout bounds each client (re)connection attempt, its
+	// side of the handshake and each report write; coordRetryMin/Max
+	// bound the client's reconnect backoff.
+	coordHelloTimeout = 5 * time.Second
+	coordDialTimeout  = 2 * time.Second
+	coordRetryMin     = 100 * time.Millisecond
+	coordRetryMax     = 2 * time.Second
 )
+
+// ckptRecvTimeout bounds moving a checkpoint blob once its header is on
+// the wire (the header promised blobLen bytes are already in flight).
+// A variable only so a test of the stalled-peer path need not wait it
+// out.
+var ckptRecvTimeout = 30 * time.Second
 
 // ErrCoordinatorUnreachable is returned by CoordClient.Report while no
 // connection to the coordinator is up; the caller sheds locally and
@@ -398,6 +411,70 @@ func readCoordFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// --- the link under both ends ---
+
+// link is one end of a coordinator connection — the socket handling the
+// server and the client share: frames in through one buffered reader
+// (so nothing read ahead during the handshake is lost to the stream
+// after it), messages out through one locked write, and the raw blob
+// behind a checkpoint or adopt header read under a deadline into a
+// buffer that grows only as bytes arrive.
+type link struct {
+	c    net.Conn
+	br   *bufio.Reader
+	rbuf []byte // readFrame's payload, reused
+
+	wmu  sync.Mutex
+	wbuf []byte // send's message, reused
+}
+
+func newLink(c net.Conn) *link { return &link{c: c, br: bufio.NewReaderSize(c, 512)} }
+
+// send builds one message into the link's reused buffer and writes it
+// in a single locked write under a deadline: frames from concurrent
+// senders cannot interleave, nor can anything split a header from the
+// blob built behind it.
+func (l *link) send(timeout time.Duration, build func(buf []byte) []byte) error {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	l.wbuf = build(l.wbuf[:0])
+	l.c.SetWriteDeadline(time.Now().Add(timeout))
+	_, err := l.c.Write(l.wbuf)
+	l.c.SetWriteDeadline(time.Time{})
+	return err
+}
+
+// readFrame returns the next frame's payload, valid until the next
+// call. A positive timeout bounds the wait: handshake frames must
+// arrive promptly, while the streams after them are paced by the peer's
+// bins and heartbeats and wait without one.
+func (l *link) readFrame(timeout time.Duration) ([]byte, error) {
+	if timeout > 0 {
+		l.c.SetReadDeadline(time.Now().Add(timeout))
+		defer l.c.SetReadDeadline(time.Time{})
+	}
+	var err error
+	l.rbuf, err = readCoordFrame(l.br, l.rbuf) // nil on error: no caller reads on
+	return l.rbuf, err
+}
+
+// readBlob reads the n raw bytes a checkpoint or adopt header
+// announced (n <= maxCheckpointBytes: the header decoders refuse more).
+// The sender serialized the blob before writing the header, so the
+// bytes are in flight and ckptRecvTimeout bounds the read on either
+// side; a peer that stalls mid-blob costs its connection, not the
+// reader. The buffer grows as bytes arrive, so a header that lies about
+// its blob costs what was actually sent, not what was claimed.
+func (l *link) readBlob(n int) ([]byte, error) {
+	l.c.SetReadDeadline(time.Now().Add(ckptRecvTimeout))
+	defer l.c.SetReadDeadline(time.Time{})
+	var blob bytes.Buffer
+	if _, err := io.CopyN(&blob, l.br, int64(n)); err != nil {
+		return nil, err
+	}
+	return blob.Bytes(), nil
+}
+
 // --- TCP server (coordinator side) ---
 
 // CoordServerConfig tunes the coordinator's heartbeat state machine.
@@ -410,15 +487,13 @@ type CoordServerConfig struct {
 	// being marked partitioned (its budget then redistributes to the
 	// survivors). Default 3×Heartbeat. Workers use the same value to
 	// judge grant freshness, so keep the two sides configured alike.
+	// An issued adoption offer suppresses re-offering for 2×Lease; past
+	// that the shard re-offers to the next live candidate.
 	Lease time.Duration
 	// Grace is how long past the lease a partitioned shard waits before
 	// its checkpoint is offered for adoption — the window in which a
 	// transient stall rejoins without a failover. Default 2×Lease.
 	Grace time.Duration
-	// OfferTimeout is how long an issued adoption offer suppresses
-	// re-offering; past it the shard re-offers to the next live
-	// candidate. Default 2×Lease.
-	OfferTimeout time.Duration
 	// Key enables pre-shared-key authentication: connections must answer
 	// the HMAC-SHA256 challenge or are rejected (and counted). Empty
 	// keeps the unauthenticated protocol byte-for-byte.
@@ -435,23 +510,21 @@ func (c CoordServerConfig) withDefaults() CoordServerConfig {
 	if c.Grace <= 0 {
 		c.Grace = 2 * c.Lease
 	}
-	if c.OfferTimeout <= 0 {
-		c.OfferTimeout = 2 * c.Lease
-	}
 	return c
 }
 
 // CoordServer exposes a Coordinator over TCP: it accepts worker
 // connections, folds their report streams into the coordinator, and on
-// every heartbeat allocates and pushes grants back. Close stops the
-// listener, the heartbeat, and every worker connection.
+// every heartbeat allocates and empties each connected worker's mailbox
+// onto its connection. Close stops the listener, the heartbeat, and
+// every worker connection.
 type CoordServer struct {
 	coord *Coordinator
 	cfg   CoordServerConfig
 	ln    net.Listener
 
 	mu    sync.Mutex
-	conns map[string]*coordConn
+	conns map[string]*link
 
 	quit    chan struct{}
 	wg      sync.WaitGroup
@@ -464,21 +537,6 @@ type CoordServer struct {
 // handshake (lsd_coord_auth_failures_total).
 func (s *CoordServer) AuthFailures() int64 { return s.authFailures.Load() }
 
-// coordConn serializes grant pushes to one worker connection.
-type coordConn struct {
-	mu sync.Mutex
-	c  net.Conn
-}
-
-func (cc *coordConn) send(frame []byte, timeout time.Duration) error {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	cc.c.SetWriteDeadline(time.Now().Add(timeout))
-	_, err := cc.c.Write(frame)
-	cc.c.SetWriteDeadline(time.Time{})
-	return err
-}
-
 // ServeCoordinator serves coord on ln until Close. The listener is
 // adopted: Close closes it.
 func ServeCoordinator(ln net.Listener, coord *Coordinator, cfg CoordServerConfig) *CoordServer {
@@ -486,7 +544,7 @@ func ServeCoordinator(ln net.Listener, coord *Coordinator, cfg CoordServerConfig
 		coord: coord,
 		cfg:   cfg.withDefaults(),
 		ln:    ln,
-		conns: make(map[string]*coordConn),
+		conns: make(map[string]*link),
 		quit:  make(chan struct{}),
 	}
 	s.wg.Add(2)
@@ -510,8 +568,8 @@ func (s *CoordServer) Close() error {
 	close(s.quit)
 	err := s.ln.Close()
 	s.mu.Lock()
-	for _, cc := range s.conns {
-		cc.c.Close()
+	for _, l := range s.conns {
+		l.c.Close()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -530,41 +588,25 @@ func (s *CoordServer) acceptLoop() {
 	}
 }
 
-func (s *CoordServer) handleConn(c net.Conn) {
-	defer s.wg.Done()
-	br := bufio.NewReaderSize(c, 512)
-
-	// A keyed server opens with a challenge; the hello must then arrive
-	// in authenticated form. Keyless servers never write the challenge,
-	// keeping the original byte stream exactly.
+// handshake admits a new connection: a keyed server opens with a
+// challenge and requires the hello in authenticated form; a keyless one
+// never writes the challenge, keeping the original byte stream exactly.
+// Either way the hello must arrive promptly.
+func (s *CoordServer) handshake(l *link) (name string, minShare float64, ok bool) {
 	var nonce []byte
 	if s.cfg.Key != "" {
 		nonce = make([]byte, coordNonceLen)
 		if _, err := rand.Read(nonce); err != nil {
-			c.Close()
-			return
+			return "", 0, false
 		}
-		c.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		if _, err := c.Write(appendChallengeFrame(nil, nonce)); err != nil {
-			c.Close()
-			return
+		if l.send(coordHelloTimeout, func(b []byte) []byte { return appendChallengeFrame(b, nonce) }) != nil {
+			return "", 0, false
 		}
-		c.SetWriteDeadline(time.Time{})
 	}
-
-	// The hello must arrive promptly; everything after is paced by the
-	// worker's bins, so no deadline applies to the report stream.
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	frame, err := readCoordFrame(br, nil)
+	frame, err := l.readFrame(coordHelloTimeout)
 	if err != nil || len(frame) < 1 {
-		c.Close()
-		return
+		return "", 0, false
 	}
-	var (
-		name     string
-		minShare float64
-		ok       bool
-	)
 	switch {
 	case s.cfg.Key == "" && frame[0] == coordMsgHello:
 		name, minShare, ok = decodeHello(frame)
@@ -578,24 +620,31 @@ func (s *CoordServer) handleConn(c net.Conn) {
 		// one: a key mismatch between the two sides either way.
 		s.authFailures.Add(1)
 	}
+	return name, minShare, ok
+}
+
+func (s *CoordServer) handleConn(c net.Conn) {
+	defer s.wg.Done()
+	defer c.Close()
+	l := newLink(c)
+	name, minShare, ok := s.handshake(l)
 	if !ok {
-		c.Close()
 		return
 	}
-	c.SetReadDeadline(time.Time{})
 	s.coord.Join(name, minShare)
 
-	cc := &coordConn{c: c}
 	s.mu.Lock()
 	if old := s.conns[name]; old != nil {
 		old.c.Close() // a reconnecting worker supersedes its stale conn
 	}
-	s.conns[name] = cc
+	s.conns[name] = l
 	s.mu.Unlock()
 
+	// Everything after the hello is paced by the worker's bins, so no
+	// deadline applies to the report stream.
 readLoop:
 	for {
-		frame, err = readCoordFrame(br, frame)
+		frame, err := l.readFrame(0)
 		if err != nil {
 			break
 		}
@@ -613,33 +662,26 @@ readLoop:
 			if !ok {
 				break readLoop // oversized or malformed header: protocol violation
 			}
-			// The blob follows raw; it was fully serialized before the
-			// header was sent, so a bounded deadline is safe.
-			blob := make([]byte, blobLen)
-			c.SetReadDeadline(time.Now().Add(ckptRecvTimeout))
-			if _, err = io.ReadFull(br, blob); err != nil {
+			blob, err := l.readBlob(blobLen)
+			if err != nil {
 				break readLoop
 			}
-			c.SetReadDeadline(time.Time{})
 			s.coord.StoreCheckpoint(name, bin, final, blob)
 		}
 	}
 
 	s.mu.Lock()
-	if s.conns[name] == cc {
+	if s.conns[name] == l {
 		delete(s.conns, name)
 	}
 	s.mu.Unlock()
-	c.Close()
 }
 
 func (s *CoordServer) heartbeatLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.Heartbeat)
 	defer ticker.Stop()
-	var grants []BudgetGrant
-	var frame []byte
-	var drains []string
+	var names []string
 	for {
 		select {
 		case <-s.quit:
@@ -647,46 +689,56 @@ func (s *CoordServer) heartbeatLoop() {
 		case <-ticker.C:
 		}
 		s.coord.AllocateLease(s.cfg.Lease)
-		grants = s.coord.currentGrants(grants)
-		for _, g := range grants {
-			frame = appendGrantFrame(frame[:0], g)
-			s.sendTo(g.Node, frame, s.cfg.Heartbeat)
+		s.coord.planFailover(time.Now(), s.cfg.Grace, 2*s.cfg.Lease)
+		names = names[:0]
+		s.mu.Lock()
+		for name := range s.conns {
+			names = append(names, name)
 		}
-		// Relay pending drains. The frame re-sends every heartbeat until
-		// the final checkpoint lands (idempotent on the worker side), so
-		// a lost frame only delays the drain one heartbeat.
-		drains = s.coord.drainTargets(drains)
-		for _, name := range drains {
-			frame = appendDrainFrame(frame[:0])
-			s.sendTo(name, frame, s.cfg.Heartbeat)
-		}
-		// Push adoption offers for orphaned shards. Header and blob go
-		// in one send so grant pushes cannot interleave mid-blob. A
-		// failed or undeliverable push withdraws the offer, so the next
-		// heartbeat re-plans instead of waiting out the offer timeout.
-		for _, o := range s.coord.PlanFailover(s.cfg.Grace, s.cfg.OfferTimeout) {
-			buf := appendAdoptFrame(nil, o.Shard, o.Bin, len(o.Blob))
-			buf = append(buf, o.Blob...)
-			// Blobs outweigh grant frames.
-			if !s.sendTo(o.Adopter, buf, max(s.cfg.Heartbeat, 2*time.Second)) {
-				s.coord.clearOffer(o.Shard)
-			}
+		s.mu.Unlock()
+		for _, name := range names {
+			s.pump(name)
 		}
 	}
 }
 
-// sendTo pushes frame to the named worker's connection and reports
-// whether it was delivered. A failed write closes the connection; its
-// reader notices and unregisters it.
-func (s *CoordServer) sendTo(name string, frame []byte, timeout time.Duration) bool {
+// pump empties name's mailbox onto its connection: the fresh grant, a
+// pending drain, an adoption offer. The drain frame re-sends every
+// heartbeat until the final checkpoint lands (idempotent on the worker
+// side), so a lost frame only delays the drain one heartbeat. An offer
+// goes header and blob in one send, so grant pushes cannot interleave
+// mid-blob; one that cannot be delivered is put back for the next
+// heartbeat rather than waiting out the offer timeout.
+func (s *CoordServer) pump(name string) {
+	if g, ok := s.coord.grantFor(name); ok {
+		s.sendTo(name, s.cfg.Heartbeat, func(b []byte) []byte { return appendGrantFrame(b, g) })
+	}
+	if s.coord.drainRequested(name) {
+		s.sendTo(name, s.cfg.Heartbeat, appendDrainFrame)
+	}
+	if o, ok := s.coord.takeOfferFor(name); ok {
+		// Blobs outweigh grant frames.
+		delivered := s.sendTo(name, max(s.cfg.Heartbeat, 2*time.Second), func(b []byte) []byte {
+			return append(appendAdoptFrame(b, o.Shard, o.Bin, len(o.Checkpoint)), o.Checkpoint...)
+		})
+		if !delivered {
+			s.coord.untakeOffer(o.Shard, name)
+		}
+	}
+}
+
+// sendTo writes one message to the named worker's connection and
+// reports whether it was delivered. A failed write closes the
+// connection; its reader notices and unregisters it.
+func (s *CoordServer) sendTo(name string, timeout time.Duration, build func([]byte) []byte) bool {
 	s.mu.Lock()
-	cc := s.conns[name]
+	l := s.conns[name]
 	s.mu.Unlock()
-	if cc == nil {
+	if l == nil {
 		return false
 	}
-	if cc.send(frame, timeout) != nil {
-		cc.c.Close()
+	if l.send(timeout, build) != nil {
+		l.c.Close()
 		return false
 	}
 	return true
@@ -694,7 +746,12 @@ func (s *CoordServer) sendTo(name string, frame []byte, timeout time.Duration) b
 
 // --- TCP client (worker side) ---
 
-// CoordClientConfig tunes a worker's coordinator link.
+// CoordClientConfig tunes a worker's coordinator link. Dial attempts
+// and report writes are bounded by coordDialTimeout; reconnects back
+// off from coordRetryMin to coordRetryMax, each wait jittered to
+// [backoff/2, backoff) from a stream seeded with the worker name, so a
+// fleet that lost its coordinator does not redial in lockstep yet every
+// run of a given worker waits the same deterministic schedule.
 type CoordClientConfig struct {
 	// MinShare is the demand fraction announced in the hello (see
 	// Shard.MinShare).
@@ -703,36 +760,10 @@ type CoordClientConfig struct {
 	// and the worker degrades to local-only shedding. Default 1.5s —
 	// 3× the default server heartbeat; match it to the server's Lease.
 	Lease time.Duration
-	// DialTimeout bounds each (re)connection attempt and each report
-	// write. Default 2s.
-	DialTimeout time.Duration
-	// RetryMin/RetryMax bound the reconnect backoff. Defaults 100ms/2s.
-	// Each wait is jittered to [backoff/2, backoff), with the jitter
-	// stream seeded from the worker name, so a fleet that lost its
-	// coordinator does not redial in lockstep yet every run of a given
-	// worker waits the same deterministic schedule.
-	RetryMin time.Duration
-	RetryMax time.Duration
 	// Key must match the coordinator's -cluster-key when it has one:
 	// the client then answers the server's HMAC-SHA256 challenge in its
 	// hello. Empty speaks the unauthenticated protocol.
 	Key string
-}
-
-func (c CoordClientConfig) withDefaults() CoordClientConfig {
-	if c.Lease <= 0 {
-		c.Lease = 1500 * time.Millisecond
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.RetryMin <= 0 {
-		c.RetryMin = 100 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 2 * time.Second
-	}
-	return c
 }
 
 // CoordClient is a worker's NodeTransport over TCP. It maintains the
@@ -746,10 +777,9 @@ type CoordClient struct {
 	cfg  CoordClientConfig
 
 	mu      sync.Mutex
-	conn    net.Conn
+	link    *link
 	grant   BudgetGrant
 	grantAt time.Time
-	wbuf    []byte
 
 	quit       chan struct{}
 	wg         sync.WaitGroup
@@ -776,8 +806,13 @@ func DialCoordinator(addr, name string, cfg CoordClientConfig) (*CoordClient, er
 	if name == "" || len(name) > coordMaxName {
 		return nil, fmt.Errorf("loadshed: worker name must be 1..%d bytes, got %d", coordMaxName, len(name))
 	}
+	if cfg.Lease <= 0 {
+		cfg.Lease = 1500 * time.Millisecond
+	}
 	c := &CoordClient{
-		addr: addr, name: name, cfg: cfg.withDefaults(), quit: make(chan struct{}),
+		addr: addr, name: name, cfg: cfg, quit: make(chan struct{}),
+		// The coordinator collects one offer per adopter per heartbeat; 8
+		// rides out a host slow to start the shards it was offered.
 		adoptCh: make(chan AdoptOffer, 8),
 		rng:     ihash.NewXorShift(fnv64a(name)),
 	}
@@ -808,9 +843,6 @@ func backoffJitter(rng *ihash.XorShift, d time.Duration) time.Duration {
 	return half + time.Duration(rng.Float64()*float64(d-half))
 }
 
-// Name returns the worker name announced to the coordinator.
-func (c *CoordClient) Name() string { return c.name }
-
 // Connected reports whether a coordinator connection is currently up.
 func (c *CoordClient) Connected() bool { return c.connected.Load() }
 
@@ -826,65 +858,57 @@ func (c *CoordClient) Degraded() bool {
 func (c *CoordClient) Reconnects() int64 { return c.reconnects.Load() }
 
 func (c *CoordClient) connect() error {
-	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", c.addr, coordDialTimeout)
 	if err != nil {
 		return err
 	}
-	var hello []byte
+	l := newLink(conn)
+	hello := func(b []byte) []byte { return appendHelloFrame(b, c.name, c.cfg.MinShare) }
 	if c.cfg.Key != "" {
-		// A keyed client expects the challenge before anything else. The
-		// frame is read with exact reads straight off the conn — no
-		// bufio, so no read-ahead swallows bytes that belong to the
-		// grant stream readGrants will own.
-		nonce, err := readChallengeConn(conn, c.cfg.DialTimeout)
+		// A keyed client expects the challenge before anything else.
+		nonce, err := readChallenge(l)
 		if err != nil {
 			conn.Close()
 			return fmt.Errorf("loadshed: coordinator auth: %w (keyless coordinator or wrong address?)", err)
 		}
-		hello = appendHelloAuthFrame(nil, c.name, c.cfg.MinShare, c.cfg.Key, nonce)
-	} else {
-		hello = appendHelloFrame(nil, c.name, c.cfg.MinShare)
+		hello = func(b []byte) []byte { return appendHelloAuthFrame(b, c.name, c.cfg.MinShare, c.cfg.Key, nonce) }
 	}
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.DialTimeout))
-	if _, err := conn.Write(hello); err != nil {
+	if err := l.send(coordDialTimeout, hello); err != nil {
 		conn.Close()
 		return err
 	}
-	conn.SetWriteDeadline(time.Time{})
 	c.mu.Lock()
-	c.conn = conn
+	c.link = l
 	c.mu.Unlock()
 	c.connected.Store(true)
 	return nil
 }
 
-// readChallengeConn reads the server's challenge frame off the bare
-// connection and returns the nonce.
-func readChallengeConn(conn net.Conn, timeout time.Duration) ([]byte, error) {
-	conn.SetReadDeadline(time.Now().Add(timeout))
-	defer conn.SetReadDeadline(time.Time{})
-	payload, err := readCoordFrame(conn, nil)
+// readChallenge reads the server's challenge frame and returns the
+// nonce.
+func readChallenge(l *link) ([]byte, error) {
+	p, err := l.readFrame(coordDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("no challenge: %w", err)
 	}
 	var b challengeBody
-	if _, ok := decodeFrame(payload, &b); !ok || payload[0] != coordMsgChallenge {
+	if _, ok := decodeFrame(p, &b); !ok || p[0] != coordMsgChallenge {
 		return nil, errors.New("unexpected frame where challenge expected")
 	}
 	return b.Nonce[:], nil
 }
 
-func (c *CoordClient) current() net.Conn {
+func (c *CoordClient) current() *link {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.conn
+	return c.link
 }
 
-func (c *CoordClient) drop(conn net.Conn) {
-	conn.Close()
+func (c *CoordClient) drop(l *link) {
+	l.c.Close()
 	c.mu.Lock()
-	if c.conn == conn {
-		c.conn = nil
+	if c.link == l {
+		c.link = nil
 		c.connected.Store(false)
 	}
 	c.mu.Unlock()
@@ -892,42 +916,36 @@ func (c *CoordClient) drop(conn net.Conn) {
 
 func (c *CoordClient) maintain() {
 	defer c.wg.Done()
-	backoff := c.cfg.RetryMin
+	backoff := coordRetryMin
 	for !c.closed.Load() {
-		conn := c.current()
-		if conn == nil {
+		l := c.current()
+		if l == nil {
 			select {
 			case <-c.quit:
 				return
 			case <-time.After(backoffJitter(c.rng, backoff)):
 			}
-			backoff *= 2
-			if backoff > c.cfg.RetryMax {
-				backoff = c.cfg.RetryMax
-			}
+			backoff = min(2*backoff, coordRetryMax)
 			if c.connect() == nil {
 				c.reconnects.Add(1)
-				backoff = c.cfg.RetryMin
+				backoff = coordRetryMin
 			}
 			continue
 		}
-		c.readGrants(conn) // blocks until the connection dies
-		c.drop(conn)
+		c.readGrants(l) // blocks until the connection dies
+		c.drop(l)
 	}
 }
 
-// readGrants drains coordinator pushes from conn: grants into the
-// leased local copy, drain requests into the latch, adoption offers
-// (header + raw blob) into the host's queue.
-func (c *CoordClient) readGrants(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, 256)
-	var buf []byte
+// readGrants drains coordinator pushes from l: grants into the leased
+// local copy, drain requests into the latch, adoption offers (header +
+// raw blob) into the host's queue.
+func (c *CoordClient) readGrants(l *link) {
 	for {
-		frame, err := readCoordFrame(br, buf)
+		frame, err := l.readFrame(0)
 		if err != nil {
 			return
 		}
-		buf = frame
 		if len(frame) < 1 {
 			continue
 		}
@@ -947,8 +965,8 @@ func (c *CoordClient) readGrants(conn net.Conn) {
 			if !ok {
 				return // malformed push: drop the conn, redial clean
 			}
-			blob := make([]byte, blobLen)
-			if _, err := io.ReadFull(br, blob); err != nil {
+			blob, err := l.readBlob(blobLen)
+			if err != nil {
 				return
 			}
 			select {
@@ -961,25 +979,17 @@ func (c *CoordClient) readGrants(conn net.Conn) {
 	}
 }
 
-// send writes one message, built into the client's reused buffer, in a
-// single locked write — frames from Report and Checkpoint cannot
-// interleave. While disconnected it returns ErrCoordinatorUnreachable;
-// a failed write drops the connection and the maintain loop redials and
-// re-joins.
+// send writes one message on the current link. While disconnected it
+// returns ErrCoordinatorUnreachable; a failed write drops the
+// connection and the maintain loop redials and re-joins.
 func (c *CoordClient) send(timeout time.Duration, build func(buf []byte) []byte) error {
-	c.mu.Lock()
-	conn := c.conn
-	if conn == nil {
-		c.mu.Unlock()
+	l := c.current()
+	if l == nil {
 		return ErrCoordinatorUnreachable
 	}
-	c.wbuf = build(c.wbuf[:0])
-	conn.SetWriteDeadline(time.Now().Add(timeout))
-	_, err := conn.Write(c.wbuf)
-	conn.SetWriteDeadline(time.Time{})
-	c.mu.Unlock()
+	err := l.send(timeout, build)
 	if err != nil {
-		c.drop(conn)
+		c.drop(l)
 	}
 	return err
 }
@@ -987,7 +997,7 @@ func (c *CoordClient) send(timeout time.Duration, build func(buf []byte) []byte)
 // Report sends a demand report; while disconnected it returns
 // ErrCoordinatorUnreachable and the caller proceeds on local capacity.
 func (c *CoordClient) Report(r DemandReport) error {
-	return c.send(c.cfg.DialTimeout, func(buf []byte) []byte { return appendReportFrame(buf, r) })
+	return c.send(coordDialTimeout, func(buf []byte) []byte { return appendReportFrame(buf, r) })
 }
 
 // Checkpoint ships a shard checkpoint to the coordinator: the header
@@ -1043,8 +1053,8 @@ func (c *CoordClient) Close() error {
 		return nil
 	}
 	close(c.quit)
-	if conn := c.current(); conn != nil {
-		c.drop(conn)
+	if l := c.current(); l != nil {
+		c.drop(l)
 	}
 	c.wg.Wait()
 	return nil
