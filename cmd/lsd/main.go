@@ -25,9 +25,10 @@
 // arrive over the ingest source named by -ingest (a live UDP or unixgram
 // socket, a tail-followed trace file, or the unbounded generator), and
 // ADDR serves the HTTP admin plane — /healthz, /readyz, /metrics
-// (Prometheus), and GET/POST/DELETE /queries for changing the query set
-// without a restart. -feed replays generated traffic into a serving
-// instance's socket, paced by wall clock:
+// (Prometheus), GET/POST/DELETE /queries for changing the query set
+// without a restart, and the runtime's profiles under /debug/pprof/.
+// -feed replays generated traffic into a serving instance's socket,
+// paced by wall clock:
 //
 //	lsd -serve 127.0.0.1:9091 -ingest udp://127.0.0.1:9000
 //	lsd -feed udp://127.0.0.1:9000 -preset cesca2 -dur 60s

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strings"
 	"time"
 
@@ -159,16 +160,24 @@ func runShard(ctx context.Context, stream func(context.Context, loadshed.Source,
 }
 
 // startAdmin serves an HTTP admin plane on addr ("" = none) and returns
-// its graceful shutdown.
-func startAdmin(addr string, h http.Handler, endpoints string) (stop func()) {
+// its graceful shutdown. Every mode's plane carries the runtime's
+// profiles under /debug/pprof/ (CPU, heap, goroutines, execution
+// trace), so where a running service spends its time can be asked of
+// the service itself.
+func startAdmin(addr string, mux *http.ServeMux, endpoints string) (stop func()) {
 	if addr == "" {
 		return func() {}
 	}
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	ln, err := net.Listen("tcp", addr)
 	die(err)
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
-	fmt.Printf("admin plane on http://%s (%s)\n", ln.Addr(), endpoints)
+	fmt.Printf("admin plane on http://%s (%s, debug/pprof)\n", ln.Addr(), endpoints)
 	return func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

@@ -91,17 +91,14 @@ func (q *Autofocus) Process(b *pkt.Batch, rate float64) Ops {
 	if rate > 0 && rate < 1 {
 		inv = 1 / rate
 	}
-	var ops Ops
+	before := len(q.table)
 	for i := range b.Pkts {
 		p := &b.Pkts[i]
-		ops.Lookups++
-		if _, ok := q.table[p.DstIP]; !ok {
-			ops.Inserts++
-		}
 		q.table[p.DstIP] += float64(p.Size) * inv
 	}
-	ops.Packets = int64(len(b.Pkts))
-	return ops
+	// Inserts counted as table growth, as in TopK.Process.
+	n := int64(len(b.Pkts))
+	return Ops{Packets: n, Lookups: n, Inserts: int64(len(q.table) - before)}
 }
 
 // Flush implements Query: roll the /32 table up the prefix hierarchy

@@ -26,13 +26,13 @@ type FlowsResult struct {
 // estimate, whereas packet sampling loses short flows entirely.
 type Flows struct {
 	cfg   Config
-	table map[pkt.FlowKey]struct{}
+	table flowTable
 	est   float64 // running sampling-corrected flow count
 }
 
 // NewFlows returns a flows query.
 func NewFlows(cfg Config) *Flows {
-	return &Flows{cfg: cfg, table: make(map[pkt.FlowKey]struct{})}
+	return &Flows{cfg: cfg, table: newFlowTable(cfg.Seed)}
 }
 
 // Name implements Query.
@@ -58,24 +58,22 @@ func (q *Flows) Process(b *pkt.Batch, rate float64) Ops {
 	}
 	var ops Ops
 	for i := range b.Pkts {
-		k := b.Pkts[i].FlowKey()
-		ops.Lookups++
-		if _, ok := q.table[k]; !ok {
-			q.table[k] = struct{}{}
+		if _, inserted := q.table.add(&b.Pkts[i]); inserted {
 			q.est += inv
 			ops.Inserts++
 		}
 	}
+	ops.Lookups = int64(len(b.Pkts))
 	ops.Packets = int64(len(b.Pkts))
 	return ops
 }
 
 // Flush implements Query. The flow table is cleared in place: its
-// buckets stay warm for the next interval, so steady-state processing
-// stops paying map-growth allocations every interval.
+// slots stay warm for the next interval, so steady-state processing
+// stops paying table-growth allocations every interval.
 func (q *Flows) Flush() (Result, Ops) {
-	n := len(q.table)
-	clear(q.table)
+	n := q.table.n
+	q.table.clear()
 	est := q.est
 	q.est = 0
 	return FlowsResult{Flows: est}, Ops{Flushes: int64(n)}
@@ -89,7 +87,7 @@ func (q *Flows) Error(got, ref Result) float64 {
 
 // Reset implements Query.
 func (q *Flows) Reset() {
-	clear(q.table)
+	q.table.clear()
 	q.est = 0
 }
 
@@ -152,17 +150,15 @@ func (q *TopK) Process(b *pkt.Batch, rate float64) Ops {
 	if rate > 0 && rate < 1 {
 		inv = 1 / rate
 	}
-	var ops Ops
+	before := len(q.table)
 	for i := range b.Pkts {
 		p := &b.Pkts[i]
-		ops.Lookups++
-		if _, ok := q.table[p.DstIP]; !ok {
-			ops.Inserts++
-		}
 		q.table[p.DstIP] += float64(p.Size) * inv
 	}
-	ops.Packets = int64(len(b.Pkts))
-	return ops
+	// One probe per packet: every entry the loop created grew the table
+	// by one, so the inserts are counted after the fact.
+	n := int64(len(b.Pkts))
+	return Ops{Packets: n, Lookups: n, Inserts: int64(len(q.table) - before)}
 }
 
 // Flush implements Query.

@@ -45,7 +45,7 @@ type P2PResult struct {
 }
 
 type p2pFlowState struct {
-	inspected int
+	inspected uint8
 	isP2P     bool
 	decided   bool
 }
@@ -61,33 +61,15 @@ type p2pFlowState struct {
 // the port heuristic alone — far cheaper, and far more accurate than
 // dropping packets, because every flow still gets classified.
 type P2PDetector struct {
-	cfg          Config
-	h3           *hash.H3
-	flows        map[pkt.FlowKey]*p2pFlowState
+	cfg   Config
+	h3    *hash.H3
+	flows flowTable
+	// states[i] belongs to the flow whose dense index in flows is i;
+	// truncated, not freed, at flush.
+	states       []p2pFlowState
 	inspectFrac  float64
 	sigDetected  float64
 	portDetected float64
-	// free pools flow-state values across intervals; newState refills it
-	// a slab at a time so per-flow state costs one allocation per slab,
-	// and only until the pool reflects the steady-state flow count.
-	free []*p2pFlowState
-}
-
-// p2pStateSlab is how many flow states are allocated at once when the
-// pool runs dry.
-const p2pStateSlab = 64
-
-// newState returns a zeroed flow state from the pool.
-func (q *P2PDetector) newState() *p2pFlowState {
-	if len(q.free) == 0 {
-		slab := make([]p2pFlowState, p2pStateSlab)
-		for i := range slab {
-			q.free = append(q.free, &slab[i])
-		}
-	}
-	st := q.free[len(q.free)-1]
-	q.free = q.free[:len(q.free)-1]
-	return st
 }
 
 // NewP2PDetector returns a P2P detector.
@@ -95,7 +77,7 @@ func NewP2PDetector(cfg Config) *P2PDetector {
 	return &P2PDetector{
 		cfg:         cfg,
 		h3:          hash.NewH3(cfg.Seed + 0x9279),
-		flows:       make(map[pkt.FlowKey]*p2pFlowState),
+		flows:       newFlowTable(cfg.Seed),
 		inspectFrac: 1,
 	}
 }
@@ -130,14 +112,17 @@ func (q *P2PDetector) ShedTo(f float64) {
 // InspectFraction returns the current custom shedding fraction.
 func (q *P2PDetector) InspectFraction() float64 { return q.inspectFrac }
 
-func (q *P2PDetector) inspects(k pkt.FlowKey) bool {
+// inspects reports whether p's flow is in the hash-selected fraction
+// whose payloads are scanned. HashAgg over the 5-tuple is Hash of the
+// serialised FlowKey by contract, so the selection is H3.Unit's.
+func (q *P2PDetector) inspects(p *pkt.Packet) bool {
 	if q.inspectFrac >= 1 {
 		return true
 	}
 	if q.inspectFrac <= 0 {
 		return false
 	}
-	return q.h3.Unit(k[:]) < q.inspectFrac
+	return float64(q.h3.HashAgg(p, pkt.Agg5Tuple)>>11)/float64(1<<53) < q.inspectFrac
 }
 
 // Process implements Query.
@@ -145,14 +130,11 @@ func (q *P2PDetector) Process(b *pkt.Batch, _ float64) Ops {
 	var ops Ops
 	for i := range b.Pkts {
 		p := &b.Pkts[i]
-		k := p.FlowKey()
-		ops.Lookups++
-		st, ok := q.flows[k]
-		if !ok {
-			st = q.newState()
-			q.flows[k] = st
+		fi, inserted := q.flows.add(p)
+		if inserted {
 			ops.Inserts++
-			if !q.inspects(k) {
+			var st p2pFlowState
+			if !q.inspects(p) {
 				// Custom-shed flow: classify by port alone, now.
 				st.decided = true
 				if isP2PPort(p.DstPort) {
@@ -160,7 +142,9 @@ func (q *P2PDetector) Process(b *pkt.Batch, _ float64) Ops {
 					q.portDetected++
 				}
 			}
+			q.states = append(q.states, st)
 		}
+		st := &q.states[fi]
 		if st.decided || len(p.Payload) == 0 {
 			continue
 		}
@@ -181,6 +165,7 @@ func (q *P2PDetector) Process(b *pkt.Batch, _ float64) Ops {
 			}
 		}
 	}
+	ops.Lookups = int64(len(b.Pkts))
 	ops.Packets = int64(len(b.Pkts))
 	return ops
 }
@@ -188,10 +173,10 @@ func (q *P2PDetector) Process(b *pkt.Batch, _ float64) Ops {
 // Flush implements Query.
 func (q *P2PDetector) Flush() (Result, Ops) { return q.FlushInto(nil) }
 
-// FlushInto implements ResultRecycler: flow states are zeroed back into
-// the pool, the flow table is cleared in place and the detected set
-// reuses prev's map when given. Reported values are identical to
-// Flush's.
+// FlushInto implements ResultRecycler: the flow table is cleared in
+// place, the state slice truncated, and the detected set — unpacked
+// from the table's slots — reuses prev's map when given. Reported
+// values are identical to Flush's.
 func (q *P2PDetector) FlushInto(prev Result) (Result, Ops) {
 	var detected map[pkt.FlowKey]bool
 	if p, ok := prev.(P2PResult); ok && p.Detected != nil {
@@ -200,18 +185,21 @@ func (q *P2PDetector) FlushInto(prev Result) (Result, Ops) {
 	} else {
 		detected = make(map[pkt.FlowKey]bool)
 	}
-	for k, st := range q.flows {
-		if st.isP2P {
-			detected[k] = true
+	for i := range q.flows.slots {
+		if s := &q.flows.slots[i]; s.lo != 0 && q.states[s.idx].isP2P {
+			detected[s.key()] = true
 		}
-		*st = p2pFlowState{}
-		q.free = append(q.free, st)
 	}
 	count := q.sigDetected + q.portDetected
-	n := int64(len(q.flows))
-	clear(q.flows)
-	q.sigDetected, q.portDetected = 0, 0
+	n := int64(q.flows.n)
+	q.clearFlows()
 	return P2PResult{Detected: detected, Count: count}, Ops{Flushes: n}
+}
+
+func (q *P2PDetector) clearFlows() {
+	q.flows.clear()
+	q.states = q.states[:0]
+	q.sigDetected, q.portDetected = 0, 0
 }
 
 // Error implements Query: one minus the fraction of the reference's
@@ -232,11 +220,6 @@ func (q *P2PDetector) Error(got, ref Result) float64 {
 
 // Reset implements Query.
 func (q *P2PDetector) Reset() {
-	for _, st := range q.flows {
-		*st = p2pFlowState{}
-		q.free = append(q.free, st)
-	}
-	clear(q.flows)
-	q.sigDetected, q.portDetected = 0, 0
+	q.clearFlows()
 	q.inspectFrac = 1
 }

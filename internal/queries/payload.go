@@ -1,7 +1,6 @@
 package queries
 
 import (
-	"bytes"
 	"time"
 
 	"repro/internal/pkt"
@@ -91,12 +90,18 @@ type PatternResult struct {
 }
 
 // PatternSearch scans every captured payload for a byte pattern with
-// the Boyer-Moore-Horspool algorithm, the [23] strategy of Table 2.2.
-// Its cost is linear in bytes processed.
+// the Boyer-Moore-Horspool algorithm, the [23] strategy of Table 2.2,
+// behind a 2-gram filter that decides which stretches of a payload the
+// Horspool loop has to visit at all. Its cost is linear in bytes
+// processed.
 type PatternSearch struct {
-	cfg       Config
-	pattern   []byte
-	skip      [256]int
+	cfg     Config
+	pattern []byte
+	skip    [256]int
+	// grams is the set of the pattern's 2-grams, one bit per byte pair
+	// (8 KiB): bit text[j-1]<<8|text[j] is set when those two bytes
+	// occur adjacently somewhere in the pattern.
+	grams     [1 << 16 / 64]uint64
 	processed float64
 	matches   float64
 }
@@ -108,41 +113,63 @@ func NewPatternSearch(cfg Config, pattern []byte) *PatternSearch {
 		pattern = trace.PatternHTTP
 	}
 	q := &PatternSearch{cfg: cfg, pattern: pattern}
-	q.buildSkip()
-	return q
-}
-
-func (q *PatternSearch) buildSkip() {
-	m := len(q.pattern)
+	m := len(pattern)
 	for i := range q.skip {
 		q.skip[i] = m
 	}
 	for i := 0; i < m-1; i++ {
-		q.skip[q.pattern[i]] = m - 1 - i
+		q.skip[pattern[i]] = m - 1 - i
+		g := uint(pattern[i])<<8 | uint(pattern[i+1])
+		q.grams[g>>6] |= 1 << (g & 63)
 	}
+	return q
 }
 
 // search reports whether the pattern occurs in text, returning the
 // number of byte positions examined (charged to the cost model: the
-// whole payload must be read from memory even when Horspool shifts).
+// whole payload must be read from memory even when the search skips).
+//
+// An occurrence is a window of m bytes, and the m−1 2-grams inside a
+// window end at m−1 consecutive positions, exactly one of which is a
+// multiple of m−1. So it is enough to test the 2-grams ending at
+// m−1, 2(m−1), … against the pattern's own: where one is absent no
+// window over it can match, and where one is present only the ≤ m−1
+// windows that contain it are handed to Horspool. The probes are
+// independent loads; Horspool alone waits on load → skip[] → load at
+// every step.
 func (q *PatternSearch) search(text []byte) (found bool, scanned int) {
 	m := len(q.pattern)
 	n := len(text)
-	if m == 0 || n < m {
+	if n < m {
 		return false, n
 	}
-	i := 0
-	for i <= n-m {
+	if m < 2 {
+		return q.horspool(text, 0, n-m), n
+	}
+	for j := m - 1; j < n; j += m - 1 {
+		g := uint(text[j-1])<<8 | uint(text[j])
+		if q.grams[g>>6]&(1<<(g&63)) != 0 && q.horspool(text, max(j-m+1, 0), min(j-1, n-m)) {
+			return true, n
+		}
+	}
+	return false, n
+}
+
+// horspool reports whether the pattern occurs in text at a start
+// offset in [lo, hi]; hi ≤ len(text)−m.
+func (q *PatternSearch) horspool(text []byte, lo, hi int) bool {
+	m := len(q.pattern)
+	for i := lo; i <= hi; {
 		j := m - 1
 		for j >= 0 && text[i+j] == q.pattern[j] {
 			j--
 		}
 		if j < 0 {
-			return true, n
+			return true
 		}
 		i += q.skip[text[i+m-1]]
 	}
-	return false, n
+	return false
 }
 
 // Name implements Query.
@@ -198,11 +225,3 @@ func (q *PatternSearch) Error(got, ref Result) float64 {
 
 // Reset implements Query.
 func (q *PatternSearch) Reset() { q.processed, q.matches = 0, 0 }
-
-// ContainsPattern reports whether text contains the query's pattern;
-// exported for tests.
-func (q *PatternSearch) ContainsPattern(text []byte) bool {
-	// bytes.Contains is the oracle the Horspool implementation is
-	// tested against; the query itself uses search for realistic cost.
-	return bytes.Contains(text, q.pattern)
-}

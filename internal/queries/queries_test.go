@@ -2,6 +2,7 @@ package queries
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -233,26 +234,6 @@ func TestPatternSearchFindsEmbedded(t *testing.T) {
 	}
 	if r.Processed != 2 {
 		t.Fatalf("processed = %v, want 2", r.Processed)
-	}
-}
-
-func TestPatternSearchHorspoolAgainstOracle(t *testing.T) {
-	q := NewPatternSearch(Config{}, []byte("abcab"))
-	texts := [][]byte{
-		[]byte(""),
-		[]byte("abcab"),
-		[]byte("xabcabx"),
-		[]byte("abcabcab"),
-		[]byte("ababababab"),
-		[]byte("aaaaaaabcab"),
-		[]byte("abca"),
-		bytes.Repeat([]byte("abc"), 100),
-	}
-	for _, text := range texts {
-		found, _ := q.search(text)
-		if found != q.ContainsPattern(text) {
-			t.Errorf("search(%q) = %v, oracle disagrees", text, found)
-		}
 	}
 }
 
@@ -585,6 +566,46 @@ func BenchmarkFullSetProcess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, q := range qs {
 			q.Process(&batch, 1)
+		}
+	}
+}
+
+// BenchmarkQueryProcess times each query's Process alone over one
+// measurement interval of CESCA-II-shaped payload traffic (ten bins,
+// then a flush outside the timer, so every pass pays the interval's
+// real mix of inserts and hits). rate0.5 hands the query what the
+// engine would at that rate: a batch thinned by the query's own
+// sampling method, or for the custom-shedding detector the full batch
+// after ShedTo(0.5).
+func BenchmarkQueryProcess(b *testing.B) {
+	full := trace.Record(trace.NewGenerator(trace.CESCA2(1, time.Second, 1)))
+	half := thinned(full, 0.5)
+	for qi, q := range FullSet(Config{Seed: 1}) {
+		for _, rate := range []float64{1, 0.5} {
+			batches := full
+			if rate < 1 {
+				batches = half[q.Method()]
+			}
+			b.Run(fmt.Sprintf("%s/rate%v", q.Name(), rate), func(b *testing.B) {
+				q := FullSet(Config{Seed: 1})[qi]
+				if cs, ok := q.(interface{ ShedTo(float64) }); ok {
+					cs.ShedTo(rate)
+				}
+				pkts := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bt := &batches[i%len(batches)]
+					q.Process(bt, rate)
+					pkts += len(bt.Pkts)
+					if i%len(batches) == len(batches)-1 {
+						b.StopTimer()
+						q.Flush()
+						b.StartTimer()
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pkts), "ns/pkt")
+			})
 		}
 	}
 }

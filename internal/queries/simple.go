@@ -232,11 +232,25 @@ func (q *HighWatermark) Process(b *pkt.Batch, rate float64) Ops {
 	if rate > 0 && rate < 1 {
 		inv = 1 / rate
 	}
+	n := int64(len(b.Pkts))
+	if n == 0 {
+		return Ops{}
+	}
+	// The bucket changes about once per bin, so its sum rides in a local
+	// over each run of packets that share it and the map is touched only
+	// where the run ends — the same additions, in the same order, into
+	// the same accumulator as one `+=` per packet.
+	key := b.Pkts[0].Ts / int64(hwmBucket)
+	sum := q.buckets[key]
 	for i := range b.Pkts {
 		p := &b.Pkts[i]
-		q.buckets[p.Ts/int64(hwmBucket)] += float64(p.Size) * inv
+		if k := p.Ts / int64(hwmBucket); k != key {
+			q.buckets[key] = sum
+			key, sum = k, q.buckets[k]
+		}
+		sum += float64(p.Size) * inv
 	}
-	n := int64(len(b.Pkts))
+	q.buckets[key] = sum
 	return Ops{Packets: n, Lookups: n}
 }
 

@@ -31,6 +31,10 @@ for _ in $(seq 1 50); do
 done
 curl -sf "http://$ADMIN/healthz" | grep -q ok
 
+# The runtime's profiles ride on the same plane.
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADMIN/debug/pprof/cmdline")
+[ "$CODE" = 200 ] || { echo "FAIL: /debug/pprof/cmdline answered $CODE"; exit 1; }
+
 # Feed real traffic over the ingest socket; readiness follows the
 # first processed bin.
 "$BIN" -feed "udp://$INGEST" -dur 3s
