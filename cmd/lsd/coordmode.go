@@ -117,6 +117,7 @@ func coordinatorMux(srv *loadshed.CoordServer, o coordOpts) *http.ServeMux {
 		m.Counter("lsd_cluster_checkpoints_total", "Shard checkpoints stored by the coordinator.", coord.CheckpointsStored())
 		m.Counter("lsd_cluster_failover_offers_total", "Adoption offers issued for crashed or migrating shards.", coord.FailoverOffers())
 		m.Counter("lsd_coord_auth_failures_total", "Connections rejected by pre-shared-key authentication.", srv.AuthFailures())
+		m.Runtime()
 	})
 
 	mux.HandleFunc("GET /cluster", func(w http.ResponseWriter, r *http.Request) {

@@ -214,13 +214,21 @@ func adminMux(sys *loadshed.System, roll *loadshed.RollingStats, live *loadshed.
 		if live != nil {
 			m.Counter("lsd_ingest_bad_frames_total", "Frames rejected by wire-format validation.", live.BadFrames())
 			m.Counter("lsd_ingest_dropped_bins_total", "Whole bins discarded because the engine lagged the listener.", live.DroppedBins())
+			m.Counter("lsd_ingest_dropped_packets_total", "Packets in those discarded bins.", live.DroppedPackets())
 			if rb := live.RcvBuf(); rb > 0 {
 				m.Gauge("lsd_ingest_rcvbuf_bytes", "Socket receive buffer the kernel granted the UDP listener.", rb)
 			}
+			if drops, ok := live.KernelDrops(); ok {
+				m.Counter("lsd_ingest_kernel_drops_total", "Datagrams the kernel discarded because the UDP receive buffer was full.", drops)
+			}
+			bufs, bytes := live.PoolStats()
+			m.Gauge("lsd_ingest_pool_buffers", "Recycled bin buffers waiting for the listener to refill them.", bufs)
+			m.Gauge("lsd_ingest_pool_bytes", "Bytes of capacity those buffers hold.", bytes)
 		}
 		if extraMetrics != nil {
 			extraMetrics(m)
 		}
+		m.Runtime()
 	})
 
 	type queryInfo struct {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/pkg/loadshed"
@@ -29,14 +31,30 @@ func TestMetricsReportUDPReceiveBuffer(t *testing.T) {
 		return rec.Body.String()
 	}
 
-	m := gauge.FindStringSubmatch(scrape("udp", "127.0.0.1:0"))
+	udp := scrape("udp", "127.0.0.1:0")
+	// The same scrape carries the rest of the ingest and runtime
+	// families; the kernel's drop counter exists for UDP only, and only
+	// where /proc/net/udp does.
+	for _, name := range []string{
+		"lsd_ingest_dropped_packets_total", "lsd_ingest_pool_buffers", "lsd_ingest_pool_bytes",
+		"go_gc_cycles_total", "go_gc_cpu_fraction", "go_heap_inuse_bytes", "go_goroutines",
+	} {
+		if !regexp.MustCompile(`(?m)^` + name + ` [0-9.e+-]+$`).MatchString(udp) {
+			t.Errorf("no %s sample in /metrics", name)
+		}
+	}
+	if _, err := os.Stat("/proc/net/udp"); err == nil && !strings.Contains(udp, "\nlsd_ingest_kernel_drops_total 0\n") {
+		t.Error("no lsd_ingest_kernel_drops_total 0 on an idle UDP listener")
+	}
+	m := gauge.FindStringSubmatch(udp)
 	if m == nil {
 		t.Fatal("no lsd_ingest_rcvbuf_bytes gauge on a UDP listener")
 	}
 	if n, _ := strconv.Atoi(m[1]); n <= 0 {
 		t.Fatalf("lsd_ingest_rcvbuf_bytes = %s, want the granted size", m[1])
 	}
-	if gauge.MatchString(scrape("unixgram", t.TempDir()+"/in.sock")) {
-		t.Fatal("unixgram listener reports a UDP receive buffer")
+	unix := scrape("unixgram", t.TempDir()+"/in.sock")
+	if gauge.MatchString(unix) || strings.Contains(unix, "lsd_ingest_kernel_drops_total") {
+		t.Fatal("unixgram listener reports a UDP receive buffer or kernel drops")
 	}
 }

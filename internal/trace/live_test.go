@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -282,5 +283,41 @@ func TestLiveCloseConcurrentWaitsForUnlink(t *testing.T) {
 				t.Fatalf("iteration %d: a Close returned with the socket file still present (stat: %v)", i, err)
 			}
 		}
+	}
+}
+
+// TestLiveKernelDrops pins the /proc/net/udp parse (inode is the tenth
+// column, drops the last) and that a real UDP listener finds its own
+// row there; a unixgram listener, whose sender blocks instead, has none.
+func TestLiveKernelDrops(t *testing.T) {
+	const table = `   sl  local_address rem_address   st tx_queue rx_queue tr tm->when retrnsmt   uid  timeout inode ref pointer drops
+  563: 0100007F:4A96 00000000:0000 07 00000000:00000000 00:00000000 00000000     0        0 7301 2 0000000000000000 0
+ 1410: 00000000:14E9 00000000:0000 07 00000000:00000300 00:00000000 00000000  1000        0 7302 2 0000000000000000 4211
+`
+	if d, ok := udpDrops(strings.NewReader(table), 7302); !ok || d != 4211 {
+		t.Fatalf("udpDrops(inode 7302) = %d, %v; want 4211", d, ok)
+	}
+	if d, ok := udpDrops(strings.NewReader(table), 2); ok {
+		t.Fatalf("udpDrops matched inode 2 (a ref count) and returned %d", d)
+	}
+
+	u, err := ListenLive("unixgram", filepath.Join(t.TempDir(), "k.sock"), LiveConfig{Bin: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	if _, ok := u.KernelDrops(); ok {
+		t.Fatal("a unixgram listener reported kernel drops")
+	}
+	if _, err := os.Stat("/proc/net/udp"); err != nil {
+		t.Skip("no /proc/net/udp here")
+	}
+	l, err := ListenLive("udp", "127.0.0.1:0", LiveConfig{Bin: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if d, ok := l.KernelDrops(); !ok || d != 0 {
+		t.Fatalf("KernelDrops on an idle UDP listener = %d, %v", d, ok)
 	}
 }

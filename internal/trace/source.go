@@ -39,12 +39,24 @@ type Source interface {
 	// re-slices and reads. In exchange, implementations must not touch
 	// a delivered batch's packets afterwards either (delivering a fresh
 	// or immutable slice each call), so the caller may keep it across
-	// NextBatch calls without copying.
+	// NextBatch calls without copying — until it hands the batch back
+	// through Recycle, if the source is a Recycler and it chooses to.
 	NextBatch() (b pkt.Batch, ok bool)
 	// Reset rewinds the source to the beginning of the trace.
 	Reset()
 	// TimeBin returns the batch duration.
 	TimeBin() time.Duration
+}
+
+// Recycler is implemented by a Source that can refill a delivered
+// batch's storage (LiveSource). Recycle gives the batch up: the caller
+// must be done with every packet and payload byte of b, and must not
+// call it twice for one delivery. Calling it is optional — a batch that
+// is never recycled stays the consumer's for good, as the Source
+// contract says — and the engine does so after each bin's last read
+// (runner.step), so a run allocates no per-bin ingest storage.
+type Recycler interface {
+	Recycle(b pkt.Batch)
 }
 
 // MemorySource replays a fixed slice of batches. It serves as the
@@ -100,9 +112,15 @@ func Record(src Source) []pkt.Batch {
 // packets out of order and queries such as high-watermark assume
 // time-ordered delivery.
 func sortBatch(b *pkt.Batch) {
+	byTs := func(x, y pkt.Packet) int { return cmp.Compare(x.Ts, y.Ts) }
+	// Live bins and generator bins without injected traffic arrive in
+	// order; the check is one pass, the merge sort is not.
+	if slices.IsSortedFunc(b.Pkts, byTs) {
+		return
+	}
 	// Stable sort, so packets of equal timestamp keep generation order;
 	// the generic form avoids sort.SliceStable's per-call boxing.
-	slices.SortStableFunc(b.Pkts, func(x, y pkt.Packet) int { return cmp.Compare(x.Ts, y.Ts) })
+	slices.SortStableFunc(b.Pkts, byTs)
 }
 
 // Stats summarizes a trace the way Table 2.3 reports its datasets.

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -536,5 +538,38 @@ func TestAsymmetricMixShape(t *testing.T) {
 	calm := Measure(NewGenerator(links[1].Config))
 	if hot.Packets <= calm.Packets {
 		t.Fatalf("hot link %d pkts not above calm link %d", hot.Packets, calm.Packets)
+	}
+}
+
+// TestSortBatchMatchesStableSort: sortBatch's early return for batches
+// already in order must not change what any batch sorts to. Packets of
+// equal timestamp carry their arrival position in SrcIP, so a result
+// that reorders them — in a sorted batch or an unsorted one — differs
+// from the plain stable sort it replaced.
+func TestSortBatchMatchesStableSort(t *testing.T) {
+	mk := func(ts ...int64) []pkt.Packet {
+		ps := make([]pkt.Packet, len(ts))
+		for i, v := range ts {
+			ps[i] = pkt.Packet{Ts: v, SrcIP: uint32(i)}
+		}
+		return ps
+	}
+	for _, ps := range [][]pkt.Packet{
+		nil,
+		mk(5),
+		mk(1, 2, 2, 2, 3, 3, 9),          // in order, with ties
+		mk(4, 1, 4, 2, 1, 4, 0, 2, 2, 9), // injected out of order, with ties
+		mk(3, 3, 3, 2, 2, 1),
+	} {
+		want := slices.Clone(ps)
+		slices.SortStableFunc(want, func(x, y pkt.Packet) int { return cmp.Compare(x.Ts, y.Ts) })
+		b := pkt.Batch{Pkts: slices.Clone(ps)}
+		sortBatch(&b)
+		for i := range want {
+			if b.Pkts[i].Ts != want[i].Ts || b.Pkts[i].SrcIP != want[i].SrcIP {
+				t.Fatalf("sortBatch(%v)[%d] = {Ts %d, pos %d}, stable sort has {Ts %d, pos %d}",
+					ps, i, b.Pkts[i].Ts, b.Pkts[i].SrcIP, want[i].Ts, want[i].SrcIP)
+			}
+		}
 	}
 }

@@ -563,6 +563,9 @@ type runner struct {
 	src  trace.Source
 	sink Sink
 	pipe *pipeline // non-nil: the front stage owns src (pipeline.go)
+	// recycler is src when it can refill a finished batch's storage (a
+	// live listener), nil for every replay source.
+	recycler trace.Recycler
 	// done, when non-nil, cancels the run: step returns false at the
 	// next bin boundary once it is closed. nil (the Stream/Run path)
 	// never fires.
@@ -607,6 +610,7 @@ func (s *System) newRunner(src trace.Source, sink Sink) *runner {
 	}
 	s.startInterval()
 	r := &runner{s: s, src: src, sink: sink, binsPerInterval: binsPerInterval}
+	r.recycler, _ = src.(trace.Recycler)
 	if s.cfg.pipelined() {
 		_, execWk := splitWorkers(s.cfg.Workers)
 		s.execPool = newStaticPool(execWk - 1)
@@ -644,6 +648,7 @@ func (r *runner) step() bool {
 	// A run drained at the boundary read its batch from the source but
 	// does not process it — the checkpoint records the bin, and the
 	// resumed run re-reads it from a repositioned source (ResumeSource).
+	delivered := ok
 	ok = ok && r.advance()
 	if ok {
 		if slot != nil && slot.sketched {
@@ -656,6 +661,11 @@ func (r *runner) step() bool {
 		// The bin is done with the slot: BinStats carries no references
 		// into the batch or sketch, so the front may refill it now.
 		r.pipe.free <- slot
+	}
+	if delivered && r.recycler != nil {
+		// Likewise the batch: nothing reads its packets or payloads past
+		// this point, so a source that reuses storage may have it back.
+		r.recycler.Recycle(r.batch)
 	}
 	if !ok {
 		return false

@@ -19,6 +19,7 @@ package loadshed
 import (
 	"fmt"
 	"io"
+	"runtime/metrics"
 	"strings"
 )
 
@@ -59,6 +60,30 @@ func (m *MetricsWriter) GaugeVec(name, help, label string, n int, at func(i int)
 		lv, v := at(i)
 		fmt.Fprintf(m.W, "%s{%s=\"%s\"} %v\n", name, label, promEscaper.Replace(lv), v)
 	}
+}
+
+// Runtime writes the Go runtime's own numbers, the ones that say whether
+// a service's time is going to the collector instead of the engine: GC
+// cycles, the collector's share of all CPU time the process has had,
+// heap in use and goroutines. Every admin plane of cmd/lsd carries them.
+func (m *MetricsWriter) Runtime() {
+	s := []metrics.Sample{
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+		{Name: "/sched/goroutines:goroutines"},
+	}
+	metrics.Read(s)
+	var gcFrac float64
+	if total := s[2].Value.Float64(); total > 0 {
+		gcFrac = s[1].Value.Float64() / total
+	}
+	m.Counter("go_gc_cycles_total", "Completed garbage-collection cycles.", s[0].Value.Uint64())
+	m.Gauge("go_gc_cpu_fraction", "Share of the process's available CPU time spent in the collector since start.", gcFrac)
+	m.Gauge("go_heap_inuse_bytes", "Bytes in heap spans that hold objects, live or not yet swept.", s[3].Value.Uint64()+s[4].Value.Uint64())
+	m.Gauge("go_goroutines", "Live goroutines.", s[5].Value.Uint64())
 }
 
 // WritePrometheus writes the snapshot as Prometheus text-format metrics.

@@ -67,7 +67,7 @@ curl -sf "http://$ADMIN_C/cluster" | grep -q '"partitioned":true' \
 # Budget-grant gauges: the coordinator exposes per-node budget, demand
 # and partition state; both grants are live and sum to the total.
 METRICS=$(curl -sf "http://$ADMIN_C/metrics")
-for m in lsd_cluster_nodes lsd_cluster_total_capacity \
+for m in lsd_cluster_nodes lsd_cluster_total_capacity go_gc_cycles_total go_goroutines \
          'lsd_node_budget{node="alpha"}' 'lsd_node_budget{node="beta"}' \
          'lsd_node_demand{node="alpha"}' 'lsd_node_partitioned{node="beta"}'; do
   grep -qF "$m" <<<"$METRICS" || { echo "FAIL: missing metric $m"; exit 1; }
@@ -87,6 +87,8 @@ curl -sf "http://$ADMIN_A/metrics" | grep -q '^lsd_coord_connected 1' \
   || { echo "FAIL: alpha not connected to the coordinator"; exit 1; }
 curl -sf "http://$ADMIN_A/metrics" | grep -q '^lsd_coord_degraded 0' \
   || { echo "FAIL: alpha degraded despite a live coordinator"; exit 1; }
+curl -sf "http://$ADMIN_A/metrics" | grep -q '^go_goroutines [1-9]' \
+  || { echo "FAIL: alpha's plane has no runtime gauges"; exit 1; }
 
 # Partition: hard-kill beta. The coordinator must mark it partitioned
 # once its lease expires, and the survivor keeps shedding — now under

@@ -50,7 +50,9 @@ for m in lsd_up lsd_bins_total lsd_wire_packets_total \
          lsd_window_drop_fraction lsd_window_unsampled_fraction \
          lsd_window_budget_utilization lsd_query_rate \
          lsd_ingest_bad_frames_total lsd_ingest_dropped_bins_total \
-         lsd_ingest_rcvbuf_bytes; do
+         lsd_ingest_dropped_packets_total lsd_ingest_kernel_drops_total \
+         lsd_ingest_rcvbuf_bytes lsd_ingest_pool_buffers lsd_ingest_pool_bytes \
+         go_gc_cycles_total go_gc_cpu_fraction go_heap_inuse_bytes go_goroutines; do
   grep -q "^$m" <<<"$METRICS" || { echo "FAIL: missing metric $m"; exit 1; }
 done
 grep -q '^lsd_wire_packets_total [1-9]' <<<"$METRICS" \

@@ -2,12 +2,14 @@
 # Paired benchmark of this checkout (committed or not) against one of
 # its ancestors, the procedure a change that claims a gain is judged by:
 #
-#   scripts/paired_bench.sh PARENT_REF [PAIRS=10]
+#   scripts/paired_bench.sh PARENT_REF [PAIRS=10] [WORKLOADS=all four]
 #
 # Clones PARENT_REF into a temporary directory, builds both trees once
-# with their own bench/run.sh, then runs every workload PAIRS times on
-# each side — seeds 1 and 2 alternating, and the side that goes first
-# alternating too — and prints, per workload and end-to-end metric, both
+# with their own bench/run.sh, then runs every workload — or only those
+# named in WORKLOADS, one quoted argument, e.g. "live_serve" for extra
+# pairs of the workload a claim rests on — PAIRS times on each side,
+# seeds 1 and 2 alternating and the side that goes first alternating
+# too, and prints, per workload and end-to-end metric, both
 # medians and quartiles, the change of the median, and the pairs the
 # change won. A gain counts when the change wins nine tenths of the
 # pairs and the medians differ by more than the parent's q3 - q1.
@@ -18,9 +20,9 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-ref=${1:?usage: scripts/paired_bench.sh PARENT_REF [PAIRS]}
+ref=${1:?usage: scripts/paired_bench.sh PARENT_REF [PAIRS] [WORKLOADS]}
 pairs=${2:-10}
-workloads="overload2x underload cluster_ddos live_serve"
+workloads=${3:-overload2x underload cluster_ddos live_serve}
 # name:direction, in BENCHMARK.json's order.
 metrics="setup_s:lower pkts_per_s:higher bin_ms_p50:lower bin_ms_p90:lower accuracy:higher cpu_us_per_kpkt:lower rss_mb:lower"
 
@@ -99,7 +101,7 @@ for w in $workloads; do
 		b=$(sed -n 's/^  digest //p' "$out/change.$w.$p.txt")
 		[[ $a == "$b" ]] || echo "digest differs in pair $p: parent ${a:-none} change ${b:-none}"
 	done
-	for m in pkts_per_s cpu_us_per_kpkt; do
+	for m in pkts_per_s bin_ms_p90 cpu_us_per_kpkt; do
 		echo "runs, $m, parent/change in pair order:$(for p in $(seq 1 "$pairs"); do
 			printf ' %.4g/%.4g' "$(value parent "$w" "$p" "$m")" "$(value change "$w" "$p" "$m")"
 		done)"
