@@ -19,7 +19,9 @@
 // function (the monitoring pipeline uses hash.H3).
 //
 // Both counters keep their set-bit counts current after every mutating
-// call, so Ones and Estimate never scan the bit array. MultiRes keeps
+// call, so Ones and Estimate never scan the bit array, and Estimate
+// reads the linear-counting estimate of a count from a table shared by
+// every bitmap of the size instead of taking a logarithm. MultiRes keeps
 // its books per component rather than per item: a bulk insert is one OR
 // per hash, followed by one popcount pass over the components the call
 // wrote, and a mask of the components that may hold a bit lets Reset
@@ -30,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // linearCount is the linear-counting estimator shared by both bitmap
@@ -38,9 +41,7 @@ import (
 // largest value the estimator can express.
 func linearCount(size uint64, ones int) float64 {
 	if ones == 0 {
-		// b * ln(b/b) is exactly 0; skipping the Log call matters because
-		// MultiRes.Estimate visits every component and most are empty.
-		return 0
+		return 0 // b * ln(b/b), exactly
 	}
 	zeros := float64(int(size) - ones)
 	b := float64(size)
@@ -48,6 +49,42 @@ func linearCount(size uint64, ones int) float64 {
 		zeros = 1
 	}
 	return b * math.Log(b/zeros)
+}
+
+// lcTables holds, per power-of-two bitmap size up to 2^16 bits, the
+// linear-counting estimate of every set-bit count: est[ones] is
+// linearCount(size, ones), built with that very expression the first
+// time a bitmap of the size is made. An estimate is then a table read,
+// bit-identical to the logarithm it replaces; the table of the engine's
+// 2048-bit components is 16 KB.
+var lcTables [17]struct {
+	once sync.Once
+	est  []float64
+}
+
+// linearCountTable returns the shared table of a bitmap size, or nil for
+// a size too large to tabulate.
+func linearCountTable(size uint64) []float64 {
+	k := bits.TrailingZeros64(size)
+	if k >= len(lcTables) {
+		return nil
+	}
+	t := &lcTables[k]
+	t.once.Do(func() {
+		t.est = make([]float64, size+1)
+		for ones := range t.est {
+			t.est[ones] = linearCount(size, ones)
+		}
+	})
+	return t.est
+}
+
+// estimate is linearCount(size, ones) read from tab when tab covers it.
+func estimate(tab []float64, size uint64, ones int) float64 {
+	if ones < len(tab) {
+		return tab[ones]
+	}
+	return linearCount(size, ones)
 }
 
 // roundSize rounds a bit count up to a power of two, minimum 64 (one
@@ -66,7 +103,8 @@ type Direct struct {
 	words []uint64
 	size  uint64 // number of bits, power of two
 	mask  uint64
-	ones  int // set-bit count, maintained incrementally
+	ones  int       // set-bit count, maintained incrementally
+	lc    []float64 // linearCountTable(size)
 }
 
 // NewDirect returns a bitmap with at least the requested number of bits
@@ -77,6 +115,7 @@ func NewDirect(nbits int) *Direct {
 		words: make([]uint64, size/64),
 		size:  size,
 		mask:  size - 1,
+		lc:    linearCountTable(size),
 	}
 }
 
@@ -104,7 +143,7 @@ func (d *Direct) Size() int { return int(d.size) }
 // zero bits) returns b * ln(b), the largest value the estimator can
 // express.
 func (d *Direct) Estimate() float64 {
-	return linearCount(d.size, d.ones)
+	return estimate(d.lc, d.size, d.ones)
 }
 
 // Reset clears all bits.
@@ -167,6 +206,7 @@ type MultiRes struct {
 	mask   uint64
 	wpc    int // words per component
 	levels int
+	lc     []float64 // linearCountTable(size)
 }
 
 // NewMultiRes returns a multi-resolution bitmap with the given number of
@@ -187,6 +227,7 @@ func NewMultiRes(nbits, levels int) *MultiRes {
 		mask:   size - 1,
 		wpc:    wpc,
 		levels: levels,
+		lc:     linearCountTable(size),
 	}
 }
 
@@ -240,6 +281,30 @@ func (m *MultiRes) InsertMany(hs []uint64) {
 		words[lv*wpc+int(bit>>6)] |= 1 << (bit & 63)
 		touched |= 1 << (uint(lv) & 63)
 	}
+	m.recount(touched)
+}
+
+// InsertSelected records hs[i] for every i in idx: InsertMany of the
+// gathered hashes, without gathering them. It is how a sampled
+// sub-stream's bitmap is filled straight from the hash column of the
+// stream it was sampled from.
+func (m *MultiRes) InsertSelected(hs []uint64, idx []int32) {
+	words := m.words
+	last, mask, wpc := m.levels-1, m.mask, m.wpc
+	var touched uint64
+	for _, i := range idx {
+		h := hs[i]
+		lv := min(bits.TrailingZeros64(^h), last) // as in InsertMany
+		bit := (h >> 1 >> (uint(lv) & 63)) & mask
+		words[lv*wpc+int(bit>>6)] |= 1 << (bit & 63)
+		touched |= 1 << (uint(lv) & 63)
+	}
+	m.recount(touched)
+}
+
+// recount marks the components in touched live and recounts their set
+// bits: the books a bulk insert settles once, at its end.
+func (m *MultiRes) recount(touched uint64) {
 	m.live |= touched
 	for ; touched != 0; touched &= touched - 1 {
 		lv := bits.TrailingZeros64(touched)
@@ -257,8 +322,8 @@ func (m *MultiRes) component(lv int) []uint64 {
 }
 
 // Estimate returns the estimated number of distinct items inserted. It
-// reads only the per-component set-bit counts — O(levels), independent
-// of the bitmap size.
+// reads only the per-component set-bit counts and the size's estimate
+// table — O(levels), independent of the bitmap size.
 func (m *MultiRes) Estimate() float64 {
 	base := 0
 	for base < m.levels-1 {
@@ -270,7 +335,7 @@ func (m *MultiRes) Estimate() float64 {
 	}
 	var sum float64
 	for i := base; i < m.levels; i++ {
-		sum += linearCount(m.size, m.ones[i])
+		sum += estimate(m.lc, m.size, m.ones[i])
 	}
 	return sum * math.Pow(2, float64(base))
 }

@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -485,6 +486,89 @@ func FuzzMultiResBulkEqualsSingle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzInsertSelected: inserting a selection straight from a hash
+// column is InsertMany of the gathered hashes — words, books and
+// estimate — onto an empty and onto a partly filled bitmap, for
+// selections in any order and with repeats. Hashes are the recurrence
+// of FuzzMultiResBulkEqualsSingle; each byte of sel picks one of them.
+func FuzzInsertSelected(f *testing.F) {
+	f.Add(uint64(math.MaxUint64), uint64(0), uint8(3), []byte{0, 1, 2})
+	f.Add(uint64(0x9e3779b97f4a7c15), uint64(0), uint8(40), []byte{})
+	f.Add(uint64(1442695040888963407), uint64(6364136223846793005), uint8(255), []byte("ascending? no: any order, repeats"))
+	f.Add(uint64(0xda942042e4dd58b5), uint64(0x2545f4914f6cdd1d), uint8(200), []byte{1, 3, 5, 7, 9, 11, 13, 17, 19, 23, 199})
+	f.Fuzz(func(t *testing.T, base, mul uint64, n uint8, sel []byte) {
+		hs := make([]uint64, n)
+		x := base
+		for i := range hs {
+			hs[i] = x
+			x = x*mul + base
+		}
+		var idx []int32
+		var gathered []uint64
+		for _, b := range sel {
+			if n > 0 {
+				idx = append(idx, int32(b)%int32(n))
+				gathered = append(gathered, hs[idx[len(idx)-1]])
+			}
+		}
+		for _, levels := range []int{2, 16, 64} {
+			for _, pre := range [][]uint64{nil, hs[:n/2]} {
+				bySel, many := NewMultiRes(128, levels), NewMultiRes(128, levels)
+				bySel.InsertMany(pre)
+				many.InsertMany(pre)
+				bySel.InsertSelected(hs, idx)
+				many.InsertMany(gathered)
+				if !reflect.DeepEqual(bySel, many) || bySel.Estimate() != many.Estimate() {
+					t.Fatalf("levels %d, %d pre-inserted: InsertSelected differs from InsertMany of the gathered hashes", levels, len(pre))
+				}
+			}
+		}
+	})
+}
+
+// TestLinearCountTable: an estimate table holds linearCount itself, bit
+// for bit, at every set-bit count from empty to saturated — for the
+// engine's 2048-bit components, DefaultMultiRes's 4096, SuperSources'
+// 512-bit Direct and the smallest size — and both counters estimate
+// from it. A size past the tables falls back to the expression.
+func TestLinearCountTable(t *testing.T) {
+	for _, size := range []uint64{64, 512, 2048, 4096} {
+		tab := linearCountTable(size)
+		if len(tab) != int(size)+1 {
+			t.Fatalf("size %d: table of %d entries", size, len(tab))
+		}
+		for ones := 0; ones <= int(size); ones++ {
+			if math.Float64bits(tab[ones]) != math.Float64bits(linearCount(size, ones)) {
+				t.Fatalf("size %d, %d ones: table %v, linearCount %v", size, ones, tab[ones], linearCount(size, ones))
+			}
+		}
+	}
+	d := NewDirect(512)
+	m := engineMultiRes()
+	rng := hash.NewXorShift(19)
+	for i := 0; i < 4000; i++ {
+		h := rng.Uint64()
+		d.Insert(h)
+		m.Insert(h)
+		if got, want := d.Estimate(), linearCount(512, d.Ones()); got != want {
+			t.Fatalf("Direct at %d ones estimates %v, linearCount %v", d.Ones(), got, want)
+		}
+	}
+	ref := newRefMultiRes(2048, 16)
+	rng = hash.NewXorShift(19)
+	for i := 0; i < 4000; i++ {
+		ref.Insert(rng.Uint64())
+	}
+	if got, want := m.Estimate(), ref.Estimate(); got != want {
+		t.Fatalf("MultiRes estimates %v, the per-component linearCount sum %v", got, want)
+	}
+	big := NewDirect(1 << 17)
+	big.Insert(7)
+	if big.lc != nil || big.Estimate() != linearCount(1<<17, 1) {
+		t.Fatalf("a 2^17-bit Direct: table %d entries, estimate %v", len(big.lc), big.Estimate())
+	}
 }
 
 func TestMultiResRefusesMoreThan64Levels(t *testing.T) {

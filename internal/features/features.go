@@ -111,16 +111,22 @@ func newBitmaps() (bm bitmaps) {
 
 // Sketch is the per-batch half of feature extraction: for each header
 // aggregate, the column of its packets' finalized H3 hashes
-// (cols[a][i] belongs to packet i) and the multi-resolution bitmap
-// those hashes were inserted into. A Sketch carries no interval state,
-// so filling one is a pure function of (hash seed, packet slice): it
-// can run ahead of the bin that will consume it, and two sketches can
-// be filled concurrently.
+// (cols[a][i] belongs to packet i), the multi-resolution bitmap those
+// hashes were inserted into, and that bitmap's estimate. A Sketch
+// carries no interval state, so filling one is a pure function of (hash
+// seed, packet slice): it can run ahead of the bin that will consume it,
+// and two sketches can be filled concurrently.
 //
 // Keeping the columns (80 B per packet) is what makes a sub-stream's
-// sketch cheap: SelectInto gathers the selected packets' hashes and
-// Truncate re-inserts a prefix, neither touching a packet or an H3
-// table again.
+// sketch cheap: SelectInto inserts the selected packets' hashes
+// straight from them and Truncate re-inserts a prefix, neither touching
+// a packet or an H3 table again.
+//
+// The ten batch estimates are taken once, by whichever call filled the
+// sketch and on its goroutine; from then on the sketch is read-only, and
+// every extractor that finishes from it (FinishSketchInto) reads the
+// estimates instead of recomputing them — so the engine's worker pool
+// can share one sketch among all its queries.
 //
 // The engine's pipelined runner keeps a small ring of sketches so the
 // front stage can hash bin N+1 while the back stage still reads bin N's
@@ -129,7 +135,9 @@ func newBitmaps() (bm bitmaps) {
 // The zero value is unusable; construct with NewSketch.
 type Sketch struct {
 	batch bitmaps
-	cols  [pkt.NumAggregates][]uint64 // equal lengths: the packets represented
+	cols  [pkt.NumAggregates][]uint64 // equal lengths: the packets represented (none on a selection's sketch)
+	n     int                         // packets represented
+	est   [pkt.NumAggregates]float64  // batch[a].Estimate(), taken when filled
 }
 
 // NewSketch returns an empty sketch with the package's batch-bitmap
@@ -144,32 +152,40 @@ func (sk *Sketch) resize(n int) {
 		sk.batch[a].Reset()
 		sk.cols[a] = slices.Grow(sk.cols[a][:0], n)[:n]
 	}
+	sk.n = n
+}
+
+// seal takes the batch estimates of a freshly filled sketch.
+func (sk *Sketch) seal() {
+	for a, m := range sk.batch {
+		sk.est[a] = m.Estimate()
+	}
 }
 
 // Pkts reports how many packets the sketch currently represents.
-func (sk *Sketch) Pkts() int { return len(sk.cols[0]) }
+func (sk *Sketch) Pkts() int { return sk.n }
 
 // Ops returns the hash+insert operation count the current contents cost
 // (one per packet per aggregate), the unit the engine's cost model
 // charges feature extraction in.
-func (sk *Sketch) Ops() int64 { return int64(sk.Pkts()) * pkt.NumAggregates }
+func (sk *Sketch) Ops() int64 { return int64(sk.n) * pkt.NumAggregates }
 
 // SelectInto fills dst with the sketch of the sub-stream idx selects
 // (ascending packet indices into sk, as the sampling kernels produce):
-// per aggregate, one gather of the selected hashes into dst's column
-// and one bulk insert. The result — bitmaps, Pkts, Ops — is what
-// SketchInto over the selected packets would produce with the
-// extractor that filled sk, without reading a packet. dst must be
-// distinct from sk.
+// per aggregate, one MultiRes.InsertSelected straight from sk's hash
+// column. The result — bitmaps, estimates, Pkts, Ops — is what
+// SketchInto over the selected packets would produce with the extractor
+// that filled sk, without reading a packet or copying a hash; dst keeps
+// no hash columns, so it cannot be selected from or truncated in turn.
+// dst must be distinct from sk.
 func (sk *Sketch) SelectInto(dst *Sketch, idx []int32) {
-	dst.resize(len(idx))
 	for a := range sk.cols {
-		src, col := sk.cols[a], dst.cols[a]
-		for j, i := range idx {
-			col[j] = src[i]
-		}
-		dst.batch[a].InsertMany(col)
+		dst.cols[a] = nil
+		dst.batch[a].Reset()
+		dst.batch[a].InsertSelected(sk.cols[a], idx)
 	}
+	dst.n = len(idx)
+	dst.seal()
 }
 
 // Truncate shrinks the sketch to its first n packets (n <= Pkts) by
@@ -180,6 +196,7 @@ func (sk *Sketch) Truncate(n int) {
 	for a := range sk.cols {
 		sk.batch[a].InsertMany(sk.cols[a])
 	}
+	sk.seal()
 }
 
 // Extractor computes feature vectors from batches. It keeps two bitmaps
@@ -261,7 +278,7 @@ func (e *Extractor) IntervalEstimates() []float64 {
 // into v. It is the per-aggregate tail shared by every extraction path;
 // sk is e's own sketch except on the merge-only paths.
 func (e *Extractor) finishAggregate(v Vector, sk *Sketch, a int, npkts float64) {
-	unique := sk.batch[a].Estimate()
+	unique := sk.est[a]
 	e.interval[a].MergeFrom(sk.batch[a])
 	after := e.interval[a].Estimate()
 	newItems := after - e.intEst[a]
@@ -358,6 +375,7 @@ func (e *Extractor) ExtractInto(v Vector, b *pkt.Batch) Vector {
 func (e *Extractor) SketchInto(sk *Sketch, pkts []pkt.Packet) {
 	sk.resize(len(pkts))
 	e.sketchRange(sk, &sk.batch, pkts, 0, len(pkts))
+	sk.seal()
 }
 
 // sketchRange hashes pkts[lo:hi] into rows [lo, hi) of sk's columns and
@@ -439,6 +457,7 @@ func (cs *ChunkSketcher) Fill(dst *Sketch, pkts []pkt.Packet, run func(n int, fn
 			dst.batch[a].MergeFrom(m)
 		}
 	}
+	dst.seal()
 }
 
 // sized returns v resized to NumFeatures, reallocating only when the

@@ -211,6 +211,7 @@ func extractOracle(e *Extractor, b *pkt.Batch) Vector {
 			e.sk.batch[a].Insert(hash.Mix64(e.h3[a].Hash(keyBuf)))
 		}
 	}
+	e.sk.seal()
 
 	npkts := v[IdxPackets]
 	for a := 0; a < pkt.NumAggregates; a++ {

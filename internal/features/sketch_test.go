@@ -139,21 +139,25 @@ func TestChunkSketchFillAllocFree(t *testing.T) {
 	}
 }
 
-// sameSketch fails the test unless got is want: the same hash columns,
-// packet and op counts, and bitmaps equal field for field (both sides
-// insert into cleared bitmaps, so even the per-component bookkeeping
-// must agree).
+// sameSketch fails the test unless got is want: the same packet and op
+// counts, bitmaps equal field for field (both sides insert into cleared
+// bitmaps, so even the per-component bookkeeping must agree), the same
+// sealed estimates — each what its bitmap estimates — and, unless got is
+// a selection's sketch (which keeps none), the same hash columns.
 func sameSketch(t *testing.T, what string, got, want *Sketch) {
 	t.Helper()
 	if got.Pkts() != want.Pkts() || got.Ops() != want.Ops() {
 		t.Fatalf("%s: Pkts/Ops = %d/%d, want %d/%d", what, got.Pkts(), got.Ops(), want.Pkts(), want.Ops())
 	}
 	for a := range want.cols {
-		if !slices.Equal(got.cols[a], want.cols[a]) {
+		if got.cols[a] != nil && !slices.Equal(got.cols[a], want.cols[a]) {
 			t.Fatalf("%s: hash column of %s differs", what, pkt.Aggregate(a))
 		}
 		if !reflect.DeepEqual(got.batch[a], want.batch[a]) {
 			t.Fatalf("%s: bitmap of %s differs", what, pkt.Aggregate(a))
+		}
+		if e := got.batch[a].Estimate(); got.est[a] != want.est[a] || got.est[a] != e {
+			t.Fatalf("%s: sealed estimate of %s = %v, want %v (its bitmap estimates %v)", what, pkt.Aggregate(a), got.est[a], want.est[a], e)
 		}
 	}
 }
@@ -214,26 +218,28 @@ func TestSketchTruncateMatchesSketchOfPrefix(t *testing.T) {
 }
 
 // TestSketchSelectAllocFree: with warmed destinations, the engine's
-// per-bin shed sketch (a gather out of the bin's columns) and the
+// per-bin shed sketch (inserted straight from the bin's columns) and the
 // DAG-drop truncation allocate nothing.
 func TestSketchSelectAllocFree(t *testing.T) {
 	b := sketchTrace(t)[0]
 	ext := NewExtractor(2)
-	full, shed := NewSketch(), NewSketch()
+	full, shed, dropped := NewSketch(), NewSketch(), NewSketch()
 	ext.SketchInto(full, b.Pkts)
+	ext.SketchInto(dropped, b.Pkts)
 	idx := halfOf(len(b.Pkts))
 	full.SelectInto(shed, idx)
 	if allocs := testing.AllocsPerRun(20, func() {
 		full.SelectInto(shed, idx)
-		shed.Truncate(len(idx) / 2)
+		ext.SketchInto(dropped, b.Pkts)
+		dropped.Truncate(len(b.Pkts) / 2)
 	}); allocs != 0 {
 		t.Fatalf("warmed SelectInto + Truncate allocated %v times per run, want 0", allocs)
 	}
 }
 
 // BenchmarkShedSketch prices the shed path's sketch per 2500-packet bin
-// at a rate near one half: a gather from the bin's hash columns against
-// hashing the gathered packets again.
+// at a rate near one half: inserting the selection straight from the
+// bin's hash columns against hashing the gathered packets again.
 func BenchmarkShedSketch(b *testing.B) {
 	g := trace.NewGenerator(trace.Config{Seed: 31, Duration: time.Second, PacketsPerSec: 25000})
 	pkts := trace.Record(g)[0].Pkts

@@ -163,41 +163,62 @@ type Batch struct {
 	Start time.Duration // offset of the bin start from trace start
 	Bin   time.Duration // bin length
 	Pkts  []Packet
+	// Sel, when non-nil, is a selection: the batch holds Pkts[Sel[0]],
+	// Pkts[Sel[1]], … (ascending indices, as the sampling kernels write
+	// them) and nothing else. A sampled view of a bin is its packets plus
+	// a selection, so no packet is copied to shed one. nil means every
+	// packet of Pkts. Read a batch through Packets, Bytes and At, which
+	// honour Sel.
+	Sel []int32
 
-	// Bytes() cache: cachedFor holds len(Pkts)+1 at the time the sum was
-	// taken (0 = no cache), so shrinking Pkts — what sampling and
-	// admission drops do — invalidates it for free. Callers that replace
-	// Pkts with a different slice of the same length must use a fresh
-	// Batch value. The cache makes Bytes unsafe for concurrent use on a
-	// shared *Batch; the pipeline only calls it on goroutine-local
-	// batches.
+	// Bytes() cache: cachedFor holds Packets()+1 at the time the sum was
+	// taken (0 = no cache), so shrinking Pkts or Sel — what admission
+	// drops and sampling do — invalidates it for free. Callers that
+	// replace Pkts or Sel with a different one of the same length must
+	// use a fresh Batch value. The cache makes Bytes unsafe for
+	// concurrent use on a shared *Batch; the pipeline only calls it on
+	// goroutine-local batches.
 	cachedBytes int
 	cachedFor   int
 }
 
 // Packets returns the number of packets in the batch.
-func (b *Batch) Packets() int { return len(b.Pkts) }
+func (b *Batch) Packets() int {
+	if b.Sel != nil {
+		return len(b.Sel)
+	}
+	return len(b.Pkts)
+}
+
+// At returns the batch's i-th packet (0 <= i < Packets()).
+func (b *Batch) At(i int) *Packet {
+	if b.Sel != nil {
+		return &b.Pkts[b.Sel[i]]
+	}
+	return &b.Pkts[i]
+}
 
 // Bytes returns the total wire bytes in the batch, summing once and
 // serving repeat calls from a cache keyed on the packet count.
 func (b *Batch) Bytes() int {
-	if b.cachedFor == len(b.Pkts)+1 {
+	n := b.Packets()
+	if b.cachedFor == n+1 {
 		return b.cachedBytes
 	}
-	n := 0
-	for i := range b.Pkts {
-		n += b.Pkts[i].Size
+	sum := 0
+	for i := range n {
+		sum += b.At(i).Size
 	}
-	b.cachedBytes, b.cachedFor = n, len(b.Pkts)+1
-	return n
+	b.cachedBytes, b.cachedFor = sum, n+1
+	return sum
 }
 
 // CapturedBytes returns the total captured payload bytes in the batch,
 // which is what payload-scanning queries actually touch.
 func (b *Batch) CapturedBytes() int {
 	n := 0
-	for i := range b.Pkts {
-		n += len(b.Pkts[i].Payload)
+	for i := range b.Packets() {
+		n += len(b.At(i).Payload)
 	}
 	return n
 }

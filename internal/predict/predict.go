@@ -34,18 +34,22 @@ type Predictor interface {
 // History is a sliding window of (features, cost) observations — the
 // "n" of Equation 3.2. The zero value is unusable; construct with
 // NewHistory.
+//
+// The ring is stored feature-major: cols[j][s] is feature j of ring
+// slot s, so feature j across the stored observations is cols[j][:Len()]
+// — the column FCBF and the least-squares fit read, in place, in slot
+// order. Slot order is the ring's and does not change with the layout:
+// OLS and Pearson sum in slot order, so it is part of every fitted bit.
 type History struct {
 	capacity int
-	feats    []features.Vector
+	cols     [features.NumFeatures][]float64
 	costs    []float64
 	next     int
 	full     bool
 
-	// Truncate scratch: slice headers and scalars for the time-order
-	// compaction, allocated on the first truncation (a rare event, not
-	// the steady state).
-	tFeats []features.Vector
-	tCosts []float64
+	// tmp is Truncate's compaction scratch, allocated on the first
+	// truncation (a rare event, not the steady state).
+	tmp []float64
 }
 
 // NewHistory returns a history holding up to n observations.
@@ -53,24 +57,21 @@ func NewHistory(n int) *History {
 	if n < 1 {
 		panic("predict: history capacity must be positive")
 	}
-	return &History{
-		capacity: n,
-		feats:    make([]features.Vector, n),
-		costs:    make([]float64, n),
+	h := &History{capacity: n, costs: make([]float64, n)}
+	flat := make([]float64, features.NumFeatures*n)
+	for j := range h.cols {
+		h.cols[j] = flat[j*n : (j+1)*n : (j+1)*n]
 	}
+	return h
 }
 
-// Add appends an observation, evicting the oldest when full. The vector
-// is copied into a ring slot that is reused across evictions, so a
-// warmed-up history never allocates.
+// Add appends an observation (f holds at least NumFeatures values),
+// evicting the oldest when full. The vector is copied into the ring, so
+// a history never allocates after construction.
 func (h *History) Add(f features.Vector, cost float64) {
-	slot := h.feats[h.next]
-	if cap(slot) < len(f) {
-		slot = make(features.Vector, len(f))
+	for j := range h.cols {
+		h.cols[j][h.next] = f[j]
 	}
-	slot = slot[:len(f)]
-	copy(slot, f)
-	h.feats[h.next] = slot
 	h.costs[h.next] = cost
 	h.next = (h.next + 1) % h.capacity
 	if h.next == 0 {
@@ -89,30 +90,13 @@ func (h *History) Len() int {
 // Cap returns the history capacity.
 func (h *History) Cap() int { return h.capacity }
 
-// Costs returns the stored costs (unspecified order; OLS and Pearson
-// are order-invariant). The returned slice is freshly allocated; use
-// CostsInto on the hot path.
-func (h *History) Costs() []float64 { return h.CostsInto(nil) }
-
-// CostsInto writes the stored costs into dst (grown only when its
-// capacity is short) and returns it — the allocation-free form of
-// Costs.
-func (h *History) CostsInto(dst []float64) []float64 {
-	n := h.Len()
-	dst = linalg.GrowFloats(dst, n)
-	copy(dst, h.costs[:n])
-	return dst
-}
+// Costs returns the stored costs in slot order (OLS and Pearson are
+// order-invariant up to rounding), in a freshly allocated slice.
+func (h *History) Costs() []float64 { return slices.Clone(h.costs[:h.Len()]) }
 
 // Column returns feature j across the stored observations, matching the
 // order of Costs, in a freshly allocated slice.
-func (h *History) Column(j int) []float64 {
-	col := make([]float64, h.Len())
-	for i := range col {
-		col[i] = h.feats[i][j]
-	}
-	return col
-}
+func (h *History) Column(j int) []float64 { return slices.Clone(h.cols[j][:h.Len()]) }
 
 // MeanCost returns the average stored cost (0 when empty), the cold
 // start fallback prediction. The ring's cost slice is averaged directly
@@ -122,8 +106,7 @@ func (h *History) MeanCost() float64 {
 }
 
 // Truncate drops every observation except the newest keep, compacting
-// them into slots 0..keep-1 in time order. Evicted slots park their
-// feature buffers for reuse, so the ring re-fills without reallocating.
+// them into slots 0..keep-1 in time order.
 func (h *History) Truncate(keep int) {
 	n := h.Len()
 	if keep < 0 {
@@ -132,39 +115,36 @@ func (h *History) Truncate(keep int) {
 	if keep >= n {
 		return
 	}
-	if h.tFeats == nil {
-		h.tFeats = make([]features.Vector, h.capacity)
-		h.tCosts = make([]float64, h.capacity)
+	if h.tmp == nil {
+		h.tmp = make([]float64, h.capacity)
 	}
-	start := 0
+	start := 0 // the oldest stored slot
 	if h.full {
 		start = h.next
 	}
-	for l := 0; l < n; l++ { // time order, oldest first
-		s := (start + l) % h.capacity
-		h.tFeats[l], h.tCosts[l] = h.feats[s], h.costs[s]
+	for j := range h.cols {
+		h.keepNewest(h.cols[j], start, n, keep)
 	}
-	for i := 0; i < keep; i++ { // kept: the newest keep, oldest-of-kept first
-		h.feats[i], h.costs[i] = h.tFeats[n-keep+i], h.tCosts[n-keep+i]
-	}
-	for i := keep; i < h.capacity; i++ {
-		if i < n {
-			h.feats[i] = h.tFeats[i-keep] // evicted buffer, parked for reuse
-		}
-		h.costs[i] = 0
-	}
-	for i := range h.tFeats {
-		h.tFeats[i] = nil // don't pin buffers from the scratch
-	}
+	h.keepNewest(h.costs, start, n, keep)
+	clear(h.costs[keep:])
 	h.next = keep
 	h.full = false
 }
 
+// keepNewest moves the newest keep of the n values the ring holds in
+// col, oldest-of-kept first, into col[:keep].
+func (h *History) keepNewest(col []float64, start, n, keep int) {
+	for l := range keep {
+		h.tmp[l] = col[(start+n-keep+l)%h.capacity]
+	}
+	copy(col, h.tmp[:keep])
+}
+
 // HistoryState is the portable form of a History: the raw ring layout,
-// slot order included. The slot order matters for bit-identity — OLS
-// and Pearson iterate the ring in slot order, and floating-point sums
-// depend on summation order — so a checkpoint must round-trip the ring
-// as laid out, not merely the logical window.
+// slot order included, one row per stored slot. The slot order matters
+// for bit-identity — OLS and Pearson iterate the ring in slot order, and
+// floating-point sums depend on summation order — so a checkpoint must
+// round-trip the ring as laid out, not merely the logical window.
 type HistoryState struct {
 	Feats [][]float64
 	Costs []float64
@@ -177,19 +157,21 @@ type HistoryState struct {
 	Weights []float64
 }
 
-// State deep-copies the ring for a checkpoint.
+// State deep-copies the ring for a checkpoint. Slots the ring does not
+// count as stored are written as nil rows.
 func (h *History) State() HistoryState {
 	st := HistoryState{
 		Feats: make([][]float64, h.capacity),
-		Costs: make([]float64, h.capacity),
+		Costs: slices.Clone(h.costs),
 		Next:  h.next,
 		Full:  h.full,
 	}
-	copy(st.Costs, h.costs)
-	for i, f := range h.feats {
-		if f != nil {
-			st.Feats[i] = append([]float64(nil), f...)
+	for i := range h.Len() {
+		row := make([]float64, features.NumFeatures)
+		for j := range h.cols {
+			row[j] = h.cols[j][i]
 		}
+		st.Feats[i] = row
 	}
 	return st
 }
@@ -226,18 +208,10 @@ func (h *History) SetState(st HistoryState) error {
 		}
 	}
 	copy(h.costs, st.Costs)
-	for i, f := range st.Feats {
-		if f == nil {
-			h.feats[i] = nil
-			continue
+	for i, f := range st.Feats[:n] {
+		for j, x := range f {
+			h.cols[j][i] = x
 		}
-		slot := h.feats[i]
-		if cap(slot) < len(f) {
-			slot = make(features.Vector, len(f))
-		}
-		slot = slot[:len(f)]
-		copy(slot, f)
-		h.feats[i] = slot
 	}
 	h.next = st.Next
 	h.full = st.Full
@@ -272,20 +246,18 @@ type fcbfScratch struct {
 	cands   []fcbfCand
 	removed []bool
 	// Every column centred once per selection, flat (column j at
-	// [j*n, (j+1)*n), the response last), and each one's sum of squared
-	// deviations: a correlation is then one dot product.
+	// [j*n, (j+1)*n), then the response, then a sink for centre4's
+	// filler lanes), each one's sum of squared deviations (the
+	// response's last) and each column's relevance |r(X_j, y)|: a
+	// redundancy correlation is then one dot product.
 	dev []float64
 	ss  []float64
+	rel []float64
 }
 
 // centreInto writes xs minus its mean into dev and returns the sum of
-// the squared deviations, with stats.Pearson's operation order and its
-// guards: a column of the wrong length or under two points gets 0,
-// which corr reads as "correlates with nothing".
+// the squared deviations, with stats.Pearson's operation order.
 func centreInto(dev, xs []float64) float64 {
-	if len(xs) != len(dev) || len(xs) < 2 {
-		return 0
-	}
 	mean := stats.Mean(xs)
 	var ss float64
 	for i, x := range xs {
@@ -294,6 +266,79 @@ func centreInto(dev, xs []float64) float64 {
 		ss += d * d
 	}
 	return ss
+}
+
+// centre4 centres four columns against the centred response dy: one
+// sweep sums them, a second writes their deviations into dev and
+// accumulates each one's squared deviations and cross-product with dy.
+// Each of the twelve accumulators adds in row order, as stats.Mean and
+// stats.Pearson do, so every value is bit-equal to theirs; four columns
+// per sweep only interleave independent chains.
+func centre4(dev, xs *[4][]float64, dy []float64) (ss, sxy [4]float64) {
+	n := len(dy)
+	x0, x1, x2, x3 := xs[0][:n], xs[1][:n], xs[2][:n], xs[3][:n]
+	var m0, m1, m2, m3 float64
+	for i := range n {
+		m0 += x0[i]
+		m1 += x1[i]
+		m2 += x2[i]
+		m3 += x3[i]
+	}
+	fn := float64(n)
+	m0, m1, m2, m3 = m0/fn, m1/fn, m2/fn, m3/fn
+	d0, d1, d2, d3 := dev[0][:n], dev[1][:n], dev[2][:n], dev[3][:n]
+	for i, y := range dy {
+		a, b, c, d := x0[i]-m0, x1[i]-m1, x2[i]-m2, x3[i]-m3
+		d0[i], d1[i], d2[i], d3[i] = a, b, c, d
+		ss[0] += a * a
+		ss[1] += b * b
+		ss[2] += c * c
+		ss[3] += d * d
+		sxy[0] += a * y
+		sxy[1] += b * y
+		sxy[2] += c * y
+		sxy[3] += d * y
+	}
+	return ss, sxy
+}
+
+// centre fills the scratch for one selection over cols and y, with
+// stats.Pearson's guards: a column of the wrong length, or any column
+// when there are under two rows, gets a zero sum of squares, which reads
+// as "correlates with nothing". The response is centred first; the
+// columns then go four to a centre4 pass, a short last group padded
+// with the response, whose deviations land in the sink.
+func (sc *fcbfScratch) centre(cols [][]float64, y []float64) {
+	n, resp := len(y), len(cols)
+	sc.dev = slices.Grow(sc.dev[:0], (resp+2)*n)[:(resp+2)*n]
+	sc.ss = slices.Grow(sc.ss[:0], resp+1)[:resp+1]
+	sc.rel = slices.Grow(sc.rel[:0], resp)[:resp]
+	clear(sc.ss)
+	clear(sc.rel)
+	if n < 2 {
+		return
+	}
+	dy, sink := sc.dev[resp*n:(resp+1)*n], sc.dev[(resp+1)*n:]
+	ssy := centreInto(dy, y)
+	sc.ss[resp] = ssy
+	for j0 := 0; j0 < resp; j0 += 4 {
+		var xs, devs [4][]float64
+		for k := range xs {
+			xs[k], devs[k] = y, sink
+			if j := j0 + k; j < resp && len(cols[j]) == n {
+				xs[k], devs[k] = cols[j], sc.dev[j*n:(j+1)*n]
+			}
+		}
+		ss, sxy := centre4(&devs, &xs, dy)
+		for k := range min(4, resp-j0) {
+			if j := j0 + k; len(cols[j]) == n {
+				sc.ss[j] = ss[k]
+				if ss[k] != 0 && ssy != 0 {
+					sc.rel[j] = math.Abs(sxy[k] / math.Sqrt(ss[k]*ssy))
+				}
+			}
+		}
+	}
 }
 
 // corr returns |stats.Pearson| of columns a and b (len(cols) names the
@@ -315,18 +360,12 @@ func (sc *fcbfScratch) corr(a, b, n int) float64 {
 // from the scratch: no steady-state allocation.
 func (sc *fcbfScratch) selectInto(out []int, cols [][]float64, y []float64, threshold float64) []int {
 	type cand = fcbfCand
-	n, resp := len(y), len(cols)
-	sc.dev = slices.Grow(sc.dev[:0], (resp+1)*n)[:(resp+1)*n]
-	sc.ss = slices.Grow(sc.ss[:0], resp+1)[:resp+1]
-	for j, col := range cols {
-		sc.ss[j] = centreInto(sc.dev[j*n:(j+1)*n], col)
-	}
-	sc.ss[resp] = centreInto(sc.dev[resp*n:], y)
+	n := len(y)
+	sc.centre(cols, y)
 
 	cands := sc.cands[:0]
 	best := cand{idx: -1}
-	for j := range cols {
-		r := sc.corr(j, resp, n)
+	for j, r := range sc.rel {
 		if r > best.r {
 			best = cand{idx: j, r: r}
 		}
@@ -393,12 +432,10 @@ type MLR struct {
 	// allocation-free in steady state (§3.1 refits on every prediction;
 	// the thesis requires the prediction subsystem's own overhead to
 	// stay negligible).
-	y      []float64   // response vector
-	colBuf []float64   // flat backing of cols: NumFeatures × n
-	cols   [][]float64 // per-feature views into colBuf
-	fcbf   fcbfScratch
-	a      linalg.Matrix // design matrix, reshaped in place
-	ws     linalg.Workspace
+	cols [features.NumFeatures][]float64 // views of the history's columns
+	fcbf fcbfScratch
+	a    linalg.Matrix // design matrix, reshaped in place
+	ws   linalg.Workspace
 
 	// Op counters for the overhead accounting of Table 3.4.
 	FCBFOps int64 // scalar multiplies spent in correlation scans
@@ -437,36 +474,20 @@ func (m *MLR) History() *History { return m.hist }
 func (m *MLR) Selected() []int { return m.selected }
 
 // Predict implements Predictor: select features, fit OLS on the current
-// history and evaluate the model at f. The refit runs entirely in the
-// predictor's scratch buffers: after warm-up it performs no allocations.
+// history and evaluate the model at f. FCBF and the design matrix read
+// the history's columns and costs where they lie; the rest of the refit
+// runs in the predictor's scratch buffers, so after warm-up it performs
+// no allocations.
 func (m *MLR) Predict(f features.Vector) float64 {
 	n := m.hist.Len()
 	if n < m.MinHistory {
 		return m.hist.MeanCost()
 	}
-	// Scratch is sized for a full history up front so the n = MinHistory
-	// .. capacity ramp-up does not re-grow it at every new length.
-	if cap(m.y) < m.hist.Cap() {
-		m.y = make([]float64, 0, m.hist.Cap())
+	y := m.hist.costs[:n]
+	for j := range m.cols {
+		m.cols[j] = m.hist.cols[j][:n]
 	}
-	m.y = m.hist.CostsInto(m.y)
-	y := m.y
-	if cap(m.cols) < features.NumFeatures {
-		m.cols = make([][]float64, features.NumFeatures)
-	}
-	cols := m.cols[:features.NumFeatures]
-	if cap(m.colBuf) < features.NumFeatures*m.hist.Cap() {
-		m.colBuf = make([]float64, features.NumFeatures*m.hist.Cap())
-	}
-	m.colBuf = m.colBuf[:features.NumFeatures*n]
-	for j := range cols {
-		cols[j] = m.colBuf[j*n : (j+1)*n]
-	}
-	for i, row := range m.hist.feats[:n] {
-		for j, x := range row[:features.NumFeatures] {
-			cols[j][i] = x
-		}
-	}
+	cols := m.cols[:]
 	m.selected = m.fcbf.selectInto(m.selected[:0], cols, y, m.threshold)
 	m.FCBFOps += int64(n * features.NumFeatures)
 	if len(m.selected) == 0 {
@@ -533,8 +554,7 @@ func (s *SLR) Predict(f features.Vector) float64 {
 	if n < 2 {
 		return s.hist.MeanCost()
 	}
-	xs := s.hist.Column(s.Feature)
-	ys := s.hist.Costs()
+	xs, ys := s.hist.cols[s.Feature][:n], s.hist.costs[:n]
 	mx, my := stats.Mean(xs), stats.Mean(ys)
 	var sxy, sxx float64
 	for i := range xs {

@@ -228,13 +228,31 @@ func correlatedHistory(seed uint64, n int) (cols [][]float64, y []float64) {
 
 func TestFCBFMatchesPearsonOracle(t *testing.T) {
 	// Same selections and bit-equal coefficients as the per-call
-	// stats.Pearson form, at every history length the MLR can fit on.
-	// One scratch serves all lengths, as the MLR's does while its history
-	// fills.
+	// stats.Pearson form, at every history length the MLR can fit on,
+	// for column counts on and off centre4's groups of four, and for a
+	// constant response (which correlates with nothing). One scratch
+	// serves all shapes, as the MLR's does while its history fills.
 	var sc fcbfScratch
 	for n := NewMLR(DefaultHistory, DefaultThreshold).MinHistory; n <= DefaultHistory; n++ {
-		for _, threshold := range []float64{DefaultThreshold, 0.05, 0} {
+		for _, shape := range []struct {
+			ncols     int
+			threshold float64
+			constY    bool
+		}{
+			{features.NumFeatures, DefaultThreshold, false},
+			{features.NumFeatures, 0.05, false},
+			{features.NumFeatures, 0, false},
+			{1, 0, false}, {3, 0.05, false}, {5, DefaultThreshold, false}, {8, 0, false}, {13, 0.05, false},
+			{features.NumFeatures, 0, true}, {6, DefaultThreshold, true},
+		} {
+			threshold := shape.threshold
 			cols, y := correlatedHistory(uint64(n), n)
+			cols = cols[:shape.ncols]
+			if shape.constY {
+				for i := range y {
+					y[i] = 1234.5
+				}
+			}
 			want, wantCands := pearsonFCBF(cols, y, threshold)
 			got := sc.selectInto(nil, cols, y, threshold)
 			if !slices.Equal(got, want) {
@@ -249,6 +267,10 @@ func TestFCBFMatchesPearsonOracle(t *testing.T) {
 				}
 			}
 			for a := range cols {
+				want := math.Abs(stats.Pearson(cols[a], y))
+				if got := sc.rel[a]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d, %d columns: relevance of %d = %v, Pearson %v", n, len(cols), a, got, want)
+				}
 				for b := range cols {
 					want := math.Abs(stats.Pearson(cols[a], cols[b]))
 					if got := sc.corr(a, b, n); math.Float64bits(got) != math.Float64bits(want) {
@@ -549,6 +571,128 @@ func TestHistoryTruncateKeepsNewest(t *testing.T) {
 	h.Truncate(-1)
 	if h.Len() != 0 {
 		t.Fatalf("Truncate(-1) left %d observations", h.Len())
+	}
+}
+
+// refHistory is History as it was before it went feature-major: one
+// vector per ring slot, evicted vectors parked by truncate. It is the
+// oracle for the column layout.
+type refHistory struct {
+	rows  [][]float64
+	costs []float64
+	next  int
+	full  bool
+}
+
+func newRefHistory(n int) *refHistory {
+	return &refHistory{rows: make([][]float64, n), costs: make([]float64, n)}
+}
+
+func (r *refHistory) len() int {
+	if r.full {
+		return len(r.rows)
+	}
+	return r.next
+}
+
+func (r *refHistory) add(f []float64, cost float64) {
+	r.rows[r.next], r.costs[r.next] = slices.Clone(f), cost
+	r.next = (r.next + 1) % len(r.rows)
+	r.full = r.full || r.next == 0
+}
+
+func (r *refHistory) truncate(keep int) {
+	n, c := r.len(), len(r.rows)
+	keep = max(keep, 0)
+	if keep >= n {
+		return
+	}
+	start := 0
+	if r.full {
+		start = r.next
+	}
+	var rows [][]float64
+	var costs []float64
+	for l := 0; l < n; l++ {
+		rows, costs = append(rows, r.rows[(start+l)%c]), append(costs, r.costs[(start+l)%c])
+	}
+	for i := 0; i < keep; i++ {
+		r.rows[i], r.costs[i] = rows[n-keep+i], costs[n-keep+i]
+	}
+	for i := keep; i < c; i++ {
+		if i < n {
+			r.rows[i] = rows[i-keep]
+		}
+		r.costs[i] = 0
+	}
+	r.next, r.full = keep, false
+}
+
+func (r *refHistory) state() HistoryState {
+	st := HistoryState{Feats: make([][]float64, len(r.rows)), Costs: slices.Clone(r.costs), Next: r.next, Full: r.full}
+	for i, row := range r.rows {
+		st.Feats[i] = slices.Clone(row)
+	}
+	return st
+}
+
+// TestHistoryColumnsMatchRows drives a History and the row-major oracle
+// through the same random Add, Truncate and SetState steps (the state
+// both the oracle's, stale parked rows included, and the History's own)
+// and requires, after every step, the same length, feature j of slot i
+// equal to row i's, the same costs, and State's stored rows equal to the
+// oracle's.
+func TestHistoryColumnsMatchRows(t *testing.T) {
+	const capacity = 7
+	h, ref := NewHistory(capacity), newRefHistory(capacity)
+	rng := hash.NewXorShift(23)
+	f := make(features.Vector, features.NumFeatures)
+	for step := 0; step < 3000; step++ {
+		switch op := rng.Uint64() % 20; {
+		case op < 15:
+			for j := range f {
+				f[j] = rng.Float64()
+			}
+			c := rng.Float64()
+			h.Add(f, c)
+			ref.add(f, c)
+		case op < 17:
+			keep := int(rng.Uint64()%(capacity+2)) - 1
+			h.Truncate(keep)
+			ref.truncate(keep)
+		case op < 18:
+			h = NewHistory(capacity)
+			if err := h.SetState(ref.state()); err != nil {
+				t.Fatalf("step %d: SetState(oracle state): %v", step, err)
+			}
+		default:
+			h2 := NewHistory(capacity)
+			if err := h2.SetState(h.State()); err != nil {
+				t.Fatalf("step %d: SetState(own state): %v", step, err)
+			}
+			h = h2
+		}
+		n := ref.len()
+		if h.Len() != n {
+			t.Fatalf("step %d: Len %d, oracle %d", step, h.Len(), n)
+		}
+		if !slices.Equal(h.Costs(), ref.costs[:n]) {
+			t.Fatalf("step %d: costs %v, oracle %v", step, h.Costs(), ref.costs[:n])
+		}
+		for j := 0; j < features.NumFeatures; j++ {
+			col := h.Column(j)
+			for i := 0; i < n; i++ {
+				if col[i] != ref.rows[i][j] {
+					t.Fatalf("step %d: feature %d of slot %d = %v, oracle row %v", step, j, i, col[i], ref.rows[i][j])
+				}
+			}
+		}
+		st := h.State()
+		for i := 0; i < n; i++ {
+			if !slices.Equal(st.Feats[i], ref.rows[i]) {
+				t.Fatalf("step %d: State row %d = %v, oracle %v", step, i, st.Feats[i], ref.rows[i])
+			}
+		}
 	}
 }
 

@@ -92,13 +92,13 @@ func (q *Autofocus) Process(b *pkt.Batch, rate float64) Ops {
 		inv = 1 / rate
 	}
 	before := len(q.table)
-	for i := range b.Pkts {
-		p := &b.Pkts[i]
+	n := b.Packets()
+	for i := range n {
+		p := b.At(i)
 		q.table[p.DstIP] += float64(p.Size) * inv
 	}
 	// Inserts counted as table growth, as in TopK.Process.
-	n := int64(len(b.Pkts))
-	return Ops{Packets: n, Lookups: n, Inserts: int64(len(q.table) - before)}
+	return Ops{Packets: int64(n), Lookups: int64(n), Inserts: int64(len(q.table) - before)}
 }
 
 // Flush implements Query: roll the /32 table up the prefix hierarchy
@@ -294,13 +294,14 @@ func (q *SuperSources) Interval() time.Duration { return q.cfg.interval() }
 
 // Process implements Query.
 func (q *SuperSources) Process(b *pkt.Batch, rate float64) Ops {
+	n := b.Packets()
 	if rate > 0 && rate <= 1 {
-		q.rateSum += rate * float64(len(b.Pkts))
-		q.pktSum += float64(len(b.Pkts))
+		q.rateSum += rate * float64(n)
+		q.pktSum += float64(n)
 	}
 	var ops Ops
-	for i := range b.Pkts {
-		p := &b.Pkts[i]
+	for i := range n {
+		p := b.At(i)
 		ops.Lookups++
 		bm, ok := q.table[p.SrcIP]
 		if !ok {
@@ -315,7 +316,7 @@ func (q *SuperSources) Process(b *pkt.Batch, rate float64) Ops {
 		}
 		bm.Insert(hash.Mix64(uint64(p.DstIP)*0x9e3779b97f4a7c15 + uint64(p.DstPort)))
 	}
-	ops.Packets = int64(len(b.Pkts))
+	ops.Packets = int64(n)
 	return ops
 }
 

@@ -57,14 +57,15 @@ func (q *Flows) Process(b *pkt.Batch, rate float64) Ops {
 		inv = 1 / rate
 	}
 	var ops Ops
-	for i := range b.Pkts {
-		if _, inserted := q.table.add(&b.Pkts[i]); inserted {
+	n := b.Packets()
+	for i := range n {
+		if _, inserted := q.table.add(b.At(i)); inserted {
 			q.est += inv
 			ops.Inserts++
 		}
 	}
-	ops.Lookups = int64(len(b.Pkts))
-	ops.Packets = int64(len(b.Pkts))
+	ops.Lookups = int64(n)
+	ops.Packets = int64(n)
 	return ops
 }
 
@@ -151,14 +152,14 @@ func (q *TopK) Process(b *pkt.Batch, rate float64) Ops {
 		inv = 1 / rate
 	}
 	before := len(q.table)
-	for i := range b.Pkts {
-		p := &b.Pkts[i]
+	n := b.Packets()
+	for i := range n {
+		p := b.At(i)
 		q.table[p.DstIP] += float64(p.Size) * inv
 	}
 	// One probe per packet: every entry the loop created grew the table
 	// by one, so the inserts are counted after the fact.
-	n := int64(len(b.Pkts))
-	return Ops{Packets: n, Lookups: n, Inserts: int64(len(q.table) - before)}
+	return Ops{Packets: int64(n), Lookups: int64(n), Inserts: int64(len(q.table) - before)}
 }
 
 // Flush implements Query.

@@ -128,8 +128,9 @@ func (q *P2PDetector) inspects(p *pkt.Packet) bool {
 // Process implements Query.
 func (q *P2PDetector) Process(b *pkt.Batch, _ float64) Ops {
 	var ops Ops
-	for i := range b.Pkts {
-		p := &b.Pkts[i]
+	n := b.Packets()
+	for i := range n {
+		p := b.At(i)
 		fi, inserted := q.flows.add(p)
 		if inserted {
 			ops.Inserts++
@@ -165,8 +166,8 @@ func (q *P2PDetector) Process(b *pkt.Batch, _ float64) Ops {
 			}
 		}
 	}
-	ops.Lookups = int64(len(b.Pkts))
-	ops.Packets = int64(len(b.Pkts))
+	ops.Lookups = int64(n)
+	ops.Packets = int64(n)
 	return ops
 }
 

@@ -46,13 +46,14 @@ func (q *TraceQuery) Interval() time.Duration { return q.cfg.interval() }
 // Process implements Query.
 func (q *TraceQuery) Process(b *pkt.Batch, _ float64) Ops {
 	var ops Ops
-	for i := range b.Pkts {
-		p := &b.Pkts[i]
+	n := b.Packets()
+	for i := range n {
+		p := b.At(i)
 		q.pkts++
 		q.byts += float64(p.Size)
 		ops.Bytes += int64(len(p.Payload)) + 40 // payload copy plus header record
 	}
-	ops.Packets = int64(len(b.Pkts))
+	ops.Packets = int64(n)
 	return ops
 }
 
@@ -187,8 +188,9 @@ func (q *PatternSearch) Interval() time.Duration { return q.cfg.interval() }
 // Process implements Query.
 func (q *PatternSearch) Process(b *pkt.Batch, _ float64) Ops {
 	var ops Ops
-	for i := range b.Pkts {
-		p := &b.Pkts[i]
+	n := b.Packets()
+	for i := range n {
+		p := b.At(i)
 		q.processed++
 		if len(p.Payload) > 0 {
 			found, scanned := q.search(p.Payload)
@@ -198,7 +200,7 @@ func (q *PatternSearch) Process(b *pkt.Batch, _ float64) Ops {
 			}
 		}
 	}
-	ops.Packets = int64(len(b.Pkts))
+	ops.Packets = int64(n)
 	return ops
 }
 

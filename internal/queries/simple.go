@@ -47,11 +47,12 @@ func (q *Counter) Process(b *pkt.Batch, rate float64) Ops {
 	if rate > 0 && rate < 1 {
 		inv = 1 / rate
 	}
-	for i := range b.Pkts {
+	n := b.Packets()
+	for i := range n {
 		q.pkts += inv
-		q.byts += float64(b.Pkts[i].Size) * inv
+		q.byts += float64(b.At(i).Size) * inv
 	}
-	return Ops{Packets: int64(len(b.Pkts)), Lookups: int64(len(b.Pkts))}
+	return Ops{Packets: int64(n), Lookups: int64(n)}
 }
 
 // Flush implements Query.
@@ -147,14 +148,14 @@ func (q *Application) Process(b *pkt.Batch, rate float64) Ops {
 	if rate > 0 && rate < 1 {
 		inv = 1 / rate
 	}
-	for i := range b.Pkts {
-		p := &b.Pkts[i]
+	n := b.Packets()
+	for i := range n {
+		p := b.At(i)
 		a := classifyPort(p.DstPort)
 		q.apps[a].Packets += inv
 		q.apps[a].Bytes += float64(p.Size) * inv
 	}
-	n := int64(len(b.Pkts))
-	return Ops{Packets: n, Lookups: n}
+	return Ops{Packets: int64(n), Lookups: int64(n)}
 }
 
 // Flush implements Query.
@@ -232,7 +233,7 @@ func (q *HighWatermark) Process(b *pkt.Batch, rate float64) Ops {
 	if rate > 0 && rate < 1 {
 		inv = 1 / rate
 	}
-	n := int64(len(b.Pkts))
+	n := b.Packets()
 	if n == 0 {
 		return Ops{}
 	}
@@ -240,10 +241,10 @@ func (q *HighWatermark) Process(b *pkt.Batch, rate float64) Ops {
 	// over each run of packets that share it and the map is touched only
 	// where the run ends — the same additions, in the same order, into
 	// the same accumulator as one `+=` per packet.
-	key := b.Pkts[0].Ts / int64(hwmBucket)
+	key := b.At(0).Ts / int64(hwmBucket)
 	sum := q.buckets[key]
-	for i := range b.Pkts {
-		p := &b.Pkts[i]
+	for i := range n {
+		p := b.At(i)
 		if k := p.Ts / int64(hwmBucket); k != key {
 			q.buckets[key] = sum
 			key, sum = k, q.buckets[k]
@@ -251,7 +252,7 @@ func (q *HighWatermark) Process(b *pkt.Batch, rate float64) Ops {
 		sum += float64(p.Size) * inv
 	}
 	q.buckets[key] = sum
-	return Ops{Packets: n, Lookups: n}
+	return Ops{Packets: int64(n), Lookups: int64(n)}
 }
 
 // Flush implements Query.

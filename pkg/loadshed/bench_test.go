@@ -201,6 +201,51 @@ func TestMonitorBinAllocCap(t *testing.T) {
 	}
 }
 
+// BenchmarkBinLoop is one bin of the benchmark's two single-link replay
+// workloads (bench/workloads.go), priced from inside the repo so a
+// profile can attribute it: `go test -run '^$' -bench
+// BinLoop/overload2x -cpuprofile cpu.out`. Same trace (CESCA-II, seed
+// 1), same budgets from MeasureLoad (overhead + demand/2 for
+// overload2x, 32 × (overhead + demand) for underload), same engine
+// (MMFSPkt, one worker, standard queries with seed 7); a warmed system
+// re-streams the recorded window, whole passes and a last partial one.
+func BenchmarkBinLoop(b *testing.B) {
+	dur := 4 * time.Second
+	if testing.Short() {
+		dur = 500 * time.Millisecond
+	}
+	g := trace.NewGenerator(trace.CESCA2(1, dur, 1))
+	batches, bin := trace.Record(g), g.TimeBin()
+	qcfg := loadshed.QueryConfig{Seed: 7}
+	overhead, demand := loadshed.MeasureLoad(trace.NewMemorySource(batches, bin), loadshed.StandardQueries(qcfg), 7)
+	for _, w := range []struct {
+		name     string
+		capacity float64
+	}{
+		{"overload2x", overhead + demand/2},
+		{"underload", 32 * (overhead + demand)},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			sys := loadshed.New(loadshed.Config{
+				Scheme: loadshed.Predictive, Strategy: loadshed.MMFSPkt(), Capacity: w.capacity, Workers: 1, Seed: 7,
+			}, loadshed.StandardQueries(qcfg))
+			sys.Stream(trace.NewMemorySource(batches, bin), nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			pkts := 0
+			for bins := 0; bins < b.N; {
+				n := min(b.N-bins, len(batches))
+				sys.Stream(trace.NewMemorySource(batches[:n], bin), nil)
+				for i := range batches[:n] {
+					pkts += batches[i].Packets()
+				}
+				bins += n
+			}
+			b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")
+		})
+	}
+}
+
 func BenchmarkPipelineSaturation(b *testing.B) {
 	// Steady-state wire throughput of the bin loop at increasing worker
 	// counts (DESIGN.md, "Bin pipeline"): one warmed Monitor per

@@ -251,11 +251,11 @@ type runQuery struct {
 	noise *hash.XorShift // measurement-noise stream, private per query
 	shed  *custom.State  // non-nil when the query supports custom shedding
 
-	// sampBuf is the query's sampling scratch: SampleInto gathers the
-	// selected packets into it each bin (worker-pool safe — the owning
-	// worker is the only writer, and the slice is dead once Process
-	// returns).
-	sampBuf []pkt.Packet
+	// sel is the query's sampling scratch: the indices of the admitted
+	// packets its sampler keeps this bin, which qbatch reads through
+	// (worker-pool safe — the owning worker is the only writer, and the
+	// list is dead once Process returns).
+	sel []int32
 	// qbatch is the batch view handed to Process. It lives on the
 	// runQuery because &qbatch escapes through the Query interface;
 	// keeping it here makes that escape a one-time cost instead of a

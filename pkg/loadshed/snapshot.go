@@ -55,7 +55,6 @@ var (
 // QuerySnapshot is the cross-interval state of one registered query.
 type QuerySnapshot struct {
 	Name          string
-	ExtOps        int64  // cumulative feature-extraction op counter
 	NoiseState    uint64 // per-query measurement-noise RNG position
 	PSampState    uint64 // per-query packet-sampler RNG position
 	FSampInterval uint64 // per-query flow-sampler interval counter
@@ -169,7 +168,6 @@ func (s *System) Snapshot() (*SystemSnapshot, error) {
 		}
 		qs := QuerySnapshot{
 			Name:          rq.q.Name(),
-			ExtOps:        rq.ext.Ops,
 			NoiseState:    rq.noise.State(),
 			PSampState:    rq.psamp.State(),
 			FSampInterval: rq.fsamp.Interval(),
@@ -252,7 +250,6 @@ func (s *System) Restore(snap *SystemSnapshot) error {
 		default:
 			return fmt.Errorf("loadshed: restore: unsupported predictor %T for query %q", rq.pred, qs.Name)
 		}
-		rq.ext.Ops = qs.ExtOps
 		rq.noise.SetState(qs.NoiseState)
 		rq.psamp.SetState(qs.PSampState)
 		rq.fsamp.SetInterval(qs.FSampInterval)

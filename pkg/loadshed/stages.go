@@ -148,7 +148,11 @@ func (s *System) admit(bc *BinContext) {
 		}
 	}
 	bc.Stats.AdmitPkts = len(admitted)
-	bc.Admitted = pkt.Batch{Start: bc.Wire.Start, Bin: bc.Wire.Bin, Pkts: admitted}
+	// A copy of the wire batch keeps its byte sum, which newBinContext
+	// took for WireBytes; the cache is keyed on the packet count, so a
+	// tail drop invalidates it by itself.
+	bc.Admitted = *bc.Wire
+	bc.Admitted.Pkts = admitted
 }
 
 // platformOverhead charges the platform's own work (como_cycles):
@@ -311,10 +315,10 @@ func (s *System) execute(bc *BinContext) {
 	// traffic features could be recomputed just once"): a packet sample
 	// of the admitted batch at the mean rate of the sampled queries,
 	// whose bitmaps approximate every sampled query's stream. The sample
-	// is an index selection and its sketch a gather from the hash columns
-	// extractPredict already filled, so no packet is copied or re-hashed;
-	// per-query interval state is maintained by merging the shared batch
-	// bitmaps.
+	// is an index selection, inserted straight from the hash columns
+	// extractPredict already filled, so no packet or hash is copied and
+	// none re-hashed; per-query interval state is maintained by merging
+	// the shared batch bitmaps.
 	if s.cfg.Scheme == Predictive {
 		repRate, nSampled := 0.0, 0
 		for i, r := range bc.rates {
@@ -406,8 +410,8 @@ func (s *System) executeQuery(bc *BinContext, i int) {
 			// sampling (§6.1.1).
 			s.manager.Apply(rq.shed, rate)
 			if rate < 1 {
-				rq.sampBuf = rq.psamp.SampleInto(rq.sampBuf, bc.Admitted.Pkts, rate)
-				qb.Pkts = rq.sampBuf
+				rq.sel = rq.psamp.SelectInto(rq.sel, len(qb.Pkts), rate)
+				selectView(qb, rq.sel)
 			}
 		case custom.ModeDisabled:
 			s.manager.Apply(rq.shed, 0)
@@ -416,17 +420,16 @@ func (s *System) executeQuery(bc *BinContext, i int) {
 			effRate = 1
 		}
 	} else if rate < 1 {
-		// Shed into the query's scratch slice (an index selection, then
-		// one gather): the sampled view only has to live until Process
-		// and the feature merge below return, so one buffer per query
-		// replaces a fresh allocation per bin.
+		// Shed by selection: the query reads the admitted packets through
+		// its sampler's index list, so no packet is copied. The list only
+		// has to live until Process and the feature merge below return.
 		switch rq.q.Method() {
 		case sampling.Flow:
-			rq.sampBuf = rq.fsamp.SampleInto(rq.sampBuf, bc.Admitted.Pkts, rate)
+			rq.sel = rq.fsamp.SelectInto(rq.sel, qb.Pkts, rate)
 		default:
-			rq.sampBuf = rq.psamp.SampleInto(rq.sampBuf, bc.Admitted.Pkts, rate)
+			rq.sel = rq.psamp.SelectInto(rq.sel, len(qb.Pkts), rate)
 		}
-		qb.Pkts = rq.sampBuf
+		selectView(qb, rq.sel)
 	}
 	bc.Stats.Rates[i] = rate
 
@@ -463,7 +466,7 @@ func (s *System) executeQuery(bc *BinContext, i int) {
 				// Stream identical to the full batch: merge, don't rescan.
 				qf = rq.ext.ExtractFromSketch(bc.sketch, bc.fv[features.IdxPackets], bc.fv[features.IdxBytes])
 			} else {
-				qf = rq.ext.ExtractFromSketch(bc.shedSketch, float64(len(qb.Pkts)), float64(qb.Bytes()))
+				qf = rq.ext.ExtractFromSketch(bc.shedSketch, float64(qb.Packets()), float64(qb.Bytes()))
 			}
 			if spiked {
 				// §3.2.4: measurements corrupted by context switches
@@ -476,6 +479,15 @@ func (s *System) executeQuery(bc *BinContext, i int) {
 		if rq.shed != nil {
 			s.manager.Audit(rq.shed, measured, bc.Stats.QueryPred[i])
 		}
+	}
+}
+
+// selectView narrows b to the packets sel selects. An empty selection
+// drops the packets too: a nil Sel reads as every packet.
+func selectView(b *pkt.Batch, sel []int32) {
+	b.Sel = sel
+	if len(sel) == 0 {
+		b.Pkts = nil
 	}
 }
 

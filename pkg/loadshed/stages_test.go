@@ -1,12 +1,15 @@
 package loadshed
 
 // Stage-level tests: the admit stage's capture-buffer model, the
-// reactive Eq. 4.1 update, sampled queries' interval rotation and the
-// ModeDisabled observation guard — all white-box against a System
-// driven one stage or one bin at a time.
+// reactive Eq. 4.1 update, sampled queries' interval rotation, the
+// selection views sampled queries read and the ModeDisabled observation
+// guard — all white-box against a System driven one stage or one bin at
+// a time.
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -15,6 +18,8 @@ import (
 	"repro/internal/features"
 	"repro/internal/pkt"
 	"repro/internal/queries"
+	"repro/internal/sampling"
+	"repro/internal/trace"
 )
 
 // nPktBatch builds a synthetic batch of n identical-size packets.
@@ -197,7 +202,7 @@ func TestSampledQueryFeaturesRotate(t *testing.T) {
 		sampled++
 		oracle := features.NewExtractor(123)
 		oracle.StartInterval()
-		want := oracle.ExtractFromSketch(sys.bc.shedSketch, float64(len(rq.qbatch.Pkts)), float64(rq.qbatch.Bytes()))
+		want := oracle.ExtractFromSketch(sys.bc.shedSketch, float64(rq.qbatch.Packets()), float64(rq.qbatch.Bytes()))
 		h := rq.mlr.History()
 		for a := pkt.Aggregate(0); a < pkt.NumAggregates; a++ {
 			for _, j := range []int{features.IdxNew(a), features.IdxIntRepeated(a)} {
@@ -283,4 +288,76 @@ func TestArrivalRejectsMismatchedInterval(t *testing.T) {
 		}}},
 	}
 	New(cfg, stdQueries()).Run(testSource(1, 2*time.Second))
+}
+
+// TestSelectionViewMatchesGatheredCopy: a sampled query reads the
+// admitted bin through a selection (selectView, what executeQuery
+// builds), and must perform exactly the operations and report exactly
+// the results it would on the gathered copy SampleInto makes — for
+// every query of the registry and the two misbehaving custom shedders,
+// under packet, flow and policed shedding (the packet sampler on a query
+// whose own shedding was taken away), at rates 1, 0.5, 0.07 and 0, over
+// three measurement intervals.
+func TestSelectionViewMatchesGatheredCopy(t *testing.T) {
+	g := trace.NewGenerator(trace.CESCA2(3, 3*time.Second, 0.3))
+	batches := trace.Record(g)
+	perInterval := int(time.Second / g.TimeBin())
+	makers := map[string]func(QueryConfig) Query{"p2p-detector-selfish": NewSelfishP2P, "p2p-detector-buggy": NewBuggyP2P}
+	for _, k := range queryKinds {
+		makers[k.name] = k.mk
+	}
+	for name, mk := range makers {
+		for _, mode := range []string{"packet", "flow", "policed"} {
+			for _, rate := range []float64{1, 0.5, 0.07, 0} {
+				t.Run(fmt.Sprintf("%s/%s/%g", name, mode, rate), func(t *testing.T) {
+					viaCopy, viaSel := mk(QueryConfig{Seed: 7}), mk(QueryConfig{Seed: 7})
+					if mode == "policed" {
+						for _, q := range []Query{viaCopy, viaSel} {
+							if sh, ok := q.(custom.Shedder); ok {
+								sh.ShedTo(1)
+							}
+						}
+					}
+					psCopy, psSel := sampling.NewPacketSampler(5), sampling.NewPacketSampler(5)
+					fsCopy, fsSel := sampling.NewFlowSampler(5), sampling.NewFlowSampler(5)
+					var buf []pkt.Packet
+					var sel []int32
+					flush := func(bin int) {
+						got, gotOps := viaSel.Flush()
+						want, wantOps := viaCopy.Flush()
+						if gotOps != wantOps || !reflect.DeepEqual(got, want) {
+							t.Fatalf("flush before bin %d: through the selection %+v (ops %+v), on the copy %+v (ops %+v)", bin, got, gotOps, want, wantOps)
+						}
+						fsCopy.StartInterval()
+						fsSel.StartInterval()
+					}
+					for bi, b := range batches {
+						if bi > 0 && bi%perInterval == 0 {
+							flush(bi)
+						}
+						gathered, view := b, b
+						if rate < 1 {
+							if mode == "flow" {
+								buf = fsCopy.SampleInto(buf, b.Pkts, rate)
+								sel = fsSel.SelectInto(sel, b.Pkts, rate)
+							} else {
+								buf = psCopy.SampleInto(buf, b.Pkts, rate)
+								sel = psSel.SelectInto(sel, len(b.Pkts), rate)
+							}
+							gathered.Pkts = buf
+							selectView(&view, sel)
+						}
+						if view.Packets() != gathered.Packets() || view.Bytes() != gathered.Bytes() {
+							t.Fatalf("bin %d: the selection holds %d packets / %d bytes, the copy %d / %d",
+								bi, view.Packets(), view.Bytes(), gathered.Packets(), gathered.Bytes())
+						}
+						if got, want := viaSel.Process(&view, rate), viaCopy.Process(&gathered, rate); got != want {
+							t.Fatalf("bin %d: ops through the selection %+v, on the copy %+v", bi, got, want)
+						}
+					}
+					flush(len(batches))
+				})
+			}
+		}
+	}
 }
