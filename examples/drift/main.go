@@ -15,6 +15,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/predict"
 	"repro/pkg/loadshed"
 )
 
@@ -54,10 +55,11 @@ func main() {
 			Seed:     99,
 			// Unlimited capacity and no measurement noise: per-bin
 			// prediction error is exactly model error.
-			Capacity:        math.Inf(1),
-			NoiseSigma:      -1,
-			Workers:         1,
-			HistoryLen:      120,
+			Capacity:   math.Inf(1),
+			NoiseSigma: -1,
+			Workers:    1,
+			// A long fitting window makes the stale regime's hold visible.
+			Predictor:       func() predict.Predictor { return predict.NewMLR(120, predict.DefaultThreshold) },
 			ChangeDetection: detectOn,
 		}, mkQs()).Run(mkSrc())
 	}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/pkt"
+	"repro/internal/predict"
 	"repro/internal/queries"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -37,7 +38,7 @@ func strategyKinds() []struct {
 }
 
 func init() {
-	register("ablation-predictor", "Ablation: which predictor drives the shedder (mlr / slr / ewma / last)", ablationPredictor)
+	register("ablation-predictor", "Ablation: which predictor drives the shedder (mlr / slr / ewma)", ablationPredictor)
 	register("ablation-strategy", "Ablation: global rate vs per-query strategies at 2x overload", ablationStrategy)
 }
 
@@ -56,13 +57,20 @@ func ablationPredictor(cfg Config) (*Result, error) {
 		Columns: []string{"predictor", "drops", "avg metric error", "mean rate"},
 	}
 	metricQueries := []string{"application", "counter", "flows", "high-watermark", "top-k"}
-	for _, kind := range []string{"mlr", "slr", "ewma"} {
+	for _, p := range []struct {
+		kind string
+		mk   predictorMaker
+	}{
+		{"mlr", mkMLR(predict.DefaultHistory, predict.DefaultThreshold)},
+		{"slr", mkSLR()},
+		{"ewma", mkEWMA(predict.DefaultEWMAAlpha)},
+	} {
 		res := loadshed.New(loadshed.Config{
-			Scheme:        loadshed.Predictive,
-			Capacity:      capacity,
-			Seed:          cfg.Seed + 111,
-			BufferBins:    2,
-			PredictorKind: kind,
+			Scheme:     loadshed.Predictive,
+			Capacity:   capacity,
+			Seed:       cfg.Seed + 111,
+			BufferBins: 2,
+			Predictor:  p.mk,
 		}, mkQs()).Run(ch4DDoSSrc(cfg, dur))
 		errs := loadshed.MeanErrors(mkQs(), res, ref)
 		var avg float64
@@ -74,7 +82,7 @@ func ablationPredictor(cfg Config) (*Result, error) {
 			rates = append(rates, b.GlobalRate)
 		}
 		t.Rows = append(t.Rows, []string{
-			kind,
+			p.kind,
 			fmtPct(float64(res.TotalDrops()) / float64(res.TotalWirePkts())),
 			fmtPct(avg / float64(len(metricQueries))),
 			fmtF(stats.Mean(rates), 3),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/queries"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/pkg/loadshed"
 )
 
 func init() {
@@ -34,18 +35,13 @@ const warmupBins = predict.DefaultHistory
 
 func fig22(cfg Config) (*Result, error) {
 	dur := cfg.dur(10 * time.Second)
-	src := srcCESCA2(cfg, dur)
-	qs := queries.FullSet(queries.Config{Seed: cfg.Seed})
-	model := queries.DefaultCostModel()
+	// The reference run is lossless and noise-free: each query's measured
+	// cycles are its cost, flushed every interval as the engine runs it.
+	ref := loadshed.Reference(srcCESCA2(cfg, dur), queries.FullSet(queries.Config{Seed: cfg.Seed}), cfg.Seed)
 	cost := map[string]float64{}
-	src.Reset()
-	for {
-		b, ok := src.NextBatch()
-		if !ok {
-			break
-		}
-		for _, q := range qs {
-			cost[q.Name()] += model.Cycles(q.Process(&b, 1))
+	for _, b := range ref.Bins {
+		for i, c := range b.QueryUsed {
+			cost[ref.Queries[i]] += c
 		}
 	}
 	sec := dur.Seconds()
@@ -176,9 +172,9 @@ func fig33(cfg Config) (*Result, error) {
 func fig34(cfg Config) (*Result, error) {
 	dur := cfg.dur(20 * time.Second)
 	qs := []queries.Query{queries.NewFlows(queries.Config{Seed: cfg.Seed})}
-	mlr := runPrediction(srcCESCA2(cfg, dur), qs, mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
+	mlr := runPredictor(srcCESCA2(cfg, dur), qs, mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
 	qs2 := []queries.Query{queries.NewFlows(queries.Config{Seed: cfg.Seed})}
-	slr := runPrediction(srcCESCA2(cfg, dur), qs2, mkSLR(), warmupBins)
+	slr := runPredictor(srcCESCA2(cfg, dur), qs2, mkSLR(), warmupBins)
 
 	window := 50 // 5 s, like the figure
 	start := warmupBins
@@ -230,7 +226,7 @@ func fig35(cfg Config) (*Result, error) {
 	histCost := Series{Name: "cost(history)"}
 	hist.Name = "error(history)"
 	for _, n := range histories {
-		r := runPrediction(srcCESCA2(cfg, dur), mkQs(), mkMLR(n, predict.DefaultThreshold), n+10)
+		r := runPredictor(srcCESCA2(cfg, dur), mkQs(), mkMLR(n, predict.DefaultThreshold), n+10)
 		hist.X = append(hist.X, float64(n)/10) // seconds of history
 		hist.Y = append(hist.Y, r.meanErr())
 		histCost.X = append(histCost.X, float64(n)/10)
@@ -240,7 +236,7 @@ func fig35(cfg Config) (*Result, error) {
 	thrCost := Series{Name: "cost(threshold)"}
 	thr.Name = "error(threshold)"
 	for _, th := range thresholds {
-		r := runPrediction(srcCESCA2(cfg, dur), mkQs(), mkMLR(predict.DefaultHistory, th), warmupBins)
+		r := runPredictor(srcCESCA2(cfg, dur), mkQs(), mkMLR(predict.DefaultHistory, th), warmupBins)
 		thr.X = append(thr.X, th)
 		thr.Y = append(thr.Y, r.meanErr())
 		thrCost.X = append(thrCost.X, th)
@@ -261,7 +257,7 @@ func fig36(cfg Config) (*Result, error) {
 	var histSeries, thrSeries []Series
 	perQuery := map[string]*Series{}
 	for _, n := range histories {
-		r := runPrediction(srcCESCA2(cfg, dur), mkQs(), mkMLR(n, predict.DefaultThreshold), n+10)
+		r := runPredictor(srcCESCA2(cfg, dur), mkQs(), mkMLR(n, predict.DefaultThreshold), n+10)
 		for qi, name := range r.Queries {
 			s, ok := perQuery[name]
 			if !ok {
@@ -277,7 +273,7 @@ func fig36(cfg Config) (*Result, error) {
 	}
 	perQuery = map[string]*Series{}
 	for _, th := range thresholds {
-		r := runPrediction(srcCESCA2(cfg, dur), mkQs(), mkMLR(predict.DefaultHistory, th), warmupBins)
+		r := runPredictor(srcCESCA2(cfg, dur), mkQs(), mkMLR(predict.DefaultHistory, th), warmupBins)
 		for qi, name := range r.Queries {
 			s, ok := perQuery[name]
 			if !ok {
@@ -307,7 +303,7 @@ func sortedKeysSeries(m map[string]*Series) []string {
 
 func errOverTime(cfg Config, src trace.Source) Figure {
 	qs := queries.StandardSet(queries.Config{Seed: cfg.Seed})
-	r := runPrediction(src, qs, mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
+	r := runPredictor(src, qs, mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
 	xs, avg, max := r.avgErrPerBin()
 	return Figure{
 		XLabel: "time (s)", YLabel: "relative error",
@@ -344,8 +340,8 @@ func fig38(cfg Config) (*Result, error) {
 func fig39(cfg Config) (*Result, error) {
 	dur := cfg.dur(10 * time.Second)
 	mkQ := func() []queries.Query { return []queries.Query{queries.NewCounter(queries.Config{Seed: cfg.Seed})} }
-	ewma := runPrediction(srcCESCA2(cfg, dur), mkQ(), mkEWMA(predict.DefaultEWMAAlpha), 10)
-	slr := runPrediction(srcCESCA2(cfg, dur), mkQ(), mkSLR(), 10)
+	ewma := runPredictor(srcCESCA2(cfg, dur), mkQ(), mkEWMA(predict.DefaultEWMAAlpha), 10)
+	slr := runPredictor(srcCESCA2(cfg, dur), mkQ(), mkSLR(), 10)
 	window, start := 50, 10
 	mk := func(name string, ys []float64) Series {
 		s := Series{Name: name}
@@ -366,7 +362,7 @@ func fig310(cfg Config) (*Result, error) {
 	dur := cfg.dur(20 * time.Second)
 	s := Series{Name: "ewma error"}
 	for _, alpha := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
-		r := runPrediction(srcCESCA2(cfg, dur), queries.StandardSet(queries.Config{Seed: cfg.Seed}), mkEWMA(alpha), 10)
+		r := runPredictor(srcCESCA2(cfg, dur), queries.StandardSet(queries.Config{Seed: cfg.Seed}), mkEWMA(alpha), 10)
 		s.X = append(s.X, alpha)
 		s.Y = append(s.Y, r.meanErr())
 	}
@@ -379,8 +375,8 @@ func fig310(cfg Config) (*Result, error) {
 func fig311(cfg Config) (*Result, error) {
 	dur := cfg.dur(30 * time.Second)
 	mkQs := func() []queries.Query { return queries.StandardSet(queries.Config{Seed: cfg.Seed}) }
-	ew := runPrediction(srcCESCA2(cfg, dur), mkQs(), mkEWMA(predict.DefaultEWMAAlpha), 10)
-	sl := runPrediction(srcCESCA2(cfg, dur), mkQs(), mkSLR(), 10)
+	ew := runPredictor(srcCESCA2(cfg, dur), mkQs(), mkEWMA(predict.DefaultEWMAAlpha), 10)
+	sl := runPredictor(srcCESCA2(cfg, dur), mkQs(), mkSLR(), 10)
 	xs1, avg1, _ := ew.avgErrPerBin()
 	xs2, avg2, _ := sl.avgErrPerBin()
 	return &Result{Figures: []Figure{{
@@ -392,7 +388,7 @@ func fig311(cfg Config) (*Result, error) {
 
 func fig312(cfg Config) (*Result, error) {
 	dur := cfg.dur(30 * time.Second)
-	r := runPrediction(srcCESCA2(cfg, dur), queries.StandardSet(queries.Config{Seed: cfg.Seed}),
+	r := runPredictor(srcCESCA2(cfg, dur), queries.StandardSet(queries.Config{Seed: cfg.Seed}),
 		mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
 	xs, _, _ := r.avgErrPerBin()
 	// Per-bin max and 95th percentile across queries, then a rolling max
@@ -441,7 +437,7 @@ func fig31315(cfg Config) (*Result, error) {
 		{"fig3.14", "slr", mkSLR()},
 		{"fig3.15", "mlr+fcbf", mkMLR(predict.DefaultHistory, predict.DefaultThreshold)},
 	} {
-		r := runPrediction(mkSrc(), mkQ(), m.mk, warmupBins)
+		r := runPredictor(mkSrc(), mkQ(), m.mk, warmupBins)
 		actual := Series{Name: "actual"}
 		predS := Series{Name: "predicted"}
 		errS := Series{Name: "error"}
@@ -480,7 +476,7 @@ func tab32(cfg Config) (*Result, error) {
 		Columns: []string{"trace", "query", "mean", "stdev", "selected features"},
 	}
 	for _, tr := range traces {
-		r := runPrediction(tr.mk(), queries.StandardSet(queries.Config{Seed: cfg.Seed}),
+		r := runPredictor(tr.mk(), queries.StandardSet(queries.Config{Seed: cfg.Seed}),
 			mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
 		for qi, name := range r.Queries {
 			t.Rows = append(t.Rows, []string{
@@ -498,9 +494,9 @@ func tab33(cfg Config) (*Result, error) {
 	dur := cfg.dur(30 * time.Second)
 	mkQs := func() []queries.Query { return queries.StandardSet(queries.Config{Seed: cfg.Seed}) }
 	runs := map[string]*predRun{
-		"ewma": runPrediction(srcCESCA2(cfg, dur), mkQs(), mkEWMA(predict.DefaultEWMAAlpha), 10),
-		"slr":  runPrediction(srcCESCA2(cfg, dur), mkQs(), mkSLR(), 10),
-		"mlr":  runPrediction(srcCESCA2(cfg, dur), mkQs(), mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins),
+		"ewma": runPredictor(srcCESCA2(cfg, dur), mkQs(), mkEWMA(predict.DefaultEWMAAlpha), 10),
+		"slr":  runPredictor(srcCESCA2(cfg, dur), mkQs(), mkSLR(), 10),
+		"mlr":  runPredictor(srcCESCA2(cfg, dur), mkQs(), mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins),
 	}
 	t := Table{
 		ID: "tab3.3", Title: "error statistics per query and method",
@@ -519,14 +515,15 @@ func tab33(cfg Config) (*Result, error) {
 
 func tab34(cfg Config) (*Result, error) {
 	dur := cfg.dur(30 * time.Second)
-	r := runPrediction(srcCESCA2(cfg, dur), queries.StandardSet(queries.Config{Seed: cfg.Seed}),
+	r := runPredictor(srcCESCA2(cfg, dur), queries.StandardSet(queries.Config{Seed: cfg.Seed}),
 		mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
 	// Total processing cost: queries plus the prediction subsystem.
 	var queryCycles float64
 	for qi := range r.Actual {
 		queryCycles += stats.Sum(r.Actual[qi])
 	}
-	total := queryCycles + r.PredictCycles
+	predictCycles := r.FeatureCycles + r.FCBFCycles + r.MLRCycles
+	total := queryCycles + predictCycles
 	t := Table{
 		ID: "tab3.4", Title: "prediction overhead breakdown (fraction of total cycles)",
 		Columns: []string{"phase", "overhead"},
@@ -534,7 +531,7 @@ func tab34(cfg Config) (*Result, error) {
 			{"feature extraction", fmtPct(r.FeatureCycles / total)},
 			{"fcbf", fmtPct(r.FCBFCycles / total)},
 			{"mlr", fmtPct(r.MLRCycles / total)},
-			{"total", fmtPct(r.PredictCycles / total)},
+			{"total", fmtPct(predictCycles / total)},
 		},
 	}
 	return &Result{Tables: []Table{t},

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/queries"
+	"repro/internal/sampling"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/pkg/loadshed"
@@ -132,9 +133,9 @@ func fig53(cfg Config) (*Result, error) {
 	return &Result{Figures: []Figure{fig}}, nil
 }
 
-// sampledError runs query `name` at a fixed packet-sampling rate over
-// the CESCA-II source and returns its mean per-interval error versus a
-// lossless run.
+// sampledError runs query `name` at a fixed sampling rate, by its own
+// method (packet or flow), over the CESCA-II source and returns its mean
+// per-interval error versus a lossless run.
 func sampledError(cfg Config, dur time.Duration, name string, rate float64) float64 {
 	mk := func() queries.Query {
 		for _, q := range queries.FullSet(queries.Config{Seed: cfg.Seed}) {
@@ -148,7 +149,9 @@ func sampledError(cfg Config, dur time.Duration, name string, rate float64) floa
 		src := srcCESCA2(cfg, dur)
 		src.Reset()
 		q := mk()
-		samp := newRateSampler(cfg.Seed + 97)
+		ps := sampling.NewPacketSampler(cfg.Seed + 97)
+		fs := sampling.NewFlowSampler(cfg.Seed + 98)
+		var sel []int32
 		var out []queries.Result
 		bin := 0
 		for {
@@ -159,13 +162,22 @@ func sampledError(cfg Config, dur time.Duration, name string, rate float64) floa
 			if bin > 0 && bin%10 == 0 {
 				r, _ := q.Flush()
 				out = append(out, r)
-				samp.startInterval()
+				fs.StartInterval()
 			}
-			sb := b
 			if rate < 1 {
-				sb.Pkts = samp.sample(q, b.Pkts, rate)
+				// Shed by selection, as the engine does: the query reads
+				// the bin through its sampler's index list.
+				if q.Method() == sampling.Flow {
+					sel = fs.SelectInto(sel, b.Pkts, rate)
+				} else {
+					sel = ps.SelectInto(sel, len(b.Pkts), rate)
+				}
+				b.Sel = sel
+				if len(sel) == 0 {
+					b.Pkts = nil // a nil Sel would read as every packet
+				}
 			}
-			q.Process(&sb, rate)
+			q.Process(&b, rate)
 			bin++
 		}
 		r, _ := q.Flush()
@@ -183,6 +195,36 @@ func sampledError(cfg Config, dur time.Duration, name string, rate float64) floa
 	return stats.Mean(errs)
 }
 
+// ch5Scheme is one system Chapter 5 compares: a shedding scheme, its
+// strategy, and its capture buffer in bins (2 ≈ 200 ms for the no_lshed
+// and reactive baselines, as Chapter 5 emulates them; 0 keeps the
+// default).
+type ch5Scheme struct {
+	name   string
+	scheme loadshed.Scheme
+	strat  sched.Strategy
+	buffer float64
+}
+
+// ch5Schemes are the systems of Figures 5.4 and 5.5 and Table 5.2, in
+// their column order.
+var ch5Schemes = []ch5Scheme{
+	{"no_lshed", loadshed.NoShed, nil, 2},
+	{"reactive", loadshed.Reactive, nil, 2},
+	{"eq_srates", loadshed.Predictive, sched.EqualRates{RespectMinRates: true}, 0},
+	{"mmfs_cpu", loadshed.Predictive, sched.MMFSCPU{}, 0},
+	{"mmfs_pkt", loadshed.Predictive, sched.MMFSPkt{}, 0},
+}
+
+// run replays the CESCA-II source through the scheme with custom
+// shedding on, over the full query set.
+func (s ch5Scheme) run(cfg Config, dur time.Duration, capacity float64, seed uint64) *loadshed.RunResult {
+	return loadshed.New(loadshed.Config{
+		Scheme: s.scheme, Capacity: capacity, Seed: seed, Strategy: s.strat,
+		BufferBins: s.buffer, CustomShedding: true,
+	}, queries.FullSet(queries.Config{Seed: cfg.Seed})).Run(srcCESCA2(cfg, dur))
+}
+
 func fig54(cfg Config) (*Result, error) {
 	dur := cfg.dur(15 * time.Second)
 	grid := kGrid(cfg.Quick)
@@ -190,29 +232,13 @@ func fig54(cfg Config) (*Result, error) {
 	demand := loadshed.MeasureCapacity(srcCESCA2(cfg, dur), mkQs(), cfg.Seed+98)
 	ref := loadshed.Reference(srcCESCA2(cfg, dur), mkQs(), cfg.Seed+98)
 
-	kind := []struct {
-		name   string
-		scheme loadshed.Scheme
-		strat  sched.Strategy
-		buffer float64
-	}{
-		{"no_lshed", loadshed.NoShed, nil, 2},
-		{"reactive", loadshed.Reactive, nil, 2},
-		{"eq_srates", loadshed.Predictive, sched.EqualRates{RespectMinRates: true}, 0},
-		{"mmfs_cpu", loadshed.Predictive, sched.MMFSCPU{}, 0},
-		{"mmfs_pkt", loadshed.Predictive, sched.MMFSPkt{}, 0},
-	}
 	avgFig := Figure{ID: "fig5.4a", Title: "average accuracy vs K", XLabel: "overload level K", YLabel: "accuracy"}
 	minFig := Figure{ID: "fig5.4b", Title: "minimum accuracy vs K", XLabel: "overload level K", YLabel: "accuracy"}
-	for _, kd := range kind {
+	for _, kd := range ch5Schemes {
 		avgS := Series{Name: kd.name}
 		minS := Series{Name: kd.name}
 		for _, k := range grid {
-			res := loadshed.New(loadshed.Config{
-				Scheme: kd.scheme, Capacity: demand * (1 - k),
-				Seed: cfg.Seed + 99, Strategy: kd.strat,
-				BufferBins: kd.buffer, CustomShedding: true,
-			}, mkQs()).Run(srcCESCA2(cfg, dur))
+			res := kd.run(cfg, dur, demand*(1-k), cfg.Seed+99)
 			accs := loadshed.Accuracies(mkQs(), res, ref, 10)
 			avg, min, _ := meanAccuracy(accs)
 			avgS.X, avgS.Y = append(avgS.X, k), append(avgS.Y, avg)
@@ -234,22 +260,11 @@ func fig55(cfg Config) (*Result, error) {
 	ref := loadshed.Reference(srcCESCA2(cfg, dur), mkQs(), cfg.Seed+100)
 
 	fig := Figure{ID: "fig5.5", Title: "autofocus accuracy over time (K=0.2)", XLabel: "interval", YLabel: "accuracy"}
-	for _, kd := range []struct {
-		name   string
-		scheme loadshed.Scheme
-		strat  sched.Strategy
-		buffer float64
-	}{
-		{"no_lshed", loadshed.NoShed, nil, 2},
-		{"eq_srates", loadshed.Predictive, sched.EqualRates{RespectMinRates: true}, 0},
-		{"mmfs_cpu", loadshed.Predictive, sched.MMFSCPU{}, 0},
-		{"mmfs_pkt", loadshed.Predictive, sched.MMFSPkt{}, 0},
-	} {
-		res := loadshed.New(loadshed.Config{
-			Scheme: kd.scheme, Capacity: demand * (1 - k),
-			Seed: cfg.Seed + 101, Strategy: kd.strat,
-			BufferBins: kd.buffer, CustomShedding: true,
-		}, mkQs()).Run(srcCESCA2(cfg, dur))
+	for _, kd := range ch5Schemes {
+		if kd.scheme == loadshed.Reactive {
+			continue // the figure leaves reactive out
+		}
+		res := kd.run(cfg, dur, demand*(1-k), cfg.Seed+101)
 		accs := loadshed.Accuracies(mkQs(), res, ref, 10)["autofocus"]
 		s := Series{Name: kd.name}
 		for i, a := range accs {
@@ -268,25 +283,9 @@ func tab52(cfg Config) (*Result, error) {
 	demand := loadshed.MeasureCapacity(srcCESCA2(cfg, dur), mkQs(), cfg.Seed+102)
 	ref := loadshed.Reference(srcCESCA2(cfg, dur), mkQs(), cfg.Seed+102)
 
-	kinds := []struct {
-		name   string
-		scheme loadshed.Scheme
-		strat  sched.Strategy
-		buffer float64
-	}{
-		{"no_lshed", loadshed.NoShed, nil, 2},
-		{"reactive", loadshed.Reactive, nil, 2},
-		{"eq_srates", loadshed.Predictive, sched.EqualRates{RespectMinRates: true}, 0},
-		{"mmfs_cpu", loadshed.Predictive, sched.MMFSCPU{}, 0},
-		{"mmfs_pkt", loadshed.Predictive, sched.MMFSPkt{}, 0},
-	}
 	perKind := map[string]map[string]float64{}
-	for _, kd := range kinds {
-		res := loadshed.New(loadshed.Config{
-			Scheme: kd.scheme, Capacity: demand * (1 - k),
-			Seed: cfg.Seed + 103, Strategy: kd.strat,
-			BufferBins: kd.buffer, CustomShedding: true,
-		}, mkQs()).Run(srcCESCA2(cfg, dur))
+	for _, kd := range ch5Schemes {
+		res := kd.run(cfg, dur, demand*(1-k), cfg.Seed+103)
 		_, _, byQuery := meanAccuracy(loadshed.Accuracies(mkQs(), res, ref, 10))
 		perKind[kd.name] = byQuery
 	}
@@ -296,7 +295,7 @@ func tab52(cfg Config) (*Result, error) {
 	}
 	for _, q := range mkQs() {
 		row := []string{q.Name(), fmtF(q.MinRate(), 2)}
-		for _, kd := range kinds {
+		for _, kd := range ch5Schemes {
 			row = append(row, fmtF(perKind[kd.name][q.Name()], 2))
 		}
 		t.Rows = append(t.Rows, row)

@@ -112,23 +112,18 @@ func fig63(cfg Config) (*Result, error) {
 	expected := Series{Name: "expected"}
 	actual := Series{Name: "actual"}
 	corr := Series{Name: "correction factor"}
-	probe := func(bin int) {
+	// The audit state is read after every bin; nothing else of the run
+	// is kept.
+	bin := 0
+	sys.Stream(ch6Src(cfg, dur), loadshed.SinkFuncs{Bin: func(*loadshed.BinStats) {
 		for _, st := range sys.CustomStates() {
 			x := float64(bin) / 10
 			expected.X, expected.Y = append(expected.X, x), append(expected.Y, st.LastExpected)
 			actual.X, actual.Y = append(actual.X, x), append(actual.Y, st.LastActual)
 			corr.X, corr.Y = append(corr.X, x), append(corr.Y, st.Corr())
 		}
-	}
-	// Re-create with the probe wired in.
-	sys = loadshed.New(loadshed.Config{
-		Scheme: loadshed.Predictive, Capacity: capacity2x,
-		Seed: cfg.Seed + 63, Strategy: sched.MMFSPkt{}, CustomShedding: true,
-		Probe: probe,
-	}, ch6Qs(cfg.Seed))
-	// The probe captures everything this figure needs; stream with a
-	// discard sink rather than accumulating a RunResult nobody reads.
-	sys.Stream(ch6Src(cfg, dur), loadshed.DiscardSink{})
+		bin++
+	}})
 	return &Result{Figures: []Figure{{
 		ID: "fig6.3", Title: "actual vs expected consumption (custom p2p-detector)",
 		XLabel: "time (s)", YLabel: "cycles / ratio",

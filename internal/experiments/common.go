@@ -1,15 +1,15 @@
 package experiments
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/features"
-	"repro/internal/pkt"
 	"repro/internal/predict"
 	"repro/internal/queries"
-	"repro/internal/sampling"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/pkg/loadshed"
 )
 
 // Trace builders for the dataset presets at experiment scale.
@@ -34,10 +34,11 @@ func srcCENIC(cfg Config, dur time.Duration) *trace.Generator {
 	return trace.NewGenerator(trace.CENIC(cfg.Seed, dur, cfg.Scale))
 }
 
-// predRun is a standalone prediction experiment: queries run at full
-// rate (no shedding, no measurement noise — §3.3 isolates the predictor
-// from noise sources) while a predictor per query estimates each
-// batch's cost from its features before it runs.
+// predRun is one Chapter 3 prediction run, read off the engine: the
+// queries run at full rate (unlimited capacity, so nothing is shed) and
+// without measurement noise — §3.3 isolates the predictor from noise
+// sources — while each query's predictor estimates every bin's cost
+// from its features before the query runs.
 type predRun struct {
 	Queries []string
 	// Err[q][bin] is the relative prediction error after warmup.
@@ -47,10 +48,9 @@ type predRun struct {
 	Actual [][]float64
 	// Features[q][f] counts how often feature f was selected (MLR only).
 	Features []map[int]int
-	// PredictCycles estimates the cost of running the prediction itself
-	// (feature extraction + selection + fit), in cost-model cycles.
-	PredictCycles float64
-	// FeatureCycles / FCBFCycles / MLRCycles break PredictCycles down.
+	// FeatureCycles / FCBFCycles / MLRCycles are what the engine charged
+	// the prediction subsystem (Table 3.4): feature extraction, feature
+	// selection and the fit, in cost-model cycles.
 	FeatureCycles, FCBFCycles, MLRCycles float64
 	Bins                                 int
 }
@@ -70,83 +70,60 @@ func mkEWMA(alpha float64) predictorMaker {
 	return func() predict.Predictor { return predict.NewEWMA(alpha) }
 }
 
-// Cost coefficients matching the system package's prediction-overhead
-// accounting (Table 3.4).
-const (
-	expFeCostPerOp   = 25.0
-	expFCBFCostPerOp = 4.0
-	expMLRCostPerOp  = 6.0
-)
-
-// runPrediction drives the standalone prediction loop. warmup bins are
-// excluded from the error series (the model needs history before its
-// errors are meaningful).
-func runPrediction(src trace.Source, qs []queries.Query, mk predictorMaker, warmup int) *predRun {
-	src.Reset()
-	model := queries.DefaultCostModel()
-	ext := features.NewExtractor(0xfe)
-	ext.StartInterval()
-
+// runPredictor streams src through a predictive System at unlimited
+// capacity and without noise, with mk as every query's predictor, and
+// reads the run back: per-query predictions and measured costs from the
+// bin records, selected features from the MLRs mk handed out (read in
+// OnBin, after the bin's refit), and the overhead split from the
+// engine's own op counters. warmup bins are excluded from the error
+// series (the model needs history before its errors are meaningful).
+func runPredictor(src trace.Source, qs []queries.Query, mk predictorMaker, warmup int) *predRun {
 	r := &predRun{}
-	preds := make([]predict.Predictor, len(qs))
-	for i, q := range qs {
-		q.Reset()
-		preds[i] = mk()
-		r.Queries = append(r.Queries, q.Name())
-		r.Err = append(r.Err, nil)
-		r.Pred = append(r.Pred, nil)
-		r.Actual = append(r.Actual, nil)
-		r.Features = append(r.Features, map[int]int{})
-	}
-
-	interval := qs[0].Interval()
-	binsPerInterval := int(interval / src.TimeBin())
-	if binsPerInterval < 1 {
-		binsPerInterval = 1
-	}
-
-	bin := 0
-	for {
-		b, ok := src.NextBatch()
-		if !ok {
-			break
-		}
-		if bin > 0 && bin%binsPerInterval == 0 {
-			for _, q := range qs {
-				q.Flush()
+	var mlrs []*predict.MLR
+	sys := loadshed.New(loadshed.Config{
+		Scheme:     loadshed.Predictive,
+		Capacity:   math.Inf(1),
+		NoiseSigma: -1,
+		Predictor: func() predict.Predictor {
+			p := mk()
+			if m, ok := p.(*predict.MLR); ok {
+				mlrs = append(mlrs, m)
 			}
-			ext.StartInterval()
-		}
-		opsBefore := ext.Ops
-		fv := ext.Extract(&b)
-		r.FeatureCycles += expFeCostPerOp * float64(ext.Ops-opsBefore)
-
-		for i, q := range qs {
-			var fcbf, fit int64
-			mlr, isMLR := preds[i].(*predict.MLR)
-			if isMLR {
-				fcbf, fit = mlr.FCBFOps, mlr.FitOps
+			return p
+		},
+	}, qs)
+	sys.Stream(src, loadshed.SinkFuncs{
+		Query: func(_ int, name string) {
+			r.Queries = append(r.Queries, name)
+			r.Err, r.Pred, r.Actual = append(r.Err, nil), append(r.Pred, nil), append(r.Actual, nil)
+			r.Features = append(r.Features, map[int]int{})
+		},
+		Bin: func(b *loadshed.BinStats) {
+			for i, p := range b.QueryPred {
+				actual := b.QueryUsed[i]
+				r.Pred[i] = append(r.Pred[i], p)
+				r.Actual[i] = append(r.Actual[i], actual)
+				if r.Bins >= warmup {
+					r.Err[i] = append(r.Err[i], stats.RelErr(p, actual))
+				}
 			}
-			p := preds[i].Predict(fv)
-			if isMLR {
-				r.FCBFCycles += expFCBFCostPerOp * float64(mlr.FCBFOps-fcbf)
-				r.MLRCycles += expMLRCostPerOp * float64(mlr.FitOps-fit)
-				for _, f := range mlr.Selected() {
+			for i, m := range mlrs {
+				for _, f := range m.Selected() {
 					r.Features[i][f]++
 				}
 			}
-			actual := model.Cycles(q.Process(&b, 1))
-			preds[i].Observe(fv, actual)
-			r.Pred[i] = append(r.Pred[i], p)
-			r.Actual[i] = append(r.Actual[i], actual)
-			if bin >= warmup {
-				r.Err[i] = append(r.Err[i], stats.RelErr(p, actual))
-			}
-		}
-		bin++
+			r.Bins++
+		},
+	})
+	snap, err := sys.Snapshot()
+	if err != nil {
+		panic(err) // no custom shedding, one predictor kind: always snapshottable
 	}
-	r.Bins = bin
-	r.PredictCycles = r.FeatureCycles + r.FCBFCycles + r.MLRCycles
+	r.FeatureCycles = features.CostPerOp * float64(snap.GlobalExtOps)
+	for _, q := range snap.Queries {
+		r.FCBFCycles += predict.FCBFCostPerOp * float64(q.FCBFOps)
+		r.MLRCycles += predict.FitCostPerOp * float64(q.FitOps)
+	}
 	return r
 }
 
@@ -227,27 +204,4 @@ func meanAccuracy(accs map[string][]float64) (avg float64, min float64, byQuery 
 		avg /= float64(n)
 	}
 	return avg, min, byQuery
-}
-
-// rateSampler applies a query's preferred sampling mechanism at a fixed
-// rate, used by experiments that sweep sampling rates directly.
-type rateSampler struct {
-	ps *sampling.PacketSampler
-	fs *sampling.FlowSampler
-}
-
-func newRateSampler(seed uint64) *rateSampler {
-	return &rateSampler{
-		ps: sampling.NewPacketSampler(seed),
-		fs: sampling.NewFlowSampler(seed + 1),
-	}
-}
-
-func (r *rateSampler) startInterval() { r.fs.StartInterval() }
-
-func (r *rateSampler) sample(q queries.Query, pkts []pkt.Packet, rate float64) []pkt.Packet {
-	if q.Method() == sampling.Flow {
-		return r.fs.Sample(pkts, rate)
-	}
-	return r.ps.Sample(pkts, rate)
 }

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 func quickCfg() Config {
@@ -75,6 +78,61 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Error("render output missing experiment id")
 			}
 		})
+	}
+}
+
+// TestChapter3Claims pins the qualitative claims of Chapter 3 on the
+// tables as published: the default experiment config, the predictors
+// the engine runs, the overhead the engine charges.
+func TestChapter3Claims(t *testing.T) {
+	if testing.Short() {
+		t.Skip("default-config Chapter 3 runs are slow")
+	}
+	run := func(id string) *Result {
+		t.Helper()
+		res, err := Run(id, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	num := func(cell string) float64 {
+		t.Helper()
+		v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	// Table 3.3: average error over the queries, mlr < slr < ewma.
+	var ewma, slr, mlr float64
+	for _, row := range run("tab3.3").Tables[0].Rows {
+		ewma, slr, mlr = ewma+num(row[1]), slr+num(row[3]), mlr+num(row[5])
+	}
+	if !(mlr < slr && slr < ewma) {
+		t.Errorf("tab3.3 error sums: mlr %.4f, slr %.4f, ewma %.4f; want mlr < slr < ewma", mlr, slr, ewma)
+	}
+
+	// Table 3.4: extraction > fcbf > mlr, the whole below the paper's.
+	phase := map[string]float64{}
+	for _, row := range run("tab3.4").Tables[0].Rows {
+		phase[row[0]] = num(row[1])
+	}
+	if fe, fcbf, fit := phase["feature extraction"], phase["fcbf"], phase["mlr"]; !(fe > fcbf && fcbf > fit) {
+		t.Errorf("tab3.4 overheads: extraction %.2f%%, fcbf %.2f%%, mlr %.2f%%; want extraction > fcbf > mlr", fe, fcbf, fit)
+	}
+	if total := phase["total"]; total >= 10.97 {
+		t.Errorf("tab3.4 total overhead %.2f%%, want below the paper's 10.97%%", total)
+	}
+
+	// Figure 3.7: CESCA-II mean MLR error below 2 %.
+	f := run("fig3.7").Figures[1]
+	if f.ID != "fig3.7b" || f.Series[0].Name != "average" {
+		t.Fatalf("fig3.7's second figure is %s/%s, want the CESCA-II average", f.ID, f.Series[0].Name)
+	}
+	if e := stats.Mean(f.Series[0].Y); e >= 0.02 {
+		t.Errorf("fig3.7 CESCA-II mean error %.2f%%, want below 2%%", 100*e)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/pkt"
+	"repro/internal/predict"
 	"repro/internal/queries"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -61,7 +62,7 @@ func robustSys(cfg Config, detectOn bool) *loadshed.System {
 		Capacity:        math.Inf(1),
 		NoiseSigma:      -1,
 		Workers:         1,
-		HistoryLen:      120,
+		Predictor:       mkMLR(120, predict.DefaultThreshold),
 		ChangeDetection: detectOn,
 	}, robustQs(cfg.Seed))
 }

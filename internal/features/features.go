@@ -170,6 +170,10 @@ func (sk *Sketch) Pkts() int { return sk.n }
 // charges feature extraction in.
 func (sk *Sketch) Ops() int64 { return int64(sk.n) * pkt.NumAggregates }
 
+// CostPerOp is the price of one hash+insert operation in model cycles:
+// what the engine charges feature extraction per Ops (Table 3.4).
+const CostPerOp = 25
+
 // SelectInto fills dst with the sketch of the sub-stream idx selects
 // (ascending packet indices into sk, as the sampling kernels produce):
 // per aggregate, one MultiRes.InsertSelected straight from sk's hash
@@ -231,9 +235,9 @@ type Extractor struct {
 	intEst   [pkt.NumAggregates]float64 // current interval-bitmap estimate
 	scratch  Vector                     // returned by Extract/ExtractFromBatchOf
 
-	// Ops counts hash+insert operations performed, so the experiment
-	// harness can charge feature extraction its deterministic cost
-	// (Table 3.4).
+	// Ops counts hash+insert operations performed, so feature
+	// extraction can be charged its deterministic cost, Ops × CostPerOp
+	// (Table 3.4 reads the engine's count from its snapshot).
 	Ops int64
 }
 

@@ -3,8 +3,7 @@
 // history of (feature vector, cost) observations, with Fast
 // Correlation-Based Filter feature selection, plus the two baseline
 // predictors the chapter compares against (EWMA and simple linear
-// regression) and the last-value predictor used by the reactive load
-// shedding baseline.
+// regression).
 package predict
 
 import (
@@ -27,7 +26,8 @@ type Predictor interface {
 	// Observe feeds back the measured cost of the batch whose features
 	// are f, extending the model's history.
 	Observe(f features.Vector, cost float64)
-	// Name identifies the method ("mlr", "slr", "ewma", ...).
+	// Name identifies the method ("mlr", "slr", "ewma"); snapshots
+	// record it as the predictor kind.
 	Name() string
 }
 
@@ -86,9 +86,6 @@ func (h *History) Len() int {
 	}
 	return h.next
 }
-
-// Cap returns the history capacity.
-func (h *History) Cap() int { return h.capacity }
 
 // Costs returns the stored costs in slot order (OLS and Pearson are
 // order-invariant up to rounding), in a freshly allocated slice.
@@ -442,6 +439,13 @@ type MLR struct {
 	FitOps  int64 // scalar multiplies spent in the OLS solve
 }
 
+// Prices of the op counters in model cycles: what the engine charges
+// the prediction subsystem per FCBFOps and per FitOps (Table 3.4).
+const (
+	FCBFCostPerOp = 4 // per correlation multiply-accumulate
+	FitCostPerOp  = 6 // per OLS scalar multiply
+)
+
 // DefaultHistory and DefaultThreshold are the operating point chosen in
 // §3.3.1: 60 batches (6 s) of history and an FCBF threshold of 0.6.
 const (
@@ -605,22 +609,3 @@ func (e *EWMA) Observe(_ features.Vector, cost float64) { e.avg.Update(cost) }
 
 // Predict implements Predictor.
 func (e *EWMA) Predict(_ features.Vector) float64 { return e.avg.Value() }
-
-// Last predicts that the next batch costs exactly what the previous one
-// did — the implicit model of the reactive load shedding baseline
-// (§4.5.1).
-type Last struct {
-	cost float64
-}
-
-// NewLast returns a last-value predictor.
-func NewLast() *Last { return &Last{} }
-
-// Name implements Predictor.
-func (l *Last) Name() string { return "last" }
-
-// Observe implements Predictor.
-func (l *Last) Observe(_ features.Vector, cost float64) { l.cost = cost }
-
-// Predict implements Predictor.
-func (l *Last) Predict(_ features.Vector) float64 { return l.cost }

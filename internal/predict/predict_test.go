@@ -438,27 +438,11 @@ func TestEWMALagsStepChange(t *testing.T) {
 	}
 }
 
-func TestLastPredictor(t *testing.T) {
-	l := NewLast()
-	if l.Predict(nil) != 0 {
-		t.Fatal("cold Last != 0")
-	}
-	l.Observe(nil, 42)
-	if l.Predict(nil) != 42 {
-		t.Fatal("Last did not track")
-	}
-	l.Observe(nil, 7)
-	if l.Predict(nil) != 7 {
-		t.Fatal("Last did not update")
-	}
-}
-
 func TestPredictorNames(t *testing.T) {
 	cases := map[string]Predictor{
 		"mlr":  NewMLR(10, 0.6),
 		"slr":  NewSLR(10, 0),
 		"ewma": NewEWMA(0.3),
-		"last": NewLast(),
 	}
 	for want, p := range cases {
 		if p.Name() != want {

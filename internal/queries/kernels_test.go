@@ -247,8 +247,8 @@ func thinned(full []pkt.Batch, rate float64) map[sampling.Method][]pkt.Batch {
 	ps, fs := sampling.NewPacketSampler(1), sampling.NewFlowSampler(1)
 	for i := range full {
 		b := &full[i]
-		out[sampling.Packet] = append(out[sampling.Packet], pkt.Batch{Start: b.Start, Bin: b.Bin, Pkts: ps.Sample(b.Pkts, rate)})
-		out[sampling.Flow] = append(out[sampling.Flow], pkt.Batch{Start: b.Start, Bin: b.Bin, Pkts: fs.Sample(b.Pkts, rate)})
+		out[sampling.Packet] = append(out[sampling.Packet], pkt.Batch{Start: b.Start, Bin: b.Bin, Pkts: ps.SampleInto(nil, b.Pkts, rate)})
+		out[sampling.Flow] = append(out[sampling.Flow], pkt.Batch{Start: b.Start, Bin: b.Bin, Pkts: fs.SampleInto(nil, b.Pkts, rate)})
 	}
 	return out
 }

@@ -131,26 +131,13 @@ func (s *PacketSampler) SelectInto(idx []int32, n int, rate float64) []int32 {
 	return idx[:k]
 }
 
-// Sample returns the packets of b selected with probability rate. A
-// rate >= 1 returns the input slice itself (no copy — shedding nothing
-// is free), so the result may alias the caller's batch; consistent with
-// the trace.Source ownership contract, treat both as read-only. A rate
-// <= 0 selects nothing. Use SampleInto on the hot path to avoid the
-// per-call allocation.
-func (s *PacketSampler) Sample(pkts []pkt.Packet, rate float64) []pkt.Packet {
-	if rate >= 1 {
-		return pkts
-	}
-	if rate <= 0 {
-		return nil
-	}
-	return s.SampleInto(nil, pkts, rate)
-}
-
-// SampleInto is Sample writing the selection into dst (truncated, grown
-// only when capacity runs out) — the allocation-free form for callers
-// that own a per-sampler scratch slice: SelectInto, then one gather. A
-// rate >= 1 returns the input slice itself, bypassing dst.
+// SampleInto copies the packets of pkts selected with probability rate
+// into dst (truncated, grown only when capacity runs out): SelectInto,
+// then one gather. A rate >= 1 returns the input slice itself (no copy
+// — shedding nothing is free), bypassing dst, so the result may alias
+// the caller's batch; consistent with the trace.Source ownership
+// contract, treat both as read-only. A rate <= 0 selects nothing. The
+// engine reads a selection in place through pkt.Batch.Sel instead.
 func (s *PacketSampler) SampleInto(dst []pkt.Packet, pkts []pkt.Packet, rate float64) []pkt.Packet {
 	if rate >= 1 {
 		return pkts
@@ -229,23 +216,10 @@ func (s *FlowSampler) Keep(p *pkt.Packet, rate float64) bool {
 	return rate > 0 && s.h.HashAgg(p, pkt.Agg5Tuple)>>11 < threshold(rate)
 }
 
-// Sample returns the packets of b whose flows are selected at the given
-// rate. Like PacketSampler.Sample, a rate >= 1 aliases the input slice;
-// treat both as read-only. Use SampleInto on the hot path to avoid the
-// per-call allocation.
-func (s *FlowSampler) Sample(pkts []pkt.Packet, rate float64) []pkt.Packet {
-	if rate >= 1 {
-		return pkts
-	}
-	if rate <= 0 {
-		return nil
-	}
-	return s.SampleInto(nil, pkts, rate)
-}
-
-// SampleInto is Sample writing the selection into dst (truncated, grown
-// only when capacity runs out): SelectInto, then one gather. A rate >= 1
-// returns the input slice itself, bypassing dst.
+// SampleInto copies the packets of pkts whose flows are selected at rate
+// into dst (truncated, grown only when capacity runs out): SelectInto,
+// then one gather. Like PacketSampler.SampleInto, a rate >= 1 returns
+// the input slice itself, bypassing dst; treat both as read-only.
 func (s *FlowSampler) SampleInto(dst []pkt.Packet, pkts []pkt.Packet, rate float64) []pkt.Packet {
 	if rate >= 1 {
 		return pkts

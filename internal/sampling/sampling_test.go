@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -38,7 +39,7 @@ func TestMethodStrings(t *testing.T) {
 func TestPacketSampleRateOne(t *testing.T) {
 	s := NewPacketSampler(1)
 	in := genPackets(100)
-	out := s.Sample(in, 1)
+	out := s.SampleInto(nil, in, 1)
 	if len(out) != 100 {
 		t.Fatalf("rate 1 dropped packets: %d", len(out))
 	}
@@ -46,7 +47,7 @@ func TestPacketSampleRateOne(t *testing.T) {
 
 func TestPacketSampleRateZero(t *testing.T) {
 	s := NewPacketSampler(1)
-	if out := s.Sample(genPackets(100), 0); out != nil {
+	if out := s.SampleInto(nil, genPackets(100), 0); len(out) != 0 {
 		t.Fatalf("rate 0 kept %d packets", len(out))
 	}
 }
@@ -54,7 +55,7 @@ func TestPacketSampleRateZero(t *testing.T) {
 func TestPacketSampleUnbiased(t *testing.T) {
 	s := NewPacketSampler(2)
 	in := genPackets(200000)
-	out := s.Sample(in, 0.3)
+	out := s.SelectInto(nil, len(in), 0.3)
 	frac := float64(len(out)) / float64(len(in))
 	if math.Abs(frac-0.3) > 0.01 {
 		t.Fatalf("sampled fraction = %v, want 0.3", frac)
@@ -65,9 +66,9 @@ func TestPacketSampleDeterministic(t *testing.T) {
 	a := NewPacketSampler(7)
 	b := NewPacketSampler(7)
 	in := genPackets(1000)
-	oa := a.Sample(in, 0.5)
-	ob := b.Sample(in, 0.5)
-	if len(oa) != len(ob) {
+	oa := a.SelectInto(nil, len(in), 0.5)
+	ob := b.SelectInto(nil, len(in), 0.5)
+	if !slices.Equal(oa, ob) {
 		t.Fatal("same seed sampled differently")
 	}
 }
@@ -82,9 +83,8 @@ func TestFlowSampleKeepsWholeFlows(t *testing.T) {
 		}
 		kept := map[pkt.FlowKey]bool{}
 		dropped := map[pkt.FlowKey]bool{}
-		out := fs.Sample(b.Pkts, 0.5)
-		for i := range out {
-			kept[out[i].FlowKey()] = true
+		for _, i := range fs.SelectInto(nil, b.Pkts, 0.5) {
+			kept[b.Pkts[i].FlowKey()] = true
 		}
 		for i := range b.Pkts {
 			k := b.Pkts[i].FlowKey()
@@ -107,7 +107,7 @@ func TestFlowSampleRateProportionOfFlows(t *testing.T) {
 	for i := range in {
 		in[i] = pkt.Packet{SrcIP: uint32(i), DstIP: 1, SrcPort: uint16(i), DstPort: 80, Proto: pkt.ProtoTCP}
 	}
-	out := fs.Sample(in, 0.25)
+	out := fs.SelectInto(nil, in, 0.25)
 	frac := float64(len(out)) / float64(len(in))
 	if math.Abs(frac-0.25) > 0.02 {
 		t.Fatalf("flow-sampled fraction = %v, want 0.25", frac)
@@ -117,28 +117,16 @@ func TestFlowSampleRateProportionOfFlows(t *testing.T) {
 func TestFlowSamplerIntervalRedraw(t *testing.T) {
 	fs := NewFlowSampler(9)
 	in := genPackets(5000)
-	before := len(fs.Sample(in, 0.5))
+	before := len(fs.SelectInto(nil, in, 0.5))
 	fs.StartInterval()
-	after := len(fs.Sample(in, 0.5))
+	after := len(fs.SelectInto(nil, in, 0.5))
 	// A redrawn hash function must make different selections: identical
 	// counts for every flow set would be astronomically unlikely, but we
 	// compare membership to be explicit.
 	if before == after {
-		same := true
-		a := fs.Sample(in, 0.5)
+		a := fs.SelectInto(nil, in, 0.5)
 		fs.StartInterval()
-		b := fs.Sample(in, 0.5)
-		if len(a) != len(b) {
-			same = false
-		} else {
-			for i := range a {
-				if a[i].SrcIP != b[i].SrcIP {
-					same = false
-					break
-				}
-			}
-		}
-		if same {
+		if slices.Equal(a, fs.SelectInto(nil, in, 0.5)) {
 			t.Fatal("hash function not redrawn across intervals")
 		}
 	}
@@ -147,10 +135,10 @@ func TestFlowSamplerIntervalRedraw(t *testing.T) {
 func TestFlowSampleEdgeRates(t *testing.T) {
 	fs := NewFlowSampler(11)
 	in := genPackets(50)
-	if got := fs.Sample(in, 1); len(got) != 50 {
+	if got := fs.SelectInto(nil, in, 1); len(got) != 50 {
 		t.Fatal("rate 1 must keep everything")
 	}
-	if got := fs.Sample(in, 0); got != nil {
+	if got := fs.SelectInto(nil, in, 0); len(got) != 0 {
 		t.Fatal("rate 0 must drop everything")
 	}
 	p := in[0]
@@ -166,30 +154,21 @@ func TestFlowSampleEdgeRates(t *testing.T) {
 // trace.Source contract documents: at rate >= 1 both samplers return
 // the input slice itself (no copy), so callers must treat the result —
 // and the input — as read-only. If this ever changes to a copy, the
-// contract note on Sample and on trace.Source must change with it.
+// contract note on SampleInto and on trace.Source must change with it.
 func TestSampleAliasesInputAtFullRate(t *testing.T) {
 	in := genPackets(32)
 	ps := NewPacketSampler(1)
-	if got := ps.Sample(in, 1); len(got) != len(in) || &got[0] != &in[0] {
-		t.Fatal("PacketSampler.Sample(rate>=1) must return the input slice unchanged")
+	if got := ps.SampleInto(nil, in, 1); len(got) != len(in) || &got[0] != &in[0] {
+		t.Fatal("PacketSampler.SampleInto(rate>=1) must return the input slice unchanged")
 	}
 	fs := NewFlowSampler(2)
-	if got := fs.Sample(in, 1.5); len(got) != len(in) || &got[0] != &in[0] {
-		t.Fatal("FlowSampler.Sample(rate>=1) must return the input slice unchanged")
+	if got := fs.SampleInto(nil, in, 1.5); len(got) != len(in) || &got[0] != &in[0] {
+		t.Fatal("FlowSampler.SampleInto(rate>=1) must return the input slice unchanged")
 	}
 	// Below full rate the result must NOT alias the input's backing
 	// array, so a query mutating nothing can still re-slice freely.
-	if got := ps.Sample(in, 0.5); len(got) > 0 && &got[0] == &in[0] {
+	if got := ps.SampleInto(nil, in, 0.5); len(got) > 0 && &got[0] == &in[0] {
 		t.Fatal("sampled output aliases the input slice head")
-	}
-}
-
-func BenchmarkFlowSample(b *testing.B) {
-	fs := NewFlowSampler(1)
-	in := genPackets(2500)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fs.Sample(in, 0.5)
 	}
 }
 
@@ -315,7 +294,7 @@ func TestSelectIntoZeroAlloc(t *testing.T) {
 
 // TestSampleIntoZeroAllocSteadyState is the PR 5 allocation guard for
 // the samplers: with a warmed caller-owned scratch, SampleInto must not
-// allocate, and it must select exactly the packets Sample does.
+// allocate.
 func TestSampleIntoZeroAllocSteadyState(t *testing.T) {
 	pkts := genPackets(4096)
 	ps := NewPacketSampler(5)
@@ -339,31 +318,36 @@ func TestSampleIntoZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestSampleIntoMatchesSample pins the equivalence contract: same RNG
-// stream, same selection.
-func TestSampleIntoMatchesSample(t *testing.T) {
+// TestSampleIntoMatchesSelectInto pins the equivalence contract: a
+// SampleInto copy holds exactly the packets a twin sampler's SelectInto
+// indexes — the view the engine reads through pkt.Batch.Sel — and both
+// leave the RNG in the same position.
+func TestSampleIntoMatchesSelectInto(t *testing.T) {
 	pkts := genPackets(2048)
+	same := func(t *testing.T, what string, got []pkt.Packet, idx []int32) {
+		t.Helper()
+		if len(got) != len(idx) {
+			t.Fatalf("%s: lengths %d vs %d", what, len(got), len(idx))
+		}
+		for j, i := range idx {
+			if got[j].FlowKey() != pkts[i].FlowKey() { // unique per packet in genPackets(2048)
+				t.Fatalf("%s: packet %d differs", what, j)
+			}
+		}
+	}
 	for _, rate := range []float64{-0.1, 0, 0.25, 0.7, 1, 1.5} {
 		a, b := NewPacketSampler(9), NewPacketSampler(9)
 		var dst []pkt.Packet
+		var idx []int32
 		for round := 0; round < 3; round++ {
-			want := a.Sample(pkts, rate)
+			idx = a.SelectInto(idx, len(pkts), rate)
 			dst = b.SampleInto(dst, pkts, rate)
-			if len(want) != len(dst) {
-				t.Fatalf("rate %v round %d: lengths %d vs %d", rate, round, len(want), len(dst))
-			}
-			for i := range want {
-				if want[i].SrcIP != dst[i].SrcIP || want[i].DstIP != dst[i].DstIP ||
-					want[i].SrcPort != dst[i].SrcPort || want[i].Ts != dst[i].Ts {
-					t.Fatalf("rate %v round %d: packet %d differs", rate, round, i)
-				}
+			same(t, fmt.Sprintf("packet rate %v round %d", rate, round), dst, idx)
+			if a.State() != b.State() {
+				t.Fatalf("packet rate %v round %d: RNG states diverged", rate, round)
 			}
 		}
 		fa, fb := NewFlowSampler(9), NewFlowSampler(9)
-		want := fa.Sample(pkts, rate)
-		dst = fb.SampleInto(dst, pkts, rate)
-		if len(want) != len(dst) {
-			t.Fatalf("flow rate %v: lengths %d vs %d", rate, len(want), len(dst))
-		}
+		same(t, fmt.Sprintf("flow rate %v", rate), fb.SampleInto(dst, pkts, rate), fa.SelectInto(idx, pkts, rate))
 	}
 }

@@ -3,7 +3,7 @@ package loadshed
 // checkpoint.go — the transferable form of a shard. A SystemSnapshot
 // alone is not enough to adopt a shard on another process: the adopter
 // also has to rebuild an equivalent System (same scheme, strategy,
-// predictor, seeds, query set in order) and reopen the shard's traffic
+// seeds, query set in order) and reopen the shard's traffic
 // source positioned at the right batch. ShardCheckpoint bundles all
 // three — a self-describing ShardSpec, the snapshot, and the bin to
 // resume from — into one gob blob that travels over the coordinator
@@ -44,17 +44,18 @@ type QuerySpec struct {
 // source from nothing — the part of a checkpoint that is configuration
 // rather than state. Only spec-constructible shards are adoptable:
 // queries must come from QueryByName (custom instances cannot be
-// serialized) and custom shedding must be off (Snapshot refuses it
-// anyway).
+// serialized), custom shedding must be off (Snapshot refuses it
+// anyway), and the predictor is the default MLR (Restore refuses a
+// snapshot of another predictor kind or history length; blobs of
+// earlier builds that still carry PredictorKind/HistoryLen decode with
+// both ignored).
 type ShardSpec struct {
 	// System configuration.
 	Scheme          string // ParseScheme name
 	Strategy        string // StrategyByName name; "" = single global rate
-	PredictorKind   string // "" selects the default (mlr)
 	Seed            uint64
 	Capacity        float64
 	Workers         int
-	HistoryLen      int
 	ChangeDetection bool
 	CustomShedding  bool // absent (false) in blobs of earlier builds
 	Queries         []QuerySpec
@@ -79,9 +80,8 @@ type ShardSpec struct {
 // inside a checkpoint, from a socket or a state directory, and these
 // fields size goroutine pools and slices directly.
 const (
-	maxSpecWorkers    = 256
-	maxSpecHistoryLen = 1024
-	maxSpecQueries    = 64
+	maxSpecWorkers = 256
+	maxSpecQueries = 64
 )
 
 // NewSystem rebuilds the shard's System from the spec. The result is
@@ -91,17 +91,15 @@ func (sp *ShardSpec) NewSystem() (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loadshed: shard spec: %w", err)
 	}
-	if sp.Workers < 0 || sp.Workers > maxSpecWorkers || sp.HistoryLen < 0 || sp.HistoryLen > maxSpecHistoryLen || len(sp.Queries) > maxSpecQueries {
-		return nil, fmt.Errorf("loadshed: shard spec: %d workers, history length %d or %d queries out of bounds (at most %d, %d, %d)",
-			sp.Workers, sp.HistoryLen, len(sp.Queries), maxSpecWorkers, maxSpecHistoryLen, maxSpecQueries)
+	if sp.Workers < 0 || sp.Workers > maxSpecWorkers || len(sp.Queries) > maxSpecQueries {
+		return nil, fmt.Errorf("loadshed: shard spec: %d workers or %d queries out of bounds (at most %d, %d)",
+			sp.Workers, len(sp.Queries), maxSpecWorkers, maxSpecQueries)
 	}
 	cfg := Config{
 		Scheme:          scheme,
 		Capacity:        sp.Capacity,
 		Seed:            sp.Seed,
 		Workers:         sp.Workers,
-		PredictorKind:   sp.PredictorKind,
-		HistoryLen:      sp.HistoryLen,
 		ChangeDetection: sp.ChangeDetection,
 		CustomShedding:  sp.CustomShedding,
 	}

@@ -58,10 +58,10 @@ type Shard struct {
 type ClusterConfig struct {
 	// Base is the per-shard engine template. Capacity is ignored (the
 	// coordinator owns the budget); Seed is offset per shard so every
-	// link draws independent streams. Probe and Arrival.Make closures,
-	// if set, are invoked concurrently from shard runners (every shard
-	// reaches a given bin in the same round) and must not mutate shared
-	// state.
+	// link draws independent streams. Arrival.Make and Predictor
+	// closures, if set, are invoked concurrently from shard runners
+	// (every shard reaches a given bin in the same round) and must not
+	// mutate shared state.
 	Base Config
 
 	// TotalCapacity is the machine's cycle budget per bin, shared by

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/detect"
 	"repro/internal/features"
+	"repro/internal/predict"
 	"repro/internal/queries"
 	"repro/internal/trace"
 )
@@ -56,13 +57,14 @@ func driftQueries() []queries.Query {
 // thresholds, truncation on a verdict.
 func driftConfig(detectOn bool) Config {
 	return Config{
-		Scheme:          Predictive,
-		Strategy:        MMFSPkt(),
-		Seed:            99,
-		Capacity:        math.Inf(1),
-		NoiseSigma:      -1,
-		Workers:         1,
-		HistoryLen:      120, // a long fitting window makes stale-history contamination visible
+		Scheme:     Predictive,
+		Strategy:   MMFSPkt(),
+		Seed:       99,
+		Capacity:   math.Inf(1),
+		NoiseSigma: -1,
+		Workers:    1,
+		// A long fitting window makes stale-history contamination visible.
+		Predictor:       func() predict.Predictor { return predict.NewMLR(120, predict.DefaultThreshold) },
 		ChangeDetection: detectOn,
 	}
 }

@@ -81,14 +81,14 @@ func (s Scheme) String() string {
 	}
 }
 
-// Cost coefficients of the platform itself (the "como_cycles" and
-// prediction-subsystem costs of Algorithm 1). Values are cycles.
+// Cost coefficients of the platform itself (the "como_cycles" of
+// Algorithm 1). Values are cycles. The prediction subsystem's prices
+// sit beside the counters they price: features.CostPerOp for
+// extraction, predict.FCBFCostPerOp and predict.FitCostPerOp for the
+// MLR refit.
 const (
 	comoPerBin       = 1e5   // fixed platform work per batch
 	comoPerPkt       = 40    // capture/filter cost per admitted packet
-	feCostPerOp      = 25    // feature extraction, per hash+insert op
-	fcbfCostPerOp    = 4     // FCBF, per correlation multiply-accumulate
-	mlrCostPerOp     = 6     // OLS solve, per scalar multiply
 	sampleCostPerPkt = 10    // sampling decision per packet
 	diskSpikeProb    = 0.004 // rare platform spikes (disk, kernel)
 	diskSpikeFactor  = 20.0  // spike size, × comoPerBin
@@ -105,10 +105,15 @@ type Config struct {
 	Strategy sched.Strategy // per-query strategy; nil = single global rate (Ch. 4)
 	Seed     uint64
 
-	HistoryLen    int    // MLR history length; predict.DefaultHistory if 0
-	PredictorKind string // "mlr" (default), "slr", "ewma"
+	// Predictor builds one query's cost predictor (Chapter 3). It is
+	// called once per query — at construction, on AddQuery and for each
+	// Arrival — so it must return a fresh instance every call. nil
+	// selects MLR+FCBF at predict.DefaultHistory and
+	// predict.DefaultThreshold. Snapshot and Restore support the mlr,
+	// slr and ewma predictors.
+	Predictor func() predict.Predictor
 
-	NoiseSigma float64 // lognormal sigma of cost measurement noise (default 0.01)
+	NoiseSigma float64 // lognormal sigma of cost measurement noise (default 0.01; negative = none)
 	SpikeProb  float64 // probability of a cost spike (×2.5) per query-bin (default 0)
 
 	// Workers bounds the engine's total concurrency. 0 selects
@@ -133,11 +138,6 @@ type Config struct {
 	// results of late queries are nil.
 	Arrivals []Arrival
 
-	// Probe, when set, is invoked after every processed bin; experiment
-	// harnesses use it to sample internal state (e.g. the custom
-	// shedding audit pairs of Figure 6.3).
-	Probe func(bin int)
-
 	// ChangeDetection enables the online drift detector (internal/
 	// detect, at its package-default thresholds): every bin it observes
 	// the extracted feature vector and the aggregate prediction
@@ -160,11 +160,10 @@ type Arrival struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.HistoryLen == 0 {
-		c.HistoryLen = predict.DefaultHistory
-	}
-	if c.PredictorKind == "" {
-		c.PredictorKind = "mlr"
+	if c.Predictor == nil {
+		c.Predictor = func() predict.Predictor {
+			return predict.NewMLR(predict.DefaultHistory, predict.DefaultThreshold)
+		}
 	}
 	if c.NoiseSigma == 0 {
 		c.NoiseSigma = 0.01
@@ -244,7 +243,7 @@ type RunResult struct {
 type runQuery struct {
 	q     queries.Query
 	pred  predict.Predictor
-	mlr   *predict.MLR // non-nil when PredictorKind == "mlr"
+	mlr   *predict.MLR // pred, when it is an MLR
 	ext   *features.Extractor
 	fsamp *sampling.FlowSampler
 	psamp *sampling.PacketSampler
@@ -504,17 +503,9 @@ func (s *System) addQuery(q queries.Query) {
 		fsamp: sampling.NewFlowSampler(s.cfg.Seed + uint64(i)*31 + 7),
 		psamp: sampling.NewPacketSampler(s.cfg.Seed + uint64(i)*17 + 3),
 		noise: hash.NewXorShift(s.cfg.Seed + uint64(i)*0x2b5ad + 0x6e01),
+		pred:  s.cfg.Predictor(),
 	}
-	switch s.cfg.PredictorKind {
-	case "slr":
-		rq.pred = predict.NewSLR(s.cfg.HistoryLen, features.IdxPackets)
-	case "ewma":
-		rq.pred = predict.NewEWMA(predict.DefaultEWMAAlpha)
-	default:
-		m := predict.NewMLR(s.cfg.HistoryLen, predict.DefaultThreshold)
-		rq.pred = m
-		rq.mlr = m
-	}
+	rq.mlr, _ = rq.pred.(*predict.MLR)
 	if s.manager != nil {
 		if sh, ok := q.(custom.Shedder); ok && q.Method() == sampling.Custom {
 			rq.shed = s.manager.Register(q.Name(), sh, q.MinRate())
@@ -671,9 +662,6 @@ func (r *runner) step() bool {
 		return false
 	}
 	r.sink.OnBin(&r.lastBin)
-	if s.cfg.Probe != nil {
-		s.cfg.Probe(r.bin)
-	}
 	r.bin++
 	return true
 }

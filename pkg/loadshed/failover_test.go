@@ -205,9 +205,10 @@ func TestPlannedMigrationBitIdentical(t *testing.T) {
 
 // legacyCheckpoint re-encodes cp the way the build before ShardSpec
 // lost its NoPipeline field wrote it (the structs below are copies of
-// that build's), and decodes the blob with the current decoder: state
-// directories and in-flight offers written by the old build must stay
-// readable.
+// that build's, PredictorKind and HistoryLen included, which later
+// builds dropped too), and decodes the blob with the current decoder:
+// state directories and in-flight offers written by the old build must
+// stay readable.
 func legacyCheckpoint(t *testing.T, cp *ShardCheckpoint) *ShardCheckpoint {
 	t.Helper()
 	type legacyShardSpec struct {
@@ -240,9 +241,9 @@ func legacyCheckpoint(t *testing.T, cp *ShardCheckpoint) *ShardCheckpoint {
 	old := legacyShardCheckpoint{
 		Version: cp.Version, Node: cp.Node, Bin: cp.Bin, Final: cp.Final, Snap: cp.Snap,
 		Spec: legacyShardSpec{
-			Scheme: sp.Scheme, Strategy: sp.Strategy, PredictorKind: sp.PredictorKind,
+			Scheme: sp.Scheme, Strategy: sp.Strategy, PredictorKind: "mlr",
 			Seed: sp.Seed, Capacity: sp.Capacity, Workers: sp.Workers, NoPipeline: true,
-			HistoryLen: sp.HistoryLen, ChangeDetection: sp.ChangeDetection, Queries: sp.Queries,
+			HistoryLen: 60, ChangeDetection: sp.ChangeDetection, Queries: sp.Queries,
 			MinShare: sp.MinShare, Ingest: sp.Ingest, Preset: sp.Preset,
 			TraceSeed: sp.TraceSeed, TraceDur: sp.TraceDur, Scale: sp.Scale,
 		},

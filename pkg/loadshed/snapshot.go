@@ -59,7 +59,7 @@ type QuerySnapshot struct {
 	PSampState    uint64 // per-query packet-sampler RNG position
 	FSampInterval uint64 // per-query flow-sampler interval counter
 
-	// Predictor state, populated according to the system's
+	// Predictor state, populated according to the snapshot's
 	// PredictorKind: Hist for mlr and slr (plus the MLR op counters),
 	// the EWMA pair for ewma.
 	Hist       *predict.HistoryState
@@ -80,7 +80,9 @@ type SystemSnapshot struct {
 	// straight to Restore may leave it zero.
 	Version int
 
-	Seed          uint64
+	Seed uint64
+	// PredictorKind is the Name() of every query's predictor; a system
+	// whose queries run different kinds is not snapshottable.
 	PredictorKind string
 
 	Governor      core.State
@@ -148,7 +150,6 @@ func (s *System) Snapshot() (*SystemSnapshot, error) {
 	}
 	snap := &SystemSnapshot{
 		Seed:          s.cfg.Seed,
-		PredictorKind: s.cfg.PredictorKind,
 		Governor:      s.gov.Snapshot(),
 		NoiseState:    s.noise.State(),
 		ShedSampState: s.shedSamp.State(),
@@ -165,6 +166,11 @@ func (s *System) Snapshot() (*SystemSnapshot, error) {
 	for _, rq := range s.qs {
 		if rq == nil {
 			continue // tombstoned by a mid-run removal; gone semantically
+		}
+		if kind := rq.pred.Name(); snap.PredictorKind == "" {
+			snap.PredictorKind = kind
+		} else if kind != snap.PredictorKind {
+			return nil, fmt.Errorf("loadshed: snapshot: query %q predicts with %q, others with %q", rq.q.Name(), kind, snap.PredictorKind)
 		}
 		qs := QuerySnapshot{
 			Name:          rq.q.Name(),
@@ -199,9 +205,6 @@ func (s *System) Snapshot() (*SystemSnapshot, error) {
 // verifies what it can (predictor kind, query names and order, history
 // capacity) and reports mismatches rather than installing a torn state.
 func (s *System) Restore(snap *SystemSnapshot) error {
-	if snap.PredictorKind != s.cfg.PredictorKind {
-		return fmt.Errorf("loadshed: restore: predictor kind %q, snapshot has %q", s.cfg.PredictorKind, snap.PredictorKind)
-	}
 	if s.manager != nil {
 		return fmt.Errorf("loadshed: restore: custom shedding systems are not snapshottable")
 	}
@@ -211,8 +214,12 @@ func (s *System) Restore(snap *SystemSnapshot) error {
 	}
 	live := 0
 	for _, rq := range s.qs {
-		if rq != nil {
-			live++
+		if rq == nil {
+			continue
+		}
+		live++
+		if kind := rq.pred.Name(); kind != snap.PredictorKind {
+			return fmt.Errorf("loadshed: restore: query %q predicts with %q, snapshot has %q", rq.q.Name(), kind, snap.PredictorKind)
 		}
 	}
 	if live != len(snap.Queries) {

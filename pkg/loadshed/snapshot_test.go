@@ -11,9 +11,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/features"
+	"repro/internal/predict"
 	"repro/internal/queries"
 	"repro/internal/trace"
 )
+
+// predictorKinds maps each snapshottable predictor kind to the
+// Config.Predictor that builds it (nil: the default MLR).
+var predictorKinds = map[string]func() predict.Predictor{
+	"mlr":  nil,
+	"slr":  func() predict.Predictor { return predict.NewSLR(predict.DefaultHistory, features.IdxPackets) },
+	"ewma": func() predict.Predictor { return predict.NewEWMA(predict.DefaultEWMAAlpha) },
+}
 
 // snapshotTestQueries returns the fresh query set every system in these
 // tests runs.
@@ -46,12 +56,12 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			capacity := MeasureCapacity(trace.NewMemorySource(batches, bin), qs, 77) * 0.7
 			mkSys := func() *System {
 				return New(Config{
-					Scheme:        Predictive,
-					Strategy:      MMFSPkt(),
-					Seed:          99,
-					Capacity:      capacity,
-					Workers:       1,
-					PredictorKind: kind,
+					Scheme:    Predictive,
+					Strategy:  MMFSPkt(),
+					Seed:      99,
+					Capacity:  capacity,
+					Workers:   1,
+					Predictor: predictorKinds[kind],
 				}, snapshotTestQueries())
 			}
 
@@ -163,22 +173,26 @@ func TestRestoreSnapshotOfEarlierBuild(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreErrors pins the refusal paths: snapshots refuse
-// queued registry ops, and Restore refuses mismatched predictor kinds
-// and query sets instead of installing a torn state.
-func TestSnapshotRestoreErrors(t *testing.T) {
-	mk := func(kind string, qs []queries.Query) *System {
-		return New(Config{
-			Scheme:        Predictive,
-			Strategy:      MMFSPkt(),
-			Seed:          99,
-			Capacity:      1e6,
-			Workers:       1,
-			PredictorKind: kind,
-		}, qs)
-	}
+// snapshotErrorSystem is the small predictive system the refusal tests
+// snapshot and restore.
+func snapshotErrorSystem(pred func() predict.Predictor, qs []queries.Query) *System {
+	return New(Config{
+		Scheme:    Predictive,
+		Strategy:  MMFSPkt(),
+		Seed:      99,
+		Capacity:  1e6,
+		Workers:   1,
+		Predictor: pred,
+	}, qs)
+}
 
-	s := mk("mlr", snapshotTestQueries())
+// TestSnapshotRestoreErrors pins the refusal paths: snapshots refuse
+// queued registry ops, and Restore refuses mismatched query sets
+// instead of installing a torn state.
+func TestSnapshotRestoreErrors(t *testing.T) {
+	mk := func(qs []queries.Query) *System { return snapshotErrorSystem(nil, qs) }
+
+	s := mk(snapshotTestQueries())
 	if err := s.AddQuery(queries.NewHighWatermark(queries.Config{Seed: 3})); err != nil {
 		t.Fatalf("queue add: %v", err)
 	}
@@ -186,21 +200,68 @@ func TestSnapshotRestoreErrors(t *testing.T) {
 		t.Fatal("snapshot with queued registry ops must fail")
 	}
 
-	donor := mk("mlr", snapshotTestQueries())
+	donor := mk(snapshotTestQueries())
 	snap, err := donor.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	if err := mk("ewma", snapshotTestQueries()).Restore(snap); err == nil {
-		t.Fatal("restore across predictor kinds must fail")
-	}
-	short := mk("mlr", snapshotTestQueries()[:2])
+	short := mk(snapshotTestQueries()[:2])
 	if err := short.Restore(snap); err == nil {
 		t.Fatal("restore with a smaller query set must fail")
 	}
 	reordered := snapshotTestQueries()
 	reordered[0], reordered[1] = reordered[1], reordered[0]
-	if err := mk("mlr", reordered).Restore(snap); err == nil {
+	if err := mk(reordered).Restore(snap); err == nil {
 		t.Fatal("restore with reordered queries must fail")
+	}
+}
+
+// TestRestoreRefusesOtherPredictor: the predictor is a constructor, not
+// a ShardSpec field, so what guards a resume is the snapshot itself —
+// its stamped kind and each ring's capacity. A snapshot of one kind or
+// history length must not install into a system built with another,
+// including slr into mlr, whose rings have the same shape; and a system
+// whose queries predict with different kinds has no one kind to stamp.
+func TestRestoreRefusesOtherPredictor(t *testing.T) {
+	mlr30 := func() predict.Predictor { return predict.NewMLR(30, predict.DefaultThreshold) }
+	snapOf := func(pred func() predict.Predictor) *SystemSnapshot {
+		t.Helper()
+		snap, err := snapshotErrorSystem(pred, snapshotTestQueries()).Snapshot()
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		return snap
+	}
+	mlr := snapOf(nil)
+	if mlr.PredictorKind != "mlr" {
+		t.Fatalf("default predictor stamped %q, want mlr", mlr.PredictorKind)
+	}
+	for _, c := range []struct {
+		name string
+		snap *SystemSnapshot
+		into func() predict.Predictor
+	}{
+		{"mlr into ewma", mlr, predictorKinds["ewma"]},
+		{"mlr into slr", mlr, predictorKinds["slr"]},
+		{"slr into mlr", snapOf(predictorKinds["slr"]), nil},
+		{"mlr history 60 into 30", mlr, mlr30},
+		{"mlr history 30 into 60", snapOf(mlr30), nil},
+	} {
+		if err := snapshotErrorSystem(c.into, snapshotTestQueries()).Restore(c.snap); err == nil {
+			t.Errorf("%s: restore must fail", c.name)
+		}
+	}
+	if err := snapshotErrorSystem(nil, snapshotTestQueries()).Restore(encodeDecode(t, mlr)); err != nil {
+		t.Fatalf("same kind and history must restore: %v", err)
+	}
+
+	kinds := []func() predict.Predictor{predictorKinds["ewma"], mlr30}
+	mixed := snapshotErrorSystem(func() predict.Predictor {
+		p := kinds[0]()
+		kinds = kinds[1:]
+		return p
+	}, snapshotTestQueries()[:2])
+	if _, err := mixed.Snapshot(); err == nil {
+		t.Fatal("snapshot of mixed predictor kinds must fail")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/hash"
 	"repro/internal/pkt"
+	"repro/internal/predict"
 	"repro/internal/sampling"
 	"repro/internal/sched"
 )
@@ -189,7 +190,7 @@ func (s *System) extractPredict(bc *BinContext) {
 	}
 	bc.sketch = sk
 	s.globalExt.Ops += sk.Ops()
-	bc.overhead += feCostPerOp * float64(sk.Ops())
+	bc.overhead += features.CostPerOp * float64(sk.Ops())
 	// FinishSketchInto writes the extractor's scratch vector — no
 	// per-bin allocation. It stays valid for the whole bin (workers read
 	// it in execute) because the next write to it is the next bin's
@@ -205,7 +206,7 @@ func (s *System) extractPredict(bc *BinContext) {
 		}
 		p := rq.pred.Predict(bc.fv)
 		if rq.mlr != nil {
-			bc.overhead += fcbfCostPerOp*float64(rq.mlr.FCBFOps-fcbf) + mlrCostPerOp*float64(rq.mlr.FitOps-fit)
+			bc.overhead += predict.FCBFCostPerOp*float64(rq.mlr.FCBFOps-fcbf) + predict.FitCostPerOp*float64(rq.mlr.FitOps-fit)
 		}
 		bc.Stats.QueryPred[i] = p
 		predSum += p
@@ -342,7 +343,7 @@ func (s *System) execute(bc *BinContext) {
 			}
 			ops := bc.shedSketch.Ops()
 			s.shedOps += ops
-			bc.shedCycles += feCostPerOp * float64(ops)
+			bc.shedCycles += features.CostPerOp * float64(ops)
 			bc.shedCycles += sampleCostPerPkt * float64(len(bc.Admitted.Pkts))
 		}
 	}

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Prints the two size numbers CHANGES.md tracks per PR (ROADMAP,
+# Prints the size numbers CHANGES.md tracks per PR (ROADMAP,
 # consolidation item), for the program only — tests and the bench/
 # module are not counted:
 #
 #   non-test LOC       non-blank, non-comment-only lines
 #   exported symbols   top-level exported funcs, methods, types, consts
 #                      and vars (struct fields are not counted)
+#   Config fields      the settable fields of loadshed.Config, the
+#                      engine's option surface
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -27,5 +29,14 @@ symbols=$(files | xargs awk '
 	END                                        { print n + 0 }
 ')
 
+# Inside the gofmt'd struct a field line is one tab, a name, a space.
+fields=$(awk '
+	/^type Config struct \{$/      { inside = 1; next }
+	inside && /^\}/                { exit }
+	inside && /^\t[A-Z][A-Za-z0-9_]* / { n++ }
+	END                           { print n + 0 }
+' pkg/loadshed/engine.go)
+
 echo "non-test LOC:     $loc"
 echo "exported symbols: $symbols"
+echo "Config fields:    $fields"
