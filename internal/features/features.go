@@ -5,12 +5,16 @@
 // current measurement interval, repeated items in the batch and repeated
 // items relative to the interval — for a total of 42 features.
 //
-// Distinct counting uses multi-resolution bitmaps so the per-packet cost
-// is deterministic: one H3 hash and one bitmap write per aggregate.
+// Distinct counting uses multi-resolution bitmaps so the cost is
+// deterministic: the paper's one H3 hash and one bitmap write per packet
+// per aggregate, which is what Ops charges. The implementation pays it
+// per distinct 5-tuple instead (see Sketch), after one index probe per
+// packet.
 package features
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/bitmap"
@@ -109,18 +113,26 @@ func newBitmaps() (bm bitmaps) {
 	return bm
 }
 
-// Sketch is the per-batch half of feature extraction: for each header
-// aggregate, the column of its packets' finalized H3 hashes
-// (cols[a][i] belongs to packet i), the multi-resolution bitmap those
-// hashes were inserted into, and that bitmap's estimate. A Sketch
+// Sketch is the per-batch half of feature extraction: the batch's flow
+// index, for each header aggregate the column of its flows' finalized
+// H3 hashes (cols[a][f] belongs to flow f), the multi-resolution bitmap
+// those hashes were inserted into, and that bitmap's estimate. A Sketch
 // carries no interval state, so filling one is a pure function of (hash
 // seed, packet slice): it can run ahead of the bin that will consume it,
 // and two sketches can be filled concurrently.
 //
-// Keeping the columns (80 B per packet) is what makes a sub-stream's
-// sketch cheap: SelectInto inserts the selected packets' hashes
-// straight from them and Truncate re-inserts a prefix, neither touching
-// a packet or an H3 table again.
+// Every aggregate key is a projection of the 5-tuple, so the packets of
+// one flow share all ten hashes, and a bitmap insert is an idempotent
+// OR. A fill therefore hashes and inserts each distinct 5-tuple once,
+// from its first packet, and its bitmaps are bit for bit those of
+// inserting every packet. Pkts and Ops still count packets: the cost
+// model prices the paper's per-packet algorithm, not this one.
+//
+// Keeping the columns (80 B per flow) and the index (4 B per packet) is
+// what makes a sub-stream's sketch cheap: SelectInto inserts the flows
+// the selected packets belong to straight from the columns and
+// Truncate re-inserts the flows of a prefix, neither touching a packet
+// or an H3 table again.
 //
 // The ten batch estimates are taken once, by whichever call filled the
 // sketch and on its goroutine; from then on the sketch is read-only, and
@@ -135,24 +147,133 @@ func newBitmaps() (bm bitmaps) {
 // The zero value is unusable; construct with NewSketch.
 type Sketch struct {
 	batch bitmaps
-	cols  [pkt.NumAggregates][]uint64 // equal lengths: the packets represented (none on a selection's sketch)
+	flows flowIndex                   // the filled batch's 5-tuples
+	cols  [pkt.NumAggregates][]uint64 // one row per flow of flows (none on a selection's sketch)
 	n     int                         // packets represented
 	est   [pkt.NumAggregates]float64  // batch[a].Estimate(), taken when filled
+
+	seen []uint64 // SelectInto's scratch: one bit per source flow, set if selected
+	sel  []int32  // SelectInto's scratch: the set bits of seen, ascending
 }
 
 // NewSketch returns an empty sketch with the package's batch-bitmap
 // geometry.
 func NewSketch() *Sketch { return &Sketch{batch: newBitmaps()} }
 
-// resize clears the bitmaps and sets every column's length to n, growing
-// (amortized, as append does) only when capacity is short. Column
-// contents below the old length survive.
-func (sk *Sketch) resize(n int) {
+// index indexes pkts and readies sk to be filled from them: bitmaps
+// cleared, one column row per distinct flow (columns grow, amortized,
+// only when capacity is short).
+func (sk *Sketch) index(pkts []pkt.Packet, salt uint64) {
+	sk.flows.build(pkts, salt)
+	nf := len(sk.flows.keys)
 	for a := range sk.cols {
 		sk.batch[a].Reset()
-		sk.cols[a] = slices.Grow(sk.cols[a][:0], n)[:n]
+		sk.cols[a] = slices.Grow(sk.cols[a][:0], nf)[:nf]
 	}
-	sk.n = n
+	sk.n = len(pkts)
+}
+
+// flowIndex gives every packet of a batch a dense flow id in order of
+// first appearance: id[i] is packet i's flow (4 B per packet), and
+// keys[f] is flow f's 5-tuple, copied from its first packet into a
+// header-only packet (56 B per flow) that the bulk hash streams as it
+// would the batch. Because ids follow first appearance, the flows of a
+// prefix of the batch are a prefix of keys.
+//
+// The slots are open addressing with linear probing over a power-of-two
+// array held at load ≤ ½, each a 5-tuple packed into two words as
+// queries.flowTable packs it (24 B per slot, so 48–96 B per flow of the
+// largest batch indexed). A slot belongs to the fill whose stamp it
+// carries, so a fill clears nothing; it bumps the stamp.
+type flowIndex struct {
+	slots []flowSlot
+	stamp uint32 // the current fill's; never 0, the stamp of a fresh slot
+	salt  uint64 // the filling extractor's, so placement is not a public function of the key
+	id    []int32
+	keys  []pkt.Packet
+}
+
+// flowSlot is one packed 5-tuple, its flow id and the fill it belongs to.
+type flowSlot struct {
+	hi, lo uint64 // SrcIP<<32 | DstIP; SrcPort<<24 | DstPort<<8 | Proto
+	stamp  uint32
+	id     int32
+}
+
+const flowIndexInit = 256 // slots before the first doubling
+
+// build indexes pkts, replacing the previous fill's index.
+func (x *flowIndex) build(pkts []pkt.Packet, salt uint64) {
+	if x.stamp++; x.stamp == 0 { // wrapped: slots from 2³² fills ago would read as current
+		clear(x.slots)
+		x.stamp = 1
+	}
+	if len(x.slots) == 0 {
+		x.slots = make([]flowSlot, flowIndexInit)
+	}
+	x.salt = salt
+	id, keys := slices.Grow(x.id[:0], len(pkts))[:len(pkts)], x.keys[:0]
+	slots, stamp := x.slots, x.stamp
+	for i := range pkts {
+		p := &pkts[i]
+		hi := uint64(p.SrcIP)<<32 | uint64(p.DstIP)
+		lo := uint64(p.SrcPort)<<24 | uint64(p.DstPort)<<8 | uint64(p.Proto)
+		s := probe(slots, stamp, x.home(hi, lo, len(slots)), hi, lo)
+		if s.stamp == stamp {
+			id[i] = s.id
+			continue
+		}
+		// The flow's first packet. Only its key fields are written, so
+		// keys holds no payload pointer and the store needs no barrier.
+		*s = flowSlot{hi: hi, lo: lo, stamp: stamp, id: int32(len(keys))}
+		id[i] = s.id
+		if len(keys) == cap(keys) {
+			keys = slices.Grow(keys, 1)
+		}
+		keys = keys[:len(keys)+1]
+		k := &keys[len(keys)-1]
+		k.SrcIP, k.DstIP, k.SrcPort, k.DstPort, k.Proto = p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.Proto
+		if 2*len(keys) > len(slots) {
+			slots = x.grow()
+		}
+	}
+	x.id, x.keys = id, keys
+}
+
+// home is the slot a key probes first in a table of n slots: the top
+// bits of a multiply-xorshift mix of both words, as queries.flowTable
+// mixes.
+func (x *flowIndex) home(hi, lo uint64, n int) int {
+	h := (hi ^ x.salt) * 0x9e3779b97f4a7c15
+	h ^= h >> 32
+	h = (h ^ lo) * 0xbf58476d1ce4e5b9
+	h ^= h >> 29
+	h *= 0x94d049bb133111eb
+	return int((h >> 32) * uint64(n) >> 32)
+}
+
+// probe returns the slot of key (hi, lo) in the fill stamped stamp, or
+// the empty slot where it belongs, searching from slot i.
+func probe(slots []flowSlot, stamp uint32, i int, hi, lo uint64) *flowSlot {
+	for mask := len(slots) - 1; ; i++ {
+		s := &slots[i&mask]
+		if s.stamp != stamp || s.hi == hi && s.lo == lo {
+			return s
+		}
+	}
+}
+
+// grow doubles the slot array, re-places the current fill's slots and
+// returns the new array.
+func (x *flowIndex) grow() []flowSlot {
+	old := x.slots
+	x.slots = make([]flowSlot, 2*len(old))
+	for _, s := range old {
+		if s.stamp == x.stamp {
+			*probe(x.slots, x.stamp, x.home(s.hi, s.lo, len(x.slots)), s.hi, s.lo) = s
+		}
+	}
+	return x.slots
 }
 
 // seal takes the batch estimates of a freshly filled sketch.
@@ -175,31 +296,52 @@ func (sk *Sketch) Ops() int64 { return int64(sk.n) * pkt.NumAggregates }
 const CostPerOp = 25
 
 // SelectInto fills dst with the sketch of the sub-stream idx selects
-// (ascending packet indices into sk, as the sampling kernels produce):
-// per aggregate, one MultiRes.InsertSelected straight from sk's hash
-// column. The result — bitmaps, estimates, Pkts, Ops — is what
-// SketchInto over the selected packets would produce with the extractor
-// that filled sk, without reading a packet or copying a hash; dst keeps
-// no hash columns, so it cannot be selected from or truncated in turn.
-// dst must be distinct from sk.
+// (packet indices into sk, as the sampling kernels produce): the flows
+// those packets belong to, gathered as a bitset over flow ids, then per
+// aggregate one MultiRes.InsertSelected of those flows straight from
+// sk's hash column. The result — bitmaps, estimates, Pkts, Ops — is
+// what SketchInto over the selected packets would produce with the
+// extractor that filled sk, without reading a packet or copying a hash;
+// dst keeps no hash columns, so it cannot be selected from or truncated
+// in turn. dst must be distinct from sk.
 func (sk *Sketch) SelectInto(dst *Sketch, idx []int32) {
+	words := (len(sk.flows.keys) + 63) / 64
+	dst.seen = slices.Grow(dst.seen[:0], words)[:words]
+	clear(dst.seen)
+	for _, i := range idx {
+		f := sk.flows.id[i]
+		dst.seen[f>>6] |= 1 << (f & 63)
+	}
+	dst.sel = dst.sel[:0]
+	for w, word := range dst.seen {
+		for ; word != 0; word &= word - 1 {
+			dst.sel = append(dst.sel, int32(w<<6|bits.TrailingZeros64(word)))
+		}
+	}
 	for a := range sk.cols {
 		dst.cols[a] = nil
 		dst.batch[a].Reset()
-		dst.batch[a].InsertSelected(sk.cols[a], idx)
+		dst.batch[a].InsertSelected(sk.cols[a], dst.sel)
 	}
 	dst.n = len(idx)
 	dst.seal()
 }
 
 // Truncate shrinks the sketch to its first n packets (n <= Pkts) by
-// re-inserting the retained prefix of every column: the sketch of a
+// re-inserting the flows first seen among them: the sketch of a
 // tail-dropped batch, without re-hashing it.
 func (sk *Sketch) Truncate(n int) {
-	sk.resize(n)
+	nf := 0 // ids follow first appearance: the prefix's flows are 0 … its largest id
+	for _, f := range sk.flows.id[:n] {
+		nf = max(nf, int(f)+1)
+	}
+	sk.flows.id, sk.flows.keys = sk.flows.id[:n], sk.flows.keys[:nf]
 	for a := range sk.cols {
+		sk.cols[a] = sk.cols[a][:nf]
+		sk.batch[a].Reset()
 		sk.batch[a].InsertMany(sk.cols[a])
 	}
+	sk.n = n
 	sk.seal()
 }
 
@@ -209,13 +351,15 @@ func (sk *Sketch) Truncate(n int) {
 // interval bitmap is updated by ORing the batch bitmap into it, exactly
 // as described in §3.2.1.
 //
-// The extractor is built for the fast path: per packet it pays one
-// field-wise H3 hash (hash.H3.HashAgg — no key serialization) and one
-// bitmap write per aggregate, and the whole extraction allocates
-// nothing after warm-up — Extract and ExtractFromBatchOf return an
-// internal scratch vector that is overwritten by the next extraction
-// call on the same Extractor (copy it to retain it; predict.History
-// does). Use ExtractInto to supply your own destination.
+// The extractor is built for the fast path: per packet it pays one probe
+// of the batch's flow index, and per distinct flow one field-wise H3
+// hash (hash.H3.AggHashes — no key serialization) and one bitmap write
+// per aggregate; Ops still counts the paper's per-packet price. The
+// whole extraction allocates nothing after warm-up — Extract and
+// ExtractFromBatchOf return an internal scratch vector that is
+// overwritten by the next extraction call on the same Extractor (copy
+// it to retain it; predict.History does). Use ExtractInto to supply
+// your own destination.
 //
 // Extraction splits into two phases with different sharing rules:
 //
@@ -234,6 +378,7 @@ type Extractor struct {
 	interval bitmaps
 	intEst   [pkt.NumAggregates]float64 // current interval-bitmap estimate
 	scratch  Vector                     // returned by Extract/ExtractFromBatchOf
+	salt     uint64                     // flow-index slot placement, from the seed
 
 	// Ops counts hash+insert operations performed, so feature
 	// extraction can be charged its deterministic cost, Ops × CostPerOp
@@ -244,7 +389,7 @@ type Extractor struct {
 // NewExtractor returns an extractor whose hash functions derive from
 // seed.
 func NewExtractor(seed uint64) *Extractor {
-	e := &Extractor{scratch: make(Vector, NumFeatures), sk: NewSketch(), interval: newBitmaps()}
+	e := &Extractor{scratch: make(Vector, NumFeatures), sk: NewSketch(), interval: newBitmaps(), salt: hash.Mix64(seed + 0xf10e)}
 	for a := range e.h3 {
 		e.h3[a] = hash.NewH3(seed + uint64(a)*0x9e3779b97f4a7c15)
 	}
@@ -357,10 +502,10 @@ func (e *Extractor) Extract(b *pkt.Batch) Vector {
 // bitmaps clear only the components the previous batch reached, and the
 // estimates read per-component popcounts taken once per bulk insert.
 //
-// Aggregates iterate in the outer loop, packets in the inner one, so
-// each pass streams the batch through a single H3 table and a single
+// Aggregates iterate in the outer loop, flows in the inner one, so each
+// pass streams the batch's flows through a single H3 table and a single
 // bitmap — one predictable branch and a cache-resident lookup table per
-// pass, instead of cycling all ten tables through the cache per packet.
+// pass, instead of cycling all ten tables through the cache per flow.
 // Bitmap contents are order-independent (pure ORs), so the result is
 // bit-identical to per-packet order.
 func (e *Extractor) ExtractInto(v Vector, b *pkt.Batch) Vector {
@@ -369,41 +514,42 @@ func (e *Extractor) ExtractInto(v Vector, b *pkt.Batch) Vector {
 	return e.FinishSketchInto(v, e.sk, float64(b.Packets()), float64(b.Bytes()))
 }
 
-// SketchInto resets sk and fills it with the hashes of pkts: the first,
-// batch-pure half of extraction. It reads only e's hash tables (fixed
-// at construction) and writes only sk, so concurrent calls on the same
-// extractor are safe when each targets a distinct sketch — the contract
-// the pipelined engine's read-ahead stage builds on. It does not advance
-// e.Ops; the consumer charges the cost when the sketch is folded into a
-// bin (sk.Ops reports it).
+// SketchInto resets sk, indexes the flows of pkts and fills sk with
+// their hashes: the first, batch-pure half of extraction. It reads only
+// e's hash tables (fixed at construction) and writes only sk, so
+// concurrent calls on the same extractor are safe when each targets a
+// distinct sketch — the contract the pipelined engine's read-ahead stage
+// builds on. It does not advance e.Ops; the consumer charges the cost
+// when the sketch is folded into a bin (sk.Ops reports it).
 func (e *Extractor) SketchInto(sk *Sketch, pkts []pkt.Packet) {
-	sk.resize(len(pkts))
-	e.sketchRange(sk, &sk.batch, pkts, 0, len(pkts))
+	sk.index(pkts, e.salt)
+	e.sketchRange(sk, &sk.batch, 0, len(sk.flows.keys))
 	sk.seal()
 }
 
-// sketchRange hashes pkts[lo:hi] into rows [lo, hi) of sk's columns and
-// inserts them into the bitmaps of into — sk's own on the sequential
-// fill, a worker's staging set on the chunk-parallel one.
+// sketchRange hashes flows [lo, hi) of sk's index into those rows of
+// sk's columns and inserts them into the bitmaps of into — sk's own on
+// the sequential fill, a worker's staging set on the chunk-parallel one.
 //
-// Aggregates iterate in the outer loop, packets in the inner one, for
-// the cache behaviour documented on ExtractInto.
-func (e *Extractor) sketchRange(sk *Sketch, into *bitmaps, pkts []pkt.Packet, lo, hi int) {
+// Aggregates iterate in the outer loop, flows in the inner one, for the
+// cache behaviour documented on ExtractInto.
+func (e *Extractor) sketchRange(sk *Sketch, into *bitmaps, lo, hi int) {
 	for a := range sk.cols {
-		col := e.h3[a].AggHashes(sk.cols[a][lo:hi:hi], pkts[lo:hi], pkt.Aggregate(a))
+		col := e.h3[a].AggHashes(sk.cols[a][lo:hi:hi], sk.flows.keys[lo:hi], pkt.Aggregate(a))
 		into[a].InsertMany(col)
 	}
 }
 
-// ChunkSketcher fills sketches from contiguous packet chunks in
-// parallel: worker w hashes chunk w straight into its disjoint range of
-// the destination's columns and inserts it into a per-worker staging
-// bitmap set, and the staging sets are ORed into the destination in
-// worker index order. Because bitmap contents are pure unions and every
-// packet's hash is independent of its neighbours, the result is
-// bit-identical to a sequential SketchInto for any chunk count and any
-// execution order — which is what lets the engine split a batch across
-// cores without giving up bit-identical runs.
+// ChunkSketcher fills sketches in parallel, split by flow: the producer
+// indexes the batch, then worker w hashes the w-th contiguous run of
+// flow ids straight into its disjoint range of the destination's
+// columns and inserts it into a per-worker staging bitmap set, and the
+// staging sets are ORed into the destination in worker index order.
+// Because bitmap contents are pure unions and every flow's hash is
+// independent of its neighbours, the result is bit-identical to a
+// sequential SketchInto for any chunk count and any execution order —
+// which is what lets the engine split a batch across cores without
+// giving up bit-identical runs.
 //
 // The chunk closure is built once at construction and the staging
 // bitmaps are reused across fills, so a warmed ChunkSketcher fills
@@ -412,10 +558,9 @@ func (e *Extractor) sketchRange(sk *Sketch, into *bitmaps, pkts []pkt.Packet, lo
 type ChunkSketcher struct {
 	e       *Extractor
 	staging []bitmaps
-	dst     *Sketch      // current fill's destination, written by fn
-	pkts    []pkt.Packet // current fill's input, read by fn
-	chunk   int          // current fill's chunk length
-	fn      func(int)    // prebuilt chunk body
+	dst     *Sketch   // current fill's destination, indexed; written by fn
+	chunk   int       // current fill's chunk length, in flows
+	fn      func(int) // prebuilt chunk body
 }
 
 // NewChunkSketcher returns a sketcher with `workers` staging bitmap sets
@@ -429,12 +574,13 @@ func NewChunkSketcher(e *Extractor, workers int) *ChunkSketcher {
 		cs.staging[w] = newBitmaps()
 	}
 	cs.fn = func(w int) {
-		lo := min(w*cs.chunk, len(cs.pkts))
-		hi := min(lo+cs.chunk, len(cs.pkts))
+		nf := len(cs.dst.flows.keys)
+		lo := min(w*cs.chunk, nf)
+		hi := min(lo+cs.chunk, nf)
 		for _, m := range cs.staging[w] {
 			m.Reset()
 		}
-		cs.e.sketchRange(cs.dst, &cs.staging[w], cs.pkts, lo, hi)
+		cs.e.sketchRange(cs.dst, &cs.staging[w], lo, hi)
 	}
 	return cs
 }
@@ -451,11 +597,11 @@ func (cs *ChunkSketcher) Fill(dst *Sketch, pkts []pkt.Packet, run func(n int, fn
 		cs.e.SketchInto(dst, pkts)
 		return
 	}
-	dst.resize(len(pkts))
-	cs.dst, cs.pkts = dst, pkts
-	cs.chunk = (len(pkts) + n - 1) / n
+	dst.index(pkts, cs.e.salt)
+	cs.dst = dst
+	cs.chunk = (len(dst.flows.keys) + n - 1) / n
 	run(n, cs.fn)
-	cs.dst, cs.pkts = nil, nil
+	cs.dst = nil
 	for w := range cs.staging {
 		for a, m := range cs.staging[w] {
 			dst.batch[a].MergeFrom(m)

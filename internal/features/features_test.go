@@ -202,7 +202,10 @@ func extractOracle(e *Extractor, b *pkt.Batch) Vector {
 	v[IdxPackets] = float64(b.Packets())
 	v[IdxBytes] = float64(b.Bytes())
 
-	e.sk.resize(b.Packets()) // bitmaps cleared; the oracle leaves the columns unused
+	for a := range e.sk.batch { // the oracle leaves the columns and index unused
+		e.sk.batch[a].Reset()
+	}
+	e.sk.n = b.Packets()
 	var keyBuf []byte
 	for i := range b.Pkts {
 		p := &b.Pkts[i]
@@ -296,14 +299,20 @@ func TestExtractZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// BenchmarkExtract prices a whole extraction per bin on the three
+// shapes of benchBins.
 func BenchmarkExtract(b *testing.B) {
-	g := trace.NewGenerator(trace.Config{Seed: 1, Duration: time.Hour, PacketsPerSec: 25000})
-	batch, _ := g.NextBatch()
-	e := NewExtractor(1)
-	e.StartInterval()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Extract(&batch)
+	for _, in := range benchBins() {
+		b.Run(in.name, func(b *testing.B) {
+			batch := pkt.Batch{Bin: 100 * time.Millisecond, Pkts: in.pkts}
+			e := NewExtractor(1)
+			e.StartInterval()
+			e.Extract(&batch) // grow the sketch to the bin
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Extract(&batch)
+			}
+		})
 	}
 }

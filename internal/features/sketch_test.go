@@ -3,6 +3,7 @@ package features
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/hash"
 	"repro/internal/pkt"
+	"repro/internal/sampling"
 	"repro/internal/trace"
 )
 
@@ -140,17 +142,18 @@ func TestChunkSketchFillAllocFree(t *testing.T) {
 }
 
 // sameSketch fails the test unless got is want: the same packet and op
-// counts, bitmaps equal field for field (both sides insert into cleared
-// bitmaps, so even the per-component bookkeeping must agree), the same
-// sealed estimates — each what its bitmap estimates — and, unless got is
-// a selection's sketch (which keeps none), the same hash columns.
+// counts, bitmaps equal field for field — words, per-component counts
+// and live mask (both sides insert into cleared bitmaps, so even the
+// bookkeeping must agree) — the same sealed estimates, each what its
+// bitmap estimates, and, unless either side keeps none (a selection's
+// sketch, the oracle's), the same hash columns.
 func sameSketch(t *testing.T, what string, got, want *Sketch) {
 	t.Helper()
 	if got.Pkts() != want.Pkts() || got.Ops() != want.Ops() {
 		t.Fatalf("%s: Pkts/Ops = %d/%d, want %d/%d", what, got.Pkts(), got.Ops(), want.Pkts(), want.Ops())
 	}
 	for a := range want.cols {
-		if got.cols[a] != nil && !slices.Equal(got.cols[a], want.cols[a]) {
+		if got.cols[a] != nil && want.cols[a] != nil && !slices.Equal(got.cols[a], want.cols[a]) {
 			t.Fatalf("%s: hash column of %s differs", what, pkt.Aggregate(a))
 		}
 		if !reflect.DeepEqual(got.batch[a], want.batch[a]) {
@@ -237,28 +240,200 @@ func TestSketchSelectAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkShedSketch prices the shed path's sketch per 2500-packet bin
-// at a rate near one half: inserting the selection straight from the
-// bin's hash columns against hashing the gathered packets again.
-func BenchmarkShedSketch(b *testing.B) {
-	g := trace.NewGenerator(trace.Config{Seed: 31, Duration: time.Second, PacketsPerSec: 25000})
-	pkts := trace.Record(g)[0].Pkts
-	ext := NewExtractor(2)
-	full, shed := NewSketch(), NewSketch()
-	ext.SketchInto(full, pkts)
-	idx := halfOf(len(pkts))
-	b.Run("select", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			full.SelectInto(shed, idx)
-		}
-	})
-	picked := make([]pkt.Packet, len(idx))
-	for j, i := range idx {
-		picked[j] = pkts[i]
+// oracleSketch fills sk as the extractor did before the flow index:
+// every packet's ten hashes, inserted in bulk into cleared bitmaps — the
+// per-packet sketchRange loop over [0, len(pkts)). It keeps no columns
+// and no index; what it fills is what sameSketch compares.
+func oracleSketch(e *Extractor, sk *Sketch, pkts []pkt.Packet) {
+	lo, hi := 0, len(pkts)
+	for a := range sk.cols {
+		sk.cols[a] = nil
+		sk.batch[a].Reset()
+		col := e.h3[a].AggHashes(nil, pkts[lo:hi], pkt.Aggregate(a))
+		sk.batch[a].InsertMany(col)
 	}
-	b.Run("rehash", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ext.SketchInto(shed, picked)
+	sk.n = len(pkts)
+	sk.seal()
+}
+
+// oracleRates are the shed rates the selections are drawn at: nothing,
+// sparse, half, and all but the all-ones draw.
+var oracleRates = []float64{0, 0.05, 0.5, 1 - 1.0/(1<<53)}
+
+// checkSketchOracle holds every per-flow consumer of the index to the
+// per-packet oracle on one bin: SketchInto, ChunkSketcher.Fill at one to
+// four chunks, SelectInto at oracleRates and, when every is set,
+// Truncate at every prefix length (else at three).
+func checkSketchOracle(t *testing.T, what string, pkts []pkt.Packet, every bool) {
+	t.Helper()
+	ext := NewExtractor(11)
+	got, want, sel := NewSketch(), NewSketch(), NewSketch()
+	oracleSketch(ext, want, pkts)
+	ext.SketchInto(got, pkts)
+	sameSketch(t, what+", SketchInto", got, want)
+	for chunks := 1; chunks <= 4; chunks++ {
+		NewChunkSketcher(ext, chunks).Fill(got, pkts, inlineRun)
+		sameSketch(t, fmt.Sprintf("%s, Fill in %d chunks", what, chunks), got, want)
+	}
+	for _, rate := range oracleRates {
+		idx := sampling.NewPacketSampler(3).SelectInto(nil, len(pkts), rate)
+		picked := make([]pkt.Packet, len(idx))
+		for j, i := range idx {
+			picked[j] = pkts[i]
 		}
+		oracleSketch(ext, want, picked)
+		got.SelectInto(sel, idx)
+		sameSketch(t, fmt.Sprintf("%s, SelectInto at %v", what, rate), sel, want)
+	}
+	prefixes := []int{0, len(pkts) / 3, len(pkts)}
+	if every {
+		prefixes = prefixes[:0]
+		for n := 0; n <= len(pkts); n++ {
+			prefixes = append(prefixes, n)
+		}
+	}
+	for _, n := range prefixes {
+		ext.SketchInto(got, pkts)
+		got.Truncate(n)
+		oracleSketch(ext, want, pkts[:n])
+		sameSketch(t, fmt.Sprintf("%s, Truncate(%d)", what, n), got, want)
+	}
+}
+
+// nearKeys is a bin of 5-tuples that differ from each other only in the
+// protocol or only in one port, interleaved and repeated.
+func nearKeys() []pkt.Packet {
+	base := pkt.Packet{SrcIP: 0x0a000001, DstIP: 0xc0a80101, SrcPort: 1024, DstPort: 80, Proto: pkt.ProtoTCP, Size: 60}
+	var out []pkt.Packet
+	for rep := 0; rep < 3; rep++ {
+		for _, proto := range []uint8{pkt.ProtoTCP, pkt.ProtoUDP, pkt.ProtoICMP, 0} {
+			p := base
+			p.Proto = proto
+			out = append(out, p)
+			p.SrcPort++
+			out = append(out, p)
+			p.SrcPort--
+			p.DstPort++
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestSketchMatchesPerPacketOracle: hashing and inserting each distinct
+// 5-tuple once is bit for bit inserting every packet, for every consumer
+// of the index, on generated CESCA-II bins, a bin where every packet is
+// its own flow, a one-flow bin, an empty bin and keys a field apart.
+func TestSketchMatchesPerPacketOracle(t *testing.T) {
+	for _, seed := range []uint64{1, 2} {
+		batches := trace.Record(trace.NewGenerator(trace.CESCA2(seed, 500*time.Millisecond, 1)))
+		for bi, b := range batches {
+			checkSketchOracle(t, fmt.Sprintf("CESCA-II seed %d bin %d", seed, bi), b.Pkts, false)
+		}
+	}
+	bins := benchBins()
+	for _, in := range bins {
+		checkSketchOracle(t, in.name, in.pkts, false)
+		checkSketchOracle(t, "short "+in.name, in.pkts[:40], true)
+	}
+	checkSketchOracle(t, "empty", nil, true)
+	checkSketchOracle(t, "near keys", nearKeys(), true)
+}
+
+// FuzzSketchFlowIndex runs checkSketchOracle on a bin read from data:
+// one packet per byte, each bit picking one of two values for a 5-tuple
+// field, so bins are full of repeats and of keys a field apart.
+func FuzzSketchFlowIndex(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pkts := make([]pkt.Packet, len(data))
+		for i, b := range data {
+			pkts[i] = pkt.Packet{
+				SrcIP: 0x0a000000 | uint32(b&3), DstIP: 0xc0a80100 | uint32(b>>2&1),
+				SrcPort: 1024 + uint16(b>>3&1), DstPort: 80 + uint16(b>>4&1)<<8,
+				Proto: []uint8{pkt.ProtoTCP, pkt.ProtoUDP, pkt.ProtoICMP, 0}[b>>5&3], Size: 60 + int(b>>7),
+			}
+		}
+		checkSketchOracle(t, "fuzzed bin", pkts, len(pkts) <= 64)
 	})
+}
+
+// TestSketchIndexGrowsOnce: the first fill of a bin with more flows than
+// any before grows the index and the columns; after that neither that
+// bin nor a smaller one allocates, through every consumer.
+func TestSketchIndexGrowsOnce(t *testing.T) {
+	small := sketchTrace(t)[0].Pkts
+	large := benchBins()[1].pkts // spoofed: every packet its own flow
+	if len(large) <= 2*len(small) {
+		t.Fatalf("large bin has %d packets, want more than 2 × %d", len(large), len(small))
+	}
+	ext := NewExtractor(2)
+	sk, shed := NewSketch(), NewSketch()
+	smallIdx, largeIdx := halfOf(len(small)), halfOf(len(large))
+	ext.SketchInto(sk, small)
+	sk.SelectInto(shed, smallIdx)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ext.SketchInto(sk, large)
+	runtime.ReadMemStats(&after)
+	if after.Mallocs == before.Mallocs {
+		t.Fatal("the first fill of a larger bin did not allocate: the index cannot have grown")
+	}
+	sk.SelectInto(shed, largeIdx)
+	if allocs := testing.AllocsPerRun(20, func() {
+		ext.SketchInto(sk, large)
+		sk.SelectInto(shed, largeIdx)
+		sk.Truncate(len(large) / 2)
+		ext.SketchInto(sk, small)
+		sk.SelectInto(shed, smallIdx)
+	}); allocs != 0 {
+		t.Fatalf("fills after the growing one allocated %v times per run, want 0", allocs)
+	}
+}
+
+// benchBins are the bins the sketch benchmarks run on: a generated bin
+// (3,058 packets, 461 flows), and the same bin with every packet its own
+// 5-tuple (source addresses counting up, as a spoofing tool emits them:
+// the flow index's worst case) and with a single 5-tuple (its best).
+func benchBins() []struct {
+	name string
+	pkts []pkt.Packet
+} {
+	g := trace.NewGenerator(trace.Config{Seed: 1, Duration: time.Second, PacketsPerSec: 25000})
+	generated := trace.Record(g)[0].Pkts
+	spoofed, oneFlow := slices.Clone(generated), slices.Clone(generated)
+	for i := range generated {
+		spoofed[i].SrcIP = 0x0a000000 + uint32(i)
+		p := &oneFlow[i]
+		p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.Proto = oneFlow[0].SrcIP, oneFlow[0].DstIP, oneFlow[0].SrcPort, oneFlow[0].DstPort, oneFlow[0].Proto
+	}
+	return []struct {
+		name string
+		pkts []pkt.Packet
+	}{{"generated", generated}, {"spoofed", spoofed}, {"one-flow", oneFlow}}
+}
+
+// BenchmarkShedSketch prices the shed path's sketch per bin at a rate
+// near one half: inserting the selection straight from the bin's hash
+// columns against hashing the gathered packets again.
+func BenchmarkShedSketch(b *testing.B) {
+	for _, in := range benchBins() {
+		ext := NewExtractor(2)
+		full, shed := NewSketch(), NewSketch()
+		ext.SketchInto(full, in.pkts)
+		idx := halfOf(len(in.pkts))
+		b.Run(in.name+"/select", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				full.SelectInto(shed, idx)
+			}
+		})
+		picked := make([]pkt.Packet, len(idx))
+		for j, i := range idx {
+			picked[j] = in.pkts[i]
+		}
+		b.Run(in.name+"/rehash", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ext.SketchInto(shed, picked)
+			}
+		})
+	}
 }

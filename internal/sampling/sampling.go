@@ -208,14 +208,6 @@ func (s *FlowSampler) SelectInto(idx []int32, pkts []pkt.Packet, rate float64) [
 	return idx[:k]
 }
 
-// Keep reports whether the flow of p is selected at the given rate.
-func (s *FlowSampler) Keep(p *pkt.Packet, rate float64) bool {
-	if rate >= 1 {
-		return true
-	}
-	return rate > 0 && s.h.HashAgg(p, pkt.Agg5Tuple)>>11 < threshold(rate)
-}
-
 // SampleInto copies the packets of pkts whose flows are selected at rate
 // into dst (truncated, grown only when capacity runs out): SelectInto,
 // then one gather. Like PacketSampler.SampleInto, a rate >= 1 returns

@@ -135,18 +135,15 @@ func TestFlowSamplerIntervalRedraw(t *testing.T) {
 func TestFlowSampleEdgeRates(t *testing.T) {
 	fs := NewFlowSampler(11)
 	in := genPackets(50)
-	if got := fs.SelectInto(nil, in, 1); len(got) != 50 {
-		t.Fatal("rate 1 must keep everything")
+	for _, rate := range []float64{1, 1.5, math.Inf(1)} {
+		if got := fs.SelectInto(nil, in, rate); len(got) != 50 {
+			t.Fatalf("rate %v kept %d of 50, must keep everything", rate, len(got))
+		}
 	}
-	if got := fs.SelectInto(nil, in, 0); len(got) != 0 {
-		t.Fatal("rate 0 must drop everything")
-	}
-	p := in[0]
-	if !fs.Keep(&p, 1) {
-		t.Fatal("Keep(rate=1) = false")
-	}
-	if fs.Keep(&p, 0) {
-		t.Fatal("Keep(rate=0) = true")
+	for _, rate := range []float64{0, -0.5, math.Inf(-1), math.NaN()} {
+		if got := fs.SelectInto(nil, in, rate); len(got) != 0 {
+			t.Fatalf("rate %v kept %d of 50, must drop everything", rate, len(got))
+		}
 	}
 }
 
@@ -245,9 +242,9 @@ func TestPacketSelectMatchesFloatCompare(t *testing.T) {
 	}
 }
 
-// TestFlowSelectMatchesUnitOfFlowKey pins FlowSampler.SelectInto and
-// Keep to the byte path they replaced — H3.Unit over the serialized
-// FlowKey — under two interval hash functions.
+// TestFlowSelectMatchesUnitOfFlowKey pins FlowSampler.SelectInto to the
+// byte path it replaced — H3.Unit over the serialized FlowKey — under
+// two interval hash functions, over the whole bin and packet by packet.
 func TestFlowSelectMatchesUnitOfFlowKey(t *testing.T) {
 	g := trace.NewGenerator(trace.Config{Seed: 3, Duration: time.Second, PacketsPerSec: 20000})
 	pkts := trace.Record(g)[0].Pkts
@@ -264,8 +261,8 @@ func TestFlowSelectMatchesUnitOfFlowKey(t *testing.T) {
 				if keep {
 					want = append(want, int32(i))
 				}
-				if fs.Keep(&pkts[i], rate) != keep {
-					t.Fatalf("interval %d rate %v: Keep(pkt %d) = %v, byte path says %v", interval, rate, i, !keep, keep)
+				if one := fs.SelectInto(idx, pkts[i:i+1], rate); (len(one) == 1) != keep {
+					t.Fatalf("interval %d rate %v: packet %d alone selected = %v, byte path says %v", interval, rate, i, !keep, keep)
 				}
 			}
 			idx = fs.SelectInto(idx, pkts, rate)

@@ -270,8 +270,9 @@ type System struct {
 
 	globalExt *features.Extractor
 	// The shared shed stream (§5.5.4): shedSamp selects it, shedSketch
-	// holds its sketch, gathered from the bin's own hash columns, and
-	// shedOps counts the hash+insert operations charged for it.
+	// holds its sketch, inserted from the bin's own per-flow hash
+	// columns, and shedOps counts the hash+insert operations charged for
+	// it.
 	shedSamp   *sampling.PacketSampler
 	shedSketch *features.Sketch
 	shedOps    int64

@@ -50,9 +50,10 @@ func (c Config) pipelined() bool { return c.Workers >= 2 }
 // splitWorkers divides Config.Workers between the front-stage sketch
 // pool and the back-stage execute pool: the front gets the floor half
 // (at least one — the front goroutine itself), execute the rest. The
-// split keeps both halves busy because sketching and query execution
-// cost the same order of work per packet; see the table in DESIGN.md,
-// "Bin pipeline".
+// split was chosen when sketching and query execution cost the same
+// order of work per packet; see the table in DESIGN.md, "Bin pipeline".
+// The sketch now hashes per distinct flow, so the front does less than
+// that table shows.
 func splitWorkers(w int) (front, execute int) {
 	front = w / 2
 	if front < 1 {

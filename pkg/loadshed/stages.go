@@ -316,10 +316,11 @@ func (s *System) execute(bc *BinContext) {
 	// traffic features could be recomputed just once"): a packet sample
 	// of the admitted batch at the mean rate of the sampled queries,
 	// whose bitmaps approximate every sampled query's stream. The sample
-	// is an index selection, inserted straight from the hash columns
-	// extractPredict already filled, so no packet or hash is copied and
-	// none re-hashed; per-query interval state is maintained by merging
-	// the shared batch bitmaps.
+	// is an index selection; the sketch inserts the distinct flows it
+	// touches straight from the per-flow hash columns extractPredict
+	// already filled, so no packet or hash is copied and none re-hashed,
+	// and it is charged per selected packet all the same. Per-query
+	// interval state is maintained by merging the shared batch bitmaps.
 	if s.cfg.Scheme == Predictive {
 		repRate, nSampled := 0.0, 0
 		for i, r := range bc.rates {
