@@ -68,16 +68,8 @@ func (d *Detector) State() State {
 // Config and feature count; dimension mismatches are reported rather
 // than installed torn.
 func (d *Detector) SetState(st State) error {
-	if len(st.DistRing) != len(d.dist.ring) {
-		return fmt.Errorf("detect: state ring has %d floats, detector holds %d (Window or feature-count mismatch)", len(st.DistRing), len(d.dist.ring))
-	}
-	for _, v := range [][]float64{st.RefSum, st.RefSq, st.CurSum, st.CurSq} {
-		if len(v) != d.dist.nf {
-			return fmt.Errorf("detect: state has a %d-feature window sum, detector expects %d", len(v), d.dist.nf)
-		}
-	}
-	if w := 2 * d.dist.Window; st.DistHead < 0 || st.DistHead >= w || st.DistN < 0 || st.DistN > w {
-		return fmt.Errorf("detect: state ring head %d, fill %d outside a %d-slot ring", st.DistHead, st.DistN, w)
+	if err := d.CheckState(st); err != nil {
+		return err
 	}
 	d.bins, d.cool, d.changes, d.lastBin = st.Bins, st.Cool, st.Changes, st.LastBin
 	d.ph.n, d.ph.mean = st.PHN, st.PHMean
@@ -90,5 +82,22 @@ func (d *Detector) SetState(st State) error {
 	copy(d.dist.refSq, st.RefSq)
 	copy(d.dist.curSum, st.CurSum)
 	copy(d.dist.curSq, st.CurSq)
+	return nil
+}
+
+// CheckState reports whether SetState would install st, without
+// installing it.
+func (d *Detector) CheckState(st State) error {
+	if len(st.DistRing) != len(d.dist.ring) {
+		return fmt.Errorf("detect: state ring has %d floats, detector holds %d (Window or feature-count mismatch)", len(st.DistRing), len(d.dist.ring))
+	}
+	for _, v := range [][]float64{st.RefSum, st.RefSq, st.CurSum, st.CurSq} {
+		if len(v) != d.dist.nf {
+			return fmt.Errorf("detect: state has a %d-feature window sum, detector expects %d", len(v), d.dist.nf)
+		}
+	}
+	if w := 2 * d.dist.Window; st.DistHead < 0 || st.DistHead >= w || st.DistN < 0 || st.DistN > w {
+		return fmt.Errorf("detect: state ring head %d, fill %d outside a %d-slot ring", st.DistHead, st.DistN, w)
+	}
 	return nil
 }

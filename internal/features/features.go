@@ -93,11 +93,11 @@ func Names() []string {
 	return out
 }
 
-// Batch-bitmap geometry shared by every Sketch and every Extractor's
-// interval bitmaps. MultiRes.MergeFrom requires identical geometry, and
-// the sketch/finish split below merges sketches produced by one
-// extractor into the interval state of another, so the dimensioning is
-// a package constant rather than a per-extractor choice.
+// Batch-bitmap geometry shared by every Sketch and every Interval.
+// MultiRes.MergeFrom requires identical geometry, and the sketch/finish
+// split below merges sketches produced by one extractor into any
+// Interval, so the dimensioning is a package constant rather than a
+// per-extractor choice.
 const (
 	batchBits   = 2048
 	batchLevels = 16
@@ -136,9 +136,8 @@ func newBitmaps() (bm bitmaps) {
 //
 // The ten batch estimates are taken once, by whichever call filled the
 // sketch and on its goroutine; from then on the sketch is read-only, and
-// every extractor that finishes from it (FinishSketchInto) reads the
-// estimates instead of recomputing them — so the engine's worker pool
-// can share one sketch among all its queries.
+// every Interval that folds it reads the estimates instead of
+// recomputing them.
 //
 // The engine's pipelined runner keeps a small ring of sketches so the
 // front stage can hash bin N+1 while the back stage still reads bin N's
@@ -356,7 +355,7 @@ func (sk *Sketch) Truncate(n int) {
 // hash (hash.H3.AggHashes — no key serialization) and one bitmap write
 // per aggregate; Ops still counts the paper's per-packet price. The
 // whole extraction allocates nothing after warm-up — Extract and
-// ExtractFromBatchOf return an internal scratch vector that is
+// ExtractFromSketch return an internal scratch vector that is
 // overwritten by the next extraction call on the same Extractor (copy
 // it to retain it; predict.History does). Use ExtractInto to supply
 // your own destination.
@@ -373,12 +372,11 @@ func (sk *Sketch) Truncate(n int) {
 //
 // The zero value is unusable; construct with NewExtractor.
 type Extractor struct {
-	h3       [pkt.NumAggregates]*hash.H3
-	sk       *Sketch // internal sketch used by Extract/ExtractInto
-	interval bitmaps
-	intEst   [pkt.NumAggregates]float64 // current interval-bitmap estimate
-	scratch  Vector                     // returned by Extract/ExtractFromBatchOf
-	salt     uint64                     // flow-index slot placement, from the seed
+	h3      [pkt.NumAggregates]*hash.H3
+	sk      *Sketch // internal sketch used by Extract/ExtractInto
+	iv      *Interval
+	scratch Vector // returned by Extract/ExtractFromSketch
+	salt    uint64 // flow-index slot placement, from the seed
 
 	// Ops counts hash+insert operations performed, so feature
 	// extraction can be charged its deterministic cost, Ops × CostPerOp
@@ -389,7 +387,7 @@ type Extractor struct {
 // NewExtractor returns an extractor whose hash functions derive from
 // seed.
 func NewExtractor(seed uint64) *Extractor {
-	e := &Extractor{scratch: make(Vector, NumFeatures), sk: NewSketch(), interval: newBitmaps(), salt: hash.Mix64(seed + 0xf10e)}
+	e := &Extractor{scratch: make(Vector, NumFeatures), sk: NewSketch(), iv: NewInterval(), salt: hash.Mix64(seed + 0xf10e)}
 	for a := range e.h3 {
 		e.h3[a] = hash.NewH3(seed + uint64(a)*0x9e3779b97f4a7c15)
 	}
@@ -405,33 +403,72 @@ func (e *Extractor) Sketch() *Sketch { return e.sk }
 // StartInterval resets the per-interval state. Call it at every
 // measurement-interval boundary before extracting the interval's first
 // batch.
-func (e *Extractor) StartInterval() {
-	for a := 0; a < pkt.NumAggregates; a++ {
-		e.interval[a].Reset()
-		e.intEst[a] = 0
+func (e *Extractor) StartInterval() { e.iv.Reset() }
+
+// Interval is the interval half of extraction: per aggregate, the bitmap
+// every batch sketch of the measurement interval is ORed into (§3.2.1),
+// and the sketch's batch estimate and the interval estimate before and
+// after the latest fold. An Extractor owns one. Bitmaps are pure ORs, so
+// two Intervals that folded the same sketches since their Reset hold the
+// same words and estimates: the engine keeps one per distinct fold
+// history instead of one per query.
+//
+// The zero value is unusable; construct with NewInterval.
+type Interval struct {
+	bm                    bitmaps
+	unique, before, after [pkt.NumAggregates]float64
+}
+
+// NewInterval returns an empty interval state.
+func NewInterval() *Interval { return &Interval{bm: newBitmaps()} }
+
+// Reset empties the state for a new measurement interval.
+func (iv *Interval) Reset() {
+	for _, m := range iv.bm {
+		m.Reset()
+	}
+	iv.after = [pkt.NumAggregates]float64{}
+}
+
+// CopyFrom makes iv a copy of o.
+func (iv *Interval) CopyFrom(o *Interval) {
+	for a, m := range iv.bm {
+		m.Reset()
+		m.MergeFrom(o.bm[a])
+	}
+	iv.unique, iv.before, iv.after = o.unique, o.before, o.after
+}
+
+// Fold ORs sk's batch bitmaps into the interval bitmaps and re-estimates
+// them, keeping the estimates VectorInto reads.
+func (iv *Interval) Fold(sk *Sketch) {
+	iv.unique, iv.before = sk.est, iv.after
+	for a, m := range iv.bm {
+		m.MergeFrom(sk.batch[a])
+		iv.after[a] = m.Estimate()
 	}
 }
 
-// IntervalEstimates returns the current distinct-count estimate of each
-// aggregate's interval bitmap. A freshly rotated extractor reports all
-// zeros; regression tests use this to compare an extractor's interval
-// state against a fresh-extractor oracle.
-func (e *Extractor) IntervalEstimates() []float64 {
-	out := make([]float64, pkt.NumAggregates)
-	copy(out, e.intEst[:])
-	return out
+// VectorInto writes into v (grown if needed) the feature vector of a
+// stream of npkts packets and nbytes bytes whose distinct counts are
+// those of the latest fold. npkts and nbytes are the caller's because on
+// the merge-only paths (rate-1 queries, sampled queries reading the
+// shared shed sketch) they describe the query's view of the stream, not
+// the sketch's packet count.
+func (iv *Interval) VectorInto(v Vector, npkts, nbytes float64) Vector {
+	v = sized(v)
+	v[IdxPackets] = npkts
+	v[IdxBytes] = nbytes
+	for a := range iv.after {
+		finishAggregate(v, a, iv.unique[a], iv.after[a]-iv.before[a], npkts)
+	}
+	return v
 }
 
-// finishAggregate folds aggregate a's freshly filled batch bitmap of
-// sk into e's interval state and writes the aggregate's four counters
-// into v. It is the per-aggregate tail shared by every extraction path;
-// sk is e's own sketch except on the merge-only paths.
-func (e *Extractor) finishAggregate(v Vector, sk *Sketch, a int, npkts float64) {
-	unique := sk.est[a]
-	e.interval[a].MergeFrom(sk.batch[a])
-	after := e.interval[a].Estimate()
-	newItems := after - e.intEst[a]
-	e.intEst[a] = after
+// finishAggregate writes aggregate a's four counters into v from its
+// batch estimate and the interval estimate's growth: the per-aggregate
+// arithmetic of every extraction path.
+func finishAggregate(v Vector, a int, unique, newItems, npkts float64) {
 	if newItems < 0 {
 		newItems = 0
 	}
@@ -448,24 +485,14 @@ func (e *Extractor) finishAggregate(v Vector, sk *Sketch, a int, npkts float64) 
 	v[IdxIntRepeated(agg)] = npkts - newItems
 }
 
-// ExtractFromBatchOf computes a feature vector for the batch most
-// recently extracted by src, relative to e's own interval state. It
-// merges src's per-batch bitmaps into e's interval bitmaps instead of
-// re-hashing every packet, which is exactly what a query whose sampling
-// rate is 1 can do: its stream is identical to the full stream, so no
-// re-extraction is needed (§4.3 — features are only re-extracted "after
-// sampling"). Both extractors must share bitmap geometry (they do, by
-// construction). The returned vector is e's scratch: it is valid until
-// the next extraction call on e.
-func (e *Extractor) ExtractFromBatchOf(src *Extractor, npkts, nbytes float64) Vector {
-	return e.ExtractFromSketch(src.sk, npkts, nbytes)
-}
-
-// ExtractFromSketch is ExtractFromBatchOf taking the batch state as a
-// bare Sketch — the form the pipelined engine uses, where the current
-// bin's sketch lives in a ring slot rather than inside the extractor
-// that would have filled it on the sequential path. The returned vector
-// is e's scratch: it is valid until the next extraction call on e.
+// ExtractFromSketch computes the feature vector of a sketch filled
+// elsewhere — by another extractor, or in a pipeline ring slot —
+// relative to e's own interval state: it merges the sketch's batch
+// bitmaps instead of re-hashing every packet, which is exactly what a
+// query whose sampling rate is 1 can do: its stream is identical to the
+// full stream, so no re-extraction is needed (§4.3 — features are only
+// re-extracted "after sampling"). The returned vector is e's scratch:
+// it is valid until the next extraction call on e.
 func (e *Extractor) ExtractFromSketch(sk *Sketch, npkts, nbytes float64) Vector {
 	e.scratch = e.FinishSketchInto(e.scratch, sk, npkts, nbytes)
 	return e.scratch
@@ -473,19 +500,11 @@ func (e *Extractor) ExtractFromSketch(sk *Sketch, npkts, nbytes float64) Vector 
 
 // FinishSketchInto folds a filled sketch into e's interval state and
 // writes the full feature vector into v (grown if needed): the second,
-// extractor-mutating half of extraction. npkts and nbytes are the
-// scalar features of the stream the sketch summarizes — the caller's
-// because on the merge-only paths (rate-1 queries, sampled queries
-// reading the shared shed sketch) they describe the query's view of the
-// stream, not the sketch's packet count.
+// extractor-mutating half of extraction, Interval.Fold then
+// Interval.VectorInto.
 func (e *Extractor) FinishSketchInto(v Vector, sk *Sketch, npkts, nbytes float64) Vector {
-	v = sized(v)
-	v[IdxPackets] = npkts
-	v[IdxBytes] = nbytes
-	for a := 0; a < pkt.NumAggregates; a++ {
-		e.finishAggregate(v, sk, a, npkts)
-	}
-	return v
+	e.iv.Fold(sk)
+	return e.iv.VectorInto(v, npkts, nbytes)
 }
 
 // Extract computes the feature vector of b. The returned vector is e's

@@ -216,11 +216,7 @@ func extractOracle(e *Extractor, b *pkt.Batch) Vector {
 	}
 	e.sk.seal()
 
-	npkts := v[IdxPackets]
-	for a := 0; a < pkt.NumAggregates; a++ {
-		e.finishAggregate(v, e.sk, a, npkts)
-	}
-	return v
+	return e.FinishSketchInto(v, e.sk, v[IdxPackets], v[IdxBytes])
 }
 
 func TestExtractMatchesBytePathOracle(t *testing.T) {
@@ -290,12 +286,12 @@ func TestExtractZeroAllocSteadyState(t *testing.T) {
 	src := NewExtractor(2)
 	src.StartInterval()
 	src.Extract(&batch)
-	e.ExtractFromBatchOf(src, 10, 1000)
+	e.ExtractFromSketch(src.Sketch(), 10, 1000)
 	allocs = testing.AllocsPerRun(20, func() {
-		e.ExtractFromBatchOf(src, 10, 1000)
+		e.ExtractFromSketch(src.Sketch(), 10, 1000)
 	})
 	if allocs != 0 {
-		t.Fatalf("ExtractFromBatchOf steady-state allocations = %v, want 0", allocs)
+		t.Fatalf("ExtractFromSketch steady-state allocations = %v, want 0", allocs)
 	}
 }
 

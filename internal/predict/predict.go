@@ -174,8 +174,30 @@ func (h *History) State() HistoryState {
 }
 
 // SetState restores a ring captured by State into a history of the same
-// capacity, preserving the slot layout exactly.
+// capacity, preserving the slot layout exactly. A state CheckState
+// refuses is not installed.
 func (h *History) SetState(st HistoryState) error {
+	if err := h.CheckState(st); err != nil {
+		return err
+	}
+	n := st.Next
+	if st.Full {
+		n = h.capacity
+	}
+	copy(h.costs, st.Costs)
+	for i, f := range st.Feats[:n] {
+		for j, x := range f {
+			h.cols[j][i] = x
+		}
+	}
+	h.next = st.Next
+	h.full = st.Full
+	return nil
+}
+
+// CheckState reports whether SetState would install st, without
+// installing it.
+func (h *History) CheckState(st HistoryState) error {
 	if len(st.Feats) != h.capacity || len(st.Costs) != h.capacity {
 		return fmt.Errorf("predict: history state capacity %d does not match %d", len(st.Feats), h.capacity)
 	}
@@ -204,14 +226,6 @@ func (h *History) SetState(st HistoryState) error {
 			return fmt.Errorf("predict: history state carries weight %g in slot %d: written by a build that discounted history after a change verdict, which this build (truncation only) cannot resume bit-identically", w, i)
 		}
 	}
-	copy(h.costs, st.Costs)
-	for i, f := range st.Feats[:n] {
-		for j, x := range f {
-			h.cols[j][i] = x
-		}
-	}
-	h.next = st.Next
-	h.full = st.Full
 	return nil
 }
 

@@ -131,6 +131,28 @@ func (s *PacketSampler) SelectInto(idx []int32, n int, rate float64) []int32 {
 	return idx[:k]
 }
 
+// SelectPair is a.SelectInto(idxA, n, rateA) and b.SelectInto(idxB, n,
+// rateB) in one loop: the same selections and the same RNG positions
+// afterwards. Each draw waits on the previous one of its generator, so
+// one stream's loop is as long as its xorshift chain; interleaving two
+// streams lets their chains overlap. a and b must be distinct samplers.
+func SelectPair(a, b *PacketSampler, idxA, idxB []int32, n int, rateA, rateB float64) ([]int32, []int32) {
+	if rateA >= 1 || rateA <= 0 || rateB >= 1 || rateB <= 0 {
+		return a.SelectInto(idxA, n, rateA), b.SelectInto(idxB, n, rateB)
+	}
+	idxA, idxB = sized(idxA, n), sized(idxB, n)
+	thrA, thrB := threshold(rateA), threshold(rateB)
+	rngA, rngB := *a.rng, *b.rng
+	kA, kB := 0, 0
+	for i := range n {
+		idxA[kA], idxB[kB] = int32(i), int32(i)
+		kA += int((rngA.Uint64()>>11 - thrA) >> 63)
+		kB += int((rngB.Uint64()>>11 - thrB) >> 63)
+	}
+	*a.rng, *b.rng = rngA, rngB
+	return idxA[:kA], idxB[:kB]
+}
+
 // SampleInto copies the packets of pkts selected with probability rate
 // into dst (truncated, grown only when capacity runs out): SelectInto,
 // then one gather. A rate >= 1 returns the input slice itself (no copy

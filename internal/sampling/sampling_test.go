@@ -242,6 +242,35 @@ func TestPacketSelectMatchesFloatCompare(t *testing.T) {
 	}
 }
 
+// TestSelectPairMatchesSelectInto pins the interleaved pair kernel to two
+// SelectInto calls by selection and by both RNG positions, for every
+// pair of the edge rates — 0, 2⁻⁵³, 0.5, 1−2⁻⁵³, 1 and NaN — at several
+// sizes, n = 0 included, over three rounds so a position drifted by one
+// draw shows up in the next round's selection.
+func TestSelectPairMatchesSelectInto(t *testing.T) {
+	rates := []float64{0, 1.0 / (1 << 53), 0.5, 1 - 1.0/(1<<53), 1, math.NaN()}
+	for _, n := range []int{0, 1, 7, 4096} {
+		for _, ra := range rates {
+			for _, rb := range rates {
+				pa, pb := NewPacketSampler(11), NewPacketSampler(12)
+				sa, sb := NewPacketSampler(11), NewPacketSampler(12)
+				var ia, ib, wa, wb []int32
+				for round := 0; round < 3; round++ {
+					ia, ib = SelectPair(pa, pb, ia, ib, n, ra, rb)
+					wa, wb = sa.SelectInto(wa, n, ra), sb.SelectInto(wb, n, rb)
+					if !slices.Equal(ia, wa) || !slices.Equal(ib, wb) {
+						t.Fatalf("n %d rates %v/%v round %d: pair selected %d/%d, SelectInto %d/%d",
+							n, ra, rb, round, len(ia), len(ib), len(wa), len(wb))
+					}
+					if pa.State() != sa.State() || pb.State() != sb.State() {
+						t.Fatalf("n %d rates %v/%v round %d: RNG positions diverged from SelectInto's", n, ra, rb, round)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFlowSelectMatchesUnitOfFlowKey pins FlowSampler.SelectInto to the
 // byte path it replaced — H3.Unit over the serialized FlowKey — under
 // two interval hash functions, over the whole bin and packet by packet.

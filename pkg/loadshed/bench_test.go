@@ -201,30 +201,43 @@ func TestMonitorBinAllocCap(t *testing.T) {
 	}
 }
 
-// BenchmarkBinLoop is one bin of the benchmark's two single-link replay
-// workloads (bench/workloads.go), priced from inside the repo so a
-// profile can attribute it: `go test -run '^$' -bench
-// BinLoop/overload2x -cpuprofile cpu.out`. Same trace (CESCA-II, seed
-// 1), same budgets from MeasureLoad (overhead + demand/2 for
-// overload2x, 32 × (overhead + demand) for underload), same engine
-// (MMFSPkt, one worker, standard queries with seed 7); a warmed system
-// re-streams the recorded window, whole passes and a last partial one.
+// BenchmarkBinLoop is one bin of the benchmark's replay workloads
+// (bench/workloads.go), priced from inside the repo so a profile can
+// attribute it: `go test -run '^$' -bench BinLoop/overload2x
+// -cpuprofile cpu.out`. Same trace (CESCA-II, seed 1), same budgets from
+// MeasureLoad (overhead + demand/2 for overload2x, 32 × (overhead +
+// demand) for underload), same engine (MMFSPkt, one worker, standard
+// queries with seed 7); a warmed system re-streams the recorded window,
+// whole passes and a last partial one. tick8 is the batch a serving lsd
+// makes of one 100 ms tick under live_serve's feeder: eight replay bins
+// per batch, at eight bins' overhead plus half their demand.
 func BenchmarkBinLoop(b *testing.B) {
 	dur := 4 * time.Second
 	if testing.Short() {
-		dur = 500 * time.Millisecond
+		dur = 800 * time.Millisecond // one tick8 batch
 	}
 	g := trace.NewGenerator(trace.CESCA2(1, dur, 1))
 	batches, bin := trace.Record(g), g.TimeBin()
 	qcfg := loadshed.QueryConfig{Seed: 7}
 	overhead, demand := loadshed.MeasureLoad(trace.NewMemorySource(batches, bin), loadshed.StandardQueries(qcfg), 7)
+	var ticks []pkt.Batch
+	for k := 0; k+8 <= len(batches); k += 8 {
+		var tick []pkt.Packet
+		for _, bb := range batches[k : k+8] {
+			tick = append(tick, bb.Pkts...)
+		}
+		ticks = append(ticks, pkt.Batch{Start: time.Duration(len(ticks)) * bin, Bin: bin, Pkts: tick})
+	}
 	for _, w := range []struct {
 		name     string
+		batches  []pkt.Batch
 		capacity float64
 	}{
-		{"overload2x", overhead + demand/2},
-		{"underload", 32 * (overhead + demand)},
+		{"overload2x", batches, overhead + demand/2},
+		{"underload", batches, 32 * (overhead + demand)},
+		{"tick8", ticks, 8 * (overhead + demand/2)},
 	} {
+		batches := w.batches
 		b.Run(w.name, func(b *testing.B) {
 			sys := loadshed.New(loadshed.Config{
 				Scheme: loadshed.Predictive, Strategy: loadshed.MMFSPkt(), Capacity: w.capacity, Workers: 1, Seed: 7,

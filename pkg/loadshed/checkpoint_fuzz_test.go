@@ -2,6 +2,7 @@ package loadshed
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -32,6 +33,40 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 			return
 		}
 		if err := sys.Restore(cp.Snap); err != nil {
+			return
+		}
+		sys.Stream(trace.NewMemorySource(batches, bin), nil)
+	})
+}
+
+// FuzzDecodeSnapshot walks an arbitrary bare state file — what
+// SystemSnapshot.Encode writes — down the resume path: decode, restore
+// into a fresh system of the snapshot tests' shape, stream two bins.
+// Decode and Restore may refuse the blob; nothing may panic, and a
+// refused Restore must leave the system's Snapshot as it was. The
+// corpus under testdata/fuzz holds the earlier build's snapshot fixture
+// (testdata/snapshot_pr15.gob), a truncation of it, the fixture stamped
+// with another format version and the fixture with its last history
+// ring one row short.
+func FuzzDecodeSnapshot(f *testing.F) {
+	g := trace.NewGenerator(trace.CESCA2(1, 200*time.Millisecond, 0.05))
+	batches, bin := trace.Record(g), g.TimeBin()
+
+	f.Add([]byte("garbage"))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		snap, err := DecodeSnapshot(bytes.NewReader(blob))
+		if err != nil {
+			return
+		}
+		sys := snapshotErrorSystem(nil, snapshotTestQueries())
+		before, err := sys.Snapshot()
+		if err != nil {
+			t.Fatalf("snapshot of a fresh system: %v", err)
+		}
+		if err := sys.Restore(snap); err != nil {
+			if after, _ := sys.Snapshot(); !reflect.DeepEqual(before, after) {
+				t.Fatalf("refused restore (%v) changed the system's state", err)
+			}
 			return
 		}
 		sys.Stream(trace.NewMemorySource(batches, bin), nil)

@@ -238,22 +238,30 @@ type RunResult struct {
 }
 
 // runQuery is the per-query runtime state. Everything here is owned by
-// whichever worker runs the query within a bin; nothing is shared
-// between queries, which is what lets the execute stage fan out.
+// whichever worker runs the query within a bin, which is what lets the
+// execute stage fan out; the one thing shared between queries, iv, is
+// written only by the shed step, before the fan-out.
 type runQuery struct {
 	q     queries.Query
 	pred  predict.Predictor
 	mlr   *predict.MLR // pred, when it is an MLR
-	ext   *features.Extractor
 	fsamp *sampling.FlowSampler
 	psamp *sampling.PacketSampler
 	noise *hash.XorShift // measurement-noise stream, private per query
 	shed  *custom.State  // non-nil when the query supports custom shedding
 
+	// The shed step's output for the bin: the interval state the query
+	// shares (nil until its first bin of an interval) and which sketch it
+	// folded, the rate the query is told was applied, and fv, the scratch
+	// its observed feature vector is written to.
+	iv      *ivState
+	fold    foldKind
+	effRate float64
+	fv      features.Vector
+
 	// sel is the query's sampling scratch: the indices of the admitted
 	// packets its sampler keeps this bin, which qbatch reads through
-	// (worker-pool safe — the owning worker is the only writer, and the
-	// list is dead once Process returns).
+	// (the shed step writes it, and it is dead once Process returns).
 	sel []int32
 	// qbatch is the batch view handed to Process. It lives on the
 	// runQuery because &qbatch escapes through the Query interface;
@@ -290,13 +298,19 @@ type System struct {
 
 	// Per-bin scratch, written only by the pipeline goroutine between
 	// worker-pool drains: the reused BinContext, the predictive demand
-	// vector and the shed-stream selection. execFn is the worker-pool
-	// closure over the reused context, built once instead of per bin.
+	// vector, the shed-stream selection and the shed step's draw queue.
+	// execFn is the worker-pool closure over the reused context, built
+	// once instead of per bin.
 	bc        BinContext
 	execFn    func(int)
 	demandBuf []sched.Demand
 	schedWs   sched.Workspace
 	shedIdx   []int32
+	draws     []draw
+	// ivs are the interval states in use, one per distinct fold history
+	// this interval, taken in order from ivPool, which holds one per
+	// query slot.
+	ivs, ivPool []*ivState
 	// prevIvr is the interval result storage, handed back to each
 	// recycling query at the next flush; index-aligned with qs.
 	prevIvr []queries.Result
@@ -500,7 +514,6 @@ func (s *System) addQuery(q queries.Query) {
 	i := len(s.qs)
 	rq := &runQuery{
 		q:     q,
-		ext:   features.NewExtractor(s.cfg.Seed + uint64(i)*0x10001 + 0x9fe),
 		fsamp: sampling.NewFlowSampler(s.cfg.Seed + uint64(i)*31 + 7),
 		psamp: sampling.NewPacketSampler(s.cfg.Seed + uint64(i)*17 + 3),
 		noise: hash.NewXorShift(s.cfg.Seed + uint64(i)*0x2b5ad + 0x6e01),
@@ -513,6 +526,7 @@ func (s *System) addQuery(q queries.Query) {
 		}
 	}
 	s.qs = append(s.qs, rq)
+	s.ivPool = append(s.ivPool, &ivState{Interval: features.NewInterval()})
 }
 
 func newGovernor(cfg Config) *core.Governor {
@@ -774,11 +788,12 @@ func (s *System) CustomStates() []*custom.State {
 
 func (s *System) startInterval() {
 	s.globalExt.StartInterval()
+	s.ivs = s.ivs[:0]
 	for _, rq := range s.qs {
 		if rq == nil { // tombstoned by RemoveQuery
 			continue
 		}
-		rq.ext.StartInterval()
+		rq.iv = nil
 		rq.fsamp.StartInterval()
 	}
 	if s.manager != nil {

@@ -202,8 +202,10 @@ func (s *System) Snapshot() (*SystemSnapshot, error) {
 // the same query set, in the same order, as the snapshotted system —
 // query instances themselves need no restoring, because their state is
 // interval-scoped and resets at the next interval start. Restore
-// verifies what it can (predictor kind, query names and order, history
-// capacity) and reports mismatches rather than installing a torn state.
+// verifies what it can (predictor kind, query names and order, every
+// history ring, the detector's state) before it installs anything, and
+// reports a mismatch with the system left as it was rather than
+// installing a torn state.
 func (s *System) Restore(snap *SystemSnapshot) error {
 	if s.manager != nil {
 		return fmt.Errorf("loadshed: restore: custom shedding systems are not snapshottable")
@@ -212,50 +214,53 @@ func (s *System) Restore(snap *SystemSnapshot) error {
 		return fmt.Errorf("loadshed: restore: change detection is %v on the system but %v in the snapshot",
 			s.det != nil, snap.Detect != nil)
 	}
-	live := 0
+	var live []*runQuery
 	for _, rq := range s.qs {
-		if rq == nil {
-			continue
+		if rq != nil {
+			live = append(live, rq)
 		}
-		live++
+	}
+	if len(live) != len(snap.Queries) {
+		return fmt.Errorf("loadshed: restore: system has %d queries, snapshot has %d", len(live), len(snap.Queries))
+	}
+	for i, rq := range live {
+		qs := &snap.Queries[i]
 		if kind := rq.pred.Name(); kind != snap.PredictorKind {
 			return fmt.Errorf("loadshed: restore: query %q predicts with %q, snapshot has %q", rq.q.Name(), kind, snap.PredictorKind)
 		}
-	}
-	if live != len(snap.Queries) {
-		return fmt.Errorf("loadshed: restore: system has %d queries, snapshot has %d", live, len(snap.Queries))
-	}
-	i := 0
-	for _, rq := range s.qs {
-		if rq == nil {
-			continue
-		}
-		qs := &snap.Queries[i]
-		i++
 		if got := rq.q.Name(); got != qs.Name {
-			return fmt.Errorf("loadshed: restore: query %d is %q, snapshot has %q", i-1, got, qs.Name)
+			return fmt.Errorf("loadshed: restore: query %d is %q, snapshot has %q", i, got, qs.Name)
 		}
 		switch p := rq.pred.(type) {
-		case *predict.MLR:
+		case historian:
 			if qs.Hist == nil {
 				return fmt.Errorf("loadshed: restore: snapshot for %q carries no history", qs.Name)
 			}
-			if err := p.History().SetState(*qs.Hist); err != nil {
-				return fmt.Errorf("loadshed: restore %q: %w", qs.Name, err)
-			}
-			p.FCBFOps = qs.FCBFOps
-			p.FitOps = qs.FitOps
-		case *predict.SLR:
-			if qs.Hist == nil {
-				return fmt.Errorf("loadshed: restore: snapshot for %q carries no history", qs.Name)
-			}
-			if err := p.History().SetState(*qs.Hist); err != nil {
+			if err := p.History().CheckState(*qs.Hist); err != nil {
 				return fmt.Errorf("loadshed: restore %q: %w", qs.Name, err)
 			}
 		case *predict.EWMA:
-			p.Restore(qs.EWMAValue, qs.EWMASeeded)
 		default:
 			return fmt.Errorf("loadshed: restore: unsupported predictor %T for query %q", rq.pred, qs.Name)
+		}
+	}
+	if snap.Detect != nil {
+		if err := s.det.CheckState(*snap.Detect); err != nil {
+			return fmt.Errorf("loadshed: restore: %w", err)
+		}
+	}
+
+	// Everything checked: nothing below fails.
+	for i, rq := range live {
+		qs := &snap.Queries[i]
+		switch p := rq.pred.(type) {
+		case *predict.MLR:
+			_ = p.History().SetState(*qs.Hist)
+			p.FCBFOps, p.FitOps = qs.FCBFOps, qs.FitOps
+		case *predict.SLR:
+			_ = p.History().SetState(*qs.Hist)
+		case *predict.EWMA:
+			p.Restore(qs.EWMAValue, qs.EWMASeeded)
 		}
 		rq.noise.SetState(qs.NoiseState)
 		rq.psamp.SetState(qs.PSampState)
@@ -270,9 +275,10 @@ func (s *System) Restore(snap *SystemSnapshot) error {
 	s.reactiveDelay = snap.ReactiveDelay
 	s.lastConsumed = snap.LastConsumed
 	if snap.Detect != nil {
-		if err := s.det.SetState(*snap.Detect); err != nil {
-			return fmt.Errorf("loadshed: restore: %w", err)
-		}
+		_ = s.det.SetState(*snap.Detect)
 	}
 	return nil
 }
+
+// historian is a predictor that keeps a history ring: mlr and slr.
+type historian interface{ History() *predict.History }

@@ -216,6 +216,54 @@ func TestSnapshotRestoreErrors(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusalLeavesSystemUntouched: a snapshot Restore refuses
+// installs nothing. Two refusals that used to come after part of the
+// state was in — the last query's history ring at the wrong capacity
+// (every earlier ring was installed first) and an invalid detector
+// state (everything else was) — must leave Snapshot reading exactly
+// what it read before the call.
+func TestRestoreRefusalLeavesSystemUntouched(t *testing.T) {
+	mk := func() *System {
+		return New(Config{Scheme: Predictive, Strategy: MMFSPkt(), Seed: 99, Capacity: 1e6, Workers: 1, ChangeDetection: true},
+			snapshotTestQueries())
+	}
+	donor := mk()
+	g := trace.NewGenerator(trace.CESCA2(9, time.Second, 0.4))
+	donor.Run(trace.NewMemorySource(trace.Record(g), g.TimeBin()))
+	snapOf := func() *SystemSnapshot {
+		snap, err := donor.Snapshot()
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		return snap
+	}
+	shortRing, badDetector := snapOf(), snapOf()
+	h := shortRing.Queries[len(shortRing.Queries)-1].Hist
+	h.Feats, h.Costs = h.Feats[:len(h.Feats)-1], h.Costs[:len(h.Costs)-1]
+	badDetector.Detect.DistHead = -1
+
+	for name, snap := range map[string]*SystemSnapshot{"last ring short": shortRing, "detector head": badDetector} {
+		sys := mk()
+		before, err := sys.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: snapshot: %v", name, err)
+		}
+		if reflect.DeepEqual(before, snapOf()) {
+			t.Fatalf("%s: the donor's state equals a fresh system's; the test is vacuous", name)
+		}
+		if err := sys.Restore(snap); err == nil {
+			t.Fatalf("%s: restore must fail", name)
+		}
+		after, err := sys.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: snapshot: %v", name, err)
+		}
+		if !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: the refused restore changed the system's state", name)
+		}
+	}
+}
+
 // TestRestoreRefusesOtherPredictor: the predictor is a constructor, not
 // a ShardSpec field, so what guards a resume is the snapshot itself —
 // its stamped kind and each ring's capacity. A snapshot of one kind or

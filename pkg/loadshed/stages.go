@@ -305,50 +305,13 @@ func (s *System) decidePredictive(avail float64, preds []float64, rates []float6
 	}
 }
 
-// execute sheds and runs every query. The shared shed-stream sketch is
-// built once, sequentially; the per-query work then fans out over the
-// run's execute pool (inline without one). Every worker touches only
-// its query's state and per-index result slots, and the slots are
-// merged in index order afterwards, so the bin record is bit-identical
-// for any worker count.
+// execute sheds and runs every query: the shed step, sequentially, then
+// the per-query run fanned out over the run's execute pool (inline
+// without one). Every worker writes only its query's state and
+// per-index result slots, and the slots are merged in index order
+// afterwards, so the bin record is bit-identical for any worker count.
 func (s *System) execute(bc *BinContext) {
-	// Sketch the shed stream once, shared across queries (§5.5.4: "the
-	// traffic features could be recomputed just once"): a packet sample
-	// of the admitted batch at the mean rate of the sampled queries,
-	// whose bitmaps approximate every sampled query's stream. The sample
-	// is an index selection; the sketch inserts the distinct flows it
-	// touches straight from the per-flow hash columns extractPredict
-	// already filled, so no packet or hash is copied and none re-hashed,
-	// and it is charged per selected packet all the same. Per-query
-	// interval state is maintained by merging the shared batch bitmaps.
-	if s.cfg.Scheme == Predictive {
-		repRate, nSampled := 0.0, 0
-		for i, r := range bc.rates {
-			if s.qs[i] == nil {
-				continue
-			}
-			if r < 1 && !(s.qs[i].shed != nil && s.qs[i].shed.Mode() == custom.ModeCustom) {
-				repRate += r
-				nSampled++
-			}
-		}
-		if nSampled > 0 {
-			repRate /= float64(nSampled)
-			// The mean of rates < 1 can round to exactly 1: the shed stream
-			// is then the admitted one, at its full cost and without a draw.
-			bc.shedSketch = bc.sketch
-			if repRate < 1 {
-				s.shedIdx = s.shedSamp.SelectInto(s.shedIdx, len(bc.Admitted.Pkts), repRate)
-				bc.sketch.SelectInto(s.shedSketch, s.shedIdx)
-				bc.shedSketch = s.shedSketch
-			}
-			ops := bc.shedSketch.Ops()
-			s.shedOps += ops
-			bc.shedCycles += features.CostPerOp * float64(ops)
-			bc.shedCycles += sampleCostPerPkt * float64(len(bc.Admitted.Pkts))
-		}
-	}
-
+	s.shed(bc)
 	if s.execFn == nil {
 		// bc is always the System's reused context, so one closure serves
 		// every bin.
@@ -379,108 +342,252 @@ func (s *System) execute(bc *BinContext) {
 	bc.Stats.GlobalRate = minRate
 }
 
-// executeQuery sheds, runs, measures and observes one query. It runs on
-// a worker goroutine: it may read shared state frozen by the earlier
-// stages (the admitted batch, the bin's full and shed sketches) but
-// writes only query-local state (samplers, predictor,
-// extractor, custom-shedding record, its own RNG stream) and the
-// per-index slots of bc.
+// draw is one packet selection of the bin, queued by the shed step for
+// its draw pass: samp selects at rate into *idx.
+type draw struct {
+	samp *sampling.PacketSampler
+	rate float64
+	idx  *[]int32
+}
+
+// shed is execute's sequential first half: every query's shedding for
+// the bin, done before the fan-out so that the workers only run,
+// measure and observe. It applies the custom-shedding requests, draws
+// every packet selection of the bin in one pass, builds the batch view
+// each query reads, sketches the shared shed stream and folds each
+// interval state once.
+func (s *System) shed(bc *BinContext) {
+	predictive := s.cfg.Scheme == Predictive
+	s.draws = s.draws[:0]
+	repRate, nSampled := 0.0, 0
+	for i, rq := range s.qs {
+		if rq == nil { // tombstoned slot: zero rate, zero cycles, no result
+			continue
+		}
+		rate := bc.rates[i]
+		if predictive && rate < 1 && !(rq.shed != nil && rq.shed.Mode() == custom.ModeCustom) {
+			repRate += rate
+			nSampled++
+		}
+		// effRate is the rate the query is told was applied; fold is the
+		// sketch its stream's features come from, the shed one exactly when
+		// the query reads a selection.
+		rq.qbatch, rq.effRate, rq.fold = bc.Admitted, rate, foldFull
+		if rate < 1 {
+			rq.fold = foldShed
+		}
+		if rq.shed != nil && predictive {
+			switch rq.shed.Mode() {
+			case custom.ModeCustom:
+				// Custom shedding: the query sheds internally; the batch is
+				// delivered whole and the query assumes no packet loss. A
+				// zero allocation withholds the batch entirely (the query
+				// is disabled for this bin) and leaves nothing to observe.
+				s.manager.Apply(rq.shed, rate)
+				rq.effRate, rq.fold = 1, foldFull
+				if rate <= 0 {
+					rq.qbatch.Pkts, rq.fold = nil, foldNone
+				}
+			case custom.ModePoliced:
+				// The system took shedding away: enforced packet sampling
+				// (§6.1.1).
+				s.manager.Apply(rq.shed, rate)
+			case custom.ModeDisabled:
+				// An empty batch at residual cost: observing it would fill
+				// the MLR history with (empty features, near-zero cost).
+				s.manager.Apply(rq.shed, 0)
+				rate, rq.effRate, rq.fold = 0, 1, foldNone
+				rq.qbatch.Pkts = nil
+			}
+		}
+		switch {
+		case rq.fold != foldShed:
+		case rq.q.Method() == sampling.Flow:
+			rq.sel = rq.fsamp.SelectInto(rq.sel, rq.qbatch.Pkts, rate)
+		default:
+			s.draws = append(s.draws, draw{rq.psamp, rate, &rq.sel})
+		}
+		bc.Stats.Rates[i] = rate
+	}
+
+	// Sketch the shed stream once, shared across queries (§5.5.4: "the
+	// traffic features could be recomputed just once"): a packet sample
+	// of the admitted batch at the mean rate of the sampled queries,
+	// whose bitmaps approximate every sampled query's stream. The sketch
+	// inserts the distinct flows the sample touches straight from the
+	// per-flow hash columns extractPredict already filled, so no packet
+	// or hash is copied and none re-hashed, and it is charged per
+	// selected packet all the same. The mean of rates < 1 can round to
+	// exactly 1: the shed stream is then the admitted one, at its full
+	// cost and without a draw.
+	if nSampled > 0 {
+		repRate /= float64(nSampled)
+		if repRate < 1 {
+			s.draws = append(s.draws, draw{s.shedSamp, repRate, &s.shedIdx})
+		}
+	}
+
+	// The draw pass: two selections per loop, so that two xorshift chains
+	// overlap. Each sampler owns its RNG stream, so pairing them changes
+	// no draw.
+	n := len(bc.Admitted.Pkts)
+	for j := 0; j < len(s.draws); j += 2 {
+		x := &s.draws[j]
+		if j+1 == len(s.draws) {
+			*x.idx = x.samp.SelectInto(*x.idx, n, x.rate)
+			break
+		}
+		y := &s.draws[j+1]
+		*x.idx, *y.idx = sampling.SelectPair(x.samp, y.samp, *x.idx, *y.idx, n, x.rate, y.rate)
+	}
+	// Shed by selection: a sampled query reads the admitted packets
+	// through its sampler's index list, so no packet is copied. The list
+	// only has to live until the query's Process returns.
+	for _, rq := range s.qs {
+		if rq != nil && rq.fold == foldShed {
+			selectView(&rq.qbatch, rq.sel)
+		}
+	}
+
+	if nSampled > 0 {
+		bc.shedSketch = bc.sketch
+		if repRate < 1 {
+			bc.sketch.SelectInto(s.shedSketch, s.shedIdx)
+			bc.shedSketch = s.shedSketch
+		}
+		ops := bc.shedSketch.Ops()
+		s.shedOps += ops
+		bc.shedCycles += features.CostPerOp * float64(ops)
+		bc.shedCycles += sampleCostPerPkt * float64(len(bc.Admitted.Pkts))
+	}
+	if predictive {
+		s.foldStates(bc)
+	}
+}
+
+// foldKind is which of the bin's sketches a query's stream folds into
+// its interval state.
+type foldKind uint8
+
+const (
+	foldNone foldKind = iota // nothing: the query observes nothing this bin
+	foldFull                 // the admitted stream's, BinContext.sketch
+	foldShed                 // the shed stream's, BinContext.shedSketch
+)
+
+// ivState is an interval state (features.Interval) shared by every
+// query whose folds this interval were the same, plus foldStates' books
+// for the bin, which are zero between bins: the members per foldKind,
+// the kind with the most of them, and the state each kind's members
+// move to.
+type ivState struct {
+	*features.Interval
+	fold  foldKind // what the members fold this bin
+	count [3]int
+	keep  foldKind
+	split [3]*ivState
+}
+
+// foldStates folds each interval state once for the bin (§3.2.1's
+// new-item counters, which each query used to keep in an extractor of
+// its own). Queries without a state — all of them in an interval's
+// first bin, a mid-interval arrival — start in one empty state. Members
+// of a state that fold different sketches, or none, split first: the
+// largest group keeps the state, and every other group moves to a
+// pooled copy of it as it was before the fold. Bitmaps are pure ORs, so
+// a state's members hold exactly the bitmaps a private extractor each
+// would hold.
+func (s *System) foldStates(bc *BinContext) {
+	var empty *ivState
+	for _, rq := range s.qs {
+		if rq == nil {
+			continue
+		}
+		if rq.iv == nil {
+			if empty == nil {
+				empty = s.newState()
+				empty.Reset()
+			}
+			rq.iv = empty
+		}
+		st := rq.iv
+		if st.count[rq.fold]++; st.count[rq.fold] > st.count[st.keep] {
+			st.keep = rq.fold
+		}
+	}
+	for _, rq := range s.qs {
+		if rq == nil {
+			continue
+		}
+		st := rq.iv
+		if st.split[rq.fold] == nil {
+			to := st
+			if rq.fold != st.keep {
+				to = s.newState()
+				to.CopyFrom(st.Interval)
+			}
+			to.fold, st.split[rq.fold] = rq.fold, to
+		}
+		rq.iv = st.split[rq.fold]
+	}
+	for _, st := range s.ivs {
+		switch st.fold {
+		case foldFull:
+			st.Fold(bc.sketch)
+		case foldShed:
+			st.Fold(bc.shedSketch)
+		}
+		st.count, st.keep, st.split = [3]int{}, foldNone, [3]*ivState{}
+	}
+}
+
+// newState takes the next pooled interval state into use; its interval
+// contents are unspecified. The pool never runs out: it holds a state
+// per query slot, and every state in use has a member.
+func (s *System) newState() *ivState {
+	s.ivs = s.ivPool[:len(s.ivs)+1]
+	return s.ivs[len(s.ivs)-1]
+}
+
+// executeQuery runs, measures and observes one query. It runs on a
+// worker goroutine: it may read shared state frozen by the earlier
+// stages (the admitted batch, the bin's sketches, the interval states)
+// but writes only query-local state (the query, its predictor, its
+// custom-shedding record, its own RNG stream) and the per-index slots
+// of bc.
 func (s *System) executeQuery(bc *BinContext, i int) {
 	rq := s.qs[i]
-	if rq == nil { // tombstoned slot: zero rate, zero cycles, no result
+	if rq == nil {
 		return
 	}
-	rate := bc.rates[i]
+	rate := bc.Stats.Rates[i]
 	qb := &rq.qbatch
-	*qb = bc.Admitted
-	effRate := rate // the rate the query is told was applied
-
-	if rq.shed != nil && s.cfg.Scheme == Predictive {
-		switch rq.shed.Mode() {
-		case custom.ModeCustom:
-			// Custom shedding: the query sheds internally; the
-			// batch is delivered whole and the query assumes no
-			// packet loss. A zero allocation withholds the batch
-			// entirely (the query is disabled for this bin).
-			s.manager.Apply(rq.shed, rate)
-			effRate = 1
-			if rate <= 0 {
-				qb.Pkts = nil
-			}
-		case custom.ModePoliced:
-			// The system took shedding away: enforced packet
-			// sampling (§6.1.1).
-			s.manager.Apply(rq.shed, rate)
-			if rate < 1 {
-				rq.sel = rq.psamp.SelectInto(rq.sel, len(qb.Pkts), rate)
-				selectView(qb, rq.sel)
-			}
-		case custom.ModeDisabled:
-			s.manager.Apply(rq.shed, 0)
-			rate = 0
-			qb.Pkts = nil
-			effRate = 1
-		}
-	} else if rate < 1 {
-		// Shed by selection: the query reads the admitted packets through
-		// its sampler's index list, so no packet is copied. The list only
-		// has to live until Process and the feature merge below return.
-		switch rq.q.Method() {
-		case sampling.Flow:
-			rq.sel = rq.fsamp.SelectInto(rq.sel, qb.Pkts, rate)
-		default:
-			rq.sel = rq.psamp.SelectInto(rq.sel, len(qb.Pkts), rate)
-		}
-		selectView(qb, rq.sel)
-	}
-	bc.Stats.Rates[i] = rate
-
-	// Run the query.
-	ops := rq.q.Process(qb, effRate)
+	ops := rq.q.Process(qb, rq.effRate)
 	base := costModel.Cycles(ops)
 	measured, spiked := s.measure(rq.noise, base)
 	bc.Stats.QueryUsed[i] = measured
 	bc.exec[i] = execResult{used: measured, alloc: bc.Stats.QueryPred[i] * rate}
+	if s.cfg.Scheme != Predictive {
+		return
+	}
 
-	// Update the query's prediction history with the features of
-	// its (possibly shed) stream (Algorithm 1 lines 12, 16). The
-	// distinct counts come from the shared extractors; the scalar
-	// packet/byte features are the query's own. A custom-shedding
-	// query whose batch was withheld (rate 0) processed nothing and
-	// contributes no observation — pairing full-batch features with
-	// its residual cost would poison the model. The same holds for a
-	// ModeDisabled query: it saw an empty batch and cost only the
-	// per-batch residual, so observing it would fill the MLR history
-	// with (empty features, near-zero cost) pairs.
-	if s.cfg.Scheme == Predictive {
-		customMode := rq.shed != nil && rq.shed.Mode() == custom.ModeCustom
-		disabled := rq.shed != nil && rq.shed.Mode() == custom.ModeDisabled
-		if !(customMode && rate <= 0) && !disabled {
-			// ExtractFromSketch returns rq.ext's scratch vector without
-			// allocating; it only has to live until Observe copies it into
-			// the predictor's history just below. Safe on the worker pool:
-			// rq.ext is query-owned, and the source sketches are only read
-			// (bc.sketch and bc.shedSketch are frozen by the earlier stages;
-			// under the bin pipeline the front stage writes only the other
-			// ring generation's sketch).
-			var qf features.Vector
-			if rate >= 1 || customMode {
-				// Stream identical to the full batch: merge, don't rescan.
-				qf = rq.ext.ExtractFromSketch(bc.sketch, bc.fv[features.IdxPackets], bc.fv[features.IdxBytes])
-			} else {
-				qf = rq.ext.ExtractFromSketch(bc.shedSketch, float64(qb.Packets()), float64(qb.Bytes()))
-			}
-			if spiked {
-				// §3.2.4: measurements corrupted by context switches
-				// are replaced with the prediction in the MLR history.
-				rq.pred.Observe(qf, bc.Stats.QueryPred[i]*rate)
-			} else {
-				rq.pred.Observe(qf, measured)
-			}
+	// Update the query's prediction history with the features of its
+	// (possibly shed) stream (Algorithm 1 lines 12, 16): the distinct
+	// counts of its interval state's fold, and the packet and byte counts
+	// of its own view — the admitted batch's, unless it reads a
+	// selection. rq.fv only has to live until Observe copies it.
+	if rq.fold != foldNone {
+		rq.fv = rq.iv.VectorInto(rq.fv, float64(qb.Packets()), float64(qb.Bytes()))
+		if spiked {
+			// §3.2.4: measurements corrupted by context switches are
+			// replaced with the prediction in the MLR history.
+			rq.pred.Observe(rq.fv, bc.Stats.QueryPred[i]*rate)
+		} else {
+			rq.pred.Observe(rq.fv, measured)
 		}
-		if rq.shed != nil {
-			s.manager.Audit(rq.shed, measured, bc.Stats.QueryPred[i])
-		}
+	}
+	if rq.shed != nil {
+		s.manager.Audit(rq.shed, measured, bc.Stats.QueryPred[i])
 	}
 }
 

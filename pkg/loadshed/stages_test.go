@@ -221,15 +221,15 @@ func TestSampledQueryFeaturesRotate(t *testing.T) {
 	}
 }
 
-// escalateToDisabled walks a custom-shedding query down the enforcement
-// ladder by feeding the manager bins that massively overuse their
+// escalateTo walks a custom-shedding query down the enforcement ladder
+// to mode by feeding the manager bins that massively overuse their
 // allocation: ViolationLimit violations reach ModePoliced, another
 // round reaches ModeDisabled.
-func escalateToDisabled(t *testing.T, sys *System, st *custom.State) {
+func escalateTo(t *testing.T, sys *System, st *custom.State, mode custom.Mode) {
 	t.Helper()
-	for i := 0; st.Mode() != custom.ModeDisabled; i++ {
+	for i := 0; st.Mode() != mode; i++ {
 		if i > 100 {
-			t.Fatalf("query never reached ModeDisabled (mode %v after %d audits)", st.Mode(), i)
+			t.Fatalf("query never reached mode %v (mode %v after %d audits)", mode, st.Mode(), i)
 		}
 		sys.manager.Demand(st, 1000)
 		sys.manager.Apply(st, 0.5)
@@ -254,7 +254,7 @@ func TestDisabledQuerySkipsObservation(t *testing.T) {
 	if p2p.shed == nil {
 		t.Fatal("p2p-detector did not register for custom shedding")
 	}
-	escalateToDisabled(t, sys, p2p.shed)
+	escalateTo(t, sys, p2p.shed, custom.ModeDisabled)
 
 	p2pBefore := p2p.mlr.History().Len()
 	counterBefore := sys.qs[1].mlr.History().Len()
