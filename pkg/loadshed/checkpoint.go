@@ -10,7 +10,7 @@ package loadshed
 // link (transport.go checkpoint/adopt frames) and spills to the
 // coordinator's -state-dir.
 //
-// The resume contract mirrors TestSnapshotRestoreBitIdentical: the
+// The resume contract is TestConformance's snapshot row, shipped: the
 // checkpoint is cut at a measurement-interval boundary (the runner's
 // boundary hook), Bin is the first unprocessed bin, and a restored
 // System streaming ResumeSource(src, Bin) produces bit-identical bins

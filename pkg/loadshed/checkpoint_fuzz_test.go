@@ -19,8 +19,7 @@ import (
 // marked full over nil rows, a short feature row, a detector ring head
 // past its ring, a spec asking for 2^30 workers.
 func FuzzRestoreCheckpoint(f *testing.F) {
-	g := trace.NewGenerator(trace.CESCA2(1, 200*time.Millisecond, 0.05))
-	batches, bin := trace.Record(g), g.TimeBin()
+	two := record(trace.NewGenerator(trace.CESCA2(1, 200*time.Millisecond, 0.05)))
 
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, blob []byte) {
@@ -35,7 +34,7 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		if err := sys.Restore(cp.Snap); err != nil {
 			return
 		}
-		sys.Stream(trace.NewMemorySource(batches, bin), nil)
+		sys.Stream(two.src(), nil)
 	})
 }
 
@@ -49,8 +48,7 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 // with another format version and the fixture with its last history
 // ring one row short.
 func FuzzDecodeSnapshot(f *testing.F) {
-	g := trace.NewGenerator(trace.CESCA2(1, 200*time.Millisecond, 0.05))
-	batches, bin := trace.Record(g), g.TimeBin()
+	two := record(trace.NewGenerator(trace.CESCA2(1, 200*time.Millisecond, 0.05)))
 
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, blob []byte) {
@@ -69,6 +67,6 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			return
 		}
-		sys.Stream(trace.NewMemorySource(batches, bin), nil)
+		sys.Stream(two.src(), nil)
 	})
 }

@@ -305,7 +305,7 @@ func binCapacities(bins []BinStats) []float64 {
 // SetCapacity still lands between that shard's bins exactly as in a
 // sequential shard, and a shard's front exits at end of trace before
 // run.finish tears its pools down
-// (TestClusterPipelinedShardsDeterminism).
+// (TestConformance, the workers= rows of the cluster columns).
 func (c *Cluster) stepAll(pool *staticPool, stepNode func(int)) bool {
 	pool.run(len(c.nodes), stepNode)
 	for _, n := range c.nodes {

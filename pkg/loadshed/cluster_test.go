@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -34,10 +35,9 @@ func testClusterShards(dur time.Duration) []Shard {
 // clusterCapacity sizes the machine for the headline scenario: the calm
 // links fit comfortably, the attacked link's full (attack-inclusive)
 // demand does not — only budget moved off the calm links can absorb it.
-func clusterCapacity(tb testing.TB, dur time.Duration) float64 {
-	tb.Helper()
+func clusterCapacity(shards []Shard) float64 {
 	var total float64
-	for i, sh := range testClusterShards(dur) {
+	for i, sh := range shards {
 		c := MeasureCapacity(sh.Source, sh.Queries, 77)
 		if i == 0 {
 			c *= 0.6
@@ -45,61 +45,6 @@ func clusterCapacity(tb testing.TB, dur time.Duration) float64 {
 		total += c
 	}
 	return total
-}
-
-func runTestCluster(policy sched.Strategy, runners int, total float64, dur time.Duration) *ClusterResult {
-	return NewCluster(ClusterConfig{
-		Base:          Config{Scheme: Predictive, Strategy: MMFSPkt(), Seed: 42},
-		TotalCapacity: total,
-		ShardPolicy:   policy,
-		Runners:       runners,
-	}, testClusterShards(dur)).Run()
-}
-
-// TestClusterDeterminism is the shard-runner contract: a cluster run is
-// bit-identical whether shards step on one goroutine or many, because
-// every shard owns all of its state and the coordinator runs at a
-// barrier between bins, reading shards in index order.
-func TestClusterDeterminism(t *testing.T) {
-	const dur = 5 * time.Second
-	total := clusterCapacity(t, dur)
-	seq := runTestCluster(MMFSCPU(), 1, total, dur)
-	for _, runners := range []int{2, 8} {
-		par := runTestCluster(MMFSCPU(), runners, total, dur)
-		if len(par.Shards) != len(seq.Shards) {
-			t.Fatalf("runners=%d: shard count diverged", runners)
-		}
-		for i := range seq.Shards {
-			if !reflect.DeepEqual(seq.Shards[i], par.Shards[i]) {
-				t.Fatalf("runners=%d: shard %s diverged from sequential run", runners, seq.Shards[i].Name)
-			}
-		}
-		if !reflect.DeepEqual(seq.Aggregate, par.Aggregate) {
-			t.Fatalf("runners=%d: aggregate bins diverged", runners)
-		}
-	}
-}
-
-// TestClusterStaticSplitMatchesIsolatedSystems: with a nil policy the
-// cluster is exactly N independent shedders — each shard's record must
-// be bit-identical to a standalone System run at 1/N of the budget.
-func TestClusterStaticSplitMatchesIsolatedSystems(t *testing.T) {
-	const dur = 4 * time.Second
-	total := clusterCapacity(t, dur)
-	res := runTestCluster(nil, 4, total, dur)
-	shards := testClusterShards(dur)
-	for i, sh := range shards {
-		solo := New(Config{
-			Scheme:   Predictive,
-			Strategy: MMFSPkt(),
-			Seed:     42 + uint64(i)*0x9e3779b97f4a7c15,
-			Capacity: total / float64(len(shards)),
-			Workers:  1,
-		}, sh.Queries).Run(sh.Source)
-		if !reflect.DeepEqual(res.Shards[i].Result, solo) {
-			t.Fatalf("shard %s under static split diverged from an isolated System", res.Shards[i].Name)
-		}
-	}
 }
 
 // TestClusterCoordinatorAbsorbsAsymmetricOverload is the headline
@@ -112,9 +57,16 @@ func TestClusterCoordinatorAbsorbsAsymmetricOverload(t *testing.T) {
 		t.Skip("cluster accuracy comparison is slow")
 	}
 	const dur = 12 * time.Second
-	total := clusterCapacity(t, dur)
-	coord := runTestCluster(MMFSCPU(), 4, total, dur)
-	static := runTestCluster(nil, 4, total, dur)
+	total := clusterCapacity(testClusterShards(dur))
+	run := func(policy sched.Strategy) *ClusterResult {
+		return NewCluster(ClusterConfig{
+			Base:          Config{Scheme: Predictive, Strategy: MMFSPkt(), Seed: 42},
+			TotalCapacity: total,
+			ShardPolicy:   policy,
+			Runners:       4,
+		}, testClusterShards(dur)).Run()
+	}
+	coord, static := run(MMFSCPU()), run(nil)
 
 	aggErr := func(res *ClusterResult) float64 {
 		shards := testClusterShards(dur) // fresh sources and metric queries
@@ -150,45 +102,46 @@ func TestClusterCoordinatorAbsorbsAsymmetricOverload(t *testing.T) {
 	}
 }
 
+// benchClusters records four asymmetric links once and returns a
+// builder of fresh clusters over them (fresh queries, recorded sources)
+// at half the links' summed capacity.
+func benchClusters(dur time.Duration) func(policy sched.Strategy, runners int) *Cluster {
+	links := AsymmetricMix(3, dur, 0.05, 4)
+	linkQueries := func(i int) []queries.Query {
+		return []queries.Query{queries.NewFlows(queries.Config{Seed: uint64(i)}), queries.NewCounter(queries.Config{Seed: uint64(i)})}
+	}
+	srcs := make([]*trace.MemorySource, len(links))
+	var total float64
+	for i, l := range links {
+		g := trace.NewGenerator(l.Config)
+		srcs[i] = trace.NewMemorySource(trace.Record(g), g.TimeBin())
+		total += MeasureCapacity(srcs[i], linkQueries(i), 77)
+	}
+	return func(policy sched.Strategy, runners int) *Cluster {
+		shards := make([]Shard, len(links))
+		for i, l := range links {
+			shards[i] = Shard{Name: l.Name, Source: srcs[i], Queries: linkQueries(i)}
+		}
+		return NewCluster(ClusterConfig{
+			Base:          Config{Scheme: Predictive, Strategy: MMFSPkt(), Seed: 42},
+			TotalCapacity: total / 2,
+			ShardPolicy:   policy,
+			Runners:       runners,
+		}, shards)
+	}
+}
+
 // BenchmarkCluster prices the cluster loop itself: four pre-recorded
 // links stepped in lockstep, swept over runner counts. On one CPU the
 // series is flat (no pool overhead); otherwise it scales with cores.
 //
 //	go test -bench Cluster -benchtime 5x ./pkg/loadshed
 func BenchmarkCluster(b *testing.B) {
-	const dur = 3 * time.Second
-	links := AsymmetricMix(3, dur, 0.05, 4)
-	batches := make([]*trace.MemorySource, len(links))
-	var total float64
-	for i, l := range links {
-		g := trace.NewGenerator(l.Config)
-		batches[i] = trace.NewMemorySource(trace.Record(g), g.TimeBin())
-		total += MeasureCapacity(batches[i], []queries.Query{
-			queries.NewFlows(queries.Config{Seed: uint64(i)}),
-			queries.NewCounter(queries.Config{Seed: uint64(i)}),
-		}, 77)
-	}
-	total /= 2
+	cluster := benchClusters(3 * time.Second)
 	for _, runners := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("runners=%d", runners), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				shards := make([]Shard, len(links))
-				for j := range links {
-					shards[j] = Shard{
-						Name:   links[j].Name,
-						Source: batches[j],
-						Queries: []queries.Query{
-							queries.NewFlows(queries.Config{Seed: uint64(j)}),
-							queries.NewCounter(queries.Config{Seed: uint64(j)}),
-						},
-					}
-				}
-				NewCluster(ClusterConfig{
-					Base:          Config{Scheme: Predictive, Strategy: MMFSPkt(), Seed: 42},
-					TotalCapacity: total,
-					ShardPolicy:   MMFSCPU(),
-					Runners:       runners,
-				}, shards).Run()
+				cluster(MMFSCPU(), runners).Run()
 			}
 		})
 	}
@@ -201,7 +154,7 @@ func TestClusterReuseCapacitiesAlignWithBins(t *testing.T) {
 	const dur = 2 * time.Second
 	c := NewCluster(ClusterConfig{
 		Base:          Config{Scheme: Predictive, Strategy: MMFSPkt(), Seed: 42},
-		TotalCapacity: clusterCapacity(t, dur),
+		TotalCapacity: clusterCapacity(testClusterShards(dur)),
 		ShardPolicy:   MMFSCPU(),
 	}, testClusterShards(dur))
 	for run := 1; run <= 2; run++ {
@@ -209,13 +162,8 @@ func TestClusterReuseCapacitiesAlignWithBins(t *testing.T) {
 			if len(sh.Result.Bins) == 0 {
 				t.Fatalf("run %d: shard %s produced no bins", run, sh.Name)
 			}
-			if len(sh.Capacities) != len(sh.Result.Bins) {
-				t.Fatalf("run %d: shard %s has %d capacities for %d bins", run, sh.Name, len(sh.Capacities), len(sh.Result.Bins))
-			}
-			for i, b := range sh.Result.Bins {
-				if sh.Capacities[i] != b.Capacity {
-					t.Fatalf("run %d: shard %s bin %d capacity %v, record says %v", run, sh.Name, i, sh.Capacities[i], b.Capacity)
-				}
+			if !slices.Equal(sh.Capacities, binCapacities(sh.Result.Bins)) {
+				t.Fatalf("run %d: shard %s has %d capacities for %d bins, or one its bin does not record", run, sh.Name, len(sh.Capacities), len(sh.Result.Bins))
 			}
 		}
 	}

@@ -1,10 +1,11 @@
 package loadshed
 
 // coord_test.go pins the coordinator split (coord.go, transport.go):
-// the loopback cluster must be bit-identical to the pre-split inline
-// coordination, the TCP transport must run the same protocol with
-// lease-based partition and rejoin, and the aggregation layer must
-// tolerate shards that never produced a record.
+// the TCP transport must run the same protocol with lease-based
+// partition and rejoin, and the aggregation layer must tolerate shards
+// that never produced a record. The pre-split inline coordination is
+// kept here as oracleClusterRun, which TestConformance's oracle row
+// holds the loopback cluster to.
 
 import (
 	"bufio"
@@ -13,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -37,8 +37,8 @@ func minShareClusterShards(dur time.Duration) []Shard {
 // lockstep sequential stepping with the coordinator arithmetic
 // (demand EWMA, allocator, 1% floor, surplus spread) exactly as
 // Cluster.coordinate performed it before the Coordinator/Node/transport
-// decomposition. It is the ground truth TestLoopbackClusterMatchesInProcess
-// holds the refactored Cluster to.
+// decomposition. It is the ground truth the conformance table's oracle
+// row holds the refactored Cluster to.
 func oracleClusterRun(cfg ClusterConfig, shards []Shard) *ClusterResult {
 	cfg = cfg.withDefaults()
 	type oshard struct {
@@ -150,48 +150,6 @@ func oracleClusterRun(cfg ClusterConfig, shards []Shard) *ClusterResult {
 	return res
 }
 
-// TestLoopbackClusterMatchesInProcess is the refactor's bit-identity
-// contract: the Cluster — now a Coordinator plus Nodes over the
-// loopback transport — must reproduce the pre-split inline coordination
-// exactly, for any runner count and for pipelined shards.
-func TestLoopbackClusterMatchesInProcess(t *testing.T) {
-	const dur = 3 * time.Second
-	total := clusterCapacity(t, dur)
-	for _, tc := range []struct {
-		name    string
-		policy  sched.Strategy
-		runners int
-		workers int
-	}{
-		{"mmfs_cpu/seq", MMFSCPU(), 1, 0},
-		{"mmfs_cpu/runners4", MMFSCPU(), 4, 0},
-		{"mmfs_cpu/pipelined", MMFSCPU(), 2, 3},
-		{"eq_srates/runners2", EqualRates(true), 2, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := ClusterConfig{
-				Base:          Config{Scheme: Predictive, Strategy: MMFSPkt(), Seed: 42, Workers: tc.workers},
-				TotalCapacity: total,
-				ShardPolicy:   tc.policy,
-				Runners:       tc.runners,
-			}
-			want := oracleClusterRun(cfg, minShareClusterShards(dur))
-			got := NewCluster(cfg, minShareClusterShards(dur)).Run()
-			if len(got.Shards) != len(want.Shards) {
-				t.Fatalf("shard count %d, oracle %d", len(got.Shards), len(want.Shards))
-			}
-			for i := range want.Shards {
-				if !reflect.DeepEqual(got.Shards[i], want.Shards[i]) {
-					t.Fatalf("shard %s diverged from the pre-split coordination", want.Shards[i].Name)
-				}
-			}
-			if !reflect.DeepEqual(got.Aggregate, want.Aggregate) {
-				t.Fatal("aggregate bins diverged from the pre-split coordination")
-			}
-		})
-	}
-}
-
 // TestAggregateBinsNilShardResult: a shard without a record — a worker
 // that never joined a distributed run — must aggregate as zero, not
 // panic (regression: aggregateBins and the ClusterResult totals used to
@@ -255,7 +213,7 @@ func TestClusterStreamContextCancelMidCoordinate(t *testing.T) {
 	for _, workers := range []int{0, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const dur = 5 * time.Second
-			total := clusterCapacity(t, dur)
+			total := clusterCapacity(testClusterShards(dur))
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			shards := minShareClusterShards(dur)
@@ -546,19 +504,7 @@ func BenchmarkLoopbackCoordination(b *testing.B) {
 		})
 	}
 
-	const dur = 2 * time.Second
-	links := AsymmetricMix(3, dur, 0.05, 4)
-	batches := make([]*trace.MemorySource, len(links))
-	var total float64
-	for i, l := range links {
-		g := trace.NewGenerator(l.Config)
-		batches[i] = trace.NewMemorySource(trace.Record(g), g.TimeBin())
-		total += MeasureCapacity(batches[i], []queries.Query{
-			queries.NewFlows(queries.Config{Seed: uint64(i)}),
-			queries.NewCounter(queries.Config{Seed: uint64(i)}),
-		}, 77)
-	}
-	total /= 2
+	cluster := benchClusters(2 * time.Second)
 	for _, mode := range []struct {
 		name   string
 		policy sched.Strategy
@@ -566,23 +512,7 @@ func BenchmarkLoopbackCoordination(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			bins := 0
 			for i := 0; i < b.N; i++ {
-				shards := make([]Shard, len(links))
-				for j := range links {
-					shards[j] = Shard{
-						Name:   links[j].Name,
-						Source: batches[j],
-						Queries: []queries.Query{
-							queries.NewFlows(queries.Config{Seed: uint64(j)}),
-							queries.NewCounter(queries.Config{Seed: uint64(j)}),
-						},
-					}
-				}
-				res := NewCluster(ClusterConfig{
-					Base:          Config{Scheme: Predictive, Strategy: MMFSPkt(), Seed: 42},
-					TotalCapacity: total,
-					ShardPolicy:   mode.policy,
-					Runners:       1,
-				}, shards).Run()
+				res := cluster(mode.policy, 1).Run()
 				bins = len(res.Shards[0].Result.Bins)
 			}
 			if bins > 0 {

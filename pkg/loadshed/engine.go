@@ -149,7 +149,7 @@ type Config struct {
 	// and a checkpointed shard resumes under them by construction.
 	// Predictive scheme only. Default off — and when off, runs are
 	// bit-identical to an engine built without the detector at all
-	// (pinned by TestChangeDetectionOffBitIdentical).
+	// (TestConformance, row detector-never-fires).
 	ChangeDetection bool
 }
 
@@ -402,7 +402,7 @@ func (s *System) trackName(name string, delta int) {
 // a duplicate active name or a mismatched measurement interval is
 // refused. The join point makes live registration deterministic: the
 // query sees exactly the bins a restart with it registered from that
-// interval would have shown it (see TestLiveAddMatchesArrivalRestart).
+// interval would have shown it (TestConformance, row live-add).
 func (s *System) AddQuery(q queries.Query) error {
 	if q == nil {
 		return errors.New("loadshed: AddQuery: nil query")

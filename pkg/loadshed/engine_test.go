@@ -42,20 +42,6 @@ func TestReferenceRunNoDropsNoShedding(t *testing.T) {
 	}
 }
 
-func TestRunDeterministic(t *testing.T) {
-	cfg := Config{Scheme: Predictive, Capacity: 3e7, Seed: 5}
-	a := New(cfg, stdQueries()).Run(testSource(2, 3*time.Second))
-	b := New(cfg, stdQueries()).Run(testSource(2, 3*time.Second))
-	if len(a.Bins) != len(b.Bins) {
-		t.Fatal("bin counts differ")
-	}
-	for i := range a.Bins {
-		if a.Bins[i].Used != b.Bins[i].Used || a.Bins[i].GlobalRate != b.Bins[i].GlobalRate {
-			t.Fatalf("bin %d diverged between identical runs", i)
-		}
-	}
-}
-
 // overloadCapacity returns a capacity that puts the demand at roughly
 // demand/capacity = factor.
 func overloadCapacity(t *testing.T, seed uint64, dur time.Duration, factor float64) float64 {
@@ -257,6 +243,21 @@ func TestAccuraciesGateOnMinRate(t *testing.T) {
 	// usually disabled, so its accuracy collapses to 0 in most intervals.
 	if m := stats.Mean(accs["super-sources"]); m > 0.5 {
 		t.Logf("note: super-sources mean accuracy %v (expected low under 4x eq_srates)", m)
+	}
+}
+
+// TestAccuraciesArrivalSharingAName: Config.Arrivals may add a query
+// under a resident query's name. The arrival has no reference column,
+// so the resident's accuracies stand — and its rates, absent from the
+// bins before it joined, are never read (that used to index past them).
+func TestAccuraciesArrivalSharingAName(t *testing.T) {
+	const dur = 3 * time.Second
+	res := New(Config{Scheme: Predictive, Capacity: 3e6, Seed: 5, Arrivals: []Arrival{
+		{AtBin: 12, Make: func() queries.Query { return queries.NewCounter(queries.Config{Seed: 4}) }},
+	}}, stdQueries()).Run(testSource(2, dur))
+	ref := Reference(testSource(2, dur), stdQueries(), 5)
+	if got := Accuracies(stdQueries(), res, ref, 10)["counter"]; len(got) != len(ref.Intervals) {
+		t.Fatalf("resident counter has %d accuracies, want one per interval (%d)", len(got), len(ref.Intervals))
 	}
 }
 

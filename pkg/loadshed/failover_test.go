@@ -1,17 +1,15 @@
 package loadshed
 
-// failover_test.go pins the crash-tolerance layer: planned migration
-// must be bit-identical (the drained prefix plus the resumed suffix
-// reproduce an uninterrupted run, digest for digest), periodic
-// checkpoints must resume exactly from the coordinator's retained blob,
-// the CheckpointEvery=0 path must leave runs untouched, failover
-// offers must rotate deterministically under loss, and the PSK auth
-// handshake must reject key mismatches while counting them.
+// failover_test.go pins the crash-tolerance layer: failover offers
+// must rotate deterministically under loss, the state directory must
+// spill and reload, and the PSK auth handshake must reject key
+// mismatches while counting them. That migration, periodic checkpoints
+// and CheckpointEvery=0 leave a run bit-identical is TestConformance's
+// migrate, migrate-chained, checkpoint-periodic and checkpoint-off rows,
+// which drive the transport and legacy blob defined here.
 
 import (
 	"bytes"
-	"context"
-	"crypto/sha256"
 	"encoding/gob"
 	"errors"
 	"net"
@@ -23,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/hash"
-	"repro/internal/trace"
 )
 
 // migrationSpec is the spec-constructible shard the failover tests run:
@@ -44,27 +41,32 @@ func migrationSpec(workers int, capacity float64) ShardSpec {
 	}
 }
 
-// captureTransport is a NodeTransport that swallows reports, grants
-// nothing, records every checkpoint as its encoded blob, and raises the
-// drain signal once the node has reported past drainAfterBin — the
-// deterministic stand-in for a coordinator-relayed drain frame.
+// captureTransport is a NodeTransport that records every report and
+// every checkpoint (as its encoded blob), serves a fixed always-fresh
+// grant when capacity is positive, and raises the drain signal once the
+// node has reported past drainAfterBin — the deterministic stand-in for
+// a coordinator-relayed drain frame.
 type captureTransport struct {
 	mu            sync.Mutex
+	capacity      float64
 	drainAfterBin int64 // >0: drain once a report reaches this bin
 	lastBin       int64
+	reports       []DemandReport
 	blobs         [][]byte
 }
 
 func (t *captureTransport) Report(r DemandReport) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if r.Bin > t.lastBin {
-		t.lastBin = r.Bin
-	}
+	t.reports = append(t.reports, r)
+	t.lastBin = max(t.lastBin, r.Bin)
 	return nil
 }
 
-func (t *captureTransport) Grant() (BudgetGrant, bool)   { return BudgetGrant{}, false }
+func (t *captureTransport) Grant() (BudgetGrant, bool) {
+	return BudgetGrant{Round: 1, Capacity: t.capacity}, t.capacity > 0
+}
+
 func (t *captureTransport) Adoption() (AdoptOffer, bool) { return AdoptOffer{}, false }
 func (t *captureTransport) Close() error                 { return nil }
 
@@ -89,118 +91,6 @@ func (t *captureTransport) checkpoints() [][]byte {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([][]byte(nil), t.blobs...)
-}
-
-// binDigests hashes each bin's full stats record; two runs are
-// bit-identical exactly when their digest sequences match.
-func binDigests(t *testing.T, bins []BinStats) [][sha256.Size]byte {
-	t.Helper()
-	out := make([][sha256.Size]byte, len(bins))
-	for i := range bins {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&bins[i]); err != nil {
-			t.Fatalf("digest bin %d: %v", i, err)
-		}
-		out[i] = sha256.Sum256(buf.Bytes())
-	}
-	return out
-}
-
-// TestPlannedMigrationBitIdentical is the migration acceptance gate: a
-// shard drained at a measurement-interval boundary, checkpointed
-// through the full encode/decode round trip, rebuilt from its spec on
-// the other side and resumed on a repositioned source must produce —
-// prefix plus suffix — the exact per-bin sha256 digests of a run that
-// never migrated. Sequential and pipelined engines both.
-func TestPlannedMigrationBitIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{{"sequential", 1}, {"pipelined", 4}} {
-		t.Run(tc.name, func(t *testing.T) {
-			const dur = 4 * time.Second // 4 measurement intervals
-			g := trace.NewGenerator(trace.CESCA2(9, dur, 0.4))
-			batches := trace.Record(g)
-			bin := g.TimeBin()
-			perInterval := int(time.Second / bin)
-			cut := 2 * perInterval
-			if cut <= 0 || cut >= len(batches) {
-				t.Fatalf("bad cut %d of %d batches", cut, len(batches))
-			}
-			capacity := MeasureCapacity(trace.NewMemorySource(batches, bin), snapshotTestQueries(), 77) * 0.7
-			spec := migrationSpec(tc.workers, capacity)
-			mkSys := func() *System {
-				s, err := spec.NewSystem()
-				if err != nil {
-					t.Fatalf("spec system: %v", err)
-				}
-				return s
-			}
-
-			ref := mkSys().Run(trace.NewMemorySource(batches, bin))
-			want := binDigests(t, ref.Bins)
-
-			// The migrating run: a Node whose transport raises the drain
-			// signal at the second interval boundary (the coordinator's
-			// relayed drain frame, made deterministic).
-			tr := &captureTransport{drainAfterBin: int64(cut)}
-			sink := newResultSink(Predictive)
-			node := NewNode(mkSys(), tr, NodeConfig{Name: "mig", Spec: spec})
-			if err := node.StreamContext(context.Background(), trace.NewMemorySource(batches, bin), sink); err != nil {
-				t.Fatalf("drained stream: %v", err)
-			}
-			if !node.Drained() {
-				t.Fatal("node ran to completion instead of draining")
-			}
-			blobs := tr.checkpoints()
-			if len(blobs) != 1 {
-				t.Fatalf("%d checkpoints shipped, want exactly the final one", len(blobs))
-			}
-			cp, err := DecodeShardCheckpoint(bytes.NewReader(blobs[0]))
-			if err != nil {
-				t.Fatalf("decode checkpoint: %v", err)
-			}
-			if !cp.Final || cp.Node != "mig" || cp.Bin != int64(cut) {
-				t.Fatalf("final checkpoint = {node %q, bin %d, final %v}, want {mig, %d, true}",
-					cp.Node, cp.Bin, cp.Final, cut)
-			}
-			if len(sink.res.Bins) != cut {
-				t.Fatalf("drained run produced %d bins, want %d", len(sink.res.Bins), cut)
-			}
-
-			// The adopting side: rebuild purely from the checkpoint —
-			// spec-built system, restored snapshot, repositioned source.
-			// A blob written by a build whose ShardSpec still carried
-			// NoPipeline must decode and resume exactly the same.
-			for _, adopted := range []struct {
-				name string
-				cp   *ShardCheckpoint
-			}{{"current blob", cp}, {"legacy blob", legacyCheckpoint(t, cp)}} {
-				sys2, err := adopted.cp.Spec.NewSystem()
-				if err != nil {
-					t.Fatalf("%s: rebuild from spec: %v", adopted.name, err)
-				}
-				if err := sys2.Restore(adopted.cp.Snap); err != nil {
-					t.Fatalf("%s: restore: %v", adopted.name, err)
-				}
-				r2 := sys2.Run(ResumeSource(trace.NewMemorySource(batches, bin), adopted.cp.Bin))
-
-				got := append(binDigests(t, sink.res.Bins), binDigests(t, r2.Bins)...)
-				if len(got) != len(want) {
-					t.Fatalf("%s: migrated run produced %d bins, uninterrupted %d", adopted.name, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						side := "pre-drain"
-						if i >= cut {
-							side = "resumed"
-						}
-						t.Fatalf("%s: bin %d (%s) digest diverged from the uninterrupted run", adopted.name, i, side)
-					}
-				}
-			}
-		})
-	}
 }
 
 // legacyCheckpoint re-encodes cp the way the build before ShardSpec
@@ -262,121 +152,6 @@ func legacyCheckpoint(t *testing.T, cp *ShardCheckpoint) *ShardCheckpoint {
 	return got
 }
 
-// TestPeriodicCheckpointResumeLoopback drives the periodic path end to
-// end over the loopback transport: a Node with CheckpointEvery=1 ships
-// a checkpoint at every interval boundary, the coordinator retains the
-// latest, and a fresh system resumed from that retained blob reproduces
-// the original run's remaining bins exactly.
-func TestPeriodicCheckpointResumeLoopback(t *testing.T) {
-	const dur = 4 * time.Second
-	g := trace.NewGenerator(trace.CESCA2(9, dur, 0.4))
-	batches := trace.Record(g)
-	bin := g.TimeBin()
-	perInterval := int(time.Second / bin)
-	capacity := MeasureCapacity(trace.NewMemorySource(batches, bin), snapshotTestQueries(), 77) * 0.7
-	spec := migrationSpec(1, capacity)
-
-	coord := NewCoordinator(MMFSCPU(), capacity)
-	tr := NewLoopback(coord, "w0", 0)
-	sys, err := spec.NewSystem()
-	if err != nil {
-		t.Fatalf("spec system: %v", err)
-	}
-	node := NewNode(sys, tr, NodeConfig{Name: "w0", CheckpointEvery: 1, Spec: spec})
-	sink := newResultSink(Predictive)
-	if err := node.StreamContext(context.Background(), trace.NewMemorySource(batches, bin), sink); err != nil {
-		t.Fatalf("stream: %v", err)
-	}
-	// 4 intervals cross 3 interior boundaries; every one checkpoints.
-	if got := node.CheckpointsSent(); got != 3 {
-		t.Fatalf("node sent %d checkpoints, want 3", got)
-	}
-	if got := coord.CheckpointsStored(); got != 3 {
-		t.Fatalf("coordinator stored %d checkpoints, want 3", got)
-	}
-	if got := node.CheckpointErrors(); got != 0 {
-		t.Fatalf("%d checkpoint errors", got)
-	}
-
-	// The loopback transport registers by handle, not name, so read the
-	// retained blob off the membership record directly.
-	var blob []byte
-	coord.mu.Lock()
-	for _, n := range coord.nodes {
-		if n.name == "w0" {
-			blob = append([]byte(nil), n.ckptBlob...)
-		}
-	}
-	coord.mu.Unlock()
-	if blob == nil {
-		t.Fatal("coordinator retained no checkpoint")
-	}
-	cp, err := DecodeShardCheckpoint(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatalf("decode retained checkpoint: %v", err)
-	}
-	if want := int64(3 * perInterval); cp.Bin != want {
-		t.Fatalf("latest checkpoint at bin %d, want %d", cp.Bin, want)
-	}
-	if cp.Final {
-		t.Fatal("periodic checkpoint marked final")
-	}
-
-	sys2, err := cp.Spec.NewSystem()
-	if err != nil {
-		t.Fatalf("rebuild: %v", err)
-	}
-	if err := sys2.Restore(cp.Snap); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	r2 := sys2.Run(ResumeSource(trace.NewMemorySource(batches, bin), cp.Bin))
-	tail := sink.res.Bins[cp.Bin:]
-	if len(r2.Bins) != len(tail) {
-		t.Fatalf("resumed run produced %d bins, original tail has %d", len(r2.Bins), len(tail))
-	}
-	for i := range tail {
-		if !reflect.DeepEqual(r2.Bins[i], tail[i]) {
-			t.Fatalf("resumed bin %d diverged from original bin %d", i, int(cp.Bin)+i)
-		}
-	}
-}
-
-// TestCheckpointEveryZeroUntouched pins the off-switch: with
-// CheckpointEvery=0 and no drain, the boundary hook must neither
-// snapshot nor touch the transport, and the bins must be identical to a
-// plain System run — the failover layer costs nothing when unused.
-func TestCheckpointEveryZeroUntouched(t *testing.T) {
-	const dur = 2 * time.Second
-	g := trace.NewGenerator(trace.CESCA2(9, dur, 0.4))
-	batches := trace.Record(g)
-	bin := g.TimeBin()
-	capacity := MeasureCapacity(trace.NewMemorySource(batches, bin), snapshotTestQueries(), 77) * 0.7
-	spec := migrationSpec(1, capacity)
-
-	plain, err := spec.NewSystem()
-	if err != nil {
-		t.Fatalf("spec system: %v", err)
-	}
-	want := plain.Run(trace.NewMemorySource(batches, bin))
-
-	tr := &captureTransport{}
-	sys, _ := spec.NewSystem()
-	node := NewNode(sys, tr, NodeConfig{Name: "off", Spec: spec})
-	sink := newResultSink(Predictive)
-	if err := node.StreamContext(context.Background(), trace.NewMemorySource(batches, bin), sink); err != nil {
-		t.Fatalf("stream: %v", err)
-	}
-	if n := len(tr.checkpoints()); n != 0 {
-		t.Fatalf("%d checkpoints shipped with CheckpointEvery=0", n)
-	}
-	if n := node.CheckpointsSent(); n != 0 {
-		t.Fatalf("checkpoint counter at %d with CheckpointEvery=0", n)
-	}
-	if !reflect.DeepEqual(sink.res.Bins, want.Bins) {
-		t.Fatal("bins diverged from a plain System run with checkpointing off")
-	}
-}
-
 // TestTCPAdoptionFailover runs the crash half of failover over real TCP:
 // worker alpha ships a checkpoint and dies; past the lease plus grace
 // the coordinator offers alpha's shard to the surviving worker, whose
@@ -407,16 +182,7 @@ func TestTCPAdoptionFailover(t *testing.T) {
 
 	// Alpha's shard state: a fresh spec-built system, snapshotted at the
 	// between-runs quiesce point.
-	spec := migrationSpec(1, 500)
-	sys, err := spec.NewSystem()
-	if err != nil {
-		t.Fatalf("spec system: %v", err)
-	}
-	snap, err := sys.Snapshot()
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	cp := &ShardCheckpoint{Node: "alpha", Bin: 0, Spec: spec, Snap: snap}
+	cp := testCheckpoint(t, "alpha", 0)
 
 	alpha.Report(DemandReport{Node: "alpha", Bin: 1, Demand: 400})
 	beta.Report(DemandReport{Node: "beta", Bin: 1, Demand: 400})
@@ -604,19 +370,7 @@ func TestCheckpointCodecVersioning(t *testing.T) {
 	}
 
 	// A real blob survives the round trip; its truncation does not.
-	spec := migrationSpec(1, 100)
-	sys, err := spec.NewSystem()
-	if err != nil {
-		t.Fatalf("spec system: %v", err)
-	}
-	snap, err := sys.Snapshot()
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	blob, err := (&ShardCheckpoint{Node: "n", Bin: 7, Spec: spec, Snap: snap}).EncodeBytes()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
+	blob := testCheckpointBlob(t, "n", 7)
 	cp, err := DecodeShardCheckpoint(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatalf("round trip: %v", err)
@@ -638,17 +392,9 @@ func TestFaultCheckpointLossDeterministic(t *testing.T) {
 		ft := NewFaultTransport(NewLoopback(coord, "w", 0), FaultConfig{
 			Seed: seed, CheckpointDrop: 0.5,
 		})
-		spec := migrationSpec(1, 100)
-		sys, err := spec.NewSystem()
-		if err != nil {
-			t.Fatalf("spec system: %v", err)
-		}
-		snap, err := sys.Snapshot()
-		if err != nil {
-			t.Fatalf("snapshot: %v", err)
-		}
+		cp := testCheckpoint(t, "w", 0)
 		for i := 0; i < 40; i++ {
-			cp := &ShardCheckpoint{Node: "w", Bin: int64(i), Spec: spec, Snap: snap}
+			cp.Bin = int64(i)
 			if err := ft.Checkpoint(cp); err != nil {
 				t.Fatalf("checkpoint %d: %v", i, err)
 			}
@@ -837,9 +583,9 @@ func TestMigrateDirectedOffer(t *testing.T) {
 	}
 }
 
-// testCheckpointBlob encodes a decodable checkpoint of a fresh system
-// under the given shard name and bin.
-func testCheckpointBlob(t *testing.T, name string, bin int64) []byte {
+// testCheckpoint is a checkpoint of a fresh spec-built system under the
+// given shard name and bin.
+func testCheckpoint(t *testing.T, name string, bin int64) *ShardCheckpoint {
 	t.Helper()
 	spec := migrationSpec(1, 100)
 	sys, err := spec.NewSystem()
@@ -850,7 +596,12 @@ func testCheckpointBlob(t *testing.T, name string, bin int64) []byte {
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	blob, err := (&ShardCheckpoint{Node: name, Bin: bin, Spec: spec, Snap: snap}).EncodeBytes()
+	return &ShardCheckpoint{Node: name, Bin: bin, Spec: spec, Snap: snap}
+}
+
+func testCheckpointBlob(t *testing.T, name string, bin int64) []byte {
+	t.Helper()
+	blob, err := testCheckpoint(t, name, bin).EncodeBytes()
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -949,89 +700,5 @@ func TestStateDirReloadsOldStyleFileNames(t *testing.T) {
 	}
 	if _, bin, ok := c.Checkpoint("x/y"); !ok || bin != 9 {
 		t.Fatalf("stale old-style file shadowed the newer spill: ok=%v bin=%d, want bin 9", ok, bin)
-	}
-}
-
-// TestChainedMigrationAbsoluteBins pins the bin coordinate system
-// across hops: a resumed Node counts its own run from zero, so without
-// BinOffset the second hop's checkpoint would carry a run-relative bin
-// and the third host would reposition the source wrongly. Two drains
-// deep, the digests must still match the uninterrupted run.
-func TestChainedMigrationAbsoluteBins(t *testing.T) {
-	const dur = 4 * time.Second
-	g := trace.NewGenerator(trace.CESCA2(9, dur, 0.4))
-	batches := trace.Record(g)
-	bin := g.TimeBin()
-	perInterval := int(time.Second / bin)
-	cut1, cut2 := perInterval, 3*perInterval
-	capacity := MeasureCapacity(trace.NewMemorySource(batches, bin), snapshotTestQueries(), 77) * 0.7
-	spec := migrationSpec(1, capacity)
-
-	sysRef, err := spec.NewSystem()
-	if err != nil {
-		t.Fatalf("spec system: %v", err)
-	}
-	want := binDigests(t, sysRef.Run(trace.NewMemorySource(batches, bin)).Bins)
-
-	// Hop 1: drain the original shard at the first interval boundary.
-	drain := func(sys *System, offset int64, drainAt int) *ShardCheckpoint {
-		t.Helper()
-		tr := &captureTransport{drainAfterBin: int64(drainAt)}
-		node := NewNode(sys, tr, NodeConfig{Name: "hop", Spec: spec, BinOffset: offset})
-		sink := newResultSink(Predictive)
-		src := trace.Source(trace.NewMemorySource(batches, bin))
-		if offset > 0 {
-			src = ResumeSource(src, offset)
-		}
-		if err := node.StreamContext(context.Background(), src, sink); err != nil {
-			t.Fatalf("stream: %v", err)
-		}
-		if !node.Drained() {
-			t.Fatal("node finished instead of draining")
-		}
-		blobs := tr.checkpoints()
-		cp, err := DecodeShardCheckpoint(bytes.NewReader(blobs[len(blobs)-1]))
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		want := want[offset:int64(drainAt)]
-		if got := binDigests(t, sink.res.Bins); !reflect.DeepEqual(got, want) {
-			t.Fatalf("hop bins [%d, %d) diverged", offset, drainAt)
-		}
-		return cp
-	}
-
-	sys1, _ := spec.NewSystem()
-	cp1 := drain(sys1, 0, cut1)
-	if cp1.Bin != int64(cut1) {
-		t.Fatalf("hop-1 checkpoint at bin %d, want %d", cp1.Bin, cut1)
-	}
-
-	// Hop 2: adopt, run to the next boundary, drain again. The drain
-	// threshold and the resulting checkpoint are both absolute bins —
-	// this is exactly what breaks without BinOffset.
-	sys2, err := cp1.Spec.NewSystem()
-	if err != nil {
-		t.Fatalf("rebuild hop 2: %v", err)
-	}
-	if err := sys2.Restore(cp1.Snap); err != nil {
-		t.Fatalf("restore hop 2: %v", err)
-	}
-	cp2 := drain(sys2, cp1.Bin, cut2)
-	if cp2.Bin != int64(cut2) {
-		t.Fatalf("hop-2 checkpoint at bin %d, want absolute %d", cp2.Bin, cut2)
-	}
-
-	// Hop 3: resume at the hop-2 checkpoint and finish the trace.
-	sys3, err := cp2.Spec.NewSystem()
-	if err != nil {
-		t.Fatalf("rebuild hop 3: %v", err)
-	}
-	if err := sys3.Restore(cp2.Snap); err != nil {
-		t.Fatalf("restore hop 3: %v", err)
-	}
-	r3 := sys3.Run(ResumeSource(trace.NewMemorySource(batches, bin), cp2.Bin))
-	if got := binDigests(t, r3.Bins); !reflect.DeepEqual(got, want[cut2:]) {
-		t.Fatalf("hop-3 bins [%d, %d) diverged", cut2, len(want))
 	}
 }

@@ -13,7 +13,7 @@ package loadshed
 // coordination is advisory, never load-bearing (NodeTransport doc), so
 // a node behind an arbitrarily lossy link must degrade to local-only
 // shedding and keep producing the exact bins it would produce with no
-// transport at all. TestNodeFailOpenUnderGrantLoss and
+// transport at all. TestConformance's grant-loss row and
 // TestCoordinatorLeaseLivenessUnderReportLoss hold it to that.
 
 import (

@@ -26,6 +26,18 @@ func Reference(src trace.Source, qs []queries.Query, seed uint64) *RunResult {
 // against run ref. The metric queries supply the Error implementations;
 // they are matched to result columns by name.
 func Errors(metric []queries.Query, got, ref *RunResult) map[string][]float64 {
+	out := map[string][]float64{}
+	for qi, errs := range columnErrors(metric, got, ref) {
+		if errs != nil {
+			out[got.Queries[qi]] = errs
+		}
+	}
+	return out
+}
+
+// columnErrors is Errors by result column of got: nil for a column
+// without a reference twin or a metric query.
+func columnErrors(metric []queries.Query, got, ref *RunResult) [][]float64 {
 	byName := make(map[string]queries.Query, len(metric))
 	for _, q := range metric {
 		byName[q.Name()] = q
@@ -41,7 +53,7 @@ func Errors(metric []queries.Query, got, ref *RunResult) map[string][]float64 {
 	if len(ref.Queries) < nq {
 		nq = len(ref.Queries)
 	}
-	out := make(map[string][]float64, nq)
+	out := make([][]float64, len(got.Queries))
 	for qi := 0; qi < nq; qi++ {
 		name := got.Queries[qi]
 		if name != ref.Queries[qi] {
@@ -61,7 +73,7 @@ func Errors(metric []queries.Query, got, ref *RunResult) map[string][]float64 {
 			e := mq.Error(gr[qi], rr[qi])
 			errs = append(errs, stats.Clamp(e, 0, 1))
 		}
-		out[name] = errs
+		out[qi] = errs
 	}
 	return out
 }
@@ -78,16 +90,21 @@ func MeanErrors(metric []queries.Query, got, ref *RunResult) map[string]float64 
 // Accuracies converts per-interval errors into the accuracy model of
 // Figure 5.3: accuracy is 1−ε when the query ran at or above its
 // minimum sampling rate for the whole interval, and 0 otherwise
-// (a disabled or starved query returns worthless results).
+// (a disabled or starved query returns worthless results). A column
+// without errors of its own — a late arrival sharing a resident
+// query's name — does not displace the resident's accuracies.
 func Accuracies(metric []queries.Query, got, ref *RunResult, binsPerInterval int) map[string][]float64 {
-	errs := Errors(metric, got, ref)
+	errs := columnErrors(metric, got, ref)
 	minRates := map[string]float64{}
 	for _, q := range metric {
 		minRates[q.Name()] = q.MinRate()
 	}
 	out := make(map[string][]float64, len(errs))
 	for qi, name := range got.Queries {
-		es := errs[name]
+		es := errs[qi]
+		if _, seen := out[name]; seen && es == nil {
+			continue
+		}
 		accs := make([]float64, len(es))
 		for iv := range es {
 			acc := 1 - es[iv]

@@ -1,85 +1,12 @@
 package loadshed
 
 import (
-	"fmt"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/trace"
 )
-
-// pipeCfg is an overloaded predictive setup whose runs include DAG-drop
-// bins, so pipelined runs exercise the mis-speculation path (the front
-// stage's wire-batch sketch is invalidated by tail drop and the back
-// stage truncates it to the admitted prefix).
-func pipeCfg(workers int) Config {
-	return Config{
-		Scheme:         Predictive,
-		Capacity:       2e6,
-		BufferBins:     1,
-		Strategy:       MMFSPkt(),
-		Seed:           42,
-		SpikeProb:      0.02,
-		CustomShedding: true,
-		Workers:        workers,
-	}
-}
-
-func pipeRun(cfg Config) *RunResult {
-	return New(cfg, AllQueries(QueryConfig{Seed: 42})).Run(testSource(12, 6*time.Second))
-}
-
-// TestPipelineMatchesSequential is the tentpole contract: for any
-// Workers count the two-deep bin pipeline produces a RunResult
-// bit-identical to the strictly sequential engine — bins, intervals,
-// RNG-dependent spikes and all — because the front stage only ever
-// computes the pure sketch half of extraction and everything stateful
-// stays in bin order. The config is overloaded enough to tail-drop, so
-// the speculative sketch's fallback path is proven too.
-func TestPipelineMatchesSequential(t *testing.T) {
-	seq := pipeRun(pipeCfg(1))
-	if seq.TotalDrops() == 0 {
-		t.Fatal("config produced no DAG drops; the mis-speculation path is not exercised")
-	}
-	for _, workers := range []int{2, 4, 7} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			par := pipeRun(pipeCfg(workers))
-			if len(par.Bins) != len(seq.Bins) {
-				t.Fatalf("%d bins vs %d sequential", len(par.Bins), len(seq.Bins))
-			}
-			for i := range seq.Bins {
-				if !reflect.DeepEqual(seq.Bins[i], par.Bins[i]) {
-					t.Fatalf("bin %d diverged\nseq: %+v\npip: %+v", i, seq.Bins[i], par.Bins[i])
-				}
-			}
-			if !reflect.DeepEqual(seq.Intervals, par.Intervals) {
-				t.Fatal("interval query results diverged")
-			}
-		})
-	}
-}
-
-// TestRollingStatsPipelinedStream consumes a pipelined stream through
-// RollingStats — whose callbacks run after the ring has handed the
-// bin's slot back to the front stage — and requires the snapshot to
-// match a sequential stream's.
-func TestRollingStatsPipelinedStream(t *testing.T) {
-	snap := func(workers int) RollingSnapshot {
-		cfg := streamCfg(17)
-		cfg.Workers = workers
-		roll := NewRollingStats(40)
-		New(cfg, stdQueries()).Stream(testSource(11, 5*time.Second), roll)
-		return roll.Snapshot()
-	}
-	want := snap(1)
-	for _, workers := range []int{2, 4} {
-		if got := snap(workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: rolling snapshot diverged\nseq: %+v\npip: %+v", workers, want, got)
-		}
-	}
-}
 
 // TestPipelineSteadyStateAllocs proves the slot ring adds no per-bin
 // allocations: with warmed Systems streaming into a RollingStats from
@@ -117,37 +44,6 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	if pipe := growth(4); pipe > seq+1 {
 		t.Fatalf("pipelined stream allocates in steady state: growth %v allocs vs sequential %v over %d extra bins",
 			pipe, seq, len(batches)-len(batches)/2)
-	}
-}
-
-// TestClusterPipelinedShardsDeterminism runs the sharded engine with
-// pipelined shards — every shard gets its own front goroutine and slot
-// ring — against fully sequential shards. The coordinator must see
-// identical per-bin records either way, because each shard's SetCapacity
-// lands between that shard's bins exactly as before.
-func TestClusterPipelinedShardsDeterminism(t *testing.T) {
-	mkCluster := func(shardWorkers int) *Cluster {
-		links := SplitFlows(testSource(4, 3*time.Second), 2, 5)
-		shards := make([]Shard, len(links))
-		for i, l := range links {
-			shards[i] = Shard{Source: l, Queries: stdQueries()}
-		}
-		return NewCluster(ClusterConfig{
-			Base:          Config{Scheme: Predictive, Seed: 8, Strategy: MMFSPkt(), Workers: shardWorkers},
-			TotalCapacity: 6e6,
-			ShardPolicy:   MMFSCPU(),
-			Runners:       2,
-		}, shards)
-	}
-	want := mkCluster(1).Run()
-	got := mkCluster(2).Run()
-	for i := range want.Shards {
-		if !reflect.DeepEqual(want.Shards[i].Result, got.Shards[i].Result) {
-			t.Fatalf("shard %d diverged between sequential and pipelined shards", i)
-		}
-		if !reflect.DeepEqual(want.Shards[i].Capacities, got.Shards[i].Capacities) {
-			t.Fatalf("shard %d: coordinator grants diverged", i)
-		}
 	}
 }
 

@@ -5,65 +5,13 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/queries"
 )
-
-// TestLiveAddMatchesArrivalRestart is the tentpole determinism oracle:
-// a query registered with AddQuery mid-run — here from a sink callback,
-// the way an HTTP admin handler registers one — joins at the next
-// measurement-interval boundary and from then on the run is
-// bit-identical to a restart that had the query scheduled (via
-// Arrivals) from that same boundary. Bins before the join are identical
-// too, because a queued op touches nothing until applied. Checked
-// sequentially and under the bin pipeline.
-func TestLiveAddMatchesArrivalRestart(t *testing.T) {
-	const joinBin = 20 // bin 13's AddQuery applies at the interval-2 boundary
-	mk := func() queries.Query { return queries.NewP2PDetector(queries.Config{Seed: 77}) }
-
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := streamCfg(31)
-			cfg.Workers = workers
-			cfg.Arrivals = []Arrival{{AtBin: joinBin, Make: mk}}
-			want := New(cfg, stdQueries()).Run(testSource(3, 5*time.Second))
-
-			cfg = streamCfg(31)
-			cfg.Workers = workers
-			sys := New(cfg, stdQueries())
-			rs := newResultSink(cfg.Scheme)
-			bin := 0
-			trigger := SinkFuncs{Bin: func(*BinStats) {
-				if bin == 13 {
-					if err := sys.AddQuery(mk()); err != nil {
-						t.Errorf("AddQuery: %v", err)
-					}
-				}
-				bin++
-			}}
-			sys.Stream(testSource(3, 5*time.Second), Tee(rs, trigger))
-			got := rs.res
-
-			if !reflect.DeepEqual(want.Queries, got.Queries) {
-				t.Fatalf("query sets diverged: %v vs %v", want.Queries, got.Queries)
-			}
-			if len(got.Bins) != len(want.Bins) {
-				t.Fatalf("%d bins vs %d", len(got.Bins), len(want.Bins))
-			}
-			for i := range want.Bins {
-				if !reflect.DeepEqual(want.Bins[i], got.Bins[i]) {
-					t.Fatalf("bin %d diverged\nrestart: %+v\nlive:    %+v", i, want.Bins[i], got.Bins[i])
-				}
-			}
-			if !reflect.DeepEqual(want.Intervals, got.Intervals) {
-				t.Fatal("interval results diverged between live add and restart")
-			}
-		})
-	}
-}
 
 // TestAddQueryValidation pins the admin-plane error contract: AddQuery
 // and RemoveQuery return errors for operator mistakes instead of
@@ -108,12 +56,7 @@ func TestRemoveQueryTombstone(t *testing.T) {
 	src := func() Source { return testSource(6, 4*time.Second) }
 
 	base := New(mkCfg(), stdQueries()).Run(src())
-	vic := -1
-	for i, name := range base.Queries {
-		if name == victim {
-			vic = i
-		}
-	}
+	vic := slices.Index(base.Queries, victim)
 	if vic < 0 {
 		t.Fatalf("query %q not in the standard set", victim)
 	}
@@ -188,10 +131,8 @@ func TestRemoveQueryTombstone(t *testing.T) {
 	if len(rs2.res.Queries) != len(base.Queries)-1 {
 		t.Fatalf("restarted run announces %d queries, want %d", len(rs2.res.Queries), len(base.Queries)-1)
 	}
-	for _, name := range rs2.res.Queries {
-		if name == victim {
-			t.Fatal("removed query came back after restart")
-		}
+	if slices.Contains(rs2.res.Queries, victim) {
+		t.Fatal("removed query came back after restart")
 	}
 }
 

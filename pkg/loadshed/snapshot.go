@@ -21,8 +21,8 @@ package loadshed
 //     and the reactive scheme's rate/delay memory.
 //
 // A restored System resumed on the remainder of a trace produces
-// bit-identical bins to one that never stopped (see
-// TestSnapshotRestoreBitIdentical).
+// bit-identical bins to one that never stopped (TestConformance, row
+// snapshot).
 
 import (
 	"encoding/gob"
@@ -99,7 +99,7 @@ type SystemSnapshot struct {
 	// Predictive scheme. What a verdict did to the predictors — the
 	// truncated history ring — travels inside each query's Hist, so a
 	// restored mid-drift system resumes bit-identically
-	// (TestSnapshotCarriesDetectorState).
+	// (TestConformance, spec+detect/snapshot).
 	Detect *detect.State
 
 	Queries []QuerySnapshot

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/pkt"
 	"repro/internal/queries"
 	"repro/internal/trace"
 )
@@ -16,63 +15,6 @@ import (
 // sampling, re-extraction and the buffer model.
 func streamCfg(seed uint64) Config {
 	return Config{Scheme: Predictive, Capacity: 4e6, BufferBins: 2, Seed: seed, Strategy: MMFSPkt()}
-}
-
-// streamCluster builds the two-shard coordinated cluster the stream and
-// ownership tests share; shardWorkers >= 2 pipelines every shard.
-func streamCluster(shardWorkers int) *Cluster {
-	links := SplitFlows(testSource(4, 3*time.Second), 2, 5)
-	shards := make([]Shard, len(links))
-	for i, l := range links {
-		shards[i] = Shard{Source: l, Queries: stdQueries()}
-	}
-	return NewCluster(ClusterConfig{
-		Base:          Config{Scheme: Predictive, Seed: 8, Strategy: MMFSPkt(), Workers: shardWorkers},
-		TotalCapacity: 6e6,
-		ShardPolicy:   MMFSCPU(),
-	}, shards)
-}
-
-// TestStreamMatchesRun states the one record path: Stream and Run
-// deliver the same records. Stream's are borrowed — reused Stats
-// slices, interval results recycled through FlushInto, and under the
-// bin pipeline the double-buffered slot ring — so the sink folds them
-// into digests inside the callback; Run's are the collector's copies.
-// Both must agree bit for bit with the sequential Run, for a System
-// (custom shedding, a mid-run arrival, the ten-query set) and for a
-// coordinated Cluster, sequential and pipelined.
-func TestStreamMatchesRun(t *testing.T) {
-	mkSys := func(workers int) *System {
-		cfg := streamCfg(21)
-		cfg.Workers = workers
-		cfg.CustomShedding = true
-		cfg.Arrivals = []Arrival{{AtBin: 13, Make: func() queries.Query {
-			return queries.NewCounter(queries.Config{Seed: 4})
-		}}}
-		return New(cfg, queries.FullSet(queries.Config{Seed: 21}))
-	}
-	want := digestRun(mkSys(1).Run(testSource(5, 5*time.Second)))
-	if n := len(queries.FullSet(queries.Config{})) + 1; len(want.queries) != n {
-		t.Fatalf("arrival missing from query list: %v", want.queries)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		var got digestSink
-		mkSys(workers).Stream(testSource(5, 5*time.Second), &got)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("system workers=%d: Stream diverged from sequential Run:\n got %+v\nwant %+v", workers, got, want)
-		}
-	}
-
-	wantShards := streamCluster(1).Run().Shards
-	for _, workers := range []int{1, 2} {
-		got := make([]digestSink, len(wantShards))
-		streamCluster(workers).Stream(func(i int, _ string) Sink { return &got[i] })
-		for i := range got {
-			if want := digestRun(wantShards[i].Result); !reflect.DeepEqual(got[i], want) {
-				t.Errorf("cluster shard %d, shard workers=%d: Stream diverged from sequential Run:\n got %+v\nwant %+v", i, workers, got[i], want)
-			}
-		}
-	}
 }
 
 // TestRunRecordsAreOwned guards the collector's copy/take: two Runs of
@@ -88,18 +30,18 @@ func TestRunRecordsAreOwned(t *testing.T) {
 	sys.Stream(src, nil) // warm: the engine now holds storage it would recycle
 	twin.Stream(src, nil)
 	a := sys.Run(src)
-	da := digestRun(a)
+	da := digest(a)
 	b := sys.Run(src)
 	sys.Stream(testSource(9, 3*time.Second), NewRollingStats(50))
 
-	var ta, tb digestSink
+	var ta, tb records
 	twin.Stream(src, &ta)
 	twin.Stream(src, &tb)
-	if db := digestRun(b); !reflect.DeepEqual(da, ta) || !reflect.DeepEqual(db, tb) {
-		t.Fatalf("retained records differ from the twin's streamed ones:\n%+v\n%+v\n%+v\n%+v", da, ta, db, tb)
+	if msg := da.diff(&ta) + digest(b).diff(&tb); msg != "" {
+		t.Fatalf("retained records differ from the twin's streamed ones: %s", msg)
 	}
-	if again := digestRun(a); !reflect.DeepEqual(again, da) {
-		t.Fatal("later runs of the same System mutated a returned RunResult")
+	if msg := digest(a).diff(da); msg != "" {
+		t.Fatalf("later runs of the same System mutated a returned RunResult: %s", msg)
 	}
 	// Every per-query slice of every bin of both runs has its own array.
 	owner := map[*float64]int{}
@@ -169,30 +111,19 @@ func TestArrivalAtIntervalBoundary(t *testing.T) {
 // NextBatch aliases them.
 func TestRunDoesNotMutateSource(t *testing.T) {
 	batches := trace.Record(testSource(7, 3*time.Second))
-	copies := make([]pkt.Batch, len(batches))
-	for i, b := range batches {
-		copies[i] = pkt.Batch{Start: b.Start, Bin: b.Bin, Pkts: append([]pkt.Packet(nil), b.Pkts...)}
-		for j := range b.Pkts {
-			copies[i].Pkts[j].Payload = append([]byte(nil), b.Pkts[j].Payload...)
+	packets := func() (out []sum) { // the exact digest of every batch's packets, payloads included
+		for _, b := range batches {
+			out = append(out, sumOf(b.Pkts))
 		}
+		return out
 	}
-	src := trace.NewMemorySource(batches, trace.DefaultTimeBin)
-
+	before := packets()
 	cfg := streamCfg(9)
 	cfg.CustomShedding = true
-	New(cfg, stdQueries()).Run(src)
-
-	for i := range batches {
-		if len(batches[i].Pkts) != len(copies[i].Pkts) {
-			t.Fatalf("batch %d length changed", i)
-		}
-		for j := range batches[i].Pkts {
-			a, b := batches[i].Pkts[j], copies[i].Pkts[j]
-			pa, pb := a.Payload, b.Payload
-			a.Payload, b.Payload = nil, nil
-			if !reflect.DeepEqual(a, b) || string(pa) != string(pb) {
-				t.Fatalf("batch %d packet %d was mutated by the run", i, j)
-			}
+	New(cfg, stdQueries()).Run(trace.NewMemorySource(batches, trace.DefaultTimeBin))
+	for i, s := range packets() {
+		if s != before[i] {
+			t.Fatalf("batch %d was mutated by the run", i)
 		}
 	}
 }
@@ -409,101 +340,6 @@ func TestLongRunAllocCaps(t *testing.T) {
 			t.Errorf("%s: 600 bins allocated %.0f objects, %.2f MB; caps %.0f, %.2f MB", c.name, allocs, mb, c.maxAllocs, c.maxMB)
 		}
 	}
-}
-
-// digestSink folds every record into running digests inside the
-// callback, retaining nothing but numbers and query names — the harness
-// for proving that the borrowed records of a Stream carry exactly the
-// values Run's collector copies.
-type digestSink struct {
-	queries   []string
-	bins      float64 // cycle- and packet-scale fields
-	rates     float64 // unit-scale fields, kept apart so the cycle sums cannot absorb them
-	intervals float64
-}
-
-func (d *digestSink) OnQuery(_ int, name string) { d.queries = append(d.queries, name) }
-
-func (d *digestSink) OnBin(b *BinStats) {
-	d.bins += b.Used + b.Alloc + b.Predicted + b.Overhead + b.Shed + float64(b.AdmitPkts+b.DropPkts)
-	d.bins += b.Capacity*1e-3 + b.Avail*0.125
-	d.rates += b.GlobalRate + b.BufferBins + b.Start.Seconds()
-	for i, r := range b.Rates {
-		d.rates += r * float64(i+1)
-		d.bins += b.QueryUsed[i]*0.5 + b.QueryPred[i]*0.25
-	}
-}
-
-func (d *digestSink) OnInterval(iv *IntervalResults) {
-	d.intervals += iv.ExportCycles + float64(iv.Index)
-	for qi, r := range iv.Results {
-		d.intervals += resultDigest(r) * float64(qi+1)
-	}
-}
-
-// resultDigest reduces a query result to an order-independent number.
-func resultDigest(r queries.Result) float64 {
-	switch v := r.(type) {
-	case nil:
-		return -1
-	case queries.FlowsResult:
-		return v.Flows
-	case queries.CounterResult:
-		return v.Packets + v.Bytes
-	case queries.HighWatermarkResult:
-		return v.WatermarkBytes
-	case queries.TraceResult:
-		return v.Packets + v.Bytes
-	case queries.PatternResult:
-		return v.Processed + v.Matches
-	case queries.ApplicationResult:
-		var s float64
-		for _, c := range v.Apps {
-			s += c.Packets + c.Bytes
-		}
-		return s
-	case queries.TopKResult:
-		var s float64
-		for i, e := range v.List {
-			s += float64(i+1) * (float64(e.IP) + e.Bytes)
-		}
-		s += float64(len(v.All))
-		return s
-	case queries.AutofocusResult:
-		var s float64
-		for i, c := range v.Clusters {
-			s += float64(i+1) * (float64(c.Prefix) + float64(c.Len) + c.Bytes)
-		}
-		return s + v.Total
-	case queries.SuperSourcesResult:
-		var s float64
-		for i, e := range v.Top {
-			s += float64(i+1) * (float64(e.IP) + e.FanOut)
-		}
-		s += float64(len(v.All))
-		return s
-	case queries.P2PResult:
-		var s float64
-		for k := range v.Detected {
-			s += float64(k[0]) + float64(k[5]) + float64(k[12])
-		}
-		return s + v.Count
-	default:
-		return math.NaN()
-	}
-}
-
-// digestRun folds an already-collected RunResult through the same
-// digests as digestSink.
-func digestRun(res *RunResult) digestSink {
-	d := digestSink{queries: res.Queries}
-	for i := range res.Bins {
-		d.OnBin(&res.Bins[i])
-	}
-	for i := range res.Intervals {
-		d.OnInterval(&res.Intervals[i])
-	}
-	return d
 }
 
 // TestStreamAllocsIndependentOfSinkShape pins the one record path from

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Prints the size numbers CHANGES.md tracks per PR (ROADMAP,
-# consolidation item), for the program only — tests and the bench/
-# module are not counted:
+# consolidation item). The bench/ module is never counted:
 #
-#   non-test LOC       non-blank, non-comment-only lines
+#   non-test LOC       non-blank, non-comment-only lines of the program
+#   test LOC           the same rule over the *_test.go files
 #   exported symbols   top-level exported funcs, methods, types, consts
 #                      and vars (struct fields are not counted)
 #   Config fields      the settable fields of loadshed.Config, the
@@ -14,8 +14,13 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 files() {
 	find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'
 }
+tests() {
+	find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'
+}
+count() { xargs grep -hv '^\s*//' | grep -cv '^\s*$'; }
 
-loc=$(files | xargs grep -hv '^\s*//' | grep -cv '^\s*$')
+loc=$(files | count)
+testloc=$(tests | count)
 
 # Sources are gofmt'd, so a top-level declaration starts in column 0
 # and the members of a const/var/type group sit behind exactly one tab.
@@ -38,5 +43,6 @@ fields=$(awk '
 ' pkg/loadshed/engine.go)
 
 echo "non-test LOC:     $loc"
+echo "test LOC:         $testloc"
 echo "exported symbols: $symbols"
 echo "Config fields:    $fields"
