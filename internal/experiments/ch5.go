@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/hash"
+	"repro/internal/pkt"
 	"repro/internal/queries"
 	"repro/internal/sampling"
 	"repro/internal/sched"
@@ -151,6 +153,7 @@ func sampledError(cfg Config, dur time.Duration, name string, rate float64) floa
 		q := mk()
 		ps := sampling.NewPacketSampler(cfg.Seed + 97)
 		fs := sampling.NewFlowSampler(cfg.Seed + 98)
+		flows := pkt.NewFlowIndex(hash.FlowSalt(cfg.Seed))
 		var sel []int32
 		var out []queries.Result
 		bin := 0
@@ -166,9 +169,11 @@ func sampledError(cfg Config, dur time.Duration, name string, rate float64) floa
 			}
 			if rate < 1 {
 				// Shed by selection, as the engine does: the query reads
-				// the bin through its sampler's index list.
+				// the bin through its sampler's index list, and the flow
+				// sampler and the query read one flow index of the bin.
 				if q.Method() == sampling.Flow {
-					sel = fs.SelectInto(sel, b.Pkts, rate)
+					b.IndexInto(flows)
+					sel = fs.SelectInto(sel, flows, rate)
 				} else {
 					sel = ps.SelectInto(sel, len(b.Pkts), rate)
 				}

@@ -113,13 +113,14 @@ func newBitmaps() (bm bitmaps) {
 	return bm
 }
 
-// Sketch is the per-batch half of feature extraction: the batch's flow
-// index, for each header aggregate the column of its flows' finalized
-// H3 hashes (cols[a][f] belongs to flow f), the multi-resolution bitmap
-// those hashes were inserted into, and that bitmap's estimate. A Sketch
-// carries no interval state, so filling one is a pure function of (hash
-// seed, packet slice): it can run ahead of the bin that will consume it,
-// and two sketches can be filled concurrently.
+// Sketch is the per-batch half of feature extraction: the flow index
+// of the packets it was filled from, for each header aggregate the
+// column of their flows' finalized H3 hashes (cols[a][f] belongs to flow
+// f), the multi-resolution bitmap those hashes were inserted into, and
+// that bitmap's estimate. A Sketch carries no interval state, so filling
+// one is a pure function of (hash seed, packet slice): it can run ahead
+// of the bin that will consume it, and two sketches can be filled
+// concurrently.
 //
 // Every aggregate key is a projection of the 5-tuple, so the packets of
 // one flow share all ten hashes, and a bitmap insert is an idempotent
@@ -128,11 +129,11 @@ func newBitmaps() (bm bitmaps) {
 // inserting every packet. Pkts and Ops still count packets: the cost
 // model prices the paper's per-packet algorithm, not this one.
 //
-// Keeping the columns (80 B per flow) and the index (4 B per packet) is
-// what makes a sub-stream's sketch cheap: SelectInto inserts the flows
-// the selected packets belong to straight from the columns and
-// Truncate re-inserts the flows of a prefix, neither touching a packet
-// or an H3 table again.
+// Keeping the columns (80 B per flow) and reading the index (4 B per
+// packet) is what makes a sub-stream's sketch cheap: SelectInto inserts
+// the flows the selected packets belong to straight from the columns
+// and Truncate re-inserts the flows of a prefix, neither touching a
+// packet or an H3 table again.
 //
 // The ten batch estimates are taken once, by whichever call filled the
 // sketch and on its goroutine; from then on the sketch is read-only, and
@@ -146,7 +147,8 @@ func newBitmaps() (bm bitmaps) {
 // The zero value is unusable; construct with NewSketch.
 type Sketch struct {
 	batch bitmaps
-	flows flowIndex                   // the filled batch's 5-tuples
+	flows *pkt.FlowIndex              // the filled batch's: the bin's, or own
+	own   *pkt.FlowIndex              // SketchInto's index, for packets that come without one
 	cols  [pkt.NumAggregates][]uint64 // one row per flow of flows (none on a selection's sketch)
 	n     int                         // packets represented
 	est   [pkt.NumAggregates]float64  // batch[a].Estimate(), taken when filled
@@ -159,120 +161,17 @@ type Sketch struct {
 // geometry.
 func NewSketch() *Sketch { return &Sketch{batch: newBitmaps()} }
 
-// index indexes pkts and readies sk to be filled from them: bitmaps
+// index readies sk to be filled from the packets x indexes: bitmaps
 // cleared, one column row per distinct flow (columns grow, amortized,
-// only when capacity is short).
-func (sk *Sketch) index(pkts []pkt.Packet, salt uint64) {
-	sk.flows.build(pkts, salt)
-	nf := len(sk.flows.keys)
+// only when capacity is short). x must stay unchanged while sk is read.
+func (sk *Sketch) index(x *pkt.FlowIndex) {
+	sk.flows = x
+	nf := len(x.Keys)
 	for a := range sk.cols {
 		sk.batch[a].Reset()
 		sk.cols[a] = slices.Grow(sk.cols[a][:0], nf)[:nf]
 	}
-	sk.n = len(pkts)
-}
-
-// flowIndex gives every packet of a batch a dense flow id in order of
-// first appearance: id[i] is packet i's flow (4 B per packet), and
-// keys[f] is flow f's 5-tuple, copied from its first packet into a
-// header-only packet (56 B per flow) that the bulk hash streams as it
-// would the batch. Because ids follow first appearance, the flows of a
-// prefix of the batch are a prefix of keys.
-//
-// The slots are open addressing with linear probing over a power-of-two
-// array held at load ≤ ½, each a 5-tuple packed into two words as
-// queries.flowTable packs it (24 B per slot, so 48–96 B per flow of the
-// largest batch indexed). A slot belongs to the fill whose stamp it
-// carries, so a fill clears nothing; it bumps the stamp.
-type flowIndex struct {
-	slots []flowSlot
-	stamp uint32 // the current fill's; never 0, the stamp of a fresh slot
-	salt  uint64 // the filling extractor's, so placement is not a public function of the key
-	id    []int32
-	keys  []pkt.Packet
-}
-
-// flowSlot is one packed 5-tuple, its flow id and the fill it belongs to.
-type flowSlot struct {
-	hi, lo uint64 // SrcIP<<32 | DstIP; SrcPort<<24 | DstPort<<8 | Proto
-	stamp  uint32
-	id     int32
-}
-
-const flowIndexInit = 256 // slots before the first doubling
-
-// build indexes pkts, replacing the previous fill's index.
-func (x *flowIndex) build(pkts []pkt.Packet, salt uint64) {
-	if x.stamp++; x.stamp == 0 { // wrapped: slots from 2³² fills ago would read as current
-		clear(x.slots)
-		x.stamp = 1
-	}
-	if len(x.slots) == 0 {
-		x.slots = make([]flowSlot, flowIndexInit)
-	}
-	x.salt = salt
-	id, keys := slices.Grow(x.id[:0], len(pkts))[:len(pkts)], x.keys[:0]
-	slots, stamp := x.slots, x.stamp
-	for i := range pkts {
-		p := &pkts[i]
-		hi := uint64(p.SrcIP)<<32 | uint64(p.DstIP)
-		lo := uint64(p.SrcPort)<<24 | uint64(p.DstPort)<<8 | uint64(p.Proto)
-		s := probe(slots, stamp, x.home(hi, lo, len(slots)), hi, lo)
-		if s.stamp == stamp {
-			id[i] = s.id
-			continue
-		}
-		// The flow's first packet. Only its key fields are written, so
-		// keys holds no payload pointer and the store needs no barrier.
-		*s = flowSlot{hi: hi, lo: lo, stamp: stamp, id: int32(len(keys))}
-		id[i] = s.id
-		if len(keys) == cap(keys) {
-			keys = slices.Grow(keys, 1)
-		}
-		keys = keys[:len(keys)+1]
-		k := &keys[len(keys)-1]
-		k.SrcIP, k.DstIP, k.SrcPort, k.DstPort, k.Proto = p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.Proto
-		if 2*len(keys) > len(slots) {
-			slots = x.grow()
-		}
-	}
-	x.id, x.keys = id, keys
-}
-
-// home is the slot a key probes first in a table of n slots: the top
-// bits of a multiply-xorshift mix of both words, as queries.flowTable
-// mixes.
-func (x *flowIndex) home(hi, lo uint64, n int) int {
-	h := (hi ^ x.salt) * 0x9e3779b97f4a7c15
-	h ^= h >> 32
-	h = (h ^ lo) * 0xbf58476d1ce4e5b9
-	h ^= h >> 29
-	h *= 0x94d049bb133111eb
-	return int((h >> 32) * uint64(n) >> 32)
-}
-
-// probe returns the slot of key (hi, lo) in the fill stamped stamp, or
-// the empty slot where it belongs, searching from slot i.
-func probe(slots []flowSlot, stamp uint32, i int, hi, lo uint64) *flowSlot {
-	for mask := len(slots) - 1; ; i++ {
-		s := &slots[i&mask]
-		if s.stamp != stamp || s.hi == hi && s.lo == lo {
-			return s
-		}
-	}
-}
-
-// grow doubles the slot array, re-places the current fill's slots and
-// returns the new array.
-func (x *flowIndex) grow() []flowSlot {
-	old := x.slots
-	x.slots = make([]flowSlot, 2*len(old))
-	for _, s := range old {
-		if s.stamp == x.stamp {
-			*probe(x.slots, x.stamp, x.home(s.hi, s.lo, len(x.slots)), s.hi, s.lo) = s
-		}
-	}
-	return x.slots
+	sk.n = len(x.ID)
 }
 
 // seal takes the batch estimates of a freshly filled sketch.
@@ -304,11 +203,11 @@ const CostPerOp = 25
 // dst keeps no hash columns, so it cannot be selected from or truncated
 // in turn. dst must be distinct from sk.
 func (sk *Sketch) SelectInto(dst *Sketch, idx []int32) {
-	words := (len(sk.flows.keys) + 63) / 64
+	words := (len(sk.flows.Keys) + 63) / 64
 	dst.seen = slices.Grow(dst.seen[:0], words)[:words]
 	clear(dst.seen)
 	for _, i := range idx {
-		f := sk.flows.id[i]
+		f := sk.flows.ID[i]
 		dst.seen[f>>6] |= 1 << (f & 63)
 	}
 	dst.sel = dst.sel[:0]
@@ -328,13 +227,11 @@ func (sk *Sketch) SelectInto(dst *Sketch, idx []int32) {
 
 // Truncate shrinks the sketch to its first n packets (n <= Pkts) by
 // re-inserting the flows first seen among them: the sketch of a
-// tail-dropped batch, without re-hashing it.
+// tail-dropped batch, without re-hashing it. It truncates the sketch's
+// flow index too, unless that already happened.
 func (sk *Sketch) Truncate(n int) {
-	nf := 0 // ids follow first appearance: the prefix's flows are 0 … its largest id
-	for _, f := range sk.flows.id[:n] {
-		nf = max(nf, int(f)+1)
-	}
-	sk.flows.id, sk.flows.keys = sk.flows.id[:n], sk.flows.keys[:nf]
+	sk.flows.Truncate(n)
+	nf := len(sk.flows.Keys) // ids follow first appearance: the prefix's flows are a prefix
 	for a := range sk.cols {
 		sk.cols[a] = sk.cols[a][:nf]
 		sk.batch[a].Reset()
@@ -387,7 +284,7 @@ type Extractor struct {
 // NewExtractor returns an extractor whose hash functions derive from
 // seed.
 func NewExtractor(seed uint64) *Extractor {
-	e := &Extractor{scratch: make(Vector, NumFeatures), sk: NewSketch(), iv: NewInterval(), salt: hash.Mix64(seed + 0xf10e)}
+	e := &Extractor{scratch: make(Vector, NumFeatures), sk: NewSketch(), iv: NewInterval(), salt: hash.FlowSalt(seed)}
 	for a := range e.h3 {
 		e.h3[a] = hash.NewH3(seed + uint64(a)*0x9e3779b97f4a7c15)
 	}
@@ -533,16 +430,28 @@ func (e *Extractor) ExtractInto(v Vector, b *pkt.Batch) Vector {
 	return e.FinishSketchInto(v, e.sk, float64(b.Packets()), float64(b.Bytes()))
 }
 
-// SketchInto resets sk, indexes the flows of pkts and fills sk with
-// their hashes: the first, batch-pure half of extraction. It reads only
-// e's hash tables (fixed at construction) and writes only sk, so
+// SketchInto resets sk, indexes the flows of pkts into sk's own index
+// and fills sk with their hashes: SketchFlows for packets that come
+// without an index.
+func (e *Extractor) SketchInto(sk *Sketch, pkts []pkt.Packet) {
+	if sk.own == nil {
+		sk.own = pkt.NewFlowIndex(e.salt)
+	}
+	sk.own.Build(pkts)
+	e.SketchFlows(sk, sk.own)
+}
+
+// SketchFlows resets sk and fills it with the hashes of the flows x
+// indexes: the first, batch-pure half of extraction. It reads only e's
+// hash tables (fixed at construction) and x, and writes only sk, so
 // concurrent calls on the same extractor are safe when each targets a
 // distinct sketch — the contract the pipelined engine's read-ahead stage
-// builds on. It does not advance e.Ops; the consumer charges the cost
-// when the sketch is folded into a bin (sk.Ops reports it).
-func (e *Extractor) SketchInto(sk *Sketch, pkts []pkt.Packet) {
-	sk.index(pkts, e.salt)
-	e.sketchRange(sk, &sk.batch, 0, len(sk.flows.keys))
+// builds on. sk reads x until its next fill. It does not advance e.Ops;
+// the consumer charges the cost when the sketch is folded into a bin
+// (sk.Ops reports it).
+func (e *Extractor) SketchFlows(sk *Sketch, x *pkt.FlowIndex) {
+	sk.index(x)
+	e.sketchRange(sk, &sk.batch, 0, len(x.Keys))
 	sk.seal()
 }
 
@@ -554,19 +463,19 @@ func (e *Extractor) SketchInto(sk *Sketch, pkts []pkt.Packet) {
 // cache behaviour documented on ExtractInto.
 func (e *Extractor) sketchRange(sk *Sketch, into *bitmaps, lo, hi int) {
 	for a := range sk.cols {
-		col := e.h3[a].AggHashes(sk.cols[a][lo:hi:hi], sk.flows.keys[lo:hi], pkt.Aggregate(a))
+		col := e.h3[a].AggHashes(sk.cols[a][lo:hi:hi], sk.flows.Keys[lo:hi], pkt.Aggregate(a))
 		into[a].InsertMany(col)
 	}
 }
 
-// ChunkSketcher fills sketches in parallel, split by flow: the producer
-// indexes the batch, then worker w hashes the w-th contiguous run of
-// flow ids straight into its disjoint range of the destination's
+// ChunkSketcher fills sketches in parallel, split by flow: given the
+// batch's flow index, worker w hashes the w-th contiguous run of flow
+// ids straight into its disjoint range of the destination's
 // columns and inserts it into a per-worker staging bitmap set, and the
 // staging sets are ORed into the destination in worker index order.
 // Because bitmap contents are pure unions and every flow's hash is
 // independent of its neighbours, the result is bit-identical to a
-// sequential SketchInto for any chunk count and any execution order —
+// sequential SketchFlows for any chunk count and any execution order —
 // which is what lets the engine split a batch across cores without
 // giving up bit-identical runs.
 //
@@ -593,7 +502,7 @@ func NewChunkSketcher(e *Extractor, workers int) *ChunkSketcher {
 		cs.staging[w] = newBitmaps()
 	}
 	cs.fn = func(w int) {
-		nf := len(cs.dst.flows.keys)
+		nf := len(cs.dst.flows.Keys)
 		lo := min(w*cs.chunk, nf)
 		hi := min(lo+cs.chunk, nf)
 		for _, m := range cs.staging[w] {
@@ -607,18 +516,19 @@ func NewChunkSketcher(e *Extractor, workers int) *ChunkSketcher {
 // Workers reports the number of staging bitmap sets (the chunk count).
 func (cs *ChunkSketcher) Workers() int { return len(cs.staging) }
 
-// Fill sketches pkts into dst using one chunk per staging set. run must
-// invoke fn(0..n-1) exactly once each before returning, on any
-// goroutines it likes — a worker pool, or nil to run the chunks inline.
-func (cs *ChunkSketcher) Fill(dst *Sketch, pkts []pkt.Packet, run func(n int, fn func(int))) {
+// Fill sketches the flows x indexes into dst using one chunk per
+// staging set: SketchFlows, split. run must invoke fn(0..n-1) exactly
+// once each before returning, on any goroutines it likes — a worker
+// pool, or nil to run the chunks inline.
+func (cs *ChunkSketcher) Fill(dst *Sketch, x *pkt.FlowIndex, run func(n int, fn func(int))) {
 	n := len(cs.staging)
 	if n == 1 || run == nil {
-		cs.e.SketchInto(dst, pkts)
+		cs.e.SketchFlows(dst, x)
 		return
 	}
-	dst.index(pkts, cs.e.salt)
+	dst.index(x)
 	cs.dst = dst
-	cs.chunk = (len(dst.flows.keys) + n - 1) / n
+	cs.chunk = (len(x.Keys) + n - 1) / n
 	run(n, cs.fn)
 	cs.dst = nil
 	for w := range cs.staging {

@@ -3,7 +3,6 @@ package features
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -11,6 +10,7 @@ import (
 
 	"repro/internal/hash"
 	"repro/internal/pkt"
+	"repro/internal/queries"
 	"repro/internal/sampling"
 	"repro/internal/trace"
 )
@@ -24,6 +24,14 @@ func sketchTrace(t testing.TB) []pkt.Batch {
 		t.Fatal("generator produced no batches")
 	}
 	return batches
+}
+
+// indexed returns the flow index of pkts: the bin's index, as the
+// engine builds it.
+func indexed(pkts []pkt.Packet) *pkt.FlowIndex {
+	x := pkt.NewFlowIndex(1)
+	x.Build(pkts)
+	return x
 }
 
 // inlineRun satisfies ChunkSketcher.Fill's run contract on the calling
@@ -71,7 +79,7 @@ func TestChunkSketchEquivalence(t *testing.T) {
 				parExt.StartInterval()
 				for _, b := range batches {
 					seqExt.SketchInto(seqSk, b.Pkts)
-					cs.Fill(parSk, b.Pkts, run)
+					cs.Fill(parSk, indexed(b.Pkts), run)
 					if seqSk.Pkts() != parSk.Pkts() {
 						t.Fatalf("chunked sketch saw %d pkts, sequential %d", parSk.Pkts(), seqSk.Pkts())
 					}
@@ -127,12 +135,13 @@ func TestChunkSketchFillAllocFree(t *testing.T) {
 	batches := sketchTrace(t)
 	ext := NewExtractor(2)
 	cs := NewChunkSketcher(ext, 4)
-	dst := NewSketch()
+	dst, x := NewSketch(), indexed(batches[0].Pkts)
 	ext.StartInterval()
-	cs.Fill(dst, batches[0].Pkts, inlineRun) // warm the hash columns
+	cs.Fill(dst, x, inlineRun) // warm the hash columns
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, b := range batches {
-			cs.Fill(dst, b.Pkts, inlineRun)
+			x.Build(b.Pkts)
+			cs.Fill(dst, x, inlineRun)
 			ext.ExtractFromSketch(dst, float64(b.Packets()), float64(b.Bytes()))
 		}
 	})
@@ -220,23 +229,32 @@ func TestSketchTruncateMatchesSketchOfPrefix(t *testing.T) {
 	}
 }
 
-// TestSketchSelectAllocFree: with warmed destinations, the engine's
-// per-bin shed sketch (inserted straight from the bin's columns) and the
-// DAG-drop truncation allocate nothing.
+// TestSketchSelectAllocFree: once warmed on the largest bin, the
+// engine's per-bin sketch of the bin's index, its shed sketch (inserted
+// straight from the bin's columns) and the DAG-drop truncation allocate
+// nothing, on that bin and on a smaller one.
 func TestSketchSelectAllocFree(t *testing.T) {
-	b := sketchTrace(t)[0]
+	small := sketchTrace(t)[0].Pkts
+	large := benchBins()[1].pkts // spoofed: every packet its own flow
 	ext := NewExtractor(2)
-	full, shed, dropped := NewSketch(), NewSketch(), NewSketch()
-	ext.SketchInto(full, b.Pkts)
-	ext.SketchInto(dropped, b.Pkts)
-	idx := halfOf(len(b.Pkts))
-	full.SelectInto(shed, idx)
+	x, sk, shed := pkt.NewFlowIndex(1), NewSketch(), NewSketch()
+	smallIdx, largeIdx := halfOf(len(small)), halfOf(len(large))
+	x.Build(large)
+	ext.SketchFlows(sk, x)
+	sk.SelectInto(shed, largeIdx)
 	if allocs := testing.AllocsPerRun(20, func() {
-		full.SelectInto(shed, idx)
-		ext.SketchInto(dropped, b.Pkts)
-		dropped.Truncate(len(b.Pkts) / 2)
+		for _, in := range []struct {
+			pkts []pkt.Packet
+			idx  []int32
+		}{{large, largeIdx}, {small, smallIdx}} {
+			x.Build(in.pkts)
+			ext.SketchFlows(sk, x)
+			sk.SelectInto(shed, in.idx)
+			sk.Truncate(len(in.pkts) / 2)
+			ext.SketchInto(sk, in.pkts)
+		}
 	}); allocs != 0 {
-		t.Fatalf("warmed SelectInto + Truncate allocated %v times per run, want 0", allocs)
+		t.Fatalf("warmed sketch, SelectInto and Truncate allocated %v times per run, want 0", allocs)
 	}
 }
 
@@ -260,19 +278,23 @@ func oracleSketch(e *Extractor, sk *Sketch, pkts []pkt.Packet) {
 // sparse, half, and all but the all-ones draw.
 var oracleRates = []float64{0, 0.05, 0.5, 1 - 1.0/(1<<53)}
 
-// checkSketchOracle holds every per-flow consumer of the index to the
-// per-packet oracle on one bin: SketchInto, ChunkSketcher.Fill at one to
+// checkSketchOracle holds every consumer of the bin's flow index in
+// features to the per-packet oracle on one bin: SketchFlows over the
+// bin's index and SketchInto over its own, ChunkSketcher.Fill at one to
 // four chunks, SelectInto at oracleRates and, when every is set,
 // Truncate at every prefix length (else at three).
 func checkSketchOracle(t *testing.T, what string, pkts []pkt.Packet, every bool) {
 	t.Helper()
 	ext := NewExtractor(11)
+	x := indexed(pkts)
 	got, want, sel := NewSketch(), NewSketch(), NewSketch()
 	oracleSketch(ext, want, pkts)
 	ext.SketchInto(got, pkts)
 	sameSketch(t, what+", SketchInto", got, want)
+	ext.SketchFlows(got, x)
+	sameSketch(t, what+", SketchFlows", got, want)
 	for chunks := 1; chunks <= 4; chunks++ {
-		NewChunkSketcher(ext, chunks).Fill(got, pkts, inlineRun)
+		NewChunkSketcher(ext, chunks).Fill(got, x, inlineRun)
 		sameSketch(t, fmt.Sprintf("%s, Fill in %d chunks", what, chunks), got, want)
 	}
 	for _, rate := range oracleRates {
@@ -293,11 +315,78 @@ func checkSketchOracle(t *testing.T, what string, pkts []pkt.Packet, every bool)
 		}
 	}
 	for _, n := range prefixes {
-		ext.SketchInto(got, pkts)
+		x.Build(pkts) // the previous Truncate shortened the bin's index
+		ext.SketchFlows(got, x)
 		got.Truncate(n)
 		oracleSketch(ext, want, pkts[:n])
 		sameSketch(t, fmt.Sprintf("%s, Truncate(%d)", what, n), got, want)
 	}
+}
+
+// checkFlowConsumers holds the index's consumers outside features to
+// their per-packet forms on one bin, at oracleRates: the flow sampler's
+// selection against the same sampler deciding each packet alone, and
+// flows, top-k and p2p-detector reading the bin's index through the
+// whole bin, a packet selection and that flow selection against twins
+// fed the same packets one per batch, without an index — by Ops, by
+// flushed result and by flush Ops.
+func checkFlowConsumers(t *testing.T, what string, pkts []pkt.Packet) {
+	t.Helper()
+	x, single := indexed(pkts), pkt.NewFlowIndex(2)
+	for _, rate := range oracleRates {
+		fsel := sampling.NewFlowSampler(5).SelectInto(nil, x, rate)
+		alone := sampling.NewFlowSampler(5)
+		var want []int32
+		for i := range pkts {
+			single.Build(pkts[i : i+1])
+			if len(alone.SelectInto(nil, single, rate)) == 1 {
+				want = append(want, int32(i))
+			}
+		}
+		if !slices.Equal(fsel, want) {
+			t.Fatalf("%s, flow selection at %v: %d packets, %d deciding each alone", what, rate, len(fsel), len(want))
+		}
+		views := []struct {
+			name string
+			sel  []int32
+		}{{"whole bin", nil}, {"packet selection", sampling.NewPacketSampler(3).SelectInto(nil, len(pkts), rate)}, {"flow selection", fsel}}
+		for vi, v := range views {
+			b := pkt.Batch{Pkts: pkts, Flows: x, Sel: v.sel}
+			if vi > 0 && len(v.sel) == 0 {
+				b.Pkts, b.Sel = nil, nil // an empty selection: a nil Sel reads as every packet
+			}
+			for qi := range 3 {
+				q, twin := flowQuery(qi), flowQuery(qi)
+				ops := q.Process(&b, rate)
+				var twinOps queries.Ops
+				for j := range b.Packets() {
+					one := pkt.Batch{Pkts: []pkt.Packet{*b.At(j)}}
+					twinOps = twinOps.Add(twin.Process(&one, rate))
+				}
+				res, fops := q.Flush()
+				twinRes, twinFops := twin.Flush()
+				if ops != twinOps || fops != twinFops || !reflect.DeepEqual(res, twinRes) {
+					t.Fatalf("%s, %s through the %s at %v: ops %+v / flush %+v, per packet %+v / %+v", what, q.Name(), v.name, rate, ops, fops, twinOps, twinFops)
+				}
+			}
+		}
+	}
+}
+
+// flowQuery returns a fresh instance of the i-th query that keeps
+// per-flow state: flows, top-k and p2p-detector, the last shedding to
+// half its flows so both of its classification paths run.
+func flowQuery(i int) queries.Query {
+	cfg := queries.Config{Seed: 9}
+	switch i {
+	case 0:
+		return queries.NewFlows(cfg)
+	case 1:
+		return queries.NewTopK(cfg, 3)
+	}
+	q := queries.NewP2PDetector(cfg)
+	q.ShedTo(0.5)
+	return q
 }
 
 // nearKeys is a bin of 5-tuples that differ from each other only in the
@@ -322,8 +411,10 @@ func nearKeys() []pkt.Packet {
 
 // TestSketchMatchesPerPacketOracle: hashing and inserting each distinct
 // 5-tuple once is bit for bit inserting every packet, for every consumer
-// of the index, on generated CESCA-II bins, a bin where every packet is
-// its own flow, a one-flow bin, an empty bin and keys a field apart.
+// of the bin's index in features, on generated CESCA-II bins, a bin
+// where every packet is its own flow, a one-flow bin, an empty bin and
+// keys a field apart; and on the last four, the flow sampler and the
+// per-flow queries read the index as they would each packet alone.
 func TestSketchMatchesPerPacketOracle(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		batches := trace.Record(trace.NewGenerator(trace.CESCA2(seed, 500*time.Millisecond, 1)))
@@ -335,15 +426,21 @@ func TestSketchMatchesPerPacketOracle(t *testing.T) {
 	for _, in := range bins {
 		checkSketchOracle(t, in.name, in.pkts, false)
 		checkSketchOracle(t, "short "+in.name, in.pkts[:40], true)
+		checkFlowConsumers(t, in.name, in.pkts)
 	}
 	checkSketchOracle(t, "empty", nil, true)
 	checkSketchOracle(t, "near keys", nearKeys(), true)
+	checkFlowConsumers(t, "empty", nil)
+	checkFlowConsumers(t, "near keys", nearKeys())
 }
 
-// FuzzSketchFlowIndex runs checkSketchOracle on a bin read from data:
-// one packet per byte, each bit picking one of two values for a 5-tuple
-// field, so bins are full of repeats and of keys a field apart.
-func FuzzSketchFlowIndex(f *testing.F) {
+// FuzzFlowIndex holds every consumer of a bin's flow index to its
+// per-packet form (checkSketchOracle, checkFlowConsumers) on a bin read
+// from data: one packet per byte, each bit picking one of two values for
+// a 5-tuple field, so bins are full of repeats and of keys a field
+// apart, and the top bit a P2P signature in the payload and a larger
+// size.
+func FuzzFlowIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pkts := make([]pkt.Packet, len(data))
 		for i, b := range data {
@@ -352,42 +449,13 @@ func FuzzSketchFlowIndex(f *testing.F) {
 				SrcPort: 1024 + uint16(b>>3&1), DstPort: 80 + uint16(b>>4&1)<<8,
 				Proto: []uint8{pkt.ProtoTCP, pkt.ProtoUDP, pkt.ProtoICMP, 0}[b>>5&3], Size: 60 + int(b>>7),
 			}
+			if b>>7 == 1 {
+				pkts[i].Payload = trace.SigBitTorrent
+			}
 		}
 		checkSketchOracle(t, "fuzzed bin", pkts, len(pkts) <= 64)
+		checkFlowConsumers(t, "fuzzed bin", pkts)
 	})
-}
-
-// TestSketchIndexGrowsOnce: the first fill of a bin with more flows than
-// any before grows the index and the columns; after that neither that
-// bin nor a smaller one allocates, through every consumer.
-func TestSketchIndexGrowsOnce(t *testing.T) {
-	small := sketchTrace(t)[0].Pkts
-	large := benchBins()[1].pkts // spoofed: every packet its own flow
-	if len(large) <= 2*len(small) {
-		t.Fatalf("large bin has %d packets, want more than 2 × %d", len(large), len(small))
-	}
-	ext := NewExtractor(2)
-	sk, shed := NewSketch(), NewSketch()
-	smallIdx, largeIdx := halfOf(len(small)), halfOf(len(large))
-	ext.SketchInto(sk, small)
-	sk.SelectInto(shed, smallIdx)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	ext.SketchInto(sk, large)
-	runtime.ReadMemStats(&after)
-	if after.Mallocs == before.Mallocs {
-		t.Fatal("the first fill of a larger bin did not allocate: the index cannot have grown")
-	}
-	sk.SelectInto(shed, largeIdx)
-	if allocs := testing.AllocsPerRun(20, func() {
-		ext.SketchInto(sk, large)
-		sk.SelectInto(shed, largeIdx)
-		sk.Truncate(len(large) / 2)
-		ext.SketchInto(sk, small)
-		sk.SelectInto(shed, smallIdx)
-	}); allocs != 0 {
-		t.Fatalf("fills after the growing one allocated %v times per run, want 0", allocs)
-	}
 }
 
 // benchBins are the bins the sketch benchmarks run on: a generated bin

@@ -217,6 +217,10 @@ func Mix64(x uint64) uint64 {
 	return x
 }
 
+// FlowSalt is the slot-placement salt of a pkt.FlowTable or
+// pkt.FlowIndex owned by a component seeded with seed.
+func FlowSalt(seed uint64) uint64 { return Mix64(seed + 0xf10e) }
+
 // XorShift is a xorshift64* pseudo-random generator. It is tiny, fast,
 // allocation free and fully deterministic per seed, which is all the
 // monitoring pipeline needs (math/rand would work too, but a local

@@ -170,6 +170,12 @@ type Batch struct {
 	// packet of Pkts. Read a batch through Packets, Bytes and At, which
 	// honour Sel.
 	Sel []int32
+	// Flows, when non-nil, is the flow index of Pkts (not of Sel: a
+	// selection reads it through Sel). Consumers take it through Index,
+	// which checks that it still describes Pkts, so a batch whose Pkts
+	// were replaced after indexing is indexed afresh rather than read
+	// with another slice's ids.
+	Flows *FlowIndex
 
 	// Bytes() cache: cachedFor holds Packets()+1 at the time the sum was
 	// taken (0 = no cache), so shrinking Pkts or Sel — what admission
@@ -196,6 +202,27 @@ func (b *Batch) At(i int) *Packet {
 		return &b.Pkts[b.Sel[i]]
 	}
 	return &b.Pkts[i]
+}
+
+// IndexInto builds x over b.Pkts and attaches it as b.Flows. The same
+// pass over the packets takes the byte sum Bytes serves (when b reads
+// every packet of Pkts).
+func (b *Batch) IndexInto(x *FlowIndex) {
+	bytes := x.build(b.Pkts)
+	b.Flows = x
+	if b.Sel == nil {
+		b.cachedBytes, b.cachedFor = bytes, len(b.Pkts)+1
+	}
+}
+
+// Index returns the flow index of b.Pkts: b.Flows when it describes
+// them, else scratch, rebuilt over them.
+func (b *Batch) Index(scratch *FlowIndex) *FlowIndex {
+	if b.Flows != nil && b.Flows.describes(b.Pkts) {
+		return b.Flows
+	}
+	scratch.Build(b.Pkts)
+	return scratch
 }
 
 // Bytes returns the total wire bytes in the batch, summing once and

@@ -5,10 +5,48 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/hash"
 	"repro/internal/pkt"
 	"repro/internal/sampling"
 	"repro/internal/stats"
 )
+
+// ---------------------------------------------------------------------
+// The per-flow queries' view of a bin's flow index.
+
+// binFlows resolves a batch to its flow index and keeps the per-batch
+// memo through which a per-flow query reads it: memo[f] is the query's
+// own table id for the index's flow f plus one, set at the flow's first
+// packet in the query's view, 0 before it. A packet's table work is then
+// one id load; the table is probed once per flow of the view, in the
+// order the per-packet loop would first have probed each key, so ids,
+// per-key addition order and Ops are the per-packet loop's.
+type binFlows struct {
+	own  *pkt.FlowIndex // the index of a batch that carries none for its packets
+	memo []int32
+}
+
+func newBinFlows(seed uint64) binFlows {
+	return binFlows{own: pkt.NewFlowIndex(hash.FlowSalt(seed))}
+}
+
+// index returns b's flow index (b.Flows, or one built into own) and
+// clears the memo for its flows.
+func (m *binFlows) index(b *pkt.Batch) *pkt.FlowIndex {
+	x := b.Index(m.own)
+	nf := len(x.Keys)
+	m.memo = slices.Grow(m.memo[:0], nf)[:nf]
+	clear(m.memo)
+	return x
+}
+
+// at is the index into b.Pkts of the j-th packet of b's view.
+func at(sel []int32, j int) int {
+	if sel != nil {
+		return int(sel[j])
+	}
+	return j
+}
 
 // ---------------------------------------------------------------------
 // flows — per-flow classification and active flow count (Table 2.2).
@@ -26,13 +64,14 @@ type FlowsResult struct {
 // estimate, whereas packet sampling loses short flows entirely.
 type Flows struct {
 	cfg   Config
-	table flowTable
+	table pkt.FlowTable // the interval's 5-tuples
+	bin   binFlows
 	est   float64 // running sampling-corrected flow count
 }
 
 // NewFlows returns a flows query.
 func NewFlows(cfg Config) *Flows {
-	return &Flows{cfg: cfg, table: newFlowTable(cfg.Seed)}
+	return &Flows{cfg: cfg, table: pkt.NewFlowTable(hash.FlowSalt(cfg.Seed)), bin: newBinFlows(cfg.Seed)}
 }
 
 // Name implements Query.
@@ -51,21 +90,41 @@ func (q *Flows) Interval() time.Duration { return q.cfg.interval() }
 // rate in force when they were first seen: the sampling rate changes
 // from batch to batch, so scaling the final table size by any single
 // rate would bias the count.
+//
+// A packet's only work is the probe of its 5-tuple, so the table sees
+// each flow of the view once: all of the index's flows, in id order,
+// when the view is the whole batch, else those a selected packet
+// belongs to, at its first such packet.
 func (q *Flows) Process(b *pkt.Batch, rate float64) Ops {
+	n := b.Packets()
+	if n == 0 {
+		return Ops{}
+	}
 	inv := 1.0
 	if rate > 0 && rate < 1 {
 		inv = 1 / rate
 	}
-	var ops Ops
-	n := b.Packets()
-	for i := range n {
-		if _, inserted := q.table.add(b.At(i)); inserted {
+	ops := Ops{Packets: int64(n), Lookups: int64(n)}
+	x := q.bin.index(b)
+	add := func(f int32) {
+		if _, inserted := q.table.Insert(pkt.FlowWords(&x.Keys[f])); inserted {
 			q.est += inv
 			ops.Inserts++
 		}
 	}
-	ops.Lookups = int64(n)
-	ops.Packets = int64(n)
+	if b.Sel == nil {
+		for f := range x.Keys {
+			add(int32(f))
+		}
+		return ops
+	}
+	memo := q.bin.memo
+	for _, i := range b.Sel {
+		if f := x.ID[i]; memo[f] == 0 {
+			memo[f] = 1
+			add(f)
+		}
+	}
 	return ops
 }
 
@@ -73,8 +132,8 @@ func (q *Flows) Process(b *pkt.Batch, rate float64) Ops {
 // slots stay warm for the next interval, so steady-state processing
 // stops paying table-growth allocations every interval.
 func (q *Flows) Flush() (Result, Ops) {
-	n := q.table.n
-	q.table.clear()
+	n := q.table.Len()
+	q.table.Reset()
 	est := q.est
 	q.est = 0
 	return FlowsResult{Flows: est}, Ops{Flushes: int64(n)}
@@ -88,7 +147,7 @@ func (q *Flows) Error(got, ref Result) float64 {
 
 // Reset implements Query.
 func (q *Flows) Reset() {
-	q.table.clear()
+	q.table.Reset()
 	q.est = 0
 }
 
@@ -111,11 +170,15 @@ type TopKResult struct {
 	All  map[uint32]float64
 }
 
-// TopK ranks destination addresses by estimated byte volume.
+// TopK ranks destination addresses by estimated byte volume. The
+// interval's destinations are keys of a FlowTable (the address in the
+// high word), and dsts[id] is destination id's running volume.
 type TopK struct {
 	cfg   Config
 	k     int
-	table map[uint32]float64
+	table pkt.FlowTable
+	dsts  []TopKEntry
+	bin   binFlows
 	// scratch is the flush-time ranking buffer; the reported List is a
 	// fresh (or recycled) copy of its head, so the buffer itself never
 	// escapes into a result.
@@ -127,7 +190,7 @@ func NewTopK(cfg Config, k int) *TopK {
 	if k <= 0 {
 		k = DefaultTopK
 	}
-	return &TopK{cfg: cfg, k: k, table: make(map[uint32]float64)}
+	return &TopK{cfg: cfg, k: k, table: pkt.NewFlowTable(hash.FlowSalt(cfg.Seed)), bin: newBinFlows(cfg.Seed)}
 }
 
 // Name implements Query.
@@ -146,39 +209,55 @@ func (q *TopK) Interval() time.Duration { return q.cfg.interval() }
 func (q *TopK) K() int { return q.k }
 
 // Process implements Query.
+//
+// Every packet of a flow has the flow's destination, so the table is
+// probed once per flow of the view and a packet adds its bytes through
+// the memo.
 func (q *TopK) Process(b *pkt.Batch, rate float64) Ops {
+	n := b.Packets()
+	if n == 0 {
+		return Ops{}
+	}
 	inv := 1.0
 	if rate > 0 && rate < 1 {
 		inv = 1 / rate
 	}
-	before := len(q.table)
-	n := b.Packets()
-	for i := range n {
-		p := b.At(i)
-		q.table[p.DstIP] += float64(p.Size) * inv
+	before := len(q.dsts)
+	x := q.bin.index(b)
+	memo := q.bin.memo
+	for j := range n {
+		i := at(b.Sel, j)
+		f := x.ID[i]
+		if memo[f] == 0 {
+			ip := x.Keys[f].DstIP
+			id, inserted := q.table.Insert(uint64(ip), 0)
+			if inserted {
+				q.dsts = append(q.dsts, TopKEntry{IP: ip})
+			}
+			memo[f] = id + 1
+		}
+		q.dsts[memo[f]-1].Bytes += float64(b.Pkts[i].Size) * inv
 	}
-	// One probe per packet: every entry the loop created grew the table
-	// by one, so the inserts are counted after the fact.
-	return Ops{Packets: int64(n), Lookups: int64(n), Inserts: int64(len(q.table) - before)}
+	// Ops price the per-packet loop, one lookup per packet; every entry
+	// the loop created grew dsts by one, so the inserts are counted after
+	// the fact.
+	return Ops{Packets: int64(n), Lookups: int64(n), Inserts: int64(len(q.dsts) - before)}
 }
 
 // Flush implements Query.
 func (q *TopK) Flush() (Result, Ops) { return q.FlushInto(nil) }
 
 // FlushInto implements ResultRecycler: the interval's ranking is built
-// and sorted in the query's scratch buffer, the reported list is copied
-// into prev's storage (fresh when prev is nil) and prev's table becomes
-// the next working table, so two result generations ping-pong with no
-// steady-state allocation. Reported values are identical to Flush's.
+// and sorted in the query's scratch buffer, and the reported list and
+// per-destination map are written into prev's storage (fresh when prev
+// is nil), so two result generations ping-pong with no steady-state
+// allocation. Reported values are identical to Flush's.
 func (q *TopK) FlushInto(prev Result) (Result, Ops) {
 	var pr TopKResult
 	if p, ok := prev.(TopKResult); ok {
 		pr = p
 	}
-	entries := q.scratch[:0]
-	for ip, bytes := range q.table {
-		entries = append(entries, TopKEntry{IP: ip, Bytes: bytes})
-	}
+	entries := append(q.scratch[:0], q.dsts...)
 	slices.SortFunc(entries, func(a, b TopKEntry) int {
 		if a.Bytes != b.Bytes {
 			if a.Bytes > b.Bytes {
@@ -199,15 +278,17 @@ func (q *TopK) FlushInto(prev Result) (Result, Ops) {
 	if n > q.k {
 		entries = entries[:q.k]
 	}
-	next := pr.All
-	if next == nil {
-		next = make(map[uint32]float64, len(q.table))
+	all := pr.All
+	if all == nil {
+		all = make(map[uint32]float64, len(q.dsts))
 	} else {
-		clear(next)
+		clear(all)
 	}
-	r := TopKResult{List: append(pr.List[:0], entries...), All: q.table}
-	q.table = next
-	return r, ops
+	for _, d := range q.dsts {
+		all[d.IP] = d.Bytes
+	}
+	q.Reset()
+	return TopKResult{List: append(pr.List[:0], entries...), All: all}, ops
 }
 
 // Error implements Query: the misranked-pair metric of [12], normalized
@@ -253,4 +334,7 @@ func (q *TopK) MisrankedPairs(got, ref Result) int {
 }
 
 // Reset implements Query.
-func (q *TopK) Reset() { clear(q.table) }
+func (q *TopK) Reset() {
+	q.table.Reset()
+	q.dsts = q.dsts[:0]
+}

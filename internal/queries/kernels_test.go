@@ -2,8 +2,10 @@ package queries
 
 import (
 	"bytes"
-	"encoding/binary"
+	"cmp"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,11 +18,12 @@ import (
 // ---------------------------------------------------------------------
 // Equivalence oracles for the per-packet state kernels: the Process
 // loops as they stood before the packed flow table, the single-probe
-// idiom and the 2-gram filter, kept here verbatim. Where the state
-// itself is unchanged (the runtime maps of top-k, autofocus and
-// high-watermark, pattern-search's skip table) the oracle loop drives a
-// second instance of the real query; flows and p2p-detector changed
-// representation, so their oracles carry the old maps.
+// idiom, the 2-gram filter and the bin's flow index, kept here verbatim.
+// Where the state itself is unchanged (the runtime maps of autofocus
+// and high-watermark, pattern-search's skip table) the oracle loop
+// drives a second instance of the real query; flows, top-k and
+// p2p-detector changed representation, so their oracles carry the old
+// maps.
 
 type parentKernel struct {
 	process func(b *pkt.Batch, rate float64) Ops
@@ -39,8 +42,8 @@ func parentOf(q Query, cfg Config) (parentKernel, bool) {
 		o := &parentP2P{h3: hash.NewH3(cfg.Seed + 0x9279), flows: map[pkt.FlowKey]*parentP2PState{}, inspectFrac: 1}
 		return parentKernel{o.process, o.flush, func(f float64) { o.inspectFrac = f }}, true
 	case *TopK:
-		o := NewTopK(cfg, 0)
-		return parentKernel{process: func(b *pkt.Batch, rate float64) Ops { return parentDstBytesProcess(o.table, b, rate) }, flush: o.Flush}, true
+		o := &parentTopK{k: DefaultTopK, table: map[uint32]float64{}}
+		return parentKernel{process: func(b *pkt.Batch, rate float64) Ops { return parentDstBytesProcess(o.table, b, rate) }, flush: o.flush}, true
 	case *Autofocus:
 		o := NewAutofocus(cfg, 0)
 		return parentKernel{process: func(b *pkt.Batch, rate float64) Ops { return parentDstBytesProcess(o.table, b, rate) }, flush: o.Flush}, true
@@ -104,6 +107,38 @@ func parentDstBytesProcess(table map[uint32]float64, b *pkt.Batch, rate float64)
 	}
 	ops.Packets = int64(len(b.Pkts))
 	return ops
+}
+
+// parentTopK is top-k over the runtime map it kept before the flow
+// table, with the flush that ranked the map.
+type parentTopK struct {
+	k     int
+	table map[uint32]float64
+}
+
+func (q *parentTopK) flush() (Result, Ops) {
+	var entries []TopKEntry
+	for ip, bytes := range q.table {
+		entries = append(entries, TopKEntry{IP: ip, Bytes: bytes})
+	}
+	slices.SortFunc(entries, func(a, b TopKEntry) int {
+		if a.Bytes != b.Bytes {
+			if a.Bytes > b.Bytes {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.IP, b.IP)
+	})
+	n := len(entries)
+	logn := 0
+	for v := n; v > 1; v >>= 1 {
+		logn++
+	}
+	ops := Ops{Sorts: int64(n * logn), Flushes: int64(n)}
+	r := TopKResult{List: entries[:min(n, q.k)], All: q.table}
+	q.table = map[uint32]float64{}
+	return r, ops
 }
 
 func parentHighWatermarkProcess(q *HighWatermark, b *pkt.Batch, rate float64) Ops {
@@ -239,18 +274,70 @@ func (q *parentP2P) flush() (Result, Ops) {
 	return P2PResult{Detected: detected, Count: count}, Ops{Flushes: n}
 }
 
-// thinned returns what the engine hands a query of each shedding method
-// at rate: batches thinned by packet or flow sampling, and the full
-// batches for a custom shedder (which is told the rate instead).
-func thinned(full []pkt.Batch, rate float64) map[sampling.Method][]pkt.Batch {
-	out := map[sampling.Method][]pkt.Batch{sampling.Custom: full}
-	ps, fs := sampling.NewPacketSampler(1), sampling.NewFlowSampler(1)
+// view is one shape in which a query may be handed a bin: got is what
+// the query reads, want the gathered copy of the same packets the parent
+// loop reads.
+type view struct {
+	name      string
+	got, want []pkt.Batch
+}
+
+// views returns the shapes the engine and the callers without an index
+// hand a query of method m at rate, bin by bin:
+//   - "copy": the batch thinned by m's sampler, gathered, no index;
+//   - "packet selection", "flow selection": the bin with its flow index,
+//     read through a packet sampler's and a flow sampler's selection
+//     (the whole bin at rate 1), whatever m is;
+//   - "swapped": the bin indexed, then its packets replaced by the copy,
+//     so the index no longer describes them.
+//
+// Custom shedders take the whole bin in "copy" (they are told the rate
+// instead); the other shapes select for them as for anyone.
+func views(full []pkt.Batch, m sampling.Method, rate float64) []view {
+	ps, fs, copyPS, copyFS := sampling.NewPacketSampler(1), sampling.NewFlowSampler(1), sampling.NewPacketSampler(1), sampling.NewFlowSampler(1)
+	vs := []view{{name: "copy"}, {name: "packet selection"}, {name: "flow selection"}, {name: "swapped"}}
+	gather := func(b *pkt.Batch, sel []int32) pkt.Batch {
+		g := pkt.Batch{Start: b.Start, Bin: b.Bin}
+		for _, i := range sel {
+			g.Pkts = append(g.Pkts, b.Pkts[i])
+		}
+		return g
+	}
 	for i := range full {
 		b := &full[i]
-		out[sampling.Packet] = append(out[sampling.Packet], pkt.Batch{Start: b.Start, Bin: b.Bin, Pkts: ps.SampleInto(nil, b.Pkts, rate)})
-		out[sampling.Flow] = append(out[sampling.Flow], pkt.Batch{Start: b.Start, Bin: b.Bin, Pkts: fs.SampleInto(nil, b.Pkts, rate)})
+		copied := pkt.Batch{Start: b.Start, Bin: b.Bin, Pkts: b.Pkts}
+		switch m {
+		case sampling.Packet:
+			copied.Pkts = copyPS.SampleInto(nil, b.Pkts, rate)
+		case sampling.Flow:
+			copied.Pkts = copyFS.SampleInto(nil, b.Pkts, rate)
+		}
+		vs[0].got, vs[0].want = append(vs[0].got, copied), append(vs[0].want, copied)
+
+		x := pkt.NewFlowIndex(uint64(i))
+		x.Build(b.Pkts)
+		for vi, sel := range [][]int32{ps.SelectInto(nil, len(b.Pkts), rate), fs.SelectInto(nil, x, rate)} {
+			in := pkt.Batch{Start: b.Start, Bin: b.Bin, Pkts: b.Pkts, Flows: x, Sel: sel}
+			if len(sel) == 0 {
+				in.Pkts, in.Sel = nil, nil // a nil Sel reads as every packet
+			}
+			v := &vs[1+vi]
+			v.got, v.want = append(v.got, in), append(v.want, gather(b, sel))
+		}
+		swapped := copied
+		swapped.Pkts, swapped.Flows = slices.Clone(copied.Pkts), x
+		vs[3].got, vs[3].want = append(vs[3].got, swapped), append(vs[3].want, copied)
 	}
-	return out
+	return vs
+}
+
+// sameResult reports whether two results hold the same values, taking
+// a nil and an empty slice or map alike: a recycled result reports an
+// empty interval in emptied storage, the parent loop in none. Floats
+// print exactly (%v is the shortest form that reads back the same), and
+// map keys print sorted.
+func sameResult(a, b Result) bool {
+	return reflect.DeepEqual(a, b) || fmt.Sprint(a) == fmt.Sprint(b)
 }
 
 // spoofedBatch is a DDoS-shaped bin: n small packets at one victim from
@@ -267,6 +354,12 @@ func spoofedBatch(start time.Duration, n int) pkt.Batch {
 	return b
 }
 
+// TestQueryKernelsMatchParent runs every query whose loop changed
+// against its parent loop, bin by bin and interval by interval, in every
+// shape views hands it, at rates 1, 0.5 and 0.07. The trace has a
+// spoofed bin mid-interval, and ends on a one-bin interval of a single
+// clean flow after an interval with P2P flows: a flush right after the
+// tables' stamp reset, which must report that interval's flows alone.
 func TestQueryKernelsMatchParent(t *testing.T) {
 	const perInterval = 10
 	full := trace.Record(trace.NewGenerator(trace.CESCA2(7, 3*time.Second, 1)))
@@ -276,197 +369,59 @@ func TestQueryKernelsMatchParent(t *testing.T) {
 	// The spoofed bin lands mid-trace so it shares an interval with
 	// ordinary traffic and the tables carry its growth into the next one.
 	at := perInterval + 4
-	full = append(full[:at:at], append([]pkt.Batch{spoofedBatch(full[at].Start, 50000)}, full[at:]...)...)
+	full = append(full[:at:at], append([]pkt.Batch{spoofedBatch(full[at].Start, 50000)}, full[at:3*perInterval-1]...)...)
+	full = append(full, spoofedBatch(full[len(full)-1].Start+100*time.Millisecond, 1))
 
 	cfg := Config{Seed: 11}
 	for _, rate := range []float64{1, 0.5, 0.07} {
-		batches := thinned(full, rate)
-		for _, q := range FullSet(cfg) {
-			old, ok := parentOf(q, cfg)
-			if !ok {
+		for qi, q := range FullSet(cfg) {
+			if _, ok := parentOf(q, cfg); !ok {
 				continue
 			}
-			if cs, ok := q.(interface{ ShedTo(float64) }); ok {
-				cs.ShedTo(rate)
-				old.shedTo(rate)
-			}
-			in := batches[q.Method()]
-			var prev Result
-			for i := range in {
-				got, want := q.Process(&in[i], rate), old.process(&in[i], rate)
-				if got != want {
-					t.Fatalf("%s rate %v bin %d: ops %+v, parent %+v", q.Name(), rate, i, got, want)
+			for _, v := range views(full, q.Method(), rate) {
+				q := FullSet(cfg)[qi]
+				old, _ := parentOf(q, cfg)
+				if cs, ok := q.(interface{ ShedTo(float64) }); ok {
+					cs.ShedTo(rate)
+					old.shedTo(rate)
 				}
-				if i%perInterval != perInterval-1 && i != len(in)-1 {
-					continue
+				var prev Result
+				detected := 0 // p2p-detector flows detected before the last interval
+				for i := range v.got {
+					got, want := q.Process(&v.got[i], rate), old.process(&v.want[i], rate)
+					if got != want {
+						t.Fatalf("%s, %s, rate %v, bin %d: ops %+v, parent %+v", q.Name(), v.name, rate, i, got, want)
+					}
+					last := i == len(v.got)-1
+					if i%perInterval != perInterval-1 && !last {
+						continue
+					}
+					var res Result
+					var fops Ops
+					if rec, ok := q.(ResultRecycler); ok {
+						res, fops = rec.FlushInto(prev)
+						prev = res
+					} else {
+						res, fops = q.Flush()
+					}
+					wres, wops := old.flush()
+					if fops != wops {
+						t.Fatalf("%s, %s, rate %v, bin %d: flush ops %+v, parent %+v", q.Name(), v.name, rate, i, fops, wops)
+					}
+					if !sameResult(res, wres) {
+						t.Fatalf("%s, %s, rate %v, bin %d: result diverged from parent", q.Name(), v.name, rate, i)
+					}
+					if r, ok := res.(P2PResult); ok {
+						if !last {
+							detected += len(r.Detected)
+						} else if detected == 0 || len(r.Detected) != 0 {
+							t.Fatalf("%s, %s, rate %v: %d flows detected before the clean interval, %d in it; want some, then none", q.Name(), v.name, rate, detected, len(r.Detected))
+						}
+					}
 				}
-				var res Result
-				var fops Ops
-				if rec, ok := q.(ResultRecycler); ok {
-					res, fops = rec.FlushInto(prev)
-					prev = res
-				} else {
-					res, fops = q.Flush()
-				}
-				wres, wops := old.flush()
-				if fops != wops {
-					t.Fatalf("%s rate %v bin %d: flush ops %+v, parent %+v", q.Name(), rate, i, fops, wops)
-				}
-				if !reflect.DeepEqual(res, wres) {
-					t.Fatalf("%s rate %v bin %d: result diverged from parent", q.Name(), rate, i)
-				}
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// flowTable against a runtime map.
-
-// tableModel drives a flowTable and the map it replaced side by side.
-type tableModel struct {
-	t    testing.TB
-	tbl  flowTable
-	want map[pkt.FlowKey]int // key -> dense index
-}
-
-func newTableModel(t testing.TB, seed uint64) *tableModel {
-	return &tableModel{t: t, tbl: newFlowTable(seed), want: map[pkt.FlowKey]int{}}
-}
-
-func (m *tableModel) add(p pkt.Packet) {
-	m.t.Helper()
-	k := p.FlowKey()
-	wantIdx, seen := m.want[k]
-	if !seen {
-		wantIdx = len(m.want)
-		m.want[k] = wantIdx
-	}
-	idx, inserted := m.tbl.add(&p)
-	if idx != wantIdx || inserted == seen {
-		m.t.Fatalf("add(%v) = (%d, %v), want (%d, %v)", k, idx, inserted, wantIdx, !seen)
-	}
-}
-
-func (m *tableModel) clear() {
-	m.tbl.clear()
-	clear(m.want)
-}
-
-// audit checks the slot array itself: every key of the model in exactly
-// one slot under its index, nothing else, load at most one half. It
-// returns the mean number of slots a lookup of a present key examines.
-func (m *tableModel) audit() float64 {
-	m.t.Helper()
-	if m.tbl.n != len(m.want) || 2*m.tbl.n > len(m.tbl.slots) {
-		m.t.Fatalf("n = %d in %d slots, model holds %d", m.tbl.n, len(m.tbl.slots), len(m.want))
-	}
-	occupied, probes := 0, 0
-	for i := range m.tbl.slots {
-		s := &m.tbl.slots[i]
-		if s.lo == 0 {
-			continue
-		}
-		occupied++
-		if idx, ok := m.want[s.key()]; !ok || idx != int(s.idx) {
-			m.t.Fatalf("slot %d holds %v at index %d; model says %d, %v", i, s.key(), s.idx, idx, ok)
-		}
-		probes += (i-m.tbl.home(s.hi, s.lo))&(len(m.tbl.slots)-1) + 1
-	}
-	if occupied != len(m.want) {
-		m.t.Fatalf("%d occupied slots for %d keys", occupied, len(m.want))
-	}
-	return float64(probes) / float64(max(occupied, 1))
-}
-
-func TestFlowTableMatchesMap(t *testing.T) {
-	t.Run("random", func(t *testing.T) {
-		m := newTableModel(t, 1)
-		rng := hash.NewXorShift(5)
-		for i := 0; i < 20000; i++ {
-			// A small address space, so about half the adds are hits.
-			v := rng.Uint64()
-			m.add(pkt.Packet{SrcIP: uint32(v) & 0x3f, DstIP: uint32(v>>8) & 0x3, SrcPort: uint16(v>>16) & 0x7,
-				DstPort: uint16(v>>24) & 0x3, Proto: uint8(v>>32) & 1})
-		}
-		m.audit()
-		for i := 0; i < 5000; i++ {
-			v, w := rng.Uint64(), rng.Uint64()
-			m.add(pkt.Packet{SrcIP: uint32(v), DstIP: uint32(v >> 32), SrcPort: uint16(w), DstPort: uint16(w >> 16), Proto: uint8(w >> 32)})
-		}
-		m.audit()
-	})
-	t.Run("sequential", func(t *testing.T) {
-		// Source addresses counting up from the all-zero 5-tuple, then
-		// addresses and ports in step as a spoofing tool emits them: a weak
-		// slot hash would pile these into runs.
-		m := newTableModel(t, 2)
-		for i := 0; i < 3000; i++ {
-			m.add(pkt.Packet{SrcIP: uint32(i)})
-		}
-		b := spoofedBatch(0, 50000)
-		for i := range b.Pkts {
-			m.add(b.Pkts[i])
-		}
-		for i := 0; i < 3000; i++ {
-			m.add(pkt.Packet{SrcIP: uint32(i)}) // all hits
-		}
-		if mean := m.audit(); mean >= 2 {
-			t.Fatalf("mean probe length on sequential keys = %.2f, want < 2", mean)
-		}
-	})
-	t.Run("growth and clear", func(t *testing.T) {
-		m := newTableModel(t, 3)
-		for i := 0; m.tbl.n <= 4*flowTableInit; i++ { // past three doublings
-			m.add(pkt.Packet{DstIP: uint32(i * 7), DstPort: uint16(i)})
-			if i%97 == 0 {
-				m.audit() // indices survive every re-placement
 			}
 		}
-		slots := len(m.tbl.slots)
-		if slots < 8*flowTableInit {
-			t.Fatalf("%d slots after %d keys, want three doublings of %d", slots, m.tbl.n, flowTableInit)
-		}
-		m.clear()
-		m.audit()
-		for i := 0; i < 100; i++ {
-			m.add(pkt.Packet{DstIP: uint32(i * 7), DstPort: uint16(i)}) // indices restart at 0
-		}
-		m.audit()
-		if len(m.tbl.slots) != slots {
-			t.Fatalf("clear changed capacity: %d -> %d slots", slots, len(m.tbl.slots))
-		}
-	})
-}
-
-// FuzzFlowTable reads data as a run of serialised 5-tuples (an all-ones
-// key clears) and holds the table to the map's answers.
-func FuzzFlowTable(f *testing.F) {
-	var seq, dup []byte
-	for i := 0; i < 300; i++ {
-		seq = binary.BigEndian.AppendUint32(seq, uint32(i))
-		seq = append(seq, make([]byte, pkt.FlowKeySize-4)...)
-		dup = append(dup, 10, 0, 0, byte(i%3), 10, 0, 0, 9, 0, 80, byte(i%2), 80, pkt.ProtoTCP)
 	}
-	f.Add(uint64(1), seq)
-	f.Add(uint64(2), dup)
-	f.Add(uint64(3), append(bytes.Repeat([]byte{0xff}, pkt.FlowKeySize), seq[:10*pkt.FlowKeySize]...))
-	f.Add(uint64(0), make([]byte, 2*pkt.FlowKeySize))
-	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
-		m := newTableModel(t, seed)
-		for ; len(data) >= pkt.FlowKeySize; data = data[pkt.FlowKeySize:] {
-			k := data[:pkt.FlowKeySize]
-			if bytes.Count(k, []byte{0xff}) == pkt.FlowKeySize {
-				m.clear()
-				continue
-			}
-			m.add(pkt.Packet{
-				SrcIP: binary.BigEndian.Uint32(k[0:4]), DstIP: binary.BigEndian.Uint32(k[4:8]),
-				SrcPort: binary.BigEndian.Uint16(k[8:10]), DstPort: binary.BigEndian.Uint16(k[10:12]), Proto: k[12],
-			})
-		}
-		m.audit()
-	})
 }
 
 // ---------------------------------------------------------------------

@@ -45,6 +45,7 @@ type P2PResult struct {
 }
 
 type p2pFlowState struct {
+	key       pkt.FlowKey
 	inspected uint8
 	isP2P     bool
 	decided   bool
@@ -63,9 +64,10 @@ type p2pFlowState struct {
 type P2PDetector struct {
 	cfg   Config
 	h3    *hash.H3
-	flows flowTable
-	// states[i] belongs to the flow whose dense index in flows is i;
-	// truncated, not freed, at flush.
+	flows pkt.FlowTable
+	bin   binFlows
+	// states[i] belongs to the flow whose id in flows is i; truncated,
+	// not freed, at flush.
 	states       []p2pFlowState
 	inspectFrac  float64
 	sigDetected  float64
@@ -77,7 +79,8 @@ func NewP2PDetector(cfg Config) *P2PDetector {
 	return &P2PDetector{
 		cfg:         cfg,
 		h3:          hash.NewH3(cfg.Seed + 0x9279),
-		flows:       newFlowTable(cfg.Seed),
+		flows:       pkt.NewFlowTable(hash.FlowSalt(cfg.Seed)),
+		bin:         newBinFlows(cfg.Seed),
 		inspectFrac: 1,
 	}
 }
@@ -125,27 +128,40 @@ func (q *P2PDetector) inspects(p *pkt.Packet) bool {
 	return float64(q.h3.HashAgg(p, pkt.Agg5Tuple)>>11)/float64(1<<53) < q.inspectFrac
 }
 
-// Process implements Query.
+// Process implements Query. The flow table is probed once per flow of
+// the view, through the bin's flow index (see binFlows); a new flow is
+// classified from its key.
 func (q *P2PDetector) Process(b *pkt.Batch, _ float64) Ops {
-	var ops Ops
 	n := b.Packets()
-	for i := range n {
-		p := b.At(i)
-		fi, inserted := q.flows.add(p)
-		if inserted {
-			ops.Inserts++
-			var st p2pFlowState
-			if !q.inspects(p) {
-				// Custom-shed flow: classify by port alone, now.
-				st.decided = true
-				if isP2PPort(p.DstPort) {
-					st.isP2P = true
-					q.portDetected++
+	if n == 0 {
+		return Ops{}
+	}
+	var ops Ops
+	x := q.bin.index(b)
+	memo := q.bin.memo
+	for j := range n {
+		i := at(b.Sel, j)
+		p := &b.Pkts[i]
+		f := x.ID[i]
+		if memo[f] == 0 {
+			k := &x.Keys[f]
+			fi, inserted := q.flows.Insert(pkt.FlowWords(k))
+			memo[f] = fi + 1
+			if inserted {
+				ops.Inserts++
+				st := p2pFlowState{key: k.FlowKey()}
+				if !q.inspects(k) {
+					// Custom-shed flow: classify by port alone, now.
+					st.decided = true
+					if isP2PPort(k.DstPort) {
+						st.isP2P = true
+						q.portDetected++
+					}
 				}
+				q.states = append(q.states, st)
 			}
-			q.states = append(q.states, st)
 		}
-		st := &q.states[fi]
+		st := &q.states[memo[f]-1]
 		if st.decided || len(p.Payload) == 0 {
 			continue
 		}
@@ -174,10 +190,10 @@ func (q *P2PDetector) Process(b *pkt.Batch, _ float64) Ops {
 // Flush implements Query.
 func (q *P2PDetector) Flush() (Result, Ops) { return q.FlushInto(nil) }
 
-// FlushInto implements ResultRecycler: the flow table is cleared in
-// place, the state slice truncated, and the detected set — unpacked
-// from the table's slots — reuses prev's map when given. Reported
-// values are identical to Flush's.
+// FlushInto implements ResultRecycler: the flow table is reset in
+// place, the state slice truncated, and the detected set — the keys of
+// the interval's states — reuses prev's map when given. Reported values
+// are identical to Flush's.
 func (q *P2PDetector) FlushInto(prev Result) (Result, Ops) {
 	var detected map[pkt.FlowKey]bool
 	if p, ok := prev.(P2PResult); ok && p.Detected != nil {
@@ -186,19 +202,19 @@ func (q *P2PDetector) FlushInto(prev Result) (Result, Ops) {
 	} else {
 		detected = make(map[pkt.FlowKey]bool)
 	}
-	for i := range q.flows.slots {
-		if s := &q.flows.slots[i]; s.lo != 0 && q.states[s.idx].isP2P {
-			detected[s.key()] = true
+	for i := range q.states {
+		if st := &q.states[i]; st.isP2P {
+			detected[st.key] = true
 		}
 	}
 	count := q.sigDetected + q.portDetected
-	n := int64(q.flows.n)
+	n := int64(q.flows.Len())
 	q.clearFlows()
 	return P2PResult{Detected: detected, Count: count}, Ops{Flushes: n}
 }
 
 func (q *P2PDetector) clearFlows() {
-	q.flows.clear()
+	q.flows.Reset()
 	q.states = q.states[:0]
 	q.sigDetected, q.portDetected = 0, 0
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -570,42 +571,91 @@ func BenchmarkFullSetProcess(b *testing.B) {
 	}
 }
 
+// engineBins is what the engine hands a query of method m at rate: each
+// bin with its flow index, read below rate 1 through the selection of
+// the query's own sampler (a custom shedder takes the whole bin).
+func engineBins(full []pkt.Batch, m sampling.Method, rate float64) []pkt.Batch {
+	ps, fs := sampling.NewPacketSampler(1), sampling.NewFlowSampler(1)
+	out := make([]pkt.Batch, len(full))
+	for i := range full {
+		b := pkt.Batch{Start: full[i].Start, Bin: full[i].Bin, Pkts: full[i].Pkts, Flows: pkt.NewFlowIndex(1)}
+		b.Flows.Build(b.Pkts)
+		if rate < 1 && (m == sampling.Packet || m == sampling.Flow) {
+			if m == sampling.Packet {
+				b.Sel = ps.SelectInto(nil, len(b.Pkts), rate)
+			} else {
+				b.Sel = fs.SelectInto(nil, b.Flows, rate)
+			}
+			if len(b.Sel) == 0 {
+				b.Pkts, b.Sel = nil, nil // a nil Sel reads as every packet
+			}
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// benchShapes are the traffic BenchmarkQueryProcess runs on: one second
+// of CESCA-II-shaped payload traffic, the same bins with every packet
+// its own 5-tuple (source addresses counting up, as a spoofing tool
+// emits them: the flow index's worst case) and with one 5-tuple.
+func benchShapes() []struct {
+	name string
+	bins []pkt.Batch
+} {
+	generated := trace.Record(trace.NewGenerator(trace.CESCA2(1, time.Second, 1)))
+	spoofed, oneFlow := make([]pkt.Batch, len(generated)), make([]pkt.Batch, len(generated))
+	n := uint32(0)
+	for i, b := range generated {
+		spoofed[i], oneFlow[i] = b, b
+		spoofed[i].Pkts, oneFlow[i].Pkts = slices.Clone(b.Pkts), slices.Clone(b.Pkts)
+		for j := range b.Pkts {
+			spoofed[i].Pkts[j].SrcIP = 0x0a000000 + n
+			n++
+			p := &oneFlow[i].Pkts[j]
+			p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.Proto = 1, 2, 3, 4, pkt.ProtoTCP
+		}
+	}
+	return []struct {
+		name string
+		bins []pkt.Batch
+	}{{"generated", generated}, {"spoofed", spoofed}, {"one-flow", oneFlow}}
+}
+
 // BenchmarkQueryProcess times each query's Process alone over one
-// measurement interval of CESCA-II-shaped payload traffic (ten bins,
-// then a flush outside the timer, so every pass pays the interval's
-// real mix of inserts and hits). rate0.5 hands the query what the
-// engine would at that rate: a batch thinned by the query's own
-// sampling method, or for the custom-shedding detector the full batch
-// after ShedTo(0.5).
+// measurement interval (ten bins, then a flush outside the timer, so
+// every pass pays the interval's real mix of inserts and hits), in the
+// shape the engine hands it (engineBins): at rate 1 the indexed bin, at
+// rate0.5 the bin through the selection of the query's own sampling
+// method, or for the custom-shedding detector the whole bin after
+// ShedTo(0.5). Sub-benchmarks are query/rate/traffic (benchShapes).
 func BenchmarkQueryProcess(b *testing.B) {
-	full := trace.Record(trace.NewGenerator(trace.CESCA2(1, time.Second, 1)))
-	half := thinned(full, 0.5)
+	shapes := benchShapes()
 	for qi, q := range FullSet(Config{Seed: 1}) {
 		for _, rate := range []float64{1, 0.5} {
-			batches := full
-			if rate < 1 {
-				batches = half[q.Method()]
-			}
-			b.Run(fmt.Sprintf("%s/rate%v", q.Name(), rate), func(b *testing.B) {
-				q := FullSet(Config{Seed: 1})[qi]
-				if cs, ok := q.(interface{ ShedTo(float64) }); ok {
-					cs.ShedTo(rate)
-				}
-				pkts := 0
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					bt := &batches[i%len(batches)]
-					q.Process(bt, rate)
-					pkts += len(bt.Pkts)
-					if i%len(batches) == len(batches)-1 {
-						b.StopTimer()
-						q.Flush()
-						b.StartTimer()
+			for _, shape := range shapes {
+				batches := engineBins(shape.bins, q.Method(), rate)
+				b.Run(fmt.Sprintf("%s/rate%v/%s", q.Name(), rate, shape.name), func(b *testing.B) {
+					q := FullSet(Config{Seed: 1})[qi]
+					if cs, ok := q.(interface{ ShedTo(float64) }); ok {
+						cs.ShedTo(rate)
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pkts), "ns/pkt")
-			})
+					pkts := 0
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						bt := &batches[i%len(batches)]
+						q.Process(bt, rate)
+						pkts += bt.Packets()
+						if i%len(batches) == len(batches)-1 {
+							b.StopTimer()
+							q.Flush()
+							b.StartTimer()
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(pkts, 1)), "ns/pkt")
+				})
+			}
 		}
 	}
 }

@@ -171,13 +171,15 @@ func (s *PacketSampler) SampleInto(dst []pkt.Packet, pkts []pkt.Packet, rate flo
 // FlowSampler implements Flowwise sampling: a packet is selected when
 // the H3 hash of its 5-tuple, mapped to [0,1), falls below the sampling
 // rate, so whole flows are kept or dropped together without caching any
-// per-flow state. StartInterval draws a fresh hash function, as §4.2
-// prescribes, once per measurement interval.
+// per-flow state across bins. StartInterval draws a fresh hash function,
+// as §4.2 prescribes, once per measurement interval.
 type FlowSampler struct {
 	seed     uint64
 	interval uint64
 	h        *hash.H3
-	idx      []int32 // SampleInto's selection scratch
+	keep     []uint8        // SelectInto's scratch: 1 for each kept flow of the index
+	own      *pkt.FlowIndex // SampleInto's index of the packets it is given
+	idx      []int32        // SampleInto's selection scratch
 }
 
 // NewFlowSampler returns a flow sampler; call StartInterval before the
@@ -206,38 +208,49 @@ func (s *FlowSampler) SetInterval(interval uint64) {
 }
 
 // SelectInto is the flow-sampling kernel: the ascending indices of the
-// packets whose flows are selected at rate, written into idx
-// (overwritten, grown only when its capacity is below len(pkts)). The
-// 5-tuple is hashed field-wise (hash.H3.HashAgg, bit-identical to
-// hashing the serialized FlowKey) and its top 53 bits are compared
-// against threshold(rate), with the same branch-free compaction as
-// PacketSampler.SelectInto. A rate >= 1 selects every index, a rate
-// <= 0 or NaN none.
-func (s *FlowSampler) SelectInto(idx []int32, pkts []pkt.Packet, rate float64) []int32 {
+// packets of the batch x indexes whose flows are selected at rate,
+// written into idx (overwritten, grown only when its capacity is below
+// the packet count). The decision is made once per flow of the index:
+// its 5-tuple is hashed field-wise (hash.H3.HashAgg, bit-identical to
+// hashing the serialized FlowKey) and the top 53 bits are compared
+// against threshold(rate). Packets are then selected through their flow
+// ids with the same branch-free compaction as PacketSampler.SelectInto.
+// A rate >= 1 selects every index, a rate <= 0 or NaN none.
+func (s *FlowSampler) SelectInto(idx []int32, x *pkt.FlowIndex, rate float64) []int32 {
 	if rate >= 1 {
-		return identity(idx, len(pkts))
+		return identity(idx, len(x.ID))
 	}
 	if !(rate > 0) {
 		return idx[:0]
 	}
-	idx = sized(idx, len(pkts))
 	thr := threshold(rate)
+	keep := slices.Grow(s.keep[:0], len(x.Keys))[:len(x.Keys)]
+	for f := range x.Keys {
+		keep[f] = uint8((s.h.HashAgg(&x.Keys[f], pkt.Agg5Tuple)>>11 - thr) >> 63)
+	}
+	s.keep = keep
+	idx = sized(idx, len(x.ID))
 	k := 0
-	for i := range pkts {
+	for i, f := range x.ID {
 		idx[k] = int32(i)
-		k += int((s.h.HashAgg(&pkts[i], pkt.Agg5Tuple)>>11 - thr) >> 63)
+		k += int(keep[f])
 	}
 	return idx[:k]
 }
 
 // SampleInto copies the packets of pkts whose flows are selected at rate
-// into dst (truncated, grown only when capacity runs out): SelectInto,
-// then one gather. Like PacketSampler.SampleInto, a rate >= 1 returns
-// the input slice itself, bypassing dst; treat both as read-only.
+// into dst (truncated, grown only when capacity runs out): the packets
+// indexed into the sampler's own FlowIndex, SelectInto, then one gather.
+// Like PacketSampler.SampleInto, a rate >= 1 returns the input slice
+// itself, bypassing dst; treat both as read-only.
 func (s *FlowSampler) SampleInto(dst []pkt.Packet, pkts []pkt.Packet, rate float64) []pkt.Packet {
 	if rate >= 1 {
 		return pkts
 	}
-	s.idx = s.SelectInto(s.idx, pkts, rate)
+	if s.own == nil {
+		s.own = pkt.NewFlowIndex(hash.FlowSalt(s.seed))
+	}
+	s.own.Build(pkts)
+	s.idx = s.SelectInto(s.idx, s.own, rate)
 	return gather(dst, pkts, s.idx)
 }

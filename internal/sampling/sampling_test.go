@@ -73,28 +73,59 @@ func TestPacketSampleDeterministic(t *testing.T) {
 	}
 }
 
+// indexed returns the flow index of pkts, the form the engine hands a
+// flow sampler.
+func indexed(pkts []pkt.Packet) *pkt.FlowIndex {
+	x := pkt.NewFlowIndex(1)
+	x.Build(pkts)
+	return x
+}
+
+// flowKeys returns the 5-tuples of pkts.
+func flowKeys(pkts []pkt.Packet) []pkt.FlowKey {
+	out := []pkt.FlowKey{}
+	for i := range pkts {
+		out = append(out, pkts[i].FlowKey())
+	}
+	return out
+}
+
+// selectedKeys returns the 5-tuples of the packets idx selects out of
+// pkts.
+func selectedKeys(pkts []pkt.Packet, idx []int32) []pkt.FlowKey {
+	out := []pkt.FlowKey{}
+	for _, i := range idx {
+		out = append(out, pkts[i].FlowKey())
+	}
+	return out
+}
+
+// TestFlowSampleKeepsWholeFlows: on the indexed path and through
+// SampleInto, a flow's packets are all kept or all dropped.
 func TestFlowSampleKeepsWholeFlows(t *testing.T) {
-	fs := NewFlowSampler(3)
+	fs, copying := NewFlowSampler(3), NewFlowSampler(3)
 	g := trace.NewGenerator(trace.Config{Seed: 1, Duration: 2 * time.Second, PacketsPerSec: 10000})
 	for {
 		b, ok := g.NextBatch()
 		if !ok {
 			break
 		}
-		kept := map[pkt.FlowKey]bool{}
-		dropped := map[pkt.FlowKey]bool{}
-		for _, i := range fs.SelectInto(nil, b.Pkts, 0.5) {
-			kept[b.Pkts[i].FlowKey()] = true
+		inBatch := map[pkt.FlowKey]int{}
+		for _, k := range flowKeys(b.Pkts) {
+			inBatch[k]++
 		}
-		for i := range b.Pkts {
-			k := b.Pkts[i].FlowKey()
-			if !kept[k] {
-				dropped[k] = true
+		for path, kept := range map[string][]pkt.FlowKey{
+			"indexed":    selectedKeys(b.Pkts, fs.SelectInto(nil, indexed(b.Pkts), 0.5)),
+			"SampleInto": flowKeys(copying.SampleInto(nil, b.Pkts, 0.5)),
+		} {
+			perFlow := map[pkt.FlowKey]int{}
+			for _, k := range kept {
+				perFlow[k]++
 			}
-		}
-		for k := range kept {
-			if dropped[k] {
-				t.Fatalf("flow %v partially sampled", k)
+			for k, n := range perFlow {
+				if n != inBatch[k] {
+					t.Fatalf("%s: flow %v sampled %d of its %d packets", path, k, n, inBatch[k])
+				}
 			}
 		}
 	}
@@ -107,7 +138,7 @@ func TestFlowSampleRateProportionOfFlows(t *testing.T) {
 	for i := range in {
 		in[i] = pkt.Packet{SrcIP: uint32(i), DstIP: 1, SrcPort: uint16(i), DstPort: 80, Proto: pkt.ProtoTCP}
 	}
-	out := fs.SelectInto(nil, in, 0.25)
+	out := fs.SelectInto(nil, indexed(in), 0.25)
 	frac := float64(len(out)) / float64(len(in))
 	if math.Abs(frac-0.25) > 0.02 {
 		t.Fatalf("flow-sampled fraction = %v, want 0.25", frac)
@@ -116,7 +147,7 @@ func TestFlowSampleRateProportionOfFlows(t *testing.T) {
 
 func TestFlowSamplerIntervalRedraw(t *testing.T) {
 	fs := NewFlowSampler(9)
-	in := genPackets(5000)
+	in := indexed(genPackets(5000))
 	before := len(fs.SelectInto(nil, in, 0.5))
 	fs.StartInterval()
 	after := len(fs.SelectInto(nil, in, 0.5))
@@ -134,7 +165,7 @@ func TestFlowSamplerIntervalRedraw(t *testing.T) {
 
 func TestFlowSampleEdgeRates(t *testing.T) {
 	fs := NewFlowSampler(11)
-	in := genPackets(50)
+	in := indexed(genPackets(50))
 	for _, rate := range []float64{1, 1.5, math.Inf(1)} {
 		if got := fs.SelectInto(nil, in, rate); len(got) != 50 {
 			t.Fatalf("rate %v kept %d of 50, must keep everything", rate, len(got))
@@ -180,13 +211,31 @@ func BenchmarkPacketSelect(b *testing.B) {
 	}
 }
 
+// BenchmarkFlowSelect times the flow kernel on a bin whose index is
+// built (the engine builds it once per bin, for every consumer):
+// generated traffic, the same bin with every packet its own 5-tuple (the
+// worst case: one hash per packet) and with a single 5-tuple.
 func BenchmarkFlowSelect(b *testing.B) {
-	fs := NewFlowSampler(1)
-	in := genPackets(2500)
-	var idx []int32
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		idx = fs.SelectInto(idx, in, 0.49)
+	g := trace.NewGenerator(trace.Config{Seed: 1, Duration: time.Second, PacketsPerSec: 25000})
+	generated := trace.Record(g)[0].Pkts
+	spoofed, oneFlow := slices.Clone(generated), slices.Clone(generated)
+	for i := range generated {
+		spoofed[i].SrcIP = 0x0a000000 + uint32(i)
+		oneFlow[i].SrcIP, oneFlow[i].DstIP, oneFlow[i].SrcPort, oneFlow[i].DstPort, oneFlow[i].Proto = 1, 2, 3, 4, pkt.ProtoTCP
+	}
+	for _, in := range []struct {
+		name string
+		pkts []pkt.Packet
+	}{{"generated", generated}, {"spoofed", spoofed}, {"one-flow", oneFlow}} {
+		b.Run(in.name, func(b *testing.B) {
+			fs, x := NewFlowSampler(1), indexed(in.pkts)
+			var idx []int32
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				idx = fs.SelectInto(idx, x, 0.49)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(in.pkts)), "ns/pkt")
+		})
 	}
 }
 
@@ -272,12 +321,15 @@ func TestSelectPairMatchesSelectInto(t *testing.T) {
 }
 
 // TestFlowSelectMatchesUnitOfFlowKey pins FlowSampler.SelectInto to the
-// byte path it replaced — H3.Unit over the serialized FlowKey — under
-// two interval hash functions, over the whole bin and packet by packet.
+// byte path it replaced — H3.Unit over each packet's serialized FlowKey —
+// under two interval hash functions: over the whole indexed bin, packet
+// by packet (a one-packet bin's index) and through SampleInto's own
+// index.
 func TestFlowSelectMatchesUnitOfFlowKey(t *testing.T) {
 	g := trace.NewGenerator(trace.Config{Seed: 3, Duration: time.Second, PacketsPerSec: 20000})
 	pkts := trace.Record(g)[0].Pkts
-	fs := NewFlowSampler(77)
+	x, one := indexed(pkts), pkt.NewFlowIndex(2)
+	fs, copying := NewFlowSampler(77), NewFlowSampler(77)
 	ref := new(hash.H3)
 	var idx []int32
 	for interval := uint64(1); interval <= 2; interval++ {
@@ -290,29 +342,40 @@ func TestFlowSelectMatchesUnitOfFlowKey(t *testing.T) {
 				if keep {
 					want = append(want, int32(i))
 				}
-				if one := fs.SelectInto(idx, pkts[i:i+1], rate); (len(one) == 1) != keep {
+				one.Build(pkts[i : i+1])
+				if sel := fs.SelectInto(idx, one, rate); (len(sel) == 1) != keep {
 					t.Fatalf("interval %d rate %v: packet %d alone selected = %v, byte path says %v", interval, rate, i, !keep, keep)
 				}
 			}
-			idx = fs.SelectInto(idx, pkts, rate)
+			idx = fs.SelectInto(idx, x, rate)
 			if !slices.Equal(idx, want) {
 				t.Fatalf("interval %d rate %v: selected %d indices, byte path %d", interval, rate, len(idx), len(want))
 			}
+			// A fresh destination each time: at a rate >= 1 SampleInto hands
+			// back pkts itself.
+			if got := copying.SampleInto(nil, pkts, rate); !slices.Equal(flowKeys(got), selectedKeys(pkts, want)) {
+				t.Fatalf("interval %d rate %v: SampleInto copied %d packets, byte path selects %d", interval, rate, len(got), len(want))
+			}
 		}
 		fs.StartInterval()
+		copying.StartInterval()
 	}
 }
 
-// TestSelectIntoZeroAlloc: with a warmed index slice neither kernel
-// allocates.
+// TestSelectIntoZeroAlloc: with a warmed index and index slice neither
+// kernel allocates, and neither does SampleInto's indexing of its own.
 func TestSelectIntoZeroAlloc(t *testing.T) {
 	pkts := genPackets(4096)
-	ps, fs := NewPacketSampler(5), NewFlowSampler(5)
+	ps, fs, copying := NewPacketSampler(5), NewFlowSampler(5), NewFlowSampler(5)
+	x := indexed(pkts)
 	pidx := ps.SelectInto(nil, len(pkts), 0.4)
-	fidx := fs.SelectInto(nil, pkts, 0.4)
+	fidx := fs.SelectInto(nil, x, 0.4)
+	fdst := copying.SampleInto(nil, pkts, 0.4)
 	if allocs := testing.AllocsPerRun(20, func() {
 		pidx = ps.SelectInto(pidx, len(pkts), 0.4)
-		fidx = fs.SelectInto(fidx, pkts, 0.4)
+		x.Build(pkts)
+		fidx = fs.SelectInto(fidx, x, 0.4)
+		fdst = copying.SampleInto(fdst, pkts, 0.4)
 	}); allocs != 0 {
 		t.Fatalf("SelectInto steady-state allocations = %v, want 0", allocs)
 	}
@@ -374,6 +437,6 @@ func TestSampleIntoMatchesSelectInto(t *testing.T) {
 			}
 		}
 		fa, fb := NewFlowSampler(9), NewFlowSampler(9)
-		same(t, fmt.Sprintf("flow rate %v", rate), fb.SampleInto(dst, pkts, rate), fa.SelectInto(idx, pkts, rate))
+		same(t, fmt.Sprintf("flow rate %v", rate), fb.SampleInto(dst, pkts, rate), fa.SelectInto(idx, indexed(pkts), rate))
 	}
 }

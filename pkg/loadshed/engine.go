@@ -244,8 +244,8 @@ type RunResult struct {
 type runQuery struct {
 	q     queries.Query
 	pred  predict.Predictor
-	mlr   *predict.MLR // pred, when it is an MLR
-	fsamp *sampling.FlowSampler
+	mlr   *predict.MLR          // pred, when it is an MLR
+	fsamp *sampling.FlowSampler // only for a query whose Method is Flow
 	psamp *sampling.PacketSampler
 	noise *hash.XorShift // measurement-noise stream, private per query
 	shed  *custom.State  // non-nil when the query supports custom shedding
@@ -277,6 +277,10 @@ type System struct {
 	gov *core.Governor
 
 	globalExt *features.Extractor
+	// flows is the sequential runner's flow index of each bin's wire
+	// packets (step builds it; the pipelined runner's front stage builds
+	// its own, one per ring slot).
+	flows *pkt.FlowIndex
 	// The shared shed stream (§5.5.4): shedSamp selects it, shedSketch
 	// holds its sketch, inserted from the bin's own per-flow hash
 	// columns, and shedOps counts the hash+insert operations charged for
@@ -325,11 +329,12 @@ type System struct {
 	// channels, chunk sketcher), built lazily on the first pipelined run
 	// and reused after; see pipeline.go.
 	pipe *pipeline
-	// specSketch, when non-nil, is the front stage's speculative sketch
-	// of the current bin's wire batch. extractPredict validates it
-	// against the admitted batch; nil selects the sequential
+	// spec, when non-nil, is the front stage's ring slot of the current
+	// bin, whose batch it indexed and, on predictive runs, sketched
+	// speculatively (extractPredict validates the sketch against the
+	// admitted batch). nil selects the sequential index- and
 	// sketch-in-place path.
-	specSketch *features.Sketch
+	spec *binSlot
 
 	// Dynamic query registry (AddQuery/RemoveQuery). Callers queue ops
 	// under regMu from any goroutine; the run goroutine drains the queue
@@ -362,6 +367,7 @@ func New(cfg Config, qs []queries.Query) *System {
 		cfg:          cfg,
 		gov:          newGovernor(cfg),
 		globalExt:    features.NewExtractor(cfg.Seed + 0xfea7),
+		flows:        pkt.NewFlowIndex(hash.FlowSalt(cfg.Seed)),
 		shedSamp:     sampling.NewPacketSampler(cfg.Seed + 0x5a3d),
 		shedSketch:   features.NewSketch(),
 		noise:        hash.NewXorShift(cfg.Seed + 0x4015e),
@@ -514,10 +520,12 @@ func (s *System) addQuery(q queries.Query) {
 	i := len(s.qs)
 	rq := &runQuery{
 		q:     q,
-		fsamp: sampling.NewFlowSampler(s.cfg.Seed + uint64(i)*31 + 7),
 		psamp: sampling.NewPacketSampler(s.cfg.Seed + uint64(i)*17 + 3),
 		noise: hash.NewXorShift(s.cfg.Seed + uint64(i)*0x2b5ad + 0x6e01),
 		pred:  s.cfg.Predictor(),
+	}
+	if q.Method() == sampling.Flow {
+		rq.fsamp = sampling.NewFlowSampler(s.cfg.Seed + uint64(i)*31 + 7)
 	}
 	rq.mlr, _ = rq.pred.(*predict.MLR)
 	if s.manager != nil {
@@ -657,11 +665,9 @@ func (r *runner) step() bool {
 	delivered := ok
 	ok = ok && r.advance()
 	if ok {
-		if slot != nil && slot.sketched {
-			s.specSketch = slot.sketch
-		}
+		s.spec = slot
 		r.lastBin = s.step(r.bin, &r.batch)
-		s.specSketch = nil
+		s.spec = nil
 	}
 	if slot != nil {
 		// The bin is done with the slot: BinStats carries no references
@@ -794,7 +800,9 @@ func (s *System) startInterval() {
 			continue
 		}
 		rq.iv = nil
-		rq.fsamp.StartInterval()
+		if rq.fsamp != nil {
+			rq.fsamp.StartInterval()
+		}
 	}
 	if s.manager != nil {
 		s.manager.StartInterval()

@@ -15,28 +15,32 @@ package loadshed
 // then runs admit → … → feedback for bin N in strict bin order, exactly
 // as the sequential engine does, while the front works on bin N+1.
 //
-// Speculation: the front sketches the wire batch, but extraction is
-// defined over the admitted batch. Admission is a prefix — tail drop
-// loses the newest packets — so the back stage validates the sketch by
-// packet count and, on the rare mis-speculation (a DAG-drop bin),
-// truncates the sketch to the admitted prefix. Everything downstream of
-// the sketch therefore sees bit-identical state for any worker count.
+// Speculation: the front indexes the wire batch's flows and sketches
+// it, but both are defined over the admitted batch. Admission is a
+// prefix — tail drop loses the newest packets — so the back stage
+// truncates the index to the admitted prefix and validates the sketch
+// by packet count, truncating it too on the rare mis-speculation (a
+// DAG-drop bin). Everything downstream of the index and the sketch
+// therefore sees bit-identical state for any worker count.
 //
 // Ring ownership: two binSlots cycle between a free and a ready
 // channel. A slot is owned by the front goroutine from free-receive to
 // ready-send, and by the back stage from ready-receive to free-send;
 // the channel operations carry the happens-before edges, so neither
-// side ever reads the other's generation of batch or sketch. Each slot
-// owns one Sketch (the two ping-ponged scratch generations); the
-// extractor's own internal sketch is untouched in pipelined runs, and
-// every consumer reads the bin's sketch through BinContext.sketch,
-// which points at whichever generation carried the bin.
+// side ever reads the other's generation of batch, index or sketch.
+// Each slot owns one FlowIndex and one Sketch (the two ping-ponged
+// scratch generations); the System's own index and the extractor's
+// internal sketch are untouched in pipelined runs, and every consumer
+// reads the bin's index through the admitted batch's Flows and its
+// sketch through BinContext.sketch, which point at whichever generation
+// carried the bin.
 
 import (
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/features"
+	"repro/internal/hash"
 	"repro/internal/pkt"
 	"repro/internal/trace"
 )
@@ -62,12 +66,13 @@ func splitWorkers(w int) (front, execute int) {
 	return front, w - front
 }
 
-// binSlot is one generation of the pipeline ring: a captured batch and
-// the speculative sketch of its wire packets.
+// binSlot is one generation of the pipeline ring: a captured batch, the
+// flow index of its wire packets and their speculative sketch.
 type binSlot struct {
 	batch    pkt.Batch
-	ok       bool // false: end of trace, batch/sketch are meaningless
+	ok       bool // false: end of trace, batch/flows/sketch are meaningless
 	sketched bool // front sketched the wire batch (predictive runs only)
+	flows    *pkt.FlowIndex
 	sketch   *features.Sketch
 }
 
@@ -105,6 +110,7 @@ func (s *System) ensurePipeline() *pipeline {
 			cs:           features.NewChunkSketcher(s.globalExt, front),
 		}
 		for i := range p.slots {
+			p.slots[i].flows = pkt.NewFlowIndex(hash.FlowSalt(s.cfg.Seed))
 			p.slots[i].sketch = features.NewSketch()
 		}
 		s.pipe = p
@@ -149,11 +155,11 @@ func (p *pipeline) stop() {
 	p.pool, p.runFn = nil, nil
 }
 
-// front is the pipeline's producer loop: capture the next batch,
-// speculatively sketch its wire packets (predictive runs), hand the
-// slot over. It is the source's only consumer, so batch order — and
-// with it every downstream RNG and history stream — is exactly the
-// sequential engine's. Sources hand off stable batches (see
+// front is the pipeline's producer loop: capture the next batch, index
+// its wire packets' flows, speculatively sketch them (predictive runs),
+// hand the slot over. It is the source's only consumer, so batch order
+// — and with it every downstream RNG and history stream — is exactly
+// the sequential engine's. Sources hand off stable batches (see
 // trace.Source), so the slot holds the batch without copying.
 func (p *pipeline) front(src trace.Source, sketch bool) {
 	defer close(p.frontDone)
@@ -175,8 +181,9 @@ func (p *pipeline) front(src trace.Source, sketch bool) {
 			return
 		}
 		slot.batch, slot.ok, slot.sketched = b, true, sketch
+		slot.batch.IndexInto(slot.flows)
 		if sketch {
-			p.cs.Fill(slot.sketch, b.Pkts, p.runFn)
+			p.cs.Fill(slot.sketch, slot.flows, p.runFn)
 		}
 		p.ready <- slot
 	}

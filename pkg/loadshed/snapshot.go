@@ -57,7 +57,7 @@ type QuerySnapshot struct {
 	Name          string
 	NoiseState    uint64 // per-query measurement-noise RNG position
 	PSampState    uint64 // per-query packet-sampler RNG position
-	FSampInterval uint64 // per-query flow-sampler interval counter
+	FSampInterval uint64 // per-query flow-sampler interval counter; 0 for a query that does not flow-sample
 
 	// Predictor state, populated according to the snapshot's
 	// PredictorKind: Hist for mlr and slr (plus the MLR op counters),
@@ -173,10 +173,12 @@ func (s *System) Snapshot() (*SystemSnapshot, error) {
 			return nil, fmt.Errorf("loadshed: snapshot: query %q predicts with %q, others with %q", rq.q.Name(), kind, snap.PredictorKind)
 		}
 		qs := QuerySnapshot{
-			Name:          rq.q.Name(),
-			NoiseState:    rq.noise.State(),
-			PSampState:    rq.psamp.State(),
-			FSampInterval: rq.fsamp.Interval(),
+			Name:       rq.q.Name(),
+			NoiseState: rq.noise.State(),
+			PSampState: rq.psamp.State(),
+		}
+		if rq.fsamp != nil {
+			qs.FSampInterval = rq.fsamp.Interval()
 		}
 		switch p := rq.pred.(type) {
 		case *predict.MLR:
@@ -264,7 +266,9 @@ func (s *System) Restore(snap *SystemSnapshot) error {
 		}
 		rq.noise.SetState(qs.NoiseState)
 		rq.psamp.SetState(qs.PSampState)
-		rq.fsamp.SetInterval(qs.FSampInterval)
+		if rq.fsamp != nil { // older snapshots carry a counter for every query; only a flow sampler reads it
+			rq.fsamp.SetInterval(qs.FSampInterval)
+		}
 	}
 	s.gov.Restore(snap.Governor)
 	s.noise.SetState(snap.NoiseState)

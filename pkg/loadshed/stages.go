@@ -65,7 +65,15 @@ type execResult struct {
 // every bin (bins are strictly sequential; the worker pool drains
 // before the next bin starts). So are the public Stats slices: a
 // Sink's records are valid only during the call, and Run copies them.
+//
+// It also gives the bin its flow index, built once before any stage
+// reads it: the sequential runner indexes the wire batch here, the bin
+// pipeline's front stage did so for its ring slot. The same pass takes
+// the byte sum WireBytes reads.
 func (s *System) newBinContext(bin int, b *pkt.Batch) *BinContext {
+	if s.spec == nil {
+		b.IndexInto(s.flows)
+	}
 	capacity := s.gov.Capacity()
 	nq := len(s.qs)
 	bc := &s.bc
@@ -154,6 +162,9 @@ func (s *System) admit(bc *BinContext) {
 	// tail drop invalidates it by itself.
 	bc.Admitted = *bc.Wire
 	bc.Admitted.Pkts = admitted
+	// The wire batch's flow index serves the admitted one: a tail drop
+	// keeps a prefix, whose flows are a prefix of the ids.
+	bc.Admitted.Flows.Truncate(len(admitted))
 }
 
 // platformOverhead charges the platform's own work (como_cycles):
@@ -181,12 +192,14 @@ func (s *System) extractPredict(bc *BinContext) {
 	// hashing already happened off this goroutine. A mismatch (a rare
 	// DAG-drop bin) truncates the sketch to the admitted prefix, which
 	// re-inserts the hashes it already holds.
-	sk := s.specSketch
-	if sk == nil {
+	var sk *features.Sketch
+	if s.spec != nil && s.spec.sketched {
+		if sk = s.spec.sketch; sk.Pkts() != len(bc.Admitted.Pkts) {
+			sk.Truncate(len(bc.Admitted.Pkts))
+		}
+	} else {
 		sk = s.globalExt.Sketch()
-		s.globalExt.SketchInto(sk, bc.Admitted.Pkts)
-	} else if sk.Pkts() != len(bc.Admitted.Pkts) {
-		sk.Truncate(len(bc.Admitted.Pkts))
+		s.globalExt.SketchFlows(sk, bc.Admitted.Flows)
 	}
 	bc.sketch = sk
 	s.globalExt.Ops += sk.Ops()
@@ -402,8 +415,8 @@ func (s *System) shed(bc *BinContext) {
 		}
 		switch {
 		case rq.fold != foldShed:
-		case rq.q.Method() == sampling.Flow:
-			rq.sel = rq.fsamp.SelectInto(rq.sel, rq.qbatch.Pkts, rate)
+		case rq.fsamp != nil:
+			rq.sel = rq.fsamp.SelectInto(rq.sel, bc.Admitted.Flows, rate)
 		default:
 			s.draws = append(s.draws, draw{rq.psamp, rate, &rq.sel})
 		}

@@ -320,6 +320,7 @@ func TestSelectionViewMatchesGatheredCopy(t *testing.T) {
 					}
 					psCopy, psSel := sampling.NewPacketSampler(5), sampling.NewPacketSampler(5)
 					fsCopy, fsSel := sampling.NewFlowSampler(5), sampling.NewFlowSampler(5)
+					flows := pkt.NewFlowIndex(5)
 					var buf []pkt.Packet
 					var sel []int32
 					flush := func(bin int) {
@@ -336,10 +337,11 @@ func TestSelectionViewMatchesGatheredCopy(t *testing.T) {
 							flush(bi)
 						}
 						gathered, view := b, b
+						view.IndexInto(flows) // the bin's index, as the engine attaches it
 						if rate < 1 {
 							if mode == "flow" {
 								buf = fsCopy.SampleInto(buf, b.Pkts, rate)
-								sel = fsSel.SelectInto(sel, b.Pkts, rate)
+								sel = fsSel.SelectInto(sel, flows, rate)
 							} else {
 								buf = psCopy.SampleInto(buf, b.Pkts, rate)
 								sel = psSel.SelectInto(sel, len(b.Pkts), rate)
