@@ -434,13 +434,13 @@ func TestSketchMatchesPerPacketOracle(t *testing.T) {
 	checkFlowConsumers(t, "near keys", nearKeys())
 }
 
-// FuzzFlowIndex holds every consumer of a bin's flow index to its
+// FuzzSketchFlowIndex holds every consumer of a bin's flow index to its
 // per-packet form (checkSketchOracle, checkFlowConsumers) on a bin read
 // from data: one packet per byte, each bit picking one of two values for
 // a 5-tuple field, so bins are full of repeats and of keys a field
 // apart, and the top bit a P2P signature in the payload and a larger
 // size.
-func FuzzFlowIndex(f *testing.F) {
+func FuzzSketchFlowIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pkts := make([]pkt.Packet, len(data))
 		for i, b := range data {

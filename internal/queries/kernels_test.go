@@ -3,6 +3,7 @@ package queries
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"slices"
@@ -422,6 +423,91 @@ func TestQueryKernelsMatchParent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzFlowTable reads data as a run of serialised 5-tuples, eight to a
+// bin (an all-ones key ends the interval), and holds the per-flow
+// queries, whose interval state is a pkt.FlowTable salted from seed, to
+// their parent loops over maps: every bin's Ops, with the bin read
+// through its flow index and as a plain batch in turn, and every
+// flush's Ops and result. A key whose protocol byte has its top bit set
+// carries a P2P signature; an odd seed sheds the p2p-detector to half
+// its flows.
+func FuzzFlowTable(f *testing.F) {
+	var seq, dup []byte
+	for i := 0; i < 300; i++ {
+		seq = binary.BigEndian.AppendUint32(seq, uint32(i))
+		seq = append(seq, make([]byte, pkt.FlowKeySize-4)...)
+		dup = append(dup, 10, 0, 0, byte(i%3), 10, 0, 0, 9, 0, 80, byte(i%2), 80, pkt.ProtoTCP)
+	}
+	f.Add(uint64(1), seq)
+	f.Add(uint64(2), dup)
+	f.Add(uint64(3), append(bytes.Repeat([]byte{0xff}, pkt.FlowKeySize), seq[:10*pkt.FlowKeySize]...))
+	f.Add(uint64(0), make([]byte, 2*pkt.FlowKeySize))
+	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
+		cfg := Config{Seed: seed}
+		qs := []Query{NewFlows(cfg), NewTopK(cfg, DefaultTopK), NewP2PDetector(cfg)}
+		olds := make([]parentKernel, len(qs))
+		for i, q := range qs {
+			olds[i], _ = parentOf(q, cfg)
+		}
+		if seed%2 == 1 {
+			qs[2].(*P2PDetector).ShedTo(0.5)
+			olds[2].shedTo(0.5)
+		}
+		x := pkt.NewFlowIndex(seed)
+		var bin []pkt.Packet
+		bins := 0
+		process := func() {
+			in := pkt.Batch{Bin: 100 * time.Millisecond, Pkts: bin}
+			if bins%2 == 0 {
+				x.Build(bin)
+				in.Flows = x
+			}
+			want := pkt.Batch{Bin: in.Bin, Pkts: bin}
+			for i, q := range qs {
+				if got, wops := q.Process(&in, 1), olds[i].process(&want, 1); got != wops {
+					t.Fatalf("%s, bin %d: ops %+v, parent %+v", q.Name(), bins, got, wops)
+				}
+			}
+			bin = nil
+			bins++
+		}
+		flush := func() {
+			if len(bin) > 0 {
+				process()
+			}
+			for i, q := range qs {
+				res, ops := q.Flush()
+				wres, wops := olds[i].flush()
+				if ops != wops {
+					t.Fatalf("%s, after bin %d: flush ops %+v, parent %+v", q.Name(), bins, ops, wops)
+				}
+				if !sameResult(res, wres) {
+					t.Fatalf("%s, after bin %d: result diverged from parent", q.Name(), bins)
+				}
+			}
+		}
+		for ; len(data) >= pkt.FlowKeySize; data = data[pkt.FlowKeySize:] {
+			k := data[:pkt.FlowKeySize]
+			if bytes.Count(k, []byte{0xff}) == pkt.FlowKeySize {
+				flush()
+				continue
+			}
+			p := pkt.Packet{
+				SrcIP: binary.BigEndian.Uint32(k[0:4]), DstIP: binary.BigEndian.Uint32(k[4:8]),
+				SrcPort: binary.BigEndian.Uint16(k[8:10]), DstPort: binary.BigEndian.Uint16(k[10:12]), Proto: k[12],
+				Size: 40 + int(k[3]),
+			}
+			if k[12]&0x80 != 0 {
+				p.Payload = trace.SigBitTorrent
+			}
+			if bin = append(bin, p); len(bin) == 8 {
+				process()
+			}
+		}
+		flush()
+	})
 }
 
 // ---------------------------------------------------------------------
