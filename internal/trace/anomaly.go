@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"time"
 
 	"repro/internal/hash"
@@ -458,12 +459,11 @@ func (bb *ByteBurst) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.
 			Size:     1500,
 		}
 		if bb.Payload {
+			// One draw per eight bytes, top bits cleared; SnapLen is
+			// a multiple of eight.
 			body := make([]byte, pkt.SnapLen)
 			for i := 0; i < len(body); i += 8 {
-				v := rng.Uint64()
-				for j := 0; j < 8 && i+j < len(body); j++ {
-					body[i+j] = byte(v>>(8*uint(j))) & 0x7f
-				}
+				binary.LittleEndian.PutUint64(body[i:], rng.Uint64()&low7)
 			}
 			p.Payload = body
 		}

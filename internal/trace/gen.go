@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"container/heap"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"time"
@@ -172,19 +172,56 @@ type genFlow struct {
 	sigSent   bool
 }
 
+// flowHeap is a binary min-heap of flows keyed by next. push, pop, up
+// and down are container/heap's algorithm line for line, without its
+// interface calls: which of two flows due at the same nanosecond pops
+// first decides every later RNG draw, so the tie order is part of the
+// generated trace.
 type flowHeap []*genFlow
 
-func (h flowHeap) Len() int            { return len(h) }
-func (h flowHeap) Less(i, j int) bool  { return h[i].next < h[j].next }
-func (h flowHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *flowHeap) Push(x interface{}) { *h = append(*h, x.(*genFlow)) }
-func (h *flowHeap) Pop() interface{} {
+func (h *flowHeap) push(f *genFlow) {
+	*h = append(*h, f)
+	h.up(len(*h) - 1)
+}
+
+func (h *flowHeap) pop() *genFlow {
 	old := *h
-	n := len(old)
-	f := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	f := old[n]
+	old[n] = nil
+	*h = old[:n]
 	return f
+}
+
+func (h flowHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].next < h[i].next) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h flowHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].next < h[j1].next {
+			j = j2 // right child
+		}
+		if !(h[j].next < h[i].next) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // Generator is a deterministic synthetic traffic source implementing
@@ -249,7 +286,6 @@ func (g *Generator) Reset() {
 	g.zipf = rand.NewZipf(rand.New(hash.NewXorShift(g.cfg.Seed+0x21bf)), g.cfg.ZipfS, 1, uint64(g.cfg.Servers-1))
 	g.free = append(g.free, g.active...) // abandoned flows are reusable
 	g.active = g.active[:0]
-	heap.Init(&g.active)
 	g.bin = 0
 	switch {
 	case g.cfg.MaxBins > 0:
@@ -281,7 +317,7 @@ func (g *Generator) warmup() {
 			f.next += time.Duration(g.rng.Exp(1/f.gap) * float64(time.Second))
 		}
 		if f.remaining > 0 {
-			heap.Push(&g.active, f)
+			g.active.push(f)
 		}
 	}
 }
@@ -319,7 +355,7 @@ func (g *Generator) NextBatch() (pkt.Batch, bool) {
 	for i, n := 0, g.poisson(meanArrivals); i < n; i++ {
 		f := g.spawnFlow()
 		f.next = t0 + time.Duration(g.rng.Float64()*float64(g.cfg.TimeBin))
-		heap.Push(&g.active, f)
+		g.active.push(f)
 	}
 
 	// Drain every packet due before the end of the bin. The slice is
@@ -331,13 +367,13 @@ func (g *Generator) NextBatch() (pkt.Batch, bool) {
 	if g.pktCap > 0 {
 		b.Pkts = make([]pkt.Packet, 0, g.pktCap+g.pktCap/8+1)
 	}
-	for g.active.Len() > 0 && g.active[0].next < t1 {
-		f := heap.Pop(&g.active).(*genFlow)
+	for len(g.active) > 0 && g.active[0].next < t1 {
+		f := g.active.pop()
 		b.Pkts = append(b.Pkts, g.makePacket(f))
 		f.remaining--
 		if f.remaining > 0 {
 			f.next += time.Duration(g.rng.Exp(1/f.gap) * float64(time.Second))
-			heap.Push(&g.active, f)
+			g.active.push(f)
 		} else {
 			g.free = append(g.free, f)
 		}
@@ -563,22 +599,19 @@ func (g *Generator) makePacket(f *genFlow) pkt.Packet {
 	return p
 }
 
-// fillPayload produces n pseudo-random payload bytes, embedding the
-// flow's signature once at the front of its first data packet.
+// fillPayload produces n pseudo-random payload bytes, one rng draw per
+// eight bytes, embedding the flow's signature once at the front of its
+// first data packet.
 func (g *Generator) fillPayload(n int, f *genFlow) []byte {
 	buf := make([]byte, n)
-	for i := 0; i < n; i += 8 {
-		v := g.rng.Uint64()
-		for j := 0; j < 8 && i+j < n; j++ {
-			buf[i+j] = byte(v >> (8 * uint(j)))
-		}
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		binary.LittleEndian.PutUint64(buf[i:], scrubPayload(g.rng.Uint64()))
 	}
-	// Keep payload printable-ish so accidental signature collisions are
-	// impossible: clear the top bit.
-	for i := range buf {
-		buf[i] &= 0x7f
-		if buf[i] == 0x13 { // BitTorrent signature lead byte
-			buf[i] = 0x14
+	if i < n {
+		v := scrubPayload(g.rng.Uint64())
+		for j := i; j < n; j++ {
+			buf[j] = byte(v >> (8 * uint(j-i)))
 		}
 	}
 	if f.sig != nil && !f.sigSent && n >= len(f.sig) {
@@ -586,4 +619,20 @@ func (g *Generator) fillPayload(n int, f *genFlow) []byte {
 		f.sigSent = true
 	}
 	return buf
+}
+
+// low7 is 0x7f in every byte of a word.
+const low7 = 0x7f7f7f7f7f7f7f7f
+
+// scrubPayload applies the payload byte rule to the eight bytes of v at
+// once. Keep payload printable-ish so accidental signature collisions
+// are impossible: clear every byte's top bit, and turn the BitTorrent
+// signature's lead byte 0x13 into 0x14. After the mask no byte carries
+// into the next, so x+low7 sets a byte's top bit exactly when that byte
+// of x = v^0x1313… is non-zero. The bytes it leaves clear are the 0x13s,
+// and each gets one added.
+func scrubPayload(v uint64) uint64 {
+	v &= low7
+	x := v ^ 0x1313131313131313
+	return v + (^(x+low7)&^low7)>>7
 }

@@ -163,17 +163,9 @@ func TestLiveUDPDelivers(t *testing.T) {
 	}
 	snd.Close()
 
-	// Give the kernel a moment to deliver, then take what arrived.
-	time.Sleep(100 * time.Millisecond)
-	l.Close()
-	var got []pkt.Packet
-	for {
-		b, ok := l.NextBatch()
-		if !ok {
-			break
-		}
-		got = append(got, b.Pkts...)
-	}
+	// Read bins until a packet arrives (a loaded host may take a while
+	// to deliver), then close and take the rest of what arrived.
+	got := drainLive(t, l, 1, 5*time.Second)
 	if l.BadFrames() != 0 {
 		t.Fatalf("%d bad frames on a clean sender", l.BadFrames())
 	}

@@ -410,23 +410,6 @@ func TestMeasureStats(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerator(b *testing.B) {
-	g := NewGenerator(Config{Seed: 1, Duration: time.Hour, PacketsPerSec: 25000})
-	b.ReportAllocs()
-	pkts := 0
-	for i := 0; i < b.N; i++ {
-		batch, ok := g.NextBatch()
-		if !ok {
-			g.Reset()
-			continue
-		}
-		pkts += len(batch.Pkts)
-	}
-	if b.N > 0 {
-		b.ReportMetric(float64(pkts)/float64(b.N), "pkts/batch")
-	}
-}
-
 func TestSplitFlowsPartitionsEveryPacket(t *testing.T) {
 	g := NewGenerator(shortCfg(17))
 	whole := Measure(g)

@@ -101,7 +101,7 @@ for w in $workloads; do
 		b=$(sed -n 's/^  digest //p' "$out/change.$w.$p.txt")
 		[[ $a == "$b" ]] || echo "digest differs in pair $p: parent ${a:-none} change ${b:-none}"
 	done
-	for m in pkts_per_s bin_ms_p90 cpu_us_per_kpkt; do
+	for m in setup_s pkts_per_s bin_ms_p90 cpu_us_per_kpkt; do
 		echo "runs, $m, parent/change in pair order:$(for p in $(seq 1 "$pairs"); do
 			printf ' %.4g/%.4g' "$(value parent "$w" "$p" "$m")" "$(value change "$w" "$p" "$m")"
 		done)"
