@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/pkt"
@@ -8,7 +10,6 @@ import (
 	"repro/internal/queries"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/pkg/loadshed"
 )
 
 func init() {
@@ -33,11 +34,17 @@ func init() {
 // warmupBins excluded from error statistics: one history window.
 const warmupBins = predict.DefaultHistory
 
+// standard is src under the standard query set, the set-up of most
+// Chapter 3 runs.
+func standard(cfg Config, src func() trace.Source) scenario {
+	return newScenario(cfg, 0, src, queries.StandardSet)
+}
+
 func fig22(cfg Config) (*Result, error) {
 	dur := cfg.dur(10 * time.Second)
 	// The reference run is lossless and noise-free: each query's measured
 	// cycles are its cost, flushed every interval as the engine runs it.
-	ref := loadshed.Reference(srcCESCA2(cfg, dur), queries.FullSet(queries.Config{Seed: cfg.Seed}), cfg.Seed)
+	ref := newScenario(cfg, cfg.Seed, source(trace.CESCA2, cfg, dur), queries.FullSet).reference()
 	cost := map[string]float64{}
 	for _, b := range ref.Bins {
 		for i, c := range b.QueryUsed {
@@ -51,7 +58,7 @@ func fig22(cfg Config) (*Result, error) {
 	}
 	fig := Figure{ID: "fig2.2", Title: "per-query cost", XLabel: "query index", YLabel: "cycles/s"}
 	s := Series{Name: "cost"}
-	for i, name := range sortedKeys(cost) {
+	for i, name := range slices.Sorted(maps.Keys(cost)) {
 		t.Rows = append(t.Rows, []string{name, fmtF(cost[name]/sec, 0)})
 		s.X = append(s.X, float64(i))
 		s.Y = append(s.Y, cost[name]/sec)
@@ -60,37 +67,42 @@ func fig22(cfg Config) (*Result, error) {
 	return &Result{Tables: []Table{t}, Figures: []Figure{fig}}, nil
 }
 
-func fig31(cfg Config) (*Result, error) {
-	dur := cfg.dur(20 * time.Second)
-	flood := trace.NewSYNFlood(dur/3, dur/3, 4*trace.CESCA1(cfg.Seed, dur, cfg.Scale).PacketsPerSec,
-		pkt.IPv4(147, 83, 1, 1), 80)
-	src := srcCESCA1(cfg, dur, flood)
+// replayFlows runs a fresh flows query at full rate over src, flushed
+// every interval, and hands f each bin's batch with the cycles the
+// query spent on it.
+func replayFlows(cfg Config, src trace.Source, f func(bin int, b *pkt.Batch, cycles float64)) {
 	q := queries.NewFlows(queries.Config{Seed: cfg.Seed})
 	model := queries.DefaultCostModel()
-
-	var cpu, pkts, bytes, flows Series
-	cpu.Name, pkts.Name, bytes.Name, flows.Name = "cpu-cycles", "packets", "bytes", "5-tuple flows"
-	bin := 0
 	src.Reset()
-	for {
+	for bin := 0; ; bin++ {
 		b, ok := src.NextBatch()
 		if !ok {
-			break
+			return
 		}
 		if bin%10 == 0 {
 			q.Flush()
 		}
+		f(bin, &b, model.Cycles(q.Process(&b, 1)))
+	}
+}
+
+func fig31(cfg Config) (*Result, error) {
+	dur := cfg.dur(20 * time.Second)
+	flood := trace.NewSYNFlood(dur/3, dur/3, 4*trace.CESCA1(cfg.Seed, dur, cfg.Scale).PacketsPerSec,
+		pkt.IPv4(147, 83, 1, 1), 80)
+	var cpu, pkts, bytes, flows Series
+	cpu.Name, pkts.Name, bytes.Name, flows.Name = "cpu-cycles", "packets", "bytes", "5-tuple flows"
+	replayFlows(cfg, source(trace.CESCA1, cfg, dur, flood)(), func(bin int, b *pkt.Batch, cycles float64) {
 		exact := map[pkt.FlowKey]bool{}
 		for i := range b.Pkts {
 			exact[b.Pkts[i].FlowKey()] = true
 		}
 		x := float64(bin) / 10
-		cpu.X, cpu.Y = append(cpu.X, x), append(cpu.Y, model.Cycles(q.Process(&b, 1)))
+		cpu.X, cpu.Y = append(cpu.X, x), append(cpu.Y, cycles)
 		pkts.X, pkts.Y = append(pkts.X, x), append(pkts.Y, float64(b.Packets()))
 		bytes.X, bytes.Y = append(bytes.X, x), append(bytes.Y, float64(b.Bytes()))
 		flows.X, flows.Y = append(flows.X, x), append(flows.Y, float64(len(exact)))
-		bin++
-	}
+	})
 	return &Result{
 		Figures: []Figure{{
 			ID: "fig3.1", Title: "unknown-query CPU vs candidate features",
@@ -102,22 +114,11 @@ func fig31(cfg Config) (*Result, error) {
 }
 
 func fig33(cfg Config) (*Result, error) {
-	dur := cfg.dur(30 * time.Second)
-	src := srcCESCA2(cfg, dur)
-	q := queries.NewFlows(queries.Config{Seed: cfg.Seed})
-	model := queries.DefaultCostModel()
 	type obs struct{ pkts, cost, newFlows float64 }
 	var all []obs
-	seen := map[pkt.FlowKey]bool{}
-	bin := 0
-	src.Reset()
-	for {
-		b, ok := src.NextBatch()
-		if !ok {
-			break
-		}
+	var seen map[pkt.FlowKey]bool
+	replayFlows(cfg, source(trace.CESCA2, cfg, cfg.dur(30*time.Second))(), func(bin int, b *pkt.Batch, cycles float64) {
 		if bin%10 == 0 {
-			q.Flush()
 			seen = map[pkt.FlowKey]bool{}
 		}
 		newFlows := 0
@@ -130,11 +131,10 @@ func fig33(cfg Config) (*Result, error) {
 		}
 		all = append(all, obs{
 			pkts:     float64(b.Packets()),
-			cost:     model.Cycles(q.Process(&b, 1)),
+			cost:     cycles,
 			newFlows: float64(newFlows),
 		})
-		bin++
-	}
+	})
 	// Bucket by new-flow count like the figure's legend.
 	var thresholds []float64
 	{
@@ -169,154 +169,134 @@ func fig33(cfg Config) (*Result, error) {
 	}}}, nil
 }
 
-func fig34(cfg Config) (*Result, error) {
-	dur := cfg.dur(20 * time.Second)
-	qs := []queries.Query{queries.NewFlows(queries.Config{Seed: cfg.Seed})}
-	mlr := runPredictor(srcCESCA2(cfg, dur), qs, mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
-	qs2 := []queries.Query{queries.NewFlows(queries.Config{Seed: cfg.Seed})}
-	slr := runPredictor(srcCESCA2(cfg, dur), qs2, mkSLR(), warmupBins)
-
-	window := 50 // 5 s, like the figure
-	start := warmupBins
-	mk := func(name string, ys []float64) Series {
-		s := Series{Name: name}
-		for i := start; i < start+window && i < len(ys); i++ {
-			s.X = append(s.X, float64(i)/10)
-			s.Y = append(s.Y, ys[i])
-		}
-		return s
+// window is ys[start:start+n] as a series over time, ten bins to the
+// second.
+func window(name string, ys []float64, start, n int) Series {
+	s := Series{Name: name}
+	for i := start; i < start+n && i < len(ys); i++ {
+		s.X = append(s.X, float64(i)/10)
+		s.Y = append(s.Y, ys[i])
 	}
+	return s
+}
+
+// relErrs is the per-bin relative error of pred against actual.
+func relErrs(pred, actual []float64) []float64 {
+	out := make([]float64, len(pred))
+	for i := range pred {
+		out[i] = stats.RelErr(pred[i], actual[i])
+	}
+	return out
+}
+
+func fig34(cfg Config) (*Result, error) {
+	s := newScenario(cfg, 0, source(trace.CESCA2, cfg, cfg.dur(20*time.Second)), flowsOnly)
+	mlr := s.predict(mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
+	slr := s.predict(mkSLR(), warmupBins)
+	const n = 50 // 5 s, like the figure
 	return &Result{Figures: []Figure{
 		{
 			ID: "fig3.4a", Title: "predictions over time (flows query)",
 			XLabel: "time (s)", YLabel: "cpu cycles",
-			Series: []Series{mk("actual", mlr.Actual[0]), mk("mlr", mlr.Pred[0]), mk("slr", slr.Pred[0])},
+			Series: []Series{
+				window("actual", mlr.Actual[0], warmupBins, n),
+				window("mlr", mlr.Pred[0], warmupBins, n),
+				window("slr", slr.Pred[0], warmupBins, n),
+			},
 		},
 		{
 			ID: "fig3.4b", Title: "relative error over time",
 			XLabel: "time (s)", YLabel: "relative error",
 			Series: []Series{
-				mkErrSeries("mlr", mlr.Pred[0], mlr.Actual[0], start, window),
-				mkErrSeries("slr", slr.Pred[0], slr.Actual[0], start, window),
+				window("mlr", relErrs(mlr.Pred[0], mlr.Actual[0]), warmupBins, n),
+				window("slr", relErrs(slr.Pred[0], slr.Actual[0]), warmupBins, n),
 			},
 		},
 	}}, nil
 }
 
-func mkErrSeries(name string, pred, actual []float64, start, window int) Series {
-	s := Series{Name: name}
-	for i := start; i < start+window && i < len(pred); i++ {
-		s.X = append(s.X, float64(i)/10)
-		s.Y = append(s.Y, stats.RelErr(pred[i], actual[i]))
+// mlrSweep runs the standard set on CESCA-II once per MLR history, with
+// one history plus a second of warm-up, and once per FCBF threshold:
+// the sweeps behind Figures 3.5 and 3.6. It returns each sweep's x
+// values (history in seconds, threshold) with its runs.
+func mlrSweep(cfg Config, histories []int, thresholds []float64) (hx []float64, byHist []*predRun, tx []float64, byThr []*predRun) {
+	s := standard(cfg, source(trace.CESCA2, cfg, cfg.dur(20*time.Second)))
+	for _, n := range histories {
+		hx = append(hx, float64(n)/10)
+		byHist = append(byHist, s.predict(mkMLR(n, predict.DefaultThreshold), n+10))
 	}
-	return s
+	for _, th := range thresholds {
+		tx = append(tx, th)
+		byThr = append(byThr, s.predict(mkMLR(predict.DefaultHistory, th), warmupBins))
+	}
+	return hx, byHist, tx, byThr
 }
 
 func fig35(cfg Config) (*Result, error) {
-	dur := cfg.dur(20 * time.Second)
 	histories := []int{10, 20, 40, 60, 100, 200}
 	thresholds := []float64{0, 0.2, 0.4, 0.6, 0.8, 0.9}
 	if cfg.Quick {
 		histories = []int{10, 60, 200}
 		thresholds = []float64{0, 0.6, 0.9}
 	}
-	mkQs := func() []queries.Query { return queries.StandardSet(queries.Config{Seed: cfg.Seed}) }
-
-	var hist Series
-	histCost := Series{Name: "cost(history)"}
-	hist.Name = "error(history)"
-	for _, n := range histories {
-		r := runPredictor(srcCESCA2(cfg, dur), mkQs(), mkMLR(n, predict.DefaultThreshold), n+10)
-		hist.X = append(hist.X, float64(n)/10) // seconds of history
-		hist.Y = append(hist.Y, r.meanErr())
-		histCost.X = append(histCost.X, float64(n)/10)
-		histCost.Y = append(histCost.Y, (r.FCBFCycles+r.MLRCycles)/float64(r.Bins))
-	}
-	var thr Series
-	thrCost := Series{Name: "cost(threshold)"}
-	thr.Name = "error(threshold)"
-	for _, th := range thresholds {
-		r := runPredictor(srcCESCA2(cfg, dur), mkQs(), mkMLR(predict.DefaultHistory, th), warmupBins)
-		thr.X = append(thr.X, th)
-		thr.Y = append(thr.Y, r.meanErr())
-		thrCost.X = append(thrCost.X, th)
-		thrCost.Y = append(thrCost.Y, (r.FCBFCycles+r.MLRCycles)/float64(r.Bins))
+	hx, byHist, tx, byThr := mlrSweep(cfg, histories, thresholds)
+	// Mean error and the FCBF+MLR cycles per bin, per run of a sweep.
+	errCost := func(param string, xs []float64, runs []*predRun) []Series {
+		e, c := Series{Name: "error(" + param + ")", X: xs}, Series{Name: "cost(" + param + ")", X: xs}
+		for _, r := range runs {
+			e.Y = append(e.Y, r.meanErr())
+			c.Y = append(c.Y, (r.FCBFCycles+r.MLRCycles)/float64(r.Bins))
+		}
+		return []Series{e, c}
 	}
 	return &Result{Figures: []Figure{
-		{ID: "fig3.5a", Title: "error and cost vs MLR history", XLabel: "history (s)", YLabel: "error / cycles-per-bin", Series: []Series{hist, histCost}},
-		{ID: "fig3.5b", Title: "error and cost vs FCBF threshold", XLabel: "threshold", YLabel: "error / cycles-per-bin", Series: []Series{thr, thrCost}},
+		{ID: "fig3.5a", Title: "error and cost vs MLR history", XLabel: "history (s)", YLabel: "error / cycles-per-bin", Series: errCost("history", hx, byHist)},
+		{ID: "fig3.5b", Title: "error and cost vs FCBF threshold", XLabel: "threshold", YLabel: "error / cycles-per-bin", Series: errCost("threshold", tx, byThr)},
 	}}, nil
 }
 
 func fig36(cfg Config) (*Result, error) {
-	dur := cfg.dur(20 * time.Second)
-	histories := []int{10, 60, 200}
-	thresholds := []float64{0, 0.6, 0.9}
-	mkQs := func() []queries.Query { return queries.StandardSet(queries.Config{Seed: cfg.Seed}) }
-
-	var histSeries, thrSeries []Series
-	perQuery := map[string]*Series{}
-	for _, n := range histories {
-		r := runPredictor(srcCESCA2(cfg, dur), mkQs(), mkMLR(n, predict.DefaultThreshold), n+10)
-		for qi, name := range r.Queries {
-			s, ok := perQuery[name]
-			if !ok {
-				s = &Series{Name: name}
-				perQuery[name] = s
+	hx, byHist, tx, byThr := mlrSweep(cfg, []int{10, 60, 200}, []float64{0, 0.6, 0.9})
+	// One series per query, in name order, of its mean error per run.
+	perQuery := func(xs []float64, runs []*predRun) []Series {
+		byName := map[string]*Series{}
+		for i, r := range runs {
+			for qi, name := range r.Queries {
+				if byName[name] == nil {
+					byName[name] = &Series{Name: name}
+				}
+				s := byName[name]
+				s.X, s.Y = append(s.X, xs[i]), append(s.Y, stats.Mean(r.Err[qi]))
 			}
-			s.X = append(s.X, float64(n)/10)
-			s.Y = append(s.Y, stats.Mean(r.Err[qi]))
 		}
-	}
-	for _, name := range sortedKeysSeries(perQuery) {
-		histSeries = append(histSeries, *perQuery[name])
-	}
-	perQuery = map[string]*Series{}
-	for _, th := range thresholds {
-		r := runPredictor(srcCESCA2(cfg, dur), mkQs(), mkMLR(predict.DefaultHistory, th), warmupBins)
-		for qi, name := range r.Queries {
-			s, ok := perQuery[name]
-			if !ok {
-				s = &Series{Name: name}
-				perQuery[name] = s
-			}
-			s.X = append(s.X, th)
-			s.Y = append(s.Y, stats.Mean(r.Err[qi]))
+		var out []Series
+		for _, name := range slices.Sorted(maps.Keys(byName)) {
+			out = append(out, *byName[name])
 		}
-	}
-	for _, name := range sortedKeysSeries(perQuery) {
-		thrSeries = append(thrSeries, *perQuery[name])
+		return out
 	}
 	return &Result{Figures: []Figure{
-		{ID: "fig3.6a", Title: "per-query error vs history", XLabel: "history (s)", YLabel: "relative error", Series: histSeries},
-		{ID: "fig3.6b", Title: "per-query error vs FCBF threshold", XLabel: "threshold", YLabel: "relative error", Series: thrSeries},
+		{ID: "fig3.6a", Title: "per-query error vs history", XLabel: "history (s)", YLabel: "relative error", Series: perQuery(hx, byHist)},
+		{ID: "fig3.6b", Title: "per-query error vs FCBF threshold", XLabel: "threshold", YLabel: "relative error", Series: perQuery(tx, byThr)},
 	}}, nil
 }
 
-func sortedKeysSeries(m map[string]*Series) []string {
-	tmp := map[string]float64{}
-	for k := range m {
-		tmp[k] = 0
-	}
-	return sortedKeys(tmp)
-}
-
-func errOverTime(cfg Config, src trace.Source) Figure {
-	qs := queries.StandardSet(queries.Config{Seed: cfg.Seed})
-	r := runPredictor(src, qs, mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
-	xs, avg, max := r.avgErrPerBin()
+// errOverTime is the standard set's MLR+FCBF error over src, averaged
+// and maximised over queries per bin.
+func errOverTime(cfg Config, id, title string, src func() trace.Source) Figure {
+	r := standard(cfg, src).predict(mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
+	xs, avg := r.acrossQueries(stats.Mean)
+	_, max := r.acrossQueries(stats.Max)
 	return Figure{
-		XLabel: "time (s)", YLabel: "relative error",
+		ID: id, Title: title, XLabel: "time (s)", YLabel: "relative error",
 		Series: []Series{{Name: "average", X: xs, Y: avg}, {Name: "max", X: xs, Y: max}},
 	}
 }
 
 func fig37(cfg Config) (*Result, error) {
 	dur := cfg.dur(30 * time.Second)
-	f1 := errOverTime(cfg, srcCESCA1(cfg, dur))
-	f1.ID, f1.Title = "fig3.7a", "prediction error over time (CESCA-I)"
-	f2 := errOverTime(cfg, srcCESCA2(cfg, dur))
-	f2.ID, f2.Title = "fig3.7b", "prediction error over time (CESCA-II)"
+	f1 := errOverTime(cfg, "fig3.7a", "prediction error over time (CESCA-I)", source(trace.CESCA1, cfg, dur))
+	f2 := errOverTime(cfg, "fig3.7b", "prediction error over time (CESCA-II)", source(trace.CESCA2, cfg, dur))
 	n1 := stats.Mean(f1.Series[0].Y)
 	n2 := stats.Mean(f2.Series[0].Y)
 	return &Result{
@@ -330,55 +310,42 @@ func fig37(cfg Config) (*Result, error) {
 
 func fig38(cfg Config) (*Result, error) {
 	dur := cfg.dur(30 * time.Second)
-	f1 := errOverTime(cfg, srcAbilene(cfg, dur))
-	f1.ID, f1.Title = "fig3.8a", "prediction error over time (ABILENE)"
-	f2 := errOverTime(cfg, srcCENIC(cfg, dur))
-	f2.ID, f2.Title = "fig3.8b", "prediction error over time (CENIC)"
-	return &Result{Figures: []Figure{f1, f2}}, nil
+	return &Result{Figures: []Figure{
+		errOverTime(cfg, "fig3.8a", "prediction error over time (ABILENE)", source(trace.Abilene, cfg, dur)),
+		errOverTime(cfg, "fig3.8b", "prediction error over time (CENIC)", source(trace.CENIC, cfg, dur)),
+	}}, nil
 }
 
 func fig39(cfg Config) (*Result, error) {
-	dur := cfg.dur(10 * time.Second)
-	mkQ := func() []queries.Query { return []queries.Query{queries.NewCounter(queries.Config{Seed: cfg.Seed})} }
-	ewma := runPredictor(srcCESCA2(cfg, dur), mkQ(), mkEWMA(predict.DefaultEWMAAlpha), 10)
-	slr := runPredictor(srcCESCA2(cfg, dur), mkQ(), mkSLR(), 10)
-	window, start := 50, 10
-	mk := func(name string, ys []float64) Series {
-		s := Series{Name: name}
-		for i := start; i < start+window && i < len(ys); i++ {
-			s.X = append(s.X, float64(i)/10)
-			s.Y = append(s.Y, ys[i])
-		}
-		return s
-	}
+	s := newScenario(cfg, 0, source(trace.CESCA2, cfg, cfg.dur(10*time.Second)), func(c queries.Config) []queries.Query {
+		return []queries.Query{queries.NewCounter(c)}
+	})
+	ewma := s.predict(mkEWMA(predict.DefaultEWMAAlpha), 10)
+	slr := s.predict(mkSLR(), 10)
 	return &Result{Figures: []Figure{{
 		ID: "fig3.9", Title: "EWMA vs SLR predictions (counter)",
 		XLabel: "time (s)", YLabel: "cpu cycles",
-		Series: []Series{mk("actual", slr.Actual[0]), mk("slr", slr.Pred[0]), mk("ewma", ewma.Pred[0])},
+		Series: []Series{window("actual", slr.Actual[0], 10, 50), window("slr", slr.Pred[0], 10, 50), window("ewma", ewma.Pred[0], 10, 50)},
 	}}}, nil
 }
 
 func fig310(cfg Config) (*Result, error) {
-	dur := cfg.dur(20 * time.Second)
-	s := Series{Name: "ewma error"}
+	s := standard(cfg, source(trace.CESCA2, cfg, cfg.dur(20*time.Second)))
+	ser := Series{Name: "ewma error"}
 	for _, alpha := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
-		r := runPredictor(srcCESCA2(cfg, dur), queries.StandardSet(queries.Config{Seed: cfg.Seed}), mkEWMA(alpha), 10)
-		s.X = append(s.X, alpha)
-		s.Y = append(s.Y, r.meanErr())
+		ser.X = append(ser.X, alpha)
+		ser.Y = append(ser.Y, s.predict(mkEWMA(alpha), 10).meanErr())
 	}
 	return &Result{Figures: []Figure{{
 		ID: "fig3.10", Title: "EWMA error vs weight", XLabel: "alpha", YLabel: "relative error",
-		Series: []Series{s},
+		Series: []Series{ser},
 	}}}, nil
 }
 
 func fig311(cfg Config) (*Result, error) {
-	dur := cfg.dur(30 * time.Second)
-	mkQs := func() []queries.Query { return queries.StandardSet(queries.Config{Seed: cfg.Seed}) }
-	ew := runPredictor(srcCESCA2(cfg, dur), mkQs(), mkEWMA(predict.DefaultEWMAAlpha), 10)
-	sl := runPredictor(srcCESCA2(cfg, dur), mkQs(), mkSLR(), 10)
-	xs1, avg1, _ := ew.avgErrPerBin()
-	xs2, avg2, _ := sl.avgErrPerBin()
+	s := standard(cfg, source(trace.CESCA2, cfg, cfg.dur(30*time.Second)))
+	xs1, avg1 := s.predict(mkEWMA(predict.DefaultEWMAAlpha), 10).acrossQueries(stats.Mean)
+	xs2, avg2 := s.predict(mkSLR(), 10).acrossQueries(stats.Mean)
 	return &Result{Figures: []Figure{{
 		ID: "fig3.11", Title: "EWMA and SLR error over time (CESCA-II)",
 		XLabel: "time (s)", YLabel: "average relative error",
@@ -387,30 +354,17 @@ func fig311(cfg Config) (*Result, error) {
 }
 
 func fig312(cfg Config) (*Result, error) {
-	dur := cfg.dur(30 * time.Second)
-	r := runPredictor(srcCESCA2(cfg, dur), queries.StandardSet(queries.Config{Seed: cfg.Seed}),
-		mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
-	xs, _, _ := r.avgErrPerBin()
+	r := standard(cfg, source(trace.CESCA2, cfg, cfg.dur(30*time.Second))).predict(mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
 	// Per-bin max and 95th percentile across queries, then a rolling max
 	// over 10 s windows as the figure does.
-	n := len(xs)
+	xs, p95 := r.acrossQueries(func(errs []float64) float64 { return stats.Percentile(errs, 95) })
+	_, binMax := r.acrossQueries(stats.Max)
 	maxS := Series{Name: "max (10s windows)"}
-	p95S := Series{Name: "95th percentile"}
-	var window []float64
-	for bin := 0; bin < n; bin++ {
-		var binVals []float64
-		for q := range r.Err {
-			binVals = append(binVals, r.Err[q][bin])
-		}
-		window = append(window, stats.Max(binVals))
-		p95S.X = append(p95S.X, xs[bin])
-		p95S.Y = append(p95S.Y, stats.Percentile(binVals, 95))
-		if len(window) == 100 || bin == n-1 {
-			maxS.X = append(maxS.X, xs[bin])
-			maxS.Y = append(maxS.Y, stats.Max(window))
-			window = window[:0]
-		}
+	for lo := 0; lo < len(binMax); lo += 100 {
+		hi := min(lo+100, len(binMax))
+		maxS.X, maxS.Y = append(maxS.X, xs[hi-1]), append(maxS.Y, stats.Max(binMax[lo:hi]))
 	}
+	p95S := Series{Name: "95th percentile", X: xs, Y: p95}
 	return &Result{Figures: []Figure{{
 		ID: "fig3.12", Title: "MLR+FCBF max and 95th-percentile error",
 		XLabel: "time (s)", YLabel: "relative error",
@@ -420,12 +374,9 @@ func fig312(cfg Config) (*Result, error) {
 
 func fig31315(cfg Config) (*Result, error) {
 	dur := cfg.dur(30 * time.Second)
-	target := pkt.IPv4(147, 83, 1, 1)
 	pps := trace.CESCA2(cfg.Seed, dur, cfg.Scale).PacketsPerSec
-	mkSrc := func() trace.Source {
-		return srcCESCA2(cfg, dur, trace.NewOnOffDDoS(dur/3, dur/3, 3*pps, target))
-	}
-	mkQ := func() []queries.Query { return []queries.Query{queries.NewFlows(queries.Config{Seed: cfg.Seed})} }
+	ddos := trace.NewOnOffDDoS(dur/3, dur/3, 3*pps, pkt.IPv4(147, 83, 1, 1))
+	s := newScenario(cfg, 0, source(trace.CESCA2, cfg, dur, ddos), flowsOnly)
 
 	var figs []Figure
 	notes := []string{}
@@ -437,20 +388,16 @@ func fig31315(cfg Config) (*Result, error) {
 		{"fig3.14", "slr", mkSLR()},
 		{"fig3.15", "mlr+fcbf", mkMLR(predict.DefaultHistory, predict.DefaultThreshold)},
 	} {
-		r := runPredictor(mkSrc(), mkQ(), m.mk, warmupBins)
-		actual := Series{Name: "actual"}
-		predS := Series{Name: "predicted"}
-		errS := Series{Name: "error"}
-		for i := warmupBins; i < len(r.Actual[0]); i++ {
-			x := float64(i) / 10
-			actual.X, actual.Y = append(actual.X, x), append(actual.Y, r.Actual[0][i])
-			predS.X, predS.Y = append(predS.X, x), append(predS.Y, r.Pred[0][i])
-			errS.X, errS.Y = append(errS.X, x), append(errS.Y, stats.RelErr(r.Pred[0][i], r.Actual[0][i]))
-		}
+		r := s.predict(m.mk, warmupBins)
+		actual, pred := r.Actual[0], r.Pred[0]
 		figs = append(figs, Figure{
 			ID: m.id, Title: m.name + " prediction under on/off DDoS (flows)",
 			XLabel: "time (s)", YLabel: "cpu cycles / error",
-			Series: []Series{actual, predS, errS},
+			Series: []Series{
+				window("actual", actual, warmupBins, len(actual)),
+				window("predicted", pred, warmupBins, len(actual)),
+				window("error", relErrs(pred, actual), warmupBins, len(actual)),
+			},
 		})
 		notes = append(notes, m.name+" mean error: "+fmtPct(r.meanErr()))
 	}
@@ -460,13 +407,13 @@ func fig31315(cfg Config) (*Result, error) {
 func tab32(cfg Config) (*Result, error) {
 	dur := cfg.dur(30 * time.Second)
 	traces := []struct {
-		name string
-		mk   func() trace.Source
+		name   string
+		preset func(uint64, time.Duration, float64) trace.Config
 	}{
-		{"CESCA-I", func() trace.Source { return srcCESCA1(cfg, dur) }},
-		{"CESCA-II", func() trace.Source { return srcCESCA2(cfg, dur) }},
-		{"ABILENE", func() trace.Source { return srcAbilene(cfg, dur) }},
-		{"CENIC", func() trace.Source { return srcCENIC(cfg, dur) }},
+		{"CESCA-I", trace.CESCA1},
+		{"CESCA-II", trace.CESCA2},
+		{"ABILENE", trace.Abilene},
+		{"CENIC", trace.CENIC},
 	}
 	if cfg.Quick {
 		traces = traces[:2]
@@ -476,8 +423,8 @@ func tab32(cfg Config) (*Result, error) {
 		Columns: []string{"trace", "query", "mean", "stdev", "selected features"},
 	}
 	for _, tr := range traces {
-		r := runPredictor(tr.mk(), queries.StandardSet(queries.Config{Seed: cfg.Seed}),
-			mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
+		s := standard(cfg, source(tr.preset, cfg, dur))
+		r := s.predict(mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
 		for qi, name := range r.Queries {
 			t.Rows = append(t.Rows, []string{
 				tr.name, name,
@@ -490,21 +437,29 @@ func tab32(cfg Config) (*Result, error) {
 	return &Result{Tables: []Table{t}}, nil
 }
 
-func tab33(cfg Config) (*Result, error) {
-	dur := cfg.dur(30 * time.Second)
-	mkQs := func() []queries.Query { return queries.StandardSet(queries.Config{Seed: cfg.Seed}) }
-	runs := map[string]*predRun{
-		"ewma": runPredictor(srcCESCA2(cfg, dur), mkQs(), mkEWMA(predict.DefaultEWMAAlpha), 10),
-		"slr":  runPredictor(srcCESCA2(cfg, dur), mkQs(), mkSLR(), 10),
-		"mlr":  runPredictor(srcCESCA2(cfg, dur), mkQs(), mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins),
+// tab33Methods are Table 3.3's predictors in column order.
+var tab33Methods = []string{"ewma", "slr", "mlr"}
+
+// tab33Runs runs the standard set on CESCA-II under each of
+// tab33Methods.
+func tab33Runs(cfg Config) map[string]*predRun {
+	s := standard(cfg, source(trace.CESCA2, cfg, cfg.dur(30*time.Second)))
+	return map[string]*predRun{
+		"ewma": s.predict(mkEWMA(predict.DefaultEWMAAlpha), 10),
+		"slr":  s.predict(mkSLR(), 10),
+		"mlr":  s.predict(mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins),
 	}
+}
+
+func tab33(cfg Config) (*Result, error) {
+	runs := tab33Runs(cfg)
 	t := Table{
 		ID: "tab3.3", Title: "error statistics per query and method",
 		Columns: []string{"query", "ewma mean", "ewma sd", "slr mean", "slr sd", "mlr mean", "mlr sd"},
 	}
 	for qi, name := range runs["mlr"].Queries {
 		row := []string{name}
-		for _, m := range []string{"ewma", "slr", "mlr"} {
+		for _, m := range tab33Methods {
 			row = append(row, fmtF(stats.Mean(runs[m].Err[qi]), 4), fmtF(stats.Stdev(runs[m].Err[qi]), 4))
 		}
 		t.Rows = append(t.Rows, row)
@@ -513,25 +468,34 @@ func tab33(cfg Config) (*Result, error) {
 		Notes: []string{"expected shape: mlr < slr < ewma on average; slr worst on byte-driven queries"}}, nil
 }
 
-func tab34(cfg Config) (*Result, error) {
-	dur := cfg.dur(30 * time.Second)
-	r := runPredictor(srcCESCA2(cfg, dur), queries.StandardSet(queries.Config{Seed: cfg.Seed}),
-		mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
-	// Total processing cost: queries plus the prediction subsystem.
+// overhead is Table 3.4: each phase of the prediction subsystem, and
+// their sum, as a fraction of the total cycles (queries plus
+// prediction).
+type overhead struct {
+	extraction, fcbf, mlr, total float64
+}
+
+func predictionOverhead(cfg Config) overhead {
+	r := standard(cfg, source(trace.CESCA2, cfg, cfg.dur(30*time.Second))).predict(mkMLR(predict.DefaultHistory, predict.DefaultThreshold), warmupBins)
 	var queryCycles float64
 	for qi := range r.Actual {
 		queryCycles += stats.Sum(r.Actual[qi])
 	}
 	predictCycles := r.FeatureCycles + r.FCBFCycles + r.MLRCycles
 	total := queryCycles + predictCycles
+	return overhead{r.FeatureCycles / total, r.FCBFCycles / total, r.MLRCycles / total, predictCycles / total}
+}
+
+func tab34(cfg Config) (*Result, error) {
+	o := predictionOverhead(cfg)
 	t := Table{
 		ID: "tab3.4", Title: "prediction overhead breakdown (fraction of total cycles)",
 		Columns: []string{"phase", "overhead"},
 		Rows: [][]string{
-			{"feature extraction", fmtPct(r.FeatureCycles / total)},
-			{"fcbf", fmtPct(r.FCBFCycles / total)},
-			{"mlr", fmtPct(r.MLRCycles / total)},
-			{"total", fmtPct(predictCycles / total)},
+			{"feature extraction", fmtPct(o.extraction)},
+			{"fcbf", fmtPct(o.fcbf)},
+			{"mlr", fmtPct(o.mlr)},
+			{"total", fmtPct(o.total)},
 		},
 	}
 	return &Result{Tables: []Table{t},

@@ -20,56 +20,57 @@ func init() {
 	register("tab4.1", "Breakdown of accuracy error per query and scheme", tab41)
 }
 
-// ch4Setup bundles the shared scenario of the Chapter 4 evaluation: a
-// busy CESCA-style trace whose query demand is about twice the system
-// capacity, with a modest capture buffer.
+// ch4Setup is the busy scenario of the Chapter 4 evaluation: CESCA-II
+// plus a spoofed on/off DDoS for half the run, under the standard query
+// set, at a capacity where query demand is about twice what is left.
 type ch4Setup struct {
-	cfg      Config
-	dur      time.Duration
+	scenario
 	capacity float64
 	ref      *loadshed.RunResult
 }
 
-func newCh4Setup(cfg Config) *ch4Setup {
-	dur := cfg.dur(30 * time.Second)
-	s := &ch4Setup{cfg: cfg, dur: dur}
-	s.capacity = loadshed.CapacityForOverload(s.src(), s.mkQs(), cfg.Seed+90, 2)
-	s.ref = loadshed.Reference(s.src(), s.mkQs(), cfg.Seed+90)
+func newCh4Setup(cfg Config, dur time.Duration, seed uint64) *ch4Setup {
+	pps := trace.CESCA2(cfg.Seed, dur, cfg.Scale).PacketsPerSec
+	ddos := trace.NewOnOffDDoS(dur/4, dur/2, 4*pps, pkt.IPv4(147, 83, 1, 1))
+	s := &ch4Setup{scenario: newScenario(cfg, seed, source(trace.CESCA2, cfg, dur, ddos), queries.StandardSet)}
+	s.capacity = s.overloaded(2)
+	s.ref = s.reference()
 	return s
 }
 
-func (s *ch4Setup) src() trace.Source {
-	pps := trace.CESCA2(s.cfg.Seed, s.dur, s.cfg.Scale).PacketsPerSec
-	return srcCESCA2(s.cfg, s.dur,
-		trace.NewOnOffDDoS(s.dur/4, s.dur/2, 4*pps, pkt.IPv4(147, 83, 1, 1)))
-}
+// ch4 is the set-up of the Chapter 4 figures.
+func ch4(cfg Config) *ch4Setup { return newCh4Setup(cfg, cfg.dur(30*time.Second), cfg.Seed+90) }
 
-func (s *ch4Setup) mkQs() []queries.Query {
-	return queries.StandardSet(queries.Config{Seed: s.cfg.Seed})
-}
-
-func (s *ch4Setup) run(scheme loadshed.Scheme) *loadshed.RunResult {
-	return loadshed.New(loadshed.Config{
-		Scheme:     scheme,
-		Capacity:   s.capacity,
-		Seed:       s.cfg.Seed + 91,
-		BufferBins: 2, // the thesis' 200 ms buffer emulation
-	}, s.mkQs()).Run(s.src())
+// runWith runs c at the set-up's capacity with a modest capture
+// buffer, the thesis' 200 ms buffer emulation.
+func (s *ch4Setup) runWith(c loadshed.Config) *loadshed.RunResult {
+	c.Capacity = s.capacity
+	c.BufferBins = 2
+	return s.run(c)
 }
 
 var ch4Schemes = []loadshed.Scheme{loadshed.Predictive, loadshed.Original, loadshed.Reactive}
 
+// runs runs each of ch4Schemes once, in order.
+func (s *ch4Setup) runs() []*loadshed.RunResult {
+	out := make([]*loadshed.RunResult, len(ch4Schemes))
+	for i, sch := range ch4Schemes {
+		out[i] = s.runWith(loadshed.Config{Scheme: sch})
+	}
+	return out
+}
+
 func fig41(cfg Config) (*Result, error) {
-	s := newCh4Setup(cfg)
+	s := ch4(cfg)
 	fig := Figure{
 		ID: "fig4.1", Title: "CDF of per-batch CPU usage",
 		XLabel: "cycles/batch", YLabel: "F(cpu usage)",
 	}
 	notes := []string{fmtF(s.capacity, 0) + " cycles available per batch"}
-	for _, sch := range ch4Schemes {
-		res := s.run(sch)
+	for i, res := range s.runs() {
+		sch := ch4Schemes[i].String()
 		pts := stats.CDF(res.UsedPerBin())
-		ser := Series{Name: sch.String()}
+		ser := Series{Name: sch}
 		step := 1
 		if len(pts) > 200 {
 			step = len(pts) / 200
@@ -80,176 +81,137 @@ func fig41(cfg Config) (*Result, error) {
 		}
 		fig.Series = append(fig.Series, ser)
 		over := stats.CDFAt(res.UsedPerBin(), s.capacity)
-		notes = append(notes, sch.String()+": P(used > capacity) = "+fmtPct(1-over))
+		notes = append(notes, sch+": P(used > capacity) = "+fmtPct(1-over))
 	}
 	return &Result{Figures: []Figure{fig}, Notes: notes}, nil
 }
 
 func fig42(cfg Config) (*Result, error) {
-	s := newCh4Setup(cfg)
 	var figs []Figure
 	notes := []string{}
-	for _, sch := range ch4Schemes {
-		res := s.run(sch)
-		total := Series{Name: "total packets"}
-		drops := Series{Name: "dag drops"}
-		unsampled := Series{Name: "unsampled"}
-		// Aggregate to 1 s buckets as the figure does.
-		for i := 0; i < len(res.Bins); i += 10 {
-			var tp, dp, up float64
-			for j := i; j < i+10 && j < len(res.Bins); j++ {
-				b := res.Bins[j]
-				tp += float64(b.WirePkts)
-				dp += float64(b.DropPkts)
-				up += (1 - b.GlobalRate) * float64(b.AdmitPkts)
-			}
-			x := float64(i) / 10
-			total.X, total.Y = append(total.X, x), append(total.Y, tp)
-			drops.X, drops.Y = append(drops.X, x), append(drops.Y, dp)
-			unsampled.X, unsampled.Y = append(unsampled.X, x), append(unsampled.Y, up)
-		}
+	for i, res := range ch4(cfg).runs() {
+		sch := ch4Schemes[i].String()
+		// Aggregated to 1 s buckets as the figure does.
 		figs = append(figs, Figure{
-			ID: "fig4.2-" + sch.String(), Title: "load and losses (" + sch.String() + ")",
+			ID: "fig4.2-" + sch, Title: "load and losses (" + sch + ")",
 			XLabel: "time (s)", YLabel: "packets/s",
-			Series: []Series{total, drops, unsampled},
+			Series: []Series{
+				perSecond("total packets", res.Bins, false, func(b *loadshed.BinStats) float64 { return float64(b.WirePkts) }),
+				perSecond("dag drops", res.Bins, false, func(b *loadshed.BinStats) float64 { return float64(b.DropPkts) }),
+				perSecond("unsampled", res.Bins, false, func(b *loadshed.BinStats) float64 { return (1 - b.GlobalRate) * float64(b.AdmitPkts) }),
+			},
 		})
-		notes = append(notes, sch.String()+": total drops "+
+		notes = append(notes, sch+": total drops "+
 			fmtPct(float64(res.TotalDrops())/float64(res.TotalWirePkts())))
 	}
 	return &Result{Figures: figs, Notes: notes}, nil
 }
 
 func fig43(cfg Config) (*Result, error) {
-	s := newCh4Setup(cfg)
+	s := ch4(cfg)
 	t := Table{
 		ID: "fig4.3", Title: "average error across metric queries",
 		Columns: []string{"scheme", "avg error"},
 	}
-	metricQueries := []string{"application", "counter", "flows", "high-watermark", "top-k"}
-	for _, sch := range ch4Schemes {
-		res := s.run(sch)
-		errs := loadshed.MeanErrors(s.mkQs(), res, s.ref)
-		var avg float64
-		for _, q := range metricQueries {
-			avg += errs[q]
-		}
-		t.Rows = append(t.Rows, []string{sch.String(), fmtPct(avg / float64(len(metricQueries)))})
+	for i, res := range s.runs() {
+		t.Rows = append(t.Rows, []string{ch4Schemes[i].String(), fmtPct(s.metricError(res, s.ref))})
 	}
 	return &Result{Tables: []Table{t},
 		Notes: []string{"paper shape: predictive < 2%, original and reactive far worse"}}, nil
 }
 
 func fig44(cfg Config) (*Result, error) {
-	s := newCh4Setup(cfg)
-	res := s.run(loadshed.Predictive)
-	como := Series{Name: "como+prediction"}
-	shed := Series{Name: "+load shedding"}
-	query := Series{Name: "+queries"}
-	predicted := Series{Name: "predicted (unshed)"}
-	capLine := Series{Name: "capacity"}
-	for i, b := range res.Bins {
-		x := float64(i) / 10
-		como.X, como.Y = append(como.X, x), append(como.Y, b.Overhead)
-		shed.X, shed.Y = append(shed.X, x), append(shed.Y, b.Overhead+b.Shed)
-		query.X, query.Y = append(query.X, x), append(query.Y, b.Overhead+b.Shed+b.Used)
-		predicted.X, predicted.Y = append(predicted.X, x), append(predicted.Y, b.Predicted)
-		capLine.X, capLine.Y = append(capLine.X, x), append(capLine.Y, s.capacity)
-	}
+	s := ch4(cfg)
+	res := s.runWith(loadshed.Config{Scheme: loadshed.Predictive})
 	return &Result{Figures: []Figure{{
 		ID: "fig4.4", Title: "stacked CPU usage after shedding vs predicted demand",
 		XLabel: "time (s)", YLabel: "cycles/bin",
-		Series: []Series{como, shed, query, predicted, capLine},
+		Series: stackedCPU(res.Bins, s.capacity, [5]string{"como+prediction", "+load shedding", "+queries", "predicted (unshed)", "capacity"}),
 	}}}, nil
 }
 
-func fig456(cfg Config) (*Result, error) {
+// synFlood is Figures 4.5 and 4.6: the flows query under a SYN flood,
+// with flow sampling, with packet sampling, and without shedding.
+type synFlood struct {
+	capacity                 float64
+	flow, packet, none       *loadshed.RunResult
+	errFlow, errPkt, errNone []float64 // per-interval flows-query error
+}
+
+func runSYNFlood(cfg Config) synFlood {
 	// Single flows query; a SYN flood doubles its load for a third of
-	// the run; capacity fixed so the flood overloads the loadshed.
+	// the run; capacity fixed so the flood overloads the system.
 	dur := cfg.dur(30 * time.Second)
 	pps := trace.CESCA1(cfg.Seed, dur, cfg.Scale).PacketsPerSec
-	mkSrc := func() trace.Source {
-		return srcCESCA1(cfg, dur, trace.NewSYNFlood(dur/3, dur/3, 3*pps, pkt.IPv4(147, 83, 1, 1), 80))
-	}
-	mkFlow := func() []queries.Query { return []queries.Query{queries.NewFlows(queries.Config{Seed: cfg.Seed})} }
-	mkPkt := func() []queries.Query {
-		return []queries.Query{queries.WithMethod(queries.NewFlows(queries.Config{Seed: cfg.Seed}), sampling.Packet)}
-	}
+	normal := newScenario(cfg, cfg.Seed+92, source(trace.CESCA1, cfg, dur), flowsOnly)
+	flood := normal
+	flood.src = source(trace.CESCA1, cfg, dur, trace.NewSYNFlood(dur/3, dur/3, 3*pps, pkt.IPv4(147, 83, 1, 1), 80))
+	packet := newScenario(cfg, normal.seed, flood.src, func(c queries.Config) []queries.Query {
+		return []queries.Query{queries.WithMethod(queries.NewFlows(c), sampling.Packet)}
+	})
 
 	// Capacity: overhead (reserved at flood packet rates — capture and
 	// feature extraction cannot be shed) plus 1.3x the normal-traffic
 	// query demand, so only the flood overloads the query budget. The
 	// thesis experiment set the availability threshold manually in the
 	// same spirit (§4.5.5).
-	ovh, normal := loadshed.MeasureLoad(srcCESCA1(cfg, dur), mkFlow(), cfg.Seed+92)
-	capacity := 4*ovh + normal*1.3
-	ref := loadshed.Reference(mkSrc(), mkFlow(), cfg.Seed+92)
+	ovh, demand := normal.load()
+	r := synFlood{capacity: 4*ovh + demand*1.3}
+	ref := flood.reference()
+	run := func(s scenario, scheme loadshed.Scheme) (*loadshed.RunResult, []float64) {
+		res := s.run(loadshed.Config{Scheme: scheme, Capacity: r.capacity, BufferBins: 2})
+		return res, loadshed.Errors(flood.qs(), res, ref)["flows"]
+	}
+	r.flow, r.errFlow = run(flood, loadshed.Predictive)
+	r.packet, r.errPkt = run(packet, loadshed.Predictive)
+	r.none, r.errNone = run(flood, loadshed.Original)
+	return r
+}
 
-	runOne := func(scheme loadshed.Scheme, mk func() []queries.Query) (*loadshed.RunResult, []float64) {
-		res := loadshed.New(loadshed.Config{
-			Scheme: scheme, Capacity: capacity, Seed: cfg.Seed + 93, BufferBins: 2,
-		}, mk()).Run(mkSrc())
-		errs := loadshed.Errors(mkFlow(), res, ref)["flows"]
-		return res, errs
-	}
-	shedFlow, errFlow := runOne(loadshed.Predictive, mkFlow)
-	_, errPkt := runOne(loadshed.Predictive, mkPkt)
-	noShed, errNone := runOne(loadshed.Original, mkFlow)
-
-	cpuShed := Series{Name: "load shedding"}
-	cpuNone := Series{Name: "no load shedding"}
-	capLine := Series{Name: "cpu threshold"}
-	for i := range shedFlow.Bins {
-		x := float64(i) / 10
-		cpuShed.X, cpuShed.Y = append(cpuShed.X, x), append(cpuShed.Y, shedFlow.Bins[i].Used)
-		cpuNone.X, cpuNone.Y = append(cpuNone.X, x), append(cpuNone.Y, noShed.Bins[i].Used)
-		capLine.X, capLine.Y = append(capLine.X, x), append(capLine.Y, capacity)
-	}
-	errSeries := func(name string, es []float64) Series {
-		s := Series{Name: name}
-		for i, e := range es {
-			s.X = append(s.X, float64(i))
-			s.Y = append(s.Y, e)
-		}
-		return s
-	}
+func fig456(cfg Config) (*Result, error) {
+	r := runSYNFlood(cfg)
+	used := func(b *loadshed.BinStats) float64 { return b.Used }
 	return &Result{Figures: []Figure{
 		{
 			ID: "fig4.5a", Title: "CPU usage with and without load shedding (SYN flood)",
 			XLabel: "time (s)", YLabel: "cycles/bin",
-			Series: []Series{cpuShed, cpuNone, capLine},
+			Series: []Series{
+				overBins("load shedding", r.flow.Bins, used),
+				overBins("no load shedding", r.none.Bins, used),
+				overBins("cpu threshold", r.flow.Bins, func(*loadshed.BinStats) float64 { return r.capacity }),
+			},
 		},
 		{
 			ID: "fig4.5b", Title: "flows-query error with and without load shedding",
 			XLabel: "interval", YLabel: "relative error",
 			Series: []Series{
-				errSeries("flow sampling", errFlow),
-				errSeries("packet sampling", errPkt),
-				errSeries("no load shedding", errNone),
+				indexed("flow sampling", r.errFlow),
+				indexed("packet sampling", r.errPkt),
+				indexed("no load shedding", r.errNone),
 			},
 		},
 	}, Notes: []string{
-		"mean error — flow sampling: " + fmtPct(stats.Mean(errFlow)) +
-			", packet sampling: " + fmtPct(stats.Mean(errPkt)) +
-			", no shedding: " + fmtPct(stats.Mean(errNone)),
+		"mean error — flow sampling: " + fmtPct(stats.Mean(r.errFlow)) +
+			", packet sampling: " + fmtPct(stats.Mean(r.errPkt)) +
+			", no shedding: " + fmtPct(stats.Mean(r.errNone)),
 		"paper shape: flow < packet << none",
 	}}, nil
 }
 
 func tab41(cfg Config) (*Result, error) {
-	s := newCh4Setup(cfg)
+	s := ch4(cfg)
 	t := Table{
 		ID: "tab4.1", Title: "accuracy error per query and scheme (mean ± stdev)",
 		Columns: []string{"query", "predictive", "original", "reactive"},
 	}
-	perScheme := map[string]map[string][]float64{}
-	for _, sch := range ch4Schemes {
-		res := s.run(sch)
-		perScheme[sch.String()] = loadshed.Errors(s.mkQs(), res, s.ref)
+	var perScheme []map[string][]float64
+	for _, res := range s.runs() {
+		perScheme = append(perScheme, loadshed.Errors(s.qs(), res, s.ref))
 	}
-	for _, q := range []string{"application", "counter", "flows", "high-watermark", "top-k"} {
+	for _, q := range metricQueries {
 		row := []string{q}
-		for _, sch := range ch4Schemes {
-			es := perScheme[sch.String()][q]
+		for _, errs := range perScheme {
+			es := errs[q]
 			row = append(row, fmtPct(stats.Mean(es))+" ±"+fmtPct(stats.Stdev(es)))
 		}
 		t.Rows = append(t.Rows, row)

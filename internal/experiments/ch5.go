@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/hash"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/sampling"
 	"repro/internal/sched"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/pkg/loadshed"
 )
 
@@ -66,24 +68,21 @@ func fig51(cfg Config) (*Result, error) {
 func fig52(cfg Config) (*Result, error) {
 	dur := cfg.dur(10 * time.Second)
 	grid := kGrid(true) // the measured surface is expensive; keep coarse
-	mkQs := func() []queries.Query {
-		qs := []queries.Query{queries.NewTraceQuery(queries.Config{Seed: cfg.Seed})}
+	s := newScenario(cfg, cfg.Seed+95, source(trace.CESCA2, cfg, dur), func(c queries.Config) []queries.Query {
+		qs := []queries.Query{queries.NewTraceQuery(c)}
 		for i := 0; i < 10; i++ {
-			qs = append(qs, queries.NewCounter(queries.Config{Seed: cfg.Seed + uint64(i)}))
+			qs = append(qs, queries.NewCounter(queries.Config{Seed: c.Seed + uint64(i)}))
 		}
 		return qs
-	}
-	// All counters share a name; rename via interval index is overkill —
-	// accuracy aggregation below works on indices instead.
-	demand := loadshed.MeasureCapacity(srcCESCA2(cfg, dur), mkQs(), cfg.Seed+95)
-	ref := loadshed.Reference(srcCESCA2(cfg, dur), mkQs(), cfg.Seed+95)
+	})
+	demand := s.demand()
+	ref := s.reference()
 
+	// The ten counters share a name, so accuracy is scored by query
+	// index here rather than through scenario.score's names.
 	measure := func(strat sched.Strategy, k float64) (avg, min float64) {
-		res := loadshed.New(loadshed.Config{
-			Scheme: loadshed.Predictive, Capacity: demand * (1 - k),
-			Seed: cfg.Seed + 96, Strategy: strat,
-		}, mkQs()).Run(srcCESCA2(cfg, dur))
-		metric := mkQs()
+		res := s.run(loadshed.Config{Scheme: loadshed.Predictive, Capacity: demand * (1 - k), Strategy: strat})
+		metric := s.qs()
 		min = 1
 		var sum float64
 		for qi, mq := range metric {
@@ -116,23 +115,27 @@ func fig52(cfg Config) (*Result, error) {
 }
 
 func fig53(cfg Config) (*Result, error) {
+	return &Result{Figures: []Figure{rateFigure(cfg, "fig5.3", "accuracy vs sampling rate", "counter", "flows", "top-k", "autofocus")}}, nil
+}
+
+// rateFigure is each named query's accuracy at a range of fixed
+// sampling rates, by its own method: Figures 5.3 and 6.4.
+func rateFigure(cfg Config, id, title string, names ...string) Figure {
 	dur := cfg.dur(10 * time.Second)
 	rates := []float64{0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0}
 	if cfg.Quick {
 		rates = []float64{0.05, 0.3, 0.7, 1.0}
 	}
-	names := []string{"counter", "flows", "top-k", "autofocus"}
-	fig := Figure{ID: "fig5.3", Title: "accuracy vs sampling rate", XLabel: "sampling rate", YLabel: "accuracy"}
+	fig := Figure{ID: id, Title: title, XLabel: "sampling rate", YLabel: "accuracy"}
 	for _, name := range names {
 		s := Series{Name: name}
 		for _, rate := range rates {
-			acc := 1 - sampledError(cfg, dur, name, rate)
 			s.X = append(s.X, rate)
-			s.Y = append(s.Y, stats.Clamp(acc, 0, 1))
+			s.Y = append(s.Y, stats.Clamp(1-sampledError(cfg, dur, name, rate), 0, 1))
 		}
 		fig.Series = append(fig.Series, s)
 	}
-	return &Result{Figures: []Figure{fig}}, nil
+	return fig
 }
 
 // sampledError runs query `name` at a fixed sampling rate, by its own
@@ -148,7 +151,7 @@ func sampledError(cfg Config, dur time.Duration, name string, rate float64) floa
 		panic("unknown query " + name)
 	}
 	run := func(rate float64) []queries.Result {
-		src := srcCESCA2(cfg, dur)
+		src := source(trace.CESCA2, cfg, dur)()
 		src.Reset()
 		q := mk()
 		ps := sampling.NewPacketSampler(cfg.Seed + 97)
@@ -200,108 +203,60 @@ func sampledError(cfg Config, dur time.Duration, name string, rate float64) floa
 	return stats.Mean(errs)
 }
 
-// ch5Scheme is one system Chapter 5 compares: a shedding scheme, its
-// strategy, and its capture buffer in bins (2 ≈ 200 ms for the no_lshed
-// and reactive baselines, as Chapter 5 emulates them; 0 keeps the
-// default).
-type ch5Scheme struct {
-	name   string
-	scheme loadshed.Scheme
-	strat  sched.Strategy
-	buffer float64
+// ch5Scenario is Chapter 5's: CESCA-II under all ten queries.
+func ch5Scenario(cfg Config, dur time.Duration, seed uint64) scenario {
+	return newScenario(cfg, seed, source(trace.CESCA2, cfg, dur), queries.FullSet)
 }
 
 // ch5Schemes are the systems of Figures 5.4 and 5.5 and Table 5.2, in
-// their column order.
-var ch5Schemes = []ch5Scheme{
-	{"no_lshed", loadshed.NoShed, nil, 2},
-	{"reactive", loadshed.Reactive, nil, 2},
-	{"eq_srates", loadshed.Predictive, sched.EqualRates{RespectMinRates: true}, 0},
-	{"mmfs_cpu", loadshed.Predictive, sched.MMFSCPU{}, 0},
-	{"mmfs_pkt", loadshed.Predictive, sched.MMFSPkt{}, 0},
-}
-
-// run replays the CESCA-II source through the scheme with custom
-// shedding on, over the full query set.
-func (s ch5Scheme) run(cfg Config, dur time.Duration, capacity float64, seed uint64) *loadshed.RunResult {
-	return loadshed.New(loadshed.Config{
-		Scheme: s.scheme, Capacity: capacity, Seed: seed, Strategy: s.strat,
-		BufferBins: s.buffer, CustomShedding: true,
-	}, queries.FullSet(queries.Config{Seed: cfg.Seed})).Run(srcCESCA2(cfg, dur))
+// their column order, all with custom shedding on. no_lshed and
+// reactive keep a 200 ms capture buffer (two bins), as Chapter 5
+// emulates them.
+var ch5Schemes = []system{
+	{"no_lshed", loadshed.Config{Scheme: loadshed.NoShed, BufferBins: 2, CustomShedding: true}},
+	{"reactive", loadshed.Config{Scheme: loadshed.Reactive, BufferBins: 2, CustomShedding: true}},
+	{"eq_srates", loadshed.Config{Scheme: loadshed.Predictive, Strategy: sched.EqualRates{RespectMinRates: true}, CustomShedding: true}},
+	{"mmfs_cpu", loadshed.Config{Scheme: loadshed.Predictive, Strategy: sched.MMFSCPU{}, CustomShedding: true}},
+	{"mmfs_pkt", loadshed.Config{Scheme: loadshed.Predictive, Strategy: sched.MMFSPkt{}, CustomShedding: true}},
 }
 
 func fig54(cfg Config) (*Result, error) {
-	dur := cfg.dur(15 * time.Second)
+	s := ch5Scenario(cfg, cfg.dur(15*time.Second), cfg.Seed+98)
 	grid := kGrid(cfg.Quick)
-	mkQs := func() []queries.Query { return queries.FullSet(queries.Config{Seed: cfg.Seed}) }
-	demand := loadshed.MeasureCapacity(srcCESCA2(cfg, dur), mkQs(), cfg.Seed+98)
-	ref := loadshed.Reference(srcCESCA2(cfg, dur), mkQs(), cfg.Seed+98)
-
-	avgFig := Figure{ID: "fig5.4a", Title: "average accuracy vs K", XLabel: "overload level K", YLabel: "accuracy"}
-	minFig := Figure{ID: "fig5.4b", Title: "minimum accuracy vs K", XLabel: "overload level K", YLabel: "accuracy"}
-	for _, kd := range ch5Schemes {
-		avgS := Series{Name: kd.name}
-		minS := Series{Name: kd.name}
-		for _, k := range grid {
-			res := kd.run(cfg, dur, demand*(1-k), cfg.Seed+99)
-			accs := loadshed.Accuracies(mkQs(), res, ref, 10)
-			avg, min, _ := meanAccuracy(accs)
-			avgS.X, avgS.Y = append(avgS.X, k), append(avgS.Y, avg)
-			minS.X, minS.Y = append(minS.X, k), append(minS.Y, min)
-		}
-		avgFig.Series = append(avgFig.Series, avgS)
-		minFig.Series = append(minFig.Series, minS)
-	}
-	return &Result{Figures: []Figure{avgFig, minFig}, Notes: []string{
+	return &Result{Figures: kFigures("fig5.4", "overload level K", grid, ch5Schemes, s.sweepK(grid, ch5Schemes)), Notes: []string{
 		"paper shape: mmfs strategies dominate; mmfs_pkt highest minimum accuracy",
 	}}, nil
 }
 
 func fig55(cfg Config) (*Result, error) {
-	dur := cfg.dur(20 * time.Second)
 	const k = 0.2
-	mkQs := func() []queries.Query { return queries.FullSet(queries.Config{Seed: cfg.Seed}) }
-	demand := loadshed.MeasureCapacity(srcCESCA2(cfg, dur), mkQs(), cfg.Seed+100)
-	ref := loadshed.Reference(srcCESCA2(cfg, dur), mkQs(), cfg.Seed+100)
-
+	s := ch5Scenario(cfg, cfg.dur(20*time.Second), cfg.Seed+100)
+	// The figure leaves reactive out.
+	systems := slices.DeleteFunc(slices.Clone(ch5Schemes), func(sys system) bool { return sys.cfg.Scheme == loadshed.Reactive })
 	fig := Figure{ID: "fig5.5", Title: "autofocus accuracy over time (K=0.2)", XLabel: "interval", YLabel: "accuracy"}
-	for _, kd := range ch5Schemes {
-		if kd.scheme == loadshed.Reactive {
-			continue // the figure leaves reactive out
-		}
-		res := kd.run(cfg, dur, demand*(1-k), cfg.Seed+101)
-		accs := loadshed.Accuracies(mkQs(), res, ref, 10)["autofocus"]
-		s := Series{Name: kd.name}
-		for i, a := range accs {
-			s.X = append(s.X, float64(i))
-			s.Y = append(s.Y, a)
-		}
-		fig.Series = append(fig.Series, s)
+	for i, acc := range s.sweepK([]float64{k}, systems) {
+		fig.Series = append(fig.Series, indexed(systems[i].name, acc[0].per["autofocus"]))
 	}
 	return &Result{Figures: []Figure{fig}}, nil
 }
 
 func tab52(cfg Config) (*Result, error) {
-	dur := cfg.dur(15 * time.Second)
 	const k = 0.5
-	mkQs := func() []queries.Query { return queries.FullSet(queries.Config{Seed: cfg.Seed}) }
-	demand := loadshed.MeasureCapacity(srcCESCA2(cfg, dur), mkQs(), cfg.Seed+102)
-	ref := loadshed.Reference(srcCESCA2(cfg, dur), mkQs(), cfg.Seed+102)
-
-	perKind := map[string]map[string]float64{}
-	for _, kd := range ch5Schemes {
-		res := kd.run(cfg, dur, demand*(1-k), cfg.Seed+103)
-		_, _, byQuery := meanAccuracy(loadshed.Accuracies(mkQs(), res, ref, 10))
-		perKind[kd.name] = byQuery
-	}
+	s := ch5Scenario(cfg, cfg.dur(15*time.Second), cfg.Seed+102)
 	t := Table{
 		ID: "tab5.2", Title: "mq and average accuracy at K=0.5",
-		Columns: []string{"query", "mq", "no_lshed", "reactive", "eq_srates", "mmfs_cpu", "mmfs_pkt"},
+		Columns: []string{"query", "mq"},
 	}
-	for _, q := range mkQs() {
+	var perScheme []map[string]float64
+	for i, acc := range s.sweepK([]float64{k}, ch5Schemes) {
+		_, _, byQuery := acc[0].mean()
+		perScheme = append(perScheme, byQuery)
+		t.Columns = append(t.Columns, ch5Schemes[i].name)
+	}
+	for _, q := range s.qs() {
 		row := []string{q.Name(), fmtF(q.MinRate(), 2)}
-		for _, kd := range ch5Schemes {
-			row = append(row, fmtF(perKind[kd.name][q.Name()], 2))
+		for _, byQuery := range perScheme {
+			row = append(row, fmtF(byQuery[q.Name()], 2))
 		}
 		t.Rows = append(t.Rows, row)
 	}

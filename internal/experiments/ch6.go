@@ -29,47 +29,81 @@ func init() {
 }
 
 // ch6Qs is the Chapter 6 validation set: p2p-detector plus companions.
-func ch6Qs(seed uint64) []queries.Query {
+func ch6Qs(c queries.Config) []queries.Query {
 	return []queries.Query{
-		queries.NewP2PDetector(queries.Config{Seed: seed}),
-		queries.NewCounter(queries.Config{Seed: seed}),
-		queries.NewFlows(queries.Config{Seed: seed}),
-		queries.NewHighWatermark(queries.Config{Seed: seed}),
-		queries.NewTopK(queries.Config{Seed: seed}, 0),
+		queries.NewP2PDetector(c),
+		queries.NewCounter(c),
+		queries.NewFlows(c),
+		queries.NewHighWatermark(c),
+		queries.NewTopK(c, 0),
 	}
 }
 
-func ch6Src(cfg Config, dur time.Duration, anomalies ...trace.Anomaly) *trace.Generator {
-	c := trace.UPC2(cfg.Seed, dur, cfg.Scale)
+// upc2 is the Chapter 6 trace: UPC-II with a 15 % p2p share.
+func upc2(seed uint64, dur time.Duration, scale float64) trace.Config {
+	c := trace.UPC2(seed, dur, scale)
 	c.P2PFrac = 0.15
-	c.Anomalies = anomalies
-	return trace.NewGenerator(c)
+	return c
+}
+
+// ch6Scenario is Chapter 6's: the UPC-II trace with a p2p share under
+// the validation set.
+func ch6Scenario(cfg Config, dur time.Duration, seed uint64, anomalies ...trace.Anomaly) scenario {
+	return newScenario(cfg, seed, source(upc2, cfg, dur, anomalies...), ch6Qs)
+}
+
+// ch6System is the system of most Chapter 6 runs: predictive shedding
+// under mmfs_pkt, with custom shedding on.
+func ch6System(capacity float64) loadshed.Config {
+	return loadshed.Config{Scheme: loadshed.Predictive, Capacity: capacity, Strategy: sched.MMFSPkt{}, CustomShedding: true}
+}
+
+// p2pMethod is one row of Figures 6.1 and 6.2: the p2p-detector at 2x
+// overload under one shedding method.
+type p2pMethod struct {
+	name             string
+	pred, used, rate float64 // per-bin means
+	err              float64 // mean error against the reference
+}
+
+func runP2PMethods(cfg Config) []p2pMethod {
+	s := ch6Scenario(cfg, cfg.dur(20*time.Second), cfg.Seed+60)
+	capacity := s.overloaded(2)
+	ref := s.reference()
+	var out []p2pMethod
+	for _, m := range []struct {
+		name   string
+		method sampling.Method
+	}{
+		{"packet-sampling", sampling.Packet},
+		{"flow-sampling", sampling.Flow},
+		{"custom", sampling.Custom},
+	} {
+		v := newScenario(cfg, s.seed, s.src, func(c queries.Config) []queries.Query {
+			qs := ch6Qs(c)
+			if m.method != sampling.Custom {
+				qs[0] = queries.WithMethod(qs[0], m.method)
+			}
+			return qs
+		})
+		c := ch6System(capacity)
+		c.CustomShedding = m.method == sampling.Custom
+		res := v.run(c)
+		r := p2pMethod{name: m.name}
+		for _, b := range res.Bins {
+			r.pred += b.QueryPred[0]
+			r.used += b.QueryUsed[0]
+			r.rate += b.Rates[0]
+		}
+		n := float64(len(res.Bins))
+		r.pred, r.used, r.rate = r.pred/n, r.used/n, r.rate/n
+		r.err = stats.Mean(loadshed.Errors(s.qs(), res, ref)["p2p-detector"])
+		out = append(out, r)
+	}
+	return out
 }
 
 func fig612(cfg Config) (*Result, error) {
-	dur := cfg.dur(20 * time.Second)
-	type variant struct {
-		name   string
-		mk     func() []queries.Query
-		custom bool
-	}
-	base := func(method sampling.Method) func() []queries.Query {
-		return func() []queries.Query {
-			qs := ch6Qs(cfg.Seed)
-			if method != sampling.Custom {
-				qs[0] = queries.WithMethod(qs[0], method)
-			}
-			return qs
-		}
-	}
-	variants := []variant{
-		{"packet-sampling", base(sampling.Packet), false},
-		{"flow-sampling", base(sampling.Flow), false},
-		{"custom", base(sampling.Custom), true},
-	}
-	capacity2x := loadshed.CapacityForOverload(ch6Src(cfg, dur), ch6Qs(cfg.Seed), cfg.Seed+60, 2)
-	ref := loadshed.Reference(ch6Src(cfg, dur), ch6Qs(cfg.Seed), cfg.Seed+60)
-
 	costT := Table{
 		ID: "fig6.1", Title: "p2p-detector mean prediction and usage per bin",
 		Columns: []string{"method", "mean predicted", "mean used", "mean rate"},
@@ -78,24 +112,11 @@ func fig612(cfg Config) (*Result, error) {
 		ID: "fig6.2", Title: "p2p-detector accuracy error per method",
 		Columns: []string{"method", "mean error"},
 	}
-	for _, v := range variants {
-		res := loadshed.New(loadshed.Config{
-			Scheme: loadshed.Predictive, Capacity: capacity2x,
-			Seed: cfg.Seed + 61, Strategy: sched.MMFSPkt{},
-			CustomShedding: v.custom,
-		}, v.mk()).Run(ch6Src(cfg, dur))
-		var pred, used, rate float64
-		for _, b := range res.Bins {
-			pred += b.QueryPred[0]
-			used += b.QueryUsed[0]
-			rate += b.Rates[0]
-		}
-		n := float64(len(res.Bins))
+	for _, m := range runP2PMethods(cfg) {
 		costT.Rows = append(costT.Rows, []string{
-			v.name, fmtF(pred/n, 0), fmtF(used/n, 0), fmtF(rate/n, 2),
+			m.name, fmtF(m.pred, 0), fmtF(m.used, 0), fmtF(m.rate, 2),
 		})
-		errs := loadshed.Errors(ch6Qs(cfg.Seed), res, ref)["p2p-detector"]
-		accT.Rows = append(accT.Rows, []string{v.name, fmtPct(stats.Mean(errs))})
+		accT.Rows = append(accT.Rows, []string{m.name, fmtPct(m.err)})
 	}
 	return &Result{Tables: []Table{costT, accT}, Notes: []string{
 		"paper shape: custom shedding error well below packet and flow sampling at equal budget",
@@ -103,19 +124,15 @@ func fig612(cfg Config) (*Result, error) {
 }
 
 func fig63(cfg Config) (*Result, error) {
-	dur := cfg.dur(20 * time.Second)
-	capacity2x := loadshed.CapacityForOverload(ch6Src(cfg, dur), ch6Qs(cfg.Seed), cfg.Seed+62, 2)
-	sys := loadshed.New(loadshed.Config{
-		Scheme: loadshed.Predictive, Capacity: capacity2x,
-		Seed: cfg.Seed + 63, Strategy: sched.MMFSPkt{}, CustomShedding: true,
-	}, ch6Qs(cfg.Seed))
+	s := ch6Scenario(cfg, cfg.dur(20*time.Second), cfg.Seed+62)
+	sys := s.newSystem(ch6System(s.overloaded(2)))
 	expected := Series{Name: "expected"}
 	actual := Series{Name: "actual"}
 	corr := Series{Name: "correction factor"}
 	// The audit state is read after every bin; nothing else of the run
 	// is kept.
 	bin := 0
-	sys.Stream(ch6Src(cfg, dur), loadshed.SinkFuncs{Bin: func(*loadshed.BinStats) {
+	sys.Stream(s.src(), loadshed.SinkFuncs{Bin: func(*loadshed.BinStats) {
 		for _, st := range sys.CustomStates() {
 			x := float64(bin) / 10
 			expected.X, expected.Y = append(expected.X, x), append(expected.Y, st.LastExpected)
@@ -132,119 +149,51 @@ func fig63(cfg Config) (*Result, error) {
 }
 
 func fig64(cfg Config) (*Result, error) {
-	dur := cfg.dur(10 * time.Second)
-	rates := []float64{0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0}
-	if cfg.Quick {
-		rates = []float64{0.05, 0.3, 0.7, 1.0}
-	}
-	fig := Figure{ID: "fig6.4", Title: "accuracy vs packet sampling rate", XLabel: "sampling rate", YLabel: "accuracy"}
-	for _, name := range []string{"high-watermark", "top-k", "p2p-detector"} {
-		s := Series{Name: name}
-		for _, rate := range rates {
-			s.X = append(s.X, rate)
-			s.Y = append(s.Y, stats.Clamp(1-sampledError(cfg, dur, name, rate), 0, 1))
-		}
-		fig.Series = append(fig.Series, s)
-	}
+	fig := rateFigure(cfg, "fig6.4", "accuracy vs packet sampling rate", "high-watermark", "top-k", "p2p-detector")
 	return &Result{Figures: []Figure{fig}, Notes: []string{
 		"paper shape: p2p-detector degrades ~linearly with the rate; high-watermark is robust",
 	}}, nil
 }
 
 func fig65(cfg Config) (*Result, error) {
-	dur := cfg.dur(15 * time.Second)
+	s := ch6Scenario(cfg, cfg.dur(15*time.Second), cfg.Seed+64)
 	grid := kGrid(cfg.Quick)
-	mkQs := func() []queries.Query { return ch6Qs(cfg.Seed) }
-	demand := loadshed.MeasureCapacity(ch6Src(cfg, dur), mkQs(), cfg.Seed+64)
-	ref := loadshed.Reference(ch6Src(cfg, dur), mkQs(), cfg.Seed+64)
-
-	avgFig := Figure{ID: "fig6.5a", Title: "average accuracy vs K", XLabel: "K", YLabel: "accuracy"}
-	minFig := Figure{ID: "fig6.5b", Title: "minimum accuracy vs K", XLabel: "K", YLabel: "accuracy"}
-	for _, withCustom := range []bool{false, true} {
-		name := "sampling-only"
-		if withCustom {
-			name = "with-custom"
-		}
-		avgS, minS := Series{Name: name}, Series{Name: name}
-		for _, k := range grid {
-			res := loadshed.New(loadshed.Config{
-				Scheme: loadshed.Predictive, Capacity: demand * (1 - k),
-				Seed: cfg.Seed + 65, Strategy: sched.MMFSPkt{},
-				CustomShedding: withCustom,
-			}, mkQs()).Run(ch6Src(cfg, dur))
-			accs := loadshed.Accuracies(mkQs(), res, ref, 10)
-			avg, min, _ := meanAccuracy(accs)
-			avgS.X, avgS.Y = append(avgS.X, k), append(avgS.Y, avg)
-			minS.X, minS.Y = append(minS.X, k), append(minS.Y, min)
-		}
-		avgFig.Series = append(avgFig.Series, avgS)
-		minFig.Series = append(minFig.Series, minS)
+	systems := []system{
+		{"sampling-only", loadshed.Config{Scheme: loadshed.Predictive, Strategy: sched.MMFSPkt{}}},
+		{"with-custom", ch6System(0)},
 	}
-	return &Result{Figures: []Figure{avgFig, minFig}}, nil
+	return &Result{Figures: kFigures("fig6.5", "K", grid, systems, s.sweepK(grid, systems))}, nil
 }
 
 // timelineFigure summarizes one run as the Chapter 6 timeline plots do.
-func timelineFigure(id, title string, res *loadshed.RunResult, accs map[string][]float64) Figure {
-	rate := Series{Name: "mean sampling rate"}
-	drops := Series{Name: "drops/s"}
-	for i := 0; i < len(res.Bins); i += 10 {
-		var r, d float64
-		n := 0
-		for j := i; j < i+10 && j < len(res.Bins); j++ {
-			r += stats.Mean(res.Bins[j].Rates)
-			d += float64(res.Bins[j].DropPkts)
-			n++
-		}
-		rate.X, rate.Y = append(rate.X, float64(i)/10), append(rate.Y, r/float64(n))
-		drops.X, drops.Y = append(drops.X, float64(i)/10), append(drops.Y, d)
-	}
-	acc := Series{Name: "avg accuracy"}
-	nIv := 0
-	for _, as := range accs {
-		if len(as) > nIv {
-			nIv = len(as)
-		}
-	}
-	for iv := 0; iv < nIv; iv++ {
-		var sum float64
-		n := 0
-		for _, as := range accs {
-			if iv < len(as) {
-				sum += as[iv]
-				n++
-			}
-		}
-		if n > 0 {
-			acc.X, acc.Y = append(acc.X, float64(iv)), append(acc.Y, sum/float64(n))
-		}
-	}
+func timelineFigure(id, title string, res *loadshed.RunResult, acc accuracy) Figure {
 	return Figure{ID: id, Title: title, XLabel: "time (s) / interval", YLabel: "rate / drops / accuracy",
-		Series: []Series{rate, drops, acc}}
+		Series: []Series{
+			perSecond("mean sampling rate", res.Bins, true, func(b *loadshed.BinStats) float64 { return stats.Mean(b.Rates) }),
+			perSecond("drops/s", res.Bins, false, func(b *loadshed.BinStats) float64 { return float64(b.DropPkts) }),
+			indexed("avg accuracy", acc.overTime()),
+		}}
 }
 
 func fig667(cfg Config) (*Result, error) {
-	dur := cfg.dur(20 * time.Second)
-	mkQs := func() []queries.Query { return ch6Qs(cfg.Seed) }
-	capacity2x := loadshed.CapacityForOverload(ch6Src(cfg, dur), mkQs(), cfg.Seed+66, 2)
-	ref := loadshed.Reference(ch6Src(cfg, dur), mkQs(), cfg.Seed+66)
+	s := ch6Scenario(cfg, cfg.dur(20*time.Second), cfg.Seed+66)
+	capacity := s.overloaded(2)
+	ref := s.reference()
 
 	var figs []Figure
 	var notes []string
+	eqSrates := loadshed.Config{Scheme: loadshed.Predictive, Capacity: capacity, Strategy: sched.EqualRates{RespectMinRates: true}}
 	for _, v := range []struct {
-		id, name string
-		strat    sched.Strategy
-		withCust bool
+		id string
+		system
 	}{
-		{"fig6.6", "eq_srates, no custom shedding", sched.EqualRates{RespectMinRates: true}, false},
-		{"fig6.7", "mmfs_pkt with custom shedding", sched.MMFSPkt{}, true},
+		{"fig6.6", system{"eq_srates, no custom shedding", eqSrates}},
+		{"fig6.7", system{"mmfs_pkt with custom shedding", ch6System(capacity)}},
 	} {
-		res := loadshed.New(loadshed.Config{
-			Scheme: loadshed.Predictive, Capacity: capacity2x,
-			Seed: cfg.Seed + 67, Strategy: v.strat, CustomShedding: v.withCust,
-		}, mkQs()).Run(ch6Src(cfg, dur))
-		accs := loadshed.Accuracies(mkQs(), res, ref, 10)
-		figs = append(figs, timelineFigure(v.id, v.name, res, accs))
-		avg, min, _ := meanAccuracy(accs)
+		res := s.run(v.cfg)
+		acc := s.score(res, ref)
+		figs = append(figs, timelineFigure(v.id, v.name, res, acc))
+		avg, min, _ := acc.mean()
 		notes = append(notes, fmt.Sprintf("%s: avg accuracy %.3f, min %.3f", v.name, avg, min))
 	}
 	return &Result{Figures: figs, Notes: notes}, nil
@@ -254,16 +203,13 @@ func fig68(cfg Config) (*Result, error) {
 	dur := cfg.dur(30 * time.Second)
 	pps := trace.UPC2(cfg.Seed, dur, cfg.Scale).PacketsPerSec
 	ddos := trace.NewOnOffDDoS(dur/3, dur/3, 8*pps, pkt.IPv4(147, 83, 1, 1))
-	mkQs := func() []queries.Query { return ch6Qs(cfg.Seed) }
-	ovh, normal := loadshed.MeasureLoad(ch6Src(cfg, dur), mkQs(), cfg.Seed+68) // normal-traffic load
-	ref := loadshed.Reference(ch6Src(cfg, dur, ddos), mkQs(), cfg.Seed+68)
-	res := loadshed.New(loadshed.Config{
-		Scheme: loadshed.Predictive, Capacity: ovh + normal*1.2,
-		Seed: cfg.Seed + 69, Strategy: sched.MMFSPkt{}, CustomShedding: true,
-		BufferBins: 2,
-	}, mkQs()).Run(ch6Src(cfg, dur, ddos))
-	accs := loadshed.Accuracies(mkQs(), res, ref, 10)
-	fig := timelineFigure("fig6.8", "massive spoofed on/off DDoS", res, accs)
+	ovh, normal := ch6Scenario(cfg, dur, cfg.Seed+68).load() // normal-traffic load
+	s := ch6Scenario(cfg, dur, cfg.Seed+68, ddos)
+	ref := s.reference()
+	c := ch6System(ovh + normal*1.2)
+	c.BufferBins = 2
+	res := s.run(c)
+	fig := timelineFigure("fig6.8", "massive spoofed on/off DDoS", res, s.score(res, ref))
 	return &Result{Figures: []Figure{fig}, Notes: []string{
 		fmt.Sprintf("uncontrolled drops: %d of %d packets", res.TotalDrops(), res.TotalWirePkts()),
 	}}, nil
@@ -272,31 +218,28 @@ func fig68(cfg Config) (*Result, error) {
 func fig69(cfg Config) (*Result, error) {
 	dur := cfg.dur(30 * time.Second)
 	bins := int(dur / trace.DefaultTimeBin)
-	mkBase := func() []queries.Query {
+	s := ch6Scenario(cfg, dur, cfg.Seed+70)
+	capacity := s.overloaded(2)
+	// Two of the validation queries start; the other two arrive.
+	s = newScenario(cfg, s.seed, s.src, func(c queries.Config) []queries.Query {
 		return []queries.Query{
-			queries.NewCounter(queries.Config{Seed: cfg.Seed}),
-			queries.NewFlows(queries.Config{Seed: cfg.Seed}),
+			queries.NewCounter(c),
+			queries.NewFlows(c),
 		}
+	})
+	c := ch6System(capacity)
+	c.Arrivals = []loadshed.Arrival{
+		{AtBin: bins / 4, Make: func() queries.Query { return queries.NewTopK(queries.Config{Seed: cfg.Seed}, 0) }},
+		{AtBin: bins / 2, Make: func() queries.Query { return queries.NewP2PDetector(queries.Config{Seed: cfg.Seed}) }},
 	}
-	capacity2x := loadshed.CapacityForOverload(ch6Src(cfg, dur), ch6Qs(cfg.Seed), cfg.Seed+70, 2)
-	res := loadshed.New(loadshed.Config{
-		Scheme: loadshed.Predictive, Capacity: capacity2x,
-		Seed: cfg.Seed + 71, Strategy: sched.MMFSPkt{}, CustomShedding: true,
-		Arrivals: []loadshed.Arrival{
-			{AtBin: bins / 4, Make: func() queries.Query { return queries.NewTopK(queries.Config{Seed: cfg.Seed}, 0) }},
-			{AtBin: bins / 2, Make: func() queries.Query { return queries.NewP2PDetector(queries.Config{Seed: cfg.Seed}) }},
-		},
-	}, mkBase()).Run(ch6Src(cfg, dur))
+	res := s.run(c)
 
-	rate := Series{Name: "mean rate"}
-	nq := Series{Name: "active queries"}
-	for i, b := range res.Bins {
-		rate.X, rate.Y = append(rate.X, float64(i)/10), append(rate.Y, stats.Mean(b.Rates))
-		nq.X, nq.Y = append(nq.X, float64(i)/10), append(nq.Y, float64(len(b.Rates)))
-	}
 	return &Result{Figures: []Figure{{
 		ID: "fig6.9", Title: "query arrivals", XLabel: "time (s)", YLabel: "rate / query count",
-		Series: []Series{rate, nq},
+		Series: []Series{
+			overBins("mean rate", res.Bins, func(b *loadshed.BinStats) float64 { return stats.Mean(b.Rates) }),
+			overBins("active queries", res.Bins, func(b *loadshed.BinStats) float64 { return float64(len(b.Rates)) }),
+		},
 	}}, Notes: []string{
 		fmt.Sprintf("drops: %d (the system re-converges after each arrival)", res.TotalDrops()),
 	}}, nil
@@ -307,29 +250,23 @@ func fig69(cfg Config) (*Result, error) {
 func misbehaverTimeline(cfg Config, id, title string, wrap func(custom.ShedderQuery) queries.Query) (*Result, error) {
 	dur := cfg.dur(30 * time.Second)
 	bins := int(dur / trace.DefaultTimeBin)
-	mkQs := func() []queries.Query { return ch6Qs(cfg.Seed) }
-	capacity2x := loadshed.CapacityForOverload(ch6Src(cfg, dur), mkQs(), cfg.Seed+72, 2)
-	ref := loadshed.Reference(ch6Src(cfg, dur), mkQs(), cfg.Seed+72)
+	s := ch6Scenario(cfg, dur, cfg.Seed+72)
 	arrive := func() queries.Query {
 		return wrap(queries.NewP2PDetector(queries.Config{Seed: cfg.Seed + 5}))
 	}
-	sys := loadshed.New(loadshed.Config{
-		Scheme: loadshed.Predictive, Capacity: capacity2x,
-		Seed: cfg.Seed + 73, Strategy: sched.MMFSPkt{}, CustomShedding: true,
-		Arrivals: []loadshed.Arrival{
-			{AtBin: bins / 3, Make: arrive},
-			{AtBin: 2 * bins / 3, Make: arrive},
-		},
-	}, mkQs())
-	res := sys.Run(ch6Src(cfg, dur))
-	accs := loadshed.Accuracies(mkQs(), res, ref, 10)
-	fig := timelineFigure(id, title, res, accs)
+	c := ch6System(s.overloaded(2))
+	c.Arrivals = []loadshed.Arrival{{AtBin: bins / 3, Make: arrive}, {AtBin: 2 * bins / 3, Make: arrive}}
+	ref := s.reference()
+	sys := s.newSystem(c)
+	res := sys.Run(s.src())
+	acc := s.score(res, ref)
+	fig := timelineFigure(id, title, res, acc)
 
 	notes := []string{}
 	for _, st := range sys.CustomStates() {
 		notes = append(notes, fmt.Sprintf("%s: final mode %v, corr %.2f", st.Name(), st.Mode(), st.Corr()))
 	}
-	avg, _, byQ := meanAccuracy(accs)
+	avg, _, byQ := acc.mean()
 	notes = append(notes, fmt.Sprintf("resident avg accuracy %.3f (counter %.3f)", avg, byQ["counter"]))
 	return &Result{Figures: []Figure{fig}, Notes: notes}, nil
 }
@@ -344,67 +281,43 @@ func fig611(cfg Config) (*Result, error) {
 		func(q custom.ShedderQuery) queries.Query { return custom.NewBuggy(q) })
 }
 
-// onlineRun is the shared fig6.12-14 / tab6.2 execution.
-func onlineRun(cfg Config) (*loadshed.RunResult, *loadshed.RunResult, func() []queries.Query, float64) {
-	dur := cfg.dur(40 * time.Second)
-	mkQs := func() []queries.Query { return queries.FullSet(queries.Config{Seed: cfg.Seed}) }
-	capacity2x := loadshed.CapacityForOverload(ch6Src(cfg, dur), mkQs(), cfg.Seed+74, 2)
-	ref := loadshed.Reference(ch6Src(cfg, dur), mkQs(), cfg.Seed+74)
-	res := loadshed.New(loadshed.Config{
-		Scheme: loadshed.Predictive, Capacity: capacity2x,
-		Seed: cfg.Seed + 75, Strategy: sched.MMFSPkt{}, CustomShedding: true,
-	}, mkQs()).Run(ch6Src(cfg, dur))
-	return res, ref, mkQs, capacity2x
+// onlineRun is the shared fig6.12-14 / tab6.2 execution: all ten
+// queries on the Chapter 6 trace at 2x overload.
+func onlineRun(cfg Config) (res *loadshed.RunResult, acc accuracy, capacity float64) {
+	s := newScenario(cfg, cfg.Seed+74, source(upc2, cfg, cfg.dur(40*time.Second)), queries.FullSet)
+	capacity = s.overloaded(2)
+	ref := s.reference()
+	res = s.run(ch6System(capacity))
+	return res, s.score(res, ref), capacity
 }
 
 func fig61214(cfg Config) (*Result, error) {
-	res, ref, mkQs, capacity := onlineRun(cfg)
+	res, acc, capacity := onlineRun(cfg)
+	cpu := Figure{ID: "fig6.12", Title: "CPU after shedding (stacked) and predicted", XLabel: "time (s)", YLabel: "cycles/bin",
+		Series: stackedCPU(res.Bins, capacity, [5]string{"overhead", "+shedding", "+queries", "predicted", "capacity"})}
+	buf := Figure{ID: "fig6.13", Title: "buffer occupancy and drops", XLabel: "time (s)", YLabel: "bins / packets",
+		Series: []Series{
+			overBins("buffer occupancy (bins)", res.Bins, func(b *loadshed.BinStats) float64 { return b.BufferBins }),
+			overBins("drops", res.Bins, func(b *loadshed.BinStats) float64 { return float64(b.DropPkts) }),
+		}}
+	accFig := timelineFigure("fig6.14", "overall accuracy and shedding rate", res, acc)
 
-	cpu := Figure{ID: "fig6.12", Title: "CPU after shedding (stacked) and predicted", XLabel: "time (s)", YLabel: "cycles/bin"}
-	overhead := Series{Name: "overhead"}
-	withShed := Series{Name: "+shedding"}
-	withQueries := Series{Name: "+queries"}
-	predicted := Series{Name: "predicted"}
-	capLine := Series{Name: "capacity"}
-	buffer := Series{Name: "buffer occupancy (bins)"}
-	for i, b := range res.Bins {
-		x := float64(i) / 10
-		overhead.X, overhead.Y = append(overhead.X, x), append(overhead.Y, b.Overhead)
-		withShed.X, withShed.Y = append(withShed.X, x), append(withShed.Y, b.Overhead+b.Shed)
-		withQueries.X, withQueries.Y = append(withQueries.X, x), append(withQueries.Y, b.Overhead+b.Shed+b.Used)
-		predicted.X, predicted.Y = append(predicted.X, x), append(predicted.Y, b.Predicted)
-		capLine.X, capLine.Y = append(capLine.X, x), append(capLine.Y, capacity)
-		buffer.X, buffer.Y = append(buffer.X, x), append(buffer.Y, b.BufferBins)
-	}
-	cpu.Series = []Series{overhead, withShed, withQueries, predicted, capLine}
-
-	buf := Figure{ID: "fig6.13", Title: "buffer occupancy and drops", XLabel: "time (s)", YLabel: "bins / packets"}
-	drops := Series{Name: "drops"}
-	for i, b := range res.Bins {
-		drops.X, drops.Y = append(drops.X, float64(i)/10), append(drops.Y, float64(b.DropPkts))
-	}
-	buf.Series = []Series{buffer, drops}
-
-	accs := loadshed.Accuracies(mkQs(), res, ref, 10)
-	accFig := timelineFigure("fig6.14", "overall accuracy and shedding rate", res, accs)
-
-	avg, min, _ := meanAccuracy(accs)
+	avg, min, _ := acc.mean()
 	return &Result{Figures: []Figure{cpu, buf, accFig}, Notes: []string{
 		fmt.Sprintf("avg accuracy %.3f, min %.3f, drops %d", avg, min, res.TotalDrops()),
 	}}, nil
 }
 
 func tab62(cfg Config) (*Result, error) {
-	res, ref, mkQs, _ := onlineRun(cfg)
-	accs := loadshed.Accuracies(mkQs(), res, ref, 10)
+	_, acc, _ := onlineRun(cfg)
 	t := Table{
 		ID: "tab6.2", Title: "accuracy by query (mean ± stdev)",
 		Columns: []string{"query", "accuracy"},
 	}
-	for _, q := range mkQs() {
-		as := accs[q.Name()]
+	for _, name := range acc.names {
+		as := acc.per[name]
 		t.Rows = append(t.Rows, []string{
-			q.Name(), fmtF(stats.Mean(as), 3) + " ±" + fmtF(stats.Stdev(as), 3),
+			name, fmtF(stats.Mean(as), 3) + " ±" + fmtF(stats.Stdev(as), 3),
 		})
 	}
 	return &Result{Tables: []Table{t}}, nil

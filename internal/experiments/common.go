@@ -2,37 +2,12 @@ package experiments
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/features"
 	"repro/internal/predict"
-	"repro/internal/queries"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/pkg/loadshed"
 )
-
-// Trace builders for the dataset presets at experiment scale.
-
-func srcCESCA1(cfg Config, dur time.Duration, anomalies ...trace.Anomaly) *trace.Generator {
-	c := trace.CESCA1(cfg.Seed, dur, cfg.Scale)
-	c.Anomalies = anomalies
-	return trace.NewGenerator(c)
-}
-
-func srcCESCA2(cfg Config, dur time.Duration, anomalies ...trace.Anomaly) *trace.Generator {
-	c := trace.CESCA2(cfg.Seed, dur, cfg.Scale)
-	c.Anomalies = anomalies
-	return trace.NewGenerator(c)
-}
-
-func srcAbilene(cfg Config, dur time.Duration) *trace.Generator {
-	return trace.NewGenerator(trace.Abilene(cfg.Seed, dur, cfg.Scale))
-}
-
-func srcCENIC(cfg Config, dur time.Duration) *trace.Generator {
-	return trace.NewGenerator(trace.CENIC(cfg.Seed, dur, cfg.Scale))
-}
 
 // predRun is one Chapter 3 prediction run, read off the engine: the
 // queries run at full rate (unlimited capacity, so nothing is shed) and
@@ -70,14 +45,14 @@ func mkEWMA(alpha float64) predictorMaker {
 	return func() predict.Predictor { return predict.NewEWMA(alpha) }
 }
 
-// runPredictor streams src through a predictive System at unlimited
+// predict streams the scenario through a predictive System at unlimited
 // capacity and without noise, with mk as every query's predictor, and
 // reads the run back: per-query predictions and measured costs from the
 // bin records, selected features from the MLRs mk handed out (read in
 // OnBin, after the bin's refit), and the overhead split from the
 // engine's own op counters. warmup bins are excluded from the error
 // series (the model needs history before its errors are meaningful).
-func runPredictor(src trace.Source, qs []queries.Query, mk predictorMaker, warmup int) *predRun {
+func (s scenario) predict(mk predictorMaker, warmup int) *predRun {
 	r := &predRun{}
 	var mlrs []*predict.MLR
 	sys := loadshed.New(loadshed.Config{
@@ -91,8 +66,8 @@ func runPredictor(src trace.Source, qs []queries.Query, mk predictorMaker, warmu
 			}
 			return p
 		},
-	}, qs)
-	sys.Stream(src, loadshed.SinkFuncs{
+	}, s.qs())
+	sys.Stream(s.src(), loadshed.SinkFuncs{
 		Query: func(_ int, name string) {
 			r.Queries = append(r.Queries, name)
 			r.Err, r.Pred, r.Actual = append(r.Err, nil), append(r.Pred, nil), append(r.Actual, nil)
@@ -127,26 +102,20 @@ func runPredictor(src trace.Source, qs []queries.Query, mk predictorMaker, warmu
 	return r
 }
 
-// avgErrPerBin averages the per-query error series bin-wise.
-func (r *predRun) avgErrPerBin() (xs, avg, max []float64) {
+// acrossQueries applies f to each bin's errors across queries, with
+// the bins' times in seconds.
+func (r *predRun) acrossQueries(f func(errs []float64) float64) (xs, ys []float64) {
 	if len(r.Err) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
-	n := len(r.Err[0])
-	for bin := 0; bin < n; bin++ {
-		var sum, mx float64
+	errs := make([]float64, len(r.Err))
+	for bin := range r.Err[0] {
 		for q := range r.Err {
-			e := r.Err[q][bin]
-			sum += e
-			if e > mx {
-				mx = e
-			}
+			errs[q] = r.Err[q][bin]
 		}
-		xs = append(xs, float64(bin)/10) // seconds
-		avg = append(avg, sum/float64(len(r.Err)))
-		max = append(max, mx)
+		xs, ys = append(xs, float64(bin)/10), append(ys, f(errs))
 	}
-	return xs, avg, max
+	return xs, ys
 }
 
 // meanErr returns the mean error across all queries and bins.
@@ -185,23 +154,56 @@ func (r *predRun) topFeatures(qi, n int) string {
 	return out
 }
 
-// meanAccuracy summarizes Accuracies output: the average accuracy over
-// queries and intervals, plus the per-query means.
-func meanAccuracy(accs map[string][]float64) (avg float64, min float64, byQuery map[string]float64) {
-	byQuery = map[string]float64{}
-	min = 1
-	n := 0
-	for q, as := range accs {
-		m := stats.Mean(as)
-		byQuery[q] = m
-		avg += m
-		if m < min {
-			min = m
+// overBins is a per-bin series of a run, ten bins to the second.
+func overBins(name string, bins []loadshed.BinStats, y func(b *loadshed.BinStats) float64) Series {
+	s := Series{Name: name}
+	for i := range bins {
+		s.X, s.Y = append(s.X, float64(i)/10), append(s.Y, y(&bins[i]))
+	}
+	return s
+}
+
+// perSecond sums y over each second of a run's bins, or averages it
+// when avg is set.
+func perSecond(name string, bins []loadshed.BinStats, avg bool, y func(b *loadshed.BinStats) float64) Series {
+	s := Series{Name: name}
+	for i := 0; i < len(bins); i += 10 {
+		var sum float64
+		n := 0
+		for j := i; j < i+10 && j < len(bins); j++ {
+			sum += y(&bins[j])
+			n++
 		}
-		n++
+		if avg {
+			sum /= float64(n)
+		}
+		s.X, s.Y = append(s.X, float64(i)/10), append(s.Y, sum)
 	}
-	if n > 0 {
-		avg /= float64(n)
+	return s
+}
+
+// indexed is ys as a series over their index (an interval number).
+func indexed(name string, ys []float64) Series {
+	s := Series{Name: name}
+	for i, y := range ys {
+		s.X, s.Y = append(s.X, float64(i)), append(s.Y, y)
 	}
-	return avg, min, byQuery
+	return s
+}
+
+// stackedCPU is the per-bin CPU usage of Figures 4.4 and 6.12, stacked
+// as overhead, then shedding, then queries, with the predicted demand
+// and the capacity; names label the five series in that order.
+func stackedCPU(bins []loadshed.BinStats, capacity float64, names [5]string) []Series {
+	out := make([]Series, len(names))
+	for j := range out {
+		out[j].Name = names[j]
+	}
+	for i, b := range bins {
+		x := float64(i) / 10
+		for j, y := range [5]float64{b.Overhead, b.Overhead + b.Shed, b.Overhead + b.Shed + b.Used, b.Predicted, capacity} {
+			out[j].X, out[j].Y = append(out[j].X, x), append(out[j].Y, y)
+		}
+	}
+	return out
 }

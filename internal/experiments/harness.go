@@ -2,14 +2,20 @@
 // figure of the thesis evaluation. Each experiment is registered under
 // the identifier used in DESIGN.md ("fig4.1", "tab3.2", ...) and
 // produces tables and/or series that mirror the rows and curves the
-// paper reports. cmd/lsrepro renders them as text; the root benchmark
-// suite wraps each one in a testing.B target.
+// paper reports. cmd/lsrepro renders them as text, and pkg/loadshed's
+// BenchmarkExperiments runs each one as a sub-benchmark.
+//
+// The experiments share one skeleton (scenario.go): a scenario names
+// the traffic, the queries and the probe seed; its methods size the
+// capacity, run the lossless reference, run each compared system and
+// score it, and sweepK runs the average/minimum-over-K comparison of
+// Chapters 5 and 6. Each experiment computes its numbers through it
+// and renders its tables and figures from them.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
@@ -209,14 +215,4 @@ func fmtF(v float64, prec int) string {
 // fmtPct formats a fraction as a percentage cell.
 func fmtPct(v float64) string {
 	return fmt.Sprintf("%.2f%%", v*100)
-}
-
-// sortedKeys returns map keys in sorted order for deterministic tables.
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

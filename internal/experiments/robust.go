@@ -40,31 +40,30 @@ func init() {
 // robustQs: pattern-search is the anomaly victim (its cost is linear in
 // payload bytes, which every anomaly in the catalog decouples from the
 // header features), flanked by the standard cheap companions.
-func robustQs(seed uint64) []queries.Query {
+func robustQs(c queries.Config) []queries.Query {
 	return []queries.Query{
-		queries.NewPatternSearch(queries.Config{Seed: seed}, nil),
-		queries.NewCounter(queries.Config{Seed: seed}),
-		queries.NewFlows(queries.Config{Seed: seed}),
+		queries.NewPatternSearch(c, nil),
+		queries.NewCounter(c),
+		queries.NewFlows(c),
 	}
 }
 
-// robustSys mirrors the drift regression test's operating point:
+// robustConfig mirrors the drift regression test's operating point:
 // predictive scheme, unlimited capacity and no measurement noise (so
 // per-bin error is exactly model error), a long history window (the
 // quantity the detector's truncation shortcuts), and the detector as
 // every deployment runs it — package-default thresholds, truncation on
 // a verdict.
-func robustSys(cfg Config, detectOn bool) *loadshed.System {
-	return loadshed.New(loadshed.Config{
+func robustConfig(detectOn bool) loadshed.Config {
+	return loadshed.Config{
 		Scheme:          loadshed.Predictive,
 		Strategy:        sched.MMFSPkt{},
-		Seed:            cfg.Seed + 90,
 		Capacity:        math.Inf(1),
 		NoiseSigma:      -1,
 		Workers:         1,
 		Predictor:       mkMLR(120, predict.DefaultThreshold),
 		ChangeDetection: detectOn,
-	}, robustQs(cfg.Seed))
+	}
 }
 
 func robustExp(cfg Config) (*Result, error) {
@@ -73,11 +72,10 @@ func robustExp(cfg Config) (*Result, error) {
 	rest := dur - start
 	basePPS := trace.CESCA2(cfg.Seed, dur, cfg.Scale).PacketsPerSec
 
-	type scenario struct {
+	anomalies := []struct {
 		name string
 		mk   func() trace.Anomaly
-	}
-	scenarios := []scenario{
+	}{
 		{"gradual-drift", func() trace.Anomaly {
 			return trace.NewGradualDrift(start, rest, 1.5*basePPS)
 		}},
@@ -98,7 +96,7 @@ func robustExp(cfg Config) (*Result, error) {
 	}
 	var fig Figure
 
-	for _, sc := range scenarios {
+	for _, sc := range anomalies {
 		// Seed offset 30 puts the default run (Seed 1) on the exact
 		// trace TestDriftDetectorRecovery pins.
 		tc := trace.CESCA2(cfg.Seed+30, dur, cfg.Scale)
@@ -106,6 +104,9 @@ func robustExp(cfg Config) (*Result, error) {
 		g := trace.NewGenerator(tc)
 		batches := trace.Record(g)
 		bin := g.TimeBin()
+		// Both runs replay the recorded batches; the systems run at
+		// seed+1, cfg.Seed+90.
+		s := newScenario(cfg, cfg.Seed+89, func() trace.Source { return trace.NewMemorySource(batches, bin) }, robustQs)
 		startBin := int(start / bin)
 		// The regime keeps moving through the anomaly's own ramp (a
 		// quarter of its span, like GradualDrift's default); "post"
@@ -144,7 +145,7 @@ func robustExp(cfg Config) (*Result, error) {
 		}
 		runs := map[bool]outcome{}
 		for _, on := range []bool{false, true} {
-			res := robustSys(cfg, on).Run(trace.NewMemorySource(batches, bin))
+			res := s.run(robustConfig(on))
 			o := outcome{err: relErr(res)}
 			for i, b := range res.Bins {
 				if b.Change {

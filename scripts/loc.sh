@@ -8,6 +8,8 @@
 #                      and vars (struct fields are not counted)
 #   Config fields      the settable fields of loadshed.Config, the
 #                      engine's option surface
+#   by package         non-test LOC of each package directory, so a
+#                      consolidation shows where the lines went
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -46,3 +48,7 @@ echo "non-test LOC:     $loc"
 echo "test LOC:         $testloc"
 echo "exported symbols: $symbols"
 echo "Config fields:    $fields"
+echo "non-test LOC by package:"
+files | xargs -n1 dirname | sort -u | while read -r dir; do
+	printf '  %-24s %6d\n' "${dir#./}" "$(find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' | count)"
+done
