@@ -18,42 +18,43 @@ import (
 	"repro/pkg/loadshed"
 )
 
-// coordOpts carries the flag values the coordinator mode consumes.
+// coordOpts holds the coordinator's own flags. It also reads -serve and
+// -capacity (its admin plane and the total machine budget) and the link
+// flags -lease and -cluster-key, from the structs the worker binds them
+// into; -shard-policy is also the in-process cluster's.
 type coordOpts struct {
-	listen    string            // TCP address workers connect to
-	admin     string            // HTTP admin plane address ("" = none)
-	policy    loadshed.Strategy // shard policy (must coordinate; nil = "static" is rejected)
-	capacity  float64           // total machine budget, cycles/bin
-	heartbeat time.Duration
-	lease     time.Duration
-	grace     time.Duration // partition-to-failover window (0 = 2x lease)
-	key       string        // pre-shared cluster key ("" = unauthenticated)
-	stateDir  string        // checkpoint spill directory ("" = memory only)
+	listen     string // -coordinator: TCP address workers connect to
+	policyName string
+	policy     loadshed.Strategy // nil = "static", which the coordinator rejects
+	heartbeat  time.Duration
+	grace      time.Duration // partition-to-failover window (0 = 2x lease)
+	stateDir   string        // checkpoint spill directory ("" = memory only)
 }
 
 // runCoordinator serves the budget coordinator until a signal arrives.
-func runCoordinator(ctx context.Context, o coordOpts) {
-	if o.policy == nil {
+func runCoordinator(ctx context.Context, o *options) {
+	c := o.coord
+	if c.policy == nil {
 		die(fmt.Errorf(`-coordinator needs a coordinating -shard-policy; "static" disables coordination (every worker would keep its static budget)`))
 	}
 	if o.capacity <= 0 {
 		die(fmt.Errorf("-coordinator needs -capacity: the total machine budget in cycles/bin cannot be probed from traffic the coordinator never sees"))
 	}
 
-	coord := loadshed.NewCoordinator(o.policy, o.capacity)
-	if o.stateDir != "" {
+	coord := loadshed.NewCoordinator(c.policy, o.capacity)
+	if c.stateDir != "" {
 		// Reload any spilled checkpoints before serving: shards that
 		// crashed with the previous coordinator come back as partitioned
 		// members whose state is immediately offerable.
-		die(coord.SetStateDir(o.stateDir))
-		fmt.Printf("state dir %s: %d checkpoint(s) reloaded\n", o.stateDir, coord.CheckpointsStored())
+		die(coord.SetStateDir(c.stateDir))
+		fmt.Printf("state dir %s: %d checkpoint(s) reloaded\n", c.stateDir, coord.CheckpointsStored())
 	}
-	ln, err := net.Listen("tcp", o.listen)
+	ln, err := net.Listen("tcp", c.listen)
 	die(err)
 	srv := loadshed.ServeCoordinator(ln, coord, loadshed.CoordServerConfig{
-		Heartbeat: o.heartbeat,
+		Heartbeat: c.heartbeat,
 		Lease:     o.lease,
-		Grace:     o.grace,
+		Grace:     c.grace,
 		Key:       o.key,
 	})
 	auth := "unauthenticated"
@@ -61,9 +62,9 @@ func runCoordinator(ctx context.Context, o coordOpts) {
 		auth = "PSK-authenticated"
 	}
 	fmt.Printf("coordinator on %s: policy %s, total capacity %.3g cycles/bin, heartbeat %v, %s\n",
-		srv.Addr(), o.policy.Name(), o.capacity, o.heartbeat, auth)
+		srv.Addr(), c.policy.Name(), o.capacity, c.heartbeat, auth)
 
-	stopAdmin := startAdmin(o.admin, coordinatorMux(srv, o), "healthz, metrics, cluster")
+	stopAdmin := startAdmin(o.admin, coordinatorMux(srv, c), "healthz, metrics, cluster")
 
 	<-ctx.Done()
 	srv.Close()
@@ -169,46 +170,47 @@ func b2i(b bool) int {
 	return 0
 }
 
-// workerOpts carries the flag values the worker mode consumes, on top
-// of the serve options it shares (ingest, capacity sizing, admin).
+// workerOpts holds the flags the worker mode reads on top of the serve
+// mode's (ingest, capacity sizing, admin, engine).
 type workerOpts struct {
-	coordAddr string
+	serveOpts
+	coordAddr string // -worker
 	name      string
 	minShare  float64
 	lease     time.Duration
 	key       string        // pre-shared cluster key ("" = unauthenticated)
 	joinWait  time.Duration // startup bound on reaching the coordinator (0 = forever)
 	ckptEvery int           // checkpoint cadence in measurement intervals (0 = off)
-	serve     serveOpts
 }
 
 // shardSpec describes this worker's shard in the transferable form that
 // travels inside every checkpoint, so any adopter can rebuild the same
 // System and reopen the same traffic source.
-func (o workerOpts) shardSpec(qs []loadshed.Query, capacity float64) loadshed.ShardSpec {
+func (o workerOpts) shardSpec(capacity float64) loadshed.ShardSpec {
+	qs := o.queries()
 	specQs := make([]loadshed.QuerySpec, len(qs))
 	for i, q := range qs {
-		specQs[i] = loadshed.QuerySpec{Kind: q.Name(), Seed: o.serve.seed}
+		specQs[i] = loadshed.QuerySpec{Kind: q.Name(), Seed: o.seed}
 	}
 	strategy := ""
-	if o.serve.scheme == loadshed.Predictive {
-		strategy = o.serve.strategy.Name()
+	if o.scheme == loadshed.Predictive {
+		strategy = o.strategy.Name()
 	}
 	return loadshed.ShardSpec{
-		Scheme:          o.serve.schemeName,
+		Scheme:          o.schemeName,
 		Strategy:        strategy,
-		Seed:            o.serve.seed + 2,
+		Seed:            o.seed + 2,
 		Capacity:        capacity,
-		Workers:         o.serve.workers,
-		ChangeDetection: o.serve.detectOn,
-		CustomShedding:  o.serve.customOn,
+		Workers:         o.workers,
+		ChangeDetection: o.detectOn,
+		CustomShedding:  o.customOn,
 		Queries:         specQs,
 		MinShare:        o.minShare,
-		Ingest:          o.serve.ingest,
-		Preset:          o.serve.preset,
-		TraceSeed:       o.serve.seed,
-		TraceDur:        o.serve.dur,
-		Scale:           o.serve.scale,
+		Ingest:          o.ingest,
+		Preset:          o.preset,
+		TraceSeed:       o.seed,
+		TraceDur:        o.dur,
+		Scale:           o.scale,
 	}
 }
 
@@ -253,17 +255,17 @@ func (o workerOpts) member(sys *loadshed.System, client *loadshed.CoordClient, s
 // worker through coordinator outages, and the first grant replaces it.
 // The engine is built from the same ShardSpec that travels in the
 // shard's checkpoints, so what an adopter rebuilds is what ran here.
-func runWorker(ctx context.Context, mkQs func() []loadshed.Query, o workerOpts) {
+func runWorker(ctx context.Context, o workerOpts) {
 	name := o.name
 	if name == "" {
 		name = fmt.Sprintf("worker%d", os.Getpid())
 	}
-	serveLoop(ctx, mkQs, o.serve, "initial capacity", func(capacity float64) (*loadshed.System, serveMode) {
-		spec := o.shardSpec(mkQs(), capacity)
+	serveLoop(ctx, o.serveOpts, "initial capacity", func(capacity float64) (*loadshed.System, serveMode) {
+		spec := o.shardSpec(capacity)
 		sys, err := shardSystem(spec, nil)
 		die(err)
 		client := joinCoordinator(name, o)
-		if o.ckptEvery > 0 && o.serve.customOn {
+		if o.ckptEvery > 0 && o.customOn {
 			fmt.Println("warning: -checkpoint-every needs -custom=false (custom load shedding has unserializable state); checkpoints will fail until it is disabled")
 		}
 		node := o.member(sys, client, spec, name, 0)

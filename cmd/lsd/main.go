@@ -43,6 +43,10 @@
 //	lsd -coordinator 127.0.0.1:9800 -shard-policy mmfs_cpu -capacity 2e6 -serve 127.0.0.1:9091
 //	lsd -worker 127.0.0.1:9800 -node mon-a -ingest udp://127.0.0.1:9000 -serve 127.0.0.1:9092
 //
+// Each mode reads its own flags, and lsd -h lists them per mode. A
+// flag set on the command line that the selected mode does not read is
+// an error before anything runs, never silently dropped.
+//
 // All modes shut down cleanly on SIGINT/SIGTERM: the engine stops at
 // the next bin boundary, flushes the open measurement interval, and the
 // final report still prints.
@@ -54,6 +58,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -62,160 +68,168 @@ import (
 )
 
 func main() {
-	var (
-		preset    = flag.String("preset", "cesca2", "dataset preset (ignored with -trace)")
-		traceFile = flag.String("trace", "", "replay this trace file instead of generating")
-		dur       = flag.Duration("dur", 30*time.Second, "generated trace duration")
-		scale     = flag.Float64("scale", 0.1, "generated trace rate scale")
-		seed      = flag.Uint64("seed", 1, "seed")
-		overload  = flag.Float64("overload", 2, "demand/capacity ratio to impose")
-		scheme    = flag.String("scheme", "predictive", "predictive | reactive | original | none")
-		strategy  = flag.String("strategy", "mmfs_pkt", "equal | eq_srates | mmfs_cpu | mmfs_pkt (predictive only)")
-		full      = flag.Bool("full", false, "run all ten queries instead of the standard seven")
-		customOn  = flag.Bool("custom", true, "enable custom load shedding (Chapter 6)")
-		detectOn  = flag.Bool("detect", false, "online drift detection at the detector's default thresholds; a change verdict truncates every MLR history to its newest rows (predictive scheme only)")
-		workers   = flag.Int("workers", 0, "query execution worker pool size (0 = auto: all cores single-link, inline per shard with -shards)")
-		shards    = flag.Int("shards", 1, "split the trace across N links and run a Cluster")
-		shardPol  = flag.String("shard-policy", "mmfs_cpu", "cross-shard budget policy: static | equal | eq_srates | mmfs_cpu | mmfs_pkt")
-		stream    = flag.Bool("stream", false, "constant-memory streaming runtime: rolling report, no reference run")
-		maxBins   = flag.Int("max-bins", 0, "with -stream on a generated trace: run for N batches (-1 = forever, 0 = derive from -dur)")
-		report    = flag.Duration("report", 10*time.Second, "with -stream: trace time between rolling reports")
-		serve     = flag.String("serve", "", "run as a service: HTTP admin plane address (e.g. 127.0.0.1:9091)")
-		ingest    = flag.String("ingest", "gen", "with -serve: packet source — gen | udp://host:port | unix:///path | tail:file")
-		feed      = flag.String("feed", "", "replay generated traffic into a serving lsd at udp://host:port or unix:///path")
-		capFlag   = flag.Float64("capacity", 0, "with -serve: cycle budget per bin (0 = size from a generated probe via -overload); with -coordinator: total machine budget (required)")
-		window    = flag.Duration("window", time.Minute, "with -serve: rolling-metrics window")
-		coordAddr = flag.String("coordinator", "", "run the cluster budget coordinator on this TCP address")
-		workerOf  = flag.String("worker", "", "run as a cluster worker of the coordinator at this address")
-		nodeName  = flag.String("node", "", "with -worker: cluster node name (default workerPID)")
-		minShare  = flag.Float64("min-share", 0, "with -worker: guaranteed fraction of reported demand")
-		heartbeat = flag.Duration("heartbeat", 500*time.Millisecond, "with -coordinator: budget reallocation period")
-		lease     = flag.Duration("lease", 0, "grant/report freshness lease (0 = 3x heartbeat)")
-		key       = flag.String("cluster-key", "", "pre-shared key authenticating the coordinator link (must match on both sides; empty = unauthenticated)")
-		joinWait  = flag.Duration("join-timeout", 30*time.Second, "with -worker: give up and exit nonzero if the coordinator is unreachable this long at startup (0 = retry forever)")
-		ckptEvery = flag.Int("checkpoint-every", 0, "with -worker: ship a durable shard checkpoint to the coordinator every K measurement intervals (0 = off; needs -custom=false)")
-		stateDir  = flag.String("state-dir", "", "with -coordinator: spill the latest checkpoint per shard here and reload on restart")
-		grace     = flag.Duration("grace", 0, "with -coordinator: how long past its lease a partitioned shard waits before failover (0 = 2x lease)")
-	)
+	o := new(options)
+	o.define(flag.CommandLine)
+	flag.Usage = usage
 	flag.Parse()
-
-	// -shard-policy configures the coordinator (in-process with -shards,
-	// standalone with -coordinator); anywhere else it would be silently
-	// ignored, so reject it at parse time rather than mislead.
-	shardPolSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shard-policy" {
-			shardPolSet = true
-		}
-	})
-	if shardPolSet && *shards <= 1 && *coordAddr == "" {
-		die(fmt.Errorf("-shard-policy needs -shards N>1 or -coordinator: a single monitor has no budget to split (workers get their policy from the coordinator)"))
-	}
-
-	// Name typos die here, before any mode spends seconds measuring demand.
-	eng := engineOpts{
-		seed:       *seed,
-		schemeName: *scheme,
-		customOn:   *customOn,
-		detectOn:   *detectOn,
-		workers:    *workers,
-	}
-	var err error
-	eng.scheme, err = loadshed.ParseScheme(*scheme)
+	// Flags the mode does not read and name typos die here, before any
+	// mode spends seconds measuring demand.
+	m, err := o.selectMode(flag.CommandLine)
 	die(err)
-	eng.strategy, err = loadshed.StrategyByName(*strategy)
-	die(err)
-	var shardPolicy loadshed.Strategy // nil = static split
-	if *shards > 1 || *coordAddr != "" {
-		shardPolicy, err = loadshed.ShardPolicyByName(*shardPol)
-		die(err)
-	}
 
 	// Every mode shuts down on SIGINT/SIGTERM by cancelling this context:
 	// the engine finishes its current bin, flushes the open interval, and
 	// the mode's final report still prints.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	m.run(ctx, o)
+}
 
-	mkQs := func() []loadshed.Query {
-		if *full {
-			return loadshed.AllQueries(loadshed.QueryConfig{Seed: *seed})
+// options holds every flag lsd defines, each bound straight into the
+// options struct of the mode that reads it. Modes that read a flag in
+// common share its struct: a worker is a serving monitor, so
+// workerOpts holds -serve's serveOpts, which hold the engineOpts every
+// mode that runs an engine reads.
+type options struct {
+	workerOpts
+	coord   coordOpts
+	trace   string // replayed by run, cluster and stream
+	shards  int
+	stream  bool
+	maxBins int
+	report  time.Duration
+	feed    string
+}
+
+// define declares lsd's 33 flags on fs, each bound into o.
+func (o *options) define(fs *flag.FlagSet) {
+	fs.StringVar(&o.preset, "preset", "cesca2", "dataset preset (ignored with -trace)")
+	fs.StringVar(&o.trace, "trace", "", "replay this trace file instead of generating")
+	fs.DurationVar(&o.dur, "dur", 30*time.Second, "generated trace duration")
+	fs.Float64Var(&o.scale, "scale", 0.1, "generated trace rate scale")
+	fs.Uint64Var(&o.seed, "seed", 1, "seed")
+	fs.Float64Var(&o.overload, "overload", 2, "demand/capacity ratio to impose")
+	fs.StringVar(&o.schemeName, "scheme", "predictive", "predictive | reactive | original | none")
+	fs.StringVar(&o.strategyName, "strategy", "mmfs_pkt", "equal | eq_srates | mmfs_cpu | mmfs_pkt (predictive only)")
+	fs.BoolVar(&o.full, "full", false, "run all ten queries instead of the standard seven")
+	fs.BoolVar(&o.customOn, "custom", true, "enable custom load shedding (Chapter 6)")
+	fs.BoolVar(&o.detectOn, "detect", false, "online drift detection at the detector's default thresholds; a change verdict truncates every MLR history to its newest rows (predictive scheme only)")
+	fs.IntVar(&o.workers, "workers", 0, "query execution worker pool size (0 = auto: all cores single-link, inline per shard with -shards)")
+	fs.IntVar(&o.shards, "shards", 1, "split the trace across N links and run a Cluster")
+	fs.StringVar(&o.coord.policyName, "shard-policy", "mmfs_cpu", "cross-shard budget policy: static | equal | eq_srates | mmfs_cpu | mmfs_pkt")
+	fs.BoolVar(&o.stream, "stream", false, "constant-memory streaming runtime: rolling report, no reference run")
+	fs.IntVar(&o.maxBins, "max-bins", 0, "run a generated trace for N batches (-1 = forever, 0 = derive from -dur)")
+	fs.DurationVar(&o.report, "report", 10*time.Second, "trace time between rolling reports")
+	fs.StringVar(&o.admin, "serve", "", "run as a service: HTTP admin plane address (e.g. 127.0.0.1:9091)")
+	fs.StringVar(&o.ingest, "ingest", "gen", "packet source: gen | udp://host:port | unix:///path | tail:file")
+	fs.StringVar(&o.feed, "feed", "", "replay generated traffic into a serving lsd at udp://host:port or unix:///path")
+	fs.Float64Var(&o.capacity, "capacity", 0, "cycle budget per bin (0 = size from a generated probe via -overload); with -coordinator: total machine budget (required)")
+	fs.DurationVar(&o.window, "window", time.Minute, "rolling-metrics window")
+	fs.StringVar(&o.coord.listen, "coordinator", "", "run the cluster budget coordinator on this TCP address")
+	fs.StringVar(&o.coordAddr, "worker", "", "run as a cluster worker of the coordinator at this address")
+	fs.StringVar(&o.name, "node", "", "cluster node name (default workerPID)")
+	fs.Float64Var(&o.minShare, "min-share", 0, "guaranteed fraction of reported demand")
+	fs.DurationVar(&o.coord.heartbeat, "heartbeat", 500*time.Millisecond, "budget reallocation period")
+	fs.DurationVar(&o.lease, "lease", 0, "grant/report freshness lease (0 = 3x heartbeat)")
+	fs.StringVar(&o.key, "cluster-key", "", "pre-shared key authenticating the coordinator link (must match on both sides; empty = unauthenticated)")
+	fs.DurationVar(&o.joinWait, "join-timeout", 30*time.Second, "give up and exit nonzero if the coordinator is unreachable this long at startup (0 = retry forever)")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "ship a durable shard checkpoint to the coordinator every K measurement intervals (0 = off; needs -custom=false)")
+	fs.StringVar(&o.coord.stateDir, "state-dir", "", "spill the latest checkpoint per shard here and reload on restart")
+	fs.DurationVar(&o.coord.grace, "grace", 0, "how long past its lease a partitioned shard waits before failover (0 = 2x lease)")
+}
+
+// The flags several modes read.
+const (
+	trafficFlags = "preset dur scale seed "
+	engineFlags  = trafficFlags + "overload scheme strategy full custom workers "
+	serveFlags   = engineFlags + "detect serve ingest capacity window "
+)
+
+// A mode is one way lsd runs: selected by the flag named in selector,
+// it reads exactly the flags listed in flags.
+type mode struct {
+	name, selector string
+	flags          string
+	selected       func(o *options) bool
+	run            func(ctx context.Context, o *options)
+}
+
+// modes in selection order: the first one selected runs.
+var modes = []mode{
+	{"feed", "-feed", trafficFlags + "feed",
+		func(o *options) bool { return o.feed != "" }, runFeed},
+	{"coordinator", "-coordinator", "coordinator serve shard-policy capacity heartbeat lease cluster-key grace state-dir",
+		func(o *options) bool { return o.coord.listen != "" }, runCoordinator},
+	{"worker", "-worker", serveFlags + "worker node min-share lease cluster-key join-timeout checkpoint-every",
+		func(o *options) bool { return o.coordAddr != "" },
+		func(ctx context.Context, o *options) { runWorker(ctx, o.workerOpts) }},
+	{"serve", "-serve", serveFlags,
+		func(o *options) bool { return o.admin != "" },
+		func(ctx context.Context, o *options) { runServe(ctx, o.serveOpts) }},
+	// -stream reads no -shards: splitting by flow hash materializes the
+	// whole trace, which is what -stream exists to avoid.
+	{"stream", "-stream", engineFlags + "detect trace stream max-bins report",
+		func(o *options) bool { return o.stream }, runStream},
+	{"cluster", "-shards N>1", engineFlags + "trace shards shard-policy",
+		func(o *options) bool { return o.shards > 1 }, runCluster},
+	{"run", "no mode flag", engineFlags + "detect trace shards",
+		func(*options) bool { return true }, runMonitor},
+}
+
+// selectMode picks the mode the parsed flags select, rejects any flag
+// set on the command line that it does not read, and resolves the
+// scheme, strategy and shard-policy names.
+func (o *options) selectMode(fs *flag.FlagSet) (m mode, err error) {
+	for _, m = range modes {
+		if m.selected(o) {
+			break
 		}
-		return loadshed.StandardQueries(loadshed.QueryConfig{Seed: *seed})
 	}
-	so := serveOpts{
-		engineOpts: eng,
-		admin:      *serve,
-		ingest:     *ingest,
-		preset:     *preset,
-		dur:        *dur,
-		scale:      *scale,
-		overload:   *overload,
-		capacity:   *capFlag,
-		window:     *window,
-	}
-
-	if *feed != "" {
-		runFeed(ctx, *feed, *preset, *seed, *dur, *scale)
-		return
-	}
-	if *coordAddr != "" {
-		runCoordinator(ctx, coordOpts{
-			listen:    *coordAddr,
-			admin:     *serve,
-			policy:    shardPolicy,
-			capacity:  *capFlag,
-			heartbeat: *heartbeat,
-			lease:     *lease,
-			grace:     *grace,
-			key:       *key,
-			stateDir:  *stateDir,
-		})
-		return
-	}
-	if *workerOf != "" {
-		runWorker(ctx, mkQs, workerOpts{
-			coordAddr: *workerOf,
-			name:      *nodeName,
-			minShare:  *minShare,
-			lease:     *lease,
-			key:       *key,
-			joinWait:  *joinWait,
-			ckptEvery: *ckptEvery,
-			serve:     so,
-		})
-		return
-	}
-	if *serve != "" {
-		runServe(ctx, mkQs, so)
-		return
-	}
-
-	if *stream {
-		if *shards > 1 {
-			die(fmt.Errorf("-stream does not support -shards: splitting by flow hash materializes the whole trace, which is what -stream exists to avoid (use the Cluster.Stream API with per-link sources instead)"))
+	reads := strings.Fields(m.flags)
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && !slices.Contains(reads, f.Name) {
+			err = fmt.Errorf("-%s is not read in %s mode (%s)", f.Name, m.name, m.selector)
 		}
-		runStream(ctx, mkQs, eng, *traceFile, *preset, *dur, *scale, *maxBins, *report, *overload)
-		return
+	})
+	if err != nil {
+		return m, err
 	}
+	if o.scheme, err = loadshed.ParseScheme(o.schemeName); err != nil {
+		return m, err
+	}
+	if o.strategy, err = loadshed.StrategyByName(o.strategyName); err != nil {
+		return m, err
+	}
+	o.coord.policy, err = loadshed.ShardPolicyByName(o.coord.policyName) // nil = static split
+	return m, err
+}
 
-	src, err := openSource(*traceFile, *preset, *seed, *dur, *scale)
+func usage() {
+	out := flag.CommandLine.Output()
+	fmt.Fprintf(out, "usage: lsd [flags]\n\n")
+	flag.PrintDefaults()
+	fmt.Fprintf(out, "\nflags each mode reads (any other flag is an error):\n")
+	for _, m := range modes {
+		fmt.Fprintf(out, "  %-11s (%s): -%s\n", m.name, m.selector, strings.Join(strings.Fields(m.flags), " -"))
+	}
+}
+
+// runMonitor is the single-link run: capacity sized for -overload, a
+// lossless reference, the chosen scheme, then per-second controller
+// state and per-query accuracy.
+func runMonitor(ctx context.Context, o *options) {
+	src, err := o.openSource()
 	die(err)
 
-	if *shards > 1 {
-		runCluster(src, mkQs, eng, *shards, *shardPol, shardPolicy, *overload)
-		return
-	}
-
 	fmt.Println("measuring full-rate demand ...")
-	capacity := sizeCapacity(src, mkQs(), *seed, *overload, "capacity")
-	cfg := engineConfig(eng, capacity)
+	capacity := sizeCapacity(src, o.queries(), o.seed, o.overload, "capacity")
+	cfg := engineConfig(o.engineOpts, capacity)
 
 	fmt.Println("running reference (lossless) ...")
-	ref := loadshed.Reference(src, mkQs(), *seed+1)
+	ref := loadshed.Reference(src, o.queries(), o.seed+1)
 
-	fmt.Printf("running %s ...\n", *scheme)
-	res, runErr := loadshed.New(cfg, mkQs()).RunContext(ctx, src)
+	fmt.Printf("running %s ...\n", o.schemeName)
+	res, runErr := loadshed.New(cfg, o.queries()).RunContext(ctx, src)
 
 	fmt.Printf("\n%-6s %-9s %-9s %-8s %-6s %-6s\n", "sec", "pkts/s", "drops/s", "rate", "occ", "cpu%")
 	for i := 0; i < len(res.Bins); i += 10 {
@@ -238,9 +252,9 @@ func main() {
 		fmt.Printf("\nsignal received after %d bins: run stopped at a bin boundary; accuracy comparison skipped (it needs the complete run)\n", len(res.Bins))
 		return
 	}
-	errs := loadshed.MeanErrors(mkQs(), res, ref)
+	errs := loadshed.MeanErrors(o.queries(), res, ref)
 	fmt.Printf("\nper-query mean accuracy error vs lossless reference:\n")
-	for _, q := range mkQs() {
+	for _, q := range o.queries() {
 		fmt.Printf("  %-16s %6.2f%%\n", q.Name(), errs[q.Name()]*100)
 	}
 	fmt.Printf("\nuncontrolled drops: %d of %d packets (%.3f%%)\n",
@@ -251,20 +265,19 @@ func main() {
 // runStream drives the constant-memory streaming runtime: the source is
 // read incrementally (a trace file is never fully loaded; a generated
 // source may be unbounded), and results flow into a rolling aggregator
-// that prints a report every reportEvery of trace time. No lossless
+// that prints a report every -report of trace time. No lossless
 // reference run is possible online, so the accuracy section is replaced
 // by the rolling unsampled-fraction proxy.
-func runStream(ctx context.Context, mkQs func() []loadshed.Query, eng engineOpts, traceFile, preset string, dur time.Duration, scale float64, maxBins int, reportEvery time.Duration, overload float64) {
-	seed, scheme := eng.seed, eng.schemeName
+func runStream(ctx context.Context, o *options) {
 	openStream := func(bins int) (loadshed.Source, func(), error) {
-		if traceFile != "" {
-			f, err := loadshed.OpenTraceFile(traceFile)
+		if o.trace != "" {
+			f, err := loadshed.OpenTraceFile(o.trace)
 			if err != nil {
 				return nil, nil, err
 			}
 			return f, func() { f.Close() }, nil
 		}
-		cfg, err := loadshed.PresetConfig(preset, seed, dur, scale)
+		cfg, err := loadshed.PresetConfig(o.preset, o.seed, o.dur, o.scale)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -278,24 +291,24 @@ func runStream(ctx context.Context, mkQs func() []loadshed.Query, eng engineOpts
 	fmt.Println("measuring full-rate demand (bounded probe) ...")
 	probe, closeProbe, err := openStream(0)
 	die(err)
-	capacity := sizeCapacity(probe, mkQs(), seed, overload, "capacity")
+	capacity := sizeCapacity(probe, o.queries(), o.seed, o.overload, "capacity")
 	closeProbe()
-	cfg := engineConfig(eng, capacity)
+	cfg := engineConfig(o.engineOpts, capacity)
 
-	src, closeSrc, err := openStream(maxBins)
+	src, closeSrc, err := openStream(o.maxBins)
 	die(err)
 	defer closeSrc()
 
-	binsPerReport := int(reportEvery / src.TimeBin())
+	binsPerReport := int(o.report / src.TimeBin())
 	if binsPerReport < 1 {
 		binsPerReport = 1
 	}
 	roll := loadshed.NewRollingStats(binsPerReport)
 
-	fmt.Printf("streaming (%s scheme, report every %v) ...\n", scheme, reportEvery)
+	fmt.Printf("streaming (%s scheme, report every %v) ...\n", o.schemeName, o.report)
 	fmt.Printf("\n%-10s %-9s %-8s %-10s %-8s %-6s %-6s\n",
 		"trace-time", "pkts/s", "drop%", "unsampled%", "rate", "occ", "cpu%")
-	sys := loadshed.New(cfg, mkQs())
+	sys := loadshed.New(cfg, o.queries())
 	bins := 0
 	streamErr := sys.StreamContext(ctx, src, loadshed.Tee(roll, loadshed.SinkFuncs{
 		Bin: func(b *loadshed.BinStats) {
@@ -331,10 +344,12 @@ func runStream(ctx context.Context, mkQs func() []loadshed.Query, eng engineOpts
 	}
 }
 
-// runCluster splits the trace across n links by flow hash and runs one
-// monitor per link under the global budget coordinator.
-func runCluster(src loadshed.Source, mkQs func() []loadshed.Query, eng engineOpts, n int, policyName string, policy loadshed.Strategy, overload float64) {
-	seed := eng.seed
+// runCluster splits the trace across -shards links by flow hash and
+// runs one monitor per link under the global budget coordinator.
+func runCluster(ctx context.Context, o *options) {
+	src, err := o.openSource()
+	die(err)
+	n, seed, overload := o.shards, o.seed, o.overload
 
 	fmt.Printf("splitting trace across %d links ...\n", n)
 	links := loadshed.SplitFlows(src, n, seed)
@@ -342,26 +357,25 @@ func runCluster(src loadshed.Source, mkQs func() []loadshed.Query, eng engineOpt
 	fmt.Println("measuring per-link full-rate demand ...")
 	var total float64
 	for i, l := range links {
-		ovh, demand := loadshed.MeasureLoad(l, mkQs(), seed+1)
+		ovh, demand := loadshed.MeasureLoad(l, o.queries(), seed+1)
 		cap := ovh + demand/overload
 		total += cap
 		fmt.Printf("  link%d: demand %.3g + overhead %.3g cycles/bin -> share %.3g\n", i, demand, ovh, cap)
 	}
 	fmt.Printf("total machine capacity %.3g cycles/bin (overload %.2fx per link), policy %s\n",
-		total, overload, policyName)
+		total, overload, o.coord.policyName)
 
-	eng.detectOn = false // -detect applies to single-link runs only
-	base := engineConfig(eng, 0)
+	base := engineConfig(o.engineOpts, 0)
 	shardCfgs := make([]loadshed.Shard, n)
 	for i, l := range links {
-		shardCfgs[i] = loadshed.Shard{Name: fmt.Sprintf("link%d", i), Source: l, Queries: mkQs()}
+		shardCfgs[i] = loadshed.Shard{Name: fmt.Sprintf("link%d", i), Source: l, Queries: o.queries()}
 	}
 
 	fmt.Printf("running %d-shard cluster ...\n", n)
 	res := loadshed.NewCluster(loadshed.ClusterConfig{
 		Base:          base,
 		TotalCapacity: total,
-		ShardPolicy:   policy,
+		ShardPolicy:   o.coord.policy,
 	}, shardCfgs).Run()
 
 	fmt.Printf("\n%-8s %-10s %-9s %-8s %-10s %-8s\n", "shard", "pkts", "drops", "rate", "cap-share", "err%")
@@ -374,9 +388,9 @@ func runCluster(src loadshed.Source, mkQs func() []loadshed.Query, eng engineOpt
 			cap += c
 		}
 		nb := float64(len(sh.Result.Bins))
-		ref := loadshed.Reference(links[i], mkQs(), seed+1)
+		ref := loadshed.Reference(links[i], o.queries(), seed+1)
 		var errSum float64
-		errs := loadshed.MeanErrors(mkQs(), sh.Result, ref)
+		errs := loadshed.MeanErrors(o.queries(), sh.Result, ref)
 		for _, e := range errs {
 			errSum += e
 		}
@@ -404,16 +418,34 @@ func sizeCapacity(probe loadshed.Source, qs []loadshed.Query, seed uint64, overl
 	return capacity
 }
 
-// engineOpts carries the flag values every mode builds its engine from,
-// names already resolved (main does that before anything is measured).
+// engineOpts holds the flags of the traffic a mode generates (-feed
+// reads only these four: preset, dur, scale, seed) and of the engine
+// every other mode but the coordinator builds. selectMode resolves the
+// names before anything is measured.
 type engineOpts struct {
-	seed       uint64
-	schemeName string // -scheme as spelled, for banners and shard specs
-	scheme     loadshed.Scheme
-	strategy   loadshed.Strategy
-	customOn   bool
-	detectOn   bool
-	workers    int
+	preset       string
+	dur          time.Duration
+	scale        float64
+	seed         uint64
+	overload     float64
+	schemeName   string // -scheme as spelled, for banners and shard specs
+	strategyName string
+	full         bool
+	customOn     bool
+	detectOn     bool
+	workers      int
+
+	scheme   loadshed.Scheme
+	strategy loadshed.Strategy
+}
+
+// queries builds a fresh query set: all ten with -full, else the
+// standard seven.
+func (o engineOpts) queries() []loadshed.Query {
+	if o.full {
+		return loadshed.AllQueries(loadshed.QueryConfig{Seed: o.seed})
+	}
+	return loadshed.StandardQueries(loadshed.QueryConfig{Seed: o.seed})
 }
 
 // engineConfig is the one place flags become a loadshed.Config: the
@@ -434,16 +466,17 @@ func engineConfig(o engineOpts, capacity float64) loadshed.Config {
 	return cfg
 }
 
-func openSource(traceFile, preset string, seed uint64, dur time.Duration, scale float64) (loadshed.Source, error) {
-	if traceFile != "" {
-		f, err := os.Open(traceFile)
+// openSource loads the -trace file, or makes the preset's generator.
+func (o *options) openSource() (loadshed.Source, error) {
+	if o.trace != "" {
+		f, err := os.Open(o.trace)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
 		return loadshed.ReadTrace(f)
 	}
-	cfg, err := loadshed.PresetConfig(preset, seed, dur, scale)
+	cfg, err := loadshed.PresetConfig(o.preset, o.seed, o.dur, o.scale)
 	if err != nil {
 		return nil, err
 	}

@@ -19,15 +19,11 @@ import (
 	"repro/pkg/loadshed"
 )
 
-// serveOpts carries the flag values the serve mode consumes.
+// serveOpts holds the flags the serve mode reads on top of its engine's.
 type serveOpts struct {
 	engineOpts
-	admin    string // HTTP admin listen address ("" = none; -worker only)
-	ingest   string // gen | udp://host:port | unix:///path | tail:path
-	preset   string
-	dur      time.Duration
-	scale    float64
-	overload float64
+	admin    string  // -serve: HTTP admin listen address ("" = none; -worker only)
+	ingest   string  // gen | udp://host:port | unix:///path | tail:path
 	capacity float64 // explicit cycle budget per bin; 0 = probe
 	window   time.Duration
 }
@@ -85,9 +81,9 @@ type serveMode struct {
 
 // runServe is the plain service mode: the engine streams the ingest
 // under a fixed local budget.
-func runServe(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts) {
-	serveLoop(ctx, mkQs, o, "capacity", func(capacity float64) (*loadshed.System, serveMode) {
-		sys := loadshed.New(engineConfig(o.engineOpts, capacity), mkQs())
+func runServe(ctx context.Context, o serveOpts) {
+	serveLoop(ctx, o, "capacity", func(capacity float64) (*loadshed.System, serveMode) {
+		sys := loadshed.New(engineConfig(o.engineOpts, capacity), o.queries())
 		return sys, serveMode{banner: "serving", stream: sys.StreamContext}
 	})
 }
@@ -97,7 +93,7 @@ func runServe(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts) {
 // engine and wire the mode around it, start the admin plane, stream
 // until a signal or the source ends, then shut both down in order and
 // surface any source error.
-func serveLoop(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts, capLabel string, build func(capacity float64) (*loadshed.System, serveMode)) {
+func serveLoop(ctx context.Context, o serveOpts, capLabel string, build func(capacity float64) (*loadshed.System, serveMode)) {
 	src, closeSrc, desc, err := openIngest(o.ingest, o.preset, o.seed, o.dur, o.scale)
 	die(err)
 	fmt.Printf("ingest: %s\n", desc)
@@ -111,7 +107,7 @@ func serveLoop(ctx context.Context, mkQs func() []loadshed.Query, o serveOpts, c
 		fmt.Println("measuring full-rate demand (generated probe) ...")
 		cfg, err := loadshed.PresetConfig(o.preset, o.seed, o.dur, o.scale)
 		die(err)
-		capacity = sizeCapacity(loadshed.NewGenerator(cfg), mkQs(), o.seed, o.overload, capLabel)
+		capacity = sizeCapacity(loadshed.NewGenerator(cfg), o.queries(), o.seed, o.overload, capLabel)
 	}
 
 	sys, mode := build(capacity)
@@ -301,7 +297,8 @@ func adminMux(sys *loadshed.System, roll *loadshed.RollingStats, live *loadshed.
 // preset traffic profile and forwards it to a serving lsd's ingest
 // socket, paced so each batch is sent at its trace-time offset — the
 // wall-clock shape a capture process would produce.
-func runFeed(ctx context.Context, spec, preset string, seed uint64, dur time.Duration, scale float64) {
+func runFeed(ctx context.Context, o *options) {
+	spec := o.feed
 	var network, addr string
 	switch {
 	case strings.HasPrefix(spec, "udp://"):
@@ -311,7 +308,7 @@ func runFeed(ctx context.Context, spec, preset string, seed uint64, dur time.Dur
 	default:
 		die(fmt.Errorf("unknown feed target %q (want udp://host:port or unix:///path)", spec))
 	}
-	cfg, err := loadshed.PresetConfig(preset, seed, dur, scale)
+	cfg, err := loadshed.PresetConfig(o.preset, o.seed, o.dur, o.scale)
 	die(err)
 	snd, err := loadshed.DialLive(network, addr)
 	die(err)
@@ -338,5 +335,5 @@ func runFeed(ctx context.Context, spec, preset string, seed uint64, dur time.Dur
 		}
 		sent += len(b.Pkts)
 	}
-	fmt.Printf("fed %d packets over %v of trace time to %s\n", sent, dur, spec)
+	fmt.Printf("fed %d packets over %v of trace time to %s\n", sent, o.dur, spec)
 }

@@ -25,7 +25,7 @@ func TestWorkerShardBuiltFromSpec(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const seed = 1
-			eng := engineOpts{seed: seed, schemeName: tc.scheme, customOn: tc.custom, detectOn: tc.detect, workers: 1}
+			eng := engineOpts{seed: seed, schemeName: tc.scheme, full: tc.full, customOn: tc.custom, detectOn: tc.detect, workers: 1}
 			var err error
 			if eng.scheme, err = loadshed.ParseScheme(tc.scheme); err != nil {
 				t.Fatal(err)
@@ -33,24 +33,18 @@ func TestWorkerShardBuiltFromSpec(t *testing.T) {
 			if eng.strategy, err = loadshed.StrategyByName("mmfs_pkt"); err != nil {
 				t.Fatal(err)
 			}
-			mkQs := func() []loadshed.Query {
-				if tc.full {
-					return loadshed.AllQueries(loadshed.QueryConfig{Seed: seed})
-				}
-				return loadshed.StandardQueries(loadshed.QueryConfig{Seed: seed})
-			}
 			cfg, err := loadshed.PresetConfig("cesca2", seed, 5*time.Second, 0.1) // 50 bins
 			if err != nil {
 				t.Fatal(err)
 			}
 			src := loadshed.NewGenerator(cfg)
-			ovh, demand := loadshed.MeasureLoad(src, mkQs(), seed+1)
+			ovh, demand := loadshed.MeasureLoad(src, eng.queries(), seed+1)
 			capacity := ovh + demand/2
 
-			want := loadshed.New(engineConfig(eng, capacity), mkQs()).Run(src)
+			want := loadshed.New(engineConfig(eng, capacity), eng.queries()).Run(src)
 
-			o := workerOpts{serve: serveOpts{engineOpts: eng}}
-			spec := o.shardSpec(mkQs(), capacity)
+			o := workerOpts{serveOpts: serveOpts{engineOpts: eng}}
+			spec := o.shardSpec(capacity)
 			sys, err := spec.NewSystem()
 			if err != nil {
 				t.Fatalf("spec system: %v", err)

@@ -2,9 +2,9 @@ package loadshed
 
 // api.go re-exports the pieces of the internal packages an embedder
 // needs next to the engine — queries, strategies, traffic sources and
-// trace files — so that cmd/, examples/ and downstream users build
-// whole pipelines against this package alone without reaching into
-// internal/.
+// trace files — so that cmd/, the Example tests and downstream users
+// build whole pipelines against this package alone without reaching
+// into internal/.
 
 import (
 	"fmt"

@@ -63,7 +63,7 @@ func TestAPIStrategiesAndQueries(t *testing.T) {
 func TestAPIMeasureHelpers(t *testing.T) {
 	src := loadshed.NewGenerator(loadshed.TraceConfig{Seed: 3, Duration: 2 * time.Second, PacketsPerSec: 3000})
 	qs := loadshed.StandardQueries(loadshed.QueryConfig{Seed: 3})
-	d := loadshed.MeasureDemand(src, qs, 4)
+	_, d := loadshed.MeasureLoad(src, qs, 4)
 	c := loadshed.MeasureCapacity(src, qs, 4)
 	if !(c > d && d > 0) {
 		t.Fatalf("capacity %v should exceed demand %v > 0", c, d)

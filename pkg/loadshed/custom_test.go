@@ -32,7 +32,7 @@ func p2pWith(t *testing.T, dur time.Duration, customShed bool, method func(queri
 		}
 		return qs
 	}
-	demand := MeasureDemand(p2pSource(21, dur), mk(), 12)
+	_, demand := MeasureLoad(p2pSource(21, dur), mk(), 12)
 	ref := Reference(p2pSource(21, dur), mk(), 12)
 	res := New(Config{
 		Scheme:         Predictive,
@@ -88,7 +88,7 @@ func TestSelfishQueryGetsContained(t *testing.T) {
 			queries.NewFlows(queries.Config{Seed: 3}),
 		}
 	}
-	demand := MeasureDemand(p2pSource(31, dur), mk(), 14)
+	_, demand := MeasureLoad(p2pSource(31, dur), mk(), 14)
 	sys := New(Config{
 		Scheme:         Predictive,
 		Capacity:       demand / 2.5,
@@ -138,7 +138,7 @@ func TestBuggyQueryGetsContained(t *testing.T) {
 			queries.NewCounter(queries.Config{Seed: 4}),
 		}
 	}
-	demand := MeasureDemand(p2pSource(41, dur), mk(), 16)
+	_, demand := MeasureLoad(p2pSource(41, dur), mk(), 16)
 	sys := New(Config{
 		Scheme:         Predictive,
 		Capacity:       demand / 3,
@@ -169,7 +169,7 @@ func TestCompliantCustomQueryStaysCustomInSystem(t *testing.T) {
 			queries.NewCounter(queries.Config{Seed: 5}),
 		}
 	}
-	demand := MeasureDemand(p2pSource(51, dur), mk(), 18)
+	_, demand := MeasureLoad(p2pSource(51, dur), mk(), 18)
 	sys := New(Config{
 		Scheme:         Predictive,
 		Capacity:       demand / 2,

@@ -46,7 +46,7 @@ func TestReferenceRunNoDropsNoShedding(t *testing.T) {
 // demand/capacity = factor.
 func overloadCapacity(t *testing.T, seed uint64, dur time.Duration, factor float64) float64 {
 	t.Helper()
-	demand := MeasureDemand(testSource(seed, dur), stdQueries(), 99)
+	_, demand := MeasureLoad(testSource(seed, dur), stdQueries(), 99)
 	if demand <= 0 {
 		t.Fatal("no demand measured")
 	}
@@ -153,7 +153,7 @@ func TestReactiveWorseThanPredictiveUnderDDoS(t *testing.T) {
 		t.Skip("DDoS scheme comparison is slow")
 	}
 	const dur = 40 * time.Second
-	demand := MeasureDemand(ddosSource(6, dur), stdQueries(), 60)
+	_, demand := MeasureLoad(ddosSource(6, dur), stdQueries(), 60)
 	capacity := demand / 2.5
 	metric := stdQueries()
 	ref := Reference(ddosSource(6, dur), stdQueries(), 60)
@@ -189,7 +189,7 @@ func TestReactiveWorseThanPredictiveUnderDDoS(t *testing.T) {
 func TestStrategiesRespectMinRates(t *testing.T) {
 	const dur = 10 * time.Second
 	qs := queries.FullSet(queries.Config{Seed: 3})
-	demand := MeasureDemand(testSource(7, dur), qs, 70)
+	_, demand := MeasureLoad(testSource(7, dur), qs, 70)
 	capacity := demand / 2
 
 	for _, strat := range []sched.Strategy{sched.MMFSCPU{}, sched.MMFSPkt{}} {
@@ -225,7 +225,7 @@ func TestIntervalCountsMatchBetweenRuns(t *testing.T) {
 func TestAccuraciesGateOnMinRate(t *testing.T) {
 	const dur = 10 * time.Second
 	qs := queries.FullSet(queries.Config{Seed: 4})
-	demand := MeasureDemand(testSource(9, dur), qs, 90)
+	_, demand := MeasureLoad(testSource(9, dur), qs, 90)
 	ref := Reference(testSource(9, dur), queries.FullSet(queries.Config{Seed: 4}), 90)
 	res := New(Config{
 		Scheme: Predictive, Capacity: demand / 4, Seed: 91,
@@ -291,7 +291,7 @@ func TestNewPanicsOnMismatchedIntervals(t *testing.T) {
 }
 
 func TestMeasureDemandPositive(t *testing.T) {
-	d := MeasureDemand(testSource(10, 2*time.Second), stdQueries(), 100)
+	_, d := MeasureLoad(testSource(10, 2*time.Second), stdQueries(), 100)
 	if d <= 0 || math.IsInf(d, 0) {
 		t.Fatalf("demand = %v", d)
 	}

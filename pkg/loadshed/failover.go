@@ -29,8 +29,8 @@ package loadshed
 //
 // Everything leaves the coordinator through one by-name mailbox —
 // grantFor, drainRequested, takeOfferFor. The loopback transport polls
-// it directly; the TCP server polls it each heartbeat for every
-// connected name and writes what it finds to that connection, putting
+// grants and drains directly; the TCP server polls all three each
+// heartbeat for every connected name and writes what it finds to that connection, putting
 // an offer back (untakeOffer) when the write fails.
 //
 // None of this runs inside allocateLocked: failover planning is
@@ -46,8 +46,8 @@ import (
 	"time"
 )
 
-// AdoptOffer is an adoption offer as a transport's Adoption method
-// surfaces it to the hosting process: the shard to take over, the bin
+// AdoptOffer is an adoption offer as CoordClient.Adoptions delivers it
+// to the hosting process: the shard to take over, the bin
 // it resumes at and its checkpoint blob (decode with
 // DecodeShardCheckpoint). The blob is the receiver's own copy.
 type AdoptOffer struct {
@@ -186,8 +186,8 @@ func (c *Coordinator) reloadCheckpoint(path string) error {
 // directed migration target. A marked offer suppresses re-offers for
 // offerTimeout; after that the shard re-offers with the adopter
 // rotating through the live membership. It delivers nothing itself —
-// the adopter's transport collects the offer through takeOfferFor, the
-// TCP server on the adopter's behalf each heartbeat.
+// the TCP server collects the offer through takeOfferFor each
+// heartbeat, on the adopter's behalf.
 func (c *Coordinator) planFailover(now time.Time, grace, offerTimeout time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -67,9 +67,6 @@ func (t *captureTransport) Grant() (BudgetGrant, bool) {
 	return BudgetGrant{Round: 1, Capacity: t.capacity}, t.capacity > 0
 }
 
-func (t *captureTransport) Adoption() (AdoptOffer, bool) { return AdoptOffer{}, false }
-func (t *captureTransport) Close() error                 { return nil }
-
 func (t *captureTransport) Checkpoint(cp *ShardCheckpoint) error {
 	blob, err := cp.EncodeBytes()
 	if err != nil {
@@ -199,11 +196,12 @@ func TestTCPAdoptionFailover(t *testing.T) {
 	var offer AdoptOffer
 	waitFor(t, 5*time.Second, "adoption offer delivered to the survivor", func() bool {
 		beta.Report(DemandReport{Node: "beta", Bin: 2, Demand: 400})
-		o, ok := beta.Adoption()
-		if ok {
-			offer = o
+		select {
+		case offer = <-beta.Adoptions():
+			return true
+		default:
+			return false
 		}
-		return ok
 	})
 	if offer.Shard != "alpha" {
 		t.Fatalf("offered shard %q, want alpha", offer.Shard)

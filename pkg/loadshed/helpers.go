@@ -126,13 +126,6 @@ func Accuracies(metric []queries.Query, got, ref *RunResult, binsPerInterval int
 	return out
 }
 
-// MeasureDemand replays src against fresh queries with unlimited
-// capacity and returns the mean per-bin full-rate query cycles.
-func MeasureDemand(src trace.Source, qs []queries.Query, seed uint64) float64 {
-	_, d := MeasureLoad(src, qs, seed)
-	return d
-}
-
 // MeasureLoad runs a lossless predictive probe and returns the mean
 // per-bin platform+prediction overhead and the mean per-bin query
 // demand at full rate. Capacity budgets must cover both: the thesis'

@@ -51,11 +51,13 @@ func TestOfferBlobNotAliased(t *testing.T) {
 		}
 		adopter.Report(DemandReport{Bin: int64(i), Demand: 100}) // stays live
 		coord.StoreCheckpoint("s", int64(i), false, bytes.Repeat([]byte{byte(i)}, 4096))
-		if o, ok := adopter.Adoption(); ok {
+		select {
+		case o := <-adopter.Adoptions():
 			offers++
 			if n := bytes.Count(o.Checkpoint, o.Checkpoint[:1]); n != len(o.Checkpoint) {
 				t.Fatalf("offer %d carries a torn blob: %d of %d bytes match the first", offers, n, len(o.Checkpoint))
 			}
+		default:
 		}
 	}
 }

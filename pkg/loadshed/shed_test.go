@@ -91,7 +91,7 @@ func TestSharedIntervalStateMatchesPerQueryExtractors(t *testing.T) {
 		}},
 	}
 	for _, sc := range scenarios {
-		demand := MeasureDemand(p2pSource(5, dur), sc.qs(), 3)
+		_, demand := MeasureLoad(p2pSource(5, dur), sc.qs(), 3)
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", sc.name, workers), func(t *testing.T) {
 				run := &oracleRun{perInterval: 10}

@@ -179,7 +179,7 @@ func TestReactiveRateUpdate(t *testing.T) {
 // closed intervals' shed streams may leak into them.
 func TestSampledQueryFeaturesRotate(t *testing.T) {
 	const dur = 3 * time.Second
-	demand := MeasureDemand(testSource(21, dur), stdQueries(), 99)
+	_, demand := MeasureLoad(testSource(21, dur), stdQueries(), 99)
 	sys := New(Config{Scheme: Predictive, Capacity: demand / 3, Seed: 7}, stdQueries())
 	r := sys.newRunner(testSource(21, dur), nil)
 	defer r.finish()

@@ -257,7 +257,7 @@ func TestStreamUnboundedSourceStops(t *testing.T) {
 // (longRetain selects Run instead).
 const (
 	longRolling = iota // a bare RollingStats
-	longTee            // Tee(RollingStats, SinkFuncs) — lsd -stream's and examples/longrun's shape
+	longTee            // Tee(RollingStats, SinkFuncs) — lsd -stream's shape
 	longFuncs          // a bare SinkFuncs — MeasureLoad's shape
 	longRetain         // Run
 )

@@ -103,12 +103,6 @@ type NodeTransport interface {
 	// migration): when it reports true, the Node checkpoints with Final
 	// set at its next interval boundary and stops.
 	DrainRequested() bool
-	// Adoption surfaces an adoption offer to the hosting process (not
-	// the Node — adopting means building a new System next to the
-	// existing one, which is the host's job; see cmd/lsd). A pending
-	// offer is returned at most once.
-	Adoption() (AdoptOffer, bool)
-	Close() error
 }
 
 // loopbackTransport binds a node to an in-process Coordinator under its
@@ -149,12 +143,6 @@ func (t *loopbackTransport) Checkpoint(cp *ShardCheckpoint) error {
 
 // DrainRequested polls the coordinator's drain flag for this node.
 func (t *loopbackTransport) DrainRequested() bool { return t.coord.drainRequested(t.name) }
-
-// Adoption polls the coordinator for an offer addressed to this node —
-// the in-process delivery of what the TCP server pushes as adopt frames.
-func (t *loopbackTransport) Adoption() (AdoptOffer, bool) { return t.coord.takeOfferFor(t.name) }
-
-func (t *loopbackTransport) Close() error { return nil }
 
 // --- wire encoding ---
 
@@ -1022,19 +1010,10 @@ func (c *CoordClient) Checkpoint(cp *ShardCheckpoint) error {
 // and exit the shard).
 func (c *CoordClient) DrainRequested() bool { return c.drainReq.Load() }
 
-// Adoption returns a pending adoption offer, if any (non-blocking; each
-// offer is returned once).
-func (c *CoordClient) Adoption() (AdoptOffer, bool) {
-	select {
-	case o := <-c.adoptCh:
-		return o, true
-	default:
-		return AdoptOffer{}, false
-	}
-}
-
-// Adoptions exposes the offer queue for select-based hosts (cmd/lsd's
-// adoption loop); Adoption and Adoptions drain the same queue.
+// Adoptions delivers the adoption offers pushed on this link, each once.
+// Adopting means building a new System next to the existing one, which
+// is the hosting process's job (cmd/lsd's adoption loop), not the
+// Node's.
 func (c *CoordClient) Adoptions() <-chan AdoptOffer { return c.adoptCh }
 
 // Grant returns the latest pushed grant while it is lease-fresh.

@@ -44,6 +44,8 @@ done <<'EOF'
 -dur 8s -overload 2
 -full -custom -dur 6s -overload 3
 -shards 3 -shard-policy mmfs_cpu -dur 6s
+-stream -max-bins 120 -dur 10s -report 4s
+-dur 6s -detect
 EOF
 
 # Every experiment this tree registers; one the parent lacks differs.
