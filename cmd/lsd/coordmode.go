@@ -10,9 +10,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"repro/pkg/loadshed"
@@ -269,6 +271,11 @@ func runWorker(ctx context.Context, o workerOpts) {
 			fmt.Println("warning: -checkpoint-every needs -custom=false (custom load shedding has unserializable state); checkpoints will fail until it is disabled")
 		}
 		node := o.member(sys, client, spec, name, 0)
+		// The stream goroutine applies grants to the Governor, so
+		// /metrics reads the budget the latest bin ran under instead.
+		var budget atomic.Uint64
+		budget.Store(math.Float64bits(capacity))
+		budgetSink := loadshed.SinkFuncs{Bin: func(b *loadshed.BinStats) { budget.Store(math.Float64bits(b.Capacity)) }}
 
 		// Adopted shards: the coordinator pushes an orphaned shard's
 		// checkpoint over this worker's link; each adoption runs as its own
@@ -279,7 +286,9 @@ func runWorker(ctx context.Context, o workerOpts) {
 
 		return sys, serveMode{
 			banner: "serving as cluster worker",
-			stream: node.StreamContext,
+			stream: func(ctx context.Context, src loadshed.Source, sink loadshed.Sink) error {
+				return node.StreamContext(ctx, src, loadshed.Tee(sink, budgetSink))
+			},
 			metrics: func(m *loadshed.MetricsWriter) {
 				m.Gauge("lsd_coord_connected", "Whether the coordinator connection is up.", b2i(client.Connected()))
 				m.Gauge("lsd_coord_degraded", "Whether the worker is shedding on local capacity only (no lease-fresh grant).", b2i(client.Degraded()))
@@ -289,7 +298,7 @@ func runWorker(ctx context.Context, o workerOpts) {
 					grantCap = g.Capacity
 				}
 				m.Gauge("lsd_coord_grant_capacity", "Cycle budget of the current lease-fresh grant (0 while degraded).", grantCap)
-				m.Gauge("lsd_node_capacity", "Cycle budget per bin the engine currently runs under.", sys.Governor().Capacity())
+				m.Gauge("lsd_node_capacity", "Cycle budget per bin the engine currently runs under.", math.Float64frombits(budget.Load()))
 				m.Counter("lsd_checkpoints_total", "Shard checkpoints shipped to the coordinator.", node.CheckpointsSent())
 				m.Counter("lsd_checkpoint_errors_total", "Checkpoints that failed to snapshot or send.", node.CheckpointErrors())
 				m.Gauge("lsd_adopted_shards", "Shards this worker is currently running on behalf of failed or migrated peers.", adoptions.Active())

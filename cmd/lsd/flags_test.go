@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"maps"
 	"os"
 	"regexp"
 	"slices"
@@ -83,9 +84,8 @@ func TestModeFlags(t *testing.T) {
 
 // TestDocumentedInvocations: every lsd command line in README.md, in
 // this package's doc comment and in CI is accepted under the mode it
-// selects, as are the invocations the smoke scripts and the live_serve
-// benchmark make (their shell variables filled in). Together the
-// documented lines cover every mode.
+// selects, as are the invocations TestEndToEnd and the live_serve
+// benchmark make. Together the documented lines cover every mode.
 func TestDocumentedInvocations(t *testing.T) {
 	command := regexp.MustCompile("(?m)(?:go run \\./cmd/lsd|^//\tlsd)((?: [^`#&\n]*)?)")
 	continuation := regexp.MustCompile(`\\\n\s*`)
@@ -100,17 +100,10 @@ func TestDocumentedInvocations(t *testing.T) {
 		}
 	}
 	documented := len(lines)
+	// The $WORDs TestEndToEnd fills in are all string flag values, so
+	// its invocations parse as they stand.
+	lines = slices.AppendSeq(lines, maps.Values(invocations))
 	lines = append(lines,
-		// scripts/daemon_smoke.sh
-		"-serve 127.0.0.1:19191 -ingest udp://127.0.0.1:19190 -dur 5s -window 10s",
-		"-feed udp://127.0.0.1:19190 -dur 3s",
-		// scripts/cluster_smoke.sh
-		"-coordinator 127.0.0.1:19800 -shard-policy mmfs_cpu -capacity 2e6 -heartbeat 100ms -serve 127.0.0.1:19801",
-		"-worker 127.0.0.1:19800 -node alpha -capacity 60000 -serve 127.0.0.1:19802",
-		// scripts/failover_smoke.sh
-		"-coordinator 127.0.0.1:19900 -shard-policy mmfs_cpu -capacity 2e6 -heartbeat 100ms -grace 1s -cluster-key k -state-dir /tmp/s -serve 127.0.0.1:19901",
-		"-worker 127.0.0.1:19900 -node alpha -capacity 60000 -cluster-key k -checkpoint-every 2 -custom=false -serve 127.0.0.1:19902",
-		"-worker 127.0.0.1:9 -node lost -capacity 60000 -join-timeout 1s -serve 127.0.0.1:19906",
 		// bench/live.go
 		"-serve 127.0.0.1:0 -ingest unix:///tmp/in.sock -capacity 250000 -workers 1",
 	)

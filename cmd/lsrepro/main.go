@@ -19,15 +19,19 @@ import (
 	"repro/internal/experiments"
 )
 
+// define declares lsrepro's flags on fs: the experiment id, -list, and
+// the experiments.Config every run reads.
+func define(fs *flag.FlagSet) (exp *string, list *bool, cfg *experiments.Config) {
+	cfg = new(experiments.Config)
+	fs.Uint64Var(&cfg.Seed, "seed", 1, "base random seed")
+	fs.Float64Var(&cfg.Scale, "scale", 0.1, "traffic rate scale vs the paper's rates")
+	fs.DurationVar(&cfg.Dur, "dur", 60*time.Second, "virtual duration per run")
+	fs.BoolVar(&cfg.Quick, "quick", false, "shrink parameter sweeps")
+	return fs.String("exp", "", "experiment id (see -list), or 'all'"), fs.Bool("list", false, "list experiment ids and exit"), cfg
+}
+
 func main() {
-	var (
-		exp   = flag.String("exp", "", "experiment id (see -list), or 'all'")
-		list  = flag.Bool("list", false, "list experiment ids and exit")
-		seed  = flag.Uint64("seed", 1, "base random seed")
-		scale = flag.Float64("scale", 0.1, "traffic rate scale vs the paper's rates")
-		dur   = flag.Duration("dur", 60*time.Second, "virtual duration per run")
-		quick = flag.Bool("quick", false, "shrink parameter sweeps")
-	)
+	exp, list, cfg := define(flag.CommandLine)
 	flag.Parse()
 
 	if *list || *exp == "" {
@@ -42,13 +46,12 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Seed: *seed, Scale: *scale, Dur: *dur, Quick: *quick}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()
 	}
 	for _, id := range ids {
-		res, err := experiments.Run(id, cfg)
+		res, err := experiments.Run(id, *cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lsrepro:", err)
 			os.Exit(1)

@@ -553,9 +553,6 @@ func applyRTTCap(g *core.Governor, bufferBins, capacity float64) {
 	}
 }
 
-// Governor exposes the controller, mainly for tests and experiments.
-func (s *System) Governor() *core.Governor { return s.gov }
-
 // SetCapacity rebudgets the system mid-run: the Cluster coordinator
 // calls it every bin to move cycles between shards. Unlike touching the
 // governor directly it re-derives the buffer-bounded delay allowance,
