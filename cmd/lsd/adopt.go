@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -76,18 +75,11 @@ func runAdoptedShard(ctx context.Context, offer loadshed.AdoptOffer, o workerOpt
 		return err
 	}
 
-	src, closeSrc, desc, err := openIngest(cp.Spec.Ingest, cp.Spec.Preset, cp.Spec.TraceSeed, cp.Spec.TraceDur, cp.Spec.Scale)
+	src, closeSrc, desc, err := openIngest(cp.Spec.Ingest, cp.Spec.Preset, cp.Spec.TraceSeed, cp.Spec.TraceDur, cp.Spec.Scale, cp.Bin)
 	if err != nil {
 		return fmt.Errorf("reopen ingest %q: %w", cp.Spec.Ingest, err)
 	}
 	defer closeSrc()
-	// Deterministic sources (generator, tailed or replayed files) resume
-	// exactly at the checkpoint bin; a live socket has no past to skip
-	// and resumes best-effort from the live stream.
-	resumable := !strings.HasPrefix(cp.Spec.Ingest, "udp://") && !strings.HasPrefix(cp.Spec.Ingest, "unix://")
-	if resumable {
-		src = loadshed.ResumeSource(src, cp.Bin)
-	}
 
 	client, err := o.dial(cp.Node, cp.Spec.MinShare)
 	if client == nil {

@@ -14,8 +14,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
+	"sync"
 	"time"
 
+	"repro/internal/pkt"
 	"repro/pkg/loadshed"
 )
 
@@ -29,10 +31,15 @@ type serveOpts struct {
 }
 
 // openIngest turns an ingest spec into a Source (preset, seed, dur and
-// scale parameterize the generator behind "gen"). The returned closer is
-// safe to call more than once and from a context callback: closing the
-// source is how a signal unblocks an engine waiting on a silent link.
-func openIngest(spec, preset string, seed uint64, dur time.Duration, scale float64) (loadshed.Source, func(), string, error) {
+// scale parameterize the generator behind "gen"), positioned resume
+// batches in: deterministic sources (the generator, a tailed file)
+// resume exactly there, a live socket has no past to skip and resumes
+// best-effort from the live stream. The generator is paced to its trace
+// time from the first batch it delivers, so a skip is not paced. The
+// returned closer is safe to call more than once and from a context
+// callback: closing the source is how a signal unblocks an engine
+// waiting on a silent link or a paced batch.
+func openIngest(spec, preset string, seed uint64, dur time.Duration, scale float64, resume int64) (loadshed.Source, func(), string, error) {
 	switch {
 	case spec == "gen":
 		cfg, err := loadshed.PresetConfig(preset, seed, dur, scale)
@@ -40,7 +47,8 @@ func openIngest(spec, preset string, seed uint64, dur time.Duration, scale float
 			return nil, nil, "", err
 		}
 		cfg.MaxBins = -1 // run until signalled
-		return loadshed.NewGenerator(cfg), func() {}, "generator (unbounded, preset " + preset + ")", nil
+		src, stop := pace(loadshed.ResumeSource(loadshed.NewGenerator(cfg), resume))
+		return src, stop, "generator (unbounded, paced, preset " + preset + ")", nil
 	case strings.HasPrefix(spec, "udp://"):
 		l, err := loadshed.ListenLive("udp", strings.TrimPrefix(spec, "udp://"), loadshed.LiveConfig{})
 		if err != nil {
@@ -60,11 +68,64 @@ func openIngest(spec, preset string, seed uint64, dur time.Duration, scale float
 		if err != nil {
 			return nil, nil, "", err
 		}
-		return ts, func() { ts.Close() }, "tail " + path, nil
+		return loadshed.ResumeSource(ts, resume), func() { ts.Close() }, "tail " + path, nil
 	default:
 		return nil, nil, "", fmt.Errorf("unknown ingest spec %q (want gen, udp://host:port, unix:///path or tail:path)", spec)
 	}
 }
+
+// pacedSource releases each batch of its source at the batch's trace
+// time, measured from the first batch it delivers: the wall-clock shape
+// of a capture. A wait ends early, and the source with it, when stop
+// runs.
+type pacedSource struct {
+	loadshed.Source
+	anchor  time.Time // wall time of trace time 0; zero until the first delivery
+	stopped chan struct{}
+}
+
+// pace wraps src in a pacedSource and returns its stop function, safe
+// to call more than once and concurrently with NextBatch.
+func pace(src loadshed.Source) (*pacedSource, func()) {
+	p := &pacedSource{Source: src, stopped: make(chan struct{})}
+	var once sync.Once
+	return p, func() { once.Do(func() { close(p.stopped) }) }
+}
+
+func (p *pacedSource) NextBatch() (pkt.Batch, bool) {
+	select {
+	case <-p.stopped:
+		return pkt.Batch{}, false
+	default:
+	}
+	b, ok := p.Source.NextBatch()
+	if !ok {
+		return b, false
+	}
+	if p.anchor.IsZero() {
+		p.anchor = time.Now().Add(-b.Start)
+		return b, true
+	}
+	if d := time.Until(p.anchor.Add(b.Start)); d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-p.stopped:
+			return pkt.Batch{}, false
+		}
+	}
+	return b, true
+}
+
+// Reset rewinds the source; the next delivery anchors the pace anew.
+func (p *pacedSource) Reset() {
+	p.Source.Reset()
+	p.anchor = time.Time{}
+}
+
+// Err surfaces the wrapped source's stream error.
+func (p *pacedSource) Err() error { return loadshed.SourceErr(p.Source) }
 
 // serveMode is what distinguishes the two serving deployments: plain
 // -serve streams the System itself, -worker streams it wrapped in a
@@ -94,7 +155,7 @@ func runServe(ctx context.Context, o serveOpts) {
 // until a signal or the source ends, then shut both down in order and
 // surface any source error.
 func serveLoop(ctx context.Context, o serveOpts, capLabel string, build func(capacity float64) (*loadshed.System, serveMode)) {
-	src, closeSrc, desc, err := openIngest(o.ingest, o.preset, o.seed, o.dur, o.scale)
+	src, closeSrc, desc, err := openIngest(o.ingest, o.preset, o.seed, o.dur, o.scale, 0)
 	die(err)
 	fmt.Printf("ingest: %s\n", desc)
 
@@ -314,26 +375,22 @@ func runFeed(ctx context.Context, o *options) {
 	die(err)
 	defer snd.Close()
 
-	src := loadshed.NewGenerator(cfg)
-	start := time.Now()
+	src, stop := pace(loadshed.NewGenerator(cfg))
+	defer context.AfterFunc(ctx, stop)()
 	sent := 0
-	for ctx.Err() == nil {
+	for {
 		b, ok := src.NextBatch()
 		if !ok {
 			break
-		}
-		if d := time.Until(start.Add(b.Start)); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				fmt.Printf("feed interrupted after %d packets\n", sent)
-				return
-			}
 		}
 		if err := snd.SendBatch(&b); err != nil {
 			die(fmt.Errorf("feed: %w", err))
 		}
 		sent += len(b.Pkts)
+	}
+	if ctx.Err() != nil {
+		fmt.Printf("feed interrupted after %d packets\n", sent)
+		return
 	}
 	fmt.Printf("fed %d packets over %v of trace time to %s\n", sent, o.dur, spec)
 }

@@ -7,7 +7,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/pkt"
+	"repro/internal/trace"
 	"repro/pkg/loadshed"
 )
 
@@ -56,5 +59,57 @@ func TestMetricsReportUDPReceiveBuffer(t *testing.T) {
 	unix := scrape("unixgram", t.TempDir()+"/in.sock")
 	if gauge.MatchString(unix) || strings.Contains(unix, "lsd_ingest_kernel_drops_total") {
 		t.Fatal("unixgram listener reports a UDP receive buffer or kernel drops")
+	}
+}
+
+// TestPacedSourceHoldsTraceTime: a paced source delivers its first
+// batch at once and every later one no earlier than its trace time
+// after the first, so it never runs ahead by more than a batch per
+// TimeBin; a Reset re-anchors at the next delivery; and stop unblocks a
+// wait for a batch far in the future.
+func TestPacedSourceHoldsTraceTime(t *testing.T) {
+	const bin = 20 * time.Millisecond
+	batches := make([]pkt.Batch, 6)
+	for i := range batches {
+		batches[i] = pkt.Batch{Start: time.Duration(i+3) * bin, Bin: bin} // a resumed source starts late
+	}
+	src, _ := pace(trace.NewMemorySource(batches, bin))
+	for pass := range 2 {
+		start := time.Now()
+		for i := range batches {
+			b, ok := src.NextBatch()
+			if !ok {
+				t.Fatalf("pass %d: source ended at batch %d", pass, i)
+			}
+			if got, due := time.Since(start), b.Start-batches[0].Start; got < due {
+				t.Fatalf("pass %d: batch %d delivered %v after the first, due at %v", pass, i, got, due)
+			}
+		}
+		if _, ok := src.NextBatch(); ok {
+			t.Fatalf("pass %d: delivered past the end", pass)
+		}
+		src.Reset()
+	}
+
+	far := []pkt.Batch{{Start: 0, Bin: bin}, {Start: time.Hour, Bin: bin}}
+	src, stop := pace(trace.NewMemorySource(far, bin))
+	src.NextBatch()
+	done := make(chan bool)
+	go func() {
+		_, ok := src.NextBatch()
+		done <- ok
+	}()
+	stop()
+	stop() // idempotent
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("a stopped source delivered the batch it was waiting for")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("stop did not unblock a paced wait")
+	}
+	if _, ok := src.NextBatch(); ok {
+		t.Fatal("a stopped source delivered a batch")
 	}
 }

@@ -21,31 +21,15 @@ type Matrix struct {
 	Data       []float64 // len Rows*Cols
 }
 
-// NewMatrix returns a zero matrix of the given shape.
-func NewMatrix(rows, cols int) *Matrix {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("linalg: invalid shape %dx%d", rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // Reshape resizes m in place to rows×cols with all elements zero,
-// reusing the backing array when its capacity suffices. It is the
-// allocation-free alternative to NewMatrix for callers that solve many
-// systems of varying shape with one long-lived matrix.
+// reusing the backing array when its capacity suffices, so callers that
+// solve many systems of varying shape keep one long-lived matrix.
 func (m *Matrix) Reshape(rows, cols int) {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("linalg: invalid shape %dx%d", rows, cols))
@@ -60,41 +44,22 @@ func (m *Matrix) Reshape(rows, cols int) {
 	m.Rows, m.Cols = rows, cols
 }
 
-// MulVec returns m · x. It panics if len(x) != m.Cols.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic("linalg: MulVec dimension mismatch")
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// SVDResult holds a thin SVD: A = U · diag(S) · Vᵀ with U of shape
-// (Rows×Cols), S of length Cols (descending) and V of shape (Cols×Cols).
-type SVDResult struct {
-	U *Matrix
-	S []float64
-	V *Matrix
-}
+// row returns row i of m as one contiguous slice.
+func (m *Matrix) row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols] }
 
 // Workspace holds the scratch buffers of the SVD and least-squares
 // solvers so repeated solves — the MLR predictor refits on every
 // prediction — allocate nothing after the first call. The zero value is
 // ready to use; buffers grow to the largest problem seen and are reused
-// in place. A Workspace is not safe for concurrent use, and the
-// matrices returned by its svd method are owned by the workspace (valid
-// until its next use).
+// in place. A Workspace is not safe for concurrent use.
+//
+// The SVD works on Gᵀ and Vᵀ — row j of gt and vt is column j of G and
+// V — so every rotation, norm and projection walks one contiguous
+// slice.
 type Workspace struct {
-	g, u, v, pad Matrix
-	s, rhs       []float64
+	gt, vt Matrix
+	s, rhs []float64
+	order  []int
 }
 
 // GrowFloats returns dst resized to n, reusing capacity when possible.
@@ -107,31 +72,28 @@ func GrowFloats(dst []float64, n int) []float64 {
 	return dst[:n]
 }
 
-// SVD computes the thin singular value decomposition of a, which must
-// have Rows >= Cols (the least-squares caller guarantees this by
-// construction; pad with zero rows otherwise). The result owns freshly
-// allocated matrices; use a Workspace for the allocation-free form.
-func SVD(a *Matrix) SVDResult {
-	var ws Workspace
-	return ws.svd(a)
-}
-
-// svd is SVD computing into the workspace's buffers. The returned
-// matrices and singular values alias the workspace and stay valid until
-// its next use.
-func (ws *Workspace) svd(a *Matrix) SVDResult {
-	if a.Rows < a.Cols {
+// svd computes the thin singular value decomposition A = U · diag(S) · Vᵀ
+// of the m-row matrix A whose columns are cols, each at most m long and
+// zero below (m >= len(cols): LeastSquares pads with zero rows). It
+// leaves, in the workspace, gt with row j the rotated column j of A —
+// U's column times its singular value — s[j] its norm, vt with row j
+// V's column j, and order the columns by descending singular value:
+// position k of the sorted decomposition is column order[k].
+func (ws *Workspace) svd(cols [][]float64, m int) {
+	n := len(cols)
+	if m < n {
 		panic("linalg: SVD requires rows >= cols")
 	}
-	m, n := a.Rows, a.Cols
-	// Columns of g are rotated until mutually orthogonal.
-	g := &ws.g
-	g.Reshape(m, n)
-	copy(g.Data, a.Data)
-	v := &ws.v
-	v.Reshape(n, n)
+	// Columns of G (rows of gt) are rotated until mutually orthogonal.
+	gt := &ws.gt
+	gt.Reshape(n, m)
+	for j, c := range cols {
+		copy(gt.row(j), c)
+	}
+	vt := &ws.vt
+	vt.Reshape(n, n)
 	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
+		vt.Set(i, i, 1)
 	}
 
 	const maxSweeps = 60
@@ -142,13 +104,12 @@ func (ws *Workspace) svd(a *Matrix) SVDResult {
 		rotated := false
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
+				gp, gq := gt.row(p), gt.row(q)
 				var alpha, beta, gamma float64
-				for i := 0; i < m; i++ {
-					gp := g.At(i, p)
-					gq := g.At(i, q)
-					alpha += gp * gp
-					beta += gq * gq
-					gamma += gp * gq
+				for i := range gp {
+					alpha += gp[i] * gp[i]
+					beta += gq[i] * gq[i]
+					gamma += gp[i] * gq[i]
 				}
 				if gamma == 0 || gamma*gamma <= eps*eps*alpha*beta {
 					continue
@@ -160,18 +121,8 @@ func (ws *Workspace) svd(a *Matrix) SVDResult {
 				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
-				for i := 0; i < m; i++ {
-					gp := g.At(i, p)
-					gq := g.At(i, q)
-					g.Set(i, p, c*gp-s*gq)
-					g.Set(i, q, s*gp+c*gq)
-				}
-				for i := 0; i < n; i++ {
-					vp := v.At(i, p)
-					vq := v.At(i, q)
-					v.Set(i, p, c*vp-s*vq)
-					v.Set(i, q, s*vp+c*vq)
-				}
+				rotate(gp, gq, c, s)
+				rotate(vt.row(p), vt.row(q), c, s)
 			}
 		}
 		if !rotated {
@@ -179,27 +130,26 @@ func (ws *Workspace) svd(a *Matrix) SVDResult {
 		}
 	}
 
-	// Singular values are the column norms of g; U's columns are the
+	// Singular values are the column norms of G; U's columns are the
 	// normalized columns.
 	ws.s = GrowFloats(ws.s, n)
 	s := ws.s
-	u := &ws.u
-	u.Reshape(m, n)
 	for j := 0; j < n; j++ {
 		var norm float64
-		for i := 0; i < m; i++ {
-			norm += g.At(i, j) * g.At(i, j)
+		for _, x := range gt.row(j) {
+			norm += x * x
 		}
-		norm = math.Sqrt(norm)
-		s[j] = norm
-		if norm > 0 {
-			for i := 0; i < m; i++ {
-				u.Set(i, j, g.At(i, j)/norm)
-			}
-		}
+		s[j] = math.Sqrt(norm)
 	}
 
-	// Sort singular values (and matching columns) in descending order.
+	// Sort singular values (and the order of their columns) descending.
+	if cap(ws.order) < n {
+		ws.order = make([]int, n)
+	}
+	order := ws.order[:n]
+	for j := range order {
+		order[j] = j
+	}
 	for i := 0; i < n; i++ {
 		maxJ := i
 		for j := i + 1; j < n; j++ {
@@ -209,18 +159,19 @@ func (ws *Workspace) svd(a *Matrix) SVDResult {
 		}
 		if maxJ != i {
 			s[i], s[maxJ] = s[maxJ], s[i]
-			swapCols(u, i, maxJ)
-			swapCols(v, i, maxJ)
+			order[i], order[maxJ] = order[maxJ], order[i]
 		}
 	}
-	return SVDResult{U: u, S: s, V: v}
+	ws.order = order
 }
 
-func swapCols(m *Matrix, a, b int) {
-	for i := 0; i < m.Rows; i++ {
-		va, vb := m.At(i, a), m.At(i, b)
-		m.Set(i, a, vb)
-		m.Set(i, b, va)
+// rotate applies the plane rotation (c, s) to the column pair xp, xq.
+func rotate(xp, xq []float64, c, s float64) {
+	xq = xq[:len(xp)]
+	for i, p := range xp {
+		q := xq[i]
+		xp[i] = c*p - s*q
+		xq[i] = s*p + c*q
 	}
 }
 
@@ -231,53 +182,52 @@ func swapCols(m *Matrix, a, b int) {
 const rcondTol = 1e-10
 
 // LeastSquares returns the minimum-norm x minimizing ‖A·x − b‖₂, solved
-// through the SVD pseudo-inverse. It panics when len(b) != A.Rows.
-func LeastSquares(a *Matrix, b []float64) []float64 {
-	var ws Workspace
-	return ws.LeastSquares(nil, a, b)
-}
-
-// LeastSquares is the allocation-free form of the package-level
-// LeastSquares: the solve's intermediates live in the workspace and the
-// solution is written into dst (grown only when its capacity is short).
-// The returned slice is the solution; it does not alias the workspace.
-func (ws *Workspace) LeastSquares(dst []float64, a *Matrix, b []float64) []float64 {
-	if len(b) != a.Rows {
-		panic("linalg: LeastSquares dimension mismatch")
+// through the SVD pseudo-inverse, where A is given by its columns: cols
+// (the design matrix's columns read in place, each len(b) long; it
+// panics otherwise). The solve's intermediates live in the workspace and
+// the solution is written into dst (grown only when its capacity is
+// short); the returned slice is the solution and does not alias the
+// workspace.
+func (ws *Workspace) LeastSquares(dst []float64, cols [][]float64, b []float64) []float64 {
+	m, n := len(b), len(cols)
+	for _, c := range cols {
+		if len(c) != m {
+			panic("linalg: LeastSquares dimension mismatch")
+		}
 	}
-	work := a
 	rhs := b
-	if a.Rows < a.Cols {
+	if m < n {
 		// Pad with zero rows so SVD's thin-shape requirement holds; the
 		// minimum-norm solution is unchanged.
-		work = &ws.pad
-		work.Reshape(a.Cols, a.Cols)
-		copy(work.Data, a.Data)
-		ws.rhs = GrowFloats(ws.rhs, a.Cols)
+		ws.rhs = GrowFloats(ws.rhs, n)
 		rhs = ws.rhs
 		clear(rhs)
 		copy(rhs, b)
+		m = n
 	}
-	svd := ws.svd(work)
-	n := work.Cols
 	x := GrowFloats(dst, n)
 	clear(x)
-	if len(svd.S) == 0 || svd.S[0] == 0 {
+	if n == 0 {
 		return x
 	}
-	tol := svd.S[0] * rcondTol
-	for k := 0; k < n; k++ {
-		if svd.S[k] <= tol {
+	ws.svd(cols, m)
+	s := ws.s
+	if s[0] == 0 {
+		return x
+	}
+	tol := s[0] * rcondTol
+	for k, j := range ws.order {
+		if s[k] <= tol {
 			continue
 		}
-		// coefficient along v_k: (u_k · b) / s_k
+		// coefficient along v_k: (u_k · b) / s_k, u_k = g_k / s_k
 		var ub float64
-		for i := 0; i < work.Rows; i++ {
-			ub += svd.U.At(i, k) * rhs[i]
+		for i, g := range ws.gt.row(j) {
+			ub += g / s[k] * rhs[i]
 		}
-		ub /= svd.S[k]
-		for j := 0; j < n; j++ {
-			x[j] += ub * svd.V.At(j, k)
+		ub /= s[k]
+		for l, v := range ws.vt.row(j) {
+			x[l] += ub * v
 		}
 	}
 	return x

@@ -7,9 +7,11 @@
 package predict
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/features"
 	"repro/internal/linalg"
@@ -87,12 +89,8 @@ func (h *History) Len() int {
 	return h.next
 }
 
-// Costs returns the stored costs in slot order (OLS and Pearson are
-// order-invariant up to rounding), in a freshly allocated slice.
-func (h *History) Costs() []float64 { return slices.Clone(h.costs[:h.Len()]) }
-
-// Column returns feature j across the stored observations, matching the
-// order of Costs, in a freshly allocated slice.
+// Column returns feature j across the stored observations in slot
+// order, in a freshly allocated slice.
 func (h *History) Column(j int) []float64 { return slices.Clone(h.cols[j][:h.Len()]) }
 
 // MeanCost returns the average stored cost (0 when empty), the cold
@@ -229,41 +227,39 @@ func (h *History) CheckState(st HistoryState) error {
 	return nil
 }
 
-// FCBF selects relevant, non-redundant predictors from cols (one slice
-// per candidate feature, all of equal length) for response y. It is the
-// thesis' variant of the Fast Correlation-Based Filter (§3.2.3): the
-// goodness measure is the absolute Pearson coefficient rather than
-// symmetrical uncertainty.
-//
-// Phase 1 keeps features with |r(X_j, y)| >= threshold (falling back to
-// the single best feature if none qualifies). Phase 2 walks the
-// survivors in descending relevance and removes every later feature
-// whose correlation with an earlier survivor exceeds its own
-// correlation with the response.
-func FCBF(cols [][]float64, y []float64, threshold float64) []int {
-	var sc fcbfScratch
-	return sc.selectInto(nil, cols, y, threshold)
-}
-
 // fcbfCand is one phase-1 survivor: a feature index and its relevance.
 type fcbfCand struct {
 	idx int
 	r   float64
 }
 
-// fcbfScratch holds the FCBF intermediates so the per-bin refit reuses
-// them instead of allocating. The zero value is ready to use.
+// fcbfScratch holds the intermediates of the thesis' variant of the Fast
+// Correlation-Based Filter (§3.2.3), whose goodness measure is the
+// absolute Pearson coefficient rather than symmetrical uncertainty, so
+// the per-bin refit reuses them instead of allocating. The zero value
+// is ready to use.
 type fcbfScratch struct {
 	cands   []fcbfCand
 	removed []bool
-	// Every column centred once per selection, flat (column j at
-	// [j*n, (j+1)*n), then the response, then a sink for centre4's
-	// filler lanes), each one's sum of squared deviations (the
-	// response's last) and each column's relevance |r(X_j, y)|: a
-	// redundancy correlation is then one dot product.
-	dev []float64
-	ss  []float64
-	rel []float64
+	// Phase 2's row scratch: the later survivors' columns, their
+	// positions in cands and their correlations with the row's survivor.
+	later, pos []int
+	rs         []float64
+	// Every column and the response centred once per selection: dev is
+	// flat (column j's own slot at [j*n, (j+1)*n), then the response,
+	// then a sink for the filler lanes of centre4), devs[j] is column j's
+	// deviations (its own slot, or the round reference's), ss each one's
+	// sum of squared deviations (the response's last) and rel each
+	// column's relevance |r(X_j, y)|: a redundancy correlation is then
+	// one dot product.
+	dev  []float64
+	devs [][]float64
+	ss   []float64
+	rel  []float64
+	// shared[j]: column j is the reference's of ref, the round this
+	// selection runs in (nil outside a shared refit).
+	shared []bool
+	ref    *Refit
 }
 
 // centreInto writes xs minus its mean into dev and returns the sum of
@@ -298,81 +294,238 @@ func centre4(dev, xs *[4][]float64, dy []float64) (ss, sxy [4]float64) {
 	fn := float64(n)
 	m0, m1, m2, m3 = m0/fn, m1/fn, m2/fn, m3/fn
 	d0, d1, d2, d3 := dev[0][:n], dev[1][:n], dev[2][:n], dev[3][:n]
+	// Scalar accumulators stay in registers; array elements would not.
+	var s0, s1, s2, s3, p0, p1, p2, p3 float64
 	for i, y := range dy {
 		a, b, c, d := x0[i]-m0, x1[i]-m1, x2[i]-m2, x3[i]-m3
 		d0[i], d1[i], d2[i], d3[i] = a, b, c, d
-		ss[0] += a * a
-		ss[1] += b * b
-		ss[2] += c * c
-		ss[3] += d * d
-		sxy[0] += a * y
-		sxy[1] += b * y
-		sxy[2] += c * y
-		sxy[3] += d * y
+		s0 += a * a
+		s1 += b * b
+		s2 += c * c
+		s3 += d * d
+		p0 += a * y
+		p1 += b * y
+		p2 += c * y
+		p3 += d * y
 	}
-	return ss, sxy
+	return [4]float64{s0, s1, s2, s3}, [4]float64{p0, p1, p2, p3}
+}
+
+// dot8 returns the dot products of x with eight columns, each summed in
+// row order: the cross-product half of centre4 for columns already
+// centred (x the centred response), or eight redundancy correlations of
+// one column at once. Eight independent chains keep both adders busy.
+func dot8(ds *[8][]float64, x []float64) [8]float64 {
+	n := len(x)
+	d0, d1, d2, d3 := ds[0][:n], ds[1][:n], ds[2][:n], ds[3][:n]
+	d4, d5, d6, d7 := ds[4][:n], ds[5][:n], ds[6][:n], ds[7][:n]
+	var p0, p1, p2, p3, p4, p5, p6, p7 float64
+	for i, y := range x {
+		p0 += d0[i] * y
+		p1 += d1[i] * y
+		p2 += d2[i] * y
+		p3 += d3[i] * y
+		p4 += d4[i] * y
+		p5 += d5[i] * y
+		p6 += d6[i] * y
+		p7 += d7[i] * y
+	}
+	return [8]float64{p0, p1, p2, p3, p4, p5, p6, p7}
 }
 
 // centre fills the scratch for one selection over cols and y, with
 // stats.Pearson's guards: a column of the wrong length, or any column
 // when there are under two rows, gets a zero sum of squares, which reads
-// as "correlates with nothing". The response is centred first; the
-// columns then go four to a centre4 pass, a short last group padded
-// with the response, whose deviations land in the sink.
-func (sc *fcbfScratch) centre(cols [][]float64, y []float64) {
+// as "correlates with nothing". The response is centred first. Inside a
+// shared round (ref non-nil, see Refit; an MLR refit, whose columns all
+// hold n rows) the first selection adopts its columns as the round's
+// reference, and a later one takes every column
+// bitwise equal to the reference's as shared: its deviations and sum of
+// squares are the reference's, and only its cross-product with dy is
+// computed, eight columns to a dot8 pass. The other columns go four to
+// a centre4 pass, a short last group of either padded with the response,
+// whose deviations land in the sink.
+func (sc *fcbfScratch) centre(cols [][]float64, y []float64, ref *Refit) {
 	n, resp := len(y), len(cols)
 	sc.dev = slices.Grow(sc.dev[:0], (resp+2)*n)[:(resp+2)*n]
 	sc.ss = slices.Grow(sc.ss[:0], resp+1)[:resp+1]
 	sc.rel = slices.Grow(sc.rel[:0], resp)[:resp]
+	sc.devs = slices.Grow(sc.devs[:0], resp)[:resp]
+	sc.shared = slices.Grow(sc.shared[:0], resp)[:resp]
 	clear(sc.ss)
 	clear(sc.rel)
+	clear(sc.shared)
+	sc.ref = nil
 	if n < 2 {
 		return
 	}
+	for j := range sc.devs {
+		sc.devs[j] = sc.dev[j*n : (j+1)*n]
+	}
+	adopt := false
+	if ref != nil && resp == features.NumFeatures {
+		switch ref.n {
+		case 0:
+			adopt = true
+			ref.adopt(cols, n)
+		case n:
+			for j, x := range cols {
+				sc.shared[j] = equalBits(x, ref.col(j))
+			}
+		}
+		for j, sh := range sc.shared {
+			if adopt || sh {
+				sc.shared[j] = true
+				sc.devs[j] = ref.dev[j*n : (j+1)*n]
+				sc.ref = ref
+			}
+		}
+	}
+
 	dy, sink := sc.dev[resp*n:(resp+1)*n], sc.dev[(resp+1)*n:]
 	ssy := centreInto(dy, y)
 	sc.ss[resp] = ssy
-	for j0 := 0; j0 < resp; j0 += 4 {
-		var xs, devs [4][]float64
-		for k := range xs {
-			xs[k], devs[k] = y, sink
-			if j := j0 + k; j < resp && len(cols[j]) == n {
-				xs[k], devs[k] = cols[j], sc.dev[j*n:(j+1)*n]
+	var cg [4]int // the next centre4 group's columns
+	var xg [8]int // the next dot8 group's columns
+	nc, nx := 0, 0
+	for j := range resp {
+		switch {
+		case len(cols[j]) != n:
+		case sc.shared[j] && !adopt:
+			xg[nx] = j
+			if nx++; nx == len(xg) {
+				sc.crossGroup(xg[:], dy, ssy)
+				nx = 0
+			}
+		default:
+			cg[nc] = j
+			if nc++; nc == len(cg) {
+				sc.centreGroup(cg[:], cols, y, dy, sink, ssy)
+				nc = 0
 			}
 		}
-		ss, sxy := centre4(&devs, &xs, dy)
-		for k := range min(4, resp-j0) {
-			if j := j0 + k; len(cols[j]) == n {
-				sc.ss[j] = ss[k]
-				if ss[k] != 0 && ssy != 0 {
-					sc.rel[j] = math.Abs(sxy[k] / math.Sqrt(ss[k]*ssy))
-				}
+	}
+	sc.crossGroup(xg[:nx], dy, ssy)
+	sc.centreGroup(cg[:nc], cols, y, dy, sink, ssy)
+	if adopt {
+		copy(ref.ss[:], sc.ss[:resp])
+	}
+}
+
+// centreGroup centres up to four columns (idx) in one centre4 pass,
+// padded with the response, and records their sums of squares and
+// relevances.
+func (sc *fcbfScratch) centreGroup(idx []int, cols [][]float64, y, dy, sink []float64, ssy float64) {
+	if len(idx) == 0 {
+		return
+	}
+	var xs, devs [4][]float64
+	for k := range xs {
+		xs[k], devs[k] = y, sink
+		if k < len(idx) {
+			xs[k], devs[k] = cols[idx[k]], sc.devs[idx[k]]
+		}
+	}
+	ss, sxy := centre4(&devs, &xs, dy)
+	for k, j := range idx {
+		sc.ss[j] = ss[k]
+		sc.relevance(j, sxy[k], ssy)
+	}
+}
+
+// crossGroup takes up to eight shared columns (idx) through one dot8
+// pass, padded with the response, with the reference's sums of squares.
+func (sc *fcbfScratch) crossGroup(idx []int, dy []float64, ssy float64) {
+	if len(idx) == 0 {
+		return
+	}
+	var devs [8][]float64
+	for k := range devs {
+		devs[k] = dy
+		if k < len(idx) {
+			devs[k] = sc.devs[idx[k]]
+		}
+	}
+	sxy := dot8(&devs, dy)
+	for k, j := range idx {
+		sc.ss[j] = sc.ref.ss[j]
+		sc.relevance(j, sxy[k], ssy)
+	}
+}
+
+// relevance records |r(X_j, y)| from the column's cross-product with the
+// centred response, as stats.Pearson computes it.
+func (sc *fcbfScratch) relevance(j int, sxy, ssy float64) {
+	if sc.ss[j] != 0 && ssy != 0 {
+		sc.rel[j] = math.Abs(sxy / math.Sqrt(sc.ss[j]*ssy))
+	}
+}
+
+// corrs writes |stats.Pearson| of column a with each column of bs into
+// rs, bit for bit, from their centred forms, eight dot products to a
+// dot8 pass. Two shared columns' correlation is the reference's,
+// computed once per round.
+func (sc *fcbfScratch) corrs(a int, bs []int, rs []float64) {
+	var grp [8]int // positions in bs of the next dot8 pass
+	ng := 0
+	for k, b := range bs {
+		rs[k] = 0
+		if sc.ss[a] == 0 || sc.ss[b] == 0 {
+			continue
+		}
+		if sc.shared[a] && sc.shared[b] {
+			if r, ok := sc.ref.corr(a, b); ok {
+				rs[k] = r
+				continue
 			}
+		}
+		grp[ng] = k
+		if ng++; ng == len(grp) {
+			sc.corrGroup(a, grp[:], bs, rs)
+			ng = 0
+		}
+	}
+	sc.corrGroup(a, grp[:ng], bs, rs)
+}
+
+// corrGroup computes the correlations of column a with up to eight
+// columns bs[grp[k]] in one dot8 pass, padded with a itself.
+func (sc *fcbfScratch) corrGroup(a int, grp []int, bs []int, rs []float64) {
+	if len(grp) == 0 {
+		return
+	}
+	da := sc.devs[a]
+	var dbs [8][]float64
+	for k := range dbs {
+		dbs[k] = da
+		if k < len(grp) {
+			dbs[k] = sc.devs[bs[grp[k]]]
+		}
+	}
+	sxy := dot8(&dbs, da)
+	for k, g := range grp {
+		b := bs[g]
+		r := math.Abs(sxy[k] / math.Sqrt(sc.ss[a]*sc.ss[b]))
+		rs[g] = r
+		if sc.shared[a] && sc.shared[b] {
+			sc.ref.setCorr(a, b, r)
 		}
 	}
 }
 
-// corr returns |stats.Pearson| of columns a and b (len(cols) names the
-// response), bit for bit, from their centred forms.
-func (sc *fcbfScratch) corr(a, b, n int) float64 {
-	if sc.ss[a] == 0 || sc.ss[b] == 0 {
-		return 0
-	}
-	da, db := sc.dev[a*n:(a+1)*n], sc.dev[b*n:(b+1)*n]
-	var sxy float64
-	for i, d := range da {
-		sxy += d * db[i]
-	}
-	return math.Abs(sxy / math.Sqrt(sc.ss[a]*sc.ss[b]))
-}
-
-// selectInto is FCBF appending the selected indices to out (usually a
-// reused slice truncated to zero length) with all intermediates taken
-// from the scratch: no steady-state allocation.
-func (sc *fcbfScratch) selectInto(out []int, cols [][]float64, y []float64, threshold float64) []int {
+// selectInto is the FCBF selection of cols for response y, appending
+// the selected indices to out (usually a reused slice truncated to zero
+// length) with all intermediates taken from the scratch: no steady-state
+// allocation. ref is the shared round it runs in, or nil.
+//
+// Phase 1 keeps features with |r(X_j, y)| >= threshold (falling back to
+// the single best feature if none qualifies). Phase 2 walks the
+// survivors in descending relevance and removes every later feature
+// whose correlation with an earlier survivor exceeds its own
+// correlation with the response.
+func (sc *fcbfScratch) selectInto(out []int, cols [][]float64, y []float64, threshold float64, ref *Refit) []int {
 	type cand = fcbfCand
-	n := len(y)
-	sc.centre(cols, y)
+	sc.centre(cols, y, ref)
 
 	cands := sc.cands[:0]
 	best := cand{idx: -1}
@@ -400,6 +553,9 @@ func (sc *fcbfScratch) selectInto(out []int, cols [][]float64, y []float64, thre
 	}
 	if cap(sc.removed) < len(cands) {
 		sc.removed = make([]bool, len(cands))
+		sc.later = make([]int, 0, len(cands))
+		sc.pos = make([]int, 0, len(cands))
+		sc.rs = make([]float64, len(cands))
 	}
 	removed := sc.removed[:len(cands)]
 	clear(removed)
@@ -407,11 +563,22 @@ func (sc *fcbfScratch) selectInto(out []int, cols [][]float64, y []float64, thre
 		if removed[i] {
 			continue
 		}
+		// Every later survivor's correlation with survivor i, then the
+		// removals: a removal within the row only marks the column it
+		// tests, so no check in the row depends on another.
+		later, pos := sc.later[:0], sc.pos[:0]
 		for j := i + 1; j < len(cands); j++ {
+			if !removed[j] {
+				later, pos = append(later, cands[j].idx), append(pos, j)
+			}
+		}
+		rs := sc.rs[:len(later)]
+		sc.corrs(cands[i].idx, later, rs)
+		for k, j := range pos {
 			// The epsilon absorbs rounding in the two correlations; without
 			// it an exactly-duplicated column can survive its own
 			// redundancy check.
-			if !removed[j] && sc.corr(cands[i].idx, cands[j].idx, n) >= cands[j].r-1e-9 {
+			if rs[k] >= cands[j].r-1e-9 {
 				removed[j] = true
 			}
 		}
@@ -422,6 +589,76 @@ func (sc *fcbfScratch) selectInto(out []int, cols [][]float64, y []float64, thre
 		}
 	}
 	return out
+}
+
+// equalBits reports whether a and b hold the same float64 bit patterns
+// (+0 and -0 differ, a NaN equals only its own bits), compared as bytes.
+func equalBits(a, b []float64) bool {
+	return len(a) == len(b) && bytes.Equal(floatBytes(a), floatBytes(b))
+}
+
+// floatBytes views xs as its raw bytes, without copying.
+func floatBytes(xs []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs))
+}
+
+// Refit shares the work of one round of MLR refits — the engine's query
+// set in one bin — between its members, with every member's result
+// bit-equal to its own Predict. The first member that fits in the round
+// is its reference: its history columns are copied and centred once. A
+// later member's column is shared when it holds the reference's bits
+// over the same number of rows, in the same slot order; it then reuses
+// the reference's deviations and sum of squares and computes only its
+// cross-product with its own centred costs, and a phase-2 correlation
+// of two shared columns is computed once per round. Members' op
+// counters still count a full refit each.
+//
+// Open starts a round and forgets the previous one, so nothing a round
+// keeps outlives it: call Open before the first Predict of every round.
+// The zero value is ready to use; a Refit is not safe for concurrent
+// use.
+type Refit struct {
+	n   int       // the reference's rows; 0 while the round has none
+	x   []float64 // its columns, flat: feature j at [j*n, (j+1)*n)
+	dev []float64 // their deviations from their means, same layout
+	ss  [features.NumFeatures]float64
+	// memo[a][b] (a < b) holds the shared columns' correlation when
+	// stamp[a][b] is round+1 (a zero stamp is never current).
+	memo  [features.NumFeatures][features.NumFeatures]float64
+	stamp [features.NumFeatures][features.NumFeatures]uint64
+	round uint64
+}
+
+// Open starts a new round: the next member to fit becomes the reference.
+func (r *Refit) Open() {
+	r.n = 0
+	r.round++
+}
+
+// Predict is m.Predict(f), sharing the work of the round r is in.
+func (r *Refit) Predict(m *MLR, f features.Vector) float64 { return m.refit(f, r) }
+
+// adopt makes cols (n rows each) the round's reference columns.
+func (r *Refit) adopt(cols [][]float64, n int) {
+	r.n = n
+	r.x = linalg.GrowFloats(r.x, len(cols)*n)
+	r.dev = linalg.GrowFloats(r.dev, len(cols)*n)
+	for j, x := range cols {
+		copy(r.x[j*n:(j+1)*n], x)
+	}
+}
+
+// col returns the reference's column j.
+func (r *Refit) col(j int) []float64 { return r.x[j*r.n : (j+1)*r.n] }
+
+func (r *Refit) corr(a, b int) (float64, bool) {
+	a, b = min(a, b), max(a, b)
+	return r.memo[a][b], r.stamp[a][b] == r.round+1
+}
+
+func (r *Refit) setCorr(a, b int, v float64) {
+	a, b = min(a, b), max(a, b)
+	r.memo[a][b], r.stamp[a][b] = v, r.round+1
 }
 
 // MLR is the thesis' predictor: FCBF feature selection plus an
@@ -443,10 +680,11 @@ type MLR struct {
 	// allocation-free in steady state (§3.1 refits on every prediction;
 	// the thesis requires the prediction subsystem's own overhead to
 	// stay negligible).
-	cols [features.NumFeatures][]float64 // views of the history's columns
-	fcbf fcbfScratch
-	a    linalg.Matrix // design matrix, reshaped in place
-	ws   linalg.Workspace
+	cols   [features.NumFeatures][]float64 // views of the history's columns
+	fcbf   fcbfScratch
+	design [][]float64 // the design matrix's columns: ones, then the selected views
+	ones   []float64
+	ws     linalg.Workspace
 
 	// Op counters for the overhead accounting of Table 3.4.
 	FCBFOps int64 // scalar multiplies spent in correlation scans
@@ -496,7 +734,10 @@ func (m *MLR) Selected() []int { return m.selected }
 // the history's columns and costs where they lie; the rest of the refit
 // runs in the predictor's scratch buffers, so after warm-up it performs
 // no allocations.
-func (m *MLR) Predict(f features.Vector) float64 {
+func (m *MLR) Predict(f features.Vector) float64 { return m.refit(f, nil) }
+
+// refit is Predict inside the shared round ref (nil: on its own).
+func (m *MLR) refit(f features.Vector, ref *Refit) float64 {
 	n := m.hist.Len()
 	if n < m.MinHistory {
 		return m.hist.MeanCost()
@@ -506,22 +747,22 @@ func (m *MLR) Predict(f features.Vector) float64 {
 		m.cols[j] = m.hist.cols[j][:n]
 	}
 	cols := m.cols[:]
-	m.selected = m.fcbf.selectInto(m.selected[:0], cols, y, m.threshold)
+	m.selected = m.fcbf.selectInto(m.selected[:0], cols, y, m.threshold, ref)
 	m.FCBFOps += int64(n * features.NumFeatures)
 	if len(m.selected) == 0 {
 		return m.hist.MeanCost()
 	}
 
 	p := len(m.selected)
-	a := &m.a
-	a.Reshape(n, p+1)
-	for i := 0; i < n; i++ {
-		a.Set(i, 0, 1)
-		for k, j := range m.selected {
-			a.Set(i, k+1, cols[j][i])
-		}
+	m.ones = linalg.GrowFloats(m.ones, n)
+	for i := range m.ones {
+		m.ones[i] = 1
 	}
-	m.coef = m.ws.LeastSquares(m.coef[:0], a, y)
+	m.design = append(m.design[:0], m.ones)
+	for _, j := range m.selected {
+		m.design = append(m.design, cols[j])
+	}
+	m.coef = m.ws.LeastSquares(m.coef[:0], m.design, y)
 	m.FitOps += int64(n * (p + 1) * (p + 1))
 
 	pred := m.coef[0]

@@ -254,7 +254,7 @@ func TestFCBFMatchesPearsonOracle(t *testing.T) {
 				}
 			}
 			want, wantCands := pearsonFCBF(cols, y, threshold)
-			got := sc.selectInto(nil, cols, y, threshold)
+			got := sc.selectInto(nil, cols, y, threshold, nil)
 			if !slices.Equal(got, want) {
 				t.Fatalf("n=%d threshold=%g: selected %v, oracle %v", n, threshold, got, want)
 			}
@@ -273,7 +273,7 @@ func TestFCBFMatchesPearsonOracle(t *testing.T) {
 				}
 				for b := range cols {
 					want := math.Abs(stats.Pearson(cols[a], cols[b]))
-					if got := sc.corr(a, b, n); math.Float64bits(got) != math.Float64bits(want) {
+					if got := sc.corr(a, b); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("n=%d: corr(%d,%d) = %v, Pearson %v", n, a, b, got, want)
 					}
 				}
@@ -482,7 +482,7 @@ func BenchmarkFCBFSelect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel = sc.selectInto(sel[:0], cols, y, DefaultThreshold)
+		sel = sc.selectInto(sel[:0], cols, y, DefaultThreshold, nil)
 	}
 	if len(sel) == 0 || len(sc.cands) <= len(sel) {
 		b.Fatalf("selected %d of %d phase-1 survivors: phase 2 removed nothing", len(sel), len(sc.cands))

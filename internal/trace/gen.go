@@ -238,6 +238,12 @@ type Generator struct {
 	burstLeft   int     // bins remaining in the current flash burst
 	burstfactor float64 // load multiplier of the current burst
 
+	// warm is set once the active-flow set holds the steady state:
+	// Reset clears it, and the first NextBatch after a Reset warms up,
+	// so a Reset nothing reads after (NewGenerator's, Record's last)
+	// costs nothing.
+	warm bool
+
 	// free pools retired flow states (a finished flow's struct is reused
 	// by a later spawn) and pktCap predicts the next batch's size from
 	// the previous one's, so steady-state generation costs one
@@ -280,7 +286,8 @@ func (g *Generator) Config() Config { return g.cfg }
 func (g *Generator) TimeBin() time.Duration { return g.cfg.TimeBin }
 
 // Reset implements Source: the generator restarts from a pristine,
-// seed-determined state.
+// seed-determined state. The warm-up that seeds the active flows runs
+// at the next NextBatch, so Reset itself is cheap.
 func (g *Generator) Reset() {
 	g.rng = hash.NewXorShift(g.cfg.Seed + 0x5ca1ab1e)
 	g.zipf = rand.NewZipf(rand.New(hash.NewXorShift(g.cfg.Seed+0x21bf)), g.cfg.ZipfS, 1, uint64(g.cfg.Servers-1))
@@ -297,7 +304,7 @@ func (g *Generator) Reset() {
 	}
 	g.burstLeft = 0
 	g.burstfactor = 1
-	g.warmup()
+	g.warm = false
 }
 
 // warmup seeds the active-flow set with the steady state: flows that
@@ -326,6 +333,10 @@ func (g *Generator) warmup() {
 func (g *Generator) NextBatch() (pkt.Batch, bool) {
 	if g.nbins >= 0 && g.bin >= g.nbins {
 		return pkt.Batch{}, false
+	}
+	if !g.warm {
+		g.warmup()
+		g.warm = true
 	}
 	t0 := time.Duration(g.bin) * g.cfg.TimeBin
 	t1 := t0 + g.cfg.TimeBin

@@ -94,6 +94,24 @@ func TestGeneratorBytesPinned(t *testing.T) {
 	}
 }
 
+// TestGeneratorResetDefersWarmup: Reset leaves the active-flow set
+// empty, and the next NextBatch seeds it, so construction and Record's
+// closing Reset cost no warm-up of their own.
+func TestGeneratorResetDefersWarmup(t *testing.T) {
+	g := NewGenerator(CESCA2(1, time.Second, 0.3))
+	if len(g.active) != 0 {
+		t.Fatalf("NewGenerator warmed up %d flows before any NextBatch", len(g.active))
+	}
+	g.NextBatch()
+	if len(g.active) == 0 {
+		t.Fatal("first NextBatch left no active flows")
+	}
+	g.Reset()
+	if len(g.active) != 0 {
+		t.Fatalf("Reset warmed up %d flows before any NextBatch", len(g.active))
+	}
+}
+
 // scrubByte is the payload byte rule, one byte at a time.
 func scrubByte(b byte) byte {
 	b &= 0x7f

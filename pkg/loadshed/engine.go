@@ -277,6 +277,9 @@ type System struct {
 	gov *core.Governor
 
 	globalExt *features.Extractor
+	// refit is the bin's shared MLR refit: extractPredict opens a round
+	// per bin and predicts every MLR query through it.
+	refit predict.Refit
 	// flows is the sequential runner's flow index of each bin's wire
 	// packets (step builds it; the pipelined runner's front stage builds
 	// its own, one per ring slot).

@@ -209,17 +209,22 @@ func (s *System) extractPredict(bc *BinContext) {
 	// it in execute) because the next write to it is the next bin's
 	// extractPredict, on this goroutine, after the pool has drained.
 	bc.fv = s.globalExt.ExtractFromSketch(sk, float64(bc.Admitted.Packets()), float64(bc.Admitted.Bytes()))
+	// The MLR queries refit in one shared round: columns their histories
+	// hold in common are centred once, with every prediction and op
+	// count bit-equal to a refit of its own. The counters still price a
+	// full per-query refit each, the thesis' algorithm (Table 3.4).
+	s.refit.Open()
 	for i, rq := range s.qs {
 		if rq == nil { // tombstoned: predicts 0, contributes nothing
 			continue
 		}
-		var fit, fcbf int64
+		var p float64
 		if rq.mlr != nil {
-			fcbf, fit = rq.mlr.FCBFOps, rq.mlr.FitOps
-		}
-		p := rq.pred.Predict(bc.fv)
-		if rq.mlr != nil {
+			fcbf, fit := rq.mlr.FCBFOps, rq.mlr.FitOps
+			p = s.refit.Predict(rq.mlr, bc.fv)
 			bc.overhead += predict.FCBFCostPerOp*float64(rq.mlr.FCBFOps-fcbf) + predict.FitCostPerOp*float64(rq.mlr.FitOps-fit)
+		} else {
+			p = rq.pred.Predict(bc.fv)
 		}
 		bc.Stats.QueryPred[i] = p
 		predSum += p

@@ -10,9 +10,12 @@
 # pairs of the workload a claim rests on — PAIRS times on each side,
 # seeds 1 and 2 alternating and the side that goes first alternating
 # too, and prints, per workload and end-to-end metric, both
-# medians and quartiles, the change of the median, and the pairs the
-# change won. A gain counts when the change wins nine tenths of the
-# pairs and the medians differ by more than the parent's q3 - q1.
+# medians and quartiles, the change of the median, the pairs the
+# change won and a verdict. A gain counts when the change wins nine
+# tenths of the pairs and the medians differ by more than the parent's
+# q3 - q1; a regression when the parent does; anything else is inside
+# noise, which under ten pairs cannot exclude a move the size of a
+# metric's bound.
 #
 # Every run is the benchmark's own: bench/run.sh at its default window,
 # tracing off. Reads only each run's final JSON line and its digest;
@@ -76,11 +79,15 @@ quartiles() {
 		END { if (NR) printf "%.5g / %.5g / %.5g", quantile(.25), quantile(.5), quantile(.75) }'
 }
 
+if ((pairs < 10)); then
+	echo
+	echo "warning: $pairs pairs: \"inside noise\" cannot exclude a move as large as a metric's bound (that takes 10)"
+fi
 for w in $workloads; do
 	echo
 	echo "== $w"
-	echo "| metric | parent q1 / median / q3 | change q1 / median / q3 | Δ median | pairs the change wins |"
-	echo "|---|---|---|---|---|"
+	echo "| metric | parent q1 / median / q3 | change q1 / median / q3 | Δ median | pairs the change wins | verdict |"
+	echo "|---|---|---|---|---|---|"
 	for md in $metrics; do
 		m=${md%:*}
 		for p in $(seq 1 "$pairs"); do
@@ -92,8 +99,14 @@ for w in $workloads; do
 			{ if (dir == "higher" ? $2 > $1 : $2 < $1) won++; else if ($2 == $1) tied++ }
 			END {
 				split(par, p, " / "); split(chg, c, " / ")
-				printf "| `%s` | %s | %s | %+.1f %% | %d of %d%s |\n", name, par, chg,
-					p[2] ? 100 * (c[2] - p[2]) / p[2] : 0, won, NR, tied ? " (" tied " ties)" : ""
+				lost = NR - won - tied
+				d = c[2] - p[2]
+				moved = (d < 0 ? -d : d) > p[3] - p[1]
+				verdict = "inside noise"
+				if (NR && moved && 10 * won >= 9 * NR) verdict = "gain"
+				else if (NR && moved && 10 * lost >= 9 * NR) verdict = "regression"
+				printf "| `%s` | %s | %s | %+.1f %% | %d of %d%s | %s |\n", name, par, chg,
+					p[2] ? 100 * d / p[2] : 0, won, NR, tied ? " (" tied " ties)" : "", verdict
 			}' "$tmp/pairs"
 	done
 	for p in $(seq 1 "$pairs"); do
