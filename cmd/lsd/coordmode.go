@@ -48,7 +48,7 @@ func runCoordinator(ctx context.Context, o *options) {
 		// Reload any spilled checkpoints before serving: shards that
 		// crashed with the previous coordinator come back as partitioned
 		// members whose state is immediately offerable.
-		die(coord.SetStateDir(c.stateDir))
+		die(coord.SetStateDir(c.stateDir, time.Now()))
 		fmt.Printf("state dir %s: %d checkpoint(s) reloaded\n", c.stateDir, coord.CheckpointsStored())
 	}
 	ln, err := net.Listen("tcp", c.listen)

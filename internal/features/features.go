@@ -140,9 +140,9 @@ func newBitmaps() (bm bitmaps) {
 // every Interval that folds it reads the estimates instead of
 // recomputing them.
 //
-// The engine's pipelined runner keeps a small ring of sketches so the
-// front stage can hash bin N+1 while the back stage still reads bin N's
-// sketch (DESIGN.md, "Bin pipeline").
+// The engine keeps a sketch per bin slot, so its pipelined runner's
+// front goroutine can hash bin N+1 while the back stage still reads bin
+// N's sketch (DESIGN.md, "Bin pipeline").
 //
 // The zero value is unusable; construct with NewSketch.
 type Sketch struct {
@@ -445,98 +445,19 @@ func (e *Extractor) SketchInto(sk *Sketch, pkts []pkt.Packet) {
 // indexes: the first, batch-pure half of extraction. It reads only e's
 // hash tables (fixed at construction) and x, and writes only sk, so
 // concurrent calls on the same extractor are safe when each targets a
-// distinct sketch — the contract the pipelined engine's read-ahead stage
+// distinct sketch — the contract the pipelined engine's front goroutine
 // builds on. sk reads x until its next fill. It does not advance e.Ops;
 // the consumer charges the cost when the sketch is folded into a bin
 // (sk.Ops reports it).
-func (e *Extractor) SketchFlows(sk *Sketch, x *pkt.FlowIndex) {
-	sk.index(x)
-	e.sketchRange(sk, &sk.batch, 0, len(x.Keys))
-	sk.seal()
-}
-
-// sketchRange hashes flows [lo, hi) of sk's index into those rows of
-// sk's columns and inserts them into the bitmaps of into — sk's own on
-// the sequential fill, a worker's staging set on the chunk-parallel one.
 //
 // Aggregates iterate in the outer loop, flows in the inner one, for the
 // cache behaviour documented on ExtractInto.
-func (e *Extractor) sketchRange(sk *Sketch, into *bitmaps, lo, hi int) {
+func (e *Extractor) SketchFlows(sk *Sketch, x *pkt.FlowIndex) {
+	sk.index(x)
 	for a := range sk.cols {
-		col := e.h3[a].AggHashes(sk.cols[a][lo:hi:hi], sk.flows.Keys[lo:hi], pkt.Aggregate(a))
-		into[a].InsertMany(col)
+		sk.batch[a].InsertMany(e.h3[a].AggHashes(sk.cols[a], x.Keys, pkt.Aggregate(a)))
 	}
-}
-
-// ChunkSketcher fills sketches in parallel, split by flow: given the
-// batch's flow index, worker w hashes the w-th contiguous run of flow
-// ids straight into its disjoint range of the destination's
-// columns and inserts it into a per-worker staging bitmap set, and the
-// staging sets are ORed into the destination in worker index order.
-// Because bitmap contents are pure unions and every flow's hash is
-// independent of its neighbours, the result is bit-identical to a
-// sequential SketchFlows for any chunk count and any execution order —
-// which is what lets the engine split a batch across cores without
-// giving up bit-identical runs.
-//
-// The chunk closure is built once at construction and the staging
-// bitmaps are reused across fills, so a warmed ChunkSketcher fills
-// without allocating. It is owned by one producer at a time; only the
-// chunk function itself runs on other goroutines.
-type ChunkSketcher struct {
-	e       *Extractor
-	staging []bitmaps
-	dst     *Sketch   // current fill's destination, indexed; written by fn
-	chunk   int       // current fill's chunk length, in flows
-	fn      func(int) // prebuilt chunk body
-}
-
-// NewChunkSketcher returns a sketcher with `workers` staging bitmap sets
-// for extractor e (workers >= 1).
-func NewChunkSketcher(e *Extractor, workers int) *ChunkSketcher {
-	if workers < 1 {
-		workers = 1
-	}
-	cs := &ChunkSketcher{e: e, staging: make([]bitmaps, workers)}
-	for w := range cs.staging {
-		cs.staging[w] = newBitmaps()
-	}
-	cs.fn = func(w int) {
-		nf := len(cs.dst.flows.Keys)
-		lo := min(w*cs.chunk, nf)
-		hi := min(lo+cs.chunk, nf)
-		for _, m := range cs.staging[w] {
-			m.Reset()
-		}
-		cs.e.sketchRange(cs.dst, &cs.staging[w], lo, hi)
-	}
-	return cs
-}
-
-// Workers reports the number of staging bitmap sets (the chunk count).
-func (cs *ChunkSketcher) Workers() int { return len(cs.staging) }
-
-// Fill sketches the flows x indexes into dst using one chunk per
-// staging set: SketchFlows, split. run must invoke fn(0..n-1) exactly
-// once each before returning, on any goroutines it likes — a worker
-// pool, or nil to run the chunks inline.
-func (cs *ChunkSketcher) Fill(dst *Sketch, x *pkt.FlowIndex, run func(n int, fn func(int))) {
-	n := len(cs.staging)
-	if n == 1 || run == nil {
-		cs.e.SketchFlows(dst, x)
-		return
-	}
-	dst.index(x)
-	cs.dst = dst
-	cs.chunk = (len(x.Keys) + n - 1) / n
-	run(n, cs.fn)
-	cs.dst = nil
-	for w := range cs.staging {
-		for a, m := range cs.staging[w] {
-			dst.batch[a].MergeFrom(m)
-		}
-	}
-	dst.seal()
+	sk.seal()
 }
 
 // sized returns v resized to NumFeatures, reallocating only when the

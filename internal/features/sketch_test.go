@@ -16,7 +16,7 @@ import (
 )
 
 // sketchTrace records a couple of seconds of generator batches so the
-// chunk-equivalence tests see real-ish key distributions, not toy rows.
+// sketch tests see real-ish key distributions, not toy rows.
 func sketchTrace(t testing.TB) []pkt.Batch {
 	g := trace.NewGenerator(trace.Config{Seed: 31, Duration: 2 * time.Second, PacketsPerSec: 6000})
 	batches := trace.Record(g)
@@ -34,17 +34,14 @@ func indexed(pkts []pkt.Packet) *pkt.FlowIndex {
 	return x
 }
 
-// inlineRun satisfies ChunkSketcher.Fill's run contract on the calling
-// goroutine — the degenerate "pool" used to isolate chunking from
-// concurrency.
+// inlineRun runs fn(0) … fn(n-1) in order on the calling goroutine.
 func inlineRun(n int, fn func(int)) {
 	for i := 0; i < n; i++ {
 		fn(i)
 	}
 }
 
-// goRun fans fn out over real goroutines, the shape the engine's front
-// stage uses.
+// goRun runs fn(0) … fn(n-1) on n concurrent goroutines.
 func goRun(n int, fn func(int)) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -57,11 +54,13 @@ func goRun(n int, fn func(int)) {
 	wg.Wait()
 }
 
-// TestChunkSketchEquivalence is the determinism contract of the
-// batch-parallel front stage: sketching a batch in k chunks and merging
-// the staging bitmaps in index order must produce hash columns and
-// vectors bit-identical to the sequential single-chunk sketch, for any k
-// and whether the chunks run inline or on concurrent goroutines.
+// TestChunkSketchEquivalence is the contract the engine's front
+// goroutine fills under: SketchFlows calls on one extractor, each into
+// a sketch of its own, may run concurrently. workers fillers split the
+// batches round-robin, inline or on as many goroutines, each into the
+// batch's own sketch over the batch's own index; folded in batch order
+// those sketches must give hash columns, vectors and interval estimates
+// bit-identical to the same fills run in order.
 func TestChunkSketchEquivalence(t *testing.T) {
 	batches := sketchTrace(t)
 	for _, workers := range []int{1, 2, 3, 4, 7} {
@@ -71,21 +70,26 @@ func TestChunkSketchEquivalence(t *testing.T) {
 				if mode == "goroutines" {
 					run = goRun
 				}
-				seqExt := NewExtractor(9)
-				parExt := NewExtractor(9)
-				cs := NewChunkSketcher(parExt, workers)
-				seqSk, parSk := NewSketch(), NewSketch()
+				seqExt, parExt := NewExtractor(9), NewExtractor(9)
+				par := make([]*Sketch, len(batches))
+				run(workers, func(w int) {
+					for i := w; i < len(batches); i += workers {
+						par[i] = NewSketch()
+						parExt.SketchFlows(par[i], indexed(batches[i].Pkts))
+					}
+				})
+				seqSk := NewSketch()
 				seqExt.StartInterval()
 				parExt.StartInterval()
-				for _, b := range batches {
-					seqExt.SketchInto(seqSk, b.Pkts)
-					cs.Fill(parSk, indexed(b.Pkts), run)
+				for i, b := range batches {
+					seqExt.SketchFlows(seqSk, indexed(b.Pkts))
+					parSk := par[i]
 					if seqSk.Pkts() != parSk.Pkts() {
-						t.Fatalf("chunked sketch saw %d pkts, sequential %d", parSk.Pkts(), seqSk.Pkts())
+						t.Fatalf("concurrent fill saw %d pkts, sequential %d", parSk.Pkts(), seqSk.Pkts())
 					}
 					for a := range seqSk.cols {
 						if !slices.Equal(seqSk.cols[a], parSk.cols[a]) {
-							t.Fatalf("chunked fill's %s hash column differs from the sequential fill's", pkt.Aggregate(a))
+							t.Fatalf("concurrent fill's %s hash column differs from the sequential fill's", pkt.Aggregate(a))
 						}
 					}
 					np, nb := float64(b.Packets()), float64(b.Bytes())
@@ -96,7 +100,7 @@ func TestChunkSketchEquivalence(t *testing.T) {
 					}
 				}
 				if seqExt.iv.after != parExt.iv.after {
-					t.Fatal("interval estimates diverged between sequential and chunked sketching")
+					t.Fatal("interval estimates diverged between sequential and concurrent fills")
 				}
 			})
 		}
@@ -128,25 +132,24 @@ func TestSketchMatchesExtract(t *testing.T) {
 	}
 }
 
-// TestChunkSketchFillAllocFree proves a warmed ChunkSketcher fills
-// without allocating — the property that lets the pipelined front stage
-// keep the PR 4-5 zero-alloc steady state.
+// TestChunkSketchFillAllocFree proves a warmed SketchFlows fill, and
+// the extraction that folds it, allocate nothing — the property that
+// keeps a bin slot's fill inside the engine's zero-alloc steady state.
 func TestChunkSketchFillAllocFree(t *testing.T) {
 	batches := sketchTrace(t)
 	ext := NewExtractor(2)
-	cs := NewChunkSketcher(ext, 4)
 	dst, x := NewSketch(), indexed(batches[0].Pkts)
 	ext.StartInterval()
-	cs.Fill(dst, x, inlineRun) // warm the hash columns
+	ext.SketchFlows(dst, x) // warm the hash columns
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, b := range batches {
 			x.Build(b.Pkts)
-			cs.Fill(dst, x, inlineRun)
+			ext.SketchFlows(dst, x)
 			ext.ExtractFromSketch(dst, float64(b.Packets()), float64(b.Bytes()))
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warmed ChunkSketcher fill allocated %v times per run, want 0", allocs)
+		t.Fatalf("warmed SketchFlows fill allocated %v times per run, want 0", allocs)
 	}
 }
 
@@ -214,7 +217,7 @@ func TestSketchSelectMatchesSketchOfSelection(t *testing.T) {
 }
 
 // TestSketchTruncateMatchesSketchOfPrefix: a DAG-drop bin keeps a prefix
-// of the batch the front stage sketched; truncating that sketch must
+// of the batch its slot's fill sketched; truncating that sketch must
 // equal sketching the prefix afresh.
 func TestSketchTruncateMatchesSketchOfPrefix(t *testing.T) {
 	ext := NewExtractor(6)
@@ -260,14 +263,13 @@ func TestSketchSelectAllocFree(t *testing.T) {
 
 // oracleSketch fills sk as the extractor did before the flow index:
 // every packet's ten hashes, inserted in bulk into cleared bitmaps — the
-// per-packet sketchRange loop over [0, len(pkts)). It keeps no columns
+// per-packet SketchFlows loop. It keeps no columns
 // and no index; what it fills is what sameSketch compares.
 func oracleSketch(e *Extractor, sk *Sketch, pkts []pkt.Packet) {
-	lo, hi := 0, len(pkts)
 	for a := range sk.cols {
 		sk.cols[a] = nil
 		sk.batch[a].Reset()
-		col := e.h3[a].AggHashes(nil, pkts[lo:hi], pkt.Aggregate(a))
+		col := e.h3[a].AggHashes(nil, pkts, pkt.Aggregate(a))
 		sk.batch[a].InsertMany(col)
 	}
 	sk.n = len(pkts)
@@ -280,9 +282,9 @@ var oracleRates = []float64{0, 0.05, 0.5, 1 - 1.0/(1<<53)}
 
 // checkSketchOracle holds every consumer of the bin's flow index in
 // features to the per-packet oracle on one bin: SketchFlows over the
-// bin's index and SketchInto over its own, ChunkSketcher.Fill at one to
-// four chunks, SelectInto at oracleRates and, when every is set,
-// Truncate at every prefix length (else at three).
+// bin's index and SketchInto over its own, SelectInto at oracleRates
+// and, when every is set, Truncate at every prefix length (else at
+// three).
 func checkSketchOracle(t *testing.T, what string, pkts []pkt.Packet, every bool) {
 	t.Helper()
 	ext := NewExtractor(11)
@@ -293,10 +295,6 @@ func checkSketchOracle(t *testing.T, what string, pkts []pkt.Packet, every bool)
 	sameSketch(t, what+", SketchInto", got, want)
 	ext.SketchFlows(got, x)
 	sameSketch(t, what+", SketchFlows", got, want)
-	for chunks := 1; chunks <= 4; chunks++ {
-		NewChunkSketcher(ext, chunks).Fill(got, x, inlineRun)
-		sameSketch(t, fmt.Sprintf("%s, Fill in %d chunks", what, chunks), got, want)
-	}
 	for _, rate := range oracleRates {
 		idx := sampling.NewPacketSampler(3).SelectInto(nil, len(pkts), rate)
 		picked := make([]pkt.Packet, len(idx))

@@ -29,10 +29,11 @@ const KeySize = 13
 // An H3 value is immutable between Reseed calls: Hash, HashAgg and
 // AggHashes only read the lookup table, so any number of goroutines may
 // hash through the same H3 concurrently (into distinct dst buffers for
-// AggHashes). This read-only contract is what lets the engine's
-// chunk-parallel front stage share one extractor's H3 functions across
-// sketch workers. Reseed is the single mutator and must not run
-// concurrently with hashing.
+// AggHashes). This read-only contract is what lets sketches be filled
+// concurrently through one extractor's H3 functions (the engine's
+// pipeline front goroutine fills while the run goroutine extracts).
+// Reseed is the single mutator and must not run concurrently with
+// hashing.
 type H3 struct {
 	table [KeySize][256]uint64
 }
@@ -86,12 +87,6 @@ func (h *H3) Hash(key []byte) uint64 {
 // for sampling decisions: a packet is selected when Unit(key) < rate.
 func (h *H3) Unit(key []byte) float64 {
 	return float64(h.Hash(key)>>11) / float64(1<<53)
-}
-
-// Uint32 returns the high 32 bits of the hash, convenient for indexing
-// bitmap buckets.
-func (h *H3) Uint32(key []byte) uint32 {
-	return uint32(h.Hash(key) >> 32)
 }
 
 // HashAgg returns the H3 hash of packet p's key for aggregate a,

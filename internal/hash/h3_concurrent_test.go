@@ -11,9 +11,9 @@ import (
 // TestAggHashesConcurrentReaders pins the read-only concurrency
 // contract documented on H3: many goroutines bulk-hashing disjoint
 // slices of the same packet run through one shared H3 must reproduce
-// the sequential AggHashes output exactly. This is the property the
-// chunk-parallel sketch stage leans on when it shares an extractor's
-// H3 functions across workers. Run under -race in CI.
+// the sequential AggHashes output exactly. This is the property
+// concurrent sketch fills lean on when they share an extractor's H3
+// functions. Run under -race in CI.
 func TestAggHashesConcurrentReaders(t *testing.T) {
 	const n = 4096
 	pkts := make([]pkt.Packet, n)

@@ -9,22 +9,22 @@ import (
 )
 
 // NewMatrix returns a zero matrix of the given shape.
-func NewMatrix(rows, cols int) *Matrix {
+func NewMatrix(rows, cols int) *matrix {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("linalg: invalid shape %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
 // Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
+func (m *matrix) Clone() *matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
 // MulVec returns m · x. It panics if len(x) != m.Cols.
-func (m *Matrix) MulVec(x []float64) []float64 {
+func (m *matrix) MulVec(x []float64) []float64 {
 	if len(x) != m.Cols {
 		panic("linalg: MulVec dimension mismatch")
 	}
@@ -41,12 +41,12 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 
 // columns returns m's columns as fresh slices: the form LeastSquares
 // takes A in.
-func (m *Matrix) columns() [][]float64 {
+func (m *matrix) columns() [][]float64 {
 	cols := make([][]float64, m.Cols)
 	for j := range cols {
 		cols[j] = make([]float64, m.Rows)
 		for i := range cols[j] {
-			cols[j][i] = m.At(i, j)
+			cols[j][i] = m.at(i, j)
 		}
 	}
 	return cols
@@ -55,9 +55,9 @@ func (m *Matrix) columns() [][]float64 {
 // SVDResult holds a thin SVD: A = U · diag(S) · Vᵀ with U of shape
 // (Rows×Cols), S of length Cols (descending) and V of shape (Cols×Cols).
 type SVDResult struct {
-	U *Matrix
+	U *matrix
 	S []float64
-	V *Matrix
+	V *matrix
 }
 
 // decomposition reads the workspace's last svd back as an SVDResult,
@@ -69,38 +69,38 @@ func (ws *Workspace) decomposition() SVDResult {
 	for k, j := range ws.order {
 		for i, g := range ws.gt.row(j) {
 			if r.S[k] > 0 {
-				r.U.Set(i, k, g/r.S[k])
+				r.U.set(i, k, g/r.S[k])
 			}
 		}
 		for l, v := range ws.vt.row(j) {
-			r.V.Set(l, k, v)
+			r.V.set(l, k, v)
 		}
 	}
 	return r
 }
 
 // SVD is the workspace's svd of a, read back as an SVDResult.
-func SVD(a *Matrix) SVDResult {
+func SVD(a *matrix) SVDResult {
 	var ws Workspace
 	ws.svd(a.columns(), a.Rows)
 	return ws.decomposition()
 }
 
 // LeastSquares is the workspace solve of a on a throwaway workspace.
-func LeastSquares(a *Matrix, b []float64) []float64 {
+func LeastSquares(a *matrix, b []float64) []float64 {
 	var ws Workspace
 	return ws.LeastSquares(nil, a.columns(), b)
 }
 
 // rowMajorSVD is the row-major one-sided Jacobi SVD the workspace's
 // transposed form replaced, kept as its oracle: the same operations in
-// the same order, read through At and Set on untransposed matrices.
-func rowMajorSVD(a *Matrix) SVDResult {
+// the same order, read through at and set on untransposed matrices.
+func rowMajorSVD(a *matrix) SVDResult {
 	m, n := a.Rows, a.Cols
 	g := a.Clone()
 	v := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
+		v.set(i, i, 1)
 	}
 	eps := 1e-14
 	for sweep := 0; sweep < 60; sweep++ {
@@ -109,8 +109,8 @@ func rowMajorSVD(a *Matrix) SVDResult {
 			for q := p + 1; q < n; q++ {
 				var alpha, beta, gamma float64
 				for i := 0; i < m; i++ {
-					gp := g.At(i, p)
-					gq := g.At(i, q)
+					gp := g.at(i, p)
+					gq := g.at(i, q)
 					alpha += gp * gp
 					beta += gq * gq
 					gamma += gp * gq
@@ -124,16 +124,16 @@ func rowMajorSVD(a *Matrix) SVDResult {
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
 				for i := 0; i < m; i++ {
-					gp := g.At(i, p)
-					gq := g.At(i, q)
-					g.Set(i, p, c*gp-s*gq)
-					g.Set(i, q, s*gp+c*gq)
+					gp := g.at(i, p)
+					gq := g.at(i, q)
+					g.set(i, p, c*gp-s*gq)
+					g.set(i, q, s*gp+c*gq)
 				}
 				for i := 0; i < n; i++ {
-					vp := v.At(i, p)
-					vq := v.At(i, q)
-					v.Set(i, p, c*vp-s*vq)
-					v.Set(i, q, s*vp+c*vq)
+					vp := v.at(i, p)
+					vq := v.at(i, q)
+					v.set(i, p, c*vp-s*vq)
+					v.set(i, q, s*vp+c*vq)
 				}
 			}
 		}
@@ -146,21 +146,21 @@ func rowMajorSVD(a *Matrix) SVDResult {
 	for j := 0; j < n; j++ {
 		var norm float64
 		for i := 0; i < m; i++ {
-			norm += g.At(i, j) * g.At(i, j)
+			norm += g.at(i, j) * g.at(i, j)
 		}
 		norm = math.Sqrt(norm)
 		s[j] = norm
 		if norm > 0 {
 			for i := 0; i < m; i++ {
-				u.Set(i, j, g.At(i, j)/norm)
+				u.set(i, j, g.at(i, j)/norm)
 			}
 		}
 	}
-	swapCols := func(m *Matrix, a, b int) {
+	swapCols := func(m *matrix, a, b int) {
 		for i := 0; i < m.Rows; i++ {
-			va, vb := m.At(i, a), m.At(i, b)
-			m.Set(i, a, vb)
-			m.Set(i, b, va)
+			va, vb := m.at(i, a), m.at(i, b)
+			m.set(i, a, vb)
+			m.set(i, b, va)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -194,11 +194,11 @@ func oracleSolve(svd SVDResult, b []float64) []float64 {
 		}
 		var ub float64
 		for i := 0; i < svd.U.Rows; i++ {
-			ub += svd.U.At(i, k) * b[i]
+			ub += svd.U.at(i, k) * b[i]
 		}
 		ub /= svd.S[k]
 		for j := 0; j < n; j++ {
-			x[j] += ub * svd.V.At(j, k)
+			x[j] += ub * svd.V.at(j, k)
 		}
 	}
 	return x
@@ -240,7 +240,7 @@ func TestSVDMatchesRowMajorOracle(t *testing.T) {
 				}
 				src, k := rng.Intn(j), [...]float64{1, -2.5, 0}[rng.Intn(3)]
 				for i := 0; i < m; i++ {
-					a.Set(i, j, k*a.At(i, src))
+					a.set(i, j, k*a.at(i, src))
 				}
 			}
 		}
@@ -260,12 +260,12 @@ func TestSVDMatchesRowMajorOracle(t *testing.T) {
 					t.Fatalf("trial %d rep %d: s[%d] = %v, oracle %v", trial, rep, k, got.S[k], want.S[k])
 				}
 				for i := range m {
-					if g, w := got.U.At(i, k), want.U.At(i, k); math.Float64bits(g) != math.Float64bits(w) {
+					if g, w := got.U.at(i, k), want.U.at(i, k); math.Float64bits(g) != math.Float64bits(w) {
 						t.Fatalf("trial %d rep %d: U[%d][%d] = %v, oracle %v", trial, rep, i, k, g, w)
 					}
 				}
 				for j := range n {
-					if g, w := got.V.At(j, k), want.V.At(j, k); math.Float64bits(g) != math.Float64bits(w) {
+					if g, w := got.V.at(j, k), want.V.at(j, k); math.Float64bits(g) != math.Float64bits(w) {
 						t.Fatalf("trial %d rep %d: V[%d][%d] = %v, oracle %v", trial, rep, j, k, g, w)
 					}
 				}

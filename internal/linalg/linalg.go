@@ -15,22 +15,22 @@ import (
 	"math"
 )
 
-// Matrix is a dense row-major matrix.
-type Matrix struct {
+// matrix is a dense row-major matrix.
+type matrix struct {
 	Rows, Cols int
 	Data       []float64 // len Rows*Cols
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+// at returns element (i, j).
+func (m *matrix) at(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+// set assigns element (i, j).
+func (m *matrix) set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Reshape resizes m in place to rows×cols with all elements zero,
+// reshape resizes m in place to rows×cols with all elements zero,
 // reusing the backing array when its capacity suffices, so callers that
 // solve many systems of varying shape keep one long-lived matrix.
-func (m *Matrix) Reshape(rows, cols int) {
+func (m *matrix) reshape(rows, cols int) {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("linalg: invalid shape %dx%d", rows, cols))
 	}
@@ -45,7 +45,7 @@ func (m *Matrix) Reshape(rows, cols int) {
 }
 
 // row returns row i of m as one contiguous slice.
-func (m *Matrix) row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols] }
+func (m *matrix) row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols] }
 
 // Workspace holds the scratch buffers of the SVD and least-squares
 // solvers so repeated solves — the MLR predictor refits on every
@@ -57,7 +57,7 @@ func (m *Matrix) row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols : 
 // V — so every rotation, norm and projection walks one contiguous
 // slice.
 type Workspace struct {
-	gt, vt Matrix
+	gt, vt matrix
 	s, rhs []float64
 	order  []int
 }
@@ -86,14 +86,14 @@ func (ws *Workspace) svd(cols [][]float64, m int) {
 	}
 	// Columns of G (rows of gt) are rotated until mutually orthogonal.
 	gt := &ws.gt
-	gt.Reshape(n, m)
+	gt.reshape(n, m)
 	for j, c := range cols {
 		copy(gt.row(j), c)
 	}
 	vt := &ws.vt
-	vt.Reshape(n, n)
+	vt.reshape(n, n)
 	for i := 0; i < n; i++ {
-		vt.Set(i, i, 1)
+		vt.set(i, i, 1)
 	}
 
 	const maxSweeps = 60

@@ -12,13 +12,13 @@ func almostEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
-	m.Set(1, 2, 5)
-	if m.At(1, 2) != 5 {
+	m.set(1, 2, 5)
+	if m.at(1, 2) != 5 {
 		t.Fatal("Set/At broken")
 	}
 	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) == 9 {
+	c.set(0, 0, 9)
+	if m.at(0, 0) == 9 {
 		t.Fatal("Clone aliases original")
 	}
 }
@@ -34,10 +34,10 @@ func TestNewMatrixPanicsOnBadShape(t *testing.T) {
 
 func TestMulVec(t *testing.T) {
 	m := NewMatrix(2, 2)
-	m.Set(0, 0, 1)
-	m.Set(0, 1, 2)
-	m.Set(1, 0, 3)
-	m.Set(1, 1, 4)
+	m.set(0, 0, 1)
+	m.set(0, 1, 2)
+	m.set(1, 0, 3)
+	m.set(1, 1, 4)
 	got := m.MulVec([]float64{1, 1})
 	if got[0] != 3 || got[1] != 7 {
 		t.Fatalf("MulVec = %v", got)
@@ -47,7 +47,7 @@ func TestMulVec(t *testing.T) {
 func TestSVDIdentity(t *testing.T) {
 	m := NewMatrix(3, 3)
 	for i := 0; i < 3; i++ {
-		m.Set(i, i, 1)
+		m.set(i, i, 1)
 	}
 	svd := SVD(m)
 	for i, s := range svd.S {
@@ -60,9 +60,9 @@ func TestSVDIdentity(t *testing.T) {
 func TestSVDKnownSingularValues(t *testing.T) {
 	// diag(3, 2, 1) embedded in a 4x3 matrix.
 	m := NewMatrix(4, 3)
-	m.Set(0, 0, 3)
-	m.Set(1, 1, 2)
-	m.Set(2, 2, 1)
+	m.set(0, 0, 3)
+	m.set(1, 1, 2)
+	m.set(2, 2, 1)
 	svd := SVD(m)
 	want := []float64{3, 2, 1}
 	for i := range want {
@@ -85,10 +85,10 @@ func TestSVDReconstruction(t *testing.T) {
 		for j := 0; j < n; j++ {
 			var sum float64
 			for k := 0; k < n; k++ {
-				sum += svd.U.At(i, k) * svd.S[k] * svd.V.At(j, k)
+				sum += svd.U.at(i, k) * svd.S[k] * svd.V.at(j, k)
 			}
-			if !almostEq(sum, a.At(i, j), 1e-9) {
-				t.Fatalf("reconstruction (%d,%d): %v vs %v", i, j, sum, a.At(i, j))
+			if !almostEq(sum, a.at(i, j), 1e-9) {
+				t.Fatalf("reconstruction (%d,%d): %v vs %v", i, j, sum, a.at(i, j))
 			}
 		}
 	}
@@ -106,10 +106,10 @@ func TestSVDOrthogonality(t *testing.T) {
 		for q := 0; q < 4; q++ {
 			var uu, vv float64
 			for i := 0; i < 10; i++ {
-				uu += svd.U.At(i, p) * svd.U.At(i, q)
+				uu += svd.U.at(i, p) * svd.U.at(i, q)
 			}
 			for i := 0; i < 4; i++ {
-				vv += svd.V.At(i, p) * svd.V.At(i, q)
+				vv += svd.V.at(i, p) * svd.V.at(i, q)
 			}
 			want := 0.0
 			if p == q {
@@ -152,8 +152,8 @@ func TestSVDRankDeficient(t *testing.T) {
 	// Two identical columns: one singular value must be ~0.
 	a := NewMatrix(5, 2)
 	for i := 0; i < 5; i++ {
-		a.Set(i, 0, float64(i+1))
-		a.Set(i, 1, float64(i+1))
+		a.set(i, 0, float64(i+1))
+		a.set(i, 1, float64(i+1))
 	}
 	svd := SVD(a)
 	if svd.S[1] > 1e-10*svd.S[0] {
@@ -167,8 +167,8 @@ func TestLeastSquaresExact(t *testing.T) {
 	b := make([]float64, 4)
 	for i := 0; i < 4; i++ {
 		x := float64(i)
-		a.Set(i, 0, 1)
-		a.Set(i, 1, x)
+		a.set(i, 0, 1)
+		a.set(i, 1, x)
 		b[i] = 2 + 3*x
 	}
 	coef := LeastSquares(a, b)
@@ -186,8 +186,8 @@ func TestLeastSquaresOverdetermined(t *testing.T) {
 	b := make([]float64, n)
 	for i := 0; i < n; i++ {
 		x := float64(i)
-		a.Set(i, 0, 1)
-		a.Set(i, 1, x)
+		a.set(i, 0, 1)
+		a.set(i, 1, x)
 		b[i] = 5 + 0.5*x + 0.1*rng.NormFloat64()
 	}
 	coef := LeastSquares(a, b)
@@ -201,7 +201,7 @@ func TestLeastSquaresOverdetermined(t *testing.T) {
 	}
 }
 
-func residual(a *Matrix, x, b []float64) float64 {
+func residual(a *matrix, x, b []float64) float64 {
 	pred := a.MulVec(x)
 	var ss float64
 	for i := range b {
@@ -219,9 +219,9 @@ func TestLeastSquaresMulticollinear(t *testing.T) {
 	b := make([]float64, n)
 	for i := 0; i < n; i++ {
 		x := float64(i)
-		a.Set(i, 0, 1)
-		a.Set(i, 1, x)
-		a.Set(i, 2, x) // exact duplicate of column 1
+		a.set(i, 0, 1)
+		a.set(i, 1, x)
+		a.set(i, 2, x) // exact duplicate of column 1
 		b[i] = 1 + 4*x
 	}
 	coef := LeastSquares(a, b)
@@ -239,10 +239,10 @@ func TestLeastSquaresUnderdetermined(t *testing.T) {
 	// More unknowns than equations: minimum-norm solution must satisfy
 	// the equations.
 	a := NewMatrix(2, 4)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 2, 1)
-	a.Set(1, 3, 1)
+	a.set(0, 0, 1)
+	a.set(0, 1, 2)
+	a.set(1, 2, 1)
+	a.set(1, 3, 1)
 	b := []float64{5, 3}
 	x := LeastSquares(a, b)
 	got := a.MulVec(x)

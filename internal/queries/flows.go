@@ -205,9 +205,6 @@ func (q *TopK) MinRate() float64 { return 0.57 }
 // Interval implements Query.
 func (q *TopK) Interval() time.Duration { return q.cfg.interval() }
 
-// K returns the ranking depth.
-func (q *TopK) K() int { return q.k }
-
 // Process implements Query.
 //
 // Every packet of a flow has the flow's destination, so the table is

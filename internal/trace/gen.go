@@ -279,9 +279,6 @@ func (g *Generator) calibrate() {
 	g.meanFlow = float64(total) / n
 }
 
-// Config returns the effective (default-filled) configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // TimeBin implements Source.
 func (g *Generator) TimeBin() time.Duration { return g.cfg.TimeBin }
 

@@ -207,10 +207,6 @@ func (c *Cluster) Shards() []*System {
 	return out
 }
 
-// Coordinator exposes the budget coordinator (nil for a static split),
-// for status planes and tests.
-func (c *Cluster) Coordinator() *Coordinator { return c.coord }
-
 // Stream steps every shard through its trace in lockstep, coordinating
 // the budget between bins and delivering each shard's records to the
 // sink mk returns for it (mk itself is called once per shard, in index
@@ -304,7 +300,7 @@ func binCapacities(bins []BinStats) []float64 {
 // owns its front goroutine and slot ring, the coordinator's
 // SetCapacity still lands between that shard's bins exactly as in a
 // sequential shard, and a shard's front exits at end of trace before
-// run.finish tears its pools down
+// run.finish tears its execute pool down
 // (TestConformance, the workers= rows of the cluster columns).
 func (c *Cluster) stepAll(pool *staticPool, stepNode func(int)) bool {
 	pool.run(len(c.nodes), stepNode)

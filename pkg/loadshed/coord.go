@@ -179,10 +179,10 @@ func (n *coordNode) settleOffer() {
 	n.migrateTo = ""
 }
 
-// Report folds a node's demand report in by name. Reports from unknown
-// nodes are dropped — the hello/Join handshake precedes them on every
-// conforming transport.
-func (c *Coordinator) Report(r DemandReport) {
+// Report folds a node's demand report, received at now, in by name.
+// Reports from unknown nodes are dropped — the hello/Join handshake
+// precedes them on every conforming transport.
+func (c *Coordinator) Report(r DemandReport, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.byName[r.Node]
@@ -191,7 +191,7 @@ func (c *Coordinator) Report(r DemandReport) {
 	}
 	n.bin = r.Bin
 	n.done = r.Done
-	n.lastReport = time.Now()
+	n.lastReport = now
 	if r.Done {
 		n.reported = false
 		return
@@ -227,9 +227,9 @@ func (c *Coordinator) AllocateRound() {
 // partitioned and excluded (their budget redistributes to the
 // survivors); nodes that have ever reported and are neither done nor
 // partitioned are allocated to, whether or not a report arrived this
-// exact heartbeat. The TCP server calls this on its heartbeat ticker.
-func (c *Coordinator) AllocateLease(lease time.Duration) {
-	now := time.Now()
+// exact heartbeat. now is the round's time, on the clock the reports
+// were stamped with. The TCP server calls this on its heartbeat ticker.
+func (c *Coordinator) AllocateLease(now time.Time, lease time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, n := range c.nodes {

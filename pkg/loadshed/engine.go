@@ -9,9 +9,9 @@
 // DESIGN.md, "Pipeline stages", and stages.go): admit → platformOverhead →
 // extractPredict → decideShedding → execute → feedback, with a
 // BinContext threading state between them. The execute stage fans the
-// queries out over Config.Workers goroutines; runs are bit-identical
-// for any worker count because every query owns its RNG streams and
-// results merge in index order.
+// queries out over the goroutines Config.Workers grants it; runs are
+// bit-identical for any worker count because every query owns its RNG
+// streams and results merge in index order.
 //
 // It implements the four schemes the thesis evaluates against each
 // other (§4.5.1, §5.5.3):
@@ -119,13 +119,13 @@ type Config struct {
 	// Workers bounds the engine's total concurrency. 0 selects
 	// runtime.GOMAXPROCS(0); 1 runs the strictly sequential bin loop
 	// with every query inline on the run goroutine. Workers >= 2
-	// additionally enables the two-deep bin pipeline:
-	// the count splits between the front-stage sketch pool and the
-	// back-stage execute pool per splitWorkers (front = ⌊Workers/2⌋, at
-	// least 1; execute = the rest — see the table in DESIGN.md, "Bin pipeline").
-	// Results are bit-identical for any value: sketching is a pure
-	// function of the batch merged in index order, each query owns its
-	// RNG streams, and per-bin results merge in query-index order.
+	// additionally enables the two-deep bin pipeline: one front
+	// goroutine prepares the next bin (index and sketch) while the
+	// execute pool, the run goroutine included, takes the other
+	// Workers-1 (DESIGN.md, "Bin pipeline"). Results are bit-identical
+	// for any value: a bin's preparation is a pure function of its
+	// batch, each query owns its RNG streams, and per-bin results merge
+	// in query-index order.
 	Workers int
 
 	BufferBins      float64 // capture buffer size in bins of traffic (default 50 ≈ 5 s, a 256 MB DAG buffer at evaluation rates; Ch. 5's no-shedding emulation sets 2 ≈ 200 ms)
@@ -280,10 +280,6 @@ type System struct {
 	// refit is the bin's shared MLR refit: extractPredict opens a round
 	// per bin and predicts every MLR query through it.
 	refit predict.Refit
-	// flows is the sequential runner's flow index of each bin's wire
-	// packets (step builds it; the pipelined runner's front stage builds
-	// its own, one per ring slot).
-	flows *pkt.FlowIndex
 	// The shared shed stream (§5.5.4): shedSamp selects it, shedSketch
 	// holds its sketch, inserted from the bin's own per-flow hash
 	// columns, and shedOps counts the hash+insert operations charged for
@@ -322,22 +318,16 @@ type System struct {
 	// recycling query at the next flush; index-aligned with qs.
 	prevIvr []queries.Result
 
-	// execPool is the execute stage's worker pool — the back-stage half
-	// of splitWorkers, the run goroutine included — per-run like the
-	// pipeline's front pool: newRunner spawns it, finish releases it, an
-	// idle System holds no goroutines. nil (the sequential loop, or a
-	// back-stage share of one) runs the execute fan-out inline.
+	// execPool is the execute stage's worker pool — every goroutine of
+	// Config.Workers but the pipeline's front one, the run goroutine
+	// included — per-run like the front goroutine: newRunner spawns it,
+	// finish releases it, an idle System holds no goroutines. nil (an
+	// execute stage of one goroutine) runs the fan-out inline.
 	execPool *staticPool
-	// pipe is the two-deep bin pipeline's persistent state (slots,
-	// channels, chunk sketcher), built lazily on the first pipelined run
-	// and reused after; see pipeline.go.
+	// pipe holds the ring slots every bin is prepared in and the
+	// pipeline's channels, built lazily on the first run and reused
+	// after; see pipeline.go.
 	pipe *pipeline
-	// spec, when non-nil, is the front stage's ring slot of the current
-	// bin, whose batch it indexed and, on predictive runs, sketched
-	// speculatively (extractPredict validates the sketch against the
-	// admitted batch). nil selects the sequential index- and
-	// sketch-in-place path.
-	spec *binSlot
 
 	// Dynamic query registry (AddQuery/RemoveQuery). Callers queue ops
 	// under regMu from any goroutine; the run goroutine drains the queue
@@ -370,7 +360,6 @@ func New(cfg Config, qs []queries.Query) *System {
 		cfg:          cfg,
 		gov:          newGovernor(cfg),
 		globalExt:    features.NewExtractor(cfg.Seed + 0xfea7),
-		flows:        pkt.NewFlowIndex(hash.FlowSalt(cfg.Seed)),
 		shedSamp:     sampling.NewPacketSampler(cfg.Seed + 0x5a3d),
 		shedSketch:   features.NewSketch(),
 		noise:        hash.NewXorShift(cfg.Seed + 0x4015e),
@@ -576,7 +565,8 @@ type runner struct {
 	s    *System
 	src  trace.Source
 	sink Sink
-	pipe *pipeline // non-nil: the front stage owns src (pipeline.go)
+	pipe *pipeline // non-nil: the front stage owns src and fills the slots (pipeline.go)
+	slot *binSlot  // the sequential loop's slot, filled inline; nil under the pipeline
 	// recycler is src when it can refill a finished batch's storage (a
 	// live listener), nil for every replay source.
 	recycler trace.Recycler
@@ -596,8 +586,7 @@ type runner struct {
 	binsPerInterval int
 	curInterval     int
 	bin             int
-	lastBin         BinStats // most recent bin, read by the cluster coordinator
-	batch           pkt.Batch
+	lastBin         BinStats        // most recent bin, read by the cluster coordinator
 	lastIvr         IntervalResults // most recent flush; here because &lastIvr escapes to the sink
 }
 
@@ -625,22 +614,26 @@ func (s *System) newRunner(src trace.Source, sink Sink) *runner {
 	s.startInterval()
 	r := &runner{s: s, src: src, sink: sink, binsPerInterval: binsPerInterval}
 	r.recycler, _ = src.(trace.Recycler)
-	if s.cfg.pipelined() {
-		_, execWk := splitWorkers(s.cfg.Workers)
-		s.execPool = newStaticPool(execWk - 1)
-		r.pipe = s.ensurePipeline()
-		r.pipe.begin(src, s.cfg.Scheme == Predictive)
+	p := s.ensurePipeline()
+	if !s.cfg.pipelined() {
+		r.slot = &p.slots[0]
+		return r
 	}
+	// The front goroutine is one of Workers; the execute pool's helpers
+	// and the run goroutine are the rest.
+	s.execPool = newStaticPool(s.cfg.Workers - 2)
+	r.pipe = p
+	p.begin(src)
 	return r
 }
 
 // step processes the next batch — arrivals, interval boundary, the
 // six-stage pipeline — and reports false at end of trace, on
 // cancellation or when a boundary hook stopped the run. Under the bin
-// pipeline the batch (and its speculative sketch) comes from the front
-// stage's ready ring instead of the source directly; everything else —
-// flushes, arrivals, the stage chain, sink delivery — runs in strict
-// bin order on this goroutine either way.
+// pipeline the prepared slot comes from the front stage's ready ring;
+// otherwise this goroutine fills its own. Everything else — flushes,
+// arrivals, the stage chain, sink delivery — runs in strict bin order
+// on this goroutine either way.
 func (r *runner) step() bool {
 	// Cancellation is polled at the bin boundary. A cancelled pipelined
 	// run leaves its slots wherever they are: finish() tears the front
@@ -651,33 +644,28 @@ func (r *runner) step() bool {
 	default:
 	}
 	s := r.s
-	var slot *binSlot
-	var ok bool
+	slot := r.slot
 	if r.pipe != nil {
 		slot = <-r.pipe.ready
-		r.batch, ok = slot.batch, slot.ok
 	} else {
-		r.batch, ok = r.src.NextBatch()
+		slot.fill(r.src.NextBatch())
 	}
 	// A run drained at the boundary read its batch from the source but
 	// does not process it — the checkpoint records the bin, and the
 	// resumed run re-reads it from a repositioned source (ResumeSource).
-	delivered := ok
-	ok = ok && r.advance()
+	ok := slot.ok && r.advance()
 	if ok {
-		s.spec = slot
-		r.lastBin = s.step(r.bin, &r.batch)
-		s.spec = nil
+		r.lastBin = s.step(r.bin, slot)
 	}
-	if slot != nil {
-		// The bin is done with the slot: BinStats carries no references
-		// into the batch or sketch, so the front may refill it now.
+	if slot.ok && r.recycler != nil {
+		// Nothing reads the batch's packets or payloads past this point,
+		// so a source that reuses storage may have it back.
+		r.recycler.Recycle(slot.batch)
+	}
+	if r.pipe != nil {
+		// Likewise the slot: BinStats carries no references into the
+		// batch or sketch, so the front may refill it now.
 		r.pipe.free <- slot
-	}
-	if delivered && r.recycler != nil {
-		// Likewise the batch: nothing reads its packets or payloads past
-		// this point, so a source that reuses storage may have it back.
-		r.recycler.Recycle(r.batch)
 	}
 	if !ok {
 		return false

@@ -2,6 +2,7 @@ package loadshed
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -39,6 +40,37 @@ func TestReferenceRunNoDropsNoShedding(t *testing.T) {
 	}
 	if len(res.Intervals) != 5 {
 		t.Fatalf("intervals = %d, want 5", len(res.Intervals))
+	}
+}
+
+// TestUnderloadIsLossless: at 32 times its measured load a predictive
+// MMFSPkt system never sheds, so every bin runs at rate 1 and its
+// interval results are the lossless Reference's exactly. The system is
+// warmed by one pass first: a cold one has no predictions for its first
+// bin and admits it at coldStartRate, so its first interval differs.
+func TestUnderloadIsLossless(t *testing.T) {
+	const dur = 8 * time.Second
+	for seed := uint64(1); seed <= 3; seed++ {
+		overhead, demand := MeasureLoad(testSource(seed, dur), stdQueries(), seed)
+		sys := New(Config{Scheme: Predictive, Strategy: MMFSPkt(), Capacity: 32 * (overhead + demand), Seed: seed}, stdQueries())
+		sys.Run(testSource(seed, dur))
+		got := sys.Run(testSource(seed, dur))
+		want := Reference(testSource(seed, dur), stdQueries(), seed)
+		for i, b := range got.Bins {
+			for q, r := range b.Rates {
+				if r != 1 {
+					t.Fatalf("seed %d, bin %d: %s ran at rate %v under a 32x budget", seed, i, got.Queries[q], r)
+				}
+			}
+		}
+		if len(got.Intervals) != len(want.Intervals) {
+			t.Fatalf("seed %d: %d intervals, Reference %d", seed, len(got.Intervals), len(want.Intervals))
+		}
+		for i := range want.Intervals {
+			if !reflect.DeepEqual(got.Intervals[i], want.Intervals[i]) {
+				t.Fatalf("seed %d, interval %d: results differ from Reference's", seed, i)
+			}
+		}
 	}
 }
 

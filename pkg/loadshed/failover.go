@@ -123,15 +123,15 @@ func spillCheckpoint(dir, name string, blob []byte) error {
 
 // SetStateDir enables checkpoint spill to dir (created if missing) and
 // reloads any checkpoints already there — the coordinator-restart path.
-// A reloaded shard with no live worker is marked partitioned as of now,
-// so it becomes adoptable once the grace window passes and a live
-// adopter exists; if its worker is merely slow to reconnect, the hello
-// clears the mark as usual. Files are matched to shards by the name in
+// A reloaded shard with no live worker is marked partitioned as of now
+// (the caller's clock), so it becomes adoptable once the grace window
+// passes and a live adopter exists; if its worker is merely slow to
+// reconnect, the hello clears the mark as usual. Files are matched to shards by the name in
 // the blob, not the file name, so files spilled under an older naming
 // scheme still reload; when two files carry the same shard the later
 // bin wins. Unreadable or stale-format files are skipped (reported in
 // the error after all files are tried).
-func (c *Coordinator) SetStateDir(dir string) error {
+func (c *Coordinator) SetStateDir(dir string, now time.Time) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("loadshed: state dir: %w", err)
 	}
@@ -144,7 +144,7 @@ func (c *Coordinator) SetStateDir(dir string) error {
 		if e.IsDir() || filepath.Ext(e.Name()) != ".ckpt" {
 			continue
 		}
-		if err := c.reloadCheckpoint(filepath.Join(dir, e.Name())); err != nil && firstErr == nil {
+		if err := c.reloadCheckpoint(filepath.Join(dir, e.Name()), now); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("loadshed: state dir: reload %s: %w", e.Name(), err)
 		}
 	}
@@ -156,7 +156,7 @@ func (c *Coordinator) SetStateDir(dir string) error {
 
 // reloadCheckpoint retains one spilled checkpoint file, unless a later
 // one for the same shard is already held.
-func (c *Coordinator) reloadCheckpoint(path string) error {
+func (c *Coordinator) reloadCheckpoint(path string, now time.Time) error {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -176,7 +176,7 @@ func (c *Coordinator) reloadCheckpoint(path string) error {
 		// partitioned since the reload, pending a hello.
 		n.ever = true
 		n.partitioned = true
-		n.partitionedAt = time.Now()
+		n.partitionedAt = now
 	}
 	return nil
 }

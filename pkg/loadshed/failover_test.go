@@ -430,29 +430,30 @@ func offeredTo(t *testing.T, coord *Coordinator, shard string) string {
 	return ""
 }
 
-// TestAdoptOfferRotationAndRace drives planFailover on a synthetic
-// clock: no offer inside the grace window, one offer past it, re-offer
-// suppression while in flight, deterministic rotation to the next live
-// candidate after expiry, deliver-once mailbox semantics, and
+// TestAdoptOfferRotationAndRace drives the lease and planFailover on a
+// synthetic clock: no offer inside the grace window, one offer past it,
+// re-offer suppression while in flight, deterministic rotation to the
+// next live candidate after expiry, deliver-once mailbox semantics, and
 // settlement when a worker dials in under the shard's name.
 func TestAdoptOfferRotationAndRace(t *testing.T) {
-	coord := NewCoordinator(MMFSCPU(), 1000)
-	for _, n := range []string{"s", "a", "b"} {
-		coord.Join(n, 0)
-		coord.Report(DemandReport{Node: n, Bin: 1, Demand: 100})
-	}
-	coord.StoreCheckpoint("s", 5, false, []byte("blob"))
-
-	t0 := time.Now()
-	coord.mu.Lock()
-	ns := coord.byName["s"]
-	ns.partitioned = true
-	ns.partitionedAt = t0
-	coord.mu.Unlock()
 	const (
+		lease = 50 * time.Millisecond
 		grace = 100 * time.Millisecond
 		ot    = 200 * time.Millisecond
 	)
+	t0 := time.Now()
+	coord := NewCoordinator(MMFSCPU(), 1000)
+	for _, n := range []string{"s", "a", "b"} {
+		coord.Join(n, 0)
+		coord.Report(DemandReport{Node: n, Bin: 1, Demand: 100}, t0.Add(-2*lease))
+	}
+	coord.StoreCheckpoint("s", 5, false, []byte("blob"))
+	// s falls silent while a and b report on: the lease round at t0
+	// partitions s as of t0.
+	for _, n := range []string{"a", "b"} {
+		coord.Report(DemandReport{Node: n, Bin: 2, Demand: 100}, t0)
+	}
+	coord.AllocateLease(t0, lease)
 
 	coord.planFailover(t0.Add(grace/2), grace, ot)
 	if to := offeredTo(t, coord, "s"); to != "" {
@@ -502,7 +503,7 @@ func TestAdoptOfferRotationAndRace(t *testing.T) {
 	// The adopter dials in under the shard's name: the offer settles and
 	// the shard is live again — no further offers.
 	coord.Join("s", 0)
-	coord.Report(DemandReport{Node: "s", Bin: 6, Demand: 100})
+	coord.Report(DemandReport{Node: "s", Bin: 6, Demand: 100}, issued.Add(10*ot))
 	coord.planFailover(issued.Add(10*ot), grace, ot)
 	if to := offeredTo(t, coord, "s"); to != "" || coord.FailoverOffers() != 2 {
 		t.Fatalf("settled shard re-offered to %q (%d issued)", to, coord.FailoverOffers())
@@ -517,7 +518,7 @@ func TestMigrateDirectedOffer(t *testing.T) {
 	coord := NewCoordinator(MMFSCPU(), 1000)
 	for _, n := range []string{"s", "a", "b"} {
 		coord.Join(n, 0)
-		coord.Report(DemandReport{Node: n, Bin: 1, Demand: 100})
+		coord.Report(DemandReport{Node: n, Bin: 1, Demand: 100}, time.Now())
 	}
 	coord.Join("ghost", 0) // joined but never reported: not live
 
@@ -574,7 +575,7 @@ func TestMigrateDirectedOffer(t *testing.T) {
 
 	// Target resumes under the shard's name: migration complete.
 	coord.Join("s", 0)
-	coord.Report(DemandReport{Node: "s", Bin: 9, Demand: 100})
+	coord.Report(DemandReport{Node: "s", Bin: 9, Demand: 100}, now)
 	coord.planFailover(now.Add(time.Hour), time.Hour, time.Minute)
 	if to := offeredTo(t, coord, "s"); to != "" || coord.FailoverOffers() != 1 {
 		t.Fatalf("completed migration re-offered to %q (%d issued)", to, coord.FailoverOffers())
@@ -615,13 +616,13 @@ func TestStateDirSpillReload(t *testing.T) {
 	blob := testCheckpointBlob(t, "shard-1", 12)
 
 	first := NewCoordinator(MMFSCPU(), 1000)
-	if err := first.SetStateDir(dir); err != nil {
+	if err := first.SetStateDir(dir, time.Now()); err != nil {
 		t.Fatalf("state dir: %v", err)
 	}
 	first.StoreCheckpoint("shard-1", 12, false, blob)
 
 	second := NewCoordinator(MMFSCPU(), 1000)
-	if err := second.SetStateDir(dir); err != nil {
+	if err := second.SetStateDir(dir, time.Now()); err != nil {
 		t.Fatalf("reload: %v", err)
 	}
 	got, bin, ok := second.Checkpoint("shard-1")
@@ -635,7 +636,7 @@ func TestStateDirSpillReload(t *testing.T) {
 	// With a live adopter present the reloaded shard becomes offerable
 	// once the grace window passes.
 	second.Join("helper", 0)
-	second.Report(DemandReport{Node: "helper", Bin: 1, Demand: 10})
+	second.Report(DemandReport{Node: "helper", Bin: 1, Demand: 10}, time.Now())
 	waitFor(t, 5*time.Second, "reloaded shard offered", func() bool {
 		second.planFailover(time.Now(), 0, 0)
 		return offeredTo(t, second, "shard-1") == "helper"
@@ -651,7 +652,7 @@ func TestStateDirSpillReload(t *testing.T) {
 func TestStateDirSpillNamesInjective(t *testing.T) {
 	dir := t.TempDir()
 	first := NewCoordinator(MMFSCPU(), 1000)
-	if err := first.SetStateDir(dir); err != nil {
+	if err := first.SetStateDir(dir, time.Now()); err != nil {
 		t.Fatalf("state dir: %v", err)
 	}
 	names := []string{"a/b", "a_b", "a%2Fb"}
@@ -664,7 +665,7 @@ func TestStateDirSpillNamesInjective(t *testing.T) {
 	}
 
 	second := NewCoordinator(MMFSCPU(), 1000)
-	if err := second.SetStateDir(dir); err != nil {
+	if err := second.SetStateDir(dir, time.Now()); err != nil {
 		t.Fatalf("reload: %v", err)
 	}
 	for i, name := range names {
@@ -684,7 +685,7 @@ func TestStateDirReloadsOldStyleFileNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCoordinator(MMFSCPU(), 1000)
-	if err := c.SetStateDir(dir); err != nil {
+	if err := c.SetStateDir(dir, time.Now()); err != nil {
 		t.Fatalf("reload: %v", err)
 	}
 	if _, bin, ok := c.Checkpoint("x/y"); !ok || bin != 5 {
@@ -693,7 +694,7 @@ func TestStateDirReloadsOldStyleFileNames(t *testing.T) {
 	c.StoreCheckpoint("x/y", 9, false, testCheckpointBlob(t, "x/y", 9)) // spills as x%2Fy.ckpt, listed first
 
 	c = NewCoordinator(MMFSCPU(), 1000)
-	if err := c.SetStateDir(dir); err != nil {
+	if err := c.SetStateDir(dir, time.Now()); err != nil {
 		t.Fatalf("second reload: %v", err)
 	}
 	if _, bin, ok := c.Checkpoint("x/y"); !ok || bin != 9 {

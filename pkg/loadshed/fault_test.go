@@ -261,6 +261,20 @@ func TestFaultTransportDeterministicSchedule(t *testing.T) {
 	}
 }
 
+// clockedLoopback is a loopback transport whose reports reach the
+// coordinator stamped with a scripted clock, *now, instead of the wall
+// clock, so a test moves the lease by assignment rather than by sleep.
+type clockedLoopback struct {
+	NodeTransport
+	coord *Coordinator
+	now   *time.Time
+}
+
+func (t clockedLoopback) Report(r DemandReport) error {
+	t.coord.Report(r, *t.now)
+	return nil
+}
+
 // TestCoordinatorLeaseLivenessUnderReportLoss scripts a loss episode on
 // the report path of one of two loopback nodes: while reports flow the
 // node holds its share; under total report loss the lease expires, the
@@ -270,8 +284,9 @@ func TestCoordinatorLeaseLivenessUnderReportLoss(t *testing.T) {
 	const total = 1000.0
 	const lease = 50 * time.Millisecond
 	coord := NewCoordinator(sched.MMFSCPU{}, total)
-	alpha := NewLoopback(coord, "alpha", 0)
-	beta := NewFaultTransport(NewLoopback(coord, "beta", 0), FaultConfig{Seed: 3})
+	now := time.Now()
+	alpha := clockedLoopback{NewLoopback(coord, "alpha", 0), coord, &now}
+	beta := NewFaultTransport(clockedLoopback{NewLoopback(coord, "beta", 0), coord, &now}, FaultConfig{Seed: 3})
 
 	status := func(name string) CoordNodeStatus {
 		for _, n := range coord.Status() {
@@ -285,7 +300,7 @@ func TestCoordinatorLeaseLivenessUnderReportLoss(t *testing.T) {
 	round := func(binIdx int64) {
 		alpha.Report(DemandReport{Node: "alpha", Bin: binIdx, Demand: 600})
 		beta.Report(DemandReport{Node: "beta", Bin: binIdx, Demand: 600})
-		coord.AllocateLease(lease)
+		coord.AllocateLease(now, lease)
 	}
 
 	// Phase 1: lossless. Both nodes hold grants splitting the budget.
@@ -304,7 +319,7 @@ func TestCoordinatorLeaseLivenessUnderReportLoss(t *testing.T) {
 	// whole budget, and beta observes no fresh grant — it fails open on
 	// its local capacity rather than stalling.
 	beta.SetConfig(FaultConfig{Seed: 3, ReportDrop: 1})
-	time.Sleep(lease + 20*time.Millisecond)
+	now = now.Add(lease + 20*time.Millisecond)
 	round(2)
 	if !status("beta").Partitioned {
 		t.Fatal("phase 2: beta not partitioned after silent lease")

@@ -38,11 +38,12 @@ func TestOfferBlobNotAliased(t *testing.T) {
 	}
 	defer adopter.Close()
 
+	// s reported once, an hour ago, and a lease round then partitioned
+	// it: it is offered to the adopter from the first heartbeat on.
 	coord.StoreCheckpoint("s", 0, false, make([]byte, 4096))
-	coord.mu.Lock()
-	ns := coord.byName["s"]
-	ns.ever, ns.partitioned, ns.partitionedAt = true, true, time.Now().Add(-time.Hour)
-	coord.mu.Unlock()
+	ago := time.Now().Add(-time.Hour)
+	coord.Report(DemandReport{Node: "s", Demand: 100}, ago)
+	coord.AllocateLease(ago.Add(time.Second), 20*time.Millisecond)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for i, offers := 1, 0; offers < 3; i++ {

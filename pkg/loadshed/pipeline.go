@@ -1,39 +1,36 @@
 package loadshed
 
-// pipeline.go — the two-deep bin pipeline (DESIGN.md, "Bin pipeline").
+// pipeline.go — preparing a bin, and the two-deep bin pipeline
+// (DESIGN.md, "Bin pipeline").
 //
-// The sequential runner leaves cores idle between execute fan-outs:
-// extraction for bin N+1 cannot start until feedback for bin N has run.
-// The stages are not independent, though — admit(N+1) reads the
-// governor delay that feedback(N) wrote, and Predict(N+1) reads the MLR
-// history that execute(N)'s Observe calls appended to — so the pipeline
-// overlaps only the one half of the bin that is a pure function of the
-// captured batch: sketching (hashing every packet's aggregate keys into
-// the batch bitmaps). A front goroutine pulls batches from the source
-// and speculatively sketches each wire batch, chunk-parallel across the
-// front half of Config.Workers; the back stage (the caller's goroutine)
-// then runs admit → … → feedback for bin N in strict bin order, exactly
-// as the sequential engine does, while the front works on bin N+1.
+// Every bin is prepared one way, by binSlot.fill: capture the batch,
+// index its wire packets' flows and, on predictive runs, sketch them
+// (hashing every flow's aggregate keys into the batch bitmaps). The
+// stages then read the bin's index through the admitted batch's Flows
+// and its sketch through BinContext.sketch, both the slot's. Only who
+// fills the slot differs. At Workers = 1 the run goroutine fills one
+// slot inline before the bin's stages.
 //
-// Speculation: the front indexes the wire batch's flows and sketches
-// it, but both are defined over the admitted batch. Admission is a
-// prefix — tail drop loses the newest packets — so the back stage
-// truncates the index to the admitted prefix and validates the sketch
-// by packet count, truncating it too on the rare mis-speculation (a
-// DAG-drop bin). Everything downstream of the index and the sketch
-// therefore sees bit-identical state for any worker count.
+// Workers >= 2 overlaps the fill with the bin before it. The stages are
+// not independent — admit(N+1) reads the governor delay that
+// feedback(N) wrote, and Predict(N+1) reads the MLR history that
+// execute(N)'s Observe calls appended to — but the fill is a pure
+// function of the captured batch. A front goroutine fills ring slots
+// ahead; the back stage (the caller's goroutine) runs admit → … →
+// feedback for bin N in strict bin order while the front fills bin N+1.
+//
+// Speculation: the slot's index and sketch are the wire batch's, but
+// both are defined over the admitted batch. Admission is a prefix —
+// tail drop loses the newest packets — so admit truncates the index to
+// the admitted prefix and extractPredict validates the sketch by packet
+// count, truncating it too on a DAG-drop bin. The fill runs before
+// admission on either path, so both see the same index and sketch.
 //
 // Ring ownership: two binSlots cycle between a free and a ready
 // channel. A slot is owned by the front goroutine from free-receive to
 // ready-send, and by the back stage from ready-receive to free-send;
 // the channel operations carry the happens-before edges, so neither
 // side ever reads the other's generation of batch, index or sketch.
-// Each slot owns one FlowIndex and one Sketch (the two ping-ponged
-// scratch generations); the System's own index and the extractor's
-// internal sketch are untouched in pipelined runs, and every consumer
-// reads the bin's index through the admitted batch's Flows and its
-// sketch through BinContext.sketch, which point at whichever generation
-// carried the bin.
 
 import (
 	"sync"
@@ -51,35 +48,37 @@ import (
 // throughput.
 func (c Config) pipelined() bool { return c.Workers >= 2 }
 
-// splitWorkers divides Config.Workers between the front-stage sketch
-// pool and the back-stage execute pool: the front gets the floor half
-// (at least one — the front goroutine itself), execute the rest. The
-// split was chosen when sketching and query execution cost the same
-// order of work per packet; see the table in DESIGN.md, "Bin pipeline".
-// The sketch now hashes per distinct flow, so the front does less than
-// that table shows.
-func splitWorkers(w int) (front, execute int) {
-	front = w / 2
-	if front < 1 {
-		front = 1
-	}
-	return front, w - front
-}
-
-// binSlot is one generation of the pipeline ring: a captured batch, the
-// flow index of its wire packets and their speculative sketch.
+// binSlot is one bin's prepared input: a captured batch, the flow index
+// of its wire packets and, on predictive runs, their sketch.
 type binSlot struct {
-	batch    pkt.Batch
-	ok       bool // false: end of trace, batch/flows/sketch are meaningless
-	sketched bool // front sketched the wire batch (predictive runs only)
-	flows    *pkt.FlowIndex
-	sketch   *features.Sketch
+	batch  pkt.Batch
+	ok     bool // false: end of trace, batch/flows/sketch are meaningless
+	flows  *pkt.FlowIndex
+	sketch *features.Sketch
+	ext    *features.Extractor // sketches the fill; nil on non-predictive runs
 }
 
-// pipeline is the ring and the front stage's machinery. Slots, channels
-// and the chunk sketcher persist on the System across runs; the worker
-// pool and front goroutine are per-run, so an idle System holds no
-// goroutines.
+// fill prepares the slot for the bin of batch b (ok false at end of
+// trace): it indexes the wire packets' flows and, on predictive runs,
+// sketches them. It reads only the extractor's hash tables, so the
+// front goroutine may fill while the back stage extracts. Sources hand
+// off stable batches (see trace.Source), so the slot holds the batch
+// without copying.
+func (sl *binSlot) fill(b pkt.Batch, ok bool) {
+	sl.batch, sl.ok = b, ok
+	if !ok {
+		return
+	}
+	sl.batch.IndexInto(sl.flows)
+	if sl.ext != nil {
+		sl.ext.SketchFlows(sl.sketch, sl.flows)
+	}
+}
+
+// pipeline is the ring and the front stage's teardown channels. Slots
+// and channels persist on the System across runs; the front goroutine
+// is per-run, so an idle System holds no goroutines. The sequential
+// loop fills slots[0] and leaves the channels unused.
 type pipeline struct {
 	slots [2]binSlot
 	free  chan *binSlot
@@ -88,30 +87,25 @@ type pipeline struct {
 	// quit/frontDone are per-run teardown channels: stop closes quit so
 	// a front goroutine whose back stage was cancelled (and therefore
 	// stopped freeing slots) unblocks from its free-receive, and waits on
-	// frontDone before releasing the pool. On a natural end of trace the
-	// front has already returned and the wait is immediate.
+	// frontDone. On a natural end of trace the front has already
+	// returned and the wait is immediate.
 	quit      chan struct{}
 	frontDone chan struct{}
-
-	frontWorkers int
-	cs           *features.ChunkSketcher
-	pool         *staticPool          // per-run helpers of the front goroutine
-	runFn        func(int, func(int)) // p.pool.run, bound once per run
 }
 
-// ensurePipeline lazily builds the persistent half of the pipeline.
+// ensurePipeline lazily builds the persistent ring.
 func (s *System) ensurePipeline() *pipeline {
 	if s.pipe == nil {
-		front, _ := splitWorkers(s.cfg.Workers)
 		p := &pipeline{
-			free:         make(chan *binSlot, 2),
-			ready:        make(chan *binSlot, 2),
-			frontWorkers: front,
-			cs:           features.NewChunkSketcher(s.globalExt, front),
+			free:  make(chan *binSlot, 2),
+			ready: make(chan *binSlot, 2),
 		}
 		for i := range p.slots {
 			p.slots[i].flows = pkt.NewFlowIndex(hash.FlowSalt(s.cfg.Seed))
 			p.slots[i].sketch = features.NewSketch()
+			if s.cfg.Scheme == Predictive {
+				p.slots[i].ext = s.globalExt
+			}
 		}
 		s.pipe = p
 	}
@@ -120,12 +114,11 @@ func (s *System) ensurePipeline() *pipeline {
 
 // begin arms the ring for one run and starts the front stage: both
 // slots on free (draining whatever a cancelled previous run left in the
-// channels), a fresh helper pool (the front goroutine is the pool's
-// missing worker), and the front goroutine pulling from src. The front
-// exits on its own when the source is exhausted, after handing the back
-// stage an ok=false slot; a cancelled run instead tears it down through
-// the quit channel.
-func (p *pipeline) begin(src trace.Source, sketch bool) {
+// channels) and the front goroutine pulling from src. The front exits
+// on its own when the source is exhausted, after handing the back stage
+// an ok=false slot; a cancelled run instead tears it down through the
+// quit channel.
+func (p *pipeline) begin(src trace.Source) {
 	for len(p.free) > 0 {
 		<-p.free
 	}
@@ -136,37 +129,31 @@ func (p *pipeline) begin(src trace.Source, sketch bool) {
 	p.free <- &p.slots[1]
 	p.quit = make(chan struct{})
 	p.frontDone = make(chan struct{})
-	p.pool = newStaticPool(p.frontWorkers - 1)
-	p.runFn = p.pool.run
-	go p.front(src, sketch)
+	go p.front(src)
 }
 
-// stop tears down the per-run machinery: it quits the front stage, waits
-// for it to return, then releases the pool. After a natural end of trace
-// the front has already exited and stop returns immediately; after a
-// cancellation it returns as soon as the front observes quit — at its
-// next free-receive, or after its in-flight src.NextBatch/sketch
-// completes (bounded for every Source; live listeners are additionally
-// closed by the caller to unblock a silent link).
+// stop quits the front stage and waits for it to return. After a
+// natural end of trace the front has already exited and stop returns
+// immediately; after a cancellation it returns as soon as the front
+// observes quit — at its next free-receive, or after its in-flight
+// src.NextBatch/fill completes (bounded for every Source; live
+// listeners are additionally closed by the caller to unblock a silent
+// link).
 func (p *pipeline) stop() {
 	close(p.quit)
 	<-p.frontDone
-	p.pool.close()
-	p.pool, p.runFn = nil, nil
 }
 
-// front is the pipeline's producer loop: capture the next batch, index
-// its wire packets' flows, speculatively sketch them (predictive runs),
-// hand the slot over. It is the source's only consumer, so batch order
-// — and with it every downstream RNG and history stream — is exactly
-// the sequential engine's. Sources hand off stable batches (see
-// trace.Source), so the slot holds the batch without copying.
-func (p *pipeline) front(src trace.Source, sketch bool) {
+// front is the pipeline's producer loop: fill the next free slot and
+// hand it over. It is the source's only consumer, so batch order — and
+// with it every downstream RNG and history stream — is exactly the
+// sequential engine's.
+func (p *pipeline) front(src trace.Source) {
 	defer close(p.frontDone)
 	for {
 		// Only the free-receive can block indefinitely (a cancelled back
 		// stage stops freeing slots), so it is the quit point. The
-		// ready-sends below never block: the channel's buffer equals the
+		// ready-send below never blocks: the channel's buffer equals the
 		// slot count, so there is always room for every slot in existence.
 		var slot *binSlot
 		select {
@@ -174,30 +161,23 @@ func (p *pipeline) front(src trace.Source, sketch bool) {
 		case <-p.quit:
 			return
 		}
-		b, ok := src.NextBatch()
-		if !ok {
-			slot.ok = false
-			p.ready <- slot
+		slot.fill(src.NextBatch())
+		p.ready <- slot
+		if !slot.ok {
 			return
 		}
-		slot.batch, slot.ok, slot.sketched = b, true, sketch
-		slot.batch.IndexInto(slot.flows)
-		if sketch {
-			p.cs.Fill(slot.sketch, slot.flows, p.runFn)
-		}
-		p.ready <- slot
 	}
 }
 
 // staticPool is the engine's one worker pool: a persistent fixed-size
 // set of goroutines that, together with the calling goroutine, run
 // fn(0) … fn(n-1), handing indices out through an atomic counter. The
-// front-stage sketcher, the execute stage and the Cluster's shard
-// runners all use it; determinism is the caller's contract — fn(i) must
-// touch only index-owned state. run is zero-alloc when fn is prebuilt.
-// A nil *staticPool is the pool with no helpers: run executes every
-// index on the caller, which is how Workers = 1 and Runners = 1 stay
-// inline without a second code path at the call sites.
+// execute stage and the Cluster's shard runners use it; determinism is
+// the caller's contract — fn(i) must touch only index-owned state. run
+// is zero-alloc when fn is prebuilt. A nil *staticPool is the pool with
+// no helpers: run executes every index on the caller, which is how an
+// execute stage of one goroutine and Runners = 1 stay inline without a
+// second code path at the call sites.
 type staticPool struct {
 	workers int
 	fn      func(int)

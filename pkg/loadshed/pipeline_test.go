@@ -14,8 +14,8 @@ import (
 // length must be the same pipelined as sequential. (The growth itself
 // is not zero — interval flushes cost a few allocations per flush on
 // both paths — so the guard compares marginal cost, which isolates
-// exactly what the ring, the staging sketches and the pools add: it
-// must be nothing.)
+// exactly what the ring, the front goroutine and the execute pool add:
+// it must be nothing.)
 func TestPipelineSteadyStateAllocs(t *testing.T) {
 	batches := trace.Record(testSource(19, 6*time.Second))
 	long := trace.NewMemorySource(batches, trace.DefaultTimeBin)
@@ -38,9 +38,10 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	}
 
 	seq := growth(1)
-	// Workers=4: slots, staging sketches, staticPool and the exec pool
-	// are all in play. Allow one alloc of jitter — AllocsPerRun rounds
-	// an occasional background-GC hiccup into the count.
+	// Workers=4: both slots, the front goroutine and an execute pool
+	// with helpers are all in play. Allow one alloc of jitter —
+	// AllocsPerRun rounds an occasional background-GC hiccup into the
+	// count.
 	if pipe := growth(4); pipe > seq+1 {
 		t.Fatalf("pipelined stream allocates in steady state: growth %v allocs vs sequential %v over %d extra bins",
 			pipe, seq, len(batches)-len(batches)/2)
@@ -48,14 +49,14 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 }
 
 // TestPipelineReleasesGoroutines pins the per-run lifecycle: the front
-// goroutine exits with the trace and finish() releases the sketch pool,
-// so a System that has finished streaming holds no goroutines — Systems
+// goroutine exits with the trace and finish() releases the execute
+// pool, so a System that has finished streaming holds no goroutines — Systems
 // are created in bulk by benchmarks and experiments, and a persistent
 // pool would leak with each one.
 func TestPipelineReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := streamCfg(27)
-	cfg.Workers = 7 // front pool of 2 helpers plus the front goroutine
+	cfg.Workers = 7 // the front goroutine plus an execute pool of 5 helpers
 	sys := New(cfg, stdQueries())
 	for i := 0; i < 3; i++ {
 		sys.Stream(testSource(7, 2*time.Second), nil)

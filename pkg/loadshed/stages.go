@@ -39,10 +39,10 @@ type BinContext struct {
 	bufferLoss bool            // admit: §4.1 soft buffer-occupancy signal
 	overhead   float64         // platformOverhead + extractPredict cycles
 	fv         features.Vector // extractPredict: full-stream features
-	// sketch is the admitted batch's bitmap sketch (extractPredict):
-	// the front stage's validated speculative sketch under the bin
-	// pipeline, the global extractor's internal sketch otherwise.
-	// Full-rate queries merge it instead of re-hashing in executeQuery.
+	// sketch is the bin slot's sketch of the wire batch, which
+	// extractPredict truncates to the admitted batch (predictive runs
+	// only). The shed step selects from it and full-rate queries' states
+	// fold it, so nothing re-hashes a packet after the slot's fill.
 	sketch *features.Sketch
 	// shedSketch is the sketch of the shared shed stream (execute), which
 	// sampled queries merge from: the System's shedSketch, or sketch
@@ -60,20 +60,15 @@ type execResult struct {
 	alloc float64 // predicted cycles × applied rate
 }
 
-// newBinContext starts the pipeline for one captured batch. The context
-// itself and its internal slices live on the System and are reused
-// every bin (bins are strictly sequential; the worker pool drains
-// before the next bin starts). So are the public Stats slices: a
-// Sink's records are valid only during the call, and Run copies them.
-//
-// It also gives the bin its flow index, built once before any stage
-// reads it: the sequential runner indexes the wire batch here, the bin
-// pipeline's front stage did so for its ring slot. The same pass takes
-// the byte sum WireBytes reads.
-func (s *System) newBinContext(bin int, b *pkt.Batch) *BinContext {
-	if s.spec == nil {
-		b.IndexInto(s.flows)
-	}
+// newBinContext starts the pipeline for one bin from its filled slot
+// (binSlot.fill), whose index pass also took the byte sum WireBytes
+// reads. The context itself and its internal slices live on the System
+// and are reused every bin (bins are strictly sequential; the worker
+// pool drains before the next bin starts). So are the public Stats
+// slices: a Sink's records are valid only during the call, and Run
+// copies them.
+func (s *System) newBinContext(bin int, sl *binSlot) *BinContext {
+	b := &sl.batch
 	capacity := s.gov.Capacity()
 	nq := len(s.qs)
 	bc := &s.bc
@@ -93,6 +88,7 @@ func (s *System) newBinContext(bin int, b *pkt.Batch) *BinContext {
 		},
 		capacity:  capacity,
 		unlimited: math.IsInf(capacity, 1),
+		sketch:    sl.sketch,
 		rates:     resizeZeroed(rates, nq),
 	}
 	if cap(exec) < nq {
@@ -117,12 +113,12 @@ func resizeZeroed(s []float64, n int) []float64 {
 	return s
 }
 
-// step processes one batch through the full pipeline (Algorithm 1):
-// capture-buffer admission, platform overhead, feature extraction and
-// prediction, the shedding decision, per-query sampling and execution,
-// and controller feedback.
-func (s *System) step(bin int, b *pkt.Batch) BinStats {
-	bc := s.newBinContext(bin, b)
+// step processes one filled bin slot through the full pipeline
+// (Algorithm 1): capture-buffer admission, platform overhead, feature
+// extraction and prediction, the shedding decision, per-query sampling
+// and execution, and controller feedback.
+func (s *System) step(bin int, sl *binSlot) BinStats {
+	bc := s.newBinContext(bin, sl)
 	s.admit(bc)
 	s.platformOverhead(bc)
 	s.extractPredict(bc)
@@ -185,23 +181,15 @@ func (s *System) extractPredict(bc *BinContext) {
 		return
 	}
 	var predSum float64
-	// Resolve the admitted batch's sketch. Under the bin pipeline the
-	// front stage speculatively sketched the wire batch; admission only
-	// ever truncates the batch's tail, so an equal packet count means
-	// the sketch is exactly the admitted batch's and the expensive
-	// hashing already happened off this goroutine. A mismatch (a rare
-	// DAG-drop bin) truncates the sketch to the admitted prefix, which
-	// re-inserts the hashes it already holds.
-	var sk *features.Sketch
-	if s.spec != nil && s.spec.sketched {
-		if sk = s.spec.sketch; sk.Pkts() != len(bc.Admitted.Pkts) {
-			sk.Truncate(len(bc.Admitted.Pkts))
-		}
-	} else {
-		sk = s.globalExt.Sketch()
-		s.globalExt.SketchFlows(sk, bc.Admitted.Flows)
+	// The slot's fill sketched the wire batch. Admission only ever
+	// truncates the batch's tail, so an equal packet count means the
+	// sketch is exactly the admitted batch's; a DAG-drop bin truncates
+	// it to the admitted prefix, which re-inserts the hashes it already
+	// holds.
+	sk := bc.sketch
+	if sk.Pkts() != len(bc.Admitted.Pkts) {
+		sk.Truncate(len(bc.Admitted.Pkts))
 	}
-	bc.sketch = sk
 	s.globalExt.Ops += sk.Ops()
 	bc.overhead += features.CostPerOp * float64(sk.Ops())
 	// FinishSketchInto writes the extractor's scratch vector — no
@@ -433,8 +421,8 @@ func (s *System) shed(bc *BinContext) {
 	// of the admitted batch at the mean rate of the sampled queries,
 	// whose bitmaps approximate every sampled query's stream. The sketch
 	// inserts the distinct flows the sample touches straight from the
-	// per-flow hash columns extractPredict already filled, so no packet
-	// or hash is copied and none re-hashed, and it is charged per
+	// per-flow hash columns the bin slot's fill already filled, so no
+	// packet or hash is copied and none re-hashed, and it is charged per
 	// selected packet all the same. The mean of rates < 1 can round to
 	// exactly 1: the shed stream is then the admitted one, at its full
 	// cost and without a draw.

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/custom"
 	"repro/internal/features"
+	"repro/internal/hash"
 	"repro/internal/pkt"
 	"repro/internal/queries"
 	"repro/internal/sampling"
@@ -29,6 +30,14 @@ func nPktBatch(n int) pkt.Batch {
 		pkts[i] = pkt.Packet{Ts: int64(i), SrcIP: uint32(i), Size: 100, Proto: pkt.ProtoTCP}
 	}
 	return pkt.Batch{Bin: 100 * time.Millisecond, Pkts: pkts}
+}
+
+// slotOf fills the System's first ring slot with b, as the run
+// goroutine does at Workers = 1, and returns it.
+func slotOf(s *System, b pkt.Batch) *binSlot {
+	sl := &s.ensurePipeline().slots[0]
+	sl.fill(b, true)
+	return sl
 }
 
 func counterOnly() []queries.Query {
@@ -73,8 +82,7 @@ func TestAdmitBufferModel(t *testing.T) {
 			if !tc.unlimited && s.gov.Delay() != tc.delay {
 				t.Fatalf("injected delay %v, governor holds %v", tc.delay, s.gov.Delay())
 			}
-			b := nPktBatch(npkts)
-			bc := s.newBinContext(0, &b)
+			bc := s.newBinContext(0, slotOf(s, nPktBatch(npkts)))
 			s.admit(bc)
 			if bc.Stats.DropPkts != tc.wantDrops {
 				t.Errorf("DropPkts = %d, want %d", bc.Stats.DropPkts, tc.wantDrops)
@@ -99,6 +107,12 @@ func TestAdmitBufferModel(t *testing.T) {
 // dropping the *oldest* packets, but a full DAG buffer loses the newest
 // arrivals — the ones that find it full (§4.1). The surviving packets
 // must be the head of the bin, in order, and the dropped ones its tail.
+//
+// It is also the drop bin's sketch oracle. The slot's fill sketched
+// the whole wire batch, on every path and at every worker count, so
+// comparing runs cannot catch a missed truncation; extractPredict's
+// sketch and feature vector must instead be those of a fresh extractor
+// over a fresh index of the admitted prefix.
 func TestAdmitTailDrop(t *testing.T) {
 	const (
 		capacity   = 1000.0
@@ -109,8 +123,11 @@ func TestAdmitTailDrop(t *testing.T) {
 	// 10.5 bins of backlog: 0.5 bins beyond the buffer, so half the
 	// batch drops.
 	s.gov.Observe(core.Feedback{Overhead: capacity + 10500, QueryAvail: -1})
-	b := nPktBatch(npkts)
-	bc := s.newBinContext(0, &b)
+	sl := slotOf(s, nPktBatch(npkts))
+	if sl.sketch.Pkts() != npkts {
+		t.Fatalf("the slot sketched %d packets, want the wire batch's %d", sl.sketch.Pkts(), npkts)
+	}
+	bc := s.newBinContext(0, sl)
 	s.admit(bc)
 
 	if bc.Stats.DropPkts != npkts/2 {
@@ -126,6 +143,22 @@ func TestAdmitTailDrop(t *testing.T) {
 		if admitted[i].Ts != int64(i) {
 			t.Fatalf("admitted[%d].Ts = %d: buffer overflow dropped buffered packets instead of new arrivals", i, admitted[i].Ts)
 		}
+	}
+
+	s.extractPredict(bc)
+	prefix := pkt.Batch{Pkts: nPktBatch(npkts).Pkts[:npkts/2]}
+	x := pkt.NewFlowIndex(hash.FlowSalt(s.cfg.Seed))
+	x.Build(prefix.Pkts)
+	oracle := features.NewExtractor(s.cfg.Seed + 0xfea7) // the System's extraction seed (New)
+	want := features.NewSketch()
+	oracle.SketchFlows(want, x)
+	oracle.StartInterval()
+	wantFV := oracle.ExtractFromSketch(want, float64(prefix.Packets()), float64(prefix.Bytes()))
+	if got := bc.sketch; got.Pkts() != want.Pkts() || got.Ops() != want.Ops() {
+		t.Fatalf("drop bin's sketch: Pkts/Ops = %d/%d, a fresh sketch of the admitted prefix %d/%d", got.Pkts(), got.Ops(), want.Pkts(), want.Ops())
+	}
+	if !reflect.DeepEqual(bc.fv, wantFV) {
+		t.Fatalf("drop bin's feature vector:\n got %v\nwant %v (a fresh extractor over the admitted prefix)", bc.fv, wantFV)
 	}
 }
 
@@ -155,8 +188,7 @@ func TestReactiveRateUpdate(t *testing.T) {
 			s.reactiveRate = tc.prevRate
 			s.lastConsumed = tc.consumed
 			s.reactiveDelay = tc.delay
-			b := nPktBatch(10)
-			bc := s.newBinContext(0, &b)
+			bc := s.newBinContext(0, slotOf(s, nPktBatch(10)))
 			bc.overhead = tc.overhead
 			s.decideShedding(bc)
 			for i, r := range bc.rates {
@@ -258,8 +290,7 @@ func TestDisabledQuerySkipsObservation(t *testing.T) {
 
 	p2pBefore := p2p.mlr.History().Len()
 	counterBefore := sys.qs[1].mlr.History().Len()
-	b := nPktBatch(50)
-	stats := sys.step(0, &b)
+	stats := sys.step(0, slotOf(sys, nPktBatch(50)))
 
 	if got := p2p.mlr.History().Len(); got != p2pBefore {
 		t.Fatalf("disabled query's MLR history grew %d -> %d: empty-batch observation poisoned the model", p2pBefore, got)

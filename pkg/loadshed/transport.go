@@ -124,7 +124,7 @@ func NewLoopback(coord *Coordinator, name string, minShare float64) NodeTranspor
 
 func (t *loopbackTransport) Report(r DemandReport) error {
 	r.Node = t.name
-	t.coord.Report(r)
+	t.coord.Report(r, time.Now())
 	return nil
 }
 
@@ -643,7 +643,7 @@ readLoop:
 		case coordMsgReport:
 			if r, ok := decodeReport(frame); ok {
 				r.Node = name
-				s.coord.Report(r)
+				s.coord.Report(r, time.Now())
 			}
 		case coordMsgCheckpoint:
 			bin, final, blobLen, ok := decodeCheckpointHdr(frame)
@@ -676,8 +676,9 @@ func (s *CoordServer) heartbeatLoop() {
 			return
 		case <-ticker.C:
 		}
-		s.coord.AllocateLease(s.cfg.Lease)
-		s.coord.planFailover(time.Now(), s.cfg.Grace, 2*s.cfg.Lease)
+		now := time.Now()
+		s.coord.AllocateLease(now, s.cfg.Lease)
+		s.coord.planFailover(now, s.cfg.Grace, 2*s.cfg.Lease)
 		names = names[:0]
 		s.mu.Lock()
 		for name := range s.conns {
