@@ -54,9 +54,11 @@ func goRun(n int, fn func(int)) {
 	wg.Wait()
 }
 
-// TestChunkSketchEquivalence is the contract the engine's front
-// goroutine fills under: SketchFlows calls on one extractor, each into
-// a sketch of its own, may run concurrently. workers fillers split the
+// TestChunkSketchEquivalence holds SketchFlows to its concurrency
+// contract: it reads only the extractor's hash tables, so fills on one
+// extractor, each into a sketch of its own, may run concurrently (the
+// engine's front goroutine fills while the run goroutine folds the
+// previous bin into the same extractor). workers fillers split the
 // batches round-robin, inline or on as many goroutines, each into the
 // batch's own sketch over the batch's own index; folded in batch order
 // those sketches must give hash columns, vectors and interval estimates

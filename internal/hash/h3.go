@@ -30,10 +30,8 @@ const KeySize = 13
 // AggHashes only read the lookup table, so any number of goroutines may
 // hash through the same H3 concurrently (into distinct dst buffers for
 // AggHashes). This read-only contract is what lets sketches be filled
-// concurrently through one extractor's H3 functions (the engine's
-// pipeline front goroutine fills while the run goroutine extracts).
-// Reseed is the single mutator and must not run concurrently with
-// hashing.
+// concurrently through one extractor's H3 functions. Reseed is the
+// single mutator and must not run concurrently with hashing.
 type H3 struct {
 	table [KeySize][256]uint64
 }
