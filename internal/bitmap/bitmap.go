@@ -19,7 +19,7 @@
 // function (the monitoring pipeline uses hash.H3).
 //
 // Both counters keep their set-bit counts current after every mutating
-// call, so Ones and Estimate never scan the bit array, and Estimate
+// call, so Estimate never scans the bit array, and Estimate
 // reads the linear-counting estimate of a count from a table shared by
 // every bitmap of the size instead of taking a logarithm. MultiRes keeps
 // its books per component rather than per item: a bulk insert is one OR
@@ -29,7 +29,6 @@
 package bitmap
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -129,15 +128,6 @@ func (d *Direct) Insert(h uint64) {
 	}
 }
 
-// Ones returns the number of set bits. The count is maintained on
-// Insert and MergeFrom, so this is O(1) — SuperSources calls it (via
-// Estimate) once per tracked source per interval, and the old full-scan
-// implementation made that quadratic in practice.
-func (d *Direct) Ones() int { return d.ones }
-
-// Size returns the bitmap size in bits.
-func (d *Direct) Size() int { return int(d.size) }
-
 // Estimate returns the linear-counting estimate of the number of
 // distinct items inserted: b * ln(b / zeros). A saturated bitmap (no
 // zero bits) returns b * ln(b), the largest value the estimator can
@@ -152,22 +142,6 @@ func (d *Direct) Reset() {
 		d.words[i] = 0
 	}
 	d.ones = 0
-}
-
-// MergeFrom ORs another bitmap of identical size into d. It panics if the
-// sizes differ.
-func (d *Direct) MergeFrom(o *Direct) {
-	if d.size != o.size {
-		panic(fmt.Sprintf("bitmap: merging direct bitmaps of different sizes %d and %d", d.size, o.size))
-	}
-	for i, w := range o.words {
-		old := d.words[i]
-		nw := old | w
-		if nw != old {
-			d.ones += bits.OnesCount64(nw) - bits.OnesCount64(old)
-			d.words[i] = nw
-		}
-	}
 }
 
 // saturationFill is the component fill ratio beyond which linear
@@ -372,9 +346,4 @@ func (m *MultiRes) MergeFrom(o *MultiRes) {
 		m.ones[lv] = n
 	}
 	m.live |= o.live
-}
-
-// MemoryBytes returns the memory footprint of the bitmap payload.
-func (m *MultiRes) MemoryBytes() int {
-	return m.levels * m.nbits / 8
 }

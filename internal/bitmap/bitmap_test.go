@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/hash"
+	"repro/internal/pkt"
 )
 
 func TestDirectEmpty(t *testing.T) {
@@ -14,19 +15,19 @@ func TestDirectEmpty(t *testing.T) {
 	if got := d.Estimate(); got != 0 {
 		t.Fatalf("empty estimate = %v, want 0", got)
 	}
-	if d.Ones() != 0 {
-		t.Fatalf("empty bitmap has %d ones", d.Ones())
+	if d.ones != 0 {
+		t.Fatalf("empty bitmap has %d ones", d.ones)
 	}
 }
 
 func TestDirectRoundsUpToPowerOfTwo(t *testing.T) {
 	d := NewDirect(1000)
-	if d.Size() != 1024 {
-		t.Fatalf("size = %d, want 1024", d.Size())
+	if d.size != 1024 {
+		t.Fatalf("size = %d, want 1024", d.size)
 	}
 	d = NewDirect(1)
-	if d.Size() != 64 {
-		t.Fatalf("minimum size = %d, want 64", d.Size())
+	if d.size != 64 {
+		t.Fatalf("minimum size = %d, want 64", d.size)
 	}
 }
 
@@ -34,8 +35,8 @@ func TestDirectSingleItem(t *testing.T) {
 	d := NewDirect(1024)
 	d.Insert(12345)
 	d.Insert(12345) // duplicate must not change anything
-	if d.Ones() != 1 {
-		t.Fatalf("ones = %d, want 1", d.Ones())
+	if d.ones != 1 {
+		t.Fatalf("ones = %d, want 1", d.ones)
 	}
 	est := d.Estimate()
 	if math.Abs(est-1) > 0.01 {
@@ -47,7 +48,7 @@ func TestDirectLinearCountingAccuracy(t *testing.T) {
 	h := hash.NewH3(1)
 	d := NewDirect(8192)
 	const n = 2000
-	buf := make([]byte, hash.KeySize)
+	buf := make([]byte, pkt.FlowKeySize)
 	for i := 0; i < n; i++ {
 		buf[0] = byte(i)
 		buf[1] = byte(i >> 8)
@@ -64,29 +65,9 @@ func TestDirectReset(t *testing.T) {
 	d := NewDirect(64)
 	d.Insert(1)
 	d.Reset()
-	if d.Ones() != 0 {
+	if d.ones != 0 {
 		t.Fatal("Reset did not clear bits")
 	}
-}
-
-func TestDirectMerge(t *testing.T) {
-	a := NewDirect(256)
-	b := NewDirect(256)
-	a.Insert(1)
-	b.Insert(2)
-	a.MergeFrom(b)
-	if a.Ones() != 2 {
-		t.Fatalf("merged ones = %d, want 2", a.Ones())
-	}
-}
-
-func TestDirectMergePanicsOnSizeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDirect(64).MergeFrom(NewDirect(128))
 }
 
 func TestDirectSaturatedEstimateFinite(t *testing.T) {
@@ -120,7 +101,7 @@ func TestMultiResAccuracyAcrossMagnitudes(t *testing.T) {
 	// The headline property: ~constant relative error from hundreds to
 	// hundreds of thousands of distinct items with one configuration.
 	h := hash.NewH3(2)
-	buf := make([]byte, hash.KeySize)
+	buf := make([]byte, pkt.FlowKeySize)
 	for _, n := range []int{100, 1000, 10000, 100000, 500000} {
 		m := DefaultMultiRes()
 		for i := 0; i < n; i++ {
@@ -141,7 +122,7 @@ func TestMultiResAccuracyAcrossMagnitudes(t *testing.T) {
 func TestMultiResDuplicatesIgnored(t *testing.T) {
 	h := hash.NewH3(3)
 	m := DefaultMultiRes()
-	buf := make([]byte, hash.KeySize)
+	buf := make([]byte, pkt.FlowKeySize)
 	for rep := 0; rep < 10; rep++ {
 		for i := 0; i < 500; i++ {
 			buf[0] = byte(i)
@@ -159,7 +140,7 @@ func TestMultiResMergeCountsUnion(t *testing.T) {
 	h := hash.NewH3(4)
 	a := DefaultMultiRes()
 	b := DefaultMultiRes()
-	buf := make([]byte, hash.KeySize)
+	buf := make([]byte, pkt.FlowKeySize)
 	// a gets items [0,3000), b gets [2000,5000): union is 5000.
 	for i := 0; i < 3000; i++ {
 		buf[0], buf[1] = byte(i), byte(i>>8)
@@ -191,13 +172,6 @@ func TestMultiResReset(t *testing.T) {
 	m.Reset()
 	if m.Estimate() != 0 {
 		t.Fatal("Reset did not clear the counter")
-	}
-}
-
-func TestMultiResMemoryBytes(t *testing.T) {
-	m := NewMultiRes(4096, 16)
-	if got := m.MemoryBytes(); got != 16*4096/8 {
-		t.Fatalf("MemoryBytes = %d", got)
 	}
 }
 
@@ -280,22 +254,17 @@ func popcount(w uint64) int {
 
 func TestDirectOnesIncremental(t *testing.T) {
 	// The incremental set-bit count must track the actual words through
-	// inserts (including duplicates), merges and resets.
+	// inserts (including duplicates) and resets.
 	d := NewDirect(512)
-	o := NewDirect(512)
 	rng := hash.NewXorShift(11)
 	for i := 0; i < 2000; i++ {
 		d.Insert(rng.Uint64() % 700) // force collisions
-		o.Insert(rng.Uint64() % 700)
-		if i%251 == 0 {
-			d.MergeFrom(o)
-		}
-		if got, want := d.Ones(), scanOnes(d.words); got != want {
+		if got, want := d.ones, scanOnes(d.words); got != want {
 			t.Fatalf("step %d: Ones = %d, scan = %d", i, got, want)
 		}
 	}
 	d.Reset()
-	if d.Ones() != 0 || scanOnes(d.words) != 0 {
+	if d.ones != 0 || scanOnes(d.words) != 0 {
 		t.Fatal("Reset left bits or a stale count behind")
 	}
 }
@@ -331,7 +300,7 @@ func (r *refMultiRes) Insert(h uint64) {
 func (r *refMultiRes) Estimate() float64 {
 	base := 0
 	for base < r.levels-1 {
-		fill := float64(scanOnes(r.comps[base].words)) / float64(r.comps[base].Size())
+		fill := float64(scanOnes(r.comps[base].words)) / float64(r.comps[base].size)
 		if fill <= saturationFill {
 			break
 		}
@@ -448,7 +417,7 @@ func sameAsSingle(nbits, levels int, pre, hs []uint64) string {
 		}
 	}
 	for lv, n := range bulk.ones {
-		if n != single.ones[lv] || n != ref.comps[lv].Ones() {
+		if n != single.ones[lv] || n != ref.comps[lv].ones {
 			return "counts differ"
 		}
 	}
@@ -552,8 +521,8 @@ func TestLinearCountTable(t *testing.T) {
 		h := rng.Uint64()
 		d.Insert(h)
 		m.Insert(h)
-		if got, want := d.Estimate(), linearCount(512, d.Ones()); got != want {
-			t.Fatalf("Direct at %d ones estimates %v, linearCount %v", d.Ones(), got, want)
+		if got, want := d.Estimate(), linearCount(512, d.ones); got != want {
+			t.Fatalf("Direct at %d ones estimates %v, linearCount %v", d.ones, got, want)
 		}
 	}
 	ref := newRefMultiRes(2048, 16)

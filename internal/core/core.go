@@ -8,9 +8,9 @@ package core
 
 import "math"
 
-// EWMAWeight is the weight α used for the error and overhead averages;
+// ewmaWeight is the weight α used for the error and overhead averages;
 // the thesis sets it to 0.9 "to quickly react to changes" (§4.3).
-const EWMAWeight = 0.9
+const ewmaWeight = 0.9
 
 // Governor tracks the controller state of Algorithm 1 across time bins.
 // It is deliberately free of any knowledge about queries or traffic: it
@@ -108,17 +108,8 @@ func (g *Governor) Restore(st State) {
 	g.rttCap = st.RTTCap
 }
 
-// Err returns the current prediction-error EWMA êrror.
-func (g *Governor) Err() float64 { return g.errEWMA }
-
-// ShedOverhead returns the current shedding-overhead EWMA l̂s_cycles.
-func (g *Governor) ShedOverhead() float64 { return g.lsEWMA }
-
 // Delay returns the accumulated delay in cycles.
 func (g *Governor) Delay() float64 { return g.delay }
-
-// RTThresh returns the discovered safe-delay threshold.
-func (g *Governor) RTThresh() float64 { return g.rtt }
 
 // Avail computes the cycles available for query processing this bin
 // (Algorithm 1, line 7): capacity minus platform and prediction
@@ -185,9 +176,9 @@ func (g *Governor) Observe(fb Feedback) {
 	// per-batch overhead, not a prediction miss.
 	if fb.UsedCycles > 0 && fb.AllocCycles > 0 {
 		instErr := math.Max(0, 1-fb.AllocCycles/fb.UsedCycles)
-		g.errEWMA = EWMAWeight*instErr + (1-EWMAWeight)*g.errEWMA
+		g.errEWMA = ewmaWeight*instErr + (1-ewmaWeight)*g.errEWMA
 	}
-	g.lsEWMA = EWMAWeight*fb.ShedCycles + (1-EWMAWeight)*g.lsEWMA
+	g.lsEWMA = ewmaWeight*fb.ShedCycles + (1-ewmaWeight)*g.lsEWMA
 
 	total := fb.Overhead + fb.ShedCycles + fb.UsedCycles
 	g.delay = math.Max(0, g.delay+total-g.capacity)
@@ -210,11 +201,4 @@ func (g *Governor) Observe(fb Feedback) {
 			g.rtt = g.rttCap
 		}
 	}
-}
-
-// DrainDrop removes cycles of pending work from the delay accounting
-// when packets are dropped before processing (their work will never
-// happen).
-func (g *Governor) DrainDrop(cycles float64) {
-	g.delay = math.Max(0, g.delay-cycles)
 }

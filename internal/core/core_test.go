@@ -26,8 +26,8 @@ func TestNeedShedInflatesByError(t *testing.T) {
 	g := NewGovernor(1000)
 	// Teach the governor a 25% under-prediction: alloc 800, used 1067.
 	g.Observe(Feedback{AllocCycles: 800, UsedCycles: 1066.67, QueryAvail: 900})
-	if g.Err() <= 0.2 {
-		t.Fatalf("error EWMA = %v, want > 0.2", g.Err())
+	if g.errEWMA <= 0.2 {
+		t.Fatalf("error EWMA = %v, want > 0.2", g.errEWMA)
 	}
 	// Prediction 800 fits raw availability 900 but not with the margin.
 	if !g.NeedShed(900, 800) {
@@ -56,8 +56,8 @@ func TestRateReservesShedOverhead(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		g.Observe(Feedback{ShedCycles: 100, UsedCycles: 500, AllocCycles: 500, QueryAvail: 0})
 	}
-	if math.Abs(g.ShedOverhead()-100) > 1 {
-		t.Fatalf("shed overhead EWMA = %v, want ~100", g.ShedOverhead())
+	if math.Abs(g.lsEWMA-100) > 1 {
+		t.Fatalf("shed overhead EWMA = %v, want ~100", g.lsEWMA)
 	}
 	// avail 600, pred 1000: rate = (600-100)/1000 = 0.5.
 	if got := g.Rate(600, 1000); math.Abs(got-0.5) > 0.01 {
@@ -94,13 +94,13 @@ func TestRTThreshSlowStart(t *testing.T) {
 	g := NewGovernor(1000)
 	// Repeated underuse grows rtthresh exponentially from the step.
 	g.Observe(Feedback{UsedCycles: 100, QueryAvail: 900})
-	first := g.RTThresh()
+	first := g.rtt
 	if first != 10 { // 1% of capacity
 		t.Fatalf("first rtthresh = %v, want 10", first)
 	}
 	g.Observe(Feedback{UsedCycles: 100, QueryAvail: 900})
-	if g.RTThresh() != 20 {
-		t.Fatalf("rtthresh = %v, want doubled to 20", g.RTThresh())
+	if g.rtt != 20 {
+		t.Fatalf("rtthresh = %v, want doubled to 20", g.rtt)
 	}
 }
 
@@ -109,19 +109,19 @@ func TestRTThreshBackoffOnLoss(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		g.Observe(Feedback{UsedCycles: 100, QueryAvail: 900})
 	}
-	grown := g.RTThresh()
+	grown := g.rtt
 	if grown <= 100 {
 		t.Fatalf("rtthresh did not grow: %v", grown)
 	}
 	g.Observe(Feedback{UsedCycles: 100, QueryAvail: 900, BufferLoss: true})
-	if g.RTThresh() != 0 {
-		t.Fatalf("rtthresh = %v after loss, want 0", g.RTThresh())
+	if g.rtt != 0 {
+		t.Fatalf("rtthresh = %v after loss, want 0", g.rtt)
 	}
 	// Growth resumes exponentially until ssthr = grown/2, then linearly.
 	prev := 0.0
 	for i := 0; i < 30; i++ {
 		g.Observe(Feedback{UsedCycles: 100, QueryAvail: 900})
-		cur := g.RTThresh()
+		cur := g.rtt
 		if cur > grown/2 && cur-prev > 10+1e-9 {
 			t.Fatalf("growth above ssthr should be linear: %v -> %v", prev, cur)
 		}
@@ -134,8 +134,8 @@ func TestRTThreshCapped(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		g.Observe(Feedback{UsedCycles: 100, QueryAvail: 900})
 	}
-	if g.RTThresh() > 2000 {
-		t.Fatalf("rtthresh = %v exceeds the 2x-capacity default cap", g.RTThresh())
+	if g.rtt > 2000 {
+		t.Fatalf("rtthresh = %v exceeds the 2x-capacity default cap", g.rtt)
 	}
 }
 
@@ -145,19 +145,19 @@ func TestSetRTTCap(t *testing.T) {
 		g.Observe(Feedback{UsedCycles: 100, QueryAvail: 900})
 	}
 	g.SetRTTCap(500)
-	if g.RTThresh() > 500 {
-		t.Fatalf("SetRTTCap did not clamp current rtthresh: %v", g.RTThresh())
+	if g.rtt > 500 {
+		t.Fatalf("SetRTTCap did not clamp current rtthresh: %v", g.rtt)
 	}
 	for i := 0; i < 100; i++ {
 		g.Observe(Feedback{UsedCycles: 100, QueryAvail: 900})
 	}
-	if g.RTThresh() > 500 {
-		t.Fatalf("rtthresh grew past the configured cap: %v", g.RTThresh())
+	if g.rtt > 500 {
+		t.Fatalf("rtthresh grew past the configured cap: %v", g.rtt)
 	}
 	// A cap below the growth step is floored at the step.
 	g.SetRTTCap(1)
-	if g.RTThresh() > 10 {
-		t.Fatalf("rtthresh = %v, want <= step", g.RTThresh())
+	if g.rtt > 10 {
+		t.Fatalf("rtthresh = %v, want <= step", g.rtt)
 	}
 }
 
@@ -168,19 +168,6 @@ func TestQueryBudget(t *testing.T) {
 	}
 	if got := g.QueryBudget(-10); got != 0 {
 		t.Fatalf("budget = %v, want 0 for negative avail", got)
-	}
-}
-
-func TestDrainDrop(t *testing.T) {
-	g := NewGovernor(1000)
-	g.Observe(Feedback{UsedCycles: 2000, QueryAvail: 1000})
-	g.DrainDrop(500)
-	if math.Abs(g.Delay()-500) > 1e-9 {
-		t.Fatalf("delay = %v, want 500", g.Delay())
-	}
-	g.DrainDrop(1e9)
-	if g.Delay() != 0 {
-		t.Fatal("DrainDrop went negative")
 	}
 }
 
@@ -198,11 +185,11 @@ func TestSetCapacity(t *testing.T) {
 func TestErrEWMADecays(t *testing.T) {
 	g := NewGovernor(1000)
 	g.Observe(Feedback{AllocCycles: 500, UsedCycles: 1000, QueryAvail: 0}) // 50% error
-	peak := g.Err()
+	peak := g.errEWMA
 	for i := 0; i < 50; i++ {
 		g.Observe(Feedback{AllocCycles: 1000, UsedCycles: 1000, QueryAvail: 0})
 	}
-	if g.Err() >= peak/10 {
-		t.Fatalf("error EWMA did not decay: %v -> %v", peak, g.Err())
+	if g.errEWMA >= peak/10 {
+		t.Fatalf("error EWMA did not decay: %v -> %v", peak, g.errEWMA)
 	}
 }

@@ -44,8 +44,8 @@ func (m Mode) String() string {
 	}
 }
 
-// Policy holds the enforcement tunables.
-type Policy struct {
+// policy holds the enforcement tunables.
+type policy struct {
 	// Tolerance is the allowed relative overuse before a bin counts as
 	// a violation.
 	Tolerance float64
@@ -72,10 +72,10 @@ type Policy struct {
 	ProbeFailLimit int
 }
 
-// DefaultPolicy returns the enforcement settings used in the
+// defaultPolicy returns the enforcement settings used in the
 // evaluation.
-func DefaultPolicy() Policy {
-	return Policy{
+func defaultPolicy() policy {
+	return policy{
 		Tolerance:      0.6,
 		ViolationLimit: 10,
 		PenaltyBins:    100,
@@ -123,9 +123,6 @@ type State struct {
 // Mode returns the query's enforcement mode.
 func (st *State) Mode() Mode { return st.mode }
 
-// Frac returns the shed fraction currently requested.
-func (st *State) Frac() float64 { return st.frac }
-
 // Corr returns the correction factor (EWMA of actual/expected).
 func (st *State) Corr() float64 { return st.corr }
 
@@ -134,17 +131,13 @@ func (st *State) Name() string { return st.name }
 
 // Manager runs the custom shedding protocol for any number of queries.
 type Manager struct {
-	policy Policy
+	policy policy
 	states []*State
 }
 
-// NewManager returns a manager; a nil policy selects DefaultPolicy.
-func NewManager(p *Policy) *Manager {
-	pol := DefaultPolicy()
-	if p != nil {
-		pol = *p
-	}
-	return &Manager{policy: pol}
+// NewManager returns a manager enforcing the evaluation's policy.
+func NewManager() *Manager {
+	return &Manager{policy: defaultPolicy()}
 }
 
 // Register adds a query to the protocol and returns its state handle.
@@ -162,10 +155,6 @@ func (m *Manager) Register(name string, sh Shedder, minRate float64) *State {
 
 // States returns all registered states (for reporting).
 func (m *Manager) States() []*State { return m.states }
-
-// StartInterval ticks interval-grained bookkeeping; penalties are
-// bin-grained and handled in Audit.
-func (m *Manager) StartInterval() {}
 
 // Demand converts the predictor's estimate — which reflects the query's
 // *current* shed regime — into the full-effort demand the scheduler

@@ -23,10 +23,10 @@ func TestModeStrings(t *testing.T) {
 }
 
 func TestRegisterDefaults(t *testing.T) {
-	m := NewManager(nil)
+	m := NewManager()
 	st := m.Register("q", &fakeShedder{}, 0.1)
-	if st.Mode() != ModeCustom || st.Frac() != 1 || st.Corr() != 1 {
-		t.Fatalf("fresh state = mode %v frac %v corr %v", st.Mode(), st.Frac(), st.Corr())
+	if st.Mode() != ModeCustom || st.frac != 1 || st.Corr() != 1 {
+		t.Fatalf("fresh state = mode %v frac %v corr %v", st.Mode(), st.frac, st.Corr())
 	}
 	if len(m.States()) != 1 || st.Name() != "q" {
 		t.Fatal("registration bookkeeping wrong")
@@ -34,20 +34,20 @@ func TestRegisterDefaults(t *testing.T) {
 }
 
 func TestApplyForwardsFraction(t *testing.T) {
-	m := NewManager(nil)
+	m := NewManager()
 	sh := &fakeShedder{}
 	st := m.Register("q", sh, 0.1)
 	m.Apply(st, 0.4)
 	if len(sh.asked) != 1 || sh.asked[0] != 0.4 {
 		t.Fatalf("ShedTo calls = %v", sh.asked)
 	}
-	if st.Frac() != 0.4 {
-		t.Fatalf("Frac = %v", st.Frac())
+	if st.frac != 0.4 {
+		t.Fatalf("Frac = %v", st.frac)
 	}
 }
 
 func TestApplyClampsRate(t *testing.T) {
-	m := NewManager(nil)
+	m := NewManager()
 	sh := &fakeShedder{}
 	st := m.Register("q", sh, 0.1)
 	m.Apply(st, 2)
@@ -60,13 +60,13 @@ func TestApplyClampsRate(t *testing.T) {
 	if len(sh.asked) != 1 {
 		t.Fatalf("disabled bin still forwarded a shed request: %v", sh.asked)
 	}
-	if st.Frac() != 1 {
-		t.Fatalf("disabled bin changed the standing fraction: %v", st.Frac())
+	if st.frac != 1 {
+		t.Fatalf("disabled bin changed the standing fraction: %v", st.frac)
 	}
 }
 
 func TestDemandInflatesByFraction(t *testing.T) {
-	m := NewManager(nil)
+	m := NewManager()
 	st := m.Register("q", &fakeShedder{}, 0.1)
 	m.Apply(st, 0.5)
 	if got := m.Demand(st, 100); got != 200 {
@@ -74,7 +74,7 @@ func TestDemandInflatesByFraction(t *testing.T) {
 	}
 	// Floor at MinFrac to avoid blow-ups.
 	m.Apply(st, 0.001)
-	if got := m.Demand(st, 100); got > 100/DefaultPolicy().MinFrac+1 {
+	if got := m.Demand(st, 100); got > 100/defaultPolicy().MinFrac+1 {
 		t.Fatalf("Demand = %v, not floored", got)
 	}
 }
@@ -83,7 +83,7 @@ func TestCompliantQueryStaysCustom(t *testing.T) {
 	// A genuinely compliant fake: its cost follows the requested
 	// fraction (full cost 200 cycles), so both the audit and the
 	// responsiveness probes stay satisfied.
-	m := NewManager(nil)
+	m := NewManager()
 	sh := &fakeShedder{}
 	st := m.Register("q", sh, 0.1)
 	const full = 200.0
@@ -104,7 +104,7 @@ func TestProbeCatchesUnresponsiveQuery(t *testing.T) {
 	// A selfish fake: cost stays at full no matter what was asked. The
 	// responsiveness probe must police it even though its demand
 	// inflation keeps the bin-wise audit ratios unsuspicious.
-	m := NewManager(nil)
+	m := NewManager()
 	st := m.Register("q", &fakeShedder{}, 0.1)
 	const full = 200.0
 	for i := 0; i < 300 && st.Mode() == ModeCustom; i++ {
@@ -118,7 +118,7 @@ func TestProbeCatchesUnresponsiveQuery(t *testing.T) {
 }
 
 func TestSelfishQueryGetsPoliced(t *testing.T) {
-	m := NewManager(nil)
+	m := NewManager()
 	st := m.Register("q", &fakeShedder{}, 0.1)
 	for i := 0; i < 50 && st.Mode() == ModeCustom; i++ {
 		m.Demand(st, 100)
@@ -132,7 +132,7 @@ func TestSelfishQueryGetsPoliced(t *testing.T) {
 }
 
 func TestPolicedEscalatesToDisabled(t *testing.T) {
-	m := NewManager(nil)
+	m := NewManager()
 	sh := &fakeShedder{}
 	st := m.Register("q", sh, 0.1)
 	for i := 0; i < 500 && st.Mode() != ModeDisabled; i++ {
@@ -146,9 +146,8 @@ func TestPolicedEscalatesToDisabled(t *testing.T) {
 }
 
 func TestDisabledReturnsToPolicedAfterPenalty(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.PenaltyBins = 5
-	m := NewManager(&pol)
+	m := NewManager()
+	m.policy.PenaltyBins = 5
 	st := m.Register("q", &fakeShedder{}, 0.1)
 	// Drive to disabled.
 	for i := 0; i < 500 && st.Mode() != ModeDisabled; i++ {
@@ -168,7 +167,7 @@ func TestDisabledReturnsToPolicedAfterPenalty(t *testing.T) {
 }
 
 func TestPolicingResetsQueryShedding(t *testing.T) {
-	m := NewManager(nil)
+	m := NewManager()
 	sh := &fakeShedder{}
 	st := m.Register("q", sh, 0.1)
 	for i := 0; i < 50 && st.Mode() == ModeCustom; i++ {
@@ -192,7 +191,7 @@ func TestPolicingResetsQueryShedding(t *testing.T) {
 }
 
 func TestFullRateNeverViolates(t *testing.T) {
-	m := NewManager(nil)
+	m := NewManager()
 	st := m.Register("q", &fakeShedder{}, 0.1)
 	for i := 0; i < 100; i++ {
 		m.Demand(st, 100)
@@ -205,9 +204,8 @@ func TestFullRateNeverViolates(t *testing.T) {
 }
 
 func TestViolationsLeak(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.ProbeInterval = 0 // isolate the leaky counter from probing
-	m := NewManager(&pol)
+	m := NewManager()
+	m.policy.ProbeInterval = 0 // isolate the leaky counter from probing
 	st := m.Register("q", &fakeShedder{}, 0.1)
 	// Alternate one violation with one clean bin: the leaky counter
 	// should never reach the limit.
@@ -226,9 +224,8 @@ func TestViolationsLeak(t *testing.T) {
 }
 
 func TestCorrTracksRatio(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.ProbeInterval = 0 // keep the requested fraction steady
-	m := NewManager(&pol)
+	m := NewManager()
+	m.policy.ProbeInterval = 0 // keep the requested fraction steady
 	st := m.Register("q", &fakeShedder{}, 0.1)
 	for i := 0; i < 300; i++ {
 		m.Demand(st, 100)
@@ -243,12 +240,25 @@ func TestCorrTracksRatio(t *testing.T) {
 	}
 }
 
+// recordingQuery is a p2p-detector that records the shed fraction
+// last asked of it, so a wrapper's forwarding can be read back.
+type recordingQuery struct {
+	queries.Query
+	frac float64
+}
+
+func (r *recordingQuery) ShedTo(f float64) { r.frac = f }
+
+func newRecordingQuery() *recordingQuery {
+	return &recordingQuery{Query: queries.NewP2PDetector(queries.Config{}), frac: 1}
+}
+
 func TestSelfishWrapperIgnoresShed(t *testing.T) {
-	p2p := queries.NewP2PDetector(queries.Config{})
+	p2p := newRecordingQuery()
 	s := NewSelfish(p2p)
 	s.ShedTo(0.1)
-	if p2p.InspectFraction() != 1 {
-		t.Fatalf("selfish wrapper leaked ShedTo: frac=%v", p2p.InspectFraction())
+	if p2p.frac != 1 {
+		t.Fatalf("selfish wrapper leaked ShedTo: frac=%v", p2p.frac)
 	}
 	if s.Name() != "p2p-detector-selfish" {
 		t.Fatalf("Name = %q", s.Name())
@@ -256,14 +266,14 @@ func TestSelfishWrapperIgnoresShed(t *testing.T) {
 }
 
 func TestBuggyWrapperShedsTooLittle(t *testing.T) {
-	p2p := queries.NewP2PDetector(queries.Config{})
+	p2p := newRecordingQuery()
 	b := NewBuggy(p2p)
 	b.ShedTo(0.2)
-	if got := p2p.InspectFraction(); got < 0.4 {
+	if got := p2p.frac; got < 0.4 {
 		t.Fatalf("buggy wrapper shed too much: frac=%v", got)
 	}
 	b.ShedTo(1.0)
-	if got := p2p.InspectFraction(); got != 1 {
+	if got := p2p.frac; got != 1 {
 		t.Fatalf("buggy wrapper at full rate: %v", got)
 	}
 	if b.Name() != "p2p-detector-buggy" {

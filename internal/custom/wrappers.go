@@ -9,39 +9,39 @@ type ShedderQuery interface {
 	Shedder
 }
 
-// Selfish wraps a custom-shedding query and silently ignores every shed
+// selfish wraps a custom-shedding query and silently ignores every shed
 // request — the adversary of §6.3.4 that tries to keep its full share of
 // the CPU. The enforcement policy must detect and police it.
-type Selfish struct {
+type selfish struct {
 	ShedderQuery
 }
 
 // NewSelfish returns a selfish clone of q.
-func NewSelfish(q ShedderQuery) *Selfish { return &Selfish{ShedderQuery: q} }
+func NewSelfish(q ShedderQuery) ShedderQuery { return &selfish{ShedderQuery: q} }
 
 // Name implements queries.Query, marking the clone.
-func (s *Selfish) Name() string { return s.ShedderQuery.Name() + "-selfish" }
+func (s *selfish) Name() string { return s.ShedderQuery.Name() + "-selfish" }
 
 // ShedTo implements Shedder by doing nothing: the query pretends to
 // comply while continuing to process everything.
-func (s *Selfish) ShedTo(float64) {}
+func (s *selfish) ShedTo(float64) {}
 
-// Buggy wraps a custom-shedding query whose shedding implementation is
+// buggy wraps a custom-shedding query whose shedding implementation is
 // broken (§6.3.5): it sheds far less than asked, as an incorrectly
 // implemented load shedding method would.
-type Buggy struct {
+type buggy struct {
 	ShedderQuery
 }
 
 // NewBuggy returns a buggy clone of q.
-func NewBuggy(q ShedderQuery) *Buggy { return &Buggy{ShedderQuery: q} }
+func NewBuggy(q ShedderQuery) ShedderQuery { return &buggy{ShedderQuery: q} }
 
 // Name implements queries.Query, marking the clone.
-func (b *Buggy) Name() string { return b.ShedderQuery.Name() + "-buggy" }
+func (b *buggy) Name() string { return b.ShedderQuery.Name() + "-buggy" }
 
 // ShedTo implements Shedder incorrectly: the requested fraction is
 // inflated so the query sheds roughly a third of what it should.
-func (b *Buggy) ShedTo(frac float64) {
+func (b *buggy) ShedTo(frac float64) {
 	f := frac*0.7 + 0.3 // always keeps at least 30% effort too much
 	if f > 1 {
 		f = 1

@@ -82,11 +82,11 @@ type Verdict struct {
 	Source string  // which sub-detector fired ("ph", "cusum", "dist"), "" if none
 }
 
-// PageHinkley is the classic two-sided Page–Hinkley test over a scalar
+// pageHinkley is the classic two-sided Page–Hinkley test over a scalar
 // stream: it tracks the incremental running mean and the cumulative
 // deviation from it, and fires when the deviation drifts more than
 // Lambda away from its historical extremum in either direction.
-type PageHinkley struct {
+type pageHinkley struct {
 	Delta  float64
 	Lambda float64
 
@@ -99,14 +99,14 @@ type PageHinkley struct {
 }
 
 // Reset clears all accumulated state.
-func (p *PageHinkley) Reset() {
+func (p *pageHinkley) Reset() {
 	p.n, p.mean = 0, 0
 	p.mUp, p.mDn, p.minU, p.maxD = 0, 0, 0, 0
 }
 
 // Observe feeds one sample and reports whether the test fires, plus the
 // test statistic normalized so that 1.0 is the firing threshold.
-func (p *PageHinkley) Observe(x float64) (bool, float64) {
+func (p *pageHinkley) Observe(x float64) (bool, float64) {
 	p.n++
 	p.mean += (x - p.mean) / float64(p.n)
 	p.mUp += x - p.mean - p.Delta
@@ -124,12 +124,12 @@ func (p *PageHinkley) Observe(x float64) (bool, float64) {
 	return stat > p.Lambda, stat / p.Lambda
 }
 
-// CUSUM is a two-sided cumulative-sum test against a slowly adapting
+// cusumTest is a two-sided cumulative-sum test against a slowly adapting
 // EWMA baseline: one-sided sums accumulate deviations beyond Delta and
 // clamp at zero, firing when either exceeds Lambda. Compared to
 // Page–Hinkley its baseline forgets, so it re-arms after a sustained
 // level shift instead of treating the new level as forever anomalous.
-type CUSUM struct {
+type cusumTest struct {
 	Delta  float64
 	Lambda float64
 	Alpha  float64 // baseline EWMA weight, default 0.05
@@ -141,12 +141,12 @@ type CUSUM struct {
 }
 
 // Reset clears accumulated state including the baseline.
-func (c *CUSUM) Reset() {
+func (c *cusumTest) Reset() {
 	c.seeded, c.base, c.sUp, c.sDn = false, 0, 0, 0
 }
 
-// Observe feeds one sample; same contract as PageHinkley.Observe.
-func (c *CUSUM) Observe(x float64) (bool, float64) {
+// Observe feeds one sample; same contract as pageHinkley.Observe.
+func (c *cusumTest) Observe(x float64) (bool, float64) {
 	alpha := c.Alpha
 	if alpha == 0 {
 		alpha = 0.05
@@ -162,7 +162,7 @@ func (c *CUSUM) Observe(x float64) (bool, float64) {
 	return stat > c.Lambda, stat / c.Lambda
 }
 
-// DistDetector compares the feature distribution of the last Window
+// distDetector compares the feature distribution of the last Window
 // bins against the Window bins before them. Per-feature running sums
 // and sums of squares for both windows are maintained incrementally as
 // samples slide from the current window into the reference window and
@@ -170,7 +170,7 @@ func (c *CUSUM) Observe(x float64) (bool, float64) {
 // is the mean over features of |mean_cur - mean_ref| / (sigma_ref + eps)
 // with eps scaled to the reference mean's magnitude, which keeps
 // near-constant features from dividing by ~zero.
-type DistDetector struct {
+type distDetector struct {
 	Window    int
 	Threshold float64
 
@@ -183,9 +183,9 @@ type DistDetector struct {
 	curSum, curSq []float64 // sums over the newer Window samples
 }
 
-// NewDistDetector sizes a detector for feature vectors of length nf.
-func NewDistDetector(window int, threshold float64, nf int) *DistDetector {
-	return &DistDetector{
+// newDistDetector sizes a detector for feature vectors of length nf.
+func newDistDetector(window int, threshold float64, nf int) *distDetector {
+	return &distDetector{
 		Window:    window,
 		Threshold: threshold,
 		nf:        nf,
@@ -198,7 +198,7 @@ func NewDistDetector(window int, threshold float64, nf int) *DistDetector {
 }
 
 // Reset empties both windows.
-func (d *DistDetector) Reset() {
+func (d *distDetector) Reset() {
 	d.head, d.n = 0, 0
 	for i := range d.refSum {
 		d.refSum[i], d.refSq[i] = 0, 0
@@ -208,14 +208,14 @@ func (d *DistDetector) Reset() {
 
 // slot returns the flattened ring slice for logical index i back from
 // the newest sample (i=0 is the newest).
-func (d *DistDetector) slot(back int) []float64 {
+func (d *distDetector) slot(back int) []float64 {
 	idx := (d.head - 1 - back + 4*d.Window) % (2 * d.Window)
 	return d.ring[idx*d.nf : (idx+1)*d.nf]
 }
 
 // Observe feeds one feature vector (len nf); same contract as
-// PageHinkley.Observe. The test is silent until both windows are full.
-func (d *DistDetector) Observe(f []float64) (bool, float64) {
+// pageHinkley.Observe. The test is silent until both windows are full.
+func (d *distDetector) Observe(f []float64) (bool, float64) {
 	w := d.Window
 	// Retire: the sample leaving the current window (if full) moves to
 	// the reference window; the sample leaving the reference window
@@ -272,9 +272,9 @@ func (d *DistDetector) Observe(f []float64) (bool, float64) {
 // bin for the engine to act on.
 type Detector struct {
 	cfg   Config
-	ph    PageHinkley
-	cusum CUSUM
-	dist  *DistDetector
+	ph    pageHinkley
+	cusum cusumTest
+	dist  *distDetector
 
 	bins    int64 // bins observed since construction/restore
 	cool    int   // bins of silence remaining after a verdict
@@ -288,19 +288,12 @@ func New(cfg Config, nf int) *Detector {
 	cfg = cfg.withDefaults()
 	return &Detector{
 		cfg:     cfg,
-		ph:      PageHinkley{Delta: cfg.ResidualDelta, Lambda: cfg.ResidualLambda},
-		cusum:   CUSUM{Delta: cfg.ResidualDelta, Lambda: cfg.ResidualLambda},
-		dist:    NewDistDetector(cfg.Window, cfg.DistThreshold, nf),
+		ph:      pageHinkley{Delta: cfg.ResidualDelta, Lambda: cfg.ResidualLambda},
+		cusum:   cusumTest{Delta: cfg.ResidualDelta, Lambda: cfg.ResidualLambda},
+		dist:    newDistDetector(cfg.Window, cfg.DistThreshold, nf),
 		lastBin: -1,
 	}
 }
-
-// Changes reports how many change verdicts have fired in total.
-func (d *Detector) Changes() int64 { return d.changes }
-
-// LastChangeBin reports the observation index (0-based, counted across
-// the detector's lifetime) of the most recent verdict, or -1.
-func (d *Detector) LastChangeBin() int64 { return d.lastBin }
 
 // Observe feeds one bin's feature vector and prediction residual and
 // returns the combined verdict. On a change verdict the sequential

@@ -18,7 +18,7 @@ func noisyStream(rng *hash.XorShift, m, sigma float64, n int) []float64 {
 
 func TestPageHinkleyDetectsLevelShift(t *testing.T) {
 	rng := hash.NewXorShift(1)
-	ph := PageHinkley{Delta: 0.02, Lambda: 0.6}
+	ph := pageHinkley{Delta: 0.02, Lambda: 0.6}
 	for i, x := range noisyStream(rng, 0, 0.05, 400) {
 		if fired, _ := ph.Observe(x); fired {
 			t.Fatalf("false alarm on stationary stream at sample %d", i)
@@ -41,7 +41,7 @@ func TestPageHinkleyDetectsLevelShift(t *testing.T) {
 
 func TestCUSUMDetectsAndReArms(t *testing.T) {
 	rng := hash.NewXorShift(2)
-	c := CUSUM{Delta: 0.02, Lambda: 0.6}
+	c := cusumTest{Delta: 0.02, Lambda: 0.6}
 	for i, x := range noisyStream(rng, 1.0, 0.05, 400) {
 		if fired, _ := c.Observe(x); fired {
 			t.Fatalf("false alarm on stationary stream at sample %d", i)
@@ -70,7 +70,7 @@ func TestCUSUMDetectsAndReArms(t *testing.T) {
 func TestDistDetectorDetectsFeatureShift(t *testing.T) {
 	const nf = 8
 	rng := hash.NewXorShift(3)
-	d := NewDistDetector(24, 4, nf)
+	d := newDistDetector(24, 4, nf)
 	f := make([]float64, nf)
 	emit := func(scale float64) (bool, float64) {
 		for j := range f {
@@ -127,8 +127,8 @@ func TestDetectorVerdictAndCooldown(t *testing.T) {
 	if firedAt < 0 {
 		t.Fatal("missed a residual bias")
 	}
-	if d.Changes() != 1 {
-		t.Fatalf("Changes() = %d, want 1", d.Changes())
+	if d.changes != 1 {
+		t.Fatalf("Changes() = %d, want 1", d.changes)
 	}
 	// Cooldown: the next Cooldown bins stay silent even under bias.
 	for i := 0; i < 10; i++ {
@@ -157,8 +157,8 @@ func TestDetectorInfThresholdsNeverFire(t *testing.T) {
 			t.Fatalf("Inf-threshold detector fired at bin %d", i)
 		}
 	}
-	if d.Changes() != 0 {
-		t.Fatalf("Changes() = %d, want 0", d.Changes())
+	if d.changes != 0 {
+		t.Fatalf("Changes() = %d, want 0", d.changes)
 	}
 }
 
@@ -197,8 +197,8 @@ func TestDetectorStateRoundTrip(t *testing.T) {
 			t.Fatalf("verdict %d diverged after restore: %+v vs %+v", i, va[i], vb[i])
 		}
 	}
-	if a.Changes() != b.Changes() || a.LastChangeBin() != b.LastChangeBin() {
-		t.Fatalf("counters diverged: (%d,%d) vs (%d,%d)", a.Changes(), a.LastChangeBin(), b.Changes(), b.LastChangeBin())
+	if a.changes != b.changes || a.lastBin != b.lastBin {
+		t.Fatalf("counters diverged: (%d,%d) vs (%d,%d)", a.changes, a.lastBin, b.changes, b.lastBin)
 	}
 
 	c, _ := mk()

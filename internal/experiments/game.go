@@ -40,7 +40,7 @@ func payoffs(players []player, capacity float64, strat sched.Strategy) []float64
 		}
 		demands[i] = sched.Demand{Name: p.Name, Cycles: p.Demand, MinRate: min}
 	}
-	allocs := strat.Allocate(demands, capacity)
+	allocs := sched.AllocateInto(strat, demands, capacity, new(sched.Workspace))
 	out := make([]float64, len(players))
 	for i, a := range allocs {
 		out[i] = a.Cycles
@@ -131,7 +131,7 @@ func simulate(qs []simQuery, capacity float64, strat sched.Strategy) simResult {
 	for i, q := range qs {
 		demands[i] = sched.Demand{Name: q.Name, Cycles: q.Cost, MinRate: q.MinRate}
 	}
-	allocs := strat.Allocate(demands, capacity)
+	allocs := sched.AllocateInto(strat, demands, capacity, new(sched.Workspace))
 	res := simResult{Min: math.Inf(1), Rates: make([]float64, len(qs))}
 	for i, a := range allocs {
 		res.Rates[i] = a.Rate

@@ -90,20 +90,20 @@ type Result struct {
 	Notes   []string
 }
 
-// Runner executes one experiment.
-type Runner func(Config) (*Result, error)
+// runner executes one experiment.
+type runner func(Config) (*Result, error)
 
 type entry struct {
 	id     string
 	title  string
-	runner Runner
+	runner runner
 }
 
 var registry []entry
 
 // register adds an experiment; called from init functions of the
 // per-chapter files.
-func register(id, title string, r Runner) {
+func register(id, title string, r runner) {
 	registry = append(registry, entry{id: id, title: title, runner: r})
 }
 

@@ -38,28 +38,17 @@ const NumFeatures = 2 + pkt.NumAggregates*kindsPerAgg
 // Feature vector indices for the two scalar features.
 const (
 	IdxPackets = 0
-	IdxBytes   = 1
+	idxBytes   = 1
 )
 
-// Idx returns the vector index of the given counter kind (kindUnique..
+// idx returns the vector index of the given counter kind (kindUnique..
 // kindIntRepeated) for aggregate a.
 func idx(a pkt.Aggregate, kind int) int {
 	return 2 + int(a)*kindsPerAgg + kind
 }
 
-// IdxUnique returns the index of the unique-items feature of aggregate a.
-func IdxUnique(a pkt.Aggregate) int { return idx(a, kindUnique) }
-
-// IdxNew returns the index of the new-items feature of aggregate a.
-func IdxNew(a pkt.Aggregate) int { return idx(a, kindNew) }
-
-// IdxRepeated returns the index of the batch-repeated feature of a.
-func IdxRepeated(a pkt.Aggregate) int { return idx(a, kindRepeated) }
-
-// IdxIntRepeated returns the index of the interval-repeated feature of a.
-func IdxIntRepeated(a pkt.Aggregate) int { return idx(a, kindIntRepeated) }
-
-// Vector is one batch's feature values, indexed by the Idx* helpers.
+// Vector is one batch's feature values, indexed by IdxPackets, idxBytes
+// and idx.
 type Vector []float64
 
 // Name returns a short human-readable name for feature index i, in the
@@ -68,7 +57,7 @@ func Name(i int) string {
 	switch i {
 	case IdxPackets:
 		return "packets"
-	case IdxBytes:
+	case idxBytes:
 		return "bytes"
 	}
 	a := pkt.Aggregate((i - 2) / kindsPerAgg)
@@ -82,15 +71,6 @@ func Name(i int) string {
 	default:
 		return fmt.Sprintf("int-repeated %s", a)
 	}
-}
-
-// Names returns the names of all features in vector order.
-func Names() []string {
-	out := make([]string, NumFeatures)
-	for i := range out {
-		out[i] = Name(i)
-	}
-	return out
 }
 
 // Batch-bitmap geometry shared by every Sketch and every Interval.
@@ -355,7 +335,7 @@ func (iv *Interval) Fold(sk *Sketch) {
 func (iv *Interval) VectorInto(v Vector, npkts, nbytes float64) Vector {
 	v = sized(v)
 	v[IdxPackets] = npkts
-	v[IdxBytes] = nbytes
+	v[idxBytes] = nbytes
 	for a := range iv.after {
 		finishAggregate(v, a, iv.unique[a], iv.after[a]-iv.before[a], npkts)
 	}
@@ -376,10 +356,10 @@ func finishAggregate(v Vector, a int, unique, newItems, npkts float64) {
 		newItems = unique
 	}
 	agg := pkt.Aggregate(a)
-	v[IdxUnique(agg)] = unique
-	v[IdxNew(agg)] = newItems
-	v[IdxRepeated(agg)] = npkts - unique
-	v[IdxIntRepeated(agg)] = npkts - newItems
+	v[idx(agg, kindUnique)] = unique
+	v[idx(agg, kindNew)] = newItems
+	v[idx(agg, kindRepeated)] = npkts - unique
+	v[idx(agg, kindIntRepeated)] = npkts - newItems
 }
 
 // ExtractFromSketch computes the feature vector of a sketch filled

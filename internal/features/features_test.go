@@ -30,18 +30,18 @@ func TestVectorLength(t *testing.T) {
 }
 
 func TestNamesDistinct(t *testing.T) {
-	names := Names()
 	seen := map[string]bool{}
-	for _, n := range names {
+	for i := range NumFeatures {
+		n := Name(i)
 		if seen[n] {
 			t.Fatalf("duplicate feature name %q", n)
 		}
 		seen[n] = true
 	}
-	if names[IdxPackets] != "packets" || names[IdxBytes] != "bytes" {
-		t.Fatalf("scalar names wrong: %q %q", names[0], names[1])
+	if Name(IdxPackets) != "packets" || Name(idxBytes) != "bytes" {
+		t.Fatalf("scalar names wrong: %q %q", Name(0), Name(1))
 	}
-	if got := Name(IdxNew(pkt.Agg5Tuple)); got != "new 5-tuple" {
+	if got := Name(idx(pkt.Agg5Tuple, kindNew)); got != "new 5-tuple" {
 		t.Fatalf("Name(new 5-tuple) = %q", got)
 	}
 }
@@ -52,8 +52,8 @@ func TestPacketsAndBytes(t *testing.T) {
 	if v[IdxPackets] != 2 {
 		t.Errorf("packets = %v", v[IdxPackets])
 	}
-	if v[IdxBytes] != 300 {
-		t.Errorf("bytes = %v", v[IdxBytes])
+	if v[idxBytes] != 300 {
+		t.Errorf("bytes = %v", v[idxBytes])
 	}
 }
 
@@ -65,16 +65,16 @@ func TestUniqueCounts(t *testing.T) {
 		p(10, 2, 5, 80, 100),
 		p(11, 2, 6, 80, 100),
 	))
-	if got := v[IdxUnique(pkt.AggSrcIP)]; math.Abs(got-2) > 0.2 {
+	if got := v[idx(pkt.AggSrcIP, kindUnique)]; math.Abs(got-2) > 0.2 {
 		t.Errorf("unique src-ip = %v, want ~2", got)
 	}
-	if got := v[IdxUnique(pkt.AggDstIP)]; math.Abs(got-1) > 0.2 {
+	if got := v[idx(pkt.AggDstIP, kindUnique)]; math.Abs(got-1) > 0.2 {
 		t.Errorf("unique dst-ip = %v, want ~1", got)
 	}
-	if got := v[IdxUnique(pkt.Agg5Tuple)]; math.Abs(got-2) > 0.2 {
+	if got := v[idx(pkt.Agg5Tuple, kindUnique)]; math.Abs(got-2) > 0.2 {
 		t.Errorf("unique 5-tuple = %v, want ~2", got)
 	}
-	if got := v[IdxRepeated(pkt.Agg5Tuple)]; math.Abs(got-1) > 0.2 {
+	if got := v[idx(pkt.Agg5Tuple, kindRepeated)]; math.Abs(got-1) > 0.2 {
 		t.Errorf("repeated 5-tuple = %v, want ~1", got)
 	}
 }
@@ -83,15 +83,15 @@ func TestNewItemsAcrossBatches(t *testing.T) {
 	e := NewExtractor(1)
 	e.StartInterval()
 	v1 := e.Extract(mkBatch(p(10, 2, 5, 80, 100), p(11, 2, 5, 80, 100)))
-	if got := v1[IdxNew(pkt.AggSrcIP)]; math.Abs(got-2) > 0.2 {
+	if got := v1[idx(pkt.AggSrcIP, kindNew)]; math.Abs(got-2) > 0.2 {
 		t.Fatalf("first batch new src-ip = %v, want ~2", got)
 	}
 	// Second batch repeats one source and adds one more.
 	v2 := e.Extract(mkBatch(p(10, 2, 5, 80, 100), p(12, 2, 5, 80, 100)))
-	if got := v2[IdxNew(pkt.AggSrcIP)]; math.Abs(got-1) > 0.3 {
+	if got := v2[idx(pkt.AggSrcIP, kindNew)]; math.Abs(got-1) > 0.3 {
 		t.Fatalf("second batch new src-ip = %v, want ~1", got)
 	}
-	if got := v2[IdxIntRepeated(pkt.AggSrcIP)]; math.Abs(got-1) > 0.3 {
+	if got := v2[idx(pkt.AggSrcIP, kindIntRepeated)]; math.Abs(got-1) > 0.3 {
 		t.Fatalf("second batch int-repeated src-ip = %v, want ~1", got)
 	}
 }
@@ -101,12 +101,12 @@ func TestStartIntervalResetsNewCounts(t *testing.T) {
 	e.StartInterval()
 	e.Extract(mkBatch(p(10, 2, 5, 80, 100)))
 	v := e.Extract(mkBatch(p(10, 2, 5, 80, 100)))
-	if got := v[IdxNew(pkt.AggSrcIP)]; got > 0.3 {
+	if got := v[idx(pkt.AggSrcIP, kindNew)]; got > 0.3 {
 		t.Fatalf("repeat source counted as new: %v", got)
 	}
 	e.StartInterval()
 	v = e.Extract(mkBatch(p(10, 2, 5, 80, 100)))
-	if got := v[IdxNew(pkt.AggSrcIP)]; math.Abs(got-1) > 0.2 {
+	if got := v[idx(pkt.AggSrcIP, kindNew)]; math.Abs(got-1) > 0.2 {
 		t.Fatalf("after StartInterval new src-ip = %v, want ~1", got)
 	}
 }
@@ -134,7 +134,7 @@ func TestInvariantsOnGeneratedTraffic(t *testing.T) {
 		npkts := v[IdxPackets]
 		for a := 0; a < pkt.NumAggregates; a++ {
 			agg := pkt.Aggregate(a)
-			u, nw := v[IdxUnique(agg)], v[IdxNew(agg)]
+			u, nw := v[idx(agg, kindUnique)], v[idx(agg, kindNew)]
 			if u < 0 || nw < 0 {
 				t.Fatalf("negative counter for %v", agg)
 			}
@@ -144,10 +144,10 @@ func TestInvariantsOnGeneratedTraffic(t *testing.T) {
 			if nw > u+0.5 {
 				t.Fatalf("new %v = %v exceeds unique %v", agg, nw, u)
 			}
-			if v[IdxRepeated(agg)] != npkts-u {
+			if v[idx(agg, kindRepeated)] != npkts-u {
 				t.Fatalf("repeated invariant broken for %v", agg)
 			}
-			if v[IdxIntRepeated(agg)] != npkts-nw {
+			if v[idx(agg, kindIntRepeated)] != npkts-nw {
 				t.Fatalf("int-repeated invariant broken for %v", agg)
 			}
 		}
@@ -172,12 +172,12 @@ func TestAccuracyAgainstExactCounts(t *testing.T) {
 			exact[q.FlowKey()] = true
 			srcs[q.SrcIP] = true
 		}
-		got := v[IdxUnique(pkt.Agg5Tuple)]
+		got := v[idx(pkt.Agg5Tuple, kindUnique)]
 		want := float64(len(exact))
 		if want > 100 && math.Abs(got-want)/want > 0.05 {
 			t.Fatalf("unique 5-tuple estimate %v vs exact %v", got, want)
 		}
-		gotS := v[IdxUnique(pkt.AggSrcIP)]
+		gotS := v[idx(pkt.AggSrcIP, kindUnique)]
 		wantS := float64(len(srcs))
 		if wantS > 100 && math.Abs(gotS-wantS)/wantS > 0.05 {
 			t.Fatalf("unique src-ip estimate %v vs exact %v", gotS, wantS)
@@ -200,7 +200,7 @@ func TestOpsCounting(t *testing.T) {
 func extractOracle(e *Extractor, b *pkt.Batch) Vector {
 	v := make(Vector, NumFeatures)
 	v[IdxPackets] = float64(b.Packets())
-	v[IdxBytes] = float64(b.Bytes())
+	v[idxBytes] = float64(b.Bytes())
 
 	for a := range e.sk.batch { // the oracle leaves the columns and index unused
 		e.sk.batch[a].Reset()
@@ -216,7 +216,7 @@ func extractOracle(e *Extractor, b *pkt.Batch) Vector {
 	}
 	e.sk.seal()
 
-	return e.FinishSketchInto(v, e.sk, v[IdxPackets], v[IdxBytes])
+	return e.FinishSketchInto(v, e.sk, v[IdxPackets], v[idxBytes])
 }
 
 func TestExtractMatchesBytePathOracle(t *testing.T) {

@@ -361,7 +361,7 @@ func checkFlowConsumers(t *testing.T, what string, pkts []pkt.Packet) {
 				var twinOps queries.Ops
 				for j := range b.Packets() {
 					one := pkt.Batch{Pkts: []pkt.Packet{*b.At(j)}}
-					twinOps = twinOps.Add(twin.Process(&one, rate))
+					twinOps = addOps(twinOps, twin.Process(&one, rate))
 				}
 				res, fops := q.Flush()
 				twinRes, twinFops := twin.Flush()
@@ -395,7 +395,7 @@ func nearKeys() []pkt.Packet {
 	base := pkt.Packet{SrcIP: 0x0a000001, DstIP: 0xc0a80101, SrcPort: 1024, DstPort: 80, Proto: pkt.ProtoTCP, Size: 60}
 	var out []pkt.Packet
 	for rep := 0; rep < 3; rep++ {
-		for _, proto := range []uint8{pkt.ProtoTCP, pkt.ProtoUDP, pkt.ProtoICMP, 0} {
+		for _, proto := range []uint8{pkt.ProtoTCP, pkt.ProtoUDP, 1 /* ICMP */, 0} {
 			p := base
 			p.Proto = proto
 			out = append(out, p)
@@ -447,7 +447,7 @@ func FuzzSketchFlowIndex(f *testing.F) {
 			pkts[i] = pkt.Packet{
 				SrcIP: 0x0a000000 | uint32(b&3), DstIP: 0xc0a80100 | uint32(b>>2&1),
 				SrcPort: 1024 + uint16(b>>3&1), DstPort: 80 + uint16(b>>4&1)<<8,
-				Proto: []uint8{pkt.ProtoTCP, pkt.ProtoUDP, pkt.ProtoICMP, 0}[b>>5&3], Size: 60 + int(b>>7),
+				Proto: []uint8{pkt.ProtoTCP, pkt.ProtoUDP, 1 /* ICMP */, 0}[b>>5&3], Size: 60 + int(b>>7),
 			}
 			if b>>7 == 1 {
 				pkts[i].Payload = trace.SigBitTorrent
@@ -503,5 +503,17 @@ func BenchmarkShedSketch(b *testing.B) {
 				ext.SketchInto(shed, picked)
 			}
 		})
+	}
+}
+
+// addOps is the element-wise sum of two operation counts.
+func addOps(a, b queries.Ops) queries.Ops {
+	return queries.Ops{
+		Packets: a.Packets + b.Packets,
+		Bytes:   a.Bytes + b.Bytes,
+		Lookups: a.Lookups + b.Lookups,
+		Inserts: a.Inserts + b.Inserts,
+		Sorts:   a.Sorts + b.Sorts,
+		Flushes: a.Flushes + b.Flushes,
 	}
 }

@@ -17,12 +17,7 @@ import (
 	"repro/internal/pkt"
 )
 
-// KeySize is the number of bytes in a canonical 5-tuple flow key:
-// source IP (4), destination IP (4), source port (2), destination
-// port (2) and protocol (1).
-const KeySize = 13
-
-// H3 is a member of the H3 universal hash family over KeySize-byte keys
+// H3 is a member of the H3 universal hash family over pkt.FlowKeySize-byte keys
 // producing 64-bit values. The zero value is unusable; construct with
 // NewH3.
 //
@@ -33,7 +28,7 @@ const KeySize = 13
 // concurrently through one extractor's H3 functions. Reseed is the
 // single mutator and must not run concurrently with hashing.
 type H3 struct {
-	table [KeySize][256]uint64
+	table [pkt.FlowKeySize][256]uint64
 }
 
 // NewH3 draws a random H3 function using the given seed. Two H3 values
@@ -67,12 +62,12 @@ func (h *H3) Reseed(seed uint64) {
 	}
 }
 
-// Hash returns the 64-bit H3 hash of a KeySize-byte key. Keys shorter
-// than KeySize are hashed over their length; longer keys are truncated.
+// Hash returns the 64-bit H3 hash of a pkt.FlowKeySize-byte flow key. Keys shorter
+// than that are hashed over their length; longer keys are truncated.
 func (h *H3) Hash(key []byte) uint64 {
 	n := len(key)
-	if n > KeySize {
-		n = KeySize
+	if n > pkt.FlowKeySize {
+		n = pkt.FlowKeySize
 	}
 	var acc uint64
 	for i := 0; i < n; i++ {

@@ -5,10 +5,12 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/pkt"
 )
 
 func key(i uint64) []byte {
-	k := make([]byte, KeySize)
+	k := make([]byte, pkt.FlowKeySize)
 	binary.BigEndian.PutUint64(k, i)
 	return k
 }
@@ -31,7 +33,7 @@ func TestReseedMatchesRowXOR(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 42, math.MaxUint64} {
 		h.Reseed(seed)
 		rng := NewXorShift(seed)
-		for pos := 0; pos < KeySize; pos++ {
+		for pos := 0; pos < pkt.FlowKeySize; pos++ {
 			var rows [8]uint64
 			for bit := range rows {
 				rows[bit] = rng.Uint64()
@@ -69,7 +71,7 @@ func TestH3ZeroKeyHashesToZero(t *testing.T) {
 	// H3 is linear over GF(2): the all-zero key always maps to 0. This
 	// is a structural property of the family, not a defect.
 	h := NewH3(99)
-	if got := h.Hash(make([]byte, KeySize)); got != 0 {
+	if got := h.Hash(make([]byte, pkt.FlowKeySize)); got != 0 {
 		t.Fatalf("zero key hashed to %#x, want 0", got)
 	}
 }
@@ -77,8 +79,8 @@ func TestH3ZeroKeyHashesToZero(t *testing.T) {
 func TestH3Linearity(t *testing.T) {
 	// H3 over GF(2) satisfies h(a XOR b) = h(a) XOR h(b).
 	h := NewH3(5)
-	f := func(a, b [KeySize]byte) bool {
-		var x [KeySize]byte
+	f := func(a, b [pkt.FlowKeySize]byte) bool {
+		var x [pkt.FlowKeySize]byte
 		for i := range x {
 			x[i] = a[i] ^ b[i]
 		}
@@ -91,7 +93,7 @@ func TestH3Linearity(t *testing.T) {
 
 func TestH3UnitRange(t *testing.T) {
 	h := NewH3(3)
-	f := func(k [KeySize]byte) bool {
+	f := func(k [pkt.FlowKeySize]byte) bool {
 		u := h.Unit(k[:])
 		return u >= 0 && u < 1
 	}
@@ -123,12 +125,12 @@ func TestH3ShortAndLongKeys(t *testing.T) {
 	if h.Hash(short) == 0 {
 		t.Error("short key unexpectedly hashed to 0")
 	}
-	long := make([]byte, KeySize+5)
+	long := make([]byte, pkt.FlowKeySize+5)
 	long[0] = 1
-	trunc := make([]byte, KeySize)
+	trunc := make([]byte, pkt.FlowKeySize)
 	trunc[0] = 1
 	if h.Hash(long) != h.Hash(trunc) {
-		t.Error("long key not truncated to KeySize")
+		t.Error("long key not truncated to pkt.FlowKeySize")
 	}
 }
 
@@ -141,7 +143,7 @@ func TestH3AvalancheOnSingleBit(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		k := key(uint64(i) * 2654435761)
 		h1 := h.Hash(k)
-		k[i%KeySize] ^= 1 << uint(i%8)
+		k[i%pkt.FlowKeySize] ^= 1 << uint(i%8)
 		h2 := h.Hash(k)
 		d := h1 ^ h2
 		for ; d != 0; d &= d - 1 {

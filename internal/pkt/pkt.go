@@ -14,16 +14,15 @@ import (
 
 // Protocol numbers (IANA) used by the generator and queries.
 const (
-	ProtoICMP = 1
-	ProtoTCP  = 6
-	ProtoUDP  = 17
+	ProtoTCP = 6
+	ProtoUDP = 17
 )
 
-// TCP flag bits carried in Packet.TCPFlags.
+// TCP flag bits carried in Packet.TCPFlags (FIN and RST go unused).
 const (
-	FlagFIN = 1 << iota
+	_ = 1 << iota
 	FlagSYN
-	FlagRST
+	_
 	FlagPSH
 	FlagACK
 )
@@ -238,16 +237,6 @@ func (b *Batch) Bytes() int {
 	}
 	b.cachedBytes, b.cachedFor = sum, n+1
 	return sum
-}
-
-// CapturedBytes returns the total captured payload bytes in the batch,
-// which is what payload-scanning queries actually touch.
-func (b *Batch) CapturedBytes() int {
-	n := 0
-	for i := range b.Packets() {
-		n += len(b.At(i).Payload)
-	}
-	return n
 }
 
 // IPv4 builds a uint32 address from dotted quads, for readable tests

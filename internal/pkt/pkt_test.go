@@ -150,9 +150,6 @@ func TestBatchAccounting(t *testing.T) {
 	if b.Bytes() != 600 {
 		t.Errorf("cached Bytes = %d", b.Bytes())
 	}
-	if b.CapturedBytes() != 5 {
-		t.Errorf("CapturedBytes = %d", b.CapturedBytes())
-	}
 }
 
 func TestBatchBytesCacheInvalidatedByShrink(t *testing.T) {

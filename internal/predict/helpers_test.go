@@ -1,6 +1,10 @@
 package predict
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/features"
+)
 
 // FCBF is the FCBF selection of cols (one slice per candidate feature)
 // for response y on a throwaway scratch.
@@ -9,9 +13,13 @@ func FCBF(cols [][]float64, y []float64, threshold float64) []int {
 	return sc.selectInto(nil, cols, y, threshold, nil)
 }
 
-// Costs returns the stored costs in slot order, matching Column, in a
+// column returns feature j across the stored observations in slot
+// order, in a freshly allocated slice.
+func (h *History) column(j int) []float64 { return slices.Clone(h.cols[j][:h.len()]) }
+
+// Costs returns the stored costs in slot order, matching column, in a
 // freshly allocated slice.
-func (h *History) Costs() []float64 { return slices.Clone(h.costs[:h.Len()]) }
+func (h *History) Costs() []float64 { return slices.Clone(h.costs[:h.len()]) }
 
 // corr is |stats.Pearson| of columns a and b from the scratch's centred
 // forms: one phase-2 correlation.
@@ -19,4 +27,15 @@ func (sc *fcbfScratch) corr(a, b int) float64 {
 	var r [1]float64
 	sc.corrs(a, []int{b}, r[:])
 	return r[0]
+}
+
+// featureIndex is the vector index of the feature features.Name calls
+// name.
+func featureIndex(name string) int {
+	for i := range features.NumFeatures {
+		if features.Name(i) == name {
+			return i
+		}
+	}
+	panic("no feature " + name)
 }

@@ -35,10 +35,10 @@ type Predictor interface {
 
 // History is a sliding window of (features, cost) observations — the
 // "n" of Equation 3.2. The zero value is unusable; construct with
-// NewHistory.
+// newHistory.
 //
 // The ring is stored feature-major: cols[j][s] is feature j of ring
-// slot s, so feature j across the stored observations is cols[j][:Len()]
+// slot s, so feature j across the stored observations is cols[j][:len()]
 // — the column FCBF and the least-squares fit read, in place, in slot
 // order. Slot order is the ring's and does not change with the layout:
 // OLS and Pearson sum in slot order, so it is part of every fitted bit.
@@ -49,13 +49,13 @@ type History struct {
 	next     int
 	full     bool
 
-	// tmp is Truncate's compaction scratch, allocated on the first
+	// tmp is truncate's compaction scratch, allocated on the first
 	// truncation (a rare event, not the steady state).
 	tmp []float64
 }
 
-// NewHistory returns a history holding up to n observations.
-func NewHistory(n int) *History {
+// newHistory returns a history holding up to n observations.
+func newHistory(n int) *History {
 	if n < 1 {
 		panic("predict: history capacity must be positive")
 	}
@@ -67,10 +67,10 @@ func NewHistory(n int) *History {
 	return h
 }
 
-// Add appends an observation (f holds at least NumFeatures values),
+// add appends an observation (f holds at least NumFeatures values),
 // evicting the oldest when full. The vector is copied into the ring, so
 // a history never allocates after construction.
-func (h *History) Add(f features.Vector, cost float64) {
+func (h *History) add(f features.Vector, cost float64) {
 	for j := range h.cols {
 		h.cols[j][h.next] = f[j]
 	}
@@ -81,29 +81,25 @@ func (h *History) Add(f features.Vector, cost float64) {
 	}
 }
 
-// Len returns the number of stored observations.
-func (h *History) Len() int {
+// len returns the number of stored observations.
+func (h *History) len() int {
 	if h.full {
 		return h.capacity
 	}
 	return h.next
 }
 
-// Column returns feature j across the stored observations in slot
-// order, in a freshly allocated slice.
-func (h *History) Column(j int) []float64 { return slices.Clone(h.cols[j][:h.Len()]) }
-
-// MeanCost returns the average stored cost (0 when empty), the cold
+// meanCost returns the average stored cost (0 when empty), the cold
 // start fallback prediction. The ring's cost slice is averaged directly
 // (means are order-invariant), so no copy is made.
-func (h *History) MeanCost() float64 {
-	return stats.Mean(h.costs[:h.Len()])
+func (h *History) meanCost() float64 {
+	return stats.Mean(h.costs[:h.len()])
 }
 
-// Truncate drops every observation except the newest keep, compacting
+// truncate drops every observation except the newest keep, compacting
 // them into slots 0..keep-1 in time order.
-func (h *History) Truncate(keep int) {
-	n := h.Len()
+func (h *History) truncate(keep int) {
+	n := h.len()
 	if keep < 0 {
 		keep = 0
 	}
@@ -161,7 +157,7 @@ func (h *History) State() HistoryState {
 		Next:  h.next,
 		Full:  h.full,
 	}
-	for i := range h.Len() {
+	for i := range h.len() {
 		row := make([]float64, features.NumFeatures)
 		for j := range h.cols {
 			row[j] = h.cols[j][i]
@@ -668,11 +664,6 @@ type MLR struct {
 	hist      *History
 	threshold float64
 
-	// MinHistory is the observation count below which Predict falls
-	// back to the mean observed cost (a fresh model with fewer rows
-	// than predictors is meaningless).
-	MinHistory int
-
 	selected []int
 	coef     []float64 // intercept followed by per-selected coefficients
 
@@ -698,6 +689,11 @@ const (
 	FitCostPerOp  = 6 // per OLS scalar multiply
 )
 
+// minHistory is the observation count below which an MLR's Predict
+// falls back to the mean observed cost (a fresh model with fewer rows
+// than predictors is meaningless).
+const minHistory = 8
+
 // DefaultHistory and DefaultThreshold are the operating point chosen in
 // §3.3.1: 60 batches (6 s) of history and an FCBF threshold of 0.6.
 const (
@@ -709,9 +705,8 @@ const (
 // FCBF threshold.
 func NewMLR(history int, threshold float64) *MLR {
 	return &MLR{
-		hist:       NewHistory(history),
-		threshold:  threshold,
-		MinHistory: 8,
+		hist:      newHistory(history),
+		threshold: threshold,
 	}
 }
 
@@ -719,7 +714,7 @@ func NewMLR(history int, threshold float64) *MLR {
 func (m *MLR) Name() string { return "mlr" }
 
 // Observe implements Predictor.
-func (m *MLR) Observe(f features.Vector, cost float64) { m.hist.Add(f, cost) }
+func (m *MLR) Observe(f features.Vector, cost float64) { m.hist.add(f, cost) }
 
 // History exposes the predictor's observation window (used by the load
 // shedding system to overwrite context-switch-corrupted measurements
@@ -738,9 +733,9 @@ func (m *MLR) Predict(f features.Vector) float64 { return m.refit(f, nil) }
 
 // refit is Predict inside the shared round ref (nil: on its own).
 func (m *MLR) refit(f features.Vector, ref *Refit) float64 {
-	n := m.hist.Len()
-	if n < m.MinHistory {
-		return m.hist.MeanCost()
+	n := m.hist.len()
+	if n < minHistory {
+		return m.hist.meanCost()
 	}
 	y := m.hist.costs[:n]
 	for j := range m.cols {
@@ -750,7 +745,7 @@ func (m *MLR) refit(f features.Vector, ref *Refit) float64 {
 	m.selected = m.fcbf.selectInto(m.selected[:0], cols, y, m.threshold, ref)
 	m.FCBFOps += int64(n * features.NumFeatures)
 	if len(m.selected) == 0 {
-		return m.hist.MeanCost()
+		return m.hist.meanCost()
 	}
 
 	p := len(m.selected)
@@ -777,13 +772,13 @@ func (m *MLR) refit(f features.Vector, ref *Refit) float64 {
 
 // NotifyChange tells the predictor an external change detector decided
 // the traffic regime shifted: every observation but the newest
-// MinHistory is dropped, so the next Predict re-selects features and
+// minHistory is dropped, so the next Predict re-selects features and
 // refits on post-change rows only. Truncation rather than
 // down-weighting because FCBF selects on raw columns — discounted rows
 // would still steer selection even where the fit ignores them — and
 // because it measured better on every anomaly of the robust catalog
 // (DESIGN.md section 3).
-func (m *MLR) NotifyChange() { m.hist.Truncate(m.MinHistory) }
+func (m *MLR) NotifyChange() { m.hist.truncate(minHistory) }
 
 // SLR is the simple linear regression baseline (§3.4.1): one fixed
 // predictor variable, the packet count unless configured otherwise.
@@ -795,7 +790,7 @@ type SLR struct {
 // NewSLR returns an SLR predictor over the given history length using
 // feature index feat (typically features.IdxPackets).
 func NewSLR(history, feat int) *SLR {
-	return &SLR{hist: NewHistory(history), Feature: feat}
+	return &SLR{hist: newHistory(history), Feature: feat}
 }
 
 // Name implements Predictor.
@@ -805,13 +800,13 @@ func (s *SLR) Name() string { return "slr" }
 func (s *SLR) History() *History { return s.hist }
 
 // Observe implements Predictor.
-func (s *SLR) Observe(f features.Vector, cost float64) { s.hist.Add(f, cost) }
+func (s *SLR) Observe(f features.Vector, cost float64) { s.hist.add(f, cost) }
 
 // Predict implements Predictor using the closed-form OLS line fit.
 func (s *SLR) Predict(f features.Vector) float64 {
-	n := s.hist.Len()
+	n := s.hist.len()
 	if n < 2 {
-		return s.hist.MeanCost()
+		return s.hist.meanCost()
 	}
 	xs, ys := s.hist.cols[s.Feature][:n], s.hist.costs[:n]
 	mx, my := stats.Mean(xs), stats.Mean(ys)

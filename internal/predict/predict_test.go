@@ -20,15 +20,15 @@ func synth(vals map[int]float64) features.Vector {
 }
 
 func TestHistoryRing(t *testing.T) {
-	h := NewHistory(3)
-	if h.Len() != 0 {
+	h := newHistory(3)
+	if h.len() != 0 {
 		t.Fatal("new history not empty")
 	}
 	for i := 0; i < 5; i++ {
-		h.Add(synth(map[int]float64{0: float64(i)}), float64(i))
+		h.add(synth(map[int]float64{0: float64(i)}), float64(i))
 	}
-	if h.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", h.Len())
+	if h.len() != 3 {
+		t.Fatalf("Len = %d, want 3", h.len())
 	}
 	costs := h.Costs()
 	sum := 0.0
@@ -41,11 +41,11 @@ func TestHistoryRing(t *testing.T) {
 }
 
 func TestHistoryCopiesVectors(t *testing.T) {
-	h := NewHistory(2)
+	h := newHistory(2)
 	v := synth(map[int]float64{0: 1})
-	h.Add(v, 10)
+	h.add(v, 10)
 	v[0] = 999
-	if got := h.Column(0)[0]; got != 1 {
+	if got := h.column(0)[0]; got != 1 {
 		t.Fatalf("history aliased caller's vector: %v", got)
 	}
 }
@@ -56,7 +56,7 @@ func TestHistoryPanicsOnZeroCapacity(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewHistory(0)
+	newHistory(0)
 }
 
 func TestFCBFPhase1Threshold(t *testing.T) {
@@ -233,7 +233,7 @@ func TestFCBFMatchesPearsonOracle(t *testing.T) {
 	// constant response (which correlates with nothing). One scratch
 	// serves all shapes, as the MLR's does while its history fills.
 	var sc fcbfScratch
-	for n := NewMLR(DefaultHistory, DefaultThreshold).MinHistory; n <= DefaultHistory; n++ {
+	for n := minHistory; n <= DefaultHistory; n++ {
 		for _, shape := range []struct {
 			ncols     int
 			threshold float64
@@ -300,7 +300,7 @@ func TestMLRLearnsLinearCost(t *testing.T) {
 	// predictor is built for.
 	m := NewMLR(DefaultHistory, DefaultThreshold)
 	rng := hash.NewXorShift(5)
-	i5 := features.IdxNew(9) // new 5-tuple
+	i5 := featureIndex("new 5-tuple")
 	for i := 0; i < 60; i++ {
 		pkts := 1000 + 500*rng.Float64()
 		nf := 100 + 300*rng.Float64()
@@ -389,7 +389,7 @@ func TestSLRMissesMultiFeatureCost(t *testing.T) {
 	slr := NewSLR(DefaultHistory, features.IdxPackets)
 	mlr := NewMLR(DefaultHistory, DefaultThreshold)
 	rng := hash.NewXorShift(8)
-	iBytes := features.IdxBytes
+	iBytes := featureIndex("bytes")
 	var fLast features.Vector
 	var wantLast float64
 	for i := 0; i < 60; i++ {
@@ -506,13 +506,13 @@ func TestMLRFitZeroAllocSteadyState(t *testing.T) {
 	// so every scratch buffer reaches steady-state size.
 	for i := 0; i < DefaultHistory+8; i++ {
 		fill()
-		m.Observe(f, 5000+2*f[features.IdxPackets]+3*f[features.IdxBytes])
+		m.Observe(f, 5000+2*f[features.IdxPackets]+3*f[featureIndex("bytes")])
 		m.Predict(f)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		fill()
 		m.Predict(f)
-		m.Observe(f, 5000+2*f[features.IdxPackets]+3*f[features.IdxBytes])
+		m.Observe(f, 5000+2*f[features.IdxPackets]+3*f[featureIndex("bytes")])
 	})
 	if allocs != 0 {
 		t.Fatalf("MLR fit/observe steady-state allocations = %v, want 0", allocs)
@@ -523,27 +523,27 @@ func TestMLRFitZeroAllocSteadyState(t *testing.T) {
 }
 
 func TestHistoryTruncateKeepsNewest(t *testing.T) {
-	h := NewHistory(5)
+	h := newHistory(5)
 	for i := 0; i < 7; i++ { // costs 2..6 survive the ring
-		h.Add(synth(map[int]float64{0: float64(i)}), float64(i))
+		h.add(synth(map[int]float64{0: float64(i)}), float64(i))
 	}
-	h.Truncate(2)
-	if h.Len() != 2 {
-		t.Fatalf("Len = %d after Truncate(2), want 2", h.Len())
+	h.truncate(2)
+	if h.len() != 2 {
+		t.Fatalf("Len = %d after Truncate(2), want 2", h.len())
 	}
 	costs := h.Costs()
 	if costs[0] != 5 || costs[1] != 6 {
 		t.Fatalf("kept costs %v, want [5 6] (newest, oldest-first)", costs)
 	}
-	if got := h.Column(0); got[0] != 5 || got[1] != 6 {
+	if got := h.column(0); got[0] != 5 || got[1] != 6 {
 		t.Fatalf("kept features %v, want [5 6]", got)
 	}
 	// The ring refills in place after a truncation.
 	for i := 10; i < 14; i++ {
-		h.Add(synth(map[int]float64{0: float64(i)}), float64(i))
+		h.add(synth(map[int]float64{0: float64(i)}), float64(i))
 	}
-	if h.Len() != 5 {
-		t.Fatalf("Len = %d after refill, want 5", h.Len())
+	if h.len() != 5 {
+		t.Fatalf("Len = %d after refill, want 5", h.len())
 	}
 	sum := 0.0
 	for _, c := range h.Costs() {
@@ -552,9 +552,9 @@ func TestHistoryTruncateKeepsNewest(t *testing.T) {
 	if sum != 6+10+11+12+13 {
 		t.Fatalf("refilled ring holds %v", h.Costs())
 	}
-	h.Truncate(-1)
-	if h.Len() != 0 {
-		t.Fatalf("Truncate(-1) left %d observations", h.Len())
+	h.truncate(-1)
+	if h.len() != 0 {
+		t.Fatalf("Truncate(-1) left %d observations", h.len())
 	}
 }
 
@@ -628,7 +628,7 @@ func (r *refHistory) state() HistoryState {
 // oracle's.
 func TestHistoryColumnsMatchRows(t *testing.T) {
 	const capacity = 7
-	h, ref := NewHistory(capacity), newRefHistory(capacity)
+	h, ref := newHistory(capacity), newRefHistory(capacity)
 	rng := hash.NewXorShift(23)
 	f := make(features.Vector, features.NumFeatures)
 	for step := 0; step < 3000; step++ {
@@ -638,33 +638,33 @@ func TestHistoryColumnsMatchRows(t *testing.T) {
 				f[j] = rng.Float64()
 			}
 			c := rng.Float64()
-			h.Add(f, c)
+			h.add(f, c)
 			ref.add(f, c)
 		case op < 17:
 			keep := int(rng.Uint64()%(capacity+2)) - 1
-			h.Truncate(keep)
+			h.truncate(keep)
 			ref.truncate(keep)
 		case op < 18:
-			h = NewHistory(capacity)
+			h = newHistory(capacity)
 			if err := h.SetState(ref.state()); err != nil {
 				t.Fatalf("step %d: SetState(oracle state): %v", step, err)
 			}
 		default:
-			h2 := NewHistory(capacity)
+			h2 := newHistory(capacity)
 			if err := h2.SetState(h.State()); err != nil {
 				t.Fatalf("step %d: SetState(own state): %v", step, err)
 			}
 			h = h2
 		}
 		n := ref.len()
-		if h.Len() != n {
-			t.Fatalf("step %d: Len %d, oracle %d", step, h.Len(), n)
+		if h.len() != n {
+			t.Fatalf("step %d: Len %d, oracle %d", step, h.len(), n)
 		}
 		if !slices.Equal(h.Costs(), ref.costs[:n]) {
 			t.Fatalf("step %d: costs %v, oracle %v", step, h.Costs(), ref.costs[:n])
 		}
 		for j := 0; j < features.NumFeatures; j++ {
-			col := h.Column(j)
+			col := h.column(j)
 			for i := 0; i < n; i++ {
 				if col[i] != ref.rows[i][j] {
 					t.Fatalf("step %d: feature %d of slot %d = %v, oracle row %v", step, j, i, col[i], ref.rows[i][j])
@@ -686,25 +686,25 @@ func TestHistoryColumnsMatchRows(t *testing.T) {
 // mid-drift checkpoint this build cannot resume bit-identically, and is
 // refused rather than silently refitted unweighted.
 func TestHistoryStateRefusesDiscountedWeights(t *testing.T) {
-	h := NewHistory(4)
+	h := newHistory(4)
 	for i := 0; i < 6; i++ {
-		h.Add(synth(map[int]float64{0: float64(i)}), float64(i))
+		h.add(synth(map[int]float64{0: float64(i)}), float64(i))
 	}
 	st := h.State()
 	if st.Weights != nil {
 		t.Fatalf("State wrote weights %v", st.Weights)
 	}
 	st.Weights = []float64{1, 1, 1, 1}
-	if err := NewHistory(4).SetState(st); err != nil {
+	if err := newHistory(4).SetState(st); err != nil {
 		t.Fatalf("SetState (all-ones weights): %v", err)
 	}
 	st.Weights = []float64{1, 0.01, 1, 1}
-	h2 := NewHistory(4)
+	h2 := newHistory(4)
 	if err := h2.SetState(st); err == nil {
 		t.Fatal("SetState accepted a discounted slot")
 	}
-	if h2.Len() != 0 {
-		t.Fatalf("refused state still loaded %d observations", h2.Len())
+	if h2.len() != 0 {
+		t.Fatalf("refused state still loaded %d observations", h2.len())
 	}
 }
 
@@ -770,8 +770,8 @@ func TestMLRFitZeroAllocAfterNotifyChange(t *testing.T) {
 		m.Predict(f)
 	}
 	m.NotifyChange() // lazily allocates the truncation scratch
-	if got := m.History().Len(); got != m.MinHistory {
-		t.Fatalf("NotifyChange left %d observations, want MinHistory = %d", got, m.MinHistory)
+	if got := m.History().len(); got != minHistory {
+		t.Fatalf("NotifyChange left %d observations, want minHistory = %d", got, minHistory)
 	}
 	allocs := testing.AllocsPerRun(DefaultHistory, func() {
 		fill()

@@ -87,7 +87,7 @@ func TestSharedRefitMatchesSolo(t *testing.T) {
 			if edit != nil {
 				edit(i, r)
 			}
-			h.Add(r, cost(k, i))
+			h.add(r, cost(k, i))
 		}
 	}
 	var members []*refitMember
@@ -127,12 +127,12 @@ func TestSharedRefitMatchesSolo(t *testing.T) {
 	// order: only the all-zero column matches bit for bit.
 	add("truncated, refilled", 1, func(h *History, k int) {
 		observe(h, k, 0, upTo-hist+8, nil)
-		h.Truncate(8)
+		h.truncate(8)
 		observe(h, k, upTo-hist+8, upTo, nil)
 	})
 	// The reference's own ring layout, through a checkpoint.
 	add("restored", all, func(h *History, k int) {
-		src := NewHistory(hist)
+		src := newHistory(hist)
 		observe(src, k, 0, upTo, nil)
 		if err := h.SetState(src.State()); err != nil {
 			t.Fatal(err)

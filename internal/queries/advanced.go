@@ -15,32 +15,32 @@ import (
 // ---------------------------------------------------------------------
 // autofocus — high-volume traffic clusters per subnet ([55], cost: med).
 
-// DefaultAutofocusThreshold is the fraction of interval traffic a
+// defaultAutofocusThreshold is the fraction of interval traffic a
 // cluster must carry (after subtracting reported descendants) to be
 // reported.
-const DefaultAutofocusThreshold = 0.05
+const defaultAutofocusThreshold = 0.05
 
-// Cluster is one reported traffic cluster: a destination prefix and its
+// cluster is one reported traffic cluster: a destination prefix and its
 // residual volume.
-type Cluster struct {
+type cluster struct {
 	Prefix uint32 // network-order prefix, host bits zero
 	Len    int    // prefix length: 32, 24, 16 or 8
 	Bytes  float64
 }
 
-// AutofocusResult is the per-interval answer: the reported clusters in
+// autofocusResult is the per-interval answer: the reported clusters in
 // descending volume order.
-type AutofocusResult struct {
-	Clusters []Cluster
+type autofocusResult struct {
+	Clusters []cluster
 	Total    float64
 }
 
-// Autofocus implements uni-dimensional autofocus over destination
+// autofocus implements uni-dimensional autofocus over destination
 // prefixes: per-interval byte counts are aggregated at /32 and rolled up
 // to /24, /16 and /8; clusters whose residual volume (own traffic minus
 // already-reported descendants) exceeds the threshold are reported,
 // most-specific first.
-type Autofocus struct {
+type autofocus struct {
 	cfg       Config
 	threshold float64
 	table     map[uint32]float64 // per-/32 bytes, scaled
@@ -65,28 +65,28 @@ type afEntry struct {
 }
 
 // NewAutofocus returns an autofocus query; threshold <= 0 selects
-// DefaultAutofocusThreshold.
-func NewAutofocus(cfg Config, threshold float64) *Autofocus {
+// defaultAutofocusThreshold.
+func NewAutofocus(cfg Config, threshold float64) *autofocus {
 	if threshold <= 0 {
-		threshold = DefaultAutofocusThreshold
+		threshold = defaultAutofocusThreshold
 	}
-	return &Autofocus{cfg: cfg, threshold: threshold, table: make(map[uint32]float64)}
+	return &autofocus{cfg: cfg, threshold: threshold, table: make(map[uint32]float64)}
 }
 
 // Name implements Query.
-func (q *Autofocus) Name() string { return "autofocus" }
+func (q *autofocus) Name() string { return "autofocus" }
 
 // Method implements Query.
-func (q *Autofocus) Method() sampling.Method { return sampling.Packet }
+func (q *autofocus) Method() sampling.Method { return sampling.Packet }
 
 // MinRate implements Query (Table 5.2).
-func (q *Autofocus) MinRate() float64 { return 0.69 }
+func (q *autofocus) MinRate() float64 { return 0.69 }
 
 // Interval implements Query.
-func (q *Autofocus) Interval() time.Duration { return q.cfg.interval() }
+func (q *autofocus) Interval() time.Duration { return q.cfg.interval() }
 
 // Process implements Query.
-func (q *Autofocus) Process(b *pkt.Batch, rate float64) Ops {
+func (q *autofocus) Process(b *pkt.Batch, rate float64) Ops {
 	inv := 1.0
 	if rate > 0 && rate < 1 {
 		inv = 1 / rate
@@ -97,13 +97,13 @@ func (q *Autofocus) Process(b *pkt.Batch, rate float64) Ops {
 		p := b.At(i)
 		q.table[p.DstIP] += float64(p.Size) * inv
 	}
-	// Inserts counted as table growth, as in TopK.Process.
+	// Inserts counted as table growth, as in topK.Process.
 	return Ops{Packets: int64(n), Lookups: int64(n), Inserts: int64(len(q.table) - before)}
 }
 
 // Flush implements Query: roll the /32 table up the prefix hierarchy
 // and report clusters whose residual volume exceeds the threshold.
-func (q *Autofocus) Flush() (Result, Ops) { return q.FlushInto(nil) }
+func (q *autofocus) Flush() (Result, Ops) { return q.FlushInto(nil) }
 
 // FlushInto implements ResultRecycler: the roll-up slices are
 // query-owned scratch reused per interval, the /32 table is cleared in
@@ -111,9 +111,9 @@ func (q *Autofocus) Flush() (Result, Ops) { return q.FlushInto(nil) }
 // given. Reported values are identical to Flush's. Every accumulation
 // walks prefixes in sorted order so the flush is bit-reproducible (see
 // the scratch fields' comment).
-func (q *Autofocus) FlushInto(prev Result) (Result, Ops) {
-	var clusters []Cluster
-	if p, ok := prev.(AutofocusResult); ok {
+func (q *autofocus) FlushInto(prev Result) (Result, Ops) {
+	var clusters []cluster
+	if p, ok := prev.(autofocusResult); ok {
 		clusters = p.Clusters[:0]
 	}
 
@@ -168,13 +168,13 @@ func (q *Autofocus) FlushInto(prev Result) (Result, Ops) {
 			}
 			ops.Sorts++
 			if residual >= thresh && thresh > 0 {
-				clusters = append(clusters, Cluster{Prefix: e.prefix, Len: plen, Bytes: residual})
+				clusters = append(clusters, cluster{Prefix: e.prefix, Len: plen, Bytes: residual})
 				rep = append(rep, afEntry{e.prefix, e.bytes})
 			}
 		}
 		q.repBuf[li] = rep
 	}
-	slices.SortFunc(clusters, func(a, b Cluster) int {
+	slices.SortFunc(clusters, func(a, b cluster) int {
 		if a.Bytes != b.Bytes {
 			if a.Bytes > b.Bytes {
 				return -1
@@ -187,7 +187,7 @@ func (q *Autofocus) FlushInto(prev Result) (Result, Ops) {
 		return cmp.Compare(a.Prefix, b.Prefix)
 	})
 	clear(q.table)
-	return AutofocusResult{Clusters: clusters, Total: total}, ops
+	return autofocusResult{Clusters: clusters, Total: total}, ops
 }
 
 func prefixMask(plen int) uint32 {
@@ -202,8 +202,8 @@ func prefixMask(plen int) uint32 {
 // Jaccard distance between reported cluster identity sets, which is 0
 // for identical reports and grows as sampling perturbs the clusters
 // (substitution documented in DESIGN.md).
-func (q *Autofocus) Error(got, ref Result) float64 {
-	g, r := got.(AutofocusResult), ref.(AutofocusResult)
+func (q *autofocus) Error(got, ref Result) float64 {
+	g, r := got.(autofocusResult), ref.(autofocusResult)
 	type key struct {
 		p uint32
 		l int
@@ -228,32 +228,32 @@ func (q *Autofocus) Error(got, ref Result) float64 {
 }
 
 // Reset implements Query.
-func (q *Autofocus) Reset() { clear(q.table) }
+func (q *autofocus) Reset() { clear(q.table) }
 
 // ---------------------------------------------------------------------
 // super-sources — sources with the largest fan-out ([139], cost: med).
 
-// DefaultSuperSourcesTop is how many sources are reported.
-const DefaultSuperSourcesTop = 10
+// defaultSuperSourcesTop is how many sources are reported.
+const defaultSuperSourcesTop = 10
 
-// SuperSource is one reported source with its estimated fan-out.
-type SuperSource struct {
+// superSource is one reported source with its estimated fan-out.
+type superSource struct {
 	IP     uint32
 	FanOut float64
 }
 
-// SuperSourcesResult is the per-interval answer: the top sources by
+// superSourcesResult is the per-interval answer: the top sources by
 // estimated distinct-destination count, plus the full per-source
 // estimates for error evaluation.
-type SuperSourcesResult struct {
-	Top []SuperSource
+type superSourcesResult struct {
+	Top []superSource
 	All map[uint32]float64
 }
 
-// SuperSources estimates per-source fan-out (distinct destinations)
+// superSources estimates per-source fan-out (distinct destinations)
 // with a small direct bitmap per source, as in [139]. It prefers flow
 // sampling: fan-out scales by the inverse flow-sampling rate.
-type SuperSources struct {
+type superSources struct {
 	cfg   Config
 	top   int
 	table map[uint32]*bitmap.Direct
@@ -268,32 +268,32 @@ type SuperSources struct {
 	// buffer; the reported Top is a copy of its head, so the buffer
 	// never escapes into a result.
 	free        []*bitmap.Direct
-	sortScratch []SuperSource
+	sortScratch []superSource
 }
 
 // NewSuperSources returns a super-sources query reporting the top n
-// sources (DefaultSuperSourcesTop when n <= 0).
-func NewSuperSources(cfg Config, n int) *SuperSources {
+// sources (defaultSuperSourcesTop when n <= 0).
+func NewSuperSources(cfg Config, n int) *superSources {
 	if n <= 0 {
-		n = DefaultSuperSourcesTop
+		n = defaultSuperSourcesTop
 	}
-	return &SuperSources{cfg: cfg, top: n, table: make(map[uint32]*bitmap.Direct)}
+	return &superSources{cfg: cfg, top: n, table: make(map[uint32]*bitmap.Direct)}
 }
 
 // Name implements Query.
-func (q *SuperSources) Name() string { return "super-sources" }
+func (q *superSources) Name() string { return "super-sources" }
 
 // Method implements Query.
-func (q *SuperSources) Method() sampling.Method { return sampling.Flow }
+func (q *superSources) Method() sampling.Method { return sampling.Flow }
 
 // MinRate implements Query (Table 5.2).
-func (q *SuperSources) MinRate() float64 { return 0.93 }
+func (q *superSources) MinRate() float64 { return 0.93 }
 
 // Interval implements Query.
-func (q *SuperSources) Interval() time.Duration { return q.cfg.interval() }
+func (q *superSources) Interval() time.Duration { return q.cfg.interval() }
 
 // Process implements Query.
-func (q *SuperSources) Process(b *pkt.Batch, rate float64) Ops {
+func (q *superSources) Process(b *pkt.Batch, rate float64) Ops {
 	n := b.Packets()
 	if rate > 0 && rate <= 1 {
 		q.rateSum += rate * float64(n)
@@ -321,16 +321,16 @@ func (q *SuperSources) Process(b *pkt.Batch, rate float64) Ops {
 }
 
 // Flush implements Query.
-func (q *SuperSources) Flush() (Result, Ops) { return q.FlushInto(nil) }
+func (q *superSources) Flush() (Result, Ops) { return q.FlushInto(nil) }
 
 // FlushInto implements ResultRecycler: the ranking is built and sorted
 // in the query's scratch buffer, the reported Top and All reuse prev's
 // storage (fresh when prev is nil), and the per-source bitmaps are
 // reset into the free pool for the next interval. Reported values are
 // identical to Flush's.
-func (q *SuperSources) FlushInto(prev Result) (Result, Ops) {
-	var pr SuperSourcesResult
-	if p, ok := prev.(SuperSourcesResult); ok {
+func (q *superSources) FlushInto(prev Result) (Result, Ops) {
+	var pr superSourcesResult
+	if p, ok := prev.(superSourcesResult); ok {
 		pr = p
 	}
 	inv := 1.0
@@ -349,9 +349,9 @@ func (q *SuperSources) FlushInto(prev Result) (Result, Ops) {
 	for ip, bm := range q.table {
 		f := bm.Estimate() * inv
 		all[ip] = f
-		srcs = append(srcs, SuperSource{IP: ip, FanOut: f})
+		srcs = append(srcs, superSource{IP: ip, FanOut: f})
 	}
-	slices.SortFunc(srcs, func(a, b SuperSource) int {
+	slices.SortFunc(srcs, func(a, b superSource) int {
 		if a.FanOut != b.FanOut {
 			if a.FanOut > b.FanOut {
 				return -1
@@ -376,14 +376,14 @@ func (q *SuperSources) FlushInto(prev Result) (Result, Ops) {
 	}
 	clear(q.table)
 	q.rateSum, q.pktSum = 0, 0
-	return SuperSourcesResult{Top: append(pr.Top[:0], srcs...), All: all}, ops
+	return superSourcesResult{Top: append(pr.Top[:0], srcs...), All: all}, ops
 }
 
 // Error implements Query: the average relative error of the fan-out
 // estimates over the reference's top sources; a source the sampled run
 // never saw contributes error 1 ([139] metric, §2.2.1).
-func (q *SuperSources) Error(got, ref Result) float64 {
-	g, r := got.(SuperSourcesResult), ref.(SuperSourcesResult)
+func (q *superSources) Error(got, ref Result) float64 {
+	g, r := got.(superSourcesResult), ref.(superSourcesResult)
 	if len(r.Top) == 0 {
 		return 0
 	}
@@ -400,7 +400,7 @@ func (q *SuperSources) Error(got, ref Result) float64 {
 }
 
 // Reset implements Query.
-func (q *SuperSources) Reset() {
+func (q *superSources) Reset() {
 	for _, bm := range q.table {
 		bm.Reset()
 		q.free = append(q.free, bm)

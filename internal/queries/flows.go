@@ -51,18 +51,18 @@ func at(sel []int32, j int) int {
 // ---------------------------------------------------------------------
 // flows — per-flow classification and active flow count (Table 2.2).
 
-// FlowsResult is the per-interval answer: the sampling-corrected count
+// flowsResult is the per-interval answer: the sampling-corrected count
 // of active 5-tuple flows.
-type FlowsResult struct {
+type flowsResult struct {
 	Flows float64
 }
 
-// Flows tracks active 5-tuple flows in a hash table. Its cost is driven
+// flows tracks active 5-tuple flows in a hash table. Its cost is driven
 // by flow arrivals (entry creation), which is exactly the structure the
 // MLR predictor must discover (Figure 3.3). It prefers flow sampling:
 // with Flowwise selection, len(table)/rate is an unbiased flow-count
 // estimate, whereas packet sampling loses short flows entirely.
-type Flows struct {
+type flows struct {
 	cfg   Config
 	table pkt.FlowTable // the interval's 5-tuples
 	bin   binFlows
@@ -70,21 +70,21 @@ type Flows struct {
 }
 
 // NewFlows returns a flows query.
-func NewFlows(cfg Config) *Flows {
-	return &Flows{cfg: cfg, table: pkt.NewFlowTable(hash.FlowSalt(cfg.Seed)), bin: newBinFlows(cfg.Seed)}
+func NewFlows(cfg Config) *flows {
+	return &flows{cfg: cfg, table: pkt.NewFlowTable(hash.FlowSalt(cfg.Seed)), bin: newBinFlows(cfg.Seed)}
 }
 
 // Name implements Query.
-func (q *Flows) Name() string { return "flows" }
+func (q *flows) Name() string { return "flows" }
 
 // Method implements Query.
-func (q *Flows) Method() sampling.Method { return sampling.Flow }
+func (q *flows) Method() sampling.Method { return sampling.Flow }
 
 // MinRate implements Query (Table 5.2).
-func (q *Flows) MinRate() float64 { return 0.05 }
+func (q *flows) MinRate() float64 { return 0.05 }
 
 // Interval implements Query.
-func (q *Flows) Interval() time.Duration { return q.cfg.interval() }
+func (q *flows) Interval() time.Duration { return q.cfg.interval() }
 
 // Process implements Query. New flows are scaled by the inverse of the
 // rate in force when they were first seen: the sampling rate changes
@@ -95,7 +95,7 @@ func (q *Flows) Interval() time.Duration { return q.cfg.interval() }
 // each flow of the view once: all of the index's flows, in id order,
 // when the view is the whole batch, else those a selected packet
 // belongs to, at its first such packet.
-func (q *Flows) Process(b *pkt.Batch, rate float64) Ops {
+func (q *flows) Process(b *pkt.Batch, rate float64) Ops {
 	n := b.Packets()
 	if n == 0 {
 		return Ops{}
@@ -131,22 +131,22 @@ func (q *Flows) Process(b *pkt.Batch, rate float64) Ops {
 // Flush implements Query. The flow table is cleared in place: its
 // slots stay warm for the next interval, so steady-state processing
 // stops paying table-growth allocations every interval.
-func (q *Flows) Flush() (Result, Ops) {
+func (q *flows) Flush() (Result, Ops) {
 	n := q.table.Len()
 	q.table.Reset()
 	est := q.est
 	q.est = 0
-	return FlowsResult{Flows: est}, Ops{Flushes: int64(n)}
+	return flowsResult{Flows: est}, Ops{Flushes: int64(n)}
 }
 
 // Error implements Query.
-func (q *Flows) Error(got, ref Result) float64 {
-	g, r := got.(FlowsResult), ref.(FlowsResult)
+func (q *flows) Error(got, ref Result) float64 {
+	g, r := got.(flowsResult), ref.(flowsResult)
 	return stats.RelErr(g.Flows, r.Flows)
 }
 
 // Reset implements Query.
-func (q *Flows) Reset() {
+func (q *flows) Reset() {
 	q.table.Reset()
 	q.est = 0
 }
@@ -154,63 +154,63 @@ func (q *Flows) Reset() {
 // ---------------------------------------------------------------------
 // top-k — ranking of the top-k destination addresses by volume.
 
-// DefaultTopK is the ranking depth when the constructor receives 0.
-const DefaultTopK = 20
+// defaultTopK is the ranking depth when the constructor receives 0.
+const defaultTopK = 20
 
-// TopKEntry is one ranked destination.
-type TopKEntry struct {
+// topKEntry is one ranked destination.
+type topKEntry struct {
 	IP    uint32
 	Bytes float64
 }
 
-// TopKResult is the per-interval answer: the reported ranking plus the
+// topKResult is the per-interval answer: the reported ranking plus the
 // full per-destination table (needed by the misranked-pair metric).
-type TopKResult struct {
-	List []TopKEntry
+type topKResult struct {
+	List []topKEntry
 	All  map[uint32]float64
 }
 
-// TopK ranks destination addresses by estimated byte volume. The
+// topK ranks destination addresses by estimated byte volume. The
 // interval's destinations are keys of a FlowTable (the address in the
 // high word), and dsts[id] is destination id's running volume.
-type TopK struct {
+type topK struct {
 	cfg   Config
 	k     int
 	table pkt.FlowTable
-	dsts  []TopKEntry
+	dsts  []topKEntry
 	bin   binFlows
 	// scratch is the flush-time ranking buffer; the reported List is a
 	// fresh (or recycled) copy of its head, so the buffer itself never
 	// escapes into a result.
-	scratch []TopKEntry
+	scratch []topKEntry
 }
 
-// NewTopK returns a top-k query; k <= 0 selects DefaultTopK.
-func NewTopK(cfg Config, k int) *TopK {
+// NewTopK returns a top-k query; k <= 0 selects defaultTopK.
+func NewTopK(cfg Config, k int) *topK {
 	if k <= 0 {
-		k = DefaultTopK
+		k = defaultTopK
 	}
-	return &TopK{cfg: cfg, k: k, table: pkt.NewFlowTable(hash.FlowSalt(cfg.Seed)), bin: newBinFlows(cfg.Seed)}
+	return &topK{cfg: cfg, k: k, table: pkt.NewFlowTable(hash.FlowSalt(cfg.Seed)), bin: newBinFlows(cfg.Seed)}
 }
 
 // Name implements Query.
-func (q *TopK) Name() string { return "top-k" }
+func (q *topK) Name() string { return "top-k" }
 
 // Method implements Query.
-func (q *TopK) Method() sampling.Method { return sampling.Packet }
+func (q *topK) Method() sampling.Method { return sampling.Packet }
 
 // MinRate implements Query (Table 5.2).
-func (q *TopK) MinRate() float64 { return 0.57 }
+func (q *topK) MinRate() float64 { return 0.57 }
 
 // Interval implements Query.
-func (q *TopK) Interval() time.Duration { return q.cfg.interval() }
+func (q *topK) Interval() time.Duration { return q.cfg.interval() }
 
 // Process implements Query.
 //
 // Every packet of a flow has the flow's destination, so the table is
 // probed once per flow of the view and a packet adds its bytes through
 // the memo.
-func (q *TopK) Process(b *pkt.Batch, rate float64) Ops {
+func (q *topK) Process(b *pkt.Batch, rate float64) Ops {
 	n := b.Packets()
 	if n == 0 {
 		return Ops{}
@@ -229,7 +229,7 @@ func (q *TopK) Process(b *pkt.Batch, rate float64) Ops {
 			ip := x.Keys[f].DstIP
 			id, inserted := q.table.Insert(uint64(ip), 0)
 			if inserted {
-				q.dsts = append(q.dsts, TopKEntry{IP: ip})
+				q.dsts = append(q.dsts, topKEntry{IP: ip})
 			}
 			memo[f] = id + 1
 		}
@@ -242,20 +242,20 @@ func (q *TopK) Process(b *pkt.Batch, rate float64) Ops {
 }
 
 // Flush implements Query.
-func (q *TopK) Flush() (Result, Ops) { return q.FlushInto(nil) }
+func (q *topK) Flush() (Result, Ops) { return q.FlushInto(nil) }
 
 // FlushInto implements ResultRecycler: the interval's ranking is built
 // and sorted in the query's scratch buffer, and the reported list and
 // per-destination map are written into prev's storage (fresh when prev
 // is nil), so two result generations ping-pong with no steady-state
 // allocation. Reported values are identical to Flush's.
-func (q *TopK) FlushInto(prev Result) (Result, Ops) {
-	var pr TopKResult
-	if p, ok := prev.(TopKResult); ok {
+func (q *topK) FlushInto(prev Result) (Result, Ops) {
+	var pr topKResult
+	if p, ok := prev.(topKResult); ok {
 		pr = p
 	}
 	entries := append(q.scratch[:0], q.dsts...)
-	slices.SortFunc(entries, func(a, b TopKEntry) int {
+	slices.SortFunc(entries, func(a, b topKEntry) int {
 		if a.Bytes != b.Bytes {
 			if a.Bytes > b.Bytes {
 				return -1
@@ -285,21 +285,21 @@ func (q *TopK) FlushInto(prev Result) (Result, Ops) {
 		all[d.IP] = d.Bytes
 	}
 	q.Reset()
-	return TopKResult{List: append(pr.List[:0], entries...), All: all}, ops
+	return topKResult{List: append(pr.List[:0], entries...), All: all}, ops
 }
 
 // Error implements Query: the misranked-pair metric of [12], normalized
 // by k² so it composes with the [0,1] accuracy model of Chapter 5. A
 // pair is misranked when a destination inside the reported list carries
 // less reference traffic than one left outside it.
-func (q *TopK) Error(got, ref Result) float64 {
-	return float64(q.MisrankedPairs(got, ref)) / float64(q.k*q.k)
+func (q *topK) Error(got, ref Result) float64 {
+	return float64(q.misrankedPairs(got, ref)) / float64(q.k*q.k)
 }
 
-// MisrankedPairs returns the raw misranked-pair count, the form Table
+// misrankedPairs returns the raw misranked-pair count, the form Table
 // 4.1 reports.
-func (q *TopK) MisrankedPairs(got, ref Result) int {
-	g, r := got.(TopKResult), ref.(TopKResult)
+func (q *topK) misrankedPairs(got, ref Result) int {
+	g, r := got.(topKResult), ref.(topKResult)
 	inList := make(map[uint32]bool, len(g.List))
 	minIn := 0.0
 	first := true
@@ -331,7 +331,7 @@ func (q *TopK) MisrankedPairs(got, ref Result) int {
 }
 
 // Reset implements Query.
-func (q *TopK) Reset() {
+func (q *topK) Reset() {
 	q.table.Reset()
 	q.dsts = q.dsts[:0]
 }

@@ -36,22 +36,22 @@ type parentKernel struct {
 // for the four queries whose loops did not change.
 func parentOf(q Query, cfg Config) (parentKernel, bool) {
 	switch q.(type) {
-	case *Flows:
+	case *flows:
 		o := &parentFlows{table: map[pkt.FlowKey]struct{}{}}
 		return parentKernel{process: o.process, flush: o.flush}, true
-	case *P2PDetector:
+	case *p2pDetector:
 		o := &parentP2P{h3: hash.NewH3(cfg.Seed + 0x9279), flows: map[pkt.FlowKey]*parentP2PState{}, inspectFrac: 1}
 		return parentKernel{o.process, o.flush, func(f float64) { o.inspectFrac = f }}, true
-	case *TopK:
-		o := &parentTopK{k: DefaultTopK, table: map[uint32]float64{}}
+	case *topK:
+		o := &parentTopK{k: defaultTopK, table: map[uint32]float64{}}
 		return parentKernel{process: func(b *pkt.Batch, rate float64) Ops { return parentDstBytesProcess(o.table, b, rate) }, flush: o.flush}, true
-	case *Autofocus:
+	case *autofocus:
 		o := NewAutofocus(cfg, 0)
 		return parentKernel{process: func(b *pkt.Batch, rate float64) Ops { return parentDstBytesProcess(o.table, b, rate) }, flush: o.Flush}, true
-	case *HighWatermark:
+	case *highWatermark:
 		o := NewHighWatermark(cfg)
 		return parentKernel{process: func(b *pkt.Batch, rate float64) Ops { return parentHighWatermarkProcess(o, b, rate) }, flush: o.Flush}, true
-	case *PatternSearch:
+	case *patternSearch:
 		o := NewPatternSearch(cfg, nil)
 		return parentKernel{process: func(b *pkt.Batch, rate float64) Ops { return parentPatternProcess(o, b, rate) }, flush: o.Flush}, true
 	}
@@ -87,7 +87,7 @@ func (q *parentFlows) flush() (Result, Ops) {
 	clear(q.table)
 	est := q.est
 	q.est = 0
-	return FlowsResult{Flows: est}, Ops{Flushes: int64(n)}
+	return flowsResult{Flows: est}, Ops{Flushes: int64(n)}
 }
 
 // parentDstBytesProcess is the loop top-k and autofocus shared word for
@@ -118,11 +118,11 @@ type parentTopK struct {
 }
 
 func (q *parentTopK) flush() (Result, Ops) {
-	var entries []TopKEntry
+	var entries []topKEntry
 	for ip, bytes := range q.table {
-		entries = append(entries, TopKEntry{IP: ip, Bytes: bytes})
+		entries = append(entries, topKEntry{IP: ip, Bytes: bytes})
 	}
-	slices.SortFunc(entries, func(a, b TopKEntry) int {
+	slices.SortFunc(entries, func(a, b topKEntry) int {
 		if a.Bytes != b.Bytes {
 			if a.Bytes > b.Bytes {
 				return -1
@@ -137,12 +137,12 @@ func (q *parentTopK) flush() (Result, Ops) {
 		logn++
 	}
 	ops := Ops{Sorts: int64(n * logn), Flushes: int64(n)}
-	r := TopKResult{List: entries[:min(n, q.k)], All: q.table}
+	r := topKResult{List: entries[:min(n, q.k)], All: q.table}
 	q.table = map[uint32]float64{}
 	return r, ops
 }
 
-func parentHighWatermarkProcess(q *HighWatermark, b *pkt.Batch, rate float64) Ops {
+func parentHighWatermarkProcess(q *highWatermark, b *pkt.Batch, rate float64) Ops {
 	inv := 1.0
 	if rate > 0 && rate < 1 {
 		inv = 1 / rate
@@ -156,7 +156,7 @@ func parentHighWatermarkProcess(q *HighWatermark, b *pkt.Batch, rate float64) Op
 }
 
 // parentSearch is the plain Horspool scan over the whole text.
-func parentSearch(q *PatternSearch, text []byte) (found bool, scanned int) {
+func parentSearch(q *patternSearch, text []byte) (found bool, scanned int) {
 	m := len(q.pattern)
 	n := len(text)
 	if m == 0 || n < m {
@@ -176,7 +176,7 @@ func parentSearch(q *PatternSearch, text []byte) (found bool, scanned int) {
 	return false, n
 }
 
-func parentPatternProcess(q *PatternSearch, b *pkt.Batch, _ float64) Ops {
+func parentPatternProcess(q *patternSearch, b *pkt.Batch, _ float64) Ops {
 	var ops Ops
 	for i := range b.Pkts {
 		p := &b.Pkts[i]
@@ -272,7 +272,7 @@ func (q *parentP2P) flush() (Result, Ops) {
 	n := int64(len(q.flows))
 	clear(q.flows)
 	q.sigDetected, q.portDetected = 0, 0
-	return P2PResult{Detected: detected, Count: count}, Ops{Flushes: n}
+	return p2pResult{Detected: detected, Count: count}, Ops{Flushes: n}
 }
 
 // view is one shape in which a query may be handed a bin: got is what
@@ -412,7 +412,7 @@ func TestQueryKernelsMatchParent(t *testing.T) {
 					if !sameResult(res, wres) {
 						t.Fatalf("%s, %s, rate %v, bin %d: result diverged from parent", q.Name(), v.name, rate, i)
 					}
-					if r, ok := res.(P2PResult); ok {
+					if r, ok := res.(p2pResult); ok {
 						if !last {
 							detected += len(r.Detected)
 						} else if detected == 0 || len(r.Detected) != 0 {
@@ -446,13 +446,13 @@ func FuzzFlowTable(f *testing.F) {
 	f.Add(uint64(0), make([]byte, 2*pkt.FlowKeySize))
 	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
 		cfg := Config{Seed: seed}
-		qs := []Query{NewFlows(cfg), NewTopK(cfg, DefaultTopK), NewP2PDetector(cfg)}
+		qs := []Query{NewFlows(cfg), NewTopK(cfg, defaultTopK), NewP2PDetector(cfg)}
 		olds := make([]parentKernel, len(qs))
 		for i, q := range qs {
 			olds[i], _ = parentOf(q, cfg)
 		}
 		if seed%2 == 1 {
-			qs[2].(*P2PDetector).ShedTo(0.5)
+			qs[2].(*p2pDetector).ShedTo(0.5)
 			olds[2].shedTo(0.5)
 		}
 		x := pkt.NewFlowIndex(seed)
@@ -511,9 +511,9 @@ func FuzzFlowTable(f *testing.F) {
 }
 
 // ---------------------------------------------------------------------
-// PatternSearch.search against bytes.Contains.
+// patternSearch.search against bytes.Contains.
 
-func checkSearch(t testing.TB, q *PatternSearch, text []byte) {
+func checkSearch(t testing.TB, q *patternSearch, text []byte) {
 	t.Helper()
 	found, scanned := q.search(text)
 	if want := bytes.Contains(text, q.pattern); found != want || scanned != len(text) {

@@ -36,10 +36,10 @@ func isP2PPort(p uint16) bool {
 // scanned before the flow is declared non-P2P.
 const p2pInspectPackets = 2
 
-// P2PResult is the per-interval answer: the set of flows identified as
+// p2pResult is the per-interval answer: the set of flows identified as
 // P2P plus the (scaled, when the custom shedder is active) estimated
 // count.
-type P2PResult struct {
+type p2pResult struct {
 	Detected map[pkt.FlowKey]bool
 	Count    float64
 }
@@ -51,7 +51,7 @@ type p2pFlowState struct {
 	decided   bool
 }
 
-// P2PDetector tracks per-flow state and scans the first payload packets
+// p2pDetector tracks per-flow state and scans the first payload packets
 // of each flow against the signature set. Cost is dominated by the
 // per-byte signature scan, making it the most expensive query in the
 // set (Figure 2.2).
@@ -61,7 +61,7 @@ type p2pFlowState struct {
 // flows selected by a hash of the flow key, and classifies the rest by
 // the port heuristic alone — far cheaper, and far more accurate than
 // dropping packets, because every flow still gets classified.
-type P2PDetector struct {
+type p2pDetector struct {
 	cfg   Config
 	h3    *hash.H3
 	flows pkt.FlowTable
@@ -75,8 +75,8 @@ type P2PDetector struct {
 }
 
 // NewP2PDetector returns a P2P detector.
-func NewP2PDetector(cfg Config) *P2PDetector {
-	return &P2PDetector{
+func NewP2PDetector(cfg Config) *p2pDetector {
+	return &p2pDetector{
 		cfg:         cfg,
 		h3:          hash.NewH3(cfg.Seed + 0x9279),
 		flows:       pkt.NewFlowTable(hash.FlowSalt(cfg.Seed)),
@@ -86,23 +86,23 @@ func NewP2PDetector(cfg Config) *P2PDetector {
 }
 
 // Name implements Query.
-func (q *P2PDetector) Name() string { return "p2p-detector" }
+func (q *p2pDetector) Name() string { return "p2p-detector" }
 
 // Method implements Query: the detector asks for custom shedding.
-func (q *P2PDetector) Method() sampling.Method { return sampling.Custom }
+func (q *p2pDetector) Method() sampling.Method { return sampling.Custom }
 
 // MinRate implements Query (Table 6.1 scenario; the detector tolerates
 // moderate shedding through its custom method).
-func (q *P2PDetector) MinRate() float64 { return 0.30 }
+func (q *p2pDetector) MinRate() float64 { return 0.30 }
 
 // Interval implements Query.
-func (q *P2PDetector) Interval() time.Duration { return q.cfg.interval() }
+func (q *p2pDetector) Interval() time.Duration { return q.cfg.interval() }
 
 // ShedTo implements the custom load shedding contract of Chapter 6: the
 // system asks the query to reduce its resource usage to fraction f of
 // the unshed load; the detector responds by restricting payload
 // inspection to a hash-selected fraction of flows.
-func (q *P2PDetector) ShedTo(f float64) {
+func (q *p2pDetector) ShedTo(f float64) {
 	if f < 0 {
 		f = 0
 	}
@@ -112,13 +112,10 @@ func (q *P2PDetector) ShedTo(f float64) {
 	q.inspectFrac = f
 }
 
-// InspectFraction returns the current custom shedding fraction.
-func (q *P2PDetector) InspectFraction() float64 { return q.inspectFrac }
-
 // inspects reports whether p's flow is in the hash-selected fraction
 // whose payloads are scanned. HashAgg over the 5-tuple is Hash of the
 // serialised FlowKey by contract, so the selection is H3.Unit's.
-func (q *P2PDetector) inspects(p *pkt.Packet) bool {
+func (q *p2pDetector) inspects(p *pkt.Packet) bool {
 	if q.inspectFrac >= 1 {
 		return true
 	}
@@ -131,7 +128,7 @@ func (q *P2PDetector) inspects(p *pkt.Packet) bool {
 // Process implements Query. The flow table is probed once per flow of
 // the view, through the bin's flow index (see binFlows); a new flow is
 // classified from its key.
-func (q *P2PDetector) Process(b *pkt.Batch, _ float64) Ops {
+func (q *p2pDetector) Process(b *pkt.Batch, _ float64) Ops {
 	n := b.Packets()
 	if n == 0 {
 		return Ops{}
@@ -188,15 +185,15 @@ func (q *P2PDetector) Process(b *pkt.Batch, _ float64) Ops {
 }
 
 // Flush implements Query.
-func (q *P2PDetector) Flush() (Result, Ops) { return q.FlushInto(nil) }
+func (q *p2pDetector) Flush() (Result, Ops) { return q.FlushInto(nil) }
 
 // FlushInto implements ResultRecycler: the flow table is reset in
 // place, the state slice truncated, and the detected set — the keys of
 // the interval's states — reuses prev's map when given. Reported values
 // are identical to Flush's.
-func (q *P2PDetector) FlushInto(prev Result) (Result, Ops) {
+func (q *p2pDetector) FlushInto(prev Result) (Result, Ops) {
 	var detected map[pkt.FlowKey]bool
-	if p, ok := prev.(P2PResult); ok && p.Detected != nil {
+	if p, ok := prev.(p2pResult); ok && p.Detected != nil {
 		detected = p.Detected
 		clear(detected)
 	} else {
@@ -210,10 +207,10 @@ func (q *P2PDetector) FlushInto(prev Result) (Result, Ops) {
 	count := q.sigDetected + q.portDetected
 	n := int64(q.flows.Len())
 	q.clearFlows()
-	return P2PResult{Detected: detected, Count: count}, Ops{Flushes: n}
+	return p2pResult{Detected: detected, Count: count}, Ops{Flushes: n}
 }
 
-func (q *P2PDetector) clearFlows() {
+func (q *p2pDetector) clearFlows() {
 	q.flows.Reset()
 	q.states = q.states[:0]
 	q.sigDetected, q.portDetected = 0, 0
@@ -221,8 +218,8 @@ func (q *P2PDetector) clearFlows() {
 
 // Error implements Query: one minus the fraction of the reference's
 // P2P flows correctly identified (§2.2.1).
-func (q *P2PDetector) Error(got, ref Result) float64 {
-	g, r := got.(P2PResult), ref.(P2PResult)
+func (q *p2pDetector) Error(got, ref Result) float64 {
+	g, r := got.(p2pResult), ref.(p2pResult)
 	if len(r.Detected) == 0 {
 		return 0
 	}
@@ -236,7 +233,7 @@ func (q *P2PDetector) Error(got, ref Result) float64 {
 }
 
 // Reset implements Query.
-func (q *P2PDetector) Reset() {
+func (q *p2pDetector) Reset() {
 	q.clearFlows()
 	q.inspectFrac = 1
 }

@@ -11,40 +11,40 @@ import (
 // ---------------------------------------------------------------------
 // trace — full-payload packet collection (Table 2.2, cost: medium).
 
-// TraceResult is the per-interval answer: how many packets and bytes
+// traceResult is the per-interval answer: how many packets and bytes
 // were collected. No unsampled estimate exists (§2.2.1), so the values
 // are raw.
-type TraceResult struct {
+type traceResult struct {
 	Packets float64
 	Bytes   float64
 }
 
-// TraceQuery collects (counts, in this reproduction) every packet that
+// traceQuery collects (counts, in this reproduction) every packet that
 // matches its filter, paying a per-byte copy cost like the disk-bound
 // original.
-type TraceQuery struct {
+type traceQuery struct {
 	cfg  Config
 	pkts float64
 	byts float64
 }
 
 // NewTraceQuery returns a trace query.
-func NewTraceQuery(cfg Config) *TraceQuery { return &TraceQuery{cfg: cfg} }
+func NewTraceQuery(cfg Config) *traceQuery { return &traceQuery{cfg: cfg} }
 
 // Name implements Query.
-func (q *TraceQuery) Name() string { return "trace" }
+func (q *traceQuery) Name() string { return "trace" }
 
 // Method implements Query.
-func (q *TraceQuery) Method() sampling.Method { return sampling.Packet }
+func (q *traceQuery) Method() sampling.Method { return sampling.Packet }
 
 // MinRate implements Query (Table 5.2).
-func (q *TraceQuery) MinRate() float64 { return 0.10 }
+func (q *traceQuery) MinRate() float64 { return 0.10 }
 
 // Interval implements Query.
-func (q *TraceQuery) Interval() time.Duration { return q.cfg.interval() }
+func (q *traceQuery) Interval() time.Duration { return q.cfg.interval() }
 
 // Process implements Query.
-func (q *TraceQuery) Process(b *pkt.Batch, _ float64) Ops {
+func (q *traceQuery) Process(b *pkt.Batch, _ float64) Ops {
 	var ops Ops
 	n := b.Packets()
 	for i := range n {
@@ -58,16 +58,16 @@ func (q *TraceQuery) Process(b *pkt.Batch, _ float64) Ops {
 }
 
 // Flush implements Query.
-func (q *TraceQuery) Flush() (Result, Ops) {
-	r := TraceResult{Packets: q.pkts, Bytes: q.byts}
+func (q *traceQuery) Flush() (Result, Ops) {
+	r := traceResult{Packets: q.pkts, Bytes: q.byts}
 	q.pkts, q.byts = 0, 0
 	return r, Ops{Flushes: 1}
 }
 
 // Error implements Query: one minus the fraction of packets processed
 // relative to the lossless run (§2.2.1 — no unsampled recovery exists).
-func (q *TraceQuery) Error(got, ref Result) float64 {
-	g, r := got.(TraceResult), ref.(TraceResult)
+func (q *traceQuery) Error(got, ref Result) float64 {
+	g, r := got.(traceResult), ref.(traceResult)
 	if r.Packets == 0 {
 		return 0
 	}
@@ -79,23 +79,23 @@ func (q *TraceQuery) Error(got, ref Result) float64 {
 }
 
 // Reset implements Query.
-func (q *TraceQuery) Reset() { q.pkts, q.byts = 0, 0 }
+func (q *traceQuery) Reset() { q.pkts, q.byts = 0, 0 }
 
 // ---------------------------------------------------------------------
 // pattern-search — byte-sequence identification in payloads (cost: high).
 
-// PatternResult is the per-interval answer.
-type PatternResult struct {
+// patternResult is the per-interval answer.
+type patternResult struct {
 	Processed float64 // packets scanned
 	Matches   float64 // packets containing the pattern
 }
 
-// PatternSearch scans every captured payload for a byte pattern with
+// patternSearch scans every captured payload for a byte pattern with
 // the Boyer-Moore-Horspool algorithm, the [23] strategy of Table 2.2,
 // behind a 2-gram filter that decides which stretches of a payload the
 // Horspool loop has to visit at all. Its cost is linear in bytes
 // processed.
-type PatternSearch struct {
+type patternSearch struct {
 	cfg     Config
 	pattern []byte
 	skip    [256]int
@@ -109,11 +109,11 @@ type PatternSearch struct {
 
 // NewPatternSearch returns a pattern-search query; a nil pattern
 // defaults to the generator's HTTP pattern so matches actually occur.
-func NewPatternSearch(cfg Config, pattern []byte) *PatternSearch {
+func NewPatternSearch(cfg Config, pattern []byte) *patternSearch {
 	if len(pattern) == 0 {
 		pattern = trace.PatternHTTP
 	}
-	q := &PatternSearch{cfg: cfg, pattern: pattern}
+	q := &patternSearch{cfg: cfg, pattern: pattern}
 	m := len(pattern)
 	for i := range q.skip {
 		q.skip[i] = m
@@ -138,7 +138,7 @@ func NewPatternSearch(cfg Config, pattern []byte) *PatternSearch {
 // windows that contain it are handed to Horspool. The probes are
 // independent loads; Horspool alone waits on load → skip[] → load at
 // every step.
-func (q *PatternSearch) search(text []byte) (found bool, scanned int) {
+func (q *patternSearch) search(text []byte) (found bool, scanned int) {
 	m := len(q.pattern)
 	n := len(text)
 	if n < m {
@@ -158,7 +158,7 @@ func (q *PatternSearch) search(text []byte) (found bool, scanned int) {
 
 // horspool reports whether the pattern occurs in text at a start
 // offset in [lo, hi]; hi ≤ len(text)−m.
-func (q *PatternSearch) horspool(text []byte, lo, hi int) bool {
+func (q *patternSearch) horspool(text []byte, lo, hi int) bool {
 	m := len(q.pattern)
 	for i := lo; i <= hi; {
 		j := m - 1
@@ -174,19 +174,19 @@ func (q *PatternSearch) horspool(text []byte, lo, hi int) bool {
 }
 
 // Name implements Query.
-func (q *PatternSearch) Name() string { return "pattern-search" }
+func (q *patternSearch) Name() string { return "pattern-search" }
 
 // Method implements Query.
-func (q *PatternSearch) Method() sampling.Method { return sampling.Packet }
+func (q *patternSearch) Method() sampling.Method { return sampling.Packet }
 
 // MinRate implements Query (Table 5.2).
-func (q *PatternSearch) MinRate() float64 { return 0.10 }
+func (q *patternSearch) MinRate() float64 { return 0.10 }
 
 // Interval implements Query.
-func (q *PatternSearch) Interval() time.Duration { return q.cfg.interval() }
+func (q *patternSearch) Interval() time.Duration { return q.cfg.interval() }
 
 // Process implements Query.
-func (q *PatternSearch) Process(b *pkt.Batch, _ float64) Ops {
+func (q *patternSearch) Process(b *pkt.Batch, _ float64) Ops {
 	var ops Ops
 	n := b.Packets()
 	for i := range n {
@@ -205,16 +205,16 @@ func (q *PatternSearch) Process(b *pkt.Batch, _ float64) Ops {
 }
 
 // Flush implements Query.
-func (q *PatternSearch) Flush() (Result, Ops) {
-	r := PatternResult{Processed: q.processed, Matches: q.matches}
+func (q *patternSearch) Flush() (Result, Ops) {
+	r := patternResult{Processed: q.processed, Matches: q.matches}
 	q.processed, q.matches = 0, 0
 	return r, Ops{Flushes: 1}
 }
 
 // Error implements Query: one minus the fraction of packets processed
 // (§2.2.1).
-func (q *PatternSearch) Error(got, ref Result) float64 {
-	g, r := got.(PatternResult), ref.(PatternResult)
+func (q *patternSearch) Error(got, ref Result) float64 {
+	g, r := got.(patternResult), ref.(patternResult)
 	if r.Processed == 0 {
 		return 0
 	}
@@ -226,4 +226,4 @@ func (q *PatternSearch) Error(got, ref Result) float64 {
 }
 
 // Reset implements Query.
-func (q *PatternSearch) Reset() { q.processed, q.matches = 0, 0 }
+func (q *patternSearch) Reset() { q.processed, q.matches = 0, 0 }

@@ -22,16 +22,6 @@ func tcp(src, dst uint32, sp, dp uint16, size int) pkt.Packet {
 	return pkt.Packet{SrcIP: src, DstIP: dst, SrcPort: sp, DstPort: dp, Proto: pkt.ProtoTCP, Size: size}
 }
 
-func TestOpsAdd(t *testing.T) {
-	a := Ops{Packets: 1, Bytes: 2, Lookups: 3, Inserts: 4, Sorts: 5, Flushes: 6}
-	b := Ops{Packets: 10, Bytes: 20, Lookups: 30, Inserts: 40, Sorts: 50, Flushes: 60}
-	got := a.Add(b)
-	want := Ops{Packets: 11, Bytes: 22, Lookups: 33, Inserts: 44, Sorts: 55, Flushes: 66}
-	if got != want {
-		t.Fatalf("Add = %+v", got)
-	}
-}
-
 func TestCostModelCycles(t *testing.T) {
 	m := CostModel{PerPacket: 1, PerByte: 2, PerLookup: 3, PerInsert: 4, PerSort: 5, PerFlush: 6, PerBatch: 100}
 	got := m.Cycles(Ops{Packets: 1, Bytes: 1, Lookups: 1, Inserts: 1, Sorts: 1, Flushes: 1})
@@ -71,7 +61,7 @@ func TestCounterExactWithoutSampling(t *testing.T) {
 	q := NewCounter(Config{})
 	q.Process(mkBatch(tcp(1, 2, 3, 80, 100), tcp(1, 2, 3, 80, 300)), 1)
 	res, _ := q.Flush()
-	r := res.(CounterResult)
+	r := res.(counterResult)
 	if r.Packets != 2 || r.Bytes != 400 {
 		t.Fatalf("result = %+v", r)
 	}
@@ -81,7 +71,7 @@ func TestCounterScalesBySamplingRate(t *testing.T) {
 	q := NewCounter(Config{})
 	q.Process(mkBatch(tcp(1, 2, 3, 80, 100)), 0.5)
 	res, _ := q.Flush()
-	r := res.(CounterResult)
+	r := res.(counterResult)
 	if r.Packets != 2 || r.Bytes != 200 {
 		t.Fatalf("scaled result = %+v", r)
 	}
@@ -89,8 +79,8 @@ func TestCounterScalesBySamplingRate(t *testing.T) {
 
 func TestCounterErrorSymmetricComponents(t *testing.T) {
 	q := NewCounter(Config{})
-	got := CounterResult{Packets: 90, Bytes: 100}
-	ref := CounterResult{Packets: 100, Bytes: 100}
+	got := counterResult{Packets: 90, Bytes: 100}
+	ref := counterResult{Packets: 100, Bytes: 100}
 	if e := q.Error(got, ref); math.Abs(e-0.05) > 1e-9 {
 		t.Fatalf("error = %v, want 0.05", e)
 	}
@@ -101,7 +91,7 @@ func TestCounterFlushResets(t *testing.T) {
 	q.Process(mkBatch(tcp(1, 2, 3, 80, 100)), 1)
 	q.Flush()
 	res, _ := q.Flush()
-	r := res.(CounterResult)
+	r := res.(counterResult)
 	if r.Packets != 0 {
 		t.Fatal("Flush did not reset state")
 	}
@@ -117,28 +107,28 @@ func TestApplicationClassification(t *testing.T) {
 		tcp(1, 2, 999, 12345, 60), // other
 	), 1)
 	res, _ := q.Flush()
-	r := res.(ApplicationResult)
-	if r.Apps[AppWeb].Packets != 2 || r.Apps[AppWeb].Bytes != 300 {
-		t.Errorf("web = %+v", r.Apps[AppWeb])
+	r := res.(applicationResult)
+	if r.Apps[appWeb].Packets != 2 || r.Apps[appWeb].Bytes != 300 {
+		t.Errorf("web = %+v", r.Apps[appWeb])
 	}
-	if r.Apps[AppDNS].Packets != 1 {
-		t.Errorf("dns = %+v", r.Apps[AppDNS])
+	if r.Apps[appDNS].Packets != 1 {
+		t.Errorf("dns = %+v", r.Apps[appDNS])
 	}
-	if r.Apps[AppP2P].Bytes != 400 {
-		t.Errorf("p2p = %+v", r.Apps[AppP2P])
+	if r.Apps[appP2P].Bytes != 400 {
+		t.Errorf("p2p = %+v", r.Apps[appP2P])
 	}
-	if r.Apps[AppOther].Packets != 1 {
-		t.Errorf("other = %+v", r.Apps[AppOther])
+	if r.Apps[appOther].Packets != 1 {
+		t.Errorf("other = %+v", r.Apps[appOther])
 	}
 }
 
 func TestApplicationErrorWeighted(t *testing.T) {
 	q := NewApplication(Config{})
-	var ref, got ApplicationResult
-	ref.Apps[AppWeb] = AppCounts{Packets: 90, Bytes: 900}
-	ref.Apps[AppDNS] = AppCounts{Packets: 10, Bytes: 100}
-	got.Apps[AppWeb] = AppCounts{Packets: 90, Bytes: 900} // exact
-	got.Apps[AppDNS] = AppCounts{Packets: 5, Bytes: 50}   // 50% off
+	var ref, got applicationResult
+	ref.Apps[appWeb] = appCounts{Packets: 90, Bytes: 900}
+	ref.Apps[appDNS] = appCounts{Packets: 10, Bytes: 100}
+	got.Apps[appWeb] = appCounts{Packets: 90, Bytes: 900} // exact
+	got.Apps[appDNS] = appCounts{Packets: 5, Bytes: 50}   // 50% off
 	// Weighted: 0.9*0 + 0.1*0.5 = 0.05.
 	if e := q.Error(got, ref); math.Abs(e-0.05) > 1e-9 {
 		t.Fatalf("error = %v, want 0.05", e)
@@ -153,7 +143,7 @@ func TestFlowsCountsDistinct(t *testing.T) {
 		tcp(1, 2, 11, 80, 100), // new flow
 	), 1)
 	res, _ := q.Flush()
-	if r := res.(FlowsResult); r.Flows != 2 {
+	if r := res.(flowsResult); r.Flows != 2 {
 		t.Fatalf("flows = %v, want 2", r.Flows)
 	}
 }
@@ -162,7 +152,7 @@ func TestFlowsScalesByRate(t *testing.T) {
 	q := NewFlows(Config{})
 	q.Process(mkBatch(tcp(1, 2, 10, 80, 100)), 0.25)
 	res, _ := q.Flush()
-	if r := res.(FlowsResult); r.Flows != 4 {
+	if r := res.(flowsResult); r.Flows != 4 {
 		t.Fatalf("scaled flows = %v, want 4", r.Flows)
 	}
 }
@@ -194,7 +184,7 @@ func TestHighWatermark(t *testing.T) {
 	)
 	q.Process(b, 1)
 	res, _ := q.Flush()
-	if r := res.(HighWatermarkResult); r.WatermarkBytes != 500 {
+	if r := res.(highWatermarkResult); r.WatermarkBytes != 500 {
 		t.Fatalf("watermark = %v, want 500", r.WatermarkBytes)
 	}
 }
@@ -203,7 +193,7 @@ func TestTraceQueryCountsAll(t *testing.T) {
 	q := NewTraceQuery(Config{})
 	q.Process(mkBatch(tcp(1, 2, 3, 80, 100), tcp(1, 2, 3, 80, 200)), 1)
 	res, _ := q.Flush()
-	r := res.(TraceResult)
+	r := res.(traceResult)
 	if r.Packets != 2 || r.Bytes != 300 {
 		t.Fatalf("trace result = %+v", r)
 	}
@@ -211,11 +201,11 @@ func TestTraceQueryCountsAll(t *testing.T) {
 
 func TestTraceErrorIsProcessedFraction(t *testing.T) {
 	q := NewTraceQuery(Config{})
-	e := q.Error(TraceResult{Packets: 30}, TraceResult{Packets: 100})
+	e := q.Error(traceResult{Packets: 30}, traceResult{Packets: 100})
 	if math.Abs(e-0.7) > 1e-9 {
 		t.Fatalf("error = %v, want 0.7", e)
 	}
-	if q.Error(TraceResult{}, TraceResult{}) != 0 {
+	if q.Error(traceResult{}, traceResult{}) != 0 {
 		t.Fatal("empty reference should give zero error")
 	}
 }
@@ -229,7 +219,7 @@ func TestPatternSearchFindsEmbedded(t *testing.T) {
 	)
 	q.Process(b, 1)
 	res, _ := q.Flush()
-	r := res.(PatternResult)
+	r := res.(patternResult)
 	if r.Matches != 1 {
 		t.Fatalf("matches = %v, want 1", r.Matches)
 	}
@@ -256,7 +246,7 @@ func TestTopKRanking(t *testing.T) {
 		tcp(1, 100, 5, 80, 1000),
 	), 1)
 	res, _ := q.Flush()
-	r := res.(TopKResult)
+	r := res.(topKResult)
 	if len(r.List) != 2 {
 		t.Fatalf("list length = %d", len(r.List))
 	}
@@ -284,11 +274,11 @@ func TestTopKErrorZeroWhenIdentical(t *testing.T) {
 
 func TestTopKMisrankedPairs(t *testing.T) {
 	q := NewTopK(Config{}, 2)
-	ref := TopKResult{All: map[uint32]float64{1: 100, 2: 90, 3: 80, 4: 10}}
+	ref := topKResult{All: map[uint32]float64{1: 100, 2: 90, 3: 80, 4: 10}}
 	// Sampled run reports {1, 4}: destination 4 (true 10) beats nothing;
 	// 2 (90) and 3 (80) both outrank 4 -> 2 misranked pairs.
-	got := TopKResult{List: []TopKEntry{{IP: 1}, {IP: 4}}}
-	if n := q.MisrankedPairs(got, ref); n != 2 {
+	got := topKResult{List: []topKEntry{{IP: 1}, {IP: 4}}}
+	if n := q.misrankedPairs(got, ref); n != 2 {
 		t.Fatalf("misranked = %d, want 2", n)
 	}
 	if e := q.Error(got, ref); math.Abs(e-0.5) > 1e-9 {
@@ -311,7 +301,7 @@ func TestAutofocusReportsHeavyCluster(t *testing.T) {
 	}
 	q.Process(mkBatch(pkts...), 1)
 	res, _ := q.Flush()
-	r := res.(AutofocusResult)
+	r := res.(autofocusResult)
 	found := false
 	for _, c := range r.Clusters {
 		if c.Len == 24 && c.Prefix == heavy {
@@ -337,7 +327,7 @@ func TestAutofocusResidualSubtraction(t *testing.T) {
 	}
 	q.Process(mkBatch(pkts...), 1)
 	res, _ := q.Flush()
-	r := res.(AutofocusResult)
+	r := res.(autofocusResult)
 	for _, c := range r.Clusters {
 		if c.Len == 24 && c.Prefix == (host&0xffffff00) {
 			t.Fatalf("parent /24 reported despite no residual: %+v", r.Clusters)
@@ -350,8 +340,8 @@ func TestAutofocusResidualSubtraction(t *testing.T) {
 
 func TestAutofocusErrorJaccard(t *testing.T) {
 	q := NewAutofocus(Config{}, 0)
-	a := AutofocusResult{Clusters: []Cluster{{Prefix: 1, Len: 24}, {Prefix: 2, Len: 24}}}
-	b := AutofocusResult{Clusters: []Cluster{{Prefix: 1, Len: 24}}}
+	a := autofocusResult{Clusters: []cluster{{Prefix: 1, Len: 24}, {Prefix: 2, Len: 24}}}
+	b := autofocusResult{Clusters: []cluster{{Prefix: 1, Len: 24}}}
 	if e := q.Error(a, a); e != 0 {
 		t.Fatalf("identical error = %v", e)
 	}
@@ -372,7 +362,7 @@ func TestSuperSourcesFindsScanner(t *testing.T) {
 	}
 	q.Process(mkBatch(pkts...), 1)
 	res, _ := q.Flush()
-	r := res.(SuperSourcesResult)
+	r := res.(superSourcesResult)
 	if len(r.Top) == 0 || r.Top[0].IP != scanner {
 		t.Fatalf("scanner not ranked first: %+v", r.Top)
 	}
@@ -383,11 +373,11 @@ func TestSuperSourcesFindsScanner(t *testing.T) {
 
 func TestSuperSourcesErrorMissingSource(t *testing.T) {
 	q := NewSuperSources(Config{}, 2)
-	ref := SuperSourcesResult{
-		Top: []SuperSource{{IP: 1, FanOut: 100}, {IP: 2, FanOut: 50}},
+	ref := superSourcesResult{
+		Top: []superSource{{IP: 1, FanOut: 100}, {IP: 2, FanOut: 50}},
 		All: map[uint32]float64{1: 100, 2: 50},
 	}
-	got := SuperSourcesResult{All: map[uint32]float64{1: 100}}
+	got := superSourcesResult{All: map[uint32]float64{1: 100}}
 	// Source 1 exact (err 0), source 2 missing (err 1) -> avg 0.5.
 	if e := q.Error(got, ref); math.Abs(e-0.5) > 1e-9 {
 		t.Fatalf("error = %v, want 0.5", e)
@@ -407,7 +397,7 @@ func TestP2PDetectorSignature(t *testing.T) {
 	q := NewP2PDetector(Config{})
 	q.Process(p2pBatch(trace.SigBitTorrent, 50000), 1) // non-canonical port
 	res, _ := q.Flush()
-	r := res.(P2PResult)
+	r := res.(p2pResult)
 	if len(r.Detected) != 1 || r.Count != 1 {
 		t.Fatalf("signature flow not detected: %+v", r)
 	}
@@ -418,7 +408,7 @@ func TestP2PDetectorIgnoresCleanFlow(t *testing.T) {
 	pay := bytes.Repeat([]byte{'a'}, 100)
 	q.Process(mkBatch(pkt.Packet{SrcIP: 1, DstIP: 2, SrcPort: 5, DstPort: 80, Proto: pkt.ProtoTCP, Size: 140, Payload: pay}), 1)
 	res, _ := q.Flush()
-	if r := res.(P2PResult); len(r.Detected) != 0 {
+	if r := res.(p2pResult); len(r.Detected) != 0 {
 		t.Fatalf("clean flow detected as P2P: %+v", r)
 	}
 }
@@ -447,14 +437,14 @@ func TestP2PDetectorCustomShedding(t *testing.T) {
 		t.Fatalf("shed flow still scanned payload: %+v", ops)
 	}
 	res, _ := q.Flush()
-	if r := res.(P2PResult); len(r.Detected) != 1 {
+	if r := res.(p2pResult); len(r.Detected) != 1 {
 		t.Fatalf("port heuristic missed canonical flow: %+v", r)
 	}
 	// But ephemeral-port P2P flows are lost without payload inspection.
 	q.ShedTo(0)
 	q.Process(p2pBatch(trace.SigGnutella, 43210), 1)
 	res, _ = q.Flush()
-	if r := res.(P2PResult); len(r.Detected) != 0 {
+	if r := res.(p2pResult); len(r.Detected) != 0 {
 		t.Fatalf("port heuristic should miss ephemeral flow: %+v", r)
 	}
 }
@@ -462,11 +452,11 @@ func TestP2PDetectorCustomShedding(t *testing.T) {
 func TestP2PDetectorShedToClamps(t *testing.T) {
 	q := NewP2PDetector(Config{})
 	q.ShedTo(5)
-	if q.InspectFraction() != 1 {
+	if q.inspectFrac != 1 {
 		t.Fatal("ShedTo did not clamp high")
 	}
 	q.ShedTo(-1)
-	if q.InspectFraction() != 0 {
+	if q.inspectFrac != 0 {
 		t.Fatal("ShedTo did not clamp low")
 	}
 }
@@ -477,8 +467,8 @@ func TestP2PErrorMetric(t *testing.T) {
 	p2 := tcp(1, 2, 4, 80, 0)
 	k1 := p1.FlowKey()
 	k2 := p2.FlowKey()
-	ref := P2PResult{Detected: map[pkt.FlowKey]bool{k1: true, k2: true}}
-	got := P2PResult{Detected: map[pkt.FlowKey]bool{k1: true}}
+	ref := p2pResult{Detected: map[pkt.FlowKey]bool{k1: true, k2: true}}
+	got := p2pResult{Detected: map[pkt.FlowKey]bool{k1: true}}
 	if e := q.Error(got, ref); math.Abs(e-0.5) > 1e-9 {
 		t.Fatalf("error = %v, want 0.5", e)
 	}

@@ -31,18 +31,6 @@ type Ops struct {
 	Flushes int64 // entries written out / cleared at interval end
 }
 
-// Add returns the element-wise sum of o and p.
-func (o Ops) Add(p Ops) Ops {
-	return Ops{
-		Packets: o.Packets + p.Packets,
-		Bytes:   o.Bytes + p.Bytes,
-		Lookups: o.Lookups + p.Lookups,
-		Inserts: o.Inserts + p.Inserts,
-		Sorts:   o.Sorts + p.Sorts,
-		Flushes: o.Flushes + p.Flushes,
-	}
-}
-
 // CostModel maps operation counts to cycles. The defaults are tuned so
 // the ten queries reproduce the relative cost ordering of Figure 2.2
 // (pattern-search and p2p-detector byte-bound and expensive, counter and

@@ -11,38 +11,38 @@ import (
 // ---------------------------------------------------------------------
 // counter — traffic load in packets and bytes (Table 2.2, cost: low).
 
-// CounterResult is the counter query's per-interval answer: estimated
+// counterResult is the counter query's per-interval answer: estimated
 // (sampling-corrected) packet and byte totals.
-type CounterResult struct {
+type counterResult struct {
 	Packets float64
 	Bytes   float64
 }
 
-// Counter counts packets and bytes per measurement interval, scaling by
+// counter counts packets and bytes per measurement interval, scaling by
 // the inverse sampling rate to estimate its unsampled output.
-type Counter struct {
+type counter struct {
 	cfg  Config
 	pkts float64
 	byts float64
 }
 
 // NewCounter returns a counter query.
-func NewCounter(cfg Config) *Counter { return &Counter{cfg: cfg} }
+func NewCounter(cfg Config) *counter { return &counter{cfg: cfg} }
 
 // Name implements Query.
-func (q *Counter) Name() string { return "counter" }
+func (q *counter) Name() string { return "counter" }
 
 // Method implements Query.
-func (q *Counter) Method() sampling.Method { return sampling.Packet }
+func (q *counter) Method() sampling.Method { return sampling.Packet }
 
 // MinRate implements Query (Table 5.2).
-func (q *Counter) MinRate() float64 { return 0.03 }
+func (q *counter) MinRate() float64 { return 0.03 }
 
 // Interval implements Query.
-func (q *Counter) Interval() time.Duration { return q.cfg.interval() }
+func (q *counter) Interval() time.Duration { return q.cfg.interval() }
 
 // Process implements Query.
-func (q *Counter) Process(b *pkt.Batch, rate float64) Ops {
+func (q *counter) Process(b *pkt.Batch, rate float64) Ops {
 	inv := 1.0
 	if rate > 0 && rate < 1 {
 		inv = 1 / rate
@@ -56,94 +56,94 @@ func (q *Counter) Process(b *pkt.Batch, rate float64) Ops {
 }
 
 // Flush implements Query.
-func (q *Counter) Flush() (Result, Ops) {
-	r := CounterResult{Packets: q.pkts, Bytes: q.byts}
+func (q *counter) Flush() (Result, Ops) {
+	r := counterResult{Packets: q.pkts, Bytes: q.byts}
 	q.pkts, q.byts = 0, 0
 	return r, Ops{Flushes: 2}
 }
 
 // Error implements Query: the mean of the packet and byte relative
 // errors.
-func (q *Counter) Error(got, ref Result) float64 {
-	g, r := got.(CounterResult), ref.(CounterResult)
+func (q *counter) Error(got, ref Result) float64 {
+	g, r := got.(counterResult), ref.(counterResult)
 	return (stats.RelErr(g.Packets, r.Packets) + stats.RelErr(g.Bytes, r.Bytes)) / 2
 }
 
 // Reset implements Query.
-func (q *Counter) Reset() { q.pkts, q.byts = 0, 0 }
+func (q *counter) Reset() { q.pkts, q.byts = 0, 0 }
 
 // ---------------------------------------------------------------------
 // application — port-based application classification (cost: low).
 
-// AppClass is a coarse application class assigned by port.
-type AppClass int
+// appClass is a coarse application class assigned by port.
+type appClass int
 
-// Application classes distinguished by the port map.
+// application classes distinguished by the port map.
 const (
-	AppWeb AppClass = iota
-	AppDNS
-	AppMail
-	AppP2P
-	AppOther
+	appWeb appClass = iota
+	appDNS
+	appMail
+	appP2P
+	appOther
 	numAppClasses
 )
 
 var appNames = [numAppClasses]string{"web", "dns", "mail", "p2p", "other"}
 
 // String returns the class name.
-func (a AppClass) String() string { return appNames[a] }
+func (a appClass) String() string { return appNames[a] }
 
 // classifyPort maps a destination port to an application class.
-func classifyPort(dport uint16) AppClass {
+func classifyPort(dport uint16) appClass {
 	switch dport {
 	case 80, 443, 8080:
-		return AppWeb
+		return appWeb
 	case 53:
-		return AppDNS
+		return appDNS
 	case 25, 110, 143:
-		return AppMail
+		return appMail
 	case 6881, 6346, 4662, 1214:
-		return AppP2P
+		return appP2P
 	default:
-		return AppOther
+		return appOther
 	}
 }
 
-// AppCounts holds the estimated totals for one application class.
-type AppCounts struct {
+// appCounts holds the estimated totals for one application class.
+type appCounts struct {
 	Packets float64
 	Bytes   float64
 }
 
-// ApplicationResult is the per-interval breakdown by application class.
-type ApplicationResult struct {
-	Apps [numAppClasses]AppCounts
+// applicationResult is the per-interval breakdown by application class.
+type applicationResult struct {
+	Apps [numAppClasses]appCounts
 }
 
-// Application classifies packets into application classes by port and
+// application classifies packets into application classes by port and
 // accumulates scaled per-class packet and byte counts.
-type Application struct {
+type application struct {
 	cfg  Config
-	apps [numAppClasses]AppCounts
+	apps [numAppClasses]appCounts
 }
 
 // NewApplication returns an application-breakdown query.
-func NewApplication(cfg Config) *Application { return &Application{cfg: cfg} }
+func NewApplication(cfg Config) *application { return &application{cfg: cfg} }
 
 // Name implements Query.
-func (q *Application) Name() string { return "application" }
+func (q *application) Name() string { return "application" }
 
 // Method implements Query.
-func (q *Application) Method() sampling.Method { return sampling.Packet }
+func (q *application) Method() sampling.Method { return sampling.Packet }
 
 // MinRate implements Query (Table 5.2).
-func (q *Application) MinRate() float64 { return 0.03 }
+func (q *application) MinRate() float64 { return 0.03 }
 
 // Interval implements Query.
-func (q *Application) Interval() time.Duration { return q.cfg.interval() }
+func (q *application) Interval() time.Duration { return q.cfg.interval() }
 
 // Process implements Query.
-func (q *Application) Process(b *pkt.Batch, rate float64) Ops {
+func (q *application) Process(b *pkt.Batch, rate float64) Ops {
 	inv := 1.0
 	if rate > 0 && rate < 1 {
 		inv = 1 / rate
@@ -159,17 +159,17 @@ func (q *Application) Process(b *pkt.Batch, rate float64) Ops {
 }
 
 // Flush implements Query.
-func (q *Application) Flush() (Result, Ops) {
-	r := ApplicationResult{Apps: q.apps}
-	q.apps = [numAppClasses]AppCounts{}
+func (q *application) Flush() (Result, Ops) {
+	r := applicationResult{Apps: q.apps}
+	q.apps = [numAppClasses]appCounts{}
 	return r, Ops{Flushes: int64(numAppClasses)}
 }
 
 // Error implements Query: the average of per-class packet and byte
 // relative errors weighted by the class's share of reference packets
 // (§2.2.1).
-func (q *Application) Error(got, ref Result) float64 {
-	g, r := got.(ApplicationResult), ref.(ApplicationResult)
+func (q *application) Error(got, ref Result) float64 {
+	g, r := got.(applicationResult), ref.(applicationResult)
 	var totalRefPkts float64
 	for _, c := range r.Apps {
 		totalRefPkts += c.Packets
@@ -188,7 +188,7 @@ func (q *Application) Error(got, ref Result) float64 {
 }
 
 // Reset implements Query.
-func (q *Application) Reset() { q.apps = [numAppClasses]AppCounts{} }
+func (q *application) Reset() { q.apps = [numAppClasses]appCounts{} }
 
 // ---------------------------------------------------------------------
 // high-watermark — high watermark of link utilization (cost: low).
@@ -197,38 +197,38 @@ func (q *Application) Reset() { q.apps = [numAppClasses]AppCounts{} }
 // tracked; the watermark is the maximum bucket volume in the interval.
 const hwmBucket = 100 * time.Millisecond
 
-// HighWatermarkResult is the per-interval answer: the peak bytes seen in
+// highWatermarkResult is the per-interval answer: the peak bytes seen in
 // any single bucket, sampling-corrected.
-type HighWatermarkResult struct {
+type highWatermarkResult struct {
 	WatermarkBytes float64
 }
 
-// HighWatermark tracks the peak short-term link utilization per
+// highWatermark tracks the peak short-term link utilization per
 // measurement interval.
-type HighWatermark struct {
+type highWatermark struct {
 	cfg     Config
 	buckets map[int64]float64
 }
 
 // NewHighWatermark returns a high-watermark query.
-func NewHighWatermark(cfg Config) *HighWatermark {
-	return &HighWatermark{cfg: cfg, buckets: make(map[int64]float64)}
+func NewHighWatermark(cfg Config) *highWatermark {
+	return &highWatermark{cfg: cfg, buckets: make(map[int64]float64)}
 }
 
 // Name implements Query.
-func (q *HighWatermark) Name() string { return "high-watermark" }
+func (q *highWatermark) Name() string { return "high-watermark" }
 
 // Method implements Query.
-func (q *HighWatermark) Method() sampling.Method { return sampling.Packet }
+func (q *highWatermark) Method() sampling.Method { return sampling.Packet }
 
 // MinRate implements Query (Table 5.2).
-func (q *HighWatermark) MinRate() float64 { return 0.15 }
+func (q *highWatermark) MinRate() float64 { return 0.15 }
 
 // Interval implements Query.
-func (q *HighWatermark) Interval() time.Duration { return q.cfg.interval() }
+func (q *highWatermark) Interval() time.Duration { return q.cfg.interval() }
 
 // Process implements Query.
-func (q *HighWatermark) Process(b *pkt.Batch, rate float64) Ops {
+func (q *highWatermark) Process(b *pkt.Batch, rate float64) Ops {
 	inv := 1.0
 	if rate > 0 && rate < 1 {
 		inv = 1 / rate
@@ -256,7 +256,7 @@ func (q *HighWatermark) Process(b *pkt.Batch, rate float64) Ops {
 }
 
 // Flush implements Query.
-func (q *HighWatermark) Flush() (Result, Ops) {
+func (q *highWatermark) Flush() (Result, Ops) {
 	var wm float64
 	for _, v := range q.buckets {
 		if v > wm {
@@ -265,14 +265,14 @@ func (q *HighWatermark) Flush() (Result, Ops) {
 	}
 	n := int64(len(q.buckets))
 	clear(q.buckets)
-	return HighWatermarkResult{WatermarkBytes: wm}, Ops{Flushes: n}
+	return highWatermarkResult{WatermarkBytes: wm}, Ops{Flushes: n}
 }
 
 // Error implements Query.
-func (q *HighWatermark) Error(got, ref Result) float64 {
-	g, r := got.(HighWatermarkResult), ref.(HighWatermarkResult)
+func (q *highWatermark) Error(got, ref Result) float64 {
+	g, r := got.(highWatermarkResult), ref.(highWatermarkResult)
 	return stats.RelErr(g.WatermarkBytes, r.WatermarkBytes)
 }
 
 // Reset implements Query.
-func (q *HighWatermark) Reset() { clear(q.buckets) }
+func (q *highWatermark) Reset() { clear(q.buckets) }

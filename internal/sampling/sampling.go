@@ -16,8 +16,8 @@ import (
 type Method int
 
 const (
-	// None disables shedding for the query.
-	None Method = iota
+	// none disables shedding for the query.
+	none Method = iota
 	// Packet selects individual packets with probability equal to the
 	// sampling rate.
 	Packet
@@ -31,7 +31,7 @@ const (
 // String returns the method name.
 func (m Method) String() string {
 	switch m {
-	case None:
+	case none:
 		return "none"
 	case Packet:
 		return "packet"

@@ -28,7 +28,7 @@ func genPackets(n int) []pkt.Packet {
 }
 
 func TestMethodStrings(t *testing.T) {
-	cases := map[Method]string{None: "none", Packet: "packet", Flow: "flow", Custom: "custom", Method(9): "unknown"}
+	cases := map[Method]string{none: "none", Packet: "packet", Flow: "flow", Custom: "custom", Method(9): "unknown"}
 	for m, want := range cases {
 		if m.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(m), m.String(), want)

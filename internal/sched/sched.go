@@ -39,9 +39,11 @@ type Allocation struct {
 }
 
 // Strategy selects per-query sampling rates subject to a cycle budget.
+// Its allocation method is unexported: the three strategies of this
+// package are the only implementations, called through AllocateInto.
 type Strategy interface {
 	Name() string
-	Allocate(demands []Demand, capacity float64) []Allocation
+	allocate(demands []Demand, capacity float64, ws *Workspace) []Allocation
 }
 
 // Workspace holds the scratch buffers of an allocation decision so a
@@ -72,21 +74,11 @@ func (ws *Workspace) mask(n int) []bool {
 	return ws.active[:n]
 }
 
-// AllocateInto is s.Allocate with every intermediate — the result
-// slice included — taken from ws. The returned slice is owned by ws and
-// valid until its next use. Strategies outside this package fall back
-// to a plain Allocate call.
+// AllocateInto returns s's allocation of capacity over demands, with
+// every intermediate — the result slice included — taken from ws. The
+// returned slice is owned by ws and valid until its next use.
 func AllocateInto(s Strategy, demands []Demand, capacity float64, ws *Workspace) []Allocation {
-	switch st := s.(type) {
-	case EqualRates:
-		return st.allocate(demands, capacity, ws)
-	case MMFSCPU:
-		return st.allocate(demands, capacity, ws)
-	case MMFSPkt:
-		return st.allocate(demands, capacity, ws)
-	default:
-		return s.Allocate(demands, capacity)
-	}
+	return s.allocate(demands, capacity, ws)
 }
 
 type minItem struct {
@@ -157,12 +149,6 @@ func (s EqualRates) Name() string {
 	return "equal"
 }
 
-// Allocate implements Strategy.
-func (s EqualRates) Allocate(demands []Demand, capacity float64) []Allocation {
-	var ws Workspace
-	return s.allocate(demands, capacity, &ws)
-}
-
 func (s EqualRates) allocate(demands []Demand, capacity float64, ws *Workspace) []Allocation {
 	out := ws.allocations(len(demands))
 	active := ws.mask(len(demands))
@@ -218,12 +204,6 @@ type MMFSCPU struct{}
 
 // Name implements Strategy.
 func (MMFSCPU) Name() string { return "mmfs_cpu" }
-
-// Allocate implements Strategy.
-func (s MMFSCPU) Allocate(demands []Demand, capacity float64) []Allocation {
-	var ws Workspace
-	return s.allocate(demands, capacity, &ws)
-}
 
 func (MMFSCPU) allocate(demands []Demand, capacity float64, ws *Workspace) []Allocation {
 	out := ws.allocations(len(demands))
@@ -282,12 +262,6 @@ type MMFSPkt struct{}
 
 // Name implements Strategy.
 func (MMFSPkt) Name() string { return "mmfs_pkt" }
-
-// Allocate implements Strategy.
-func (s MMFSPkt) Allocate(demands []Demand, capacity float64) []Allocation {
-	var ws Workspace
-	return s.allocate(demands, capacity, &ws)
-}
 
 func (MMFSPkt) allocate(demands []Demand, capacity float64, ws *Workspace) []Allocation {
 	out := ws.allocations(len(demands))

@@ -60,7 +60,7 @@ func allStrategies() []Strategy {
 func TestNoOverloadGivesFullRates(t *testing.T) {
 	ds := demands()
 	for _, s := range allStrategies() {
-		allocs := s.Allocate(ds, 1e9)
+		allocs := AllocateInto(s, ds, 1e9, new(Workspace))
 		for i, a := range allocs {
 			if a.Rate != 1 {
 				t.Errorf("%s: rate[%d] = %v with infinite capacity", s.Name(), i, a.Rate)
@@ -73,14 +73,14 @@ func TestInvariantsUnderOverload(t *testing.T) {
 	ds := demands()
 	for _, s := range allStrategies() {
 		for _, c := range []float64{1600, 800, 400, 200, 100, 10} {
-			checkInvariants(t, s.Name(), ds, s.Allocate(ds, c), c)
+			checkInvariants(t, s.Name(), ds, AllocateInto(s, ds, c, new(Workspace)), c)
 		}
 	}
 }
 
 func TestEqualRatesGlobalRate(t *testing.T) {
 	ds := demands() // total 1600
-	allocs := EqualRates{}.Allocate(ds, 800)
+	allocs := AllocateInto(EqualRates{}, ds, 800, new(Workspace))
 	for i, a := range allocs {
 		if math.Abs(a.Rate-0.5) > 1e-9 {
 			t.Errorf("rate[%d] = %v, want 0.5", i, a.Rate)
@@ -90,7 +90,7 @@ func TestEqualRatesGlobalRate(t *testing.T) {
 
 func TestEqualRatesIgnoresMinWithoutFlag(t *testing.T) {
 	ds := demands()
-	allocs := EqualRates{}.Allocate(ds, 160) // global rate 0.1 < heavy's 0.5
+	allocs := AllocateInto(EqualRates{}, ds, 160, new(Workspace)) // global rate 0.1 < heavy's 0.5
 	if allocs[2].Rate >= ds[2].MinRate {
 		t.Fatal("plain equal-rates should not respect minimums")
 	}
@@ -100,7 +100,7 @@ func TestEqSratesDisablesUnsatisfiable(t *testing.T) {
 	ds := demands()
 	// Capacity 160: global rate over all three would be 0.1, below mid's
 	// 0.2 and heavy's 0.5 -> both disabled; survivors get min(1, 160/100).
-	allocs := EqualRates{RespectMinRates: true}.Allocate(ds, 160)
+	allocs := AllocateInto(EqualRates{RespectMinRates: true}, ds, 160, new(Workspace))
 	if allocs[1].Rate != 0 || allocs[2].Rate != 0 {
 		t.Fatalf("expected mid+heavy disabled: %+v", allocs)
 	}
@@ -114,7 +114,7 @@ func TestMMFSDisablesLargestMinDemandFirst(t *testing.T) {
 	// Minimum demands: 5, 100, 500 cycles. Capacity 120 forces heavy
 	// out (500), keeps cheap+mid (105).
 	for _, s := range []Strategy{MMFSCPU{}, MMFSPkt{}} {
-		allocs := s.Allocate(ds, 120)
+		allocs := AllocateInto(s, ds, 120, new(Workspace))
 		if allocs[2].Rate != 0 {
 			t.Errorf("%s: heavy not disabled: %+v", s.Name(), allocs)
 		}
@@ -130,7 +130,7 @@ func TestMMFSCPUWaterLevel(t *testing.T) {
 		{Name: "b", Cycles: 1000, MinRate: 0},
 	}
 	// Capacity 300: water level 200 would give a=100 (capped), b=200.
-	allocs := MMFSCPU{}.Allocate(ds, 300)
+	allocs := AllocateInto(MMFSCPU{}, ds, 300, new(Workspace))
 	if math.Abs(allocs[0].Cycles-100) > 1 {
 		t.Errorf("a cycles = %v, want ~100 (its full demand)", allocs[0].Cycles)
 	}
@@ -146,7 +146,7 @@ func TestMMFSCPUPenalizesExpensiveQuery(t *testing.T) {
 		{Name: "light", Cycles: 100, MinRate: 0},
 		{Name: "heavy", Cycles: 1000, MinRate: 0},
 	}
-	allocs := MMFSCPU{}.Allocate(ds, 220)
+	allocs := AllocateInto(MMFSCPU{}, ds, 220, new(Workspace))
 	if allocs[0].Rate <= allocs[1].Rate {
 		t.Fatalf("light rate %v should exceed heavy rate %v", allocs[0].Rate, allocs[1].Rate)
 	}
@@ -158,7 +158,7 @@ func TestMMFSPktEqualizesRates(t *testing.T) {
 		{Name: "light", Cycles: 100, MinRate: 0},
 		{Name: "heavy", Cycles: 1000, MinRate: 0},
 	}
-	allocs := MMFSPkt{}.Allocate(ds, 550)
+	allocs := AllocateInto(MMFSPkt{}, ds, 550, new(Workspace))
 	if math.Abs(allocs[0].Rate-allocs[1].Rate) > 1e-6 {
 		t.Fatalf("rates differ: %v vs %v", allocs[0].Rate, allocs[1].Rate)
 	}
@@ -174,7 +174,7 @@ func TestMMFSPktPinsAtMinimum(t *testing.T) {
 	}
 	// Capacity 500: global rate 0.5 < demanding's minimum, so demanding
 	// pins at 0.8 (400 cycles) and tolerant gets the remaining 100.
-	allocs := MMFSPkt{}.Allocate(ds, 500)
+	allocs := AllocateInto(MMFSPkt{}, ds, 500, new(Workspace))
 	if math.Abs(allocs[1].Rate-0.8) > 1e-6 {
 		t.Fatalf("demanding rate = %v, want pinned 0.8", allocs[1].Rate)
 	}
@@ -186,7 +186,7 @@ func TestMMFSPktPinsAtMinimum(t *testing.T) {
 func TestZeroCapacityDisablesEverythingWithMinimums(t *testing.T) {
 	ds := demands()
 	for _, s := range allStrategies() {
-		allocs := s.Allocate(ds, 0)
+		allocs := AllocateInto(s, ds, 0, new(Workspace))
 		if got := totalCycles(allocs); got > 1e-9 {
 			t.Errorf("%s: allocated %v cycles at zero capacity", s.Name(), got)
 		}
@@ -199,7 +199,7 @@ func TestZeroCostQueryAlwaysRuns(t *testing.T) {
 		{Name: "heavy", Cycles: 1000, MinRate: 0.1},
 	}
 	for _, s := range []Strategy{MMFSCPU{}, MMFSPkt{}} {
-		allocs := s.Allocate(ds, 500)
+		allocs := AllocateInto(s, ds, 500, new(Workspace))
 		if allocs[0].Rate == 0 {
 			t.Errorf("%s: free query disabled", s.Name())
 		}
@@ -234,7 +234,7 @@ func TestInvariantsProperty(t *testing.T) {
 		}
 		capacity := total * float64(capFrac) / 255
 		for _, s := range allStrategies() {
-			allocs := s.Allocate(ds, capacity)
+			allocs := AllocateInto(s, ds, capacity, new(Workspace))
 			if totalCycles(allocs) > capacity*(1+1e-9)+1e-6 {
 				return false
 			}
@@ -271,8 +271,8 @@ func TestMMFSPktBeatsCPUOnMinimumRate(t *testing.T) {
 		}
 		return m
 	}
-	cpuMin := minRate(MMFSCPU{}.Allocate(ds, capacity))
-	pktMin := minRate(MMFSPkt{}.Allocate(ds, capacity))
+	cpuMin := minRate(AllocateInto(MMFSCPU{}, ds, capacity, new(Workspace)))
+	pktMin := minRate(AllocateInto(MMFSPkt{}, ds, capacity, new(Workspace)))
 	if pktMin <= cpuMin {
 		t.Fatalf("mmfs_pkt min rate %v should exceed mmfs_cpu %v", pktMin, cpuMin)
 	}

@@ -13,8 +13,8 @@ import (
 	"sync"
 )
 
-// sortBufs recycles the scratch slices Percentile, Median, CDF and
-// Summarize sort into. The functions stay pure (inputs are never
+// sortBufs recycles the scratch slices Percentile, Median and CDF sort
+// into. The functions stay pure (inputs are never
 // reordered) but repeated calls — the experiment harness summarizes
 // thousands of per-bin series — stop churning the heap.
 var sortBufs = sync.Pool{New: func() any { return new([]float64) }}
@@ -48,8 +48,8 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
+// variance returns the population variance of xs, or 0 when len(xs) < 2.
+func variance(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
@@ -64,7 +64,7 @@ func Variance(xs []float64) float64 {
 
 // Stdev returns the population standard deviation of xs.
 func Stdev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
+	return math.Sqrt(variance(xs))
 }
 
 // Min returns the smallest element of xs, or 0 for an empty slice.
@@ -207,9 +207,6 @@ func (e *EWMA) Value() float64 { return e.value }
 // Seeded reports whether at least one observation has been folded in.
 func (e *EWMA) Seeded() bool { return e.seeded }
 
-// Reset clears the average back to the unseeded state.
-func (e *EWMA) Reset() { e.value, e.seeded = 0, false }
-
 // Restore sets the average and seeded flag directly, so a checkpoint
 // (Value, Seeded) round-trips bit-exactly through a restart.
 func (e *EWMA) Restore(value float64, seeded bool) { e.value, e.seeded = value, seeded }
@@ -249,30 +246,6 @@ func CDFAt(xs []float64, x float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(xs))
-}
-
-// Summary bundles the usual descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Stdev  float64
-	Min    float64
-	Max    float64
-	Median float64
-	P95    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Stdev:  Stdev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		Median: Median(xs),
-		P95:    Percentile(xs, 95),
-	}
 }
 
 // Clamp limits x to the closed interval [lo, hi].

@@ -18,12 +18,12 @@ type Anomaly interface {
 	Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet) []pkt.Packet
 }
 
-// DDoS is a packet flood against a single target. With OnOff > 0 the
+// ddos is a packet flood against a single target. With OnOff > 0 the
 // attack alternates OnOff on, OnOff off ("goes idle every other second",
 // §3.4.3), producing the highly variable workload used to stress the
 // predictors. Spoofed floods randomize source addresses and ports per
 // packet, which is what blows up flow-state queries.
-type DDoS struct {
+type ddos struct {
 	Start      time.Duration
 	Duration   time.Duration
 	PPS        float64       // packet rate while "on"
@@ -39,8 +39,8 @@ type DDoS struct {
 
 // NewSYNFlood returns a spoofed TCP SYN flood against target:port, the
 // attack of §4.5.5.
-func NewSYNFlood(start, dur time.Duration, pps float64, target uint32, port uint16) *DDoS {
-	return &DDoS{
+func NewSYNFlood(start, dur time.Duration, pps float64, target uint32, port uint16) Anomaly {
+	return &ddos{
 		Start: start, Duration: dur, PPS: pps,
 		Target: target, TargetPort: port,
 		Spoofed: true, TCPFlags: pkt.FlagSYN,
@@ -49,8 +49,8 @@ func NewSYNFlood(start, dur time.Duration, pps float64, target uint32, port uint
 
 // NewOnOffDDoS returns the spoofed on/off DDoS of §3.4.3 (1 s on, 1 s
 // off) that targets the monitoring system's predictors.
-func NewOnOffDDoS(start, dur time.Duration, pps float64, target uint32) *DDoS {
-	return &DDoS{
+func NewOnOffDDoS(start, dur time.Duration, pps float64, target uint32) Anomaly {
+	return &ddos{
 		Start: start, Duration: dur, PPS: pps,
 		Target: target, TargetPort: 80,
 		OnOff: time.Second, Spoofed: true, TCPFlags: pkt.FlagSYN,
@@ -58,7 +58,7 @@ func NewOnOffDDoS(start, dur time.Duration, pps float64, target uint32) *DDoS {
 }
 
 // Inject implements Anomaly.
-func (d *DDoS) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet) []pkt.Packet {
+func (d *ddos) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet) []pkt.Packet {
 	proto := d.Proto
 	if proto == 0 {
 		proto = pkt.ProtoTCP
@@ -102,24 +102,24 @@ func (d *DDoS) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet
 	return out
 }
 
-// Worm emulates an outbreak: a growing pool of infected hosts probing
+// worm emulates an outbreak: a growing pool of infected hosts probing
 // random destinations on a fixed port with a signature payload (§3.4.3:
 // "a large number of packets from many different source and destinations
 // while keeping the destination port number fixed").
-type Worm struct {
+type worm struct {
 	Start    time.Duration
 	Duration time.Duration
 	PPS      float64 // probe rate at full outbreak
 	DstPort  uint16
-	Payload  []byte // signature carried by every probe; PatternWorm if nil
+	Payload  []byte // signature carried by every probe; patternWorm if nil
 	Infected int    // infected pool size at full outbreak (default 500)
 }
 
 // Inject implements Anomaly.
-func (w *Worm) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet) []pkt.Packet {
+func (w *worm) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet) []pkt.Packet {
 	payload := w.Payload
 	if payload == nil {
-		payload = PatternWorm
+		payload = patternWorm
 	}
 	pool := w.Infected
 	if pool == 0 {
@@ -157,17 +157,17 @@ func (w *Worm) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet
 	return out
 }
 
-// ByteBurst sends bursts of maximum-size packets between two fixed
+// byteBurst sends bursts of maximum-size packets between two fixed
 // hosts, the attack aimed at byte-driven queries such as trace and
 // pattern-search (§3.4.3).
-type ByteBurst struct {
+type byteBurst struct {
 	Start    time.Duration
 	Duration time.Duration
 	PPS      float64
 	Payload  bool // attach SnapLen payload bytes
 }
 
-// GradualDrift is a slow regime change rather than an attack: web-like
+// gradualDrift is a slow regime change rather than an attack: web-like
 // flows ramp in linearly over RampUp and then *persist* until
 // Start+Duration. Unlike the DDoS/burst anomalies, nothing here is
 // individually anomalous — the injected flows mimic the generator's own
@@ -179,7 +179,7 @@ type ByteBurst struct {
 // fixed-window predictor can neither separate the regimes (the drift is
 // collinear with volume) nor forget the old one quickly — exactly the
 // concept-drift case change detection exists for.
-type GradualDrift struct {
+type gradualDrift struct {
 	Start        time.Duration
 	RampUp       time.Duration // linear ramp from 0 to PPS; default Duration/4
 	Duration     time.Duration // total lifetime including the ramp
@@ -191,12 +191,12 @@ type GradualDrift struct {
 
 // NewGradualDrift returns a drift that ramps over the first quarter of
 // dur and persists for the rest.
-func NewGradualDrift(start, dur time.Duration, pps float64) *GradualDrift {
-	return &GradualDrift{Start: start, RampUp: dur / 4, Duration: dur, PPS: pps}
+func NewGradualDrift(start, dur time.Duration, pps float64) Anomaly {
+	return &gradualDrift{Start: start, RampUp: dur / 4, Duration: dur, PPS: pps}
 }
 
 // Inject implements Anomaly.
-func (g *GradualDrift) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet) []pkt.Packet {
+func (g *gradualDrift) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet) []pkt.Packet {
 	clients := g.Clients
 	if clients == 0 {
 		clients = 20000
@@ -288,13 +288,13 @@ func (g *GradualDrift) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pk
 	return out
 }
 
-// FlashCrowd is a sudden popular-destination skew: a large legitimate
+// flashCrowd is a sudden popular-destination skew: a large legitimate
 // client population converges on one server, the rate spiking over Rise
 // and then decaying linearly back to zero by Start+Duration. Request
 // packets are small, sources are drawn from a wide client pool, and
 // everything lands on Target:TargetPort — destination-concentration
 // features shift hard while source diversity explodes.
-type FlashCrowd struct {
+type flashCrowd struct {
 	Start      time.Duration
 	Duration   time.Duration
 	Rise       time.Duration // ramp-up to peak; default Duration/5
@@ -306,12 +306,12 @@ type FlashCrowd struct {
 }
 
 // NewFlashCrowd returns a flash crowd peaking at pps against target.
-func NewFlashCrowd(start, dur time.Duration, pps float64, target uint32) *FlashCrowd {
-	return &FlashCrowd{Start: start, Duration: dur, PPS: pps, Target: target}
+func NewFlashCrowd(start, dur time.Duration, pps float64, target uint32) Anomaly {
+	return &flashCrowd{Start: start, Duration: dur, PPS: pps, Target: target}
 }
 
 // Inject implements Anomaly.
-func (fc *FlashCrowd) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet) []pkt.Packet {
+func (fc *flashCrowd) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet) []pkt.Packet {
 	port := fc.TargetPort
 	if port == 0 {
 		port = 80
@@ -373,14 +373,14 @@ func (fc *FlashCrowd) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt
 	return out
 }
 
-// TopologyShift is a re-hashed address space: from Start, a constant
+// topologyShift is a re-hashed address space: from Start, a constant
 // PPS of otherwise ordinary traffic appears between address pools the
 // monitor has never seen (clients in 198.18/15, servers in 198.19/16 —
 // the benchmarking ranges). Every interval rotation keeps discovering
 // "new" sources and destinations, so the new-address features stay
 // elevated for as long as the shift lasts — the signature of a routing
 // or renumbering event rather than an attack.
-type TopologyShift struct {
+type topologyShift struct {
 	Start    time.Duration
 	Duration time.Duration
 	PPS      float64
@@ -389,12 +389,12 @@ type TopologyShift struct {
 }
 
 // NewTopologyShift returns an abrupt, persistent address-space shift.
-func NewTopologyShift(start, dur time.Duration, pps float64) *TopologyShift {
-	return &TopologyShift{Start: start, Duration: dur, PPS: pps}
+func NewTopologyShift(start, dur time.Duration, pps float64) Anomaly {
+	return &topologyShift{Start: start, Duration: dur, PPS: pps}
 }
 
 // Inject implements Anomaly.
-func (ts *TopologyShift) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet) []pkt.Packet {
+func (ts *topologyShift) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet) []pkt.Packet {
 	sources := ts.Sources
 	if sources == 0 {
 		sources = 30000
@@ -438,7 +438,7 @@ func (ts *TopologyShift) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []
 }
 
 // Inject implements Anomaly.
-func (bb *ByteBurst) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet) []pkt.Packet {
+func (bb *byteBurst) Inject(t0, t1 time.Duration, rng *hash.XorShift, out []pkt.Packet) []pkt.Packet {
 	end := bb.Start + bb.Duration
 	step := time.Duration(float64(time.Second) / bb.PPS)
 	if step <= 0 {

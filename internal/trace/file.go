@@ -30,15 +30,15 @@ import (
 
 var fileMagic = [8]byte{'L', 'S', 'T', 'R', 'A', 'C', 'E', '1'}
 
-// ErrBadMagic is returned when reading a file that is not a trace file.
-var ErrBadMagic = errors.New("trace: bad magic (not a trace file)")
+// errBadMagic is returned when reading a file that is not a trace file.
+var errBadMagic = errors.New("trace: bad magic (not a trace file)")
 
-// ErrCorrupt is returned (wrapped, with detail) when a trace file's
+// errCorrupt is returned (wrapped, with detail) when a trace file's
 // structure is implausible — e.g. a batch header claiming more packets
 // than any real capture holds. Distinguishing it from ErrUnexpectedEOF
 // matters operationally: a truncated file can be re-transferred, a
 // corrupt one must be regenerated.
-var ErrCorrupt = errors.New("trace: corrupt trace file")
+var errCorrupt = errors.New("trace: corrupt trace file")
 
 // maxBatchPackets bounds the per-batch packet count a reader accepts.
 // A batch is one 100 ms bin; 2^26 packets is ~670 Mpps sustained, far
@@ -98,19 +98,19 @@ func writeBatch(w io.Writer, b *pkt.Batch) error {
 }
 
 // readHeader consumes the file header and returns the time bin: bad
-// magic is ErrBadMagic, a short header io.ErrUnexpectedEOF, and a
-// non-positive bin ErrCorrupt — every consumer divides by it.
+// magic is errBadMagic, a short header io.ErrUnexpectedEOF, and a
+// non-positive bin errCorrupt — every consumer divides by it.
 func readHeader(r io.Reader) (time.Duration, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, unexpected(err)
 	}
 	if [8]byte(hdr[:8]) != fileMagic {
-		return 0, ErrBadMagic
+		return 0, errBadMagic
 	}
 	binNs := int64(binary.LittleEndian.Uint64(hdr[8:]))
 	if binNs <= 0 {
-		return 0, fmt.Errorf("%w: non-positive time bin %d ns", ErrCorrupt, binNs)
+		return 0, fmt.Errorf("%w: non-positive time bin %d ns", errCorrupt, binNs)
 	}
 	return time.Duration(binNs), nil
 }
@@ -146,7 +146,7 @@ func readBatch(r io.Reader, bin time.Duration) (pkt.Batch, error) {
 		return pkt.Batch{}, unexpected(err)
 	}
 	if n > maxBatchPackets {
-		return pkt.Batch{}, fmt.Errorf("%w: batch claims %d packets (max %d)", ErrCorrupt, n, maxBatchPackets)
+		return pkt.Batch{}, fmt.Errorf("%w: batch claims %d packets (max %d)", errCorrupt, n, maxBatchPackets)
 	}
 	b := pkt.Batch{Start: time.Duration(startNs), Bin: bin}
 	b.Pkts = make([]pkt.Packet, 0, min(int(n), allocChunkPackets))
@@ -158,7 +158,7 @@ func readBatch(r io.Reader, bin time.Duration) (pkt.Batch, error) {
 		var p pkt.Packet
 		if l := decodeRecordHdr(&p, hdr[:]); l > 0 {
 			if l > pkt.SnapLen {
-				return pkt.Batch{}, fmt.Errorf("%w: payload length %d exceeds snaplen %d", ErrCorrupt, l, pkt.SnapLen)
+				return pkt.Batch{}, fmt.Errorf("%w: payload length %d exceeds snaplen %d", errCorrupt, l, pkt.SnapLen)
 			}
 			p.Payload = make([]byte, l)
 			if _, err := io.ReadFull(r, p.Payload); err != nil {
@@ -202,9 +202,9 @@ type FileSource struct {
 // headerSize is the byte offset of the first batch: magic + binNs.
 const headerSize = 8 + 8
 
-// NewFileSource validates the header of r and returns a streaming
+// newFileSource validates the header of r and returns a streaming
 // source positioned at the first batch.
-func NewFileSource(r io.ReadSeeker) (*FileSource, error) {
+func newFileSource(r io.ReadSeeker) (*FileSource, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	bin, err := readHeader(br)
 	if err != nil {
@@ -220,7 +220,7 @@ func OpenFile(path string) (*FileSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs, err := NewFileSource(f)
+	fs, err := newFileSource(f)
 	if err != nil {
 		f.Close()
 		return nil, err

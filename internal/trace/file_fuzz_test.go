@@ -16,7 +16,7 @@ import (
 // the header check and readBatch behind ReadAll and FileSource. A trace
 // file is operator-supplied input (`lsd -trace`, `tracegen -info`), so
 // whatever the bytes: no panic; the only failures are the documented
-// ones (ErrBadMagic from the header, ErrCorrupt, io.ErrUnexpectedEOF);
+// ones (errBadMagic from the header, errCorrupt, io.ErrUnexpectedEOF);
 // the two readers agree; a batch holds no more packets than the bytes
 // behind it can encode; and memory allocated stays within the up-front
 // chunk cap plus a multiple of the input, however large a count the
@@ -59,7 +59,7 @@ func FuzzReadTraceFile(f *testing.F) {
 			t.Fatalf("ReadAll: undocumented error %v", errAll)
 		}
 
-		fs, errFile := NewFileSource(bytes.NewReader(data))
+		fs, errFile := newFileSource(bytes.NewReader(data))
 		var streamed []pkt.Batch
 		if errFile == nil {
 			streamed = drain(fs)
@@ -96,5 +96,5 @@ func FuzzReadTraceFile(f *testing.F) {
 
 // documented reports whether err is one a trace file reader may return.
 func documented(err error) bool {
-	return err == nil || errors.Is(err, ErrBadMagic) || errors.Is(err, ErrCorrupt) || errors.Is(err, io.ErrUnexpectedEOF)
+	return err == nil || errors.Is(err, errBadMagic) || errors.Is(err, errCorrupt) || errors.Is(err, io.ErrUnexpectedEOF)
 }

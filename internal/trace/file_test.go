@@ -58,7 +58,7 @@ func drain(src Source) []pkt.Batch {
 
 func TestFileSourceMatchesReadAll(t *testing.T) {
 	raw, want := recordedTrace(t, 31)
-	fs, err := NewFileSource(bytes.NewReader(raw))
+	fs, err := newFileSource(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFileSourceMatchesReadAll(t *testing.T) {
 func TestFileSourceTruncated(t *testing.T) {
 	raw, _ := recordedTrace(t, 32)
 	for _, cut := range []int{7, 100, len(raw) / 2} {
-		fs, err := NewFileSource(bytes.NewReader(raw[:len(raw)-cut]))
+		fs, err := newFileSource(bytes.NewReader(raw[:len(raw)-cut]))
 		if err != nil {
 			t.Fatalf("cut %d: header rejected: %v", cut, err)
 		}
@@ -93,10 +93,10 @@ func TestFileSourceTruncated(t *testing.T) {
 }
 
 func TestFileSourceRejectsGarbageHeader(t *testing.T) {
-	if _, err := NewFileSource(bytes.NewReader([]byte("not a trace file at all"))); err != ErrBadMagic {
+	if _, err := newFileSource(bytes.NewReader([]byte("not a trace file at all"))); err != errBadMagic {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
-	if _, err := NewFileSource(bytes.NewReader([]byte("LS"))); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := newFileSource(bytes.NewReader([]byte("LS"))); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
 	}
 }
@@ -105,14 +105,14 @@ func TestFileSourceRejectsGarbageHeader(t *testing.T) {
 // ReadAll used to skip: "LSTRACE1" followed by a zero (or negative) bin
 // was accepted with TimeBin() == 0, and the engine's bins-per-interval
 // division then panicked in `lsd -trace FILE`. Every reader — ReadAll,
-// NewFileSource and so OpenFile and TailFile — goes through readHeader.
+// newFileSource and so OpenFile and TailFile — goes through readHeader.
 func TestHostileTimeBinRejected(t *testing.T) {
 	for _, binNs := range []int64{0, -1, -int64(DefaultTimeBin)} {
 		raw := binary.LittleEndian.AppendUint64(append([]byte(nil), fileMagic[:]...), uint64(binNs))
-		if src, err := ReadAll(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
+		if src, err := ReadAll(bytes.NewReader(raw)); !errors.Is(err, errCorrupt) {
 			t.Errorf("ReadAll, bin %d ns: err = %v (source %v), want ErrCorrupt", binNs, err, src)
 		}
-		if _, err := NewFileSource(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
+		if _, err := newFileSource(bytes.NewReader(raw)); !errors.Is(err, errCorrupt) {
 			t.Errorf("NewFileSource, bin %d ns: err = %v, want ErrCorrupt", binNs, err)
 		}
 	}
@@ -123,12 +123,12 @@ func TestHostileTimeBinRejected(t *testing.T) {
 	}{
 		{"", io.ErrUnexpectedEOF},
 		{"LSTRACE1\x00\x00", io.ErrUnexpectedEOF},
-		{"LSTRACE2\x00\xe1\xf5\x05\x00\x00\x00\x00", ErrBadMagic},
+		{"LSTRACE2\x00\xe1\xf5\x05\x00\x00\x00\x00", errBadMagic},
 	} {
 		if _, err := ReadAll(bytes.NewReader([]byte(c.raw))); !errors.Is(err, c.want) {
 			t.Errorf("ReadAll(%q): err = %v, want %v", c.raw, err, c.want)
 		}
-		if _, err := NewFileSource(bytes.NewReader([]byte(c.raw))); !errors.Is(err, c.want) {
+		if _, err := newFileSource(bytes.NewReader([]byte(c.raw))); !errors.Is(err, c.want) {
 			t.Errorf("NewFileSource(%q): err = %v, want %v", c.raw, err, c.want)
 		}
 	}
@@ -151,7 +151,7 @@ func corruptCountFile(npkts uint32) []byte {
 // with a format error (and, below the cap, with ErrUnexpectedEOF after
 // only a bounded chunk was allocated).
 func TestReadAllCorruptCount(t *testing.T) {
-	if _, err := ReadAll(bytes.NewReader(corruptCountFile(0xffffffff))); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadAll(bytes.NewReader(corruptCountFile(0xffffffff))); !errors.Is(err, errCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 	// A count under the plausibility cap but past end of file must be a
@@ -162,14 +162,14 @@ func TestReadAllCorruptCount(t *testing.T) {
 }
 
 func TestFileSourceCorruptCount(t *testing.T) {
-	fs, err := NewFileSource(bytes.NewReader(corruptCountFile(0xffffffff)))
+	fs, err := newFileSource(bytes.NewReader(corruptCountFile(0xffffffff)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := fs.NextBatch(); ok {
 		t.Fatal("corrupt batch delivered")
 	}
-	if !errors.Is(fs.Err(), ErrCorrupt) {
+	if !errors.Is(fs.Err(), errCorrupt) {
 		t.Fatalf("Err = %v, want ErrCorrupt", fs.Err())
 	}
 }
@@ -182,7 +182,7 @@ func TestReadAllCorruptPayloadLength(t *testing.T) {
 	binary.Write(&buf, binary.LittleEndian, uint32(1)) // one packet
 	buf.Write(make([]byte, 26))                        // zeroed packet header
 	binary.Write(&buf, binary.LittleEndian, uint16(pkt.SnapLen+1))
-	if _, err := ReadAll(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadAll(bytes.NewReader(buf.Bytes())); !errors.Is(err, errCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
@@ -242,7 +242,7 @@ func TestMemorySourceAliasesStorage(t *testing.T) {
 
 func TestFileSourceBatchesAreFresh(t *testing.T) {
 	raw, _ := recordedTrace(t, 35)
-	fs, err := NewFileSource(bytes.NewReader(raw))
+	fs, err := newFileSource(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ var (
 	SigGnutella   = []byte("GNUTELLA CONNECT/0.6")
 	SigED2K       = []byte{0xe3, 0x97, 0x00, 0x00, 0x00, 0x01}
 	PatternHTTP   = []byte("GET /index.html HTTP/1.1")
-	PatternWorm   = []byte("GET /default.ida?NNNNNNNN")
+	patternWorm   = []byte("GET /default.ida?NNNNNNNN")
 )
 
 func (c Config) withDefaults() Config {
@@ -401,7 +401,7 @@ func (g *Generator) NextBatch() (pkt.Batch, bool) {
 }
 
 func (g *Generator) poisson(lambda float64) int {
-	if lambda <= 0 {
+	if !(lambda > 0) { // NaN too: against exp(-NaN) the loop below never ends
 		return 0
 	}
 	if lambda > 30 {

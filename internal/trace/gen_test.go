@@ -42,8 +42,8 @@ func TestGeneratorBytesPinned(t *testing.T) {
 	const dur = 2 * time.Second
 	anomalous := CESCA2(5, dur, 0.3)
 	anomalous.Anomalies = []Anomaly{
-		&Worm{Start: 500 * time.Millisecond, Duration: time.Second, PPS: 2000, DstPort: 80},
-		&ByteBurst{Start: time.Second, Duration: 500 * time.Millisecond, PPS: 1000, Payload: true},
+		&worm{Start: 500 * time.Millisecond, Duration: time.Second, PPS: 2000, DstPort: 80},
+		&byteBurst{Start: time.Second, Duration: 500 * time.Millisecond, PPS: 1000, Payload: true},
 	}
 	for _, c := range []struct {
 		name   string

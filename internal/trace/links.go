@@ -7,9 +7,9 @@ import (
 	"repro/internal/pkt"
 )
 
-// LinkPreset pairs a link name with a traffic profile for multi-link
+// linkPreset pairs a link name with a traffic profile for multi-link
 // (cluster) runs.
-type LinkPreset struct {
+type linkPreset struct {
 	Name   string
 	Config Config
 }
@@ -21,19 +21,19 @@ type LinkPreset struct {
 // per-link shedder must shed hard there while the others idle — the
 // situation a global budget coordinator resolves by moving the idle
 // links' cycles to the attacked one.
-func AsymmetricMix(seed uint64, dur time.Duration, scale float64, n int) []LinkPreset {
+func AsymmetricMix(seed uint64, dur time.Duration, scale float64, n int) []linkPreset {
 	if n < 1 {
 		panic("trace: asymmetric mix needs at least 1 link")
 	}
-	out := make([]LinkPreset, n)
+	out := make([]linkPreset, n)
 	hot := CESCA1(seed, dur, scale)
 	hot.Anomalies = []Anomaly{
 		NewOnOffDDoS(dur/4, dur/2, 4*hot.PacketsPerSec, pkt.IPv4(147, 83, 1, 1)),
 	}
-	out[0] = LinkPreset{Name: "ddos-link", Config: hot}
+	out[0] = linkPreset{Name: "ddos-link", Config: hot}
 	for i := 1; i < n; i++ {
 		cfg := CESCA2(seed+uint64(i)*0x9e37, dur, scale)
-		out[i] = LinkPreset{Name: fmt.Sprintf("calm-link%d", i), Config: cfg}
+		out[i] = linkPreset{Name: fmt.Sprintf("calm-link%d", i), Config: cfg}
 	}
 	return out
 }

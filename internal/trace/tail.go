@@ -20,9 +20,9 @@ import (
 	"repro/internal/pkt"
 )
 
-// DefaultTailPoll is how often a TailSource re-checks a file that had
+// defaultTailPoll is how often a TailSource re-checks a file that had
 // no complete batch ready.
-const DefaultTailPoll = 50 * time.Millisecond
+const defaultTailPoll = 50 * time.Millisecond
 
 // TailSource follows a growing trace file. Construct with TailFile;
 // stop with Close, which unblocks a NextBatch waiting for more data.
@@ -42,19 +42,19 @@ type TailSource struct {
 
 // TailFile opens path for tail-follow replay. The file's 16-byte header
 // must already be written (a spooling capture writes it first); poll <= 0
-// selects DefaultTailPoll.
+// selects defaultTailPoll.
 func TailFile(path string, poll time.Duration) (*TailSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	fs, err := NewFileSource(f)
+	fs, err := newFileSource(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	if poll <= 0 {
-		poll = DefaultTailPoll
+		poll = defaultTailPoll
 	}
 	return &TailSource{
 		f:    f,

@@ -83,7 +83,7 @@ func TestTailFollowsGrowingFile(t *testing.T) {
 }
 
 // TestTailCorruptFails pins the error split: a structurally implausible
-// record ends the stream with ErrCorrupt instead of polling forever.
+// record ends the stream with errCorrupt instead of polling forever.
 func TestTailCorruptFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.lstrace")
 	f, err := os.Create(path)
@@ -108,8 +108,8 @@ func TestTailCorruptFails(t *testing.T) {
 	if _, ok := ts.NextBatch(); ok {
 		t.Fatal("corrupt batch delivered")
 	}
-	if !errors.Is(ts.Err(), ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", ts.Err())
+	if !errors.Is(ts.Err(), errCorrupt) {
+		t.Fatalf("want errCorrupt, got %v", ts.Err())
 	}
 }
 

@@ -263,7 +263,7 @@ func TestOnOffDDoSIdlesEveryOtherSecond(t *testing.T) {
 func TestWormInjection(t *testing.T) {
 	cfg := shortCfg(11)
 	cfg.Payload = true
-	cfg.Anomalies = []Anomaly{&Worm{Start: 0, Duration: 3 * time.Second, PPS: 5000, DstPort: 80}}
+	cfg.Anomalies = []Anomaly{&worm{Start: 0, Duration: 3 * time.Second, PPS: 5000, DstPort: 80}}
 	g := NewGenerator(cfg)
 	probes := 0
 	srcs := map[uint32]bool{}
@@ -273,7 +273,7 @@ func TestWormInjection(t *testing.T) {
 			break
 		}
 		for _, p := range b.Pkts {
-			if bytes.Contains(p.Payload, PatternWorm) {
+			if bytes.Contains(p.Payload, patternWorm) {
 				probes++
 				srcs[p.SrcIP] = true
 			}
@@ -289,7 +289,7 @@ func TestWormInjection(t *testing.T) {
 
 func TestByteBurstInjection(t *testing.T) {
 	cfg := shortCfg(12)
-	cfg.Anomalies = []Anomaly{&ByteBurst{Start: time.Second, Duration: time.Second, PPS: 5000}}
+	cfg.Anomalies = []Anomaly{&byteBurst{Start: time.Second, Duration: time.Second, PPS: 5000}}
 	g := NewGenerator(cfg)
 	big := 0
 	for {
@@ -358,7 +358,7 @@ func TestFileRoundTrip(t *testing.T) {
 }
 
 func TestReadAllRejectsGarbage(t *testing.T) {
-	if _, err := ReadAll(bytes.NewReader([]byte("not a trace file at all"))); err != ErrBadMagic {
+	if _, err := ReadAll(bytes.NewReader([]byte("not a trace file at all"))); err != errBadMagic {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }

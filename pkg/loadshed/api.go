@@ -9,6 +9,7 @@ package loadshed
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
@@ -28,6 +29,8 @@ type (
 	// Result is one query's answer for a measurement interval.
 	Result = queries.Result
 	// Strategy decides per-query sampling rates under overload (Ch. 5).
+	// EqualRates, MMFSCPU, MMFSPkt and StrategyByName return the only
+	// implementations.
 	Strategy = sched.Strategy
 	// Source produces a trace one batch at a time.
 	Source = trace.Source
@@ -116,9 +119,9 @@ func NewSelfishP2P(cfg QueryConfig) Query {
 	return custom.NewSelfish(queries.NewP2PDetector(cfg))
 }
 
-// NewBuggyP2P returns a p2p-detector whose shedding implementation is
+// newBuggyP2P returns a p2p-detector whose shedding implementation is
 // broken (§6.3.5).
-func NewBuggyP2P(cfg QueryConfig) Query {
+func newBuggyP2P(cfg QueryConfig) Query {
 	return custom.NewBuggy(queries.NewP2PDetector(cfg))
 }
 
@@ -160,8 +163,18 @@ func PresetNames() []string {
 	return out
 }
 
-// PresetConfig returns the named dataset preset's generator config.
+// maxPresetScale bounds PresetConfig's rate multiplier. The generator
+// materialises each bin, and at 100 times the busiest preset's rate a
+// 100 ms bin already holds about 740,000 packets.
+const maxPresetScale = 100
+
+// PresetConfig returns the named dataset preset's generator config. The
+// scale multiplies the preset's packet rate; zero or less selects 1,
+// and a scale that is not finite or exceeds maxPresetScale is refused.
 func PresetConfig(name string, seed uint64, dur time.Duration, scale float64) (TraceConfig, error) {
+	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale > maxPresetScale {
+		return TraceConfig{}, fmt.Errorf("loadshed: preset scale %v is not finite or exceeds %d", scale, maxPresetScale)
+	}
 	for _, p := range presets {
 		if p.name == strings.ToLower(name) {
 			return p.mk(seed, dur, scale), nil
@@ -278,8 +291,8 @@ var queryKinds = []struct {
 	{"trace", func(cfg QueryConfig) Query { return queries.NewTraceQuery(cfg) }},
 }
 
-// QueryKinds lists the query names QueryByName accepts, sorted.
-func QueryKinds() []string {
+// queryKindNames lists the query names QueryByName accepts, sorted.
+func queryKindNames() []string {
 	out := make([]string, len(queryKinds))
 	for i, k := range queryKinds {
 		out[i] = k.name
@@ -297,5 +310,5 @@ func QueryByName(name string, cfg QueryConfig) (Query, error) {
 		}
 	}
 	return nil, fmt.Errorf("loadshed: unknown query kind %q (have %s)",
-		name, strings.Join(QueryKinds(), ", "))
+		name, strings.Join(queryKindNames(), ", "))
 }

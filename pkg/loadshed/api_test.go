@@ -1,6 +1,7 @@
 package loadshed_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -55,9 +56,6 @@ func TestAPIStrategiesAndQueries(t *testing.T) {
 	if loadshed.NewSelfishP2P(loadshed.QueryConfig{}).Name() != "p2p-detector-selfish" {
 		t.Error("selfish wrapper name wrong")
 	}
-	if loadshed.NewBuggyP2P(loadshed.QueryConfig{}).Name() != "p2p-detector-buggy" {
-		t.Error("buggy wrapper name wrong")
-	}
 }
 
 func TestAPIMeasureHelpers(t *testing.T) {
@@ -67,5 +65,43 @@ func TestAPIMeasureHelpers(t *testing.T) {
 	c := loadshed.MeasureCapacity(src, qs, 4)
 	if !(c > d && d > 0) {
 		t.Fatalf("capacity %v should exceed demand %v > 0", c, d)
+	}
+}
+
+// TestPresetConfigRefusesBadScale holds the adoption path's traffic
+// source to a finite, bounded scale: a NaN scale once passed the
+// generator's scale <= 0 check and left its Poisson draw looping
+// forever, so the first batch never returned. The NaN case runs the
+// batch under a deadline, the others only ask for the config.
+func TestPresetConfigRefusesBadScale(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		cfg, err := loadshed.PresetConfig("cesca2", 1, 10*time.Second, math.NaN())
+		if err == nil {
+			loadshed.NewGenerator(cfg).NextBatch()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("PresetConfig accepted a NaN scale")
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("a NaN-scale preset's first batch did not return within 3 s")
+	}
+	for _, scale := range []float64{math.Inf(1), math.Inf(-1), 1e9} {
+		if _, err := loadshed.PresetConfig("cesca2", 1, 10*time.Second, scale); err == nil {
+			t.Errorf("PresetConfig accepted scale %v", scale)
+		}
+	}
+	for _, scale := range []float64{0, 0.1, 1, 100} {
+		if _, err := loadshed.PresetConfig("cesca2", 1, 10*time.Second, scale); err != nil {
+			t.Errorf("PresetConfig refused scale %v: %v", scale, err)
+		}
+	}
+	spec := loadshed.ShardSpec{Scheme: "predictive", Capacity: math.NaN(), Queries: []loadshed.QuerySpec{{Kind: "counter"}}}
+	if _, err := spec.NewSystem(); err == nil {
+		t.Error("ShardSpec.NewSystem accepted a NaN capacity")
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/pkt"
@@ -91,6 +92,9 @@ func (sp *ShardSpec) NewSystem() (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loadshed: shard spec: %w", err)
 	}
+	if math.IsNaN(sp.Capacity) {
+		return nil, fmt.Errorf("loadshed: shard spec: capacity is NaN")
+	}
 	if sp.Workers < 0 || sp.Workers > maxSpecWorkers || len(sp.Queries) > maxSpecQueries {
 		return nil, fmt.Errorf("loadshed: shard spec: %d workers or %d queries out of bounds (at most %d, %d)",
 			sp.Workers, len(sp.Queries), maxSpecWorkers, maxSpecQueries)
@@ -125,7 +129,7 @@ func (sp *ShardSpec) NewSystem() (*System, error) {
 // boundary, ready to resume anywhere: spec to rebuild, snapshot to
 // restore, bin to reposition the source at.
 type ShardCheckpoint struct {
-	// Version is stamped by Encode with CheckpointFormatVersion.
+	// Version is stamped by EncodeBytes with CheckpointFormatVersion.
 	Version int
 
 	Node  string // the shard's cluster name
@@ -135,9 +139,9 @@ type ShardCheckpoint struct {
 	Snap  *SystemSnapshot
 }
 
-// Encode writes the checkpoint to w in gob encoding, stamping the
+// encode writes the checkpoint to w in gob encoding, stamping the
 // current format versions.
-func (cp *ShardCheckpoint) Encode(w io.Writer) error {
+func (cp *ShardCheckpoint) encode(w io.Writer) error {
 	cp.Version = CheckpointFormatVersion
 	if cp.Snap != nil {
 		cp.Snap.Version = SnapshotFormatVersion
@@ -148,11 +152,11 @@ func (cp *ShardCheckpoint) Encode(w io.Writer) error {
 	return nil
 }
 
-// EncodeBytes is Encode into a fresh byte slice — the form the
+// EncodeBytes is encode into a fresh byte slice — the form the
 // transport frames and the coordinator's retention store carry.
 func (cp *ShardCheckpoint) EncodeBytes() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := cp.Encode(&buf); err != nil {
+	if err := cp.encode(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -12,12 +12,14 @@ import (
 // FuzzRestoreCheckpoint walks an arbitrary checkpoint blob down the
 // adoption path — the bytes an adopt frame or a -state-dir file hands
 // the process: decode, rebuild the System from the spec, restore the
-// snapshot, stream two bins. Every stage may refuse the blob; none may
-// panic, and a blob all of them accept must run. The corpus under
-// testdata/fuzz holds a checkpoint around the PR 15 snapshot fixture
-// and one blob per hole this target was written for: a history ring
-// marked full over nil rows, a short feature row, a detector ring head
-// past its ring, a spec asking for 2^30 workers.
+// snapshot, stream two bins; a spec whose ingest is the generator also
+// opens it through PresetConfig for one batch, as adoption does. Every
+// stage may refuse the blob; none may panic or hang, and a blob all of
+// them accept must run. The corpus under testdata/fuzz holds a
+// checkpoint around the PR 15 snapshot fixture and one blob per hole
+// this target was written for: a history ring marked full over nil
+// rows, a short feature row, a detector ring head past its ring, a spec
+// asking for 2^30 workers, a generator spec with a NaN scale.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	two := record(trace.NewGenerator(trace.CESCA2(1, 200*time.Millisecond, 0.05)))
 
@@ -30,6 +32,13 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		sys, err := cp.Spec.NewSystem()
 		if err != nil {
 			return
+		}
+		if cp.Spec.Ingest == "gen" {
+			cfg, err := PresetConfig(cp.Spec.Preset, cp.Spec.TraceSeed, cp.Spec.TraceDur, cp.Spec.Scale)
+			if err != nil {
+				return
+			}
+			NewGenerator(cfg).NextBatch()
 		}
 		if err := sys.Restore(cp.Snap); err != nil {
 			return

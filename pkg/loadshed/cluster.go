@@ -298,7 +298,7 @@ func binCapacities(bins []BinStats) []float64 {
 // at the barrier afterwards, in shard-index order. Pipelined shards
 // (Base.Workers >= 2, DESIGN.md, "Bin pipeline") compose with this: each shard
 // owns its front goroutine and slot ring, the coordinator's
-// SetCapacity still lands between that shard's bins exactly as in a
+// setCapacity still lands between that shard's bins exactly as in a
 // sequential shard, and a shard's front exits at end of trace before
 // run.finish tears its execute pool down
 // (TestConformance, the workers= rows of the cluster columns).

@@ -633,7 +633,7 @@ var conformanceRows = []row{
 			t.Fatalf("%d checkpoints sent, %d stored, %d errors; want %d, %d, 0",
 				node.CheckpointsSent(), coord.CheckpointsStored(), node.CheckpointErrors(), n, n)
 		}
-		blob, bin, _ := coord.Checkpoint("w0")
+		blob, bin, _ := coord.checkpoint("w0")
 		cp := decodeCheckpoint(t, blob)
 		if cp.Final || cp.Bin != bin || bin != n*int64(rec.perInterval()) {
 			t.Fatalf("retained checkpoint at bin %d (final %v), want the periodic one at %d", bin, cp.Final, n*int64(rec.perInterval()))

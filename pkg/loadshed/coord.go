@@ -20,7 +20,7 @@ package loadshed
 //     shard-index order, so every floating-point sum runs in the same
 //     order as before).
 //   - TCP (transport.go): coordinator and workers as separate
-//     processes. Liveness is lease-based — AllocateLease marks nodes
+//     processes. Liveness is lease-based — allocateLease marks nodes
 //     silent for longer than the lease as partitioned and allocates
 //     over the rest; a partitioned node keeps shedding on its last
 //     local capacity (graceful degradation) and rejoins the allocation
@@ -70,7 +70,7 @@ type coordNode struct {
 
 // live is the one liveness predicate of lease-based membership: the
 // node has spoken, has not finished and has not outlived its lease.
-// AllocateLease allocates over the live nodes, failover offers orphaned
+// allocateLease allocates over the live nodes, failover offers orphaned
 // shards to them, and Migrate accepts only a live target.
 func (n *coordNode) live() bool { return n.ever && !n.done && !n.partitioned }
 
@@ -139,12 +139,12 @@ func NewCoordinator(policy sched.Strategy, total float64) *Coordinator {
 // Total returns the machine budget the coordinator distributes.
 func (c *Coordinator) Total() float64 { return c.total }
 
-// Join registers (or re-registers) a node by name — membership is
+// join registers (or re-registers) a node by name — membership is
 // name-keyed on every transport: a worker that reconnects after a
 // partition or a restart lands on its existing record, clearing the
 // partitioned and done flags so the next report re-enters it into the
 // allocation.
-func (c *Coordinator) Join(name string, minShare float64) {
+func (c *Coordinator) join(name string, minShare float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.recordLocked(name)
@@ -179,10 +179,10 @@ func (n *coordNode) settleOffer() {
 	n.migrateTo = ""
 }
 
-// Report folds a node's demand report, received at now, in by name.
+// report folds a node's demand report, received at now, in by name.
 // Reports from unknown nodes are dropped — the hello/Join handshake
 // precedes them on every conforming transport.
-func (c *Coordinator) Report(r DemandReport, now time.Time) {
+func (c *Coordinator) report(r DemandReport, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.byName[r.Node]
@@ -222,14 +222,14 @@ func (c *Coordinator) AllocateRound() {
 	c.allocateLocked(func(n *coordNode) bool { return n.reported && !n.done })
 }
 
-// AllocateLease runs one heartbeat coordination round under lease-based
+// allocateLease runs one heartbeat coordination round under lease-based
 // liveness: nodes whose last report is older than the lease are marked
 // partitioned and excluded (their budget redistributes to the
 // survivors); nodes that have ever reported and are neither done nor
 // partitioned are allocated to, whether or not a report arrived this
 // exact heartbeat. now is the round's time, on the clock the reports
 // were stamped with. The TCP server calls this on its heartbeat ticker.
-func (c *Coordinator) AllocateLease(now time.Time, lease time.Duration) {
+func (c *Coordinator) allocateLease(now time.Time, lease time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, n := range c.nodes {
@@ -464,7 +464,7 @@ func (n *Node) applyGrant() {
 	if !ok {
 		return
 	}
-	n.sys.SetCapacity(g.Capacity)
+	n.sys.setCapacity(g.Capacity)
 }
 
 // Drained reports whether the node stopped for a drain (as opposed to

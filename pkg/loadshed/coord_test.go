@@ -136,7 +136,7 @@ func oracleClusterRun(cfg ClusterConfig, shards []Shard) *ClusterResult {
 		}
 		surplus := math.Max(0, total-used) / float64(len(active))
 		for i, o := range active {
-			o.sys.SetCapacity(math.Max(allocs[i].Cycles, floor) + surplus)
+			o.sys.setCapacity(math.Max(allocs[i].Cycles, floor) + surplus)
 		}
 	}
 	for _, o := range os {

@@ -8,7 +8,7 @@
 // Each captured batch flows through six explicit stages (see
 // DESIGN.md, "Pipeline stages", and stages.go): admit → platformOverhead →
 // extractPredict → decideShedding → execute → feedback, with a
-// BinContext threading state between them. The execute stage fans the
+// binContext threading state between them. The execute stage fans the
 // queries out over the goroutines Config.Workers grants it; runs are
 // bit-identical for any worker count because every query owns its RNG
 // streams and results merge in index order.
@@ -93,6 +93,7 @@ const (
 	diskSpikeProb    = 0.004 // rare platform spikes (disk, kernel)
 	diskSpikeFactor  = 20.0  // spike size, × comoPerBin
 	costSpikeFactor  = 2.5   // a spiked query measurement, × its true cost (Config.SpikeProb)
+	reactiveMinRate  = 0.01  // α of Eq. 4.1: the reactive scheme's rate floor
 )
 
 // costModel converts the operations a query counts into cycles.
@@ -128,10 +129,9 @@ type Config struct {
 	// in query-index order.
 	Workers int
 
-	BufferBins      float64 // capture buffer size in bins of traffic (default 50 ≈ 5 s, a 256 MB DAG buffer at evaluation rates; Ch. 5's no-shedding emulation sets 2 ≈ 200 ms)
-	ReactiveMinRate float64 // α of Eq. 4.1 (default 0.01)
+	BufferBins float64 // capture buffer size in bins of traffic (default 50 ≈ 5 s, a 256 MB DAG buffer at evaluation rates; Ch. 5's no-shedding emulation sets 2 ≈ 200 ms)
 
-	CustomShedding bool // enable the Chapter 6 custom-shedding protocol (custom.DefaultPolicy enforcement)
+	CustomShedding bool // enable the Chapter 6 custom-shedding protocol (default enforcement policy)
 
 	// Arrivals registers queries that join the system mid-run (§6.3.3):
 	// each Make is invoked when the run reaches AtBin. Early interval
@@ -170,9 +170,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BufferBins == 0 {
 		c.BufferBins = 50
-	}
-	if c.ReactiveMinRate == 0 {
-		c.ReactiveMinRate = 0.01
 	}
 	if c.Capacity <= 0 {
 		c.Capacity = math.Inf(1)
@@ -222,7 +219,7 @@ type BinStats struct {
 // measurement interval.
 type IntervalResults struct {
 	Index   int
-	Results []queries.Result // index-aligned with RunResult.Queries
+	Results []Result // index-aligned with RunResult.Queries
 	// ExportCycles is the cost of flushing interval state to the export
 	// process. CoMo handles it outside the capture loop (§2.1.2), so it
 	// is reported but not charged against the real-time bin budget.
@@ -300,11 +297,11 @@ type System struct {
 	lastConsumed  float64
 
 	// Per-bin scratch, written only by the pipeline goroutine between
-	// worker-pool drains: the reused BinContext, the predictive demand
+	// worker-pool drains: the reused binContext, the predictive demand
 	// vector, the shed-stream selection and the shed step's draw queue.
 	// execFn is the worker-pool closure over the reused context, built
 	// once instead of per bin.
-	bc        BinContext
+	bc        binContext
 	execFn    func(int)
 	demandBuf []sched.Demand
 	schedWs   sched.Workspace
@@ -367,7 +364,7 @@ func New(cfg Config, qs []queries.Query) *System {
 		reactiveRate: 1,
 	}
 	if cfg.CustomShedding {
-		s.manager = custom.NewManager(nil)
+		s.manager = custom.NewManager()
 	}
 	if cfg.ChangeDetection && cfg.Scheme == Predictive {
 		s.det = detect.New(detect.Config{}, features.NumFeatures)
@@ -443,7 +440,7 @@ func (s *System) RemoveQuery(name string) error {
 // (after startInterval, mirroring where Arrivals join) and run start —
 // so an added query's first bin opens a fresh interval and a removed
 // query's last interval has already flushed. sink receives OnQuery for
-// each add and, if it implements QueryRemovalSink, OnQueryRemove for
+// each add and, if it implements queryRemovalSink, OnQueryRemove for
 // each tombstoned slot.
 func (s *System) applyRegistry(sink Sink) {
 	s.regMu.Lock()
@@ -459,7 +456,7 @@ func (s *System) applyRegistry(sink Sink) {
 		for i, rq := range s.qs {
 			if rq != nil && rq.q.Name() == op.remove {
 				s.qs[i] = nil
-				if rs, ok := sink.(QueryRemovalSink); ok {
+				if rs, ok := sink.(queryRemovalSink); ok {
 					rs.OnQueryRemove(i, op.remove)
 				}
 				break
@@ -545,12 +542,12 @@ func applyRTTCap(g *core.Governor, bufferBins, capacity float64) {
 	}
 }
 
-// SetCapacity rebudgets the system mid-run: the Cluster coordinator
+// setCapacity rebudgets the system mid-run: the Cluster coordinator
 // calls it every bin to move cycles between shards. Unlike touching the
 // governor directly it re-derives the buffer-bounded delay allowance,
 // so a shard whose budget shrinks cannot keep an rtthresh discovered
 // under a larger one and walk itself into the drop region.
-func (s *System) SetCapacity(c float64) {
+func (s *System) setCapacity(c float64) {
 	s.gov.SetCapacity(c)
 	applyRTTCap(s.gov, s.cfg.BufferBins, c)
 }
@@ -791,9 +788,6 @@ func (s *System) startInterval() {
 		if rq.fsamp != nil {
 			rq.fsamp.StartInterval()
 		}
-	}
-	if s.manager != nil {
-		s.manager.StartInterval()
 	}
 }
 

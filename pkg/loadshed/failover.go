@@ -5,7 +5,7 @@ package loadshed
 // decides who gets orphaned shards. Three mechanisms share one state
 // machine on coordNode:
 //
-//   - Retention: StoreCheckpoint keeps the latest gob ShardCheckpoint
+//   - Retention: storeCheckpoint keeps the latest gob ShardCheckpoint
 //     per shard (bounded — one blob per shard), optionally written
 //     through to a state directory so a restarted coordinator still
 //     holds every shard's last known state.
@@ -56,11 +56,11 @@ type AdoptOffer struct {
 	Checkpoint []byte
 }
 
-// StoreCheckpoint retains a shard's latest checkpoint by name.
+// storeCheckpoint retains a shard's latest checkpoint by name.
 // Checkpoints for unknown names register a membership record, so state
 // reloaded from disk is offerable even before the shard's worker
 // reconnects.
-func (c *Coordinator) StoreCheckpoint(name string, bin int64, final bool, blob []byte) {
+func (c *Coordinator) storeCheckpoint(name string, bin int64, final bool, blob []byte) {
 	c.mu.Lock()
 	n := c.recordLocked(name)
 	n.ckptBin = bin
@@ -80,9 +80,9 @@ func (c *Coordinator) StoreCheckpoint(name string, bin int64, final bool, blob [
 	}
 }
 
-// Checkpoint returns a copy of the shard's retained checkpoint blob and
+// checkpoint returns a copy of the shard's retained checkpoint blob and
 // its resume bin; ok=false when none is held.
-func (c *Coordinator) Checkpoint(name string) (blob []byte, bin int64, ok bool) {
+func (c *Coordinator) checkpoint(name string) (blob []byte, bin int64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.byName[name]
@@ -165,10 +165,10 @@ func (c *Coordinator) reloadCheckpoint(path string, now time.Time) error {
 	if err != nil {
 		return err
 	}
-	if _, bin, held := c.Checkpoint(cp.Node); held && bin >= cp.Bin {
+	if _, bin, held := c.checkpoint(cp.Node); held && bin >= cp.Bin {
 		return nil
 	}
-	c.StoreCheckpoint(cp.Node, cp.Bin, cp.Final, blob)
+	c.storeCheckpoint(cp.Node, cp.Bin, cp.Final, blob)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n := c.byName[cp.Node]; !n.ever {
@@ -240,7 +240,7 @@ func (c *Coordinator) pickAdopterLocked(n *coordNode) *coordNode {
 
 // takeOfferFor returns (at most once per marked offer) an offer
 // addressed to adopter, with the blob copied under the lock: the record
-// keeps its own bytes, which StoreCheckpoint rewrites in place.
+// keeps its own bytes, which storeCheckpoint rewrites in place.
 func (c *Coordinator) takeOfferFor(adopter string) (AdoptOffer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -444,16 +444,16 @@ func TestAdoptOfferRotationAndRace(t *testing.T) {
 	t0 := time.Now()
 	coord := NewCoordinator(MMFSCPU(), 1000)
 	for _, n := range []string{"s", "a", "b"} {
-		coord.Join(n, 0)
-		coord.Report(DemandReport{Node: n, Bin: 1, Demand: 100}, t0.Add(-2*lease))
+		coord.join(n, 0)
+		coord.report(DemandReport{Node: n, Bin: 1, Demand: 100}, t0.Add(-2*lease))
 	}
-	coord.StoreCheckpoint("s", 5, false, []byte("blob"))
+	coord.storeCheckpoint("s", 5, false, []byte("blob"))
 	// s falls silent while a and b report on: the lease round at t0
 	// partitions s as of t0.
 	for _, n := range []string{"a", "b"} {
-		coord.Report(DemandReport{Node: n, Bin: 2, Demand: 100}, t0)
+		coord.report(DemandReport{Node: n, Bin: 2, Demand: 100}, t0)
 	}
-	coord.AllocateLease(t0, lease)
+	coord.allocateLease(t0, lease)
 
 	coord.planFailover(t0.Add(grace/2), grace, ot)
 	if to := offeredTo(t, coord, "s"); to != "" {
@@ -502,8 +502,8 @@ func TestAdoptOfferRotationAndRace(t *testing.T) {
 
 	// The adopter dials in under the shard's name: the offer settles and
 	// the shard is live again — no further offers.
-	coord.Join("s", 0)
-	coord.Report(DemandReport{Node: "s", Bin: 6, Demand: 100}, issued.Add(10*ot))
+	coord.join("s", 0)
+	coord.report(DemandReport{Node: "s", Bin: 6, Demand: 100}, issued.Add(10*ot))
 	coord.planFailover(issued.Add(10*ot), grace, ot)
 	if to := offeredTo(t, coord, "s"); to != "" || coord.FailoverOffers() != 2 {
 		t.Fatalf("settled shard re-offered to %q (%d issued)", to, coord.FailoverOffers())
@@ -517,10 +517,10 @@ func TestAdoptOfferRotationAndRace(t *testing.T) {
 func TestMigrateDirectedOffer(t *testing.T) {
 	coord := NewCoordinator(MMFSCPU(), 1000)
 	for _, n := range []string{"s", "a", "b"} {
-		coord.Join(n, 0)
-		coord.Report(DemandReport{Node: n, Bin: 1, Demand: 100}, time.Now())
+		coord.join(n, 0)
+		coord.report(DemandReport{Node: n, Bin: 1, Demand: 100}, time.Now())
 	}
-	coord.Join("ghost", 0) // joined but never reported: not live
+	coord.join("ghost", 0) // joined but never reported: not live
 
 	if err := coord.Migrate("nope", "a"); err == nil {
 		t.Fatal("migrate from an unknown shard")
@@ -551,13 +551,13 @@ func TestMigrateDirectedOffer(t *testing.T) {
 
 	// A non-final checkpoint (a periodic one racing the drain) does not
 	// trigger the directed offer; the final one does, instantly.
-	coord.StoreCheckpoint("s", 7, false, []byte("periodic"))
+	coord.storeCheckpoint("s", 7, false, []byte("periodic"))
 	now := time.Now()
 	coord.planFailover(now, time.Hour, time.Hour)
 	if to := offeredTo(t, coord, "s"); to != "" {
 		t.Fatalf("offer to %q before the final checkpoint", to)
 	}
-	coord.StoreCheckpoint("s", 8, true, []byte("final"))
+	coord.storeCheckpoint("s", 8, true, []byte("final"))
 	if d := draining(); len(d) != 0 {
 		t.Fatalf("drain still pending after the final checkpoint: %v", d)
 	}
@@ -574,8 +574,8 @@ func TestMigrateDirectedOffer(t *testing.T) {
 	}
 
 	// Target resumes under the shard's name: migration complete.
-	coord.Join("s", 0)
-	coord.Report(DemandReport{Node: "s", Bin: 9, Demand: 100}, now)
+	coord.join("s", 0)
+	coord.report(DemandReport{Node: "s", Bin: 9, Demand: 100}, now)
 	coord.planFailover(now.Add(time.Hour), time.Hour, time.Minute)
 	if to := offeredTo(t, coord, "s"); to != "" || coord.FailoverOffers() != 1 {
 		t.Fatalf("completed migration re-offered to %q (%d issued)", to, coord.FailoverOffers())
@@ -619,13 +619,13 @@ func TestStateDirSpillReload(t *testing.T) {
 	if err := first.SetStateDir(dir, time.Now()); err != nil {
 		t.Fatalf("state dir: %v", err)
 	}
-	first.StoreCheckpoint("shard-1", 12, false, blob)
+	first.storeCheckpoint("shard-1", 12, false, blob)
 
 	second := NewCoordinator(MMFSCPU(), 1000)
 	if err := second.SetStateDir(dir, time.Now()); err != nil {
 		t.Fatalf("reload: %v", err)
 	}
-	got, bin, ok := second.Checkpoint("shard-1")
+	got, bin, ok := second.checkpoint("shard-1")
 	if !ok || bin != 12 || !bytes.Equal(got, blob) {
 		t.Fatalf("reloaded checkpoint ok=%v bin=%d, %d bytes vs %d", ok, bin, len(got), len(blob))
 	}
@@ -635,8 +635,8 @@ func TestStateDirSpillReload(t *testing.T) {
 	}
 	// With a live adopter present the reloaded shard becomes offerable
 	// once the grace window passes.
-	second.Join("helper", 0)
-	second.Report(DemandReport{Node: "helper", Bin: 1, Demand: 10}, time.Now())
+	second.join("helper", 0)
+	second.report(DemandReport{Node: "helper", Bin: 1, Demand: 10}, time.Now())
 	waitFor(t, 5*time.Second, "reloaded shard offered", func() bool {
 		second.planFailover(time.Now(), 0, 0)
 		return offeredTo(t, second, "shard-1") == "helper"
@@ -657,7 +657,7 @@ func TestStateDirSpillNamesInjective(t *testing.T) {
 	}
 	names := []string{"a/b", "a_b", "a%2Fb"}
 	for i, name := range names {
-		first.StoreCheckpoint(name, int64(10+i), false, testCheckpointBlob(t, name, int64(10+i)))
+		first.storeCheckpoint(name, int64(10+i), false, testCheckpointBlob(t, name, int64(10+i)))
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil || len(files) != len(names) {
@@ -669,7 +669,7 @@ func TestStateDirSpillNamesInjective(t *testing.T) {
 		t.Fatalf("reload: %v", err)
 	}
 	for i, name := range names {
-		if _, bin, ok := second.Checkpoint(name); !ok || bin != int64(10+i) {
+		if _, bin, ok := second.checkpoint(name); !ok || bin != int64(10+i) {
 			t.Errorf("shard %q reloaded ok=%v bin=%d, want bin %d", name, ok, bin, 10+i)
 		}
 	}
@@ -688,16 +688,16 @@ func TestStateDirReloadsOldStyleFileNames(t *testing.T) {
 	if err := c.SetStateDir(dir, time.Now()); err != nil {
 		t.Fatalf("reload: %v", err)
 	}
-	if _, bin, ok := c.Checkpoint("x/y"); !ok || bin != 5 {
+	if _, bin, ok := c.checkpoint("x/y"); !ok || bin != 5 {
 		t.Fatalf("old-style file reloaded ok=%v bin=%d, want bin 5", ok, bin)
 	}
-	c.StoreCheckpoint("x/y", 9, false, testCheckpointBlob(t, "x/y", 9)) // spills as x%2Fy.ckpt, listed first
+	c.storeCheckpoint("x/y", 9, false, testCheckpointBlob(t, "x/y", 9)) // spills as x%2Fy.ckpt, listed first
 
 	c = NewCoordinator(MMFSCPU(), 1000)
 	if err := c.SetStateDir(dir, time.Now()); err != nil {
 		t.Fatalf("second reload: %v", err)
 	}
-	if _, bin, ok := c.Checkpoint("x/y"); !ok || bin != 9 {
+	if _, bin, ok := c.checkpoint("x/y"); !ok || bin != 9 {
 		t.Fatalf("stale old-style file shadowed the newer spill: ok=%v bin=%d, want bin 9", ok, bin)
 	}
 }

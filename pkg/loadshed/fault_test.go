@@ -271,7 +271,7 @@ type clockedLoopback struct {
 }
 
 func (t clockedLoopback) Report(r DemandReport) error {
-	t.coord.Report(r, *t.now)
+	t.coord.report(r, *t.now)
 	return nil
 }
 
@@ -300,7 +300,7 @@ func TestCoordinatorLeaseLivenessUnderReportLoss(t *testing.T) {
 	round := func(binIdx int64) {
 		alpha.Report(DemandReport{Node: "alpha", Bin: binIdx, Demand: 600})
 		beta.Report(DemandReport{Node: "beta", Bin: binIdx, Demand: 600})
-		coord.AllocateLease(now, lease)
+		coord.allocateLease(now, lease)
 	}
 
 	// Phase 1: lossless. Both nodes hold grants splitting the budget.

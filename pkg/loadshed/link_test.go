@@ -18,7 +18,7 @@ import (
 // over TCP while its checkpoint is re-stored in a loop. Run under -race
 // (CI does): the coordinator rewrites a retained blob in place, so an
 // offer that aliased it would be read by the heartbeat's push while
-// StoreCheckpoint writes it. Every blob the adopter receives must also
+// storeCheckpoint writes it. Every blob the adopter receives must also
 // be one checkpoint's bytes, not a mix of two.
 func TestOfferBlobNotAliased(t *testing.T) {
 	coord := NewCoordinator(MMFSCPU(), 1000)
@@ -40,10 +40,10 @@ func TestOfferBlobNotAliased(t *testing.T) {
 
 	// s reported once, an hour ago, and a lease round then partitioned
 	// it: it is offered to the adopter from the first heartbeat on.
-	coord.StoreCheckpoint("s", 0, false, make([]byte, 4096))
+	coord.storeCheckpoint("s", 0, false, make([]byte, 4096))
 	ago := time.Now().Add(-time.Hour)
-	coord.Report(DemandReport{Node: "s", Demand: 100}, ago)
-	coord.AllocateLease(ago.Add(time.Second), 20*time.Millisecond)
+	coord.report(DemandReport{Node: "s", Demand: 100}, ago)
+	coord.allocateLease(ago.Add(time.Second), 20*time.Millisecond)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for i, offers := 1, 0; offers < 3; i++ {
@@ -51,7 +51,7 @@ func TestOfferBlobNotAliased(t *testing.T) {
 			t.Fatalf("%d offers delivered in 10 s, want 3", offers)
 		}
 		adopter.Report(DemandReport{Bin: int64(i), Demand: 100}) // stays live
-		coord.StoreCheckpoint("s", int64(i), false, bytes.Repeat([]byte{byte(i)}, 4096))
+		coord.storeCheckpoint("s", int64(i), false, bytes.Repeat([]byte{byte(i)}, 4096))
 		select {
 		case o := <-adopter.Adoptions():
 			offers++

@@ -7,7 +7,7 @@ package loadshed
 // index its wire packets' flows and, on predictive runs, sketch them
 // (hashing every flow's aggregate keys into the batch bitmaps). The
 // stages then read the bin's index through the admitted batch's Flows
-// and its sketch through BinContext.sketch, both the slot's. Only who
+// and its sketch through binContext.sketch, both the slot's. Only who
 // fills the slot differs. At Workers = 1 the run goroutine fills one
 // slot inline before the bin's stages.
 //

@@ -50,7 +50,7 @@ func (o *oracleObserver) Observe(fv features.Vector, cost float64) {
 	if customMode && rate <= 0 || rq.shed != nil && rq.shed.Mode() == custom.ModeDisabled {
 		o.t.Errorf("bin %d, %s: observed while withheld or disabled", bc.Bin, rq.q.Name())
 	}
-	sk, npkts, nbytes := bc.sketch, bc.fv[features.IdxPackets], bc.fv[features.IdxBytes]
+	sk, npkts, nbytes := bc.sketch, bc.fv[features.IdxPackets], bc.fv[featureIndex("bytes")]
 	if rate < 1 && !customMode {
 		sk, npkts, nbytes = bc.shedSketch, float64(rq.qbatch.Packets()), float64(rq.qbatch.Bytes())
 	}
@@ -85,7 +85,7 @@ func TestSharedIntervalStateMatchesPerQueryExtractors(t *testing.T) {
 		{"custom", MMFSPkt(), true, func() []queries.Query {
 			cfg := queries.Config{Seed: 2}
 			return []queries.Query{
-				queries.NewP2PDetector(cfg), NewSelfishP2P(cfg), NewBuggyP2P(cfg),
+				queries.NewP2PDetector(cfg), NewSelfishP2P(cfg), newBuggyP2P(cfg),
 				queries.NewCounter(cfg), queries.NewFlows(cfg),
 			}
 		}},

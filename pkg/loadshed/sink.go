@@ -23,6 +23,8 @@ import (
 //   - OnBin fires after every processed time bin.
 //   - OnInterval fires at every measurement-interval flush, including
 //     the final partial interval at end of trace.
+//   - OnQueryRemove(index int, name string), a method a sink may add,
+//     fires when RemoveQuery tombstones a query (queryRemovalSink).
 //
 // The records and everything reachable from them — the per-query slices
 // of BinStats, the Results of an interval and their maps and slices —
@@ -45,7 +47,7 @@ type Sink interface {
 	OnInterval(iv *IntervalResults)
 }
 
-// QueryRemovalSink is an optional Sink capability: OnQueryRemove fires
+// queryRemovalSink is an optional Sink capability: OnQueryRemove fires
 // when RemoveQuery tombstones a query at a measurement-interval
 // boundary, after the query's final OnInterval. The slot index stays
 // allocated — per-bin slices keep their width, with the removed column
@@ -53,7 +55,7 @@ type Sink interface {
 // sink that tracks per-query state should mark the index inactive, not
 // shift its bookkeeping. Sinks that don't implement the interface just
 // see the column go quiet.
-type QueryRemovalSink interface {
+type queryRemovalSink interface {
 	OnQueryRemove(index int, name string)
 }
 
@@ -116,11 +118,11 @@ func (t teeSink) OnInterval(iv *IntervalResults) {
 	}
 }
 
-// OnQueryRemove implements QueryRemovalSink, forwarding to the members
+// OnQueryRemove implements queryRemovalSink, forwarding to the members
 // that care.
 func (t teeSink) OnQueryRemove(i int, name string) {
 	for _, s := range t {
-		if rs, ok := s.(QueryRemovalSink); ok {
+		if rs, ok := s.(queryRemovalSink); ok {
 			rs.OnQueryRemove(i, name)
 		}
 	}
@@ -210,7 +212,7 @@ func (r *RollingStats) OnQuery(_ int, name string) {
 	r.active = append(r.active, true)
 }
 
-// OnQueryRemove implements QueryRemovalSink: the slot is marked
+// OnQueryRemove implements queryRemovalSink: the slot is marked
 // inactive but keeps its index, matching the engine's tombstoning.
 func (r *RollingStats) OnQueryRemove(i int, _ string) {
 	r.mu.Lock()

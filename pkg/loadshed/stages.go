@@ -17,11 +17,11 @@ import (
 // any history at all.
 const coldStartRate = 0.05
 
-// BinContext threads one batch's state through the pipeline stages. A
+// binContext threads one batch's state through the pipeline stages. A
 // fresh context is built per bin by newBinContext; each stage reads the
 // fields of the stages before it and fills in its own. The final
 // per-bin record accumulates in Stats.
-type BinContext struct {
+type binContext struct {
 	// Bin is the batch's index in the run.
 	Bin int
 	// Wire is the batch as captured on the wire, before admission.
@@ -67,14 +67,14 @@ type execResult struct {
 // pool drains before the next bin starts). So are the public Stats
 // slices: a Sink's records are valid only during the call, and Run
 // copies them.
-func (s *System) newBinContext(bin int, sl *binSlot) *BinContext {
+func (s *System) newBinContext(bin int, sl *binSlot) *binContext {
 	b := &sl.batch
 	capacity := s.gov.Capacity()
 	nq := len(s.qs)
 	bc := &s.bc
 	rates, exec := bc.rates, bc.exec
 	sRates, sUsed, sPred := bc.Stats.Rates, bc.Stats.QueryUsed, bc.Stats.QueryPred
-	*bc = BinContext{
+	*bc = binContext{
 		Bin:  bin,
 		Wire: b,
 		Stats: BinStats{
@@ -132,7 +132,7 @@ func (s *System) step(bin int, sl *binSlot) BinStats {
 // admit models the capture buffer: when the system lags more than the
 // buffer can hold, incoming packets are dropped without control before
 // the system ever sees them ("DAG drops").
-func (s *System) admit(bc *BinContext) {
+func (s *System) admit(bc *binContext) {
 	admitted := bc.Wire.Pkts
 	if !bc.unlimited {
 		occ := s.gov.Delay() / bc.capacity
@@ -166,7 +166,7 @@ func (s *System) admit(bc *BinContext) {
 // platformOverhead charges the platform's own work (como_cycles):
 // capture, filtering, memory and storage management, with rare spikes
 // for disk interference.
-func (s *System) platformOverhead(bc *BinContext) {
+func (s *System) platformOverhead(bc *binContext) {
 	bc.overhead = comoPerBin + comoPerPkt*float64(len(bc.Admitted.Pkts))
 	if s.noise.Float64() < diskSpikeProb {
 		bc.overhead += comoPerBin * diskSpikeFactor
@@ -176,7 +176,7 @@ func (s *System) platformOverhead(bc *BinContext) {
 // extractPredict runs feature extraction over the admitted stream and
 // asks every query's predictor for its full-rate cost (predictive
 // scheme only), charging the prediction subsystem's cycles.
-func (s *System) extractPredict(bc *BinContext) {
+func (s *System) extractPredict(bc *binContext) {
 	if s.cfg.Scheme != Predictive {
 		return
 	}
@@ -222,7 +222,7 @@ func (s *System) extractPredict(bc *BinContext) {
 
 // decideShedding turns availability and predictions into per-query
 // sampling rates, according to the configured scheme.
-func (s *System) decideShedding(bc *BinContext) {
+func (s *System) decideShedding(bc *binContext) {
 	avail := s.gov.Avail(bc.overhead)
 	bc.Stats.Avail = avail
 	switch s.cfg.Scheme {
@@ -243,7 +243,7 @@ func (s *System) decideShedding(bc *BinContext) {
 			if s.lastConsumed > 0 {
 				r = s.reactiveRate * rAvail / s.lastConsumed
 			}
-			r = math.Min(1, math.Max(s.cfg.ReactiveMinRate, r))
+			r = math.Min(1, math.Max(reactiveMinRate, r))
 			s.reactiveRate = r
 			for i := range bc.rates {
 				bc.rates[i] = r
@@ -316,7 +316,7 @@ func (s *System) decidePredictive(avail float64, preds []float64, rates []float6
 // without one). Every worker writes only its query's state and
 // per-index result slots, and the slots are merged in index order
 // afterwards, so the bin record is bit-identical for any worker count.
-func (s *System) execute(bc *BinContext) {
+func (s *System) execute(bc *binContext) {
 	s.shed(bc)
 	if s.execFn == nil {
 		// bc is always the System's reused context, so one closure serves
@@ -362,7 +362,7 @@ type draw struct {
 // every packet selection of the bin in one pass, builds the batch view
 // each query reads, sketches the shared shed stream and folds each
 // interval state once.
-func (s *System) shed(bc *BinContext) {
+func (s *System) shed(bc *binContext) {
 	predictive := s.cfg.Scheme == Predictive
 	s.draws = s.draws[:0]
 	repRate, nSampled := 0.0, 0
@@ -477,8 +477,8 @@ type foldKind uint8
 
 const (
 	foldNone foldKind = iota // nothing: the query observes nothing this bin
-	foldFull                 // the admitted stream's, BinContext.sketch
-	foldShed                 // the shed stream's, BinContext.shedSketch
+	foldFull                 // the admitted stream's, binContext.sketch
+	foldShed                 // the shed stream's, binContext.shedSketch
 )
 
 // ivState is an interval state (features.Interval) shared by every
@@ -503,7 +503,7 @@ type ivState struct {
 // pooled copy of it as it was before the fold. Bitmaps are pure ORs, so
 // a state's members hold exactly the bitmaps a private extractor each
 // would hold.
-func (s *System) foldStates(bc *BinContext) {
+func (s *System) foldStates(bc *binContext) {
 	var empty *ivState
 	for _, rq := range s.qs {
 		if rq == nil {
@@ -561,7 +561,7 @@ func (s *System) newState() *ivState {
 // but writes only query-local state (the query, its predictor, its
 // custom-shedding record, its own RNG stream) and the per-index slots
 // of bc.
-func (s *System) executeQuery(bc *BinContext, i int) {
+func (s *System) executeQuery(bc *binContext, i int) {
 	rq := s.qs[i]
 	if rq == nil {
 		return
@@ -615,7 +615,7 @@ func selectView(b *pkt.Batch, sel []int32) {
 // unlimited capacity — drift experiments measure raw accuracy without
 // a cycle budget. The detector's own cost (O(features) per bin) is
 // not charged to platform overhead; see DESIGN.md, "Prediction and drift".
-func (s *System) detectChange(bc *BinContext) {
+func (s *System) detectChange(bc *binContext) {
 	if s.det == nil || bc.fv == nil {
 		return
 	}
@@ -635,7 +635,7 @@ func (s *System) detectChange(bc *BinContext) {
 
 // feedback closes the control loop: the governor observes what the bin
 // actually cost against what it allocated.
-func (s *System) feedback(bc *BinContext) {
+func (s *System) feedback(bc *binContext) {
 	if bc.unlimited {
 		return
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/hash"
 	"repro/internal/pkt"
+	"repro/internal/predict"
 	"repro/internal/queries"
 	"repro/internal/sampling"
 	"repro/internal/trace"
@@ -184,7 +186,7 @@ func TestReactiveRateUpdate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{Scheme: Reactive, Capacity: capacity, ReactiveMinRate: alpha, Seed: 1}, counterOnly())
+			s := New(Config{Scheme: Reactive, Capacity: capacity, Seed: 1}, counterOnly())
 			s.reactiveRate = tc.prevRate
 			s.lastConsumed = tc.consumed
 			s.reactiveDelay = tc.delay
@@ -235,16 +237,17 @@ func TestSampledQueryFeaturesRotate(t *testing.T) {
 		oracle := features.NewExtractor(123)
 		oracle.StartInterval()
 		want := oracle.ExtractFromSketch(sys.bc.shedSketch, float64(rq.qbatch.Packets()), float64(rq.qbatch.Bytes()))
-		h := rq.mlr.History()
-		for a := pkt.Aggregate(0); a < pkt.NumAggregates; a++ {
-			for _, j := range []int{features.IdxNew(a), features.IdxIntRepeated(a)} {
-				if got := h.Column(j)[h.Len()-1]; got != want[j] {
-					t.Errorf("%s, %s: observed %v, a fresh extractor over the same shed sketch gives %v",
-						rq.q.Name(), features.Name(j), got, want[j])
-				}
+		_, newest := historyRows(rq.mlr.History())
+		for j := range features.NumFeatures {
+			if name := features.Name(j); !strings.HasPrefix(name, "new ") && !strings.HasPrefix(name, "int-repeated ") {
+				continue
+			}
+			if got := newest[j]; got != want[j] {
+				t.Errorf("%s, %s: observed %v, a fresh extractor over the same shed sketch gives %v",
+					rq.q.Name(), features.Name(j), got, want[j])
 			}
 		}
-		if want[features.IdxNew(pkt.Agg5Tuple)] == 0 {
+		if want[featureIndex("new 5-tuple")] == 0 {
 			t.Fatalf("%s: the shed sketch is empty; test is vacuous", rq.q.Name())
 		}
 	}
@@ -288,18 +291,18 @@ func TestDisabledQuerySkipsObservation(t *testing.T) {
 	}
 	escalateTo(t, sys, p2p.shed, custom.ModeDisabled)
 
-	p2pBefore := p2p.mlr.History().Len()
-	counterBefore := sys.qs[1].mlr.History().Len()
+	p2pBefore := histLen(p2p.mlr.History())
+	counterBefore := histLen(sys.qs[1].mlr.History())
 	stats := sys.step(0, slotOf(sys, nPktBatch(50)))
 
-	if got := p2p.mlr.History().Len(); got != p2pBefore {
+	if got := histLen(p2p.mlr.History()); got != p2pBefore {
 		t.Fatalf("disabled query's MLR history grew %d -> %d: empty-batch observation poisoned the model", p2pBefore, got)
 	}
 	if stats.Rates[0] != 0 {
 		t.Fatalf("disabled query ran at rate %v, want 0", stats.Rates[0])
 	}
 	// The healthy neighbour must still learn.
-	if got := sys.qs[1].mlr.History().Len(); got != counterBefore+1 {
+	if got := histLen(sys.qs[1].mlr.History()); got != counterBefore+1 {
 		t.Fatalf("counter history %d -> %d, want one new observation", counterBefore, got)
 	}
 }
@@ -333,7 +336,7 @@ func TestSelectionViewMatchesGatheredCopy(t *testing.T) {
 	g := trace.NewGenerator(trace.CESCA2(3, 3*time.Second, 0.3))
 	batches := trace.Record(g)
 	perInterval := int(time.Second / g.TimeBin())
-	makers := map[string]func(QueryConfig) Query{"p2p-detector-selfish": NewSelfishP2P, "p2p-detector-buggy": NewBuggyP2P}
+	makers := map[string]func(QueryConfig) Query{"p2p-detector-selfish": NewSelfishP2P, "p2p-detector-buggy": newBuggyP2P}
 	for _, k := range queryKinds {
 		makers[k.name] = k.mk
 	}
@@ -393,4 +396,35 @@ func TestSelectionViewMatchesGatheredCopy(t *testing.T) {
 			}
 		}
 	}
+}
+
+// historyRows returns how many observations h stores and the newest of
+// them, read through its checkpoint form.
+func historyRows(h *predict.History) (n int, newest []float64) {
+	st := h.State()
+	n = st.Next
+	if st.Full {
+		n = len(st.Feats)
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	return n, st.Feats[(st.Next+len(st.Feats)-1)%len(st.Feats)]
+}
+
+// histLen is the number of observations h stores.
+func histLen(h *predict.History) int {
+	n, _ := historyRows(h)
+	return n
+}
+
+// featureIndex is the vector index of the feature features.Name calls
+// name.
+func featureIndex(name string) int {
+	for i := range features.NumFeatures {
+		if features.Name(i) == name {
+			return i
+		}
+	}
+	panic("no feature " + name)
 }

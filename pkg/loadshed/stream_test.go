@@ -62,16 +62,14 @@ func TestRunRecordsAreOwned(t *testing.T) {
 		}
 		for qi, r := range a.Intervals[i].Results {
 			// Map- and slice-backed results are what FlushInto recycles.
-			switch v := r.(type) {
-			case queries.P2PResult:
-				o := b.Intervals[i].Results[qi].(queries.P2PResult)
-				if reflect.ValueOf(v.Detected).Pointer() == reflect.ValueOf(o.Detected).Pointer() {
-					t.Fatalf("interval %d: p2p results share a map", i)
-				}
-			case queries.TopKResult:
-				o := b.Intervals[i].Results[qi].(queries.TopKResult)
-				if len(v.List) > 0 && &v.List[0] == &o.List[0] {
-					t.Fatalf("interval %d: top-k results share a list", i)
+			v, o := reflect.ValueOf(r), reflect.ValueOf(b.Intervals[i].Results[qi])
+			if v.Kind() != reflect.Struct {
+				continue
+			}
+			for f := range v.NumField() {
+				x, y := v.Field(f), o.Field(f)
+				if k := x.Kind(); (k == reflect.Map || k == reflect.Slice) && x.Len() > 0 && x.Pointer() == y.Pointer() {
+					t.Fatalf("interval %d: %s results share their %s", i, v.Type(), v.Type().Field(f).Name)
 				}
 			}
 		}

@@ -18,7 +18,7 @@ package loadshed
 // hello frame naming the worker; the worker then streams report frames
 // and the coordinator pushes grant frames on its heartbeat. Workers
 // reconnect with backoff after any failure, re-helloing on each attempt
-// — which is exactly the rejoin path, since Coordinator.Join clears the
+// — which is exactly the rejoin path, since Coordinator.join clears the
 // partitioned flag.
 //
 // Wire format (all integers little-endian, floats IEEE-754 bits):
@@ -118,13 +118,13 @@ type loopbackTransport struct {
 // allocation round, mirroring the lockstep cluster loop where every
 // round is consumed at the bin barrier that produced it.
 func NewLoopback(coord *Coordinator, name string, minShare float64) NodeTransport {
-	coord.Join(name, minShare)
+	coord.join(name, minShare)
 	return &loopbackTransport{coord: coord, name: name}
 }
 
 func (t *loopbackTransport) Report(r DemandReport) error {
 	r.Node = t.name
-	t.coord.Report(r, time.Now())
+	t.coord.report(r, time.Now())
 	return nil
 }
 
@@ -137,7 +137,7 @@ func (t *loopbackTransport) Checkpoint(cp *ShardCheckpoint) error {
 	if err != nil {
 		return err
 	}
-	t.coord.StoreCheckpoint(t.name, cp.Bin, cp.Final, blob)
+	t.coord.storeCheckpoint(t.name, cp.Bin, cp.Final, blob)
 	return nil
 }
 
@@ -281,7 +281,7 @@ func flagBit(on bool, bit uint8) uint8 {
 func flagSet(flags, bit uint8) (on, ok bool) { return flags&bit != 0, flags&^bit == 0 }
 
 // quantity vets a demand, share or capacity read off the wire. These
-// feed the allocator and System.SetCapacity directly, so NaN, ±Inf and
+// feed the allocator and System.setCapacity directly, so NaN, ±Inf and
 // negative values are refused at decode (FuzzCoordWire).
 func quantity(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
@@ -468,7 +468,7 @@ func (l *link) readBlob(n int) ([]byte, error) {
 // CoordServerConfig tunes the coordinator's heartbeat state machine.
 type CoordServerConfig struct {
 	// Heartbeat is the allocation cadence: every tick the coordinator
-	// runs AllocateLease over the reports received so far and pushes
+	// runs allocateLease over the reports received so far and pushes
 	// fresh grants to every connected worker. Default 500ms.
 	Heartbeat time.Duration
 	// Lease is how long a silent worker stays in the allocation before
@@ -619,7 +619,7 @@ func (s *CoordServer) handleConn(c net.Conn) {
 	if !ok {
 		return
 	}
-	s.coord.Join(name, minShare)
+	s.coord.join(name, minShare)
 
 	s.mu.Lock()
 	if old := s.conns[name]; old != nil {
@@ -643,7 +643,7 @@ readLoop:
 		case coordMsgReport:
 			if r, ok := decodeReport(frame); ok {
 				r.Node = name
-				s.coord.Report(r, time.Now())
+				s.coord.report(r, time.Now())
 			}
 		case coordMsgCheckpoint:
 			bin, final, blobLen, ok := decodeCheckpointHdr(frame)
@@ -654,7 +654,7 @@ readLoop:
 			if err != nil {
 				break readLoop
 			}
-			s.coord.StoreCheckpoint(name, bin, final, blob)
+			s.coord.storeCheckpoint(name, bin, final, blob)
 		}
 	}
 
@@ -677,7 +677,7 @@ func (s *CoordServer) heartbeatLoop() {
 		case <-ticker.C:
 		}
 		now := time.Now()
-		s.coord.AllocateLease(now, s.cfg.Lease)
+		s.coord.allocateLease(now, s.cfg.Lease)
 		s.coord.planFailover(now, s.cfg.Grace, 2*s.cfg.Lease)
 		names = names[:0]
 		s.mu.Lock()

@@ -12,7 +12,7 @@ import (
 // link's frame reader and every header decoder — the bytes a TCP peer
 // controls. Nothing may panic, no header may announce a blob beyond
 // maxCheckpointBytes, every decoded float is finite and >= 0 (they feed
-// the allocator and SetCapacity undigested), and the encoding is
+// the allocator and setCapacity undigested), and the encoding is
 // canonical: a frame a decoder accepts re-encodes through its
 // append*Frame to the same bytes, so there is exactly one wire form per
 // message.
