@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/control"
 	"repro/pkg/loadshed"
 )
 
@@ -40,7 +41,7 @@ func (a *adoptionState) Wait() { a.wg.Wait() }
 
 // adoptionLoop accepts adoption offers from the worker's coordinator
 // link until ctx ends, running each adopted shard on its own goroutine.
-func adoptionLoop(ctx context.Context, client *loadshed.CoordClient, st *adoptionState, o workerOpts) {
+func adoptionLoop(ctx context.Context, client *control.CoordClient, st *adoptionState, o workerOpts) {
 	for {
 		select {
 		case <-ctx.Done():
@@ -49,7 +50,7 @@ func adoptionLoop(ctx context.Context, client *loadshed.CoordClient, st *adoptio
 			st.wg.Add(1)
 			st.total.Add(1)
 			st.active.Add(1)
-			go func(offer loadshed.AdoptOffer) {
+			go func(offer control.AdoptOffer) {
 				defer st.wg.Done()
 				defer st.active.Add(-1)
 				if err := runAdoptedShard(ctx, offer, o); err != nil {
@@ -65,7 +66,7 @@ func adoptionLoop(ctx context.Context, client *loadshed.CoordClient, st *adoptio
 // shard's traffic source positioned at the checkpoint bin, and stream
 // under the shard's cluster name until the source ends, the shard is
 // drained onward, or the worker shuts down.
-func runAdoptedShard(ctx context.Context, offer loadshed.AdoptOffer, o workerOpts) error {
+func runAdoptedShard(ctx context.Context, offer control.AdoptOffer, o workerOpts) error {
 	cp, err := loadshed.DecodeShardCheckpoint(bytes.NewReader(offer.Checkpoint))
 	if err != nil {
 		return err

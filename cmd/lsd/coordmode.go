@@ -14,16 +14,18 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/control"
 	"repro/pkg/loadshed"
 )
 
 // coordOpts holds the coordinator's own flags. It also reads -serve and
 // -capacity (its admin plane and the total machine budget) and the link
-// flags -lease and -cluster-key, from the structs the worker binds them
-// into; -shard-policy is also the in-process cluster's.
+// flags -lease and -cluster-key-file, from the structs the worker binds
+// them into; -shard-policy is also the in-process cluster's.
 type coordOpts struct {
 	listen     string // -coordinator: TCP address workers connect to
 	policyName string
@@ -43,7 +45,9 @@ func runCoordinator(ctx context.Context, o *options) {
 		die(fmt.Errorf("-coordinator needs -capacity: the total machine budget in cycles/bin cannot be probed from traffic the coordinator never sees"))
 	}
 
-	coord := loadshed.NewCoordinator(c.policy, o.capacity)
+	key, err := clusterKey(o.keyFile)
+	die(err)
+	coord := control.NewCoordinator(c.policy, o.capacity)
 	if c.stateDir != "" {
 		// Reload any spilled checkpoints before serving: shards that
 		// crashed with the previous coordinator come back as partitioned
@@ -53,14 +57,14 @@ func runCoordinator(ctx context.Context, o *options) {
 	}
 	ln, err := net.Listen("tcp", c.listen)
 	die(err)
-	srv := loadshed.ServeCoordinator(ln, coord, loadshed.CoordServerConfig{
+	srv := control.ServeCoordinator(ln, coord, control.CoordServerConfig{
 		Heartbeat: c.heartbeat,
 		Lease:     o.lease,
 		Grace:     c.grace,
-		Key:       o.key,
+		Key:       key,
 	})
 	auth := "unauthenticated"
-	if o.key != "" {
+	if key != "" {
 		auth = "PSK-authenticated"
 	}
 	fmt.Printf("coordinator on %s: policy %s, total capacity %.3g cycles/bin, heartbeat %v, %s\n",
@@ -89,7 +93,7 @@ func runCoordinator(ctx context.Context, o *options) {
 // coordinatorMux is the coordinator's admin plane: health, per-node
 // budget/demand/partition gauges, the /cluster membership listing, and
 // the /cluster/migrate verb that drains a shard onto another worker.
-func coordinatorMux(srv *loadshed.CoordServer, o coordOpts) *http.ServeMux {
+func coordinatorMux(srv *control.CoordServer, o coordOpts) *http.ServeMux {
 	coord := srv.Coordinator()
 	mux := http.NewServeMux()
 
@@ -101,22 +105,22 @@ func coordinatorMux(srv *loadshed.CoordServer, o coordOpts) *http.ServeMux {
 		nodes := coord.Status()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		m := &loadshed.MetricsWriter{W: w}
-		perNode := func(name, help string, v func(n *loadshed.CoordNodeStatus) any) {
+		perNode := func(name, help string, v func(n *control.CoordNodeStatus) any) {
 			m.GaugeVec(name, help, "node", len(nodes), func(i int) (string, any) { return nodes[i].Name, v(&nodes[i]) })
 		}
 		m.Gauge("lsd_up", "Whether the coordinator is serving.", 1)
 		m.Gauge("lsd_cluster_total_capacity", "Total machine budget distributed per bin, cycles.", coord.Total())
 		m.Gauge("lsd_cluster_nodes", "Nodes that ever joined the cluster.", len(nodes))
 		perNode("lsd_node_budget", "Cycle budget most recently granted to the node.",
-			func(n *loadshed.CoordNodeStatus) any { return n.Grant })
+			func(n *control.CoordNodeStatus) any { return n.Grant })
 		perNode("lsd_node_demand", "EWMA full-rate demand the node last reported, cycles/bin.",
-			func(n *loadshed.CoordNodeStatus) any { return n.Demand })
+			func(n *control.CoordNodeStatus) any { return n.Demand })
 		perNode("lsd_node_partitioned", "Whether the node's lease expired without a report.",
-			func(n *loadshed.CoordNodeStatus) any { return b2i(n.Partitioned) })
+			func(n *control.CoordNodeStatus) any { return b2i(n.Partitioned) })
 		perNode("lsd_node_done", "Whether the node finished its trace.",
-			func(n *loadshed.CoordNodeStatus) any { return b2i(n.Done) })
+			func(n *control.CoordNodeStatus) any { return b2i(n.Done) })
 		perNode("lsd_node_checkpoint_bin", "First unprocessed bin of the shard's retained checkpoint (-1 = none).",
-			func(n *loadshed.CoordNodeStatus) any { return n.CheckpointBin })
+			func(n *control.CoordNodeStatus) any { return n.CheckpointBin })
 		m.Counter("lsd_cluster_checkpoints_total", "Shard checkpoints stored by the coordinator.", coord.CheckpointsStored())
 		m.Counter("lsd_cluster_failover_offers_total", "Adoption offers issued for crashed or migrating shards.", coord.FailoverOffers())
 		m.Counter("lsd_coord_auth_failures_total", "Connections rejected by pre-shared-key authentication.", srv.AuthFailures())
@@ -126,10 +130,10 @@ func coordinatorMux(srv *loadshed.CoordServer, o coordOpts) *http.ServeMux {
 	mux.HandleFunc("GET /cluster", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct {
-			Policy        string                     `json:"policy"`
-			TotalCapacity float64                    `json:"total_capacity"`
-			Heartbeat     string                     `json:"heartbeat"`
-			Nodes         []loadshed.CoordNodeStatus `json:"nodes"`
+			Policy        string                    `json:"policy"`
+			TotalCapacity float64                   `json:"total_capacity"`
+			Heartbeat     string                    `json:"heartbeat"`
+			Nodes         []control.CoordNodeStatus `json:"nodes"`
 		}{
 			Policy:        o.policy.Name(),
 			TotalCapacity: coord.Total(),
@@ -165,6 +169,26 @@ func coordinatorMux(srv *loadshed.CoordServer, o coordOpts) *http.ServeMux {
 	return mux
 }
 
+// clusterKey reads the pre-shared cluster key from path ("" = no key).
+// The key lives in a file, not on the command line, so neither ps nor
+// the admin plane's /debug/pprof/cmdline shows it. Surrounding
+// whitespace, the trailing newline included, is not part of the key; a
+// file that holds nothing else is refused.
+func clusterKey(path string) (string, error) {
+	if path == "" {
+		return "", nil
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return "", fmt.Errorf("-cluster-key-file: %w", err)
+	}
+	key := strings.TrimSpace(string(b))
+	if key == "" {
+		return "", fmt.Errorf("-cluster-key-file %s holds no key", path)
+	}
+	return key, nil
+}
+
 func b2i(b bool) int {
 	if b {
 		return 1
@@ -180,7 +204,8 @@ type workerOpts struct {
 	name      string
 	minShare  float64
 	lease     time.Duration
-	key       string        // pre-shared cluster key ("" = unauthenticated)
+	keyFile   string        // -cluster-key-file
+	key       string        // the pre-shared cluster key read from it ("" = unauthenticated)
 	joinWait  time.Duration // startup bound on reaching the coordinator (0 = forever)
 	ckptEvery int           // checkpoint cadence in measurement intervals (0 = off)
 }
@@ -228,8 +253,8 @@ func shardSystem(spec loadshed.ShardSpec, snap *loadshed.SystemSnapshot) (*loads
 }
 
 // dial opens a coordinator link under a shard's name.
-func (o workerOpts) dial(name string, minShare float64) (*loadshed.CoordClient, error) {
-	return loadshed.DialCoordinator(o.coordAddr, name, loadshed.CoordClientConfig{
+func (o workerOpts) dial(name string, minShare float64) (*control.CoordClient, error) {
+	return control.DialCoordinator(o.coordAddr, name, control.CoordClientConfig{
 		MinShare: minShare,
 		Lease:    o.lease,
 		Key:      o.key,
@@ -238,7 +263,7 @@ func (o workerOpts) dial(name string, minShare float64) (*loadshed.CoordClient, 
 
 // member wraps sys as the cluster member name, its bins counted from
 // binOffset, reporting and checkpointing over client.
-func (o workerOpts) member(sys *loadshed.System, client *loadshed.CoordClient, spec loadshed.ShardSpec, name string, binOffset int64) *loadshed.Node {
+func (o workerOpts) member(sys *loadshed.System, client *control.CoordClient, spec loadshed.ShardSpec, name string, binOffset int64) *loadshed.Node {
 	return loadshed.NewNode(sys, client, loadshed.NodeConfig{
 		Name:            name,
 		MinShare:        spec.MinShare,
@@ -258,6 +283,9 @@ func (o workerOpts) member(sys *loadshed.System, client *loadshed.CoordClient, s
 // The engine is built from the same ShardSpec that travels in the
 // shard's checkpoints, so what an adopter rebuilds is what ran here.
 func runWorker(ctx context.Context, o workerOpts) {
+	var err error
+	o.key, err = clusterKey(o.keyFile)
+	die(err)
 	name := o.name
 	if name == "" {
 		name = fmt.Sprintf("worker%d", os.Getpid())
@@ -323,7 +351,7 @@ func runWorker(ctx context.Context, o workerOpts) {
 
 // joinCoordinator dials the worker's coordinator link, applying the
 // -join-timeout startup bound.
-func joinCoordinator(name string, o workerOpts) *loadshed.CoordClient {
+func joinCoordinator(name string, o workerOpts) *control.CoordClient {
 	client, err := o.dial(name, o.minShare)
 	if client == nil {
 		die(err)
@@ -336,7 +364,7 @@ func joinCoordinator(name string, o workerOpts) *loadshed.CoordClient {
 	default:
 		// Bounded join: a worker that cannot reach its coordinator at
 		// startup is usually misconfigured (wrong address or wrong
-		// -cluster-key), so fail fast instead of redialing forever.
+		// -cluster-key-file), so fail fast instead of redialing forever.
 		fmt.Printf("coordinator %s unreachable (%v); retrying for %v\n", o.coordAddr, err, o.joinWait)
 		deadline := time.Now().Add(o.joinWait)
 		for !client.Connected() {

@@ -25,7 +25,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/pkg/loadshed"
+	"repro/internal/control"
 )
 
 // invocations are the lsd command lines TestEndToEnd runs, by role.
@@ -33,8 +33,8 @@ import (
 // breaks a scenario fails there at parse time as well. A $WORD is
 // filled in when the scenario starts the process (lsdArgs): $COORD is
 // the coordinator's TCP address, $NODE a worker's name, $INGEST the
-// serving lsd's UDP ingest address, $KEY the cluster key and $STATE
-// the coordinator's state directory. Every listener binds port 0; the
+// serving lsd's UDP ingest address, $KEYFILE the file holding the
+// cluster key and $STATE the coordinator's state directory. Every listener binds port 0; the
 // address it got is read from lsd's banner.
 var invocations = map[string]string{
 	"serve":          "-serve 127.0.0.1:0 -ingest udp://127.0.0.1:0 -dur 5s -window 10s",
@@ -42,8 +42,8 @@ var invocations = map[string]string{
 	"stream":         "-stream -max-bins 120 -dur 10s -report 4s",
 	"coordinator":    "-coordinator 127.0.0.1:0 -shard-policy mmfs_cpu -capacity 2e6 -heartbeat 100ms -serve 127.0.0.1:0",
 	"worker":         "-worker $COORD -node $NODE -capacity 60000 -serve 127.0.0.1:0",
-	"ha-coordinator": "-coordinator 127.0.0.1:0 -shard-policy mmfs_cpu -capacity 2e6 -heartbeat 100ms -grace 1s -cluster-key $KEY -state-dir $STATE -serve 127.0.0.1:0",
-	"ha-worker":      "-worker $COORD -node $NODE -capacity 60000 -cluster-key $KEY -checkpoint-every 2 -custom=false -serve 127.0.0.1:0",
+	"ha-coordinator": "-coordinator 127.0.0.1:0 -shard-policy mmfs_cpu -capacity 2e6 -heartbeat 100ms -grace 1s -cluster-key-file $KEYFILE -state-dir $STATE -serve 127.0.0.1:0",
+	"ha-worker":      "-worker $COORD -node $NODE -capacity 60000 -cluster-key-file $KEYFILE -checkpoint-every 2 -custom=false -serve 127.0.0.1:0",
 	"lost-worker":    "-worker $COORD -node lost -capacity 60000 -join-timeout 1s -serve 127.0.0.1:0",
 }
 
@@ -209,7 +209,7 @@ func clusterScenario(t *testing.T) {
 	// once its lease expires, and the survivor keeps shedding — now
 	// under (almost) the whole machine budget.
 	beta.kill()
-	waitNode(t, coordAdmin, "beta", "partitioned", func(n loadshed.CoordNodeStatus) bool { return n.Partitioned })
+	waitNode(t, coordAdmin, "beta", "partitioned", func(n control.CoordNodeStatus) bool { return n.Partitioned })
 	waitBody(t, alphaAdmin+"/healthz", "ok")
 	waitMetrics(t, coordAdmin, "alpha's grant above 99% of the total", func(m string) bool {
 		a, _ := metric(m, `lsd_node_budget{node="alpha"}`)
@@ -223,7 +223,7 @@ func clusterScenario(t *testing.T) {
 	// Rejoin: a worker reconnecting under the same name clears the
 	// partition and wins back a share of the budget.
 	beta, _ = startWorker(t, "worker", "beta", coord, coordAdmin)
-	waitNode(t, coordAdmin, "beta", "rejoined", func(n loadshed.CoordNodeStatus) bool { return !n.Partitioned })
+	waitNode(t, coordAdmin, "beta", "rejoined", func(n control.CoordNodeStatus) bool { return !n.Partitioned })
 	waitMetrics(t, coordAdmin, "a grant for the rejoined beta", func(m string) bool {
 		b, _ := metric(m, `lsd_node_budget{node="beta"}`)
 		return b > 0
@@ -241,13 +241,21 @@ func clusterScenario(t *testing.T) {
 // every process exits cleanly on SIGTERM.
 func failoverScenario(t *testing.T) {
 	const key = "e2e-secret"
+	keyFile := filepath.Join(t.TempDir(), "cluster.key")
+	if err := os.WriteFile(keyFile, []byte(key+"\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
 	stateDir := t.TempDir()
-	coordProc, coord, coordAdmin := startCoordinator(t, "ha-coordinator", "$KEY", key, "$STATE", stateDir)
+	coordProc, coord, coordAdmin := startCoordinator(t, "ha-coordinator", "$KEYFILE", keyFile, "$STATE", stateDir)
+	// The key stays off the command line the admin plane serves.
+	if code, body := call("GET", coordAdmin+"/debug/pprof/cmdline", ""); code != http.StatusOK || strings.Contains(body, key) {
+		t.Fatalf("/debug/pprof/cmdline answered %d with the cluster key in it, or failed:\n%s", code, body)
+	}
 
 	// Checkpoints need the base shedding plane (-custom=false): custom
 	// query state lives outside the snapshot.
-	alpha, alphaAdmin := startWorker(t, "ha-worker", "alpha", coord, coordAdmin, "$KEY", key)
-	beta, _ := startWorker(t, "ha-worker", "beta", coord, coordAdmin, "$KEY", key)
+	alpha, alphaAdmin := startWorker(t, "ha-worker", "alpha", coord, coordAdmin, "$KEYFILE", keyFile)
+	beta, _ := startWorker(t, "ha-worker", "beta", coord, coordAdmin, "$KEYFILE", keyFile)
 
 	// Durable checkpoints land: shipped by the workers, retained by the
 	// coordinator, spilled to the state directory.
@@ -263,15 +271,15 @@ func failoverScenario(t *testing.T) {
 	// resumes it under the dead shard's name: beta reports live again
 	// without its process existing.
 	beta.kill()
-	waitNode(t, coordAdmin, "beta", "partitioned", func(n loadshed.CoordNodeStatus) bool { return n.Partitioned })
+	waitNode(t, coordAdmin, "beta", "partitioned", func(n control.CoordNodeStatus) bool { return n.Partitioned })
 	waitMetric(t, alphaAdmin, "lsd_adopted_shards", 1)
 	waitMetric(t, coordAdmin, "lsd_cluster_failover_offers_total", 1)
-	waitNode(t, coordAdmin, "beta", "live again under its adopter", func(n loadshed.CoordNodeStatus) bool { return !n.Partitioned })
+	waitNode(t, coordAdmin, "beta", "live again under its adopter", func(n control.CoordNodeStatus) bool { return !n.Partitioned })
 
 	// Planned migration: a third worker joins, then /cluster/migrate
 	// moves the adopted beta shard onto it. The source drains at a bin
 	// boundary, the final checkpoint transfers, the target resumes.
-	gamma, gammaAdmin := startWorker(t, "ha-worker", "gamma", coord, coordAdmin, "$KEY", key)
+	gamma, gammaAdmin := startWorker(t, "ha-worker", "gamma", coord, coordAdmin, "$KEYFILE", keyFile)
 	if code, body := call("POST", coordAdmin+"/cluster/migrate", "from=beta&to=gamma"); code != http.StatusAccepted {
 		t.Fatalf("POST /cluster/migrate from=beta&to=gamma: %d %s", code, body)
 	}
@@ -280,7 +288,7 @@ func failoverScenario(t *testing.T) {
 		v, ok := metric(m, "lsd_adopted_shards")
 		return ok && v == 0
 	})
-	waitNode(t, coordAdmin, "beta", "live on gamma", func(n loadshed.CoordNodeStatus) bool { return !n.Partitioned })
+	waitNode(t, coordAdmin, "beta", "live on gamma", func(n control.CoordNodeStatus) bool { return !n.Partitioned })
 
 	// Bad migrations are rejected up front.
 	if code, body := call("POST", coordAdmin+"/cluster/migrate", "from=beta&to=beta"); code != http.StatusBadRequest {
@@ -357,7 +365,7 @@ func startWorker(t *testing.T, role, name, coord, coordAdmin string, vars ...str
 	p := startLsd(t, name, lsdArgs(role, append(vars, "$COORD", coord, "$NODE", name)...)...)
 	admin := "http://" + p.banner(adminBanner)
 	waitBody(t, admin+"/readyz", "ready")
-	waitNode(t, coordAdmin, name, "joined", func(loadshed.CoordNodeStatus) bool { return true })
+	waitNode(t, coordAdmin, name, "joined", func(control.CoordNodeStatus) bool { return true })
 	return p, admin
 }
 
@@ -551,13 +559,13 @@ func waitMetric(t *testing.T, admin, name string, floor float64) {
 
 // clusterNodes reads the coordinator's /cluster listing by node name,
 // with the raw answer as the state to report; nil when it failed.
-func clusterNodes(admin string) (map[string]loadshed.CoordNodeStatus, string) {
+func clusterNodes(admin string) (map[string]control.CoordNodeStatus, string) {
 	code, body := call("GET", admin+"/cluster", "")
-	var listing struct{ Nodes []loadshed.CoordNodeStatus }
+	var listing struct{ Nodes []control.CoordNodeStatus }
 	if code != http.StatusOK || json.Unmarshal([]byte(body), &listing) != nil {
 		return nil, body
 	}
-	nodes := map[string]loadshed.CoordNodeStatus{}
+	nodes := map[string]control.CoordNodeStatus{}
 	for _, n := range listing.Nodes {
 		nodes[n.Name] = n
 	}
@@ -565,7 +573,7 @@ func clusterNodes(admin string) (map[string]loadshed.CoordNodeStatus, string) {
 }
 
 // waitNode waits for /cluster to list node in a state cond accepts.
-func waitNode(t *testing.T, admin, node, what string, cond func(loadshed.CoordNodeStatus) bool) {
+func waitNode(t *testing.T, admin, node, what string, cond func(control.CoordNodeStatus) bool) {
 	t.Helper()
 	poll(t, "/cluster showing "+node+" "+what, func() (bool, string) {
 		nodes, state := clusterNodes(admin)

@@ -129,3 +129,28 @@ func TestDocumentedInvocations(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterKeyFile: -cluster-key-file yields the key without its
+// surrounding whitespace, and a file that is missing or holds no key is
+// refused rather than read as "no authentication".
+func TestClusterKeyFile(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := dir + "/" + name
+		if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	if key, err := clusterKey(write("key", "s3cret\n")); err != nil || key != "s3cret" {
+		t.Fatalf("key file read as %q (%v), want s3cret", key, err)
+	}
+	if key, err := clusterKey(""); err != nil || key != "" {
+		t.Fatalf("no key file read as %q (%v), want no key", key, err)
+	}
+	for _, path := range []string{write("empty", " \n"), dir + "/missing"} {
+		if key, err := clusterKey(path); err == nil {
+			t.Errorf("key file %s accepted as %q", path, key)
+		}
+	}
+}

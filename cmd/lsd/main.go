@@ -131,7 +131,7 @@ func (o *options) define(fs *flag.FlagSet) {
 	fs.Float64Var(&o.minShare, "min-share", 0, "guaranteed fraction of reported demand")
 	fs.DurationVar(&o.coord.heartbeat, "heartbeat", 500*time.Millisecond, "budget reallocation period")
 	fs.DurationVar(&o.lease, "lease", 0, "grant/report freshness lease (0 = 3x heartbeat)")
-	fs.StringVar(&o.key, "cluster-key", "", "pre-shared key authenticating the coordinator link (must match on both sides; empty = unauthenticated)")
+	fs.StringVar(&o.keyFile, "cluster-key-file", "", "file holding the pre-shared key that authenticates the coordinator link (must match on both sides; unset = unauthenticated)")
 	fs.DurationVar(&o.joinWait, "join-timeout", 30*time.Second, "give up and exit nonzero if the coordinator is unreachable this long at startup (0 = retry forever)")
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "ship a durable shard checkpoint to the coordinator every K measurement intervals (0 = off; needs -custom=false)")
 	fs.StringVar(&o.coord.stateDir, "state-dir", "", "spill the latest checkpoint per shard here and reload on restart")
@@ -158,9 +158,9 @@ type mode struct {
 var modes = []mode{
 	{"feed", "-feed", trafficFlags + "feed",
 		func(o *options) bool { return o.feed != "" }, runFeed},
-	{"coordinator", "-coordinator", "coordinator serve shard-policy capacity heartbeat lease cluster-key grace state-dir",
+	{"coordinator", "-coordinator", "coordinator serve shard-policy capacity heartbeat lease cluster-key-file grace state-dir",
 		func(o *options) bool { return o.coord.listen != "" }, runCoordinator},
-	{"worker", "-worker", serveFlags + "worker node min-share lease cluster-key join-timeout checkpoint-every",
+	{"worker", "-worker", serveFlags + "worker node min-share lease cluster-key-file join-timeout checkpoint-every",
 		func(o *options) bool { return o.coordAddr != "" },
 		func(ctx context.Context, o *options) { runWorker(ctx, o.workerOpts) }},
 	{"serve", "-serve", serveFlags,

@@ -9,6 +9,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -216,6 +217,28 @@ func runShard(ctx context.Context, stream func(context.Context, loadshed.Source,
 	return err
 }
 
+// The admin plane's limits. A request's header must arrive within
+// adminHeaderTimeout and fit in adminMaxHeaderBytes, the whole request
+// within adminReadTimeout, and a POST /queries body in maxQueryBody
+// bytes. No write timeout: /debug/pprof/profile and /debug/pprof/trace
+// stream for as long as their seconds= asks.
+const (
+	adminHeaderTimeout  = 5 * time.Second
+	adminReadTimeout    = 10 * time.Second
+	adminMaxHeaderBytes = 16 << 10
+	maxQueryBody        = 4 << 10
+)
+
+// adminServer is the admin plane's HTTP server for mux, with its limits.
+func adminServer(mux *http.ServeMux) *http.Server {
+	return &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: adminHeaderTimeout,
+		ReadTimeout:       adminReadTimeout,
+		MaxHeaderBytes:    adminMaxHeaderBytes,
+	}
+}
+
 // startAdmin serves an HTTP admin plane on addr ("" = none) and returns
 // its graceful shutdown. Every mode's plane carries the runtime's
 // profiles under /debug/pprof/ (CPU, heap, goroutines, execution
@@ -232,7 +255,7 @@ func startAdmin(addr string, mux *http.ServeMux, endpoints string) (stop func())
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	ln, err := net.Listen("tcp", addr)
 	die(err)
-	srv := &http.Server{Handler: mux}
+	srv := adminServer(mux)
 	go srv.Serve(ln)
 	fmt.Printf("admin plane on http://%s (%s, debug/pprof)\n", ln.Addr(), endpoints)
 	return func() {
@@ -306,19 +329,28 @@ func adminMux(sys *loadshed.System, roll *loadshed.RollingStats, live *loadshed.
 	// POST /queries registers a query by kind; it joins at the next
 	// measurement-interval boundary (the engine's quiesce point), so the
 	// success status is 202 Accepted, not 200. Accepts ?kind=... or a
-	// JSON body {"kind": "...", "seed": n}.
+	// JSON body {"kind": "...", "seed": n}; a body past maxQueryBody is
+	// refused with 413.
 	mux.HandleFunc("POST /queries", func(w http.ResponseWriter, r *http.Request) {
 		req := struct {
 			Kind string `json:"kind"`
 			Seed uint64 `json:"seed"`
 		}{Seed: seed}
+		r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
+		var err error
 		if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		} else {
-			req.Kind = r.FormValue("kind")
+			err = json.NewDecoder(r.Body).Decode(&req)
+		} else if err = r.ParseForm(); err == nil {
+			req.Kind = r.Form.Get("kind")
+		}
+		var tooLarge *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooLarge):
+			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+			return
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		q, err := loadshed.QueryByName(req.Kind, loadshed.QueryConfig{Seed: req.Seed})
 		if err != nil {

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bufio"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
@@ -111,5 +115,88 @@ func TestPacedSourceHoldsTraceTime(t *testing.T) {
 	}
 	if _, ok := src.NextBatch(); ok {
 		t.Fatal("a stopped source delivered a batch")
+	}
+}
+
+// TestAdminPlaneLimits: the admin plane bounds what a client can make
+// it hold. A POST /queries body past maxQueryBody gets 413 whether it
+// is JSON or a form, while a small one still registers; and a request
+// header that never ends is cut off — one that keeps growing at
+// adminMaxHeaderBytes with 431, one that stalls at adminHeaderTimeout
+// by closing the connection.
+func TestAdminPlaneLimits(t *testing.T) {
+	t.Parallel()
+	sys := loadshed.New(loadshed.Config{Seed: 1}, loadshed.StandardQueries(loadshed.QueryConfig{Seed: 1}))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := adminServer(adminMux(sys, loadshed.NewRollingStats(10), nil, 1, nil))
+	go srv.Serve(ln)
+	defer srv.Close()
+	url := "http://" + ln.Addr().String() + "/queries"
+
+	pad := strings.Repeat("x", maxQueryBody)
+	for _, tc := range []struct{ contentType, body string }{
+		{"application/json", `{"kind": "autofocus", "pad": "` + pad + `"}`},
+		{"application/x-www-form-urlencoded", "kind=autofocus&pad=" + pad},
+	} {
+		resp, err := http.Post(url, tc.contentType, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s body of %d bytes answered %d, want 413", tc.contentType, len(tc.body), resp.StatusCode)
+		}
+	}
+	resp, err := http.Post(url, "application/json", strings.NewReader(`{"kind": "autofocus"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("a small registration answered %d, want 202", resp.StatusCode)
+	}
+
+	// A header that keeps growing: the server answers 431 and hangs up
+	// while the client is still writing.
+	grow, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer grow.Close()
+	go func() {
+		io.WriteString(grow, "GET /healthz HTTP/1.1\r\nHost: lsd\r\nX-Pad: ")
+		chunk := strings.Repeat("a", 1024)
+		for i := 0; i < 64*adminMaxHeaderBytes/len(chunk); i++ {
+			if _, err := io.WriteString(grow, chunk); err != nil {
+				return
+			}
+		}
+	}()
+	grow.SetReadDeadline(time.Now().Add(5 * time.Second))
+	status, err := bufio.NewReader(grow).ReadString('\n')
+	if err != nil || !strings.Contains(status, "431") {
+		t.Fatalf("an endless header got status line %q (%v), want 431", status, err)
+	}
+
+	// A header that stalls: the server closes the connection once the
+	// header timeout passes, without waiting for the rest.
+	slow, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	if _, err := io.WriteString(slow, "GET /healthz HTTP/1.1\r\nHost: lsd\r\nX-Slow: "); err != nil {
+		t.Fatal(err)
+	}
+	slow.SetReadDeadline(start.Add(adminHeaderTimeout + 5*time.Second))
+	if _, err := io.ReadAll(slow); err != nil {
+		t.Fatalf("a stalled header was not cut off: %v after %v", err, time.Since(start))
+	}
+	if waited := time.Since(start); waited < adminHeaderTimeout-time.Second {
+		t.Fatalf("a stalled header was cut off after %v, before the %v header timeout", waited, adminHeaderTimeout)
 	}
 }

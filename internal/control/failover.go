@@ -1,14 +1,16 @@
-package loadshed
+package control
 
 // failover.go — the coordinator's crash-recovery and migration side.
 // The budget allocator (coord.go) decides who gets cycles; this file
 // decides who gets orphaned shards. Three mechanisms share one state
 // machine on coordNode:
 //
-//   - Retention: storeCheckpoint keeps the latest gob ShardCheckpoint
-//     per shard (bounded — one blob per shard), optionally written
-//     through to a state directory so a restarted coordinator still
-//     holds every shard's last known state.
+//   - Retention: storeCheckpoint keeps the latest checkpoint blob per
+//     shard (bounded — one blob per shard), optionally written through
+//     to a state directory so a restarted coordinator still holds every
+//     shard's last known state. A blob is opaque here: the shard's
+//     name, resume bin and final flag travel beside it, on the wire
+//     (transport.go's checkpoint frame) and in the spill file's header.
 //   - Failover: planFailover turns "partitioned longer than the grace
 //     window, with a checkpoint on file" into an adoption offer to a
 //     live node. Offers expire and re-issue with the adopter choice
@@ -39,6 +41,7 @@ package loadshed
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/url"
 	"os"
@@ -47,9 +50,9 @@ import (
 )
 
 // AdoptOffer is an adoption offer as CoordClient.Adoptions delivers it
-// to the hosting process: the shard to take over, the bin
-// it resumes at and its checkpoint blob (decode with
-// DecodeShardCheckpoint). The blob is the receiver's own copy.
+// to the hosting process: the shard to take over, the bin it resumes
+// at and its checkpoint blob, which the engine decodes
+// (loadshed.DecodeShardCheckpoint). The blob is the receiver's own copy.
 type AdoptOffer struct {
 	Shard      string
 	Bin        int64
@@ -76,20 +79,8 @@ func (c *Coordinator) storeCheckpoint(name string, bin int64, final bool, blob [
 		// Best-effort write-through, outside the lock; retention in memory
 		// is what failover reads, the file only survives coordinator
 		// restarts.
-		spillCheckpoint(dir, name, blob)
+		spillCheckpoint(dir, name, bin, final, blob)
 	}
-}
-
-// checkpoint returns a copy of the shard's retained checkpoint blob and
-// its resume bin; ok=false when none is held.
-func (c *Coordinator) checkpoint(name string) (blob []byte, bin int64, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.byName[name]
-	if n == nil || n.ckptBlob == nil {
-		return nil, 0, false
-	}
-	return append([]byte(nil), n.ckptBlob...), n.ckptBin, true
 }
 
 // CheckpointsStored returns how many checkpoints have been retained
@@ -108,14 +99,17 @@ func (c *Coordinator) FailoverOffers() int64 {
 	return c.offersIssued
 }
 
-// spillCheckpoint writes blob to dir atomically (temp file + rename).
-// The file name is the percent-escaped shard name ('/' and '%'
-// included), which is injective: two shards never share a file,
-// whatever their names.
-func spillCheckpoint(dir, name string, blob []byte) error {
+// spillCheckpoint writes blob to dir atomically (temp file + rename),
+// behind a spill frame naming its shard, bin and final flag. The file
+// name is the percent-escaped shard name ('/' and '%' included), which
+// is injective: two shards never share a file, whatever their names.
+func spillCheckpoint(dir, name string, bin int64, final bool, blob []byte) error {
+	if len(blob) > maxCheckpointBytes {
+		return fmt.Errorf("control: checkpoint blob %d bytes exceeds the %d spill cap", len(blob), maxCheckpointBytes)
+	}
 	path := filepath.Join(dir, url.PathEscape(name)+".ckpt")
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+	if err := os.WriteFile(tmp, append(appendSpillFrame(nil, name, bin, final, len(blob)), blob...), 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
@@ -126,18 +120,20 @@ func spillCheckpoint(dir, name string, blob []byte) error {
 // A reloaded shard with no live worker is marked partitioned as of now
 // (the caller's clock), so it becomes adoptable once the grace window
 // passes and a live adopter exists; if its worker is merely slow to
-// reconnect, the hello clears the mark as usual. Files are matched to shards by the name in
-// the blob, not the file name, so files spilled under an older naming
-// scheme still reload; when two files carry the same shard the later
-// bin wins. Unreadable or stale-format files are skipped (reported in
-// the error after all files are tried).
+// reconnect, the hello clears the mark as usual. Files are matched to
+// shards by the name in their header, not the file name, so files
+// spilled under an older naming scheme still reload; when two files
+// carry the same shard the later bin wins. Unreadable files, and files
+// without the spill header — the bare checkpoints earlier builds
+// spilled — are skipped, and the first is reported in the error after
+// all files are tried.
 func (c *Coordinator) SetStateDir(dir string, now time.Time) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("loadshed: state dir: %w", err)
+		return fmt.Errorf("control: state dir: %w", err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return fmt.Errorf("loadshed: state dir: %w", err)
+		return fmt.Errorf("control: state dir: %w", err)
 	}
 	var firstErr error
 	for _, e := range entries {
@@ -145,7 +141,7 @@ func (c *Coordinator) SetStateDir(dir string, now time.Time) error {
 			continue
 		}
 		if err := c.reloadCheckpoint(filepath.Join(dir, e.Name()), now); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("loadshed: state dir: reload %s: %w", e.Name(), err)
+			firstErr = fmt.Errorf("control: state dir: reload %s: %w", e.Name(), err)
 		}
 	}
 	c.mu.Lock()
@@ -155,23 +151,28 @@ func (c *Coordinator) SetStateDir(dir string, now time.Time) error {
 }
 
 // reloadCheckpoint retains one spilled checkpoint file, unless a later
-// one for the same shard is already held.
+// one for the same shard is already held. It reads the spill header and
+// keeps the rest of the file as the blob, unread. Nothing is spilled
+// back: SetStateDir enables spilling only after the reload.
 func (c *Coordinator) reloadCheckpoint(path string, now time.Time) error {
-	blob, err := os.ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	cp, err := DecodeShardCheckpoint(bytes.NewReader(blob))
-	if err != nil {
-		return err
+	p, _ := readCoordFrame(bytes.NewReader(data), nil) // nil when the file is shorter than its frame
+	name, bin, final, blobLen, ok := decodeSpillHdr(p)
+	if !ok || len(data)-2-len(p) != blobLen {
+		return errors.New("no spill header, or a blob of another length than it announces (a bare checkpoint spilled by an earlier build?)")
 	}
-	if _, bin, held := c.checkpoint(cp.Node); held && bin >= cp.Bin {
-		return nil
-	}
-	c.storeCheckpoint(cp.Node, cp.Bin, cp.Final, blob)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := c.byName[cp.Node]; !n.ever {
+	n := c.recordLocked(name)
+	if n.ckptBlob != nil && n.ckptBin >= bin {
+		return nil // a later checkpoint of the shard is already held
+	}
+	n.ckptBin, n.ckptFinal, n.ckptBlob = bin, final, data[2+len(p):]
+	c.ckptsStored++
+	if !n.ever {
 		// No worker has spoken for this shard yet: treat it as
 		// partitioned since the reload, pending a hello.
 		n.ever = true
@@ -277,20 +278,20 @@ func (c *Coordinator) Migrate(from, to string) error {
 	defer c.mu.Unlock()
 	f := c.byName[from]
 	if f == nil {
-		return fmt.Errorf("loadshed: migrate: unknown shard %q", from)
+		return fmt.Errorf("control: migrate: unknown shard %q", from)
 	}
 	if f.done {
-		return fmt.Errorf("loadshed: migrate: shard %q already finished", from)
+		return fmt.Errorf("control: migrate: shard %q already finished", from)
 	}
 	t := c.byName[to]
 	if t == nil {
-		return fmt.Errorf("loadshed: migrate: unknown target %q", to)
+		return fmt.Errorf("control: migrate: unknown target %q", to)
 	}
 	if from == to {
-		return fmt.Errorf("loadshed: migrate: shard %q cannot migrate onto itself", from)
+		return fmt.Errorf("control: migrate: shard %q cannot migrate onto itself", from)
 	}
 	if !t.live() {
-		return fmt.Errorf("loadshed: migrate: target %q is not live", to)
+		return fmt.Errorf("control: migrate: target %q is not live", to)
 	}
 	f.drainReq = true
 	f.migrateTo = to

@@ -1,4 +1,4 @@
-package loadshed
+package control
 
 // link_test.go pins what the one mailbox and the one link are for: an
 // adoption offer's blob belongs to its receiver, and a peer that lies
@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sched"
 )
 
 // TestOfferBlobNotAliased keeps one shard on offer to a live adopter
@@ -21,7 +23,7 @@ import (
 // storeCheckpoint writes it. Every blob the adopter receives must also
 // be one checkpoint's bytes, not a mix of two.
 func TestOfferBlobNotAliased(t *testing.T) {
-	coord := NewCoordinator(MMFSCPU(), 1000)
+	coord := NewCoordinator(sched.MMFSCPU{}, 1000)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)

@@ -1,4 +1,4 @@
-package loadshed
+package control
 
 // transport.go — how a Node talks to the Coordinator. Two message
 // types cross the boundary in either deployment:
@@ -7,9 +7,9 @@ package loadshed
 //	BudgetGrant   coordinator → node, once per allocation round
 //
 // The loopback transport hands both to a Coordinator in the same
-// process, synchronously — this is what Cluster wires up, and it makes
-// the split refactor observationally invisible (bit-identical results,
-// no goroutines, no copies beyond the small report struct).
+// process, synchronously — this is what the engine's Cluster wires up,
+// and it makes the split observationally invisible (bit-identical
+// results, no goroutines, no copies beyond the small report struct).
 //
 // The TCP transport runs the same protocol over length-prefixed binary
 // frames (the framing idiom of internal/trace/live.go: little-endian
@@ -32,12 +32,16 @@ package loadshed
 //	helloAuth  := u8 0x06 | u8 nameLen | name | f64 minShare | mac[32]
 //	drain      := u8 0x07
 //	challenge  := u8 0x08 | nonce[16]
+//	spill      := u8 0x09 | u8 nameLen | name | i64 bin | u8 flags | u32 blobLen  (flags bit0 = final)
 //
 // Reports and grants never carry the node name: the hello binds the
 // connection to a name and everything after inherits it. Checkpoint and
-// adopt frames are headers only — the gob ShardCheckpoint blob follows
-// raw on the stream, blobLen bytes, because a snapshot does not fit the
-// u16 frame cap.
+// adopt frames are headers only — the checkpoint blob follows raw on
+// the stream, blobLen bytes, because a snapshot does not fit the u16
+// frame cap. The blob is the engine's encoding (pkg/loadshed's
+// ShardCheckpoint), which nothing here decodes. A spill frame never
+// crosses the wire: it heads each checkpoint file in a state directory
+// (failover.go), naming the shard the blob behind it belongs to.
 //
 // Authentication is a pre-shared-key challenge: a keyed coordinator
 // sends a challenge frame on accept and requires the hello in helloAuth
@@ -97,8 +101,10 @@ type NodeTransport interface {
 	// no allocation round yet) — the node then keeps shedding on its
 	// current local capacity.
 	Grant() (BudgetGrant, bool)
-	// Checkpoint ships a shard checkpoint to the coordinator.
-	Checkpoint(cp *ShardCheckpoint) error
+	// Checkpoint ships an encoded shard checkpoint to the coordinator:
+	// the blob, the bin it resumes at, and whether it ends a drain. The
+	// blob is opaque here; the caller must not modify it afterwards.
+	Checkpoint(blob []byte, bin int64, final bool) error
 	// DrainRequested relays the coordinator's drain request (planned
 	// migration): when it reports true, the Node checkpoints with Final
 	// set at its next interval boundary and stops.
@@ -130,14 +136,9 @@ func (t *loopbackTransport) Report(r DemandReport) error {
 
 func (t *loopbackTransport) Grant() (BudgetGrant, bool) { return t.coord.grantFor(t.name) }
 
-// Checkpoint retains the encoded checkpoint directly on the in-process
-// coordinator.
-func (t *loopbackTransport) Checkpoint(cp *ShardCheckpoint) error {
-	blob, err := cp.EncodeBytes()
-	if err != nil {
-		return err
-	}
-	t.coord.storeCheckpoint(t.name, cp.Bin, cp.Final, blob)
+// Checkpoint retains the blob directly on the in-process coordinator.
+func (t *loopbackTransport) Checkpoint(blob []byte, bin int64, final bool) error {
+	t.coord.storeCheckpoint(t.name, bin, final, blob)
 	return nil
 }
 
@@ -155,6 +156,7 @@ const (
 	coordMsgHelloAuth  = 0x06
 	coordMsgDrain      = 0x07
 	coordMsgChallenge  = 0x08
+	coordMsgSpill      = 0x09
 
 	reportFlagDone = 0x01
 	ckptFlagFinal  = 0x01
@@ -191,7 +193,7 @@ var ckptRecvTimeout = 30 * time.Second
 // ErrCoordinatorUnreachable is returned by CoordClient.Report while no
 // connection to the coordinator is up; the caller sheds locally and
 // retries next bin while the client redials in the background.
-var ErrCoordinatorUnreachable = errors.New("loadshed: coordinator unreachable")
+var ErrCoordinatorUnreachable = errors.New("control: coordinator unreachable")
 
 // Message bodies: each struct is the wire layout of what follows the
 // type byte (and, for hello, helloAuth and adopt, the name) — fields in
@@ -224,7 +226,7 @@ type (
 // coordNamed reports whether msg carries a name (u8 length, then the
 // bytes) between its type byte and its body.
 func coordNamed(msg byte) bool {
-	return msg == coordMsgHello || msg == coordMsgHelloAuth || msg == coordMsgAdopt
+	return msg == coordMsgHello || msg == coordMsgHelloAuth || msg == coordMsgAdopt || msg == coordMsgSpill
 }
 
 // appendFrame appends one length-prefixed frame: type byte, name when
@@ -281,7 +283,7 @@ func flagBit(on bool, bit uint8) uint8 {
 func flagSet(flags, bit uint8) (on, ok bool) { return flags&bit != 0, flags&^bit == 0 }
 
 // quantity vets a demand, share or capacity read off the wire. These
-// feed the allocator and System.setCapacity directly, so NaN, ±Inf and
+// feed the allocator and the engine's capacity directly, so NaN, ±Inf and
 // negative values are refused at decode (FuzzCoordWire).
 func quantity(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
@@ -341,6 +343,20 @@ func decodeAdoptHdr(p []byte) (shard string, bin int64, blobLen int, ok bool) {
 	var b adoptBody
 	shard, ok = decodeFrame(p, &b)
 	return shard, b.Bin, int(b.BlobLen), ok && b.BlobLen <= maxCheckpointBytes
+}
+
+// appendSpillFrame builds the header of a state-directory file; the
+// blobLen blob bytes follow it in the file. Its body is the checkpoint
+// header's.
+func appendSpillFrame(dst []byte, shard string, bin int64, final bool, blobLen int) []byte {
+	return appendFrame(dst, coordMsgSpill, shard, checkpointBody{bin, flagBit(final, ckptFlagFinal), uint32(blobLen)})
+}
+
+func decodeSpillHdr(p []byte) (shard string, bin int64, final bool, blobLen int, ok bool) {
+	var b checkpointBody
+	shard, ok = decodeFrame(p, &b)
+	final, okF := flagSet(b.Flags, ckptFlagFinal)
+	return shard, b.Bin, final, int(b.BlobLen), ok && okF && p[0] == coordMsgSpill && b.BlobLen <= maxCheckpointBytes
 }
 
 func appendDrainFrame(dst []byte) []byte { return appendFrame(dst, coordMsgDrain, "", nil) }
@@ -749,7 +765,7 @@ type CoordClientConfig struct {
 	// and the worker degrades to local-only shedding. Default 1.5s —
 	// 3× the default server heartbeat; match it to the server's Lease.
 	Lease time.Duration
-	// Key must match the coordinator's -cluster-key when it has one:
+	// Key must match the coordinator's key when it has one:
 	// the client then answers the server's HMAC-SHA256 challenge in its
 	// hello. Empty speaks the unauthenticated protocol.
 	Key string
@@ -793,7 +809,7 @@ type CoordClient struct {
 // returns a nil client.
 func DialCoordinator(addr, name string, cfg CoordClientConfig) (*CoordClient, error) {
 	if name == "" || len(name) > coordMaxName {
-		return nil, fmt.Errorf("loadshed: worker name must be 1..%d bytes, got %d", coordMaxName, len(name))
+		return nil, fmt.Errorf("control: worker name must be 1..%d bytes, got %d", coordMaxName, len(name))
 	}
 	if cfg.Lease <= 0 {
 		cfg.Lease = 1500 * time.Millisecond
@@ -858,7 +874,7 @@ func (c *CoordClient) connect() error {
 		nonce, err := readChallenge(l)
 		if err != nil {
 			conn.Close()
-			return fmt.Errorf("loadshed: coordinator auth: %w (keyless coordinator or wrong address?)", err)
+			return fmt.Errorf("control: coordinator auth: %w (keyless coordinator or wrong address?)", err)
 		}
 		hello = func(b []byte) []byte { return appendHelloAuthFrame(b, c.name, c.cfg.MinShare, c.cfg.Key, nonce) }
 	}
@@ -989,20 +1005,16 @@ func (c *CoordClient) Report(r DemandReport) error {
 	return c.send(coordDialTimeout, func(buf []byte) []byte { return appendReportFrame(buf, r) })
 }
 
-// Checkpoint ships a shard checkpoint to the coordinator: the header
-// frame and the gob blob in one write. While disconnected it returns
+// Checkpoint ships an encoded shard checkpoint to the coordinator: the
+// header frame and the blob in one write. While disconnected it returns
 // ErrCoordinatorUnreachable — checkpointing is advisory and the next
 // boundary retries.
-func (c *CoordClient) Checkpoint(cp *ShardCheckpoint) error {
-	blob, err := cp.EncodeBytes()
-	if err != nil {
-		return err
-	}
+func (c *CoordClient) Checkpoint(blob []byte, bin int64, final bool) error {
 	if len(blob) > maxCheckpointBytes {
-		return fmt.Errorf("loadshed: checkpoint blob %d bytes exceeds the %d wire cap", len(blob), maxCheckpointBytes)
+		return fmt.Errorf("control: checkpoint blob %d bytes exceeds the %d wire cap", len(blob), maxCheckpointBytes)
 	}
 	return c.send(ckptRecvTimeout, func(buf []byte) []byte {
-		return append(appendCheckpointFrame(buf, cp.Bin, cp.Final, len(blob)), blob...)
+		return append(appendCheckpointFrame(buf, bin, final, len(blob)), blob...)
 	})
 }
 
@@ -1012,9 +1024,9 @@ func (c *CoordClient) Checkpoint(cp *ShardCheckpoint) error {
 func (c *CoordClient) DrainRequested() bool { return c.drainReq.Load() }
 
 // Adoptions delivers the adoption offers pushed on this link, each once.
-// Adopting means building a new System next to the existing one, which
+// Adopting means building a new engine next to the existing one, which
 // is the hosting process's job (cmd/lsd's adoption loop), not the
-// Node's.
+// transport's.
 func (c *CoordClient) Adoptions() <-chan AdoptOffer { return c.adoptCh }
 
 // Grant returns the latest pushed grant while it is lease-fresh.

@@ -1,4 +1,4 @@
-package loadshed
+package control
 
 import (
 	"bufio"
@@ -10,7 +10,7 @@ import (
 
 // FuzzCoordWire feeds arbitrary byte streams through the coordinator
 // link's frame reader and every header decoder — the bytes a TCP peer
-// controls. Nothing may panic, no header may announce a blob beyond
+// controls, and the spill header a state directory's files carry. Nothing may panic, no header may announce a blob beyond
 // maxCheckpointBytes, every decoded float is finite and >= 0 (they feed
 // the allocator and setCapacity undigested), and the encoding is
 // canonical: a frame a decoder accepts re-encodes through its
@@ -30,6 +30,7 @@ func FuzzCoordWire(f *testing.F) {
 	seed = appendHelloAuthFrame(seed, "mon-a", 0.25, key, nonce)
 	seed = appendDrainFrame(seed)
 	seed = appendChallengeFrame(seed, nonce)
+	seed = appendSpillFrame(seed, "mon-b", 200, true, 4096)
 	f.Add(seed)
 	f.Add(appendCheckpointFrame(nil, 1, false, maxCheckpointBytes+1))
 	f.Add(appendAdoptFrame(nil, "", 1, 1))
@@ -98,6 +99,15 @@ func FuzzCoordWire(f *testing.F) {
 					t.Fatalf("adopt header accepted with blobLen %d", blobLen)
 				}
 				again = appendAdoptFrame(nil, shard, bin, blobLen)
+			case coordMsgSpill:
+				shard, bin, final, blobLen, ok := decodeSpillHdr(p)
+				if !ok {
+					continue
+				}
+				if blobLen < 0 || blobLen > maxCheckpointBytes {
+					t.Fatalf("spill header accepted with blobLen %d", blobLen)
+				}
+				again = appendSpillFrame(nil, shard, bin, final, blobLen)
 			case coordMsgHelloAuth:
 				name, minShare, ok := decodeHelloAuth(p, key, nonce)
 				if !ok {

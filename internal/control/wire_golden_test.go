@@ -1,4 +1,4 @@
-package loadshed
+package control
 
 import (
 	"bytes"
@@ -7,7 +7,8 @@ import (
 )
 
 // TestCoordWireGoldenBytes pins the coordinator link's byte stream: one
-// frame of each of the eight message types, hex for hex. Round trips
+// frame of each of the eight message types, hex for hex, and the spill
+// header that heads every state-directory file. Round trips
 // alone cannot tell a codec change that moves both sides together from
 // one that keeps the format, and a mixed-version cluster only works
 // under the latter.
@@ -34,6 +35,8 @@ func TestCoordWireGoldenBytes(t *testing.T) {
 			"010007"},
 		{"challenge", appendChallengeFrame(nil, nonce),
 			"1100085a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a"},
+		{"spill", appendSpillFrame(nil, "mon-b", 200, true, 4096),
+			"140009056d6f6e2d62c8000000000000000100100000"},
 	} {
 		if got := hex.EncodeToString(tc.frame); got != tc.want {
 			t.Errorf("%s frame:\n got %s\nwant %s", tc.name, got, tc.want)

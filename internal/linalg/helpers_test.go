@@ -8,6 +8,9 @@ import (
 	"repro/internal/hash"
 )
 
+// at returns element (i, j).
+func (m *matrix) at(i, j int) float64 { return m.Data[i*m.Cols+j] }
+
 // NewMatrix returns a zero matrix of the given shape.
 func NewMatrix(rows, cols int) *matrix {
 	if rows <= 0 || cols <= 0 {

@@ -21,9 +21,6 @@ type matrix struct {
 	Data       []float64 // len Rows*Cols
 }
 
-// at returns element (i, j).
-func (m *matrix) at(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
 // set assigns element (i, j).
 func (m *matrix) set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 

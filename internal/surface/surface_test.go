@@ -1,16 +1,19 @@
 //go:build !race
 
-// Package surface holds the module's API-surface guard. It has no
-// program code: TestExportsHaveCallers type-checks every package of the
-// module, and the bench/ module as a caller, from their non-test files
-// with the standard library's go/types and its source importer, and
-// requires each exported name of an importable package to be referenced
-// from outside that package, or to stand on the allowlist with a reason.
+// Package surface holds the module's API-surface and layering guards.
+// It has no program code: TestExportsHaveCallers type-checks every
+// package of the module, and the bench/ module as a caller, from their
+// non-test files with the standard library's go/types and its source
+// importer, and requires each exported name of an importable package to
+// be referenced from outside that package, or to stand on the allowlist
+// with a reason. TestLayering (layering_test.go) holds the packages'
+// direct imports to the module's layering rules.
 //
 // The loader (load) is the reusable half: it returns every package with
 // its syntax and full types.Info, sharing one *types.Package per import
 // path, so a scan of any other property of the non-test code starts from
-// it. The test is kept out of race builds, where it would only be slower.
+// it. The tests are kept out of race builds, where they would only be
+// slower.
 package surface
 
 import (
@@ -25,6 +28,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -38,48 +42,47 @@ import (
 //	                    documented format version
 //	test oracle         the reference other packages' tests compare against
 var allowed = map[string]string{
-	"repro/internal/bitmap.MultiRes.Insert":        "test oracle: the per-hash insert InsertMany and InsertSelected are held to",
-	"repro/internal/custom.Mode":                   "exported signature: State.Mode's result, named by the ModeCustom/ModePoliced/ModeDisabled constants",
-	"repro/internal/detect.Verdict":                "exported signature: Detector.Observe's result",
-	"repro/internal/experiments.Figure":            "exported signature: the element type of Result.Figures",
-	"repro/internal/experiments.Result":            "exported signature: Run's result and Render's argument",
-	"repro/internal/experiments.Series":            "exported signature: the element type of Figure.Series",
-	"repro/internal/experiments.Table":             "exported signature: the element type of Result.Tables",
-	"repro/internal/features.Extractor.Extract":    "test oracle: the from-scratch vector the engine's sketch paths are compared against",
-	"repro/internal/hash.H3.Unit":                  "test oracle: the byte-key form of every sampler's selection",
-	"repro/internal/pkt.Packet.AppendAggKey":       "test oracle: the serialised key HashAgg and the flow index are held to",
-	"repro/internal/queries.CostModel":             "exported signature: DefaultCostModel's result",
-	"repro/internal/sched.Allocation":              "exported signature: AllocateInto's result",
-	"repro/internal/stats.CDFPoint":                "exported signature: CDF's result",
-	"repro/internal/stats.Pearson":                 "test oracle: the correlation FCBF's centred scans are held to",
-	"repro/pkg/loadshed.Anomaly":                   "public API: Example_ddos and Example_drift use it",
-	"repro/pkg/loadshed.AsymmetricMix":             "public API: Example_cluster uses it",
-	"repro/pkg/loadshed.BudgetGrant":               "exported signature: NodeTransport.Grant's result",
-	"repro/pkg/loadshed.CESCA1":                    "public API: Example_ddos uses it",
-	"repro/pkg/loadshed.CESCA2":                    "public API: Example_quickstart, _fairshare and _drift use it",
-	"repro/pkg/loadshed.CheckpointFormatVersion":   "sentinel: the documented checkpoint format version",
-	"repro/pkg/loadshed.Cluster.RunContext":        "public API: one of the eight Run/Stream entry points kept since PR 15",
-	"repro/pkg/loadshed.Cluster.StreamContext":     "public API: one of the eight Run/Stream entry points kept since PR 15",
-	"repro/pkg/loadshed.ClusterResult":             "exported signature: Cluster.Run's result",
-	"repro/pkg/loadshed.Coordinator":               "exported signature: NewCoordinator's result, ServeCoordinator's and NewLoopback's argument",
-	"repro/pkg/loadshed.EqualRates":                "public API: Example_fairshare uses it",
-	"repro/pkg/loadshed.ErrCoordinatorUnreachable": "sentinel: CoordClient.Report and Checkpoint return it while disconnected",
-	"repro/pkg/loadshed.ErrSnapshotCorrupt":        "sentinel: returned wrapped by the snapshot and checkpoint decoders",
-	"repro/pkg/loadshed.ErrSnapshotVersion":        "sentinel: returned wrapped by the snapshot and checkpoint decoders",
-	"repro/pkg/loadshed.IPv4":                      "public API: Example_ddos uses it",
-	"repro/pkg/loadshed.NewCounter":                "public API: Example_quickstart, _cluster and _customshed use it",
-	"repro/pkg/loadshed.NewFlows":                  "public API: Example_quickstart, _ddos, _cluster and _customshed use it",
-	"repro/pkg/loadshed.NewGradualDrift":           "public API: Example_drift uses it",
-	"repro/pkg/loadshed.NewP2PDetector":            "public API: Example_customshed uses it",
-	"repro/pkg/loadshed.NewSYNFlood":               "public API: Example_ddos uses it",
-	"repro/pkg/loadshed.NewSelfishP2P":             "public API: Example_customshed uses it",
-	"repro/pkg/loadshed.NewTopK":                   "public API: Example_quickstart uses it",
-	"repro/pkg/loadshed.QuerySnapshot":             "exported signature: the element type of SystemSnapshot.Queries",
-	"repro/pkg/loadshed.Result":                    "exported signature: the element type of IntervalResults.Results",
-	"repro/pkg/loadshed.ShardRun":                  "exported signature: the element type of ClusterResult.Shards",
-	"repro/pkg/loadshed.SnapshotFormatVersion":     "sentinel: the documented snapshot format version",
-	"repro/pkg/loadshed.TraceConfig":               "exported signature: PresetConfig's result and NewGenerator's argument",
-	"repro/pkg/loadshed.UPC2":                      "public API: Example_customshed uses it",
+	"repro/internal/bitmap.MultiRes.Insert":            "test oracle: the per-hash insert InsertMany and InsertSelected are held to",
+	"repro/internal/control.BudgetGrant":               "exported signature: NodeTransport.Grant's result",
+	"repro/internal/control.ErrCoordinatorUnreachable": "sentinel: CoordClient.Report and Checkpoint return it while disconnected",
+	"repro/internal/custom.Mode":                       "exported signature: State.Mode's result, named by the ModeCustom/ModePoliced/ModeDisabled constants",
+	"repro/internal/detect.Verdict":                    "exported signature: Detector.Observe's result",
+	"repro/internal/experiments.Figure":                "exported signature: the element type of Result.Figures",
+	"repro/internal/experiments.Result":                "exported signature: Run's result and Render's argument",
+	"repro/internal/experiments.Series":                "exported signature: the element type of Figure.Series",
+	"repro/internal/experiments.Table":                 "exported signature: the element type of Result.Tables",
+	"repro/internal/features.Extractor.Extract":        "test oracle: the from-scratch vector the engine's sketch paths are compared against",
+	"repro/internal/hash.H3.Unit":                      "test oracle: the byte-key form of every sampler's selection",
+	"repro/internal/pkt.Packet.AppendAggKey":           "test oracle: the serialised key HashAgg and the flow index are held to",
+	"repro/internal/queries.CostModel":                 "exported signature: DefaultCostModel's result",
+	"repro/internal/sched.Allocation":                  "exported signature: AllocateInto's result",
+	"repro/internal/stats.CDFPoint":                    "exported signature: CDF's result",
+	"repro/internal/stats.Pearson":                     "test oracle: the correlation FCBF's centred scans are held to",
+	"repro/pkg/loadshed.Anomaly":                       "public API: Example_ddos and Example_drift use it",
+	"repro/pkg/loadshed.AsymmetricMix":                 "public API: Example_cluster uses it",
+	"repro/pkg/loadshed.CESCA1":                        "public API: Example_ddos uses it",
+	"repro/pkg/loadshed.CESCA2":                        "public API: Example_quickstart, _fairshare and _drift use it",
+	"repro/pkg/loadshed.CheckpointFormatVersion":       "sentinel: the documented checkpoint format version",
+	"repro/pkg/loadshed.Cluster.RunContext":            "public API: one of the eight Run/Stream entry points kept since PR 15",
+	"repro/pkg/loadshed.Cluster.StreamContext":         "public API: one of the eight Run/Stream entry points kept since PR 15",
+	"repro/pkg/loadshed.ClusterResult":                 "exported signature: Cluster.Run's result",
+	"repro/pkg/loadshed.EqualRates":                    "public API: Example_fairshare uses it",
+	"repro/pkg/loadshed.ErrSnapshotCorrupt":            "sentinel: returned wrapped by the snapshot and checkpoint decoders",
+	"repro/pkg/loadshed.ErrSnapshotVersion":            "sentinel: returned wrapped by the snapshot and checkpoint decoders",
+	"repro/pkg/loadshed.IPv4":                          "public API: Example_ddos uses it",
+	"repro/pkg/loadshed.NewCounter":                    "public API: Example_quickstart, _cluster and _customshed use it",
+	"repro/pkg/loadshed.NewFlows":                      "public API: Example_quickstart, _ddos, _cluster and _customshed use it",
+	"repro/pkg/loadshed.NewGradualDrift":               "public API: Example_drift uses it",
+	"repro/pkg/loadshed.NewP2PDetector":                "public API: Example_customshed uses it",
+	"repro/pkg/loadshed.NewSYNFlood":                   "public API: Example_ddos uses it",
+	"repro/pkg/loadshed.NewSelfishP2P":                 "public API: Example_customshed uses it",
+	"repro/pkg/loadshed.NewTopK":                       "public API: Example_quickstart uses it",
+	"repro/pkg/loadshed.QuerySnapshot":                 "exported signature: the element type of SystemSnapshot.Queries",
+	"repro/pkg/loadshed.Result":                        "exported signature: the element type of IntervalResults.Results",
+	"repro/pkg/loadshed.ShardRun":                      "exported signature: the element type of ClusterResult.Shards",
+	"repro/pkg/loadshed.SnapshotFormatVersion":         "sentinel: the documented snapshot format version",
+	"repro/pkg/loadshed.TraceConfig":                   "exported signature: PresetConfig's result and NewGenerator's argument",
+	"repro/pkg/loadshed.UPC2":                          "public API: Example_customshed uses it",
 }
 
 // pkgInfo is one type-checked package of the module or of bench/.
@@ -322,12 +325,18 @@ func uncalled(pkgs []*pkgInfo) []string {
 	return out
 }
 
-func TestExportsHaveCallers(t *testing.T) {
+// module is load over the module root, type-checked once and shared by
+// every test of the package.
+var module = sync.OnceValues(func() ([]*pkgInfo, error) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	pkgs, err := load(root)
+	return load(root)
+})
+
+func TestExportsHaveCallers(t *testing.T) {
+	pkgs, err := module()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ package loadshed
 // needs next to the engine — queries, strategies, traffic sources and
 // trace files — so that cmd/, the Example tests and downstream users
 // build whole pipelines against this package alone without reaching
-// into internal/.
+// into internal/. Of the control plane (internal/control) it re-exports
+// only the transport a Node takes and what bench/ compiles against;
+// cmd/lsd's coordinator and worker modes import internal/control.
 
 import (
 	"fmt"
@@ -13,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/custom"
 	"repro/internal/pkt"
 	"repro/internal/queries"
@@ -119,12 +122,6 @@ func NewSelfishP2P(cfg QueryConfig) Query {
 	return custom.NewSelfish(queries.NewP2PDetector(cfg))
 }
 
-// newBuggyP2P returns a p2p-detector whose shedding implementation is
-// broken (§6.3.5).
-func newBuggyP2P(cfg QueryConfig) Query {
-	return custom.NewBuggy(queries.NewP2PDetector(cfg))
-}
-
 // Traffic generation.
 
 // NewGenerator builds a deterministic synthetic traffic source.
@@ -190,6 +187,31 @@ var (
 	// NewGradualDrift builds a slow traffic-mix drift that shifts the
 	// relation between header features and query cost (no step change).
 	NewGradualDrift = trace.NewGradualDrift
+)
+
+// The control plane (internal/control). NodeTransport is what NewNode
+// takes; the rest is what bench/ prices the coordinator with.
+type (
+	// NodeTransport is a Node's link to the budget coordinator.
+	NodeTransport = control.NodeTransport
+	// DemandReport is a node's per-bin message to the coordinator.
+	DemandReport = control.DemandReport
+	// CoordServerConfig tunes a TCP coordinator's heartbeat.
+	CoordServerConfig = control.CoordServerConfig
+	// CoordClientConfig tunes a worker's TCP coordinator link.
+	CoordClientConfig = control.CoordClientConfig
+)
+
+var (
+	// NewCoordinator returns a budget coordinator over a policy and a
+	// total budget per bin.
+	NewCoordinator = control.NewCoordinator
+	// NewLoopback joins a node to an in-process coordinator.
+	NewLoopback = control.NewLoopback
+	// ServeCoordinator serves a coordinator over TCP.
+	ServeCoordinator = control.ServeCoordinator
+	// DialCoordinator connects a worker to a TCP coordinator.
+	DialCoordinator = control.DialCoordinator
 )
 
 // Multi-link helpers (see cluster.go for the Cluster itself).

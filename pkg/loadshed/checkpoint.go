@@ -6,9 +6,10 @@ package loadshed
 // seeds, query set in order) and reopen the shard's traffic
 // source positioned at the right batch. ShardCheckpoint bundles all
 // three — a self-describing ShardSpec, the snapshot, and the bin to
-// resume from — into one gob blob that travels over the coordinator
-// link (transport.go checkpoint/adopt frames) and spills to the
-// coordinator's -state-dir.
+// resume from — into one gob blob. Node.boundary encodes it once; the
+// control plane (internal/control) carries and retains the blob without
+// decoding it, over the coordinator link and into the coordinator's
+// state directory, with the shard's name, bin and final flag beside it.
 //
 // The resume contract is TestConformance's snapshot row, shipped: the
 // checkpoint is cut at a measurement-interval boundary (the runner's

@@ -17,14 +17,13 @@ package loadshed
 // the isolated baseline: a static equal split, exactly N independent
 // shedders.
 //
-// Since the coordinator split (coord.go, transport.go), Cluster is a
-// thin composition: a Coordinator plus one Node per shard, wired over
-// the synchronous loopback transport. The lockstep loop is unchanged —
-// step all shards at the barrier, then run one coordination round
-// (reports in shard-index order, allocate, grants back) — so results
-// are bit-identical to the pre-split Cluster, and the same Coordinator
-// served over TCP (ServeCoordinator) runs the identical protocol across
-// processes.
+// Cluster is a thin composition: a coordinator (internal/control) plus
+// one Node per shard (node.go), wired over the synchronous loopback
+// transport. The lockstep loop steps all shards at the barrier, then
+// runs one coordination round (reports in shard-index order, allocate,
+// grants back), so results are bit-identical to the pre-split Cluster,
+// and the same Coordinator served over TCP runs the identical protocol
+// across processes.
 
 import (
 	"context"
@@ -32,6 +31,7 @@ import (
 	"math"
 	"runtime"
 
+	"repro/internal/control"
 	"repro/internal/queries"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -153,7 +153,7 @@ type Cluster struct {
 	nodes []*Node
 	// coord is the budget coordinator, non-nil iff cfg.coordinated();
 	// every node reaches it through a loopback transport.
-	coord *Coordinator
+	coord *control.Coordinator
 }
 
 // NewCluster builds a cluster of fresh Systems, one per shard. Each
@@ -168,7 +168,7 @@ func NewCluster(cfg ClusterConfig, shards []Shard) *Cluster {
 	c := &Cluster{cfg: cfg}
 	seen := make(map[string]bool, len(shards))
 	if cfg.coordinated() {
-		c.coord = NewCoordinator(cfg.ShardPolicy, cfg.TotalCapacity)
+		c.coord = control.NewCoordinator(cfg.ShardPolicy, cfg.TotalCapacity)
 	}
 	for i, sh := range shards {
 		scfg := cfg.Base
@@ -191,7 +191,7 @@ func NewCluster(cfg ClusterConfig, shards []Shard) *Cluster {
 		n := NewNode(New(scfg, sh.Queries), nil, NodeConfig{Name: name, MinShare: sh.MinShare})
 		n.src = sh.Source
 		if c.coord != nil {
-			n.tr = NewLoopback(c.coord, name, sh.MinShare)
+			n.tr = control.NewLoopback(c.coord, name, sh.MinShare)
 		}
 		c.nodes = append(c.nodes, n)
 	}

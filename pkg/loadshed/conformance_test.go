@@ -626,15 +626,16 @@ var conformanceRows = []row{
 		// finishes the run.
 		spec, rec := c.spec(1), c.trace()
 		coord := NewCoordinator(MMFSCPU(), ref.sys.cfg.Capacity)
-		node := NewNode(c.sys(t, 1), NewLoopback(coord, "w0", 0), NodeConfig{Name: "w0", CheckpointEvery: 1, Spec: spec})
+		tr := &lastCheckpoint{NodeTransport: NewLoopback(coord, "w0", 0)}
+		node := NewNode(c.sys(t, 1), tr, NodeConfig{Name: "w0", CheckpointEvery: 1, Spec: spec})
 		d := streamNode(t, node, rec.src())
 		n := int64(len(rec.batches)/rec.perInterval() - 1)
 		if node.CheckpointsSent() != n || coord.CheckpointsStored() != n || node.CheckpointErrors() != 0 {
 			t.Fatalf("%d checkpoints sent, %d stored, %d errors; want %d, %d, 0",
 				node.CheckpointsSent(), coord.CheckpointsStored(), node.CheckpointErrors(), n, n)
 		}
-		blob, bin, _ := coord.checkpoint("w0")
-		cp := decodeCheckpoint(t, blob)
+		bin := coord.Status()[0].CheckpointBin
+		cp := decodeCheckpoint(t, tr.blob)
 		if cp.Final || cp.Bin != bin || bin != n*int64(rec.perInterval()) {
 			t.Fatalf("retained checkpoint at bin %d (final %v), want the periodic one at %d", bin, cp.Final, n*int64(rec.perInterval()))
 		}

@@ -1,15 +1,13 @@
 package loadshed
 
-// coord_test.go pins the coordinator split (coord.go, transport.go):
-// the TCP transport must run the same protocol with lease-based
-// partition and rejoin, and the aggregation layer must tolerate shards
-// that never produced a record. The pre-split inline coordination is
+// coord_test.go pins the engine's side of the coordinator split
+// (node.go, cluster.go, and internal/control): the TCP transport must
+// run the same protocol with lease-based partition and rejoin, and the
+// aggregation layer must tolerate shards that never produced a record. The pre-split inline coordination is
 // kept here as oracleClusterRun, which TestConformance's oracle row
 // holds the loopback cluster to.
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -18,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/pkt"
 	"repro/internal/queries"
 	"repro/internal/sched"
@@ -259,60 +258,6 @@ func TestClusterStreamContextCancelMidCoordinate(t *testing.T) {
 	}
 }
 
-// TestCoordWireRoundTrip pins the TCP frame format: hello, report (with
-// and without the done flag) and grant survive an encode/decode round
-// trip, and truncated payloads are rejected rather than misparsed.
-func TestCoordWireRoundTrip(t *testing.T) {
-	var buf []byte
-	buf = appendHelloFrame(buf, "uplink-7", 0.25)
-	buf = appendReportFrame(buf, DemandReport{Bin: 42, Demand: 1.5e6, MinShare: 0.25})
-	buf = appendReportFrame(buf, DemandReport{Bin: 43, Done: true})
-	buf = appendGrantFrame(buf, BudgetGrant{Round: 9, Capacity: 7.25e6})
-
-	br := bufio.NewReader(bytes.NewReader(buf))
-	p, err := readCoordFrame(br, nil)
-	if err != nil {
-		t.Fatalf("read hello frame: %v", err)
-	}
-	name, minShare, ok := decodeHello(p)
-	if !ok || name != "uplink-7" || minShare != 0.25 {
-		t.Fatalf("hello decoded as (%q, %v, %v)", name, minShare, ok)
-	}
-	p, err = readCoordFrame(br, p)
-	if err != nil {
-		t.Fatalf("read report frame: %v", err)
-	}
-	r, ok := decodeReport(p)
-	if !ok || r.Bin != 42 || r.Demand != 1.5e6 || r.MinShare != 0.25 || r.Done {
-		t.Fatalf("report decoded as %+v (%v)", r, ok)
-	}
-	p, err = readCoordFrame(br, p)
-	if err != nil {
-		t.Fatalf("read done-report frame: %v", err)
-	}
-	if r, ok = decodeReport(p); !ok || !r.Done || r.Bin != 43 {
-		t.Fatalf("done report decoded as %+v (%v)", r, ok)
-	}
-	p, err = readCoordFrame(br, p)
-	if err != nil {
-		t.Fatalf("read grant frame: %v", err)
-	}
-	g, ok := decodeGrant(p)
-	if !ok || g.Round != 9 || g.Capacity != 7.25e6 {
-		t.Fatalf("grant decoded as %+v (%v)", g, ok)
-	}
-
-	if _, _, ok := decodeHello([]byte{coordMsgHello, 5, 'a'}); ok {
-		t.Fatal("truncated hello decoded")
-	}
-	if _, ok := decodeReport([]byte{coordMsgReport, 1, 2, 3}); ok {
-		t.Fatal("truncated report decoded")
-	}
-	if _, ok := decodeGrant([]byte{coordMsgGrant}); ok {
-		t.Fatal("truncated grant decoded")
-	}
-}
-
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -356,7 +301,7 @@ func TestTCPCoordinationPartitionRejoin(t *testing.T) {
 	}
 	defer beta.Close()
 
-	report := func(c *CoordClient, demand float64) {
+	report := func(c *control.CoordClient, demand float64) {
 		c.Report(DemandReport{Bin: 1, Demand: demand}) // the connection names the node
 	}
 	partitioned := func(name string) bool {

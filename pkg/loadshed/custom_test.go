@@ -18,6 +18,12 @@ func p2pSource(seed uint64, dur time.Duration) *trace.Generator {
 	})
 }
 
+// newBuggyP2P returns a p2p-detector whose shedding implementation is
+// broken (§6.3.5).
+func newBuggyP2P(cfg QueryConfig) Query {
+	return custom.NewBuggy(queries.NewP2PDetector(cfg))
+}
+
 // p2pWith runs the p2p-detector alongside a counter under overload and
 // returns the detector's mean accuracy error.
 func p2pWith(t *testing.T, dur time.Duration, customShed bool, method func(queries.Query) queries.Query) float64 {

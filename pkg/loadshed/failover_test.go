@@ -1,12 +1,14 @@
 package loadshed
 
-// failover_test.go pins the crash-tolerance layer: failover offers
-// must rotate deterministically under loss, the state directory must
-// spill and reload, and the PSK auth handshake must reject key
-// mismatches while counting them. That migration, periodic checkpoints
-// and CheckpointEvery=0 leave a run bit-identical is TestConformance's
-// migrate, migrate-chained, checkpoint-periodic and checkpoint-off rows,
-// which drive the transport and legacy blob defined here.
+// failover_test.go pins the crash-tolerance layer with real engine
+// checkpoints: an adopter receives the blob a worker shipped, the state
+// directory spills and reloads it without the coordinator decoding it,
+// and the PSK auth handshake rejects key mismatches while counting
+// them. The offer and migration state machines are internal/control's
+// own tests. That migration, periodic checkpoints and CheckpointEvery=0
+// leave a run bit-identical is TestConformance's migrate,
+// migrate-chained, checkpoint-periodic and checkpoint-off rows, which
+// drive the transport and legacy blob defined here.
 
 import (
 	"bytes"
@@ -16,11 +18,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/hash"
+	"repro/internal/control"
 )
 
 // migrationSpec is the spec-constructible shard the failover tests run:
@@ -63,15 +66,11 @@ func (t *captureTransport) Report(r DemandReport) error {
 	return nil
 }
 
-func (t *captureTransport) Grant() (BudgetGrant, bool) {
-	return BudgetGrant{Round: 1, Capacity: t.capacity}, t.capacity > 0
+func (t *captureTransport) Grant() (control.BudgetGrant, bool) {
+	return control.BudgetGrant{Round: 1, Capacity: t.capacity}, t.capacity > 0
 }
 
-func (t *captureTransport) Checkpoint(cp *ShardCheckpoint) error {
-	blob, err := cp.EncodeBytes()
-	if err != nil {
-		return err
-	}
+func (t *captureTransport) Checkpoint(blob []byte, bin int64, final bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.blobs = append(t.blobs, blob)
@@ -88,6 +87,18 @@ func (t *captureTransport) checkpoints() [][]byte {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([][]byte(nil), t.blobs...)
+}
+
+// lastCheckpoint passes every call through to its transport and keeps
+// the last checkpoint blob that went through it.
+type lastCheckpoint struct {
+	NodeTransport
+	blob []byte
+}
+
+func (t *lastCheckpoint) Checkpoint(blob []byte, bin int64, final bool) error {
+	t.blob = blob
+	return t.NodeTransport.Checkpoint(blob, bin, final)
 }
 
 // legacyCheckpoint re-encodes cp the way the build before ShardSpec
@@ -183,7 +194,11 @@ func TestTCPAdoptionFailover(t *testing.T) {
 
 	alpha.Report(DemandReport{Node: "alpha", Bin: 1, Demand: 400})
 	beta.Report(DemandReport{Node: "beta", Bin: 1, Demand: 400})
-	if err := alpha.Checkpoint(cp); err != nil {
+	blob, err := cp.EncodeBytes()
+	if err != nil {
+		t.Fatalf("encode checkpoint: %v", err)
+	}
+	if err := alpha.Checkpoint(blob, cp.Bin, cp.Final); err != nil {
 		t.Fatalf("ship checkpoint: %v", err)
 	}
 	waitFor(t, 5*time.Second, "checkpoint retained", func() bool {
@@ -193,7 +208,7 @@ func TestTCPAdoptionFailover(t *testing.T) {
 	// Alpha dies. Beta keeps reporting (it must stay live to adopt) and
 	// polls for the offer the coordinator pushes after lease + grace.
 	alpha.Close()
-	var offer AdoptOffer
+	var offer control.AdoptOffer
 	waitFor(t, 5*time.Second, "adoption offer delivered to the survivor", func() bool {
 		beta.Report(DemandReport{Node: "beta", Bin: 2, Demand: 400})
 		select {
@@ -292,46 +307,6 @@ func TestCoordinatorAuthPSK(t *testing.T) {
 	}
 }
 
-// TestReconnectJitterDeterministic pins the reconnect backoff contract:
-// the jitter stream is seeded from the worker name, so a given worker
-// waits the same schedule every run (reproducibility) while different
-// workers desynchronize (no thundering herd), and every wait stays
-// inside [d/2, d).
-func TestReconnectJitterDeterministic(t *testing.T) {
-	if fnv64a("alpha") == fnv64a("beta") {
-		t.Fatal("distinct names hash alike")
-	}
-	if fnv64a("alpha") != fnv64a("alpha") {
-		t.Fatal("name hash is unstable")
-	}
-	const d = 800 * time.Millisecond
-	seq := func(name string) []time.Duration {
-		rng := hash.NewXorShift(fnv64a(name))
-		out := make([]time.Duration, 32)
-		for i := range out {
-			out[i] = backoffJitter(rng, d)
-		}
-		return out
-	}
-	a1, a2, b := seq("alpha"), seq("alpha"), seq("beta")
-	if !reflect.DeepEqual(a1, a2) {
-		t.Fatal("same name, different jitter schedule")
-	}
-	if reflect.DeepEqual(a1, b) {
-		t.Fatal("different names, identical jitter schedule")
-	}
-	for i, w := range a1 {
-		if w < d/2 || w >= d {
-			t.Fatalf("wait %d = %v outside [%v, %v)", i, w, d/2, d)
-		}
-	}
-	// Degenerate durations pass through unjittered.
-	rng := hash.NewXorShift(1)
-	if got := backoffJitter(rng, 1); got != 1 {
-		t.Fatalf("sub-divisible duration jittered to %v", got)
-	}
-}
-
 // TestCheckpointCodecVersioning pins the snapshot/checkpoint codec's
 // sentinel discipline: undecodable streams are ErrSnapshotCorrupt,
 // decodable streams from unknown format versions are ErrSnapshotVersion,
@@ -390,10 +365,9 @@ func TestFaultCheckpointLossDeterministic(t *testing.T) {
 		ft := NewFaultTransport(NewLoopback(coord, "w", 0), FaultConfig{
 			Seed: seed, CheckpointDrop: 0.5,
 		})
-		cp := testCheckpoint(t, "w", 0)
+		blob := testCheckpointBlob(t, "w", 0)
 		for i := 0; i < 40; i++ {
-			cp.Bin = int64(i)
-			if err := ft.Checkpoint(cp); err != nil {
+			if err := ft.Checkpoint(blob, int64(i), false); err != nil {
 				t.Fatalf("checkpoint %d: %v", i, err)
 			}
 		}
@@ -414,171 +388,6 @@ func TestFaultCheckpointLossDeterministic(t *testing.T) {
 		// Not impossible, but at 40 draws it means the schedule ignores
 		// the seed; the per-call fates would still differ, counts first.
 		t.Logf("seeds 7 and 8 produced identical counts (%d/%d); verify fate streams differ", s3, d3)
-	}
-}
-
-// offeredTo reads who the named shard is currently offered to off the
-// coordinator's status plane ("" = no offer outstanding).
-func offeredTo(t *testing.T, coord *Coordinator, shard string) string {
-	t.Helper()
-	for _, n := range coord.Status() {
-		if n.Name == shard {
-			return n.OfferedTo
-		}
-	}
-	t.Fatalf("no status row for shard %q", shard)
-	return ""
-}
-
-// TestAdoptOfferRotationAndRace drives the lease and planFailover on a
-// synthetic clock: no offer inside the grace window, one offer past it,
-// re-offer suppression while in flight, deterministic rotation to the
-// next live candidate after expiry, deliver-once mailbox semantics, and
-// settlement when a worker dials in under the shard's name.
-func TestAdoptOfferRotationAndRace(t *testing.T) {
-	const (
-		lease = 50 * time.Millisecond
-		grace = 100 * time.Millisecond
-		ot    = 200 * time.Millisecond
-	)
-	t0 := time.Now()
-	coord := NewCoordinator(MMFSCPU(), 1000)
-	for _, n := range []string{"s", "a", "b"} {
-		coord.join(n, 0)
-		coord.report(DemandReport{Node: n, Bin: 1, Demand: 100}, t0.Add(-2*lease))
-	}
-	coord.storeCheckpoint("s", 5, false, []byte("blob"))
-	// s falls silent while a and b report on: the lease round at t0
-	// partitions s as of t0.
-	for _, n := range []string{"a", "b"} {
-		coord.report(DemandReport{Node: n, Bin: 2, Demand: 100}, t0)
-	}
-	coord.allocateLease(t0, lease)
-
-	coord.planFailover(t0.Add(grace/2), grace, ot)
-	if to := offeredTo(t, coord, "s"); to != "" {
-		t.Fatalf("offer inside the grace window, to %q", to)
-	}
-	coord.planFailover(t0.Add(grace), grace, ot)
-	if to := offeredTo(t, coord, "s"); to != "a" || coord.FailoverOffers() != 1 {
-		t.Fatalf("first offer to %q (%d issued), want shard s to adopter a, once", to, coord.FailoverOffers())
-	}
-	if _, ok := coord.takeOfferFor("b"); ok {
-		t.Fatal("offer addressed to a collected by b")
-	}
-	o, ok := coord.takeOfferFor("a")
-	if !ok || o.Shard != "s" || o.Bin != 5 || !bytes.Equal(o.Checkpoint, []byte("blob")) {
-		t.Fatalf("a collects %+v (ok=%v), want shard s at bin 5 carrying the blob", o, ok)
-	}
-	issued := t0.Add(grace)
-	coord.planFailover(issued.Add(ot/2), grace, ot)
-	if to := offeredTo(t, coord, "s"); to != "a" || coord.FailoverOffers() != 1 {
-		t.Fatalf("re-offer while one is in flight: to %q, %d issued", to, coord.FailoverOffers())
-	}
-	coord.planFailover(issued.Add(ot), grace, ot)
-	if to := offeredTo(t, coord, "s"); to != "b" {
-		t.Fatalf("expired offer re-issued to %q, want rotation to b", to)
-	}
-	if got := coord.FailoverOffers(); got != 2 {
-		t.Fatalf("offer counter %d, want 2", got)
-	}
-
-	// Delivery is at-most-once per issued offer, unless the transport
-	// puts an undeliverable one back.
-	if _, ok := coord.takeOfferFor("b"); !ok {
-		t.Fatal("adopter b sees no offer")
-	}
-	if _, ok := coord.takeOfferFor("b"); ok {
-		t.Fatal("offer delivered twice")
-	}
-	coord.untakeOffer("s", "a") // stale: the offer has moved on to b
-	if _, ok := coord.takeOfferFor("b"); ok {
-		t.Fatal("a stale put-back from the previous adopter re-opened b's offer")
-	}
-	coord.untakeOffer("s", "b")
-	if _, ok := coord.takeOfferFor("b"); !ok {
-		t.Fatal("offer put back after a failed push is not collectable again")
-	}
-
-	// The adopter dials in under the shard's name: the offer settles and
-	// the shard is live again — no further offers.
-	coord.join("s", 0)
-	coord.report(DemandReport{Node: "s", Bin: 6, Demand: 100}, issued.Add(10*ot))
-	coord.planFailover(issued.Add(10*ot), grace, ot)
-	if to := offeredTo(t, coord, "s"); to != "" || coord.FailoverOffers() != 2 {
-		t.Fatalf("settled shard re-offered to %q (%d issued)", to, coord.FailoverOffers())
-	}
-}
-
-// TestMigrateDirectedOffer pins the planned-migration state machine:
-// Migrate validates its endpoints, raises the drain flag the transport
-// relays, and once the final checkpoint lands the shard is offered to
-// the directed target immediately — no grace window, no rotation.
-func TestMigrateDirectedOffer(t *testing.T) {
-	coord := NewCoordinator(MMFSCPU(), 1000)
-	for _, n := range []string{"s", "a", "b"} {
-		coord.join(n, 0)
-		coord.report(DemandReport{Node: n, Bin: 1, Demand: 100}, time.Now())
-	}
-	coord.join("ghost", 0) // joined but never reported: not live
-
-	if err := coord.Migrate("nope", "a"); err == nil {
-		t.Fatal("migrate from an unknown shard")
-	}
-	if err := coord.Migrate("s", "nope"); err == nil {
-		t.Fatal("migrate to an unknown target")
-	}
-	if err := coord.Migrate("s", "s"); err == nil {
-		t.Fatal("migrate onto itself")
-	}
-	if err := coord.Migrate("s", "ghost"); err == nil {
-		t.Fatal("migrate to a never-live target")
-	}
-	if err := coord.Migrate("s", "b"); err != nil {
-		t.Fatalf("migrate s -> b: %v", err)
-	}
-	draining := func() (names []string) {
-		for _, n := range []string{"s", "a", "b", "ghost"} {
-			if coord.drainRequested(n) {
-				names = append(names, n)
-			}
-		}
-		return names
-	}
-	if d := draining(); len(d) != 1 || d[0] != "s" {
-		t.Fatalf("drain requested of %v, want [s]", d)
-	}
-
-	// A non-final checkpoint (a periodic one racing the drain) does not
-	// trigger the directed offer; the final one does, instantly.
-	coord.storeCheckpoint("s", 7, false, []byte("periodic"))
-	now := time.Now()
-	coord.planFailover(now, time.Hour, time.Hour)
-	if to := offeredTo(t, coord, "s"); to != "" {
-		t.Fatalf("offer to %q before the final checkpoint", to)
-	}
-	coord.storeCheckpoint("s", 8, true, []byte("final"))
-	if d := draining(); len(d) != 0 {
-		t.Fatalf("drain still pending after the final checkpoint: %v", d)
-	}
-	coord.planFailover(now, time.Hour, time.Hour)
-	if _, ok := coord.takeOfferFor("a"); ok {
-		t.Fatal("directed offer collected by a node other than the target")
-	}
-	o, ok := coord.takeOfferFor("b")
-	if !ok || o.Shard != "s" || o.Bin != 8 || coord.FailoverOffers() != 1 {
-		t.Fatalf("directed offer %+v (ok=%v, %d issued), want shard s to b at bin 8, once", o, ok, coord.FailoverOffers())
-	}
-	if !bytes.Equal(o.Checkpoint, []byte("final")) {
-		t.Fatalf("directed offer carries %q, want the final blob", o.Checkpoint)
-	}
-
-	// Target resumes under the shard's name: migration complete.
-	coord.join("s", 0)
-	coord.report(DemandReport{Node: "s", Bin: 9, Demand: 100}, now)
-	coord.planFailover(now.Add(time.Hour), time.Hour, time.Minute)
-	if to := offeredTo(t, coord, "s"); to != "" || coord.FailoverOffers() != 1 {
-		t.Fatalf("completed migration re-offered to %q (%d issued)", to, coord.FailoverOffers())
 	}
 }
 
@@ -607,10 +416,22 @@ func testCheckpointBlob(t *testing.T, name string, bin int64) []byte {
 	return blob
 }
 
-// TestStateDirSpillReload pins coordinator-restart durability: retained
-// checkpoints spill to the state directory, a fresh coordinator reloads
-// them as partitioned-pending shards, and the reloaded blob is the
-// retained one bit for bit.
+// checkpointBins reads each shard's retained checkpoint bin off the
+// coordinator's status plane (-1 = none held).
+func checkpointBins(c *control.Coordinator) map[string]int64 {
+	bins := map[string]int64{}
+	for _, n := range c.Status() {
+		bins[n.Name] = n.CheckpointBin
+	}
+	return bins
+}
+
+// TestStateDirSpillReload pins coordinator-restart durability: a
+// retained checkpoint spills to the state directory, a fresh
+// coordinator reloads it as a partitioned-pending shard, and an adopter
+// is offered the reloaded blob bit for bit — an engine checkpoint that
+// still decodes to the shard and bin it was spilled under, though the
+// coordinator never decoded it.
 func TestStateDirSpillReload(t *testing.T) {
 	dir := t.TempDir()
 	blob := testCheckpointBlob(t, "shard-1", 12)
@@ -619,30 +440,52 @@ func TestStateDirSpillReload(t *testing.T) {
 	if err := first.SetStateDir(dir, time.Now()); err != nil {
 		t.Fatalf("state dir: %v", err)
 	}
-	first.storeCheckpoint("shard-1", 12, false, blob)
+	if err := NewLoopback(first, "shard-1", 0).Checkpoint(blob, 12, false); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
 
 	second := NewCoordinator(MMFSCPU(), 1000)
 	if err := second.SetStateDir(dir, time.Now()); err != nil {
 		t.Fatalf("reload: %v", err)
 	}
-	got, bin, ok := second.checkpoint("shard-1")
-	if !ok || bin != 12 || !bytes.Equal(got, blob) {
-		t.Fatalf("reloaded checkpoint ok=%v bin=%d, %d bytes vs %d", ok, bin, len(got), len(blob))
-	}
 	st := second.Status()
-	if len(st) != 1 || st[0].Name != "shard-1" || !st[0].Partitioned {
-		t.Fatalf("reloaded shard status %+v, want a partitioned shard-1", st)
+	if len(st) != 1 || st[0].Name != "shard-1" || !st[0].Partitioned || st[0].CheckpointBin != 12 {
+		t.Fatalf("reloaded shard status %+v, want a partitioned shard-1 holding bin 12", st)
 	}
-	// With a live adopter present the reloaded shard becomes offerable
-	// once the grace window passes.
-	second.join("helper", 0)
-	second.report(DemandReport{Node: "helper", Bin: 1, Demand: 10}, time.Now())
-	waitFor(t, 5*time.Second, "reloaded shard offered", func() bool {
-		second.planFailover(time.Now(), 0, 0)
-		return offeredTo(t, second, "shard-1") == "helper"
+
+	// With a live adopter present the reloaded shard is offered once the
+	// grace window passes.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	srv := ServeCoordinator(ln, second, CoordServerConfig{
+		Heartbeat: 10 * time.Millisecond,
+		Lease:     time.Second,
+		Grace:     time.Millisecond,
 	})
-	if o, ok := second.takeOfferFor("helper"); !ok || o.Bin != 12 || !bytes.Equal(o.Checkpoint, blob) {
-		t.Fatalf("helper collects ok=%v bin=%d, %d bytes; want the reloaded blob at bin 12", ok, o.Bin, len(o.Checkpoint))
+	defer srv.Close()
+	helper, err := DialCoordinator(srv.Addr().String(), "helper", CoordClientConfig{Lease: time.Second})
+	if err != nil {
+		t.Fatalf("dial helper: %v", err)
+	}
+	defer helper.Close()
+	var offer control.AdoptOffer
+	waitFor(t, 5*time.Second, "reloaded shard offered to the helper", func() bool {
+		helper.Report(DemandReport{Bin: 1, Demand: 10})
+		select {
+		case offer = <-helper.Adoptions():
+			return true
+		default:
+			return false
+		}
+	})
+	if offer.Shard != "shard-1" || offer.Bin != 12 || !bytes.Equal(offer.Checkpoint, blob) {
+		t.Fatalf("helper offered shard %q at bin %d, %d bytes; want the reloaded blob of shard-1 at bin 12 (%d bytes)",
+			offer.Shard, offer.Bin, len(offer.Checkpoint), len(blob))
+	}
+	if cp := decodeCheckpoint(t, offer.Checkpoint); cp.Node != "shard-1" || cp.Bin != 12 {
+		t.Fatalf("offered blob decodes to {node %q, bin %d}, want {shard-1, 12}", cp.Node, cp.Bin)
 	}
 }
 
@@ -657,7 +500,10 @@ func TestStateDirSpillNamesInjective(t *testing.T) {
 	}
 	names := []string{"a/b", "a_b", "a%2Fb"}
 	for i, name := range names {
-		first.storeCheckpoint(name, int64(10+i), false, testCheckpointBlob(t, name, int64(10+i)))
+		bin := int64(10 + i)
+		if err := NewLoopback(first, name, 0).Checkpoint(testCheckpointBlob(t, name, bin), bin, false); err != nil {
+			t.Fatalf("checkpoint %q: %v", name, err)
+		}
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil || len(files) != len(names) {
@@ -668,36 +514,62 @@ func TestStateDirSpillNamesInjective(t *testing.T) {
 	if err := second.SetStateDir(dir, time.Now()); err != nil {
 		t.Fatalf("reload: %v", err)
 	}
+	bins := checkpointBins(second)
 	for i, name := range names {
-		if _, bin, ok := second.checkpoint(name); !ok || bin != int64(10+i) {
+		if bin, ok := bins[name]; !ok || bin != int64(10+i) {
 			t.Errorf("shard %q reloaded ok=%v bin=%d, want bin %d", name, ok, bin, 10+i)
 		}
 	}
 }
 
 // TestStateDirReloadsOldStyleFileNames: files written under the earlier
-// lossy naming ("x/y" -> x_y.ckpt) still reload, because the blob names
-// the shard; once the shard has spilled under its new name too, the
-// later bin wins whichever file the directory lists last.
+// lossy naming ("x/y" -> x_y.ckpt) still reload, because the spill
+// header names the shard; once the shard has spilled under its new name
+// too, the later bin wins whichever file the directory lists last. A
+// bare checkpoint blob, the file builds before the spill header wrote,
+// is reported by SetStateDir and skipped while the rest still reloads.
 func TestStateDirReloadsOldStyleFileNames(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "x_y.ckpt"), testCheckpointBlob(t, "x/y", 5), 0o644); err != nil {
+	reload := func() (*control.Coordinator, error) {
+		c := NewCoordinator(MMFSCPU(), 1000)
+		return c, c.SetStateDir(dir, time.Now())
+	}
+	c, err := reload()
+	if err != nil {
+		t.Fatalf("state dir: %v", err)
+	}
+	if err := NewLoopback(c, "x/y", 0).Checkpoint(testCheckpointBlob(t, "x/y", 5), 5, false); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if err := os.Rename(filepath.Join(dir, "x%2Fy.ckpt"), filepath.Join(dir, "x_y.ckpt")); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCoordinator(MMFSCPU(), 1000)
-	if err := c.SetStateDir(dir, time.Now()); err != nil {
+	if c, err = reload(); err != nil {
 		t.Fatalf("reload: %v", err)
 	}
-	if _, bin, ok := c.checkpoint("x/y"); !ok || bin != 5 {
-		t.Fatalf("old-style file reloaded ok=%v bin=%d, want bin 5", ok, bin)
+	if bin := checkpointBins(c)["x/y"]; bin != 5 {
+		t.Fatalf("old-style file reloaded at bin %d, want bin 5", bin)
 	}
-	c.storeCheckpoint("x/y", 9, false, testCheckpointBlob(t, "x/y", 9)) // spills as x%2Fy.ckpt, listed first
-
-	c = NewCoordinator(MMFSCPU(), 1000)
-	if err := c.SetStateDir(dir, time.Now()); err != nil {
+	// Spills as x%2Fy.ckpt, which the directory lists first.
+	if err := NewLoopback(c, "x/y", 0).Checkpoint(testCheckpointBlob(t, "x/y", 9), 9, false); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if c, err = reload(); err != nil {
 		t.Fatalf("second reload: %v", err)
 	}
-	if _, bin, ok := c.checkpoint("x/y"); !ok || bin != 9 {
-		t.Fatalf("stale old-style file shadowed the newer spill: ok=%v bin=%d, want bin 9", ok, bin)
+	if bin := checkpointBins(c)["x/y"]; bin != 9 {
+		t.Fatalf("stale old-style file shadowed the newer spill: bin %d, want bin 9", bin)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "old.ckpt"), testCheckpointBlob(t, "old", 3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err = reload()
+	if err == nil || !strings.Contains(err.Error(), "old.ckpt") {
+		t.Fatalf("a bare checkpoint file reloaded with error %v; want it reported by name", err)
+	}
+	bins := checkpointBins(c)
+	if _, held := bins["old"]; held || bins["x/y"] != 9 {
+		t.Fatalf("after a skipped bare checkpoint the coordinator holds %v; want x/y at bin 9 and nothing of old", bins)
 	}
 }

@@ -9,20 +9,18 @@ package loadshed
 // run.
 //
 // Coordination is advisory, never load-bearing (NodeTransport doc): the
-// fault schedule is reproducible, the coordinator's lease liveness
-// partitions a report-lossy node and rejoins it the moment reports flow
-// again, and a node behind a fully grant-lossy link fails open to an
-// uncoordinated run, bit for bit (TestConformance's grant-loss row).
+// fault schedule is reproducible, and a node behind a fully grant-lossy
+// link fails open to an uncoordinated run, bit for bit (TestConformance's
+// grant-loss row). The coordinator's lease liveness under report loss is
+// internal/control's TestCoordinatorLeaseLivenessUnderReportLoss.
 
 import (
-	"math"
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/control"
 	"repro/internal/hash"
-	"repro/internal/sched"
 )
 
 // FaultConfig sets per-message fault probabilities, each in [0, 1].
@@ -169,7 +167,7 @@ func (f *FaultTransport) Report(r DemandReport) error {
 // Grant reads the wrapped grant unless the fault schedule eats it, in
 // which case the node observes "no fresh grant" and fails open to its
 // current local capacity.
-func (f *FaultTransport) Grant() (BudgetGrant, bool) {
+func (f *FaultTransport) Grant() (control.BudgetGrant, bool) {
 	f.mu.Lock()
 	dropped := f.rng.Float64() < f.cfg.GrantDrop
 	if dropped {
@@ -177,7 +175,7 @@ func (f *FaultTransport) Grant() (BudgetGrant, bool) {
 	}
 	f.mu.Unlock()
 	if dropped {
-		return BudgetGrant{}, false
+		return control.BudgetGrant{}, false
 	}
 	return f.inner.Grant()
 }
@@ -185,7 +183,7 @@ func (f *FaultTransport) Grant() (BudgetGrant, bool) {
 // Checkpoint applies the checkpoint fate: delivered to the wrapped
 // transport or lost in flight. Loss looks like success to the node,
 // exactly as a frame dropped mid-link would.
-func (f *FaultTransport) Checkpoint(cp *ShardCheckpoint) error {
+func (f *FaultTransport) Checkpoint(blob []byte, bin int64, final bool) error {
 	f.mu.Lock()
 	dropped := f.rng.Float64() < f.cfg.CheckpointDrop
 	if dropped {
@@ -195,7 +193,7 @@ func (f *FaultTransport) Checkpoint(cp *ShardCheckpoint) error {
 	if dropped {
 		return nil
 	}
-	return f.inner.Checkpoint(cp)
+	return f.inner.Checkpoint(blob, bin, final)
 }
 
 // DrainRequested passes the coordinator's drain signal through
@@ -258,92 +256,5 @@ func TestFaultTransportDeterministicSchedule(t *testing.T) {
 	}
 	if grants1 >= n || grants1 == 0 {
 		t.Fatalf("grant drop at 0.3 passed %d/%d grants", grants1, n)
-	}
-}
-
-// clockedLoopback is a loopback transport whose reports reach the
-// coordinator stamped with a scripted clock, *now, instead of the wall
-// clock, so a test moves the lease by assignment rather than by sleep.
-type clockedLoopback struct {
-	NodeTransport
-	coord *Coordinator
-	now   *time.Time
-}
-
-func (t clockedLoopback) Report(r DemandReport) error {
-	t.coord.report(r, *t.now)
-	return nil
-}
-
-// TestCoordinatorLeaseLivenessUnderReportLoss scripts a loss episode on
-// the report path of one of two loopback nodes: while reports flow the
-// node holds its share; under total report loss the lease expires, the
-// coordinator marks it partitioned and hands its budget to the
-// survivor; when the link heals, the first delivered report rejoins it.
-func TestCoordinatorLeaseLivenessUnderReportLoss(t *testing.T) {
-	const total = 1000.0
-	const lease = 50 * time.Millisecond
-	coord := NewCoordinator(sched.MMFSCPU{}, total)
-	now := time.Now()
-	alpha := clockedLoopback{NewLoopback(coord, "alpha", 0), coord, &now}
-	beta := NewFaultTransport(clockedLoopback{NewLoopback(coord, "beta", 0), coord, &now}, FaultConfig{Seed: 3})
-
-	status := func(name string) CoordNodeStatus {
-		for _, n := range coord.Status() {
-			if n.Name == name {
-				return n
-			}
-		}
-		t.Fatalf("node %q not in status", name)
-		return CoordNodeStatus{}
-	}
-	round := func(binIdx int64) {
-		alpha.Report(DemandReport{Node: "alpha", Bin: binIdx, Demand: 600})
-		beta.Report(DemandReport{Node: "beta", Bin: binIdx, Demand: 600})
-		coord.allocateLease(now, lease)
-	}
-
-	// Phase 1: lossless. Both nodes hold grants splitting the budget.
-	round(1)
-	ga, aok := alpha.Grant()
-	gb, bok := beta.Grant()
-	if !aok || !bok {
-		t.Fatal("phase 1: both nodes should hold grants")
-	}
-	if sum := ga.Capacity + gb.Capacity; math.Abs(sum-total) > 1e-6*total {
-		t.Fatalf("phase 1: grants sum to %v, want %v", sum, total)
-	}
-
-	// Phase 2: beta's report path goes fully lossy. Once its lease
-	// expires the coordinator partitions it, the survivor absorbs the
-	// whole budget, and beta observes no fresh grant — it fails open on
-	// its local capacity rather than stalling.
-	beta.SetConfig(FaultConfig{Seed: 3, ReportDrop: 1})
-	now = now.Add(lease + 20*time.Millisecond)
-	round(2)
-	if !status("beta").Partitioned {
-		t.Fatal("phase 2: beta not partitioned after silent lease")
-	}
-	if ga, ok := alpha.Grant(); !ok || math.Abs(ga.Capacity-total) > 1e-6*total {
-		t.Fatalf("phase 2: survivor holds %v of %v", ga.Capacity, total)
-	}
-	if _, ok := beta.Grant(); ok {
-		t.Fatal("phase 2: partitioned node still observes a fresh grant")
-	}
-	if st := beta.Stats(); st.ReportsDropped == 0 {
-		t.Fatalf("phase 2: no reports dropped: %+v", st)
-	}
-
-	// Phase 3: the link heals; the first delivered report clears the
-	// partition and the next round splits the budget again.
-	beta.SetConfig(FaultConfig{Seed: 3})
-	round(3)
-	if status("beta").Partitioned {
-		t.Fatal("phase 3: beta still partitioned after reporting again")
-	}
-	ga, aok = alpha.Grant()
-	gb, bok = beta.Grant()
-	if !aok || !bok || ga.Capacity >= total || gb.Capacity <= 0 {
-		t.Fatalf("phase 3: rejoin grants alpha=%v beta=%v", ga.Capacity, gb.Capacity)
 	}
 }

@@ -52,7 +52,7 @@ func (o *oracleObserver) Observe(fv features.Vector, cost float64) {
 	}
 	sk, npkts, nbytes := bc.sketch, bc.fv[features.IdxPackets], bc.fv[featureIndex("bytes")]
 	if rate < 1 && !customMode {
-		sk, npkts, nbytes = bc.shedSketch, float64(rq.qbatch.Packets()), float64(rq.qbatch.Bytes())
+		sk, npkts, nbytes = o.run.sys.shedSketch, float64(rq.qbatch.Packets()), float64(rq.qbatch.Bytes())
 	}
 	want := o.ext.ExtractFromSketch(sk, npkts, nbytes)
 	for j := range want {

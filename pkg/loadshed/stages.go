@@ -43,11 +43,7 @@ type binContext struct {
 	// extractPredict truncates to the admitted batch (predictive runs
 	// only). The shed step selects from it and full-rate queries' states
 	// fold it, so nothing re-hashes a packet after the slot's fill.
-	sketch *features.Sketch
-	// shedSketch is the sketch of the shared shed stream (execute), which
-	// sampled queries merge from: the System's shedSketch, or sketch
-	// itself when the representative rate rounds to 1.
-	shedSketch *features.Sketch
+	sketch     *features.Sketch
 	rates      []float64    // decideShedding: per-query sampling rates
 	shedCycles float64      // execute: sampling + re-extraction cycles
 	exec       []execResult // execute: per-query slots, merged in index order
@@ -423,14 +419,12 @@ func (s *System) shed(bc *binContext) {
 	// inserts the distinct flows the sample touches straight from the
 	// per-flow hash columns the bin slot's fill already filled, so no
 	// packet or hash is copied and none re-hashed, and it is charged per
-	// selected packet all the same. The mean of rates < 1 can round to
-	// exactly 1: the shed stream is then the admitted one, at its full
-	// cost and without a draw.
+	// selected packet all the same. The mean stays below 1: a sequential
+	// float64 sum of k rates below 1 is at most the largest double below
+	// k, and that over k is at most 1−2⁻⁵³.
 	if nSampled > 0 {
 		repRate /= float64(nSampled)
-		if repRate < 1 {
-			s.draws = append(s.draws, draw{s.shedSamp, repRate, &s.shedIdx})
-		}
+		s.draws = append(s.draws, draw{s.shedSamp, repRate, &s.shedIdx})
 	}
 
 	// The draw pass: two selections per loop, so that two xorshift chains
@@ -456,12 +450,8 @@ func (s *System) shed(bc *binContext) {
 	}
 
 	if nSampled > 0 {
-		bc.shedSketch = bc.sketch
-		if repRate < 1 {
-			bc.sketch.SelectInto(s.shedSketch, s.shedIdx)
-			bc.shedSketch = s.shedSketch
-		}
-		ops := bc.shedSketch.Ops()
+		bc.sketch.SelectInto(s.shedSketch, s.shedIdx)
+		ops := s.shedSketch.Ops()
 		s.shedOps += ops
 		bc.shedCycles += features.CostPerOp * float64(ops)
 		bc.shedCycles += sampleCostPerPkt * float64(len(bc.Admitted.Pkts))
@@ -478,7 +468,7 @@ type foldKind uint8
 const (
 	foldNone foldKind = iota // nothing: the query observes nothing this bin
 	foldFull                 // the admitted stream's, binContext.sketch
-	foldShed                 // the shed stream's, binContext.shedSketch
+	foldShed                 // the shed stream's, System.shedSketch
 )
 
 // ivState is an interval state (features.Interval) shared by every
@@ -541,7 +531,7 @@ func (s *System) foldStates(bc *binContext) {
 		case foldFull:
 			st.Fold(bc.sketch)
 		case foldShed:
-			st.Fold(bc.shedSketch)
+			st.Fold(s.shedSketch)
 		}
 		st.count, st.keep, st.split = [3]int{}, foldNone, [3]*ivState{}
 	}

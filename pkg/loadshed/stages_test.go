@@ -205,6 +205,47 @@ func TestReactiveRateUpdate(t *testing.T) {
 	}
 }
 
+// TestReactiveRateAtZeroConsumption runs the reactive scheme from a bin
+// that consumes nothing — its one query was removed before the run and
+// the next arrives a bin later — into one whose overhead equals the
+// capacity, where Eq. 4.1's update would read 0/0:
+// capacity − overhead − delay is 0 and the previous bin consumed 0. The
+// cold-start rule (full rate until something was consumed) must keep
+// every applied rate finite and in [α, 1].
+func TestReactiveRateAtZeroConsumption(t *testing.T) {
+	const npkts = 200
+	overhead := comoPerBin + comoPerPkt*npkts // platformOverhead's, without a disk spike
+	batches := make([]pkt.Batch, 6)
+	for i := range batches {
+		batches[i] = nPktBatch(npkts)
+		batches[i].Start = time.Duration(i) * batches[i].Bin
+	}
+	sys := New(Config{
+		Scheme: Reactive, Capacity: overhead, Seed: 1,
+		Arrivals: []Arrival{{AtBin: 1, Make: func() queries.Query { return queries.NewCounter(queries.Config{Seed: 1}) }}},
+	}, counterOnly())
+	if err := sys.RemoveQuery("counter"); err != nil {
+		t.Fatal(err)
+	}
+	res := sys.Run(trace.NewMemorySource(batches, 100*time.Millisecond))
+	if len(res.Bins) != len(batches) {
+		t.Fatalf("%d bins, want %d", len(res.Bins), len(batches))
+	}
+	if b := res.Bins[0]; b.Used != 0 || b.Overhead != overhead {
+		t.Fatalf("bin 0 consumed %v at overhead %v; want nothing consumed at overhead %v", b.Used, b.Overhead, overhead)
+	}
+	if b := res.Bins[1]; b.Overhead != b.Capacity || len(b.Rates) != 1 {
+		t.Fatalf("bin 1 ran %d queries at overhead %v under capacity %v; want the arrival at overhead = capacity", len(b.Rates), b.Overhead, b.Capacity)
+	}
+	for i, b := range res.Bins {
+		for j, r := range b.Rates {
+			if !(r >= reactiveMinRate && r <= 1) {
+				t.Fatalf("bin %d: query %d ran at rate %v, want a finite rate in [%v, 1]", i, j, r, reactiveMinRate)
+			}
+		}
+	}
+}
+
 // TestSampledQueryFeaturesRotate pins what sampled queries learn from
 // across a measurement-interval boundary: after two overloaded
 // intervals, the new-item and interval-repeated features a sampled
@@ -236,7 +277,7 @@ func TestSampledQueryFeaturesRotate(t *testing.T) {
 		sampled++
 		oracle := features.NewExtractor(123)
 		oracle.StartInterval()
-		want := oracle.ExtractFromSketch(sys.bc.shedSketch, float64(rq.qbatch.Packets()), float64(rq.qbatch.Bytes()))
+		want := oracle.ExtractFromSketch(sys.shedSketch, float64(rq.qbatch.Packets()), float64(rq.qbatch.Bytes()))
 		_, newest := historyRows(rq.mlr.History())
 		for j := range features.NumFeatures {
 			if name := features.Name(j); !strings.HasPrefix(name, "new ") && !strings.HasPrefix(name, "int-repeated ") {
