@@ -9,6 +9,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -51,8 +52,14 @@ func runCoordinator(ctx context.Context, o *options) {
 	if c.stateDir != "" {
 		// Reload any spilled checkpoints before serving: shards that
 		// crashed with the previous coordinator come back as partitioned
-		// members whose state is immediately offerable.
-		die(coord.SetStateDir(c.stateDir, time.Now()))
+		// members whose state is immediately offerable. A file that does
+		// not reload costs only its own shard; a directory that cannot be
+		// created or listed stops the coordinator.
+		if err := coord.SetStateDir(c.stateDir, time.Now()); errors.Is(err, control.ErrCheckpointFile) {
+			fmt.Printf("warning: %v\n", err)
+		} else {
+			die(err)
+		}
 		fmt.Printf("state dir %s: %d checkpoint(s) reloaded\n", c.stateDir, coord.CheckpointsStored())
 	}
 	ln, err := net.Listen("tcp", c.listen)
@@ -70,7 +77,7 @@ func runCoordinator(ctx context.Context, o *options) {
 	fmt.Printf("coordinator on %s: policy %s, total capacity %.3g cycles/bin, heartbeat %v, %s\n",
 		srv.Addr(), c.policy.Name(), o.capacity, c.heartbeat, auth)
 
-	stopAdmin := startAdmin(o.admin, coordinatorMux(srv, c), "healthz, metrics, cluster")
+	stopAdmin := startAdmin(o.admin, coordinatorMux(srv, coord, c), "healthz, metrics, cluster")
 
 	<-ctx.Done()
 	srv.Close()
@@ -93,8 +100,7 @@ func runCoordinator(ctx context.Context, o *options) {
 // coordinatorMux is the coordinator's admin plane: health, per-node
 // budget/demand/partition gauges, the /cluster membership listing, and
 // the /cluster/migrate verb that drains a shard onto another worker.
-func coordinatorMux(srv *control.CoordServer, o coordOpts) *http.ServeMux {
-	coord := srv.Coordinator()
+func coordinatorMux(srv *control.CoordServer, coord *control.Coordinator, o coordOpts) *http.ServeMux {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -318,14 +324,11 @@ func runWorker(ctx context.Context, o workerOpts) {
 				return node.StreamContext(ctx, src, loadshed.Tee(sink, budgetSink))
 			},
 			metrics: func(m *loadshed.MetricsWriter) {
+				g, fresh := client.Grant() // the zero grant while degraded
 				m.Gauge("lsd_coord_connected", "Whether the coordinator connection is up.", b2i(client.Connected()))
-				m.Gauge("lsd_coord_degraded", "Whether the worker is shedding on local capacity only (no lease-fresh grant).", b2i(client.Degraded()))
+				m.Gauge("lsd_coord_degraded", "Whether the worker is shedding on local capacity only (no lease-fresh grant).", b2i(!fresh))
 				m.Counter("lsd_coord_reconnects_total", "Times the coordinator link was re-established.", client.Reconnects())
-				var grantCap float64
-				if g, ok := client.Grant(); ok {
-					grantCap = g.Capacity
-				}
-				m.Gauge("lsd_coord_grant_capacity", "Cycle budget of the current lease-fresh grant (0 while degraded).", grantCap)
+				m.Gauge("lsd_coord_grant_capacity", "Cycle budget of the current lease-fresh grant (0 while degraded).", g.Capacity)
 				m.Gauge("lsd_node_capacity", "Cycle budget per bin the engine currently runs under.", math.Float64frombits(budget.Load()))
 				m.Counter("lsd_checkpoints_total", "Shard checkpoints shipped to the coordinator.", node.CheckpointsSent())
 				m.Counter("lsd_checkpoint_errors_total", "Checkpoints that failed to snapshot or send.", node.CheckpointErrors())

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/control"
+	"repro/pkg/loadshed"
 )
 
 // invocations are the lsd command lines TestEndToEnd runs, by role.
@@ -322,6 +323,33 @@ func failoverScenario(t *testing.T) {
 	// gamma stops the one it adopted, then the coordinator.
 	stop(alpha, gamma)
 	stop(coordProc)
+}
+
+// TestCoordinatorServesPastBadStateFile: one state-directory file that
+// does not reload, a bare checkpoint an older build spilled, costs only
+// itself. The coordinator warns, naming it, and serves the shard that
+// did reload.
+func TestCoordinatorServesPastBadStateFile(t *testing.T) {
+	dir := t.TempDir()
+	spill := control.NewCoordinator(loadshed.MMFSCPU(), 1000)
+	if err := spill.SetStateDir(dir, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := control.NewLoopback(spill, "kept", 0).Checkpoint([]byte("blob"), 7, false); err != nil {
+		t.Fatal(err)
+	}
+	keyFile := filepath.Join(t.TempDir(), "cluster.key")
+	for path, data := range map[string]string{filepath.Join(dir, "old.ckpt"): "bare", keyFile: "k"} {
+		if err := os.WriteFile(path, []byte(data), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, _, admin := startCoordinator(t, "ha-coordinator", "$KEYFILE", keyFile, "$STATE", dir)
+	if out := p.output(); !regexp.MustCompile(`warning: .*old\.ckpt`).MatchString(out) {
+		t.Fatalf("no warning naming old.ckpt:\n%s", out)
+	}
+	waitNode(t, admin, "kept", "reloaded at bin 7", func(n control.CoordNodeStatus) bool { return n.CheckpointBin == 7 })
+	stop(p)
 }
 
 // streamScenario: the constant-memory streaming runtime runs its bins

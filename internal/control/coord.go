@@ -25,12 +25,14 @@ package control
 //     the pre-split Cluster bit for bit (nodes are visited in join ==
 //     shard-index order, so every floating-point sum runs in the same
 //     order as before).
-//   - TCP (transport.go): coordinator and workers as separate
-//     processes. Liveness is lease-based — allocateLease marks nodes
-//     silent for longer than the lease as partitioned and allocates
-//     over the rest; a partitioned node keeps shedding on its last
-//     local capacity (graceful degradation) and rejoins the allocation
-//     the moment a fresh report arrives.
+//   - wire (the TCP drivers in transport.go, and the simulator in
+//     sim_test.go): coordinator and workers as separate processes,
+//     driving the coordinator end's steps at the bottom of this file.
+//     Liveness is lease-based — tick marks nodes silent for longer than
+//     the lease as partitioned and allocates over the rest; a
+//     partitioned node keeps shedding on its last local capacity
+//     (graceful degradation) and rejoins the allocation the moment a
+//     fresh report arrives.
 
 import (
 	"math"
@@ -51,7 +53,7 @@ type coordNode struct {
 	demand      float64 // latest reported EWMA demand, cycles/bin
 	bin         int64   // latest reported bin index
 	done        bool    // node finished its trace
-	partitioned bool    // lease expired without a report (TCP mode)
+	partitioned bool    // lease expired without a report (wire mode)
 	reported    bool    // report received since the last AllocateRound
 	ever        bool    // at least one demand report received
 	lastReport  time.Time
@@ -73,8 +75,8 @@ type coordNode struct {
 
 // live is the one liveness predicate of lease-based membership: the
 // node has spoken, has not finished and has not outlived its lease.
-// allocateLease allocates over the live nodes, failover offers orphaned
-// shards to them, and Migrate accepts only a live target.
+// tick allocates over the live nodes, failover offers orphaned shards
+// to them, and Migrate accepts only a live target.
 func (n *coordNode) live() bool { return n.ever && !n.done && !n.partitioned }
 
 // CoordNodeStatus is one node's row in Coordinator.Status, the record
@@ -225,25 +227,6 @@ func (c *Coordinator) AllocateRound() {
 	c.allocateLocked(func(n *coordNode) bool { return n.reported && !n.done })
 }
 
-// allocateLease runs one heartbeat coordination round under lease-based
-// liveness: nodes whose last report is older than the lease are marked
-// partitioned and excluded (their budget redistributes to the
-// survivors); nodes that have ever reported and are neither done nor
-// partitioned are allocated to, whether or not a report arrived this
-// exact heartbeat. now is the round's time, on the clock the reports
-// were stamped with. The TCP server calls this on its heartbeat ticker.
-func (c *Coordinator) allocateLease(now time.Time, lease time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, n := range c.nodes {
-		if n.live() && now.Sub(n.lastReport) > lease {
-			n.partitioned = true
-			n.partitionedAt = now // starts the failover grace window
-		}
-	}
-	c.allocateLocked((*coordNode).live)
-}
-
 // allocateLocked computes grants for the nodes live deems in, in join
 // order. Caller holds c.mu.
 func (c *Coordinator) allocateLocked(live func(*coordNode) bool) {
@@ -255,6 +238,7 @@ func (c *Coordinator) allocateLocked(live func(*coordNode) bool) {
 		n.reported = false
 	}
 	c.liveBuf = act
+	c.round++ // an empty round too: no earlier grant stays current
 	if len(act) == 0 {
 		return
 	}
@@ -267,7 +251,6 @@ func (c *Coordinator) allocateLocked(live func(*coordNode) bool) {
 	}
 	allocs := sched.AllocateInto(c.policy, demands, c.total, &c.ws)
 	c.grantBuf = sched.GrantsWithFloor(c.grantBuf, allocs, c.total, grantFloorFrac)
-	c.round++
 	for i, n := range act {
 		n.grant = c.grantBuf[i]
 		n.grantRound = c.round
@@ -314,4 +297,92 @@ func (c *Coordinator) Status() []CoordNodeStatus {
 		}
 	}
 	return out
+}
+
+// --- the coordinator end of the wire: clock-free steps ---
+//
+// A driver feeds a connection's first frame to admit, every later one
+// to serve, and on each heartbeat calls tick, then pump for every name
+// it holds a connection for. Each step takes the time from its caller
+// and sends through the function it is given.
+
+// conns binds each worker name to the one connection that speaks for
+// it. The last hello wins: bind returns the connection it supersedes,
+// for the driver to close. Two live instances of one shard — an adopter
+// and the partitioned original it replaced, once healed — therefore
+// take the name from each other at every redial until one stops
+// (DESIGN.md section 4, "Ownership").
+type conns[L comparable] map[string]L
+
+func (m conns[L]) bind(name string, l L) (old L) {
+	old = m[name]
+	m[name] = l
+	return old
+}
+
+func (m conns[L]) unbind(name string, l L) {
+	if m[name] == l {
+		delete(m, name)
+	}
+}
+
+// admit is the hello step: it decodes a connection's first message as a
+// hello — the authenticated form, checked against the nonce the
+// connection was challenged with, when key is set — and joins the
+// worker it names. mismatch reports a key mismatch between the two
+// sides (a hello of the other form, or a bad MAC), which the server
+// counts.
+func (c *Coordinator) admit(p []byte, key string, nonce []byte) (name string, ok, mismatch bool) {
+	var minShare float64
+	switch {
+	case key == "" && p[0] == coordMsgHello:
+		name, minShare, ok = decodeHello(p)
+	case key != "" && p[0] == coordMsgHelloAuth:
+		name, minShare, ok = decodeHelloAuth(p, key, nonce)
+		mismatch = !ok
+	case p[0] == coordMsgHello || p[0] == coordMsgHelloAuth:
+		mismatch = true
+	}
+	if ok {
+		c.join(name, minShare)
+	}
+	return name, ok, mismatch
+}
+
+// serve is the per-frame step for the connection bound to name:
+// non-empty payload p, and the blob behind it, arrived at now. A report
+// folds in stamped with now; a checkpoint header and its blob are
+// retained. Other messages are ignored.
+func (c *Coordinator) serve(name string, p, blob []byte, now time.Time) {
+	switch p[0] {
+	case coordMsgReport:
+		if r, ok := decodeReport(p); ok {
+			r.Node = name
+			c.report(r, now)
+		}
+	case coordMsgCheckpoint:
+		if bin, final, _, ok := decodeCheckpointHdr(p); ok {
+			c.storeCheckpoint(name, bin, final, blob)
+		}
+	}
+}
+
+// tick is the heartbeat step at now, on the clock the reports were
+// stamped with: nodes whose last report is older than the lease are
+// marked partitioned and excluded (their budget redistributes to the
+// survivors); nodes that have ever reported and are neither done nor
+// partitioned are allocated to, whether or not a report arrived this
+// exact heartbeat; then orphaned shards are marked for adoption
+// (planFailoverLocked), an offer expiring after 2×lease.
+func (c *Coordinator) tick(now time.Time, lease, grace time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, n := range c.nodes {
+		if n.live() && now.Sub(n.lastReport) > lease {
+			n.partitioned = true
+			n.partitionedAt = now // starts the failover grace window
+		}
+	}
+	c.allocateLocked((*coordNode).live)
+	c.planFailoverLocked(now, grace, 2*lease)
 }

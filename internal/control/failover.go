@@ -11,17 +11,21 @@ package control
 //     shard's last known state. A blob is opaque here: the shard's
 //     name, resume bin and final flag travel beside it, on the wire
 //     (transport.go's checkpoint frame) and in the spill file's header.
-//   - Failover: planFailover turns "partitioned longer than the grace
-//     window, with a checkpoint on file" into an adoption offer to a
-//     live node. Offers expire and re-issue with the adopter choice
-//     rotating through the live membership, so a refused or lost offer
-//     does not wedge the shard. An offer is settled by a hello or live
-//     report under the shard's name — the adopter dialing in, or the
-//     original coming back (coord.go clears the offer on both paths).
-//     If both happen, the ordinary reconnect rule applies: the last
-//     hello owns the connection, and the shard keeps exactly one grant
-//     stream — the race is benign by the same supersede rule that
-//     covers any worker reconnect.
+//   - Failover: planFailoverLocked turns "partitioned longer than the
+//     grace window, with a checkpoint on file" into an adoption offer
+//     to a live node. Offers expire and re-issue with the adopter
+//     choice rotating through the live membership, so a refused or lost
+//     offer does not wedge the shard. An offer is settled by a hello or
+//     live report under the shard's name — the adopter dialing in, or
+//     the original coming back (coord.go clears the offer on both
+//     paths). If both happen the race is not benign. The only
+//     ownership rule is the reconnect rule (conns in coord.go): the
+//     last hello owns the name. A partitioned original fails open and
+//     keeps running; once healed it redials and takes the name from its
+//     adopter, whose own redial takes it back, and the two alternate
+//     until one stops. Each connection holds the name alone, but the
+//     shard's grant stream and reports flip between two engines. Nothing
+//     fences the older instance yet.
 //   - Migration: Migrate marks a shard drain-requested with a directed
 //     target. The transport relays the drain; the shard checkpoints
 //     with Final set at its next interval boundary and stops; the final
@@ -31,9 +35,10 @@ package control
 //
 // Everything leaves the coordinator through one by-name mailbox —
 // grantFor, drainRequested, takeOfferFor. The loopback transport polls
-// grants and drains directly; the TCP server polls all three each
-// heartbeat for every connected name and writes what it finds to that connection, putting
-// an offer back (untakeOffer) when the write fails.
+// grants and drains directly; a wire driver calls pump, which polls all
+// three, each heartbeat for every connected name and sends what it
+// finds to that connection, putting an offer back (untakeOffer) when
+// the send fails.
 //
 // None of this runs inside allocateLocked: failover planning is
 // heartbeat-path work, and the steady-state allocation round stays at
@@ -115,6 +120,11 @@ func spillCheckpoint(dir, name string, bin int64, final bool, blob []byte) error
 	return os.Rename(tmp, path)
 }
 
+// ErrCheckpointFile marks a SetStateDir error about single files of the
+// state directory: each was skipped, every other file reloaded, and the
+// coordinator can serve.
+var ErrCheckpointFile = errors.New("control: state dir: checkpoint file skipped")
+
 // SetStateDir enables checkpoint spill to dir (created if missing) and
 // reloads any checkpoints already there — the coordinator-restart path.
 // A reloaded shard with no live worker is marked partitioned as of now
@@ -125,8 +135,9 @@ func spillCheckpoint(dir, name string, bin int64, final bool, blob []byte) error
 // spilled under an older naming scheme still reload; when two files
 // carry the same shard the later bin wins. Unreadable files, and files
 // without the spill header — the bare checkpoints earlier builds
-// spilled — are skipped, and the first is reported in the error after
-// all files are tried.
+// spilled — are skipped, and the first is reported after all files are
+// tried, wrapping ErrCheckpointFile. Any other error means the directory
+// could not be created or listed.
 func (c *Coordinator) SetStateDir(dir string, now time.Time) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("control: state dir: %w", err)
@@ -141,7 +152,7 @@ func (c *Coordinator) SetStateDir(dir string, now time.Time) error {
 			continue
 		}
 		if err := c.reloadCheckpoint(filepath.Join(dir, e.Name()), now); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("control: state dir: reload %s: %w", e.Name(), err)
+			firstErr = fmt.Errorf("%w: reload %s: %v", ErrCheckpointFile, e.Name(), err)
 		}
 	}
 	c.mu.Lock()
@@ -182,16 +193,14 @@ func (c *Coordinator) reloadCheckpoint(path string, now time.Time) error {
 	return nil
 }
 
-// planFailover marks adoption offers for orphaned shards: partitioned
-// past the grace window with a checkpoint on file, or drained with a
-// directed migration target. A marked offer suppresses re-offers for
-// offerTimeout; after that the shard re-offers with the adopter
-// rotating through the live membership. It delivers nothing itself —
-// the TCP server collects the offer through takeOfferFor each
-// heartbeat, on the adopter's behalf.
-func (c *Coordinator) planFailover(now time.Time, grace, offerTimeout time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// planFailoverLocked marks adoption offers for orphaned shards:
+// partitioned past the grace window with a checkpoint on file, or
+// drained with a directed migration target. A marked offer suppresses
+// re-offers for offerTimeout; after that the shard re-offers with the
+// adopter rotating through the live membership. It delivers nothing
+// itself — pump collects the offer through takeOfferFor, on the
+// adopter's behalf. Caller holds c.mu.
+func (c *Coordinator) planFailoverLocked(now time.Time, grace, offerTimeout time.Duration) {
 	for _, n := range c.nodes {
 		if n.done || n.ckptBlob == nil {
 			continue
@@ -239,23 +248,20 @@ func (c *Coordinator) pickAdopterLocked(n *coordNode) *coordNode {
 	return candidates[n.offerAttempts%len(candidates)]
 }
 
-// takeOfferFor returns (at most once per marked offer) an offer
-// addressed to adopter, with the blob copied under the lock: the record
-// keeps its own bytes, which storeCheckpoint rewrites in place.
-func (c *Coordinator) takeOfferFor(adopter string) (AdoptOffer, bool) {
+// takeOfferFor returns (at most once per marked offer) the adopt
+// message of an offer addressed to adopter, header and blob, and the
+// shard it offers. The blob is copied under the lock: the record keeps
+// its own bytes, which storeCheckpoint rewrites in place.
+func (c *Coordinator) takeOfferFor(adopter string) (shard string, msg []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, n := range c.nodes {
 		if n.offeredTo == adopter && !n.offerTaken && n.ckptBlob != nil {
 			n.offerTaken = true
-			return AdoptOffer{
-				Shard:      n.name,
-				Bin:        n.ckptBin,
-				Checkpoint: append([]byte(nil), n.ckptBlob...),
-			}, true
+			return n.name, append(appendAdoptFrame(nil, n.name, n.ckptBin, len(n.ckptBlob)), n.ckptBlob...)
 		}
 	}
-	return AdoptOffer{}, false
+	return "", nil
 }
 
 // untakeOffer puts a collected offer back (the transport failed to
@@ -266,6 +272,27 @@ func (c *Coordinator) untakeOffer(shard, adopter string) {
 	defer c.mu.Unlock()
 	if n := c.byName[shard]; n != nil && n.offeredTo == adopter {
 		n.offerTaken = false
+	}
+}
+
+// pump is the mailbox step: it sends name's fresh grant, a pending
+// drain and an adoption offer through send. The drain frame re-sends
+// every heartbeat until the final checkpoint lands (idempotent on the
+// worker side), so a lost frame only delays the drain one heartbeat. An
+// offer goes header and blob in one send, so grant pushes cannot
+// interleave mid-blob; one that cannot be sent is put back for the next
+// heartbeat rather than waiting out the offer timeout.
+func (c *Coordinator) pump(name string, send func(build func([]byte) []byte) error) {
+	if g, ok := c.grantFor(name); ok {
+		send(func(b []byte) []byte { return appendGrantFrame(b, g) })
+	}
+	if c.drainRequested(name) {
+		send(appendDrainFrame)
+	}
+	if shard, msg := c.takeOfferFor(name); msg != nil {
+		if send(func(b []byte) []byte { return append(b, msg...) }) != nil {
+			c.untakeOffer(shard, name)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ func TestOfferBlobNotAliased(t *testing.T) {
 	coord.storeCheckpoint("s", 0, false, make([]byte, 4096))
 	ago := time.Now().Add(-time.Hour)
 	coord.report(DemandReport{Node: "s", Demand: 100}, ago)
-	coord.allocateLease(ago.Add(time.Second), 20*time.Millisecond)
+	coord.tick(ago.Add(time.Second), 20*time.Millisecond, time.Millisecond)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for i, offers := 1, 0; offers < 3; i++ {

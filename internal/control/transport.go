@@ -11,15 +11,18 @@ package control
 // and it makes the split observationally invisible (bit-identical
 // results, no goroutines, no copies beyond the small report struct).
 //
-// The TCP transport runs the same protocol over length-prefixed binary
+// Across processes the same protocol runs as length-prefixed binary
 // frames (the framing idiom of internal/trace/live.go: little-endian
-// uint16 payload length, then the payload); server and client hold a
-// connection as the same link type below. A connection starts with a
-// hello frame naming the worker; the worker then streams report frames
-// and the coordinator pushes grant frames on its heartbeat. Workers
-// reconnect with backoff after any failure, re-helloing on each attempt
-// — which is exactly the rejoin path, since Coordinator.join clears the
-// partitioned flag.
+// uint16 payload length, then the payload). Each end of it is a set of
+// clock-free steps that take the time from their caller and emit frames
+// through a send function: the coordinator's (admit, serve, tick, pump
+// in coord.go and failover.go) and the worker's (workerLink below). A
+// connection starts with a hello frame naming the worker; the worker
+// then streams report frames and the coordinator pushes grant frames
+// on its heartbeat. Two drivers run the steps: the TCP server and
+// client at the end of this file, over sockets and the wall clock, and
+// the test-only simulator (sim_test.go) over a frame queue and a
+// virtual clock.
 //
 // Wire format (all integers little-endian, floats IEEE-754 bits):
 //
@@ -59,7 +62,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"maps"
 	"math"
 	"net"
 	"sync"
@@ -128,9 +133,11 @@ func NewLoopback(coord *Coordinator, name string, minShare float64) NodeTranspor
 	return &loopbackTransport{coord: coord, name: name}
 }
 
+// Report stamps no time: the lockstep AllocateRound never reads a
+// report's arrival, so the loopback reads no clock.
 func (t *loopbackTransport) Report(r DemandReport) error {
 	r.Node = t.name
-	t.coord.report(r, time.Now())
+	t.coord.report(r, time.Time{})
 	return nil
 }
 
@@ -184,17 +191,6 @@ const (
 	coordRetryMax     = 2 * time.Second
 )
 
-// ckptRecvTimeout bounds moving a checkpoint blob once its header is on
-// the wire (the header promised blobLen bytes are already in flight).
-// A variable only so a test of the stalled-peer path need not wait it
-// out.
-var ckptRecvTimeout = 30 * time.Second
-
-// ErrCoordinatorUnreachable is returned by CoordClient.Report while no
-// connection to the coordinator is up; the caller sheds locally and
-// retries next bin while the client redials in the background.
-var ErrCoordinatorUnreachable = errors.New("control: coordinator unreachable")
-
 // Message bodies: each struct is the wire layout of what follows the
 // type byte (and, for hello, helloAuth and adopt, the name) — fields in
 // order, little-endian, floats as IEEE-754 bits. encoding/binary derives
@@ -227,6 +223,22 @@ type (
 // bytes) between its type byte and its body.
 func coordNamed(msg byte) bool {
 	return msg == coordMsgHello || msg == coordMsgHelloAuth || msg == coordMsgAdopt || msg == coordMsgSpill
+}
+
+// trailerLen returns how many raw blob bytes follow non-empty payload p
+// on the stream: a checkpoint or adopt header's blobLen, none for other
+// messages. ok=false for a malformed or oversized header, a protocol
+// violation that costs the connection.
+func trailerLen(p []byte) (n int, ok bool) {
+	switch p[0] {
+	case coordMsgCheckpoint:
+		_, _, n, ok = decodeCheckpointHdr(p)
+	case coordMsgAdopt:
+		_, _, n, ok = decodeAdoptHdr(p)
+	default:
+		ok = true
+	}
+	return n, ok
 }
 
 // appendFrame appends one length-prefixed frame: type byte, name when
@@ -415,68 +427,188 @@ func readCoordFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// --- the worker end: clock-free steps ---
+
+// workerLink is the worker end of the protocol: the hello that opens a
+// connection, what each frame the coordinator pushes does, whether the
+// latest grant is lease-fresh at a given time, and when to redial after
+// a loss. It reads no clock and touches no socket; CoordClient drives
+// it with wall-clock times, the simulator with virtual ones.
+type workerLink struct {
+	name     string
+	cfg      CoordClientConfig
+	grant    BudgetGrant
+	grantAt  time.Time // arrival of grant; zero = none yet
+	drainReq bool      // a drain frame arrived; latches
+	backoff  time.Duration
+	rng      *ihash.XorShift // reconnect jitter, seeded from the name
+}
+
+func newWorkerLink(name string, cfg CoordClientConfig) workerLink {
+	return workerLink{name: name, cfg: cfg, backoff: coordRetryMin, rng: ihash.NewXorShift(fnv64a(name))}
+}
+
+// hello appends the connection's opening frame: the plain hello, or the
+// authenticated one over the coordinator's challenge nonce when the
+// link has a key.
+func (w *workerLink) hello(b, nonce []byte) []byte {
+	if w.cfg.Key != "" {
+		return appendHelloAuthFrame(b, w.name, w.cfg.MinShare, w.cfg.Key, nonce)
+	}
+	return appendHelloFrame(b, w.name, w.cfg.MinShare)
+}
+
+// joined restarts the redial schedule once a hello is on the wire.
+func (w *workerLink) joined() { w.backoff = coordRetryMin }
+
+// redialAt schedules the next dial after a loss or a failed attempt at
+// now: a wait jittered to [backoff/2, backoff), after which the backoff
+// doubles up to coordRetryMax.
+func (w *workerLink) redialAt(now time.Time) time.Time {
+	at := now.Add(backoffJitter(w.rng, w.backoff))
+	w.backoff = min(2*w.backoff, coordRetryMax)
+	return at
+}
+
+// frame is the per-frame step for non-empty payload p and the blob
+// behind it, arriving at now: a grant becomes the leased local copy, a
+// drain latches, and an adopt header is returned as the offer it
+// carries, for the host process to take up.
+func (w *workerLink) frame(p, blob []byte, now time.Time) (AdoptOffer, bool) {
+	switch p[0] {
+	case coordMsgGrant:
+		if g, ok := decodeGrant(p); ok {
+			g.Node = w.name
+			w.grant, w.grantAt = g, now
+		}
+	case coordMsgDrain:
+		w.drainReq = true
+	case coordMsgAdopt:
+		shard, bin, _, ok := decodeAdoptHdr(p)
+		return AdoptOffer{Shard: shard, Bin: bin, Checkpoint: blob}, ok
+	}
+	return AdoptOffer{}, false
+}
+
+// fresh returns the latest grant while it is no older than the lease at
+// now; ok=false sends the node back to its local capacity.
+func (w *workerLink) fresh(now time.Time) (BudgetGrant, bool) {
+	if w.grantAt.IsZero() || now.Sub(w.grantAt) > w.cfg.Lease {
+		return BudgetGrant{}, false
+	}
+	return w.grant, true
+}
+
+// fnv64a hashes a worker name into its jitter seed (FNV-1a).
+func fnv64a(s string) uint64 { h := fnv.New64a(); h.Write([]byte(s)); return h.Sum64() }
+
+// backoffJitter spreads a backoff wait over [d/2, d), drawn from the
+// link's name-seeded stream: deterministic per worker, decorrelated
+// across a fleet.
+func backoffJitter(rng *ihash.XorShift, d time.Duration) time.Duration {
+	half := d / 2
+	if half <= 0 {
+		return d
+	}
+	return half + time.Duration(rng.Float64()*float64(d-half))
+}
+
+// --- the TCP drivers ---
+//
+// CoordServer runs the coordinator's steps and CoordClient a worker's
+// workerLink over sockets; what is left to them is what a simulator
+// cannot share: sockets, goroutines, deadlines and wall-clock reads.
+// Every one of those in this package lives below this line.
+
+// ckptRecvTimeout bounds moving a checkpoint blob once its header is on
+// the wire (the header promised blobLen bytes are already in flight).
+// A variable only so a test of the stalled-peer path need not wait it
+// out.
+var ckptRecvTimeout = 30 * time.Second
+
+// ErrCoordinatorUnreachable is returned by CoordClient.Report while no
+// connection to the coordinator is up; the caller sheds locally and
+// retries next bin while the client redials in the background.
+var ErrCoordinatorUnreachable = errors.New("control: coordinator unreachable")
+
 // --- the link under both ends ---
 
 // link is one end of a coordinator connection — the socket handling the
-// server and the client share: frames in through one buffered reader
+// server and the client share: messages in through one buffered reader
 // (so nothing read ahead during the handshake is lost to the stream
 // after it), messages out through one locked write, and the raw blob
 // behind a checkpoint or adopt header read under a deadline into a
 // buffer that grows only as bytes arrive.
 type link struct {
-	c    net.Conn
-	br   *bufio.Reader
-	rbuf []byte // readFrame's payload, reused
+	c  net.Conn
+	br *bufio.Reader
+
+	// A write's deadline: frameTimeout, or blobTimeout for a message
+	// that carries a blob.
+	frameTimeout, blobTimeout time.Duration
 
 	wmu  sync.Mutex
 	wbuf []byte // send's message, reused
 }
 
-func newLink(c net.Conn) *link { return &link{c: c, br: bufio.NewReaderSize(c, 512)} }
-
 // send builds one message into the link's reused buffer and writes it
 // in a single locked write under a deadline: frames from concurrent
 // senders cannot interleave, nor can anything split a header from the
-// blob built behind it.
-func (l *link) send(timeout time.Duration, build func(buf []byte) []byte) error {
+// blob built behind it. A failed write closes the connection; its
+// reader notices and the driver lets the link go.
+func (l *link) send(build func(buf []byte) []byte) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.wbuf = build(l.wbuf[:0])
+	timeout := l.frameTimeout
+	if m := l.wbuf[2]; m == coordMsgCheckpoint || m == coordMsgAdopt {
+		timeout = l.blobTimeout
+	}
 	l.c.SetWriteDeadline(time.Now().Add(timeout))
 	_, err := l.c.Write(l.wbuf)
 	l.c.SetWriteDeadline(time.Time{})
+	if err != nil {
+		l.c.Close()
+	}
 	return err
 }
 
-// readFrame returns the next frame's payload, valid until the next
-// call. A positive timeout bounds the wait: handshake frames must
-// arrive promptly, while the streams after them are paced by the peer's
-// bins and heartbeats and wait without one.
-func (l *link) readFrame(timeout time.Duration) ([]byte, error) {
+// readMsg returns the stream's next message: a non-empty payload, and
+// the blob behind it when it is a checkpoint or adopt header. A
+// positive timeout bounds the wait: handshake frames must arrive
+// promptly, while the streams after them are paced by the peer's bins
+// and heartbeats and wait without one. Empty frames are skipped; a
+// malformed blob header is an error, and costs the connection.
+func (l *link) readMsg(timeout time.Duration) (p, blob []byte, err error) {
 	if timeout > 0 {
 		l.c.SetReadDeadline(time.Now().Add(timeout))
 		defer l.c.SetReadDeadline(time.Time{})
 	}
-	var err error
-	l.rbuf, err = readCoordFrame(l.br, l.rbuf) // nil on error: no caller reads on
-	return l.rbuf, err
-}
-
-// readBlob reads the n raw bytes a checkpoint or adopt header
-// announced (n <= maxCheckpointBytes: the header decoders refuse more).
-// The sender serialized the blob before writing the header, so the
-// bytes are in flight and ckptRecvTimeout bounds the read on either
-// side; a peer that stalls mid-blob costs its connection, not the
-// reader. The buffer grows as bytes arrive, so a header that lies about
-// its blob costs what was actually sent, not what was claimed.
-func (l *link) readBlob(n int) ([]byte, error) {
+	for len(p) == 0 {
+		if p, err = readCoordFrame(l.br, nil); err != nil {
+			return nil, nil, err
+		}
+	}
+	n, ok := trailerLen(p)
+	if !ok {
+		return nil, nil, errors.New("control: malformed blob header")
+	}
+	if n == 0 {
+		return p, nil, nil
+	}
+	// The blob: n <= maxCheckpointBytes, which the header decoders
+	// enforce. The sender serialized the blob before writing the header,
+	// so the bytes are in flight and ckptRecvTimeout bounds the read on
+	// either side; a peer that stalls mid-blob costs its connection, not
+	// the reader. The buffer grows as bytes arrive, so a header that lies
+	// about its blob costs what was actually sent, not what was claimed.
 	l.c.SetReadDeadline(time.Now().Add(ckptRecvTimeout))
 	defer l.c.SetReadDeadline(time.Time{})
-	var blob bytes.Buffer
-	if _, err := io.CopyN(&blob, l.br, int64(n)); err != nil {
-		return nil, err
+	var b bytes.Buffer
+	if _, err := io.CopyN(&b, l.br, int64(n)); err != nil {
+		return nil, nil, err
 	}
-	return blob.Bytes(), nil
+	return p, b.Bytes(), nil
 }
 
 // --- TCP server (coordinator side) ---
@@ -484,8 +616,8 @@ func (l *link) readBlob(n int) ([]byte, error) {
 // CoordServerConfig tunes the coordinator's heartbeat state machine.
 type CoordServerConfig struct {
 	// Heartbeat is the allocation cadence: every tick the coordinator
-	// runs allocateLease over the reports received so far and pushes
-	// fresh grants to every connected worker. Default 500ms.
+	// allocates over the reports received so far and pushes fresh
+	// grants to every connected worker. Default 500ms.
 	Heartbeat time.Duration
 	// Lease is how long a silent worker stays in the allocation before
 	// being marked partitioned (its budget then redistributes to the
@@ -518,17 +650,17 @@ func (c CoordServerConfig) withDefaults() CoordServerConfig {
 }
 
 // CoordServer exposes a Coordinator over TCP: it accepts worker
-// connections, folds their report streams into the coordinator, and on
-// every heartbeat allocates and empties each connected worker's mailbox
-// onto its connection. Close stops the listener, the heartbeat, and
-// every worker connection.
+// connections, feeds their frames to the coordinator's steps, and on
+// every heartbeat ticks the coordinator and pumps each connected
+// worker's mailbox onto its connection. Close stops the listener, the
+// heartbeat, and every worker connection.
 type CoordServer struct {
 	coord *Coordinator
 	cfg   CoordServerConfig
 	ln    net.Listener
 
 	mu    sync.Mutex
-	conns map[string]*link
+	conns conns[*link]
 
 	quit    chan struct{}
 	wg      sync.WaitGroup
@@ -548,7 +680,7 @@ func ServeCoordinator(ln net.Listener, coord *Coordinator, cfg CoordServerConfig
 		coord: coord,
 		cfg:   cfg.withDefaults(),
 		ln:    ln,
-		conns: make(map[string]*link),
+		conns: make(conns[*link]),
 		quit:  make(chan struct{}),
 	}
 	s.wg.Add(2)
@@ -559,9 +691,6 @@ func ServeCoordinator(ln net.Listener, coord *Coordinator, cfg CoordServerConfig
 
 // Addr returns the listening address.
 func (s *CoordServer) Addr() net.Addr { return s.ln.Addr() }
-
-// Coordinator returns the coordinator being served (for status planes).
-func (s *CoordServer) Coordinator() *Coordinator { return s.coord }
 
 // Close shuts the server down: no new connections, no more heartbeats,
 // all worker connections closed.
@@ -592,92 +721,51 @@ func (s *CoordServer) acceptLoop() {
 	}
 }
 
-// handshake admits a new connection: a keyed server opens with a
-// challenge and requires the hello in authenticated form; a keyless one
-// never writes the challenge, keeping the original byte stream exactly.
-// Either way the hello must arrive promptly.
-func (s *CoordServer) handshake(l *link) (name string, minShare float64, ok bool) {
-	var nonce []byte
-	if s.cfg.Key != "" {
-		nonce = make([]byte, coordNonceLen)
-		if _, err := rand.Read(nonce); err != nil {
-			return "", 0, false
-		}
-		if l.send(coordHelloTimeout, func(b []byte) []byte { return appendChallengeFrame(b, nonce) }) != nil {
-			return "", 0, false
-		}
-	}
-	frame, err := l.readFrame(coordHelloTimeout)
-	if err != nil || len(frame) < 1 {
-		return "", 0, false
-	}
-	switch {
-	case s.cfg.Key == "" && frame[0] == coordMsgHello:
-		name, minShare, ok = decodeHello(frame)
-	case s.cfg.Key != "" && frame[0] == coordMsgHelloAuth:
-		name, minShare, ok = decodeHelloAuth(frame, s.cfg.Key, nonce)
-		if !ok {
-			s.authFailures.Add(1) // bad MAC: wrong key
-		}
-	case frame[0] == coordMsgHello || frame[0] == coordMsgHelloAuth:
-		// Keyed server got a plain hello, or keyless got an authenticated
-		// one: a key mismatch between the two sides either way.
-		s.authFailures.Add(1)
-	}
-	return name, minShare, ok
-}
-
+// handleConn admits a connection — a keyed server opens with a
+// challenge, and the hello must arrive promptly — and feeds the frames
+// after the hello to the coordinator until the connection dies.
 func (s *CoordServer) handleConn(c net.Conn) {
 	defer s.wg.Done()
 	defer c.Close()
-	l := newLink(c)
-	name, minShare, ok := s.handshake(l)
+	// Blobs outweigh grant frames.
+	l := &link{c: c, br: bufio.NewReaderSize(c, 512), frameTimeout: coordHelloTimeout, blobTimeout: max(s.cfg.Heartbeat, 2*time.Second)}
+	var nonce []byte
+	if s.cfg.Key != "" {
+		nonce = make([]byte, coordNonceLen)
+		if _, err := rand.Read(nonce); err != nil || l.send(func(b []byte) []byte { return appendChallengeFrame(b, nonce) }) != nil {
+			return
+		}
+	}
+	p, _, err := l.readMsg(coordHelloTimeout)
+	if err != nil {
+		return
+	}
+	name, ok, mismatch := s.coord.admit(p, s.cfg.Key, nonce)
+	if mismatch {
+		s.authFailures.Add(1)
+	}
 	if !ok {
 		return
 	}
-	s.coord.join(name, minShare)
-
+	l.frameTimeout = s.cfg.Heartbeat
 	s.mu.Lock()
-	if old := s.conns[name]; old != nil {
-		old.c.Close() // a reconnecting worker supersedes its stale conn
+	if old := s.conns.bind(name, l); old != nil {
+		old.c.Close()
 	}
-	s.conns[name] = l
 	s.mu.Unlock()
 
 	// Everything after the hello is paced by the worker's bins, so no
 	// deadline applies to the report stream.
-readLoop:
 	for {
-		frame, err := l.readFrame(0)
+		p, blob, err := l.readMsg(0)
 		if err != nil {
 			break
 		}
-		if len(frame) < 1 {
-			continue
-		}
-		switch frame[0] {
-		case coordMsgReport:
-			if r, ok := decodeReport(frame); ok {
-				r.Node = name
-				s.coord.report(r, time.Now())
-			}
-		case coordMsgCheckpoint:
-			bin, final, blobLen, ok := decodeCheckpointHdr(frame)
-			if !ok {
-				break readLoop // oversized or malformed header: protocol violation
-			}
-			blob, err := l.readBlob(blobLen)
-			if err != nil {
-				break readLoop
-			}
-			s.coord.storeCheckpoint(name, bin, final, blob)
-		}
+		s.coord.serve(name, p, blob, time.Now())
 	}
 
 	s.mu.Lock()
-	if s.conns[name] == l {
-		delete(s.conns, name)
-	}
+	s.conns.unbind(name, l)
 	s.mu.Unlock()
 }
 
@@ -685,68 +773,20 @@ func (s *CoordServer) heartbeatLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.Heartbeat)
 	defer ticker.Stop()
-	var names []string
 	for {
 		select {
 		case <-s.quit:
 			return
 		case <-ticker.C:
 		}
-		now := time.Now()
-		s.coord.allocateLease(now, s.cfg.Lease)
-		s.coord.planFailover(now, s.cfg.Grace, 2*s.cfg.Lease)
-		names = names[:0]
+		s.coord.tick(time.Now(), s.cfg.Lease, s.cfg.Grace)
 		s.mu.Lock()
-		for name := range s.conns {
-			names = append(names, name)
-		}
+		bound := maps.Clone(s.conns)
 		s.mu.Unlock()
-		for _, name := range names {
-			s.pump(name)
+		for name, l := range bound {
+			s.coord.pump(name, l.send) // a link superseded meanwhile fails the send
 		}
 	}
-}
-
-// pump empties name's mailbox onto its connection: the fresh grant, a
-// pending drain, an adoption offer. The drain frame re-sends every
-// heartbeat until the final checkpoint lands (idempotent on the worker
-// side), so a lost frame only delays the drain one heartbeat. An offer
-// goes header and blob in one send, so grant pushes cannot interleave
-// mid-blob; one that cannot be delivered is put back for the next
-// heartbeat rather than waiting out the offer timeout.
-func (s *CoordServer) pump(name string) {
-	if g, ok := s.coord.grantFor(name); ok {
-		s.sendTo(name, s.cfg.Heartbeat, func(b []byte) []byte { return appendGrantFrame(b, g) })
-	}
-	if s.coord.drainRequested(name) {
-		s.sendTo(name, s.cfg.Heartbeat, appendDrainFrame)
-	}
-	if o, ok := s.coord.takeOfferFor(name); ok {
-		// Blobs outweigh grant frames.
-		delivered := s.sendTo(name, max(s.cfg.Heartbeat, 2*time.Second), func(b []byte) []byte {
-			return append(appendAdoptFrame(b, o.Shard, o.Bin, len(o.Checkpoint)), o.Checkpoint...)
-		})
-		if !delivered {
-			s.coord.untakeOffer(o.Shard, name)
-		}
-	}
-}
-
-// sendTo writes one message to the named worker's connection and
-// reports whether it was delivered. A failed write closes the
-// connection; its reader notices and unregisters it.
-func (s *CoordServer) sendTo(name string, timeout time.Duration, build func([]byte) []byte) bool {
-	s.mu.Lock()
-	l := s.conns[name]
-	s.mu.Unlock()
-	if l == nil {
-		return false
-	}
-	if l.send(timeout, build) != nil {
-		l.c.Close()
-		return false
-	}
-	return true
 }
 
 // --- TCP client (worker side) ---
@@ -773,31 +813,23 @@ type CoordClientConfig struct {
 
 // CoordClient is a worker's NodeTransport over TCP. It maintains the
 // connection in the background — dialing, re-helloing after every
-// reconnect (the rejoin path), and folding pushed grants into a leased
-// local copy — so Report and Grant never block on the network beyond a
+// reconnect (the rejoin path), and feeding pushed frames to its
+// workerLink — so Report and Grant never block on the network beyond a
 // single bounded write.
 type CoordClient struct {
 	addr string
-	name string
-	cfg  CoordClientConfig
 
-	mu      sync.Mutex
-	link    *link
-	grant   BudgetGrant
-	grantAt time.Time
+	mu   sync.Mutex
+	w    workerLink // guarded by mu, but for the redial schedule
+	link *link      // nil while disconnected
 
 	quit       chan struct{}
 	wg         sync.WaitGroup
 	closed     atomic.Bool
-	connected  atomic.Bool
 	reconnects atomic.Int64
 
-	// Failover surface: pushed adoption offers queue here for the host
-	// process; drainReq latches a pushed drain frame for the Node's
-	// boundary hook. rng drives the reconnect jitter.
-	adoptCh  chan AdoptOffer
-	drainReq atomic.Bool
-	rng      *ihash.XorShift
+	// Pushed adoption offers queue here for the host process.
+	adoptCh chan AdoptOffer
 }
 
 // DialCoordinator connects a worker named name to the coordinator at
@@ -815,11 +847,10 @@ func DialCoordinator(addr, name string, cfg CoordClientConfig) (*CoordClient, er
 		cfg.Lease = 1500 * time.Millisecond
 	}
 	c := &CoordClient{
-		addr: addr, name: name, cfg: cfg, quit: make(chan struct{}),
+		addr: addr, w: newWorkerLink(name, cfg), quit: make(chan struct{}),
 		// The coordinator collects one offer per adopter per heartbeat; 8
 		// rides out a host slow to start the shards it was offered.
 		adoptCh: make(chan AdoptOffer, 8),
-		rng:     ihash.NewXorShift(fnv64a(name)),
 	}
 	err := c.connect()
 	c.wg.Add(1)
@@ -827,36 +858,8 @@ func DialCoordinator(addr, name string, cfg CoordClientConfig) (*CoordClient, er
 	return c, err
 }
 
-// fnv64a hashes a worker name into its jitter seed (FNV-1a).
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// backoffJitter spreads a backoff wait over [d/2, d), drawn from the
-// client's name-seeded stream: deterministic per worker, decorrelated
-// across a fleet.
-func backoffJitter(rng *ihash.XorShift, d time.Duration) time.Duration {
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(rng.Float64()*float64(d-half))
-}
-
 // Connected reports whether a coordinator connection is currently up.
-func (c *CoordClient) Connected() bool { return c.connected.Load() }
-
-// Degraded reports whether the worker is currently shedding on local
-// capacity only, i.e. holds no grant fresher than the lease.
-func (c *CoordClient) Degraded() bool {
-	_, ok := c.Grant()
-	return !ok
-}
+func (c *CoordClient) Connected() bool { return c.current() != nil }
 
 // Reconnects returns how many times the background loop re-established
 // the connection after a loss (or an initially unreachable coordinator).
@@ -867,40 +870,30 @@ func (c *CoordClient) connect() error {
 	if err != nil {
 		return err
 	}
-	l := newLink(conn)
-	hello := func(b []byte) []byte { return appendHelloFrame(b, c.name, c.cfg.MinShare) }
-	if c.cfg.Key != "" {
+	l := &link{c: conn, br: bufio.NewReaderSize(conn, 512), frameTimeout: coordDialTimeout, blobTimeout: ckptRecvTimeout}
+	var nonce []byte
+	if c.w.cfg.Key != "" {
 		// A keyed client expects the challenge before anything else.
-		nonce, err := readChallenge(l)
+		var b challengeBody
+		p, _, err := l.readMsg(coordDialTimeout)
+		if _, ok := decodeFrame(p, &b); err == nil && (!ok || p[0] != coordMsgChallenge) {
+			err = errors.New("unexpected frame where challenge expected")
+		}
 		if err != nil {
 			conn.Close()
 			return fmt.Errorf("control: coordinator auth: %w (keyless coordinator or wrong address?)", err)
 		}
-		hello = func(b []byte) []byte { return appendHelloAuthFrame(b, c.name, c.cfg.MinShare, c.cfg.Key, nonce) }
+		nonce = b.Nonce[:]
 	}
-	if err := l.send(coordDialTimeout, hello); err != nil {
-		conn.Close()
+	// name and cfg never change, so the hello reads them unlocked.
+	if err := l.send(func(b []byte) []byte { return c.w.hello(b, nonce) }); err != nil {
 		return err
 	}
+	c.w.joined()
 	c.mu.Lock()
 	c.link = l
 	c.mu.Unlock()
-	c.connected.Store(true)
 	return nil
-}
-
-// readChallenge reads the server's challenge frame and returns the
-// nonce.
-func readChallenge(l *link) ([]byte, error) {
-	p, err := l.readFrame(coordDialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("no challenge: %w", err)
-	}
-	var b challengeBody
-	if _, ok := decodeFrame(p, &b); !ok || p[0] != coordMsgChallenge {
-		return nil, errors.New("unexpected frame where challenge expected")
-	}
-	return b.Nonce[:], nil
 }
 
 func (c *CoordClient) current() *link {
@@ -914,68 +907,47 @@ func (c *CoordClient) drop(l *link) {
 	c.mu.Lock()
 	if c.link == l {
 		c.link = nil
-		c.connected.Store(false)
 	}
 	c.mu.Unlock()
 }
 
 func (c *CoordClient) maintain() {
 	defer c.wg.Done()
-	backoff := coordRetryMin
 	for !c.closed.Load() {
 		l := c.current()
 		if l == nil {
+			// The redial schedule is this loop's alone (connect's first
+			// call precedes it), so it needs no lock.
+			at := c.w.redialAt(time.Now())
 			select {
 			case <-c.quit:
 				return
-			case <-time.After(backoffJitter(c.rng, backoff)):
+			case <-time.After(time.Until(at)):
 			}
-			backoff = min(2*backoff, coordRetryMax)
 			if c.connect() == nil {
 				c.reconnects.Add(1)
-				backoff = coordRetryMin
 			}
 			continue
 		}
-		c.readGrants(l) // blocks until the connection dies
+		c.readPushes(l) // blocks until the connection dies
 		c.drop(l)
 	}
 }
 
-// readGrants drains coordinator pushes from l: grants into the leased
-// local copy, drain requests into the latch, adoption offers (header +
-// raw blob) into the host's queue.
-func (c *CoordClient) readGrants(l *link) {
+// readPushes feeds the coordinator's pushes on l to the workerLink and
+// queues the adoption offers among them for the host.
+func (c *CoordClient) readPushes(l *link) {
 	for {
-		frame, err := l.readFrame(0)
+		p, blob, err := l.readMsg(0)
 		if err != nil {
 			return
 		}
-		if len(frame) < 1 {
-			continue
-		}
-		switch frame[0] {
-		case coordMsgGrant:
-			if g, ok := decodeGrant(frame); ok {
-				g.Node = c.name
-				c.mu.Lock()
-				c.grant = g
-				c.grantAt = time.Now()
-				c.mu.Unlock()
-			}
-		case coordMsgDrain:
-			c.drainReq.Store(true)
-		case coordMsgAdopt:
-			shard, bin, blobLen, ok := decodeAdoptHdr(frame)
-			if !ok {
-				return // malformed push: drop the conn, redial clean
-			}
-			blob, err := l.readBlob(blobLen)
-			if err != nil {
-				return
-			}
+		c.mu.Lock()
+		o, ok := c.w.frame(p, blob, time.Now())
+		c.mu.Unlock()
+		if ok {
 			select {
-			case c.adoptCh <- AdoptOffer{Shard: shard, Bin: bin, Checkpoint: blob}:
+			case c.adoptCh <- o:
 			default:
 				// Queue full: drop; the coordinator re-offers after its
 				// offer timeout, and likely elsewhere.
@@ -985,24 +957,20 @@ func (c *CoordClient) readGrants(l *link) {
 }
 
 // send writes one message on the current link. While disconnected it
-// returns ErrCoordinatorUnreachable; a failed write drops the
+// returns ErrCoordinatorUnreachable; a failed write closes the
 // connection and the maintain loop redials and re-joins.
-func (c *CoordClient) send(timeout time.Duration, build func(buf []byte) []byte) error {
+func (c *CoordClient) send(build func(buf []byte) []byte) error {
 	l := c.current()
 	if l == nil {
 		return ErrCoordinatorUnreachable
 	}
-	err := l.send(timeout, build)
-	if err != nil {
-		c.drop(l)
-	}
-	return err
+	return l.send(build)
 }
 
 // Report sends a demand report; while disconnected it returns
 // ErrCoordinatorUnreachable and the caller proceeds on local capacity.
 func (c *CoordClient) Report(r DemandReport) error {
-	return c.send(coordDialTimeout, func(buf []byte) []byte { return appendReportFrame(buf, r) })
+	return c.send(func(buf []byte) []byte { return appendReportFrame(buf, r) })
 }
 
 // Checkpoint ships an encoded shard checkpoint to the coordinator: the
@@ -1013,7 +981,7 @@ func (c *CoordClient) Checkpoint(blob []byte, bin int64, final bool) error {
 	if len(blob) > maxCheckpointBytes {
 		return fmt.Errorf("control: checkpoint blob %d bytes exceeds the %d wire cap", len(blob), maxCheckpointBytes)
 	}
-	return c.send(ckptRecvTimeout, func(buf []byte) []byte {
+	return c.send(func(buf []byte) []byte {
 		return append(appendCheckpointFrame(buf, bin, final, len(blob)), blob...)
 	})
 }
@@ -1021,7 +989,11 @@ func (c *CoordClient) Checkpoint(blob []byte, bin int64, final bool) error {
 // DrainRequested reports whether the coordinator pushed a drain frame
 // on this link (it latches; the worker process is expected to act once
 // and exit the shard).
-func (c *CoordClient) DrainRequested() bool { return c.drainReq.Load() }
+func (c *CoordClient) DrainRequested() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.w.drainReq
+}
 
 // Adoptions delivers the adoption offers pushed on this link, each once.
 // Adopting means building a new engine next to the existing one, which
@@ -1029,14 +1001,12 @@ func (c *CoordClient) DrainRequested() bool { return c.drainReq.Load() }
 // transport's.
 func (c *CoordClient) Adoptions() <-chan AdoptOffer { return c.adoptCh }
 
-// Grant returns the latest pushed grant while it is lease-fresh.
+// Grant returns the latest pushed grant while it is lease-fresh; while
+// it is not, the worker is degraded to local-only shedding.
 func (c *CoordClient) Grant() (BudgetGrant, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.grantAt.IsZero() || time.Since(c.grantAt) > c.cfg.Lease {
-		return BudgetGrant{}, false
-	}
-	return c.grant, true
+	return c.w.fresh(time.Now())
 }
 
 // Close stops the background loop and closes any live connection.

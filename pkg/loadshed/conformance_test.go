@@ -653,17 +653,16 @@ var conformanceRows = []row{
 	}},
 	{name: "grant-loss", na: budgeted, run: func(t *testing.T, c *column, ref *reference) []*records {
 		// A link that loses every grant leaves the node shedding on its
-		// own budget: coordination is advisory. The same link unfaulted
-		// must move the run, or the loss proves nothing.
+		// own budget: coordination is advisory. A link that grants must
+		// move the run, or the loss proves nothing.
 		budget := ref.sys.cfg.Capacity / 2
 		run := func(tr NodeTransport) *records {
 			return streamNode(t, NewNode(c.sys(t, 1), tr, NodeConfig{Name: "w0"}), c.trace().src())
 		}
-		lossy := &captureTransport{capacity: budget}
-		faulted := NewFaultTransport(lossy, FaultConfig{Seed: 11, GrantDrop: 1})
-		got := run(faulted)
-		if len(lossy.reports) == 0 || faulted.Stats().GrantsDropped == 0 {
-			t.Fatalf("%d reports delivered, stats %+v: want reports through and every grant lost", len(lossy.reports), faulted.Stats())
+		lossy := &captureTransport{}
+		got := run(lossy)
+		if len(lossy.reports) == 0 || lossy.refused == 0 {
+			t.Fatalf("%d reports delivered, %d grants asked for: want reports through and every grant lost", len(lossy.reports), lossy.refused)
 		}
 		if run(&captureTransport{capacity: budget}).diff(ref.digests[0]) == "" {
 			t.Fatal("live grants left the run unmoved; grant loss is untestable here")

@@ -271,6 +271,29 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// serveTCP serves coord on a loopback listener until the test ends.
+func serveTCP(t *testing.T, coord *control.Coordinator, cfg CoordServerConfig) *control.CoordServer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	srv := ServeCoordinator(ln, coord, cfg)
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// dialTCP joins a worker named name to srv until the test ends.
+func dialTCP(t *testing.T, srv *control.CoordServer, name string, cfg CoordClientConfig) *control.CoordClient {
+	t.Helper()
+	c, err := DialCoordinator(srv.Addr().String(), name, cfg)
+	if err != nil {
+		t.Fatalf("dial %s: %v", name, err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 // TestTCPCoordinationPartitionRejoin drives the full TCP state machine
 // in-process: two workers join and split the budget; one goes silent
 // past the lease and is marked partitioned while its budget moves to
@@ -279,27 +302,9 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestTCPCoordinationPartitionRejoin(t *testing.T) {
 	const total = 1000.0
 	coord := NewCoordinator(sched.MMFSCPU{}, total)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	srv := ServeCoordinator(ln, coord, CoordServerConfig{
-		Heartbeat: 10 * time.Millisecond,
-		Lease:     60 * time.Millisecond,
-	})
-	defer srv.Close()
-
+	srv := serveTCP(t, coord, CoordServerConfig{Heartbeat: 10 * time.Millisecond, Lease: 60 * time.Millisecond})
 	ccfg := CoordClientConfig{Lease: 60 * time.Millisecond}
-	alpha, err := DialCoordinator(srv.Addr().String(), "alpha", ccfg)
-	if err != nil {
-		t.Fatalf("dial alpha: %v", err)
-	}
-	defer alpha.Close()
-	beta, err := DialCoordinator(srv.Addr().String(), "beta", ccfg)
-	if err != nil {
-		t.Fatalf("dial beta: %v", err)
-	}
-	defer beta.Close()
+	alpha, beta := dialTCP(t, srv, "alpha", ccfg), dialTCP(t, srv, "beta", ccfg)
 
 	report := func(c *control.CoordClient, demand float64) {
 		c.Report(DemandReport{Bin: 1, Demand: demand}) // the connection names the node
@@ -336,7 +341,8 @@ func TestTCPCoordinationPartitionRejoin(t *testing.T) {
 		return partitioned("beta") && ok && math.Abs(g.Capacity-total) < 1e-6*total
 	})
 	waitFor(t, 5*time.Second, "beta degraded to local-only", func() bool {
-		return beta.Degraded()
+		_, fresh := beta.Grant()
+		return !fresh
 	})
 
 	// Phase 3: beta reports again and must rejoin the allocation.
@@ -354,21 +360,8 @@ func TestTCPCoordinationPartitionRejoin(t *testing.T) {
 // final done notice.
 func TestNodeStreamContextTCPWorker(t *testing.T) {
 	coord := NewCoordinator(sched.MMFSCPU{}, 5e6)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	srv := ServeCoordinator(ln, coord, CoordServerConfig{
-		Heartbeat: 5 * time.Millisecond,
-		Lease:     50 * time.Millisecond,
-	})
-	defer srv.Close()
-
-	client, err := DialCoordinator(srv.Addr().String(), "w0", CoordClientConfig{Lease: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer client.Close()
+	srv := serveTCP(t, coord, CoordServerConfig{Heartbeat: 5 * time.Millisecond, Lease: 50 * time.Millisecond})
+	client := dialTCP(t, srv, "w0", CoordClientConfig{Lease: 50 * time.Millisecond})
 
 	qs := []queries.Query{
 		queries.NewFlows(queries.Config{Seed: 5}),

@@ -194,11 +194,11 @@ func TestReactiveRateUpdate(t *testing.T) {
 			bc.overhead = tc.overhead
 			s.decideShedding(bc)
 			for i, r := range bc.rates {
-				if math.Abs(r-tc.want) > 1e-12 {
+				if !(math.Abs(r-tc.want) <= 1e-12) { // a NaN rate fails too
 					t.Fatalf("rates[%d] = %v, want %v", i, r, tc.want)
 				}
 			}
-			if math.Abs(s.reactiveRate-tc.want) > 1e-12 {
+			if !(math.Abs(s.reactiveRate-tc.want) <= 1e-12) {
 				t.Fatalf("reactiveRate = %v, want %v", s.reactiveRate, tc.want)
 			}
 		})
