@@ -77,7 +77,7 @@ func runCoordinator(ctx context.Context, o *options) {
 	fmt.Printf("coordinator on %s: policy %s, total capacity %.3g cycles/bin, heartbeat %v, %s\n",
 		srv.Addr(), c.policy.Name(), o.capacity, c.heartbeat, auth)
 
-	stopAdmin := startAdmin(o.admin, coordinatorMux(srv, coord, c), "healthz, metrics, cluster")
+	stopAdmin := startAdmin(o.admin, coordinatorMux(srv, coord, c, key), "healthz, metrics, cluster")
 
 	<-ctx.Done()
 	srv.Close()
@@ -100,7 +100,7 @@ func runCoordinator(ctx context.Context, o *options) {
 // coordinatorMux is the coordinator's admin plane: health, per-node
 // budget/demand/partition gauges, the /cluster membership listing, and
 // the /cluster/migrate verb that drains a shard onto another worker.
-func coordinatorMux(srv *control.CoordServer, coord *control.Coordinator, o coordOpts) *http.ServeMux {
+func coordinatorMux(srv *control.CoordServer, coord *control.Coordinator, o coordOpts, key string) *http.ServeMux {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -129,6 +129,7 @@ func coordinatorMux(srv *control.CoordServer, coord *control.Coordinator, o coor
 			func(n *control.CoordNodeStatus) any { return n.CheckpointBin })
 		m.Counter("lsd_cluster_checkpoints_total", "Shard checkpoints stored by the coordinator.", coord.CheckpointsStored())
 		m.Counter("lsd_cluster_failover_offers_total", "Adoption offers issued for crashed or migrating shards.", coord.FailoverOffers())
+		m.Counter("lsd_cluster_spill_errors_total", "Retained checkpoints the state directory failed to store.", coord.SpillErrors())
 		m.Counter("lsd_coord_auth_failures_total", "Connections rejected by pre-shared-key authentication.", srv.AuthFailures())
 		m.Runtime()
 	})
@@ -153,8 +154,8 @@ func coordinatorMux(srv *control.CoordServer, coord *control.Coordinator, o coor
 	// checkpoint to the target worker, which resumes it bit-identically.
 	// The handoff is asynchronous (drain, final checkpoint, directed
 	// offer, adoption), so success is 202 Accepted; watch /cluster for
-	// the shard moving.
-	mux.HandleFunc("POST /cluster/migrate", func(w http.ResponseWriter, r *http.Request) {
+	// the shard moving. Under -cluster-key-file it needs the key.
+	mux.HandleFunc("POST /cluster/migrate", authorized(key, func(w http.ResponseWriter, r *http.Request) {
 		from, to := r.FormValue("from"), r.FormValue("to")
 		if from == "" || to == "" {
 			http.Error(w, "need from= and to= node names", http.StatusBadRequest)
@@ -170,7 +171,7 @@ func coordinatorMux(srv *control.CoordServer, coord *control.Coordinator, o coor
 			"status": "accepted", "from": from, "to": to,
 			"note": "source drains at its next interval boundary; target adopts the final checkpoint",
 		})
-	})
+	}))
 
 	return mux
 }
@@ -272,7 +273,6 @@ func (o workerOpts) dial(name string, minShare float64) (*control.CoordClient, e
 func (o workerOpts) member(sys *loadshed.System, client *control.CoordClient, spec loadshed.ShardSpec, name string, binOffset int64) *loadshed.Node {
 	return loadshed.NewNode(sys, client, loadshed.NodeConfig{
 		Name:            name,
-		MinShare:        spec.MinShare,
 		CheckpointEvery: o.ckptEvery,
 		Spec:            spec,
 		BinOffset:       binOffset,
@@ -301,9 +301,6 @@ func runWorker(ctx context.Context, o workerOpts) {
 		sys, err := shardSystem(spec, nil)
 		die(err)
 		client := joinCoordinator(name, o)
-		if o.ckptEvery > 0 && o.customOn {
-			fmt.Println("warning: -checkpoint-every needs -custom=false (custom load shedding has unserializable state); checkpoints will fail until it is disabled")
-		}
 		node := o.member(sys, client, spec, name, 0)
 		// The stream goroutine applies grants to the Governor, so
 		// /metrics reads the budget the latest bin ran under instead.
@@ -320,6 +317,7 @@ func runWorker(ctx context.Context, o workerOpts) {
 
 		return sys, serveMode{
 			banner: "serving as cluster worker",
+			key:    o.key,
 			stream: func(ctx context.Context, src loadshed.Source, sink loadshed.Sink) error {
 				return node.StreamContext(ctx, src, loadshed.Tee(sink, budgetSink))
 			},

@@ -237,8 +237,9 @@ func clusterScenario(t *testing.T) {
 // failoverScenario: a PSK-authenticated coordinator with a state
 // directory and checkpointing workers; durable checkpoints land; a
 // kill -9'd worker's shard is adopted by the survivor from its last
-// checkpoint, then live-migrated onto a third worker; a keyless rogue
-// is rejected; -join-timeout fails fast against a dead coordinator;
+// checkpoint, then live-migrated onto a third worker; admin requests
+// that change state without the key get 401 and change nothing; a
+// keyless rogue is rejected; -join-timeout fails fast against a dead coordinator;
 // every process exits cleanly on SIGTERM.
 func failoverScenario(t *testing.T) {
 	const key = "e2e-secret"
@@ -281,7 +282,23 @@ func failoverScenario(t *testing.T) {
 	// moves the adopted beta shard onto it. The source drains at a bin
 	// boundary, the final checkpoint transfers, the target resumes.
 	gamma, gammaAdmin := startWorker(t, "ha-worker", "gamma", coord, coordAdmin, "$KEYFILE", keyFile)
-	if code, body := call("POST", coordAdmin+"/cluster/migrate", "from=beta&to=gamma"); code != http.StatusAccepted {
+	// Without the key, or with another, the migration is refused and
+	// the coordinator plans nothing; so is a worker's query removal.
+	for _, k := range []string{"", "wrong-" + key} {
+		if code, body := callWithKey(k, "POST", coordAdmin+"/cluster/migrate", "from=beta&to=gamma"); code != http.StatusUnauthorized {
+			t.Fatalf("POST /cluster/migrate under key %q: %d %s, want 401", k, code, body)
+		}
+		if code, body := callWithKey(k, "DELETE", alphaAdmin+"/queries/counter", ""); code != http.StatusUnauthorized {
+			t.Fatalf("DELETE /queries/counter under key %q: %d %s, want 401", k, code, body)
+		}
+	}
+	if nodes, state := clusterNodes(coordAdmin); nodes == nil || nodes["beta"].MigrateTo != "" {
+		t.Fatalf("an unauthenticated migration was planned, or /cluster failed:\n%s", state)
+	}
+	if code, body := callWithKey(key, "DELETE", alphaAdmin+"/queries/no-such-query", ""); code != http.StatusNotFound {
+		t.Fatalf("DELETE /queries/no-such-query with the key: %d %s, want 404", code, body)
+	}
+	if code, body := callWithKey(key, "POST", coordAdmin+"/cluster/migrate", "from=beta&to=gamma"); code != http.StatusAccepted {
 		t.Fatalf("POST /cluster/migrate from=beta&to=gamma: %d %s", code, body)
 	}
 	waitMetric(t, gammaAdmin, "lsd_adopted_shards", 1)
@@ -292,7 +309,7 @@ func failoverScenario(t *testing.T) {
 	waitNode(t, coordAdmin, "beta", "live on gamma", func(n control.CoordNodeStatus) bool { return !n.Partitioned })
 
 	// Bad migrations are rejected up front.
-	if code, body := call("POST", coordAdmin+"/cluster/migrate", "from=beta&to=beta"); code != http.StatusBadRequest {
+	if code, body := callWithKey(key, "POST", coordAdmin+"/cluster/migrate", "from=beta&to=beta"); code != http.StatusBadRequest {
 		t.Fatalf("self-migration answered %d, want 400: %s", code, body)
 	}
 
@@ -526,13 +543,21 @@ var client = &http.Client{Timeout: 2 * time.Second}
 
 // call makes one request (a non-empty body is sent as a form) and
 // returns the status and body; status 0 and the error when it failed.
-func call(method, url, form string) (int, string) {
+func call(method, url, form string) (int, string) { return callWithKey("", method, url, form) }
+
+// callWithKey is call carrying "Authorization: Bearer key" when key is
+// set, as the admin endpoints that change state require under a
+// cluster key.
+func callWithKey(key, method, url, form string) (int, string) {
 	req, err := http.NewRequest(method, url, strings.NewReader(form))
 	if err != nil {
 		return 0, err.Error()
 	}
 	if form != "" {
 		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	}
+	if key != "" {
+		req.Header.Set("Authorization", "Bearer "+key)
 	}
 	resp, err := client.Do(req)
 	if err != nil {

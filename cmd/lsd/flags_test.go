@@ -82,6 +82,23 @@ func TestModeFlags(t *testing.T) {
 	}
 }
 
+// TestCheckpointingWorkerNeedsCustomOff: a worker that checkpoints with
+// custom shedding on (the default) is refused before it starts, since
+// every checkpoint and drain of it would fail; -custom=false runs.
+func TestCheckpointingWorkerNeedsCustomOff(t *testing.T) {
+	worker := []string{"-worker", "127.0.0.1:9", "-checkpoint-every", "2"}
+	for _, args := range [][]string{worker, append(slices.Clone(worker), "-custom=true")} {
+		if _, err := parse(args); err == nil || !strings.Contains(err.Error(), "-custom=false") {
+			t.Errorf("lsd %s: error %v, want a refusal naming -custom=false", strings.Join(args, " "), err)
+		}
+	}
+	for _, args := range [][]string{append(slices.Clone(worker), "-custom=false"), {"-worker", "127.0.0.1:9"}} {
+		if m, err := parse(args); err != nil || m.name != "worker" {
+			t.Errorf("lsd %s: mode %q, error %v; want worker mode", strings.Join(args, " "), m.name, err)
+		}
+	}
+}
+
 // TestDocumentedInvocations: every lsd command line in README.md, in
 // this package's doc comment and in CI is accepted under the mode it
 // selects, as are the invocations TestEndToEnd and the live_serve

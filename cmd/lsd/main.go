@@ -177,8 +177,10 @@ var modes = []mode{
 }
 
 // selectMode picks the mode the parsed flags select, rejects any flag
-// set on the command line that it does not read, and resolves the
-// scheme, strategy and shard-policy names.
+// set on the command line that it does not read, refuses a
+// checkpointing worker with custom shedding on (every checkpoint of it
+// would fail), and resolves the scheme, strategy and shard-policy
+// names.
 func (o *options) selectMode(fs *flag.FlagSet) (m mode, err error) {
 	for _, m = range modes {
 		if m.selected(o) {
@@ -193,6 +195,9 @@ func (o *options) selectMode(fs *flag.FlagSet) (m mode, err error) {
 	})
 	if err != nil {
 		return m, err
+	}
+	if m.name == "worker" && o.ckptEvery > 0 && o.customOn {
+		return m, fmt.Errorf("-checkpoint-every needs -custom=false: custom load shedding has state a checkpoint cannot carry")
 	}
 	if o.scheme, err = loadshed.ParseScheme(o.schemeName); err != nil {
 		return m, err
@@ -383,9 +388,7 @@ func runCluster(ctx context.Context, o *options) {
 		var rate, cap float64
 		for _, b := range sh.Result.Bins {
 			rate += stats.Mean(b.Rates)
-		}
-		for _, c := range sh.Capacities {
-			cap += c
+			cap += b.Capacity
 		}
 		nb := float64(len(sh.Result.Bins))
 		ref := loadshed.Reference(links[i], o.queries(), seed+1)

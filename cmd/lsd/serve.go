@@ -8,6 +8,7 @@ package main
 
 import (
 	"context"
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -135,6 +136,9 @@ type serveMode struct {
 	banner  string // "serving", "serving as cluster worker"
 	stream  func(context.Context, loadshed.Source, loadshed.Sink) error
 	metrics func(*loadshed.MetricsWriter) // appended to /metrics; nil = nothing
+	// key, when set, is the cluster key the admin plane's
+	// state-changing endpoints require (authorized).
+	key string
 	// after runs between the end of the stream and the admin plane's
 	// shutdown (nil = nothing): the worker waits for its adopted shards
 	// there, still scrapeable.
@@ -177,7 +181,7 @@ func serveLoop(ctx context.Context, o serveOpts, capLabel string, build func(cap
 	roll := loadshed.NewRollingStats(windowBins)
 	live, _ := src.(*loadshed.LiveSource)
 
-	stopAdmin := startAdmin(o.admin, adminMux(sys, roll, live, o.seed, mode.metrics), "healthz, readyz, metrics, queries")
+	stopAdmin := startAdmin(o.admin, adminMux(sys, roll, live, o.seed, mode.metrics, mode.key), "healthz, readyz, metrics, queries")
 
 	fmt.Printf("%s (%s scheme) ...\n", mode.banner, o.schemeName)
 	streamErr := runShard(ctx, mode.stream, src, closeSrc, roll)
@@ -265,12 +269,32 @@ func startAdmin(addr string, mux *http.ServeMux, endpoints string) (stop func())
 	}
 }
 
+// authorized guards an admin endpoint that changes state: with a key
+// set, a request without "Authorization: Bearer <key>" gets 401 and
+// never reaches h. The comparison takes the same time however much of
+// the header matches. Without a key, h is served as it is.
+func authorized(key string, h http.HandlerFunc) http.HandlerFunc {
+	if key == "" {
+		return h
+	}
+	want := []byte("Bearer " + key)
+	return func(w http.ResponseWriter, r *http.Request) {
+		if subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), want) != 1 {
+			w.Header().Set("WWW-Authenticate", "Bearer")
+			http.Error(w, "this endpoint needs the cluster key: Authorization: Bearer <key>", http.StatusUnauthorized)
+			return
+		}
+		h(w, r)
+	}
+}
+
 // adminMux builds the admin plane. Handlers run concurrently with the
 // stream: snapshots go through RollingStats' own lock, registry calls go
 // through the engine's own AddQuery/RemoveQuery locking, and live-source
 // counters are atomics. A non-nil extraMetrics hook is appended to the
 // /metrics output — worker mode uses it for its coordinator-link gauges.
-func adminMux(sys *loadshed.System, roll *loadshed.RollingStats, live *loadshed.LiveSource, seed uint64, extraMetrics func(*loadshed.MetricsWriter)) *http.ServeMux {
+// With a key, registering and removing queries need it (authorized).
+func adminMux(sys *loadshed.System, roll *loadshed.RollingStats, live *loadshed.LiveSource, seed uint64, extraMetrics func(*loadshed.MetricsWriter), key string) *http.ServeMux {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -331,7 +355,7 @@ func adminMux(sys *loadshed.System, roll *loadshed.RollingStats, live *loadshed.
 	// success status is 202 Accepted, not 200. Accepts ?kind=... or a
 	// JSON body {"kind": "...", "seed": n}; a body past maxQueryBody is
 	// refused with 413.
-	mux.HandleFunc("POST /queries", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /queries", authorized(key, func(w http.ResponseWriter, r *http.Request) {
 		req := struct {
 			Kind string `json:"kind"`
 			Seed uint64 `json:"seed"`
@@ -367,9 +391,9 @@ func adminMux(sys *loadshed.System, roll *loadshed.RollingStats, live *loadshed.
 			"status": "accepted", "query": q.Name(),
 			"note": "joins at the next measurement-interval boundary",
 		})
-	})
+	}))
 
-	mux.HandleFunc("DELETE /queries/{name}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /queries/{name}", authorized(key, func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
 		if err := sys.RemoveQuery(name); err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
@@ -381,7 +405,7 @@ func adminMux(sys *loadshed.System, roll *loadshed.RollingStats, live *loadshed.
 			"status": "accepted", "query": name,
 			"note": "retires after its final flush at the next interval boundary",
 		})
-	})
+	}))
 
 	return mux
 }

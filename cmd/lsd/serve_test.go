@@ -32,7 +32,7 @@ func TestMetricsReportUDPReceiveBuffer(t *testing.T) {
 		}
 		defer live.Close()
 		sys := loadshed.New(loadshed.Config{Seed: 1}, loadshed.StandardQueries(loadshed.QueryConfig{Seed: 1}))
-		mux := adminMux(sys, loadshed.NewRollingStats(10), live, 1, nil)
+		mux := adminMux(sys, loadshed.NewRollingStats(10), live, 1, nil, "")
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 		return rec.Body.String()
@@ -131,7 +131,7 @@ func TestAdminPlaneLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := adminServer(adminMux(sys, loadshed.NewRollingStats(10), nil, 1, nil))
+	srv := adminServer(adminMux(sys, loadshed.NewRollingStats(10), nil, 1, nil, ""))
 	go srv.Serve(ln)
 	defer srv.Close()
 	url := "http://" + ln.Addr().String() + "/queries"

@@ -126,6 +126,7 @@ type Coordinator struct {
 	stateDir     string
 	ckptsStored  int64
 	offersIssued int64
+	spillErrs    int64
 }
 
 // NewCoordinator returns a coordinator distributing total cycles per
@@ -268,7 +269,7 @@ func (c *Coordinator) grantFor(name string) (BudgetGrant, bool) {
 	if n == nil || n.grantRound == 0 || n.grantRound != c.round {
 		return BudgetGrant{}, false
 	}
-	return BudgetGrant{Node: n.name, Round: n.grantRound, Capacity: n.grant}, true
+	return BudgetGrant{Round: n.grantRound, Capacity: n.grant}, true
 }
 
 // Status snapshots every node's membership record, in join order.

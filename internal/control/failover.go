@@ -55,12 +55,12 @@ import (
 )
 
 // AdoptOffer is an adoption offer as CoordClient.Adoptions delivers it
-// to the hosting process: the shard to take over, the bin it resumes
-// at and its checkpoint blob, which the engine decodes
-// (loadshed.DecodeShardCheckpoint). The blob is the receiver's own copy.
+// to the hosting process: the shard to take over and its checkpoint
+// blob, which the engine decodes (loadshed.DecodeShardCheckpoint) and
+// which records the bin the shard resumes at. The blob is the
+// receiver's own copy.
 type AdoptOffer struct {
 	Shard      string
-	Bin        int64
 	Checkpoint []byte
 }
 
@@ -83,8 +83,13 @@ func (c *Coordinator) storeCheckpoint(name string, bin int64, final bool, blob [
 	if dir != "" {
 		// Best-effort write-through, outside the lock; retention in memory
 		// is what failover reads, the file only survives coordinator
-		// restarts.
-		spillCheckpoint(dir, name, bin, final, blob)
+		// restarts. A failed write is counted, so a full or vanished
+		// directory shows on /metrics instead of looking durable.
+		if err := spillCheckpoint(dir, name, bin, final, blob); err != nil {
+			c.mu.Lock()
+			c.spillErrs++
+			c.mu.Unlock()
+		}
 	}
 }
 
@@ -102,6 +107,14 @@ func (c *Coordinator) FailoverOffers() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.offersIssued
+}
+
+// SpillErrors returns how many retained checkpoints failed to spill to
+// the state directory (lsd_cluster_spill_errors_total).
+func (c *Coordinator) SpillErrors() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.spillErrs
 }
 
 // spillCheckpoint writes blob to dir atomically (temp file + rename),
@@ -258,7 +271,7 @@ func (c *Coordinator) takeOfferFor(adopter string) (shard string, msg []byte) {
 	for _, n := range c.nodes {
 		if n.offeredTo == adopter && !n.offerTaken && n.ckptBlob != nil {
 			n.offerTaken = true
-			return n.name, append(appendAdoptFrame(nil, n.name, n.ckptBin, len(n.ckptBlob)), n.ckptBlob...)
+			return n.name, append(appendAdoptFrame(nil, n.name, len(n.ckptBlob)), n.ckptBlob...)
 		}
 	}
 	return "", nil

@@ -116,7 +116,7 @@ func TestAdoptBlobReadHasDeadline(t *testing.T) {
 	defer func(d time.Duration) { ckptRecvTimeout = d }(ckptRecvTimeout)
 	ckptRecvTimeout = 50 * time.Millisecond
 
-	push := append(appendAdoptFrame(nil, "s", 7, 1<<20), make([]byte, 16)...)
+	push := append(appendAdoptFrame(nil, "s", 1<<20), make([]byte, 16)...)
 	c, err := DialCoordinator(stallingCoordinator(t, push, false).String(), "w", CoordClientConfig{})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -132,7 +132,7 @@ func TestAdoptBlobReadHasDeadline(t *testing.T) {
 // A peer that announces 64 MiB and hangs up costs the reader what
 // arrived — nothing — not the announced size.
 func TestBlobReadGrowsWithBytes(t *testing.T) {
-	addr := stallingCoordinator(t, appendAdoptFrame(nil, "s", 7, maxCheckpointBytes), true)
+	addr := stallingCoordinator(t, appendAdoptFrame(nil, "s", maxCheckpointBytes), true)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	c, err := DialCoordinator(addr.String(), "w", CoordClientConfig{})

@@ -20,6 +20,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -299,9 +300,11 @@ func (s *sim) arrive(c *simConn, down bool, msg []byte) {
 			w.grantAt, w.grantCap = s.now, g.Capacity
 		}
 		if o, ok := w.link.frame(p, blob, s.now); ok {
-			s.expect(string(o.Checkpoint) == fmt.Sprintf("%s@%d", o.Shard, o.Bin), "offer of %s at bin %d carries %q", o.Shard, o.Bin, o.Checkpoint)
+			shard, at, _ := strings.Cut(string(o.Checkpoint), "@")
+			bin, err := strconv.ParseInt(at, 10, 64)
+			s.expect(shard == o.Shard && err == nil, "offer of %s carries %q", o.Shard, o.Checkpoint)
 			s.logf("%s adopts %s", w.link.name, o.Shard)
-			s.spawn(o.Shard, o.Bin) // resumes at the retained checkpoint's bin
+			s.spawn(o.Shard, bin) // resumes at the checkpoint's own bin
 		}
 	case !down && c.name == "":
 		p, _ := s.split(msg)
@@ -364,18 +367,18 @@ func (s *sim) checkRound() {
 // a drained shard's directed target, never to the shard itself, and
 // once per marking.
 func (s *sim) checkOffer(adopter string, p, blob []byte) {
-	shard, bin, _, _ := decodeAdoptHdr(p)
+	shard, _, _ := decodeAdoptHdr(p)
 	n := s.coord.byName[shard]
 	crashed := n.partitioned && s.now.Sub(n.partitionedAt) >= simGrace
 	directed := n.migrateTo == adopter && n.ckptFinal
 	s.expect(shard != adopter, "%s offered to itself", shard)
-	s.expect(bin == n.ckptBin && bytes.Equal(blob, n.ckptBlob), "offer of %s at bin %d is not its retained checkpoint (bin %d)", shard, bin, n.ckptBin)
+	s.expect(bytes.Equal(blob, n.ckptBlob), "offer of %s is not its retained checkpoint (bin %d)", shard, n.ckptBin)
 	s.expect(crashed || directed, "offer of %s to %s neither past grace (partitioned %v since %v) nor directed (to %q, final %v)",
 		shard, adopter, n.partitioned, n.partitionedAt.Sub(simEpoch), n.migrateTo, n.ckptFinal)
 	mark := fmt.Sprintf("%s@%d", shard, n.offeredAt.UnixNano())
 	s.perMark[mark]++
 	s.expect(s.perMark[mark] == 1, "offer of %s collected twice", shard)
-	s.offers = append(s.offers, fmt.Sprintf("%s to %s at bin %d", shard, adopter, bin))
+	s.offers = append(s.offers, fmt.Sprintf("%s to %s at bin %d", shard, adopter, n.ckptBin))
 	s.logf("offer %s", s.offers[len(s.offers)-1])
 }
 

@@ -28,23 +28,25 @@ package control
 //
 //	frame      := u16 payloadLen | payload
 //	hello      := u8 0x01 | u8 nameLen | name | f64 minShare
-//	report     := u8 0x02 | i64 bin | f64 demand | f64 minShare | u8 flags   (flags bit0 = done)
+//	report     := u8 0x02 | i64 bin | f64 demand | u8 flags   (flags bit0 = done)
 //	grant      := u8 0x03 | u64 round | f64 capacity
 //	checkpoint := u8 0x04 | i64 bin | u8 flags | u32 blobLen                 (flags bit0 = final)
-//	adopt      := u8 0x05 | u8 nameLen | name | i64 bin | u32 blobLen
+//	adopt      := u8 0x05 | u8 nameLen | name | u32 blobLen
 //	helloAuth  := u8 0x06 | u8 nameLen | name | f64 minShare | mac[32]
 //	drain      := u8 0x07
 //	challenge  := u8 0x08 | nonce[16]
 //	spill      := u8 0x09 | u8 nameLen | name | i64 bin | u8 flags | u32 blobLen  (flags bit0 = final)
 //
 // Reports and grants never carry the node name: the hello binds the
-// connection to a name and everything after inherits it. Checkpoint and
-// adopt frames are headers only — the checkpoint blob follows raw on
-// the stream, blobLen bytes, because a snapshot does not fit the u16
-// frame cap. The blob is the engine's encoding (pkg/loadshed's
-// ShardCheckpoint), which nothing here decodes. A spill frame never
-// crosses the wire: it heads each checkpoint file in a state directory
-// (failover.go), naming the shard the blob behind it belongs to.
+// connection to a name and everything after inherits it, the minimum
+// share included. Checkpoint and adopt frames are headers only — the
+// checkpoint blob follows raw on the stream, blobLen bytes, because a
+// snapshot does not fit the u16 frame cap. The blob is the engine's
+// encoding (pkg/loadshed's ShardCheckpoint), which nothing here
+// decodes; an adopter resumes at the bin the blob itself records, so
+// the adopt header carries none. A spill frame never crosses the wire:
+// it heads each checkpoint file in a state directory (failover.go),
+// naming the shard the blob behind it belongs to.
 //
 // Authentication is a pre-shared-key challenge: a keyed coordinator
 // sends a challenge frame on accept and requires the hello in helloAuth
@@ -75,21 +77,19 @@ import (
 )
 
 // DemandReport is a node's per-bin message to the coordinator: the
-// EWMA-smoothed full-rate demand it would consume without shedding,
-// plus the minimum share it negotiated. Done marks the node's final
-// report, after its trace ended.
+// EWMA-smoothed full-rate demand it would consume without shedding.
+// Done marks the node's final report, after its trace ended. The
+// minimum share is the node's hello's, not the report's.
 type DemandReport struct {
-	Node     string
-	Bin      int64
-	Demand   float64 // cycles per bin at full rate
-	MinShare float64
-	Done     bool
+	Node   string
+	Bin    int64
+	Demand float64 // cycles per bin at full rate
+	Done   bool
 }
 
 // BudgetGrant is the coordinator's capacity decision for one node:
 // the cycle budget it may burn per bin until the next round.
 type BudgetGrant struct {
-	Node     string
 	Round    uint64
 	Capacity float64
 }
@@ -199,9 +199,9 @@ const (
 type (
 	helloBody  struct{ MinShare float64 }
 	reportBody struct {
-		Bin              int64
-		Demand, MinShare float64
-		Flags            uint8
+		Bin    int64
+		Demand float64
+		Flags  uint8
 	}
 	grantBody struct {
 		Round    uint64
@@ -212,10 +212,7 @@ type (
 		Flags   uint8
 		BlobLen uint32
 	}
-	adoptBody struct {
-		Bin     int64
-		BlobLen uint32
-	}
+	adoptBody     struct{ BlobLen uint32 }
 	challengeBody struct{ Nonce [coordNonceLen]byte }
 )
 
@@ -234,7 +231,7 @@ func trailerLen(p []byte) (n int, ok bool) {
 	case coordMsgCheckpoint:
 		_, _, n, ok = decodeCheckpointHdr(p)
 	case coordMsgAdopt:
-		_, _, n, ok = decodeAdoptHdr(p)
+		_, n, ok = decodeAdoptHdr(p)
 	default:
 		ok = true
 	}
@@ -310,15 +307,14 @@ func decodeHello(p []byte) (name string, minShare float64, ok bool) {
 }
 
 func appendReportFrame(dst []byte, r DemandReport) []byte {
-	return appendFrame(dst, coordMsgReport, "", reportBody{r.Bin, r.Demand, r.MinShare, flagBit(r.Done, reportFlagDone)})
+	return appendFrame(dst, coordMsgReport, "", reportBody{r.Bin, r.Demand, flagBit(r.Done, reportFlagDone)})
 }
 
 func decodeReport(p []byte) (DemandReport, bool) {
 	var b reportBody
 	_, ok := decodeFrame(p, &b)
 	done, okF := flagSet(b.Flags, reportFlagDone)
-	return DemandReport{Bin: b.Bin, Demand: b.Demand, MinShare: b.MinShare, Done: done},
-		ok && okF && quantity(b.Demand) && quantity(b.MinShare)
+	return DemandReport{Bin: b.Bin, Demand: b.Demand, Done: done}, ok && okF && quantity(b.Demand)
 }
 
 func appendGrantFrame(dst []byte, g BudgetGrant) []byte {
@@ -347,14 +343,14 @@ func decodeCheckpointHdr(p []byte) (bin int64, final bool, blobLen int, ok bool)
 // appendAdoptFrame builds the adopt header; the caller appends blobLen
 // raw blob bytes right after the frame (one write, so grant pushes
 // cannot interleave).
-func appendAdoptFrame(dst []byte, shard string, bin int64, blobLen int) []byte {
-	return appendFrame(dst, coordMsgAdopt, shard, adoptBody{bin, uint32(blobLen)})
+func appendAdoptFrame(dst []byte, shard string, blobLen int) []byte {
+	return appendFrame(dst, coordMsgAdopt, shard, adoptBody{uint32(blobLen)})
 }
 
-func decodeAdoptHdr(p []byte) (shard string, bin int64, blobLen int, ok bool) {
+func decodeAdoptHdr(p []byte) (shard string, blobLen int, ok bool) {
 	var b adoptBody
 	shard, ok = decodeFrame(p, &b)
-	return shard, b.Bin, int(b.BlobLen), ok && b.BlobLen <= maxCheckpointBytes
+	return shard, int(b.BlobLen), ok && b.BlobLen <= maxCheckpointBytes
 }
 
 // appendSpillFrame builds the header of a state-directory file; the
@@ -478,14 +474,13 @@ func (w *workerLink) frame(p, blob []byte, now time.Time) (AdoptOffer, bool) {
 	switch p[0] {
 	case coordMsgGrant:
 		if g, ok := decodeGrant(p); ok {
-			g.Node = w.name
 			w.grant, w.grantAt = g, now
 		}
 	case coordMsgDrain:
 		w.drainReq = true
 	case coordMsgAdopt:
-		shard, bin, _, ok := decodeAdoptHdr(p)
-		return AdoptOffer{Shard: shard, Bin: bin, Checkpoint: blob}, ok
+		shard, _, ok := decodeAdoptHdr(p)
+		return AdoptOffer{Shard: shard, Checkpoint: blob}, ok
 	}
 	return AdoptOffer{}, false
 }

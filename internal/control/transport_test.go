@@ -22,7 +22,7 @@ import (
 func TestCoordWireRoundTrip(t *testing.T) {
 	var buf []byte
 	buf = appendHelloFrame(buf, "uplink-7", 0.25)
-	buf = appendReportFrame(buf, DemandReport{Bin: 42, Demand: 1.5e6, MinShare: 0.25})
+	buf = appendReportFrame(buf, DemandReport{Bin: 42, Demand: 1.5e6})
 	buf = appendReportFrame(buf, DemandReport{Bin: 43, Done: true})
 	buf = appendGrantFrame(buf, BudgetGrant{Round: 9, Capacity: 7.25e6})
 	buf = appendSpillFrame(buf, "a/b", 12, true, 4096)
@@ -41,7 +41,7 @@ func TestCoordWireRoundTrip(t *testing.T) {
 		t.Fatalf("read report frame: %v", err)
 	}
 	r, ok := decodeReport(p)
-	if !ok || r.Bin != 42 || r.Demand != 1.5e6 || r.MinShare != 0.25 || r.Done {
+	if !ok || r.Bin != 42 || r.Demand != 1.5e6 || r.Done {
 		t.Fatalf("report decoded as %+v (%v)", r, ok)
 	}
 	p, err = readCoordFrame(br, p)
@@ -82,7 +82,7 @@ func TestCoordWireRoundTrip(t *testing.T) {
 	}
 	// A named frame whose body is a checkpoint header's is a spill
 	// header only under its own type byte.
-	adopt := appendAdoptFrame(nil, "a/b", 12, 4096)[2:]
+	adopt := appendAdoptFrame(nil, "a/b", 4096)[2:]
 	if _, _, _, _, ok := decodeSpillHdr(adopt); ok {
 		t.Fatal("an adopt header decoded as a spill header")
 	}

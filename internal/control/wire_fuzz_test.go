@@ -22,20 +22,20 @@ func FuzzCoordWire(f *testing.F) {
 
 	var seed []byte
 	seed = appendHelloFrame(seed, "mon-a", 0.25)
-	seed = appendReportFrame(seed, DemandReport{Bin: 41, Demand: 3e6, MinShare: 0.1})
+	seed = appendReportFrame(seed, DemandReport{Bin: 41, Demand: 3e6})
 	seed = appendReportFrame(seed, DemandReport{Bin: 42, Done: true})
 	seed = appendGrantFrame(seed, BudgetGrant{Round: 9, Capacity: 2.5e6})
 	seed = appendCheckpointFrame(seed, 100, true, 4096)
-	seed = appendAdoptFrame(seed, "mon-b", 200, maxCheckpointBytes)
+	seed = appendAdoptFrame(seed, "mon-b", maxCheckpointBytes)
 	seed = appendHelloAuthFrame(seed, "mon-a", 0.25, key, nonce)
 	seed = appendDrainFrame(seed)
 	seed = appendChallengeFrame(seed, nonce)
 	seed = appendSpillFrame(seed, "mon-b", 200, true, 4096)
 	f.Add(seed)
 	f.Add(appendCheckpointFrame(nil, 1, false, maxCheckpointBytes+1))
-	f.Add(appendAdoptFrame(nil, "", 1, 1))
-	f.Add(appendReportFrame(nil, DemandReport{})[:20])                    // truncated mid-frame
-	f.Add(appendAdoptFrame(nil, strings.Repeat("n", coordMaxName), 7, 9)) // longest name the u8 length carries
+	f.Add(appendAdoptFrame(nil, "", 1))
+	f.Add(appendReportFrame(nil, DemandReport{})[:14])                 // truncated mid-frame
+	f.Add(appendAdoptFrame(nil, strings.Repeat("n", coordMaxName), 9)) // longest name the u8 length carries
 	f.Add([]byte{1, 0, coordMsgHello})
 	f.Add([]byte{0, 0})
 
@@ -72,7 +72,6 @@ func FuzzCoordWire(f *testing.F) {
 					continue
 				}
 				quantity(t, "report demand", r.Demand)
-				quantity(t, "report min share", r.MinShare)
 				again = appendReportFrame(nil, r)
 			case coordMsgGrant:
 				g, ok := decodeGrant(p)
@@ -91,14 +90,14 @@ func FuzzCoordWire(f *testing.F) {
 				}
 				again = appendCheckpointFrame(nil, bin, final, blobLen)
 			case coordMsgAdopt:
-				shard, bin, blobLen, ok := decodeAdoptHdr(p)
+				shard, blobLen, ok := decodeAdoptHdr(p)
 				if !ok {
 					continue
 				}
 				if blobLen < 0 || blobLen > maxCheckpointBytes {
 					t.Fatalf("adopt header accepted with blobLen %d", blobLen)
 				}
-				again = appendAdoptFrame(nil, shard, bin, blobLen)
+				again = appendAdoptFrame(nil, shard, blobLen)
 			case coordMsgSpill:
 				shard, bin, final, blobLen, ok := decodeSpillHdr(p)
 				if !ok {

@@ -79,7 +79,6 @@ func (c Config) withDefaults() Config {
 type Verdict struct {
 	Change bool    // a change fired this bin
 	Score  float64 // max of the sub-detector scores, 1.0 = threshold
-	Source string  // which sub-detector fired ("ph", "cusum", "dist"), "" if none
 }
 
 // pageHinkley is the classic two-sided Page–Hinkley test over a scalar
@@ -309,27 +308,21 @@ func (d *Detector) Observe(f []float64, residual float64) Verdict {
 		if score > v.Score {
 			v.Score = score
 		}
-		if fired {
-			v.Change, v.Source = true, "ph"
-		}
+		v.Change = fired
 		fired, score = d.cusum.Observe(residual)
 		if score > v.Score {
 			v.Score = score
 		}
-		if fired && !v.Change {
-			v.Change, v.Source = true, "cusum"
-		}
+		v.Change = v.Change || fired
 	}
 	fired, score := d.dist.Observe(f)
 	if score > v.Score {
 		v.Score = score
 	}
-	if fired && !v.Change {
-		v.Change, v.Source = true, "dist"
-	}
+	v.Change = v.Change || fired
 	if d.cool > 0 {
 		d.cool--
-		v.Change, v.Source = false, ""
+		v.Change = false
 		return v
 	}
 	if v.Change {

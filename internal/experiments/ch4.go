@@ -134,7 +134,7 @@ func fig44(cfg Config) (*Result, error) {
 // with flow sampling, with packet sampling, and without shedding.
 type synFlood struct {
 	capacity                 float64
-	flow, packet, none       *loadshed.RunResult
+	flow, none               *loadshed.RunResult
 	errFlow, errPkt, errNone []float64 // per-interval flows-query error
 }
 
@@ -163,7 +163,7 @@ func runSYNFlood(cfg Config) synFlood {
 		return res, loadshed.Errors(flood.qs(), res, ref)["flows"]
 	}
 	r.flow, r.errFlow = run(flood, loadshed.Predictive)
-	r.packet, r.errPkt = run(packet, loadshed.Predictive)
+	_, r.errPkt = run(packet, loadshed.Predictive)
 	r.none, r.errNone = run(flood, loadshed.Original)
 	return r
 }

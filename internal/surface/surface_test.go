@@ -6,8 +6,10 @@
 // non-test files with the standard library's go/types and its source
 // importer, and requires each exported name of an importable package to
 // be referenced from outside that package, or to stand on the allowlist
-// with a reason. TestLayering (layering_test.go) holds the packages'
-// direct imports to the module's layering rules.
+// with a reason. TestFieldsHaveReaders (fields_test.go) requires the
+// same of every struct field: some non-test code reads it. TestLayering
+// (layering_test.go) holds the packages' direct imports to the module's
+// layering rules.
 //
 // The loader (load) is the reusable half: it returns every package with
 // its syntax and full types.Info, sharing one *types.Package per import
@@ -172,9 +174,10 @@ func (l *loader) check(path string) (*pkgInfo, error) {
 		return nil, err
 	}
 	p := &pkgInfo{info: &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)

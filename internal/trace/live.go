@@ -196,7 +196,6 @@ type LiveSource struct {
 	conn  net.Conn // a *net.UDPConn or *net.UnixConn, unconnected
 	bin   time.Duration
 	out   chan pkt.Batch
-	quit  chan struct{}
 	wg    sync.WaitGroup
 	start time.Time
 
@@ -240,7 +239,6 @@ func ListenLive(network, address string, cfg LiveConfig) (*LiveSource, error) {
 		conn:  conn,
 		bin:   cfg.Bin,
 		out:   make(chan pkt.Batch, liveBacklog),
-		quit:  make(chan struct{}),
 		start: time.Now(),
 	}
 	if network == "unixgram" {

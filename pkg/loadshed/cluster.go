@@ -99,24 +99,16 @@ func (c ClusterConfig) coordinated() bool {
 	return c.ShardPolicy != nil && !math.IsInf(c.TotalCapacity, 1)
 }
 
-// ShardRun is one shard's record in a ClusterResult.
+// ShardRun is one shard's record in a ClusterResult. Each of its bins
+// records the cycle budget the coordinator granted (BinStats.Capacity).
 type ShardRun struct {
 	Name   string
 	Result *RunResult
-	// Capacities is the per-bin cycle budget the coordinator granted,
-	// index-aligned with Result.Bins.
-	Capacities []float64
 }
 
-// ClusterResult merges a cluster run: every shard's full record plus
-// the per-bin aggregate across shards.
+// ClusterResult merges a cluster run: every shard's full record.
 type ClusterResult struct {
 	Shards []ShardRun
-	// Aggregate sums the machine-level counters (packets, drops,
-	// cycles) across shards per bin; GlobalRate is the minimum across
-	// shards and BufferBins the maximum. Per-query slices are nil —
-	// they live in the shard records.
-	Aggregate []BinStats
 }
 
 // TotalDrops sums the uncontrolled capture drops across all shards.
@@ -188,7 +180,7 @@ func NewCluster(cfg ClusterConfig, shards []Shard) *Cluster {
 			panic(fmt.Sprintf("cluster: duplicate shard name %q", name))
 		}
 		seen[name] = true
-		n := NewNode(New(scfg, sh.Queries), nil, NodeConfig{Name: name, MinShare: sh.MinShare})
+		n := NewNode(New(scfg, sh.Queries), nil, NodeConfig{Name: name})
 		n.src = sh.Source
 		if c.coord != nil {
 			n.tr = control.NewLoopback(c.coord, name, sh.MinShare)
@@ -265,28 +257,14 @@ func (c *Cluster) Run() *ClusterResult {
 func (c *Cluster) RunContext(ctx context.Context) (*ClusterResult, error) {
 	sinks := make([]*resultSink, len(c.nodes))
 	err := c.StreamContext(ctx, func(i int, _ string) Sink {
-		sinks[i] = newResultSink(c.nodes[i].sys.cfg.Scheme)
+		sinks[i] = newResultSink()
 		return sinks[i]
 	})
 	res := &ClusterResult{}
 	for i, n := range c.nodes {
-		res.Shards = append(res.Shards, ShardRun{
-			Name:       n.name,
-			Result:     sinks[i].res,
-			Capacities: binCapacities(sinks[i].res.Bins),
-		})
+		res.Shards = append(res.Shards, ShardRun{Name: n.name, Result: sinks[i].res})
 	}
-	res.Aggregate = aggregateBins(res.Shards)
 	return res, err
-}
-
-// binCapacities extracts the per-bin budget column of a retained run.
-func binCapacities(bins []BinStats) []float64 {
-	caps := make([]float64, len(bins))
-	for i := range bins {
-		caps[i] = bins[i].Capacity
-	}
-	return caps
 }
 
 // stepAll advances every live shard by one bin, fanning the shards out
@@ -294,7 +272,7 @@ func binCapacities(bins []BinStats) []float64 {
 // any shard is still running.
 // Determinism holds for any runner count for the same reasons as the
 // execute stage's pool: each shard's step touches only shard-owned
-// state, and everything cross-shard (coordination, aggregation) happens
+// state, and everything cross-shard (the coordination round) happens
 // at the barrier afterwards, in shard-index order. Pipelined shards
 // (Base.Workers >= 2, DESIGN.md, "Bin pipeline") compose with this: each shard
 // owns its front goroutine and slot ring, the coordinator's
@@ -330,56 +308,6 @@ func (c *Cluster) coordinate() {
 	for _, n := range c.nodes {
 		n.applyGrant()
 	}
-}
-
-// aggregateBins merges per-shard bin records into machine-level bins.
-// Shards need not have the same bin count — traces of different
-// lengths, a cancelled run, or a worker that never produced a record
-// (nil Result) all aggregate over whatever bins exist.
-func aggregateBins(shards []ShardRun) []BinStats {
-	maxBins := 0
-	for _, sh := range shards {
-		if sh.Result == nil {
-			continue
-		}
-		if n := len(sh.Result.Bins); n > maxBins {
-			maxBins = n
-		}
-	}
-	out := make([]BinStats, maxBins)
-	for i := range out {
-		agg := &out[i]
-		agg.GlobalRate = 1
-		first := true
-		for _, sh := range shards {
-			if sh.Result == nil || i >= len(sh.Result.Bins) {
-				continue
-			}
-			b := &sh.Result.Bins[i]
-			if first {
-				agg.Start = b.Start
-				first = false
-			}
-			agg.Capacity += b.Capacity
-			agg.WirePkts += b.WirePkts
-			agg.DropPkts += b.DropPkts
-			agg.AdmitPkts += b.AdmitPkts
-			agg.WireBytes += b.WireBytes
-			agg.Predicted += b.Predicted
-			agg.Alloc += b.Alloc
-			agg.Used += b.Used
-			agg.Overhead += b.Overhead
-			agg.Shed += b.Shed
-			agg.Avail += b.Avail
-			if b.GlobalRate < agg.GlobalRate {
-				agg.GlobalRate = b.GlobalRate
-			}
-			if b.BufferBins > agg.BufferBins {
-				agg.BufferBins = b.BufferBins
-			}
-		}
-	}
-	return out
 }
 
 // ShardPolicyByName maps the cross-shard coordinator policies exposed

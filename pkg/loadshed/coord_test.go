@@ -3,7 +3,7 @@ package loadshed
 // coord_test.go pins the engine's side of the coordinator split
 // (node.go, cluster.go, and internal/control): the TCP transport must
 // run the same protocol with lease-based partition and rejoin, and the
-// aggregation layer must tolerate shards that never produced a record. The pre-split inline coordination is
+// cluster totals must tolerate shards that never produced a record. The pre-split inline coordination is
 // kept here as oracleClusterRun, which TestConformance's oracle row
 // holds the loopback cluster to.
 
@@ -46,7 +46,6 @@ func oracleClusterRun(cfg ClusterConfig, shards []Shard) *ClusterResult {
 		sys      *System
 		run      *runner
 		sink     *resultSink
-		caps     []float64
 		demand   float64
 		seeded   bool
 		done     bool
@@ -64,7 +63,7 @@ func oracleClusterRun(cfg ClusterConfig, shards []Shard) *ClusterResult {
 			name = fmt.Sprintf("link%d", i)
 		}
 		o := &oshard{name: name, minShare: sh.MinShare, sys: New(scfg, sh.Queries)}
-		o.sink = newResultSink(o.sys.cfg.Scheme)
+		o.sink = newResultSink()
 		o.run = o.sys.newRunner(sh.Source, o.sink)
 		os = append(os, o)
 	}
@@ -76,10 +75,7 @@ func oracleClusterRun(cfg ClusterConfig, shards []Shard) *ClusterResult {
 			if o.done {
 				continue
 			}
-			capacity := o.sys.gov.Capacity()
-			if o.run.step() {
-				o.caps = append(o.caps, capacity)
-			} else {
+			if !o.run.step() {
 				o.done = true
 			}
 		}
@@ -143,17 +139,16 @@ func oracleClusterRun(cfg ClusterConfig, shards []Shard) *ClusterResult {
 	}
 	res := &ClusterResult{}
 	for _, o := range os {
-		res.Shards = append(res.Shards, ShardRun{Name: o.name, Result: o.sink.res, Capacities: o.caps})
+		res.Shards = append(res.Shards, ShardRun{Name: o.name, Result: o.sink.res})
 	}
-	res.Aggregate = aggregateBins(res.Shards)
 	return res
 }
 
-// TestAggregateBinsNilShardResult: a shard without a record — a worker
-// that never joined a distributed run — must aggregate as zero, not
-// panic (regression: aggregateBins and the ClusterResult totals used to
-// dereference Result unconditionally).
-func TestAggregateBinsNilShardResult(t *testing.T) {
+// TestClusterTotalsNilShardResult: a shard without a record — a worker
+// that never joined a distributed run — must count as zero, not panic
+// (regression: the ClusterResult totals used to dereference Result
+// unconditionally).
+func TestClusterTotalsNilShardResult(t *testing.T) {
 	live := &RunResult{Bins: []BinStats{
 		{WirePkts: 5, DropPkts: 2, Capacity: 10, GlobalRate: 0.5},
 		{WirePkts: 7, DropPkts: 1, Capacity: 10, GlobalRate: 1},
@@ -162,25 +157,15 @@ func TestAggregateBinsNilShardResult(t *testing.T) {
 		{Name: "w0", Result: live},
 		{Name: "w1", Result: nil},
 	}
-	agg := aggregateBins(shards)
-	if len(agg) != 2 {
-		t.Fatalf("aggregate has %d bins, want 2", len(agg))
-	}
-	if agg[0].WirePkts != 5 || agg[1].WirePkts != 7 {
-		t.Fatalf("aggregate wire packets %d/%d, want 5/7", agg[0].WirePkts, agg[1].WirePkts)
-	}
-	if agg[0].GlobalRate != 0.5 {
-		t.Fatalf("aggregate global rate %v, want 0.5", agg[0].GlobalRate)
-	}
-	res := &ClusterResult{Shards: shards, Aggregate: agg}
+	res := &ClusterResult{Shards: shards}
 	if got := res.TotalWirePkts(); got != 12 {
 		t.Fatalf("TotalWirePkts %d, want 12", got)
 	}
 	if got := res.TotalDrops(); got != 3 {
 		t.Fatalf("TotalDrops %d, want 3", got)
 	}
-	if all := aggregateBins([]ShardRun{{Name: "w1"}}); len(all) != 0 {
-		t.Fatalf("all-nil aggregate has %d bins, want 0", len(all))
+	if all := (&ClusterResult{Shards: []ShardRun{{Name: "w1"}}}); all.TotalWirePkts() != 0 || all.TotalDrops() != 0 {
+		t.Fatalf("all-nil totals %d/%d, want 0/0", all.TotalWirePkts(), all.TotalDrops())
 	}
 }
 
@@ -204,9 +189,9 @@ func (s *cancelAfterSource) NextBatch() (pkt.Batch, bool) {
 
 // TestClusterStreamContextCancelMidCoordinate cancels a coordinated
 // cluster mid-run from inside a shard's source and verifies the
-// teardown contract: ctx.Err() comes back, every shard's capacities
-// stay aligned with its bins, the partial aggregate is well-formed, and
-// no shard pipeline or pool goroutine outlives the call.
+// teardown contract: ctx.Err() comes back, every shard keeps the record
+// of the bins it processed, and no shard pipeline or pool goroutine
+// outlives the call.
 func TestClusterStreamContextCancelMidCoordinate(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, workers := range []int{0, 3} {
@@ -227,23 +212,13 @@ func TestClusterStreamContextCancelMidCoordinate(t *testing.T) {
 			if err != context.Canceled {
 				t.Fatalf("RunContext error %v, want context.Canceled", err)
 			}
-			maxBins := 0
 			for _, sh := range res.Shards {
 				if sh.Result == nil {
 					t.Fatalf("shard %s has no record after cancellation", sh.Name)
 				}
-				if len(sh.Capacities) != len(sh.Result.Bins) {
-					t.Fatalf("shard %s: %d capacities vs %d bins", sh.Name, len(sh.Capacities), len(sh.Result.Bins))
-				}
 				if len(sh.Result.Bins) == 0 {
 					t.Fatalf("shard %s processed no bins before the cancel at batch 13", sh.Name)
 				}
-				if n := len(sh.Result.Bins); n > maxBins {
-					maxBins = n
-				}
-			}
-			if len(res.Aggregate) != maxBins {
-				t.Fatalf("aggregate has %d bins, want %d", len(res.Aggregate), maxBins)
 			}
 		})
 	}
@@ -369,7 +344,7 @@ func TestNodeStreamContextTCPWorker(t *testing.T) {
 	}
 	sys := New(Config{Scheme: Predictive, Strategy: MMFSPkt(), Seed: 7, Capacity: 5e6, Workers: 1}, qs)
 	node := NewNode(sys, client, NodeConfig{Name: "w0"})
-	sink := newResultSink(Predictive)
+	sink := newResultSink()
 	src := trace.NewGenerator(trace.CESCA2(3, 2*time.Second, 0.3))
 	if err := node.StreamContext(context.Background(), src, sink); err != nil {
 		t.Fatalf("worker stream: %v", err)

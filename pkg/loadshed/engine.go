@@ -192,7 +192,6 @@ type BinStats struct {
 	WirePkts  int // packets on the wire this bin
 	DropPkts  int // uncontrolled capture-buffer ("DAG") drops
 	AdmitPkts int // packets entering the system
-	WireBytes int
 
 	Predicted float64 // Σ per-query predicted cycles at full rate
 	Alloc     float64 // Σ per-query predicted cycles at applied rates
@@ -228,7 +227,6 @@ type IntervalResults struct {
 
 // RunResult is everything a run produced.
 type RunResult struct {
-	Scheme    Scheme
 	Queries   []string
 	Bins      []BinStats
 	Intervals []IntervalResults
@@ -652,7 +650,7 @@ func (r *runner) step() bool {
 	// resumed run re-reads it from a repositioned source (ResumeSource).
 	ok := slot.ok && r.advance()
 	if ok {
-		r.lastBin = s.step(r.bin, slot)
+		r.lastBin = s.step(slot)
 	}
 	if slot.ok && r.recycler != nil {
 		// Nothing reads the batch's packets or payloads past this point,
@@ -754,7 +752,7 @@ func (s *System) StreamContext(ctx context.Context, src trace.Source, sink Sink)
 // the accuracy comparisons of the experiments need, and what a
 // long-running deployment must avoid (use Stream there).
 func (s *System) Run(src trace.Source) *RunResult {
-	rs := newResultSink(s.cfg.Scheme)
+	rs := newResultSink()
 	s.Stream(src, rs)
 	return rs.res
 }
@@ -763,7 +761,7 @@ func (s *System) Run(src trace.Source) *RunResult {
 // bin processed before ctx fired (final partial interval included), and
 // err is ctx.Err() if the run was cut short.
 func (s *System) RunContext(ctx context.Context, src trace.Source) (*RunResult, error) {
-	rs := newResultSink(s.cfg.Scheme)
+	rs := newResultSink()
 	err := s.StreamContext(ctx, src, rs)
 	return rs.res, err
 }

@@ -213,8 +213,8 @@ func TestTCPAdoptionFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("offered blob undecodable: %v", err)
 	}
-	if got.Node != "alpha" || got.Bin != offer.Bin {
-		t.Fatalf("offer carries {node %q, bin %d}, frame says bin %d", got.Node, got.Bin, offer.Bin)
+	if got.Node != "alpha" || got.Bin != cp.Bin || !bytes.Equal(offer.Checkpoint, blob) {
+		t.Fatalf("offer carries {node %q, bin %d}, want the shipped checkpoint at bin %d", got.Node, got.Bin, cp.Bin)
 	}
 	if coord.FailoverOffers() == 0 {
 		t.Fatal("offer counter never moved")
@@ -397,12 +397,48 @@ func TestStateDirSpillReload(t *testing.T) {
 			return false
 		}
 	})
-	if offer.Shard != "shard-1" || offer.Bin != 12 || !bytes.Equal(offer.Checkpoint, blob) {
-		t.Fatalf("helper offered shard %q at bin %d, %d bytes; want the reloaded blob of shard-1 at bin 12 (%d bytes)",
-			offer.Shard, offer.Bin, len(offer.Checkpoint), len(blob))
+	if offer.Shard != "shard-1" || !bytes.Equal(offer.Checkpoint, blob) {
+		t.Fatalf("helper offered shard %q, %d bytes; want the reloaded blob of shard-1 (%d bytes)",
+			offer.Shard, len(offer.Checkpoint), len(blob))
 	}
 	if cp := decodeCheckpoint(t, offer.Checkpoint); cp.Node != "shard-1" || cp.Bin != 12 {
 		t.Fatalf("offered blob decodes to {node %q, bin %d}, want {shard-1, 12}", cp.Node, cp.Bin)
+	}
+}
+
+// TestStateDirSpillErrorsCounted: a checkpoint the state directory
+// cannot take is still retained in memory, and the failed write is
+// counted. The directory is replaced by a regular file after
+// SetStateDir, so the write fails whatever the process may do.
+func TestStateDirSpillErrorsCounted(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	c := NewCoordinator(MMFSCPU(), 1000)
+	if err := c.SetStateDir(dir, time.Now()); err != nil {
+		t.Fatalf("state dir: %v", err)
+	}
+	tr := NewLoopback(c, "shard-1", 0)
+	if err := tr.Checkpoint(testCheckpointBlob(t, "shard-1", 11), 11, false); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if n := c.SpillErrors(); n != 0 {
+		t.Fatalf("%d spill errors into a working directory, want 0", n)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, bin := range []int64{12, 13} {
+		if err := tr.Checkpoint(testCheckpointBlob(t, "shard-1", bin), bin, false); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		if n := c.SpillErrors(); n != int64(i+1) {
+			t.Fatalf("%d spill errors after %d failed writes", n, i+1)
+		}
+	}
+	if got := checkpointBins(c)["shard-1"]; c.CheckpointsStored() != 3 || got != 13 {
+		t.Fatalf("%d checkpoints stored, bin %d retained; want 3 and 13", c.CheckpointsStored(), got)
 	}
 }
 

@@ -26,11 +26,10 @@ const demandAlpha = 0.5
 // coordination point); as a standalone TCP worker its own
 // StreamContext drives the same methods against a remote coordinator.
 type Node struct {
-	name     string
-	minShare float64
-	sys      *System
-	src      trace.Source
-	tr       NodeTransport
+	name string
+	sys  *System
+	src  trace.Source
+	tr   NodeTransport
 
 	run      *runner
 	demand   float64 // EWMA of observed full-rate demand, cycles/bin
@@ -54,9 +53,6 @@ type NodeConfig struct {
 	// Name identifies the node to the coordinator; it must be unique
 	// across the cluster (the coordinator keys membership on it).
 	Name string
-	// MinShare is the demand fraction the coordinator must cover before
-	// surplus moves elsewhere (see Shard.MinShare).
-	MinShare float64
 
 	// CheckpointEvery ships a ShardCheckpoint to the coordinator every
 	// K measurement intervals (through the transport). 0 disables
@@ -83,8 +79,7 @@ type NodeConfig struct {
 // that lost its coordinator before ever reaching it.
 func NewNode(sys *System, tr NodeTransport, cfg NodeConfig) *Node {
 	return &Node{
-		name: cfg.Name, minShare: cfg.MinShare,
-		sys: sys, tr: tr,
+		name: cfg.Name, sys: sys, tr: tr,
 		ckptEvery: cfg.CheckpointEvery, spec: cfg.Spec,
 		binOffset: cfg.BinOffset,
 	}
@@ -149,7 +144,7 @@ func (n *Node) report() {
 		return
 	}
 	n.observe()
-	n.tr.Report(DemandReport{Node: n.name, Bin: n.binOffset + int64(n.run.bin), Demand: n.demand, MinShare: n.minShare})
+	n.tr.Report(DemandReport{Node: n.name, Bin: n.binOffset + int64(n.run.bin), Demand: n.demand})
 }
 
 // applyGrant installs the coordinator's latest capacity decision, if a

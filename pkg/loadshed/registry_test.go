@@ -62,7 +62,7 @@ func TestRemoveQueryTombstone(t *testing.T) {
 	}
 
 	sys := New(mkCfg(), stdQueries())
-	rs := newResultSink(sys.cfg.Scheme)
+	rs := newResultSink()
 	roll := NewRollingStats(40)
 	bin := 0
 	trigger := SinkFuncs{Bin: func(*BinStats) {
@@ -126,7 +126,7 @@ func TestRemoveQueryTombstone(t *testing.T) {
 
 	// The next run reclaims the tombstone: one fewer query announced,
 	// indices compacted.
-	rs2 := newResultSink(sys.cfg.Scheme)
+	rs2 := newResultSink()
 	sys.Stream(src(), rs2)
 	if len(rs2.res.Queries) != len(base.Queries)-1 {
 		t.Fatalf("restarted run announces %d queries, want %d", len(rs2.res.Queries), len(base.Queries)-1)

@@ -33,22 +33,24 @@ type oracleObserver struct {
 	compared int
 }
 
-// oracleRun is what the observers of one run share.
+// oracleRun is what the observers of one run share. bin counts the
+// bins delivered so far, which is the index of the bin executing.
 type oracleRun struct {
 	sys         *System
 	perInterval int
+	bin         int
 }
 
 func (o *oracleObserver) Observe(fv features.Vector, cost float64) {
 	bc, rq := &o.run.sys.bc, o.run.sys.qs[o.i]
-	if iv := bc.Bin / o.run.perInterval; iv != o.interval {
+	if iv := o.run.bin / o.run.perInterval; iv != o.interval {
 		o.ext.StartInterval()
 		o.interval = iv
 	}
 	rate := bc.rates[o.i]
 	customMode := rq.shed != nil && rq.shed.Mode() == custom.ModeCustom
 	if customMode && rate <= 0 || rq.shed != nil && rq.shed.Mode() == custom.ModeDisabled {
-		o.t.Errorf("bin %d, %s: observed while withheld or disabled", bc.Bin, rq.q.Name())
+		o.t.Errorf("bin %d, %s: observed while withheld or disabled", o.run.bin, rq.q.Name())
 	}
 	sk, npkts, nbytes := bc.sketch, bc.fv[features.IdxPackets], bc.fv[featureIndex("bytes")]
 	if rate < 1 && !customMode {
@@ -58,7 +60,7 @@ func (o *oracleObserver) Observe(fv features.Vector, cost float64) {
 	for j := range want {
 		if math.Float64bits(fv[j]) != math.Float64bits(want[j]) {
 			o.t.Errorf("bin %d, %s, %s: shared state gives %v, a private extractor %v",
-				bc.Bin, rq.q.Name(), features.Name(j), fv[j], want[j])
+				o.run.bin, rq.q.Name(), features.Name(j), fv[j], want[j])
 			break
 		}
 	}
@@ -126,7 +128,8 @@ func TestSharedIntervalStateMatchesPerQueryExtractors(t *testing.T) {
 								}
 							}
 						}
-						switch sys.bc.Bin {
+						defer func() { run.bin++ }()
+						switch run.bin {
 						case 12:
 							if sc.custom {
 								escalateTo(t, sys, sys.qs[1].shed, custom.ModePoliced)

@@ -135,8 +135,8 @@ func (t teeSink) OnQueryRemove(i int, name string) {
 // FlushInto cannot recycle storage the record now owns.
 type resultSink struct{ res *RunResult }
 
-func newResultSink(scheme Scheme) *resultSink {
-	return &resultSink{res: &RunResult{Scheme: scheme}}
+func newResultSink() *resultSink {
+	return &resultSink{res: &RunResult{}}
 }
 
 func (rs *resultSink) OnQuery(_ int, name string) {

@@ -80,6 +80,8 @@ type SystemSnapshot struct {
 	// straight to Restore may leave it zero.
 	Version int
 
+	// Seed is the snapshotted system's Config.Seed, which keys its hash
+	// tables and flow salt; Restore refuses a system built with another.
 	Seed uint64
 	// PredictorKind is the Name() of every query's predictor; a system
 	// whose queries run different kinds is not snapshottable.
@@ -204,13 +206,16 @@ func (s *System) Snapshot() (*SystemSnapshot, error) {
 // the same query set, in the same order, as the snapshotted system —
 // query instances themselves need no restoring, because their state is
 // interval-scoped and resets at the next interval start. Restore
-// verifies what it can (predictor kind, query names and order, every
-// history ring, the detector's state) before it installs anything, and
-// reports a mismatch with the system left as it was rather than
-// installing a torn state.
+// verifies what it can (seed, predictor kind, query names and order,
+// every history ring, the detector's state) before it installs
+// anything, and reports a mismatch with the system left as it was
+// rather than installing a torn state.
 func (s *System) Restore(snap *SystemSnapshot) error {
 	if s.manager != nil {
 		return fmt.Errorf("loadshed: restore: custom shedding systems are not snapshottable")
+	}
+	if snap.Seed != s.cfg.Seed {
+		return fmt.Errorf("loadshed: restore: system has seed %d, snapshot has %d", s.cfg.Seed, snap.Seed)
 	}
 	if (snap.Detect != nil) != (s.det != nil) {
 		return fmt.Errorf("loadshed: restore: change detection is %v on the system but %v in the snapshot",

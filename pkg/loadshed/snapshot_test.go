@@ -101,6 +101,28 @@ func TestSnapshotRestoreErrors(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesOtherSeed: the seed keys a system's hash tables and
+// flow salt, so a snapshot resumed under another seed runs on, but not
+// as the snapshotted system would have. Restore must refuse it, and
+// accept the same snapshot under the seed it was taken with.
+func TestRestoreRefusesOtherSeed(t *testing.T) {
+	withSeed := func(seed uint64) *System {
+		return New(Config{Scheme: Predictive, Strategy: MMFSPkt(), Seed: seed, Capacity: 1e6, Workers: 1}, snapshotTestQueries())
+	}
+	donor := withSeed(99)
+	donor.Run(cescaTrace().span(0, 10))
+	snap, err := donor.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	if err := withSeed(100).Restore(snap); err == nil {
+		t.Fatal("a seed-99 snapshot restored into a seed-100 system")
+	}
+	if err := withSeed(99).Restore(snap); err != nil {
+		t.Fatalf("restore under the snapshot's own seed: %v", err)
+	}
+}
+
 // TestRestoreRefusalLeavesSystemUntouched: a snapshot Restore refuses
 // installs nothing. Two refusals that used to come after part of the
 // state was in — the last query's history ring at the wrong capacity

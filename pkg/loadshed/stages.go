@@ -22,8 +22,6 @@ const coldStartRate = 0.05
 // fields of the stages before it and fills in its own. The final
 // per-bin record accumulates in Stats.
 type binContext struct {
-	// Bin is the batch's index in the run.
-	Bin int
 	// Wire is the batch as captured on the wire, before admission.
 	Wire *pkt.Batch
 	// Admitted is the traffic that survived the capture buffer (admit).
@@ -57,13 +55,12 @@ type execResult struct {
 }
 
 // newBinContext starts the pipeline for one bin from its filled slot
-// (binSlot.fill), whose index pass also took the byte sum WireBytes
-// reads. The context itself and its internal slices live on the System
-// and are reused every bin (bins are strictly sequential; the worker
-// pool drains before the next bin starts). So are the public Stats
-// slices: a Sink's records are valid only during the call, and Run
-// copies them.
-func (s *System) newBinContext(bin int, sl *binSlot) *binContext {
+// (binSlot.fill). The context itself and its internal slices live on
+// the System and are reused every bin (bins are strictly sequential;
+// the worker pool drains before the next bin starts). So are the public
+// Stats slices: a Sink's records are valid only during the call, and
+// Run copies them.
+func (s *System) newBinContext(sl *binSlot) *binContext {
 	b := &sl.batch
 	capacity := s.gov.Capacity()
 	nq := len(s.qs)
@@ -71,13 +68,11 @@ func (s *System) newBinContext(bin int, sl *binSlot) *binContext {
 	rates, exec := bc.rates, bc.exec
 	sRates, sUsed, sPred := bc.Stats.Rates, bc.Stats.QueryUsed, bc.Stats.QueryPred
 	*bc = binContext{
-		Bin:  bin,
 		Wire: b,
 		Stats: BinStats{
 			Start:     b.Start,
 			Capacity:  capacity,
 			WirePkts:  b.Packets(),
-			WireBytes: b.Bytes(),
 			Rates:     resizeZeroed(sRates, nq),
 			QueryUsed: resizeZeroed(sUsed, nq),
 			QueryPred: resizeZeroed(sPred, nq),
@@ -113,8 +108,8 @@ func resizeZeroed(s []float64, n int) []float64 {
 // (Algorithm 1): capture-buffer admission, platform overhead, feature
 // extraction and prediction, the shedding decision, per-query sampling
 // and execution, and controller feedback.
-func (s *System) step(bin int, sl *binSlot) BinStats {
-	bc := s.newBinContext(bin, sl)
+func (s *System) step(sl *binSlot) BinStats {
+	bc := s.newBinContext(sl)
 	s.admit(bc)
 	s.platformOverhead(bc)
 	s.extractPredict(bc)
@@ -149,9 +144,9 @@ func (s *System) admit(bc *binContext) {
 		}
 	}
 	bc.Stats.AdmitPkts = len(admitted)
-	// A copy of the wire batch keeps its byte sum, which newBinContext
-	// took for WireBytes; the cache is keyed on the packet count, so a
-	// tail drop invalidates it by itself.
+	// A copy of the wire batch keeps the byte sum its index pass took;
+	// the cache is keyed on the packet count, so a tail drop invalidates
+	// it by itself.
 	bc.Admitted = *bc.Wire
 	bc.Admitted.Pkts = admitted
 	// The wire batch's flow index serves the admitted one: a tail drop

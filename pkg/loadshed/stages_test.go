@@ -84,7 +84,7 @@ func TestAdmitBufferModel(t *testing.T) {
 			if !tc.unlimited && s.gov.Delay() != tc.delay {
 				t.Fatalf("injected delay %v, governor holds %v", tc.delay, s.gov.Delay())
 			}
-			bc := s.newBinContext(0, slotOf(s, nPktBatch(npkts)))
+			bc := s.newBinContext(slotOf(s, nPktBatch(npkts)))
 			s.admit(bc)
 			if bc.Stats.DropPkts != tc.wantDrops {
 				t.Errorf("DropPkts = %d, want %d", bc.Stats.DropPkts, tc.wantDrops)
@@ -129,7 +129,7 @@ func TestAdmitTailDrop(t *testing.T) {
 	if sl.sketch.Pkts() != npkts {
 		t.Fatalf("the slot sketched %d packets, want the wire batch's %d", sl.sketch.Pkts(), npkts)
 	}
-	bc := s.newBinContext(0, sl)
+	bc := s.newBinContext(sl)
 	s.admit(bc)
 
 	if bc.Stats.DropPkts != npkts/2 {
@@ -190,7 +190,7 @@ func TestReactiveRateUpdate(t *testing.T) {
 			s.reactiveRate = tc.prevRate
 			s.lastConsumed = tc.consumed
 			s.reactiveDelay = tc.delay
-			bc := s.newBinContext(0, slotOf(s, nPktBatch(10)))
+			bc := s.newBinContext(slotOf(s, nPktBatch(10)))
 			bc.overhead = tc.overhead
 			s.decideShedding(bc)
 			for i, r := range bc.rates {
@@ -334,7 +334,7 @@ func TestDisabledQuerySkipsObservation(t *testing.T) {
 
 	p2pBefore := histLen(p2p.mlr.History())
 	counterBefore := histLen(sys.qs[1].mlr.History())
-	stats := sys.step(0, slotOf(sys, nPktBatch(50)))
+	stats := sys.step(slotOf(sys, nPktBatch(50)))
 
 	if got := histLen(p2p.mlr.History()); got != p2pBefore {
 		t.Fatalf("disabled query's MLR history grew %d -> %d: empty-batch observation poisoned the model", p2pBefore, got)
